@@ -468,7 +468,12 @@ fn run() -> i32 {
     // The compiled engine's headline: matmul 1024² tiled16u is dominated by
     // long straight-line runs (the unrolled inner loop is ~48 eligible ops
     // between branches), so hoisting functional execution to region entry
-    // must beat the predecoded per-instruction dispatch by 2x. Memo and
+    // beat the predecoded per-instruction dispatch ~2.9x while that
+    // dispatch evaluated every 16x16-block address row lane by lane. With
+    // half-warp-affine rows both engines fold those rows to one tag, the
+    // predecoded arm sped up ~3x and the compiled arm ~1.3x, and what is
+    // left of the edge is the skipped per-instruction interpretation
+    // (~1.1-1.2x) — the floor now asserts compiled does not lose. Memo and
     // dedup stay off — this row measures the execution engine alone.
     let big = MatMul { n: 1024 };
     let (big_a, big_b) = big.generate(42);
@@ -1106,9 +1111,10 @@ fn run() -> i32 {
     // The pooled executor may never lose to the spawn baseline, even on
     // fleets of tiny nested launches (the caller-runs heuristic's contract).
     sweep_floor("suite_small", 1.0);
-    if compiled_speedup < 2.0 {
+    if compiled_speedup < 0.9 {
         missed.push(format!(
-            "matmul_1024_compiled speedup {compiled_speedup:.2}x is below the 2x floor"
+            "matmul_1024_compiled speedup {compiled_speedup:.2}x is below the 0.9x floor \
+             (the compiled engine may not lose to predecoded beyond timer noise)"
         ));
     }
     let mut red_floor = |name: &str, floor: f64| {
@@ -1123,12 +1129,15 @@ fn run() -> i32 {
             ));
         }
     };
-    // The dedup floor dropped 3x → 2.5x when row-shape tracking landed:
-    // the dedup-OFF baseline folds uniform/affine rows and got ~30%
-    // faster, while the dedup-ON arm is replay-bound and folds little, so
-    // the ratio compressed from ~5x to ~3.0–3.4x. The floor guards the
-    // *remaining* benefit of simulating 188 of 8192 blocks.
-    red_floor("matmul_1024_dedup", 2.5);
+    // The dedup floor tracks its baseline: 3x → 2.5x when row-shape
+    // tracking landed (the dedup-OFF arm folded 1-D rows, ~30% faster),
+    // → 1.1x with half-warp-affine rows: on this 16x16-block kernel the
+    // dedup-OFF arm got ~3x faster and the replay-bound dedup-ON arm
+    // ~1.6x, so both now spend their time in the same per-lane loads and
+    // FMAs and the ratio measures 1.3–1.5x. The floor guards the
+    // *remaining* benefit of skipping the scheduler for 8004 of 8192
+    // blocks; absolute times for both arms are in BENCH_sim.json.
+    red_floor("matmul_1024_dedup", 1.1);
     red_floor("tuner_fleet_revisit", 5.0);
     if disk_speedup < 10.0 {
         missed.push(format!(
@@ -1157,11 +1166,15 @@ fn run() -> i32 {
             .iter()
             .find(|r| r.name == "saxpy_rows")
             .unwrap();
-        // Measured 1.5x–1.6x; the floor sits at 1.4x so container timing
-        // noise on the ~10 ms full-row arm cannot flap a true result.
-        if saxpy_rows.speedup() < 1.4 {
+        // Measured 1.3x–1.45x on the 2-core box that regenerates
+        // BENCH_sim.json (1.5x–1.6x on the 1-core container that first set
+        // this floor at 1.4x; the three-term shape costs the 1-D path ~4%:
+        // one more term through every fold and lane walk). The floor sits
+        // at 1.2x so timing noise on the ~8 ms full-row arm cannot flap a
+        // true result.
+        if saxpy_rows.speedup() < 1.2 {
             missed.push(format!(
-                "saxpy_rows tracked speedup {:.2}x is below the 1.4x floor",
+                "saxpy_rows tracked speedup {:.2}x is below the 1.2x floor",
                 saxpy_rows.speedup()
             ));
         }
@@ -1170,6 +1183,28 @@ fn run() -> i32 {
                 "saxpy_rows shaped fraction {:.2} is below the 0.5 floor \
                  (uniform/affine folding stopped engaging)",
                 saxpy_rows.shaped_fraction()
+            ));
+        }
+        // The paper's own kernel shape: 16×16 thread blocks, where tid.x/tid.y
+        // are affine per half-warp. Its whole address chain must stay shaped
+        // (the warp-affine shape of PR 9 left it 96% `Full` at 1.01x), and
+        // tracking must pay on it.
+        let matmul_rows = row_structure
+            .iter()
+            .find(|r| r.name == "matmul_rows")
+            .unwrap();
+        if matmul_rows.shaped_fraction() < 0.6 {
+            missed.push(format!(
+                "matmul_rows shaped fraction {:.2} is below the 0.6 floor \
+                 (half-warp-affine rows stopped carrying the 16x16 address chain)",
+                matmul_rows.shaped_fraction()
+            ));
+        }
+        // Measured 2.3x–3.9x (the eager arm is the noisy one).
+        if matmul_rows.speedup() < 2.0 {
+            missed.push(format!(
+                "matmul_rows tracked speedup {:.2}x is below the 2.0x floor",
+                matmul_rows.speedup()
             ));
         }
         for r in &row_structure {

@@ -8,10 +8,16 @@
 //! index (`tid`-derived induction values and addresses). [`LaneRow`] makes
 //! that structure explicit: a register row carries a shape tag, and the
 //! fold rules below propagate shapes through the integer ALU algebra
-//! exactly — in wrapping mod-2^32 arithmetic a lane row `base + stride·l`
-//! stays affine under add/sub, multiply-by-uniform, and left shift, so the
-//! simulator executes those warp instructions in O(1) instead of O(32) and
-//! derives memory degrees in closed form (see `g80_sim::memory`).
+//! exactly. The affine shape is affine *per half-warp* — the unit the paper
+//! judges coalescing and bank conflicts by — with a second term stepping
+//! between the two halves: lane `l` holds
+//! `base + stride·(l mod 16) + step·(l div 16)`. That covers the 1-D rows
+//! `base + s·l` (`step = 16·s`) and the `tid.x`/`tid.y` rows of a 16-wide
+//! 2-D thread block (`{0, 1, 0}` and `{2w, 0, 1}` in warp `w`) alike. In
+//! wrapping mod-2^32 arithmetic such a row stays affine under add/sub,
+//! multiply-by-uniform, and left shift, so the simulator executes those
+//! warp instructions in O(1) instead of O(32) and derives memory degrees in
+//! closed form (see `g80_sim::memory`).
 //!
 //! Exactness contract: every fold in this module returns `Some(shape)` only
 //! when expanding `shape` yields **bit-identical** lanes to running the
@@ -38,22 +44,58 @@ use crate::Value;
 pub enum LaneRow {
     /// Every lane holds the same bit pattern.
     Uniform(Value),
-    /// Lane `l` holds `base.wrapping_add(stride.wrapping_mul(l))`.
-    Affine { base: u32, stride: u32 },
+    /// Lane `l` holds `base + stride·(l mod 16) + step·(l div 16)`, wrapping
+    /// (see [`affine_lanes`]): affine within each half-warp, the hi half
+    /// offset from the lo half by `step`.
+    Affine { base: u32, stride: u32, step: u32 },
     /// No structure known; lanes live in backing storage.
     Full,
 }
 
+/// Lane `l` of the affine form `(base, stride, step)`:
+/// `base + stride·(l mod 16) + step·(l div 16)` in wrapping u32 arithmetic.
+#[inline]
+fn affine_lane(base: u32, stride: u32, step: u32, l: u32) -> u32 {
+    base.wrapping_add(stride.wrapping_mul(l % 16))
+        .wrapping_add(step.wrapping_mul(l / 16))
+}
+
+/// Calls `f(lane, value)` for each of the 32 lanes of the affine form
+/// `(base, stride, step)`, in lane order — the one walk over a shaped row
+/// that every consumer shares (register expansion here, lane addresses in
+/// `g80_sim`). One running sum per half-warp, so a consumer's loop body
+/// sees a plain induction variable.
+#[inline(always)]
+pub fn for_each_affine_lane(base: u32, stride: u32, step: u32, mut f: impl FnMut(usize, u32)) {
+    let (mut lo, mut hi) = (base, base.wrapping_add(step));
+    for l in 0..16 {
+        f(l, lo);
+        lo = lo.wrapping_add(stride);
+    }
+    for l in 16..32 {
+        f(l, hi);
+        hi = hi.wrapping_add(stride);
+    }
+}
+
+/// All 32 lane values of the affine form `(base, stride, step)`.
+#[inline]
+pub fn affine_lanes(base: u32, stride: u32, step: u32) -> [u32; 32] {
+    let mut lanes = [0u32; 32];
+    for_each_affine_lane(base, stride, step, |l, a| lanes[l] = a);
+    lanes
+}
+
 impl LaneRow {
-    /// Affine constructor that canonicalizes stride 0 to `Uniform`, so
-    /// downstream folds (which accept `Uniform` everywhere) see the
-    /// strongest shape.
+    /// Affine constructor that canonicalizes `stride = step = 0` to
+    /// `Uniform`, so downstream folds (which accept `Uniform` everywhere)
+    /// see the strongest shape.
     #[inline]
-    pub fn affine(base: u32, stride: u32) -> LaneRow {
-        if stride == 0 {
+    pub fn affine(base: u32, stride: u32, step: u32) -> LaneRow {
+        if stride == 0 && step == 0 {
             LaneRow::Uniform(Value(base))
         } else {
-            LaneRow::Affine { base, stride }
+            LaneRow::Affine { base, stride, step }
         }
     }
 
@@ -61,13 +103,8 @@ impl LaneRow {
     /// lane data).
     #[inline]
     pub fn lane(self, l: usize) -> Option<Value> {
-        match self {
-            LaneRow::Uniform(v) => Some(v),
-            LaneRow::Affine { base, stride } => {
-                Some(Value(base.wrapping_add(stride.wrapping_mul(l as u32))))
-            }
-            LaneRow::Full => None,
-        }
+        let (base, stride, step) = self.terms()?;
+        Some(Value(affine_lane(base, stride, step, l as u32)))
     }
 
     /// Expands the shape into `dst`. Returns `false` (leaving `dst`
@@ -79,25 +116,22 @@ impl LaneRow {
                 dst.fill(v);
                 true
             }
-            LaneRow::Affine { base, stride } => {
-                let mut a = base;
-                for d in dst.iter_mut() {
-                    *d = Value(a);
-                    a = a.wrapping_add(stride);
-                }
+            LaneRow::Affine { base, stride, step } => {
+                *dst = affine_lanes(base, stride, step).map(Value);
                 true
             }
             LaneRow::Full => false,
         }
     }
 
-    /// `(base, stride)` view for address arithmetic: a `Uniform` row is
-    /// stride 0; `Full` has no closed form.
+    /// `(base, stride, step)` view for address arithmetic: a `Uniform` row
+    /// is `(v, 0, 0)`; `Full` has no closed form. The lo half-warp is the
+    /// affine run `(base, stride)`, the hi half `(base + step, stride)`.
     #[inline]
-    pub fn base_stride(self) -> Option<(u32, u32)> {
+    pub fn terms(self) -> Option<(u32, u32, u32)> {
         match self {
-            LaneRow::Uniform(v) => Some((v.0, 0)),
-            LaneRow::Affine { base, stride } => Some((base, stride)),
+            LaneRow::Uniform(v) => Some((v.0, 0, 0)),
+            LaneRow::Affine { base, stride, step } => Some((base, stride, step)),
             LaneRow::Full => None,
         }
     }
@@ -108,88 +142,73 @@ impl LaneRow {
     pub fn classify(row: &Row) -> LaneRow {
         let base = row[0].0;
         let stride = row[1].0.wrapping_sub(base);
-        let mut a = base;
-        for v in row.iter() {
-            if v.0 != a {
-                return LaneRow::Full;
-            }
-            a = a.wrapping_add(stride);
+        let step = row[16].0.wrapping_sub(base);
+        if row.map(|v| v.0) == affine_lanes(base, stride, step) {
+            LaneRow::affine(base, stride, step)
+        } else {
+            LaneRow::Full
         }
-        LaneRow::affine(base, stride)
     }
 }
 
 /// Folds a two-source ALU op over shapes. See the module-level exactness
 /// contract: uniform⊕uniform folds for every op; affine rows fold only
 /// through the ops that are affine in wrapping u32 arithmetic (add,
-/// subtract, multiply-by-uniform, left-shift-by-uniform).
+/// subtract, multiply-by-uniform, left-shift-by-uniform), all of which act
+/// componentwise on the three terms.
 pub fn fold_alu(op: AluOp, a: LaneRow, b: LaneRow) -> Option<LaneRow> {
     use LaneRow::*;
     if let (Uniform(x), Uniform(y)) = (a, b) {
         return Some(Uniform(exec::eval_alu(op, x, y)));
     }
     match (op, a, b) {
-        (AluOp::IAdd, Affine { base, stride }, Uniform(k))
-        | (AluOp::IAdd, Uniform(k), Affine { base, stride }) => {
-            Some(LaneRow::affine(base.wrapping_add(k.0), stride))
+        // A uniform operand is the affine row `(v, 0, 0)`, so one rule
+        // covers affine±affine and affine±uniform in either order.
+        (AluOp::IAdd, _, _) => {
+            let (x, y) = (a.terms()?, b.terms()?);
+            Some(LaneRow::affine(
+                x.0.wrapping_add(y.0),
+                x.1.wrapping_add(y.1),
+                x.2.wrapping_add(y.2),
+            ))
         }
-        (
-            AluOp::IAdd,
-            Affine {
-                base: b1,
-                stride: s1,
-            },
-            Affine {
-                base: b2,
-                stride: s2,
-            },
-        ) => Some(LaneRow::affine(b1.wrapping_add(b2), s1.wrapping_add(s2))),
-        (AluOp::ISub, Affine { base, stride }, Uniform(k)) => {
-            Some(LaneRow::affine(base.wrapping_sub(k.0), stride))
+        (AluOp::ISub, _, _) => {
+            let (x, y) = (a.terms()?, b.terms()?);
+            Some(LaneRow::affine(
+                x.0.wrapping_sub(y.0),
+                x.1.wrapping_sub(y.1),
+                x.2.wrapping_sub(y.2),
+            ))
         }
-        (AluOp::ISub, Uniform(k), Affine { base, stride }) => Some(LaneRow::affine(
-            k.0.wrapping_sub(base),
-            stride.wrapping_neg(),
-        )),
-        (
-            AluOp::ISub,
-            Affine {
-                base: b1,
-                stride: s1,
-            },
-            Affine {
-                base: b2,
-                stride: s2,
-            },
-        ) => Some(LaneRow::affine(b1.wrapping_sub(b2), s1.wrapping_sub(s2))),
-        (AluOp::IMul, Affine { base, stride }, Uniform(k))
-        | (AluOp::IMul, Uniform(k), Affine { base, stride }) => Some(LaneRow::affine(
-            base.wrapping_mul(k.0),
-            stride.wrapping_mul(k.0),
-        )),
+        (AluOp::IMul, Affine { base, stride, step }, Uniform(k))
+        | (AluOp::IMul, Uniform(k), Affine { base, stride, step }) => {
+            let mul = |t: u32| t.wrapping_mul(k.0);
+            Some(LaneRow::affine(mul(base), mul(stride), mul(step)))
+        }
         // x << k == x · 2^(k & 31) in wrapping u32 arithmetic, so the shift
         // distributes over the affine form exactly.
-        (AluOp::Shl, Affine { base, stride }, Uniform(k)) => {
-            let k = k.0 & 31;
-            Some(LaneRow::affine(
-                base.wrapping_shl(k),
-                stride.wrapping_shl(k),
-            ))
+        (AluOp::Shl, Affine { base, stride, step }, Uniform(k)) => {
+            let shl = |t: u32| t.wrapping_shl(k.0 & 31);
+            Some(LaneRow::affine(shl(base), shl(stride), shl(step)))
         }
         _ => None,
     }
 }
 
 /// Folds a one-source op over a shape. `Mov` passes any non-`Full` shape
-/// through; `Not` is `-x - 1`, affine with the negated stride; everything
-/// else folds only from uniform.
+/// through; `Not` is `-x - 1`, affine with the negated stride and step;
+/// everything else folds only from uniform.
 pub fn fold_un(op: UnOp, a: LaneRow) -> Option<LaneRow> {
     use LaneRow::*;
     match (op, a) {
         (_, Full) => None,
         (_, Uniform(x)) => Some(Uniform(exec::eval_un(op, x))),
         (UnOp::Mov, s) => Some(s),
-        (UnOp::Not, Affine { base, stride }) => Some(LaneRow::affine(!base, stride.wrapping_neg())),
+        (UnOp::Not, Affine { base, stride, step }) => Some(LaneRow::affine(
+            !base,
+            stride.wrapping_neg(),
+            step.wrapping_neg(),
+        )),
         _ => None,
     }
 }
@@ -269,8 +288,14 @@ mod tests {
         LaneRow::Uniform(Value(v))
     }
 
+    /// A 1-D affine row `base + stride·l`: the hi half continues the lo
+    /// half's run, `step = 16·stride`.
     fn af(base: u32, stride: u32) -> LaneRow {
-        LaneRow::Affine { base, stride }
+        af3(base, stride, stride.wrapping_mul(16))
+    }
+
+    fn af3(base: u32, stride: u32, step: u32) -> LaneRow {
+        LaneRow::Affine { base, stride, step }
     }
 
     /// Every Some() fold must match the per-lane evaluator bit-for-bit.
@@ -285,6 +310,9 @@ mod tests {
             af(3, 0x8000_0001),
             af(u32::MAX - 5, 7),
             af(0, u32::MAX),
+            af3(0, 1, 0),              // tid.x of a 16-wide block
+            af3(6, 0, 1),              // tid.y of a 16-wide block, warp 3
+            af3(0x40, 4, 0x8000_0000), // overflow-prone step
         ];
         let ops = [
             AluOp::FAdd,
@@ -323,7 +351,14 @@ mod tests {
 
     #[test]
     fn un_and_imad_folds_match_lane_eval() {
-        let shapes = [u(5), u(0xffff_fff0), af(0x40, 4), af(9, u32::MAX - 2)];
+        let shapes = [
+            u(5),
+            u(0xffff_fff0),
+            af(0x40, 4),
+            af(9, u32::MAX - 2),
+            af3(2, 0, 1),
+            af3(0, 4, 0x400),
+        ];
         for &op in &[UnOp::Mov, UnOp::Not, UnOp::FNeg, UnOp::CvtI2F, UnOp::CvtF2U] {
             for &a in &shapes {
                 if let Some(folded) = fold_un(op, a) {
@@ -367,13 +402,27 @@ mod tests {
     }
 
     #[test]
-    fn stride_zero_canonicalizes_to_uniform() {
-        assert_eq!(LaneRow::affine(42, 0), u(42));
+    fn zero_stride_and_step_canonicalize_to_uniform() {
+        assert_eq!(LaneRow::affine(42, 0, 0), u(42));
+        assert_eq!(LaneRow::affine(42, 0, 1), af3(42, 0, 1));
         assert_eq!(
             fold_alu(AluOp::ISub, af(10, 4), af(2, 4)),
             Some(u(8)),
             "equal strides cancel"
         );
+    }
+
+    /// The 16x16-block address chain the shape exists for: `tid.y·n + tid.x`
+    /// scaled to bytes stays one shape, its halves `n` words apart.
+    #[test]
+    fn two_d_block_address_chain_folds() {
+        let (tid_x, tid_y) = (af3(0, 1, 0), af3(6, 0, 1));
+        let idx = fold_imad(tid_y, u(256), tid_x).unwrap();
+        assert_eq!(idx, af3(6 * 256, 1, 256));
+        let byte = fold_alu(AluOp::Shl, idx, u(2)).unwrap();
+        let addr = fold_alu(AluOp::IAdd, byte, u(0x1_0000)).unwrap();
+        assert_eq!(addr, af3(0x1_0000 + 6 * 1024, 4, 1024));
+        assert_eq!(addr.lane(17), Some(Value(0x1_0000 + 7 * 1024 + 4)));
     }
 
     #[test]
@@ -392,6 +441,8 @@ mod tests {
         assert_eq!(LaneRow::classify(&row), af(0x20, 12));
         u(77).expand_into(&mut row);
         assert_eq!(LaneRow::classify(&row), u(77));
+        af3(4, 0, 1).expand_into(&mut row);
+        assert_eq!(LaneRow::classify(&row), af3(4, 0, 1));
         row[13] = Value(1);
         assert_eq!(LaneRow::classify(&row), LaneRow::Full);
     }

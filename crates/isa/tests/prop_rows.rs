@@ -260,7 +260,10 @@ fn row_evaluators_match_scalar_on_specials_and_partial_masks() {
 }
 
 /// A random non-`Full` shape, including special-float bit patterns as
-/// uniform values and extreme strides (overflow-prone, power-of-two).
+/// uniform values, extreme strides (overflow-prone, power-of-two), and
+/// every relation between the half-warp step and the stride: the 1-D
+/// continuation `16·stride`, the restart `0` (a 16-wide block's `tid.x`),
+/// a pure step under a zero stride (its `tid.y`), and unrelated values.
 fn shape(rng: &mut Rng) -> LaneRow {
     if rng.next() & 1 == 0 {
         LaneRow::Uniform(Value::from_u32(rng.special()))
@@ -271,9 +274,18 @@ fn shape(rng: &mut Rng) -> LaneRow {
             2 => 1 << 30,
             3 => 0x8000_0000,
             4 => rng.u32() | 0x8000_0000, // huge: wrapping exercised
+            5 => 0,
             _ => rng.u32() & 0xffff,
         };
-        LaneRow::affine(rng.special(), stride)
+        let step = match rng.next() & 7 {
+            0 | 1 => stride.wrapping_mul(16),
+            2 => 0,
+            3 => 1,
+            4 => 0x8000_0000,
+            5 => rng.u32() | 0xf000_0000, // overflow-prone
+            _ => rng.u32() & 0xf_ffff,
+        };
+        LaneRow::affine(rng.special(), stride, step)
     }
 }
 
@@ -393,12 +405,13 @@ fn classify_round_trips_and_rejects_perturbations() {
     for _ in 0..2000 {
         let s = shape(&mut rng);
         let r = expand(s);
-        let c = LaneRow::classify(&r);
-        assert_ne!(c, LaneRow::Full, "structured row must classify: {s:?}");
-        let back = expand(c);
-        for l in 0..32 {
-            assert_eq!(back[l].0, r[l].0, "classify lane {l}: {s:?} -> {c:?}");
+        for (l, &v) in r.iter().enumerate() {
+            assert_eq!(s.lane(l), Some(v), "lane() vs expand_into lane {l}: {s:?}");
         }
+        // The three terms are read off lanes 0, 1 and 16, so a shape is its
+        // own canonical form: classify returns it, not merely an equivalent.
+        let c = LaneRow::classify(&r);
+        assert_eq!(c, s, "classify∘expand_into must round-trip");
 
         let mut broken = r;
         let lane = (rng.next() % 32) as usize;

@@ -26,13 +26,13 @@
 use g80_isa::compile::{CompiledOp, Region, Src};
 use g80_isa::exec::{self, Row};
 use g80_isa::inst::SpecialReg;
-use g80_isa::row;
+use g80_isa::row::{self, for_each_affine_lane};
 use g80_isa::{LaneRow, Value};
 
 use crate::config::GpuConfig;
 use crate::counters::RowCounters;
-use crate::memory::{smem_conflict_degree_noalloc, smem_degree_affine};
-use crate::sm::split_half_warps;
+use crate::memory::smem_degree_affine;
+use crate::sm::{shift_shape, smem_degree_scan};
 use crate::warp::Warp;
 
 /// The warp-invariant operand environment: everything a [`Src`] other than
@@ -143,8 +143,7 @@ fn warp_degree(cfg: &GpuConfig, addrs: &[u32; 32], mask: u32) -> u32 {
             return 1;
         }
     }
-    let (lo, hi) = split_half_warps(addrs, mask);
-    smem_conflict_degree_noalloc(cfg, &lo).max(smem_conflict_degree_noalloc(cfg, &hi))
+    smem_degree_scan(cfg, addrs, mask)
 }
 
 /// Runs a region's functional effects over `warp` and refills
@@ -303,12 +302,12 @@ pub(crate) fn run_region(
             }
             CompiledOp::LdShared { dst, addr, off } => {
                 if fold {
-                    if let Some((base, stride)) = shifted(src_shape(shapes, &sp, addr), off) {
+                    let ashape = shift_shape(src_shape(shapes, &sp, addr), off);
+                    if let Some((base, stride, step)) = ashape.terms() {
                         if let Some(d) = smem_degree_affine(cfg, stride) {
-                            rows.tally(&LaneRow::affine(base, stride));
+                            rows.tally(&ashape);
                             let dr = dst_row(regs, shapes, dst);
-                            let mut a = base;
-                            for slot in dr.iter_mut() {
+                            for_each_affine_lane(base, stride, step, |l, a| {
                                 let idx = (a / 4) as usize;
                                 assert!(
                                     idx < smem.len(),
@@ -317,9 +316,8 @@ pub(crate) fn run_region(
                                     idx,
                                     smem.len()
                                 );
-                                *slot = smem[idx];
-                                a = a.wrapping_add(stride);
-                            }
+                                dr[l] = smem[idx];
+                            });
                             region_aux.push(d);
                             continue;
                         }
@@ -349,12 +347,12 @@ pub(crate) fn run_region(
             }
             CompiledOp::StShared { addr, off, src } => {
                 if fold {
-                    if let Some((base, stride)) = shifted(src_shape(shapes, &sp, addr), off) {
+                    let ashape = shift_shape(src_shape(shapes, &sp, addr), off);
+                    if let Some((base, stride, step)) = ashape.terms() {
                         if let Some(d) = smem_degree_affine(cfg, stride) {
-                            rows.tally(&LaneRow::affine(base, stride));
+                            rows.tally(&ashape);
                             let srcs = src_row(regs, shapes, &sp, src);
-                            let mut a = base;
-                            for &v in srcs.iter() {
+                            for_each_affine_lane(base, stride, step, |l, a| {
                                 let idx = (a / 4) as usize;
                                 assert!(
                                     idx < smem.len(),
@@ -363,9 +361,8 @@ pub(crate) fn run_region(
                                     idx,
                                     smem.len()
                                 );
-                                smem[idx] = v;
-                                a = a.wrapping_add(stride);
-                            }
+                                smem[idx] = srcs[l];
+                            });
                             region_aux.push(d);
                             continue;
                         }
@@ -396,11 +393,4 @@ pub(crate) fn run_region(
         }
         region_aux.push(aux);
     }
-}
-
-/// `(base + off, stride)` of an address row shape, or `None` for `Full`.
-#[inline(always)]
-fn shifted(shape: LaneRow, off: i32) -> Option<(u32, u32)> {
-    let (base, stride) = shape.base_stride()?;
-    Some((base.wrapping_add(off as u32), stride))
 }

@@ -338,6 +338,23 @@ pub fn coalesce_affine_half(cfg: &GpuConfig, base: u32, stride: u32) -> Option<H
     })
 }
 
+/// Closed-form coalescing for both half-warps of a *full* warp whose address
+/// row has the shape `(base, stride, step)` (see
+/// [`g80_isa::LaneRow::Affine`]): the lo half is the affine run
+/// `(base, stride)`, the hi half `(base + step, stride)`. `None` when either
+/// half has no closed form.
+pub fn coalesce_affine_warp(
+    cfg: &GpuConfig,
+    base: u32,
+    stride: u32,
+    step: u32,
+) -> Option<[HalfWarpAccess; 2]> {
+    Some([
+        coalesce_affine_half(cfg, base, stride)?,
+        coalesce_affine_half(cfg, base.wrapping_add(step), stride)?,
+    ])
+}
+
 /// Closed-form shared-memory bank-conflict degree for a *full* half-warp
 /// with affine addresses (lane `k` at `base + stride·k`, mod 2^32). `None`
 /// means no closed form applies (the caller falls back to the scan);
@@ -429,31 +446,45 @@ mod tests {
 
     #[test]
     fn affine_closed_forms_match_scans() {
-        // Deterministic LCG sweep over (base, stride), plus targeted edges.
-        // Bases stay below 2^31 so the scan's non-wrapping coalesced check
-        // cannot overflow in debug builds (the closed form is specified
-        // against the release-mode wrapping scan).
+        // Deterministic LCG sweep over (base, stride, step) rows, plus
+        // targeted edges. Bases and steps stay below 2^30 so the scan's
+        // non-wrapping coalesced check cannot overflow in debug builds on
+        // either half (the closed form is specified against the
+        // release-mode wrapping scan).
         let mut configs = vec![cfg()];
         let mut alt = cfg();
         alt.combine_duplicates = !alt.combine_duplicates;
         configs.push(alt);
         let mut state = 0x2545_f491_4f6c_dd1du64;
-        let mut cases: Vec<(u32, u32)> = Vec::new();
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state
+        };
+        let mut cases: Vec<(u32, u32, u32)> = Vec::new();
         for _ in 0..2000 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let base = ((state >> 33) as u32) & 0x7fff_ffff;
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
+            // Mix aligned bases (so the coalesced verdict is reachable on
+            // either half) with arbitrary ones.
+            let r = next();
+            let base = ((r >> 33) as u32 & 0x3fff_ffff) & if r & 1 == 0 { !63 } else { !0 };
             // Mix small strides (the interesting regime) with arbitrary ones.
-            let stride = if state & 1 == 0 {
-                ((state >> 40) as u32) & 0xff
+            let r = next();
+            let stride = if r & 1 == 0 {
+                ((r >> 40) as u32) & 0xff
             } else {
-                (state >> 32) as u32 & 0x7fff_ffff
+                (r >> 32) as u32 & 0x7fff_ffff
             };
-            cases.push((base, stride));
+            // The step relations real kernels produce: the 1-D continuation,
+            // a half-warp restart, a row pitch, an arbitrary offset.
+            let r = next();
+            let step = match r & 3 {
+                0 => stride.wrapping_mul(16) & 0x3fff_ffff,
+                1 => 0,
+                2 => ((r >> 40) as u32 & 0xfff) * 64,
+                _ => (r >> 32) as u32 & 0x3fff_ffff,
+            };
+            cases.push((base, stride, step));
         }
         for s in [
             0,
@@ -471,21 +502,32 @@ mod tests {
             1 << 30,
             3 << 28,
         ] {
-            for b in [0, 4, 64, 60, 0x1000, 0x1004, 0x7fff_0000] {
-                cases.push((b, s));
+            for b in [0, 4, 64, 60, 0x1000, 0x1004, 0x3fff_0000] {
+                for step in [0, 4, 64, 1024, 1028, u32::wrapping_mul(s, 16)] {
+                    cases.push((b, s, step));
+                }
             }
         }
         for c in &configs {
-            for &(base, stride) in &cases {
-                let half = affine_half(base, stride);
-                if let Some(got) = coalesce_affine_half(c, base, stride) {
-                    let want = coalesce_half_warp_noalloc(c, &half);
-                    assert_eq!(got, want, "global base={base:#x} stride={stride}");
-                    assert_eq!(got, coalesce_half_warp(c, &half));
+            for &(base, stride, step) in &cases {
+                let lanes = g80_isa::row::affine_lanes(base, stride, step);
+                let halves: [[Option<u32>; 16]; 2] =
+                    std::array::from_fn(|h| std::array::from_fn(|k| Some(lanes[16 * h + k])));
+                assert_eq!(halves[0], affine_half(base, stride));
+                assert_eq!(halves[1], affine_half(base.wrapping_add(step), stride));
+                let label = format!("base={base:#x} stride={stride} step={step:#x}");
+                if let Some(got) = coalesce_affine_warp(c, base, stride, step) {
+                    for (h, half) in halves.iter().enumerate() {
+                        let want = coalesce_half_warp_noalloc(c, half);
+                        assert_eq!(got[h], want, "global half {h} {label}");
+                        assert_eq!(got[h], coalesce_half_warp(c, half));
+                    }
                 }
                 if let Some(got) = smem_degree_affine(c, stride) {
-                    let want = smem_conflict_degree_noalloc(c, &half);
-                    assert_eq!(got, want, "smem base={base:#x} stride={stride}");
+                    for (h, half) in halves.iter().enumerate() {
+                        let want = smem_conflict_degree_noalloc(c, half);
+                        assert_eq!(got, want, "smem half {h} {label}");
+                    }
                 }
             }
         }

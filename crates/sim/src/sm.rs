@@ -47,16 +47,16 @@
 use crate::config::GpuConfig;
 use crate::counters::{RowCounters, SmStats, StallReason};
 use crate::memory::{
-    coalesce_affine_half, coalesce_half_warp_noalloc, smem_conflict_degree_noalloc,
+    coalesce_affine_warp, coalesce_half_warp_noalloc, smem_conflict_degree_noalloc,
     smem_degree_affine, DeviceMemory, TagCache,
 };
 use crate::warp::{RegSource, Warp};
-use crate::witness::{half_sig, replay_block, Ev, WitnessRecorder, WriteBuf};
+use crate::witness::{half_sig, replay_block, Ev, ReplayScratch, WitnessRecorder, WriteBuf};
 use g80_isa::compile::{CompiledKernel, Step};
 use g80_isa::decode::{DecodedKernel, IssueClass, MemKind, MicroOp, NO_REG};
 use g80_isa::exec;
 use g80_isa::inst::{Inst, InstClass, Operand, Space};
-use g80_isa::row;
+use g80_isa::row::{self, for_each_affine_lane};
 use g80_isa::{Kernel, LaneRow, Value};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -206,6 +206,9 @@ pub fn run_sm(
     };
     let mut boundaries: HashMap<Vec<u64>, Boundary> = HashMap::new();
     let mut fast_blocks: u64 = 0;
+    // Replay-executor state for the fast-forward path, allocated on the
+    // first period hit and recycled for every replayed block after it.
+    let mut replay_scratch: Option<ReplayScratch> = None;
 
     let mut cycle: u64 = 0;
     let mut chan_free: u64 = 0;
@@ -300,20 +303,21 @@ pub fn run_sm(
                                     // event streams must match the
                                     // representative for the measured deltas
                                     // to transfer to them.
+                                    let scratch = replay_scratch.get_or_insert_with(|| {
+                                        ReplayScratch::new(kernel, dims, file_regs)
+                                    });
                                     let residents_ok = resident.iter().all(|r| {
                                         let mut dry = WriteBuf::default();
                                         replay_block(
                                             cfg,
-                                            kernel,
                                             decoded,
-                                            dims,
                                             params,
                                             mem,
                                             r.warps[0].ctaid,
-                                            file_regs,
                                             rec.rep(),
                                             &mut dry,
                                             shared_uniform,
+                                            scratch,
                                         )
                                     });
                                     if !residents_ok {
@@ -333,16 +337,14 @@ pub fn run_sm(
                                             let ok = (0..d_consumed).all(|j| {
                                                 replay_block(
                                                     cfg,
-                                                    kernel,
                                                     decoded,
-                                                    dims,
                                                     params,
                                                     mem,
                                                     my_blocks[next_block + j],
-                                                    file_regs,
                                                     rec.rep(),
                                                     &mut buf,
                                                     shared_uniform,
+                                                    scratch,
                                                 )
                                             });
                                             if !ok {
@@ -790,19 +792,22 @@ pub(crate) fn addr_row(warp: &Warp, addr_op: Operand, off: i32, params: &[Value]
     std::array::from_fn(|l| row[l].as_u32().wrapping_add(off as u32))
 }
 
+/// The shape of an address row plus an immediate offset: the offset shifts
+/// the base and preserves stride and step.
+#[inline]
+pub(crate) fn shift_shape(shape: LaneRow, off: i32) -> LaneRow {
+    match shape.terms() {
+        Some((base, stride, step)) => LaneRow::affine(base.wrapping_add(off as u32), stride, step),
+        None => LaneRow::Full,
+    }
+}
+
 /// The shape of a memory instruction's per-lane effective-address row
-/// (`operand + off`): the immediate offset shifts the base and preserves
-/// the stride. `Full` means no closed form — fall back to [`addr_row`].
+/// (`operand + off`). `Full` means no closed form — fall back to
+/// [`addr_row`].
 #[inline]
 pub(crate) fn addr_shape(warp: &Warp, addr_op: Operand, off: i32, params: &[Value]) -> LaneRow {
-    match warp.operand_shape(addr_op, params) {
-        LaneRow::Uniform(v) => LaneRow::Uniform(Value(v.0.wrapping_add(off as u32))),
-        LaneRow::Affine { base, stride } => LaneRow::Affine {
-            base: base.wrapping_add(off as u32),
-            stride,
-        },
-        LaneRow::Full => LaneRow::Full,
-    }
+    shift_shape(warp.operand_shape(addr_op, params), off)
 }
 
 /// Splits an address row into the two half-warp arrays the coalescing and
@@ -824,6 +829,14 @@ pub(crate) fn split_half_warps(
         }
     }
     (lo, hi)
+}
+
+/// Warp-level shared-memory bank-conflict degree by the per-lane scan: the
+/// worse of the two half-warps (active lanes only).
+#[inline]
+pub(crate) fn smem_degree_scan(cfg: &GpuConfig, addrs: &[u32; 32], mask: u32) -> u32 {
+    let (lo, hi) = split_half_warps(addrs, mask);
+    smem_conflict_degree_noalloc(cfg, &lo).max(smem_conflict_degree_noalloc(cfg, &hi))
 }
 
 impl<'a> ExecCtx<'a> {
@@ -1175,15 +1188,11 @@ impl<'a> ExecCtx<'a> {
                 // functional reads.
                 if warp.rows_enabled && mask == u32::MAX {
                     let ashape = addr_shape(warp, addr, off, self.params);
-                    if let Some((base, stride)) = ashape.base_stride() {
-                        let hi_base = base.wrapping_add(stride.wrapping_mul(16));
-                        if let (Some(lo), Some(hi)) = (
-                            coalesce_affine_half(cfg, base, stride),
-                            coalesce_affine_half(cfg, hi_base, stride),
-                        ) {
+                    if let Some((base, stride, step)) = ashape.terms() {
+                        if let Some(halves) = coalesce_affine_warp(cfg, base, stride, step) {
                             self.rows.tally(&ashape);
                             let mut bytes = 0u64;
-                            for (i, acc) in [&lo, &hi].into_iter().enumerate() {
+                            for (i, acc) in halves.iter().enumerate() {
                                 if acc.coalesced {
                                     self.stats.coalesced_half_warps += 1;
                                 } else {
@@ -1200,11 +1209,9 @@ impl<'a> ExecCtx<'a> {
                                 self.ev_bytes = bytes as u32;
                             }
                             let dst_row = warp.reg_row_mut(dst);
-                            let mut a = base;
-                            for slot in dst_row.iter_mut() {
-                                *slot = self.mem.read(a);
-                                a = a.wrapping_add(stride);
-                            }
+                            for_each_affine_lane(base, stride, step, |l, a| {
+                                dst_row[l] = self.mem.read(a);
+                            });
                             let done = self.memory_request(bytes);
                             warp.reg_ready[dst as usize] = done;
                             warp.reg_source[dst as usize] = RegSource::Memory;
@@ -1235,10 +1242,10 @@ impl<'a> ExecCtx<'a> {
                 if self.record {
                     self.ev_bytes = bytes as u32;
                 }
+                let dst_row = warp.reg_row_mut(dst);
                 for (lane, &a) in addrs.iter().enumerate() {
                     if mask >> lane & 1 == 1 {
-                        let v = self.mem.read(a);
-                        warp.set_reg(dst, lane, v);
+                        dst_row[lane] = self.mem.read(a);
                     }
                 }
                 let done = self.memory_request(bytes);
@@ -1252,7 +1259,7 @@ impl<'a> ExecCtx<'a> {
                 // closed-form evaluation replaces both scans.
                 if warp.rows_enabled && mask == u32::MAX {
                     let ashape = addr_shape(warp, addr, off, self.params);
-                    if let Some((base, stride)) = ashape.base_stride() {
+                    if let Some((base, stride, step)) = ashape.terms() {
                         if let Some(degree) = smem_degree_affine(cfg, stride) {
                             self.rows.tally(&ashape);
                             let extra = cfg.issue_cycles * (degree as u64 - 1);
@@ -1261,8 +1268,7 @@ impl<'a> ExecCtx<'a> {
                                 self.ev_aux = degree;
                             }
                             let dst_row = warp.reg_row_mut(dst);
-                            let mut a = base;
-                            for slot in dst_row.iter_mut() {
+                            for_each_affine_lane(base, stride, step, |l, a| {
                                 let idx = (a / 4) as usize;
                                 assert!(
                                     idx < smem_len,
@@ -1271,9 +1277,8 @@ impl<'a> ExecCtx<'a> {
                                     idx,
                                     smem_len
                                 );
-                                *slot = smem[idx];
-                                a = a.wrapping_add(stride);
-                            }
+                                dst_row[l] = smem[idx];
+                            });
                             warp.reg_ready[dst as usize] = self.cycle + cfg.smem_latency + extra;
                             warp.reg_source[dst as usize] = RegSource::Alu;
                             return cfg.issue_cycles + extra;
@@ -1282,9 +1287,7 @@ impl<'a> ExecCtx<'a> {
                 }
                 self.rows.full += 1;
                 let addrs = addr_row(warp, addr, off, self.params);
-                let (lo, hi) = split_half_warps(&addrs, mask);
-                let degree = smem_conflict_degree_noalloc(cfg, &lo)
-                    .max(smem_conflict_degree_noalloc(cfg, &hi));
+                let degree = smem_degree_scan(cfg, &addrs, mask);
                 let extra = cfg.issue_cycles * (degree as u64 - 1);
                 self.stats.smem_conflict_extra_cycles += extra;
                 if self.record {
@@ -1317,13 +1320,13 @@ impl<'a> ExecCtx<'a> {
                 let addrs = addr_row(warp, addr, off, self.params);
                 let distinct = &mut self.scratch.distinct;
                 distinct.clear();
+                let dst_row = warp.reg_row_mut(dst);
                 for (lane, &a) in addrs.iter().enumerate() {
                     if mask >> lane & 1 == 1 {
                         if !distinct.contains(&a) {
                             distinct.push(a);
                         }
-                        let v = self.mem.read_const(a);
-                        warp.set_reg(dst, lane, v);
+                        dst_row[lane] = self.mem.read_const(a);
                     }
                 }
                 let mut miss_bytes = 0u64;
@@ -1356,6 +1359,7 @@ impl<'a> ExecCtx<'a> {
                 let addrs = addr_row(warp, addr, off, self.params);
                 let lines = &mut self.scratch.lines;
                 lines.clear();
+                let dst_row = warp.reg_row_mut(dst);
                 for (lane, &a) in addrs.iter().enumerate() {
                     if mask >> lane & 1 == 1 {
                         let g = self.mem.tex_to_global(a);
@@ -1363,8 +1367,7 @@ impl<'a> ExecCtx<'a> {
                         if !lines.contains(&line) {
                             lines.push(line);
                         }
-                        let v = self.mem.read(g);
-                        warp.set_reg(dst, lane, v);
+                        dst_row[lane] = self.mem.read(g);
                     }
                 }
                 let mut miss_bytes = 0u64;
@@ -1429,16 +1432,12 @@ impl<'a> ExecCtx<'a> {
             Space::Global => {
                 if warp.rows_enabled && mask == u32::MAX {
                     let ashape = addr_shape(warp, addr, off, self.params);
-                    if let Some((base, stride)) = ashape.base_stride() {
-                        let hi_base = base.wrapping_add(stride.wrapping_mul(16));
-                        if let (Some(lo), Some(hi)) = (
-                            coalesce_affine_half(cfg, base, stride),
-                            coalesce_affine_half(cfg, hi_base, stride),
-                        ) {
+                    if let Some((base, stride, step)) = ashape.terms() {
+                        if let Some(halves) = coalesce_affine_warp(cfg, base, stride, step) {
                             self.rows.tally(&ashape);
                             let srcs = warp.operand_row(src, self.params);
                             let mut bytes = 0u64;
-                            for (i, acc) in [&lo, &hi].into_iter().enumerate() {
+                            for (i, acc) in halves.iter().enumerate() {
                                 if acc.coalesced {
                                     self.stats.coalesced_half_warps += 1;
                                 } else {
@@ -1454,11 +1453,9 @@ impl<'a> ExecCtx<'a> {
                             if self.record {
                                 self.ev_bytes = bytes as u32;
                             }
-                            let mut a = base;
-                            for &v in srcs.iter() {
-                                self.mem.write(a, v);
-                                a = a.wrapping_add(stride);
-                            }
+                            for_each_affine_lane(base, stride, step, |l, a| {
+                                self.mem.write(a, srcs[l]);
+                            });
                             let _ = self.memory_request(bytes); // bandwidth only
                             return cfg.issue_cycles;
                         }
@@ -1499,7 +1496,7 @@ impl<'a> ExecCtx<'a> {
             Space::Shared => {
                 if warp.rows_enabled && mask == u32::MAX {
                     let ashape = addr_shape(warp, addr, off, self.params);
-                    if let Some((base, stride)) = ashape.base_stride() {
+                    if let Some((base, stride, step)) = ashape.terms() {
                         if let Some(degree) = smem_degree_affine(cfg, stride) {
                             self.rows.tally(&ashape);
                             let srcs = warp.operand_row(src, self.params);
@@ -1508,8 +1505,7 @@ impl<'a> ExecCtx<'a> {
                             if self.record {
                                 self.ev_aux = degree;
                             }
-                            let mut a = base;
-                            for &v in srcs.iter() {
+                            for_each_affine_lane(base, stride, step, |l, a| {
                                 let idx = (a / 4) as usize;
                                 assert!(
                                     idx < smem_len,
@@ -1518,9 +1514,8 @@ impl<'a> ExecCtx<'a> {
                                     idx,
                                     smem_len
                                 );
-                                block.smem[idx] = v;
-                                a = a.wrapping_add(stride);
-                            }
+                                block.smem[idx] = srcs[l];
+                            });
                             return cfg.issue_cycles + extra;
                         }
                     }
@@ -1528,9 +1523,7 @@ impl<'a> ExecCtx<'a> {
                 self.rows.full += 1;
                 let addrs = addr_row(warp, addr, off, self.params);
                 let srcs = warp.operand_row(src, self.params);
-                let (lo, hi) = split_half_warps(&addrs, mask);
-                let degree = smem_conflict_degree_noalloc(cfg, &lo)
-                    .max(smem_conflict_degree_noalloc(cfg, &hi));
+                let degree = smem_degree_scan(cfg, &addrs, mask);
                 let extra = cfg.issue_cycles * (degree as u64 - 1);
                 self.stats.smem_conflict_extra_cycles += extra;
                 if self.record {

@@ -219,13 +219,9 @@ impl Warp {
     /// Reads a register lane through its shape.
     #[inline]
     pub fn reg(&self, r: u32, lane: usize) -> Value {
-        match self.shapes[r as usize] {
-            LaneRow::Uniform(v) => v,
-            LaneRow::Affine { base, stride } => {
-                Value(base.wrapping_add(stride.wrapping_mul(lane as u32)))
-            }
-            LaneRow::Full => self.regs[(r as usize) * 32 + lane],
-        }
+        self.shapes[r as usize]
+            .lane(lane)
+            .unwrap_or_else(|| self.regs[(r as usize) * 32 + lane])
     }
 
     /// Expands a register's shape into the backing row (no-op when already
@@ -324,10 +320,9 @@ impl Warp {
                 let mut taken = 0u32;
                 for lane in 0..32 {
                     if (mask >> lane) & 1 == 1 {
-                        let pv = match shape {
-                            LaneRow::Full => self.regs[(r as usize) * 32 + lane],
-                            s => s.lane(lane).unwrap(),
-                        };
+                        let pv = shape
+                            .lane(lane)
+                            .unwrap_or_else(|| self.regs[(r as usize) * 32 + lane]);
                         if pv.as_bool() != negate {
                             taken |= 1 << lane;
                         }
@@ -577,17 +572,21 @@ mod tests {
             LaneRow::Affine {
                 base: 100,
                 stride: 8,
+                step: 1000,
             },
         );
         assert_eq!(w.reg(3, 0).as_u32(), 100);
         assert_eq!(w.reg(3, 5).as_u32(), 140);
+        assert_eq!(w.reg(3, 18).as_u32(), 1116);
         let row = w.operand_row(Operand::Reg(g80_isa::inst::Reg(3)), &[]);
         assert_eq!(row[7].as_u32(), 156);
+        assert_eq!(row[16].as_u32(), 1100);
         // A lane write materializes: the other lanes keep their affine values.
         w.set_reg(3, 2, Value::from_u32(7));
         assert_eq!(w.shapes[3], LaneRow::Full);
         assert_eq!(w.reg(3, 2).as_u32(), 7);
         assert_eq!(w.reg(3, 3).as_u32(), 124);
+        assert_eq!(w.reg(3, 31).as_u32(), 1220);
     }
 
     #[test]
@@ -596,14 +595,24 @@ mod tests {
         if !w.rows_enabled {
             return;
         }
-        assert_eq!(w.tid_shape[0], LaneRow::Affine { base: 0, stride: 1 });
+        let affine = |base, stride, step| LaneRow::Affine { base, stride, step };
+        assert_eq!(w.tid_shape[0], affine(0, 1, 16));
         assert_eq!(w.tid_shape[1], LaneRow::Uniform(Value::ZERO));
         // Partial warp: trailing lanes carry tid 0, breaking the affine run.
         let p = Warp::new(1, 4, (40, 1, 1), (0, 0), (1, 1));
         assert_eq!(p.tid_shape[0], LaneRow::Full);
-        // 2-D block: tid.x wraps every 16 lanes.
-        let w2 = Warp::new(0, 4, (16, 16, 1), (0, 0), (1, 1));
-        assert_eq!(w2.tid_shape[0], LaneRow::Full);
+        // 16-wide 2-D block: tid.x restarts in the hi half-warp, tid.y steps
+        // by one between the halves (warp w covers rows 2w and 2w+1).
+        for wi in [0, 3, 7] {
+            let w2 = Warp::new(wi, 4, (16, 16, 1), (0, 0), (1, 1));
+            assert_eq!(w2.tid_shape[0], affine(0, 1, 0));
+            assert_eq!(w2.tid_shape[1], affine(2 * wi, 0, 1));
+            assert_eq!(w2.tid_shape[2], LaneRow::Uniform(Value::ZERO));
+        }
+        // 8-wide block: tid.x wraps four times per warp — no half-warp form.
+        let w3 = Warp::new(0, 4, (8, 8, 1), (0, 0), (1, 1));
+        assert_eq!(w3.tid_shape[0], LaneRow::Full);
+        assert_eq!(w3.tid_shape[1], LaneRow::Full);
     }
 
     #[test]
@@ -613,7 +622,14 @@ mod tests {
         for (shape, label) in [
             (LaneRow::Uniform(Value::from_u32(1)), "uniform-true"),
             (LaneRow::Uniform(Value::ZERO), "uniform-false"),
-            (LaneRow::Affine { base: 0, stride: 1 }, "affine"),
+            (
+                LaneRow::Affine {
+                    base: 0,
+                    stride: 1,
+                    step: 0,
+                },
+                "affine",
+            ),
         ] {
             if w.rows_enabled {
                 w.set_shape(1, shape);
@@ -639,7 +655,14 @@ mod tests {
         let mut w = full_warp();
         w.set_reg(0, 4, Value::from_u32(99));
         if w.rows_enabled {
-            w.set_shape(5, LaneRow::Affine { base: 1, stride: 2 });
+            w.set_shape(
+                5,
+                LaneRow::Affine {
+                    base: 1,
+                    stride: 2,
+                    step: 32,
+                },
+            );
         }
         w.reset((0, 0));
         for r in 0..8 {

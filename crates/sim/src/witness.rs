@@ -30,15 +30,15 @@
 
 use crate::config::GpuConfig;
 use crate::memory::{
-    coalesce_affine_half, coalesce_half_warp_noalloc, smem_conflict_degree_noalloc,
-    smem_degree_affine, DeviceMemory, HalfWarpAccess,
+    coalesce_affine_warp, coalesce_half_warp_noalloc, smem_degree_affine, DeviceMemory,
+    HalfWarpAccess,
 };
-use crate::sm::{addr_row, addr_shape, split_half_warps, LaunchDims};
+use crate::sm::{addr_row, addr_shape, smem_degree_scan, split_half_warps, LaunchDims};
 use crate::warp::Warp;
 use g80_isa::decode::DecodedKernel;
 use g80_isa::exec;
-use g80_isa::inst::{Inst, Space};
-use g80_isa::row;
+use g80_isa::inst::{Inst, Operand, Space};
+use g80_isa::row::{self, for_each_affine_lane};
 use g80_isa::{Kernel, Value};
 use std::collections::HashMap;
 
@@ -237,7 +237,16 @@ impl WriteBuf {
         if w < self.lo || w > self.hi {
             return mem.read(addr);
         }
-        match self.map.get(&w) {
+        self.read_buffered(mem, addr)
+    }
+
+    /// The slow path of [`Self::read`]: the address lies inside the written
+    /// range, so the write map decides. Out of line to keep the per-lane
+    /// load loops small.
+    #[cold]
+    #[inline(never)]
+    fn read_buffered(&self, mem: &DeviceMemory, addr: u32) -> Value {
+        match self.map.get(&(addr / 4)) {
             Some(&v) => v,
             None => mem.read(addr),
         }
@@ -259,6 +268,30 @@ impl WriteBuf {
     }
 }
 
+/// Reusable state of the replay executor: one block's warps, shared memory
+/// and witness cursors. Every block of a launch has the same geometry, so a
+/// replaying SM allocates this once and [`replay_block`] recycles it per
+/// block with [`Warp::reset`] — the replay-side twin of the timed engine's
+/// in-place resident-slot refill.
+pub(crate) struct ReplayScratch {
+    warps: Vec<Warp>,
+    smem: Vec<Value>,
+    cursors: Vec<usize>,
+}
+
+impl ReplayScratch {
+    pub fn new(kernel: &Kernel, dims: &LaunchDims, file_regs: u32) -> Self {
+        let wpb = dims.threads_per_block().div_ceil(32);
+        ReplayScratch {
+            warps: (0..wpb)
+                .map(|w| Warp::new(w, file_regs, dims.block, (0, 0), dims.grid))
+                .collect(),
+            smem: vec![Value::ZERO; (kernel.smem_bytes as usize).div_ceil(4)],
+            cursors: vec![0; wpb as usize],
+        }
+    }
+}
+
 /// Functionally re-executes one block against the representative streams.
 ///
 /// Runs each warp to its next barrier (or exit), releases the barrier when
@@ -269,26 +302,28 @@ impl WriteBuf {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn replay_block(
     cfg: &GpuConfig,
-    kernel: &Kernel,
     decoded: &DecodedKernel,
-    dims: &LaunchDims,
     params: &[Value],
     mem: &DeviceMemory,
     ctaid: (u32, u32),
-    file_regs: u32,
     rep: &[Vec<Ev>],
     buf: &mut WriteBuf,
     shared_uniform: bool,
+    scratch: &mut ReplayScratch,
 ) -> bool {
-    let wpb = dims.threads_per_block().div_ceil(32);
-    if rep.len() != wpb as usize {
+    let ReplayScratch {
+        warps,
+        smem,
+        cursors,
+    } = scratch;
+    if rep.len() != warps.len() {
         return false;
     }
-    let mut warps: Vec<Warp> = (0..wpb)
-        .map(|w| Warp::new(w, file_regs, dims.block, ctaid, dims.grid))
-        .collect();
-    let mut smem = vec![Value::ZERO; (kernel.smem_bytes as usize).div_ceil(4)];
-    let mut cursors = vec![0usize; wpb as usize];
+    for w in warps.iter_mut() {
+        w.reset(ctaid);
+    }
+    smem.fill(Value::ZERO);
+    cursors.fill(0);
 
     loop {
         for (wi, warp) in warps.iter_mut().enumerate() {
@@ -298,7 +333,7 @@ pub(crate) fn replay_block(
                     decoded,
                     params,
                     mem,
-                    &mut smem,
+                    smem,
                     warp,
                     &rep[wi],
                     &mut cursors[wi],
@@ -321,6 +356,114 @@ pub(crate) fn replay_block(
         }
     }
     cursors.iter().zip(rep).all(|(&c, r)| c == r.len())
+}
+
+/// The per-lane addresses of one warp memory access: the closed form of a
+/// shaped address row under a full mask, or the expanded row plus the mask
+/// selecting its live lanes.
+enum LaneAddrs {
+    Shaped(u32, u32, u32),
+    Lanes([u32; 32], u32),
+}
+
+impl LaneAddrs {
+    /// Calls `f(lane, addr)` for every active lane, in lane order.
+    #[inline(always)]
+    fn for_each(&self, mut f: impl FnMut(usize, u32)) {
+        match *self {
+            LaneAddrs::Shaped(base, stride, step) => for_each_affine_lane(base, stride, step, f),
+            LaneAddrs::Lanes(ref addrs, mask) => {
+                for (lane, &a) in addrs.iter().enumerate() {
+                    if mask >> lane & 1 == 1 {
+                        f(lane, a);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The `(base, stride, step)` terms of a memory instruction's address row
+/// when the closed forms may be used: full mask, row tracking on, shaped row.
+#[inline]
+fn addr_terms(
+    fold: bool,
+    warp: &Warp,
+    addr: Operand,
+    off: i32,
+    params: &[Value],
+) -> Option<(u32, u32, u32)> {
+    if fold {
+        addr_shape(warp, addr, off, params).terms()
+    } else {
+        None
+    }
+}
+
+/// Addresses of a global access plus its witness signature: the two
+/// [`half_sig`] verdicts packed as `aux`, and the byte count. The closed
+/// forms and the per-lane scans agree on every input
+/// (`memory::tests::affine_closed_forms_match_scans`).
+#[inline]
+fn global_access(
+    cfg: &GpuConfig,
+    fold: bool,
+    warp: &Warp,
+    addr: Operand,
+    off: i32,
+    params: &[Value],
+) -> (LaneAddrs, u32, u32) {
+    if let Some((base, stride, step)) = addr_terms(fold, warp, addr, off, params) {
+        if let Some([lo, hi]) = coalesce_affine_warp(cfg, base, stride, step) {
+            let aux = half_sig(&lo) | half_sig(&hi) << 16;
+            let bytes = (lo.bytes + hi.bytes) as u32;
+            return (LaneAddrs::Shaped(base, stride, step), aux, bytes);
+        }
+    }
+    let addrs = addr_row(warp, addr, off, params);
+    let mask = warp.active_mask();
+    let (lo, hi) = split_half_warps(&addrs, mask);
+    let mut aux = 0u32;
+    let mut total = 0u64;
+    for (i, half) in [&lo, &hi].into_iter().enumerate() {
+        let acc = coalesce_half_warp_noalloc(cfg, half);
+        if acc.transactions > 0 {
+            aux |= half_sig(&acc) << (16 * i);
+            total += acc.bytes;
+        }
+    }
+    (LaneAddrs::Lanes(addrs, mask), aux, total as u32)
+}
+
+/// Addresses of a shared access plus its bank-conflict degree (left 0 under
+/// `shared_uniform`, where the caller skips verification).
+#[inline]
+fn shared_access(
+    cfg: &GpuConfig,
+    fold: bool,
+    warp: &Warp,
+    addr: Operand,
+    off: i32,
+    params: &[Value],
+    shared_uniform: bool,
+) -> (LaneAddrs, u32) {
+    if let Some((base, stride, step)) = addr_terms(fold, warp, addr, off, params) {
+        let shaped = LaneAddrs::Shaped(base, stride, step);
+        if shared_uniform {
+            return (shaped, 0);
+        }
+        if let Some(degree) = smem_degree_affine(cfg, stride) {
+            return (shaped, degree);
+        }
+    }
+    let addrs = addr_row(warp, addr, off, params);
+    let mask = warp.active_mask();
+    let degree = if shared_uniform {
+        0
+    } else {
+        smem_degree_scan(cfg, &addrs, mask)
+    };
+    (LaneAddrs::Lanes(addrs, mask), degree)
 }
 
 /// Executes one instruction of `warp`, verifying it against `rep[*cursor]`.
@@ -352,11 +495,10 @@ fn step(
     if expect.a != (((pc as u64) << 32) | mask as u64) {
         return false;
     }
-    let smem_len = smem.len();
     let mut aux = 0u32;
     let mut bytes = 0u32;
     // Cleared when the signature is statically proven equal to the
-    // representative's instead of being recomputed.
+    // representative's instead of being recomputed (`shared_uniform`).
     let mut verify_b = true;
     // Same row-shape fold fast paths as the timed engines (pure ops have a
     // zero signature, so folding never affects verification).
@@ -503,104 +645,24 @@ fn step(
             off,
         } => match space {
             Space::Global => {
-                if let Some((base, stride)) = fold
-                    .then(|| addr_shape(warp, addr, off, params).base_stride())
-                    .flatten()
-                {
-                    let hi_base = base.wrapping_add(stride.wrapping_mul(16));
-                    if let (Some(lo), Some(hi)) = (
-                        coalesce_affine_half(cfg, base, stride),
-                        coalesce_affine_half(cfg, hi_base, stride),
-                    ) {
-                        let mut total = 0u64;
-                        for (i, acc) in [&lo, &hi].into_iter().enumerate() {
-                            aux |= half_sig(acc) << (16 * i);
-                            total += acc.bytes;
-                        }
-                        bytes = total as u32;
-                        let dst_row = warp.reg_row_mut(dst.0);
-                        let mut a = base;
-                        for slot in dst_row.iter_mut() {
-                            *slot = buf.read(mem, a);
-                            a = a.wrapping_add(stride);
-                        }
-                        warp.advance();
-                        if expect.b != (((aux as u64) << 32) | bytes as u64) {
-                            return false;
-                        }
-                        *cursor += 1;
-                        return true;
-                    }
-                }
-                let addrs = addr_row(warp, addr, off, params);
-                let (lo, hi) = split_half_warps(&addrs, mask);
-                let mut total = 0u64;
-                for (i, half) in [&lo, &hi].into_iter().enumerate() {
-                    let acc = coalesce_half_warp_noalloc(cfg, half);
-                    if acc.transactions > 0 {
-                        aux |= half_sig(&acc) << (16 * i);
-                        total += acc.bytes;
-                    }
-                }
-                bytes = total as u32;
-                for (lane, &a) in addrs.iter().enumerate() {
-                    if mask >> lane & 1 == 1 {
-                        let v = buf.read(mem, a);
-                        warp.set_reg(dst.0, lane, v);
-                    }
-                }
+                let addrs;
+                (addrs, aux, bytes) = global_access(cfg, fold, warp, addr, off, params);
+                let dst_row = warp.reg_row_mut(dst.0);
+                addrs.for_each(|lane, a| dst_row[lane] = buf.read(mem, a));
                 warp.advance();
             }
             Space::Shared => {
-                if let Some((base, stride)) = fold
-                    .then(|| addr_shape(warp, addr, off, params).base_stride())
-                    .flatten()
-                {
-                    let degree = if shared_uniform {
-                        verify_b = false;
-                        Some(0)
-                    } else {
-                        smem_degree_affine(cfg, stride)
-                    };
-                    if let Some(d) = degree {
-                        if !shared_uniform {
-                            aux = d;
-                        }
-                        let dst_row = warp.reg_row_mut(dst.0);
-                        let mut a = base;
-                        for slot in dst_row.iter_mut() {
-                            let idx = (a / 4) as usize;
-                            if idx >= smem_len {
-                                return false;
-                            }
-                            *slot = smem[idx];
-                            a = a.wrapping_add(stride);
-                        }
-                        warp.advance();
-                        if verify_b && expect.b != (((aux as u64) << 32) | bytes as u64) {
-                            return false;
-                        }
-                        *cursor += 1;
-                        return true;
-                    }
-                }
-                let addrs = addr_row(warp, addr, off, params);
-                if shared_uniform {
-                    verify_b = false;
-                } else {
-                    let (lo, hi) = split_half_warps(&addrs, mask);
-                    aux = smem_conflict_degree_noalloc(cfg, &lo)
-                        .max(smem_conflict_degree_noalloc(cfg, &hi));
-                }
-                for (lane, &a) in addrs.iter().enumerate() {
-                    if mask >> lane & 1 == 1 {
-                        let idx = (a / 4) as usize;
-                        if idx >= smem_len {
-                            return false;
-                        }
-                        let v = smem[idx];
-                        warp.set_reg(dst.0, lane, v);
-                    }
+                let addrs;
+                (addrs, aux) = shared_access(cfg, fold, warp, addr, off, params, shared_uniform);
+                verify_b = !shared_uniform;
+                let dst_row = warp.reg_row_mut(dst.0);
+                let mut in_bounds = true;
+                addrs.for_each(|lane, a| match smem.get((a / 4) as usize) {
+                    Some(&v) => dst_row[lane] = v,
+                    None => in_bounds = false,
+                });
+                if !in_bounds {
+                    return false;
                 }
                 warp.advance();
             }
@@ -626,104 +688,24 @@ fn step(
             src,
         } => match space {
             Space::Global => {
-                if let Some((base, stride)) = fold
-                    .then(|| addr_shape(warp, addr, off, params).base_stride())
-                    .flatten()
-                {
-                    let hi_base = base.wrapping_add(stride.wrapping_mul(16));
-                    if let (Some(lo), Some(hi)) = (
-                        coalesce_affine_half(cfg, base, stride),
-                        coalesce_affine_half(cfg, hi_base, stride),
-                    ) {
-                        let srcs = warp.operand_row(src, params);
-                        let mut total = 0u64;
-                        for (i, acc) in [&lo, &hi].into_iter().enumerate() {
-                            aux |= half_sig(acc) << (16 * i);
-                            total += acc.bytes;
-                        }
-                        bytes = total as u32;
-                        let mut a = base;
-                        for &v in srcs.iter() {
-                            buf.write(a, v);
-                            a = a.wrapping_add(stride);
-                        }
-                        warp.advance();
-                        if expect.b != (((aux as u64) << 32) | bytes as u64) {
-                            return false;
-                        }
-                        *cursor += 1;
-                        return true;
-                    }
-                }
-                let addrs = addr_row(warp, addr, off, params);
+                let addrs;
+                (addrs, aux, bytes) = global_access(cfg, fold, warp, addr, off, params);
                 let srcs = warp.operand_row(src, params);
-                let (lo, hi) = split_half_warps(&addrs, mask);
-                let mut total = 0u64;
-                for (i, half) in [&lo, &hi].into_iter().enumerate() {
-                    let acc = coalesce_half_warp_noalloc(cfg, half);
-                    if acc.transactions > 0 {
-                        aux |= half_sig(&acc) << (16 * i);
-                        total += acc.bytes;
-                    }
-                }
-                bytes = total as u32;
-                for lane in 0..32 {
-                    if mask >> lane & 1 == 1 {
-                        buf.write(addrs[lane], srcs[lane]);
-                    }
-                }
+                addrs.for_each(|lane, a| buf.write(a, srcs[lane]));
                 warp.advance();
             }
             Space::Shared => {
-                if let Some((base, stride)) = fold
-                    .then(|| addr_shape(warp, addr, off, params).base_stride())
-                    .flatten()
-                {
-                    let degree = if shared_uniform {
-                        verify_b = false;
-                        Some(0)
-                    } else {
-                        smem_degree_affine(cfg, stride)
-                    };
-                    if let Some(d) = degree {
-                        if !shared_uniform {
-                            aux = d;
-                        }
-                        let srcs = warp.operand_row(src, params);
-                        let mut a = base;
-                        for &v in srcs.iter() {
-                            let idx = (a / 4) as usize;
-                            if idx >= smem_len {
-                                return false;
-                            }
-                            smem[idx] = v;
-                            a = a.wrapping_add(stride);
-                        }
-                        warp.advance();
-                        if verify_b && expect.b != (((aux as u64) << 32) | bytes as u64) {
-                            return false;
-                        }
-                        *cursor += 1;
-                        return true;
-                    }
-                }
-                let addrs = addr_row(warp, addr, off, params);
+                let addrs;
+                (addrs, aux) = shared_access(cfg, fold, warp, addr, off, params, shared_uniform);
+                verify_b = !shared_uniform;
                 let srcs = warp.operand_row(src, params);
-                if shared_uniform {
-                    verify_b = false;
-                } else {
-                    let (lo, hi) = split_half_warps(&addrs, mask);
-                    aux = smem_conflict_degree_noalloc(cfg, &lo)
-                        .max(smem_conflict_degree_noalloc(cfg, &hi));
-                }
-                for lane in 0..32 {
-                    if mask >> lane & 1 == 1 {
-                        let idx = (addrs[lane] / 4) as usize;
-                        if idx >= smem_len {
-                            return false;
-                        }
-                        smem[idx] = srcs[lane];
-                    }
+                let mut in_bounds = true;
+                addrs.for_each(|lane, a| match smem.get_mut((a / 4) as usize) {
+                    Some(w) => *w = srcs[lane],
+                    None => in_bounds = false,
+                });
+                if !in_bounds {
+                    return false;
                 }
                 warp.advance();
             }
@@ -792,19 +774,18 @@ pub(crate) fn replay_sm(
     shared_uniform: bool,
 ) -> bool {
     let mut buf = WriteBuf::default();
+    let mut scratch = ReplayScratch::new(kernel, dims, file_regs);
     for &ctaid in my_blocks {
         if !replay_block(
             cfg,
-            kernel,
             decoded,
-            dims,
             params,
             mem,
             ctaid,
-            file_regs,
             rep,
             &mut buf,
             shared_uniform,
+            &mut scratch,
         ) {
             return false;
         }

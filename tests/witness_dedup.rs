@@ -4,15 +4,29 @@
 //! simulation; kernels whose timing depends on data must never engage the
 //! witness machinery at all.
 //!
-//! The dedup/memo selectors are process-global, so everything runs inside
-//! one `#[test]` (parallel test threads would race the toggles).
+//! The dedup/memo/engine/rows selectors and the counters are process-global,
+//! so the tests here serialize on [`TOGGLES`] (parallel test threads would
+//! race them).
 
+use g80::apps::matmul::{MatMul, Variant};
 use g80::isa::builder::KernelBuilder;
 use g80::isa::{CmpOp, Kernel, Pred, Scalar, Value};
 use g80::sim::{
-    launch, memo_counters, reset_memo_counters, set_dedup, set_engine, set_executor, set_memo,
-    Dedup, DeviceMemory, Engine, Executor, GpuConfig, KernelStats, LaunchDims, Memo,
+    launch, memo_counters, reset_memo_counters, row_counters, set_dedup, set_engine, set_executor,
+    set_memo, set_rows, Dedup, DeviceMemory, Engine, Executor, GpuConfig, KernelStats, LaunchDims,
+    Memo, Rows,
 };
+use std::sync::Mutex;
+
+/// Held by each test for its whole body: one test at a time owns the
+/// process-global selectors and counters.
+static TOGGLES: Mutex<()> = Mutex::new(());
+
+fn own_toggles() -> std::sync::MutexGuard<'static, ()> {
+    // A sibling test that failed while holding the lock already reported
+    // its own failure; the selectors it left behind are reset below.
+    TOGGLES.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 macro_rules! assert_fields_eq {
     ($label:expr, $a:expr, $b:expr, [$($f:ident),+ $(,)?]) => {
@@ -178,6 +192,7 @@ fn dims(blocks: u32) -> LaunchDims {
 
 #[test]
 fn dedup_bit_identical_and_gated() {
+    let _toggles = own_toggles();
     // Exact dedup counter assertions don't survive an armed fault injector
     // (the chaos CI job): absorbed launch retries re-run SMs and skew the
     // process-wide counters.
@@ -300,5 +315,91 @@ fn dedup_bit_identical_and_gated() {
     assert_eq!(on_out[0], 0); // block 0 is generation-even
 
     set_dedup(Dedup::On);
+    set_memo(Memo::On);
+}
+
+/// The Section 4 walk (naive → tiled → unrolled → prefetch) on 16×16 thread
+/// blocks, where `tid.x`/`tid.y` are affine per half-warp rather than per
+/// warp: shape tracking must carry the whole address chain (a shaped-row
+/// fraction the warp-affine shape never reached on these kernels), stay a
+/// pure host-side optimization on every engine — stats and output memory
+/// bit-identical to the eager `Rows::Full` baseline — and keep witness
+/// replay verifying (no fallbacks) with replayed blocks in the mix.
+#[test]
+fn walk_variants_shaped_and_bit_identical() {
+    let _toggles = own_toggles();
+    if g80::sim::fault::armed() {
+        return; // exact counter assertions, as above
+    }
+    let prev_rows = g80::sim::rows();
+    set_memo(Memo::Off);
+    set_dedup(Dedup::On);
+    set_executor(Executor::Pooled);
+
+    let walk = [
+        Variant::Naive,
+        Variant::Tiled {
+            tile: 16,
+            unroll: false,
+        },
+        Variant::Tiled {
+            tile: 16,
+            unroll: true,
+        },
+        Variant::Prefetch { tile: 16 },
+    ];
+    // One run: output bits + stats, plus the shape mix and dedup tallies it
+    // added to the process-wide counters.
+    let run = |mm: &MatMul, v: Variant, a: &[f32], b: &[f32], engine: Engine, rows: Rows| {
+        set_engine(engine);
+        set_rows(rows);
+        reset_memo_counters();
+        let before = row_counters();
+        let (c, stats, _) = mm.run(v, a, b);
+        let bits: Vec<u32> = c.iter().map(|x| x.to_bits()).collect();
+        (bits, stats, row_counters().since(&before), memo_counters())
+    };
+
+    // n=64: one block per SM — every block goes through the timed engines.
+    let mm = MatMul { n: 64 };
+    let (a, b) = mm.generate(7);
+    for v in walk {
+        let label = v.label();
+        let (ref_bits, ref_stats, _, _) = run(&mm, v, &a, &b, Engine::Reference, Rows::Full);
+        for engine in [Engine::Reference, Engine::Predecoded, Engine::Compiled] {
+            for rows in [Rows::Tracked, Rows::Full] {
+                let tag = format!("matmul {label} n=64 {engine:?} {rows:?}");
+                let (bits, stats, shapes, dedup) = run(&mm, v, &a, &b, engine, rows);
+                assert_stats_identical(&tag, &ref_stats, &stats);
+                assert_eq!(ref_bits, bits, "{tag}: output memory differs");
+                assert_eq!(dedup.dedup_fallbacks, 0, "{tag}: {dedup:?}");
+                if engine != Engine::Reference && rows == Rows::Tracked {
+                    let shaped = (shapes.uniform + shapes.affine) as f64 / shapes.total() as f64;
+                    assert!(
+                        shaped >= 0.7,
+                        "{tag}: shaped-row fraction {shaped:.3} < 0.7 ({shapes:?})"
+                    );
+                }
+            }
+        }
+    }
+
+    // n=128: four blocks per SM against three resident slots, so the witness
+    // recorder runs and fifteen SMs replay the donor's streams — the replay
+    // executor's shaped-address paths under test, not just the timed ones.
+    let mm = MatMul { n: 128 };
+    let (a, b) = mm.generate(11);
+    for v in walk {
+        let tag = format!("matmul {} n=128", v.label());
+        let (full_bits, full_stats, _, _) = run(&mm, v, &a, &b, Engine::Predecoded, Rows::Full);
+        let (bits, stats, _, dedup) = run(&mm, v, &a, &b, Engine::Predecoded, Rows::Tracked);
+        assert_stats_identical(&tag, &full_stats, &stats);
+        assert_eq!(full_bits, bits, "{tag}: output memory differs");
+        assert!(dedup.dedup_fast_blocks > 0, "{tag}: no replay: {dedup:?}");
+        assert_eq!(dedup.dedup_fallbacks, 0, "{tag}: {dedup:?}");
+    }
+
+    set_rows(prev_rows);
+    set_engine(Engine::Predecoded);
     set_memo(Memo::On);
 }
