@@ -13,10 +13,7 @@
 //! prove the cache survives the process boundary.
 
 use g80_apps::matmul::{MatMul, Variant};
-use g80_sim::{
-    memo_counters, set_dedup, set_disk_cache, set_engine, set_executor, set_memo, Dedup, Engine,
-    Executor, Memo,
-};
+use g80_sim::{memo_counters, set_dedup, set_disk_cache, set_memo, Dedup, Memo};
 use std::path::PathBuf;
 
 fn main() {
@@ -33,12 +30,11 @@ fn main() {
         eprintln!("usage: warm_cache <cache-dir> [--expect-warm]");
         std::process::exit(3);
     };
-    // Pin every axis that feeds the memo key's mode byte, so invocations
-    // agree on keys regardless of ambient G80_SIM_* variables.
+    // Pin the memo toggle and the one environment-settable axis of the memo
+    // key's mode byte, so invocations agree on keys regardless of ambient
+    // G80_SIM_* variables.
     set_memo(Memo::On);
     set_dedup(Dedup::Off);
-    set_engine(Engine::Predecoded);
-    set_executor(Executor::Pooled);
     set_disk_cache(Some(dir));
 
     let mm = MatMul { n: 64 };

@@ -1,5 +1,14 @@
 //! Straight-line region extraction and lowering for the compiled engine.
 //!
+//! **No product caller since PR 13.** The simulator's compiled engine tier,
+//! the only consumer of this lowering, was retired (its edge over the
+//! predecoded engine had fallen to 1.08× and it moved no end-to-end benchmark
+//! metric). This module and its `pub use` are kept unchanged only because
+//! `benchmark/src/probes.rs` times [`CompiledKernel::new`] for the
+//! `isa.compile_us` layer metric and a product PR may not edit the
+//! benchmark; the next `benchmark`-archetype PR deletes the probe and this
+//! module together. The text below describes the retired design.
+//!
 //! The predecoded engine still pays an `Inst` dispatch, operand-row
 //! materialization, and per-arm bookkeeping for every issued instruction.
 //! This pass lowers each kernel — once per process, cached alongside its

@@ -143,15 +143,6 @@ impl FaultConfig {
         self.sites = site.bit();
         self
     }
-
-    /// Adds one more site to this config's mask (chain after [`only`]
-    /// to target a small set of sites).
-    ///
-    /// [`only`]: FaultConfig::only
-    pub fn also(mut self, site: Site) -> Self {
-        self.sites |= site.bit();
-        self
-    }
 }
 
 /// Payload carried by a `typed`-kind injected fault. Hardened layers

@@ -55,7 +55,6 @@
 //! assert_eq!(stats.coalesced_half_warps, 2 * 64); // 1 ld + 1 st per half-warp
 //! ```
 
-mod compiled;
 pub mod config;
 pub mod counters;
 pub mod disk;
@@ -82,8 +81,8 @@ pub use disk::{disk_cache_dir, set_disk_cache, set_disk_cache_cap};
 pub use error::{CudaError, SimError};
 pub use fault::{set_faults, set_watchdog_cycles, watchdog_cycles, FaultConfig, FaultKind, Site};
 pub use launch::{
-    engine, executor, launch, launch_batch, launch_batch_traced, launch_traced, rows, set_engine,
-    set_executor, set_rows, Engine, Executor, LaunchError, LaunchSpec, Rows,
+    engine, launch, launch_batch, launch_batch_traced, launch_traced, set_engine, Engine,
+    LaunchError, LaunchSpec,
 };
 pub use memo::{
     clear_memo_cache, dedup, kernel_info, memo, memo_counters, reset_memo_counters, set_dedup,

@@ -6,8 +6,8 @@
 //! influence its result — kernel content, launch geometry, machine config,
 //! parameter values, and a digest of the full pre-launch device-memory
 //! image (global words, constant bank, texture binding) — plus the active
-//! engine/executor/dedup mode, so A/B comparisons across those axes never
-//! share entries. A hit replays the launch's recorded effect: the cached
+//! engine/dedup mode, so oracle and A/B runs never share entries with the
+//! product's. A hit replays the launch's recorded effect: the cached
 //! [`KernelStats`] is returned and the recorded sparse memory delta is
 //! re-applied, leaving memory bit-identical to a real simulation.
 //!
@@ -16,8 +16,7 @@
 //! block-deduplication layer needs ([`KernelInfo`]), so repeated single
 //! launches predecode and analyze once per process, not once per launch.
 //!
-//! Both structures are bounded (LRU eviction) and behind the same toggle
-//! pattern as [`crate::launch::Engine`]: `G80_SIM_MEMO=off` /
+//! Both structures are bounded (LRU eviction); `G80_SIM_MEMO=off` /
 //! [`set_memo`] freeze the uncached baseline.
 
 use crate::config::GpuConfig;
@@ -27,7 +26,7 @@ use crate::fault::{self, lock_recover};
 use crate::memory::DeviceMemory;
 use crate::sm::LaunchDims;
 use g80_isa::dataflow::{self, TaintSummary};
-use g80_isa::{CompiledKernel, DecodedKernel, Kernel, Value};
+use g80_isa::{DecodedKernel, Kernel, Value};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -278,22 +277,8 @@ fn code_hash(code: &[g80_isa::Inst]) -> (u64, u64) {
 /// Everything the launch path derives from a kernel's content, computed once
 /// per process per distinct kernel code.
 pub struct KernelInfo {
-    /// Micro-op table for the predecoded engine.
+    /// Micro-op table for the engine.
     pub decoded: DecodedKernel,
-    /// Straight-line regions lowered for the compiled engine
-    /// ([`g80_isa::compile`]). Cheap to build (one pass over the code), so
-    /// it is computed eagerly alongside the decode and shared process-wide
-    /// like everything else in this registry.
-    pub compiled: CompiledKernel,
-    /// Whether region lowering is expected to pay off for this kernel.
-    /// Entering a region costs a pre-bind pass over the warp's operands;
-    /// the win is the per-instruction dispatch it erases, which scales with
-    /// region length. Kernels whose longest region is below
-    /// [`COMPILED_MIN_REGION_LEN`] (streaming kernels whose bodies are
-    /// dominated by region-ineligible global loads/stores, like saxpy) run
-    /// the predecoded path even under `Engine::Compiled` — bit-identical by
-    /// construction, and never slower than the engine they fell back to.
-    pub compiled_profitable: bool,
     /// Dataflow facts from [`g80_isa::dataflow::analyze`].
     pub taint: TaintSummary,
     /// Whether block-class dedup may engage: timing is data-independent and
@@ -306,15 +291,6 @@ pub struct KernelInfo {
     /// the replay executor skips recomputing and re-verifying them.
     pub shared_uniform: bool,
 }
-
-/// Smallest longest-region length at which the compiled engine's region
-/// entry overhead is repaid by erased dispatch. Before lane-row shape
-/// tracking, saxpy's 4-op regions regressed ~14% under lowering and the
-/// gate sat at 8; with uniform/affine folds the lowered ops collapse to
-/// O(1) shape algebra, region entry is cheap enough that a 4-op region
-/// already wins, and the bench's saxpy compiled row now beats predecoded.
-/// The tiled matmul's ~48-op unrolled regions gain 3-4x either way.
-const COMPILED_MIN_REGION_LEN: usize = 4;
 
 struct Registry {
     map: HashMap<(u64, u64), (Arc<KernelInfo>, u64)>,
@@ -357,12 +333,8 @@ pub fn kernel_info(kernel: &Kernel) -> Arc<KernelInfo> {
         && !taint.uses_const
         && !taint.uses_tex
         && !kernel.code.is_empty();
-    let compiled = CompiledKernel::new(kernel);
-    let compiled_profitable = compiled.max_region_len() >= COMPILED_MIN_REGION_LEN;
     let info = Arc::new(KernelInfo {
         decoded: DecodedKernel::new(kernel),
-        compiled,
-        compiled_profitable,
         taint,
         dedup_eligible,
         shared_uniform: !taint.ctaid_shared_addr,
@@ -394,8 +366,8 @@ struct MemoKey {
     block: (u32, u32, u32),
     params: u64,
     input: (u64, u64),
-    /// Engine/executor/dedup discriminants: launches under different modes
-    /// never share entries, so A/B comparisons stay honest.
+    /// Engine/dedup discriminants ([`mode_bits`]): launches under different
+    /// modes never share entries, so oracle and A/B comparisons stay honest.
     mode: u8,
 }
 
@@ -595,13 +567,12 @@ fn memo_key(
     }
 }
 
-/// Encodes the active engine/executor/dedup toggles into the key's mode byte.
-/// The engine discriminant takes two bits (three engines exist).
-fn current_mode() -> u8 {
-    let engine = crate::launch::engine() as u8;
-    let executor = crate::launch::executor() as u8;
-    let dedup = (dedup() == Dedup::Off) as u8;
-    engine | (executor << 2) | (dedup << 3)
+/// The key's mode byte: engine in bits 0–1, dedup-off in bit 3. Bit 2 (once
+/// the executor) is always 0 and the layout is frozen, because the byte is
+/// part of the disk tier's content address: the product configuration must
+/// keep hashing as mode 0 for published entries to keep hitting.
+fn mode_bits(engine: crate::launch::Engine, dedup: Dedup) -> u8 {
+    engine as u8 | (((dedup == Dedup::Off) as u8) << 3)
 }
 
 /// Probes the memo cache for this launch. On a hit the recorded memory
@@ -648,7 +619,8 @@ fn memo_lookup_inner(
     // exercising the same eviction path as real bit rot.
     let tampered = fault::tamper(fault::Site::MemoLoad);
     let pre = mem.snapshot_words();
-    let key = memo_key(cfg, kernel, dims, params, &pre, mem, current_mode());
+    let mode = mode_bits(crate::launch::engine(), dedup());
+    let key = memo_key(cfg, kernel, dims, params, &pre, mem, mode);
     let mut cache = lock_recover(launch_cache());
     cache.tick += 1;
     let tick = cache.tick;
@@ -818,6 +790,17 @@ mod tests {
         bld.st_global(addr, 0, tid);
         let b = bld.build();
         assert!(!Arc::ptr_eq(&kernel_info(&a), &kernel_info(&b)));
+    }
+
+    /// Disk-tier addresses hash the mode byte, so its layout may not move:
+    /// product = 0, oracle and dedup-off keep the bits they always had.
+    #[test]
+    fn mode_byte_layout_is_frozen() {
+        use crate::launch::Engine;
+        assert_eq!(mode_bits(Engine::Predecoded, Dedup::On), 0);
+        assert_eq!(mode_bits(Engine::Reference, Dedup::On), 1);
+        assert_eq!(mode_bits(Engine::Predecoded, Dedup::Off), 8);
+        assert_eq!(mode_bits(Engine::Reference, Dedup::Off), 9);
     }
 
     #[test]

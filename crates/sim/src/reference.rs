@@ -9,7 +9,9 @@
 //! test (workspace root) runs kernels through both engines and asserts
 //! field-for-field identical [`crate::KernelStats`]; any timing divergence in
 //! the optimized engine fails against this spec. Select it at runtime with
-//! [`crate::launch::set_engine`]`(Engine::Reference)`.
+//! [`crate::launch::set_engine`]`(Engine::Reference)`. Its warps are built
+//! with [`Warp::new_eager`], so no register ever carries a row-shape tag and
+//! the spec shares none of the shape algebra it checks.
 //!
 //! Do not edit this engine except to fix a modeling bug — and then change
 //! both engines in lockstep.
@@ -38,7 +40,7 @@ impl Resident {
         // scheduling, the code drives storage.
         let file_regs = cfg_regs.max(g80_isa::liveness::num_regs(&kernel.code) as u32);
         let warps = (0..warps_per_block)
-            .map(|w| Warp::new(w, file_regs, dims.block, ctaid, dims.grid))
+            .map(|w| Warp::new_eager(w, file_regs, dims.block, ctaid, dims.grid))
             .collect();
         Resident {
             warps,

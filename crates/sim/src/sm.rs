@@ -52,8 +52,7 @@ use crate::memory::{
 };
 use crate::warp::{RegSource, Warp};
 use crate::witness::{half_sig, replay_block, Ev, ReplayScratch, WitnessRecorder, WriteBuf};
-use g80_isa::compile::{CompiledKernel, Step};
-use g80_isa::decode::{DecodedKernel, IssueClass, MemKind, MicroOp, NO_REG};
+use g80_isa::decode::{DecodedKernel, IssueClass, MicroOp};
 use g80_isa::exec;
 use g80_isa::inst::{Inst, InstClass, Operand, Space};
 use g80_isa::row::{self, for_each_affine_lane};
@@ -167,7 +166,6 @@ pub fn run_sm(
     cfg: &GpuConfig,
     kernel: &Kernel,
     decoded: &DecodedKernel,
-    compiled: Option<&CompiledKernel>,
     dims: &LaunchDims,
     params: &[Value],
     mem: &DeviceMemory,
@@ -470,62 +468,25 @@ pub fn run_sm(
                 let mop = &decoded.ops[pc];
                 let pre_mask = warp.active_mask();
                 let record = recorder.as_ref().is_some_and(|r| r.valid);
-                let step = compiled.map_or(Step::Interp, |c| c.step(pc));
-                let (dur, ev_aux, ev_bytes) = match step {
-                    Step::Enter(ri) => {
-                        // First instruction of a compiled region: run the
-                        // whole region's functional effects (and precompute
-                        // each op's timing aux), then charge this
-                        // instruction's timing.
-                        let (region, _) = compiled.unwrap().region_at(ri, pc);
-                        let (warps, smem) = (&mut block.warps, &mut block.smem);
-                        let warp = &mut warps[wi];
-                        crate::compiled::run_region(
-                            region,
-                            warp,
-                            smem,
-                            params,
-                            &kernel.name,
-                            cfg,
-                            &mut row_tally,
-                        );
-                        let aux = warp.region_aux[0];
-                        let dur =
-                            timed_step(cfg, warp, mop, aux, cycle, &mut stats, &mut class_counts);
-                        (dur, aux, 0)
-                    }
-                    Step::Timed(ri) => {
-                        // Interior of a compiled region: the functional work
-                        // already ran at entry; timing only.
-                        let (_, off) = compiled.unwrap().region_at(ri, pc);
-                        let warp = &mut block.warps[wi];
-                        let aux = warp.region_aux[off];
-                        let dur =
-                            timed_step(cfg, warp, mop, aux, cycle, &mut stats, &mut class_counts);
-                        (dur, aux, 0)
-                    }
-                    Step::Interp => {
-                        let mut ctx = ExecCtx {
-                            cfg,
-                            kernel,
-                            params,
-                            mem,
-                            stats: &mut stats,
-                            chan_free: &mut chan_free,
-                            const_cache: &mut const_cache,
-                            tex_cache: &mut tex_cache,
-                            scratch: &mut scratch,
-                            class_counts: &mut class_counts,
-                            cycle,
-                            record,
-                            ev_aux: 0,
-                            ev_bytes: 0,
-                            rows: &mut row_tally,
-                        };
-                        let dur = ctx.execute(block, wi, mop);
-                        (dur, ctx.ev_aux, ctx.ev_bytes)
-                    }
+                let mut ctx = ExecCtx {
+                    cfg,
+                    kernel,
+                    params,
+                    mem,
+                    stats: &mut stats,
+                    chan_free: &mut chan_free,
+                    const_cache: &mut const_cache,
+                    tex_cache: &mut tex_cache,
+                    scratch: &mut scratch,
+                    class_counts: &mut class_counts,
+                    cycle,
+                    record,
+                    ev_aux: 0,
+                    ev_bytes: 0,
+                    rows: &mut row_tally,
                 };
+                let dur = ctx.execute(block, wi, mop);
+                let (ev_aux, ev_bytes) = (ctx.ev_aux, ctx.ev_bytes);
                 cycle += dur;
                 rr = (rr + k + 1) % n;
                 issued = true;
@@ -615,60 +576,6 @@ pub fn run_sm(
         *out = rec.take_verified();
     }
     stats
-}
-
-/// The compiled engine's per-instruction timing step: statistics, scoreboard
-/// update, pc advance, and issue-port occupancy for an instruction whose
-/// functional effects already ran at region entry
-/// ([`crate::compiled::run_region`]). Must mirror the timing arms of
-/// [`ExecCtx::execute`] exactly — `golden_stats` asserts bit-identical
-/// [`crate::KernelStats`] across engines. `aux` is the precomputed
-/// shared-memory bank-conflict degree (0 for pure ops).
-#[inline]
-fn timed_step(
-    cfg: &GpuConfig,
-    warp: &mut Warp,
-    mop: &MicroOp,
-    aux: u32,
-    cycle: u64,
-    stats: &mut SmStats,
-    class_counts: &mut [u64; InstClass::COUNT],
-) -> u64 {
-    let lanes = warp.active_mask().count_ones();
-    stats.warp_instructions += 1;
-    stats.thread_instructions += lanes as u64;
-    stats.flops += mop.flops as u64 * lanes as u64;
-    class_counts[mop.class.index()] += 1;
-    let dur = match mop.mem {
-        Some(MemKind::Load(Space::Shared)) => {
-            let extra = cfg.issue_cycles * (aux as u64 - 1);
-            stats.smem_conflict_extra_cycles += extra;
-            warp.reg_ready[mop.dst as usize] = cycle + cfg.smem_latency + extra;
-            warp.reg_source[mop.dst as usize] = RegSource::Alu;
-            cfg.issue_cycles + extra
-        }
-        Some(MemKind::Store(Space::Shared)) => {
-            let extra = cfg.issue_cycles * (aux as u64 - 1);
-            stats.smem_conflict_extra_cycles += extra;
-            cfg.issue_cycles + extra
-        }
-        _ => {
-            // A pure op: exactly one register row write, scoreboarded at
-            // ALU (or SFU) latency.
-            let (done, occupancy) = match mop.issue {
-                IssueClass::Sfu => (cycle + cfg.sfu_latency, cfg.sfu_issue_cycles),
-                IssueClass::Imul => (cycle + cfg.alu_latency, cfg.imul_issue_cycles),
-                IssueClass::Normal => (cycle + cfg.alu_latency, cfg.issue_cycles),
-            };
-            if mop.dst != NO_REG {
-                warp.reg_ready[mop.dst as usize] = done;
-                warp.reg_source[mop.dst as usize] = RegSource::Alu;
-            }
-            occupancy
-        }
-    };
-    warp.advance();
-    dur
 }
 
 /// Maps a stall reason to a stable snapshot code.
@@ -792,22 +699,15 @@ pub(crate) fn addr_row(warp: &Warp, addr_op: Operand, off: i32, params: &[Value]
     std::array::from_fn(|l| row[l].as_u32().wrapping_add(off as u32))
 }
 
-/// The shape of an address row plus an immediate offset: the offset shifts
-/// the base and preserves stride and step.
+/// The shape of a memory instruction's per-lane effective-address row
+/// (`operand + off`): the offset shifts the base and preserves stride and
+/// step. `Full` means no closed form — fall back to [`addr_row`].
 #[inline]
-pub(crate) fn shift_shape(shape: LaneRow, off: i32) -> LaneRow {
-    match shape.terms() {
+pub(crate) fn addr_shape(warp: &Warp, addr_op: Operand, off: i32, params: &[Value]) -> LaneRow {
+    match warp.operand_shape(addr_op, params).terms() {
         Some((base, stride, step)) => LaneRow::affine(base.wrapping_add(off as u32), stride, step),
         None => LaneRow::Full,
     }
-}
-
-/// The shape of a memory instruction's per-lane effective-address row
-/// (`operand + off`). `Full` means no closed form — fall back to
-/// [`addr_row`].
-#[inline]
-pub(crate) fn addr_shape(warp: &Warp, addr_op: Operand, off: i32, params: &[Value]) -> LaneRow {
-    shift_shape(warp.operand_shape(addr_op, params), off)
 }
 
 /// Splits an address row into the two half-warp arrays the coalescing and
@@ -869,11 +769,10 @@ impl<'a> ExecCtx<'a> {
         // Row-shape fold fast paths: under a full active mask, an
         // instruction whose operand shapes fold produces its entire result
         // row as one `LaneRow` tag — no lane evaluation, no backing-store
-        // write. Gated on `rows_enabled` (immediates/params are `Uniform`
-        // even with tracking off and would otherwise fold). Folds are
-        // bit-exact by construction (`g80_isa::row` tests), so the
-        // scoreboard/timing effects below mirror the eager arms verbatim.
-        let fold = warp.rows_enabled && mask == u32::MAX;
+        // write. Folds are bit-exact by construction (`g80_isa::row` tests),
+        // so the scoreboard/timing effects below mirror the eager arms
+        // verbatim.
+        let fold = mask == u32::MAX;
         match inst {
             Inst::Alu { op, dst, a, b } => {
                 if fold {
@@ -1186,7 +1085,7 @@ impl<'a> ExecCtx<'a> {
                 // Affine-address fast path: coalescing degree of both
                 // halves in closed form; the per-lane work shrinks to the
                 // functional reads.
-                if warp.rows_enabled && mask == u32::MAX {
+                if mask == u32::MAX {
                     let ashape = addr_shape(warp, addr, off, self.params);
                     if let Some((base, stride, step)) = ashape.terms() {
                         if let Some(halves) = coalesce_affine_warp(cfg, base, stride, step) {
@@ -1257,7 +1156,7 @@ impl<'a> ExecCtx<'a> {
                 // Affine-address fast path: the bank-conflict degree is
                 // base-independent and identical for both halves, so one
                 // closed-form evaluation replaces both scans.
-                if warp.rows_enabled && mask == u32::MAX {
+                if mask == u32::MAX {
                     let ashape = addr_shape(warp, addr, off, self.params);
                     if let Some((base, stride, step)) = ashape.terms() {
                         if let Some(degree) = smem_degree_affine(cfg, stride) {
@@ -1430,7 +1329,7 @@ impl<'a> ExecCtx<'a> {
         let mask = warp.active_mask();
         match space {
             Space::Global => {
-                if warp.rows_enabled && mask == u32::MAX {
+                if mask == u32::MAX {
                     let ashape = addr_shape(warp, addr, off, self.params);
                     if let Some((base, stride, step)) = ashape.terms() {
                         if let Some(halves) = coalesce_affine_warp(cfg, base, stride, step) {
@@ -1494,7 +1393,7 @@ impl<'a> ExecCtx<'a> {
                 cfg.issue_cycles
             }
             Space::Shared => {
-                if warp.rows_enabled && mask == u32::MAX {
+                if mask == u32::MAX {
                     let ashape = addr_shape(warp, addr, off, self.params);
                     if let Some((base, stride, step)) = ashape.terms() {
                         if let Some(degree) = smem_degree_affine(cfg, stride) {

@@ -42,18 +42,15 @@ pub struct Warp {
     /// supersedes the backing row (which may hold stale lanes) until
     /// [`Warp::materialize`] expands it.
     pub regs: Vec<Value>,
-    /// Row-shape tag per register (see [`LaneRow`]). With row tracking off
-    /// ([`crate::launch::Rows::Full`]) every entry stays `Full` forever and
-    /// the register file behaves exactly as the eager baseline.
+    /// Row-shape tag per register (see [`LaneRow`]). In an eager warp
+    /// ([`Warp::new_eager`]) every entry stays `Full` forever and the
+    /// register file is a plain materialized array.
     pub shapes: Vec<LaneRow>,
-    /// Whether this warp tracks row shapes (resolved from
-    /// [`crate::launch::rows`] at construction). Fold fast paths in the
-    /// engines must check this before consulting operand shapes: immediate
-    /// and param operands are `Uniform` even in full mode and would
-    /// otherwise fold.
-    pub rows_enabled: bool,
+    /// Whether this warp tracks row shapes: a constant fixed by the
+    /// constructor, read again only by [`Warp::reset`].
+    rows_enabled: bool,
     /// Shapes of the per-lane tid.{x,y,z} rows, classified once at
-    /// construction (`Full` placeholders when row tracking is off).
+    /// construction (`Full` placeholders in an eager warp).
     pub(crate) tid_shape: [LaneRow; 3],
     /// Scoreboard: cycle at which each register's pending write lands.
     pub reg_ready: Vec<u64>,
@@ -61,11 +58,6 @@ pub struct Warp {
     pub reg_source: Vec<RegSource>,
     /// Per-lane local (spill) memory, lazily grown, word-indexed.
     pub local: Vec<Vec<Value>>,
-    /// Compiled-engine scratch: one timing-aux word (shared-memory
-    /// bank-conflict degree; 0 for pure ops) per instruction of the region
-    /// this warp most recently entered, filled at region entry and consumed
-    /// by the interior timing-only steps. Unused by the other engines.
-    pub region_aux: Vec<u32>,
     /// Lanes that exist (partial warps at the end of a block have fewer).
     pub init_mask: u32,
     /// Parked at a barrier, waiting for the rest of the block.
@@ -85,13 +77,39 @@ pub struct Warp {
 }
 
 impl Warp {
-    /// Creates warp `warp_idx` of a block.
+    /// Creates warp `warp_idx` of a block, tracking row shapes: the warp the
+    /// product engine and witness replay run on.
     pub fn new(
         warp_idx: u32,
         nregs: u32,
         block_dim: (u32, u32, u32),
         ctaid: (u32, u32),
         nctaid: (u32, u32),
+    ) -> Self {
+        Self::build(warp_idx, nregs, block_dim, ctaid, nctaid, true)
+    }
+
+    /// Creates warp `warp_idx` of a block with every register row eagerly
+    /// materialized: shapes start and stay all-`Full`, so every shape-aware
+    /// accessor reduces to a backing-store read. The reference engine runs
+    /// on these, which keeps it independent of the shape algebra it checks.
+    pub fn new_eager(
+        warp_idx: u32,
+        nregs: u32,
+        block_dim: (u32, u32, u32),
+        ctaid: (u32, u32),
+        nctaid: (u32, u32),
+    ) -> Self {
+        Self::build(warp_idx, nregs, block_dim, ctaid, nctaid, false)
+    }
+
+    fn build(
+        warp_idx: u32,
+        nregs: u32,
+        block_dim: (u32, u32, u32),
+        ctaid: (u32, u32),
+        nctaid: (u32, u32),
+        rows_enabled: bool,
     ) -> Self {
         let threads_per_block = block_dim.0 * block_dim.1 * block_dim.2;
         let base = warp_idx * 32;
@@ -109,7 +127,6 @@ impl Warp {
                 tids.push((0, 0, 0));
             }
         }
-        let rows_enabled = crate::launch::rows() == crate::launch::Rows::Tracked;
         let tid_shape = if rows_enabled {
             let classify_dim = |pick: fn(&(u32, u32, u32)) -> u32| {
                 let mut row = [Value::ZERO; 32];
@@ -144,7 +161,6 @@ impl Warp {
             reg_ready: vec![0; nregs as usize],
             reg_source: vec![RegSource::Alu; nregs as usize],
             local: vec![Vec::new(); 32],
-            region_aux: Vec::new(),
             init_mask: mask,
             at_barrier: false,
             resume_at: 0,
@@ -253,16 +269,6 @@ impl Warp {
     pub fn set_shape(&mut self, r: u32, shape: LaneRow) {
         debug_assert_ne!(shape, LaneRow::Full);
         self.shapes[r as usize] = shape;
-    }
-
-    /// A register's full 32-lane backing row. The register must already be
-    /// materialized (shape `Full`); use [`Warp::reg`]/[`Warp::operand_row`]
-    /// for shape-transparent reads.
-    #[inline]
-    pub fn reg_row(&self, r: u32) -> &[Value; 32] {
-        debug_assert_eq!(self.shapes[r as usize], LaneRow::Full);
-        let base = (r as usize) * 32;
-        (&self.regs[base..base + 32]).try_into().unwrap()
     }
 
     /// A register's full 32-lane row, mutably (materializing it first).
@@ -562,9 +568,6 @@ mod tests {
     #[test]
     fn shapes_read_through_and_materialize_on_lane_write() {
         let mut w = full_warp();
-        if !w.rows_enabled {
-            return; // G80_SIM_ROWS=full: nothing to test
-        }
         // Fresh registers read as zero through the Uniform(0) shape.
         assert_eq!(w.reg(2, 31).as_u32(), 0);
         w.set_shape(
@@ -592,9 +595,6 @@ mod tests {
     #[test]
     fn tid_shapes_classified_at_construction() {
         let w = full_warp(); // 32x1x1 block: tid.x = lane, tid.y = tid.z = 0
-        if !w.rows_enabled {
-            return;
-        }
         let affine = |base, stride, step| LaneRow::Affine { base, stride, step };
         assert_eq!(w.tid_shape[0], affine(0, 1, 16));
         assert_eq!(w.tid_shape[1], LaneRow::Uniform(Value::ZERO));
@@ -615,9 +615,12 @@ mod tests {
         assert_eq!(w3.tid_shape[1], LaneRow::Full);
     }
 
+    fn eager_warp() -> Warp {
+        Warp::new_eager(0, 8, (32, 1, 1), (0, 0), (1, 1))
+    }
+
     #[test]
     fn taken_mask_matches_per_lane_scan() {
-        let mut w = full_warp();
         let mask = 0x0f0f_0f0fu32;
         for (shape, label) in [
             (LaneRow::Uniform(Value::from_u32(1)), "uniform-true"),
@@ -631,45 +634,67 @@ mod tests {
                 "affine",
             ),
         ] {
-            if w.rows_enabled {
-                w.set_shape(1, shape);
-            } else {
-                let mut row = [Value::ZERO; 32];
-                shape.expand_into(&mut row);
-                *w.reg_row_mut(1) = row;
-            }
-            for negate in [false, true] {
-                let mut want = 0u32;
-                for lane in 0..32 {
-                    if (mask >> lane) & 1 == 1 && (w.reg(1, lane).as_bool() != negate) {
-                        want |= 1 << lane;
+            // The same predicate row, as a tag on a tracked warp and as
+            // materialized lanes on an eager one.
+            let mut tracked = full_warp();
+            tracked.set_shape(1, shape);
+            let mut eager = eager_warp();
+            shape.expand_into(eager.reg_row_mut(1));
+            for w in [&tracked, &eager] {
+                for negate in [false, true] {
+                    let mut want = 0u32;
+                    for lane in 0..32 {
+                        if (mask >> lane) & 1 == 1 && (w.reg(1, lane).as_bool() != negate) {
+                            want |= 1 << lane;
+                        }
                     }
+                    assert_eq!(w.taken_mask(1, negate, mask), want, "{label} neg={negate}");
                 }
-                assert_eq!(w.taken_mask(1, negate, mask), want, "{label} neg={negate}");
             }
         }
     }
 
     #[test]
     fn reset_restores_zero_registers() {
-        let mut w = full_warp();
-        w.set_reg(0, 4, Value::from_u32(99));
-        if w.rows_enabled {
-            w.set_shape(
-                5,
-                LaneRow::Affine {
-                    base: 1,
-                    stride: 2,
-                    step: 32,
-                },
-            );
-        }
-        w.reset((0, 0));
-        for r in 0..8 {
-            for lane in 0..32 {
-                assert_eq!(w.reg(r, lane), Value::ZERO);
+        let mut tracked = full_warp();
+        tracked.set_shape(
+            5,
+            LaneRow::Affine {
+                base: 1,
+                stride: 2,
+                step: 32,
+            },
+        );
+        for mut w in [tracked, eager_warp()] {
+            w.set_reg(0, 4, Value::from_u32(99));
+            w.reset((0, 0));
+            for r in 0..8 {
+                for lane in 0..32 {
+                    assert_eq!(w.reg(r, lane), Value::ZERO);
+                }
             }
         }
+    }
+
+    /// The oracle's warps never carry a shape tag: the reference engine
+    /// reads and writes plain lanes whatever the tracked paths do.
+    #[test]
+    fn eager_warp_shapes_stay_full() {
+        let all_full = |w: &Warp| w.shapes.iter().all(|s| *s == LaneRow::Full);
+        let mut w = eager_warp();
+        assert!(all_full(&w));
+        assert_eq!(w.tid_shape, [LaneRow::Full; 3]);
+        w.reset((1, 0));
+        assert!(all_full(&w));
+        // A partial-mask write: lanes 0..16 of r2, through both write paths.
+        w.take_branch(0x0000_ffff, 10, 20, 1);
+        for lane in w.active_lanes().collect::<Vec<_>>() {
+            w.set_reg(2, lane, Value::from_u32(7));
+        }
+        w.reg_row_mut(3)[5] = Value::from_u32(9);
+        assert!(all_full(&w));
+        assert_eq!(w.reg(2, 15).as_u32(), 7);
+        assert_eq!(w.reg(2, 16).as_u32(), 0);
     }
 
     #[test]

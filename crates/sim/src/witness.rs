@@ -500,9 +500,9 @@ fn step(
     // Cleared when the signature is statically proven equal to the
     // representative's instead of being recomputed (`shared_uniform`).
     let mut verify_b = true;
-    // Same row-shape fold fast paths as the timed engines (pure ops have a
+    // Same row-shape fold fast paths as the timed engine (pure ops have a
     // zero signature, so folding never affects verification).
-    let fold = warp.rows_enabled && mask == u32::MAX;
+    let fold = mask == u32::MAX;
     match inst {
         Inst::Alu { op, dst, a, b } => {
             let folded = fold

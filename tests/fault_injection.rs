@@ -1,8 +1,8 @@
 //! The fault-injection harness and the degradation contract it enforces:
 //!
 //! * **watchdog** — a non-terminating kernel aborts with
-//!   `LaunchError::Watchdog` (partial stats attached) under both engines
-//!   and both executors, instead of hanging the pool;
+//!   `LaunchError::Watchdog` (partial stats attached) under both engines,
+//!   instead of hanging the pool;
 //! * **mixed-validity batches** — one invalid or panicking entry degrades
 //!   to its own `Err`; every sibling's stats and memory match solo runs;
 //! * **pool respawn** — injected worker deaths are absorbed: workers are
@@ -22,9 +22,8 @@ use g80::isa::{Kernel, Value};
 use g80::sim::fault::{self, FaultConfig, FaultKind, Site};
 use g80::sim::{
     clear_memo_cache, launch, launch_batch, memo_counters, set_dedup, set_disk_cache, set_engine,
-    set_executor, set_faults, set_memo, set_memo_capacity, set_watchdog_cycles, Dedup,
-    DeviceMemory, Engine, Executor, GpuConfig, KernelStats, LaunchDims, LaunchError, LaunchSpec,
-    Memo,
+    set_faults, set_memo, set_memo_capacity, set_watchdog_cycles, Dedup, DeviceMemory, Engine,
+    GpuConfig, KernelStats, LaunchDims, LaunchError, LaunchSpec, Memo,
 };
 
 const TPB: u32 = 64;
@@ -122,7 +121,6 @@ fn disarm_all() {
     set_memo_capacity(256);
     set_dedup(Dedup::On);
     set_engine(Engine::Predecoded);
-    set_executor(Executor::Pooled);
     set_disk_cache(None);
     clear_memo_cache();
 }
@@ -146,7 +144,6 @@ fn fault_injection_and_degradation() {
     pool_respawns_dead_workers(&cfg);
     memo_corruption_is_detected_and_resimulated(&cfg);
     soak_every_site_both_kinds(&cfg);
-    compiled_engine_degrades_identically(&cfg);
 
     // ---- degradation contract: disarmed re-run is bit-identical ----
     disarm_all();
@@ -164,47 +161,39 @@ fn watchdog_aborts_runaway_kernels(cfg: &GpuConfig) {
     disarm_all();
     let spin = spin_kernel();
     const BUDGET: u64 = 50_000;
-    for engine in [Engine::Predecoded, Engine::Reference, Engine::Compiled] {
-        for exec in [Executor::Pooled, Executor::SpawnPerLaunch] {
-            set_engine(engine);
-            set_executor(exec);
-            set_watchdog_cycles(Some(BUDGET));
-            let mem = DeviceMemory::new(1 << 12);
-            let r = launch(
-                cfg,
-                &spin,
-                LaunchDims {
-                    grid: (2, 1),
-                    block: (32, 1, 1),
-                },
-                &[Value::from_u32(0)],
-                &mem,
-            );
-            match r {
-                Err(LaunchError::Watchdog {
-                    kernel,
-                    budget,
-                    cycles,
-                    warp_instructions,
-                }) => {
-                    assert_eq!(kernel, "fi_spin", "{engine:?}/{exec:?}");
-                    assert_eq!(budget, BUDGET, "{engine:?}/{exec:?}");
-                    assert!(cycles >= BUDGET, "{engine:?}/{exec:?}: {cycles}");
-                    assert!(warp_instructions > 0, "{engine:?}/{exec:?}");
-                }
-                other => panic!("{engine:?}/{exec:?}: expected Watchdog, got {other:?}"),
+    for engine in [Engine::Predecoded, Engine::Reference] {
+        set_engine(engine);
+        set_watchdog_cycles(Some(BUDGET));
+        let mem = DeviceMemory::new(1 << 12);
+        let r = launch(
+            cfg,
+            &spin,
+            LaunchDims {
+                grid: (2, 1),
+                block: (32, 1, 1),
+            },
+            &[Value::from_u32(0)],
+            &mem,
+        );
+        match r {
+            Err(LaunchError::Watchdog {
+                kernel,
+                budget,
+                cycles,
+                warp_instructions,
+            }) => {
+                assert_eq!(kernel, "fi_spin", "{engine:?}");
+                assert_eq!(budget, BUDGET, "{engine:?}");
+                assert!(cycles >= BUDGET, "{engine:?}: {cycles}");
+                assert!(warp_instructions > 0, "{engine:?}");
             }
-            // The budget is not latched: with the watchdog off the same
-            // process still simulates terminating kernels normally.
-            set_watchdog_cycles(None);
-            let mem = fresh_input(256);
-            run_scale(
-                cfg,
-                &scale_kernel(2, engine as u32 * 2 + exec as u32),
-                &mem,
-                256,
-            );
+            other => panic!("{engine:?}: expected Watchdog, got {other:?}"),
         }
+        // The budget is not latched: with the watchdog off the same
+        // process still simulates terminating kernels normally.
+        set_watchdog_cycles(None);
+        let mem = fresh_input(256);
+        run_scale(cfg, &scale_kernel(2, engine as u32), &mem, 256);
     }
     disarm_all();
 }
@@ -263,34 +252,28 @@ fn mixed_validity_batch_isolates_failures(cfg: &GpuConfig) {
             mem: &m3,
         },
     ];
-    for exec in [Executor::Pooled, Executor::SpawnPerLaunch] {
-        set_executor(exec);
-        clear_memo_cache();
-        let results = launch_batch(cfg, &specs);
-        assert_eq!(results.len(), 4);
-        let ok0 = results[0].as_ref().expect("entry 0 valid");
-        assert!(
-            matches!(results[1], Err(LaunchError::BadBlockDims(_))),
-            "{exec:?}: {:?}",
-            results[1]
-        );
-        match &results[2] {
-            Err(e @ LaunchError::Panic(msg)) => {
-                assert!(msg.contains("out of bounds"), "{exec:?}: {msg}");
-                assert!(!e.is_injected(), "a real bug must not look injected");
-            }
-            other => panic!("{exec:?}: expected Panic, got {other:?}"),
+    clear_memo_cache(); // the batch must simulate, not replay the solo run
+    let results = launch_batch(cfg, &specs);
+    assert_eq!(results.len(), 4);
+    let ok0 = results[0].as_ref().expect("entry 0 valid");
+    assert!(
+        matches!(results[1], Err(LaunchError::BadBlockDims(_))),
+        "{:?}",
+        results[1]
+    );
+    match &results[2] {
+        Err(e @ LaunchError::Panic(msg)) => {
+            assert!(msg.contains("out of bounds"), "{msg}");
+            assert!(!e.is_injected(), "a real bug must not look injected");
         }
-        let ok3 = results[3].as_ref().expect("entry 3 valid");
-        // No cross-contamination: the surviving entries match solo runs.
-        for (label, stats, mem) in [("entry 0", ok0, &m0), ("entry 3", ok3, &m3)] {
-            assert_eq!(stats.cycles, solo.cycles, "{exec:?} {label}");
-            assert_eq!(
-                stats.warp_instructions, solo.warp_instructions,
-                "{exec:?} {label}"
-            );
-            assert_eq!(output_words(mem, N), solo_out, "{exec:?} {label}");
-        }
+        other => panic!("expected Panic, got {other:?}"),
+    }
+    let ok3 = results[3].as_ref().expect("entry 3 valid");
+    // No cross-contamination: the surviving entries match solo runs.
+    for (label, stats, mem) in [("entry 0", ok0, &m0), ("entry 3", ok3, &m3)] {
+        assert_eq!(stats.cycles, solo.cycles, "{label}");
+        assert_eq!(stats.warp_instructions, solo.warp_instructions, "{label}");
+        assert_eq!(output_words(mem, N), solo_out, "{label}");
     }
     disarm_all();
 }
@@ -400,70 +383,6 @@ fn memo_corruption_is_detected_and_resimulated(cfg: &GpuConfig) {
     set_faults(None);
     assert_eq!(fourth.cycles, first.cycles);
     assert_eq!(output_words(&m4, N), output_words(&m1, N));
-    disarm_all();
-}
-
-/// The compiled engine rides the same degradation machinery: the decode and
-/// sm.step fault sites still fire while regions execute through the lowered
-/// evaluator, every surfaced error is injected-class, and a disarmed re-run
-/// reproduces the compiled golden stats and memory bit for bit.
-fn compiled_engine_degrades_identically(cfg: &GpuConfig) {
-    disarm_all();
-    set_engine(Engine::Compiled);
-    set_memo(Memo::Off); // every launch must simulate and poll sm.step
-    const N: u32 = 512;
-    let k = scale_kernel(21, 29);
-    let golden_mem = fresh_input(N);
-    let golden = run_scale(cfg, &k, &golden_mem, N);
-    let golden_out = output_words(&golden_mem, N);
-
-    fault::set_retry(false);
-    let mut injected_errs = 0u64;
-    let (decode_before, sm_before) = (fault::raised(Site::Decode), fault::raised(Site::SmStep));
-    for (seed, kind) in [(41u64, FaultKind::Typed), (43, FaultKind::Panic)] {
-        set_faults(Some(
-            FaultConfig::new(seed, 0.15, Some(kind))
-                .only(Site::Decode)
-                .also(Site::SmStep),
-        ));
-        for iter in 0..24u32 {
-            // Distinct content per iteration: each pays a fresh decode.
-            let ki = scale_kernel(21, 1 << 20 | iter << 1 | (kind as u32 & 1));
-            let mem = fresh_input(N);
-            match try_run_scale(cfg, &ki, &mem, N) {
-                Ok(_) => {}
-                Err(e) => {
-                    assert!(e.is_injected(), "compiled tier leaked a real error: {e}");
-                    injected_errs += 1;
-                }
-            }
-        }
-        set_faults(None);
-    }
-    fault::set_retry(true);
-    assert!(
-        injected_errs > 0,
-        "no fault surfaced under the compiled tier"
-    );
-    assert!(
-        fault::raised(Site::Decode) > decode_before,
-        "isa.decode never fired under the compiled tier"
-    );
-    assert!(
-        fault::raised(Site::SmStep) > sm_before,
-        "sm.step never fired under the compiled tier"
-    );
-
-    // Disarmed, the compiled tier still reproduces its golden run exactly.
-    let mem = fresh_input(N);
-    let again = run_scale(cfg, &k, &mem, N);
-    assert_eq!(
-        golden.cycles, again.cycles,
-        "compiled golden cycles drifted"
-    );
-    assert_eq!(golden.warp_instructions, again.warp_instructions);
-    assert_eq!(golden.stall_cycles, again.stall_cycles);
-    assert_eq!(golden_out, output_words(&mem, N));
     disarm_all();
 }
 

@@ -1,19 +1,17 @@
-//! Golden-stats equivalence: the predecoded and compiled engines must be
-//! pure host-side optimizations. Every workload here runs on the frozen
-//! reference engine (`g80_sim::reference`), the predecoded engine
-//! (`g80_sim::sm`), and the compiled region engine
-//! (`g80_sim::compiled`) — and the resulting [`KernelStats`] must match
-//! **field for field, bit for bit**: cycles, stall attribution, traffic
-//! counters, everything. A single diverging counter means the optimization
-//! changed simulated timing and is a bug.
+//! Golden-stats equivalence: the product engine must be a pure host-side
+//! optimization. Every workload here runs on the frozen reference engine
+//! (`g80_sim::reference`, the oracle: instruction-at-a-time, eager warps,
+//! allocating coalescer) and on the product engine (`g80_sim::sm`:
+//! predecoded micro-ops, tracked row shapes, pooled SM tasks) — and the
+//! resulting [`KernelStats`] must match **field for field, bit for bit**:
+//! cycles, stall attribution, traffic counters, everything. A single
+//! diverging counter means the optimization changed simulated timing and is
+//! a bug.
 //!
-//! The same contract covers the executor axis: the pooled work-stealing
-//! executor must produce stats bit-identical to the frozen per-launch
-//! `thread::scope` spawn baseline, so every workload also runs under
-//! `Executor::SpawnPerLaunch` and `Executor::Pooled`, crossed with the
-//! dedup and memo axes, on both optimized engines.
+//! The same contract covers the product's cache layers: block-class dedup
+//! and the launch memo (cold and warm) must reproduce the oracle's stats.
 //!
-//! The engine/executor selectors are process-global, so all workloads run
+//! The engine/dedup/memo selectors are process-global, so all workloads run
 //! inside one `#[test]` (the default parallel test runner would otherwise
 //! race the toggles).
 
@@ -25,8 +23,7 @@ use g80::apps::sad::SadApp;
 use g80::apps::saxpy::Saxpy;
 use g80::apps::tpacf::Tpacf;
 use g80::sim::{
-    clear_memo_cache, set_dedup, set_engine, set_executor, set_memo, set_rows, Dedup, Engine,
-    Executor, KernelStats, Memo, Rows,
+    clear_memo_cache, set_dedup, set_engine, set_memo, Dedup, Engine, KernelStats, Memo,
 };
 
 /// Asserts the named fields equal between the two runs.
@@ -77,100 +74,40 @@ fn assert_stats_identical(label: &str, a: &KernelStats, b: &KernelStats) {
     );
 }
 
-/// Runs the workload on all three engines, then crosses the two optimized
-/// engines with both executors, block-class dedup on/off, and cold/warm
-/// through the launch memo cache — the stats must be bit-identical across
-/// every axis.
+/// Runs the workload on the reference engine and on the product engine with
+/// every cache layer off, then adds block-class dedup and the launch memo
+/// (cold, warm) to the product — the stats must be bit-identical to the
+/// oracle's at every step.
 fn check(label: &str, mut run: impl FnMut() -> KernelStats) {
-    // Equivalence axes must each be isolated: engine/executor runs compare
-    // real simulations, not cache replays.
+    // The oracle comparison is between real simulations, not cache replays.
     set_memo(Memo::Off);
     set_dedup(Dedup::Off);
 
     set_engine(Engine::Reference);
     let reference = run();
     set_engine(Engine::Predecoded);
-    let predecoded = run();
-    assert_stats_identical(label, &reference, &predecoded);
+    let product = run();
+    assert_stats_identical(label, &reference, &product);
 
-    // Compiled engine: straight-line regions execute through the lowered
-    // bytecode evaluator, interior instructions through timing-only steps —
-    // and every counter must still match the reference bit for bit.
-    set_engine(Engine::Compiled);
-    let compiled = run();
-    assert_stats_identical(&format!("{label} [compiled]"), &reference, &compiled);
+    // Dedup axis: block-class dedup (and donor-SM reuse) engages only where
+    // the witness machinery proves equivalence, so on *every* workload the
+    // stats must be bit-identical to the plain run.
+    set_dedup(Dedup::On);
+    let deduped = run();
+    assert_stats_identical(&format!("{label} [dedup]"), &reference, &deduped);
 
-    // Engine × executor × dedup × memo cross, on both optimized engines.
-    for engine in [Engine::Predecoded, Engine::Compiled] {
-        set_engine(engine);
-        let tag = format!("{label} {engine:?}");
-
-        // Executor axis.
-        set_executor(Executor::SpawnPerLaunch);
-        let spawned = run();
-        set_executor(Executor::Pooled);
-        let pooled = run();
-        assert_stats_identical(&format!("{tag} [executor]"), &spawned, &pooled);
-
-        // Dedup axis: block-class dedup (and donor-SM reuse) engages only
-        // where the witness machinery proves equivalence, so on *every*
-        // workload the stats must be bit-identical to the plain run.
-        set_dedup(Dedup::On);
-        let deduped = run();
-        assert_stats_identical(&format!("{tag} [dedup]"), &pooled, &deduped);
-
-        // Memo axis: a cold run records, a warm run replays from the cache —
-        // both must match the uncached stats bit for bit.
-        set_memo(Memo::On);
-        clear_memo_cache();
-        let cold = run();
-        assert_stats_identical(&format!("{tag} [memo cold]"), &deduped, &cold);
-        let warm = run();
-        assert_stats_identical(&format!("{tag} [memo warm]"), &cold, &warm);
-        set_memo(Memo::Off);
-        set_dedup(Dedup::Off);
-    }
-
-    // Row-structure axis: lane-row shape tracking (uniform/affine tags with
-    // closed-form degree computation) is a pure host-side optimization, so
-    // forcing the eager full-row baseline must reproduce the same stats on
-    // all three engines, bit for bit.
-    let prev_rows = g80::sim::rows();
-    set_rows(Rows::Full);
-    set_engine(Engine::Reference);
-    let full_reference = run();
-    assert_stats_identical(
-        &format!("{label} [rows=full reference]"),
-        &reference,
-        &full_reference,
-    );
-    for engine in [Engine::Predecoded, Engine::Compiled] {
-        set_engine(engine);
-        let full = run();
-        assert_stats_identical(
-            &format!("{label} {engine:?} [rows=full]"),
-            &reference,
-            &full,
-        );
-        set_dedup(Dedup::On);
-        let full_dedup = run();
-        assert_stats_identical(
-            &format!("{label} {engine:?} [rows=full dedup]"),
-            &reference,
-            &full_dedup,
-        );
-        set_dedup(Dedup::Off);
-    }
-    set_rows(prev_rows);
-    set_engine(Engine::Predecoded);
+    // Memo axis: a cold run records, a warm run replays from the cache —
+    // both must match the uncached stats bit for bit.
+    set_memo(Memo::On);
+    clear_memo_cache();
+    let cold = run();
+    assert_stats_identical(&format!("{label} [memo cold]"), &reference, &cold);
+    let warm = run();
+    assert_stats_identical(&format!("{label} [memo warm]"), &reference, &warm);
 }
 
 #[test]
 fn stats_bit_identical_across_engines() {
-    // Restore the default engine even if an assertion fires mid-way would
-    // not matter (the process dies), but later tests in other binaries run
-    // in separate processes, so no cross-contamination either way.
-
     // Matrix multiplication across the paper's Figure-8 tiling space: the
     // scheduler shapes differ enormously between these variants (occupancy,
     // barrier traffic, unrolled instruction mix).
@@ -244,8 +181,4 @@ fn stats_bit_identical_across_engines() {
     };
     let (cur, reff) = sad.generate(23);
     check("sad", || sad.run(&cur, &reff, true).1);
-
-    set_engine(Engine::Predecoded);
-    set_memo(Memo::On);
-    set_dedup(Dedup::On);
 }

@@ -1,17 +1,16 @@
 //! Determinism across worker counts: with `G80_SIM_THREADS=1` the pool has
 //! a single worker (plus the participating scope owner), and every
-//! simulated statistic must still match the per-launch spawn baseline
-//! bit for bit. This binary owns its process, so setting the variable
-//! before the pool's first use is safe — worker count is latched lazily on
-//! first launch. The default-pool equivalent of this comparison runs in
-//! `golden_stats.rs`; CI additionally runs the whole suite under
-//! `G80_SIM_THREADS=1`.
+//! simulated statistic must still match the reference engine bit for bit.
+//! This binary owns its process, so setting the variable before the pool's
+//! first use is safe — worker count is latched lazily on first launch. The
+//! default-pool equivalent of this comparison runs in `golden_stats.rs`; CI
+//! additionally runs the whole suite under `G80_SIM_THREADS=1`.
 
 use g80::apps::matmul::{MatMul, Variant};
-use g80::sim::{set_executor, Executor};
+use g80::sim::{set_engine, Engine};
 
 #[test]
-fn single_worker_pool_matches_spawn_baseline() {
+fn single_worker_pool_matches_reference_engine() {
     // Must happen before anything touches the pool in this process.
     std::env::set_var("G80_SIM_THREADS", "1");
 
@@ -26,17 +25,17 @@ fn single_worker_pool_matches_spawn_baseline() {
         Variant::RegTiled { tile: 16 },
     ];
 
-    set_executor(Executor::SpawnPerLaunch);
-    let spawned: Vec<_> = variants.iter().map(|&v| mm.run(v, &a, &b)).collect();
+    set_engine(Engine::Reference);
+    let reference: Vec<_> = variants.iter().map(|&v| mm.run(v, &a, &b)).collect();
 
-    set_executor(Executor::Pooled);
+    set_engine(Engine::Predecoded);
     let pooled_single = mm.run_batch(&variants, &a, &b);
 
-    for ((sc, ss, _), (pc, ps, _)) in spawned.iter().zip(&pooled_single) {
-        assert_eq!(sc, pc, "results differ under a single-worker pool");
-        assert_eq!(ss.cycles, ps.cycles);
-        assert_eq!(ss.warp_instructions, ps.warp_instructions);
-        assert_eq!(ss.stall_cycles, ps.stall_cycles);
-        assert_eq!(ss.global_bytes, ps.global_bytes);
+    for ((rc, rs, _), (pc, ps, _)) in reference.iter().zip(&pooled_single) {
+        assert_eq!(rc, pc, "results differ under a single-worker pool");
+        assert_eq!(rs.cycles, ps.cycles);
+        assert_eq!(rs.warp_instructions, ps.warp_instructions);
+        assert_eq!(rs.stall_cycles, ps.stall_cycles);
+        assert_eq!(rs.global_bytes, ps.global_bytes);
     }
 }

@@ -12,9 +12,8 @@ use g80::apps::matmul::{MatMul, Variant};
 use g80::isa::builder::KernelBuilder;
 use g80::isa::{CmpOp, Kernel, Pred, Scalar, Value};
 use g80::sim::{
-    launch, memo_counters, reset_memo_counters, row_counters, set_dedup, set_engine, set_executor,
-    set_memo, set_rows, Dedup, DeviceMemory, Engine, Executor, GpuConfig, KernelStats, LaunchDims,
-    Memo, Rows,
+    launch, memo_counters, reset_memo_counters, row_counters, set_dedup, set_engine, set_memo,
+    Dedup, DeviceMemory, Engine, GpuConfig, KernelStats, LaunchDims, Memo,
 };
 use std::sync::Mutex;
 
@@ -199,10 +198,9 @@ fn dedup_bit_identical_and_gated() {
     if g80::sim::fault::armed() {
         return;
     }
-    // Isolate the axis under test: no memo cache, default engine/executor.
+    // Isolate the axis under test: no memo cache, product engine.
     set_memo(Memo::Off);
     set_engine(Engine::Predecoded);
-    set_executor(Executor::Pooled);
     let cfg = GpuConfig::geforce_8800_gtx();
 
     // ---- eligible kernel: dedup engages and is bit-identical ----
@@ -322,19 +320,17 @@ fn dedup_bit_identical_and_gated() {
 /// blocks, where `tid.x`/`tid.y` are affine per half-warp rather than per
 /// warp: shape tracking must carry the whole address chain (a shaped-row
 /// fraction the warp-affine shape never reached on these kernels), stay a
-/// pure host-side optimization on every engine — stats and output memory
-/// bit-identical to the eager `Rows::Full` baseline — and keep witness
-/// replay verifying (no fallbacks) with replayed blocks in the mix.
+/// pure host-side optimization — stats and output memory bit-identical to
+/// the reference engine's eager warps — and keep witness replay verifying
+/// (no fallbacks) with replayed blocks in the mix.
 #[test]
 fn walk_variants_shaped_and_bit_identical() {
     let _toggles = own_toggles();
     if g80::sim::fault::armed() {
         return; // exact counter assertions, as above
     }
-    let prev_rows = g80::sim::rows();
     set_memo(Memo::Off);
     set_dedup(Dedup::On);
-    set_executor(Executor::Pooled);
 
     let walk = [
         Variant::Naive,
@@ -350,9 +346,8 @@ fn walk_variants_shaped_and_bit_identical() {
     ];
     // One run: output bits + stats, plus the shape mix and dedup tallies it
     // added to the process-wide counters.
-    let run = |mm: &MatMul, v: Variant, a: &[f32], b: &[f32], engine: Engine, rows: Rows| {
+    let run = |mm: &MatMul, v: Variant, a: &[f32], b: &[f32], engine: Engine| {
         set_engine(engine);
-        set_rows(rows);
         reset_memo_counters();
         let before = row_counters();
         let (c, stats, _) = mm.run(v, a, b);
@@ -360,28 +355,21 @@ fn walk_variants_shaped_and_bit_identical() {
         (bits, stats, row_counters().since(&before), memo_counters())
     };
 
-    // n=64: one block per SM — every block goes through the timed engines.
+    // n=64: one block per SM — every block goes through the timed engine.
     let mm = MatMul { n: 64 };
     let (a, b) = mm.generate(7);
     for v in walk {
-        let label = v.label();
-        let (ref_bits, ref_stats, _, _) = run(&mm, v, &a, &b, Engine::Reference, Rows::Full);
-        for engine in [Engine::Reference, Engine::Predecoded, Engine::Compiled] {
-            for rows in [Rows::Tracked, Rows::Full] {
-                let tag = format!("matmul {label} n=64 {engine:?} {rows:?}");
-                let (bits, stats, shapes, dedup) = run(&mm, v, &a, &b, engine, rows);
-                assert_stats_identical(&tag, &ref_stats, &stats);
-                assert_eq!(ref_bits, bits, "{tag}: output memory differs");
-                assert_eq!(dedup.dedup_fallbacks, 0, "{tag}: {dedup:?}");
-                if engine != Engine::Reference && rows == Rows::Tracked {
-                    let shaped = (shapes.uniform + shapes.affine) as f64 / shapes.total() as f64;
-                    assert!(
-                        shaped >= 0.7,
-                        "{tag}: shaped-row fraction {shaped:.3} < 0.7 ({shapes:?})"
-                    );
-                }
-            }
-        }
+        let tag = format!("matmul {} n=64", v.label());
+        let (ref_bits, ref_stats, _, _) = run(&mm, v, &a, &b, Engine::Reference);
+        let (bits, stats, shapes, dedup) = run(&mm, v, &a, &b, Engine::Predecoded);
+        assert_stats_identical(&tag, &ref_stats, &stats);
+        assert_eq!(ref_bits, bits, "{tag}: output memory differs");
+        assert_eq!(dedup.dedup_fallbacks, 0, "{tag}: {dedup:?}");
+        let shaped = (shapes.uniform + shapes.affine) as f64 / shapes.total() as f64;
+        assert!(
+            shaped >= 0.7,
+            "{tag}: shaped-row fraction {shaped:.3} < 0.7 ({shapes:?})"
+        );
     }
 
     // n=128: four blocks per SM against three resident slots, so the witness
@@ -391,15 +379,13 @@ fn walk_variants_shaped_and_bit_identical() {
     let (a, b) = mm.generate(11);
     for v in walk {
         let tag = format!("matmul {} n=128", v.label());
-        let (full_bits, full_stats, _, _) = run(&mm, v, &a, &b, Engine::Predecoded, Rows::Full);
-        let (bits, stats, _, dedup) = run(&mm, v, &a, &b, Engine::Predecoded, Rows::Tracked);
-        assert_stats_identical(&tag, &full_stats, &stats);
-        assert_eq!(full_bits, bits, "{tag}: output memory differs");
+        let (ref_bits, ref_stats, _, _) = run(&mm, v, &a, &b, Engine::Reference);
+        let (bits, stats, _, dedup) = run(&mm, v, &a, &b, Engine::Predecoded);
+        assert_stats_identical(&tag, &ref_stats, &stats);
+        assert_eq!(ref_bits, bits, "{tag}: output memory differs");
         assert!(dedup.dedup_fast_blocks > 0, "{tag}: no replay: {dedup:?}");
         assert_eq!(dedup.dedup_fallbacks, 0, "{tag}: {dedup:?}");
     }
 
-    set_rows(prev_rows);
-    set_engine(Engine::Predecoded);
     set_memo(Memo::On);
 }
