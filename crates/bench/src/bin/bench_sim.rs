@@ -4,7 +4,7 @@
 //! bit-identical simulated `KernelStats` asserted along the way. The first
 //! group times the frozen reference interpreter (the oracle) against the
 //! product engine on single launches; the rest A/B the product's cache,
-//! hardening and serving layers.
+//! dedup, hardening and serving layers.
 //!
 //! Writes a JSON report to the path given as the last argument
 //! (default `BENCH_sim.json`). The committed copy at the repo root is
@@ -21,7 +21,10 @@
 //! `3` the harness itself failed (an A/B bit-identity mismatch, a
 //! nondeterministic fleet, an unwritable report path).
 
+use g80_apps::cp::CoulombicPotential;
 use g80_apps::matmul::{MatMul, Variant};
+use g80_apps::mrifhd::MriFhd;
+use g80_apps::mriq::MriQ;
 use g80_apps::saxpy::Saxpy;
 use g80_apps::tpacf::Tpacf;
 use g80_sim::{
@@ -101,12 +104,143 @@ struct RedundancyRow {
     memo_misses: u64,
     dedup_fast_blocks: u64,
     dedup_sim_blocks: u64,
+    dedup_fallbacks: u64,
+    /// Process CPU time of the two arms (0 where the row does not measure
+    /// it, or the host has no `/proc`).
+    baseline_cpu_s: f64,
+    optimized_cpu_s: f64,
 }
 
 impl RedundancyRow {
     fn speedup(&self) -> f64 {
         self.baseline_s / self.optimized_s
     }
+
+    /// The ratio of CPU time, falling back to wall clock where unmeasured.
+    /// Dedup's donor SM runs alone before the other fifteen replay, so its
+    /// wall-clock ratio depends on the host's core count (MRI-Q: 1.9x on
+    /// one core, 1.6x on two, ~1.3x on four); the work removed does not.
+    fn cpu_speedup(&self) -> f64 {
+        if self.baseline_cpu_s > 0.0 && self.optimized_cpu_s > 0.0 {
+            self.baseline_cpu_s / self.optimized_cpu_s
+        } else {
+            self.speedup()
+        }
+    }
+}
+
+/// User + system CPU seconds of this process so far (all threads), from
+/// `/proc/self/stat`; 0 where that does not exist. Ticks are taken as
+/// 10 ms (Linux's `USER_HZ`; only ratios of these values gate anything):
+/// fine for the second-scale arms it is used on.
+fn process_cpu_s() -> f64 {
+    let Ok(stat) = std::fs::read_to_string("/proc/self/stat") else {
+        return 0.0;
+    };
+    // Fields after the parenthesised command name: state is the 1st, utime
+    // and stime the 12th and 13th.
+    let after_comm = stat.rsplit(')').next().unwrap_or("");
+    let ticks: u64 = after_comm
+        .split_whitespace()
+        .skip(11)
+        .take(2)
+        .filter_map(|f| f.parse::<u64>().ok())
+        .sum();
+    ticks as f64 / 100.0
+}
+
+/// Block-class dedup off vs on over `runs` timed launches of one workload.
+///
+/// Counter deltas over the timed arms, not literals: the row must report
+/// what the run actually did. The memo is *on* but cleared before every
+/// timed run, so each launch probes cold, records a genuine miss, and is
+/// never replayed — both arms pay the identical lookup/record cost and the
+/// ratio measures dedup alone. (A zero miss count here would flag a harness
+/// bug: real launches were timed, so the cache must have seen them.) The
+/// predecode registry is process-wide, so neither arm pays a first-run
+/// penalty worth warming away.
+fn dedup_ab(
+    name: &'static str,
+    runs: usize,
+    run: &mut dyn FnMut() -> KernelStats,
+) -> RedundancyRow {
+    set_memo(Memo::On);
+    let mut arm = |d: Dedup| {
+        set_dedup(d);
+        let before = memo_counters();
+        let (mut best, mut best_cpu) = (f64::INFINITY, f64::INFINITY);
+        let mut stats = Vec::new();
+        for _ in 0..runs {
+            clear_memo_cache();
+            let (t0, c0) = (Instant::now(), process_cpu_s());
+            let s = run();
+            best = best.min(t0.elapsed().as_secs_f64());
+            best_cpu = best_cpu.min(process_cpu_s() - c0);
+            let mut e = g80_sim::wire::Enc(Vec::new());
+            g80_sim::wire::encode_stats(&mut e, &s);
+            stats = e.0;
+        }
+        (best, best_cpu, stats, memo_counters(), before)
+    };
+    let (baseline_s, baseline_cpu_s, off_stats, _, _) = arm(Dedup::Off);
+    let (optimized_s, optimized_cpu_s, on_stats, after, before) = arm(Dedup::On);
+    set_memo(Memo::Off);
+    set_dedup(Dedup::Off);
+    assert_eq!(
+        off_stats, on_stats,
+        "{name}: dedup changed the canonical KernelStats bytes"
+    );
+    assert!(
+        after.misses - before.misses >= runs as u64,
+        "{name}: every timed launch must record a memo miss (got {} over {runs} runs)",
+        after.misses - before.misses
+    );
+    let row = RedundancyRow {
+        name,
+        baseline_s,
+        optimized_s,
+        memo_hits: after.hits - before.hits,
+        memo_misses: after.misses - before.misses,
+        dedup_fast_blocks: after.dedup_fast_blocks - before.dedup_fast_blocks,
+        dedup_sim_blocks: after.dedup_sim_blocks - before.dedup_sim_blocks,
+        dedup_fallbacks: after.dedup_fallbacks - before.dedup_fallbacks,
+        baseline_cpu_s,
+        optimized_cpu_s,
+    };
+    eprintln!(
+        "{:<24} dedup off {:>8.4}s  dedup on   {:>8.4}s  speedup {:>5.2}x  cpu {:>5.2}x  ({} replayed / {} simulated / {} fallbacks)",
+        name,
+        baseline_s,
+        optimized_s,
+        row.speedup(),
+        row.cpu_speedup(),
+        row.dedup_fast_blocks,
+        row.dedup_sim_blocks,
+        row.dedup_fallbacks
+    );
+    row
+}
+
+fn redundancy_json(rows: &[RedundancyRow]) -> String {
+    let mut json = String::new();
+    for (i, r) in rows.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"name\": \"{}\", \"baseline_s\": {:.6}, \"optimized_s\": {:.6}, \"speedup\": {:.3}, \"memo_hits\": {}, \"memo_misses\": {}, \"dedup_fast_blocks\": {}, \"dedup_sim_blocks\": {}, \"dedup_fallbacks\": {}, \"baseline_cpu_s\": {:.2}, \"optimized_cpu_s\": {:.2}}}{}\n",
+            r.name,
+            r.baseline_s,
+            r.optimized_s,
+            r.speedup(),
+            r.memo_hits,
+            r.memo_misses,
+            r.dedup_fast_blocks,
+            r.dedup_sim_blocks,
+            r.dedup_fallbacks,
+            r.baseline_cpu_s,
+            r.optimized_cpu_s,
+            if i + 1 < rows.len() { "," } else { "" }
+        ));
+    }
+    json
 }
 
 fn main() {
@@ -260,64 +394,13 @@ fn run() -> i32 {
     // Block-class dedup on a large uniform grid: matmul 1024² is 4096
     // blocks that differ only by base address, so after the donor SM's
     // transient the remaining blocks replay functionally instead of
-    // re-simulating. Memo stays off — this row measures dedup alone.
-    // One timed run per arm: at ~30 s a run the workload is far above the
-    // timer noise floor, and the predecode registry is process-wide so
-    // neither arm pays a first-run penalty worth warming away.
+    // re-simulating (memo handling: see `dedup_ab`).
+    // One timed run per arm under --check: at several seconds a run the
+    // workload is far above the timer noise floor.
     let dedup_runs = if check { 1 } else { 2 };
-    // Counter deltas over the timed arms, not literals: the row must report
-    // what the run actually did. The memo is *on* but cleared before every
-    // timed run, so each launch probes cold, records a genuine miss, and is
-    // never replayed — both arms pay the identical lookup/record cost and
-    // the ratio still measures dedup alone. (A zero miss count here would
-    // flag a harness bug: real launches were timed, so the cache must have
-    // seen them.)
-    set_memo(Memo::On);
-    let time_dedup = |d: Dedup| {
-        set_dedup(d);
-        let before = memo_counters();
-        let mut best = f64::INFINITY;
-        let mut stats = None;
-        for _ in 0..dedup_runs {
-            clear_memo_cache();
-            let t0 = Instant::now();
-            let s = big.run(tiled16u, &big_a, &big_b).1;
-            best = best.min(t0.elapsed().as_secs_f64());
-            stats = Some(s);
-        }
-        (best, stats.unwrap(), memo_counters(), before)
-    };
-    let (dedup_off_s, off_stats, _, _) = time_dedup(Dedup::Off);
-    let (dedup_on_s, on_stats, after, before) = time_dedup(Dedup::On);
-    set_memo(Memo::Off);
-    set_dedup(Dedup::Off);
-    assert_eq!(
-        (off_stats.cycles, off_stats.stall_cycles),
-        (on_stats.cycles, on_stats.stall_cycles),
-        "matmul_1024_dedup: dedup changed simulated timing"
-    );
-    assert!(
-        after.misses - before.misses >= dedup_runs as u64,
-        "matmul_1024_dedup: every timed launch must record a memo miss \
-         (got {} over {dedup_runs} runs)",
-        after.misses - before.misses
-    );
-    redundancy.push(RedundancyRow {
-        name: "matmul_1024_dedup",
-        baseline_s: dedup_off_s,
-        optimized_s: dedup_on_s,
-        memo_hits: after.hits - before.hits,
-        memo_misses: after.misses - before.misses,
-        dedup_fast_blocks: after.dedup_fast_blocks - before.dedup_fast_blocks,
-        dedup_sim_blocks: after.dedup_sim_blocks - before.dedup_sim_blocks,
-    });
-    eprintln!(
-        "{:<24} dedup off {:>8.4}s  dedup on   {:>8.4}s  speedup {:>5.2}x",
-        "matmul_1024_dedup",
-        dedup_off_s,
-        dedup_on_s,
-        dedup_off_s / dedup_on_s
-    );
+    redundancy.push(dedup_ab("matmul_1024_dedup", dedup_runs, &mut || {
+        big.run(tiled16u, &big_a, &big_b).1
+    }));
 
     // Launch memoization on a tuner fleet that *revisits* configurations:
     // the Figure-4 variant family at n=64, re-evaluated round after round
@@ -413,6 +496,9 @@ fn run() -> i32 {
         memo_misses: rev_misses,
         dedup_fast_blocks: 0, // dedup is off for this row by construction
         dedup_sim_blocks: 0,
+        dedup_fallbacks: 0,
+        baseline_cpu_s: 0.0, // millisecond rounds: below the tick
+        optimized_cpu_s: 0.0,
     });
     eprintln!(
         "{:<24} memo off  {:>8.4}s  memo on    {:>8.4}s  speedup {:>5.2}x  ({} hits / {} misses)",
@@ -423,6 +509,28 @@ fn run() -> i32 {
         rev_hits,
         rev_misses
     );
+
+    // ---- constant-cache kernels under dedup (suite scale) ----
+    // The paper's top speedup tier keeps its inputs in constant memory, read
+    // as warp-wide broadcasts at block-invariant addresses. Such kernels are
+    // dedup-eligible: one donor SM runs the timed engine (its constant-cache
+    // tags part of the period snapshot), the other fifteen replay its
+    // witness streams. Each arm is a whole `run` — device set-up and copies
+    // included, as the suite pays them.
+    let mut const_dedup = Vec::new();
+    {
+        let mriq = MriQ::default();
+        let d = mriq.generate(17);
+        // Sub-second arms: three repetitions even under --check.
+        let runs = runs.max(3);
+        const_dedup.push(dedup_ab("mriq_dedup", runs, &mut || mriq.run(&d, true).2));
+        let fhd = MriFhd::default();
+        let d = fhd.generate(23);
+        const_dedup.push(dedup_ab("mrifhd_dedup", runs, &mut || fhd.run(&d).2));
+        let cp = CoulombicPotential::default();
+        let atoms = cp.generate(5);
+        const_dedup.push(dedup_ab("cp_dedup", runs, &mut || cp.run(&atoms, true).1));
+    }
 
     // ---- disk tier (persistent cache, cold process vs warm directory) ----
     // The same revisit fleet, but served across the process boundary: the
@@ -773,20 +881,9 @@ fn run() -> i32 {
     }
     json.push_str("  ],\n");
     json.push_str("  \"redundancy\": [\n");
-    for (i, r) in redundancy.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"baseline_s\": {:.6}, \"optimized_s\": {:.6}, \"speedup\": {:.3}, \"memo_hits\": {}, \"memo_misses\": {}, \"dedup_fast_blocks\": {}, \"dedup_sim_blocks\": {}}}{}\n",
-            r.name,
-            r.baseline_s,
-            r.optimized_s,
-            r.speedup(),
-            r.memo_hits,
-            r.memo_misses,
-            r.dedup_fast_blocks,
-            r.dedup_sim_blocks,
-            if i + 1 < redundancy.len() { "," } else { "" }
-        ));
-    }
+    json.push_str(&redundancy_json(&redundancy));
+    json.push_str("  ],\n  \"const_dedup\": [\n");
+    json.push_str(&redundancy_json(&const_dedup));
     json.push_str("  ],\n");
     json.push_str(&format!(
         "  \"disk\": {{\"name\": \"disk_tuner_fleet\", \"cold_s\": {:.6}, \"warm_s\": {:.6}, \"speedup\": {:.3}, \"disk_hits\": {disk_hits}, \"disk_misses\": {disk_misses}, \"disk_evictions\": {disk_evictions}}},\n",
@@ -837,6 +934,27 @@ fn run() -> i32 {
     // blocks; absolute times for both arms are in BENCH_sim.json.
     red_floor("matmul_1024_dedup", 1.1);
     red_floor("tuner_fleet_revisit", 5.0);
+    // Constant-cache kernels: MRI-Q measures 1.9x in CPU time (8 of 128
+    // blocks go through the scheduler; what remains is mostly host sinf/
+    // cosf, which replay must still evaluate); 1.5x says the replay path
+    // kept engaging and kept its broadcast closed form. Every row must
+    // actually replay — 120 of MRI-Q's and MRI-FHD's 128 blocks, 246 of
+    // CP's 256, per launch — and never fall back: a fallback here means a
+    // witness check that used to pass stopped passing.
+    let mriq_speedup = const_dedup[0].cpu_speedup();
+    if mriq_speedup < 1.5 {
+        missed.push(format!(
+            "mriq_dedup CPU-time speedup {mriq_speedup:.2}x is below the 1.5x floor"
+        ));
+    }
+    for r in &const_dedup {
+        if r.dedup_fast_blocks < 100 || r.dedup_fallbacks != 0 {
+            missed.push(format!(
+                "{} replayed {} blocks with {} fallbacks (floor: >= 100 replayed, 0 fallbacks)",
+                r.name, r.dedup_fast_blocks, r.dedup_fallbacks
+            ));
+        }
+    }
     if disk_speedup < 10.0 {
         missed.push(format!(
             "disk_tuner_fleet warm speedup {disk_speedup:.2}x is below the 10x floor"

@@ -10,14 +10,23 @@
 //! can differ in timing only through their `ctaid` — exactly the property
 //! the runtime witness check then verifies per block.
 //!
-//! The analysis is a flow-insensitive taint fixpoint over the flat code:
-//! values produced by loads (and atomics) are tainted; taint propagates
-//! through pure ALU ops and through shared/local memory (a store of tainted
-//! data, or through a tainted address, taints every later load from that
-//! space). A kernel is *timing data-independent* when no branch predicate
-//! and no memory address is ever tainted. Immediates, parameters, and
-//! special registers (`tid`, `ctaid`, …) are untainted — they are launch
-//! constants or geometry, not data.
+//! The analysis is a flow-sensitive taint fixpoint over the flat code
+//! (strong updates per definition, joins at control-flow merges): values
+//! produced by loads (and atomics) are tainted; taint propagates through
+//! pure ALU ops and through shared/local memory (a store of tainted data, or
+//! through a tainted address, taints every later load from that space). A
+//! kernel is *timing data-independent* when no branch predicate and no
+//! memory address is ever tainted. Immediates, parameters, and special
+//! registers (`tid`, `ctaid`, …) are untainted — they are launch constants
+//! or geometry, not data.
+//!
+//! A second lattice bit tracks `ctaid`-dependence, for the two resources
+//! whose behaviour depends on the address *value* and not only on its
+//! pattern: shared-memory banks ([`TaintSummary::ctaid_shared_addr`]) and
+//! the per-SM constant/texture caches ([`TaintSummary::ctaid_cached_addr`]).
+//! A cached-space address that is free of both bits is the same in every
+//! block of a launch, so the cache sees one block-invariant address stream
+//! and blocks stay interchangeable even though they share the cache.
 
 use crate::inst::{Inst, Operand, Space, SpecialReg};
 
@@ -41,6 +50,12 @@ pub struct TaintSummary {
     pub ctaid_branch: bool,
     /// The kernel performs atomic read-modify-writes.
     pub has_atomic: bool,
+    /// Some constant- or texture-space load address depends on `ctaid`:
+    /// different blocks walk the per-SM cache differently, so they are not
+    /// interchangeable on an SM. When this is *false* (and the kernel is
+    /// data-independent) every block issues the same cached-space addresses
+    /// — the property the witness check then verifies per load at run time.
+    pub ctaid_cached_addr: bool,
     /// The kernel reads constant memory (per-SM constant cache).
     pub uses_const: bool,
     /// The kernel reads texture memory (per-SM texture cache).
@@ -138,8 +153,12 @@ pub fn analyze(code: &[Inst]) -> TaintSummary {
                 if t & DATA != 0 {
                     summary.tainted_address = true;
                 }
-                if t & CTAID != 0 && *space == Space::Shared {
-                    summary.ctaid_shared_addr = true;
+                if t & CTAID != 0 {
+                    match space {
+                        Space::Shared => summary.ctaid_shared_addr = true,
+                        Space::Const | Space::Tex => summary.ctaid_cached_addr = true,
+                        Space::Global | Space::Local => {}
+                    }
                 }
             }
             Inst::Atom { addr, .. } if out.operand(addr) & DATA != 0 => {
@@ -162,9 +181,9 @@ pub fn analyze(code: &[Inst]) -> TaintSummary {
         let def_taint = match inst {
             Inst::Ld { space, .. } => match space {
                 // Global memory holds unknown input data (which moreover
-                // varies with the block that addressed it); the per-SM const
-                // and texture caches additionally make any access a timing
-                // event, reported separately via `uses_*`.
+                // varies with the block that addressed it), and so do the
+                // constant bank and a bound texture; the cached spaces are
+                // additionally reported via `uses_*`.
                 Space::Global => DATA | CTAID,
                 Space::Const => {
                     summary.uses_const = true;
@@ -311,6 +330,81 @@ mod tests {
         b.atom(AtomOp::Add, crate::inst::Space::Global, a, 0, tid);
         let k = b.build();
         assert!(analyze(&k.code).has_atomic);
+    }
+
+    /// The MRI/CP shape: constant addresses from a loop counter, an
+    /// immediate, or `tid` are the same in every block of a launch.
+    #[test]
+    fn block_invariant_cached_addresses_are_ctaid_free() {
+        let mut b = KernelBuilder::new("const_walk");
+        let p = b.param();
+        let n = b.param();
+        let tid = b.tid_x();
+        let cta = b.ctaid_x();
+        let ntid = b.ntid_x();
+        let i = b.imad(cta, ntid, tid);
+        let byte = b.shl(i, 2u32);
+        let ga = b.iadd(byte, p); // global address: ctaid-derived, fine
+        let acc = b.ld_const(16u32, 0); // immediate address
+        let lane_byte = b.shl(tid, 2u32);
+        let per_lane = b.ld_const(lane_byte, 64); // tid-strided address
+        b.ffma_to(acc, per_lane, per_lane, acc);
+        b.for_range(0u32, n, 1, Unroll::None, |b, k| {
+            let koff = b.shl(k, 2u32);
+            let c = b.ld_const(koff, 0); // loop-counter address
+            b.ffma_to(acc, c, c, acc);
+        });
+        b.st_global(ga, 0, acc);
+        let k = b.build();
+        let s = analyze(&k.code);
+        assert!(s.timing_data_independent(), "{s:?}");
+        assert!(s.uses_const && !s.uses_tex, "{s:?}");
+        assert!(!s.ctaid_cached_addr, "{s:?}");
+    }
+
+    /// A constant or texture address derived from `ctaid` makes blocks walk
+    /// the per-SM cache differently.
+    #[test]
+    fn ctaid_derived_cached_addresses_are_flagged() {
+        for tex in [false, true] {
+            let mut b = KernelBuilder::new("cached_by_block");
+            let p = b.param();
+            let tid = b.tid_x();
+            let cta = b.ctaid_x();
+            let coff = b.shl(cta, 2u32);
+            let v = if tex {
+                b.ld_tex(coff, 0)
+            } else {
+                b.ld_const(coff, 0)
+            };
+            let byte = b.shl(tid, 2u32);
+            let ga = b.iadd(byte, p);
+            b.st_global(ga, 0, v);
+            let k = b.build();
+            let s = analyze(&k.code);
+            assert!(s.timing_data_independent(), "{s:?}"); // ctaid is not data
+            assert!(s.ctaid_cached_addr, "tex={tex}: {s:?}");
+            assert_eq!((s.uses_const, s.uses_tex), (!tex, tex), "{s:?}");
+        }
+    }
+
+    /// A constant address computed from loaded data is data-dependent, like
+    /// any other address — the cached-space bit does not launder it.
+    #[test]
+    fn data_derived_const_address_is_tainted() {
+        let mut b = KernelBuilder::new("const_gather");
+        let p = b.param();
+        let tid = b.tid_x();
+        let byte = b.shl(tid, 2u32);
+        let ga = b.iadd(byte, p);
+        let idx = b.ld_const(0u32, 0); // constant-bank *data*
+        let coff = b.shl(idx, 2u32);
+        let v = b.ld_const(coff, 0); // address from data
+        b.st_global(ga, 0, v);
+        let k = b.build();
+        let s = analyze(&k.code);
+        assert!(s.tainted_address, "{s:?}");
+        assert!(!s.timing_data_independent());
     }
 
     /// Tiled-matmul shape: global addresses use ctaid, shared addresses use

@@ -541,8 +541,9 @@ fn run_sms(
     // Donor-SM reuse: the first SM runs to completion on the caller thread,
     // exporting its verified witness streams. Every other SM with an
     // equally-long block queue evolves identically (same deterministic
-    // computation once its blocks are verified class-identical), so it
-    // replays functionally and adopts the donor's stats.
+    // computation once its blocks are verified class-identical, constant
+    // addresses included — every SM starts with a cold constant cache), so
+    // it replays functionally and adopts the donor's stats.
     if let (true, Some(d)) = (dedup && busy.len() > 1, decoded) {
         let (donor_sm, donor_blocks) = busy[0];
         let mut rep: Option<Vec<Vec<Ev>>> = None;

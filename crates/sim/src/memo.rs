@@ -281,10 +281,14 @@ pub struct KernelInfo {
     pub decoded: DecodedKernel,
     /// Dataflow facts from [`g80_isa::dataflow::analyze`].
     pub taint: TaintSummary,
-    /// Whether block-class dedup may engage: timing is data-independent and
-    /// the kernel touches no per-SM stateful resources (atomics, constant
-    /// cache, texture cache) that would couple block timing to block data
-    /// or to other blocks on the SM.
+    /// Whether block-class dedup may engage: timing is data-independent,
+    /// the kernel has no atomics (inter-block coupling through memory) and
+    /// no texture fetches, and every constant-space address is provably
+    /// `ctaid`-free. Constant loads do couple the blocks of an SM through
+    /// its constant cache, but with block-invariant addresses the coupling
+    /// is itself deterministic: the cache tags are part of the recurring
+    /// state the period detector compares, and every SM starts cold (see
+    /// [`crate::witness`]).
     pub dedup_eligible: bool,
     /// Shared-memory addresses are provably `ctaid`-free: every block's
     /// bank-conflict degrees equal the representative's by construction, so
@@ -330,7 +334,7 @@ pub fn kernel_info(kernel: &Kernel) -> Arc<KernelInfo> {
     let taint = dataflow::analyze(&kernel.code);
     let dedup_eligible = taint.timing_data_independent()
         && !taint.has_atomic
-        && !taint.uses_const
+        && !taint.ctaid_cached_addr
         && !taint.uses_tex
         && !kernel.code.is_empty();
     let info = Arc::new(KernelInfo {

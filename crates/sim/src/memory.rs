@@ -118,12 +118,17 @@ impl DeviceMemory {
     /// Reads a constant-bank word at a byte address.
     #[inline]
     pub fn read_const(&self, addr: u32) -> Value {
-        let idx = (addr / 4) as usize;
-        assert!(
-            idx < self.const_bank.len(),
-            "const read out of bounds: addr {addr:#x}"
-        );
-        Value(self.const_bank[idx])
+        match self.try_read_const(addr) {
+            Some(v) => v,
+            None => panic!("const read out of bounds: addr {addr:#x}"),
+        }
+    }
+
+    /// [`Self::read_const`] for callers that must not unwind (witness
+    /// replay): `None` when the address lies outside the constant bank.
+    #[inline]
+    pub fn try_read_const(&self, addr: u32) -> Option<Value> {
+        self.const_bank.get((addr / 4) as usize).map(|&w| Value(w))
     }
 
     /// Resolves a texture fetch (byte offset into the bound window) to a
@@ -411,6 +416,13 @@ impl TagCache {
             self.tags[set] = line;
             false
         }
+    }
+
+    /// The resident line tag of every set (`u64::MAX` = never filled): the
+    /// cache's complete state, for callers that must tell whether two
+    /// instants see the same cache ([`crate::sm`]'s period detector).
+    pub fn tags(&self) -> &[u64] {
+        &self.tags
     }
 
     /// Invalidates all lines.

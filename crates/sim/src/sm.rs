@@ -30,9 +30,9 @@
 //!   round-robin order; the schedule is rebuilt only when the grid tail
 //!   shrinks the resident set, and the retire scan itself runs only after
 //!   some warp actually retired;
-//! * **coalescing scratch is pooled** — the constant-space `distinct` and
-//!   texture-space `lines` working sets live in a per-SM [`Scratch`] reused
-//!   across accesses;
+//! * **coalescing scratch is pooled** — the texture-space `lines` working
+//!   set lives in a per-SM [`Scratch`] reused across accesses (the
+//!   constant-space distinct-address set is a fixed stack array);
 //! * **register files and shared memory are recycled** — a retired block's
 //!   [`Resident`] storage is reset in place for the next block instead of
 //!   being reallocated (the degenerate form of a free pool when every block
@@ -51,7 +51,9 @@ use crate::memory::{
     smem_degree_affine, DeviceMemory, TagCache,
 };
 use crate::warp::{RegSource, Warp};
-use crate::witness::{half_sig, replay_block, Ev, ReplayScratch, WitnessRecorder, WriteBuf};
+use crate::witness::{
+    const_sig, half_sig, replay_block, Ev, ReplayScratch, WitnessRecorder, WriteBuf,
+};
 use g80_isa::decode::{DecodedKernel, IssueClass, MicroOp};
 use g80_isa::exec;
 use g80_isa::inst::{Inst, InstClass, Operand, Space};
@@ -127,8 +129,6 @@ struct Slot {
 /// Reusable per-SM working buffers for the memory path.
 #[derive(Default)]
 struct Scratch {
-    /// Distinct constant-space addresses of one warp access.
-    distinct: Vec<u32>,
     /// Distinct texture lines of one warp access.
     lines: Vec<u32>,
 }
@@ -284,8 +284,16 @@ pub fn run_sm(
                 if let Some(rec) = recorder.as_mut() {
                     if rec.valid && rec.rep_done() && next_block < my_blocks.len() {
                         debug_assert_eq!(order.len(), resident.len() * wpb);
-                        let snap =
-                            dedup_snapshot(&resident, &order, wpb, rr, cycle, chan_free, rec);
+                        let snap = dedup_snapshot(
+                            &resident,
+                            &order,
+                            wpb,
+                            rr,
+                            cycle,
+                            chan_free,
+                            rec,
+                            &const_cache,
+                        );
                         let n_boundaries = boundaries.len();
                         match boundaries.entry(snap) {
                             Entry::Occupied(occ) => {
@@ -589,10 +597,11 @@ fn stall_code(r: StallReason) -> u64 {
     }
 }
 
-/// Serializes the scheduler's timing-relevant state *relative to the current
-/// cycle* at a block-refill boundary. Two boundaries with equal snapshots
-/// (plus witness-verified block streams) evolve identically, so the machine
-/// is periodic between them.
+/// Serializes the SM's timing-relevant state — scheduler, scoreboards and
+/// constant-cache tags — *relative to the current cycle* at a block-refill
+/// boundary. Two boundaries with equal snapshots (plus witness-verified
+/// block streams) evolve identically, so the machine is periodic between
+/// them.
 ///
 /// Values already in the past are canonicalized to 0 — the scheduler only
 /// ever compares them against `cycle`, never against each other on a path
@@ -606,6 +615,7 @@ fn dedup_snapshot(
     cycle: u64,
     chan_free: u64,
     rec: &WitnessRecorder,
+    const_cache: &TagCache,
 ) -> Vec<u64> {
     let mut s = Vec::with_capacity(4 + resident.len() * wpb * 8);
     s.push(resident.len() as u64);
@@ -644,6 +654,15 @@ fn dedup_snapshot(
                 }
             });
         }
+    }
+    // The constant cache couples the blocks of an SM: which of a block's
+    // loads miss depends on what its predecessors left resident, so the tags
+    // are recurring state like the scoreboard. Everything above is
+    // self-delimiting, so the optional tail cannot alias it; a cache that
+    // was never filled (every kernel without constant loads) adds nothing.
+    let tags = const_cache.tags();
+    if tags.iter().any(|&t| t != u64::MAX) {
+        s.extend_from_slice(tags);
     }
     s
 }
@@ -731,6 +750,21 @@ pub(crate) fn split_half_warps(
     (lo, hi)
 }
 
+/// The distinct addresses among a warp access's active lanes, in first-lane
+/// order, as `(buffer, count)` — what a constant load serializes over.
+#[inline]
+pub(crate) fn distinct_addrs(addrs: &[u32; 32], mask: u32) -> ([u32; 32], usize) {
+    let mut distinct = [0u32; 32];
+    let mut n = 0;
+    for (lane, &a) in addrs.iter().enumerate() {
+        if mask >> lane & 1 == 1 && !distinct[..n].contains(&a) {
+            distinct[n] = a;
+            n += 1;
+        }
+    }
+    (distinct, n)
+}
+
 /// Warp-level shared-memory bank-conflict degree by the per-lane scan: the
 /// worse of the two half-warps (active lanes only).
 #[inline]
@@ -748,6 +782,32 @@ impl<'a> ExecCtx<'a> {
         let service = (bytes as f64 / bpc).ceil() as u64;
         *self.chan_free = start + service;
         start + self.cfg.global_latency
+    }
+
+    /// Probes the per-SM constant cache with one warp load's distinct
+    /// addresses (misses fill from DRAM through this SM's channel); returns
+    /// when the data is ready and which unit delivers it. The witness event
+    /// carries the address signature only: hit or miss is the cache's state,
+    /// which the period detector snapshots, not a property of the block.
+    fn const_access(&mut self, distinct: &[u32]) -> (u64, RegSource) {
+        if self.record {
+            self.ev_aux = const_sig(distinct);
+        }
+        let mut miss_bytes = 0u64;
+        for &a in distinct {
+            if self.const_cache.access(a) {
+                self.stats.const_hits += 1;
+            } else {
+                self.stats.const_misses += 1;
+                miss_bytes += 64;
+            }
+        }
+        if miss_bytes > 0 {
+            self.stats.global_bytes += miss_bytes;
+            (self.memory_request(miss_bytes), RegSource::Memory)
+        } else {
+            (self.cycle + self.cfg.const_hit_latency, RegSource::Alu)
+        }
     }
 
     /// Executes the next instruction of warp `wi` in `block`. Returns the
@@ -1211,47 +1271,37 @@ impl<'a> ExecCtx<'a> {
                 cfg.issue_cycles + extra
             }
             Space::Const => {
-                debug_assert!(!self.record, "dedup witness on constant-cache load");
+                // Broadcast closed form: every lane reads the one address of
+                // a `Uniform` row, so the load is one constant-bank read, one
+                // cache probe and a `Uniform` result — as fast as a register
+                // read on the hardware, and now in the simulator too.
+                if mask == u32::MAX {
+                    if let LaneRow::Uniform(a) = addr_shape(warp, addr, off, self.params) {
+                        self.rows.uniform += 1;
+                        let v = self.mem.read_const(a.0);
+                        warp.set_shape(dst, LaneRow::Uniform(v));
+                        let (ready, source) = self.const_access(&[a.0]);
+                        warp.reg_ready[dst as usize] = ready;
+                        warp.reg_source[dst as usize] = source;
+                        return cfg.issue_cycles;
+                    }
+                }
                 // Distinct addresses within the warp serialize; each line
-                // goes through the per-SM constant cache. A broadcast (one
-                // address) is as fast as a register read. The distinct-set
-                // buffer is per-SM scratch, reused across accesses.
+                // goes through the per-SM constant cache.
+                self.rows.full += 1;
                 let addrs = addr_row(warp, addr, off, self.params);
-                let distinct = &mut self.scratch.distinct;
-                distinct.clear();
+                let (distinct, n) = distinct_addrs(&addrs, mask);
                 let dst_row = warp.reg_row_mut(dst);
                 for (lane, &a) in addrs.iter().enumerate() {
                     if mask >> lane & 1 == 1 {
-                        if !distinct.contains(&a) {
-                            distinct.push(a);
-                        }
                         dst_row[lane] = self.mem.read_const(a);
                     }
                 }
-                let mut miss_bytes = 0u64;
-                for &a in distinct.iter() {
-                    if self.const_cache.access(a) {
-                        self.stats.const_hits += 1;
-                    } else {
-                        self.stats.const_misses += 1;
-                        miss_bytes += 64;
-                    }
-                }
-                // Serialization beyond the broadcast case.
-                let ser = (distinct.len().max(1) as u64 - 1) * 2;
-                let ready = if miss_bytes > 0 {
-                    self.stats.global_bytes += miss_bytes;
-                    self.memory_request(miss_bytes)
-                } else {
-                    self.cycle + cfg.const_hit_latency
-                };
+                let (ready, source) = self.const_access(&distinct[..n]);
                 warp.reg_ready[dst as usize] = ready;
-                warp.reg_source[dst as usize] = if miss_bytes > 0 {
-                    RegSource::Memory
-                } else {
-                    RegSource::Alu
-                };
-                cfg.issue_cycles + ser
+                warp.reg_source[dst as usize] = source;
+                // Serialization beyond the broadcast case.
+                cfg.issue_cycles + (n.max(1) as u64 - 1) * 2
             }
             Space::Tex => {
                 debug_assert!(!self.record, "dedup witness on texture-cache load");

@@ -13,11 +13,12 @@
 //!    event — `(pc, active mask)` plus the timing-relevant signature of the
 //!    instruction (taken mask for branches, per-half-warp coalescing verdict
 //!    and byte count for global accesses, bank-conflict degree for shared
-//!    accesses). The first block to retire on the SM becomes the
-//!    *representative*; every other block is verified against the
-//!    representative's stream, online, as it issues. The simulator's timing
-//!    model reads addresses only through these signatures, so stream
-//!    equality implies timing equality.
+//!    accesses, the address signature for constant loads). The stream of
+//!    the first block to retire on the SM is the *representative*; every
+//!    other block is verified against it, online, as it issues.
+//!    The simulator's timing model reads addresses only through these
+//!    signatures, so stream equality implies the blocks drive the scheduler
+//!    identically from equal machine state.
 //! 2. **Period fast-forward** (in [`crate::sm::run_sm`]): once the SM's
 //!    scheduler state recurs at a block-refill boundary, the cycle/counter
 //!    delta of one period is known; remaining whole periods are applied
@@ -27,19 +28,35 @@
 //!    event against the representative. Any mismatch aborts the period
 //!    before its buffered writes commit ([`WriteBuf`]), and the launch
 //!    falls back to full simulation from exactly the pre-replay state.
+//!
+//! **Constant loads** are the one event whose cost is not a function of the
+//! block alone: whether a load hits depends on what earlier blocks left in
+//! the SM's constant cache. Hit/miss is therefore *derived state*, not part
+//! of the event — [`const_sig`] fingerprints the addresses only, and
+//! eligibility ([`crate::memo::KernelInfo::dedup_eligible`]) admits a kernel
+//! only when those addresses are statically `ctaid`-free, which the stream
+//! compare then re-verifies per load. Blocks sharing an SM are no longer
+//! individually timing-identical (the first takes the cold misses), but the
+//! cache tags are part of the period detector's snapshot, so a period is
+//! found only when scheduler *and* cache state recur; and donor-SM reuse
+//! stays sound because every SM starts with a cold cache, the queues are
+//! equally long, and every block verified class-identical including its
+//! constant addresses. Texture fetches stay excluded.
 
 use crate::config::GpuConfig;
 use crate::memory::{
     coalesce_affine_warp, coalesce_half_warp_noalloc, smem_degree_affine, DeviceMemory,
     HalfWarpAccess,
 };
-use crate::sm::{addr_row, addr_shape, smem_degree_scan, split_half_warps, LaunchDims};
+use crate::sm::{
+    addr_row, addr_shape, distinct_addrs, smem_degree_scan, split_half_warps, LaunchDims,
+};
 use crate::warp::Warp;
 use g80_isa::decode::DecodedKernel;
 use g80_isa::exec;
 use g80_isa::inst::{Inst, Operand, Space};
 use g80_isa::row::{self, for_each_affine_lane};
-use g80_isa::{Kernel, Value};
+use g80_isa::{Kernel, LaneRow, Value};
 use std::collections::HashMap;
 
 /// One issued warp instruction's timing-relevant fingerprint.
@@ -47,7 +64,8 @@ use std::collections::HashMap;
 /// `a` packs `(pc << 32) | active_mask`; `b` packs `(aux << 32) | bytes`
 /// where `aux` is the per-kind signature: taken mask for branches, the two
 /// half-warp coalescing verdicts for global accesses ([`half_sig`]), the
-/// bank-conflict degree for shared accesses, zero otherwise.
+/// bank-conflict degree for shared accesses, the address signature for
+/// constant loads ([`const_sig`], with `bytes` = 0), zero otherwise.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct Ev {
     pub a: u64,
@@ -71,24 +89,42 @@ pub(crate) fn half_sig(acc: &HalfWarpAccess) -> u32 {
     acc.transactions.min(0x7fff) | ((acc.coalesced as u32) << 15)
 }
 
-/// Per-SM witness state: the representative block's event streams plus the
-/// online verification cursors of every resident slot.
+/// 32-bit signature of one warp constant load over its distinct addresses
+/// (first-lane order): the address itself for a broadcast, a hash of the
+/// list otherwise. Both executors derive it from the same list whichever
+/// path produced it, so a closed-form broadcast and a per-lane scan that
+/// found one address agree.
+#[inline]
+pub(crate) fn const_sig(distinct: &[u32]) -> u32 {
+    match distinct {
+        [a] => *a,
+        _ => distinct.iter().fold(0x811c_9dc5u32, |h, &a| {
+            (h ^ a).wrapping_mul(0x0100_0193).rotate_left(13)
+        }),
+    }
+}
+
+/// Per-SM witness state: the representative event streams plus the online
+/// verification cursor of every resident slot.
 ///
-/// Lifecycle: until the slot-0 block retires, every slot buffers its own
-/// streams. At that retire the slot-0 streams freeze as the representative,
-/// the other slots' buffers are checked to be prefixes of it, and from then
-/// on verification is a cursor compare per issued instruction. Any mismatch
-/// — different path, different coalescing class, a sibling retiring first —
+/// Lifecycle: the first resident cohort *builds* the representative
+/// together — a warp's event either matches the stream at its slot's cursor
+/// or, when that slot is the furthest along, extends it — so all slots share
+/// one stream per warp index instead of buffering one each. The first block
+/// to retire, whichever slot it is (with a shared constant cache the block
+/// that rides its neighbour's misses finishes first), must have consumed the
+/// whole stream; that freezes it, and from then on verification is the
+/// compare alone. Any mismatch — different path, different coalescing class,
+/// different constant address, a stream that ends early or runs long —
 /// permanently invalidates the recorder; the simulation itself is never
 /// perturbed, so invalidation *is* the automatic fallback.
 pub(crate) struct WitnessRecorder {
     pub valid: bool,
+    /// The streams are complete: some block retired having consumed them.
     rep_done: bool,
     /// Representative streams, one per warp index.
     rep: Vec<Vec<Ev>>,
-    /// Pre-representative buffers: `[slot][warp]`.
-    bufs: Vec<Vec<Vec<Ev>>>,
-    /// Post-representative verification cursors: `[slot][warp]`.
+    /// Verification cursors into `rep`: `[slot][warp]`.
     cursors: Vec<Vec<usize>>,
 }
 
@@ -97,8 +133,7 @@ impl WitnessRecorder {
         WitnessRecorder {
             valid: true,
             rep_done: false,
-            rep: Vec::new(),
-            bufs: vec![vec![Vec::new(); wpb]; slots],
+            rep: vec![Vec::new(); wpb],
             cursors: vec![vec![0; wpb]; slots],
         }
     }
@@ -122,16 +157,15 @@ impl WitnessRecorder {
         if !self.valid {
             return;
         }
-        if !self.rep_done {
-            self.bufs[slot][warp].push(ev);
+        let cur = self.cursors[slot][warp];
+        let rep = &mut self.rep[warp];
+        if cur == rep.len() && !self.rep_done {
+            rep.push(ev);
+        } else if rep.get(cur) != Some(&ev) {
+            self.valid = false;
             return;
         }
-        let cur = self.cursors[slot][warp];
-        if self.rep[warp].get(cur) == Some(&ev) {
-            self.cursors[slot][warp] = cur + 1;
-        } else {
-            self.valid = false;
-        }
+        self.cursors[slot][warp] = cur + 1;
     }
 
     /// Consumes the representative streams if every block retired so far was
@@ -151,55 +185,26 @@ impl WitnessRecorder {
     /// remaining slot indices realign, keeping the recorder valid — every
     /// block retired so far has still been individually verified.
     pub fn on_remove(&mut self, slot: usize) {
-        if slot < self.bufs.len() {
-            self.bufs.remove(slot);
-        }
         if slot < self.cursors.len() {
             self.cursors.remove(slot);
         }
     }
 
-    /// Called when the block in `slot` retires, before the slot refills.
+    /// Called when the block in `slot` retires, before the slot refills: a
+    /// verified block has consumed its whole class stream, and the first one
+    /// to do so completes it.
     pub fn on_retire(&mut self, slot: usize) {
         if !self.valid {
             return;
         }
-        if !self.rep_done {
-            if slot != 0 {
-                // A sibling finished before the representative: the blocks
-                // are not class-identical (or the tie is too fragile to
-                // reason about) — give up.
+        for (cur, rep) in self.cursors[slot].iter_mut().zip(&self.rep) {
+            if *cur != rep.len() {
                 self.valid = false;
                 return;
             }
-            self.rep = std::mem::take(&mut self.bufs[0]);
-            self.rep_done = true;
-            for s in 1..self.bufs.len() {
-                for (w, buf) in self.bufs[s].iter().enumerate() {
-                    if buf.len() > self.rep[w].len() || buf[..] != self.rep[w][..buf.len()] {
-                        self.valid = false;
-                        return;
-                    }
-                    self.cursors[s][w] = buf.len();
-                }
-            }
-            for slot_bufs in self.bufs.iter_mut().skip(1) {
-                for b in slot_bufs.iter_mut() {
-                    *b = Vec::new();
-                }
-            }
-            return;
+            *cur = 0;
         }
-        // A verified block must have consumed its whole class stream.
-        for (w, rep) in self.rep.iter().enumerate() {
-            if self.cursors[slot][w] != rep.len() {
-                self.valid = false;
-                return;
-            }
-        }
-        for c in self.cursors[slot].iter_mut() {
-            *c = 0;
-        }
+        self.rep_done = true;
     }
 }
 
@@ -677,9 +682,37 @@ fn step(
                 }
                 warp.advance();
             }
-            // Eligibility excludes cached spaces (per-SM cache state couples
-            // blocks); reaching here means the class is not replayable.
-            Space::Const | Space::Tex => return false,
+            // Address signature only — hit/miss is the SM cache's state,
+            // owned by the timed engine (module docs). An address outside
+            // the constant bank fails the replay; the timed fallback then
+            // reports it the way it always has.
+            Space::Const => {
+                if let (true, LaneRow::Uniform(a)) = (fold, addr_shape(warp, addr, off, params)) {
+                    let Some(v) = mem.try_read_const(a.0) else {
+                        return false;
+                    };
+                    warp.set_shape(dst.0, LaneRow::Uniform(v));
+                    aux = a.0;
+                } else {
+                    let addrs = addr_row(warp, addr, off, params);
+                    let (distinct, n) = distinct_addrs(&addrs, mask);
+                    aux = const_sig(&distinct[..n]);
+                    let dst_row = warp.reg_row_mut(dst.0);
+                    for (lane, &a) in addrs.iter().enumerate() {
+                        if mask >> lane & 1 == 1 {
+                            let Some(v) = mem.try_read_const(a) else {
+                                return false;
+                            };
+                            dst_row[lane] = v;
+                        }
+                    }
+                }
+                warp.advance();
+            }
+            // Eligibility excludes texture fetches (the texture cache's
+            // state is not part of the recurring-state snapshot); reaching
+            // here means the class is not replayable.
+            Space::Tex => return false,
         },
         Inst::St {
             space,
@@ -792,4 +825,165 @@ pub(crate) fn replay_sm(
     }
     buf.commit(mem);
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ev(pc: u32) -> Ev {
+        Ev::new(pc, u32::MAX, 0, 0)
+    }
+
+    /// Feeds `pcs` as slot `slot`'s single warp stream.
+    fn issue(rec: &mut WitnessRecorder, slot: usize, pcs: std::ops::Range<u32>) {
+        for pc in pcs {
+            rec.record(slot, 0, ev(pc));
+        }
+    }
+
+    /// With a shared constant cache the block in slot 1 rides slot 0's
+    /// misses and finishes first: its retire freezes the representative, and
+    /// slot 0 (a clean prefix so far) keeps verifying against it.
+    #[test]
+    fn first_retiring_slot_completes_the_representative() {
+        let mut rec = WitnessRecorder::new(2, 1);
+        issue(&mut rec, 0, 0..3);
+        issue(&mut rec, 1, 0..5);
+        assert!(rec.valid && !rec.rep_done());
+        rec.on_retire(1);
+        assert!(rec.valid && rec.rep_done());
+        assert_eq!(rec.rep()[0].len(), 5);
+        assert_eq!((rec.cursor(0, 0), rec.cursor(1, 0)), (3, 0));
+
+        // Slot 0 finishes its block; slot 1's refill verifies from the top.
+        issue(&mut rec, 0, 3..5);
+        issue(&mut rec, 1, 0..2);
+        rec.on_retire(0);
+        assert!(rec.valid);
+        assert_eq!((rec.cursor(0, 0), rec.cursor(1, 0)), (0, 2));
+        assert_eq!(rec.take_verified().map(|r| r[0].len()), Some(5));
+    }
+
+    /// A sibling that leaves the shared stream (a different pc at position
+    /// 2), runs past its frozen end, or retires short of it is a different
+    /// block class.
+    #[test]
+    fn sibling_diverging_from_representative_invalidates() {
+        let mut rec = WitnessRecorder::new(2, 1);
+        issue(&mut rec, 1, 0..5);
+        issue(&mut rec, 0, 0..2);
+        rec.record(0, 0, ev(9));
+        assert!(!rec.valid);
+        rec.on_retire(1);
+        assert!(rec.take_verified().is_none());
+
+        // Slot 0 is ahead when slot 1 retires: slot 1 stopped short.
+        let mut rec = WitnessRecorder::new(2, 1);
+        issue(&mut rec, 0, 0..6);
+        issue(&mut rec, 1, 0..5);
+        rec.on_retire(1);
+        assert!(!rec.valid);
+
+        // Slot 0 runs past the frozen stream.
+        let mut rec = WitnessRecorder::new(2, 1);
+        issue(&mut rec, 0, 0..3);
+        issue(&mut rec, 1, 0..5);
+        rec.on_retire(1);
+        issue(&mut rec, 0, 3..6);
+        assert!(!rec.valid);
+    }
+
+    /// Two blocks finishing in the same retire scan: the first freezes the
+    /// representative, the second must already have consumed all of it.
+    #[test]
+    fn two_slots_retiring_in_one_scan() {
+        let mut rec = WitnessRecorder::new(3, 1);
+        for slot in 0..3 {
+            issue(&mut rec, slot, 0..if slot == 2 { 1 } else { 4 });
+        }
+        rec.on_retire(0);
+        rec.on_retire(1);
+        assert!(rec.valid);
+        assert_eq!(
+            (rec.cursor(0, 0), rec.cursor(1, 0), rec.cursor(2, 0)),
+            (0, 0, 1)
+        );
+
+        // ... and one that stopped short of it is not class-identical.
+        let mut rec = WitnessRecorder::new(2, 1);
+        issue(&mut rec, 0, 0..4);
+        issue(&mut rec, 1, 0..3);
+        rec.on_retire(0);
+        assert!(rec.valid);
+        rec.on_retire(1);
+        assert!(!rec.valid);
+    }
+
+    /// Replay never unwinds: a constant address outside the bank fails the
+    /// replay with nothing committed, leaving the report to the timed engine.
+    #[test]
+    fn out_of_bank_constant_address_fails_replay_uncommitted() {
+        use g80_isa::builder::KernelBuilder;
+        let mut b = KernelBuilder::new("const_tail");
+        let ys = b.param();
+        let tid = b.tid_x();
+        let ntid = b.ntid_x();
+        let cta = b.ctaid_x();
+        let i = b.imad(cta, ntid, tid);
+        let byte = b.shl(i, 2u32);
+        let ya = b.iadd(byte, ys);
+        let c = b.ld_const(4u32 * 7, 0);
+        b.st_global(ya, 0, c);
+        let kernel = b.build();
+        let decoded = DecodedKernel::new(&kernel);
+        let cfg = GpuConfig::geforce_8800_gtx();
+        let dims = LaunchDims {
+            grid: (8, 1),
+            block: (32, 1, 1),
+        };
+        let params = [Value::from_u32(0)];
+        let mut mem = DeviceMemory::new(8 * 32 * 4);
+        mem.const_bank = (0..8).collect();
+
+        let mut rep = None;
+        let donor: Vec<(u32, u32)> = (0..4).map(|x| (x, 0)).collect();
+        crate::sm::run_sm(
+            &cfg,
+            &kernel,
+            &decoded,
+            &dims,
+            &params,
+            &mem,
+            &donor,
+            2,
+            true,
+            true,
+            Some(&mut rep),
+        );
+        let rep = rep.expect("four identical blocks verify");
+        let others: Vec<(u32, u32)> = (4..8).map(|x| (x, 0)).collect();
+        let file_regs = g80_isa::liveness::num_regs(&kernel.code) as u32;
+        let replay = |mem: &DeviceMemory| {
+            replay_sm(
+                &cfg, &kernel, &decoded, &dims, &params, mem, &others, file_regs, &rep, true,
+            )
+        };
+
+        mem.const_bank.truncate(7); // word 7 is now out of the bank
+        assert!(!replay(&mem));
+        assert_eq!(mem.read(4 * 32 * 4).as_u32(), 0, "failed replay committed");
+        mem.const_bank.push(7);
+        assert!(replay(&mem));
+        assert_eq!(mem.read(4 * 32 * 4).as_u32(), 7);
+    }
+
+    /// The signature is a function of the distinct-address list alone.
+    #[test]
+    fn const_sig_is_the_address_for_a_broadcast() {
+        assert_eq!(const_sig(&[0x1234]), 0x1234);
+        assert_ne!(const_sig(&[0, 4]), const_sig(&[4, 0]));
+        assert_ne!(const_sig(&[0, 4]), const_sig(&[0, 8]));
+        assert_ne!(const_sig(&[0, 4]), const_sig(&[0, 4, 8]));
+    }
 }

@@ -8,12 +8,18 @@
 //! so the tests here serialize on [`TOGGLES`] (parallel test threads would
 //! race them).
 
+use g80::apps::cp::CoulombicPotential;
 use g80::apps::matmul::{MatMul, Variant};
-use g80::isa::builder::KernelBuilder;
-use g80::isa::{CmpOp, Kernel, Pred, Scalar, Value};
+use g80::apps::mrifhd::MriFhd;
+use g80::apps::mriq::MriQ;
+use g80::apps::sad::SadApp;
+use g80::isa::builder::{KernelBuilder, Unroll};
+use g80::isa::{CmpOp, Kernel, Pred, Scalar, Space, Value};
+use g80::sim::wire::{encode_stats, Enc};
 use g80::sim::{
-    launch, memo_counters, reset_memo_counters, row_counters, set_dedup, set_engine, set_memo,
-    Dedup, DeviceMemory, Engine, GpuConfig, KernelStats, LaunchDims, Memo,
+    kernel_info, launch, memo_counters, reset_memo_counters, row_counters, set_dedup, set_engine,
+    set_memo, Dedup, DeviceMemory, Engine, GpuConfig, KernelStats, LaunchDims, LaunchError, Memo,
+    MemoCounters,
 };
 use std::sync::Mutex;
 
@@ -387,5 +393,214 @@ fn walk_variants_shaped_and_bit_identical() {
         assert_eq!(dedup.dedup_fallbacks, 0, "{tag}: {dedup:?}");
     }
 
+    set_memo(Memo::On);
+}
+
+/// Canonical bytes of a `KernelStats` — what the memo, disk and serve tiers
+/// store, so equal bytes means equal everywhere downstream.
+fn stats_bytes(stats: &KernelStats) -> Vec<u8> {
+    let mut e = Enc(Vec::new());
+    encode_stats(&mut e, stats);
+    e.0
+}
+
+/// Runs `run` on the reference engine, on the product with dedup off and on
+/// the product with dedup on; asserts canonical stats bytes and output bits
+/// identical across all three and returns the dedup-on run's counters.
+fn three_way(tag: &str, run: impl Fn() -> (Vec<u32>, KernelStats)) -> MemoCounters {
+    set_engine(Engine::Reference);
+    let (ref_bits, ref_stats) = run();
+    set_engine(Engine::Predecoded);
+    set_dedup(Dedup::Off);
+    let (off_bits, off_stats) = run();
+    set_dedup(Dedup::On);
+    reset_memo_counters();
+    let (on_bits, on_stats) = run();
+    let counters = memo_counters();
+    assert_stats_identical(&format!("{tag} ref/off"), &ref_stats, &off_stats);
+    assert_stats_identical(&format!("{tag} off/on"), &off_stats, &on_stats);
+    assert_eq!(stats_bytes(&ref_stats), stats_bytes(&off_stats), "{tag}");
+    assert_eq!(stats_bytes(&off_stats), stats_bytes(&on_stats), "{tag}");
+    assert_eq!(ref_bits, off_bits, "{tag}: dedup-off output differs");
+    assert_eq!(off_bits, on_bits, "{tag}: dedup-on output differs");
+    counters
+}
+
+fn bits(v: &[f32]) -> impl Iterator<Item = u32> + '_ {
+    v.iter().map(|x| x.to_bits())
+}
+
+/// `y[i] = Σ_k c[(tid & 7) + 8k]`: every warp load names eight distinct
+/// constant addresses (the serialized path, a `Full` address row), all of
+/// them functions of `tid` and the loop counter — block-invariant.
+fn const_strided_kernel() -> Kernel {
+    let mut b = KernelBuilder::new("const_strided");
+    let ys = b.param();
+    let tid = b.tid_x();
+    let ntid = b.ntid_x();
+    let cta = b.ctaid_x();
+    let i = b.imad(cta, ntid, tid);
+    let byte = b.shl(i, 2u32);
+    let ya = b.iadd(byte, ys);
+    let lane = b.and(tid, 7u32);
+    let lane_byte = b.shl(lane, 2u32);
+    let acc = b.mov(g80::isa::Operand::imm_f(0.0));
+    b.for_range(0u32, 16u32, 1, Unroll::None, |b, k| {
+        let koff = b.shl(k, 5u32);
+        let a = b.iadd(koff, lane_byte);
+        let c = b.ld_const(a, 0);
+        b.ffma_to(acc, c, 0.5f32, acc);
+    });
+    b.st_global(ya, 0, acc);
+    b.build()
+}
+
+/// `y[i] = c[ctaid & 15]`: a broadcast, but a different one per block — the
+/// blocks of an SM walk its constant cache differently.
+fn const_by_block_kernel() -> Kernel {
+    let mut b = KernelBuilder::new("const_by_block");
+    let ys = b.param();
+    let tid = b.tid_x();
+    let ntid = b.ntid_x();
+    let cta = b.ctaid_x();
+    let i = b.imad(cta, ntid, tid);
+    let byte = b.shl(i, 2u32);
+    let ya = b.iadd(byte, ys);
+    let slot = b.and(cta, 15u32);
+    let coff = b.shl(slot, 2u32);
+    let c = b.ld_const(coff, 0);
+    b.st_global(ya, 0, c);
+    b.build()
+}
+
+/// One broadcast load at a fixed byte address (in or out of the bank).
+fn const_at_kernel(addr: u32) -> Kernel {
+    let mut b = KernelBuilder::new("const_at");
+    let ys = b.param();
+    let tid = b.tid_x();
+    let ntid = b.ntid_x();
+    let cta = b.ctaid_x();
+    let i = b.imad(cta, ntid, tid);
+    let byte = b.shl(i, 2u32);
+    let ya = b.iadd(byte, ys);
+    let c = b.ld_const(addr, 0);
+    b.st_global(ya, 0, c);
+    b.build()
+}
+
+/// Constant-cache kernels are dedup-eligible when their constant addresses
+/// are block-invariant: MRI-Q, MRI-FHD and CP must replay (no fallback) with
+/// stats and memory bit-identical to full simulation *and* to the reference
+/// engine — including the constant hit/miss counts the replayed SMs never
+/// probed a cache for.
+#[test]
+fn const_kernels_replay_bit_identical() {
+    let _toggles = own_toggles();
+    if g80::sim::fault::armed() {
+        return; // exact counter assertions, as above
+    }
+    set_memo(Memo::Off);
+    let cfg = GpuConfig::geforce_8800_gtx();
+
+    // 64 blocks of 256 threads: four per SM against three resident slots, so
+    // the recorder runs on the donor and fifteen SMs replay its streams.
+    let replayed = |tag: &str, c: MemoCounters| {
+        assert!(c.dedup_fast_blocks > 0, "{tag}: no block replayed: {c:?}");
+        assert_eq!(c.dedup_fallbacks, 0, "{tag}: {c:?}");
+        assert_eq!(c.dedup_fast_blocks + c.dedup_sim_blocks, 64, "{tag}: {c:?}");
+    };
+
+    let mriq = MriQ {
+        n_voxels: 16384,
+        n_k: 32,
+    };
+    let d = mriq.generate(17);
+    let c = three_way("mriq", || {
+        let (qr, qi, stats, _) = mriq.run(&d, true);
+        (bits(&qr).chain(bits(&qi)).collect(), stats)
+    });
+    replayed("mriq", c);
+
+    let fhd = MriFhd {
+        n_voxels: 16384,
+        n_k: 32,
+    };
+    let d = fhd.generate(23);
+    let c = three_way("mrifhd", || {
+        let (rf, ifh, stats, _) = fhd.run(&d);
+        (bits(&rf).chain(bits(&ifh)).collect(), stats)
+    });
+    replayed("mrifhd", c);
+
+    let cp = CoulombicPotential {
+        grid: 128,
+        n_atoms: 24,
+        spacing: 0.5,
+    };
+    let atoms = cp.generate(5);
+    for unroll in [false, true] {
+        let tag = if unroll { "cp_unrolled" } else { "cp" };
+        let c = three_way(tag, || {
+            let (out, stats, _) = cp.run(&atoms, unroll);
+            (bits(&out).collect(), stats)
+        });
+        replayed(tag, c);
+    }
+
+    // ---- raw kernels: 256 blocks of 64 threads, sixteen per SM ----
+    // (eight are resident at once, so the slots refill and the recorder
+    // runs; four per SM would never refill.)
+    let blocks = 16 * 16;
+    let n = blocks * TPB;
+    let bank: Vec<u32> = (0..256u32)
+        .map(|i| Value::from_f32(i as f32 * 0.25 - 7.0).0)
+        .collect();
+    let run_raw = |k: &Kernel| -> Result<(Vec<u32>, KernelStats), LaunchError> {
+        let mut mem = DeviceMemory::new(n * 4);
+        mem.const_bank = bank.clone();
+        let stats = launch(&cfg, k, dims(blocks), &[Value::from_u32(0)], &mem)?;
+        Ok(((0..n).map(|i| mem.read(i * 4).as_u32()).collect(), stats))
+    };
+
+    // A tid-strided constant load: distinct > 1, serialized, still
+    // block-invariant — eligible, and the per-lane signature replays.
+    let k = const_strided_kernel();
+    assert!(kernel_info(&k).dedup_eligible);
+    let c = three_way("const_strided", || run_raw(&k).expect("strided launch"));
+    assert!(c.dedup_fast_blocks > 0, "const_strided: {c:?}");
+    assert_eq!(c.dedup_fallbacks, 0, "const_strided: {c:?}");
+
+    // A ctaid-indexed constant load and a texture kernel stay out entirely.
+    let k = const_by_block_kernel();
+    assert!(!kernel_info(&k).dedup_eligible);
+    let c = three_way("const_by_block", || run_raw(&k).expect("by-block launch"));
+    assert_eq!(
+        (c.dedup_fast_blocks, c.dedup_sim_blocks, c.dedup_fallbacks),
+        (0, 0, 0),
+        "ctaid-indexed constant load must be ineligible: {c:?}"
+    );
+    assert!(!kernel_info(&SadApp::default().kernel(Space::Tex)).dedup_eligible);
+
+    // An address outside the constant bank is a kernel bug and is reported
+    // the way it always was, whichever executor met it first.
+    let inside = const_at_kernel(4 * 255);
+    let c = three_way("const_at", || run_raw(&inside).expect("in-bank launch"));
+    assert!(c.dedup_fast_blocks > 0, "const_at: {c:?}");
+    let outside = const_at_kernel(4 * 256);
+    for d in [Dedup::Off, Dedup::On] {
+        set_dedup(d);
+        match run_raw(&outside) {
+            Err(LaunchError::Panic(msg)) => assert!(
+                msg.contains("const read out of bounds: addr 0x400"),
+                "{d:?}: {msg}"
+            ),
+            other => panic!(
+                "{d:?}: expected the out-of-bounds panic, got {:?}",
+                other.err()
+            ),
+        }
+    }
+
+    set_dedup(Dedup::On);
     set_memo(Memo::On);
 }
