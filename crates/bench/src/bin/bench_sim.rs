@@ -27,10 +27,14 @@ use g80_apps::mrifhd::MriFhd;
 use g80_apps::mriq::MriQ;
 use g80_apps::saxpy::Saxpy;
 use g80_apps::tpacf::Tpacf;
+use g80_isa::exec;
+use g80_isa::inst::SfuOp;
+use g80_isa::Value;
 use g80_sim::{
     clear_memo_cache, memo_counters, row_counters, set_dedup, set_disk_cache, set_engine,
     set_faults, set_memo, set_watchdog_cycles, Dedup, Engine, FaultConfig, KernelStats, Memo,
 };
+use std::hint::black_box;
 use std::time::Instant;
 
 struct Row {
@@ -532,6 +536,82 @@ fn run() -> i32 {
         const_dedup.push(dedup_ab("cp_dedup", runs, &mut || cp.run(&atoms, true).1));
     }
 
+    // ---- SFU row kernels (one mechanism: `eval_sfu_row` vs 32 lane calls) ----
+    // What every SFU warp instruction costs the host in the timed engine and
+    // in witness replay (the row form) against what the reference engine
+    // pays (32 scalar evaluations): ns per full-mask row, min over rounds,
+    // on arguments spread over [-50, 50] like MRI's phase terms (moved to
+    // [0.5, 50.5] for the root). The two forms are asserted bit-identical on
+    // the timed rows.
+    struct SfuRow {
+        name: &'static str,
+        lanes_ns: f64,
+        row_ns: f64,
+        /// Asserted `lanes_ns / row_ns` minimum on an AVX2 host, if any.
+        floor: Option<f64>,
+    }
+    let sfu_avx2 = {
+        #[cfg(target_arch = "x86_64")]
+        let has = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let has = false;
+        has
+    };
+    // Rsqrt is reported, not gated: `vdivps`/`vsqrtps` throughput per lane
+    // is close to the scalar forms' on many cores.
+    let sfu_rows: Vec<SfuRow> = [
+        ("sfu_rows_sin", SfuOp::Sin, Some(3.0)),
+        ("sfu_rows_cos", SfuOp::Cos, Some(3.0)),
+        ("sfu_rows_rsqrt", SfuOp::Rsqrt, None),
+    ]
+    .into_iter()
+    .map(|(name, op, floor)| {
+        const ROWS: usize = 4096;
+        let input: Vec<exec::Row> = (0..ROWS)
+            .map(|r| {
+                std::array::from_fn(|l| {
+                    let x = ((r * 32 + l) as f32 * 0.618_034).fract() * 100.0 - 50.0;
+                    Value::from_f32(if op == SfuOp::Rsqrt { x.abs() + 0.5 } else { x })
+                })
+            })
+            .collect();
+        let mut by_lane = vec![[Value::ZERO; 32]; ROWS];
+        let mut by_row = by_lane.clone();
+        let (mut lanes_ns, mut row_ns) = (f64::INFINITY, f64::INFINITY);
+        // ~1 ms a round: fifty even under --check, so the min sees the core
+        // after its 256-bit units have warmed up.
+        for _ in 0..50 {
+            let t0 = Instant::now();
+            for (a, d) in black_box(&input).iter().zip(by_lane.iter_mut()) {
+                for l in 0..32 {
+                    d[l] = exec::eval_sfu(op, a[l]);
+                }
+            }
+            lanes_ns = lanes_ns.min(t0.elapsed().as_nanos() as f64 / ROWS as f64);
+            let t0 = Instant::now();
+            for (a, d) in black_box(&input).iter().zip(by_row.iter_mut()) {
+                exec::eval_sfu_row(op, a, d, u32::MAX);
+            }
+            row_ns = row_ns.min(t0.elapsed().as_nanos() as f64 / ROWS as f64);
+            black_box((&by_lane, &by_row));
+        }
+        assert!(
+            by_lane == by_row,
+            "{name}: eval_sfu_row is not bit-identical to 32 eval_sfu calls"
+        );
+        eprintln!(
+            "{name:<24} 32 lanes  {lanes_ns:>8.1}ns  row      {row_ns:>8.1}ns  speedup {:>6.2}x  avx2 {sfu_avx2}",
+            lanes_ns / row_ns
+        );
+        SfuRow {
+            name,
+            lanes_ns,
+            row_ns,
+            floor,
+        }
+    })
+    .collect();
+
     // ---- disk tier (persistent cache, cold process vs warm directory) ----
     // The same revisit fleet, but served across the process boundary: the
     // cold arm runs against an empty cache directory with a cold LRU (every
@@ -884,6 +964,17 @@ fn run() -> i32 {
     json.push_str(&redundancy_json(&redundancy));
     json.push_str("  ],\n  \"const_dedup\": [\n");
     json.push_str(&redundancy_json(&const_dedup));
+    json.push_str("  ],\n  \"sfu_rows\": [\n");
+    for (i, r) in sfu_rows.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"name\": \"{}\", \"lanes_ns_per_row\": {:.1}, \"row_ns_per_row\": {:.1}, \"speedup\": {:.2}, \"avx2\": {sfu_avx2}}}{}\n",
+            r.name,
+            r.lanes_ns,
+            r.row_ns,
+            r.lanes_ns / r.row_ns,
+            if i + 1 < sfu_rows.len() { "," } else { "" }
+        ));
+    }
     json.push_str("  ],\n");
     json.push_str(&format!(
         "  \"disk\": {{\"name\": \"disk_tuner_fleet\", \"cold_s\": {:.6}, \"warm_s\": {:.6}, \"speedup\": {:.3}, \"disk_hits\": {disk_hits}, \"disk_misses\": {disk_misses}, \"disk_evictions\": {disk_evictions}}},\n",
@@ -934,10 +1025,10 @@ fn run() -> i32 {
     // blocks; absolute times for both arms are in BENCH_sim.json.
     red_floor("matmul_1024_dedup", 1.1);
     red_floor("tuner_fleet_revisit", 5.0);
-    // Constant-cache kernels: MRI-Q measures 1.9x in CPU time (8 of 128
-    // blocks go through the scheduler; what remains is mostly host sinf/
-    // cosf, which replay must still evaluate); 1.5x says the replay path
-    // kept engaging and kept its broadcast closed form. Every row must
+    // Constant-cache kernels: MRI-Q measures 2.5x in CPU time (8 of 128
+    // blocks go through the scheduler; it was 1.5-1.8x while both arms
+    // spent most of their time in host sinf/cosf); 1.5x says the replay
+    // path kept engaging and kept its broadcast closed form. Every row must
     // actually replay — 120 of MRI-Q's and MRI-FHD's 128 blocks, 246 of
     // CP's 256, per launch — and never fall back: a fallback here means a
     // witness check that used to pass stopped passing.
@@ -953,6 +1044,16 @@ fn run() -> i32 {
                 "{} replayed {} blocks with {} fallbacks (floor: >= 100 replayed, 0 fallbacks)",
                 r.name, r.dedup_fast_blocks, r.dedup_fallbacks
             ));
+        }
+    }
+    // The SFU rows only have a floor where the 8-wide kernel exists; the
+    // portable twin is the same scalar code on both sides of the ratio.
+    if sfu_avx2 {
+        for r in &sfu_rows {
+            let s = r.lanes_ns / r.row_ns;
+            if r.floor.is_some_and(|floor| s < floor) {
+                missed.push(format!("{} row speedup {s:.2}x is below its floor", r.name));
+            }
         }
     }
     if disk_speedup < 10.0 {

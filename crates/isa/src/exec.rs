@@ -61,23 +61,118 @@ pub fn eval_imad(a: Value, b: Value, c: Value) -> Value {
     Value::from_u32(a.as_u32().wrapping_mul(b.as_u32()).wrapping_add(c.as_u32()))
 }
 
-/// Evaluates an SFU transcendental.
+/// Evaluates an SFU operation.
 ///
-/// The hardware SFUs deliver ~22-23 good mantissa bits; host `f32` math is a
-/// strictly more accurate stand-in, which is fine for the performance study
-/// (tests compare against references with an FP tolerance).
+/// The simulated SFU is defined here, not borrowed from the host's libm, so
+/// a result depends on neither the glibc version nor which engine asked:
+///
+/// - `Rcp`, `Rsqrt`, `Sqrt` are the correctly rounded IEEE `1/x`,
+///   `1/sqrt(x)` (two roundings) and `sqrt(x)`.
+/// - `Sin`, `Cos` are a Cephes-style single-precision kernel: octant
+///   `j = (trunc(|x|·4/π) + 1) & !1`, three-part Cody–Waite reduction
+///   `r = |x| − j·π/4`, a degree-3-in-`r²` minimax polynomial for sine or
+///   cosine chosen by the quadrant, sign from the quadrant (and from `x` for
+///   sine). Every step is a separate IEEE `mul`/`add`/`sub` — never an FMA,
+///   like [`eval_ffma`] — so [`eval_sfu_row`]'s 8-wide form is the same
+///   operation sequence and agrees bit for bit on all 2³² inputs. Absolute
+///   error is below 1e-6 for `|x| ≤ 8192`; beyond that the argument is first
+///   reduced by the exact `f64` remainder modulo the `f64` 2π, which keeps
+///   every finite result in [−1, 1] but lets the error grow with `|x|`. NaN
+///   and ±∞ give the one canonical quiet NaN `0x7fc0_0000`.
+/// - `Ex2`, `Lg2` are still the host's `exp2f`/`log2f` (RPES is their only
+///   user).
+///
+/// The G80's own SFUs interpolate from tables to about 22 good mantissa
+/// bits (`__sinf` is specified to 2⁻²¹·⁴ absolute error on [−π, π] and
+/// degrades outside it), so this definition is at least as accurate as the
+/// hardware everywhere the paper's kernels evaluate it; tests compare
+/// against host references with an FP tolerance.
 pub fn eval_sfu(op: SfuOp, a: Value) -> Value {
     let x = a.as_f32();
     let r = match op {
-        SfuOp::Rcp => 1.0 / x,
-        SfuOp::Rsqrt => 1.0 / x.sqrt(),
+        SfuOp::Rcp => sfu_rcp(x),
+        SfuOp::Rsqrt => sfu_rsqrt(x),
         SfuOp::Sqrt => x.sqrt(),
-        SfuOp::Sin => x.sin(),
-        SfuOp::Cos => x.cos(),
+        SfuOp::Sin => sfu_trig::<false>(x),
+        SfuOp::Cos => sfu_trig::<true>(x),
         SfuOp::Ex2 => x.exp2(),
         SfuOp::Lg2 => x.log2(),
     };
     Value::from_f32(r)
+}
+
+#[inline(always)]
+fn sfu_rcp(x: f32) -> f32 {
+    1.0 / x
+}
+
+#[inline(always)]
+fn sfu_rsqrt(x: f32) -> f32 {
+    1.0 / x.sqrt()
+}
+
+/// 4/π, and π/4 split into three parts of 8, 12 and 24 significant bits
+/// (Cephes' constants for a 24-bit significand): `j·TRIG_DP1` is exact for
+/// every octant index the fast path sees, so the big cancellation in
+/// `|x| − j·TRIG_DP1` is exact too.
+const TRIG_FOPI: f32 = 1.273_239_5;
+const TRIG_DP1: f32 = 0.785_156_25;
+const TRIG_DP2: f32 = 2.418_756_5e-4;
+const TRIG_DP3: f32 = 3.774_895e-8;
+/// Cephes' minimax coefficients on [−π/4, π/4], highest degree first:
+/// `sin r ≈ r + r·z·S(z)` and `cos r ≈ 1 − z/2 + z²·C(z)` with `z = r²`.
+const TRIG_SIN: [f32; 3] = [-1.951_529_6e-4, 8.332_161e-3, -1.666_665_5e-1];
+const TRIG_COS: [f32; 3] = [2.443_315_7e-5, -1.388_731_6e-3, 4.166_664_6e-2];
+/// Largest `|x|` the Cody–Waite reduction is accurate (and its float→int
+/// conversion in range) for.
+const TRIG_FAST_MAX: f32 = 8192.0;
+const TRIG_NAN: u32 = 0x7fc0_0000;
+
+/// `sin x` (`COS = false`) or `cos x` of the simulated SFU.
+#[inline]
+fn sfu_trig<const COS: bool>(x: f32) -> f32 {
+    if x.abs() <= TRIG_FAST_MAX {
+        trig_fast::<COS>(x)
+    } else {
+        trig_slow::<COS>(x)
+    }
+}
+
+/// Large, infinite and NaN arguments; shared by the scalar and row forms.
+#[cold]
+fn trig_slow<const COS: bool>(x: f32) -> f32 {
+    if x.is_finite() {
+        // `%` on floats is exact, and the remainder is below 2π in magnitude.
+        trig_fast::<COS>((x as f64 % std::f64::consts::TAU) as f32)
+    } else {
+        f32::from_bits(TRIG_NAN)
+    }
+}
+
+/// The kernel for `|x| ≤ TRIG_FAST_MAX`. `simd::trig8` is this function
+/// eight lanes at a time: change one and the other must change with it.
+#[inline(always)]
+fn trig_fast<const COS: bool>(x: f32) -> f32 {
+    let ax = x.abs();
+    // Even octant index nearest |x|/(π/4), so r lands in [−π/4, π/4].
+    let j = ((ax * TRIG_FOPI) as i32 + 1) & !1;
+    let y = j as f32;
+    let r = ((ax - y * TRIG_DP1) - y * TRIG_DP2) - y * TRIG_DP3;
+    let z = r * r;
+    // |x| = r + q·π/2 with quadrant q = j/2: sin |x| is sin r, cos r,
+    // −sin r, −cos r for q = 0..3 (mod 4) and cos |x| is cos r, −sin r,
+    // −cos r, sin r.
+    let v = if (j & 2 != 0) != COS {
+        (((TRIG_COS[0] * z + TRIG_COS[1]) * z + TRIG_COS[2]) * (z * z) - 0.5 * z) + 1.0
+    } else {
+        ((TRIG_SIN[0] * z + TRIG_SIN[1]) * z + TRIG_SIN[2]) * (z * r) + r
+    };
+    let flip = if COS {
+        (((j << 1) ^ j) & 4) as u32
+    } else {
+        (j & 4) as u32 ^ (x.to_bits() >> 29 & 4)
+    };
+    f32::from_bits(v.to_bits() ^ flip << 29)
 }
 
 /// Evaluates a comparison, returning the 1/0 predicate value.
@@ -123,21 +218,27 @@ pub fn eval_cmp(op: CmpOp, ty: Scalar, a: Value, b: Value) -> Value {
 /// A whole-warp register row: one value per lane.
 pub type Row = [Value; 32];
 
-/// Runtime-detected AVX2 fast paths for the full-mask row evaluators.
+/// Runtime-detected AVX2 row kernels: the full-mask `alu`/`un`/`ffma`/`imad`
+/// rows, and the SFU rows under any mask.
 ///
-/// Only ops whose AVX2 semantics are **bit-identical** to the scalar
-/// evaluators are implemented; the row kernels return `false` — having
-/// written nothing — for the rest, and the caller falls back to the scalar
-/// chunked loop. Deliberately excluded:
+/// Only ops whose AVX2 form is **bit-identical** to the scalar evaluator
+/// are implemented; the row kernels return `false` — having written
+/// nothing — for the rest, and the caller falls back to the scalar chunked
+/// loop. Deliberately excluded:
 ///
 /// - `FMin`/`FMax`: `_mm256_min_ps` returns the second operand when either
 ///   input is NaN and makes no ±0.0 guarantee, while `f32::min` returns
 ///   the non-NaN operand.
-/// - The `Cvt*` ops: `_mm256_cvttps_epi32` saturates out-of-range inputs
-///   to `0x8000_0000`, while scalar `as` casts saturate to the target
-///   type's MIN/MAX.
-/// - `Ffma` stays multiply-then-add (`_mm256_mul_ps` + `_mm256_add_ps`),
-///   never `vfmadd`: the G80 model truncates the intermediate product.
+/// - `CvtF2I`/`CvtF2U`/`CvtU2F`: `_mm256_cvttps_epi32` answers
+///   `0x8000_0000` for NaN and out-of-range inputs, while scalar `as` casts
+///   saturate to the target type's MIN/MAX and map NaN to 0; AVX2 has no
+///   unsigned conversions.
+/// - `Ex2`/`Lg2`: still the host's libm, one lane at a time.
+///
+/// Nothing here fuses a multiply with an add: `Ffma` stays
+/// `_mm256_mul_ps` + `_mm256_add_ps` (the G80 model truncates the
+/// intermediate product), and `trig8` must round exactly where the scalar
+/// [`trig_fast`] rounds.
 #[cfg(target_arch = "x86_64")]
 mod simd {
     use super::*;
@@ -219,7 +320,20 @@ mod simd {
                 let m31 = _mm256_set1_epi32(31);
                 bin!(|x, y| _mm256_srav_epi32(x, _mm256_and_si256(y, m31)))
             }
-            AluOp::FMin | AluOp::FMax | AluOp::Rotl => false,
+            // Lanes with a zero count shift right by 32, which `srlv` defines
+            // as 0, so the OR leaves `x` — `rotate_left(0)`.
+            AluOp::Rotl => {
+                let m31 = _mm256_set1_epi32(31);
+                let n32 = _mm256_set1_epi32(32);
+                bin!(|x, y| {
+                    let c = _mm256_and_si256(y, m31);
+                    _mm256_or_si256(
+                        _mm256_sllv_epi32(x, c),
+                        _mm256_srlv_epi32(x, _mm256_sub_epi32(n32, c)),
+                    )
+                })
+            }
+            AluOp::FMin | AluOp::FMax => false,
         }
     }
 
@@ -251,8 +365,140 @@ mod simd {
                 let magnitude = _mm256_set1_epi32(i32::MAX);
                 un!(|x| _mm256_and_si256(x, magnitude))
             }
-            UnOp::CvtF2I | UnOp::CvtI2F | UnOp::CvtF2U | UnOp::CvtU2F | UnOp::FFloor => false,
+            // Both round to nearest-even, like the scalar `as f32`.
+            UnOp::CvtI2F => un!(|x| _mm256_castps_si256(_mm256_cvtepi32_ps(x))),
+            UnOp::FFloor => un!(|x| _mm256_castps_si256(_mm256_floor_ps(_mm256_castsi256_ps(x)))),
+            // Scalar only: `cvttps` answers 0x8000_0000 for NaN and every
+            // out-of-range input where `as` saturates and maps NaN to 0, and
+            // AVX2 has no unsigned conversion in either direction.
+            UnOp::CvtF2I | UnOp::CvtF2U | UnOp::CvtU2F => false,
         }
+    }
+
+    /// Stores the lanes of `v` whose bit is set in the low 8 bits of `bits`.
+    ///
+    /// # Safety
+    /// AVX2 must be available, and `i + 8 <= 32`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn st_masked(r: &mut Row, i: usize, v: __m256i, bits: u32) {
+        let bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+        let on = _mm256_cmpeq_epi32(_mm256_and_si256(_mm256_set1_epi32(bits as i32), bit), bit);
+        _mm256_maskstore_epi32(r.as_mut_ptr().add(i).cast(), on, v)
+    }
+
+    /// Eight lanes of [`trig_fast`]: the same operations in the same order.
+    /// Lanes outside its domain hold garbage, never trap.
+    ///
+    /// # Safety
+    /// AVX2 must be available.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn trig8<const COS: bool>(xi: __m256i) -> __m256i {
+        let ps = |v: f32| _mm256_set1_ps(v);
+        let sign = _mm256_set1_epi32(i32::MIN);
+        let ax = _mm256_castsi256_ps(_mm256_andnot_si256(sign, xi));
+        let j = _mm256_and_si256(
+            _mm256_add_epi32(
+                _mm256_cvttps_epi32(_mm256_mul_ps(ax, ps(TRIG_FOPI))),
+                _mm256_set1_epi32(1),
+            ),
+            _mm256_set1_epi32(!1),
+        );
+        let y = _mm256_cvtepi32_ps(j);
+        let r = _mm256_sub_ps(
+            _mm256_sub_ps(
+                _mm256_sub_ps(ax, _mm256_mul_ps(y, ps(TRIG_DP1))),
+                _mm256_mul_ps(y, ps(TRIG_DP2)),
+            ),
+            _mm256_mul_ps(y, ps(TRIG_DP3)),
+        );
+        let z = _mm256_mul_ps(r, r);
+        let horner = |c: [f32; 3]| {
+            let p = _mm256_add_ps(_mm256_mul_ps(ps(c[0]), z), ps(c[1]));
+            _mm256_add_ps(_mm256_mul_ps(p, z), ps(c[2]))
+        };
+        let c = _mm256_add_ps(
+            _mm256_sub_ps(
+                _mm256_mul_ps(horner(TRIG_COS), _mm256_mul_ps(z, z)),
+                _mm256_mul_ps(ps(0.5), z),
+            ),
+            ps(1.0),
+        );
+        let s = _mm256_add_ps(_mm256_mul_ps(horner(TRIG_SIN), _mm256_mul_ps(z, r)), r);
+        let even = _mm256_castsi256_ps(_mm256_cmpeq_epi32(
+            _mm256_and_si256(j, _mm256_set1_epi32(2)),
+            _mm256_setzero_si256(),
+        ));
+        let four = _mm256_set1_epi32(4);
+        let (v, flip) = if COS {
+            let q = _mm256_xor_si256(_mm256_slli_epi32::<1>(j), j);
+            (
+                _mm256_blendv_ps(s, c, even),
+                _mm256_slli_epi32::<29>(_mm256_and_si256(q, four)),
+            )
+        } else {
+            let q = _mm256_slli_epi32::<29>(_mm256_and_si256(j, four));
+            (
+                _mm256_blendv_ps(c, s, even),
+                _mm256_xor_si256(q, _mm256_and_si256(xi, sign)),
+            )
+        };
+        _mm256_xor_si256(_mm256_castps_si256(v), flip)
+    }
+
+    /// `Sin`/`Cos` row: the vector kernel under the lane mask, then the
+    /// shared scalar slow path for active lanes beyond its domain.
+    ///
+    /// # Safety
+    /// AVX2 must be available.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn trig_row<const COS: bool>(a: &Row, dst: &mut Row, mask: u32) {
+        let sign = _mm256_set1_epi32(i32::MIN);
+        let fast_max = _mm256_set1_ps(TRIG_FAST_MAX);
+        for i in [0usize, 8, 16, 24] {
+            let x = ld(a, i);
+            st_masked(dst, i, trig8::<COS>(x), mask >> i);
+            // Not-less-or-equal, unordered: large, infinite or NaN.
+            let ax = _mm256_castsi256_ps(_mm256_andnot_si256(sign, x));
+            let mut slow = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_NLE_UQ>(ax, fast_max)) as u32
+                & (mask >> i)
+                & 0xff;
+            while slow != 0 {
+                let l = i + slow.trailing_zeros() as usize;
+                dst[l] = Value::from_f32(trig_slow::<COS>(a[l].as_f32()));
+                slow &= slow - 1;
+            }
+        }
+    }
+
+    /// Writes the lanes set in `mask`; `false` — nothing written — for the
+    /// ops with no vector form (`Ex2`, `Lg2`). `vdivps`/`vsqrtps` round
+    /// correctly, so they are the scalar `/` and `sqrt` on every input.
+    ///
+    /// # Safety
+    /// AVX2 must be available (gate on [`avx2`]).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn sfu_row(op: SfuOp, a: &Row, dst: &mut Row, mask: u32) -> bool {
+        macro_rules! un {
+            (|$x:ident| $e:expr) => {{
+                for i in [0usize, 8, 16, 24] {
+                    let $x = _mm256_castsi256_ps(ld(a, i));
+                    st_masked(dst, i, _mm256_castps_si256($e), mask >> i);
+                }
+            }};
+        }
+        let one = _mm256_set1_ps(1.0);
+        match op {
+            SfuOp::Rcp => un!(|x| _mm256_div_ps(one, x)),
+            SfuOp::Rsqrt => un!(|x| _mm256_div_ps(one, _mm256_sqrt_ps(x))),
+            SfuOp::Sqrt => un!(|x| _mm256_sqrt_ps(x)),
+            SfuOp::Sin => trig_row::<false>(a, dst, mask),
+            SfuOp::Cos => trig_row::<true>(a, dst, mask),
+            SfuOp::Ex2 | SfuOp::Lg2 => return false,
+        }
+        true
     }
 
     /// # Safety
@@ -325,13 +571,32 @@ pub fn eval_un_row(op: UnOp, a: &Row, dst: &mut Row, mask: u32) {
     }
 }
 
-/// Row form of [`eval_sfu`].
+/// Row form of [`eval_sfu`]. Takes the AVX2 kernel under **any** mask
+/// (it stores only the active lanes); without AVX2, and for `Ex2`/`Lg2`,
+/// the scalar lane loop with the op match hoisted out of it.
 #[inline]
 pub fn eval_sfu_row(op: SfuOp, a: &Row, dst: &mut Row, mask: u32) {
-    for l in 0..32 {
-        if mask >> l & 1 == 1 {
-            dst[l] = eval_sfu(op, a[l]);
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `sfu_row` only requires AVX2, which `avx2()` just probed.
+    if simd::avx2() && unsafe { simd::sfu_row(op, a, dst, mask) } {
+        return;
+    }
+    #[inline(always)]
+    fn lanes(a: &Row, dst: &mut Row, mask: u32, f: impl Fn(f32) -> f32) {
+        for l in 0..32 {
+            if mask >> l & 1 == 1 {
+                dst[l] = Value::from_f32(f(a[l].as_f32()));
+            }
         }
+    }
+    match op {
+        SfuOp::Rcp => lanes(a, dst, mask, sfu_rcp),
+        SfuOp::Rsqrt => lanes(a, dst, mask, sfu_rsqrt),
+        SfuOp::Sqrt => lanes(a, dst, mask, f32::sqrt),
+        SfuOp::Sin => lanes(a, dst, mask, sfu_trig::<false>),
+        SfuOp::Cos => lanes(a, dst, mask, sfu_trig::<true>),
+        SfuOp::Ex2 => lanes(a, dst, mask, f32::exp2),
+        SfuOp::Lg2 => lanes(a, dst, mask, f32::log2),
     }
 }
 
@@ -486,7 +751,9 @@ mod tests {
         assert!((eval_sfu(SfuOp::Rsqrt, f(4.0)).as_f32() - 0.5).abs() < 1e-6);
         assert!((eval_sfu(SfuOp::Rcp, f(8.0)).as_f32() - 0.125).abs() < 1e-6);
         assert!((eval_sfu(SfuOp::Sin, f(std::f32::consts::FRAC_PI_2)).as_f32() - 1.0).abs() < 1e-6);
-        assert!((eval_sfu(SfuOp::Cos, f(0.0)).as_f32() - 1.0).abs() < 1e-6);
+        assert_eq!(eval_sfu(SfuOp::Cos, f(0.0)).as_f32(), 1.0);
+        assert_eq!(eval_sfu(SfuOp::Sin, f(-0.0)).0, (-0.0f32).to_bits());
+        assert_eq!(eval_sfu(SfuOp::Sin, f(f32::NEG_INFINITY)).0, TRIG_NAN);
         assert_eq!(eval_sfu(SfuOp::Ex2, f(3.0)).as_f32(), 8.0);
         assert_eq!(eval_sfu(SfuOp::Lg2, f(8.0)).as_f32(), 3.0);
         assert_eq!(eval_sfu(SfuOp::Sqrt, f(9.0)).as_f32(), 3.0);

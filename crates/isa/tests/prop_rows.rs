@@ -3,7 +3,10 @@
 //! `LaneRow` shape folds must be bit-identical to the frozen per-lane
 //! scalar evaluators — on randomized rows, under partial masks, and on
 //! the f32 values that break naive SIMD equivalence (NaN payloads,
-//! signaling NaNs, denormals, signed zeros, infinities).
+//! signaling NaNs, denormals, signed zeros, infinities). The simulated
+//! SFU's `Sin`/`Cos` — defined in `exec`, not by libm — are additionally
+//! held to an accuracy bound against `f64`, to totality, and to *strict*
+//! row = scalar bit equality (exhaustively in an ignored test).
 
 use g80_isa::exec::{self, eval_alu, eval_cmp, eval_ffma, eval_imad, eval_sfu, eval_un, Row};
 use g80_isa::inst::{AluOp, CmpOp, Scalar, SfuOp, UnOp};
@@ -24,9 +27,12 @@ impl Rng {
     /// A 32-bit pattern biased heavily toward the f32 values that expose
     /// SIMD/scalar divergence: NaNs with distinct payloads, signaling
     /// NaNs, ±0, ±inf, denormals, and values near the i32/u32 conversion
-    /// boundaries — with plain random bits mixed in.
+    /// boundaries — and toward the simulated SFU's own seams: octant edges
+    /// (π/4, π/2 and their bit neighbours), the ±8192 hand-over from the
+    /// Cody–Waite path to the `f64` remainder, and arguments far beyond it
+    /// — with plain random bits mixed in.
     fn special(&mut self) -> u32 {
-        const POOL: [u32; 14] = [
+        const POOL: [u32; 37] = [
             0x7fc0_0000, // canonical qNaN
             0xffc0_0001, // negative qNaN, nonzero payload
             0x7f80_0001, // signaling NaN
@@ -40,7 +46,30 @@ impl Rng {
             0x3f80_0000, // 1.0
             0x4f00_0000, // 2^31 (f32->i32 overflow boundary)
             0xcf00_0000, // -2^31
-            0x7fff_ffff, // i32::MAX as bits
+            0x7fff_ffff, // i32::MAX as bits (a NaN with a full payload)
+            0xff80_0001, // negative signaling NaN
+            0x7fa5_5aa5, // signaling NaN, scattered payload
+            0x8000_0001, // smallest negative denormal
+            0x007f_ffff, // largest denormal
+            0x0080_0000, // smallest normal
+            0x3f49_0fda, // π/4 rounded down
+            0x3f49_0fdb, // π/4 rounded up
+            0xbf49_0fdb, // -π/4
+            0x3fc9_0fda, // π/2 rounded down
+            0x3fc9_0fdb, // π/2 rounded up
+            0xbfc9_0fdb, // -π/2
+            0x4049_0fdb, // π
+            0x45ff_ffff, // just below 8192
+            0x4600_0000, // 8192: last argument of the fast path
+            0x4600_0001, // just above 8192: first of the slow path
+            0xc600_0000, // -8192
+            0xc600_0001, // just below -8192
+            0x47c3_5000, // 1e5
+            0xc7c3_5000, // -1e5
+            0x4e6e_6b28, // 1e9
+            0xce6e_6b28, // -1e9
+            0x7f7f_ffff, // f32::MAX
+            0xff7f_ffff, // -f32::MAX
         ];
         let r = self.next();
         if r & 3 == 0 {
@@ -64,7 +93,7 @@ impl Rng {
     }
 }
 
-const ALU_OPS: [AluOp; 18] = [
+const ALU_OPS: [AluOp; 19] = [
     AluOp::FAdd,
     AluOp::FSub,
     AluOp::FMul,
@@ -83,6 +112,7 @@ const ALU_OPS: [AluOp; 18] = [
     AluOp::Shl,
     AluOp::ShrU,
     AluOp::ShrS,
+    AluOp::Rotl,
 ];
 const UN_OPS: [UnOp; 9] = [
     UnOp::Mov,
@@ -256,6 +286,108 @@ fn row_evaluators_match_scalar_on_specials_and_partial_masks() {
             false,
             |l| if c[l].0 != 0 { a[l] } else { b[l] },
         );
+    }
+}
+
+const TRIG_NAN: u32 = 0x7fc0_0000;
+
+fn trig_f64(op: SfuOp, x: f32) -> f64 {
+    match op {
+        SfuOp::Sin => (x as f64).sin(),
+        _ => (x as f64).cos(),
+    }
+}
+
+/// The simulated SFU's `Sin`/`Cos` against the host's `f64` libm: within
+/// 1e-6 absolute on a dense grid over |x| ≤ 8192 (the grid steps through
+/// every octant at ~2⁻⁹ spacing and adds the bit neighbours of each octant
+/// edge), and total on random bit patterns — every finite input lands in
+/// [−1, 1], every NaN/∞ gives the one canonical NaN.
+#[test]
+fn sfu_trig_is_accurate_bounded_and_total() {
+    for op in [SfuOp::Sin, SfuOp::Cos] {
+        let mut worst = (0.0f64, 0.0f32);
+        let mut check = |x: f32| {
+            let got = eval_sfu(op, Value::from_f32(x)).as_f32();
+            let err = (got as f64 - trig_f64(op, x)).abs();
+            if err > worst.0 {
+                worst = (err, x);
+            }
+        };
+        for i in -(8192 << 9)..=8192 << 9 {
+            check(i as f32 / 512.0);
+        }
+        for k in 0..=(8192.0 * 4.0 / std::f64::consts::PI) as u32 {
+            let edge = (k as f64 * std::f64::consts::FRAC_PI_4) as f32;
+            for d in -2i32..=2 {
+                let x = f32::from_bits((edge.to_bits() as i32 + d) as u32);
+                if x.abs() <= 8192.0 {
+                    check(x);
+                    check(-x);
+                }
+            }
+        }
+        assert!(
+            worst.0 <= 1e-6,
+            "{op:?}: |err| {:e} at x = {:e}",
+            worst.0,
+            worst.1
+        );
+    }
+
+    let mut rng = Rng(0xb7e1_5162_8aed_2a6a);
+    for _ in 0..2_000_000 {
+        let bits = rng.special();
+        let x = f32::from_bits(bits);
+        for op in [SfuOp::Sin, SfuOp::Cos] {
+            let got = eval_sfu(op, Value(bits)).as_f32();
+            if x.is_finite() {
+                assert!(got.abs() <= 1.0, "{op:?}({x:e} = {bits:#010x}) = {got:e}");
+            } else {
+                assert_eq!(got.to_bits(), TRIG_NAN, "{op:?}({bits:#010x})");
+            }
+        }
+    }
+}
+
+/// Asserts `eval_sfu_row` = per-lane `eval_sfu`, strictly bit for bit (NaN
+/// payloads included: the trig kernel defines its own), for `Sin` and `Cos`
+/// on the 32 consecutive bit patterns starting at `base` under `mask`.
+fn assert_trig_rows_bit_exact(base: u32, mask: u32) {
+    let a: Row = std::array::from_fn(|l| Value(base.wrapping_add(l as u32)));
+    let sentinel = [Value(0xdead_beef); 32];
+    for op in [SfuOp::Sin, SfuOp::Cos] {
+        let mut dst = sentinel;
+        exec::eval_sfu_row(op, &a, &mut dst, mask);
+        for l in 0..32 {
+            let want = if mask >> l & 1 == 1 {
+                eval_sfu(op, a[l])
+            } else {
+                sentinel[l]
+            };
+            assert_eq!(dst[l], want, "{op:?} lane {l} of {a:?} mask {mask:#010x}");
+        }
+    }
+}
+
+/// The row kernel is the scalar kernel, not an approximation of it: strict
+/// equality on random 32-pattern windows (1.6 M inputs per op) under full
+/// and partial masks. The exhaustive form is the ignored test below.
+#[test]
+fn sfu_trig_rows_are_bit_identical_to_scalar() {
+    let mut rng = Rng(0x6a09_e667_f3bc_c908);
+    for _ in 0..50_000 {
+        assert_trig_rows_bit_exact(rng.special(), rng.mask());
+    }
+}
+
+/// All 2³² bit patterns, `Sin` and `Cos`, row vs scalar. A few minutes in
+/// release; the CI release job runs it with `--ignored`.
+#[test]
+#[ignore = "exhaustive: 2^32 inputs per op"]
+fn sfu_trig_rows_are_bit_identical_to_scalar_exhaustive() {
+    for base in (0..=u32::MAX).step_by(32) {
+        assert_trig_rows_bit_exact(base, u32::MAX);
     }
 }
 

@@ -146,9 +146,11 @@ pub(crate) fn reset_counters() {
 /// The key echo rejects files that were renamed or copied under a foreign
 /// digest; the checksum rejects bit rot and truncation; the version rejects
 /// entries written by an incompatible serializer (any change to the payload
-/// encoding below must bump [`FORMAT_VERSION`]).
+/// encoding below must bump [`FORMAT_VERSION`]) or by an incompatible
+/// machine: v1 entries hold memory deltas computed with the host libm's
+/// `sinf`/`cosf`, v2 is the in-crate SFU of `g80_isa::exec::eval_sfu`.
 const MAGIC: &[u8; 4] = b"G80M";
-pub(crate) const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 2;
 const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 8 + 8;
 const CHECKSUM_SEED: u64 = 0x452f_6a88_38d0_13f7;
 

@@ -2,7 +2,9 @@
 //! branches, accumulators): the same program must produce identical global
 //! memory output no matter how it was compiled (O0 vs O2, register-capped
 //! and spilled vs not) or which machine ran it (16 SMs vs 1 SM, with or
-//! without SM-level host parallelism).
+//! without SM-level host parallelism) or which engine and dedup mode
+//! simulated it (reference oracle, product with every block simulated,
+//! product with witness replay).
 //!
 //! This is the harness that would have caught the branch-into-spill-reload
 //! bug fixed in `g80-isa::regalloc` (targets must land on the first reload).
@@ -10,8 +12,22 @@
 use g80_isa::builder::{BuildOptions, KernelBuilder, Unroll};
 use g80_isa::inst::{AluOp, CmpOp, Operand, Pred, Scalar, SfuOp, UnOp};
 use g80_isa::{Kernel, OptLevel, Value};
-use g80_sim::{launch, DeviceMemory, GpuConfig, LaunchDims};
+use g80_sim::{
+    dedup, launch, memo, memo_counters, set_dedup, set_engine, set_memo, Dedup, DeviceMemory,
+    Engine, GpuConfig, LaunchDims, Memo,
+};
 use proptest::prelude::*;
+use std::sync::Mutex;
+
+/// Engine, dedup and memo selectors are process-global: the one test that
+/// moves them holds this for its whole body, the others while they launch,
+/// so no comparison in this file straddles a toggle flip.
+static TOGGLES: Mutex<()> = Mutex::new(());
+
+fn own_toggles() -> std::sync::MutexGuard<'static, ()> {
+    // A case that failed while holding the lock already reported itself.
+    TOGGLES.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A recipe for one random structured kernel.
 #[derive(Clone, Debug)]
@@ -32,7 +48,7 @@ struct Recipe {
 
 fn arb_recipe() -> impl Strategy<Value = Recipe> {
     (
-        prop::collection::vec(0u8..12, 1..10),
+        prop::collection::vec(0u8..16, 1..10),
         0u32..6,
         0u8..3,
         1usize..5,
@@ -101,9 +117,22 @@ fn build(recipe: &Recipe, opt: OptLevel, max_regs: Option<u32>) -> Kernel {
                     b.alu_to(AluOp::FAdd, acc, acc, s);
                 }
                 10 => b.ffma_to(acc, acc, Operand::imm_f(0.875), Operand::Reg(x)),
-                _ => {
+                11 => {
                     let t = b.un(UnOp::FAbs, acc);
                     b.mov_to(acc, t);
+                }
+                // Trig takes the accumulator as it is (any finite size);
+                // the roots take |other| + 0.5 so no NaN is ever produced —
+                // NaN payloads are not part of the evaluator contract.
+                12 | 13 => {
+                    let t = b.sfu(if op == 12 { SfuOp::Sin } else { SfuOp::Cos }, other);
+                    b.alu_to(AluOp::FAdd, acc, acc, t);
+                }
+                _ => {
+                    let t = b.un(UnOp::FAbs, other);
+                    let t = b.fadd(t, Operand::imm_f(0.5));
+                    let t = b.sfu(if op == 14 { SfuOp::Rsqrt } else { SfuOp::Sqrt }, t);
+                    b.alu_to(AluOp::FAdd, acc, acc, t);
                 }
             }
         }
@@ -150,25 +179,33 @@ fn build(recipe: &Recipe, opt: OptLevel, max_regs: Option<u32>) -> Kernel {
 }
 
 const N: u32 = 256;
+/// Enough 64-thread blocks (512) that most of them arrive after the first
+/// resident cohort and are witness-replayed when dedup is on.
+const N_REPLAY: u32 = 64 * 512;
 
 fn run(k: &Kernel, cfg: &GpuConfig) -> Vec<u32> {
-    let mem = DeviceMemory::new(2 * N * 4 + 64);
-    for i in 0..N {
+    let _toggles = own_toggles();
+    run_n(k, cfg, N)
+}
+
+fn run_n(k: &Kernel, cfg: &GpuConfig, n: u32) -> Vec<u32> {
+    let mem = DeviceMemory::new(2 * n * 4 + 64);
+    for i in 0..n {
         mem.write(i * 4, Value::from_f32((i % 17) as f32 * 0.3 - 2.0));
     }
     launch(
         cfg,
         k,
         LaunchDims {
-            grid: (N / 64, 1),
+            grid: (n / 64, 1),
             block: (64, 1, 1),
         },
-        &[Value::from_u32(0), Value::from_u32(N * 4)],
+        &[Value::from_u32(0), Value::from_u32(n * 4)],
         &mem,
     )
     .expect("launch");
-    let mut out = vec![0u32; N as usize];
-    mem.read_slice(N * 4, &mut out);
+    let mut out = vec![0u32; n as usize];
+    mem.read_slice(n * 4, &mut out);
     out
 }
 
@@ -205,5 +242,33 @@ proptest! {
         single.num_sms = 1;
         single.max_blocks_per_sm = 2;
         prop_assert_eq!(run(&k, &gtx), run(&k, &single));
+    }
+
+    /// The reference oracle (per-lane scalar evaluators), the product
+    /// engine simulating every block, and the product engine replaying
+    /// blocks from a witness write the same words — through SFU rows under
+    /// the partial masks of the divergent branch too.
+    #[test]
+    fn engines_and_dedup_modes_agree(recipe in arb_recipe()) {
+        let _toggles = own_toggles();
+        let cfg = GpuConfig::geforce_8800_gtx();
+        let k = build(&recipe, OptLevel::O2, None);
+        // What the environment chose (the CI axes), put back below.
+        let (memo0, dedup0) = (memo(), dedup());
+        set_memo(Memo::Off);
+        set_engine(Engine::Reference);
+        let oracle = run_n(&k, &cfg, N_REPLAY);
+        set_engine(Engine::Predecoded);
+        set_dedup(Dedup::Off);
+        let simulated = run_n(&k, &cfg, N_REPLAY);
+        set_dedup(Dedup::On);
+        let fast0 = memo_counters().dedup_fast_blocks;
+        let replayed = run_n(&k, &cfg, N_REPLAY);
+        let fast = memo_counters().dedup_fast_blocks - fast0;
+        set_memo(memo0);
+        set_dedup(dedup0);
+        prop_assert!(fast > 0, "no block was replayed: the dedup arm tested nothing");
+        prop_assert_eq!(&oracle, &simulated);
+        prop_assert_eq!(&simulated, &replayed);
     }
 }

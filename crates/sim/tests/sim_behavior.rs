@@ -578,3 +578,48 @@ fn partial_warps_respect_the_warp_context_limit() {
         stats.occupancy()
     );
 }
+
+/// An `sfu.sin`/`sfu.cos` whose operand row is `Uniform` (a kernel
+/// parameter) is folded through the scalar SFU once per warp; the same value
+/// arriving as a `Full` row (loaded from memory, one copy per lane) goes
+/// through the 32-lane row kernel. The two must give the same bits — on the
+/// polynomial path, at its ±8192 edge, beyond it and on a non-finite input.
+#[test]
+fn sfu_trig_on_a_uniform_row_folds_to_the_row_kernels_bits() {
+    let n = 64u32;
+    let (mut b, i) = with_gtid("sfu_fold");
+    let (xp, outp, v) = (b.param(), b.param(), b.param());
+    let byte = b.shl(i, 2u32);
+    let xa = b.iadd(byte, xp);
+    let lanes = b.ld_global(xa, 0);
+    let oa = b.shl(i, 4u32);
+    let oa = b.iadd(oa, outp);
+    for (slot, op) in [(0, SfuOp::Sin), (8, SfuOp::Cos)] {
+        let folded = b.sfu(op, v);
+        let row = b.sfu(op, lanes);
+        b.st_global(oa, slot, folded);
+        b.st_global(oa, slot + 4, row);
+    }
+    let k = b.build();
+
+    for x in [0.3f32, -2.5, 100.0, 8192.0, -8193.0, 1e9, f32::INFINITY] {
+        let mem = DeviceMemory::new(n * 4 + n * 16);
+        for j in 0..n {
+            mem.write(j * 4, Value::from_f32(x));
+        }
+        let params = [
+            Value::from_u32(0),
+            Value::from_u32(n * 4),
+            Value::from_f32(x),
+        ];
+        launch(&gtx(), &k, dims1d(1, n), &params, &mem).unwrap();
+        for j in 0..n {
+            let at = |slot: u32| mem.read(n * 4 + j * 16 + slot);
+            for (slot, op) in [(0, SfuOp::Sin), (8, SfuOp::Cos)] {
+                let want = g80_isa::exec::eval_sfu(op, Value::from_f32(x));
+                assert_eq!(at(slot), want, "{op:?}({x}) folded, thread {j}");
+                assert_eq!(at(slot + 4), want, "{op:?}({x}) 32-lane row, thread {j}");
+            }
+        }
+    }
+}

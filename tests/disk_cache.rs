@@ -315,27 +315,39 @@ fn version_skew_is_rejected(cfg: &GpuConfig) {
     let m1 = fresh_input();
     let cold = run(cfg, &k, &m1);
 
-    let files = entry_files(&dir);
-    assert_eq!(files.len(), 1);
-    // Bump the version field (bytes 4..8, after the 4-byte magic) without
-    // touching the payload or its checksum.
-    let mut bytes = fs::read(&files[0]).unwrap();
-    let v = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    bytes[4..8].copy_from_slice(&(v + 1).to_le_bytes());
-    fs::write(&files[0], &bytes).unwrap();
+    // Rewrite the version field (bytes 4..8, after the 4-byte magic)
+    // without touching the payload or its checksum: once to a future
+    // version, once to 1 — what commits before the in-crate SFU wrote, whose
+    // MRI deltas hold libm trig and must not be served.
+    let skews: [fn(u32) -> u32; 2] = [|current| current + 1, |_| 1];
+    for skew in skews {
+        let files = entry_files(&dir);
+        assert_eq!(files.len(), 1, "one clean entry before each rewrite");
+        let mut bytes = fs::read(&files[0]).unwrap();
+        let current = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+        let skewed = skew(current);
+        assert_ne!(skewed, current, "format version must have moved past v1");
+        bytes[4..8].copy_from_slice(&skewed.to_le_bytes());
+        fs::write(&files[0], &bytes).unwrap();
 
-    clear_memo_cache();
-    let c0 = memo_counters();
-    let m = fresh_input();
-    let again = run(cfg, &k, &m);
-    let c1 = memo_counters();
-    assert_eq!(
-        c1.disk_evictions - c0.disk_evictions,
-        1,
-        "version-skewed entry must be evicted"
-    );
-    assert_eq!(c1.disk_hits, c0.disk_hits, "skewed entry must not hit");
-    assert_stats_identical("version skew", &cold, &again);
+        clear_memo_cache();
+        let c0 = memo_counters();
+        let m = fresh_input();
+        let again = run(cfg, &k, &m);
+        let c1 = memo_counters();
+        assert_eq!(
+            c1.disk_evictions - c0.disk_evictions,
+            1,
+            "v{skewed} entry must be evicted"
+        );
+        assert_eq!(
+            c1.disk_misses - c0.disk_misses,
+            1,
+            "v{skewed} entry must count as a miss"
+        );
+        assert_eq!(c1.disk_hits, c0.disk_hits, "v{skewed} entry must not hit");
+        assert_stats_identical("version skew", &cold, &again);
+    }
 
     set_disk_cache(None);
     let _ = fs::remove_dir_all(&dir);
