@@ -247,6 +247,49 @@ fn redundancy_json(rows: &[RedundancyRow]) -> String {
     json
 }
 
+/// One mechanism: what `g80_sim::wire::crc32` (slicing-by-8) costs per KB
+/// of frame payload against CRC-32/IEEE computed one bit at a time from
+/// the polynomial — ns/KB on 64 KB, min over rounds. Every served payload
+/// byte is summed four times per round trip, so this rate is most of a
+/// memo-hit request's wire cost. Returns `(bitwise, sliced)`.
+fn wire_crc32_row() -> (f64, f64) {
+    fn bitwise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+            }
+        }
+        !c
+    }
+    const KB: usize = 64;
+    let block: Vec<u8> = (0..KB * 1024)
+        .map(|i| (i as u32).wrapping_mul(2_654_435_761).to_le_bytes()[3])
+        .collect();
+    assert_eq!(
+        g80_sim::wire::crc32(&block),
+        bitwise(&block),
+        "wire_crc32: the sliced CRC disagrees with the bit-at-a-time reference"
+    );
+    let min_ns_per_kb = |sum: fn(&[u8]) -> u32| {
+        (0..20)
+            .map(|_| {
+                let t0 = Instant::now();
+                black_box(sum(black_box(&block)));
+                t0.elapsed().as_nanos() as f64 / KB as f64
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let (bitwise_ns, sliced_ns) = (min_ns_per_kb(bitwise), min_ns_per_kb(g80_sim::wire::crc32));
+    eprintln!(
+        "{:<24} bitwise  {bitwise_ns:>8.1}ns/KB  sliced   {sliced_ns:>8.1}ns/KB  speedup {:>6.2}x",
+        "wire_crc32",
+        bitwise_ns / sliced_ns
+    );
+    (bitwise_ns, sliced_ns)
+}
+
 fn main() {
     // Floor misses and harness breakage must be distinguishable to CI:
     // a missed floor is a performance regression (exit 2), while a panic
@@ -611,6 +654,9 @@ fn run() -> i32 {
         }
     })
     .collect();
+
+    let (crc_bitwise_ns, crc_sliced_ns) = wire_crc32_row();
+    let crc_speedup = crc_bitwise_ns / crc_sliced_ns;
 
     // ---- disk tier (persistent cache, cold process vs warm directory) ----
     // The same revisit fleet, but served across the process boundary: the
@@ -977,6 +1023,9 @@ fn run() -> i32 {
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
+        "  \"wire_crc32\": {{\"name\": \"wire_crc32\", \"block_kb\": 64, \"bitwise_ns_per_kb\": {crc_bitwise_ns:.1}, \"sliced_ns_per_kb\": {crc_sliced_ns:.1}, \"speedup\": {crc_speedup:.2}}},\n"
+    ));
+    json.push_str(&format!(
         "  \"disk\": {{\"name\": \"disk_tuner_fleet\", \"cold_s\": {:.6}, \"warm_s\": {:.6}, \"speedup\": {:.3}, \"disk_hits\": {disk_hits}, \"disk_misses\": {disk_misses}, \"disk_evictions\": {disk_evictions}}},\n",
         disk_cold_s, disk_warm_s, disk_speedup
     ));
@@ -1055,6 +1104,13 @@ fn run() -> i32 {
                 missed.push(format!("{} row speedup {s:.2}x is below its floor", r.name));
             }
         }
+    }
+    // Slicing-by-8 measures ≈ 8x over the bitwise loop; 3x says the frame
+    // path did not go back to a byte (or bit) at a time.
+    if crc_speedup < 3.0 {
+        missed.push(format!(
+            "wire_crc32 speedup {crc_speedup:.2}x is below the 3x floor"
+        ));
     }
     if disk_speedup < 10.0 {
         missed.push(format!(

@@ -2,12 +2,13 @@
 //!
 //! [`FramedStream`] is the one place frames touch the socket, for both the
 //! client and the server. Protocol version 3 frames are
-//! `u32 LE length | payload | u32 LE crc32(payload)`; because the length
-//! field is validated before the payload is read, a corrupted payload
-//! leaves framing synchronized — the receiver consumes exactly one frame,
-//! reports [`CrcMismatch`], and the connection stays usable (the server
-//! answers a typed `BadFrame`, the client re-sends the idempotent
-//! request).
+//! `u32 LE length | payload | u32 LE crc32(payload)` (the layout itself is
+//! written and checked by [`crate::protocol`]; a clean frame leaves in one
+//! vectored write); because the length field is validated before the
+//! payload is read, a corrupted payload leaves framing synchronized — the
+//! receiver consumes exactly one frame, reports [`CrcMismatch`], and the
+//! connection stays usable (the server answers a typed `BadFrame`, the
+//! client re-sends the idempotent request).
 //!
 //! All injected transport faults ([`crate::netfault`]) are applied here,
 //! one schedule poll per frame operation, so the rest of the crate never
@@ -19,10 +20,12 @@
 
 use crate::net::Stream;
 use crate::netfault::{self, NetFault, NetSite};
-use crate::protocol::MAX_FRAME_BYTES;
+use crate::protocol::{frame_len, verify_crc, write_frame_with_crc, MAX_FRAME_BYTES};
 use g80_sim::wire::crc32;
 use std::io::{self, Read, Write};
 use std::time::{Duration, Instant};
+
+pub use crate::protocol::{is_crc_mismatch, CrcMismatch};
 
 /// Which end of the connection this stream is, selecting the fault sites
 /// its reads and writes poll.
@@ -30,34 +33,6 @@ use std::time::{Duration, Instant};
 pub enum Side {
     Client,
     Server,
-}
-
-/// Payload checksum failure: the frame was consumed whole (framing is
-/// still synchronized) but its bytes are not what the peer sent. Carried
-/// inside an [`io::Error`] of kind `InvalidData`; test with
-/// [`is_crc_mismatch`].
-#[derive(Debug)]
-pub struct CrcMismatch {
-    pub expected: u32,
-    pub got: u32,
-}
-
-impl std::fmt::Display for CrcMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "frame CRC mismatch: expected {:#010x}, got {:#010x}",
-            self.expected, self.got
-        )
-    }
-}
-
-impl std::error::Error for CrcMismatch {}
-
-/// True when `e` wraps a [`CrcMismatch`] — the one transport error that
-/// does NOT poison the connection.
-pub fn is_crc_mismatch(e: &io::Error) -> bool {
-    e.get_ref().is_some_and(|inner| inner.is::<CrcMismatch>())
 }
 
 /// A [`Stream`] that speaks whole CRC-checked frames, with the
@@ -107,16 +82,13 @@ impl FramedStream {
     /// it too) or corrupt/fragment/delay the bytes (no error — the damage
     /// is the peer's to detect).
     pub fn write_frame(&mut self, payload: &[u8]) -> io::Result<()> {
-        let len = u32::try_from(payload.len())
-            .ok()
-            .filter(|&l| l <= MAX_FRAME_BYTES)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
+        let len = frame_len(payload)?;
         let crc = crc32(payload);
         match netfault::decide(self.write_site()) {
-            None => self.write_clean(len, payload, crc),
+            None => write_frame_with_crc(&mut self.inner, payload, crc),
             Some(NetFault::Stall { ms }) => {
                 std::thread::sleep(Duration::from_millis(ms));
-                self.write_clean(len, payload, crc)
+                write_frame_with_crc(&mut self.inner, payload, crc)
             }
             Some(NetFault::DisconnectPre) => {
                 let _ = self.inner.shutdown();
@@ -156,19 +128,17 @@ impl FramedStream {
                 let mut tampered = payload.to_vec();
                 if tampered.is_empty() {
                     // Nothing to flip; damage the CRC instead.
-                    return self.write_clean(len, payload, crc ^ 1);
+                    return write_frame_with_crc(&mut self.inner, payload, crc ^ 1);
                 }
                 let i = (byte % tampered.len() as u64) as usize;
                 tampered[i] ^= 1 << (bit & 7);
-                self.write_clean(len, &tampered, crc)
+                write_frame_with_crc(&mut self.inner, &tampered, crc)
             }
             Some(NetFault::Split) => {
                 // Dribble the frame in small flushed chunks; correctness
                 // must not depend on write boundaries.
                 let mut wire = Vec::with_capacity(payload.len() + 8);
-                wire.extend_from_slice(&len.to_le_bytes());
-                wire.extend_from_slice(payload);
-                wire.extend_from_slice(&crc.to_le_bytes());
+                write_frame_with_crc(&mut wire, payload, crc)?;
                 let chunk = (wire.len() / 7).max(1);
                 for piece in wire.chunks(chunk) {
                     self.inner.write_all(piece)?;
@@ -177,13 +147,6 @@ impl FramedStream {
                 Ok(())
             }
         }
-    }
-
-    fn write_clean(&mut self, len: u32, payload: &[u8], crc: u32) -> io::Result<()> {
-        self.inner.write_all(&len.to_le_bytes())?;
-        self.inner.write_all(payload)?;
-        self.inner.write_all(&crc.to_le_bytes())?;
-        self.inner.flush()
     }
 
     // ---- reading -----------------------------------------------------------
@@ -306,34 +269,19 @@ impl FramedStream {
                 Err(e) => return Err(e),
             }
         }
-        let wire_crc = u32::from_le_bytes(payload[len as usize..].try_into().unwrap());
+        let mut wire_crc = u32::from_le_bytes(payload[len as usize..].try_into().unwrap());
         payload.truncate(len as usize);
         if let Some(NetFault::Corrupt { byte, bit }) = fault {
             // Received-side bit rot: damage what arrived, before the
-            // integrity check sees it.
+            // integrity check sees it (the CRC when there is no payload).
             if payload.is_empty() {
-                let expected = crc32(&payload);
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    CrcMismatch {
-                        expected,
-                        got: wire_crc ^ 1,
-                    },
-                ));
+                wire_crc ^= 1;
+            } else {
+                let i = (byte % payload.len() as u64) as usize;
+                payload[i] ^= 1 << (bit & 7);
             }
-            let i = (byte % payload.len() as u64) as usize;
-            payload[i] ^= 1 << (bit & 7);
         }
-        let computed = crc32(&payload);
-        if computed != wire_crc {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                CrcMismatch {
-                    expected: wire_crc,
-                    got: computed,
-                },
-            ));
-        }
+        verify_crc(&payload, wire_crc)?;
         Ok(Some(payload))
     }
 

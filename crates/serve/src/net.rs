@@ -5,7 +5,7 @@
 //! bound address is reported back so tests and benches can connect.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -101,6 +101,15 @@ impl Write for Stream {
             Stream::Unix(s) => s.write(buf),
         }
     }
+    /// One `writev` for all of `bufs` — what lets a frame's header,
+    /// payload and CRC leave as one syscall and one segment (the trait's
+    /// default would send only the first buffer).
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.write_vectored(bufs),
+            Stream::Unix(s) => s.write_vectored(bufs),
+        }
+    }
     fn flush(&mut self) -> io::Result<()> {
         match self {
             Stream::Tcp(s) => s.flush(),
@@ -178,6 +187,20 @@ impl Listener {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn write_vectored_sends_every_buffer_in_one_call() {
+        let (a, mut b) = UnixStream::pair().unwrap();
+        let parts = [
+            IoSlice::new(b"head"),
+            IoSlice::new(b"payload"),
+            IoSlice::new(b"tail"),
+        ];
+        assert_eq!(Stream::Unix(a).write_vectored(&parts).unwrap(), 15);
+        let mut got = [0u8; 15];
+        b.read_exact(&mut got).unwrap();
+        assert_eq!(&got, b"headpayloadtail");
+    }
 
     #[test]
     fn addr_parsing() {

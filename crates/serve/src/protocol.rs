@@ -31,7 +31,7 @@ use g80_isa::{
 };
 use g80_sim::wire::{crc32, Dec, Enc};
 use g80_sim::{LaunchDims, LaunchError, LaunchReport, MemoCounters, NetCounters};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Bumped on any incompatible change to the framing, the message tags, or
 /// any embedded encoding (including [`g80_sim::wire::encode_stats`]).
@@ -51,29 +51,102 @@ pub const MAX_MEM_BYTES: u32 = 256 << 20;
 
 // ---- framing ---------------------------------------------------------------
 //
-// These are the *plain* codec functions over any Read/Write — the
-// reference implementation of the v3 frame layout, used by tests and
-// simple tooling. Live connections go through `crate::framed`, which
-// produces byte-identical frames but adds deadlines and the injected
-// transport-fault schedule.
+// The v3 frame layout over any Read/Write. `write_frame_with_crc` is the one
+// place `len | payload | crc` is put on a wire and `verify_crc` the one
+// integrity check: live connections (`crate::framed`) send and check
+// through them and add deadlines and the injected transport-fault
+// schedule; `read_frame` is the plain blocking reader for tests and
+// simple tooling.
+
+/// Payload checksum failure: the frame was consumed whole (framing is
+/// still synchronized) but its bytes are not what the peer sent. Carried
+/// inside an [`io::Error`] of kind `InvalidData`; test with
+/// [`is_crc_mismatch`].
+#[derive(Debug)]
+pub struct CrcMismatch {
+    /// The CRC the frame carried.
+    pub expected: u32,
+    /// The CRC of the payload as received.
+    pub got: u32,
+}
+
+impl std::fmt::Display for CrcMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "frame CRC mismatch: expected {:#010x}, got {:#010x}",
+            self.expected, self.got
+        )
+    }
+}
+
+impl std::error::Error for CrcMismatch {}
+
+/// True when `e` wraps a [`CrcMismatch`] — the one transport error that
+/// does NOT poison the connection.
+pub fn is_crc_mismatch(e: &io::Error) -> bool {
+    e.get_ref().is_some_and(|inner| inner.is::<CrcMismatch>())
+}
+
+/// Checks a received payload against the CRC its frame carried.
+pub(crate) fn verify_crc(payload: &[u8], wire_crc: u32) -> io::Result<()> {
+    let computed = crc32(payload);
+    if computed == wire_crc {
+        return Ok(());
+    }
+    Err(io::Error::new(
+        io::ErrorKind::InvalidData,
+        CrcMismatch {
+            expected: wire_crc,
+            got: computed,
+        },
+    ))
+}
+
+/// The header value for `payload`, or `InvalidInput` when it exceeds
+/// [`MAX_FRAME_BYTES`].
+pub(crate) fn frame_len(payload: &[u8]) -> io::Result<u32> {
+    u32::try_from(payload.len())
+        .ok()
+        .filter(|&l| l <= MAX_FRAME_BYTES)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))
+}
 
 /// Writes one CRC-trailed length-prefixed frame.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .ok()
-        .filter(|&l| l <= MAX_FRAME_BYTES)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
-    w.write_all(&crc32(payload).to_le_bytes())?;
+    write_frame_with_crc(w, payload, crc32(payload))
+}
+
+/// Puts `len | payload | crc` on the wire as ONE vectored write (resumed
+/// if the sink takes only part), then flushes. On a `TCP_NODELAY` socket
+/// three separate writes are three syscalls and three segments, and the
+/// peer is woken by a 4-byte header before its payload is even queued.
+/// `crc` is an argument so the injected `corrupt` fault can send a
+/// payload under a checksum that does not cover it.
+pub(crate) fn write_frame_with_crc(w: &mut impl Write, payload: &[u8], crc: u32) -> io::Result<()> {
+    let (head, tail) = (frame_len(payload)?.to_le_bytes(), crc.to_le_bytes());
+    let mut parts = [
+        IoSlice::new(&head),
+        IoSlice::new(payload),
+        IoSlice::new(&tail),
+    ];
+    let mut rest = &mut parts[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
 /// Reads one frame and verifies its CRC. `Ok(None)` means the peer closed
 /// the connection cleanly at a frame boundary; an oversized header is an
 /// error (framing desync — the caller must drop the connection); a CRC
-/// mismatch is an `InvalidData` error with the frame fully consumed, so
-/// framing stays synchronized.
+/// mismatch is an `InvalidData` error wrapping [`CrcMismatch`] with the
+/// frame fully consumed, so framing stays synchronized.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut hdr = [0u8; 4];
     match r.read_exact(&mut hdr) {
@@ -92,14 +165,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     r.read_exact(&mut payload)?;
     let mut crc = [0u8; 4];
     r.read_exact(&mut crc)?;
-    let wire = u32::from_le_bytes(crc);
-    let computed = crc32(&payload);
-    if wire != computed {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame CRC mismatch: expected {wire:#010x}, got {computed:#010x}"),
-        ));
-    }
+    verify_crc(&payload, u32::from_le_bytes(crc))?;
     Ok(Some(payload))
 }
 
@@ -1250,13 +1316,108 @@ mod tests {
             let mut r = &bent[..];
             let err = read_frame(&mut r).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "byte {i}");
+            assert!(is_crc_mismatch(&err), "byte {i}: untyped error {err}");
             assert!(r.is_empty(), "frame must be fully consumed on CRC failure");
         }
-        // A flipped CRC trailer byte is also caught.
+        // A flipped CRC trailer byte is also caught, and the error names
+        // what the wire carried as `expected`.
         let n = clean.len();
         let mut bent = clean.clone();
         bent[n - 1] ^= 1;
-        assert!(read_frame(&mut &bent[..]).is_err());
+        let err = read_frame(&mut &bent[..]).unwrap_err();
+        let mismatch = err.get_ref().unwrap().downcast_ref::<CrcMismatch>();
+        let mismatch = mismatch.expect("typed CrcMismatch");
+        assert_eq!(mismatch.got, crc32(b"integrity"));
+        assert_eq!(mismatch.expected, crc32(b"integrity") ^ (1 << 24));
+    }
+
+    /// An in-memory wire that takes at most `cap` bytes per write call and
+    /// counts the calls.
+    struct Sink {
+        cap: usize,
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Sink {
+        fn accepting(cap: usize) -> Self {
+            Sink {
+                cap,
+                calls: 0,
+                bytes: Vec::new(),
+            }
+        }
+    }
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut room = self.cap;
+            for b in bufs {
+                let n = b.len().min(room);
+                self.bytes.extend_from_slice(&b[..n]);
+                room -= n;
+            }
+            Ok(self.cap - room)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn hello_frame_bytes_are_pinned() {
+        // Length, payload and CRC (zlib's value) of one real message: the
+        // layout, the polynomial, init, final xor and both endiannesses
+        // cannot drift without this test changing.
+        let hello = Request::Hello {
+            version: 3,
+            tenant: "probe".into(),
+        };
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &hello.encode()).unwrap();
+        let hex: String = wire.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, "10000000000300050000000000000070726f6265080a95f1");
+    }
+
+    #[test]
+    fn clean_frame_is_one_write_call() {
+        let payload = vec![0x5au8; 8411];
+        let mut sink = Sink::accepting(usize::MAX);
+        write_frame(&mut sink, &payload).unwrap();
+        write_frame(&mut sink, b"").unwrap();
+        assert_eq!(sink.calls, 2, "one write per frame, empty payload included");
+        let mut expect = Vec::new();
+        expect.extend_from_slice(&8411u32.to_le_bytes());
+        expect.extend_from_slice(&payload);
+        expect.extend_from_slice(&crc32(&payload).to_le_bytes());
+        // An empty payload still frames as `0 | | crc32("")`.
+        expect.extend_from_slice(&[0; 8]);
+        assert_eq!(sink.bytes, expect);
+    }
+
+    #[test]
+    fn partial_writes_resume_to_the_exact_frame() {
+        let payload: Vec<u8> = (0..1000u32).map(|i| (i * 7) as u8).collect();
+        let mut whole = Vec::new();
+        write_frame(&mut whole, &payload).unwrap();
+        for cap in 1..=7 {
+            let mut sink = Sink::accepting(cap);
+            write_frame(&mut sink, &payload).unwrap();
+            assert_eq!(sink.bytes, whole, "cap {cap}");
+            assert_eq!(sink.calls, whole.len().div_ceil(cap), "cap {cap}");
+        }
+        let mut r = &whole[..];
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&payload[..]));
+    }
+
+    #[test]
+    fn a_sink_that_accepts_nothing_is_write_zero_not_a_spin() {
+        let err = write_frame(&mut Sink::accepting(0), b"stuck").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 
     #[test]
