@@ -16,9 +16,11 @@ use g80_isa::builder::{KernelBuilder, Unroll};
 use g80_isa::inst::{CmpOp, Operand, Pred, Scalar};
 use g80_isa::{Kernel, Reg, Value};
 use g80_sim::KernelStats;
+use std::collections::HashMap;
+use std::sync::{Arc, LazyLock, Mutex, PoisonError};
 
 /// Which matmul kernel to build.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Variant {
     /// Figure 3(a): no data reuse.
     Naive,
@@ -36,6 +38,20 @@ pub enum Variant {
 }
 
 impl Variant {
+    /// The auto-tuner's search space (Section 6): naive, tiled 4/8/16 rolled
+    /// and unrolled, prefetch, register tiling — nine kernels.
+    pub fn tuner_sweep() -> Vec<Variant> {
+        let mut v = vec![Variant::Naive];
+        for tile in [4, 8, 16] {
+            for unroll in [false, true] {
+                v.push(Variant::Tiled { tile, unroll });
+            }
+        }
+        v.push(Variant::Prefetch { tile: 16 });
+        v.push(Variant::RegTiled { tile: 16 });
+        v
+    }
+
     /// Block shape (x, y). Register tiling halves the y extent: each
     /// thread covers two C rows.
     pub fn block_shape(&self) -> (u32, u32) {
@@ -77,6 +93,13 @@ pub struct MatMul {
     pub n: u32,
 }
 
+/// Built kernels by `(n, variant)`; see [`MatMul::shared_kernel`].
+type BuiltKernels = HashMap<(u32, Variant), Arc<Kernel>>;
+static BUILT: LazyLock<Mutex<BuiltKernels>> = LazyLock::new(Mutex::default);
+/// Bound on [`BUILT`] (a sweep family at a few sizes is a few dozen kernels
+/// of a few KB each).
+const BUILT_CAP: usize = 64;
+
 impl MatMul {
     /// Generates the two input matrices.
     pub fn generate(&self, seed: u64) -> (Vec<f32>, Vec<f32>) {
@@ -116,8 +139,37 @@ impl MatMul {
         }
     }
 
-    /// Builds the kernel for a variant.
+    /// The kernel for a variant (an owned copy of the shared build).
     pub fn kernel(&self, variant: Variant) -> Kernel {
+        Kernel::clone(&self.shared_kernel(variant))
+    }
+
+    /// The kernel for a variant, built on first request and shared after:
+    /// the build is a pure function of `(n, variant)` and the paper's method
+    /// — walks, sweeps, the tuner — asks for the same handful of kernels
+    /// thousands of times (a rebuild was a third of a revisit sweep). The
+    /// map holds no configuration and nothing observable but time; when
+    /// full it is simply emptied, and a later request rebuilds.
+    fn shared_kernel(&self, variant: Variant) -> Arc<Kernel> {
+        let key = (self.n, variant);
+        // Every update leaves the map valid, so a poisoned lock is usable.
+        let built = || BUILT.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(kernel) = built().get(&key) {
+            return Arc::clone(kernel);
+        }
+        // Built outside the lock: a build can panic (a size the tile does
+        // not divide) and two threads racing here build equal kernels.
+        let kernel = Arc::new(self.build(variant));
+        let mut built = built();
+        if built.len() >= BUILT_CAP {
+            built.clear();
+        }
+        built.insert(key, Arc::clone(&kernel));
+        kernel
+    }
+
+    /// Builds the kernel for a variant.
+    fn build(&self, variant: Variant) -> Kernel {
         match variant {
             Variant::Naive => self.naive_kernel(),
             Variant::Tiled { tile, unroll } => self.tiled_kernel(tile, unroll, false),
@@ -380,7 +432,7 @@ impl MatMul {
         dev.copy_to_device(&da, a);
         dev.copy_to_device(&db, bm);
 
-        let kernel = self.kernel(variant);
+        let kernel = self.shared_kernel(variant);
         let t = variant.block_edge();
         let (bx, by) = variant.block_shape();
         let stats = dev
@@ -413,7 +465,7 @@ impl MatMul {
 
         struct Prep {
             dev: Device,
-            kernel: Kernel,
+            kernel: Arc<Kernel>,
             params: [Value; 3],
             dc: DeviceBuffer<f32>,
         }
@@ -427,7 +479,7 @@ impl MatMul {
                 dev.copy_to_device(&da, a);
                 dev.copy_to_device(&db, bm);
                 Prep {
-                    kernel: self.kernel(v),
+                    kernel: self.shared_kernel(v),
                     params: [da.as_param(), db.as_param(), dc.as_param()],
                     dc,
                     dev,
@@ -560,6 +612,69 @@ mod tests {
             assert_eq!(stats.flops, want_stats.flops, "{}", v.label());
             assert_eq!(timeline.launches, 1);
         }
+    }
+
+    fn assert_same_kernel(what: &str, got: &Kernel, want: &Kernel) {
+        assert_eq!(got.name, want.name, "{what}: name");
+        assert_eq!(got.code, want.code, "{what}: code");
+        assert_eq!(got.regs_per_thread, want.regs_per_thread, "{what}: regs");
+        assert_eq!(got.smem_bytes, want.smem_bytes, "{what}: smem");
+        assert_eq!(got.num_params, want.num_params, "{what}: params");
+    }
+
+    #[test]
+    fn shared_kernels_equal_fresh_builds() {
+        for n in [16, 48] {
+            let mm = MatMul { n };
+            for v in Variant::tuner_sweep() {
+                let what = format!("n={n} {}", v.label());
+                let fresh = mm.build(v);
+                // Twice: the build that fills the map and the copy out of it.
+                assert_same_kernel(&what, &mm.kernel(v), &fresh);
+                assert_same_kernel(&what, &mm.kernel(v), &fresh);
+                // A caller's edit to its copy stays the caller's.
+                let forced = mm.kernel(v).with_forced_regs(63);
+                assert_eq!(forced.regs_per_thread, 63);
+                assert_same_kernel(&what, &mm.kernel(v), &fresh);
+            }
+        }
+    }
+
+    #[test]
+    fn shared_kernels_agree_across_threads_and_past_the_bound() {
+        let mm = MatMul { n: 80 };
+        let v = Variant::Tiled {
+            tile: 16,
+            unroll: true,
+        };
+        let fresh = mm.build(v);
+        // Eight threads released together onto a key no other test uses.
+        let gate = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            let asked: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        gate.wait();
+                        mm.kernel(v)
+                    })
+                })
+                .collect();
+            for (i, h) in asked.into_iter().enumerate() {
+                let got = h.join().expect("kernel() panicked");
+                assert_same_kernel(&format!("thread {i}"), &got, &fresh);
+            }
+        });
+        // More distinct keys than the map holds: it empties itself on the
+        // way and every answer, old key or new, is still the fresh build.
+        for n in (16..).step_by(16).take(BUILT_CAP + 16) {
+            let mm = MatMul { n };
+            assert_same_kernel(
+                &format!("naive n={n}"),
+                &mm.kernel(Variant::Naive),
+                &mm.build(Variant::Naive),
+            );
+        }
+        assert_same_kernel("after the map rolled over", &mm.kernel(v), &fresh);
     }
 
     #[test]

@@ -46,8 +46,8 @@ pub fn figure4(n: u32) -> Vec<Fig4Row> {
     // tiling ([22]).
     variants.push(Variant::RegTiled { tile: 16 });
     let cfg = GpuConfig::geforce_8800_gtx();
-    // All eleven configurations go down as one batch: one predecode per
-    // kernel, every launch's SM tasks interleaved on the worker pool.
+    // All eleven configurations go down as one batch: the launches run
+    // concurrently on the worker pool.
     let results = mm.run_batch(&variants, &a, &b);
     variants
         .into_iter()
@@ -260,14 +260,7 @@ pub fn render_section4(steps: &[Sec4Step], cliff: &(Sec4Step, Sec4Step)) -> Stri
 pub fn tuner_search(n: u32) -> (String, f64) {
     let mm = MatMul { n };
     let (a, b) = mm.generate(42);
-    let mut configs = vec![Variant::Naive];
-    for tile in [4u32, 8, 16] {
-        for unroll in [false, true] {
-            configs.push(Variant::Tiled { tile, unroll });
-        }
-    }
-    configs.push(Variant::Prefetch { tile: 16 });
-    configs.push(Variant::RegTiled { tile: 16 });
+    let configs = Variant::tuner_sweep();
     // Exhaustive sweep as one batched launch instead of serial runs.
     let evals = mm.run_batch(&configs, &a, &b);
     let result = SweepResult::from_samples(

@@ -379,10 +379,10 @@ pub struct BatchLaunch<'a> {
 }
 
 /// Launches every entry through the simulator's batched path
-/// ([`g80_sim::launch_batch`]): one predecode per distinct kernel, all SM
-/// tasks of all launches interleaved on the shared worker pool. Results come
-/// back in entry order and each entry's timeline is charged exactly as a
-/// serial [`Device::launch`] loop would.
+/// ([`g80_sim::launch_batch`]): cache hits resolve on the caller, misses
+/// simulate concurrently on the shared worker pool. Results come back in
+/// entry order and each entry's timeline is charged exactly as a serial
+/// [`Device::launch`] loop would.
 pub fn launch_batch(entries: &[BatchLaunch]) -> Vec<Result<KernelStats, g80_sim::LaunchError>> {
     if entries.is_empty() {
         return Vec::new();

@@ -150,6 +150,78 @@ impl GpuConfig {
         }
     }
 
+    /// Feeds every field to `h`, in declaration order — the launch memo's
+    /// key for "which machine". The destructuring names every field and has
+    /// no `..`, so adding a field without hashing it does not compile.
+    /// Floats go in by bit pattern: two configs that differ in any bit are
+    /// different machines to the cache.
+    pub(crate) fn hash_fields(&self, h: &mut impl std::hash::Hasher) {
+        let GpuConfig {
+            num_sms,
+            sps_per_sm,
+            sfus_per_sm,
+            clock_ghz,
+            warp_size,
+            max_threads_per_sm,
+            max_blocks_per_sm,
+            max_threads_per_block,
+            registers_per_sm,
+            smem_per_sm,
+            smem_banks,
+            const_mem_bytes,
+            const_cache_bytes,
+            tex_cache_bytes,
+            tex_line_bytes,
+            issue_cycles,
+            sfu_issue_cycles,
+            imul_issue_cycles,
+            alu_latency,
+            sfu_latency,
+            smem_latency,
+            const_hit_latency,
+            tex_hit_latency,
+            global_latency,
+            barrier_latency,
+            dram_gbps,
+            coalesced_txn_bytes,
+            uncoalesced_txn_bytes,
+            combine_duplicates,
+        } = *self;
+        for field in [
+            num_sms as u64,
+            sps_per_sm as u64,
+            sfus_per_sm as u64,
+            clock_ghz.to_bits(),
+            warp_size as u64,
+            max_threads_per_sm as u64,
+            max_blocks_per_sm as u64,
+            max_threads_per_block as u64,
+            registers_per_sm as u64,
+            smem_per_sm as u64,
+            smem_banks as u64,
+            const_mem_bytes as u64,
+            const_cache_bytes as u64,
+            tex_cache_bytes as u64,
+            tex_line_bytes as u64,
+            issue_cycles,
+            sfu_issue_cycles,
+            imul_issue_cycles,
+            alu_latency,
+            sfu_latency,
+            smem_latency,
+            const_hit_latency,
+            tex_hit_latency,
+            global_latency,
+            barrier_latency,
+            dram_gbps.to_bits(),
+            coalesced_txn_bytes as u64,
+            uncoalesced_txn_bytes as u64,
+            combine_duplicates as u64,
+        ] {
+            h.write_u64(field);
+        }
+    }
+
     /// Maximum resident warps per SM.
     pub fn max_warps_per_sm(&self) -> u32 {
         self.max_threads_per_sm / self.warp_size

@@ -11,9 +11,9 @@
 //! launches share one set of worker threads and no thread is spawned per
 //! launch.
 //!
-//! [`launch_batch`] amortizes further across *independent* launches: one
-//! predecode per distinct kernel and a single pool scope for every SM task
-//! of every launch in the batch.
+//! [`launch_batch`] runs *independent* launches concurrently: every spec is
+//! probed against the cache tiers on the caller, and each miss becomes one
+//! pool task that runs the same [`simulate`] a single [`launch`] does.
 
 use crate::config::GpuConfig;
 use crate::counters::{KernelStats, SmStats};
@@ -28,7 +28,6 @@ use g80_isa::{DecodedKernel, Kernel, Value};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Arc;
 
 /// Which timing-engine implementation [`launch`] uses. Both produce
 /// bit-identical [`KernelStats`].
@@ -350,7 +349,7 @@ pub fn launch(
     };
     // A single launch has exclusive use of its memory for the duration of
     // the call (the caller handed us `&DeviceMemory` and blocks on the
-    // result), so the memo snapshot/diff is sound.
+    // result), so the memo digest/diff is sound.
     launch_with_memo(cfg, spec, true).map(|(stats, _)| stats)
 }
 
@@ -416,31 +415,68 @@ fn launch_with_memo(
     }
 }
 
-/// One attempt at a launch: validate, probe the memo cache, simulate,
-/// record. Unwinds from the simulation (kernel bugs, watchdog aborts,
-/// injected faults) are caught per launch and classified into
-/// [`LaunchError`]s; launch-time validation panics (e.g. the 32-lane-warp
-/// engine limit) stay panics.
+/// One attempt at a launch: [`probe`], then [`simulate`] on a miss.
 fn launch_once(
     cfg: &GpuConfig,
     spec: LaunchSpec,
     exclusive_mem: bool,
 ) -> Result<(KernelStats, Served), LaunchError> {
+    match probe(cfg, spec, exclusive_mem)? {
+        Probe::Hit(stats, served) => Ok((*stats, served)),
+        Probe::Miss(miss) => simulate(cfg, spec, miss),
+    }
+}
+
+/// Outcome of [`probe`] for a valid launch.
+enum Probe {
+    /// A cache tier answered; the memory effect is already applied.
+    Hit(Box<KernelStats>, Served),
+    /// Nothing cached (or memoization is off for this launch): simulate.
+    Miss(Miss),
+}
+
+/// What [`probe`] hands to [`simulate`].
+struct Miss {
+    blocks_per_sm: u32,
+    /// The memo token to record the result under, when memoizing.
+    pending: Option<memo::MemoPending>,
+}
+
+/// The cheap half of a launch: validate, then ask the memo cache. Runs on
+/// the calling thread; launch-time validation panics (e.g. the
+/// 32-lane-warp engine limit) stay panics.
+fn probe(cfg: &GpuConfig, spec: LaunchSpec, exclusive_mem: bool) -> Result<Probe, LaunchError> {
     let blocks_per_sm = validate(cfg, &spec)?;
-    let lookup = memo::memo_lookup(
+    let pending = match memo::memo_lookup(
         cfg,
         spec.kernel,
         spec.dims,
         spec.params,
         spec.mem,
         exclusive_mem,
-    );
-    if let memo::MemoLookup::Hit(stats, served) = lookup {
-        return Ok((*stats, served));
-    }
+    ) {
+        memo::MemoLookup::Hit(stats, served) => return Ok(Probe::Hit(stats, served)),
+        memo::MemoLookup::Miss(pending) => Some(pending),
+        memo::MemoLookup::Disabled => None,
+    };
+    Ok(Probe::Miss(Miss {
+        blocks_per_sm,
+        pending,
+    }))
+}
+
+/// The expensive half: predecode registry, SM simulation (with donor-SM
+/// reuse), merge, record. Unwinds from the simulation (kernel bugs,
+/// watchdog aborts, injected faults) are caught and classified into
+/// [`LaunchError`]s, so they cost this launch only.
+fn simulate(
+    cfg: &GpuConfig,
+    spec: LaunchSpec,
+    miss: Miss,
+) -> Result<(KernelStats, Served), LaunchError> {
     let prepared = Prepared {
         spec,
-        blocks_per_sm,
+        blocks_per_sm: miss.blocks_per_sm,
         per_sm_blocks: assign_blocks(cfg, spec.dims),
     };
 
@@ -461,8 +497,8 @@ fn launch_once(
 
     let results = run_sms(cfg, &prepared, decoded, dedup, shared_uniform)?;
     let stats = prepared.merge(cfg, results);
-    if let memo::MemoLookup::Miss(pending) = lookup {
-        memo::memo_record(pending, prepared.spec.mem, &stats);
+    if let Some(pending) = miss.pending {
+        memo::memo_record(pending, spec.mem, &stats);
     }
     Ok((stats, Served::Simulated))
 }
@@ -605,12 +641,12 @@ fn run_sms(
 /// Launches a fleet of independent kernels and runs them all to completion,
 /// returning one result per spec **in input order**.
 ///
-/// Compared with calling [`launch`] in a loop, a batch predecodes each
-/// distinct kernel once (specs are keyed by the `&Kernel` reference they
-/// share) and submits every SM task of every launch into a single pool
-/// scope, so the whole fleet drains through one set of workers with work
-/// stealing across launches. Simulated statistics are bit-identical to the
-/// sequential loop for any worker count.
+/// Compared with calling [`launch`] in a loop, a batch runs its cache
+/// misses concurrently, one pool task per launch (large launches still fan
+/// their SMs out from inside that task), while hits resolve on the caller
+/// without touching the pool. Each launch goes through the same
+/// probe-then-simulate path as [`launch`], so simulated statistics and
+/// memory are bit-identical to the sequential loop for any worker count.
 pub fn launch_batch(
     cfg: &GpuConfig,
     specs: &[LaunchSpec],
@@ -664,142 +700,49 @@ pub fn launch_batch_traced(
     }
 }
 
-/// One attempt at a batch. A panic in any SM task (or in a spec's
-/// predecode) costs only the launch that owns it; every other entry's tasks
-/// still run and merge normally.
+/// One attempt at a batch. Every spec is probed serially on the caller —
+/// a hit is a few microseconds and routing it through the pool costs more
+/// than it saves — then each miss is one pool task running [`simulate`]. A
+/// panic that escapes a task costs only the launch that owns it.
 fn launch_batch_once(
     cfg: &GpuConfig,
     specs: &[LaunchSpec],
 ) -> Vec<Result<(KernelStats, Served), LaunchError>> {
-    let prepared: Vec<Result<Prepared, LaunchError>> = specs
-        .iter()
-        .map(|&spec| {
-            let blocks_per_sm = validate(cfg, &spec)?;
-            Ok(Prepared {
-                spec,
-                blocks_per_sm,
-                per_sm_blocks: assign_blocks(cfg, spec.dims),
-            })
-        })
-        .collect();
-
-    // Degradation outcomes discovered after validation (decode unwinds, SM
-    // task panics) land here; the first per spec wins.
-    let mut per_spec_err: Vec<Option<LaunchError>> = vec![None; specs.len()];
-
-    // Kernel info comes from the process-wide content-hash registry: each
-    // distinct kernel is predecoded (and dataflow-analyzed) once per
-    // *process*, shared across batches and with plain `launch` calls. A
-    // decode unwind (injected isa.decode fault) fails only the specs that
-    // use that kernel.
-    let eng = engine();
-    let infos: Vec<Option<Arc<memo::KernelInfo>>> = prepared
-        .iter()
-        .enumerate()
-        .map(|(si, p)| match (eng, p) {
-            (Engine::Reference, _) | (_, Err(_)) => None,
-            (_, Ok(p)) => {
-                match catch_unwind(AssertUnwindSafe(|| memo::kernel_info(p.spec.kernel))) {
-                    Ok(info) => Some(info),
-                    Err(e) => {
-                        per_spec_err[si] = Some(classify_panic(e));
-                        None
-                    }
-                }
-            }
-        })
-        .collect();
-
     // Memo exclusivity: launches in the batch run concurrently, so a spec
     // sharing its `DeviceMemory` with another spec cannot be memoized (its
-    // input snapshot / output diff would race the other launch's writes).
+    // input digest / output diff would race the other launch's writes).
     let mut mem_uses: HashMap<*const DeviceMemory, usize> = HashMap::new();
     for s in specs {
         *mem_uses.entry(std::ptr::from_ref(s.mem)).or_insert(0) += 1;
     }
 
-    // Probe the memo cache per spec before any simulation starts. Hits
-    // apply their memory delta immediately, which is safe precisely because
-    // only exclusively-owned memories are probed.
-    let mut hit_stats: Vec<Option<(KernelStats, Served)>> = vec![None; specs.len()];
-    let mut pendings: Vec<Option<memo::MemoPending>> = Vec::with_capacity(specs.len());
-    for (si, p) in prepared.iter().enumerate() {
-        let mut pending = None;
-        if let (Ok(p), None) = (p, &per_spec_err[si]) {
-            let exclusive = mem_uses[&std::ptr::from_ref(p.spec.mem)] == 1;
-            let s = &p.spec;
-            match memo::memo_lookup(cfg, s.kernel, s.dims, s.params, s.mem, exclusive) {
-                memo::MemoLookup::Hit(stats, served) => hit_stats[si] = Some((*stats, served)),
-                memo::MemoLookup::Miss(pend) => pending = Some(pend),
-                memo::MemoLookup::Disabled => {}
-            }
-        }
-        pendings.push(pending);
-    }
-
-    // One flat task list across all launches in the batch; memo hits are
-    // already resolved and submit no tasks.
-    let dedup_on = memo::dedup() == memo::Dedup::On;
-    let mut tasks: Vec<Box<dyn FnOnce() -> SmStats + Send + '_>> = Vec::new();
-    let mut owners: Vec<(usize, usize)> = Vec::new(); // (spec index, sm index)
-    for (si, p) in prepared.iter().enumerate() {
-        let Ok(p) = p else { continue };
-        if hit_stats[si].is_some() || per_spec_err[si].is_some() {
-            continue;
-        }
-        let decoded = infos[si].as_deref().map(|i| &i.decoded);
-        let dedup = dedup_on && infos[si].as_deref().is_some_and(|i| i.dedup_eligible);
-        let su = infos[si].as_deref().is_some_and(|i| i.shared_uniform);
-        for (sm, blocks) in p.per_sm_blocks.iter().enumerate() {
-            if blocks.is_empty() {
-                continue;
-            }
-            owners.push((si, sm));
-            tasks.push(Box::new(move || {
-                p.run_sm(decoded, blocks, cfg, dedup, su, None)
-            }));
-        }
-    }
-    let flat = pool::try_run_tasks(tasks);
-
-    // Scatter SM results back to their launches and merge per launch. A
-    // panicked task fails its owning spec (first panic in SM order wins)
-    // without contaminating any other entry: every slot was filled
-    // independently under its own catch.
-    let mut per_spec: Vec<Vec<SmStats>> = prepared
+    // Hits apply their memory delta during the probe, before any simulation
+    // starts, which is safe precisely because only exclusively-owned
+    // memories are probed.
+    let mut misses = Vec::new();
+    let resolved: Vec<Option<Result<(KernelStats, Served), LaunchError>>> = specs
         .iter()
-        .map(|p| match p {
-            Ok(_) => vec![SmStats::default(); cfg.num_sms as usize],
-            Err(_) => Vec::new(),
+        .map(|&spec| {
+            let exclusive = mem_uses[&std::ptr::from_ref(spec.mem)] == 1;
+            match probe(cfg, spec, exclusive) {
+                Err(e) => Some(Err(e)),
+                Ok(Probe::Hit(stats, served)) => Some(Ok((*stats, served))),
+                Ok(Probe::Miss(miss)) => {
+                    misses.push(move || simulate(cfg, spec, miss));
+                    None
+                }
+            }
         })
         .collect();
-    for ((si, sm), slot) in owners.into_iter().zip(flat) {
-        match slot {
-            Ok(stats) => per_spec[si][sm] = stats,
-            Err(p) => {
-                if per_spec_err[si].is_none() {
-                    per_spec_err[si] = Some(classify_panic(p.0));
-                }
-            }
-        }
-    }
-    prepared
+    let mut simulated = pool::try_run_tasks(misses).into_iter();
+    resolved
         .into_iter()
-        .zip(per_spec)
-        .enumerate()
-        .map(|(si, (p, results))| {
-            p.and_then(|p| {
-                if let Some(e) = per_spec_err[si].take() {
-                    return Err(e);
-                }
-                if let Some((stats, served)) = hit_stats[si].take() {
-                    return Ok((stats, served));
-                }
-                let stats = p.merge(cfg, results);
-                if let Some(pending) = pendings[si].take() {
-                    memo::memo_record(pending, p.spec.mem, &stats);
-                }
-                Ok((stats, Served::Simulated))
+        .map(|r| {
+            r.unwrap_or_else(|| {
+                simulated
+                    .next()
+                    .expect("one simulation per miss")
+                    .unwrap_or_else(|p| Err(classify_panic(p.0)))
             })
         })
         .collect()
@@ -1026,9 +969,9 @@ mod tests {
 
     #[test]
     fn batch_shares_predecode_across_specs_of_one_kernel() {
-        // Same kernel reference three times: the batch predecodes it once
-        // (observable only through correctness here; the stats must match
-        // three independent launches).
+        // Same kernel three times: the content-keyed registry predecodes it
+        // once (observable only through correctness here; the stats must
+        // match three independent launches).
         let (cfg, k, _) = setup();
         let mems: Vec<DeviceMemory> = (0..3).map(|_| DeviceMemory::new(1 << 16)).collect();
         let params = [Value::from_u32(0)];

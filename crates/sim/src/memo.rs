@@ -231,9 +231,6 @@ impl Mix64 {
     pub(crate) fn new(seed: u64) -> Self {
         Mix64(seed ^ 0x9e37_79b9_7f4a_7c15)
     }
-    fn finish128(a: Mix64, b: Mix64) -> (u64, u64) {
-        (a.finish(), b.finish())
-    }
 }
 
 impl Hasher for Mix64 {
@@ -259,17 +256,135 @@ impl Hasher for Mix64 {
     }
 }
 
-fn hash128(feed: impl Fn(&mut Mix64)) -> (u64, u64) {
-    let mut a = Mix64::new(0x243f_6a88_85a3_08d3);
-    let mut b = Mix64::new(0x1319_8a2e_0370_7344);
-    feed(&mut a);
-    feed(&mut b);
-    Mix64::finish128(a, b)
+/// The 128-bit streaming hasher every memo digest goes through: two
+/// [`Mix64`] lanes under different seeds, both advanced by every write, so
+/// the input is fed once and the two multiply chains overlap. Narrow
+/// integers (enum tags, `bool`s, lengths) take one step each instead of
+/// falling back to the bytewise loop.
+pub(crate) struct Mix128 {
+    a: Mix64,
+    b: Mix64,
+}
+
+impl Mix128 {
+    pub(crate) fn new() -> Self {
+        Mix128 {
+            a: Mix64::new(0x243f_6a88_85a3_08d3),
+            b: Mix64::new(0x1319_8a2e_0370_7344),
+        }
+    }
+    pub(crate) fn finish128(&self) -> (u64, u64) {
+        (self.a.finish(), self.b.finish())
+    }
+}
+
+impl Hasher for Mix128 {
+    fn write(&mut self, bytes: &[u8]) {
+        self.a.write(bytes);
+        self.b.write(bytes);
+    }
+    fn write_u8(&mut self, v: u8) {
+        self.write_u32(v as u32);
+    }
+    fn write_u16(&mut self, v: u16) {
+        self.write_u32(v as u32);
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.a.write_u32(v);
+        self.b.write_u32(v);
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.a.write_u64(v);
+        self.b.write_u64(v);
+    }
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+    /// The first half; [`Mix128::finish128`] is the digest.
+    fn finish(&self) -> u64 {
+        self.a.finish()
+    }
+}
+
+/// Independent lanes of [`wide_digest`].
+const WIDE_LANES: usize = 4;
+
+/// One lane step of [`wide_digest`]. A lane is 128 bits of state as two
+/// words; a step multiplies `lo ^ chunk` by an odd constant into the full
+/// 64×64→128-bit product and combines the old state into it *swapped*, once
+/// by xor and once by addition: `(lo, hi) ← (p_lo ^ hi, p_hi + lo)`. Both
+/// product halves are kept, so one multiply puts a chunk into both words.
+///
+/// What the construction has to rule out: an odd multiplier passes the top
+/// bit of `lo ^ chunk` through as exactly the top bit of `p_lo`, so a step
+/// that keeps only a rotated or xor-shifted `p_lo` turns a top-bit flip into
+/// one fixed state difference, and a matching flip in the lane's next chunk
+/// removes it — negating two f32 words eight apart would leave all 128 bits
+/// unchanged. Here the same flip also moves `p_hi` by `K/2` plus a carry,
+/// whose xor difference depends on the state (at most 2⁻²⁰ for any one
+/// value), and the swap keeps it: a chunk is only ever xored into `lo`, the
+/// difference it cannot reach sits in `hi`, and the step that cancels one
+/// word moves the other into its place. For a difference to die, a later
+/// step's `p_lo` and `p_hi` differences must both equal what the lane holds,
+/// two state-dependent matches; xor on one word and `+` on the other keep a
+/// repeat of the first difference from being that match. (A hash, not a MAC:
+/// whoever knows the state can still construct a collision.)
+#[inline(always)]
+fn lane_step((lo, hi): (u64, u64), chunk: u64) -> (u64, u64) {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let p = (lo ^ chunk) as u128 * K as u128;
+    (p as u64 ^ hi, ((p >> 64) as u64).wrapping_add(lo))
+}
+
+/// Wide one-pass 128-bit digest of bulk data (the device image, the constant
+/// bank, a memo entry's delta). The input is cut into 64-bit chunks of `per`
+/// items each; chunk `i` goes to lane `i mod 4`, four independent multiply
+/// chains — a streaming hasher spends its time waiting on one chain's
+/// latency — and [`lane_step`] spreads it over both words of the lane's
+/// 128-bit state. The step is not a bijection: two states of a lane merge
+/// with probability 2⁻¹²⁸ a step, an ideal hash's rate. A short last round is
+/// zero-padded; the item count (so padding cannot alias a longer input) and
+/// the eight lane words are folded through [`Mix128`], every word into both
+/// halves of the digest.
+#[inline]
+pub(crate) fn wide_digest<T>(items: &[T], per: usize, chunk: impl Fn(&[T]) -> u64) -> (u64, u64) {
+    let mut lanes: [(u64, u64); WIDE_LANES] = [
+        (0xa409_3822_299f_31d0, 0xc0ac_29b7_c97c_50dd),
+        (0x082e_fa98_ec4e_6c89, 0x3f84_d5b5_b547_0917),
+        (0x4528_21e6_38d0_1377, 0x9216_d5d9_8979_fb1b),
+        (0xbe54_66cf_34e9_0c6c, 0xd131_0ba6_98df_b5ac),
+    ];
+    let mut round = |chunks: [u64; WIDE_LANES]| {
+        for (lane, c) in lanes.iter_mut().zip(chunks) {
+            *lane = lane_step(*lane, c);
+        }
+    };
+    let mut rounds = items.chunks_exact(per * WIDE_LANES);
+    for r in &mut rounds {
+        round(std::array::from_fn(|l| chunk(&r[per * l..per * (l + 1)])));
+    }
+    let rest = rounds.remainder();
+    if !rest.is_empty() {
+        let mut last = [0u64; WIDE_LANES];
+        for (slot, c) in last.iter_mut().zip(rest.chunks(per)) {
+            *slot = chunk(c);
+        }
+        round(last);
+    }
+    let mut h = Mix128::new();
+    h.write_u64(items.len() as u64);
+    for (lo, hi) in lanes {
+        h.write_u64(lo);
+        h.write_u64(hi);
+    }
+    h.finish128()
 }
 
 /// Content hash of a kernel's code (the predecode registry key).
 fn code_hash(code: &[g80_isa::Inst]) -> (u64, u64) {
-    hash128(|h| code.hash(h))
+    let mut h = Mix128::new();
+    code.hash(&mut h);
+    h.finish128()
 }
 
 // ---- predecode registry ----------------------------------------------------
@@ -376,6 +491,13 @@ struct MemoKey {
 }
 
 struct MemoEntry {
+    /// Shared, immutable once recorded: a hit clones the `Arc` under the
+    /// cache lock and verifies and replays it after releasing the lock.
+    payload: Arc<MemoPayload>,
+    last_used: u64,
+}
+
+struct MemoPayload {
     stats: KernelStats,
     /// Sparse post-launch memory effect: (word index, new value).
     delta: Vec<(u32, u32)>,
@@ -384,11 +506,11 @@ struct MemoEntry {
     /// evicted and the launch falls back to fresh simulation, counted as a
     /// miss.
     checksum: u64,
-    last_used: u64,
 }
 
 /// Integrity digest of a memo entry's payload. HashMap-valued stats fields
-/// are folded in sorted order so the digest is iteration-order independent.
+/// are folded in sorted order so the digest is iteration-order independent;
+/// the delta, the bulk of the payload, goes through [`wide_digest`].
 fn entry_checksum(stats: &KernelStats, delta: &[(u32, u32)]) -> u64 {
     let mut h = Mix64::new(0x4528_21e6_38d0_1377);
     stats.name.hash(&mut h);
@@ -436,12 +558,15 @@ fn entry_checksum(stats: &KernelStats, delta: &[(u32, u32)]) -> u64 {
         h.write_u32(k as u32);
         h.write_u64(v);
     }
-    h.write_u64(delta.len() as u64);
-    for &(i, w) in delta {
-        h.write_u32(i);
-        h.write_u32(w);
-    }
+    let (a, b) = delta_digest(delta);
+    h.write_u64(a);
+    h.write_u64(b);
     h.finish()
+}
+
+/// [`wide_digest`] of a delta, one (index, value) pair to a chunk.
+fn delta_digest(delta: &[(u32, u32)]) -> (u64, u64) {
+    wide_digest(delta, 1, |d| d[0].0 as u64 | (d[0].1 as u64) << 32)
 }
 
 struct LaunchCache {
@@ -518,55 +643,30 @@ fn memo_key(
     kernel: &Kernel,
     dims: LaunchDims,
     params: &[Value],
-    pre: &[u32],
     mem: &DeviceMemory,
     mode: u8,
 ) -> MemoKey {
-    let kernel_hash = hash128(|h| {
-        kernel.name.hash(h);
-        kernel.code.hash(h);
-        h.write_u32(kernel.regs_per_thread);
-        h.write_u32(kernel.smem_bytes);
-        h.write_u32(kernel.num_params as u32);
-    });
-    // GpuConfig is a plain struct of scalars with a derived Debug; hashing
-    // the debug rendering keys on every field without enumerating them here.
-    let config = {
-        let mut h = Mix64::new(0xa409_3822_299f_31d0);
-        format!("{cfg:?}").hash(&mut h);
-        h.finish()
-    };
-    let params_hash = {
-        let mut h = Mix64::new(0x082e_fa98_ec4e_6c89);
-        for v in params {
-            h.write_u32(v.0);
-        }
-        h.finish()
-    };
-    let input = hash128(|h| {
-        for &w in pre {
-            h.write_u32(w);
-        }
-        h.write_u64(0x5eed); // domain separator
-        for &w in &mem.const_bank {
-            h.write_u32(w);
-        }
-        match mem.tex_binding {
-            Some((base, len)) => {
-                h.write_u32(1);
-                h.write_u32(base);
-                h.write_u32(len);
-            }
-            None => h.write_u32(0),
-        }
-    });
+    let mut h = Mix128::new();
+    kernel.name.hash(&mut h);
+    kernel.code.hash(&mut h);
+    h.write_u32(kernel.regs_per_thread);
+    h.write_u32(kernel.smem_bytes);
+    h.write_u32(kernel.num_params as u32);
+    let kernel_hash = h.finish128();
+    let mut h = Mix64::new(0xa409_3822_299f_31d0);
+    cfg.hash_fields(&mut h);
+    let config = h.finish();
+    let mut h = Mix64::new(0x082e_fa98_ec4e_6c89);
+    for v in params {
+        h.write_u32(v.0);
+    }
     MemoKey {
         kernel: kernel_hash,
         config,
         grid: dims.grid,
         block: dims.block,
-        params: params_hash,
-        input,
+        params: h.finish(),
+        input: mem.image_digest(),
         mode,
     }
 }
@@ -622,79 +722,113 @@ fn memo_lookup_inner(
     // the cache; a typed fault flags whatever entry we find as corrupt,
     // exercising the same eviction path as real bit rot.
     let tampered = fault::tamper(fault::Site::MemoLoad);
-    let pre = mem.snapshot_words();
     let mode = mode_bits(crate::launch::engine(), dedup());
-    let key = memo_key(cfg, kernel, dims, params, &pre, mem, mode);
-    let mut cache = lock_recover(launch_cache());
-    cache.tick += 1;
-    let tick = cache.tick;
-    if let Some(entry) = cache.map.get_mut(&key) {
+    let key = memo_key(cfg, kernel, dims, params, mem, mode);
+    // The lock covers the map lookup and the LRU bump only; verifying and
+    // replaying the payload are O(delta) and run on the shared `Arc`, so
+    // concurrent probes (serve handlers, host threads) do not serialize on
+    // them.
+    let found = {
+        let mut cache = lock_recover(launch_cache());
+        cache.tick += 1;
+        let tick = cache.tick;
+        cache.map.get_mut(&key).map(|entry| {
+            entry.last_used = tick;
+            Arc::clone(&entry.payload)
+        })
+    };
+    if let Some(payload) = found {
         // Verify integrity *before* applying the delta: a corrupt entry
         // must not touch memory. Evict it and fall back to simulation.
         // The disk tier is deliberately *not* probed on this path: its copy
         // of the entry was written by the same record that produced the
         // corrupt one, so it is equally suspect — resimulating is the
         // conservative recovery, and the re-record republishes cleanly.
-        if tampered || entry_checksum(&entry.stats, &entry.delta) != entry.checksum {
-            cache.map.remove(&key);
-            drop(cache);
-            MISSES.fetch_add(1, Ordering::Relaxed);
-            return MemoLookup::Miss(MemoPending { key, pre });
-        }
-        entry.last_used = tick;
-        let stats = entry.stats.clone();
-        // Replay the recorded memory effect while still holding the lock
-        // (the delta borrows the entry).
-        for &(idx, val) in &entry.delta {
-            mem.write(idx * 4, Value(val));
-        }
-        drop(cache);
-        HITS.fetch_add(1, Ordering::Relaxed);
-        MemoLookup::Hit(Box::new(stats), Served::Memo)
-    } else {
-        drop(cache);
-        // LRU miss: probe the persistent tier (when enabled). A verified
-        // disk entry is promoted back into the LRU — with a checksum
-        // recomputed here, so a tampered file can never seed a
-        // "trusted" in-memory entry — and served exactly like an LRU hit.
-        if disk::enabled() {
-            if let disk::DiskLoad::Hit(stats, delta) = disk::load(disk_digest(&key)) {
-                let checksum = entry_checksum(&stats, &delta);
-                let cap = memo_capacity();
-                let mut cache = lock_recover(launch_cache());
-                cache.tick += 1;
-                let tick = cache.tick;
-                while cache.map.len() >= cap {
-                    cache.evict_lru();
-                }
-                for &(idx, val) in &delta {
-                    mem.write(idx * 4, Value(val));
-                }
-                cache.map.insert(
-                    key,
-                    MemoEntry {
-                        stats: (*stats).clone(),
-                        delta,
-                        checksum,
-                        last_used: tick,
-                    },
-                );
-                drop(cache);
-                return MemoLookup::Hit(stats, Served::Disk);
+        if tampered || entry_checksum(&payload.stats, &payload.delta) != payload.checksum {
+            // Evict only the payload that failed: a concurrent launch may
+            // already have re-recorded the key with a clean one.
+            let mut cache = lock_recover(launch_cache());
+            if cache
+                .map
+                .get(&key)
+                .is_some_and(|e| Arc::ptr_eq(&e.payload, &payload))
+            {
+                cache.map.remove(&key);
             }
+            drop(cache);
+            return memo_miss(key, mem);
         }
-        MISSES.fetch_add(1, Ordering::Relaxed);
-        MemoLookup::Miss(MemoPending { key, pre })
+        apply_delta(mem, &payload.delta);
+        HITS.fetch_add(1, Ordering::Relaxed);
+        return MemoLookup::Hit(Box::new(payload.stats.clone()), Served::Memo);
     }
+    // LRU miss: probe the persistent tier (when enabled). A verified disk
+    // entry is promoted back into the LRU — with a checksum recomputed
+    // here, so a tampered file can never seed a "trusted" in-memory entry —
+    // and served exactly like an LRU hit.
+    if disk::enabled() {
+        if let disk::DiskLoad::Hit(stats, delta) = disk::load(disk_digest(&key)) {
+            let checksum = entry_checksum(&stats, &delta);
+            apply_delta(mem, &delta);
+            memo_insert(
+                key,
+                MemoPayload {
+                    stats: (*stats).clone(),
+                    delta,
+                    checksum,
+                },
+            );
+            return MemoLookup::Hit(stats, Served::Disk);
+        }
+    }
+    memo_miss(key, mem)
+}
+
+/// Replays a recorded memory effect.
+fn apply_delta(mem: &DeviceMemory, delta: &[(u32, u32)]) {
+    for &(idx, val) in delta {
+        mem.write(idx * 4, Value(val));
+    }
+}
+
+/// Counts a miss and copies the pre-launch image [`memo_record`] will diff
+/// against — the only path that snapshots; a hit is identified from the
+/// image digest alone.
+fn memo_miss(key: MemoKey, mem: &DeviceMemory) -> MemoLookup {
+    MISSES.fetch_add(1, Ordering::Relaxed);
+    MemoLookup::Miss(MemoPending {
+        key,
+        pre: mem.snapshot_words(),
+    })
+}
+
+/// Inserts an entry, evicting least-recently-used ones at capacity.
+fn memo_insert(key: MemoKey, payload: MemoPayload) {
+    let cap = memo_capacity();
+    let mut cache = lock_recover(launch_cache());
+    cache.tick += 1;
+    let tick = cache.tick;
+    while cache.map.len() >= cap {
+        cache.evict_lru();
+    }
+    cache.map.insert(
+        key,
+        MemoEntry {
+            payload: Arc::new(payload),
+            last_used: tick,
+        },
+    );
 }
 
 /// The disk tier's content address for a launch: the same 128-bit digest
 /// family as every other memo hash, fed with the full [`MemoKey`] (kernel
 /// content, config, geometry, params, memory image, mode). Stable across
-/// processes — [`Mix64`] has no per-process state — which is what makes
+/// processes — [`Mix128`] has no per-process state — which is what makes
 /// the on-disk cache shareable by whole tuner fleets.
 fn disk_digest(key: &MemoKey) -> (u64, u64) {
-    hash128(|h| key.hash(h))
+    let mut h = Mix128::new();
+    key.hash(&mut h);
+    h.finish128()
 }
 
 /// Records a simulated launch: diffs the pre-launch snapshot against the
@@ -737,20 +871,12 @@ fn memo_record_inner(pending: MemoPending, mem: &DeviceMemory, stats: &KernelSta
     if !corrupt && disk::enabled() {
         disk::publish(disk_digest(&pending.key), stats, &delta);
     }
-    let cap = memo_capacity();
-    let mut cache = lock_recover(launch_cache());
-    cache.tick += 1;
-    let tick = cache.tick;
-    while cache.map.len() >= cap {
-        cache.evict_lru();
-    }
-    cache.map.insert(
+    memo_insert(
         pending.key,
-        MemoEntry {
+        MemoPayload {
             stats: stats.clone(),
             delta,
             checksum,
-            last_used: tick,
         },
     );
 }
@@ -807,16 +933,262 @@ mod tests {
         assert_eq!(mode_bits(Engine::Reference, Dedup::Off), 9);
     }
 
+    fn key_dims() -> LaunchDims {
+        LaunchDims {
+            grid: (4, 2),
+            block: (32, 2, 1),
+        }
+    }
+
+    fn key_image() -> DeviceMemory {
+        let mut mem = DeviceMemory::new(1024);
+        for i in 0..256 {
+            mem.write(i * 4, Value(i.wrapping_mul(2_654_435_761)));
+        }
+        mem.const_bank = vec![1, 2, 3];
+        mem.tex_binding = Some((0, 512));
+        mem
+    }
+
+    fn key_of(cfg: &GpuConfig, dims: LaunchDims, params: &[Value], mem: &DeviceMemory) -> MemoKey {
+        memo_key(cfg, &k("key"), dims, params, mem, 0)
+    }
+
+    /// Two launches that agree in everything — on two distinct memory
+    /// objects — are one key; one bit of difference anywhere is another.
+    #[test]
+    fn key_covers_kernel_geometry_params_image_and_mode() {
+        let cfg = GpuConfig::geforce_8800_gtx();
+        let params = [Value(64), Value(128)];
+        let base = key_of(&cfg, key_dims(), &params, &key_image());
+        assert!(base == key_of(&cfg, key_dims(), &params, &key_image()));
+
+        let differs = |what: &str, other: MemoKey| assert!(base != other, "{what} not in the key");
+        let mem = key_image();
+        mem.write(40, Value(mem.read(40).0 ^ 1));
+        differs("global word", key_of(&cfg, key_dims(), &params, &mem));
+        let mut mem = key_image();
+        mem.const_bank[2] ^= 1;
+        differs("constant word", key_of(&cfg, key_dims(), &params, &mem));
+        let mut mem = key_image();
+        mem.tex_binding = Some((0, 513));
+        differs("texture binding", key_of(&cfg, key_dims(), &params, &mem));
+        let flipped = [Value(64), Value(129)];
+        differs("param", key_of(&cfg, key_dims(), &flipped, &key_image()));
+        let mut dims = key_dims();
+        dims.grid.1 ^= 1;
+        differs("grid", key_of(&cfg, dims, &params, &key_image()));
+        let mut dims = key_dims();
+        dims.block.2 ^= 2;
+        differs("block", key_of(&cfg, dims, &params, &key_image()));
+
+        let key =
+            |kernel: &Kernel, mode| memo_key(&cfg, kernel, key_dims(), &params, &key_image(), mode);
+        differs("mode", key(&k("key"), 8));
+        differs("kernel name", key(&k("kez"), 0));
+        differs("kernel regs", key(&k("key").with_forced_regs(63), 0));
+        let mut kernel = k("key");
+        kernel.smem_bytes ^= 4;
+        differs("kernel smem", key(&kernel, 0));
+        let mut kernel = k("key");
+        kernel.num_params ^= 1;
+        differs("kernel param count", key(&kernel, 0));
+        let mut kernel = k("key");
+        kernel.code.swap(0, 1);
+        differs("kernel code", key(&kernel, 0));
+    }
+
+    /// One tweak per `GpuConfig` field, each the smallest change the type
+    /// allows. `hash_fields` destructures exhaustively, so a new field
+    /// cannot be left out of the key; this list pins that each one that is
+    /// in it really moves the key.
+    #[test]
+    fn key_covers_every_config_field() {
+        type Tweak = (&'static str, fn(&mut GpuConfig));
+        fn next(f: &mut f64) {
+            *f = f64::from_bits(f.to_bits() ^ 1);
+        }
+        let tweaks: [Tweak; 29] = [
+            ("num_sms", |c| c.num_sms ^= 1),
+            ("sps_per_sm", |c| c.sps_per_sm ^= 1),
+            ("sfus_per_sm", |c| c.sfus_per_sm ^= 1),
+            ("clock_ghz", |c| next(&mut c.clock_ghz)),
+            ("warp_size", |c| c.warp_size ^= 1),
+            ("max_threads_per_sm", |c| c.max_threads_per_sm ^= 1),
+            ("max_blocks_per_sm", |c| c.max_blocks_per_sm ^= 1),
+            ("max_threads_per_block", |c| c.max_threads_per_block ^= 1),
+            ("registers_per_sm", |c| c.registers_per_sm ^= 1),
+            ("smem_per_sm", |c| c.smem_per_sm ^= 1),
+            ("smem_banks", |c| c.smem_banks ^= 1),
+            ("const_mem_bytes", |c| c.const_mem_bytes ^= 1),
+            ("const_cache_bytes", |c| c.const_cache_bytes ^= 1),
+            ("tex_cache_bytes", |c| c.tex_cache_bytes ^= 1),
+            ("tex_line_bytes", |c| c.tex_line_bytes ^= 1),
+            ("issue_cycles", |c| c.issue_cycles ^= 1),
+            ("sfu_issue_cycles", |c| c.sfu_issue_cycles ^= 1),
+            ("imul_issue_cycles", |c| c.imul_issue_cycles ^= 1),
+            ("alu_latency", |c| c.alu_latency ^= 1),
+            ("sfu_latency", |c| c.sfu_latency ^= 1),
+            ("smem_latency", |c| c.smem_latency ^= 1),
+            ("const_hit_latency", |c| c.const_hit_latency ^= 1),
+            ("tex_hit_latency", |c| c.tex_hit_latency ^= 1),
+            ("global_latency", |c| c.global_latency ^= 1),
+            ("barrier_latency", |c| c.barrier_latency ^= 1),
+            ("dram_gbps", |c| next(&mut c.dram_gbps)),
+            ("coalesced_txn_bytes", |c| c.coalesced_txn_bytes ^= 1),
+            ("uncoalesced_txn_bytes", |c| c.uncoalesced_txn_bytes ^= 1),
+            ("combine_duplicates", |c| c.combine_duplicates ^= true),
+        ];
+        let base_cfg = GpuConfig::geforce_8800_gtx();
+        let params = [Value(64), Value(128)];
+        let mem = key_image();
+        let base = key_of(&base_cfg, key_dims(), &params, &mem);
+        let mut seen = std::collections::HashSet::new();
+        for (field, tweak) in tweaks {
+            let mut cfg = base_cfg.clone();
+            tweak(&mut cfg);
+            assert!(cfg != base_cfg, "{field}: tweak changed nothing");
+            let key = key_of(&cfg, key_dims(), &params, &mem);
+            assert!(key != base, "{field} not in the key");
+            assert!(
+                seen.insert(key.config),
+                "{field} collides with another field"
+            );
+        }
+        // Two u32 fields trading values is a different machine too.
+        let mut cfg = base_cfg.clone();
+        std::mem::swap(&mut cfg.num_sms, &mut cfg.sps_per_sm);
+        assert!(key_of(&cfg, key_dims(), &params, &mem) != base);
+    }
+
+    /// A corrupted entry (the typed `memo.store` fault's effect) is caught
+    /// by its checksum and evicted before one word of its delta is applied.
+    #[test]
+    fn corrupt_entry_is_evicted_before_a_word_is_applied() {
+        let cfg = GpuConfig::geforce_8800_gtx();
+        let kernel = k("corrupt_entry_probe");
+        let params = [Value(0)];
+        let dims = key_dims();
+        // Record "the launch doubled every word" under a corrupt checksum.
+        let recorded = key_image();
+        let pre = recorded.snapshot_words();
+        let pending = MemoPending {
+            key: memo_key(
+                &cfg,
+                &kernel,
+                dims,
+                &params,
+                &recorded,
+                mode_bits(crate::launch::engine(), dedup()),
+            ),
+            pre: pre.clone(),
+        };
+        for (i, w) in pre.iter().enumerate() {
+            recorded.write(i as u32 * 4, Value(w.wrapping_mul(2) | 1));
+        }
+        let stats = KernelStats::merge("corrupt_entry_probe", &cfg, Vec::new(), 4, 0, 64, 1, 8);
+        memo_record_inner(pending, &recorded, &stats, true);
+
+        // Whatever the probe answers (a sibling test may have evicted the
+        // entry, the memo may be off, an armed injector may drop the
+        // probe), it must not be a hit and must leave the image alone.
+        let probe = key_image();
+        let found = memo_lookup(&cfg, &kernel, dims, &params, &probe, true);
+        assert!(!matches!(found, MemoLookup::Hit(..)), "a corrupt entry hit");
+        assert_eq!(probe.snapshot_words(), pre, "a corrupt delta was applied");
+        // ...and the entry is gone: a second probe cannot find it either.
+        let again = memo_lookup(&cfg, &kernel, dims, &params, &probe, true);
+        assert!(!matches!(again, MemoLookup::Hit(..)));
+        assert_eq!(probe.snapshot_words(), pre);
+    }
+
+    /// The entry checksum is a function of the payload alone and moves with
+    /// any bit of the stats or of any delta pair (index or value).
+    #[test]
+    fn entry_checksum_covers_stats_and_every_delta_pair() {
+        let cfg = GpuConfig::geforce_8800_gtx();
+        let stats = KernelStats::merge("checksum_probe", &cfg, Vec::new(), 4, 0, 64, 1, 8);
+        let delta: Vec<(u32, u32)> = (0..2304).map(|i| (i + 100, i * 7)).collect();
+        let base = entry_checksum(&stats, &delta);
+        assert_eq!(base, entry_checksum(&stats.clone(), &delta.clone()));
+        for at in [0, 1, 1151, 2303] {
+            let mut d = delta.clone();
+            d[at].1 ^= 1 << 31;
+            assert_ne!(base, entry_checksum(&stats, &d), "value {at}");
+            let mut d = delta.clone();
+            d[at].0 ^= 1;
+            assert_ne!(base, entry_checksum(&stats, &d), "index {at}");
+        }
+        assert_ne!(base, entry_checksum(&stats, &delta[..2303]));
+        let mut other = stats.clone();
+        other.cycles ^= 1;
+        assert_ne!(base, entry_checksum(&other, &delta));
+    }
+
+    /// The property [`lane_step`] exists for: flipping a chunk's top bit does
+    /// not produce one state difference the next chunk could cancel — the
+    /// difference in `hi` varies with the state.
+    #[test]
+    fn lane_step_top_bit_difference_depends_on_the_state() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..10_000 {
+            let (state, chunk) = ((next(), next()), next());
+            let (a, b) = (lane_step(state, chunk), lane_step(state, chunk ^ 1 << 63));
+            assert_eq!(a.0 ^ b.0, 1 << 63, "an odd multiplier keeps the top bit");
+            seen.insert(a.1 ^ b.1);
+        }
+        assert!(seen.len() > 9_900, "{} distinct differences", seen.len());
+    }
+
+    /// Pair `i` and pair `i + 4` share a lane of the delta digest. A value's
+    /// top bit (bit 63 of its chunk) together with any bit of the lane's next
+    /// pair must still change both halves — under an xor-linear lane step it
+    /// cancels against one fixed bit of the next pair (see [`lane_step`]).
+    #[test]
+    fn delta_differences_in_one_lane_do_not_cancel() {
+        let cfg = GpuConfig::geforce_8800_gtx();
+        let stats = KernelStats::merge("checksum_probe", &cfg, Vec::new(), 4, 0, 64, 1, 8);
+        let delta: Vec<(u32, u32)> = (0..2304).map(|i| (i + 100, i * 7)).collect();
+        let base = delta_digest(&delta);
+        let sum = entry_checksum(&stats, &delta);
+        let flip = |pair: &mut (u32, u32), bit: u32| {
+            pair.0 ^= (1u64 << bit) as u32;
+            pair.1 ^= ((1u64 << bit) >> 32) as u32;
+        };
+        for at in [0, 1, 2, 3, 1150, 2299] {
+            for p in 0..64 {
+                for q in 0..64 {
+                    let mut d = delta.clone();
+                    flip(&mut d[at], p);
+                    flip(&mut d[at + 4], q);
+                    let what = format!("pair {at} bit {p}, pair {} bit {q}", at + 4);
+                    let got = delta_digest(&d);
+                    assert_ne!(base.0, got.0, "{what}: first half");
+                    assert_ne!(base.1, got.1, "{what}: second half");
+                    assert_ne!(sum, entry_checksum(&stats, &d), "{what}");
+                }
+            }
+        }
+    }
+
+    /// Both lanes of the two-lane hasher are [`Mix64`]s.
     #[test]
     fn mix64_is_order_sensitive() {
-        let a = hash128(|h| {
-            h.write_u32(1);
-            h.write_u32(2);
-        });
-        let b = hash128(|h| {
-            h.write_u32(2);
-            h.write_u32(1);
-        });
-        assert_ne!(a, b);
+        let digest = |words: [u32; 2]| {
+            let mut h = Mix128::new();
+            h.write_u32(words[0]);
+            h.write_u32(words[1]);
+            h.finish128()
+        };
+        let (a, b) = (digest([1, 2]), digest([2, 1]));
+        assert_ne!(a.0, b.0);
+        assert_ne!(a.1, b.1);
     }
 }

@@ -8,7 +8,9 @@
 //! 4-byte words at byte addresses.
 
 use crate::config::GpuConfig;
+use crate::memo::{wide_digest, Mix128};
 use g80_isa::Value;
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Device global memory plus the read-only constant bank and an optional
@@ -95,7 +97,32 @@ impl DeviceMemory {
         }
     }
 
-    /// Copies the entire word array out (memo-cache snapshots and digests).
+    /// 128-bit digest of everything a kernel can read: the global words
+    /// (hashed in one pass straight from the atomics — no snapshot), their
+    /// count, the constant bank and the texture binding. The launch memo's
+    /// key for "which input".
+    pub(crate) fn image_digest(&self) -> (u64, u64) {
+        let mut h = Mix128::new();
+        for half in [
+            digest_words(&self.words, |w| w.load(Ordering::Relaxed)),
+            digest_words(&self.const_bank, |&w| w),
+        ] {
+            h.write_u64(half.0);
+            h.write_u64(half.1);
+        }
+        match self.tex_binding {
+            Some((base, len)) => {
+                h.write_u32(1);
+                h.write_u32(base);
+                h.write_u32(len);
+            }
+            None => h.write_u32(0),
+        }
+        h.finish128()
+    }
+
+    /// Copies the entire word array out (memo-miss pre-images, retry
+    /// snapshots).
     pub fn snapshot_words(&self) -> Vec<u32> {
         self.words
             .iter()
@@ -141,6 +168,15 @@ impl DeviceMemory {
         assert!(addr < len, "texture fetch out of bounds: addr {addr:#x}");
         base + addr
     }
+}
+
+/// [`wide_digest`] over 32-bit words, two to a 64-bit chunk (low word
+/// first; an odd last word is zero-extended), read through `load` so the same
+/// function serves `AtomicU32` cells and plain slices.
+fn digest_words<T>(words: &[T], load: impl Fn(&T) -> u32) -> (u64, u64) {
+    wide_digest(words, 2, |pair| {
+        load(&pair[0]) as u64 | pair.get(1).map_or(0, |hi| (load(hi) as u64) << 32)
+    })
 }
 
 /// Result of analysing one half-warp's global access.
@@ -454,6 +490,175 @@ mod tests {
             a[k as usize] = Some(base.wrapping_add(stride.wrapping_mul(k)));
         }
         a
+    }
+
+    /// A seeded image (LCG words, high half of each state).
+    fn seeded_memory(words: usize, seed: u64) -> DeviceMemory {
+        let mem = DeviceMemory::new(words as u32 * 4);
+        let mut x = seed;
+        for i in 0..words {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            mem.write(i as u32 * 4, Value((x >> 32) as u32));
+        }
+        mem
+    }
+
+    fn slice_digest(words: &[u32]) -> (u64, u64) {
+        digest_words(words, |&w| w)
+    }
+
+    fn assert_both_halves_differ(what: &str, a: (u64, u64), b: (u64, u64)) {
+        assert_ne!(a.0, b.0, "{what}: first half unchanged");
+        assert_ne!(a.1, b.1, "{what}: second half unchanged");
+    }
+
+    #[test]
+    fn digest_read_from_the_atomics_equals_the_digest_of_a_snapshot() {
+        // 0..=67 words covers every remainder of the 8-word round, odd
+        // lengths (a half-filled chunk) and the empty image; 7 936 words is
+        // the n=48 matmul device.
+        for words in (0..=67).chain([7936]) {
+            let mem = seeded_memory(words, words as u64);
+            let live = digest_words(&mem.words, |w| w.load(Ordering::Relaxed));
+            assert_eq!(live, slice_digest(&mem.snapshot_words()), "{words} words");
+        }
+    }
+
+    #[test]
+    fn digest_changes_in_both_halves_for_any_flip_swap_or_append() {
+        let small = seeded_memory(67, 1).snapshot_words();
+        let base = slice_digest(&small);
+        for word in 0..small.len() {
+            for bit in 0..32 {
+                let mut flipped = small.clone();
+                flipped[word] ^= 1 << bit;
+                let what = format!("word {word} bit {bit}");
+                assert_both_halves_differ(&what, base, slice_digest(&flipped));
+            }
+        }
+        // The full-size image: one bit in each of a spread of words (every
+        // lane, both chunk halves, first and last round).
+        let large = seeded_memory(7936, 2).snapshot_words();
+        let base = slice_digest(&large);
+        for word in (0..7936).step_by(61).chain(7928..7936) {
+            let mut flipped = large.clone();
+            flipped[word] ^= 1 << (word % 32);
+            assert_both_halves_differ(&format!("word {word}"), base, slice_digest(&flipped));
+        }
+        // Word w sits in chunk w/2, and chunk c in lane c mod 4: words 0 and
+        // 8 share a lane, 0 and 2 do not, 0 and 1 share a chunk.
+        for (i, j) in [(0, 8), (0, 2), (0, 1), (7000, 7008), (7000, 7003)] {
+            let mut swapped = large.clone();
+            swapped.swap(i, j);
+            let what = format!("swap {i}<->{j}");
+            assert_both_halves_differ(&what, base, slice_digest(&swapped));
+        }
+        for len in (0..=67).chain([7936]) {
+            let mut longer = large[..len].to_vec();
+            longer.push(0);
+            let what = format!("{len} words + one zero word");
+            assert_both_halves_differ(&what, slice_digest(&large[..len]), slice_digest(&longer));
+        }
+    }
+
+    /// Differences spread over consecutive chunks of one lane must not
+    /// cancel. Under an xor-linear lane step such as `rotl32((s ^ c)·K)` the
+    /// top bit of a chunk reaches the lane's next chunk as one known bit, in
+    /// both halves at once: negating f32 elements 1 and 8 of any image
+    /// leaves the whole 128-bit digest unchanged (see `memo::lane_step`).
+    #[test]
+    fn digest_differences_in_one_lane_do_not_cancel() {
+        let large = seeded_memory(7936, 4).snapshot_words();
+        let base = slice_digest(&large);
+        // Sign bits of words 2i+1 (bit 63 of chunk i) and 2i+8 (bit 31 of
+        // chunk i+4, the lane's next chunk), first to last round.
+        for i in [0, 1, 2, 3, 4, 1983, 3959, 3963] {
+            let mut negated = large.clone();
+            negated[2 * i + 1] ^= 1 << 31;
+            negated[2 * i + 8] ^= 1 << 31;
+            let what = format!("sign bits of words {} and {}", 2 * i + 1, 2 * i + 8);
+            assert_both_halves_differ(&what, base, slice_digest(&negated));
+        }
+        // Every bit of chunk i against every bit of chunk i+4, alone and
+        // together with the top bit (what a step that only shifts the
+        // product down by a fixed amount would let through).
+        let small = seeded_memory(67, 5).snapshot_words();
+        let base = slice_digest(&small);
+        let flip = |words: &mut [u32], chunk: usize, bits: u64| {
+            words[2 * chunk] ^= bits as u32;
+            words[2 * chunk + 1] ^= (bits >> 32) as u32;
+        };
+        for i in [0, 3, 17] {
+            for p in 0..64 {
+                for q in 0..64 {
+                    for extra in [0, 1 << 63] {
+                        let mut flipped = small.clone();
+                        flip(&mut flipped, i, 1 << p);
+                        flip(&mut flipped, i + 4, 1 << q | extra);
+                        let what = format!("chunk {i} bit {p}, chunk {} bit {q}", i + 4);
+                        assert_both_halves_differ(&what, base, slice_digest(&flipped));
+                    }
+                }
+            }
+        }
+        // Seeded random differences in three consecutive chunks of a lane.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..2000 {
+            let mut flipped = small.clone();
+            let i = (next() % 20) as usize;
+            for step in 0..3 {
+                flip(&mut flipped, i + 4 * step, next() & next());
+            }
+            if flipped != small {
+                assert_both_halves_differ("random lane difference", base, slice_digest(&flipped));
+            }
+        }
+    }
+
+    /// Two memories with equal content digest equal; a one-bit change to
+    /// anything a kernel can read — a global word, a constant-bank word,
+    /// the texture binding — does not.
+    #[test]
+    fn image_digest_covers_words_constants_and_texture_binding() {
+        let image = || {
+            let mut mem = seeded_memory(300, 3);
+            mem.const_bank = vec![7, 8, 9];
+            mem.tex_binding = Some((256, 512));
+            mem
+        };
+        let base = image().image_digest();
+        assert_eq!(base, image().image_digest(), "distinct objects, same image");
+
+        let mem = image();
+        mem.write(4 * 299, Value(mem.read(4 * 299).0 ^ 1));
+        assert_both_halves_differ("global word", base, mem.image_digest());
+        let mut mem = image();
+        mem.const_bank[1] ^= 1 << 31;
+        assert_both_halves_differ("constant word", base, mem.image_digest());
+        let mut mem = image();
+        mem.const_bank.push(0);
+        assert_both_halves_differ("constant bank length", base, mem.image_digest());
+        for binding in [None, Some((257, 512)), Some((256, 513))] {
+            let mut mem = image();
+            mem.tex_binding = binding;
+            let what = format!("texture binding {binding:?}");
+            assert_both_halves_differ(&what, base, mem.image_digest());
+        }
+        // Same words, one more (zero) word of memory.
+        let longer = DeviceMemory::new(301 * 4);
+        longer.restore_words(&[image().snapshot_words(), vec![0]].concat());
+        let mut longer = longer;
+        longer.const_bank = vec![7, 8, 9];
+        longer.tex_binding = Some((256, 512));
+        assert_both_halves_differ("image length", base, longer.image_digest());
     }
 
     #[test]

@@ -202,6 +202,7 @@ fn mixed_validity_batch_isolates_failures(cfg: &GpuConfig) {
     disarm_all();
     const N: u32 = 512;
     let good = scale_kernel(5, 11);
+    let warm = scale_kernel(5, 12);
     let oob = oob_kernel();
 
     // Solo references on fresh memories.
@@ -211,6 +212,7 @@ fn mixed_validity_batch_isolates_failures(cfg: &GpuConfig) {
 
     let m0 = fresh_input(N);
     let m1 = fresh_input(N);
+    let m_hit = fresh_input(N);
     let m2 = fresh_input(N);
     let m3 = fresh_input(N);
     let params = [Value::from_u32(0), Value::from_u32(N * 4)];
@@ -235,6 +237,15 @@ fn mixed_validity_batch_isolates_failures(cfg: &GpuConfig) {
             params: &params,
             mem: &m1,
         },
+        // Answered by the memo during the serial probe, ahead of the entry
+        // that panics: a hit never reaches the pool, and the panic two
+        // tasks later must not disturb it.
+        LaunchSpec {
+            kernel: &warm,
+            dims: dims_ok,
+            params: &params,
+            mem: &m_hit,
+        },
         // Panics mid-simulation: out-of-bounds store.
         LaunchSpec {
             kernel: &oob,
@@ -252,25 +263,36 @@ fn mixed_validity_batch_isolates_failures(cfg: &GpuConfig) {
             mem: &m3,
         },
     ];
-    clear_memo_cache(); // the batch must simulate, not replay the solo run
+    // The batch must simulate `good`, not replay the solo run; only `warm`
+    // is (re-)recorded ahead of it.
+    clear_memo_cache();
+    let warm_mem = fresh_input(N);
+    let warm_solo = run_scale(cfg, &warm, &warm_mem, N);
+    let before = memo_counters();
     let results = launch_batch(cfg, &specs);
-    assert_eq!(results.len(), 4);
+    let after = memo_counters();
+    assert_eq!(results.len(), 5);
     let ok0 = results[0].as_ref().expect("entry 0 valid");
     assert!(
         matches!(results[1], Err(LaunchError::BadBlockDims(_))),
         "{:?}",
         results[1]
     );
-    match &results[2] {
+    let hit = results[2].as_ref().expect("entry 2 is a memo hit");
+    assert_eq!(after.hits - before.hits, 1, "exactly the warm entry hits");
+    assert_eq!(hit.cycles, warm_solo.cycles);
+    assert_eq!(hit.warp_instructions, warm_solo.warp_instructions);
+    assert_eq!(output_words(&m_hit, N), output_words(&warm_mem, N));
+    match &results[3] {
         Err(e @ LaunchError::Panic(msg)) => {
             assert!(msg.contains("out of bounds"), "{msg}");
             assert!(!e.is_injected(), "a real bug must not look injected");
         }
         other => panic!("expected Panic, got {other:?}"),
     }
-    let ok3 = results[3].as_ref().expect("entry 3 valid");
+    let ok4 = results[4].as_ref().expect("entry 4 valid");
     // No cross-contamination: the surviving entries match solo runs.
-    for (label, stats, mem) in [("entry 0", ok0, &m0), ("entry 3", ok3, &m3)] {
+    for (label, stats, mem) in [("entry 0", ok0, &m0), ("entry 4", ok4, &m3)] {
         assert_eq!(stats.cycles, solo.cycles, "{label}");
         assert_eq!(stats.warp_instructions, solo.warp_instructions, "{label}");
         assert_eq!(output_words(mem, N), solo_out, "{label}");

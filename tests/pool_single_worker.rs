@@ -6,6 +6,8 @@
 //! default-pool equivalent of this comparison runs in `golden_stats.rs`; CI
 //! additionally runs the whole suite under `G80_SIM_THREADS=1`.
 
+mod common;
+
 use g80::apps::matmul::{MatMul, Variant};
 use g80::sim::{set_engine, Engine};
 
@@ -38,4 +40,10 @@ fn single_worker_pool_matches_reference_engine() {
         assert_eq!(rs.stall_cycles, ps.stall_cycles);
         assert_eq!(rs.global_bytes, ps.global_bytes);
     }
+
+    // The tuner's sweep (nine variants at n=48, one pool task per miss on
+    // the one worker): a batch equals nine single launches, simulated and
+    // replayed from the memo alike. `witness_dedup.rs` makes the same
+    // comparison on the default pool.
+    common::assert_batch_equals_singles(6);
 }

@@ -15,13 +15,15 @@ use g80::apps::mriq::MriQ;
 use g80::apps::sad::SadApp;
 use g80::isa::builder::{KernelBuilder, Unroll};
 use g80::isa::{CmpOp, Kernel, Pred, Scalar, Space, Value};
-use g80::sim::wire::{encode_stats, Enc};
 use g80::sim::{
-    kernel_info, launch, memo_counters, reset_memo_counters, row_counters, set_dedup, set_engine,
-    set_memo, Dedup, DeviceMemory, Engine, GpuConfig, KernelStats, LaunchDims, LaunchError, Memo,
-    MemoCounters,
+    disk_cache_dir, kernel_info, launch, memo_counters, reset_memo_counters, row_counters,
+    set_dedup, set_disk_cache, set_engine, set_memo, Dedup, DeviceMemory, Engine, GpuConfig,
+    KernelStats, LaunchDims, LaunchError, Memo, MemoCounters,
 };
 use std::sync::Mutex;
+
+mod common;
+use common::{bits, stats_bytes};
 
 /// Held by each test for its whole body: one test at a time owns the
 /// process-global selectors and counters.
@@ -396,14 +398,6 @@ fn walk_variants_shaped_and_bit_identical() {
     set_memo(Memo::On);
 }
 
-/// Canonical bytes of a `KernelStats` — what the memo, disk and serve tiers
-/// store, so equal bytes means equal everywhere downstream.
-fn stats_bytes(stats: &KernelStats) -> Vec<u8> {
-    let mut e = Enc(Vec::new());
-    encode_stats(&mut e, stats);
-    e.0
-}
-
 /// Runs `run` on the reference engine, on the product with dedup off and on
 /// the product with dedup on; asserts canonical stats bytes and output bits
 /// identical across all three and returns the dedup-on run's counters.
@@ -424,10 +418,6 @@ fn three_way(tag: &str, run: impl Fn() -> (Vec<u32>, KernelStats)) -> MemoCounte
     assert_eq!(ref_bits, off_bits, "{tag}: dedup-off output differs");
     assert_eq!(off_bits, on_bits, "{tag}: dedup-on output differs");
     counters
-}
-
-fn bits(v: &[f32]) -> impl Iterator<Item = u32> + '_ {
-    v.iter().map(|x| x.to_bits())
 }
 
 /// `y[i] = Σ_k c[(tid & 7) + 8k]`: every warp load names eight distinct
@@ -603,4 +593,56 @@ fn const_kernels_replay_bit_identical() {
 
     set_dedup(Dedup::On);
     set_memo(Memo::On);
+}
+
+/// A batch is nine single launches: `run_batch` of the tuner's nine variants
+/// at n=48 equals nine `run` calls in every stats field and in output
+/// memory, simulated (cold) and replayed from the memo (warm) — and, going
+/// through the single-launch path, a cold batch gets donor-SM replay
+/// (n=48 at 16×16 is nine blocks on nine SMs: one simulates, eight replay).
+#[test]
+fn batch_is_nine_single_launches() {
+    let _toggles = own_toggles();
+    if g80::sim::fault::armed() {
+        return; // exact counter assertions, as above
+    }
+    set_engine(Engine::Predecoded);
+    set_dedup(Dedup::On);
+    set_memo(Memo::On);
+    // A disk tier warmed by another test binary would answer the cold pass.
+    let disk = disk_cache_dir();
+    set_disk_cache(None);
+
+    let [singles, cold, warm] = common::assert_batch_equals_singles(48);
+    set_disk_cache(disk);
+
+    let (singles, cold_counts, warm_counts) = (singles.counts, cold.counts, warm.counts);
+    assert_eq!((singles.hits, singles.misses), (0, 9));
+    assert_eq!((cold_counts.hits, cold_counts.misses), (0, 9));
+    assert!(cold_counts.dedup_fast_blocks > 0, "{cold_counts:?}");
+    assert_eq!(cold_counts.dedup_fallbacks, 0, "{cold_counts:?}");
+    // Same launches, same path: the cold batch replays exactly what nine
+    // single launches replay.
+    assert_eq!(cold_counts.dedup_fast_blocks, singles.dedup_fast_blocks);
+    assert_eq!(cold_counts.dedup_sim_blocks, singles.dedup_sim_blocks);
+    for (v, batched) in Variant::tuner_sweep().iter().zip(&cold.runs) {
+        assert_eq!(batched.2.memo_hits, 0, "cold batch, {}", v.label());
+    }
+    // The warm batch finds all nine entries unless the environment chose a
+    // memo too small to hold them (CI's `G80_SIM_MEMO_CAP=1` leg, which this
+    // test leaves in force for the rest of the binary); then it resimulates
+    // some, bit-identically, as checked above.
+    let memo_holds_sweep = std::env::var("G80_SIM_MEMO_CAP")
+        .ok()
+        .and_then(|cap| cap.parse::<usize>().ok())
+        .is_none_or(|cap| cap >= 9);
+    if memo_holds_sweep {
+        assert_eq!((warm_counts.hits, warm_counts.misses), (9, 9));
+        // ...and simulates nothing.
+        assert_eq!(warm_counts.dedup_fast_blocks, singles.dedup_fast_blocks);
+        assert_eq!(warm_counts.dedup_sim_blocks, singles.dedup_sim_blocks);
+        for (v, batched) in Variant::tuner_sweep().iter().zip(&warm.runs) {
+            assert_eq!(batched.2.memo_hits, 1, "warm batch, {}", v.label());
+        }
+    }
 }
