@@ -1,7 +1,9 @@
 //! Host-performance benchmark of the simulator's execution strategies.
 //!
-//! Every row runs identical workloads on both sides of its comparison, with
-//! bit-identical simulated `KernelStats` asserted along the way. The first
+//! Every row runs identical workloads on both sides of its comparison, each
+//! side in a `SimContext` of its own (cold caches, zero counters, exactly
+//! the configuration the row names), with bit-identical simulated
+//! `KernelStats` asserted along the way. The first
 //! group times the frozen reference interpreter (the oracle) against the
 //! product engine on single launches; the rest A/B the product's cache,
 //! dedup, hardening and serving layers.
@@ -31,11 +33,22 @@ use g80_isa::exec;
 use g80_isa::inst::SfuOp;
 use g80_isa::Value;
 use g80_sim::{
-    clear_memo_cache, memo_counters, row_counters, set_dedup, set_disk_cache, set_engine,
-    set_faults, set_memo, set_watchdog_cycles, Dedup, Engine, FaultConfig, KernelStats, Memo,
+    clear_memo_cache, memo_counters, net_counters, row_counters, set_faults, Engine, FaultConfig,
+    KernelStats, MemoCounters, SimConfig, SimContext,
 };
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
+
+/// A fresh context with the memo and dedup layers as given and everything
+/// else the product default, whatever the environment says.
+fn context(memo: bool, dedup: bool) -> Arc<SimContext> {
+    SimContext::new(SimConfig {
+        memo,
+        dedup,
+        ..SimConfig::default()
+    })
+}
 
 struct Row {
     name: &'static str,
@@ -56,15 +69,25 @@ fn time_engine(
     runs: usize,
     run: &mut dyn FnMut() -> KernelStats,
 ) -> (f64, KernelStats) {
-    set_engine(engine);
-    let stats = run(); // warm-up; also the stats sample for the A/B check
-    let mut best = f64::INFINITY;
-    for _ in 0..runs {
-        let t0 = Instant::now();
-        run();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    (best, stats)
+    // The engine rows measure *simulation* strategies, so the
+    // redundancy-elimination layers stay out of them: a warm memo cache
+    // would replace every timed repetition with a cache replay.
+    let ctx = SimContext::new(SimConfig {
+        engine,
+        memo: false,
+        dedup: false,
+        ..SimConfig::default()
+    });
+    ctx.enter(|| {
+        let stats = run(); // warm-up; also the stats sample for the A/B check
+        let mut best = f64::INFINITY;
+        for _ in 0..runs {
+            let t0 = Instant::now();
+            run();
+            best = best.min(t0.elapsed().as_secs_f64());
+        }
+        (best, stats)
+    })
 }
 
 fn bench(name: &'static str, runs: usize, mut run: impl FnMut() -> KernelStats) -> Row {
@@ -104,11 +127,8 @@ struct RedundancyRow {
     name: &'static str,
     baseline_s: f64,
     optimized_s: f64,
-    memo_hits: u64,
-    memo_misses: u64,
-    dedup_fast_blocks: u64,
-    dedup_sim_blocks: u64,
-    dedup_fallbacks: u64,
+    /// What the optimized arm's context counted over its timed runs.
+    counters: MemoCounters,
     /// Process CPU time of the two arms (0 where the row does not measure
     /// it, or the host has no `/proc`).
     baseline_cpu_s: f64,
@@ -155,8 +175,8 @@ fn process_cpu_s() -> f64 {
 
 /// Block-class dedup off vs on over `runs` timed launches of one workload.
 ///
-/// Counter deltas over the timed arms, not literals: the row must report
-/// what the run actually did. The memo is *on* but cleared before every
+/// The arm's own counters, not literals: the row must report what the run
+/// actually did. The memo is *on* but cleared before every
 /// timed run, so each launch probes cold, records a genuine miss, and is
 /// never replayed — both arms pay the identical lookup/record cost and the
 /// ratio measures dedup alone. (A zero miss count here would flag a harness
@@ -168,46 +188,39 @@ fn dedup_ab(
     runs: usize,
     run: &mut dyn FnMut() -> KernelStats,
 ) -> RedundancyRow {
-    set_memo(Memo::On);
-    let mut arm = |d: Dedup| {
-        set_dedup(d);
-        let before = memo_counters();
-        let (mut best, mut best_cpu) = (f64::INFINITY, f64::INFINITY);
-        let mut stats = Vec::new();
-        for _ in 0..runs {
-            clear_memo_cache();
-            let (t0, c0) = (Instant::now(), process_cpu_s());
-            let s = run();
-            best = best.min(t0.elapsed().as_secs_f64());
-            best_cpu = best_cpu.min(process_cpu_s() - c0);
-            let mut e = g80_sim::wire::Enc(Vec::new());
-            g80_sim::wire::encode_stats(&mut e, &s);
-            stats = e.0;
-        }
-        (best, best_cpu, stats, memo_counters(), before)
+    let mut arm = |dedup: bool| {
+        context(true, dedup).enter(|| {
+            let (mut best, mut best_cpu) = (f64::INFINITY, f64::INFINITY);
+            let mut stats = Vec::new();
+            for _ in 0..runs {
+                clear_memo_cache();
+                let (t0, c0) = (Instant::now(), process_cpu_s());
+                let s = run();
+                best = best.min(t0.elapsed().as_secs_f64());
+                best_cpu = best_cpu.min(process_cpu_s() - c0);
+                let mut e = g80_sim::wire::Enc(Vec::new());
+                g80_sim::wire::encode_stats(&mut e, &s);
+                stats = e.0;
+            }
+            (best, best_cpu, stats, memo_counters())
+        })
     };
-    let (baseline_s, baseline_cpu_s, off_stats, _, _) = arm(Dedup::Off);
-    let (optimized_s, optimized_cpu_s, on_stats, after, before) = arm(Dedup::On);
-    set_memo(Memo::Off);
-    set_dedup(Dedup::Off);
+    let (baseline_s, baseline_cpu_s, off_stats, _) = arm(false);
+    let (optimized_s, optimized_cpu_s, on_stats, on) = arm(true);
     assert_eq!(
         off_stats, on_stats,
         "{name}: dedup changed the canonical KernelStats bytes"
     );
     assert!(
-        after.misses - before.misses >= runs as u64,
+        on.misses >= runs as u64,
         "{name}: every timed launch must record a memo miss (got {} over {runs} runs)",
-        after.misses - before.misses
+        on.misses
     );
     let row = RedundancyRow {
         name,
         baseline_s,
         optimized_s,
-        memo_hits: after.hits - before.hits,
-        memo_misses: after.misses - before.misses,
-        dedup_fast_blocks: after.dedup_fast_blocks - before.dedup_fast_blocks,
-        dedup_sim_blocks: after.dedup_sim_blocks - before.dedup_sim_blocks,
-        dedup_fallbacks: after.dedup_fallbacks - before.dedup_fallbacks,
+        counters: on,
         baseline_cpu_s,
         optimized_cpu_s,
     };
@@ -218,9 +231,9 @@ fn dedup_ab(
         optimized_s,
         row.speedup(),
         row.cpu_speedup(),
-        row.dedup_fast_blocks,
-        row.dedup_sim_blocks,
-        row.dedup_fallbacks
+        on.dedup_fast_blocks,
+        on.dedup_sim_blocks,
+        on.dedup_fallbacks
     );
     row
 }
@@ -234,11 +247,11 @@ fn redundancy_json(rows: &[RedundancyRow]) -> String {
             r.baseline_s,
             r.optimized_s,
             r.speedup(),
-            r.memo_hits,
-            r.memo_misses,
-            r.dedup_fast_blocks,
-            r.dedup_sim_blocks,
-            r.dedup_fallbacks,
+            r.counters.hits,
+            r.counters.misses,
+            r.counters.dedup_fast_blocks,
+            r.counters.dedup_sim_blocks,
+            r.counters.dedup_fallbacks,
             r.baseline_cpu_s,
             r.optimized_cpu_s,
             if i + 1 < rows.len() { "," } else { "" }
@@ -318,15 +331,6 @@ fn run() -> i32 {
     // --check (CI) repeats less; floors are asserted either way.
     let runs = if check { 2 } else { 5 };
 
-    // The engine rows measure *simulation* strategies, so the
-    // redundancy-elimination layer must stay out of them: a warm memo
-    // cache would replace every timed repetition with a cache replay. The
-    // disk tier likewise (a warm G80_SIM_DISK_CACHE dir from the CI env
-    // would serve the timed arms); the disk row below arms its own dir.
-    set_memo(Memo::Off);
-    set_dedup(Dedup::Off);
-    set_disk_cache(None);
-
     // ---- engine A/B (single launches) ----
     let mut rows = Vec::new();
 
@@ -356,8 +360,6 @@ fn run() -> i32 {
     let sky = tp.generate(42);
     rows.push(bench("tpacf_1024", runs, move || tp.run(&sky).1));
 
-    set_engine(Engine::Predecoded);
-
     // ---- row structure (lane-row shape mix of the product's warps) ----
     // Uniform/affine shapes fold arithmetic to O(1) per warp and memory
     // degrees to closed form; each row reports the tracked wall clock and
@@ -384,15 +386,17 @@ fn run() -> i32 {
     let mut row_structure = Vec::new();
     let mut bench_row_structure =
         |name: &'static str, runs: usize, run: &mut dyn FnMut() -> KernelStats| {
-            let shapes_before = row_counters();
-            run(); // warm-up + shape mix
-            let shapes = row_counters().since(&shapes_before);
-            let mut tracked_s = f64::INFINITY;
-            for _ in 0..runs {
-                let t0 = Instant::now();
-                run();
-                tracked_s = tracked_s.min(t0.elapsed().as_secs_f64());
-            }
+            let (shapes, tracked_s) = context(false, false).enter(|| {
+                run(); // warm-up + shape mix
+                let shapes = row_counters();
+                let mut tracked_s = f64::INFINITY;
+                for _ in 0..runs {
+                    let t0 = Instant::now();
+                    run();
+                    tracked_s = tracked_s.min(t0.elapsed().as_secs_f64());
+                }
+                (shapes, tracked_s)
+            });
             let row = RowStructRow {
                 name,
                 tracked_s,
@@ -505,30 +509,24 @@ fn run() -> i32 {
     // (every round computes the same product), so run one round before
     // timing either arm: from here on the pre-launch memory image — and
     // with it the memo key — is identical for every revisit.
-    revisit_round();
+    context(false, false).enter(revisit_round);
     let revisit_rounds = if check { 2 } else { 5 };
-    let time_revisit = |m: Memo| {
-        set_memo(m);
-        clear_memo_cache();
-        let fp = revisit_round(); // memo-on: the recording round
-        let before = memo_counters();
-        let mut best = f64::INFINITY;
-        for _ in 0..revisit_rounds {
-            let t0 = Instant::now();
-            assert_eq!(revisit_round(), fp, "revisit fleet is not deterministic");
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        let after = memo_counters();
-        (
-            best,
-            fp,
-            after.hits - before.hits,
-            after.misses - before.misses,
-        )
+    let time_revisit = |memo: bool| {
+        context(memo, false).enter(|| {
+            let fp = revisit_round(); // memo-on: the recording round
+            let before = memo_counters();
+            let mut best = f64::INFINITY;
+            for _ in 0..revisit_rounds {
+                let t0 = Instant::now();
+                assert_eq!(revisit_round(), fp, "revisit fleet is not deterministic");
+                best = best.min(t0.elapsed().as_secs_f64());
+            }
+            (best, fp, memo_counters().since(&before))
+        })
     };
-    let (revisit_off_s, off_fp, _, _) = time_revisit(Memo::Off);
-    let (revisit_on_s, on_fp, rev_hits, rev_misses) = time_revisit(Memo::On);
-    set_memo(Memo::Off);
+    let (revisit_off_s, off_fp, _) = time_revisit(false);
+    let (revisit_on_s, on_fp, revisits) = time_revisit(true);
+    let (rev_hits, rev_misses) = (revisits.hits, revisits.misses);
     assert_eq!(off_fp, on_fp, "memo cache changed simulated results");
     assert_eq!(
         rev_hits,
@@ -539,11 +537,7 @@ fn run() -> i32 {
         name: "tuner_fleet_revisit",
         baseline_s: revisit_off_s,
         optimized_s: revisit_on_s,
-        memo_hits: rev_hits,
-        memo_misses: rev_misses,
-        dedup_fast_blocks: 0, // dedup is off for this row by construction
-        dedup_sim_blocks: 0,
-        dedup_fallbacks: 0,
+        counters: revisits,  // dedup is off for this row: its fields stay 0
         baseline_cpu_s: 0.0, // millisecond rounds: below the tick
         optimized_cpu_s: 0.0,
     });
@@ -661,46 +655,50 @@ fn run() -> i32 {
     // ---- disk tier (persistent cache, cold process vs warm directory) ----
     // The same revisit fleet, but served across the process boundary: the
     // cold arm runs against an empty cache directory with a cold LRU (every
-    // launch simulates and spills to disk); the warm arm clears the LRU
-    // before every round, so each launch must come back from the disk files
-    // alone — exactly what a fresh tuner process sees against a warm shared
-    // directory. The content-addressed key is derived from kernel content,
+    // launch simulates and spills to disk); the warm arm builds a new
+    // context on the directory for every round, so each launch must come
+    // back from the disk files alone — exactly what a fresh tuner process
+    // sees against a warm shared directory. The content-addressed key is derived from kernel content,
     // config, params, and the memory image, so replaying here proves a
     // restarted fleet would replay too.
     let disk_dir = std::env::temp_dir().join(format!("g80-bench-disk-{}", std::process::id()));
     let disk_rounds = if check { 2 } else { 5 };
-    set_memo(Memo::On);
-    let disk_before = memo_counters();
+    // One timed round in a fresh context on the directory: seconds, the
+    // fleet's fingerprint and what the disk tier did.
+    let disk_round = || {
+        let ctx = SimContext::new(SimConfig {
+            dedup: false,
+            disk_dir: Some(disk_dir.clone()),
+            ..SimConfig::default()
+        });
+        ctx.enter(|| {
+            let t0 = Instant::now();
+            let fp = revisit_round();
+            (t0.elapsed().as_secs_f64(), fp, memo_counters())
+        })
+    };
     let mut disk_cold_s = f64::INFINITY;
     let mut disk_fp = 0u64;
+    let (mut disk_hits, mut disk_misses, mut disk_evictions) = (0, 0, 0);
     for _ in 0..disk_rounds {
         // A truly cold start every repetition: empty directory, empty LRU.
         let _ = std::fs::remove_dir_all(&disk_dir);
-        set_disk_cache(Some(disk_dir.clone()));
-        clear_memo_cache();
-        let t0 = Instant::now();
-        disk_fp = revisit_round();
-        disk_cold_s = disk_cold_s.min(t0.elapsed().as_secs_f64());
+        let (s, fp, c) = disk_round();
+        disk_fp = fp;
+        disk_cold_s = disk_cold_s.min(s);
+        disk_misses += c.disk_misses;
+        disk_evictions += c.disk_evictions;
     }
-    let disk_mid = memo_counters();
     let mut disk_warm_s = f64::INFINITY;
     for _ in 0..disk_rounds {
-        clear_memo_cache(); // kill the in-process tier; only the files remain
-        let t0 = Instant::now();
-        assert_eq!(
-            revisit_round(),
-            disk_fp,
-            "disk replay changed simulated results"
-        );
-        disk_warm_s = disk_warm_s.min(t0.elapsed().as_secs_f64());
+        let (s, fp, c) = disk_round();
+        assert_eq!(fp, disk_fp, "disk replay changed simulated results");
+        disk_warm_s = disk_warm_s.min(s);
+        disk_hits += c.disk_hits;
+        disk_misses += c.disk_misses;
+        disk_evictions += c.disk_evictions;
     }
-    let disk_after = memo_counters();
-    set_disk_cache(None);
-    set_memo(Memo::Off);
     let _ = std::fs::remove_dir_all(&disk_dir);
-    let disk_hits = disk_after.disk_hits - disk_mid.disk_hits;
-    let disk_misses = disk_after.disk_misses - disk_before.disk_misses;
-    let disk_evictions = disk_after.disk_evictions - disk_before.disk_evictions;
     assert_eq!(
         disk_hits,
         (disk_rounds * rev_variants.len()) as u64,
@@ -723,7 +721,12 @@ fn run() -> i32 {
     // every cycle against an unreachable budget. The arms interleave so
     // machine drift lands on both equally. Dedup stays on to match the
     // hot configuration this repo actually ships.
-    set_dedup(Dedup::On);
+    let disarmed = context(false, true);
+    let hardened = SimContext::new(SimConfig {
+        memo: false,
+        watchdog_cycles: Some(u64::MAX / 2),
+        ..SimConfig::default()
+    });
     // Three arms even under --check: the row compares two ~7 s runs against
     // a 2% ceiling, and a min-of-2 flaps on container timing noise alone.
     // The ratio is the min over *paired* iterations (armed/disarmed measured
@@ -737,14 +740,12 @@ fn run() -> i32 {
     let mut hardening_stats: Option<(KernelStats, KernelStats)> = None;
     for _ in 0..hard_runs {
         set_faults(None);
-        set_watchdog_cycles(None);
         let t0 = Instant::now();
-        let base_stats = big.run(tiled16u, &big_a, &big_b).1;
+        let base_stats = disarmed.enter(|| big.run(tiled16u, &big_a, &big_b).1);
         let base_s = t0.elapsed().as_secs_f64();
         set_faults(Some(FaultConfig::new(1, 0.0, None)));
-        set_watchdog_cycles(Some(u64::MAX / 2));
         let t0 = Instant::now();
-        let on_stats = big.run(tiled16u, &big_a, &big_b).1;
+        let on_stats = hardened.enter(|| big.run(tiled16u, &big_a, &big_b).1);
         let on_s = t0.elapsed().as_secs_f64();
         if on_s / base_s < hardening_ratio {
             hardening_ratio = on_s / base_s;
@@ -754,8 +755,6 @@ fn run() -> i32 {
         hardening_stats = Some((base_stats, on_stats));
     }
     set_faults(None);
-    set_watchdog_cycles(None);
-    set_dedup(Dedup::Off);
     let (hb, ho) = hardening_stats.unwrap();
     assert_eq!(
         (hb.cycles, hb.warp_instructions, hb.stall_cycles),
@@ -768,26 +767,27 @@ fn run() -> i32 {
     );
 
     // ---- serving tier (daemon + 8-tenant probe fleet over loopback) ----
-    // The g80-serve daemon shares this process's pool and memo tiers, so
-    // this row measures pure serving overhead: framing, admission, and the
+    // The g80-serve daemon shares this process's pool and serves in the
+    // context it is started in, so this row measures pure serving overhead: framing, admission, and the
     // per-connection threads, on top of launches the warm memo answers.
     // Eight tenants each fire a stream of probe requests (distinct kernel
     // content per tenant; repeats within a tenant hit the memo, as a
     // service's steady state would) and the row reports aggregate
     // throughput and tail latency.
-    set_memo(Memo::On);
-    clear_memo_cache();
     let serve_tenants = 8u32;
     let serve_requests = if check { 16u32 } else { 64 };
     let (serve_req_per_s, serve_p50_ms, serve_p99_ms, serve_cache_hits) = {
         use g80_serve::{serve, Addr, Client, Quota, ServeConfig, WireLaunch};
-        let server = serve(ServeConfig {
-            addr: Addr::parse("tcp:127.0.0.1:0").expect("addr"),
-            quota: Quota::default(),
-            gpu: g80_sim::GpuConfig::geforce_8800_gtx(),
-            ..ServeConfig::default()
-        })
-        .expect("bind serve daemon");
+        let server = context(true, false)
+            .enter(|| {
+                serve(ServeConfig {
+                    addr: Addr::parse("tcp:127.0.0.1:0").expect("addr"),
+                    quota: Quota::default(),
+                    gpu: g80_sim::GpuConfig::geforce_8800_gtx(),
+                    ..ServeConfig::default()
+                })
+            })
+            .expect("bind serve daemon");
         let addr = server.local_addr().clone();
         let probe_spec = |tenant: u32| {
             use g80_isa::builder::KernelBuilder;
@@ -851,8 +851,6 @@ fn run() -> i32 {
         let pct = |p: f64| lat[((lat.len() - 1) as f64 * p) as usize] * 1e3;
         (lat.len() as f64 / wall, pct(0.50), pct(0.99), hits)
     };
-    set_memo(Memo::Off);
-    clear_memo_cache();
     assert!(
         serve_cache_hits > 0,
         "steady-state probe repeats must hit the shared memo through the daemon"
@@ -897,37 +895,45 @@ fn run() -> i32 {
         )
     }
     let chaos_requests = if check { 8u32 } else { 32 };
-    let run_chaos_fleet = |faults: Option<g80_serve::NetFaultConfig>| -> (f64, (u64, u64, u64)) {
+    // One fleet run in a context of its own — daemon and clients alike, so
+    // its net counters are both ends' view of this run and nothing else.
+    let run_chaos_fleet = |faults: Option<g80_serve::NetFaultConfig>| {
         use g80_serve::{serve, Addr, Client, ServeConfig};
+        let ctx = context(true, false);
         g80_serve::set_net_faults(faults);
-        let server = serve(ServeConfig {
-            addr: Addr::parse("tcp:127.0.0.1:0").expect("addr"),
-            ..ServeConfig::default()
-        })
-        .expect("bind serve daemon");
+        let server = ctx
+            .enter(|| {
+                serve(ServeConfig {
+                    addr: Addr::parse("tcp:127.0.0.1:0").expect("addr"),
+                    ..ServeConfig::default()
+                })
+            })
+            .expect("bind serve daemon");
         let addr = server.local_addr().clone();
         let wall0 = Instant::now();
         let workers: Vec<_> = (0..serve_tenants)
             .map(|t| {
-                let addr = addr.clone();
+                let (addr, ctx) = (addr.clone(), Arc::clone(&ctx));
                 std::thread::spawn(move || {
-                    let mut client = Client::connect_retry(
-                        &addr,
-                        &format!("chaos-{t}"),
-                        std::time::Duration::from_secs(10),
-                    )
-                    .expect("connect");
-                    let mut agg = (0u64, 0u64, 0u64);
-                    for i in 0..chaos_requests {
-                        let (report, _) = client
-                            .launch(&serve_chaos_spec(t, i))
-                            .expect("transport")
-                            .expect("chaos launch");
-                        agg.0 += report.stats.cycles;
-                        agg.1 += report.stats.warp_instructions;
-                        agg.2 += report.stats.thread_instructions;
-                    }
-                    agg
+                    ctx.enter(|| {
+                        let mut client = Client::connect_retry(
+                            &addr,
+                            &format!("chaos-{t}"),
+                            std::time::Duration::from_secs(10),
+                        )
+                        .expect("connect");
+                        let mut agg = (0u64, 0u64, 0u64);
+                        for i in 0..chaos_requests {
+                            let (report, _) = client
+                                .launch(&serve_chaos_spec(t, i))
+                                .expect("transport")
+                                .expect("chaos launch");
+                            agg.0 += report.stats.cycles;
+                            agg.1 += report.stats.warp_instructions;
+                            agg.2 += report.stats.thread_instructions;
+                        }
+                        agg
+                    })
                 })
             })
             .collect();
@@ -947,24 +953,18 @@ fn run() -> i32 {
                 .expect("admin connect");
         admin.shutdown().expect("daemon shutdown");
         server.join().expect("daemon drain");
-        (f64::from(serve_tenants * chaos_requests) / wall, agg)
+        let rps = f64::from(serve_tenants * chaos_requests) / wall;
+        (rps, agg, ctx.enter(net_counters))
     };
-    set_memo(Memo::On);
-    clear_memo_cache();
-    let (chaos_clean_rps, chaos_clean_agg) = run_chaos_fleet(None);
-    clear_memo_cache();
-    let net_before = g80_sim::net_counters();
-    let (chaos_armed_rps, chaos_armed_agg) =
+    let (chaos_clean_rps, chaos_clean_agg, _) = run_chaos_fleet(None);
+    let (chaos_armed_rps, chaos_armed_agg, chaos_net) =
         run_chaos_fleet(Some(g80_serve::NetFaultConfig::new(0xC0FF_EE00, 0.02)));
-    let chaos_net = g80_sim::net_counters().since(&net_before);
     assert_eq!(
         chaos_clean_agg, chaos_armed_agg,
         "serve_chaos_fleet: transport chaos changed aggregate KernelStats \
          (reconnect-and-replay must be invisible to results)"
     );
     let chaos_ratio = chaos_clean_rps / chaos_armed_rps;
-    set_memo(Memo::Off);
-    clear_memo_cache();
     eprintln!(
         "{:<24} {serve_tenants} tenants  clean {:>8.1} req/s  chaos {:>8.1} req/s  ratio {:>5.3}x  \
          ({} disconnects, {} frame retries, {} reconnects)",
@@ -1088,10 +1088,10 @@ fn run() -> i32 {
         ));
     }
     for r in &const_dedup {
-        if r.dedup_fast_blocks < 100 || r.dedup_fallbacks != 0 {
+        if r.counters.dedup_fast_blocks < 100 || r.counters.dedup_fallbacks != 0 {
             missed.push(format!(
                 "{} replayed {} blocks with {} fallbacks (floor: >= 100 replayed, 0 fallbacks)",
-                r.name, r.dedup_fast_blocks, r.dedup_fallbacks
+                r.name, r.counters.dedup_fast_blocks, r.counters.dedup_fallbacks
             ));
         }
     }

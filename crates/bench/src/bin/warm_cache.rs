@@ -1,8 +1,8 @@
 //! Cross-process warm-cache probe for the persistent disk tier.
 //!
 //! Runs one tuner-fleet round (the Figure 4 matmul variant family at n=64)
-//! against the cache directory given as the first argument, then prints the
-//! process-wide cache counters. The round is deterministic — fixed seed,
+//! against the cache directory given as the first argument, then prints its
+//! context's cache counters. The round is deterministic — fixed seed,
 //! fixed allocation order, fixed kernel content — so every invocation
 //! computes identical content-addressed keys, and a second invocation
 //! against the same directory must be served from the files the first one
@@ -13,7 +13,7 @@
 //! prove the cache survives the process boundary.
 
 use g80_apps::matmul::{MatMul, Variant};
-use g80_sim::{memo_counters, set_dedup, set_disk_cache, set_memo, Dedup, Memo};
+use g80_sim::{memo_counters, SimConfig, SimContext};
 use std::path::PathBuf;
 
 fn main() {
@@ -30,13 +30,19 @@ fn main() {
         eprintln!("usage: warm_cache <cache-dir> [--expect-warm]");
         std::process::exit(3);
     };
-    // Pin the memo toggle and the one environment-settable axis of the memo
+    // Pin the memo switch and the one environment-settable axis of the memo
     // key's mode byte, so invocations agree on keys regardless of ambient
     // G80_SIM_* variables.
-    set_memo(Memo::On);
-    set_dedup(Dedup::Off);
-    set_disk_cache(Some(dir));
+    let ctx = SimContext::new(SimConfig {
+        memo: true,
+        dedup: false,
+        disk_dir: Some(dir),
+        ..SimConfig::from_env()
+    });
+    ctx.enter(|| run(expect_warm));
+}
 
+fn run(expect_warm: bool) {
     let mm = MatMul { n: 64 };
     let (a, b) = mm.generate(42);
     let variants = [

@@ -34,15 +34,15 @@ pub struct SweepResult<C> {
     /// In-process launch-memo-cache hits observed while this sweep ran. A
     /// fleet that revisits configurations pays simulation only for the
     /// misses; the hit rate is what makes the revisit speedup auditable.
-    /// Measured as the delta of the process-wide [`g80_sim::memo_counters`],
-    /// so concurrent launches outside the sweep are attributed to it as
-    /// well.
+    /// Measured as the delta of the sweep's context's
+    /// [`g80_sim::memo_counters`], so concurrent launches in the same
+    /// context are attributed to it as well.
     pub memo_hits: u64,
     /// Launch-memo-cache misses observed while this sweep ran (launches
     /// that simulated).
     pub memo_misses: u64,
     /// Launches served by the persistent disk cache tier
-    /// ([`g80_sim::set_disk_cache`]) while this sweep ran — replayed from a
+    /// ([`g80_sim::SimConfig::disk_dir`]) while this sweep ran — replayed from a
     /// prior process without simulating.
     pub disk_hits: u64,
     /// Disk-tier probes during this sweep that found no usable entry.
@@ -225,30 +225,11 @@ fn collect_fallible<C>(
 }
 
 /// Runs `f` and returns its result plus the cache activity it caused across
-/// both tiers (delta of the process-wide [`g80_sim::memo_counters`];
-/// saturating so a concurrent [`g80_sim::reset_memo_counters`] cannot
-/// underflow).
+/// both tiers (delta of the current context's [`g80_sim::memo_counters`]).
 fn with_memo_delta<T>(f: impl FnOnce() -> T) -> (T, g80_sim::MemoCounters) {
     let before = g80_sim::memo_counters();
     let out = f();
-    let after = g80_sim::memo_counters();
-    (
-        out,
-        g80_sim::MemoCounters {
-            hits: after.hits.saturating_sub(before.hits),
-            misses: after.misses.saturating_sub(before.misses),
-            disk_hits: after.disk_hits.saturating_sub(before.disk_hits),
-            disk_misses: after.disk_misses.saturating_sub(before.disk_misses),
-            disk_evictions: after.disk_evictions.saturating_sub(before.disk_evictions),
-            dedup_fast_blocks: after
-                .dedup_fast_blocks
-                .saturating_sub(before.dedup_fast_blocks),
-            dedup_sim_blocks: after
-                .dedup_sim_blocks
-                .saturating_sub(before.dedup_sim_blocks),
-            dedup_fallbacks: after.dedup_fallbacks.saturating_sub(before.dedup_fallbacks),
-        },
-    )
+    (out, g80_sim::memo_counters().since(&before))
 }
 
 fn finish<C>(samples: Vec<Sample<C>>, delta: g80_sim::MemoCounters) -> SweepResult<C> {
@@ -391,24 +372,11 @@ mod tests {
 
     #[test]
     fn revisit_sweep_reports_memo_hits() {
-        // Meaningless when the cache is globally disabled (the CI matrix
-        // runs the suite with G80_SIM_MEMO=off), exact counts are perturbed
-        // under the chaos CI's armed fault injector, and a warm disk-cache
-        // dir can turn the cold sweep's expected misses into disk hits.
-        if g80_sim::memo() == g80_sim::Memo::Off
-            || g80_sim::fault::armed()
-            || g80_sim::disk_cache_dir().is_some()
-        {
+        // Exact counts are perturbed under the chaos CI's armed fault
+        // injector.
+        if g80_sim::fault::armed() {
             return;
         }
-        // The revisit needs every config still resident (the CI matrix
-        // forces G80_SIM_MEMO_CAP=1, under which each launch evicts the
-        // previous one), so pin a capacity that holds the whole sweep.
-        g80_sim::set_memo_capacity(64);
-        // A kernel unique to this test (the 0x5eed xor is its fingerprint),
-        // so no other test can pre-warm its cache entries. Counter deltas
-        // are process-wide, so concurrent tests can only *inflate* them —
-        // all assertions are lower bounds.
         let eval = |&threads: &u32| -> KernelStats {
             let mut b = KernelBuilder::new("revisit");
             let p = b.param();
@@ -435,14 +403,18 @@ mod tests {
             .unwrap()
         };
         let configs = [32u32, 64, 128, 256];
-        let cold = sweep(&configs, eval);
-        assert!(
-            cold.memo_misses >= configs.len() as u64,
+        // A context of its own — memo on, cold, holding the whole sweep, no
+        // disk tier — so the sweeps' deltas are exactly their own traffic.
+        let ctx = g80_sim::SimContext::new(g80_sim::SimConfig::default());
+        let (cold, warm) = ctx.enter(|| (sweep(&configs, eval), sweep(&configs, eval)));
+        assert_eq!(
+            (cold.memo_hits, cold.memo_misses),
+            (0, 4),
             "first visit must simulate every configuration: {cold:?}"
         );
-        let warm = sweep(&configs, eval);
-        assert!(
-            warm.memo_hits >= configs.len() as u64,
+        assert_eq!(
+            (warm.memo_hits, warm.memo_misses),
+            (4, 0),
             "revisit must be served by the launch memo cache: {warm:?}"
         );
         assert!(warm.memo_hit_rate() > 0.0);

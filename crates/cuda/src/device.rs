@@ -129,14 +129,14 @@ pub struct Timeline {
     /// (their `kernel_s`/`kernel_cycles` were replayed, not simulated).
     pub memo_hits: u64,
     /// Launches answered from the persistent disk cache tier (replayed from
-    /// a prior process's simulation; see [`g80_sim::set_disk_cache`]).
+    /// a prior process's simulation; see [`g80_sim::SimConfig::disk_dir`]).
     pub disk_hits: u64,
-    /// Process-wide row-shape counters ([`g80_sim::row_counters`]) observed
-    /// when this device last recorded a kernel: how many warp-instruction
-    /// executions resolved through uniform/affine lane-row shapes versus
-    /// eager full-row evaluation. A snapshot of totals, like
-    /// [`g80_sim::LaunchReport`]'s — diff successive timelines to attribute
-    /// a window.
+    /// The launching context's row-shape counters
+    /// ([`g80_sim::row_counters`]) observed when this device last recorded a
+    /// kernel: how many warp-instruction executions resolved through
+    /// uniform/affine lane-row shapes versus eager full-row evaluation. A
+    /// snapshot of totals, like [`g80_sim::LaunchReport`]'s — diff
+    /// successive timelines to attribute a window.
     pub rows: g80_sim::RowCounters,
 }
 
@@ -161,7 +161,7 @@ impl Timeline {
     }
     /// Fraction of this device's launches served by any cache tier — the
     /// in-process launch memo or the persistent disk cache (0 when nothing
-    /// launched). Process-wide totals — across devices and including
+    /// launched). The context's totals — across devices and including
     /// block-class dedup — live in [`g80_sim::memo_counters`].
     pub fn memo_hit_rate(&self) -> f64 {
         if self.launches == 0 {
@@ -420,6 +420,7 @@ pub fn launch_batch(entries: &[BatchLaunch]) -> Vec<Result<KernelStats, g80_sim:
 mod tests {
     use super::*;
     use g80_isa::builder::KernelBuilder;
+    use g80_sim::{SimConfig, SimContext};
 
     #[test]
     fn alloc_is_aligned_and_disjoint() {
@@ -548,15 +549,9 @@ mod tests {
 
     #[test]
     fn timeline_counts_memo_hits() {
-        // Hit accounting is meaningless when the cache is globally disabled
-        // (the CI matrix runs the suite with G80_SIM_MEMO=off), the exact
-        // hit count is perturbed when the chaos CI arms the fault injector
-        // (absorbed retries re-probe the cache), and a warm disk-cache dir
-        // from a prior run can serve launches the LRU would otherwise miss.
-        if g80_sim::memo() == g80_sim::Memo::Off
-            || fault::armed()
-            || g80_sim::disk_cache_dir().is_some()
-        {
+        // The exact hit count is perturbed when the chaos CI arms the fault
+        // injector (absorbed retries re-probe the cache).
+        if fault::armed() {
             return;
         }
         // The memo key digests the full pre-launch memory image, so the
@@ -580,9 +575,12 @@ mod tests {
         let y = d.alloc::<f32>(128);
         d.copy_to_device(&x, &vec![2.0f32; 128]);
         let params = [x.as_param(), y.as_param()];
-        let first = d.launch(&k, (1, 1), (128, 1, 1), &params).unwrap();
-        let second = d.launch(&k, (1, 1), (128, 1, 1), &params).unwrap();
-        let third = d.launch(&k, (1, 1), (128, 1, 1), &params).unwrap();
+        // A context of its own: memo on, no disk tier, whatever the
+        // environment configured the global one with.
+        let (first, second, third) = SimContext::new(SimConfig::default()).enter(|| {
+            let run = || d.launch(&k, (1, 1), (128, 1, 1), &params).unwrap();
+            (run(), run(), run())
+        });
         assert_eq!(first.cycles, second.cycles);
         assert_eq!(first.cycles, third.cycles);
         assert!(d.copy_from_device(&y).iter().all(|&v| v == 15.0));

@@ -24,7 +24,7 @@
 //!   from the broken stream could still be in flight, and a fresh
 //!   connection is the only way to guarantee the two streams cannot mix.
 //!
-//! Every recovery action is tallied through the process-wide
+//! Every recovery action is tallied through the calling thread's context's
 //! [`g80_sim::net_counters`]; streamed requests return the delta so
 //! `SweepResult`/bench summaries can report what the transport survived.
 

@@ -33,8 +33,8 @@
 //!   over the call index): disconnects, truncation, bit corruption, frame
 //!   splitting, stalls — bit-identical across reruns of the same seed.
 //!
-//! Every launch runs through `g80_sim::launch_reported` on the daemon's
-//! process-wide pool and caches, so stats are bit-identical to an
+//! Every launch runs through `g80_sim::launch_reported` on the process-wide
+//! pool and in the daemon's `SimContext`, so stats are bit-identical to an
 //! in-process `launch` with the same `GpuConfig` — the golden cross-check
 //! in `tests/serve_daemon.rs` asserts exactly that.
 //!

@@ -903,7 +903,7 @@ pub enum Response {
         result: Result<LaunchReport, WireError>,
     },
     /// Terminates a `Batch`/`Sweep` stream; `counters` is the delta of the
-    /// daemon's process-wide cache counters across the stream (shared by
+    /// daemon's context's cache counters across the stream (shared by
     /// all tenants — cross-client provenance, see EXPERIMENTS.md), and
     /// `net` the matching delta of its transport-fault counters — the
     /// disconnects/retries/replays the daemon survived while the stream
@@ -917,46 +917,6 @@ pub enum Response {
     Error(WireError),
     /// Drain acknowledged; the daemon exits once in-flight work completes.
     ShutdownOk,
-}
-
-fn enc_counters(e: &mut Enc, c: &MemoCounters) {
-    e.u64(c.hits);
-    e.u64(c.misses);
-    e.u64(c.disk_hits);
-    e.u64(c.disk_misses);
-    e.u64(c.disk_evictions);
-    e.u64(c.dedup_fast_blocks);
-    e.u64(c.dedup_sim_blocks);
-    e.u64(c.dedup_fallbacks);
-}
-
-fn dec_counters(d: &mut Dec) -> Option<MemoCounters> {
-    Some(MemoCounters {
-        hits: d.u64()?,
-        misses: d.u64()?,
-        disk_hits: d.u64()?,
-        disk_misses: d.u64()?,
-        disk_evictions: d.u64()?,
-        dedup_fast_blocks: d.u64()?,
-        dedup_sim_blocks: d.u64()?,
-        dedup_fallbacks: d.u64()?,
-    })
-}
-
-fn enc_net_counters(e: &mut Enc, n: &NetCounters) {
-    e.u64(n.disconnects);
-    e.u64(n.frames_retried);
-    e.u64(n.bytes_resent);
-    e.u64(n.reconnects);
-}
-
-fn dec_net_counters(d: &mut Dec) -> Option<NetCounters> {
-    Some(NetCounters {
-        disconnects: d.u64()?,
-        frames_retried: d.u64()?,
-        bytes_resent: d.u64()?,
-        reconnects: d.u64()?,
-    })
 }
 
 fn enc_report_result(e: &mut Enc, r: &Result<LaunchReport, WireError>) {
@@ -1013,8 +973,8 @@ impl Response {
             }
             Response::Done { counters, net } => {
                 e.u8(3);
-                enc_counters(&mut e, counters);
-                enc_net_counters(&mut e, net);
+                counters.encode_into(&mut e);
+                net.encode_into(&mut e);
             }
             Response::Error(err) => {
                 e.u8(4);
@@ -1052,8 +1012,8 @@ impl Response {
                 result: dec_report_result(&mut d)?,
             },
             3 => Response::Done {
-                counters: dec_counters(&mut d)?,
-                net: dec_net_counters(&mut d)?,
+                counters: MemoCounters::decode_from(&mut d)?,
+                net: NetCounters::decode_from(&mut d)?,
             },
             4 => Response::Error(WireError::decode_from(&mut d)?),
             5 => Response::ShutdownOk,
@@ -1381,6 +1341,38 @@ mod tests {
         write_frame(&mut wire, &hello.encode()).unwrap();
         let hex: String = wire.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(hex, "10000000000300050000000000000070726f6265080a95f1");
+    }
+
+    /// One `Done` frame, bytes taken from the commit before the counter
+    /// codec moved into `g80-sim`: tag, eight memo counters, four net
+    /// counters, in that order, little-endian.
+    #[test]
+    fn done_frame_bytes_are_pinned() {
+        let done = Response::Done {
+            counters: MemoCounters {
+                hits: 1,
+                misses: 2,
+                disk_hits: 3,
+                disk_misses: 4,
+                disk_evictions: 5,
+                dedup_fast_blocks: 6,
+                dedup_sim_blocks: 7,
+                dedup_fallbacks: 8,
+            },
+            net: NetCounters {
+                disconnects: 9,
+                frames_retried: 10,
+                bytes_resent: 11,
+                reconnects: 12,
+            },
+        };
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &done.encode()).unwrap();
+        let hex: String = wire.iter().map(|b| format!("{b:02x}")).collect();
+        let counters: String = (1..=12u64)
+            .map(|v| format!("{v:02x}00000000000000"))
+            .collect();
+        assert_eq!(hex, format!("6100000003{counters}ce8ab4b1"));
     }
 
     #[test]

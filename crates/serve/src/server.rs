@@ -1,11 +1,12 @@
 //! The daemon: accept loop, per-connection handlers, request execution.
 //!
-//! One process hosts the shared substrate — the work-stealing pool, the
-//! launch memo LRU, and (when `G80_SIM_DISK_CACHE` is set) the persistent
-//! disk tier — and every connection's launches run through it, so tenants
-//! warm each other's caches. Each connection is one thread; each request
-//! is admitted by the [`crate::admission`] controller before it touches
-//! the pool.
+//! One daemon hosts the shared substrate — the work-stealing pool and one
+//! [`SimContext`] (the one current where [`serve`] was called; the global,
+//! environment-configured one for the `g80-serve` binary): its launch memo
+//! LRU, its disk tier when configured, its counters — and every
+//! connection's launches run through it, so tenants warm each other's
+//! caches. Each connection is one thread; each request is admitted by the
+//! [`crate::admission`] controller before it touches the pool.
 //!
 //! Failure behaviour (the hardened paths the chaos job exercises):
 //!
@@ -41,7 +42,7 @@ use crate::protocol::{Request, Response, WireError, WireLaunch, MAX_MEM_BYTES, P
 use g80_sim::fault::{self, Site};
 use g80_sim::{
     launch_reported, memo_counters, net_counters, note_net_disconnect, DeviceMemory, GpuConfig,
-    LaunchReport, MemoCounters,
+    LaunchReport, SimContext,
 };
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -140,6 +141,8 @@ const POLL_TICK: Duration = Duration::from_millis(20);
 const SHED_RETRY_AFTER_MS: u64 = 50;
 
 struct Shared {
+    /// The context every accept and handler thread of this daemon enters.
+    ctx: Arc<SimContext>,
     admission: Arc<Admission>,
     gpu: GpuConfig,
     shutting_down: AtomicBool,
@@ -220,12 +223,13 @@ impl Server {
     }
 }
 
-/// Binds the configured address and starts serving. Returns immediately;
-/// the daemon runs on background threads until a shutdown request drains
-/// it.
+/// Binds the configured address and starts serving in the caller's current
+/// [`SimContext`]. Returns immediately; the daemon runs on background
+/// threads until a shutdown request drains it.
 pub fn serve(cfg: ServeConfig) -> io::Result<Server> {
     let (listener, bound) = Listener::bind(&cfg.addr)?;
     let shared = Arc::new(Shared {
+        ctx: SimContext::current(),
         admission: Admission::new(cfg.quota),
         gpu: cfg.gpu,
         shutting_down: AtomicBool::new(false),
@@ -241,7 +245,9 @@ pub fn serve(cfg: ServeConfig) -> io::Result<Server> {
     let accept_shared = Arc::clone(&shared);
     let accept_thread = thread::Builder::new()
         .name("g80-serve-accept".into())
-        .spawn(move || accept_loop(listener, accept_shared))
+        .spawn(move || {
+            Arc::clone(&accept_shared.ctx).enter(|| accept_loop(listener, accept_shared))
+        })
         .map_err(io::Error::other)?;
     Ok(Server {
         shared,
@@ -277,9 +283,11 @@ fn accept_loop(listener: Listener, shared: Arc<Shared>) -> io::Result<()> {
                             // Connection-level transport errors are expected
                             // (peers vanish); they end the connection, not the
                             // daemon.
-                            if handle_connection(stream, &conn_shared).is_err() {
-                                note_net_disconnect();
-                            }
+                            conn_shared.ctx.enter(|| {
+                                if handle_connection(stream, &conn_shared).is_err() {
+                                    note_net_disconnect();
+                                }
+                            });
                             let mut active = fault::lock_recover(&conn_shared.active);
                             *active -= 1;
                             drop(active);
@@ -509,7 +517,7 @@ fn handle_request(
             send(
                 stream,
                 &Response::Done {
-                    counters: counter_delta(before, memo_counters()),
+                    counters: memo_counters().since(&before),
                     net: net_counters().since(&net_before),
                 },
             )?;
@@ -580,21 +588,4 @@ fn run_spec(
             .collect()
     });
     Ok((report, delta))
-}
-
-fn counter_delta(before: MemoCounters, after: MemoCounters) -> MemoCounters {
-    MemoCounters {
-        hits: after.hits.saturating_sub(before.hits),
-        misses: after.misses.saturating_sub(before.misses),
-        disk_hits: after.disk_hits.saturating_sub(before.disk_hits),
-        disk_misses: after.disk_misses.saturating_sub(before.disk_misses),
-        disk_evictions: after.disk_evictions.saturating_sub(before.disk_evictions),
-        dedup_fast_blocks: after
-            .dedup_fast_blocks
-            .saturating_sub(before.dedup_fast_blocks),
-        dedup_sim_blocks: after
-            .dedup_sim_blocks
-            .saturating_sub(before.dedup_sim_blocks),
-        dedup_fallbacks: after.dedup_fallbacks.saturating_sub(before.dedup_fallbacks),
-    }
 }

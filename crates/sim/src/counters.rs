@@ -1,8 +1,10 @@
 //! Performance counters collected during a kernel launch.
 
 use crate::config::GpuConfig;
+use crate::context::SimContext;
 use g80_isa::InstClass;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Why the issue unit of an SM was idle.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -358,60 +360,187 @@ impl KernelStats {
     }
 }
 
-/// Process-wide row-shape counters: how many warp-instruction executions
-/// resolved through each [`g80_isa::LaneRow`] shape (`uniform`/`affine` =
-/// folded in O(1) or served by a closed-form memory-degree formula; `full` =
-/// evaluated eagerly across all lanes).
-///
-/// Deliberately *not* part of [`KernelStats`]: golden stats must stay
-/// bit-identical with row tracking on and off (and across engines — the
-/// reference engine never folds), so host-side attribution lives in this
-/// separate, monotonically increasing process-wide snapshot. Diff
-/// [`row_counters`] around a launch to attribute a single run.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct RowCounters {
-    /// Executions resolved through a `Uniform` row shape.
-    pub uniform: u64,
-    /// Executions resolved through an `Affine` row shape.
-    pub affine: u64,
-    /// Executions that fell back to eager full-row evaluation.
-    pub full: u64,
+/// Defines one family of context tallies: a `Copy` snapshot struct of `u64`
+/// fields with `since` and the wire codec both [`crate::report`] and the
+/// serve protocol use, and its atomic twin owned by a
+/// [`crate::SimContext`]. The field order is the wire order.
+macro_rules! counters {
+    ($(#[$meta:meta])* $name:ident / $tally:ident { $($(#[$fmeta:meta])* $field:ident),+ $(,)? }) => {
+        $(#[$meta])*
+        #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: u64),+
+        }
+
+        impl $name {
+            /// Component-wise saturating difference (`self - earlier`), for
+            /// attributing a window from two snapshots of one context.
+            pub fn since(&self, earlier: &Self) -> Self {
+                Self { $($field: self.$field.saturating_sub(earlier.$field)),+ }
+            }
+
+            /// Appends the fields as little-endian `u64`s, in declaration
+            /// order.
+            pub fn encode_into(&self, e: &mut crate::wire::Enc) {
+                $(e.u64(self.$field);)+
+            }
+
+            /// Inverse of [`Self::encode_into`]; `None` on truncation.
+            pub fn decode_from(d: &mut crate::wire::Dec) -> Option<Self> {
+                Some(Self { $($field: d.u64()?),+ })
+            }
+        }
+
+        /// The live tallies a context's snapshots are read from.
+        #[derive(Default)]
+        pub(crate) struct $tally {
+            $(pub(crate) $field: AtomicU64),+
+        }
+
+        impl $tally {
+            pub(crate) fn snapshot(&self) -> $name {
+                $name { $($field: self.$field.load(Relaxed)),+ }
+            }
+
+            /// Adds a locally accumulated tally (flushed once per SM run or
+            /// event, never per instruction, to keep atomics off the hot
+            /// path).
+            pub(crate) fn add(&self, delta: &$name) {
+                $(if delta.$field != 0 {
+                    self.$field.fetch_add(delta.$field, Relaxed);
+                })+
+            }
+        }
+    };
 }
 
-static ROWS_UNIFORM: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static ROWS_AFFINE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static ROWS_FULL: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+counters! {
+    /// Snapshot of a context's redundancy-elimination counters.
+    MemoCounters / MemoTally {
+        /// Launches answered from the in-process LRU memo cache without
+        /// simulating.
+        hits,
+        /// Memo-eligible launches that had to simulate (and were recorded).
+        /// Launches answered by the disk tier are neither hits nor misses
+        /// here; they count in [`MemoCounters::disk_hits`].
+        misses,
+        /// Launches answered from the persistent disk tier
+        /// ([`crate::SimConfig::disk_dir`]) after missing the LRU.
+        disk_hits,
+        /// Disk-tier probes that found no usable entry (absent, corrupt, or
+        /// version-skewed). Zero while the tier is disabled.
+        disk_misses,
+        /// Disk entries removed: corrupt/version-skewed files evicted on
+        /// load plus files removed by byte-budget compaction.
+        disk_evictions,
+        /// Blocks whose timing was fast-forwarded by block-class dedup.
+        dedup_fast_blocks,
+        /// Blocks fully simulated in dedup-enabled launches.
+        dedup_sim_blocks,
+        /// Period replays that failed verification and fell back to full
+        /// simulation.
+        dedup_fallbacks,
+    }
+}
 
-/// Snapshot of the process-wide row-shape counters.
+counters! {
+    /// Row-shape counters of a context: how many warp-instruction executions
+    /// resolved through each [`g80_isa::LaneRow`] shape (`uniform`/`affine` =
+    /// folded in O(1) or served by a closed-form memory-degree formula;
+    /// `full` = evaluated eagerly across all lanes).
+    ///
+    /// Deliberately *not* part of [`KernelStats`]: golden stats must stay
+    /// bit-identical across engines (the reference engine never folds), so
+    /// host-side attribution lives in this separate, monotonically
+    /// increasing tally. Diff [`row_counters`] around a launch to attribute
+    /// a single run.
+    RowCounters / RowTally {
+        /// Executions resolved through a `Uniform` row shape.
+        uniform,
+        /// Executions resolved through an `Affine` row shape.
+        affine,
+        /// Executions that fell back to eager full-row evaluation.
+        full,
+    }
+}
+
+counters! {
+    /// Transport-fault counters of a context: what the `g80-serve` network
+    /// layer survived. Lives here (not in the serve crate) so
+    /// [`crate::report`] can snapshot it into every [`crate::LaunchReport`]
+    /// without a dependency cycle. The serve crate's transport layer is the
+    /// only writer; an in-process-only simulation leaves every field at
+    /// zero.
+    NetCounters / NetTally {
+        /// Connection losses observed mid-conversation (peer vanished,
+        /// socket error, or an injected disconnect/truncation), on either
+        /// end.
+        disconnects,
+        /// Request frames resent on a still-open connection after the peer
+        /// reported frame corruption (typed `BadFrame`) or a response frame
+        /// failed its CRC locally.
+        frames_retried,
+        /// Payload bytes re-sent across all frame retries and reconnect
+        /// replays.
+        bytes_resent,
+        /// Successful reconnect-and-replay cycles (a fresh connection plus
+        /// a replayed in-flight request after a disconnect).
+        reconnects,
+    }
+}
+
+/// Snapshot of the current context's redundancy-elimination counters.
+pub fn memo_counters() -> MemoCounters {
+    SimContext::current().metrics.memo.snapshot()
+}
+
+/// Snapshot of the current context's row-shape counters.
 pub fn row_counters() -> RowCounters {
-    use std::sync::atomic::Ordering::Relaxed;
-    RowCounters {
-        uniform: ROWS_UNIFORM.load(Relaxed),
-        affine: ROWS_AFFINE.load(Relaxed),
-        full: ROWS_FULL.load(Relaxed),
-    }
+    SimContext::current().metrics.rows.snapshot()
 }
 
-/// Resets the process-wide row-shape counters to zero (tests/benchmarks).
-pub fn reset_row_counters() {
-    use std::sync::atomic::Ordering::Relaxed;
-    ROWS_UNIFORM.store(0, Relaxed);
-    ROWS_AFFINE.store(0, Relaxed);
-    ROWS_FULL.store(0, Relaxed);
+/// Snapshot of the current context's transport-fault counters.
+pub fn net_counters() -> NetCounters {
+    SimContext::current().metrics.net.snapshot()
 }
 
-/// Flushes one SM run's locally tallied row counts (called once per
-/// `run_sm`, not per instruction, to keep atomics off the hot path).
-pub(crate) fn add_row_counts(tally: RowCounters) {
-    use std::sync::atomic::Ordering::Relaxed;
-    if tally.uniform != 0 {
-        ROWS_UNIFORM.fetch_add(tally.uniform, Relaxed);
-    }
-    if tally.affine != 0 {
-        ROWS_AFFINE.fetch_add(tally.affine, Relaxed);
-    }
-    if tally.full != 0 {
-        ROWS_FULL.fetch_add(tally.full, Relaxed);
+/// Tallies one observed connection loss (serve transport layer).
+pub fn note_net_disconnect() {
+    SimContext::current().metrics.net.add(&NetCounters {
+        disconnects: 1,
+        ..Default::default()
+    });
+}
+
+/// Tallies one same-connection frame retry of `payload_bytes` resent.
+pub fn note_net_frame_retried(payload_bytes: u64) {
+    SimContext::current().metrics.net.add(&NetCounters {
+        frames_retried: 1,
+        bytes_resent: payload_bytes,
+        ..Default::default()
+    });
+}
+
+/// Tallies one reconnect-and-replay cycle of `payload_bytes` resent.
+pub fn note_net_reconnect(payload_bytes: u64) {
+    SimContext::current().metrics.net.add(&NetCounters {
+        reconnects: 1,
+        bytes_resent: payload_bytes,
+        ..Default::default()
+    });
+}
+
+impl MemoCounters {
+    /// Hit fraction over all memo-cache probes, counting both tiers (0 when
+    /// none).
+    pub fn hit_rate(&self) -> f64 {
+        let served = self.hits + self.disk_hits;
+        let total = served + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            served as f64 / total as f64
+        }
     }
 }
 
@@ -426,107 +555,18 @@ impl RowCounters {
         }
     }
 
-    /// Component-wise difference (`self - earlier`), for attributing a
-    /// single launch from two process-wide snapshots.
-    pub fn since(&self, earlier: &RowCounters) -> RowCounters {
-        RowCounters {
-            uniform: self.uniform - earlier.uniform,
-            affine: self.affine - earlier.affine,
-            full: self.full - earlier.full,
-        }
-    }
-
     /// Total executions attributed across all shapes.
     pub fn total(&self) -> u64 {
         self.uniform + self.affine + self.full
     }
 }
 
-/// Process-wide transport-fault counters: what the `g80-serve` network
-/// layer survived. Mirrors [`RowCounters`]' shape — monotonically
-/// increasing process-wide totals, diffed by callers to attribute a
-/// window — and lives here (not in the serve crate) so [`crate::report`]
-/// can snapshot it into every [`crate::LaunchReport`] without a dependency
-/// cycle. The serve crate's transport layer is the only writer; an
-/// in-process-only simulation leaves every field at zero.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct NetCounters {
-    /// Connection losses observed mid-conversation (peer vanished, socket
-    /// error, or an injected disconnect/truncation), on either end.
-    pub disconnects: u64,
-    /// Request frames resent on a still-open connection after the peer
-    /// reported frame corruption (typed `BadFrame`) or a response frame
-    /// failed its CRC locally.
-    pub frames_retried: u64,
-    /// Payload bytes re-sent across all frame retries and reconnect
-    /// replays.
-    pub bytes_resent: u64,
-    /// Successful reconnect-and-replay cycles (a fresh connection plus a
-    /// replayed in-flight request after a disconnect).
-    pub reconnects: u64,
-}
-
-static NET_DISCONNECTS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static NET_FRAMES_RETRIED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static NET_BYTES_RESENT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static NET_RECONNECTS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Snapshot of the process-wide transport-fault counters.
-pub fn net_counters() -> NetCounters {
-    use std::sync::atomic::Ordering::Relaxed;
-    NetCounters {
-        disconnects: NET_DISCONNECTS.load(Relaxed),
-        frames_retried: NET_FRAMES_RETRIED.load(Relaxed),
-        bytes_resent: NET_BYTES_RESENT.load(Relaxed),
-        reconnects: NET_RECONNECTS.load(Relaxed),
-    }
-}
-
-/// Resets the process-wide transport-fault counters (tests/benchmarks).
-pub fn reset_net_counters() {
-    use std::sync::atomic::Ordering::Relaxed;
-    NET_DISCONNECTS.store(0, Relaxed);
-    NET_FRAMES_RETRIED.store(0, Relaxed);
-    NET_BYTES_RESENT.store(0, Relaxed);
-    NET_RECONNECTS.store(0, Relaxed);
-}
-
-/// Tallies one observed connection loss (serve transport layer).
-pub fn note_net_disconnect() {
-    NET_DISCONNECTS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// Tallies one same-connection frame retry of `payload_bytes` resent.
-pub fn note_net_frame_retried(payload_bytes: u64) {
-    use std::sync::atomic::Ordering::Relaxed;
-    NET_FRAMES_RETRIED.fetch_add(1, Relaxed);
-    NET_BYTES_RESENT.fetch_add(payload_bytes, Relaxed);
-}
-
-/// Tallies one reconnect-and-replay cycle of `payload_bytes` resent.
-pub fn note_net_reconnect(payload_bytes: u64) {
-    use std::sync::atomic::Ordering::Relaxed;
-    NET_RECONNECTS.fetch_add(1, Relaxed);
-    NET_BYTES_RESENT.fetch_add(payload_bytes, Relaxed);
-}
-
 impl NetCounters {
-    /// Component-wise saturating difference (`self - earlier`), for
-    /// attributing a window from two process-wide snapshots.
-    pub fn since(&self, earlier: &NetCounters) -> NetCounters {
-        NetCounters {
-            disconnects: self.disconnects.saturating_sub(earlier.disconnects),
-            frames_retried: self.frames_retried.saturating_sub(earlier.frames_retried),
-            bytes_resent: self.bytes_resent.saturating_sub(earlier.bytes_resent),
-            reconnects: self.reconnects.saturating_sub(earlier.reconnects),
-        }
-    }
-
     /// Component-wise saturating sum — merges the client-observed and
     /// daemon-reported deltas of one request. With an in-process daemon
-    /// the two ends share these process-wide counters, so daemon-noted
-    /// events can appear in both views; the sum is a monotone upper
-    /// bound, not an exact attribution.
+    /// the two ends may share one context, so daemon-noted events can
+    /// appear in both views; the sum is a monotone upper bound, not an
+    /// exact attribution.
     pub fn saturating_add(&self, other: &NetCounters) -> NetCounters {
         NetCounters {
             disconnects: self.disconnects.saturating_add(other.disconnects),
@@ -538,10 +578,7 @@ impl NetCounters {
 
     /// True when any fault was observed in this snapshot/delta.
     pub fn any(&self) -> bool {
-        self.disconnects != 0
-            || self.frames_retried != 0
-            || self.bytes_resent != 0
-            || self.reconnects != 0
+        *self != NetCounters::default()
     }
 }
 

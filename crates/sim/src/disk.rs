@@ -20,115 +20,22 @@
 //! [`Site::DiskCache`] fault covers both directions (tamper the published
 //! checksum / distrust the loaded entry).
 //!
-//! The tier is **off by default** (`G80_SIM_DISK_CACHE=<dir>` /
-//! [`set_disk_cache`] enable it) and bounded: a byte budget
-//! (`G80_SIM_DISK_CACHE_CAP` / [`set_disk_cache_cap`], default 1 GiB) is
-//! enforced by an LRU-by-mtime compaction pass that runs after enough new
-//! bytes have been published (hits touch their entry's mtime, so hot
-//! entries survive).
+//! The tier is **off by default** ([`crate::SimConfig::disk_dir`] enables
+//! it) and bounded: a byte budget ([`crate::SimConfig::disk_cap`], default
+//! 1 GiB) is enforced by an LRU-by-mtime compaction pass that runs after a
+//! context has published enough new bytes (hits touch their entry's mtime,
+//! so hot entries survive). Contexts, like processes, may share a directory.
 
+use crate::context::SimContext;
 use crate::counters::KernelStats;
-use crate::fault::{self, lock_recover, Site};
+use crate::fault::{self, Site};
 use crate::memo::Mix64;
 use crate::wire::{self, Dec, Enc};
 use std::fs;
 use std::hash::Hasher;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::SystemTime;
-
-// ---- toggles ---------------------------------------------------------------
-
-// 0 = unresolved (read G80_SIM_DISK_CACHE on first use), 1 = off, 2 = on
-// (path in DIR_PATH).
-static DIR_STATE: AtomicU8 = AtomicU8::new(0);
-static DIR_PATH: Mutex<Option<PathBuf>> = Mutex::new(None);
-
-/// Enables (`Some(dir)`) or disables (`None`) the persistent disk tier for
-/// subsequent launches, overriding `G80_SIM_DISK_CACHE`. Process-wide; the
-/// directory is created lazily on first publish.
-pub fn set_disk_cache(dir: Option<PathBuf>) {
-    let mut path = lock_recover(&DIR_PATH);
-    DIR_STATE.store(if dir.is_some() { 2 } else { 1 }, Ordering::SeqCst);
-    *path = dir;
-}
-
-/// The disk-cache directory currently in effect, if the tier is enabled.
-/// An empty or whitespace-only `G80_SIM_DISK_CACHE` counts as unset (CI
-/// matrices pass empty strings for the disabled arms).
-pub fn disk_cache_dir() -> Option<PathBuf> {
-    match DIR_STATE.load(Ordering::SeqCst) {
-        1 => None,
-        2 => lock_recover(&DIR_PATH).clone(),
-        _ => {
-            let dir = std::env::var("G80_SIM_DISK_CACHE")
-                .ok()
-                .map(|v| v.trim().to_string())
-                .filter(|v| !v.is_empty())
-                .map(PathBuf::from);
-            // Racing first reads resolve the same env identically.
-            let mut path = lock_recover(&DIR_PATH);
-            DIR_STATE.store(if dir.is_some() { 2 } else { 1 }, Ordering::SeqCst);
-            path.clone_from(&dir);
-            dir
-        }
-    }
-}
-
-/// Cheap disabled-path guard: one atomic load once resolved.
-pub(crate) fn enabled() -> bool {
-    match DIR_STATE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => disk_cache_dir().is_some(),
-    }
-}
-
-// 0 = unresolved (read G80_SIM_DISK_CACHE_CAP on first use).
-static CAP: AtomicU64 = AtomicU64::new(0);
-const DEFAULT_CAP_BYTES: u64 = 1 << 30; // 1 GiB
-
-/// Sets the disk tier's byte budget (process-wide, min 1 byte), overriding
-/// `G80_SIM_DISK_CACHE_CAP`. Enforced by the next compaction pass.
-pub fn set_disk_cache_cap(bytes: u64) {
-    CAP.store(bytes.max(1), Ordering::SeqCst);
-}
-
-fn cap_bytes() -> u64 {
-    match CAP.load(Ordering::SeqCst) {
-        0 => {
-            let cap = std::env::var("G80_SIM_DISK_CACHE_CAP")
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .unwrap_or(DEFAULT_CAP_BYTES)
-                .max(1);
-            CAP.store(cap, Ordering::SeqCst);
-            cap
-        }
-        v => v,
-    }
-}
-
-// ---- counters --------------------------------------------------------------
-
-static DISK_HITS: AtomicU64 = AtomicU64::new(0);
-static DISK_MISSES: AtomicU64 = AtomicU64::new(0);
-static DISK_EVICTIONS: AtomicU64 = AtomicU64::new(0);
-
-pub(crate) fn counters() -> (u64, u64, u64) {
-    (
-        DISK_HITS.load(Ordering::Relaxed),
-        DISK_MISSES.load(Ordering::Relaxed),
-        DISK_EVICTIONS.load(Ordering::Relaxed),
-    )
-}
-
-pub(crate) fn reset_counters() {
-    DISK_HITS.store(0, Ordering::Relaxed);
-    DISK_MISSES.store(0, Ordering::Relaxed);
-    DISK_EVICTIONS.store(0, Ordering::Relaxed);
-}
 
 // ---- on-disk format --------------------------------------------------------
 
@@ -234,34 +141,26 @@ fn entry_path(dir: &Path, digest: (u64, u64)) -> PathBuf {
 
 // ---- load / publish --------------------------------------------------------
 
-pub(crate) enum DiskLoad {
-    /// Tier disabled (or the file vanished between probe and read).
-    Disabled,
-    /// No usable entry; the caller simulates and records (which re-publishes).
-    Miss,
-    /// A verified entry: stats plus the sparse memory delta to replay.
-    Hit(Box<KernelStats>, Vec<(u32, u32)>),
-}
-
-/// Probes the disk tier for `digest`. Corrupt, truncated, version-skewed,
-/// or foreign-key entries are evicted (file removed) and reported as a
-/// miss; a verified hit touches the entry's mtime so compaction sees it as
-/// recently used.
-pub(crate) fn load(digest: (u64, u64)) -> DiskLoad {
-    let Some(dir) = disk_cache_dir() else {
-        return DiskLoad::Disabled;
-    };
+/// Probes the disk tier at `dir` for `digest`: a verified entry's stats and
+/// the sparse memory delta to replay, or `None` (the caller simulates and
+/// records, which re-publishes). Corrupt, truncated, version-skewed, or
+/// foreign-key entries are evicted (file removed) and reported as a miss; a
+/// verified hit touches the entry's mtime so compaction sees it as recently
+/// used.
+pub(crate) fn load(
+    ctx: &SimContext,
+    dir: &Path,
+    digest: (u64, u64),
+) -> Option<(KernelStats, Vec<(u32, u32)>)> {
+    let tally = &ctx.metrics.memo;
     // Polled per load: a typed fault distrusts whatever the file holds
     // (same observable outcome as bit rot); a panic-kind fault unwinds and
     // is absorbed at the memo boundary (the probe degrades to a miss).
     let tampered = fault::tamper(Site::DiskCache);
-    let path = entry_path(&dir, digest);
-    let bytes = match fs::read(&path) {
-        Ok(b) => b,
-        Err(_) => {
-            DISK_MISSES.fetch_add(1, Ordering::Relaxed);
-            return DiskLoad::Miss;
-        }
+    let path = entry_path(dir, digest);
+    let Ok(bytes) = fs::read(&path) else {
+        tally.disk_misses.fetch_add(1, Relaxed);
+        return None;
     };
     let decoded = if tampered {
         None
@@ -273,38 +172,42 @@ pub(crate) fn load(digest: (u64, u64)) -> DiskLoad {
             if let Ok(f) = fs::OpenOptions::new().write(true).open(&path) {
                 let _ = f.set_modified(SystemTime::now());
             }
-            DISK_HITS.fetch_add(1, Ordering::Relaxed);
-            DiskLoad::Hit(Box::new(stats), delta)
+            tally.disk_hits.fetch_add(1, Relaxed);
+            Some((stats, delta))
         }
         None => {
             // Evict-and-resimulate: same contract as a corrupt LRU entry.
             let _ = fs::remove_file(&path);
-            DISK_EVICTIONS.fetch_add(1, Ordering::Relaxed);
-            DISK_MISSES.fetch_add(1, Ordering::Relaxed);
-            DiskLoad::Miss
+            tally.disk_evictions.fetch_add(1, Relaxed);
+            tally.disk_misses.fetch_add(1, Relaxed);
+            None
         }
     }
 }
 
+/// Temp-file names are unique per process, whichever context publishes.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Publishes an entry for `digest`. Concurrent writers (threads or
-/// processes) are safe: the entry is written to a unique temp file in the
-/// shard directory and moved into place with `rename`, which is atomic on
-/// the same filesystem — readers see either the old complete entry or the
+/// Publishes an entry for `digest` under `dir`. Concurrent writers (threads,
+/// contexts or processes) are safe: the entry is written to a unique temp
+/// file in the shard directory and moved into place with `rename`, which is
+/// atomic on the same filesystem — readers see either the old complete entry or the
 /// new complete entry, never a torn write. Losing a publish race is
 /// harmless (both sides wrote identical bytes, modulo mtime).
-pub(crate) fn publish(digest: (u64, u64), stats: &KernelStats, delta: &[(u32, u32)]) {
-    let Some(dir) = disk_cache_dir() else {
-        return;
-    };
+pub(crate) fn publish(
+    ctx: &SimContext,
+    dir: &Path,
+    digest: (u64, u64),
+    stats: &KernelStats,
+    delta: &[(u32, u32)],
+) {
     // A typed fault corrupts the published checksum — a later load of this
     // entry detects the mismatch, evicts the file, and resimulates.
     let tampered = fault::tamper(Site::DiskCache);
     let payload = encode_payload(stats, delta);
     let sum = checksum(&payload) ^ ((tampered as u64) * 0xdead_beef);
     let bytes = encode_entry(digest, &payload, sum);
-    let path = entry_path(&dir, digest);
+    let path = entry_path(dir, digest);
     let shard = path.parent().expect("entry path has a shard parent");
     if fs::create_dir_all(shard).is_err() {
         return; // unwritable cache dir: the tier silently degrades
@@ -312,7 +215,7 @@ pub(crate) fn publish(digest: (u64, u64), stats: &KernelStats, delta: &[(u32, u3
     let tmp = shard.join(format!(
         ".tmp-{}-{}",
         std::process::id(),
-        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        TMP_SEQ.fetch_add(1, Relaxed)
     ));
     if fs::write(&tmp, &bytes).is_err() {
         let _ = fs::remove_file(&tmp);
@@ -322,36 +225,31 @@ pub(crate) fn publish(digest: (u64, u64), stats: &KernelStats, delta: &[(u32, u3
         let _ = fs::remove_file(&tmp);
         return;
     }
-    let published = PUBLISHED_BYTES.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-    let cap = cap_bytes();
-    if published + bytes.len() as u64 >= compaction_trigger(cap) {
-        PUBLISHED_BYTES.store(0, Ordering::Relaxed);
-        compact(&dir, cap);
+    // A directory scan costs one `stat` per entry, so it runs only after
+    // this context has published a meaningful fraction of the budget since
+    // its last one.
+    let published = ctx.disk_published.fetch_add(bytes.len() as u64, Relaxed);
+    let cap = ctx.config().disk_cap;
+    if published + bytes.len() as u64 >= (cap / 8).max(1) {
+        ctx.disk_published.store(0, Relaxed);
+        let evicted = compact(dir, cap);
+        ctx.metrics.memo.disk_evictions.fetch_add(evicted, Relaxed);
     }
 }
 
 // ---- compaction ------------------------------------------------------------
 
-/// Bytes published (by this process) since the last compaction scan.
-static PUBLISHED_BYTES: AtomicU64 = AtomicU64::new(0);
-
-/// A directory scan costs one `stat` per entry, so it runs only after a
-/// meaningful fraction of the budget has been published since the last one.
-fn compaction_trigger(cap: u64) -> u64 {
-    (cap / 8).max(1)
-}
-
 /// Enforces the byte budget: scans the shard directories and removes
-/// oldest-mtime entries until the total fits. Ties (filesystems with coarse
+/// oldest-mtime entries until the total fits, returning how many. Ties (filesystems with coarse
 /// mtime granularity) break by path so concurrent compactors converge on
 /// the same victims. In-flight temp files are skipped — they are renamed
 /// promptly, and a racing `remove_file` on an already-renamed entry is a
 /// harmless no-op.
-fn compact(dir: &Path, cap: u64) {
+fn compact(dir: &Path, cap: u64) -> u64 {
     let mut entries: Vec<(SystemTime, PathBuf, u64)> = Vec::new();
     let mut total: u64 = 0;
     let Ok(shards) = fs::read_dir(dir) else {
-        return;
+        return 0;
     };
     for shard in shards.flatten() {
         let Ok(files) = fs::read_dir(shard.path()) else {
@@ -371,18 +269,20 @@ fn compact(dir: &Path, cap: u64) {
         }
     }
     if total <= cap {
-        return;
+        return 0;
     }
+    let mut evicted = 0;
     entries.sort_unstable_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
     for (_, path, len) in entries {
         if total <= cap {
             break;
         }
         if fs::remove_file(&path).is_ok() {
-            DISK_EVICTIONS.fetch_add(1, Ordering::Relaxed);
+            evicted += 1;
             total -= len;
         }
     }
+    evicted
 }
 
 #[cfg(test)]

@@ -17,11 +17,11 @@
 //! The harness is **off by default and zero-cost when disabled**: every
 //! site guards its work behind [`armed`], a single relaxed atomic load.
 //!
-//! Two hardening knobs also live here because every layer shares them:
+//! Two hardening pieces also live here because every layer shares them:
 //!
-//! * [`watchdog_cycles`] — `G80_SIM_WATCHDOG_CYCLES` bounds the simulated
-//!   cycles of one SM's scheduler loop; a runaway kernel aborts with
-//!   [`crate::LaunchError::Watchdog`] instead of hanging the pool.
+//! * [`WatchdogAbort`] — [`crate::SimConfig::watchdog_cycles`] bounds the
+//!   simulated cycles of one SM's scheduler loop; a runaway kernel aborts
+//!   with [`crate::LaunchError::Watchdog`] instead of hanging the pool.
 //! * [`lock_recover`] / [`wait_recover`] — poison-recovering lock helpers.
 //!   Every protected structure in [`crate::pool`] and [`crate::memo`] is
 //!   kept consistent at panic boundaries (panics are injected *outside*
@@ -163,7 +163,7 @@ pub const PANIC_MARKER: &str = "injected panic at ";
 pub struct WatchdogAbort {
     /// Kernel name.
     pub kernel: String,
-    /// The budget that was exceeded (`G80_SIM_WATCHDOG_CYCLES`).
+    /// The budget that was exceeded ([`crate::SimConfig::watchdog_cycles`]).
     pub budget: u64,
     /// Simulated cycles reached on the aborting SM (partial progress).
     pub cycles: u64,
@@ -408,33 +408,6 @@ fn install_decode_probe() {
 }
 
 // ---- watchdog --------------------------------------------------------------
-
-// 0 = unresolved (read G80_SIM_WATCHDOG_CYCLES on first use); u64::MAX when
-// disabled. A budget of 0 is normalized to 1 so the sentinel stays free.
-static WATCHDOG: AtomicU64 = AtomicU64::new(0);
-
-/// The per-SM simulated-cycle budget: `u64::MAX` when disabled (default),
-/// else the value of `G80_SIM_WATCHDOG_CYCLES` / [`set_watchdog_cycles`].
-pub fn watchdog_cycles() -> u64 {
-    match WATCHDOG.load(Ordering::Relaxed) {
-        0 => {
-            let v = std::env::var("G80_SIM_WATCHDOG_CYCLES")
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .map(|v| v.max(1))
-                .unwrap_or(u64::MAX);
-            WATCHDOG.store(v, Ordering::Relaxed);
-            v
-        }
-        v => v,
-    }
-}
-
-/// Sets (`Some`, min 1) or disables (`None`) the watchdog budget,
-/// overriding `G80_SIM_WATCHDOG_CYCLES`. Process-wide.
-pub fn set_watchdog_cycles(budget: Option<u64>) {
-    WATCHDOG.store(budget.map_or(u64::MAX, |b| b.max(1)), Ordering::SeqCst);
-}
 
 /// Aborts the current SM simulation with a [`WatchdogAbort`] payload.
 #[cold]

@@ -1,5 +1,7 @@
 //! Kernel launch: occupancy-checked block scheduling across the 16 SMs,
-//! simulated in parallel on the process-wide worker pool.
+//! simulated in parallel on the process-wide worker pool. The public entry
+//! points resolve [`SimContext::current`] once; everything below them takes
+//! the context as an explicit argument.
 //!
 //! Blocks are distributed round-robin over SMs at launch, and each SM refills
 //! its own slots as resident blocks retire. Because DRAM bandwidth is
@@ -16,21 +18,23 @@
 //! pool task that runs the same [`simulate`] a single [`launch`] does.
 
 use crate::config::GpuConfig;
+use crate::context::SimContext;
 use crate::counters::{KernelStats, SmStats};
 use crate::fault;
 use crate::memo::{self, Served};
 use crate::memory::DeviceMemory;
 use crate::pool;
 use crate::reference::run_sm_reference;
-use crate::sm::{run_sm, LaunchDims};
+use crate::sm::{run_sm, LaunchDims, SmTally};
 use crate::witness::{replay_sm, Ev};
 use g80_isa::{DecodedKernel, Kernel, Value};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::Ordering::Relaxed;
 
-/// Which timing-engine implementation [`launch`] uses. Both produce
-/// bit-identical [`KernelStats`].
+/// Which timing-engine implementation a context's launches use
+/// ([`crate::SimConfig::engine`]). Both produce bit-identical
+/// [`KernelStats`].
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Engine {
     /// The predecoded, allocation-free hot loop in [`crate::sm`]: the
@@ -40,26 +44,6 @@ pub enum Engine {
     /// [`crate::reference`] as the executable spec: the oracle that tests
     /// and benches compare the product engine against.
     Reference,
-}
-
-static ENGINE: AtomicU8 = AtomicU8::new(Engine::Predecoded as u8);
-
-/// Test/bench hook: selects the engine used by subsequent [`launch`] calls
-/// (process-wide), so whole-application runs (which build their own
-/// devices) can be repeated on the oracle. Product callers never call this.
-#[doc(hidden)]
-pub fn set_engine(e: Engine) {
-    ENGINE.store(e as u8, Ordering::SeqCst);
-}
-
-/// The engine currently selected for [`launch`].
-#[doc(hidden)]
-pub fn engine() -> Engine {
-    if ENGINE.load(Ordering::SeqCst) == Engine::Reference as u8 {
-        Engine::Reference
-    } else {
-        Engine::Predecoded
-    }
 }
 
 /// Errors rejected at launch time (the CUDA runtime would fail the same
@@ -78,8 +62,8 @@ pub enum LaunchError {
     /// Wrong number of kernel parameters.
     BadParams(String),
     /// An SM exceeded the watchdog cycle budget
-    /// (`G80_SIM_WATCHDOG_CYCLES` / [`crate::fault::set_watchdog_cycles`]),
-    /// carrying the aborting SM's partial progress.
+    /// ([`crate::SimConfig::watchdog_cycles`]), carrying the aborting SM's
+    /// partial progress.
     Watchdog {
         /// Kernel name.
         kernel: String,
@@ -236,9 +220,12 @@ struct Prepared<'a> {
 
 impl<'a> Prepared<'a> {
     /// Simulates one SM of this launch: on the product engine given the
-    /// kernel's decoded table, on the reference engine without one.
+    /// kernel's decoded table, on the reference engine without one. The
+    /// run's row and dedup tallies are flushed to `ctx` once, at its end.
+    #[allow(clippy::too_many_arguments)]
     fn run_sm(
         &self,
+        ctx: &SimContext,
         decoded: Option<&DecodedKernel>,
         blocks: &[(u32, u32)],
         cfg: &GpuConfig,
@@ -247,21 +234,8 @@ impl<'a> Prepared<'a> {
         witness_out: Option<&mut Option<Vec<Vec<Ev>>>>,
     ) -> SmStats {
         let s = &self.spec;
-        match decoded {
-            Some(decoded) => run_sm(
-                cfg,
-                s.kernel,
-                decoded,
-                &s.dims,
-                s.params,
-                s.mem,
-                blocks,
-                self.blocks_per_sm,
-                dedup,
-                shared_uniform,
-                witness_out,
-            ),
-            None => run_sm_reference(
+        let Some(decoded) = decoded else {
+            return run_sm_reference(
                 cfg,
                 s.kernel,
                 &s.dims,
@@ -269,8 +243,28 @@ impl<'a> Prepared<'a> {
                 s.mem,
                 blocks,
                 self.blocks_per_sm,
-            ),
-        }
+                ctx.watchdog_budget(),
+            );
+        };
+        let mut tally = SmTally::default();
+        let stats = run_sm(
+            cfg,
+            s.kernel,
+            decoded,
+            &s.dims,
+            s.params,
+            s.mem,
+            blocks,
+            self.blocks_per_sm,
+            dedup,
+            shared_uniform,
+            ctx.watchdog_budget(),
+            &mut tally,
+            witness_out,
+        );
+        ctx.metrics.rows.add(&tally.rows);
+        ctx.metrics.memo.add(&tally.memo);
+        stats
     }
 
     /// Donor-SM reuse: if this SM's block queue is exactly as long as the
@@ -281,6 +275,7 @@ impl<'a> Prepared<'a> {
     #[allow(clippy::too_many_arguments)]
     fn reuse_or_run_sm(
         &self,
+        ctx: &SimContext,
         cfg: &GpuConfig,
         decoded: &DecodedKernel,
         shared_uniform: bool,
@@ -291,7 +286,7 @@ impl<'a> Prepared<'a> {
     ) -> SmStats {
         if let Some(rep) = rep {
             if blocks.len() == donor_len {
-                let s = &self.spec;
+                let (s, tally) = (&self.spec, &ctx.metrics.memo);
                 let file_regs = s
                     .kernel
                     .regs_per_thread
@@ -308,13 +303,14 @@ impl<'a> Prepared<'a> {
                     rep,
                     shared_uniform,
                 ) {
-                    memo::count_dedup_fast_blocks(blocks.len() as u64);
+                    let replayed = blocks.len() as u64;
+                    tally.dedup_fast_blocks.fetch_add(replayed, Relaxed);
                     return donor_stats.clone();
                 }
-                memo::count_dedup_fallback();
+                tally.dedup_fallbacks.fetch_add(1, Relaxed);
             }
         }
-        self.run_sm(Some(decoded), blocks, cfg, true, shared_uniform, None)
+        self.run_sm(ctx, Some(decoded), blocks, cfg, true, shared_uniform, None)
     }
 
     fn merge(&self, cfg: &GpuConfig, results: Vec<SmStats>) -> KernelStats {
@@ -350,14 +346,14 @@ pub fn launch(
     // A single launch has exclusive use of its memory for the duration of
     // the call (the caller handed us `&DeviceMemory` and blocks on the
     // result), so the memo digest/diff is sound.
-    launch_with_memo(cfg, spec, true).map(|(stats, _)| stats)
+    launch_with_memo(&SimContext::current(), cfg, spec, true).map(|(stats, _)| stats)
 }
 
 /// [`launch`], but also reports which tier served the result (simulated
 /// fresh, replayed from the in-process memo LRU, or replayed from the
 /// persistent disk tier). Host runtimes use this to attribute cache
-/// activity to the launch that caused it instead of diffing the
-/// process-wide [`memo_counters`].
+/// activity to the launch that caused it instead of diffing their
+/// context's [`memo_counters`].
 ///
 /// [`memo_counters`]: crate::memo_counters
 pub fn launch_traced(
@@ -373,7 +369,7 @@ pub fn launch_traced(
         params,
         mem,
     };
-    launch_with_memo(cfg, spec, true)
+    launch_with_memo(&SimContext::current(), cfg, spec, true)
 }
 
 /// Bound on absorb-mode retries of injected-class failures. At realistic
@@ -390,13 +386,14 @@ const MAX_FAULT_RETRIES: u32 = 32;
 /// pre-launch memory image — a retry without the restore would double-apply
 /// the partial writes of in-place kernels. Simulation is deterministic, so
 /// an absorbed launch is bit-identical to an unfaulted one.
-fn launch_with_memo(
+pub(crate) fn launch_with_memo(
+    ctx: &SimContext,
     cfg: &GpuConfig,
     spec: LaunchSpec,
     exclusive_mem: bool,
 ) -> Result<(KernelStats, Served), LaunchError> {
     if !fault::armed() {
-        return launch_once(cfg, spec, exclusive_mem);
+        return launch_once(ctx, cfg, spec, exclusive_mem);
     }
     let snapshot = if fault::retry() {
         Some(spec.mem.snapshot_words())
@@ -405,7 +402,7 @@ fn launch_with_memo(
     };
     let mut attempts = 0u32;
     loop {
-        match launch_once(cfg, spec, exclusive_mem) {
+        match launch_once(ctx, cfg, spec, exclusive_mem) {
             Err(e) if e.is_injected() && attempts < MAX_FAULT_RETRIES && snapshot.is_some() => {
                 attempts += 1;
                 spec.mem.restore_words(snapshot.as_ref().unwrap());
@@ -417,13 +414,14 @@ fn launch_with_memo(
 
 /// One attempt at a launch: [`probe`], then [`simulate`] on a miss.
 fn launch_once(
+    ctx: &SimContext,
     cfg: &GpuConfig,
     spec: LaunchSpec,
     exclusive_mem: bool,
 ) -> Result<(KernelStats, Served), LaunchError> {
-    match probe(cfg, spec, exclusive_mem)? {
+    match probe(ctx, cfg, spec, exclusive_mem)? {
         Probe::Hit(stats, served) => Ok((*stats, served)),
-        Probe::Miss(miss) => simulate(cfg, spec, miss),
+        Probe::Miss(miss) => simulate(ctx, cfg, spec, miss),
     }
 }
 
@@ -445,9 +443,15 @@ struct Miss {
 /// The cheap half of a launch: validate, then ask the memo cache. Runs on
 /// the calling thread; launch-time validation panics (e.g. the
 /// 32-lane-warp engine limit) stay panics.
-fn probe(cfg: &GpuConfig, spec: LaunchSpec, exclusive_mem: bool) -> Result<Probe, LaunchError> {
+fn probe(
+    ctx: &SimContext,
+    cfg: &GpuConfig,
+    spec: LaunchSpec,
+    exclusive_mem: bool,
+) -> Result<Probe, LaunchError> {
     let blocks_per_sm = validate(cfg, &spec)?;
     let pending = match memo::memo_lookup(
+        ctx,
         cfg,
         spec.kernel,
         spec.dims,
@@ -470,6 +474,7 @@ fn probe(cfg: &GpuConfig, spec: LaunchSpec, exclusive_mem: bool) -> Result<Probe
 /// watchdog aborts, injected faults) are caught and classified into
 /// [`LaunchError`]s, so they cost this launch only.
 fn simulate(
+    ctx: &SimContext,
     cfg: &GpuConfig,
     spec: LaunchSpec,
     miss: Miss,
@@ -483,7 +488,7 @@ fn simulate(
     // Predecode (and dataflow-analyze) once per process per kernel content.
     // Decode can unwind (injected isa.decode fault); that costs this launch
     // only.
-    let info = match engine() {
+    let info = match ctx.config().engine {
         Engine::Reference => None,
         Engine::Predecoded => Some(
             catch_unwind(AssertUnwindSafe(|| memo::kernel_info(spec.kernel)))
@@ -491,14 +496,13 @@ fn simulate(
         ),
     };
     let decoded = info.as_deref().map(|i| &i.decoded);
-    let dedup =
-        memo::dedup() == memo::Dedup::On && info.as_deref().is_some_and(|i| i.dedup_eligible);
+    let dedup = ctx.config().dedup && info.as_deref().is_some_and(|i| i.dedup_eligible);
     let shared_uniform = info.as_deref().is_some_and(|i| i.shared_uniform);
 
-    let results = run_sms(cfg, &prepared, decoded, dedup, shared_uniform)?;
+    let results = run_sms(ctx, cfg, &prepared, decoded, dedup, shared_uniform)?;
     let stats = prepared.merge(cfg, results);
     if let Some(pending) = miss.pending {
-        memo::memo_record(pending, spec.mem, &stats);
+        memo::memo_record(ctx, pending, spec.mem, &stats);
     }
     Ok((stats, Served::Simulated))
 }
@@ -558,6 +562,7 @@ where
 /// empty `SmStats` (it never enters the scheduler loop), so skipping it is
 /// bit-identical and a small grid costs a handful of queue operations.
 fn run_sms(
+    ctx: &SimContext,
     cfg: &GpuConfig,
     prepared: &Prepared,
     decoded: Option<&DecodedKernel>,
@@ -585,6 +590,7 @@ fn run_sms(
         let mut rep: Option<Vec<Vec<Ev>>> = None;
         let donor_stats = catch_unwind(AssertUnwindSafe(|| {
             prepared.run_sm(
+                ctx,
                 decoded,
                 donor_blocks,
                 cfg,
@@ -605,6 +611,7 @@ fn run_sms(
                 .map(|&(_, blocks)| {
                     move || {
                         prepared.reuse_or_run_sm(
+                            ctx,
                             cfg,
                             d,
                             shared_uniform,
@@ -628,7 +635,7 @@ fn run_sms(
         small,
         busy.iter()
             .map(|&(_, blocks)| {
-                move || prepared.run_sm(decoded, blocks, cfg, dedup, shared_uniform, None)
+                move || prepared.run_sm(ctx, decoded, blocks, cfg, dedup, shared_uniform, None)
             })
             .collect(),
     ))?;
@@ -663,8 +670,9 @@ pub fn launch_batch_traced(
     cfg: &GpuConfig,
     specs: &[LaunchSpec],
 ) -> Vec<Result<(KernelStats, Served), LaunchError>> {
+    let ctx = SimContext::current();
     if !fault::armed() {
-        return launch_batch_once(cfg, specs);
+        return launch_batch_once(&ctx, cfg, specs);
     }
 
     // Absorb/retry for a batch: specs may share memories, so a
@@ -684,7 +692,7 @@ pub fn launch_batch_traced(
     });
     let mut attempts = 0u32;
     loop {
-        let results = launch_batch_once(cfg, specs);
+        let results = launch_batch_once(&ctx, cfg, specs);
         let injected = results
             .iter()
             .any(|r| matches!(r, Err(e) if e.is_injected()));
@@ -705,6 +713,7 @@ pub fn launch_batch_traced(
 /// than it saves — then each miss is one pool task running [`simulate`]. A
 /// panic that escapes a task costs only the launch that owns it.
 fn launch_batch_once(
+    ctx: &SimContext,
     cfg: &GpuConfig,
     specs: &[LaunchSpec],
 ) -> Vec<Result<(KernelStats, Served), LaunchError>> {
@@ -724,11 +733,11 @@ fn launch_batch_once(
         .iter()
         .map(|&spec| {
             let exclusive = mem_uses[&std::ptr::from_ref(spec.mem)] == 1;
-            match probe(cfg, spec, exclusive) {
+            match probe(ctx, cfg, spec, exclusive) {
                 Err(e) => Some(Err(e)),
                 Ok(Probe::Hit(stats, served)) => Some(Ok((*stats, served))),
                 Ok(Probe::Miss(miss)) => {
-                    misses.push(move || simulate(cfg, spec, miss));
+                    misses.push(move || simulate(ctx, cfg, spec, miss));
                     None
                 }
             }
@@ -890,19 +899,22 @@ mod tests {
         let (cfg, k, _) = setup();
         assert!(2 < cfg.num_sms);
         let run = |engine: Engine| {
-            // Flipping the selector under sibling tests is harmless: both
-            // engines give them identical results.
-            set_engine(engine);
+            let ctx = SimContext::new(crate::SimConfig {
+                engine,
+                ..Default::default()
+            });
             let mem = DeviceMemory::new(1 << 16);
-            let stats = launch(
-                &cfg,
-                &k,
-                dims((2, 1), (32, 1, 1)),
-                &[Value::from_u32(0)],
-                &mem,
-            )
-            .expect("small grid launch");
-            set_engine(Engine::Predecoded);
+            let stats = ctx
+                .enter(|| {
+                    launch(
+                        &cfg,
+                        &k,
+                        dims((2, 1), (32, 1, 1)),
+                        &[Value::from_u32(0)],
+                        &mem,
+                    )
+                })
+                .expect("small grid launch");
             let words: Vec<u32> = (0..64).map(|i| mem.read(i * 4).as_u32()).collect();
             (stats, words)
         };

@@ -56,6 +56,7 @@
 //! ```
 
 pub mod config;
+pub mod context;
 pub mod counters;
 pub mod disk;
 pub mod error;
@@ -72,22 +73,17 @@ pub mod wire;
 mod witness;
 
 pub use config::GpuConfig;
+pub use context::{SimConfig, SimContext};
 pub use counters::{
-    net_counters, note_net_disconnect, note_net_frame_retried, note_net_reconnect,
-    reset_net_counters, reset_row_counters, row_counters, KernelStats, NetCounters, RowCounters,
-    StallReason,
+    memo_counters, net_counters, note_net_disconnect, note_net_frame_retried, note_net_reconnect,
+    row_counters, KernelStats, MemoCounters, NetCounters, RowCounters, StallReason,
 };
-pub use disk::{disk_cache_dir, set_disk_cache, set_disk_cache_cap};
 pub use error::{CudaError, SimError};
-pub use fault::{set_faults, set_watchdog_cycles, watchdog_cycles, FaultConfig, FaultKind, Site};
+pub use fault::{set_faults, FaultConfig, FaultKind, Site};
 pub use launch::{
-    engine, launch, launch_batch, launch_batch_traced, launch_traced, set_engine, Engine,
-    LaunchError, LaunchSpec,
+    launch, launch_batch, launch_batch_traced, launch_traced, Engine, LaunchError, LaunchSpec,
 };
-pub use memo::{
-    clear_memo_cache, dedup, kernel_info, memo, memo_counters, reset_memo_counters, set_dedup,
-    set_memo, set_memo_capacity, Dedup, KernelInfo, Memo, MemoCounters, Served,
-};
+pub use memo::{clear_memo_cache, kernel_info, KernelInfo, Served};
 pub use memory::DeviceMemory;
 pub use report::{launch_reported, LaunchReport, REPORT_VERSION};
 pub use sm::LaunchDims;

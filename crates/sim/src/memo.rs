@@ -16,10 +16,13 @@
 //! block-deduplication layer needs ([`KernelInfo`]), so repeated single
 //! launches predecode and analyze once per process, not once per launch.
 //!
-//! Both structures are bounded (LRU eviction); `G80_SIM_MEMO=off` /
-//! [`set_memo`] freeze the uncached baseline.
+//! Both structures are bounded (LRU eviction). The registry is process-wide
+//! (content-addressed, so every context agrees on every entry); the launch
+//! cache belongs to a [`SimContext`], whose `memo: false` freezes the
+//! uncached baseline.
 
 use crate::config::GpuConfig;
+use crate::context::SimContext;
 use crate::counters::KernelStats;
 use crate::disk;
 use crate::fault::{self, lock_recover};
@@ -30,194 +33,8 @@ use g80_isa::{DecodedKernel, Kernel, Value};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Mutex, OnceLock};
-
-// ---- toggles ---------------------------------------------------------------
-
-/// Whether [`crate::launch`] consults the launch memo cache.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum Memo {
-    /// Look up every eligible launch; record misses (default).
-    On,
-    /// Frozen baseline: always simulate.
-    Off,
-}
-
-/// Whether eligible launches use block-class deduplication inside the SM
-/// scheduler (see [`crate::witness`]).
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum Dedup {
-    /// Detect steady-state block classes and fast-forward them (default).
-    On,
-    /// Frozen baseline: simulate every block in full.
-    Off,
-}
-
-// 0 = unresolved (read the env var on first use), 1 = on, 2 = off.
-static MEMO: AtomicU8 = AtomicU8::new(0);
-static DEDUP: AtomicU8 = AtomicU8::new(0);
-
-fn resolve(cell: &AtomicU8, env: &str) -> u8 {
-    match cell.load(Ordering::SeqCst) {
-        0 => {
-            let off = std::env::var(env)
-                .map(|v| matches!(v.as_str(), "off" | "0" | "false"))
-                .unwrap_or(false);
-            let v = if off { 2 } else { 1 };
-            // Racing first reads resolve to the same value.
-            cell.store(v, Ordering::SeqCst);
-            v
-        }
-        v => v,
-    }
-}
-
-/// Selects the memo mode for subsequent launches (process-wide). Overrides
-/// the `G80_SIM_MEMO` environment variable.
-pub fn set_memo(m: Memo) {
-    MEMO.store(if m == Memo::On { 1 } else { 2 }, Ordering::SeqCst);
-}
-
-/// The memo mode currently in effect (`G80_SIM_MEMO=off|0|false` disables).
-pub fn memo() -> Memo {
-    if resolve(&MEMO, "G80_SIM_MEMO") == 2 {
-        Memo::Off
-    } else {
-        Memo::On
-    }
-}
-
-/// Selects the dedup mode for subsequent launches (process-wide). Overrides
-/// the `G80_SIM_DEDUP` environment variable.
-pub fn set_dedup(d: Dedup) {
-    DEDUP.store(if d == Dedup::On { 1 } else { 2 }, Ordering::SeqCst);
-}
-
-/// The dedup mode currently in effect (`G80_SIM_DEDUP=off|0|false` disables).
-pub fn dedup() -> Dedup {
-    if resolve(&DEDUP, "G80_SIM_DEDUP") == 2 {
-        Dedup::Off
-    } else {
-        Dedup::On
-    }
-}
-
-// 0 = unresolved (read G80_SIM_MEMO_CAP on first use).
-static MEMO_CAP: AtomicUsize = AtomicUsize::new(0);
-const DEFAULT_MEMO_CAP: usize = 128;
-
-/// Sets the maximum number of cached launches (process-wide, min 1);
-/// overrides `G80_SIM_MEMO_CAP`. Shrinking evicts least-recently-used
-/// entries immediately.
-pub fn set_memo_capacity(cap: usize) {
-    MEMO_CAP.store(cap.max(1), Ordering::SeqCst);
-    let mut cache = lock_recover(launch_cache());
-    let cap = cap.max(1);
-    while cache.map.len() > cap {
-        cache.evict_lru();
-    }
-}
-
-fn memo_capacity() -> usize {
-    match MEMO_CAP.load(Ordering::SeqCst) {
-        0 => {
-            let cap = std::env::var("G80_SIM_MEMO_CAP")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(DEFAULT_MEMO_CAP)
-                .max(1);
-            MEMO_CAP.store(cap, Ordering::SeqCst);
-            cap
-        }
-        v => v,
-    }
-}
-
-// ---- counters --------------------------------------------------------------
-
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static DEDUP_FAST_BLOCKS: AtomicU64 = AtomicU64::new(0);
-static DEDUP_SIM_BLOCKS: AtomicU64 = AtomicU64::new(0);
-static DEDUP_FALLBACKS: AtomicU64 = AtomicU64::new(0);
-
-pub(crate) fn count_dedup_fast_blocks(n: u64) {
-    DEDUP_FAST_BLOCKS.fetch_add(n, Ordering::Relaxed);
-}
-pub(crate) fn count_dedup_sim_blocks(n: u64) {
-    DEDUP_SIM_BLOCKS.fetch_add(n, Ordering::Relaxed);
-}
-pub(crate) fn count_dedup_fallback() {
-    DEDUP_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Snapshot of the redundancy-elimination counters (process-wide totals).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct MemoCounters {
-    /// Launches answered from the in-process LRU memo cache without
-    /// simulating.
-    pub hits: u64,
-    /// Memo-eligible launches that had to simulate (and were recorded).
-    /// Launches answered by the disk tier are neither hits nor misses here;
-    /// they count in [`MemoCounters::disk_hits`].
-    pub misses: u64,
-    /// Launches answered from the persistent disk tier
-    /// ([`crate::set_disk_cache`]) after missing the LRU.
-    pub disk_hits: u64,
-    /// Disk-tier probes that found no usable entry (absent, corrupt, or
-    /// version-skewed). Zero while the tier is disabled.
-    pub disk_misses: u64,
-    /// Disk entries removed: corrupt/version-skewed files evicted on load
-    /// plus files removed by byte-budget compaction.
-    pub disk_evictions: u64,
-    /// Blocks whose timing was fast-forwarded by block-class dedup.
-    pub dedup_fast_blocks: u64,
-    /// Blocks fully simulated in dedup-enabled launches.
-    pub dedup_sim_blocks: u64,
-    /// Period replays that failed verification and fell back to full
-    /// simulation.
-    pub dedup_fallbacks: u64,
-}
-
-impl MemoCounters {
-    /// Hit fraction over all memo-cache probes, counting both tiers (0 when
-    /// none).
-    pub fn hit_rate(&self) -> f64 {
-        let served = self.hits + self.disk_hits;
-        let total = served + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            served as f64 / total as f64
-        }
-    }
-}
-
-/// Reads the process-wide redundancy-elimination counters.
-pub fn memo_counters() -> MemoCounters {
-    let (disk_hits, disk_misses, disk_evictions) = disk::counters();
-    MemoCounters {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        disk_hits,
-        disk_misses,
-        disk_evictions,
-        dedup_fast_blocks: DEDUP_FAST_BLOCKS.load(Ordering::Relaxed),
-        dedup_sim_blocks: DEDUP_SIM_BLOCKS.load(Ordering::Relaxed),
-        dedup_fallbacks: DEDUP_FALLBACKS.load(Ordering::Relaxed),
-    }
-}
-
-/// Zeroes the counters (for per-phase reporting in tuners and tests).
-pub fn reset_memo_counters() {
-    HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
-    disk::reset_counters();
-    DEDUP_FAST_BLOCKS.store(0, Ordering::Relaxed);
-    DEDUP_SIM_BLOCKS.store(0, Ordering::Relaxed);
-    DEDUP_FALLBACKS.store(0, Ordering::Relaxed);
-}
 
 // ---- hashing ---------------------------------------------------------------
 
@@ -569,7 +386,9 @@ fn delta_digest(delta: &[(u32, u32)]) -> (u64, u64) {
     wide_digest(delta, 1, |d| d[0].0 as u64 | (d[0].1 as u64) << 32)
 }
 
-struct LaunchCache {
+/// A context's launch memo LRU.
+#[derive(Default)]
+pub(crate) struct LaunchCache {
     map: HashMap<MemoKey, MemoEntry>,
     tick: u64,
 }
@@ -587,19 +406,9 @@ impl LaunchCache {
     }
 }
 
-fn launch_cache() -> &'static Mutex<LaunchCache> {
-    static CACHE: OnceLock<Mutex<LaunchCache>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        Mutex::new(LaunchCache {
-            map: HashMap::new(),
-            tick: 0,
-        })
-    })
-}
-
-/// Drops every cached launch (tests).
+/// Drops every launch cached in the current context.
 pub fn clear_memo_cache() {
-    lock_recover(launch_cache()).map.clear();
+    lock_recover(&SimContext::current().cache).map.clear();
 }
 
 /// Which tier satisfied a traced launch ([`crate::launch_traced`]).
@@ -609,8 +418,8 @@ pub enum Served {
     Simulated,
     /// Replayed from the in-process LRU memo cache.
     Memo,
-    /// Replayed from the persistent disk tier ([`crate::set_disk_cache`])
-    /// and promoted back into the LRU.
+    /// Replayed from the persistent disk tier
+    /// ([`crate::SimConfig::disk_dir`]) and promoted back into the LRU.
     Disk,
 }
 
@@ -675,8 +484,8 @@ fn memo_key(
 /// the executor) is always 0 and the layout is frozen, because the byte is
 /// part of the disk tier's content address: the product configuration must
 /// keep hashing as mode 0 for published entries to keep hitting.
-fn mode_bits(engine: crate::launch::Engine, dedup: Dedup) -> u8 {
-    engine as u8 | (((dedup == Dedup::Off) as u8) << 3)
+fn mode_bits(engine: crate::launch::Engine, dedup: bool) -> u8 {
+    engine as u8 | ((!dedup as u8) << 3)
 }
 
 /// Probes the memo cache for this launch. On a hit the recorded memory
@@ -687,6 +496,7 @@ fn mode_bits(engine: crate::launch::Engine, dedup: Dedup) -> u8 {
 /// shares this [`DeviceMemory`] — concurrent writers would make the
 /// pre/post snapshot diff unsound, so such launches are not memoized.
 pub(crate) fn memo_lookup(
+    ctx: &SimContext,
     cfg: &GpuConfig,
     kernel: &Kernel,
     dims: LaunchDims,
@@ -694,16 +504,16 @@ pub(crate) fn memo_lookup(
     mem: &DeviceMemory,
     exclusive_mem: bool,
 ) -> MemoLookup {
-    if memo() == Memo::Off || !exclusive_mem {
+    if !ctx.config().memo || !exclusive_mem {
         return MemoLookup::Disabled;
     }
     if !fault::armed() {
-        return memo_lookup_inner(cfg, kernel, dims, params, mem);
+        return memo_lookup_inner(ctx, cfg, kernel, dims, params, mem);
     }
     // Degradation contract: a memo-layer panic (injected memo.load fault)
     // costs this launch its cache probe, nothing more — it simulates fresh.
     match catch_unwind(AssertUnwindSafe(|| {
-        memo_lookup_inner(cfg, kernel, dims, params, mem)
+        memo_lookup_inner(ctx, cfg, kernel, dims, params, mem)
     })) {
         Ok(v) => v,
         Err(p) if fault::is_injected_payload(p.as_ref()) => MemoLookup::Disabled,
@@ -712,6 +522,7 @@ pub(crate) fn memo_lookup(
 }
 
 fn memo_lookup_inner(
+    ctx: &SimContext,
     cfg: &GpuConfig,
     kernel: &Kernel,
     dims: LaunchDims,
@@ -722,14 +533,14 @@ fn memo_lookup_inner(
     // the cache; a typed fault flags whatever entry we find as corrupt,
     // exercising the same eviction path as real bit rot.
     let tampered = fault::tamper(fault::Site::MemoLoad);
-    let mode = mode_bits(crate::launch::engine(), dedup());
+    let mode = mode_bits(ctx.config().engine, ctx.config().dedup);
     let key = memo_key(cfg, kernel, dims, params, mem, mode);
     // The lock covers the map lookup and the LRU bump only; verifying and
     // replaying the payload are O(delta) and run on the shared `Arc`, so
     // concurrent probes (serve handlers, host threads) do not serialize on
     // them.
     let found = {
-        let mut cache = lock_recover(launch_cache());
+        let mut cache = lock_recover(&ctx.cache);
         cache.tick += 1;
         let tick = cache.tick;
         cache.map.get_mut(&key).map(|entry| {
@@ -747,7 +558,7 @@ fn memo_lookup_inner(
         if tampered || entry_checksum(&payload.stats, &payload.delta) != payload.checksum {
             // Evict only the payload that failed: a concurrent launch may
             // already have re-recorded the key with a clean one.
-            let mut cache = lock_recover(launch_cache());
+            let mut cache = lock_recover(&ctx.cache);
             if cache
                 .map
                 .get(&key)
@@ -756,32 +567,33 @@ fn memo_lookup_inner(
                 cache.map.remove(&key);
             }
             drop(cache);
-            return memo_miss(key, mem);
+            return memo_miss(ctx, key, mem);
         }
         apply_delta(mem, &payload.delta);
-        HITS.fetch_add(1, Ordering::Relaxed);
+        ctx.metrics.memo.hits.fetch_add(1, Relaxed);
         return MemoLookup::Hit(Box::new(payload.stats.clone()), Served::Memo);
     }
     // LRU miss: probe the persistent tier (when enabled). A verified disk
     // entry is promoted back into the LRU — with a checksum recomputed
     // here, so a tampered file can never seed a "trusted" in-memory entry —
     // and served exactly like an LRU hit.
-    if disk::enabled() {
-        if let disk::DiskLoad::Hit(stats, delta) = disk::load(disk_digest(&key)) {
+    if let Some(dir) = &ctx.config().disk_dir {
+        if let Some((stats, delta)) = disk::load(ctx, dir, disk_digest(&key)) {
             let checksum = entry_checksum(&stats, &delta);
             apply_delta(mem, &delta);
             memo_insert(
+                ctx,
                 key,
                 MemoPayload {
-                    stats: (*stats).clone(),
+                    stats: stats.clone(),
                     delta,
                     checksum,
                 },
             );
-            return MemoLookup::Hit(stats, Served::Disk);
+            return MemoLookup::Hit(Box::new(stats), Served::Disk);
         }
     }
-    memo_miss(key, mem)
+    memo_miss(ctx, key, mem)
 }
 
 /// Replays a recorded memory effect.
@@ -794,8 +606,8 @@ fn apply_delta(mem: &DeviceMemory, delta: &[(u32, u32)]) {
 /// Counts a miss and copies the pre-launch image [`memo_record`] will diff
 /// against — the only path that snapshots; a hit is identified from the
 /// image digest alone.
-fn memo_miss(key: MemoKey, mem: &DeviceMemory) -> MemoLookup {
-    MISSES.fetch_add(1, Ordering::Relaxed);
+fn memo_miss(ctx: &SimContext, key: MemoKey, mem: &DeviceMemory) -> MemoLookup {
+    ctx.metrics.memo.misses.fetch_add(1, Relaxed);
     MemoLookup::Miss(MemoPending {
         key,
         pre: mem.snapshot_words(),
@@ -803,9 +615,9 @@ fn memo_miss(key: MemoKey, mem: &DeviceMemory) -> MemoLookup {
 }
 
 /// Inserts an entry, evicting least-recently-used ones at capacity.
-fn memo_insert(key: MemoKey, payload: MemoPayload) {
-    let cap = memo_capacity();
-    let mut cache = lock_recover(launch_cache());
+fn memo_insert(ctx: &SimContext, key: MemoKey, payload: MemoPayload) {
+    let cap = ctx.config().memo_cap;
+    let mut cache = lock_recover(&ctx.cache);
     cache.tick += 1;
     let tick = cache.tick;
     while cache.map.len() >= cap {
@@ -834,16 +646,21 @@ fn disk_digest(key: &MemoKey) -> (u64, u64) {
 /// Records a simulated launch: diffs the pre-launch snapshot against the
 /// current memory image and inserts the (stats, delta, checksum) entry,
 /// evicting the least-recently-used entry when the cache is full.
-pub(crate) fn memo_record(pending: MemoPending, mem: &DeviceMemory, stats: &KernelStats) {
+pub(crate) fn memo_record(
+    ctx: &SimContext,
+    pending: MemoPending,
+    mem: &DeviceMemory,
+    stats: &KernelStats,
+) {
     if !fault::armed() {
-        return memo_record_inner(pending, mem, stats, false);
+        return memo_record_inner(ctx, pending, mem, stats, false);
     }
     // A memo-store panic costs this launch its cache entry, nothing more;
     // a typed memo.store fault records a *corrupted* checksum, which the
     // next lookup of this key detects and evicts.
     match catch_unwind(AssertUnwindSafe(|| {
         let corrupt = fault::tamper(fault::Site::MemoStore);
-        memo_record_inner(pending, mem, stats, corrupt)
+        memo_record_inner(ctx, pending, mem, stats, corrupt)
     })) {
         Ok(()) => {}
         Err(p) if fault::is_injected_payload(p.as_ref()) => {}
@@ -851,7 +668,13 @@ pub(crate) fn memo_record(pending: MemoPending, mem: &DeviceMemory, stats: &Kern
     }
 }
 
-fn memo_record_inner(pending: MemoPending, mem: &DeviceMemory, stats: &KernelStats, corrupt: bool) {
+fn memo_record_inner(
+    ctx: &SimContext,
+    pending: MemoPending,
+    mem: &DeviceMemory,
+    stats: &KernelStats,
+    corrupt: bool,
+) {
     let post = mem.snapshot_words();
     debug_assert_eq!(pending.pre.len(), post.len());
     let delta: Vec<(u32, u32)> = pending
@@ -868,10 +691,13 @@ fn memo_record_inner(pending: MemoPending, mem: &DeviceMemory, stats: &KernelSta
     // entry was tampered (`corrupt`) skips the spill — publishing a clean
     // copy of an entry the next probe is about to distrust would let the
     // disk tier mask the very corruption the fault is injecting.
-    if !corrupt && disk::enabled() {
-        disk::publish(disk_digest(&pending.key), stats, &delta);
+    if !corrupt {
+        if let Some(dir) = &ctx.config().disk_dir {
+            disk::publish(ctx, dir, disk_digest(&pending.key), stats, &delta);
+        }
     }
     memo_insert(
+        ctx,
         pending.key,
         MemoPayload {
             stats: stats.clone(),
@@ -927,10 +753,10 @@ mod tests {
     #[test]
     fn mode_byte_layout_is_frozen() {
         use crate::launch::Engine;
-        assert_eq!(mode_bits(Engine::Predecoded, Dedup::On), 0);
-        assert_eq!(mode_bits(Engine::Reference, Dedup::On), 1);
-        assert_eq!(mode_bits(Engine::Predecoded, Dedup::Off), 8);
-        assert_eq!(mode_bits(Engine::Reference, Dedup::Off), 9);
+        assert_eq!(mode_bits(Engine::Predecoded, true), 0);
+        assert_eq!(mode_bits(Engine::Reference, true), 1);
+        assert_eq!(mode_bits(Engine::Predecoded, false), 8);
+        assert_eq!(mode_bits(Engine::Reference, false), 9);
     }
 
     fn key_dims() -> LaunchDims {
@@ -1065,6 +891,7 @@ mod tests {
     /// by its checksum and evicted before one word of its delta is applied.
     #[test]
     fn corrupt_entry_is_evicted_before_a_word_is_applied() {
+        let ctx = SimContext::new(Default::default());
         let cfg = GpuConfig::geforce_8800_gtx();
         let kernel = k("corrupt_entry_probe");
         let params = [Value(0)];
@@ -1073,31 +900,23 @@ mod tests {
         let recorded = key_image();
         let pre = recorded.snapshot_words();
         let pending = MemoPending {
-            key: memo_key(
-                &cfg,
-                &kernel,
-                dims,
-                &params,
-                &recorded,
-                mode_bits(crate::launch::engine(), dedup()),
-            ),
+            key: memo_key(&cfg, &kernel, dims, &params, &recorded, 0),
             pre: pre.clone(),
         };
         for (i, w) in pre.iter().enumerate() {
             recorded.write(i as u32 * 4, Value(w.wrapping_mul(2) | 1));
         }
         let stats = KernelStats::merge("corrupt_entry_probe", &cfg, Vec::new(), 4, 0, 64, 1, 8);
-        memo_record_inner(pending, &recorded, &stats, true);
+        memo_record_inner(&ctx, pending, &recorded, &stats, true);
 
-        // Whatever the probe answers (a sibling test may have evicted the
-        // entry, the memo may be off, an armed injector may drop the
-        // probe), it must not be a hit and must leave the image alone.
+        // Whatever the probe answers (an armed injector may drop it), it
+        // must not be a hit and must leave the image alone.
         let probe = key_image();
-        let found = memo_lookup(&cfg, &kernel, dims, &params, &probe, true);
+        let found = memo_lookup(&ctx, &cfg, &kernel, dims, &params, &probe, true);
         assert!(!matches!(found, MemoLookup::Hit(..)), "a corrupt entry hit");
         assert_eq!(probe.snapshot_words(), pre, "a corrupt delta was applied");
         // ...and the entry is gone: a second probe cannot find it either.
-        let again = memo_lookup(&cfg, &kernel, dims, &params, &probe, true);
+        let again = memo_lookup(&ctx, &cfg, &kernel, dims, &params, &probe, true);
         assert!(!matches!(again, MemoLookup::Hit(..)));
         assert_eq!(probe.snapshot_words(), pre);
     }

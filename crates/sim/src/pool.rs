@@ -31,6 +31,7 @@
 //! order, so simulated statistics are bit-identical for any worker count —
 //! enforced by `tests/golden_stats.rs` and the `G80_SIM_THREADS=1` CI run.
 
+use crate::context;
 use crate::fault::{self, lock_recover, wait_recover};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -233,7 +234,10 @@ impl std::fmt::Debug for TaskPanic {
 /// returns their results **in input order**, with each task's panic — if
 /// any — captured per slot instead of unwinding. One failing task cannot
 /// disturb its siblings: every other task still runs to completion and
-/// keeps its own result.
+/// keeps its own result. Every task runs inside the [`crate::SimContext`]
+/// the caller had entered (none = the global one), on whichever thread
+/// executes it, so nested work stays in the context of the call that caused
+/// it.
 pub fn try_run_tasks<T, F>(fns: Vec<F>) -> Vec<Result<T, TaskPanic>>
 where
     F: FnOnce() -> T + Send,
@@ -249,11 +253,14 @@ where
     }
     let slots: Vec<Mutex<Option<Result<T, TaskPanic>>>> =
         fns.iter().map(|_| Mutex::new(None)).collect();
+    let ctx = context::scoped();
     let tasks: VecDeque<Task> = fns
         .into_iter()
         .zip(&slots)
         .map(|(f, slot)| {
+            let ctx = ctx.clone();
             let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                let _restore = context::scope(ctx);
                 // The task catches its own panic so the slot always ends up
                 // filled; Group::run's catch is only a backstop.
                 let r = catch_unwind(AssertUnwindSafe(f)).map_err(TaskPanic);

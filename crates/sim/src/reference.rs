@@ -8,9 +8,9 @@
 //! allocates fresh register files per block. The `golden_stats` integration
 //! test (workspace root) runs kernels through both engines and asserts
 //! field-for-field identical [`crate::KernelStats`]; any timing divergence in
-//! the optimized engine fails against this spec. Select it at runtime with
-//! [`crate::launch::set_engine`]`(Engine::Reference)`. Its warps are built
-//! with [`Warp::new_eager`], so no register ever carries a row-shape tag and
+//! the optimized engine fails against this spec. A context selects it with
+//! `SimConfig { engine: Engine::Reference, .. }`. Its warps are built with
+//! [`Warp::new_eager`], so no register ever carries a row-shape tag and
 //! the spec shares none of the shape algebra it checks.
 //!
 //! Do not edit this engine except to fix a modeling bug — and then change
@@ -63,10 +63,10 @@ pub fn run_sm_reference(
     mem: &DeviceMemory,
     my_blocks: &[(u32, u32)],
     blocks_per_sm: u32,
+    watchdog: u64,
 ) -> SmStats {
     // Same site as the predecoded engine: one probe per SM invocation.
     crate::fault::poll(crate::fault::Site::SmStep);
-    let watchdog = crate::fault::watchdog_cycles();
 
     let mut stats = SmStats::default();
     let mut queue = my_blocks.iter().copied();

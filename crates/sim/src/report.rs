@@ -2,7 +2,7 @@
 //! redundancy-elimination counters, in one struct.
 //!
 //! [`crate::launch_traced`] tells a caller *which tier* served a launch;
-//! the process-wide [`crate::memo_counters`] tell it how the cache tiers
+//! its context's [`crate::memo_counters`] tell it how the cache tiers
 //! are doing overall — but before this module the two could only be
 //! combined by hand (`g80-cuda`'s `Timeline` does exactly that diffing).
 //! [`LaunchReport`] packages both, and serializes with the canonical
@@ -12,17 +12,18 @@
 //! cache heat its fleet (and every other tenant's) has built up.
 
 use crate::config::GpuConfig;
-use crate::counters::{net_counters, row_counters, KernelStats, NetCounters, RowCounters};
-use crate::launch::{launch_traced, LaunchError};
-use crate::memo::{memo_counters, MemoCounters, Served};
+use crate::context::SimContext;
+use crate::counters::{KernelStats, MemoCounters, NetCounters, RowCounters};
+use crate::launch::{launch_with_memo, LaunchError, LaunchSpec};
+use crate::memo::Served;
 use crate::memory::DeviceMemory;
 use crate::sm::LaunchDims;
 use crate::wire::{self, Dec, Enc};
 use g80_isa::{Kernel, Value};
 
 /// Everything one launch reports: the simulated counters, which cache tier
-/// answered, and a snapshot of the process-wide redundancy counters taken
-/// when the launch completed.
+/// answered, and a snapshot of its context's counters taken when the launch
+/// completed.
 ///
 /// `counters` is a *snapshot of totals*, not a per-launch delta: totals
 /// are race-free under concurrent launches (a delta would attribute other
@@ -36,14 +37,14 @@ pub struct LaunchReport {
     /// Which tier served this launch (fresh simulation, in-process memo
     /// LRU, or the persistent disk tier).
     pub served: Served,
-    /// Process-wide [`memo_counters`] observed at completion.
+    /// The context's [`crate::memo_counters`] observed at completion.
     pub counters: MemoCounters,
-    /// Process-wide [`row_counters`] observed at completion: how many
+    /// The context's [`crate::row_counters`] observed at completion: how many
     /// warp-instruction executions resolved through uniform/affine lane-row
     /// shapes versus eager full-row evaluation. Like `counters`, a snapshot
     /// of totals — diff successive reports to attribute a single launch.
     pub rows: RowCounters,
-    /// Process-wide [`net_counters`] observed at completion: transport
+    /// The context's [`crate::net_counters`] observed at completion: transport
     /// faults the serving tier survived (disconnects, frame retries, bytes
     /// re-sent, reconnect replays). All-zero for in-process launches. Like
     /// `counters`, a snapshot of totals.
@@ -78,21 +79,9 @@ impl LaunchReport {
     pub fn encode_into(&self, e: &mut Enc) {
         e.u16(REPORT_VERSION);
         e.u8(served_to_u8(self.served));
-        e.u64(self.counters.hits);
-        e.u64(self.counters.misses);
-        e.u64(self.counters.disk_hits);
-        e.u64(self.counters.disk_misses);
-        e.u64(self.counters.disk_evictions);
-        e.u64(self.counters.dedup_fast_blocks);
-        e.u64(self.counters.dedup_sim_blocks);
-        e.u64(self.counters.dedup_fallbacks);
-        e.u64(self.rows.uniform);
-        e.u64(self.rows.affine);
-        e.u64(self.rows.full);
-        e.u64(self.net.disconnects);
-        e.u64(self.net.frames_retried);
-        e.u64(self.net.bytes_resent);
-        e.u64(self.net.reconnects);
+        self.counters.encode_into(e);
+        self.rows.encode_into(e);
+        self.net.encode_into(e);
         wire::encode_stats(e, &self.stats);
     }
 
@@ -110,34 +99,12 @@ impl LaunchReport {
             return None;
         }
         let served = served_from_u8(d.u8()?)?;
-        let counters = MemoCounters {
-            hits: d.u64()?,
-            misses: d.u64()?,
-            disk_hits: d.u64()?,
-            disk_misses: d.u64()?,
-            disk_evictions: d.u64()?,
-            dedup_fast_blocks: d.u64()?,
-            dedup_sim_blocks: d.u64()?,
-            dedup_fallbacks: d.u64()?,
-        };
-        let rows = RowCounters {
-            uniform: d.u64()?,
-            affine: d.u64()?,
-            full: d.u64()?,
-        };
-        let net = NetCounters {
-            disconnects: d.u64()?,
-            frames_retried: d.u64()?,
-            bytes_resent: d.u64()?,
-            reconnects: d.u64()?,
-        };
-        let stats = wire::decode_stats(d)?;
         Some(LaunchReport {
-            stats,
             served,
-            counters,
-            rows,
-            net,
+            counters: MemoCounters::decode_from(d)?,
+            rows: RowCounters::decode_from(d)?,
+            net: NetCounters::decode_from(d)?,
+            stats: wire::decode_stats(d)?,
         })
     }
 
@@ -152,7 +119,7 @@ impl LaunchReport {
     }
 }
 
-/// [`launch_traced`], packaged as a [`LaunchReport`].
+/// [`crate::launch_traced`], packaged as a [`LaunchReport`].
 pub fn launch_reported(
     cfg: &GpuConfig,
     kernel: &Kernel,
@@ -160,13 +127,20 @@ pub fn launch_reported(
     params: &[Value],
     mem: &DeviceMemory,
 ) -> Result<LaunchReport, LaunchError> {
-    let (stats, served) = launch_traced(cfg, kernel, dims, params, mem)?;
+    let ctx = SimContext::current();
+    let spec = LaunchSpec {
+        kernel,
+        dims,
+        params,
+        mem,
+    };
+    let (stats, served) = launch_with_memo(&ctx, cfg, spec, true)?;
     Ok(LaunchReport {
         stats,
         served,
-        counters: memo_counters(),
-        rows: row_counters(),
-        net: net_counters(),
+        counters: ctx.metrics.memo.snapshot(),
+        rows: ctx.metrics.rows.snapshot(),
+        net: ctx.metrics.net.snapshot(),
     })
 }
 
@@ -224,6 +198,27 @@ mod tests {
         assert_eq!(back.stats.cycles, r.stats.cycles);
         assert_eq!(back.stats.by_class, r.stats.by_class);
         assert_eq!(bytes, back.encode(), "canonical re-encoding");
+    }
+
+    /// The version-3 layout, bytes taken from the commit before the counter
+    /// codec became shared: version, tier tag, the 8 + 3 + 4 counters in
+    /// declaration order, then the canonical stats.
+    #[test]
+    fn report_bytes_are_pinned() {
+        let hex: String = sample_report()
+            .encode()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        let counters: String = (1..=15u64)
+            .map(|v| format!("{v:02x}00000000000000"))
+            .collect();
+        let stats = "0100000000000000724d00000000000000491d7e551c9f6e3e0500000000000000"
+            .to_string()
+            + &"00".repeat(120)
+            + "040000000000000020000000010000002000000020000000000000009a9999999999f53f\
+               0000000000005040100000001800000020000000010000000f000000010000000000000000000000";
+        assert_eq!(hex, format!("030002{counters}{stats}"));
     }
 
     #[test]

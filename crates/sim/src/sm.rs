@@ -45,7 +45,7 @@
 #![allow(clippy::too_many_arguments)] // load/store helpers mirror the instruction fields
 
 use crate::config::GpuConfig;
-use crate::counters::{RowCounters, SmStats, StallReason};
+use crate::counters::{MemoCounters, RowCounters, SmStats, StallReason};
 use crate::memory::{
     coalesce_affine_warp, coalesce_half_warp_noalloc, smem_conflict_degree_noalloc,
     smem_degree_affine, DeviceMemory, TagCache,
@@ -148,8 +148,17 @@ struct Boundary {
 /// (a transient longer than this means the launch is not steady-state).
 const DEDUP_MAX_BOUNDARIES: usize = 64;
 
-/// Simulates one SM over its assigned blocks. Deterministic. With `dedup`
-/// set (only for witness-eligible kernels, see [`crate::memo::KernelInfo`]),
+/// What one [`run_sm`] adds to its context's tallies (row shapes and the
+/// dedup fields of [`MemoCounters`]); the caller flushes it once per run.
+#[derive(Default)]
+pub struct SmTally {
+    pub rows: RowCounters,
+    pub memo: MemoCounters,
+}
+
+/// Simulates one SM over its assigned blocks. Deterministic; aborts with a
+/// [`crate::fault::WatchdogAbort`] past `watchdog` simulated cycles. With
+/// `dedup` set (only for witness-eligible kernels, see [`crate::memo::KernelInfo`]),
 /// steady-state periods of the block stream are fast-forwarded: timing by
 /// recurrence of the scheduler-state snapshot, functional effects by
 /// witness-verified replay. Aggregate stats are bit-identical either way.
@@ -173,13 +182,14 @@ pub fn run_sm(
     blocks_per_sm: u32,
     dedup: bool,
     shared_uniform: bool,
+    watchdog: u64,
+    tally: &mut SmTally,
     witness_out: Option<&mut Option<Vec<Vec<Ev>>>>,
 ) -> SmStats {
     // One injection probe per SM invocation: enough for the soak harness to
     // exercise the site at every launch without making the per-launch fault
     // probability scale with grid size.
     crate::fault::poll(crate::fault::Site::SmStep);
-    let watchdog = crate::fault::watchdog_cycles();
 
     let mut stats = SmStats::default();
     let mut next_block: usize = 0;
@@ -216,7 +226,6 @@ pub fn run_sm(
     // Dense per-class instruction counters, folded into the by_class map
     // once at the end (a per-instruction HashMap update is hot-loop cost).
     let mut class_counts = [0u64; InstClass::COUNT];
-    let mut row_tally = RowCounters::default();
     let mut rr: usize = 0;
 
     // The flattened warp schedule, maintained incrementally: every block of
@@ -327,7 +336,7 @@ pub fn run_sm(
                                         )
                                     });
                                     if !residents_ok {
-                                        crate::memo::count_dedup_fallback();
+                                        tally.memo.dedup_fallbacks += 1;
                                         rec.valid = false;
                                     } else {
                                         let d_stats = stats.delta_since(&b.stats);
@@ -357,7 +366,7 @@ pub fn run_sm(
                                                 // Nothing committed: fall back
                                                 // to full simulation from this
                                                 // exact state.
-                                                crate::memo::count_dedup_fallback();
+                                                tally.memo.dedup_fallbacks += 1;
                                                 rec.valid = false;
                                                 break;
                                             }
@@ -491,7 +500,7 @@ pub fn run_sm(
                     record,
                     ev_aux: 0,
                     ev_bytes: 0,
-                    rows: &mut row_tally,
+                    rows: &mut tally.rows,
                 };
                 let dur = ctx.execute(block, wi, mop);
                 let (ev_aux, ev_bytes) = (ctx.ev_aux, ctx.ev_bytes);
@@ -575,10 +584,9 @@ pub fn run_sm(
         }
     }
     stats.cycles = cycle;
-    crate::counters::add_row_counts(row_tally);
     if dedup {
-        crate::memo::count_dedup_fast_blocks(fast_blocks);
-        crate::memo::count_dedup_sim_blocks(my_blocks.len() as u64 - fast_blocks);
+        tally.memo.dedup_fast_blocks += fast_blocks;
+        tally.memo.dedup_sim_blocks += my_blocks.len() as u64 - fast_blocks;
     }
     if let (Some(out), Some(rec)) = (witness_out, recorder.as_mut()) {
         *out = rec.take_verified();
@@ -705,8 +713,8 @@ struct ExecCtx<'a> {
     record: bool,
     ev_aux: u32,
     ev_bytes: u32,
-    /// Per-SM row-shape tally (flushed to the process-wide counters once
-    /// per `run_sm`).
+    /// Per-SM row-shape tally (flushed to the launching context's counters
+    /// once per `run_sm`).
     rows: &'a mut RowCounters,
 }
 

@@ -959,6 +959,8 @@ mod tests {
             2,
             true,
             true,
+            u64::MAX,
+            &mut Default::default(),
             Some(&mut rep),
         );
         let rep = rep.expect("four identical blocks verify");

@@ -4,7 +4,8 @@
 //! and spilled vs not) or which machine ran it (16 SMs vs 1 SM, with or
 //! without SM-level host parallelism) or which engine and dedup mode
 //! simulated it (reference oracle, product with every block simulated,
-//! product with witness replay).
+//! product with witness replay) — under every host-side configuration of
+//! the in-process matrix (`tests/common/contexts.rs` at the repo root).
 //!
 //! This is the harness that would have caught the branch-into-spill-reload
 //! bug fixed in `g80-isa::regalloc` (targets must land on the first reload).
@@ -13,21 +14,14 @@ use g80_isa::builder::{BuildOptions, KernelBuilder, Unroll};
 use g80_isa::inst::{AluOp, CmpOp, Operand, Pred, Scalar, SfuOp, UnOp};
 use g80_isa::{Kernel, OptLevel, Value};
 use g80_sim::{
-    dedup, launch, memo, memo_counters, set_dedup, set_engine, set_memo, Dedup, DeviceMemory,
-    Engine, GpuConfig, LaunchDims, Memo,
+    launch, memo_counters, DeviceMemory, Engine, GpuConfig, LaunchDims, SimConfig, SimContext,
 };
 use proptest::prelude::*;
-use std::sync::Mutex;
 
-/// Engine, dedup and memo selectors are process-global: the one test that
-/// moves them holds this for its whole body, the others while they launch,
-/// so no comparison in this file straddles a toggle flip.
-static TOGGLES: Mutex<()> = Mutex::new(());
-
-fn own_toggles() -> std::sync::MutexGuard<'static, ()> {
-    // A case that failed while holding the lock already reported itself.
-    TOGGLES.lock().unwrap_or_else(|e| e.into_inner())
-}
+#[allow(dead_code)]
+#[path = "../../../tests/common/contexts.rs"]
+mod contexts;
+use contexts::contexts;
 
 /// A recipe for one random structured kernel.
 #[derive(Clone, Debug)]
@@ -183,9 +177,16 @@ const N: u32 = 256;
 /// resident cohort and are witness-replayed when dedup is on.
 const N_REPLAY: u32 = 64 * 512;
 
+/// The kernel's output under every context of the matrix, which must agree
+/// among themselves: cold in each, and again on what the first pass cached.
 fn run(k: &Kernel, cfg: &GpuConfig) -> Vec<u32> {
-    let _toggles = own_toggles();
-    run_n(k, cfg, N)
+    let first = run_n(k, cfg, N);
+    for (name, ctx) in contexts().iter() {
+        for pass in ["cold", "warm"] {
+            assert_eq!(first, ctx.enter(|| run_n(k, cfg, N)), "{name}, {pass}");
+        }
+    }
+    first
 }
 
 fn run_n(k: &Kernel, cfg: &GpuConfig, n: u32) -> Vec<u32> {
@@ -250,23 +251,16 @@ proptest! {
     /// the partial masks of the divergent branch too.
     #[test]
     fn engines_and_dedup_modes_agree(recipe in arb_recipe()) {
-        let _toggles = own_toggles();
         let cfg = GpuConfig::geforce_8800_gtx();
         let k = build(&recipe, OptLevel::O2, None);
-        // What the environment chose (the CI axes), put back below.
-        let (memo0, dedup0) = (memo(), dedup());
-        set_memo(Memo::Off);
-        set_engine(Engine::Reference);
-        let oracle = run_n(&k, &cfg, N_REPLAY);
-        set_engine(Engine::Predecoded);
-        set_dedup(Dedup::Off);
-        let simulated = run_n(&k, &cfg, N_REPLAY);
-        set_dedup(Dedup::On);
-        let fast0 = memo_counters().dedup_fast_blocks;
-        let replayed = run_n(&k, &cfg, N_REPLAY);
-        let fast = memo_counters().dedup_fast_blocks - fast0;
-        set_memo(memo0);
-        set_dedup(dedup0);
+        let run_in = |engine, dedup| {
+            let config = SimConfig { engine, dedup, memo: false, ..SimConfig::default() };
+            SimContext::new(config)
+                .enter(|| (run_n(&k, &cfg, N_REPLAY), memo_counters().dedup_fast_blocks))
+        };
+        let (oracle, _) = run_in(Engine::Reference, false);
+        let (simulated, _) = run_in(Engine::Predecoded, false);
+        let (replayed, fast) = run_in(Engine::Predecoded, true);
         prop_assert!(fast > 0, "no block was replayed: the dedup arm tested nothing");
         prop_assert_eq!(&oracle, &simulated);
         prop_assert_eq!(&simulated, &replayed);

@@ -14,39 +14,26 @@
 //!   injected-class, and a disarmed re-run is bit-identical to a golden
 //!   run taken before any fault fired.
 //!
-//! The fault/watchdog toggles are process-global, so everything runs inside
-//! one `#[test]` (parallel test threads would race the toggles).
+//! The fault schedule is process-global, so everything runs inside one
+//! `#[test]` (parallel test threads would race it); every other setting is
+//! the context a scenario builds for itself.
 
 use g80::isa::builder::KernelBuilder;
 use g80::isa::{Kernel, Value};
 use g80::sim::fault::{self, FaultConfig, FaultKind, Site};
 use g80::sim::{
-    clear_memo_cache, launch, launch_batch, memo_counters, set_dedup, set_disk_cache, set_engine,
-    set_faults, set_memo, set_memo_capacity, set_watchdog_cycles, Dedup, DeviceMemory, Engine,
-    GpuConfig, KernelStats, LaunchDims, LaunchError, LaunchSpec, Memo,
+    launch, launch_batch, memo_counters, set_faults, DeviceMemory, Engine, GpuConfig, LaunchDims,
+    LaunchError, LaunchSpec, SimConfig, SimContext,
 };
+use std::sync::Arc;
 
-const TPB: u32 = 64;
+mod common;
+use common::Scale;
 
-/// `out[i] = in[i] * mult + salt` — `mult`/`salt` land in the instruction
-/// stream, so each pair is distinct kernel *content* (fresh decode, fresh
-/// memo identity).
+/// Each (mult, salt) pair is distinct kernel *content*: a fresh decode and a
+/// fresh memo identity.
 fn scale_kernel(mult: u32, salt: u32) -> Kernel {
-    let mut b = KernelBuilder::new("fi_scale");
-    let xs = b.param();
-    let ys = b.param();
-    let tid = b.tid_x();
-    let ntid = b.ntid_x();
-    let cta = b.ctaid_x();
-    let i = b.imad(cta, ntid, tid);
-    let byte = b.shl(i, 2u32);
-    let xa = b.iadd(byte, xs);
-    let v = b.ld_global(xa, 0);
-    let w = b.imul(v, mult);
-    let w = b.iadd(w, salt);
-    let ya = b.iadd(byte, ys);
-    b.st_global(ya, 0, w);
-    b.build()
+    Scale::kernel("fi_scale", mult, salt)
 }
 
 /// A kernel that branches back to its own entry forever.
@@ -75,54 +62,18 @@ fn oob_kernel() -> Kernel {
     b.build()
 }
 
-fn fresh_input(n: u32) -> DeviceMemory {
-    let mem = DeviceMemory::new(2 * n * 4);
-    for i in 0..n {
-        mem.write(i * 4, Value::from_u32(i.wrapping_mul(2654435761)));
-    }
-    mem
-}
-
-fn run_scale(cfg: &GpuConfig, k: &Kernel, mem: &DeviceMemory, n: u32) -> KernelStats {
-    try_run_scale(cfg, k, mem, n).expect("launch")
-}
-
-fn try_run_scale(
-    cfg: &GpuConfig,
-    k: &Kernel,
-    mem: &DeviceMemory,
-    n: u32,
-) -> Result<KernelStats, LaunchError> {
-    launch(
-        cfg,
-        k,
-        LaunchDims {
-            grid: (n / TPB, 1),
-            block: (TPB, 1, 1),
-        },
-        &[Value::from_u32(0), Value::from_u32(n * 4)],
-        mem,
-    )
-}
-
-fn output_words(mem: &DeviceMemory, n: u32) -> Vec<u32> {
-    (0..n).map(|i| mem.read((n + i) * 4).as_u32()).collect()
-}
-
-/// Resets every process-global toggle to the harness-off defaults. The disk
-/// tier is forced off (even if `G80_SIM_DISK_CACHE` is set in the CI env):
-/// the exact-count assertions below reason about the in-process LRU alone,
-/// and the soak arms its own private disk directory.
+/// Resets the process-global fault state to the harness-off defaults.
 fn disarm_all() {
     set_faults(None);
     fault::set_retry(true);
-    set_watchdog_cycles(None);
-    set_memo(Memo::On);
-    set_memo_capacity(256);
-    set_dedup(Dedup::On);
-    set_engine(Engine::Predecoded);
-    set_disk_cache(None);
-    clear_memo_cache();
+}
+
+/// A fresh product context: cold memo, zero counters, no disk tier (even if
+/// `G80_SIM_DISK_CACHE` is set in the CI env — the exact-count assertions
+/// below reason about the in-process LRU alone, and the soak arms its own
+/// private disk directory).
+fn fresh_context() -> Arc<SimContext> {
+    SimContext::new(SimConfig::default())
 }
 
 #[test]
@@ -133,28 +84,28 @@ fn fault_injection_and_degradation() {
     // Golden run *before* any fault ever fires: the degradation contract
     // says a disarmed re-run at the very end must reproduce this bit for
     // bit.
-    const GN: u32 = 1024;
+    const GOLDEN: Scale = Scale { n: 1024 };
     let golden_kernel = scale_kernel(3, 7);
-    let golden_mem = fresh_input(GN);
-    let golden = run_scale(&cfg, &golden_kernel, &golden_mem, GN);
-    let golden_out = output_words(&golden_mem, GN);
+    let golden_mem = GOLDEN.input();
+    let golden = fresh_context().enter(|| GOLDEN.run(&golden_kernel, &golden_mem));
+    let golden_out = GOLDEN.output(&golden_mem);
 
     watchdog_aborts_runaway_kernels(&cfg);
     mixed_validity_batch_isolates_failures(&cfg);
-    pool_respawns_dead_workers(&cfg);
-    memo_corruption_is_detected_and_resimulated(&cfg);
-    soak_every_site_both_kinds(&cfg);
+    pool_respawns_dead_workers();
+    fresh_context().enter(memo_corruption_is_detected_and_resimulated);
+    soak_every_site_both_kinds();
 
     // ---- degradation contract: disarmed re-run is bit-identical ----
     disarm_all();
-    let mem = fresh_input(GN);
-    let again = run_scale(&cfg, &golden_kernel, &mem, GN);
+    let mem = GOLDEN.input();
+    let again = fresh_context().enter(|| GOLDEN.run(&golden_kernel, &mem));
     assert_eq!(golden.cycles, again.cycles, "golden cycles drifted");
     assert_eq!(golden.warp_instructions, again.warp_instructions);
     assert_eq!(golden.stall_cycles, again.stall_cycles);
     assert_eq!(golden.by_class, again.by_class);
     assert_eq!(golden.global_bytes, again.global_bytes);
-    assert_eq!(golden_out, output_words(&mem, GN), "golden output drifted");
+    assert_eq!(golden_out, GOLDEN.output(&mem), "golden output drifted");
 }
 
 fn watchdog_aborts_runaway_kernels(cfg: &GpuConfig) {
@@ -162,19 +113,27 @@ fn watchdog_aborts_runaway_kernels(cfg: &GpuConfig) {
     let spin = spin_kernel();
     const BUDGET: u64 = 50_000;
     for engine in [Engine::Predecoded, Engine::Reference] {
-        set_engine(engine);
-        set_watchdog_cycles(Some(BUDGET));
+        let unbounded = SimConfig {
+            engine,
+            ..SimConfig::default()
+        };
+        let watched = SimContext::new(SimConfig {
+            watchdog_cycles: Some(BUDGET),
+            ..unbounded.clone()
+        });
         let mem = DeviceMemory::new(1 << 12);
-        let r = launch(
-            cfg,
-            &spin,
-            LaunchDims {
-                grid: (2, 1),
-                block: (32, 1, 1),
-            },
-            &[Value::from_u32(0)],
-            &mem,
-        );
+        let r = watched.enter(|| {
+            launch(
+                cfg,
+                &spin,
+                LaunchDims {
+                    grid: (2, 1),
+                    block: (32, 1, 1),
+                },
+                &[Value::from_u32(0)],
+                &mem,
+            )
+        });
         match r {
             Err(LaunchError::Watchdog {
                 kernel,
@@ -189,37 +148,33 @@ fn watchdog_aborts_runaway_kernels(cfg: &GpuConfig) {
             }
             other => panic!("{engine:?}: expected Watchdog, got {other:?}"),
         }
-        // The budget is not latched: with the watchdog off the same
-        // process still simulates terminating kernels normally.
-        set_watchdog_cycles(None);
-        let mem = fresh_input(256);
-        run_scale(cfg, &scale_kernel(2, engine as u32), &mem, 256);
+        // The budget belongs to its context: beside it, one without a
+        // watchdog simulates terminating kernels normally.
+        let probe = Scale { n: 256 };
+        SimContext::new(unbounded)
+            .enter(|| probe.run(&scale_kernel(2, engine as u32), &probe.input()));
     }
-    disarm_all();
 }
 
 fn mixed_validity_batch_isolates_failures(cfg: &GpuConfig) {
     disarm_all();
-    const N: u32 = 512;
+    const S: Scale = Scale { n: 512 };
     let good = scale_kernel(5, 11);
     let warm = scale_kernel(5, 12);
     let oob = oob_kernel();
 
     // Solo references on fresh memories.
-    let solo_mem = fresh_input(N);
-    let solo = run_scale(cfg, &good, &solo_mem, N);
-    let solo_out = output_words(&solo_mem, N);
+    let solo_mem = S.input();
+    let solo = fresh_context().enter(|| S.run(&good, &solo_mem));
+    let solo_out = S.output(&solo_mem);
 
-    let m0 = fresh_input(N);
-    let m1 = fresh_input(N);
-    let m_hit = fresh_input(N);
-    let m2 = fresh_input(N);
-    let m3 = fresh_input(N);
-    let params = [Value::from_u32(0), Value::from_u32(N * 4)];
-    let dims_ok = LaunchDims {
-        grid: (N / TPB, 1),
-        block: (TPB, 1, 1),
-    };
+    let m0 = S.input();
+    let m1 = S.input();
+    let m_hit = S.input();
+    let m2 = S.input();
+    let m3 = S.input();
+    let params = S.params();
+    let dims_ok = S.dims();
     let specs = vec![
         LaunchSpec {
             kernel: &good,
@@ -263,14 +218,13 @@ fn mixed_validity_batch_isolates_failures(cfg: &GpuConfig) {
             mem: &m3,
         },
     ];
-    // The batch must simulate `good`, not replay the solo run; only `warm`
-    // is (re-)recorded ahead of it.
-    clear_memo_cache();
-    let warm_mem = fresh_input(N);
-    let warm_solo = run_scale(cfg, &warm, &warm_mem, N);
-    let before = memo_counters();
-    let results = launch_batch(cfg, &specs);
-    let after = memo_counters();
+    // The batch must simulate `good`, not replay the solo run: in a context
+    // of its own, only `warm` is recorded ahead of it.
+    let warm_mem = S.input();
+    let (warm_solo, results, counts) = fresh_context().enter(|| {
+        let warm_solo = S.run(&warm, &warm_mem);
+        (warm_solo, launch_batch(cfg, &specs), memo_counters())
+    });
     assert_eq!(results.len(), 5);
     let ok0 = results[0].as_ref().expect("entry 0 valid");
     assert!(
@@ -279,10 +233,10 @@ fn mixed_validity_batch_isolates_failures(cfg: &GpuConfig) {
         results[1]
     );
     let hit = results[2].as_ref().expect("entry 2 is a memo hit");
-    assert_eq!(after.hits - before.hits, 1, "exactly the warm entry hits");
+    assert_eq!(counts.hits, 1, "exactly the warm entry hits");
     assert_eq!(hit.cycles, warm_solo.cycles);
     assert_eq!(hit.warp_instructions, warm_solo.warp_instructions);
-    assert_eq!(output_words(&m_hit, N), output_words(&warm_mem, N));
+    assert_eq!(S.output(&m_hit), S.output(&warm_mem));
     match &results[3] {
         Err(e @ LaunchError::Panic(msg)) => {
             assert!(msg.contains("out of bounds"), "{msg}");
@@ -295,21 +249,24 @@ fn mixed_validity_batch_isolates_failures(cfg: &GpuConfig) {
     for (label, stats, mem) in [("entry 0", ok0, &m0), ("entry 4", ok4, &m3)] {
         assert_eq!(stats.cycles, solo.cycles, "{label}");
         assert_eq!(stats.warp_instructions, solo.warp_instructions, "{label}");
-        assert_eq!(output_words(mem, N), solo_out, "{label}");
+        assert_eq!(S.output(mem), solo_out, "{label}");
     }
-    disarm_all();
 }
 
-fn pool_respawns_dead_workers(cfg: &GpuConfig) {
+fn pool_respawns_dead_workers() {
     disarm_all();
     // Memo off: every launch must actually simulate (and thus exercise the
     // pool) instead of replaying the first launch from the cache.
-    set_memo(Memo::Off);
-    const N: u32 = 1024;
+    let uncached = SimContext::new(SimConfig {
+        memo: false,
+        ..SimConfig::default()
+    });
+    const S: Scale = Scale { n: 1024 };
+    let run = |k: &Kernel, mem: &DeviceMemory| uncached.enter(|| S.run(k, mem));
     let k = scale_kernel(9, 13);
-    let clean_mem = fresh_input(N);
-    let clean = run_scale(cfg, &k, &clean_mem, N);
-    let clean_out = output_words(&clean_mem, N);
+    let clean_mem = S.input();
+    let clean = run(&k, &clean_mem);
+    let clean_out = S.output(&clean_mem);
 
     // Kill workers (panic kind, pool.worker only). Worker deaths are
     // invisible to tasks — the site is polled before a task is stolen — so
@@ -319,10 +276,10 @@ fn pool_respawns_dead_workers(cfg: &GpuConfig) {
         FaultConfig::new(0xdead, 0.5, Some(FaultKind::Panic)).only(Site::PoolWorker),
     ));
     for _ in 0..8 {
-        let mem = fresh_input(N);
-        let stats = run_scale(cfg, &k, &mem, N);
+        let mem = S.input();
+        let stats = run(&k, &mem);
         assert_eq!(stats.cycles, clean.cycles);
-        assert_eq!(output_words(&mem, N), clean_out);
+        assert_eq!(S.output(&mem), clean_out);
     }
     // The site is polled only when a worker steals (the scope owner drains
     // its own queue too, and on a small host it can win every race), so
@@ -354,45 +311,38 @@ fn pool_respawns_dead_workers(cfg: &GpuConfig) {
     );
     // The pool is still functional at its configured width's behavior:
     // another clean launch drains normally.
-    let mem = fresh_input(N);
-    assert_eq!(run_scale(cfg, &k, &mem, N).cycles, clean.cycles);
-    disarm_all();
+    let mem = S.input();
+    assert_eq!(run(&k, &mem).cycles, clean.cycles);
 }
 
-fn memo_corruption_is_detected_and_resimulated(cfg: &GpuConfig) {
+fn memo_corruption_is_detected_and_resimulated() {
     disarm_all();
-    const N: u32 = 512;
+    const S: Scale = Scale { n: 512 };
     let k = scale_kernel(17, 23);
 
     // Cold launch with the store path corrupting every entry it records.
     set_faults(Some(
         FaultConfig::new(1, 1.0, Some(FaultKind::Typed)).only(Site::MemoStore),
     ));
-    let m1 = fresh_input(N);
-    let first = run_scale(cfg, &k, &m1, N);
+    let m1 = S.input();
+    let first = S.run(&k, &m1);
     set_faults(None);
 
     // The corrupted entry must be caught by its checksum on the next probe,
     // evicted, and the launch re-simulated — identical stats, counted as a
     // miss, and the replacement entry is clean (third launch hits).
-    let before = memo_counters();
-    let m2 = fresh_input(N);
-    let second = run_scale(cfg, &k, &m2, N);
+    let m2 = S.input();
+    let second = S.run(&k, &m2);
     let mid = memo_counters();
-    assert_eq!(
-        mid.misses - before.misses,
-        1,
-        "corrupted entry must degrade to a miss"
-    );
-    assert_eq!(mid.hits, before.hits, "corrupted entry must not hit");
-    let m3 = fresh_input(N);
-    let third = run_scale(cfg, &k, &m3, N);
-    let after = memo_counters();
-    assert_eq!(after.hits - mid.hits, 1, "re-recorded entry must hit");
+    assert_eq!(mid.misses, 2, "corrupted entry must degrade to a miss");
+    assert_eq!(mid.hits, 0, "corrupted entry must not hit");
+    let m3 = S.input();
+    let third = S.run(&k, &m3);
+    assert_eq!(memo_counters().hits, 1, "re-recorded entry must hit");
     for (label, s, m) in [("second", &second, &m2), ("third", &third, &m3)] {
         assert_eq!(s.cycles, first.cycles, "{label}");
         assert_eq!(s.warp_instructions, first.warp_instructions, "{label}");
-        assert_eq!(output_words(m, N), output_words(&m1, N), "{label}");
+        assert_eq!(S.output(m), S.output(&m1), "{label}");
     }
 
     // Load-path tampering: a typed memo.load fault marks the probed entry
@@ -400,25 +350,28 @@ fn memo_corruption_is_detected_and_resimulated(cfg: &GpuConfig) {
     set_faults(Some(
         FaultConfig::new(2, 1.0, Some(FaultKind::Typed)).only(Site::MemoLoad),
     ));
-    let m4 = fresh_input(N);
-    let fourth = run_scale(cfg, &k, &m4, N);
+    let m4 = S.input();
+    let fourth = S.run(&k, &m4);
     set_faults(None);
     assert_eq!(fourth.cycles, first.cycles);
-    assert_eq!(output_words(&m4, N), output_words(&m1, N));
-    disarm_all();
+    assert_eq!(S.output(&m4), S.output(&m1));
 }
 
-fn soak_every_site_both_kinds(cfg: &GpuConfig) {
+fn soak_every_site_both_kinds() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     disarm_all();
     const N: u32 = 256;
+    const S: Scale = Scale { n: N };
 
     // The memo.disk site only polls while the disk tier is enabled, so the
     // soak runs against a private cache directory: every recorded miss
     // publishes (one poll) and every LRU miss probes (another poll).
     let disk_dir = std::env::temp_dir().join(format!("g80-fi-soak-disk-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&disk_dir);
-    set_disk_cache(Some(disk_dir.clone()));
+    let ctx = SimContext::new(SimConfig {
+        disk_dir: Some(disk_dir.clone()),
+        ..SimConfig::default()
+    });
 
     // Absorb-and-retry OFF: every injected fault must surface — as a typed
     // per-launch Err, a classified injected panic, or (device layer) a
@@ -461,9 +414,9 @@ fn soak_every_site_both_kinds(cfg: &GpuConfig) {
                     let mut l = 0u64;
                     let mut e = 0u64;
                     for _ in 0..2 {
-                        let mem = fresh_input(N);
+                        let mem = S.input();
                         l += 1;
-                        match try_run_scale(cfg, &k, &mem, N) {
+                        match S.try_run(&k, &mem) {
                             Ok(_) => {}
                             Err(err) => {
                                 assert!(
@@ -476,7 +429,7 @@ fn soak_every_site_both_kinds(cfg: &GpuConfig) {
                     }
                     (l, e)
                 };
-                match catch_unwind(AssertUnwindSafe(body)) {
+                match catch_unwind(AssertUnwindSafe(|| ctx.enter(body))) {
                     Ok((l, e)) => {
                         launches += l;
                         injected_errs += e;
@@ -514,5 +467,4 @@ fn soak_every_site_both_kinds(cfg: &GpuConfig) {
     let sums = g80::sim::pool::run_tasks((0..32u64).map(|i| move || i * 3).collect::<Vec<_>>());
     assert_eq!(sums, (0..32u64).map(|i| i * 3).collect::<Vec<_>>());
     let _ = std::fs::remove_dir_all(&disk_dir);
-    disarm_all();
 }

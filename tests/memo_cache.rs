@@ -1,193 +1,122 @@
 //! Launch memoization: a warm launch must return bit-identical
 //! [`KernelStats`] *and* reproduce the kernel's memory effects without
 //! simulating, the cache must respect its capacity bound, honor the
-//! `G80_SIM_MEMO` off switch, and serve hits across threads.
-//!
-//! The memo/dedup selectors are process-global, so everything runs inside
-//! one `#[test]` (parallel test threads would race the toggles).
+//! `memo: false` switch, and serve hits across threads. Each case builds
+//! the context it means and reads that context's counters.
 
-use g80::isa::builder::KernelBuilder;
-use g80::isa::{Kernel, Value};
-use g80::sim::{
-    clear_memo_cache, launch, memo_counters, reset_memo_counters, set_dedup, set_memo,
-    set_memo_capacity, Dedup, DeviceMemory, GpuConfig, KernelStats, LaunchDims, Memo,
-};
+use g80::isa::Kernel;
+use g80::sim::{memo_counters, SimConfig, SimContext};
+use std::sync::Arc;
 
-const N: u32 = 4096;
-const TPB: u32 = 128;
+mod common;
+use common::{assert_stats_identical, Scale};
 
-/// `y[i] = x[i] * mult` — the immediate lands in the instruction stream, so
-/// each multiplier is a distinct kernel *content* (distinct memo identity).
+const SCALE: Scale = Scale { n: 4096 };
+const N: u32 = SCALE.n;
+
+/// Each multiplier is a distinct kernel *content* (distinct memo identity).
 fn scale_kernel(mult: u32) -> Kernel {
-    let mut b = KernelBuilder::new("scale");
-    let xs = b.param();
-    let ys = b.param();
-    let tid = b.tid_x();
-    let ntid = b.ntid_x();
-    let cta = b.ctaid_x();
-    let i = b.imad(cta, ntid, tid);
-    let byte = b.shl(i, 2u32);
-    let xa = b.iadd(byte, xs);
-    let v = b.ld_global(xa, 0);
-    let w = b.imul(v, mult);
-    let ya = b.iadd(byte, ys);
-    b.st_global(ya, 0, w);
-    b.build()
+    Scale::kernel("scale", mult, 0)
 }
 
-fn fresh_input() -> DeviceMemory {
-    let mem = DeviceMemory::new(2 * N * 4);
-    for i in 0..N {
-        mem.write(i * 4, Value::from_u32(i.wrapping_mul(2654435761)));
-    }
-    mem
+/// A fresh context with dedup off (isolating the memo axis) and no disk
+/// tier, or `None` under an armed fault injector (the chaos CI job): exact
+/// hit/miss counts don't survive it — absorbed retries re-probe the cache
+/// and injected memo-site faults force extra misses by design.
+fn context(memo: bool, memo_cap: usize) -> Option<Arc<SimContext>> {
+    (!g80::sim::fault::armed()).then(|| {
+        SimContext::new(SimConfig {
+            memo,
+            memo_cap,
+            dedup: false,
+            ..SimConfig::default()
+        })
+    })
 }
 
-fn run(cfg: &GpuConfig, k: &Kernel, mem: &DeviceMemory) -> KernelStats {
-    launch(
-        cfg,
-        k,
-        LaunchDims {
-            grid: (N / TPB, 1),
-            block: (TPB, 1, 1),
-        },
-        &[Value::from_u32(0), Value::from_u32(N * 4)],
-        mem,
-    )
-    .expect("launch")
+fn hits_misses() -> (u64, u64) {
+    let c = memo_counters();
+    (c.hits, c.misses)
 }
 
-fn output_words(mem: &DeviceMemory) -> Vec<u32> {
-    (0..N).map(|i| mem.read((N + i) * 4).as_u32()).collect()
-}
-
-macro_rules! assert_fields_eq {
-    ($label:expr, $a:expr, $b:expr, [$($f:ident),+ $(,)?]) => {
-        $(assert_eq!(
-            $a.$f, $b.$f,
-            "{}: KernelStats field `{}` differs between cold and warm launches",
-            $label, stringify!($f)
-        );)+
-    };
-}
-
-fn assert_stats_identical(label: &str, a: &KernelStats, b: &KernelStats) {
-    assert_fields_eq!(
-        label,
-        a,
-        b,
-        [
-            name,
-            cycles,
-            elapsed,
-            warp_instructions,
-            thread_instructions,
-            flops,
-            by_class,
-            global_ld_transactions,
-            global_st_transactions,
-            global_bytes,
-            coalesced_half_warps,
-            uncoalesced_half_warps,
-            smem_conflict_extra_cycles,
-            divergent_branches,
-            tex_hits,
-            tex_misses,
-            const_hits,
-            const_misses,
-            atomic_transactions,
-            stall_cycles,
-            blocks_executed,
-            regs_per_thread,
-            smem_per_block,
-            threads_per_block,
-            blocks_per_sm,
-            max_simultaneous_threads,
-            total_threads,
-        ]
-    );
-}
-
+/// Cold miss, then warm hit: stats and memory effects identical.
 #[test]
-fn memo_hits_evictions_and_threads() {
-    // Exact hit/miss counts don't survive an armed fault injector (the
-    // chaos CI job): absorbed retries re-probe the cache and injected
-    // memo-site faults force extra misses by design.
-    if g80::sim::fault::armed() {
+fn warm_hit_replays_stats_and_memory() {
+    let Some(ctx) = context(true, 128) else {
         return;
-    }
-    set_dedup(Dedup::Off); // isolate the memo axis
-    set_memo(Memo::On);
-    set_memo_capacity(128);
-    // Force the disk tier off: the exact counts below reason about the
-    // in-process LRU alone (a warm G80_SIM_DISK_CACHE dir would turn the
-    // capacity-1 eviction scenario's expected misses into disk hits).
-    g80::sim::set_disk_cache(None);
-    clear_memo_cache();
-    reset_memo_counters();
-    let cfg = GpuConfig::geforce_8800_gtx();
+    };
+    ctx.enter(|| {
+        let k3 = scale_kernel(3);
+        let m1 = SCALE.input();
+        let cold = SCALE.run(&k3, &m1);
+        assert_eq!(hits_misses(), (0, 1));
+        let m2 = SCALE.input();
+        let warm = SCALE.run(&k3, &m2);
+        assert_eq!(hits_misses(), (1, 1));
+        assert_stats_identical("warm hit", &cold, &warm);
+        assert_eq!(
+            SCALE.output(&m1),
+            SCALE.output(&m2),
+            "a memo hit must replay the recorded memory delta"
+        );
+        assert_eq!(
+            m2.read((N + 5) * 4).as_u32(),
+            5u32.wrapping_mul(2654435761).wrapping_mul(3)
+        );
+    });
+}
 
-    // ---- cold miss, then warm hit: stats and memory effects identical ----
+/// Memo off: the cache is bypassed entirely.
+#[test]
+fn memo_off_bypasses_the_cache() {
+    let (Some(on), Some(off)) = (context(true, 128), context(false, 128)) else {
+        return;
+    };
     let k3 = scale_kernel(3);
-    let m1 = fresh_input();
-    let cold = run(&cfg, &k3, &m1);
-    let c = memo_counters();
-    assert_eq!((c.hits, c.misses), (0, 1), "{c:?}");
-    let m2 = fresh_input();
-    let warm = run(&cfg, &k3, &m2);
-    let c = memo_counters();
-    assert_eq!((c.hits, c.misses), (1, 1), "{c:?}");
-    assert_stats_identical("warm hit", &cold, &warm);
-    assert_eq!(
-        output_words(&m1),
-        output_words(&m2),
-        "a memo hit must replay the recorded memory delta"
-    );
-    assert_eq!(
-        m2.read((N + 5) * 4).as_u32(),
-        5u32.wrapping_mul(2654435761).wrapping_mul(3)
-    );
+    let cached = on.enter(|| SCALE.run(&k3, &SCALE.input()));
+    off.enter(|| {
+        let first = SCALE.run(&k3, &SCALE.input());
+        let second = SCALE.run(&k3, &SCALE.input());
+        assert_eq!(hits_misses(), (0, 0), "memo off must not touch the cache");
+        assert_stats_identical("memo off", &cached, &first);
+        assert_stats_identical("memo off, repeat", &cached, &second);
+    });
+}
 
-    // ---- memo off: the cache is bypassed entirely ----
-    set_memo(Memo::Off);
-    reset_memo_counters();
-    let off = run(&cfg, &k3, &fresh_input());
-    let c = memo_counters();
-    assert_eq!(
-        (c.hits, c.misses),
-        (0, 0),
-        "memo off must not touch the cache: {c:?}"
-    );
-    assert_stats_identical("memo off", &cold, &off);
-    set_memo(Memo::On);
+/// Capacity 1: the second distinct launch evicts the first.
+#[test]
+fn capacity_one_evicts_the_previous_launch() {
+    let Some(ctx) = context(true, 1) else {
+        return;
+    };
+    ctx.enter(|| {
+        let (k3, k5) = (scale_kernel(3), scale_kernel(5));
+        SCALE.run(&k3, &SCALE.input()); // miss, cached
+        SCALE.run(&k5, &SCALE.input()); // miss, evicts k3
+        SCALE.run(&k3, &SCALE.input()); // miss again (was evicted), evicts k5
+        SCALE.run(&k3, &SCALE.input()); // hit
+        assert_eq!(hits_misses(), (1, 3), "capacity-1 eviction");
+    });
+}
 
-    // ---- capacity 1: the second distinct launch evicts the first ----
-    set_memo_capacity(1);
-    clear_memo_cache();
-    reset_memo_counters();
-    let k5 = scale_kernel(5);
-    run(&cfg, &k3, &fresh_input()); // miss, cached
-    run(&cfg, &k5, &fresh_input()); // miss, evicts k3
-    run(&cfg, &k3, &fresh_input()); // miss again (was evicted), evicts k5
-    run(&cfg, &k3, &fresh_input()); // hit
-    let c = memo_counters();
-    assert_eq!((c.hits, c.misses), (1, 3), "capacity-1 eviction: {c:?}");
-
-    // ---- cross-thread hits: one warm entry serves 8 threads ----
-    set_memo_capacity(128);
-    clear_memo_cache();
-    reset_memo_counters();
+/// Cross-thread hits: one warm entry serves 8 threads, each of which enters
+/// the context itself (spawned threads do not inherit it).
+#[test]
+fn one_warm_entry_serves_eight_threads() {
+    let Some(ctx) = context(true, 128) else {
+        return;
+    };
     let k7 = scale_kernel(7);
-    let seed = fresh_input();
-    let base = run(&cfg, &k7, &seed); // cold, records
-    let expected = output_words(&seed);
+    let seed = SCALE.input();
+    let base = ctx.enter(|| SCALE.run(&k7, &seed)); // cold, records
+    let expected = SCALE.output(&seed);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 scope.spawn(|| {
-                    let mem = fresh_input();
-                    let stats = run(&cfg, &k7, &mem);
-                    (stats, output_words(&mem))
+                    let mem = SCALE.input();
+                    let stats = ctx.enter(|| SCALE.run(&k7, &mem));
+                    (stats, SCALE.output(&mem))
                 })
             })
             .collect();
@@ -197,14 +126,11 @@ fn memo_hits_evictions_and_threads() {
             assert_eq!(out, expected);
         }
     });
-    let c = memo_counters();
+    let c = ctx.enter(memo_counters);
     assert_eq!(
         (c.hits, c.misses),
         (8, 1),
         "all threads must hit the warm entry: {c:?}"
     );
     assert!((c.hit_rate() - 8.0 / 9.0).abs() < 1e-9, "{c:?}");
-
-    set_memo(Memo::On);
-    set_dedup(Dedup::On);
 }

@@ -9,7 +9,7 @@
 mod common;
 
 use g80::apps::matmul::{MatMul, Variant};
-use g80::sim::{set_engine, Engine};
+use g80::sim::{Engine, SimConfig, SimContext};
 
 #[test]
 fn single_worker_pool_matches_reference_engine() {
@@ -27,10 +27,12 @@ fn single_worker_pool_matches_reference_engine() {
         Variant::RegTiled { tile: 16 },
     ];
 
-    set_engine(Engine::Reference);
-    let reference: Vec<_> = variants.iter().map(|&v| mm.run(v, &a, &b)).collect();
+    let oracle = SimContext::new(SimConfig {
+        engine: Engine::Reference,
+        ..SimConfig::default()
+    });
+    let reference: Vec<_> = oracle.enter(|| variants.iter().map(|&v| mm.run(v, &a, &b)).collect());
 
-    set_engine(Engine::Predecoded);
     let pooled_single = mm.run_batch(&variants, &a, &b);
 
     for ((rc, rs, _), (pc, ps, _)) in reference.iter().zip(&pooled_single) {
@@ -45,5 +47,5 @@ fn single_worker_pool_matches_reference_engine() {
     // the one worker): a batch equals nine single launches, simulated and
     // replayed from the memo alike. `witness_dedup.rs` makes the same
     // comparison on the default pool.
-    common::assert_batch_equals_singles(6);
+    common::assert_batch_equals_singles(6, &SimConfig::default());
 }

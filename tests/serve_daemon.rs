@@ -2,7 +2,8 @@
 //!
 //! * **golden cross-check** — eight concurrent tenants each run their own
 //!   kernel through the daemon; every returned `KernelStats` and memory
-//!   delta is bit-identical to an in-process `launch` of the same spec;
+//!   delta is bit-identical to an in-process `launch` of the same spec,
+//!   whichever context of the matrix the daemon serves in;
 //! * **fairness** — a heavyweight tenant saturating the pool with large
 //!   fresh-content launches does not starve a probe fleet: probe p99
 //!   stays under a generous ceiling, and every probe still returns
@@ -11,41 +12,23 @@
 //!   a zero-depth queue as typed `Throttled`; the connection survives
 //!   both and keeps serving.
 
-use g80::isa::builder::KernelBuilder;
-use g80::isa::{Kernel, Value};
+use g80::isa::Value;
 use g80::serve::{serve, Addr, Client, Quota, ServeConfig, WireError, WireLaunch};
 use g80::sim::{launch, DeviceMemory, GpuConfig, LaunchDims};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const TPB: u32 = 64;
+mod common;
+use common::Scale;
 
-/// `out[i] = in[i] * mult + salt` — the constants land in the instruction
-/// stream, so each (mult, salt) pair is distinct kernel content.
-fn scale_kernel(name: &str, mult: u32, salt: u32) -> Kernel {
-    let mut b = KernelBuilder::new(name);
-    let xs = b.param();
-    let ys = b.param();
-    let tid = b.tid_x();
-    let ntid = b.ntid_x();
-    let cta = b.ctaid_x();
-    let i = b.imad(cta, ntid, tid);
-    let byte = b.shl(i, 2u32);
-    let xa = b.iadd(byte, xs);
-    let v = b.ld_global(xa, 0);
-    let w = b.imul(v, mult);
-    let w = b.iadd(w, salt);
-    let ya = b.iadd(byte, ys);
-    b.st_global(ya, 0, w);
-    b.build()
-}
+const TPB: u32 = 64;
 
 /// A spec processing `n` elements in-place-adjacent (input words at 0,
 /// output words at n*4), with deterministic per-tenant input.
 fn scale_spec(name: &str, mult: u32, salt: u32, n: u32) -> WireLaunch {
     let mut spec = WireLaunch::new(
-        scale_kernel(name, mult, salt),
+        Scale::kernel(name, mult, salt),
         LaunchDims {
             grid: (n / TPB, 1),
             block: (TPB, 1, 1),
@@ -99,71 +82,77 @@ fn stop_daemon(server: g80::serve::Server, addr: &Addr) {
 
 #[test]
 fn eight_tenants_get_bit_identical_stats() {
-    let (server, addr) = start_daemon(Quota::default());
-    let gpu = GpuConfig::geforce_8800_gtx();
+    for (daemon_ctx, ctx) in common::contexts().iter() {
+        // The daemon serves in the context it is started in; the tenants'
+        // in-process references run in their own threads' (global) one.
+        let (server, addr) = ctx.enter(|| start_daemon(Quota::default()));
+        let gpu = GpuConfig::geforce_8800_gtx();
 
-    let workers: Vec<_> = (0..8u32)
-        .map(|t| {
-            let addr = addr.clone();
-            let gpu = gpu.clone();
-            std::thread::spawn(move || {
-                let mut client = Client::connect(&addr, &format!("tenant-{t}")).expect("connect");
-                // Distinct content per tenant AND per iteration: nothing
-                // can hide behind another tenant's memo entry having the
-                // same stats by construction.
-                for iter in 0..4u32 {
-                    let spec = scale_spec("sd_golden", 3 + t, t << 8 | iter, 512);
-                    let (want_stats, want_delta) = run_inprocess(&gpu, &spec);
-                    let (report, delta) = client
-                        .launch(&spec)
+        let workers: Vec<_> = (0..8u32)
+            .map(|t| {
+                let addr = addr.clone();
+                let gpu = gpu.clone();
+                std::thread::spawn(move || {
+                    let mut client =
+                        Client::connect(&addr, &format!("tenant-{t}")).expect("connect");
+                    // Distinct content per tenant AND per iteration: nothing
+                    // can hide behind another tenant's memo entry having the
+                    // same stats by construction.
+                    for iter in 0..4u32 {
+                        let spec = scale_spec("sd_golden", 3 + t, t << 8 | iter, 512);
+                        let (want_stats, want_delta) = run_inprocess(&gpu, &spec);
+                        let (report, delta) = client
+                            .launch(&spec)
+                            .expect("transport")
+                            .expect("typed error");
+                        assert_eq!(report.stats.cycles, want_stats.cycles, "tenant {t}");
+                        assert_eq!(
+                            report.stats.warp_instructions, want_stats.warp_instructions,
+                            "tenant {t}"
+                        );
+                        assert_eq!(
+                            report.stats.stall_cycles, want_stats.stall_cycles,
+                            "tenant {t}"
+                        );
+                        assert_eq!(report.stats.by_class, want_stats.by_class, "tenant {t}");
+                        assert_eq!(
+                            report.stats.global_bytes, want_stats.global_bytes,
+                            "tenant {t}"
+                        );
+                        assert_eq!(delta, want_delta, "tenant {t} memory delta");
+                    }
+                    // The streamed path returns the same reports.
+                    let specs: Vec<_> = (0..3u32)
+                        .map(|i| scale_spec("sd_batch", 3 + t, t << 8 | 0x1000 | i, 256))
+                        .collect();
+                    let (items, _counters, _net) = client
+                        .batch(&specs)
                         .expect("transport")
                         .expect("typed error");
-                    assert_eq!(report.stats.cycles, want_stats.cycles, "tenant {t}");
-                    assert_eq!(
-                        report.stats.warp_instructions, want_stats.warp_instructions,
-                        "tenant {t}"
-                    );
-                    assert_eq!(
-                        report.stats.stall_cycles, want_stats.stall_cycles,
-                        "tenant {t}"
-                    );
-                    assert_eq!(report.stats.by_class, want_stats.by_class, "tenant {t}");
-                    assert_eq!(
-                        report.stats.global_bytes, want_stats.global_bytes,
-                        "tenant {t}"
-                    );
-                    assert_eq!(delta, want_delta, "tenant {t} memory delta");
-                }
-                // The streamed path returns the same reports.
-                let specs: Vec<_> = (0..3u32)
-                    .map(|i| scale_spec("sd_batch", 3 + t, t << 8 | 0x1000 | i, 256))
-                    .collect();
-                let (items, _counters, _net) = client
-                    .batch(&specs)
-                    .expect("transport")
-                    .expect("typed error");
-                assert_eq!(items.len(), 3);
-                for (i, (item, spec)) in items.iter().zip(&specs).enumerate() {
-                    let report = item.as_ref().expect("item ok");
-                    let (want_stats, _) = run_inprocess(&gpu, spec);
-                    assert_eq!(
-                        report.stats.cycles, want_stats.cycles,
-                        "tenant {t} item {i}"
-                    );
-                    assert_eq!(
-                        report.stats.warp_instructions, want_stats.warp_instructions,
-                        "tenant {t} item {i}"
-                    );
-                }
+                    assert_eq!(items.len(), 3);
+                    for (i, (item, spec)) in items.iter().zip(&specs).enumerate() {
+                        let report = item.as_ref().expect("item ok");
+                        let (want_stats, _) = run_inprocess(&gpu, spec);
+                        assert_eq!(
+                            report.stats.cycles, want_stats.cycles,
+                            "tenant {t} item {i}"
+                        );
+                        assert_eq!(
+                            report.stats.warp_instructions, want_stats.warp_instructions,
+                            "tenant {t} item {i}"
+                        );
+                    }
+                })
             })
-        })
-        .collect();
-    for w in workers {
-        w.join().expect("tenant thread");
-    }
+            .collect();
+        for w in workers {
+            w.join()
+                .unwrap_or_else(|_| panic!("daemon in context {daemon_ctx:?}: tenant thread"));
+        }
 
-    assert!(server.requests_served() >= 8 * 5);
-    stop_daemon(server, &addr);
+        assert!(server.requests_served() >= 8 * 5);
+        stop_daemon(server, &addr);
+    }
 }
 
 #[test]

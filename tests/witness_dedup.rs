@@ -4,9 +4,8 @@
 //! simulation; kernels whose timing depends on data must never engage the
 //! witness machinery at all.
 //!
-//! The dedup/memo/engine/rows selectors and the counters are process-global,
-//! so the tests here serialize on [`TOGGLES`] (parallel test threads would
-//! race them).
+//! Every run builds the context it means — engine, dedup, memo — and reads
+//! that context's counters, so the tests run in parallel.
 
 use g80::apps::cp::CoulombicPotential;
 use g80::apps::matmul::{MatMul, Variant};
@@ -16,70 +15,28 @@ use g80::apps::sad::SadApp;
 use g80::isa::builder::{KernelBuilder, Unroll};
 use g80::isa::{CmpOp, Kernel, Pred, Scalar, Space, Value};
 use g80::sim::{
-    disk_cache_dir, kernel_info, launch, memo_counters, reset_memo_counters, row_counters,
-    set_dedup, set_disk_cache, set_engine, set_memo, Dedup, DeviceMemory, Engine, GpuConfig,
-    KernelStats, LaunchDims, LaunchError, Memo, MemoCounters,
+    kernel_info, launch, memo_counters, row_counters, DeviceMemory, Engine, GpuConfig, KernelStats,
+    LaunchDims, LaunchError, MemoCounters, SimConfig, SimContext,
 };
-use std::sync::Mutex;
+use std::sync::Arc;
 
 mod common;
-use common::{bits, stats_bytes};
+use common::{assert_stats_identical, bits, stats_bytes};
 
-/// Held by each test for its whole body: one test at a time owns the
-/// process-global selectors and counters.
-static TOGGLES: Mutex<()> = Mutex::new(());
-
-fn own_toggles() -> std::sync::MutexGuard<'static, ()> {
-    // A sibling test that failed while holding the lock already reported
-    // its own failure; the selectors it left behind are reset below.
-    TOGGLES.lock().unwrap_or_else(|e| e.into_inner())
+/// A fresh context isolating the axis under test: no memo cache, the given
+/// engine and dedup mode.
+fn context(engine: Engine, dedup: bool) -> Arc<SimContext> {
+    SimContext::new(SimConfig {
+        engine,
+        dedup,
+        memo: false,
+        ..SimConfig::default()
+    })
 }
 
-macro_rules! assert_fields_eq {
-    ($label:expr, $a:expr, $b:expr, [$($f:ident),+ $(,)?]) => {
-        $(assert_eq!(
-            $a.$f, $b.$f,
-            "{}: KernelStats field `{}` differs between dedup modes",
-            $label, stringify!($f)
-        );)+
-    };
-}
-
-fn assert_stats_identical(label: &str, a: &KernelStats, b: &KernelStats) {
-    assert_fields_eq!(
-        label,
-        a,
-        b,
-        [
-            name,
-            cycles,
-            elapsed,
-            warp_instructions,
-            thread_instructions,
-            flops,
-            by_class,
-            global_ld_transactions,
-            global_st_transactions,
-            global_bytes,
-            coalesced_half_warps,
-            uncoalesced_half_warps,
-            smem_conflict_extra_cycles,
-            divergent_branches,
-            tex_hits,
-            tex_misses,
-            const_hits,
-            const_misses,
-            atomic_transactions,
-            stall_cycles,
-            blocks_executed,
-            regs_per_thread,
-            smem_per_block,
-            threads_per_block,
-            blocks_per_sm,
-            max_simultaneous_threads,
-            total_threads,
-        ]
-    );
+/// `run` in a fresh product-engine context, with the dedup counters it left.
+fn product<T>(dedup: bool, run: impl FnOnce() -> T) -> (T, MemoCounters) {
+    context(Engine::Predecoded, dedup).enter(|| (run(), memo_counters()))
 }
 
 /// Large enough that the scheduler reaches a periodic steady state: the
@@ -199,22 +156,17 @@ fn dims(blocks: u32) -> LaunchDims {
 
 #[test]
 fn dedup_bit_identical_and_gated() {
-    let _toggles = own_toggles();
     // Exact dedup counter assertions don't survive an armed fault injector
     // (the chaos CI job): absorbed launch retries re-run SMs and skew the
-    // process-wide counters.
+    // counters.
     if g80::sim::fault::armed() {
         return;
     }
-    // Isolate the axis under test: no memo cache, product engine.
-    set_memo(Memo::Off);
-    set_engine(Engine::Predecoded);
     let cfg = GpuConfig::geforce_8800_gtx();
 
     // ---- eligible kernel: dedup engages and is bit-identical ----
     let k = streaming_kernel();
-    let run = |d: Dedup| {
-        set_dedup(d);
+    let run = || {
         let mem = DeviceMemory::new(2 * N * 4);
         for i in 0..N {
             mem.write(i * 4, Value::from_f32(i as f32 * 0.5));
@@ -230,10 +182,8 @@ fn dedup_bit_identical_and_gated() {
         let out: Vec<u32> = (0..N).map(|i| mem.read((N + i) * 4).as_u32()).collect();
         (stats, out)
     };
-    let (off_stats, off_out) = run(Dedup::Off);
-    reset_memo_counters();
-    let (on_stats, on_out) = run(Dedup::On);
-    let c = memo_counters();
+    let ((off_stats, off_out), _) = product(false, run);
+    let ((on_stats, on_out), c) = product(true, run);
     assert!(
         c.dedup_fast_blocks > 0,
         "dedup never fast-forwarded a block on the ideal workload: {c:?}"
@@ -250,26 +200,25 @@ fn dedup_bit_identical_and_gated() {
 
     // ---- data-dependent kernel: witness machinery never engages ----
     let g = gather_kernel();
-    set_dedup(Dedup::On);
-    reset_memo_counters();
     let mem = DeviceMemory::new(3 * SMALL_N * 4);
     for i in 0..SMALL_N {
         mem.write(i * 4, Value::from_u32((i * 7 + 3) % SMALL_N)); // idx
         mem.write((SMALL_N + i) * 4, Value::from_u32(i ^ 0xabcd)); // src
     }
-    let stats = launch(
-        &cfg,
-        &g,
-        dims(SMALL_BLOCKS),
-        &[
-            Value::from_u32(0),
-            Value::from_u32(SMALL_N * 4),
-            Value::from_u32(2 * SMALL_N * 4),
-        ],
-        &mem,
-    )
-    .expect("gather launch");
-    let c = memo_counters();
+    let (stats, c) = product(true, || {
+        launch(
+            &cfg,
+            &g,
+            dims(SMALL_BLOCKS),
+            &[
+                Value::from_u32(0),
+                Value::from_u32(SMALL_N * 4),
+                Value::from_u32(2 * SMALL_N * 4),
+            ],
+            &mem,
+        )
+        .expect("gather launch")
+    });
     assert_eq!(
         (c.dedup_fast_blocks, c.dedup_sim_blocks, c.dedup_fallbacks),
         (0, 0, 0),
@@ -283,18 +232,17 @@ fn dedup_bit_identical_and_gated() {
     // Each SM's queue is single-parity, so the even SMs reuse the donor
     // while every odd SM's replay must *fail verification* and resimulate.
     let p = block_parity_kernel();
-    let run = |k: &Kernel, d: Dedup| {
-        set_dedup(d);
-        let mem = DeviceMemory::new(SMALL_N * 4);
-        let stats = launch(&cfg, k, dims(SMALL_BLOCKS), &[Value::from_u32(0)], &mem)
-            .expect("parity launch");
-        let out: Vec<u32> = (0..SMALL_N).map(|i| mem.read(i * 4).as_u32()).collect();
-        (stats, out)
+    let run = |k: &Kernel, dedup: bool| {
+        product(dedup, || {
+            let mem = DeviceMemory::new(SMALL_N * 4);
+            let stats = launch(&cfg, k, dims(SMALL_BLOCKS), &[Value::from_u32(0)], &mem)
+                .expect("parity launch");
+            let out: Vec<u32> = (0..SMALL_N).map(|i| mem.read(i * 4).as_u32()).collect();
+            (stats, out)
+        })
     };
-    let (off_stats, off_out) = run(&p, Dedup::Off);
-    reset_memo_counters();
-    let (on_stats, on_out) = run(&p, Dedup::On);
-    let c = memo_counters();
+    let ((off_stats, off_out), _) = run(&p, false);
+    let ((on_stats, on_out), c) = run(&p, true);
     assert!(
         c.dedup_fallbacks > 0,
         "odd-parity SMs must fail donor verification and fall back: {c:?}"
@@ -306,10 +254,8 @@ fn dedup_bit_identical_and_gated() {
 
     // ---- within-SM divergence: recorder invalidates, nothing fast ----
     let g = gen_parity_kernel();
-    let (off_stats, off_out) = run(&g, Dedup::Off);
-    reset_memo_counters();
-    let (on_stats, on_out) = run(&g, Dedup::On);
-    let c = memo_counters();
+    let ((off_stats, off_out), _) = run(&g, false);
+    let ((on_stats, on_out), c) = run(&g, true);
     assert_eq!(
         c.dedup_fast_blocks, 0,
         "mismatching sibling witnesses must prevent fast-forwarding: {c:?}"
@@ -319,9 +265,6 @@ fn dedup_bit_identical_and_gated() {
     let i = 16 * TPB; // block 16 is generation-odd
     assert_eq!(on_out[i as usize], i * 3 + 7);
     assert_eq!(on_out[0], 0); // block 0 is generation-even
-
-    set_dedup(Dedup::On);
-    set_memo(Memo::On);
 }
 
 /// The Section 4 walk (naive → tiled → unrolled → prefetch) on 16×16 thread
@@ -333,12 +276,9 @@ fn dedup_bit_identical_and_gated() {
 /// (no fallbacks) with replayed blocks in the mix.
 #[test]
 fn walk_variants_shaped_and_bit_identical() {
-    let _toggles = own_toggles();
     if g80::sim::fault::armed() {
         return; // exact counter assertions, as above
     }
-    set_memo(Memo::Off);
-    set_dedup(Dedup::On);
 
     let walk = [
         Variant::Naive,
@@ -352,15 +292,14 @@ fn walk_variants_shaped_and_bit_identical() {
         },
         Variant::Prefetch { tile: 16 },
     ];
-    // One run: output bits + stats, plus the shape mix and dedup tallies it
-    // added to the process-wide counters.
+    // One run in a fresh dedup-on context: output bits + stats, plus the
+    // shape mix and dedup tallies it left there.
     let run = |mm: &MatMul, v: Variant, a: &[f32], b: &[f32], engine: Engine| {
-        set_engine(engine);
-        reset_memo_counters();
-        let before = row_counters();
-        let (c, stats, _) = mm.run(v, a, b);
-        let bits: Vec<u32> = c.iter().map(|x| x.to_bits()).collect();
-        (bits, stats, row_counters().since(&before), memo_counters())
+        context(engine, true).enter(|| {
+            let (c, stats, _) = mm.run(v, a, b);
+            let bits: Vec<u32> = c.iter().map(|x| x.to_bits()).collect();
+            (bits, stats, row_counters(), memo_counters())
+        })
     };
 
     // n=64: one block per SM — every block goes through the timed engine.
@@ -394,23 +333,15 @@ fn walk_variants_shaped_and_bit_identical() {
         assert!(dedup.dedup_fast_blocks > 0, "{tag}: no replay: {dedup:?}");
         assert_eq!(dedup.dedup_fallbacks, 0, "{tag}: {dedup:?}");
     }
-
-    set_memo(Memo::On);
 }
 
 /// Runs `run` on the reference engine, on the product with dedup off and on
 /// the product with dedup on; asserts canonical stats bytes and output bits
 /// identical across all three and returns the dedup-on run's counters.
 fn three_way(tag: &str, run: impl Fn() -> (Vec<u32>, KernelStats)) -> MemoCounters {
-    set_engine(Engine::Reference);
-    let (ref_bits, ref_stats) = run();
-    set_engine(Engine::Predecoded);
-    set_dedup(Dedup::Off);
-    let (off_bits, off_stats) = run();
-    set_dedup(Dedup::On);
-    reset_memo_counters();
-    let (on_bits, on_stats) = run();
-    let counters = memo_counters();
+    let (ref_bits, ref_stats) = context(Engine::Reference, false).enter(&run);
+    let ((off_bits, off_stats), _) = product(false, &run);
+    let ((on_bits, on_stats), counters) = product(true, &run);
     assert_stats_identical(&format!("{tag} ref/off"), &ref_stats, &off_stats);
     assert_stats_identical(&format!("{tag} off/on"), &off_stats, &on_stats);
     assert_eq!(stats_bytes(&ref_stats), stats_bytes(&off_stats), "{tag}");
@@ -485,11 +416,9 @@ fn const_at_kernel(addr: u32) -> Kernel {
 /// probed a cache for.
 #[test]
 fn const_kernels_replay_bit_identical() {
-    let _toggles = own_toggles();
     if g80::sim::fault::armed() {
         return; // exact counter assertions, as above
     }
-    set_memo(Memo::Off);
     let cfg = GpuConfig::geforce_8800_gtx();
 
     // 64 blocks of 256 threads: four per SM against three resident slots, so
@@ -577,72 +506,67 @@ fn const_kernels_replay_bit_identical() {
     let c = three_way("const_at", || run_raw(&inside).expect("in-bank launch"));
     assert!(c.dedup_fast_blocks > 0, "const_at: {c:?}");
     let outside = const_at_kernel(4 * 256);
-    for d in [Dedup::Off, Dedup::On] {
-        set_dedup(d);
-        match run_raw(&outside) {
+    for dedup in [false, true] {
+        match product(dedup, || run_raw(&outside)).0 {
             Err(LaunchError::Panic(msg)) => assert!(
                 msg.contains("const read out of bounds: addr 0x400"),
-                "{d:?}: {msg}"
+                "dedup {dedup}: {msg}"
             ),
             other => panic!(
-                "{d:?}: expected the out-of-bounds panic, got {:?}",
+                "dedup {dedup}: expected the out-of-bounds panic, got {:?}",
                 other.err()
             ),
         }
     }
-
-    set_dedup(Dedup::On);
-    set_memo(Memo::On);
 }
 
-/// A batch is nine single launches: `run_batch` of the tuner's nine variants
-/// at n=48 equals nine `run` calls in every stats field and in output
-/// memory, simulated (cold) and replayed from the memo (warm) — and, going
-/// through the single-launch path, a cold batch gets donor-SM replay
-/// (n=48 at 16×16 is nine blocks on nine SMs: one simulates, eight replay).
+/// A batch is nine single launches, under every configuration of the
+/// matrix: `run_batch` of the tuner's nine variants at n=48 equals nine
+/// `run` calls in every stats field and in output memory, simulated (cold)
+/// and replayed from the memo (warm) — and, going through the single-launch
+/// path, a cold batch gets donor-SM replay (n=48 at 16×16 is nine blocks on
+/// nine SMs: one simulates, eight replay).
 #[test]
 fn batch_is_nine_single_launches() {
-    let _toggles = own_toggles();
-    if g80::sim::fault::armed() {
-        return; // exact counter assertions, as above
-    }
-    set_engine(Engine::Predecoded);
-    set_dedup(Dedup::On);
-    set_memo(Memo::On);
-    // A disk tier warmed by another test binary would answer the cold pass.
-    let disk = disk_cache_dir();
-    set_disk_cache(None);
-
-    let [singles, cold, warm] = common::assert_batch_equals_singles(48);
-    set_disk_cache(disk);
-
-    let (singles, cold_counts, warm_counts) = (singles.counts, cold.counts, warm.counts);
-    assert_eq!((singles.hits, singles.misses), (0, 9));
-    assert_eq!((cold_counts.hits, cold_counts.misses), (0, 9));
-    assert!(cold_counts.dedup_fast_blocks > 0, "{cold_counts:?}");
-    assert_eq!(cold_counts.dedup_fallbacks, 0, "{cold_counts:?}");
-    // Same launches, same path: the cold batch replays exactly what nine
-    // single launches replay.
-    assert_eq!(cold_counts.dedup_fast_blocks, singles.dedup_fast_blocks);
-    assert_eq!(cold_counts.dedup_sim_blocks, singles.dedup_sim_blocks);
-    for (v, batched) in Variant::tuner_sweep().iter().zip(&cold.runs) {
-        assert_eq!(batched.2.memo_hits, 0, "cold batch, {}", v.label());
-    }
-    // The warm batch finds all nine entries unless the environment chose a
-    // memo too small to hold them (CI's `G80_SIM_MEMO_CAP=1` leg, which this
-    // test leaves in force for the rest of the binary); then it resimulates
-    // some, bit-identically, as checked above.
-    let memo_holds_sweep = std::env::var("G80_SIM_MEMO_CAP")
-        .ok()
-        .and_then(|cap| cap.parse::<usize>().ok())
-        .is_none_or(|cap| cap >= 9);
-    if memo_holds_sweep {
-        assert_eq!((warm_counts.hits, warm_counts.misses), (9, 9));
-        // ...and simulates nothing.
-        assert_eq!(warm_counts.dedup_fast_blocks, singles.dedup_fast_blocks);
-        assert_eq!(warm_counts.dedup_sim_blocks, singles.dedup_sim_blocks);
-        for (v, batched) in Variant::tuner_sweep().iter().zip(&warm.runs) {
-            assert_eq!(batched.2.memo_hits, 1, "warm batch, {}", v.label());
+    for (name, ctx) in common::contexts().iter() {
+        let cfg = ctx.config();
+        let [singles, cold, warm] = common::assert_batch_equals_singles(48, cfg);
+        if g80::sim::fault::armed() {
+            continue; // exact counter assertions, as above
+        }
+        let (singles, cold_counts, warm_counts) = (singles.counts, cold.counts, warm.counts);
+        let probes = if cfg.memo { 9 } else { 0 };
+        assert_eq!((singles.hits, singles.misses), (0, probes), "{name}");
+        // Same launches, same path: the cold batch simulates and replays
+        // exactly what nine single launches do — unless the singles left
+        // their entries in a disk tier, which then answers all nine.
+        if cfg.disk_dir.is_some() {
+            assert_eq!(cold_counts.disk_hits, 9, "{name}: {cold_counts:?}");
+            assert_eq!(cold_counts.misses, 0, "{name}: {cold_counts:?}");
+            continue;
+        }
+        assert_eq!(
+            (cold_counts.hits, cold_counts.misses),
+            (0, probes),
+            "{name}"
+        );
+        assert_eq!(cold_counts.dedup_fast_blocks > 0, cfg.dedup, "{name}");
+        assert_eq!(cold_counts.dedup_fallbacks, 0, "{name}: {cold_counts:?}");
+        assert_eq!(cold_counts.dedup_fast_blocks, singles.dedup_fast_blocks);
+        assert_eq!(cold_counts.dedup_sim_blocks, singles.dedup_sim_blocks);
+        for (v, batched) in Variant::tuner_sweep().iter().zip(&cold.runs) {
+            assert_eq!(batched.2.memo_hits, 0, "{name}: cold batch, {}", v.label());
+        }
+        // The warm batch finds all nine entries where the memo holds them
+        // (a smaller one resimulates some, bit-identically, as checked
+        // above) and then simulates nothing.
+        if cfg.memo && cfg.memo_cap >= 9 {
+            assert_eq!((warm_counts.hits, warm_counts.misses), (9, 9), "{name}");
+            assert_eq!(warm_counts.dedup_fast_blocks, singles.dedup_fast_blocks);
+            assert_eq!(warm_counts.dedup_sim_blocks, singles.dedup_sim_blocks);
+            for (v, batched) in Variant::tuner_sweep().iter().zip(&warm.runs) {
+                assert_eq!(batched.2.memo_hits, 1, "{name}: warm batch, {}", v.label());
+            }
         }
     }
 }
