@@ -96,9 +96,7 @@ pub fn reduce_sum(dev: &mut Device, data: &DeviceBuffer<f32>) -> f32 {
         dst.swap(0, 1);
         len = blocks;
     }
-    let mut out = [0u32];
-    dev.memory().read_slice(cur, &mut out);
-    f32::from_bits(out[0])
+    f32::from_bits(dev.memory().read(cur).0)
 }
 
 /// Builds a map kernel `y[i] = a*x[i]*x[i] + b*x[i] + c` (an arbitrary but

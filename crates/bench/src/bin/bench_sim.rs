@@ -429,6 +429,11 @@ fn run() -> i32 {
             unroll: true,
         };
         bench_row_structure("matmul_rows", runs, &mut || mm.run(tiled, &a, &b).1);
+        let tiled8 = Variant::Tiled {
+            tile: 8,
+            unroll: true,
+        };
+        bench_row_structure("matmul_rows_8x8", runs, &mut || mm.run(tiled8, &a, &b).1);
     }
 
     // The large uniform-grid workload the dedup and hardening rows share.
@@ -1119,32 +1124,31 @@ fn run() -> i32 {
     }
     // Row-structure floors: the shape algebra must keep engaging where the
     // workload's rows are uniform/affine by construction.
-    {
+    for (name, floor, lost) in [
         // Saxpy's arithmetic is entirely uniform/affine and its global
         // accesses take the closed-form degree path.
-        let saxpy_rows = row_structure
-            .iter()
-            .find(|r| r.name == "saxpy_rows")
-            .unwrap();
-        if saxpy_rows.shaped_fraction() < 0.5 {
-            missed.push(format!(
-                "saxpy_rows shaped fraction {:.2} is below the 0.5 floor \
-                 (uniform/affine folding stopped engaging)",
-                saxpy_rows.shaped_fraction()
-            ));
-        }
+        ("saxpy_rows", 0.5, "uniform/affine folding stopped engaging"),
         // The paper's own kernel shape: 16×16 thread blocks, where tid.x/tid.y
         // are affine per half-warp. Its whole address chain must stay shaped
         // (the warp-affine shape of PR 9 left it 96% `Full`).
-        let matmul_rows = row_structure
-            .iter()
-            .find(|r| r.name == "matmul_rows")
-            .unwrap();
-        if matmul_rows.shaped_fraction() < 0.6 {
+        (
+            "matmul_rows",
+            0.6,
+            "half-warp-affine rows stopped carrying the 16x16 address chain",
+        ),
+        // Figure 4's 8×8 tile: tid.x/tid.y are affine per run of 8 lanes.
+        // Before rows carried a period this variant read 0.07 (at n=48).
+        (
+            "matmul_rows_8x8",
+            0.6,
+            "rows of period 8 stopped carrying the 8x8 address chain",
+        ),
+    ] {
+        let row = row_structure.iter().find(|r| r.name == name).unwrap();
+        if row.shaped_fraction() < floor {
             missed.push(format!(
-                "matmul_rows shaped fraction {:.2} is below the 0.6 floor \
-                 (half-warp-affine rows stopped carrying the 16x16 address chain)",
-                matmul_rows.shaped_fraction()
+                "{name} shaped fraction {:.2} is below the {floor} floor ({lost})",
+                row.shaped_fraction()
             ));
         }
     }

@@ -262,10 +262,8 @@ impl Device {
                 capacity: buf.len(),
             });
         }
-        for (i, v) in data.iter().enumerate() {
-            self.mem
-                .write(buf.byte_addr + (i as u32) * 4, Value(v.to_bits()));
-        }
+        self.mem
+            .write_slice(buf.byte_addr, data.iter().map(|v| v.to_bits()));
         self.timeline.borrow_mut().h2d_s += self.pcie.transfer_time(data.len() as u64 * 4);
         Ok(())
     }
@@ -287,10 +285,8 @@ impl Device {
         if let Some(f) = fault::poll_typed(fault::Site::DeviceCopy) {
             return Err(CudaError::InjectedFault { site: f.site });
         }
-        let mut out = Vec::with_capacity(buf.len());
-        for i in 0..buf.len {
-            out.push(T::from_bits(self.mem.read(buf.byte_addr + i * 4).0));
-        }
+        let words = self.mem.read_slice(buf.byte_addr, buf.len());
+        let out = words.map(T::from_bits).collect();
         self.timeline.borrow_mut().d2h_s += self.pcie.transfer_time(buf.len as u64 * 4);
         Ok(out)
     }

@@ -392,33 +392,41 @@ fn sfu_trig_rows_are_bit_identical_to_scalar_exhaustive() {
 }
 
 /// A random non-`Full` shape, including special-float bit patterns as
-/// uniform values, extreme strides (overflow-prone, power-of-two), and
-/// every relation between the half-warp step and the stride: the 1-D
-/// continuation `16·stride`, the restart `0` (a 16-wide block's `tid.x`),
-/// a pure step under a zero stride (its `tid.y`), and unrelated values.
+/// uniform values, extreme strides (overflow-prone, power-of-two), every
+/// period `p` from 2 to 16, and every relation between the run step and the
+/// stride: the 1-D continuation `p·stride`, the restart `0` (a `p`-wide
+/// block's `tid.x`), a pure step under a zero stride (its `tid.y`), and
+/// unrelated values.
 fn shape(rng: &mut Rng) -> LaneRow {
     if rng.next() & 1 == 0 {
         LaneRow::Uniform(Value::from_u32(rng.special()))
     } else {
-        let stride = match rng.next() & 7 {
-            0 => 4,
-            1 => 1 << 29,
-            2 => 1 << 30,
-            3 => 0x8000_0000,
-            4 => rng.u32() | 0x8000_0000, // huge: wrapping exercised
-            5 => 0,
-            _ => rng.u32() & 0xffff,
-        };
-        let step = match rng.next() & 7 {
-            0 | 1 => stride.wrapping_mul(16),
-            2 => 0,
-            3 => 1,
-            4 => 0x8000_0000,
-            5 => rng.u32() | 0xf000_0000, // overflow-prone
-            _ => rng.u32() & 0xf_ffff,
-        };
-        LaneRow::affine(rng.special(), stride, step)
+        let log2p = 1 + (rng.next() % 4) as u8;
+        affine_shape(rng, log2p)
     }
+}
+
+/// A random `Uniform`-or-`Affine` shape built at period `2^log2p` (a 1-D or
+/// zero draw canonicalizes away from it, as in the engine).
+fn affine_shape(rng: &mut Rng, log2p: u8) -> LaneRow {
+    let stride = match rng.next() & 7 {
+        0 => 4,
+        1 => 1 << 29,
+        2 => 1 << 30,
+        3 => 0x8000_0000,
+        4 => rng.u32() | 0x8000_0000, // huge: wrapping exercised
+        5 => 0,
+        _ => rng.u32() & 0xffff,
+    };
+    let step = match rng.next() & 7 {
+        0 | 1 => stride << log2p,
+        2 => 0,
+        3 => 1,
+        4 => 0x8000_0000,
+        5 => rng.u32() | 0xf000_0000, // overflow-prone
+        _ => rng.u32() & 0xf_ffff,
+    };
+    LaneRow::affine(rng.special(), stride, step, log2p)
 }
 
 fn expand(s: LaneRow) -> Row {
@@ -528,9 +536,61 @@ fn shape_folds_are_bit_exact_against_scalar_evaluation() {
     }
 }
 
+/// Operands of different periods: a fold is `None` or bit-exact, never
+/// wrong — and the two directions the algebra promises hold. A 1-D row
+/// (which `LaneRow::affine` keeps at `p = 16`) meets a narrower row at that
+/// row's period, so add/sub always fold; two rows that are each genuinely of
+/// their own, different, period never do.
+#[test]
+fn mixed_period_folds_reexpress_one_d_rows_and_refuse_the_rest() {
+    let is_one_d = |s: LaneRow| {
+        let t = s.terms().unwrap();
+        t.step == t.stride << t.log2p
+    };
+    let assert_exact = |op: AluOp, a: LaneRow, b: LaneRow, f: LaneRow| {
+        let (ar, br, got) = (expand(a), expand(b), expand(f));
+        for l in 0..32 {
+            let want = eval_alu(op, ar[l], br[l]);
+            assert_eq!(got[l], want, "{op:?} lane {l}: {a:?} {b:?} -> {f:?}");
+        }
+    };
+    let mut rng = Rng(0x4528_21e6_38d0_1377);
+    let (mut reexpressed, mut refused) = (0, 0);
+    for _ in 0..4000 {
+        let (ka, kb) = (1 + (rng.next() % 4) as u8, 1 + (rng.next() % 4) as u8);
+        let (a, b) = (affine_shape(&mut rng, ka), affine_shape(&mut rng, kb));
+        let (pa, pb) = (a.terms().unwrap().log2p, b.terms().unwrap().log2p);
+        for op in [AluOp::IAdd, AluOp::ISub] {
+            match row::fold_alu(op, a, b) {
+                Some(f) => {
+                    assert_exact(op, a, b, f);
+                    if pa != pb {
+                        reexpressed += 1;
+                    }
+                }
+                None => {
+                    assert!(
+                        pa != pb && !is_one_d(a) && !is_one_d(b),
+                        "{op:?} {a:?} {b:?}"
+                    );
+                    refused += 1;
+                }
+            }
+        }
+        if is_one_d(a) || is_one_d(b) || pa == pb {
+            assert!(row::fold_alu(AluOp::IAdd, a, b).is_some(), "{a:?} {b:?}");
+        }
+    }
+    assert!(
+        reexpressed > 100 && refused > 100,
+        "{reexpressed} / {refused}"
+    );
+}
+
 /// `classify` must round-trip: a row built from any shape classifies back
 /// to a shape that expands to the same 32 lanes, and classifying a
-/// perturbed row never produces a shape (no false positives).
+/// perturbed row never produces a shape (no false positives) — over the
+/// whole row and over the live prefixes a partial warp presents.
 #[test]
 fn classify_round_trips_and_rejects_perturbations() {
     let mut rng = Rng(0x1319_8a2e_0370_7344);
@@ -540,15 +600,28 @@ fn classify_round_trips_and_rejects_perturbations() {
         for (l, &v) in r.iter().enumerate() {
             assert_eq!(s.lane(l), Some(v), "lane() vs expand_into lane {l}: {s:?}");
         }
-        // The three terms are read off lanes 0, 1 and 16, so a shape is its
-        // own canonical form: classify returns it, not merely an equivalent.
-        let c = LaneRow::classify(&r);
+        // The terms are read off lanes 0, 1 and p of the one period a
+        // canonical shape has, so a shape is its own canonical form:
+        // classify returns it, not merely an equivalent.
+        let c = LaneRow::classify(&r, 32);
         assert_eq!(c, s, "classify∘expand_into must round-trip");
+
+        // A live prefix: dead lanes hold junk and must not matter; the
+        // answer need not be `s` (fewer lanes pin down less) but must
+        // reproduce every live lane.
+        let live = [1, 4, 8, 16, 24, 32][(rng.next() % 6) as usize];
+        let mut prefix = r;
+        for v in &mut prefix[live..] {
+            v.0 = rng.u32();
+        }
+        let c = LaneRow::classify(&prefix, live);
+        assert_ne!(c, LaneRow::Full, "live={live} prefix of {s:?}");
+        assert_eq!(expand(c)[..live], r[..live], "live={live} prefix of {s:?}");
 
         let mut broken = r;
         let lane = (rng.next() % 32) as usize;
         broken[lane].0 ^= 1 << (rng.next() % 32);
-        let reclass = LaneRow::classify(&broken);
+        let reclass = LaneRow::classify(&broken, 32);
         let reexp = {
             let mut out = [Value::ZERO; 32];
             if reclass == LaneRow::Full {

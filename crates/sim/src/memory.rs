@@ -9,6 +9,7 @@
 
 use crate::config::GpuConfig;
 use crate::memo::{wide_digest, Mix128};
+use g80_isa::row::{for_each_affine_lane, AffineTerms};
 use g80_isa::Value;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -83,18 +84,35 @@ impl DeviceMemory {
         }
     }
 
-    /// Host-side bulk write (cudaMemcpy host-to-device).
-    pub fn write_slice(&self, byte_addr: u32, data: &[u32]) {
-        for (i, &w) in data.iter().enumerate() {
-            self.write(byte_addr + (i as u32) * 4, Value(w));
+    /// The `len` cells from a byte address on, bounds-checked once for the
+    /// whole range (what the host-side bulk copies pay instead of one check
+    /// per word).
+    fn cells(&self, byte_addr: u32, len: usize, what: &str) -> &[AtomicU32] {
+        let start = (byte_addr / 4) as usize;
+        match self.words.get(start..start + len) {
+            Some(cells) => cells,
+            None => panic!("global {what} out of bounds: {len} words at addr {byte_addr:#x}"),
         }
     }
 
-    /// Host-side bulk read (cudaMemcpy device-to-host).
-    pub fn read_slice(&self, byte_addr: u32, out: &mut [u32]) {
-        for (i, w) in out.iter_mut().enumerate() {
-            *w = self.read(byte_addr + (i as u32) * 4).0;
+    /// Host-side bulk write (cudaMemcpy host-to-device): `data`'s words land
+    /// at consecutive word addresses from `byte_addr`.
+    pub fn write_slice(&self, byte_addr: u32, data: impl ExactSizeIterator<Item = u32>) {
+        for (cell, w) in self.cells(byte_addr, data.len(), "write").iter().zip(data) {
+            cell.store(w, Ordering::Relaxed);
         }
+    }
+
+    /// Host-side bulk read (cudaMemcpy device-to-host): the `len` words from
+    /// `byte_addr` on.
+    pub fn read_slice(
+        &self,
+        byte_addr: u32,
+        len: usize,
+    ) -> impl ExactSizeIterator<Item = u32> + '_ {
+        self.cells(byte_addr, len, "read")
+            .iter()
+            .map(|cell| cell.load(Ordering::Relaxed))
     }
 
     /// 128-bit digest of everything a kernel can read: the global words
@@ -339,36 +357,78 @@ pub fn smem_conflict_degree_noalloc(cfg: &GpuConfig, addrs: &[Option<u32>; 16]) 
     counts[..nbanks].iter().copied().max().unwrap_or(0).max(1)
 }
 
-/// Closed-form CC 1.0 coalescing for a *full* half-warp whose addresses are
-/// affine in the lane index: lane `k` accesses `base + stride·k` (mod 2^32)
-/// for `k = 0..16`. Returns `None` when no closed form applies (the caller
-/// falls back to the per-lane scan); `Some(acc)` is bit-identical to
-/// [`coalesce_half_warp_noalloc`] on the expanded addresses.
+/// The two terms that vary *within* one half-warp of a shaped address row,
+/// as `(stride, lanes per run, step, runs per half)`: a half-warp is `16/p`
+/// runs of `p` lanes, so at `p = 16` the step (which separates the halves)
+/// drops out.
+#[inline]
+fn half_lattice(t: &AffineTerms) -> (u32, u32, u32, u32) {
+    debug_assert!(
+        t.log2p == 4 || t.step != t.stride << t.log2p,
+        "1-D row below p = 16: not canonical"
+    );
+    let (p, runs) = (1u32 << t.log2p, 16u32 >> t.log2p);
+    (t.stride, p, if runs == 1 { 0 } else { t.step }, runs)
+}
+
+/// Whether `term·d ≠ 0 (mod 2^32)` for every `1 ≤ d ≤ 15`: lanes stepping by
+/// `term` then never wrap onto each other within a half-warp. True iff the
+/// term's 2-adic valuation is below 29.
+#[inline]
+fn steps_stay_distinct(term: u32) -> bool {
+    term.trailing_zeros() < 29
+}
+
+/// The number of distinct addresses in one half-warp of the lattice
+/// `stride·j + step·r` (`j < p`, `r < runs`), or `None` when that is not
+/// evident without looking at them. One zero term leaves the other term's
+/// `p` or `runs` points; with both nonzero the 16 points are distinct when
+/// the runs — or, transposed, the columns — are disjoint intervals that do
+/// not wrap (every row-major or column-major tile walk).
+#[inline]
+fn lattice_distinct(stride: u32, p: u32, step: u32, runs: u32) -> Option<u32> {
+    match (stride, step) {
+        (0, 0) => Some(1),
+        (0, term) => steps_stay_distinct(term).then_some(runs),
+        (term, 0) => steps_stay_distinct(term).then_some(p),
+        _ => {
+            let (along, across) = (
+                stride as u64 * (p - 1) as u64,
+                step as u64 * (runs - 1) as u64,
+            );
+            let disjoint = along < step as u64 || across < stride as u64;
+            (disjoint && along + across <= u32::MAX as u64).then_some(16)
+        }
+    }
+}
+
+/// Closed-form CC 1.0 coalescing for one *full* half-warp (`half` 0 or 1) of
+/// a warp whose address row has the canonical shape `t` (see
+/// [`g80_isa::LaneRow::affine`]): `16/p` runs of `p` lanes, the half
+/// starting at `base + step·(16/p)·half`. Returns `None` when no closed form
+/// applies (the caller falls back to the per-lane scan); `Some(acc)` is
+/// bit-identical to [`coalesce_half_warp_noalloc`] on the expanded addresses.
 ///
 /// Derivation (DESIGN.md §15): the coalesced pattern requires
 /// `addr_k = seg + 4k` with `seg` aligned, and matching lane 1 already
-/// forces `stride == 4` — so the access coalesces iff `stride == 4` and
-/// `base % coalesced_txn_bytes == 0`. A zero stride is a broadcast: one
-/// distinct address (16 when duplicates are not combined). Any other stride
-/// yields 16 pairwise-distinct addresses provided `stride·d ≠ 0 (mod 2^32)`
-/// for all `1 ≤ d ≤ 15`, i.e. the stride's 2-adic valuation is below 29;
-/// the rare `2^29`-divisible strides fall back to the scan.
-pub fn coalesce_affine_half(cfg: &GpuConfig, base: u32, stride: u32) -> Option<HalfWarpAccess> {
-    if stride == 4 && base.is_multiple_of(cfg.coalesced_txn_bytes) {
+/// forces `stride == 4`; lane `p` then forces `step == 4p`, a 1-D row, which
+/// the canonical form holds at `p = 16` — so the access coalesces iff
+/// `p == 16`, `stride == 4` and the half's base is a multiple of
+/// `coalesced_txn_bytes`. Anything else issues one transaction per lane, or
+/// per distinct address ([`lattice_distinct`]) when duplicates combine.
+#[inline]
+pub fn coalesce_affine_half(cfg: &GpuConfig, t: &AffineTerms, half: u32) -> Option<HalfWarpAccess> {
+    let (stride, p, step, runs) = half_lattice(t);
+    let base = t.base.wrapping_add(t.step.wrapping_mul(runs * half));
+    if p == 16 && stride == 4 && base.is_multiple_of(cfg.coalesced_txn_bytes) {
         return Some(HalfWarpAccess {
             coalesced: true,
             transactions: 1,
             bytes: cfg.coalesced_txn_bytes as u64,
         });
     }
-    let distinct = if stride == 0 {
-        if cfg.combine_duplicates {
-            1
-        } else {
-            16
-        }
-    } else if stride.trailing_zeros() >= 29 {
-        return None; // lanes may collide mod 2^32
+    let distinct = if cfg.combine_duplicates {
+        lattice_distinct(stride, p, step, runs)?
     } else {
         16
     };
@@ -379,48 +439,106 @@ pub fn coalesce_affine_half(cfg: &GpuConfig, base: u32, stride: u32) -> Option<H
     })
 }
 
-/// Closed-form coalescing for both half-warps of a *full* warp whose address
-/// row has the shape `(base, stride, step)` (see
-/// [`g80_isa::LaneRow::Affine`]): the lo half is the affine run
-/// `(base, stride)`, the hi half `(base + step, stride)`. `None` when either
-/// half has no closed form.
-pub fn coalesce_affine_warp(
-    cfg: &GpuConfig,
-    base: u32,
-    stride: u32,
-    step: u32,
-) -> Option<[HalfWarpAccess; 2]> {
-    Some([
-        coalesce_affine_half(cfg, base, stride)?,
-        coalesce_affine_half(cfg, base.wrapping_add(step), stride)?,
-    ])
+/// The addresses of the first `live` lanes of a shaped row, split into the
+/// two half-warp arrays the scans consume.
+fn affine_halves(t: &AffineTerms, live: u32) -> [[Option<u32>; 16]; 2] {
+    let mut halves = [[None; 16]; 2];
+    for_each_affine_lane(*t, live as usize, |l, a| halves[l / 16][l % 16] = Some(a));
+    halves
 }
 
-/// Closed-form shared-memory bank-conflict degree for a *full* half-warp
-/// with affine addresses (lane `k` at `base + stride·k`, mod 2^32). `None`
-/// means no closed form applies (the caller falls back to the scan);
-/// `Some(d)` is bit-identical to [`smem_conflict_degree_noalloc`] on the
-/// expanded addresses, for *any* base — so one evaluation covers both
-/// halves of a warp.
+/// Coalescing of both half-warps of an undiverged warp whose address row
+/// has the shape `t` and whose first `live` lanes exist: equal to
+/// [`coalesce_half_warp_noalloc`] on each half's expanded addresses. Whole
+/// half-warps take the closed form ([`coalesce_affine_half`]) and a wholly
+/// dead hi half (a 16-thread block) issues nothing; where no closed form
+/// applies, or the last half-warp is only partly live, the addresses are
+/// generated from the terms and scanned.
 ///
-/// With 16 banks and a word-multiple stride `4w`, lane `k` hits bank
-/// `(base/4 + w·k) mod 16`; the addresses are pairwise distinct (same
-/// 2-adic-valuation guard as [`coalesce_affine_half`]), so the per-bank
-/// distinct count — hence the degree — is `gcd(w mod 16, 16)`, with
-/// `w ≡ 0 (mod 16)` putting all 16 lanes in one bank. A zero stride
-/// broadcasts (degree 1). Non-word strides fall back.
-pub fn smem_degree_affine(cfg: &GpuConfig, stride: u32) -> Option<u32> {
-    if cfg.smem_banks != 16 {
+/// The terms go by reference all the way down: copying the four fields
+/// out of wherever the caller assembled them is the slow step of an
+/// otherwise constant-time answer.
+#[inline]
+pub fn coalesce_affine_warp(cfg: &GpuConfig, t: &AffineTerms, live: u32) -> [HalfWarpAccess; 2] {
+    #[inline(never)]
+    fn scan(cfg: &GpuConfig, t: &AffineTerms, live: u32) -> [HalfWarpAccess; 2] {
+        affine_halves(t, live).map(|half| coalesce_half_warp_noalloc(cfg, &half))
+    }
+    if live.is_multiple_of(16) {
+        let hi = match live {
+            16 => Some(coalesce_half_warp_noalloc(cfg, &[None; 16])),
+            _ => coalesce_affine_half(cfg, t, 1),
+        };
+        if let (Some(lo), Some(hi)) = (coalesce_affine_half(cfg, t, 0), hi) {
+            return [lo, hi];
+        }
+    }
+    scan(cfg, t, live)
+}
+
+/// Closed-form shared-memory bank-conflict degree for a *full* half-warp of
+/// a canonical shaped address row. `None` means no closed form applies (the
+/// caller falls back to the scan); `Some(d)` is bit-identical to
+/// [`smem_conflict_degree_noalloc`] on the expanded addresses, for *any*
+/// base — so one evaluation covers both halves of a warp.
+///
+/// With 16 banks and word-multiple terms `4v`, `4w`, lane `(j, r)` of the
+/// half hits bank `(base/4 + v·j + w·r) mod 16`. Once the addresses are
+/// pairwise distinct ([`lattice_distinct`]) the degree is the fullest bank.
+/// One nonzero term `4w` over `n` lanes (`n = 16` at `p = 16`; `p` or `16/p`
+/// below it, the other term broadcasting) spreads them over
+/// `min(n, 16/gcd(w, 16))` banks: degree `max(1, n·gcd(w mod 16, 16)/16)`,
+/// with `w ≡ 0 (mod 16)` putting all `n` in one bank. `As[ty][k]` of a
+/// `p`-wide tile is `{·, 0, 4·pitch}` — `16/p` broadcasts — and `Bs[k][tx]`
+/// is `{·, 4, 0}` — `p` words each read `16/p` times: degree 1 both. Two
+/// nonzero terms are counted over the `p × 16/p` lattice, sixteen bank
+/// increments. Non-word terms fall back.
+#[inline]
+pub fn smem_degree_affine(cfg: &GpuConfig, t: &AffineTerms) -> Option<u32> {
+    let (stride, p, step, runs) = half_lattice(t);
+    if cfg.smem_banks != 16 || !stride.is_multiple_of(4) || !step.is_multiple_of(4) {
         return None;
     }
-    if stride == 0 {
-        return Some(1);
+    // The counts below take pairwise-distinct addresses for granted.
+    lattice_distinct(stride, p, step, runs)?;
+    let words = |term: u32| term / 4 % 16;
+    // gcd(w, 16) is 2 to the number of trailing zeros of w, at most 4.
+    let one_term = |term: u32, n: u32| ((n << (term / 4).trailing_zeros().min(4)) / 16).max(1);
+    Some(match (stride, step) {
+        (0, 0) => 1,
+        (0, term) => one_term(term, runs),
+        (term, 0) => one_term(term, p),
+        _ => {
+            let mut per_bank = [0u32; 16];
+            for r in 0..runs {
+                for j in 0..p {
+                    per_bank[((words(stride) * j + words(step) * r) % 16) as usize] += 1;
+                }
+            }
+            per_bank.into_iter().max().unwrap_or(1)
+        }
+    })
+}
+
+/// Bank-conflict degree of an undiverged warp's shared access whose address
+/// row has the shape `t` over its first `live` lanes: the worse of the two
+/// half-warps, equal to [`smem_conflict_degree_noalloc`] on each half's
+/// expanded addresses. Whole half-warps share one closed form
+/// ([`smem_degree_affine`]); otherwise the addresses are generated from the
+/// terms and scanned (out of line, as in [`coalesce_affine_warp`]).
+#[inline]
+pub fn smem_degree_affine_warp(cfg: &GpuConfig, t: &AffineTerms, live: u32) -> u32 {
+    #[inline(never)]
+    fn scan(cfg: &GpuConfig, t: &AffineTerms, live: u32) -> u32 {
+        let [lo, hi] = affine_halves(t, live);
+        smem_conflict_degree_noalloc(cfg, &lo).max(smem_conflict_degree_noalloc(cfg, &hi))
     }
-    if !stride.is_multiple_of(4) || stride.trailing_zeros() >= 29 {
-        return None;
+    if live.is_multiple_of(16) {
+        if let Some(degree) = smem_degree_affine(cfg, t) {
+            return degree;
+        }
     }
-    let w = (stride / 4) % 16;
-    Some(if w == 0 { 16 } else { g80_isa::row::gcd(w, 16) })
+    scan(cfg, t, live)
 }
 
 /// A direct-mapped per-SM cache model (tags only — data comes from the
@@ -480,14 +598,6 @@ mod tests {
         let mut a = [None; 16];
         for (i, &x) in addrs.iter().enumerate() {
             a[i] = Some(x);
-        }
-        a
-    }
-
-    fn affine_half(base: u32, stride: u32) -> [Option<u32>; 16] {
-        let mut a = [None; 16];
-        for k in 0..16u32 {
-            a[k as usize] = Some(base.wrapping_add(stride.wrapping_mul(k)));
         }
         a
     }
@@ -661,12 +771,15 @@ mod tests {
         assert_both_halves_differ("image length", base, longer.image_digest());
     }
 
+    /// One purpose-built address pattern per closed form, each checked
+    /// against the scan it replaces: every period, both halves, every live
+    /// prefix a block shape can produce.
     #[test]
     fn affine_closed_forms_match_scans() {
-        // Deterministic LCG sweep over (base, stride, step) rows, plus
-        // targeted edges. Bases and steps stay below 2^30 so the scan's
-        // non-wrapping coalesced check cannot overflow in debug builds on
-        // either half (the closed form is specified against the
+        // Deterministic LCG sweep over (base, stride, step, p) rows, plus
+        // targeted edges. Bases and steps stay below 2^30 / (32/p) so the
+        // scan's non-wrapping coalesced check cannot overflow in debug
+        // builds on any run (the closed form is specified against the
         // release-mode wrapping scan).
         let mut configs = vec![cfg()];
         let mut alt = cfg();
@@ -679,29 +792,35 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             state
         };
-        let mut cases: Vec<(u32, u32, u32)> = Vec::new();
-        for _ in 0..2000 {
+        let mut cases: Vec<(u32, u32, u32, u8)> = Vec::new();
+        for _ in 0..6000 {
+            let log2p = 1 + (next() >> 33) as u8 % 4;
             // Mix aligned bases (so the coalesced verdict is reachable on
             // either half) with arbitrary ones.
             let r = next();
             let base = ((r >> 33) as u32 & 0x3fff_ffff) & if r & 1 == 0 { !63 } else { !0 };
-            // Mix small strides (the interesting regime) with arbitrary ones.
+            // Mix small strides (the interesting regime: zero, words, the
+            // bank-aliasing multiples of 64) with arbitrary ones.
             let r = next();
-            let stride = if r & 1 == 0 {
-                ((r >> 40) as u32) & 0xff
-            } else {
-                (r >> 32) as u32 & 0x7fff_ffff
+            let stride = match r & 3 {
+                0 => ((r >> 40) as u32) & 0xff,
+                1 => ((r >> 40) as u32 & 0x1f) * 4,
+                2 => ((r >> 40) as u32 & 3) * 64,
+                _ => (r >> 32) as u32 & 0x7fff_ffff,
             };
             // The step relations real kernels produce: the 1-D continuation,
-            // a half-warp restart, a row pitch, an arbitrary offset.
+            // a run restart, a tile or row pitch in words, a pitch that
+            // aliases banks, an arbitrary offset.
             let r = next();
-            let step = match r & 3 {
-                0 => stride.wrapping_mul(16) & 0x3fff_ffff,
+            let step = match r & 7 {
+                0 => (stride << log2p) & 0x03ff_ffff,
                 1 => 0,
-                2 => ((r >> 40) as u32 & 0xfff) * 64,
-                _ => (r >> 32) as u32 & 0x3fff_ffff,
+                2 | 3 => ((r >> 40) as u32 & 0x3f) * 4,
+                4 => ((r >> 40) as u32 & 0xfff) * 64,
+                5 => ((r >> 40) as u32 & 0xff) * 4 + 4 * stride,
+                _ => (r >> 32) as u32 & 0x03ff_ffff,
             };
-            cases.push((base, stride, step));
+            cases.push((base, stride, step, log2p));
         }
         for s in [
             0,
@@ -720,59 +839,135 @@ mod tests {
             3 << 28,
         ] {
             for b in [0, 4, 64, 60, 0x1000, 0x1004, 0x3fff_0000] {
-                for step in [0, 4, 64, 1024, 1028, u32::wrapping_mul(s, 16)] {
-                    cases.push((b, s, step));
+                for log2p in 1..=4u8 {
+                    for step in [0, 4, 16, 20, 64, 1024, 1028, 1 << 29, s << log2p] {
+                        cases.push((b, s, step & 0x03ff_ffff, log2p));
+                    }
                 }
             }
         }
+        let (mut global_closed, mut smem_closed, mut narrow_closed) = (0, 0, 0);
         for c in &configs {
-            for &(base, stride, step) in &cases {
-                let lanes = g80_isa::row::affine_lanes(base, stride, step);
-                let halves: [[Option<u32>; 16]; 2] =
-                    std::array::from_fn(|h| std::array::from_fn(|k| Some(lanes[16 * h + k])));
-                assert_eq!(halves[0], affine_half(base, stride));
-                assert_eq!(halves[1], affine_half(base.wrapping_add(step), stride));
-                let label = format!("base={base:#x} stride={stride} step={step:#x}");
-                if let Some(got) = coalesce_affine_warp(c, base, stride, step) {
-                    for (h, half) in halves.iter().enumerate() {
-                        let want = coalesce_half_warp_noalloc(c, half);
-                        assert_eq!(got[h], want, "global half {h} {label}");
-                        assert_eq!(got[h], coalesce_half_warp(c, half));
-                    }
+            for &(base, stride, step, log2p) in &cases {
+                // Through the canonicalizing constructor, as every address
+                // row the engine sees is.
+                let t = g80_isa::LaneRow::affine(base, stride, step, log2p)
+                    .terms()
+                    .unwrap();
+                // Each lane from its terms, independently of the shared walk.
+                let lanes: [u32; 32] = std::array::from_fn(|l| t.lane(l as u32));
+                let label = format!("{t:?} combine={}", c.combine_duplicates);
+                for live in [4usize, 8, 16, 24, 32] {
+                    let halves: [[Option<u32>; 16]; 2] = std::array::from_fn(|h| {
+                        std::array::from_fn(|k| (16 * h + k < live).then(|| lanes[16 * h + k]))
+                    });
+                    assert_eq!(halves, affine_halves(&t, live as u32), "{label}");
+                    let scans = halves.map(|half| coalesce_half_warp_noalloc(c, &half));
+                    assert_eq!(scans, halves.map(|half| coalesce_half_warp(c, &half)));
+                    let got = coalesce_affine_warp(c, &t, live as u32);
+                    assert_eq!(got, scans, "global live={live} {label}");
+                    let want = halves
+                        .map(|half| smem_conflict_degree_noalloc(c, &half))
+                        .into_iter()
+                        .max()
+                        .unwrap();
+                    let got = smem_degree_affine_warp(c, &t, live as u32);
+                    assert_eq!(got, want, "smem live={live} {label}");
                 }
-                if let Some(got) = smem_degree_affine(c, stride) {
-                    for (h, half) in halves.iter().enumerate() {
+                // The closed forms themselves, on whole half-warps.
+                let halves = affine_halves(&t, 32);
+                for (h, half) in halves.iter().enumerate() {
+                    if let Some(got) = coalesce_affine_half(c, &t, h as u32) {
+                        let want = coalesce_half_warp_noalloc(c, half);
+                        assert_eq!(got, want, "global half {h} {label}");
+                        global_closed += 1;
+                        narrow_closed += (t.log2p < 4) as u32;
+                    }
+                    if let Some(got) = smem_degree_affine(c, &t) {
                         let want = smem_conflict_degree_noalloc(c, half);
                         assert_eq!(got, want, "smem half {h} {label}");
+                        smem_closed += 1;
                     }
                 }
             }
         }
+        // The sweep must exercise the forms, not only their refusals.
+        let total = 4 * cases.len() as u32;
+        assert!(global_closed > total / 2, "{global_closed} of {total}");
+        assert!(smem_closed > total / 8, "{smem_closed} of {total}");
+        assert!(narrow_closed > total / 4, "{narrow_closed} of {total}");
     }
 
     #[test]
     fn affine_closed_form_known_answers() {
         let c = cfg();
+        let mut combining = cfg();
+        combining.combine_duplicates = true;
+        let row = |base, stride, step, p: u32| {
+            g80_isa::LaneRow::affine(base, stride, step, p.trailing_zeros() as u8)
+                .terms()
+                .unwrap()
+        };
+        let linear = AffineTerms::linear;
         // Unit word stride, aligned: the coalesced fast case.
-        let r = coalesce_affine_half(&c, 0x1000, 4).unwrap();
+        let r = coalesce_affine_half(&c, &linear(0x1000, 4), 0).unwrap();
         assert!(r.coalesced);
         assert_eq!(r.transactions, 1);
         // Unit word stride, misaligned: 16 transactions.
-        let r = coalesce_affine_half(&c, 0x1004, 4).unwrap();
+        let r = coalesce_affine_half(&c, &linear(0x1004, 4), 1).unwrap();
         assert!(!r.coalesced);
         assert_eq!(r.transactions, 16);
-        // Broadcast: one combined transaction (8800 GTX combines duplicates).
-        let r = coalesce_affine_half(&c, 0x1000, 0).unwrap();
-        assert_eq!(r.transactions, if c.combine_duplicates { 1 } else { 16 });
-        // Collision-prone stride falls back.
-        assert!(coalesce_affine_half(&c, 0, 1 << 29).is_none());
-        assert!(coalesce_affine_half(&c, 0, 1 << 31).is_none());
+        // The hi half of a 16-wide tile row starts one pitch further on.
+        let tile = row(0x1000, 4, 1024 + 4, 16);
+        assert!(coalesce_affine_half(&c, &tile, 0).unwrap().coalesced);
+        assert!(!coalesce_affine_half(&c, &tile, 1).unwrap().coalesced);
+        // Broadcast: one combined transaction where duplicates combine.
+        let r = coalesce_affine_half(&c, &linear(0x1000, 0), 0).unwrap();
+        assert_eq!(r.transactions, 16);
+        let r = coalesce_affine_half(&combining, &linear(0x1000, 0), 0).unwrap();
+        assert_eq!(r.transactions, 1);
+        // Collision-prone stride falls back where duplicates matter.
+        assert!(coalesce_affine_half(&combining, &linear(0, 1 << 29), 0).is_none());
+        assert!(coalesce_affine_half(&combining, &linear(0, 1 << 31), 0).is_none());
+        // An 8-wide tile's rows A[ty][tx]: two runs of eight words, a pitch
+        // apart — never coalesced, sixteen transactions; a row broadcast
+        // A[ty][k] is two addresses, a column B[k][tx] eight.
+        let a = row(0x1000, 4, 1024, 8);
+        for (cfg, want) in [(&c, [16, 16, 16]), (&combining, [16, 2, 8])] {
+            for (t, want) in [a, row(0x1000, 0, 1024, 8), row(0x1000, 4, 0, 8)]
+                .into_iter()
+                .zip(want)
+            {
+                let r = coalesce_affine_half(cfg, &t, 1).unwrap();
+                assert!(!r.coalesced);
+                assert_eq!(r.transactions, want, "{t:?}");
+            }
+        }
+        // Overlapping runs (pitch shorter than a run) need the scan.
+        assert!(coalesce_affine_half(&combining, &row(0, 4, 8, 8), 0).is_none());
+        // A 4x4 block is one half-warp: the hi half issues nothing.
+        let [lo, hi] = coalesce_affine_warp(&c, &row(0x1000, 4, 256, 4), 16);
+        assert_eq!((lo.transactions, hi.transactions, hi.bytes), (16, 0, 0));
         // Shared: broadcast 1, word stride 1, 2-word stride 2, 16-word 16.
-        assert_eq!(smem_degree_affine(&c, 0), Some(1));
-        assert_eq!(smem_degree_affine(&c, 4), Some(1));
-        assert_eq!(smem_degree_affine(&c, 8), Some(2));
-        assert_eq!(smem_degree_affine(&c, 64), Some(16));
-        assert_eq!(smem_degree_affine(&c, 2), None); // sub-word stride
+        assert_eq!(smem_degree_affine(&c, &linear(0, 0)), Some(1));
+        assert_eq!(smem_degree_affine(&c, &linear(0, 4)), Some(1));
+        assert_eq!(smem_degree_affine(&c, &linear(0, 8)), Some(2));
+        assert_eq!(smem_degree_affine(&c, &linear(0, 64)), Some(16));
+        assert_eq!(smem_degree_affine(&c, &linear(0, 2)), None); // sub-word stride
+                                                                 // The tiled matmul's reads at p = 4 and 8: As[ty][k] broadcasts per
+                                                                 // row, Bs[k][tx] reads p words — conflict-free both.
+        for p in [4, 8] {
+            assert_eq!(smem_degree_affine(&c, &row(8, 0, 4 * p, p)), Some(1));
+            assert_eq!(smem_degree_affine(&c, &row(8, 4, 0, p)), Some(1));
+        }
+        // Rows a bank-aliasing pitch apart collide run against run...
+        assert_eq!(smem_degree_affine(&c, &row(0, 0, 64, 4)), Some(4));
+        assert_eq!(smem_degree_affine(&c, &row(0, 0, 32, 4)), Some(2));
+        assert_eq!(smem_degree_affine(&c, &row(0, 4, 64, 4)), Some(4));
+        assert_eq!(smem_degree_affine(&c, &row(0, 4, 64, 8)), Some(2));
+        // ...and a pitch of 4 (mod 16) words tiles the banks exactly.
+        assert_eq!(smem_degree_affine(&c, &row(0, 4, 80, 4)), Some(1));
+        assert_eq!(smem_degree_affine(&c, &row(0, 4, 20, 4)), Some(2));
     }
 
     #[test]
@@ -875,10 +1070,12 @@ mod tests {
         let m = DeviceMemory::new(1024);
         m.write(0, Value::from_f32(1.5));
         assert_eq!(m.read(0).as_f32(), 1.5);
-        m.write_slice(16, &[1, 2, 3]);
-        let mut out = [0u32; 3];
-        m.read_slice(16, &mut out);
-        assert_eq!(out, [1, 2, 3]);
+        m.write_slice(16, [1, 2, 3].into_iter());
+        assert_eq!(m.read_slice(16, 3).collect::<Vec<_>>(), [1, 2, 3]);
+        // The last words of memory are in range; one past them is not.
+        m.write_slice(1024 - 8, [7, 8].into_iter());
+        assert_eq!(m.read_slice(1024 - 8, 2).collect::<Vec<_>>(), [7, 8]);
+        assert_eq!(m.read_slice(1024, 0).count(), 0);
 
         let old = m.atomic(g80_isa::AtomOp::Add, 16, Value::from_u32(10));
         assert_eq!(old.as_u32(), 1);
@@ -890,6 +1087,16 @@ mod tests {
     fn oob_read_panics() {
         let m = DeviceMemory::new(64);
         m.read(64);
+    }
+
+    /// A bulk copy that runs off the end is refused whole: nothing lands.
+    #[test]
+    fn oob_slices_panic_before_touching_memory() {
+        let m = DeviceMemory::new(64);
+        let write = std::panic::catch_unwind(|| m.write_slice(56, [1, 2, 3].into_iter()));
+        assert!(write.is_err());
+        assert_eq!(m.read_slice(56, 2).collect::<Vec<_>>(), [0, 0]);
+        assert!(std::panic::catch_unwind(|| m.read_slice(60, 2).count()).is_err());
     }
 
     #[test]

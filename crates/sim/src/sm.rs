@@ -48,16 +48,16 @@ use crate::config::GpuConfig;
 use crate::counters::{MemoCounters, RowCounters, SmStats, StallReason};
 use crate::memory::{
     coalesce_affine_warp, coalesce_half_warp_noalloc, smem_conflict_degree_noalloc,
-    smem_degree_affine, DeviceMemory, TagCache,
+    smem_degree_affine_warp, DeviceMemory, HalfWarpAccess, TagCache,
 };
 use crate::warp::{RegSource, Warp};
 use crate::witness::{
-    const_sig, half_sig, replay_block, Ev, ReplayScratch, WitnessRecorder, WriteBuf,
+    const_sig, global_sig, replay_block, Ev, ReplayScratch, WitnessRecorder, WriteBuf,
 };
 use g80_isa::decode::{DecodedKernel, IssueClass, MicroOp};
 use g80_isa::exec;
 use g80_isa::inst::{Inst, InstClass, Operand, Space};
-use g80_isa::row::{self, for_each_affine_lane};
+use g80_isa::row::{self, for_each_affine_lane, AffineTerms};
 use g80_isa::{Kernel, LaneRow, Value};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -726,24 +726,105 @@ pub(crate) fn addr_row(warp: &Warp, addr_op: Operand, off: i32, params: &[Value]
     std::array::from_fn(|l| row[l].as_u32().wrapping_add(off as u32))
 }
 
-/// The shape of a memory instruction's per-lane effective-address row
-/// (`operand + off`): the offset shifts the base and preserves stride and
-/// step. `Full` means no closed form — fall back to [`addr_row`].
+/// The terms of a memory instruction's per-lane effective-address row
+/// (`operand + off`) when that row is shaped: the offset shifts the base and
+/// preserves stride, step and period (so the row stays canonical). `None`
+/// means no closed form — fall back to [`addr_row`].
 #[inline]
-pub(crate) fn addr_shape(warp: &Warp, addr_op: Operand, off: i32, params: &[Value]) -> LaneRow {
-    match warp.operand_shape(addr_op, params).terms() {
-        Some((base, stride, step)) => LaneRow::affine(base.wrapping_add(off as u32), stride, step),
-        None => LaneRow::Full,
+pub(crate) fn addr_terms(
+    warp: &Warp,
+    addr_op: Operand,
+    off: i32,
+    params: &[Value],
+) -> Option<AffineTerms> {
+    let t = warp.operand_shape(addr_op, params).terms()?;
+    Some(AffineTerms {
+        base: t.base.wrapping_add(off as u32),
+        ..t
+    })
+}
+
+/// The per-lane addresses of one warp memory access, in the form both
+/// executors (the timed engine here, witness replay in [`crate::witness`])
+/// derive every functional effect and every timing signature from — so the
+/// two cannot disagree on which path an access takes.
+pub(crate) enum LaneAddrs {
+    /// An undiverged warp with a shaped address row: the row's terms and
+    /// the number of lanes that exist (`init_mask` is a lane prefix).
+    Shaped(AffineTerms, u32),
+    /// The expanded row plus the mask selecting its active lanes.
+    Lanes([u32; 32], u32),
+}
+
+impl LaneAddrs {
+    /// Resolves the address operand of the instruction `warp` is issuing
+    /// under its active `mask`. Inlined so a shaped row stays in registers
+    /// from the shape tag to the walk.
+    #[inline(always)]
+    pub(crate) fn of(
+        warp: &Warp,
+        mask: u32,
+        addr_op: Operand,
+        off: i32,
+        params: &[Value],
+    ) -> LaneAddrs {
+        if mask == warp.init_mask {
+            if let Some(t) = addr_terms(warp, addr_op, off, params) {
+                // `init_mask` is a lane prefix: its ones are its trailing ones.
+                return LaneAddrs::Shaped(t, mask.trailing_ones());
+            }
+        }
+        LaneAddrs::Lanes(addr_row(warp, addr_op, off, params), mask)
+    }
+
+    /// Calls `f(lane, addr)` for every active lane, in lane order.
+    #[inline(always)]
+    pub(crate) fn for_each(&self, mut f: impl FnMut(usize, u32)) {
+        match *self {
+            LaneAddrs::Shaped(t, live) => for_each_affine_lane(t, live as usize, f),
+            LaneAddrs::Lanes(ref addrs, mask) => {
+                for (lane, &a) in addrs.iter().enumerate() {
+                    if mask >> lane & 1 == 1 {
+                        f(lane, a);
+                    }
+                }
+            }
+        }
+    }
+
+    /// CC 1.0 coalescing of the access's two half-warps: closed form for a
+    /// shaped row, per-lane scan otherwise — equal on every input
+    /// (`memory::tests::affine_closed_forms_match_scans`). A half with no
+    /// active lane reports zero transactions.
+    #[inline]
+    pub(crate) fn coalesce(&self, cfg: &GpuConfig) -> [HalfWarpAccess; 2] {
+        match *self {
+            LaneAddrs::Shaped(ref t, live) => coalesce_affine_warp(cfg, t, live),
+            LaneAddrs::Lanes(ref addrs, mask) => {
+                let (lo, hi) = split_half_warps(addrs, mask);
+                [lo, hi].map(|half| coalesce_half_warp_noalloc(cfg, &half))
+            }
+        }
+    }
+
+    /// Shared-memory bank-conflict degree of the access: the worse of its
+    /// two half-warps, by closed form or scan as for [`Self::coalesce`].
+    #[inline]
+    pub(crate) fn smem_degree(&self, cfg: &GpuConfig) -> u32 {
+        match *self {
+            LaneAddrs::Shaped(ref t, live) => smem_degree_affine_warp(cfg, t, live),
+            LaneAddrs::Lanes(ref addrs, mask) => {
+                let (lo, hi) = split_half_warps(addrs, mask);
+                smem_conflict_degree_noalloc(cfg, &lo).max(smem_conflict_degree_noalloc(cfg, &hi))
+            }
+        }
     }
 }
 
 /// Splits an address row into the two half-warp arrays the coalescing and
 /// bank-conflict models consume (active lanes only).
 #[inline]
-pub(crate) fn split_half_warps(
-    addrs: &[u32; 32],
-    mask: u32,
-) -> ([Option<u32>; 16], [Option<u32>; 16]) {
+fn split_half_warps(addrs: &[u32; 32], mask: u32) -> ([Option<u32>; 16], [Option<u32>; 16]) {
     let mut lo = [None; 16];
     let mut hi = [None; 16];
     for lane in 0..32 {
@@ -771,14 +852,6 @@ pub(crate) fn distinct_addrs(addrs: &[u32; 32], mask: u32) -> ([u32; 32], usize)
         }
     }
     (distinct, n)
-}
-
-/// Warp-level shared-memory bank-conflict degree by the per-lane scan: the
-/// worse of the two half-warps (active lanes only).
-#[inline]
-pub(crate) fn smem_degree_scan(cfg: &GpuConfig, addrs: &[u32; 32], mask: u32) -> u32 {
-    let (lo, hi) = split_half_warps(addrs, mask);
-    smem_conflict_degree_noalloc(cfg, &lo).max(smem_conflict_degree_noalloc(cfg, &hi))
 }
 
 impl<'a> ExecCtx<'a> {
@@ -818,6 +891,57 @@ impl<'a> ExecCtx<'a> {
         }
     }
 
+    /// Counts which kind of row resolved a memory access's addresses.
+    fn tally_addrs(&mut self, addrs: &LaneAddrs) {
+        match addrs {
+            LaneAddrs::Shaped(t, _) if t.is_uniform() => self.rows.uniform += 1,
+            LaneAddrs::Shaped(..) => self.rows.affine += 1,
+            LaneAddrs::Lanes(..) => self.rows.full += 1,
+        }
+    }
+
+    /// Accounts one warp global load or store — half-warp verdicts,
+    /// transactions, bytes, the witness signature — and returns the bytes it
+    /// moves. A half-warp with no active lane issues and counts nothing.
+    fn global_access(&mut self, addrs: &LaneAddrs, store: bool) -> u64 {
+        self.tally_addrs(addrs);
+        let halves = addrs.coalesce(self.cfg);
+        let mut transactions = 0u64;
+        let mut bytes = 0u64;
+        for acc in halves.iter().filter(|acc| acc.transactions > 0) {
+            if acc.coalesced {
+                self.stats.coalesced_half_warps += 1;
+            } else {
+                self.stats.uncoalesced_half_warps += 1;
+            }
+            transactions += acc.transactions as u64;
+            bytes += acc.bytes;
+        }
+        if store {
+            self.stats.global_st_transactions += transactions;
+        } else {
+            self.stats.global_ld_transactions += transactions;
+        }
+        self.stats.global_bytes += bytes;
+        if self.record {
+            (self.ev_aux, self.ev_bytes) = global_sig(&halves);
+        }
+        bytes
+    }
+
+    /// Accounts one warp shared load or store; returns the extra issue
+    /// cycles its bank conflicts serialize over.
+    fn shared_access(&mut self, addrs: &LaneAddrs) -> u64 {
+        self.tally_addrs(addrs);
+        let degree = addrs.smem_degree(self.cfg);
+        let extra = self.cfg.issue_cycles * (degree as u64 - 1);
+        self.stats.smem_conflict_extra_cycles += extra;
+        if self.record {
+            self.ev_aux = degree;
+        }
+        extra
+    }
+
     /// Executes the next instruction of warp `wi` in `block`. Returns the
     /// issue-port occupancy in cycles.
     fn execute(&mut self, block: &mut Resident, wi: usize, mop: &MicroOp) -> u64 {
@@ -834,13 +958,14 @@ impl<'a> ExecCtx<'a> {
         self.class_counts[mop.class.index()] += 1;
 
         let alu_done = self.cycle + cfg.alu_latency;
-        // Row-shape fold fast paths: under a full active mask, an
+        // Row-shape fold fast paths: with every lane that exists active (no
+        // divergence; the dead tail of a partial warp is never read), an
         // instruction whose operand shapes fold produces its entire result
         // row as one `LaneRow` tag — no lane evaluation, no backing-store
         // write. Folds are bit-exact by construction (`g80_isa::row` tests),
         // so the scoreboard/timing effects below mirror the eager arms
         // verbatim.
-        let fold = mask == u32::MAX;
+        let fold = mask == warp.init_mask;
         match inst {
             Inst::Alu { op, dst, a, b } => {
                 if fold {
@@ -1150,130 +1275,33 @@ impl<'a> ExecCtx<'a> {
         let mask = warp.active_mask();
         match space {
             Space::Global => {
-                // Affine-address fast path: coalescing degree of both
+                // A shaped address row gets the coalescing verdict of both
                 // halves in closed form; the per-lane work shrinks to the
                 // functional reads.
-                if mask == u32::MAX {
-                    let ashape = addr_shape(warp, addr, off, self.params);
-                    if let Some((base, stride, step)) = ashape.terms() {
-                        if let Some(halves) = coalesce_affine_warp(cfg, base, stride, step) {
-                            self.rows.tally(&ashape);
-                            let mut bytes = 0u64;
-                            for (i, acc) in halves.iter().enumerate() {
-                                if acc.coalesced {
-                                    self.stats.coalesced_half_warps += 1;
-                                } else {
-                                    self.stats.uncoalesced_half_warps += 1;
-                                }
-                                self.stats.global_ld_transactions += acc.transactions as u64;
-                                if self.record {
-                                    self.ev_aux |= half_sig(acc) << (16 * i);
-                                }
-                                bytes += acc.bytes;
-                            }
-                            self.stats.global_bytes += bytes;
-                            if self.record {
-                                self.ev_bytes = bytes as u32;
-                            }
-                            let dst_row = warp.reg_row_mut(dst);
-                            for_each_affine_lane(base, stride, step, |l, a| {
-                                dst_row[l] = self.mem.read(a);
-                            });
-                            let done = self.memory_request(bytes);
-                            warp.reg_ready[dst as usize] = done;
-                            warp.reg_source[dst as usize] = RegSource::Memory;
-                            return cfg.issue_cycles;
-                        }
-                    }
-                }
-                self.rows.full += 1;
-                let addrs = addr_row(warp, addr, off, self.params);
-                let (lo, hi) = split_half_warps(&addrs, mask);
-                let mut bytes = 0u64;
-                for (i, half) in [&lo, &hi].into_iter().enumerate() {
-                    let acc = coalesce_half_warp_noalloc(cfg, half);
-                    if acc.transactions > 0 {
-                        if acc.coalesced {
-                            self.stats.coalesced_half_warps += 1;
-                        } else {
-                            self.stats.uncoalesced_half_warps += 1;
-                        }
-                        self.stats.global_ld_transactions += acc.transactions as u64;
-                        if self.record {
-                            self.ev_aux |= half_sig(&acc) << (16 * i);
-                        }
-                        bytes += acc.bytes;
-                    }
-                }
-                self.stats.global_bytes += bytes;
-                if self.record {
-                    self.ev_bytes = bytes as u32;
-                }
+                let addrs = LaneAddrs::of(warp, mask, addr, off, self.params);
+                let bytes = self.global_access(&addrs, false);
                 let dst_row = warp.reg_row_mut(dst);
-                for (lane, &a) in addrs.iter().enumerate() {
-                    if mask >> lane & 1 == 1 {
-                        dst_row[lane] = self.mem.read(a);
-                    }
-                }
+                addrs.for_each(|l, a| dst_row[l] = self.mem.read(a));
                 let done = self.memory_request(bytes);
                 warp.reg_ready[dst as usize] = done;
                 warp.reg_source[dst as usize] = RegSource::Memory;
                 cfg.issue_cycles
             }
             Space::Shared => {
-                // Affine-address fast path: the bank-conflict degree is
-                // base-independent and identical for both halves, so one
-                // closed-form evaluation replaces both scans.
-                if mask == u32::MAX {
-                    let ashape = addr_shape(warp, addr, off, self.params);
-                    if let Some((base, stride, step)) = ashape.terms() {
-                        if let Some(degree) = smem_degree_affine(cfg, stride) {
-                            self.rows.tally(&ashape);
-                            let extra = cfg.issue_cycles * (degree as u64 - 1);
-                            self.stats.smem_conflict_extra_cycles += extra;
-                            if self.record {
-                                self.ev_aux = degree;
-                            }
-                            let dst_row = warp.reg_row_mut(dst);
-                            for_each_affine_lane(base, stride, step, |l, a| {
-                                let idx = (a / 4) as usize;
-                                assert!(
-                                    idx < smem_len,
-                                    "kernel {}: shared load out of bounds ({} >= {})",
-                                    self.kernel.name,
-                                    idx,
-                                    smem_len
-                                );
-                                dst_row[l] = smem[idx];
-                            });
-                            warp.reg_ready[dst as usize] = self.cycle + cfg.smem_latency + extra;
-                            warp.reg_source[dst as usize] = RegSource::Alu;
-                            return cfg.issue_cycles + extra;
-                        }
-                    }
-                }
-                self.rows.full += 1;
-                let addrs = addr_row(warp, addr, off, self.params);
-                let degree = smem_degree_scan(cfg, &addrs, mask);
-                let extra = cfg.issue_cycles * (degree as u64 - 1);
-                self.stats.smem_conflict_extra_cycles += extra;
-                if self.record {
-                    self.ev_aux = degree;
-                }
+                let addrs = LaneAddrs::of(warp, mask, addr, off, self.params);
+                let extra = self.shared_access(&addrs);
                 let dst_row = warp.reg_row_mut(dst);
-                for lane in 0..32 {
-                    if mask >> lane & 1 == 1 {
-                        let idx = (addrs[lane] / 4) as usize;
-                        assert!(
-                            idx < smem_len,
-                            "kernel {}: shared load out of bounds ({} >= {})",
-                            self.kernel.name,
-                            idx,
-                            smem_len
-                        );
-                        dst_row[lane] = smem[idx];
-                    }
-                }
+                addrs.for_each(|l, a| {
+                    let idx = (a / 4) as usize;
+                    assert!(
+                        idx < smem_len,
+                        "kernel {}: shared load out of bounds ({} >= {})",
+                        self.kernel.name,
+                        idx,
+                        smem_len
+                    );
+                    dst_row[l] = smem[idx];
+                });
                 warp.reg_ready[dst as usize] = self.cycle + cfg.smem_latency + extra;
                 warp.reg_source[dst as usize] = RegSource::Alu;
                 cfg.issue_cycles + extra
@@ -1283,12 +1311,13 @@ impl<'a> ExecCtx<'a> {
                 // a `Uniform` row, so the load is one constant-bank read, one
                 // cache probe and a `Uniform` result — as fast as a register
                 // read on the hardware, and now in the simulator too.
-                if mask == u32::MAX {
-                    if let LaneRow::Uniform(a) = addr_shape(warp, addr, off, self.params) {
+                if mask == warp.init_mask {
+                    let terms = addr_terms(warp, addr, off, self.params);
+                    if let Some(a) = terms.filter(|t| t.is_uniform()).map(|t| t.base) {
                         self.rows.uniform += 1;
-                        let v = self.mem.read_const(a.0);
+                        let v = self.mem.read_const(a);
                         warp.set_shape(dst, LaneRow::Uniform(v));
-                        let (ready, source) = self.const_access(&[a.0]);
+                        let (ready, source) = self.const_access(&[a]);
                         warp.reg_ready[dst as usize] = ready;
                         warp.reg_source[dst as usize] = source;
                         return cfg.issue_cycles;
@@ -1387,118 +1416,28 @@ impl<'a> ExecCtx<'a> {
         let mask = warp.active_mask();
         match space {
             Space::Global => {
-                if mask == u32::MAX {
-                    let ashape = addr_shape(warp, addr, off, self.params);
-                    if let Some((base, stride, step)) = ashape.terms() {
-                        if let Some(halves) = coalesce_affine_warp(cfg, base, stride, step) {
-                            self.rows.tally(&ashape);
-                            let srcs = warp.operand_row(src, self.params);
-                            let mut bytes = 0u64;
-                            for (i, acc) in halves.iter().enumerate() {
-                                if acc.coalesced {
-                                    self.stats.coalesced_half_warps += 1;
-                                } else {
-                                    self.stats.uncoalesced_half_warps += 1;
-                                }
-                                self.stats.global_st_transactions += acc.transactions as u64;
-                                if self.record {
-                                    self.ev_aux |= half_sig(acc) << (16 * i);
-                                }
-                                bytes += acc.bytes;
-                            }
-                            self.stats.global_bytes += bytes;
-                            if self.record {
-                                self.ev_bytes = bytes as u32;
-                            }
-                            for_each_affine_lane(base, stride, step, |l, a| {
-                                self.mem.write(a, srcs[l]);
-                            });
-                            let _ = self.memory_request(bytes); // bandwidth only
-                            return cfg.issue_cycles;
-                        }
-                    }
-                }
-                self.rows.full += 1;
-                let addrs = addr_row(warp, addr, off, self.params);
+                let addrs = LaneAddrs::of(warp, mask, addr, off, self.params);
                 let srcs = warp.operand_row(src, self.params);
-                let (lo, hi) = split_half_warps(&addrs, mask);
-                let mut bytes = 0u64;
-                for (i, half) in [&lo, &hi].into_iter().enumerate() {
-                    let acc = coalesce_half_warp_noalloc(cfg, half);
-                    if acc.transactions > 0 {
-                        if acc.coalesced {
-                            self.stats.coalesced_half_warps += 1;
-                        } else {
-                            self.stats.uncoalesced_half_warps += 1;
-                        }
-                        self.stats.global_st_transactions += acc.transactions as u64;
-                        if self.record {
-                            self.ev_aux |= half_sig(&acc) << (16 * i);
-                        }
-                        bytes += acc.bytes;
-                    }
-                }
-                self.stats.global_bytes += bytes;
-                if self.record {
-                    self.ev_bytes = bytes as u32;
-                }
-                for lane in 0..32 {
-                    if mask >> lane & 1 == 1 {
-                        self.mem.write(addrs[lane], srcs[lane]);
-                    }
-                }
+                let bytes = self.global_access(&addrs, true);
+                addrs.for_each(|l, a| self.mem.write(a, srcs[l]));
                 let _ = self.memory_request(bytes); // bandwidth only
                 cfg.issue_cycles
             }
             Space::Shared => {
-                if mask == u32::MAX {
-                    let ashape = addr_shape(warp, addr, off, self.params);
-                    if let Some((base, stride, step)) = ashape.terms() {
-                        if let Some(degree) = smem_degree_affine(cfg, stride) {
-                            self.rows.tally(&ashape);
-                            let srcs = warp.operand_row(src, self.params);
-                            let extra = cfg.issue_cycles * (degree as u64 - 1);
-                            self.stats.smem_conflict_extra_cycles += extra;
-                            if self.record {
-                                self.ev_aux = degree;
-                            }
-                            for_each_affine_lane(base, stride, step, |l, a| {
-                                let idx = (a / 4) as usize;
-                                assert!(
-                                    idx < smem_len,
-                                    "kernel {}: shared store out of bounds ({} >= {})",
-                                    self.kernel.name,
-                                    idx,
-                                    smem_len
-                                );
-                                block.smem[idx] = srcs[l];
-                            });
-                            return cfg.issue_cycles + extra;
-                        }
-                    }
-                }
-                self.rows.full += 1;
-                let addrs = addr_row(warp, addr, off, self.params);
+                let addrs = LaneAddrs::of(warp, mask, addr, off, self.params);
                 let srcs = warp.operand_row(src, self.params);
-                let degree = smem_degree_scan(cfg, &addrs, mask);
-                let extra = cfg.issue_cycles * (degree as u64 - 1);
-                self.stats.smem_conflict_extra_cycles += extra;
-                if self.record {
-                    self.ev_aux = degree;
-                }
-                for lane in 0..32 {
-                    if mask >> lane & 1 == 1 {
-                        let idx = (addrs[lane] / 4) as usize;
-                        assert!(
-                            idx < smem_len,
-                            "kernel {}: shared store out of bounds ({} >= {})",
-                            self.kernel.name,
-                            idx,
-                            smem_len
-                        );
-                        block.smem[idx] = srcs[lane];
-                    }
-                }
+                let extra = self.shared_access(&addrs);
+                addrs.for_each(|l, a| {
+                    let idx = (a / 4) as usize;
+                    assert!(
+                        idx < smem_len,
+                        "kernel {}: shared store out of bounds ({} >= {})",
+                        self.kernel.name,
+                        idx,
+                        smem_len
+                    );
+                    block.smem[idx] = srcs[l];
+                });
                 cfg.issue_cycles + extra
             }
             Space::Local => {

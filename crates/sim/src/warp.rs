@@ -58,7 +58,9 @@ pub struct Warp {
     pub reg_source: Vec<RegSource>,
     /// Per-lane local (spill) memory, lazily grown, word-indexed.
     pub local: Vec<Vec<Value>>,
-    /// Lanes that exist (partial warps at the end of a block have fewer).
+    /// Lanes that exist (partial warps at the end of a block have fewer):
+    /// always a prefix `0..n` of the warp. An active mask equal to it means
+    /// "no divergence", the condition every shaped fast path runs under.
     pub init_mask: u32,
     /// Parked at a barrier, waiting for the rest of the block.
     pub at_barrier: bool,
@@ -128,12 +130,15 @@ impl Warp {
             }
         }
         let tid_shape = if rows_enabled {
+            // Over the lanes that exist: the dead tail of a partial warp is
+            // never read, so it must not break the row.
+            let live = mask.count_ones() as usize;
             let classify_dim = |pick: fn(&(u32, u32, u32)) -> u32| {
                 let mut row = [Value::ZERO; 32];
                 for (lane, t) in tids.iter().enumerate() {
                     row[lane] = Value::from_u32(pick(t));
                 }
-                LaneRow::classify(&row)
+                LaneRow::classify(&row, live)
             };
             [
                 classify_dim(|t| t.0),
@@ -262,7 +267,8 @@ impl Warp {
     }
 
     /// Records a folded whole-row write: `r` becomes `shape` without
-    /// touching the backing store. Only valid under a full active mask —
+    /// touching the backing store. Only valid when every live lane is
+    /// active (`mask == init_mask`; dead lanes hold nothing anyone reads) —
     /// a partial write must go through [`Warp::reg_row_mut`]/
     /// [`Warp::set_reg`] so inactive lanes keep their prior values.
     #[inline]
@@ -570,14 +576,7 @@ mod tests {
         let mut w = full_warp();
         // Fresh registers read as zero through the Uniform(0) shape.
         assert_eq!(w.reg(2, 31).as_u32(), 0);
-        w.set_shape(
-            3,
-            LaneRow::Affine {
-                base: 100,
-                stride: 8,
-                step: 1000,
-            },
-        );
+        w.set_shape(3, LaneRow::affine(100, 8, 1000, 4));
         assert_eq!(w.reg(3, 0).as_u32(), 100);
         assert_eq!(w.reg(3, 5).as_u32(), 140);
         assert_eq!(w.reg(3, 18).as_u32(), 1116);
@@ -595,24 +594,35 @@ mod tests {
     #[test]
     fn tid_shapes_classified_at_construction() {
         let w = full_warp(); // 32x1x1 block: tid.x = lane, tid.y = tid.z = 0
-        let affine = |base, stride, step| LaneRow::Affine { base, stride, step };
-        assert_eq!(w.tid_shape[0], affine(0, 1, 16));
+        let affine = |base, stride, step, p: u32| {
+            LaneRow::affine(base, stride, step, p.trailing_zeros() as u8)
+        };
+        assert_eq!(w.tid_shape[0], affine(0, 1, 16, 16));
         assert_eq!(w.tid_shape[1], LaneRow::Uniform(Value::ZERO));
-        // Partial warp: trailing lanes carry tid 0, breaking the affine run.
+        // Partial warp: the 8 live lanes continue the block's 1-D run; the
+        // dead tail (tid 0) is not looked at.
         let p = Warp::new(1, 4, (40, 1, 1), (0, 0), (1, 1));
-        assert_eq!(p.tid_shape[0], LaneRow::Full);
-        // 16-wide 2-D block: tid.x restarts in the hi half-warp, tid.y steps
-        // by one between the halves (warp w covers rows 2w and 2w+1).
-        for wi in [0, 3, 7] {
-            let w2 = Warp::new(wi, 4, (16, 16, 1), (0, 0), (1, 1));
-            assert_eq!(w2.tid_shape[0], affine(0, 1, 0));
-            assert_eq!(w2.tid_shape[1], affine(2 * wi, 0, 1));
-            assert_eq!(w2.tid_shape[2], LaneRow::Uniform(Value::ZERO));
+        assert_eq!(p.tid_shape[0], affine(32, 1, 16, 16));
+        // p-wide 2-D block: tid.x restarts every p lanes, tid.y steps by one
+        // from run to run (warp w covers rows (32/p)·w onwards).
+        for p in [16, 8, 4] {
+            for wi in [0, 3, 7] {
+                let w2 = Warp::new(wi, 4, (p, 64, 1), (0, 0), (1, 1));
+                assert_eq!(w2.init_mask, u32::MAX);
+                assert_eq!(w2.tid_shape[0], affine(0, 1, 0, p));
+                assert_eq!(w2.tid_shape[1], affine(32 / p * wi, 0, 1, p));
+                assert_eq!(w2.tid_shape[2], LaneRow::Uniform(Value::ZERO));
+            }
         }
-        // 8-wide block: tid.x wraps four times per warp — no half-warp form.
-        let w3 = Warp::new(0, 4, (8, 8, 1), (0, 0), (1, 1));
-        assert_eq!(w3.tid_shape[0], LaneRow::Full);
-        assert_eq!(w3.tid_shape[1], LaneRow::Full);
+        // 4x4 block: one warp of 16 live lanes, shaped over those.
+        let w3 = Warp::new(0, 4, (4, 4, 1), (0, 0), (1, 1));
+        assert_eq!(w3.init_mask, 0xffff);
+        assert_eq!(w3.tid_shape[0], affine(0, 1, 0, 4));
+        assert_eq!(w3.tid_shape[1], affine(0, 0, 1, 4));
+        // 12-wide block (Figure 4's 12x12): 12 does not divide a half-warp.
+        let w4 = Warp::new(0, 4, (12, 12, 1), (0, 0), (1, 1));
+        assert_eq!(w4.tid_shape[0], LaneRow::Full);
+        assert_eq!(w4.tid_shape[1], LaneRow::Full);
     }
 
     fn eager_warp() -> Warp {
@@ -625,14 +635,8 @@ mod tests {
         for (shape, label) in [
             (LaneRow::Uniform(Value::from_u32(1)), "uniform-true"),
             (LaneRow::Uniform(Value::ZERO), "uniform-false"),
-            (
-                LaneRow::Affine {
-                    base: 0,
-                    stride: 1,
-                    step: 0,
-                },
-                "affine",
-            ),
+            (LaneRow::affine(0, 1, 0, 4), "affine"),
+            (LaneRow::affine(0, 1, 0, 3), "affine, 8 wide"),
         ] {
             // The same predicate row, as a tag on a tracked warp and as
             // materialized lanes on an eager one.
@@ -657,14 +661,7 @@ mod tests {
     #[test]
     fn reset_restores_zero_registers() {
         let mut tracked = full_warp();
-        tracked.set_shape(
-            5,
-            LaneRow::Affine {
-                base: 1,
-                stride: 2,
-                step: 32,
-            },
-        );
+        tracked.set_shape(5, LaneRow::affine(1, 2, 32, 4));
         for mut w in [tracked, eager_warp()] {
             w.set_reg(0, 4, Value::from_u32(99));
             w.reset((0, 0));

@@ -44,18 +44,13 @@
 //! constant addresses. Texture fetches stay excluded.
 
 use crate::config::GpuConfig;
-use crate::memory::{
-    coalesce_affine_warp, coalesce_half_warp_noalloc, smem_degree_affine, DeviceMemory,
-    HalfWarpAccess,
-};
-use crate::sm::{
-    addr_row, addr_shape, distinct_addrs, smem_degree_scan, split_half_warps, LaunchDims,
-};
+use crate::memory::{DeviceMemory, HalfWarpAccess};
+use crate::sm::{addr_row, addr_terms, distinct_addrs, LaneAddrs, LaunchDims};
 use crate::warp::Warp;
 use g80_isa::decode::DecodedKernel;
 use g80_isa::exec;
-use g80_isa::inst::{Inst, Operand, Space};
-use g80_isa::row::{self, for_each_affine_lane};
+use g80_isa::inst::{Inst, Space};
+use g80_isa::row;
 use g80_isa::{Kernel, LaneRow, Value};
 use std::collections::HashMap;
 
@@ -87,6 +82,21 @@ impl Ev {
 #[inline]
 pub(crate) fn half_sig(acc: &HalfWarpAccess) -> u32 {
     acc.transactions.min(0x7fff) | ((acc.coalesced as u32) << 15)
+}
+
+/// Witness signature of one warp global access: the two [`half_sig`]
+/// verdicts packed as `aux` (a half-warp with no active lane contributes
+/// nothing), and the byte count.
+#[inline]
+pub(crate) fn global_sig(halves: &[HalfWarpAccess; 2]) -> (u32, u32) {
+    let (mut aux, mut bytes) = (0u32, 0u64);
+    for (i, acc) in halves.iter().enumerate() {
+        if acc.transactions > 0 {
+            aux |= half_sig(acc) << (16 * i);
+            bytes += acc.bytes;
+        }
+    }
+    (aux, bytes as u32)
 }
 
 /// 32-bit signature of one warp constant load over its distinct addresses
@@ -363,114 +373,6 @@ pub(crate) fn replay_block(
     cursors.iter().zip(rep).all(|(&c, r)| c == r.len())
 }
 
-/// The per-lane addresses of one warp memory access: the closed form of a
-/// shaped address row under a full mask, or the expanded row plus the mask
-/// selecting its live lanes.
-enum LaneAddrs {
-    Shaped(u32, u32, u32),
-    Lanes([u32; 32], u32),
-}
-
-impl LaneAddrs {
-    /// Calls `f(lane, addr)` for every active lane, in lane order.
-    #[inline(always)]
-    fn for_each(&self, mut f: impl FnMut(usize, u32)) {
-        match *self {
-            LaneAddrs::Shaped(base, stride, step) => for_each_affine_lane(base, stride, step, f),
-            LaneAddrs::Lanes(ref addrs, mask) => {
-                for (lane, &a) in addrs.iter().enumerate() {
-                    if mask >> lane & 1 == 1 {
-                        f(lane, a);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The `(base, stride, step)` terms of a memory instruction's address row
-/// when the closed forms may be used: full mask, row tracking on, shaped row.
-#[inline]
-fn addr_terms(
-    fold: bool,
-    warp: &Warp,
-    addr: Operand,
-    off: i32,
-    params: &[Value],
-) -> Option<(u32, u32, u32)> {
-    if fold {
-        addr_shape(warp, addr, off, params).terms()
-    } else {
-        None
-    }
-}
-
-/// Addresses of a global access plus its witness signature: the two
-/// [`half_sig`] verdicts packed as `aux`, and the byte count. The closed
-/// forms and the per-lane scans agree on every input
-/// (`memory::tests::affine_closed_forms_match_scans`).
-#[inline]
-fn global_access(
-    cfg: &GpuConfig,
-    fold: bool,
-    warp: &Warp,
-    addr: Operand,
-    off: i32,
-    params: &[Value],
-) -> (LaneAddrs, u32, u32) {
-    if let Some((base, stride, step)) = addr_terms(fold, warp, addr, off, params) {
-        if let Some([lo, hi]) = coalesce_affine_warp(cfg, base, stride, step) {
-            let aux = half_sig(&lo) | half_sig(&hi) << 16;
-            let bytes = (lo.bytes + hi.bytes) as u32;
-            return (LaneAddrs::Shaped(base, stride, step), aux, bytes);
-        }
-    }
-    let addrs = addr_row(warp, addr, off, params);
-    let mask = warp.active_mask();
-    let (lo, hi) = split_half_warps(&addrs, mask);
-    let mut aux = 0u32;
-    let mut total = 0u64;
-    for (i, half) in [&lo, &hi].into_iter().enumerate() {
-        let acc = coalesce_half_warp_noalloc(cfg, half);
-        if acc.transactions > 0 {
-            aux |= half_sig(&acc) << (16 * i);
-            total += acc.bytes;
-        }
-    }
-    (LaneAddrs::Lanes(addrs, mask), aux, total as u32)
-}
-
-/// Addresses of a shared access plus its bank-conflict degree (left 0 under
-/// `shared_uniform`, where the caller skips verification).
-#[inline]
-fn shared_access(
-    cfg: &GpuConfig,
-    fold: bool,
-    warp: &Warp,
-    addr: Operand,
-    off: i32,
-    params: &[Value],
-    shared_uniform: bool,
-) -> (LaneAddrs, u32) {
-    if let Some((base, stride, step)) = addr_terms(fold, warp, addr, off, params) {
-        let shaped = LaneAddrs::Shaped(base, stride, step);
-        if shared_uniform {
-            return (shaped, 0);
-        }
-        if let Some(degree) = smem_degree_affine(cfg, stride) {
-            return (shaped, degree);
-        }
-    }
-    let addrs = addr_row(warp, addr, off, params);
-    let mask = warp.active_mask();
-    let degree = if shared_uniform {
-        0
-    } else {
-        smem_degree_scan(cfg, &addrs, mask)
-    };
-    (LaneAddrs::Lanes(addrs, mask), degree)
-}
-
 /// Executes one instruction of `warp`, verifying it against `rep[*cursor]`.
 ///
 /// With `shared_uniform` (shared addresses statically `ctaid`-free, see
@@ -505,9 +407,10 @@ fn step(
     // Cleared when the signature is statically proven equal to the
     // representative's instead of being recomputed (`shared_uniform`).
     let mut verify_b = true;
-    // Same row-shape fold fast paths as the timed engine (pure ops have a
-    // zero signature, so folding never affects verification).
-    let fold = mask == u32::MAX;
+    // Same row-shape fold fast paths as the timed engine, under the same "no
+    // divergence" condition (pure ops have a zero signature, so folding
+    // never affects verification).
+    let fold = mask == warp.init_mask;
     match inst {
         Inst::Alu { op, dst, a, b } => {
             let folded = fold
@@ -650,16 +553,19 @@ fn step(
             off,
         } => match space {
             Space::Global => {
-                let addrs;
-                (addrs, aux, bytes) = global_access(cfg, fold, warp, addr, off, params);
+                let addrs = LaneAddrs::of(warp, mask, addr, off, params);
+                (aux, bytes) = global_sig(&addrs.coalesce(cfg));
                 let dst_row = warp.reg_row_mut(dst.0);
                 addrs.for_each(|lane, a| dst_row[lane] = buf.read(mem, a));
                 warp.advance();
             }
             Space::Shared => {
-                let addrs;
-                (addrs, aux) = shared_access(cfg, fold, warp, addr, off, params, shared_uniform);
-                verify_b = !shared_uniform;
+                let addrs = LaneAddrs::of(warp, mask, addr, off, params);
+                if shared_uniform {
+                    verify_b = false;
+                } else {
+                    aux = addrs.smem_degree(cfg);
+                }
                 let dst_row = warp.reg_row_mut(dst.0);
                 let mut in_bounds = true;
                 addrs.for_each(|lane, a| match smem.get((a / 4) as usize) {
@@ -687,12 +593,13 @@ fn step(
             // the constant bank fails the replay; the timed fallback then
             // reports it the way it always has.
             Space::Const => {
-                if let (true, LaneRow::Uniform(a)) = (fold, addr_shape(warp, addr, off, params)) {
-                    let Some(v) = mem.try_read_const(a.0) else {
+                let terms = addr_terms(warp, addr, off, params).filter(|t| fold && t.is_uniform());
+                if let Some(a) = terms.map(|t| t.base) {
+                    let Some(v) = mem.try_read_const(a) else {
                         return false;
                     };
                     warp.set_shape(dst.0, LaneRow::Uniform(v));
-                    aux = a.0;
+                    aux = a;
                 } else {
                     let addrs = addr_row(warp, addr, off, params);
                     let (distinct, n) = distinct_addrs(&addrs, mask);
@@ -721,16 +628,19 @@ fn step(
             src,
         } => match space {
             Space::Global => {
-                let addrs;
-                (addrs, aux, bytes) = global_access(cfg, fold, warp, addr, off, params);
+                let addrs = LaneAddrs::of(warp, mask, addr, off, params);
+                (aux, bytes) = global_sig(&addrs.coalesce(cfg));
                 let srcs = warp.operand_row(src, params);
                 addrs.for_each(|lane, a| buf.write(a, srcs[lane]));
                 warp.advance();
             }
             Space::Shared => {
-                let addrs;
-                (addrs, aux) = shared_access(cfg, fold, warp, addr, off, params, shared_uniform);
-                verify_b = !shared_uniform;
+                let addrs = LaneAddrs::of(warp, mask, addr, off, params);
+                if shared_uniform {
+                    verify_b = false;
+                } else {
+                    aux = addrs.smem_degree(cfg);
+                }
                 let srcs = warp.operand_row(src, params);
                 let mut in_bounds = true;
                 addrs.for_each(|lane, a| match smem.get_mut((a / 4) as usize) {

@@ -205,9 +205,7 @@ fn run_n(k: &Kernel, cfg: &GpuConfig, n: u32) -> Vec<u32> {
         &mem,
     )
     .expect("launch");
-    let mut out = vec![0u32; n as usize];
-    mem.read_slice(n * 4, &mut out);
-    out
+    mem.read_slice(n * 4, n as usize).collect()
 }
 
 proptest! {

@@ -283,8 +283,7 @@ fn simulation_is_deterministic() {
             mem.write(j * 4, Value::from_f32(1.0 + j as f32));
         }
         let s = launch(&gtx(), &k, dims1d(4, 256), &[Value::from_u32(0)], &mem).unwrap();
-        let mut out = vec![0u32; n as usize];
-        mem.read_slice(0, &mut out);
+        let out: Vec<u32> = mem.read_slice(0, n as usize).collect();
         (s.cycles, s.warp_instructions, s.global_bytes, out)
     };
     let a = run();
@@ -622,4 +621,73 @@ fn sfu_trig_on_a_uniform_row_folds_to_the_row_kernels_bits() {
             }
         }
     }
+}
+
+/// An 8×8 block's `tid` rows are affine per run of eight lanes, so its
+/// address chain folds — but only while every live lane is active. Inside a
+/// branch that splits each run (`tid.x < 4`) the mask no longer equals the
+/// warp's `init_mask`: the shaped destination must materialize (inactive
+/// lanes keep the values the shape implied) and the op run lane by lane.
+/// The same kernel with the split at 8 takes the branch whole and folds.
+#[test]
+fn divergent_narrow_warp_materializes_and_runs_eagerly() {
+    use g80_sim::{row_counters, SimConfig, SimContext};
+    let mut b = KernelBuilder::new("narrow_diverge");
+    let (outp, split) = (b.param(), b.param());
+    let (tx, ty) = (b.tid_x(), b.tid_y());
+    let v = b.imad(ty, 8u32, tx); // linear thread index: one shaped row
+    let byte = b.shl(v, 2u32);
+    let addr = b.iadd(byte, outp);
+    let low = b.setp(CmpOp::Lt, Scalar::U32, tx, split);
+    b.if_(Pred::if_true(low), |b| {
+        let scaled = b.imul(v, 3u32);
+        b.mov_to(v, scaled);
+    });
+    b.if_(Pred::if_false(low), |b| {
+        b.iadd_to(v, v, 100u32);
+    });
+    let shifted = b.iadd(v, tx);
+    b.st_global(addr, 0, shifted);
+    let k = b.build();
+
+    let dims = LaunchDims {
+        grid: (1, 1),
+        block: (8, 8, 1),
+    };
+    let run = |split: u32| {
+        let cfg = SimConfig {
+            memo: false,
+            dedup: false,
+            ..SimConfig::default()
+        };
+        SimContext::new(cfg).enter(|| {
+            let mem = DeviceMemory::new(64 * 4);
+            let params = [Value::from_u32(0), Value::from_u32(split)];
+            let stats = launch(&gtx(), &k, dims, &params, &mem).unwrap();
+            for t in 0..64u32 {
+                let x = t % 8;
+                let want = if x < split { t * 3 } else { t + 100 } + x;
+                assert_eq!(mem.read(t * 4).as_u32(), want, "split {split}, thread {t}");
+            }
+            (stats, row_counters())
+        })
+    };
+    let (whole, whole_rows) = run(8);
+    let (split, split_rows) = run(4);
+    assert_eq!(whole.divergent_branches, 0);
+    assert_eq!(split.divergent_branches, 4, "both warps, both branches");
+    // Same instructions up to the skipped else-body; the ones under a
+    // partial mask moved from shaped to full, and so did everything that
+    // reads `v` after them.
+    assert!(
+        whole_rows.full < split_rows.full,
+        "{whole_rows:?} {split_rows:?}"
+    );
+    assert!(
+        whole_rows.affine > split_rows.affine,
+        "{whole_rows:?} {split_rows:?}"
+    );
+    // Undiverged, only the predicate (comparisons fold from uniform rows
+    // alone) is evaluated lane by lane.
+    assert_eq!(whole_rows.full, 2, "{whole_rows:?}");
 }

@@ -20,7 +20,12 @@ use g80::apps::rc5::Rc5;
 use g80::apps::sad::SadApp;
 use g80::apps::saxpy::Saxpy;
 use g80::apps::tpacf::Tpacf;
-use g80::sim::{fault, memo_counters, Engine, KernelStats, SimConfig, SimContext};
+use g80::isa::builder::KernelBuilder;
+use g80::isa::Value;
+use g80::sim::{
+    fault, launch, memo_counters, DeviceMemory, Engine, GpuConfig, KernelStats, LaunchDims,
+    SimConfig, SimContext,
+};
 
 mod common;
 use common::assert_stats_identical;
@@ -71,11 +76,37 @@ fn matmul_naive() {
     matmul(Variant::Naive);
 }
 
+// Tiles narrower than a half-warp: `tid.x`/`tid.y` are affine per run of 4
+// or 8 lanes, and a 4×4 block is a single warp with only its lo half live.
+#[test]
+fn matmul_tiled_4() {
+    matmul(Variant::Tiled {
+        tile: 4,
+        unroll: false,
+    });
+}
+
+#[test]
+fn matmul_tiled_4_unrolled() {
+    matmul(Variant::Tiled {
+        tile: 4,
+        unroll: true,
+    });
+}
+
 #[test]
 fn matmul_tiled_8() {
     matmul(Variant::Tiled {
         tile: 8,
         unroll: false,
+    });
+}
+
+#[test]
+fn matmul_tiled_8_unrolled() {
+    matmul(Variant::Tiled {
+        tile: 8,
+        unroll: true,
     });
 }
 
@@ -103,6 +134,57 @@ fn matmul_prefetch() {
 #[test]
 fn matmul_reg_tiled() {
     matmul(Variant::RegTiled { tile: 16 });
+}
+
+/// A 1-D kernel in 40-thread blocks: every block ends in a warp with eight
+/// live lanes, whose half-warp is only partly live (folds apply, the memory
+/// degrees come from the scan over the live lanes) and whose hi half is
+/// dead. `y[i] = x[block·40 + 39 − tid]` through shared memory: a forward
+/// store, a barrier, a reversed (negative-stride) load.
+#[test]
+fn partial_last_warp() {
+    const TPB: u32 = 40;
+    const BLOCKS: u32 = 320;
+    let n = TPB * BLOCKS;
+    let mut b = KernelBuilder::new("reverse_in_block_40");
+    let (xs, ys) = (b.param(), b.param());
+    let tile = b.shared_alloc(TPB) as i32;
+    let tid = b.tid_x();
+    let ntid = b.ntid_x();
+    let cta = b.ctaid_x();
+    let i = b.imad(cta, ntid, tid);
+    let byte = b.shl(i, 2u32);
+    let xa = b.iadd(byte, xs);
+    let v = b.ld_global(xa, 0);
+    let slot = b.shl(tid, 2u32);
+    b.st_shared(slot, tile, v);
+    b.bar();
+    let mirror = b.isub((TPB - 1) * 4, slot);
+    let w = b.ld_shared(mirror, tile);
+    let ya = b.iadd(byte, ys);
+    b.st_global(ya, 0, w);
+    let kernel = b.build();
+
+    let gpu = GpuConfig::geforce_8800_gtx();
+    let dims = LaunchDims {
+        grid: (BLOCKS, 1),
+        block: (TPB, 1, 1),
+    };
+    check("partial last warp", || {
+        let mem = DeviceMemory::new(2 * n * 4);
+        mem.write_slice(0, (0..n).map(|i| i.wrapping_mul(2654435761)));
+        let params = [Value::from_u32(0), Value::from_u32(n * 4)];
+        let stats = launch(&gpu, &kernel, dims, &params, &mem).expect("launch");
+        for i in [0, 7, 39, 40, n - 1] {
+            let src = i / TPB * TPB + (TPB - 1 - i % TPB);
+            assert_eq!(
+                mem.read((n + i) * 4).0,
+                src.wrapping_mul(2654435761),
+                "y[{i}]"
+            );
+        }
+        stats
+    });
 }
 
 // Section-5 applications, chosen to cover every engine path: coalesced and

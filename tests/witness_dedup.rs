@@ -351,6 +351,47 @@ fn three_way(tag: &str, run: impl Fn() -> (Vec<u32>, KernelStats)) -> MemoCounte
     counters
 }
 
+/// Blocks narrower than a half-warp (Figure 4's 4×4 and 8×8 tiles): their
+/// `tid` rows are affine per run of `p` lanes, so the timed engine and the
+/// replay executor both take the shaped paths — and must take the *same*
+/// ones. n=48 at tile 4 is 144 sixteen-thread blocks (one half-live warp
+/// each), nine to an SM against eight resident slots, so the recorder runs
+/// and donor SMs are replayed; tile 8 is 36 full-warp blocks. Stats and
+/// output must equal dedup-off and the reference engine's eager warps, with
+/// no fallback and most rows shaped.
+#[test]
+fn narrow_blocks_replay_shaped_and_bit_identical() {
+    if g80::sim::fault::armed() {
+        return; // exact counter assertions, as above
+    }
+    let mm = MatMul { n: 48 };
+    let (a, b) = mm.generate(29);
+    for (tile, unroll) in [(4, false), (4, true), (8, false), (8, true)] {
+        let v = Variant::Tiled { tile, unroll };
+        let tag = format!("matmul {} n=48", v.label());
+        let run = || {
+            let (c, stats, _) = mm.run(v, &a, &b);
+            (bits(&c).collect::<Vec<u32>>(), stats)
+        };
+        let counters = three_way(&tag, run);
+        assert_eq!(counters.dedup_fallbacks, 0, "{tag}: {counters:?}");
+        if tile == 4 {
+            assert!(
+                counters.dedup_fast_blocks > 0,
+                "{tag}: no replay: {counters:?}"
+            );
+            let total = counters.dedup_fast_blocks + counters.dedup_sim_blocks;
+            assert_eq!(total, 144, "{tag}: {counters:?}");
+        }
+        let ((_, shapes), _) = product(true, || (run(), row_counters()));
+        let shaped = (shapes.uniform + shapes.affine) as f64 / shapes.total() as f64;
+        assert!(
+            shaped >= 0.6,
+            "{tag}: shaped-row fraction {shaped:.3} < 0.6 ({shapes:?})"
+        );
+    }
+}
+
 /// `y[i] = Σ_k c[(tid & 7) + 8k]`: every warp load names eight distinct
 /// constant addresses (the serialized path, a `Full` address row), all of
 /// them functions of `tid` and the loop counter — block-invariant.
