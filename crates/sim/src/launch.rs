@@ -287,10 +287,6 @@ impl<'a> Prepared<'a> {
         if let Some(rep) = rep {
             if blocks.len() == donor_len {
                 let (s, tally) = (&self.spec, &ctx.metrics.memo);
-                let file_regs = s
-                    .kernel
-                    .regs_per_thread
-                    .max(g80_isa::liveness::num_regs(&s.kernel.code) as u32);
                 if replay_sm(
                     cfg,
                     s.kernel,
@@ -299,7 +295,6 @@ impl<'a> Prepared<'a> {
                     s.params,
                     s.mem,
                     blocks,
-                    file_regs,
                     rep,
                     shared_uniform,
                 ) {

@@ -163,10 +163,8 @@ impl DeviceMemory {
     /// Reads a constant-bank word at a byte address.
     #[inline]
     pub fn read_const(&self, addr: u32) -> Value {
-        match self.try_read_const(addr) {
-            Some(v) => v,
-            None => panic!("const read out of bounds: addr {addr:#x}"),
-        }
+        self.try_read_const(addr)
+            .unwrap_or_else(|| const_out_of_bounds(addr))
     }
 
     /// [`Self::read_const`] for callers that must not unwind (witness
@@ -186,6 +184,13 @@ impl DeviceMemory {
         assert!(addr < len, "texture fetch out of bounds: addr {addr:#x}");
         base + addr
     }
+}
+
+/// How a timed engine reports a constant address outside the bank (witness
+/// replay fails instead and leaves the report to the timed fallback).
+#[cold]
+pub(crate) fn const_out_of_bounds(addr: u32) -> ! {
+    panic!("const read out of bounds: addr {addr:#x}")
 }
 
 /// [`wide_digest`] over 32-bit words, two to a 64-bit chunk (low word

@@ -14,7 +14,11 @@
 //! rules (barriers between shared-memory producers and consumers, no
 //! inter-block races except commutative atomics) observe exactly the values
 //! hardware would produce, while timing still exhibits latency, queueing,
-//! coalescing, divergence and bank-conflict effects.
+//! coalescing, divergence and bank-conflict effects. The functional half is
+//! stated once, for this engine and for [`crate::witness`] replay alike:
+//! [`Warp::exec_reg_only`], [`LaneAddrs`], [`load_const`], the local-memory
+//! moves and [`Resident`]; [`ExecCtx::execute`] adds the scoreboard write,
+//! the issue occupancy, the memory pipeline and the counters.
 //!
 //! # The predecoded hot loop
 //!
@@ -42,22 +46,20 @@
 //! original engine as an executable spec, and the `golden_stats` test
 //! asserts bit-identical [`crate::KernelStats`] between the two.
 
-#![allow(clippy::too_many_arguments)] // load/store helpers mirror the instruction fields
-
 use crate::config::GpuConfig;
 use crate::counters::{MemoCounters, RowCounters, SmStats, StallReason};
 use crate::memory::{
-    coalesce_affine_warp, coalesce_half_warp_noalloc, smem_conflict_degree_noalloc,
-    smem_degree_affine_warp, DeviceMemory, HalfWarpAccess, TagCache,
+    coalesce_affine_warp, coalesce_half_warp_noalloc, const_out_of_bounds,
+    smem_conflict_degree_noalloc, smem_degree_affine_warp, DeviceMemory, HalfWarpAccess, TagCache,
 };
 use crate::warp::{RegSource, Warp};
 use crate::witness::{
-    const_sig, global_sig, replay_block, Ev, ReplayScratch, WitnessRecorder, WriteBuf,
+    const_sig, global_sig, local_bytes, replay_block, Ev, ReplayScratch, WitnessRecorder, WriteBuf,
 };
 use g80_isa::decode::{DecodedKernel, IssueClass, MicroOp};
 use g80_isa::exec;
 use g80_isa::inst::{Inst, InstClass, Operand, Space};
-use g80_isa::row::{self, for_each_affine_lane, AffineTerms};
+use g80_isa::row::{for_each_affine_lane, AffineTerms};
 use g80_isa::{Kernel, LaneRow, Value};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -78,21 +80,29 @@ impl LaunchDims {
     }
 }
 
-struct Resident {
-    warps: Vec<Warp>,
-    smem: Vec<Value>,
+/// Registers per thread the register *file* holds. It must cover every
+/// register the code names even when the reported count was forced lower for
+/// an occupancy ablation (`Kernel::with_forced_regs`): the report drives
+/// scheduling, the code drives storage.
+pub(crate) fn file_regs(kernel: &Kernel) -> u32 {
+    kernel
+        .regs_per_thread
+        .max(g80_isa::liveness::num_regs(&kernel.code) as u32)
+}
+
+/// One block's storage — its warps and its shared memory — as the timed
+/// engine's resident slots and witness replay's scratch both hold it.
+pub(crate) struct Resident {
+    pub(crate) warps: Vec<Warp>,
+    pub(crate) smem: Vec<Value>,
 }
 
 impl Resident {
-    fn new(cfg_regs: u32, kernel: &Kernel, dims: &LaunchDims, ctaid: (u32, u32)) -> Self {
+    pub(crate) fn new(kernel: &Kernel, dims: &LaunchDims, ctaid: (u32, u32)) -> Self {
         let warps_per_block = dims.threads_per_block().div_ceil(32);
-        // The register *file* must cover every register the code names even
-        // when the reported count was forced lower for an occupancy
-        // ablation (Kernel::with_forced_regs): the report drives
-        // scheduling, the code drives storage.
-        let file_regs = cfg_regs.max(g80_isa::liveness::num_regs(&kernel.code) as u32);
+        let nregs = file_regs(kernel);
         let warps = (0..warps_per_block)
-            .map(|w| Warp::new(w, file_regs, dims.block, ctaid, dims.grid))
+            .map(|w| Warp::new(w, nregs, dims.block, ctaid, dims.grid))
             .collect();
         Resident {
             warps,
@@ -103,15 +113,31 @@ impl Resident {
     /// Recycles this slot's register files and shared memory for a new block
     /// of the same launch: equivalent to `Resident::new` with the same
     /// geometry, but without reallocating.
-    fn reset(&mut self, ctaid: (u32, u32)) {
+    pub(crate) fn reset(&mut self, ctaid: (u32, u32)) {
         for w in &mut self.warps {
             w.reset(ctaid);
         }
         self.smem.fill(Value::ZERO);
     }
 
-    fn all_done(&self) -> bool {
+    pub(crate) fn all_done(&self) -> bool {
         self.warps.iter().all(|w| w.done)
+    }
+
+    /// Barrier release: if every live warp of the block is parked, frees
+    /// them all to issue again from `resume_at` and says so. Must be checked
+    /// both when a warp parks AND when a warp exits — an exiting warp can be
+    /// the last one its parked siblings were waiting for.
+    pub(crate) fn release_barrier(&mut self, resume_at: u64) -> bool {
+        let release = self.warps.iter().any(|w| w.at_barrier)
+            && self.warps.iter().all(|w| w.done || w.at_barrier);
+        if release {
+            for w in self.warps.iter_mut() {
+                w.at_barrier = false;
+                w.resume_at = resume_at;
+            }
+        }
+        release
     }
 }
 
@@ -171,6 +197,7 @@ pub struct SmTally {
 /// queue replays clean against the same streams would evolve identically,
 /// and may adopt this SM's stats outright (donor-SM reuse in
 /// [`crate::launch`]).
+#[allow(clippy::too_many_arguments)]
 pub fn run_sm(
     cfg: &GpuConfig,
     kernel: &Kernel,
@@ -198,13 +225,10 @@ pub fn run_sm(
         if next_block < my_blocks.len() {
             let ctaid = my_blocks[next_block];
             next_block += 1;
-            resident.push(Resident::new(kernel.regs_per_thread, kernel, dims, ctaid));
+            resident.push(Resident::new(kernel, dims, ctaid));
         }
     }
     let wpb = dims.threads_per_block().div_ceil(32) as usize;
-    let file_regs = kernel
-        .regs_per_thread
-        .max(g80_isa::liveness::num_regs(&kernel.code) as u32);
     // Dedup only pays off when the grid refills the resident set at least
     // once; otherwise there is no steady state to detect.
     let mut recorder = if dedup && my_blocks.len() > resident.len() {
@@ -318,9 +342,8 @@ pub fn run_sm(
                                     // event streams must match the
                                     // representative for the measured deltas
                                     // to transfer to them.
-                                    let scratch = replay_scratch.get_or_insert_with(|| {
-                                        ReplayScratch::new(kernel, dims, file_regs)
-                                    });
+                                    let scratch = replay_scratch
+                                        .get_or_insert_with(|| ReplayScratch::new(kernel, dims));
                                     let residents_ok = resident.iter().all(|r| {
                                         let mut dry = WriteBuf::default();
                                         replay_block(
@@ -514,28 +537,17 @@ pub fn run_sm(
                     }
                 }
 
-                // Barrier release: if every live warp of the block is now
-                // parked, free them all. This must be checked both when a
-                // warp parks AND when a warp exits — an exiting warp can be
-                // the last one its parked siblings were waiting for.
                 let block = &mut resident[bi];
                 if block.warps[wi].done {
                     check_retire = true;
                 }
-                if block.warps[wi].at_barrier || block.warps[wi].done {
-                    let any_parked = block.warps.iter().any(|w| w.at_barrier);
-                    let all_parked = block.warps.iter().all(|w| w.done || w.at_barrier);
-                    if any_parked && all_parked {
-                        let resume = cycle + cfg.barrier_latency;
-                        for w in block.warps.iter_mut() {
-                            w.at_barrier = false;
-                            w.resume_at = resume;
-                        }
-                        // resume_at moved for the whole block.
-                        for s in order.iter_mut() {
-                            if s.bi == bi {
-                                s.cached = None;
-                            }
+                if (block.warps[wi].at_barrier || block.warps[wi].done)
+                    && block.release_barrier(cycle + cfg.barrier_latency)
+                {
+                    // resume_at moved for the whole block.
+                    for s in order.iter_mut() {
+                        if s.bi == bi {
+                            s.cached = None;
                         }
                     }
                 }
@@ -615,6 +627,7 @@ fn stall_code(r: StallReason) -> u64 {
 /// ever compares them against `cycle`, never against each other on a path
 /// that matters: a warp whose `ready_at` is past issues regardless of the
 /// gate attribution, so the attribution is dropped for rel 0 entries.
+#[allow(clippy::too_many_arguments)]
 fn dedup_snapshot(
     resident: &[Resident],
     order: &[Slot],
@@ -708,8 +721,9 @@ struct ExecCtx<'a> {
     class_counts: &'a mut [u64; InstClass::COUNT],
     cycle: u64,
     /// Dedup witness recording active: the memory/branch paths below fill
-    /// `ev_aux`/`ev_bytes` with the instruction's timing signature, exactly
-    /// mirroring what [`crate::witness`]'s replay executor recomputes.
+    /// `ev_aux`/`ev_bytes` with the instruction's timing signature — the
+    /// value [`crate::witness`]'s replay executor derives from the same
+    /// [`LaneAddrs`] / [`load_const`] result and compares.
     record: bool,
     ev_aux: u32,
     ev_bytes: u32,
@@ -731,12 +745,7 @@ pub(crate) fn addr_row(warp: &Warp, addr_op: Operand, off: i32, params: &[Value]
 /// preserves stride, step and period (so the row stays canonical). `None`
 /// means no closed form — fall back to [`addr_row`].
 #[inline]
-pub(crate) fn addr_terms(
-    warp: &Warp,
-    addr_op: Operand,
-    off: i32,
-    params: &[Value],
-) -> Option<AffineTerms> {
+fn addr_terms(warp: &Warp, addr_op: Operand, off: i32, params: &[Value]) -> Option<AffineTerms> {
     let t = warp.operand_shape(addr_op, params).terms()?;
     Some(AffineTerms {
         base: t.base.wrapping_add(off as u32),
@@ -839,19 +848,53 @@ fn split_half_warps(addrs: &[u32; 32], mask: u32) -> ([Option<u32>; 16], [Option
     (lo, hi)
 }
 
-/// The distinct addresses among a warp access's active lanes, in first-lane
-/// order, as `(buffer, count)` — what a constant load serializes over.
-#[inline]
-pub(crate) fn distinct_addrs(addrs: &[u32; 32], mask: u32) -> ([u32; 32], usize) {
-    let mut distinct = [0u32; 32];
-    let mut n = 0;
-    for (lane, &a) in addrs.iter().enumerate() {
-        if mask >> lane & 1 == 1 && !distinct[..n].contains(&a) {
-            distinct[n] = a;
-            n += 1;
+/// The functional half of one warp constant load, for both executors: every
+/// active lane reads its word into `dst`, and `distinct[..n]` receives the
+/// distinct addresses in first-lane order — what the load serializes over
+/// and what [`const_sig`] fingerprints (an out-parameter: returning the
+/// 128-byte list by value cost MRI-Q replay ≈ 15 %). An undiverged warp
+/// reading the one address of a `Uniform` row is the broadcast closed form:
+/// one constant-bank read and a `Uniform` result, as fast as a register read
+/// on the hardware. `Err` is the first address outside the constant bank,
+/// with nothing written: the timed engine panics on it, replay fails.
+pub(crate) fn load_const(
+    warp: &mut Warp,
+    dst: u32,
+    addr: Operand,
+    off: i32,
+    params: &[Value],
+    mem: &DeviceMemory,
+    distinct: &mut [u32; 32],
+) -> Result<usize, u32> {
+    let mask = warp.active_mask();
+    if mask == warp.init_mask {
+        let terms = addr_terms(warp, addr, off, params);
+        if let Some(a) = terms.filter(|t| t.is_uniform()).map(|t| t.base) {
+            let v = mem.try_read_const(a).ok_or(a)?;
+            warp.set_shape(dst, LaneRow::Uniform(v));
+            distinct[0] = a;
+            return Ok(1);
         }
     }
-    (distinct, n)
+    let addrs = addr_row(warp, addr, off, params);
+    let mut words = [Value::ZERO; 32];
+    let mut n = 0;
+    for (lane, &a) in addrs.iter().enumerate() {
+        if mask >> lane & 1 == 1 {
+            words[lane] = mem.try_read_const(a).ok_or(a)?;
+            if !distinct[..n].contains(&a) {
+                distinct[n] = a;
+                n += 1;
+            }
+        }
+    }
+    let dst_row = warp.reg_row_mut(dst);
+    for lane in 0..32 {
+        if mask >> lane & 1 == 1 {
+            dst_row[lane] = words[lane];
+        }
+    }
+    Ok(n)
 }
 
 impl<'a> ExecCtx<'a> {
@@ -929,6 +972,23 @@ impl<'a> ExecCtx<'a> {
         bytes
     }
 
+    /// Accounts one warp local (spill) load or store — one uncoalesced
+    /// transaction per active lane through this SM's channel — and returns
+    /// the completion cycle.
+    fn local_access(&mut self, mask: u32, store: bool) -> u64 {
+        if store {
+            self.stats.global_st_transactions += mask.count_ones() as u64;
+        } else {
+            self.stats.global_ld_transactions += mask.count_ones() as u64;
+        }
+        let bytes = local_bytes(self.cfg, mask) as u64;
+        self.stats.global_bytes += bytes;
+        if self.record {
+            self.ev_bytes = bytes as u32;
+        }
+        self.memory_request(bytes)
+    }
+
     /// Accounts one warp shared load or store; returns the extra issue
     /// cycles its bank conflicts serialize over.
     fn shared_access(&mut self, addrs: &LaneAddrs) -> u64 {
@@ -946,7 +1006,6 @@ impl<'a> ExecCtx<'a> {
     /// issue-port occupancy in cycles.
     fn execute(&mut self, block: &mut Resident, wi: usize, mop: &MicroOp) -> u64 {
         let cfg = self.cfg;
-        let smem_len = block.smem.len();
         let warp = &mut block.warps[wi];
         let pc = warp.pc() as usize;
         let inst = mop.inst;
@@ -957,187 +1016,29 @@ impl<'a> ExecCtx<'a> {
         self.stats.flops += mop.flops as u64 * lanes as u64;
         self.class_counts[mop.class.index()] += 1;
 
-        let alu_done = self.cycle + cfg.alu_latency;
-        // Row-shape fold fast paths: with every lane that exists active (no
-        // divergence; the dead tail of a partial warp is never read), an
-        // instruction whose operand shapes fold produces its entire result
-        // row as one `LaneRow` tag — no lane evaluation, no backing-store
-        // write. Folds are bit-exact by construction (`g80_isa::row` tests),
-        // so the scoreboard/timing effects below mirror the eager arms
-        // verbatim.
-        let fold = mask == warp.init_mask;
+        // Register-only instructions: what they do is `Warp::exec_reg_only`;
+        // when the result lands and how long the issue port is held is a
+        // function of the predecoded issue class alone.
+        if warp.exec_reg_only(&inst, mask, self.params) {
+            let dst = mop.dst as usize;
+            self.rows.tally(&warp.shapes[dst]);
+            let (latency, issue) = match mop.issue {
+                IssueClass::Normal => (cfg.alu_latency, cfg.issue_cycles),
+                IssueClass::Imul => (cfg.alu_latency, cfg.imul_issue_cycles),
+                IssueClass::Sfu => (cfg.sfu_latency, cfg.sfu_issue_cycles),
+            };
+            warp.reg_ready[dst] = self.cycle + latency;
+            warp.reg_source[dst] = RegSource::Alu;
+            return issue;
+        }
         match inst {
-            Inst::Alu { op, dst, a, b } => {
-                if fold {
-                    let sa = warp.operand_shape(a, self.params);
-                    let sb = warp.operand_shape(b, self.params);
-                    if let Some(shape) = row::fold_alu(op, sa, sb) {
-                        warp.set_shape(dst.0, shape);
-                        self.rows.tally(&shape);
-                        warp.reg_ready[dst.0 as usize] = alu_done;
-                        warp.reg_source[dst.0 as usize] = RegSource::Alu;
-                        warp.advance();
-                        return if mop.issue == IssueClass::Imul {
-                            cfg.imul_issue_cycles
-                        } else {
-                            cfg.issue_cycles
-                        };
-                    }
-                }
-                self.rows.full += 1;
-                let ar = warp.operand_row(a, self.params);
-                let br = warp.operand_row(b, self.params);
-                exec::eval_alu_row(op, &ar, &br, warp.reg_row_mut(dst.0), mask);
-                warp.reg_ready[dst.0 as usize] = alu_done;
-                warp.reg_source[dst.0 as usize] = RegSource::Alu;
-                warp.advance();
-                if mop.issue == IssueClass::Imul {
-                    cfg.imul_issue_cycles
-                } else {
-                    cfg.issue_cycles
-                }
-            }
-            Inst::Ffma { dst, a, b, c } => {
-                if fold {
-                    let sa = warp.operand_shape(a, self.params);
-                    let sb = warp.operand_shape(b, self.params);
-                    let sc = warp.operand_shape(c, self.params);
-                    if let Some(shape) = row::fold_ffma(sa, sb, sc) {
-                        warp.set_shape(dst.0, shape);
-                        self.rows.tally(&shape);
-                        warp.reg_ready[dst.0 as usize] = alu_done;
-                        warp.reg_source[dst.0 as usize] = RegSource::Alu;
-                        warp.advance();
-                        return cfg.issue_cycles;
-                    }
-                }
-                self.rows.full += 1;
-                let ar = warp.operand_row(a, self.params);
-                let br = warp.operand_row(b, self.params);
-                let cr = warp.operand_row(c, self.params);
-                exec::eval_ffma_row(&ar, &br, &cr, warp.reg_row_mut(dst.0), mask);
-                warp.reg_ready[dst.0 as usize] = alu_done;
-                warp.reg_source[dst.0 as usize] = RegSource::Alu;
-                warp.advance();
-                cfg.issue_cycles
-            }
-            Inst::Imad { dst, a, b, c } => {
-                if fold {
-                    let sa = warp.operand_shape(a, self.params);
-                    let sb = warp.operand_shape(b, self.params);
-                    let sc = warp.operand_shape(c, self.params);
-                    if let Some(shape) = row::fold_imad(sa, sb, sc) {
-                        warp.set_shape(dst.0, shape);
-                        self.rows.tally(&shape);
-                        warp.reg_ready[dst.0 as usize] = alu_done;
-                        warp.reg_source[dst.0 as usize] = RegSource::Alu;
-                        warp.advance();
-                        return cfg.imul_issue_cycles;
-                    }
-                }
-                self.rows.full += 1;
-                let ar = warp.operand_row(a, self.params);
-                let br = warp.operand_row(b, self.params);
-                let cr = warp.operand_row(c, self.params);
-                exec::eval_imad_row(&ar, &br, &cr, warp.reg_row_mut(dst.0), mask);
-                warp.reg_ready[dst.0 as usize] = alu_done;
-                warp.reg_source[dst.0 as usize] = RegSource::Alu;
-                warp.advance();
-                cfg.imul_issue_cycles
-            }
-            Inst::Un { op, dst, a } => {
-                if fold {
-                    let sa = warp.operand_shape(a, self.params);
-                    if let Some(shape) = row::fold_un(op, sa) {
-                        warp.set_shape(dst.0, shape);
-                        self.rows.tally(&shape);
-                        warp.reg_ready[dst.0 as usize] = alu_done;
-                        warp.reg_source[dst.0 as usize] = RegSource::Alu;
-                        warp.advance();
-                        return cfg.issue_cycles;
-                    }
-                }
-                self.rows.full += 1;
-                let ar = warp.operand_row(a, self.params);
-                exec::eval_un_row(op, &ar, warp.reg_row_mut(dst.0), mask);
-                warp.reg_ready[dst.0 as usize] = alu_done;
-                warp.reg_source[dst.0 as usize] = RegSource::Alu;
-                warp.advance();
-                cfg.issue_cycles
-            }
-            Inst::Sfu { op, dst, a } => {
-                if fold {
-                    let sa = warp.operand_shape(a, self.params);
-                    if let Some(shape) = row::fold_sfu(op, sa) {
-                        warp.set_shape(dst.0, shape);
-                        self.rows.tally(&shape);
-                        warp.reg_ready[dst.0 as usize] = self.cycle + cfg.sfu_latency;
-                        warp.reg_source[dst.0 as usize] = RegSource::Alu;
-                        warp.advance();
-                        return cfg.sfu_issue_cycles;
-                    }
-                }
-                self.rows.full += 1;
-                let ar = warp.operand_row(a, self.params);
-                exec::eval_sfu_row(op, &ar, warp.reg_row_mut(dst.0), mask);
-                warp.reg_ready[dst.0 as usize] = self.cycle + cfg.sfu_latency;
-                warp.reg_source[dst.0 as usize] = RegSource::Alu;
-                warp.advance();
-                cfg.sfu_issue_cycles
-            }
-            Inst::SetP { op, ty, dst, a, b } => {
-                if fold {
-                    let sa = warp.operand_shape(a, self.params);
-                    let sb = warp.operand_shape(b, self.params);
-                    if let Some(shape) = row::fold_cmp(op, ty, sa, sb) {
-                        warp.set_shape(dst.0, shape);
-                        self.rows.tally(&shape);
-                        warp.reg_ready[dst.0 as usize] = alu_done;
-                        warp.reg_source[dst.0 as usize] = RegSource::Alu;
-                        warp.advance();
-                        return cfg.issue_cycles;
-                    }
-                }
-                self.rows.full += 1;
-                let ar = warp.operand_row(a, self.params);
-                let br = warp.operand_row(b, self.params);
-                exec::eval_cmp_row(op, ty, &ar, &br, warp.reg_row_mut(dst.0), mask);
-                warp.reg_ready[dst.0 as usize] = alu_done;
-                warp.reg_source[dst.0 as usize] = RegSource::Alu;
-                warp.advance();
-                cfg.issue_cycles
-            }
-            Inst::Sel { dst, c, a, b } => {
-                if fold {
-                    let sc = warp.operand_shape(c, self.params);
-                    let sa = warp.operand_shape(a, self.params);
-                    let sb = warp.operand_shape(b, self.params);
-                    if let Some(shape) = row::fold_sel(sc, sa, sb) {
-                        warp.set_shape(dst.0, shape);
-                        self.rows.tally(&shape);
-                        warp.reg_ready[dst.0 as usize] = alu_done;
-                        warp.reg_source[dst.0 as usize] = RegSource::Alu;
-                        warp.advance();
-                        return cfg.issue_cycles;
-                    }
-                }
-                self.rows.full += 1;
-                let cr = warp.operand_row(c, self.params);
-                let ar = warp.operand_row(a, self.params);
-                let br = warp.operand_row(b, self.params);
-                exec::eval_sel_row(&cr, &ar, &br, warp.reg_row_mut(dst.0), mask);
-                warp.reg_ready[dst.0 as usize] = alu_done;
-                warp.reg_source[dst.0 as usize] = RegSource::Alu;
-                warp.advance();
-                cfg.issue_cycles
-            }
             Inst::Ld {
                 space,
                 dst,
                 addr,
                 off,
             } => {
-                let dur = self.do_load(block, wi, space, dst.0, addr, off, smem_len);
+                let dur = self.do_load(block, wi, space, dst.0, addr, off);
                 block.warps[wi].advance();
                 dur
             }
@@ -1147,7 +1048,7 @@ impl<'a> ExecCtx<'a> {
                 off,
                 src,
             } => {
-                let dur = self.do_store(block, wi, space, addr, off, src, smem_len);
+                let dur = self.do_store(block, wi, space, addr, off, src);
                 block.warps[wi].advance();
                 dur
             }
@@ -1185,7 +1086,7 @@ impl<'a> ExecCtx<'a> {
                         for lane in 0..32 {
                             if mask >> lane & 1 == 1 {
                                 let idx = (addrs[lane] / 4) as usize;
-                                assert!(idx < smem_len, "shared atomic out of bounds");
+                                assert!(idx < smem.len(), "shared atomic out of bounds");
                                 let (new, old) = exec::eval_atom(op, smem[idx], srcs[lane]);
                                 smem[idx] = new;
                                 if let Some(d) = dst {
@@ -1256,6 +1157,7 @@ impl<'a> ExecCtx<'a> {
                 warp.settle();
                 cfg.issue_cycles
             }
+            _ => unreachable!("register-only instructions issued above"),
         }
     }
 
@@ -1267,7 +1169,6 @@ impl<'a> ExecCtx<'a> {
         dst: u32,
         addr: Operand,
         off: i32,
-        smem_len: usize,
     ) -> u64 {
         let cfg = self.cfg;
         let (warps, smem) = (&mut block.warps, &block.smem);
@@ -1294,11 +1195,11 @@ impl<'a> ExecCtx<'a> {
                 addrs.for_each(|l, a| {
                     let idx = (a / 4) as usize;
                     assert!(
-                        idx < smem_len,
+                        idx < smem.len(),
                         "kernel {}: shared load out of bounds ({} >= {})",
                         self.kernel.name,
                         idx,
-                        smem_len
+                        smem.len()
                     );
                     dst_row[l] = smem[idx];
                 });
@@ -1307,37 +1208,16 @@ impl<'a> ExecCtx<'a> {
                 cfg.issue_cycles + extra
             }
             Space::Const => {
-                // Broadcast closed form: every lane reads the one address of
-                // a `Uniform` row, so the load is one constant-bank read, one
-                // cache probe and a `Uniform` result — as fast as a register
-                // read on the hardware, and now in the simulator too.
-                if mask == warp.init_mask {
-                    let terms = addr_terms(warp, addr, off, self.params);
-                    if let Some(a) = terms.filter(|t| t.is_uniform()).map(|t| t.base) {
-                        self.rows.uniform += 1;
-                        let v = self.mem.read_const(a);
-                        warp.set_shape(dst, LaneRow::Uniform(v));
-                        let (ready, source) = self.const_access(&[a]);
-                        warp.reg_ready[dst as usize] = ready;
-                        warp.reg_source[dst as usize] = source;
-                        return cfg.issue_cycles;
-                    }
-                }
-                // Distinct addresses within the warp serialize; each line
-                // goes through the per-SM constant cache.
-                self.rows.full += 1;
-                let addrs = addr_row(warp, addr, off, self.params);
-                let (distinct, n) = distinct_addrs(&addrs, mask);
-                let dst_row = warp.reg_row_mut(dst);
-                for (lane, &a) in addrs.iter().enumerate() {
-                    if mask >> lane & 1 == 1 {
-                        dst_row[lane] = self.mem.read_const(a);
-                    }
-                }
+                let mut distinct = [0u32; 32];
+                let n = load_const(warp, dst, addr, off, self.params, self.mem, &mut distinct)
+                    .unwrap_or_else(|a| const_out_of_bounds(a));
+                self.rows.tally(&warp.shapes[dst as usize]);
+                // Each distinct line goes through the per-SM constant cache.
                 let (ready, source) = self.const_access(&distinct[..n]);
                 warp.reg_ready[dst as usize] = ready;
                 warp.reg_source[dst as usize] = source;
-                // Serialization beyond the broadcast case.
+                // Distinct addresses within the warp serialize beyond the
+                // broadcast case.
                 cfg.issue_cycles + (n.max(1) as u64 - 1) * 2
             }
             Space::Tex => {
@@ -1380,20 +1260,8 @@ impl<'a> ExecCtx<'a> {
             }
             Space::Local => {
                 let addrs = addr_row(warp, addr, off, self.params);
-                let mut bytes = 0u64;
-                for (lane, &a) in addrs.iter().enumerate() {
-                    if mask >> lane & 1 == 1 {
-                        let v = warp.local_read(lane, a);
-                        warp.set_reg(dst, lane, v);
-                        bytes += cfg.uncoalesced_txn_bytes as u64;
-                    }
-                }
-                self.stats.global_bytes += bytes;
-                self.stats.global_ld_transactions += mask.count_ones() as u64;
-                if self.record {
-                    self.ev_bytes = bytes as u32;
-                }
-                let done = self.memory_request(bytes);
+                warp.load_local(mask, dst, &addrs);
+                let done = self.local_access(mask, false);
                 warp.reg_ready[dst as usize] = done;
                 warp.reg_source[dst as usize] = RegSource::Memory;
                 cfg.issue_cycles
@@ -1409,7 +1277,6 @@ impl<'a> ExecCtx<'a> {
         addr: Operand,
         off: i32,
         src: Operand,
-        smem_len: usize,
     ) -> u64 {
         let cfg = self.cfg;
         let warp = &mut block.warps[wi];
@@ -1430,11 +1297,11 @@ impl<'a> ExecCtx<'a> {
                 addrs.for_each(|l, a| {
                     let idx = (a / 4) as usize;
                     assert!(
-                        idx < smem_len,
+                        idx < block.smem.len(),
                         "kernel {}: shared store out of bounds ({} >= {})",
                         self.kernel.name,
                         idx,
-                        smem_len
+                        block.smem.len()
                     );
                     block.smem[idx] = srcs[l];
                 });
@@ -1443,22 +1310,77 @@ impl<'a> ExecCtx<'a> {
             Space::Local => {
                 let addrs = addr_row(warp, addr, off, self.params);
                 let srcs = warp.operand_row(src, self.params);
-                let mut bytes = 0u64;
-                for lane in 0..32 {
-                    if mask >> lane & 1 == 1 {
-                        warp.local_write(lane, addrs[lane], srcs[lane]);
-                        bytes += cfg.uncoalesced_txn_bytes as u64;
-                    }
-                }
-                self.stats.global_bytes += bytes;
-                self.stats.global_st_transactions += mask.count_ones() as u64;
-                if self.record {
-                    self.ev_bytes = bytes as u32;
-                }
-                let _ = self.memory_request(bytes);
+                warp.store_local(mask, &addrs, &srcs);
+                let _ = self.local_access(mask, true); // bandwidth only
                 cfg.issue_cycles
             }
             Space::Const | Space::Tex => panic!("stores to read-only memory space"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use g80_isa::inst::Reg;
+
+    /// One address for a broadcast (closed form or scan), first-lane-ordered
+    /// distinct addresses otherwise, and for an address outside the bank the
+    /// address itself with the destination untouched.
+    #[test]
+    fn load_const_lists_distinct_addresses_or_the_offender() {
+        let mut mem = DeviceMemory::new(64);
+        mem.const_bank = (100..116).collect();
+        let addr = Operand::Reg(Reg(1));
+        let prior = LaneRow::affine(7, 3, 0, 4);
+        let warp = |addrs: LaneRow| {
+            let mut w = Warp::new(0, 4, (32, 1, 1), (0, 0), (1, 1));
+            w.set_shape(0, prior);
+            w.set_shape(1, addrs);
+            w
+        };
+        // Loads r0 under `mask`; `Ok` is the distinct-address list.
+        let load = |w: &mut Warp, mask: u32| {
+            if mask != u32::MAX {
+                w.take_branch(mask, 1, 2, 1);
+            }
+            let mut distinct = [0u32; 32];
+            load_const(w, 0, addr, 4, &[], &mem, &mut distinct).map(|n| distinct[..n].to_vec())
+        };
+
+        let mut w = warp(LaneRow::Uniform(Value(8)));
+        assert_eq!(load(&mut w, u32::MAX).unwrap(), [12]);
+        assert_eq!(w.shapes[0], LaneRow::Uniform(Value(103)));
+        // Diverged, the same row takes the scan and finds the same address.
+        let mut w = warp(LaneRow::Uniform(Value(8)));
+        assert_eq!(load(&mut w, 0xff00).unwrap(), [12]);
+        assert_eq!(
+            (w.reg(0, 8), w.reg(0, 7)),
+            (Value(103), prior.lane(7).unwrap())
+        );
+
+        // Words 5, 2, 5, 9 repeating; lane 0 inactive, so word 2 comes first.
+        let mut w = warp(LaneRow::Uniform(Value::ZERO));
+        *w.reg_row_mut(1) = std::array::from_fn(|l| Value(4 * [5, 2, 5, 9][l % 4] - 4));
+        assert_eq!(load(&mut w, 0x0000_fffe).unwrap(), [8, 20, 36]);
+        for lane in 0..32 {
+            let want = match lane {
+                1..16 => Value(100 + [5, 2, 5, 9][lane % 4]),
+                _ => prior.lane(lane).unwrap(),
+            };
+            assert_eq!(w.reg(0, lane), want, "lane {lane}");
+        }
+
+        // Lane l reads word l % 24 + 1 of a 16-word bank: the first active
+        // lane past word 15 is the offender, and no lane was written.
+        for (mask, lane) in [(u32::MAX, 15), (0xfff0_0000, 20)] {
+            let mut w = warp(LaneRow::Uniform(Value::ZERO));
+            *w.reg_row_mut(1) = std::array::from_fn(|l| Value(4 * (l as u32 % 24)));
+            assert_eq!(load(&mut w, mask).unwrap_err(), 4 * lane + 4);
+            assert_eq!(w.shapes[0], prior);
+        }
+        let mut w = warp(LaneRow::Uniform(Value(4 * 16)));
+        assert_eq!(load(&mut w, u32::MAX).unwrap_err(), 4 * 16 + 4);
+        assert_eq!(w.shapes[0], prior);
     }
 }

@@ -8,9 +8,9 @@
 //! architectural register's pending write completes, which is what lets
 //! independent instructions (and other warps) cover memory latency.
 
-use g80_isa::inst::{Operand, SpecialReg};
-use g80_isa::row::LaneRow;
-use g80_isa::Value;
+use g80_isa::inst::{Inst, Operand, SpecialReg};
+use g80_isa::row::{self, LaneRow};
+use g80_isa::{exec, Value};
 
 /// Sentinel "no reconvergence point".
 pub const NO_RPC: u32 = u32::MAX;
@@ -395,6 +395,108 @@ impl Warp {
         }
     }
 
+    /// What a register-only instruction (`Alu`, `Ffma`, `Imad`, `Un`, `Sfu`,
+    /// `SetP`, `Sel`) does to this warp under the active `mask` — the one
+    /// statement of it outside the oracle; the timed engine and witness
+    /// replay only add *when* and *whether it matched*. With every lane that
+    /// exists active (no divergence; the dead tail of a partial warp is never
+    /// read) and operand shapes that fold, the whole result row is one
+    /// [`LaneRow`] tag — no lane evaluation, no backing-store write; folds
+    /// are bit-exact by construction (`g80_isa::row` tests). Otherwise the
+    /// row is evaluated under `mask`, inactive lanes keeping their values.
+    /// Either way the warp advances and `shapes[dst]` says which happened
+    /// (`Full` = evaluated). Returns `false`, with nothing touched, for any
+    /// other instruction.
+    ///
+    /// Inlined into both callers, returning one bit, and with no operand row
+    /// in a closure, tuple or return value on purpose: a row-returning
+    /// closure here (or the tag handed back, ISSUE 24) cost witness replay
+    /// ≈ 20 % on `matmul_walk`.
+    #[inline(always)]
+    pub(crate) fn exec_reg_only(&mut self, inst: &Inst, mask: u32, params: &[Value]) -> bool {
+        // A diverged warp folds nothing: its operands count as `Full`.
+        let fold = mask == self.init_mask;
+        let shape = |w: &Warp, op| {
+            if fold {
+                w.operand_shape(op, params)
+            } else {
+                LaneRow::Full
+            }
+        };
+        match *inst {
+            Inst::Alu { op, dst, a, b } => {
+                match row::fold_alu(op, shape(self, a), shape(self, b)) {
+                    Some(tag) => self.set_shape(dst.0, tag),
+                    None => {
+                        let ar = self.operand_row(a, params);
+                        let br = self.operand_row(b, params);
+                        exec::eval_alu_row(op, &ar, &br, self.reg_row_mut(dst.0), mask);
+                    }
+                }
+            }
+            Inst::Ffma { dst, a, b, c } => {
+                match row::fold_ffma(shape(self, a), shape(self, b), shape(self, c)) {
+                    Some(tag) => self.set_shape(dst.0, tag),
+                    None => {
+                        let ar = self.operand_row(a, params);
+                        let br = self.operand_row(b, params);
+                        let cr = self.operand_row(c, params);
+                        exec::eval_ffma_row(&ar, &br, &cr, self.reg_row_mut(dst.0), mask);
+                    }
+                }
+            }
+            Inst::Imad { dst, a, b, c } => {
+                match row::fold_imad(shape(self, a), shape(self, b), shape(self, c)) {
+                    Some(tag) => self.set_shape(dst.0, tag),
+                    None => {
+                        let ar = self.operand_row(a, params);
+                        let br = self.operand_row(b, params);
+                        let cr = self.operand_row(c, params);
+                        exec::eval_imad_row(&ar, &br, &cr, self.reg_row_mut(dst.0), mask);
+                    }
+                }
+            }
+            Inst::Un { op, dst, a } => match row::fold_un(op, shape(self, a)) {
+                Some(tag) => self.set_shape(dst.0, tag),
+                None => {
+                    let ar = self.operand_row(a, params);
+                    exec::eval_un_row(op, &ar, self.reg_row_mut(dst.0), mask);
+                }
+            },
+            Inst::Sfu { op, dst, a } => match row::fold_sfu(op, shape(self, a)) {
+                Some(tag) => self.set_shape(dst.0, tag),
+                None => {
+                    let ar = self.operand_row(a, params);
+                    exec::eval_sfu_row(op, &ar, self.reg_row_mut(dst.0), mask);
+                }
+            },
+            Inst::SetP { op, ty, dst, a, b } => {
+                match row::fold_cmp(op, ty, shape(self, a), shape(self, b)) {
+                    Some(tag) => self.set_shape(dst.0, tag),
+                    None => {
+                        let ar = self.operand_row(a, params);
+                        let br = self.operand_row(b, params);
+                        exec::eval_cmp_row(op, ty, &ar, &br, self.reg_row_mut(dst.0), mask);
+                    }
+                }
+            }
+            Inst::Sel { dst, c, a, b } => {
+                match row::fold_sel(shape(self, c), shape(self, a), shape(self, b)) {
+                    Some(tag) => self.set_shape(dst.0, tag),
+                    None => {
+                        let cr = self.operand_row(c, params);
+                        let ar = self.operand_row(a, params);
+                        let br = self.operand_row(b, params);
+                        exec::eval_sel_row(&cr, &ar, &br, self.reg_row_mut(dst.0), mask);
+                    }
+                }
+            }
+            _ => return false,
+        }
+        self.advance();
+        true
+    }
+
     /// Applies a branch. `taken` must be a subset of the active mask.
     /// Returns true if the warp diverged.
     pub fn take_branch(&mut self, taken: u32, target: u32, reconv: u32, next_pc: u32) -> bool {
@@ -452,6 +554,27 @@ impl Warp {
             mem.resize(idx + 1, Value::ZERO);
         }
         mem[idx] = v;
+    }
+
+    /// A warp load from local (spill) memory: every lane of `mask` reads its
+    /// own word at `addrs[lane]` into `dst`.
+    pub(crate) fn load_local(&mut self, mask: u32, dst: u32, addrs: &[u32; 32]) {
+        for (lane, &a) in addrs.iter().enumerate() {
+            if mask >> lane & 1 == 1 {
+                let v = self.local_read(lane, a);
+                self.set_reg(dst, lane, v);
+            }
+        }
+    }
+
+    /// A warp store to local memory: every lane of `mask` writes
+    /// `srcs[lane]` to its own word at `addrs[lane]`.
+    pub(crate) fn store_local(&mut self, mask: u32, addrs: &[u32; 32], srcs: &[Value; 32]) {
+        for lane in 0..32 {
+            if mask >> lane & 1 == 1 {
+                self.local_write(lane, addrs[lane], srcs[lane]);
+            }
+        }
     }
 
     /// Iterates active lanes of the current frame.
@@ -692,6 +815,248 @@ mod tests {
         assert!(all_full(&w));
         assert_eq!(w.reg(2, 15).as_u32(), 7);
         assert_eq!(w.reg(2, 16).as_u32(), 0);
+    }
+
+    /// The operand rows every register-only kind is tried on: one of each
+    /// shape (floats near 1.0 when read as `f32`, so no op makes a NaN) and
+    /// one with no structure.
+    fn operand_rows() -> Vec<(LaneRow, [Value; 32])> {
+        let mut rows: Vec<_> = [
+            LaneRow::Uniform(Value::from_f32(1.5)),
+            LaneRow::affine(0x3f80_0000, 8, 1000, 2),
+            LaneRow::affine(0x3f80_0000, 8, 1000, 3),
+            LaneRow::affine(0x3f80_0000, 8, 1000, 4),
+        ]
+        .into_iter()
+        .map(|shape| {
+            let mut row = [Value::ZERO; 32];
+            shape.expand_into(&mut row);
+            (shape, row)
+        })
+        .collect();
+        let scattered = std::array::from_fn(|l| Value(0x3f80_0000 + (l * l * 37 % 1000) as u32));
+        rows.push((LaneRow::Full, scattered));
+        rows
+    }
+
+    type LaneFn = fn(Value, Value, Value) -> Value;
+
+    /// One instruction of each register-only kind (r0 = f(r1, r2, r3)), with
+    /// its per-lane meaning stated through the scalar evaluators.
+    fn reg_only_insts() -> Vec<(Inst, LaneFn)> {
+        use g80_isa::inst::{AluOp, CmpOp, Reg, Scalar, SfuOp, UnOp};
+        let (dst, a, b, c) = (Reg(0), Reg(1).into(), Reg(2).into(), Reg(3).into());
+        let alu = |op| Inst::Alu { op, dst, a, b };
+        let (lt, ge) = (CmpOp::Lt, CmpOp::Ge);
+        vec![
+            (alu(AluOp::IAdd), |a, b, _| {
+                exec::eval_alu(AluOp::IAdd, a, b)
+            }),
+            (alu(AluOp::IMul), |a, b, _| {
+                exec::eval_alu(AluOp::IMul, a, b)
+            }),
+            (alu(AluOp::FMul), |a, b, _| {
+                exec::eval_alu(AluOp::FMul, a, b)
+            }),
+            (Inst::Ffma { dst, a, b, c }, exec::eval_ffma),
+            (Inst::Imad { dst, a, b, c }, exec::eval_imad),
+            (
+                Inst::Un {
+                    op: UnOp::Not,
+                    dst,
+                    a,
+                },
+                |a, _, _| exec::eval_un(UnOp::Not, a),
+            ),
+            (
+                Inst::Un {
+                    op: UnOp::FNeg,
+                    dst,
+                    a,
+                },
+                |a, _, _| exec::eval_un(UnOp::FNeg, a),
+            ),
+            (
+                Inst::Sfu {
+                    op: SfuOp::Rcp,
+                    dst,
+                    a,
+                },
+                |a, _, _| exec::eval_sfu(SfuOp::Rcp, a),
+            ),
+            (
+                Inst::Sfu {
+                    op: SfuOp::Sin,
+                    dst,
+                    a,
+                },
+                |a, _, _| exec::eval_sfu(SfuOp::Sin, a),
+            ),
+            (
+                Inst::SetP {
+                    op: lt,
+                    ty: Scalar::U32,
+                    dst,
+                    a,
+                    b,
+                },
+                |a, b, _| exec::eval_cmp(CmpOp::Lt, Scalar::U32, a, b),
+            ),
+            (
+                Inst::SetP {
+                    op: ge,
+                    ty: Scalar::F32,
+                    dst,
+                    a,
+                    b,
+                },
+                |a, b, _| exec::eval_cmp(CmpOp::Ge, Scalar::F32, a, b),
+            ),
+            // The condition is r3: all-true rows, and one false lane in the
+            // scattered row (lane 0 of `sel_cond`).
+            (
+                Inst::Sel { dst, c, a, b },
+                |a, b, c| if c.as_bool() { a } else { b },
+            ),
+        ]
+    }
+
+    /// Loads `rows` into r1.. of `w`: as a tag where the warp tracks shapes
+    /// and the row has one, as materialized lanes otherwise.
+    fn load_operands(w: &mut Warp, rows: &[&(LaneRow, [Value; 32])]) {
+        for (r, (shape, row)) in (1u32..).zip(rows) {
+            if w.rows_enabled && *shape != LaneRow::Full {
+                w.set_shape(r, *shape);
+            } else {
+                *w.reg_row_mut(r) = *row;
+            }
+        }
+    }
+
+    /// The same instruction on the same operands writes the same lanes
+    /// whichever way it runs: folded to a tag, evaluated under a partial
+    /// mask (inactive lanes keep what they held), or on an eager warp.
+    #[test]
+    fn reg_only_fold_eager_and_diverged_agree() {
+        const PARTIAL: u32 = 0x0f0f_00ff;
+        let rows = operand_rows();
+        // A select condition that is not all-true on the structureless row.
+        let mut sel_cond = rows.clone();
+        sel_cond[4].1[0] = Value::ZERO;
+        for (inst, lane_fn) in reg_only_insts() {
+            let third = match inst {
+                Inst::Sel { .. } => &sel_cond,
+                _ => &rows,
+            };
+            for ra in &rows {
+                for rb in &rows {
+                    for rc in third {
+                        let want: [Value; 32] =
+                            std::array::from_fn(|l| lane_fn(ra.1[l], rb.1[l], rc.1[l]));
+                        let label = format!("{inst:?} on {:?}, {:?}, {:?}", ra.0, rb.0, rc.0);
+
+                        let mut folded = full_warp();
+                        load_operands(&mut folded, &[ra, rb, rc]);
+                        assert!(folded.exec_reg_only(&inst, u32::MAX, &[]), "{label}");
+                        assert_eq!(folded.pc(), 1, "{label}");
+                        let all_uniform = [ra, rb, rc]
+                            .iter()
+                            .all(|r| matches!(r.0, LaneRow::Uniform(_)));
+                        if all_uniform {
+                            assert_eq!(folded.shapes[0], LaneRow::Uniform(want[0]), "{label}");
+                        }
+
+                        let mut diverged = full_warp();
+                        load_operands(&mut diverged, &[ra, rb, rc]);
+                        let prior = LaneRow::affine(7, 3, 0, 4);
+                        diverged.set_shape(0, prior);
+                        diverged.take_branch(PARTIAL, 5, 9, 1);
+                        assert!(diverged.exec_reg_only(&inst, PARTIAL, &[]), "{label}");
+                        assert_eq!(diverged.pc(), 6, "{label}");
+                        assert_eq!(diverged.shapes[0], LaneRow::Full, "{label}");
+
+                        let mut eager = eager_warp();
+                        load_operands(&mut eager, &[ra, rb, rc]);
+                        assert!(eager.exec_reg_only(&inst, u32::MAX, &[]), "{label}");
+
+                        for (lane, &v) in want.iter().enumerate() {
+                            assert_eq!(folded.reg(0, lane), v, "{label}: fold, lane {lane}");
+                            assert_eq!(eager.reg(0, lane), v, "{label}: eager, lane {lane}");
+                            let kept = if PARTIAL >> lane & 1 == 1 {
+                                v
+                            } else {
+                                prior.lane(lane).unwrap()
+                            };
+                            assert_eq!(diverged.reg(0, lane), kept, "{label}: masked, lane {lane}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Anything that touches memory or control flow is the caller's: the
+    /// warp says so and is left exactly as it was.
+    #[test]
+    fn non_reg_only_instructions_are_left_to_the_caller() {
+        use g80_isa::inst::{AtomOp, Label, Pred, Reg, Space};
+        let (space, addr, off) = (Space::Global, Operand::Reg(Reg(1)), 4);
+        let src = Operand::Reg(Reg(2));
+        let (target, reconv) = (Label(3), Label(4));
+        for inst in [
+            Inst::Ld {
+                space,
+                dst: Reg(0),
+                addr,
+                off,
+            },
+            Inst::St {
+                space,
+                addr,
+                off,
+                src,
+            },
+            Inst::Atom {
+                op: AtomOp::Add,
+                space,
+                dst: Some(Reg(0)),
+                addr,
+                off,
+                src,
+            },
+            Inst::Bra {
+                target,
+                reconv,
+                pred: Some(Pred::if_true(Reg(1))),
+            },
+            Inst::Bar,
+            Inst::Exit,
+        ] {
+            let mut w = full_warp();
+            w.set_shape(1, LaneRow::affine(64, 4, 64, 4));
+            *w.reg_row_mut(2) = operand_rows()[4].1;
+            let (shapes, regs) = (w.shapes.clone(), w.regs.clone());
+            assert!(!w.exec_reg_only(&inst, u32::MAX, &[]), "{inst:?}");
+            assert_eq!(w.pc(), 0, "{inst:?}");
+            assert_eq!((&w.shapes, &w.regs), (&shapes, &regs), "{inst:?}");
+        }
+    }
+
+    /// A local access moves each active lane's own word and nothing else.
+    #[test]
+    fn local_load_store_round_trip_under_a_mask() {
+        let mask = 0x0000_00f0u32;
+        let mut w = full_warp();
+        let addrs: [u32; 32] = std::array::from_fn(|l| 8 * (l as u32 % 3));
+        let srcs: [Value; 32] = std::array::from_fn(|l| Value(100 + l as u32));
+        w.store_local(mask, &addrs, &srcs);
+        w.set_shape(3, LaneRow::Uniform(Value(9)));
+        w.load_local(mask, 3, &addrs);
+        for lane in 0..32 {
+            let stored = mask >> lane & 1 == 1;
+            assert_eq!(w.reg(3, lane).0, if stored { 100 + lane as u32 } else { 9 });
+            assert_eq!(w.local[lane].is_empty(), !stored);
+        }
     }
 
     #[test]

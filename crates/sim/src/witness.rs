@@ -24,8 +24,11 @@
 //!    delta of one period is known; remaining whole periods are applied
 //!    arithmetically. The consumed blocks still need their *functional*
 //!    effect: [`replay_block`] re-executes them barrier-phase by
-//!    barrier-phase — no scheduler, no scoreboard — while verifying every
-//!    event against the representative. Any mismatch aborts the period
+//!    barrier-phase — no scheduler, no scoreboard, and no instruction
+//!    semantics of its own: [`step`] drives the definitions the timed engine
+//!    issues through ([`Warp::exec_reg_only`], [`LaneAddrs`], [`load_const`],
+//!    [`Resident`]) — while verifying every event against the
+//!    representative. Any mismatch aborts the period
 //!    before its buffered writes commit ([`WriteBuf`]), and the launch
 //!    falls back to full simulation from exactly the pre-replay state.
 //!
@@ -45,13 +48,11 @@
 
 use crate::config::GpuConfig;
 use crate::memory::{DeviceMemory, HalfWarpAccess};
-use crate::sm::{addr_row, addr_terms, distinct_addrs, LaneAddrs, LaunchDims};
+use crate::sm::{addr_row, load_const, LaneAddrs, LaunchDims, Resident};
 use crate::warp::Warp;
 use g80_isa::decode::DecodedKernel;
-use g80_isa::exec;
 use g80_isa::inst::{Inst, Space};
-use g80_isa::row;
-use g80_isa::{Kernel, LaneRow, Value};
+use g80_isa::{Kernel, Value};
 use std::collections::HashMap;
 
 /// One issued warp instruction's timing-relevant fingerprint.
@@ -97,6 +98,13 @@ pub(crate) fn global_sig(halves: &[HalfWarpAccess; 2]) -> (u32, u32) {
         }
     }
     (aux, bytes as u32)
+}
+
+/// Witness byte count of one warp local (spill) access: one uncoalesced
+/// transaction per active lane.
+#[inline]
+pub(crate) fn local_bytes(cfg: &GpuConfig, mask: u32) -> u32 {
+    mask.count_ones() * cfg.uncoalesced_txn_bytes
 }
 
 /// 32-bit signature of one warp constant load over its distinct addresses
@@ -283,27 +291,21 @@ impl WriteBuf {
     }
 }
 
-/// Reusable state of the replay executor: one block's warps, shared memory
-/// and witness cursors. Every block of a launch has the same geometry, so a
-/// replaying SM allocates this once and [`replay_block`] recycles it per
-/// block with [`Warp::reset`] — the replay-side twin of the timed engine's
-/// in-place resident-slot refill.
+/// Reusable state of the replay executor: one block's storage, as the timed
+/// engine's resident slots hold it, plus a witness cursor per warp. Every
+/// block of a launch has the same geometry, so a replaying SM allocates this
+/// once and [`replay_block`] recycles it per block, the way the timed engine
+/// refills a slot in place.
 pub(crate) struct ReplayScratch {
-    warps: Vec<Warp>,
-    smem: Vec<Value>,
+    block: Resident,
     cursors: Vec<usize>,
 }
 
 impl ReplayScratch {
-    pub fn new(kernel: &Kernel, dims: &LaunchDims, file_regs: u32) -> Self {
-        let wpb = dims.threads_per_block().div_ceil(32);
-        ReplayScratch {
-            warps: (0..wpb)
-                .map(|w| Warp::new(w, file_regs, dims.block, (0, 0), dims.grid))
-                .collect(),
-            smem: vec![Value::ZERO; (kernel.smem_bytes as usize).div_ceil(4)],
-            cursors: vec![0; wpb as usize],
-        }
+    pub fn new(kernel: &Kernel, dims: &LaunchDims) -> Self {
+        let block = Resident::new(kernel, dims, (0, 0));
+        let cursors = vec![0; block.warps.len()];
+        ReplayScratch { block, cursors }
     }
 }
 
@@ -326,22 +328,16 @@ pub(crate) fn replay_block(
     shared_uniform: bool,
     scratch: &mut ReplayScratch,
 ) -> bool {
-    let ReplayScratch {
-        warps,
-        smem,
-        cursors,
-    } = scratch;
-    if rep.len() != warps.len() {
+    let ReplayScratch { block, cursors } = scratch;
+    if rep.len() != block.warps.len() {
         return false;
     }
-    for w in warps.iter_mut() {
-        w.reset(ctaid);
-    }
-    smem.fill(Value::ZERO);
+    block.reset(ctaid);
     cursors.fill(0);
 
     loop {
-        for (wi, warp) in warps.iter_mut().enumerate() {
+        let smem = &mut block.smem;
+        for (wi, warp) in block.warps.iter_mut().enumerate() {
             while warp.settle() && !warp.at_barrier {
                 if !step(
                     cfg,
@@ -359,14 +355,11 @@ pub(crate) fn replay_block(
                 }
             }
         }
-        if warps.iter().all(|w| w.done) {
+        if block.all_done() {
             break;
         }
-        if warps.iter().any(|w| w.at_barrier) && warps.iter().all(|w| w.done || w.at_barrier) {
-            for w in warps.iter_mut() {
-                w.at_barrier = false;
-            }
-        } else {
+        // No scheduler here, so nothing reads the release cycle.
+        if !block.release_barrier(0) {
             return false; // defensive: no progress possible
         }
     }
@@ -379,7 +372,11 @@ pub(crate) fn replay_block(
 /// [`g80_isa::dataflow::TaintSummary::ctaid_shared_addr`]) the bank-conflict
 /// degree of a shared access is known to equal the representative's without
 /// recomputing it — the dominant cost of replaying tiled kernels.
+///
+/// One caller, ≈ 15 ns a call: kept inline so the ten arguments never go
+/// through the stack (out of line it cost `matmul_walk` ≈ 20 %).
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn step(
     cfg: &GpuConfig,
     decoded: &DecodedKernel,
@@ -402,150 +399,18 @@ fn step(
     if expect.a != (((pc as u64) << 32) | mask as u64) {
         return false;
     }
+    // What a register-only instruction does is `Warp::exec_reg_only`; its
+    // signature is zero.
+    if warp.exec_reg_only(&inst, mask, params) {
+        *cursor += 1;
+        return expect.b == 0;
+    }
     let mut aux = 0u32;
     let mut bytes = 0u32;
     // Cleared when the signature is statically proven equal to the
     // representative's instead of being recomputed (`shared_uniform`).
     let mut verify_b = true;
-    // Same row-shape fold fast paths as the timed engine, under the same "no
-    // divergence" condition (pure ops have a zero signature, so folding
-    // never affects verification).
-    let fold = mask == warp.init_mask;
     match inst {
-        Inst::Alu { op, dst, a, b } => {
-            let folded = fold
-                && match row::fold_alu(
-                    op,
-                    warp.operand_shape(a, params),
-                    warp.operand_shape(b, params),
-                ) {
-                    Some(shape) => {
-                        warp.set_shape(dst.0, shape);
-                        true
-                    }
-                    None => false,
-                };
-            if !folded {
-                let ar = warp.operand_row(a, params);
-                let br = warp.operand_row(b, params);
-                exec::eval_alu_row(op, &ar, &br, warp.reg_row_mut(dst.0), mask);
-            }
-            warp.advance();
-        }
-        Inst::Ffma { dst, a, b, c } => {
-            let folded = fold
-                && match row::fold_ffma(
-                    warp.operand_shape(a, params),
-                    warp.operand_shape(b, params),
-                    warp.operand_shape(c, params),
-                ) {
-                    Some(shape) => {
-                        warp.set_shape(dst.0, shape);
-                        true
-                    }
-                    None => false,
-                };
-            if !folded {
-                let ar = warp.operand_row(a, params);
-                let br = warp.operand_row(b, params);
-                let cr = warp.operand_row(c, params);
-                exec::eval_ffma_row(&ar, &br, &cr, warp.reg_row_mut(dst.0), mask);
-            }
-            warp.advance();
-        }
-        Inst::Imad { dst, a, b, c } => {
-            let folded = fold
-                && match row::fold_imad(
-                    warp.operand_shape(a, params),
-                    warp.operand_shape(b, params),
-                    warp.operand_shape(c, params),
-                ) {
-                    Some(shape) => {
-                        warp.set_shape(dst.0, shape);
-                        true
-                    }
-                    None => false,
-                };
-            if !folded {
-                let ar = warp.operand_row(a, params);
-                let br = warp.operand_row(b, params);
-                let cr = warp.operand_row(c, params);
-                exec::eval_imad_row(&ar, &br, &cr, warp.reg_row_mut(dst.0), mask);
-            }
-            warp.advance();
-        }
-        Inst::Un { op, dst, a } => {
-            let folded = fold
-                && match row::fold_un(op, warp.operand_shape(a, params)) {
-                    Some(shape) => {
-                        warp.set_shape(dst.0, shape);
-                        true
-                    }
-                    None => false,
-                };
-            if !folded {
-                let ar = warp.operand_row(a, params);
-                exec::eval_un_row(op, &ar, warp.reg_row_mut(dst.0), mask);
-            }
-            warp.advance();
-        }
-        Inst::Sfu { op, dst, a } => {
-            let folded = fold
-                && match row::fold_sfu(op, warp.operand_shape(a, params)) {
-                    Some(shape) => {
-                        warp.set_shape(dst.0, shape);
-                        true
-                    }
-                    None => false,
-                };
-            if !folded {
-                let ar = warp.operand_row(a, params);
-                exec::eval_sfu_row(op, &ar, warp.reg_row_mut(dst.0), mask);
-            }
-            warp.advance();
-        }
-        Inst::SetP { op, ty, dst, a, b } => {
-            let folded = fold
-                && match row::fold_cmp(
-                    op,
-                    ty,
-                    warp.operand_shape(a, params),
-                    warp.operand_shape(b, params),
-                ) {
-                    Some(shape) => {
-                        warp.set_shape(dst.0, shape);
-                        true
-                    }
-                    None => false,
-                };
-            if !folded {
-                let ar = warp.operand_row(a, params);
-                let br = warp.operand_row(b, params);
-                exec::eval_cmp_row(op, ty, &ar, &br, warp.reg_row_mut(dst.0), mask);
-            }
-            warp.advance();
-        }
-        Inst::Sel { dst, c, a, b } => {
-            let folded = fold
-                && match row::fold_sel(
-                    warp.operand_shape(c, params),
-                    warp.operand_shape(a, params),
-                    warp.operand_shape(b, params),
-                ) {
-                    Some(shape) => {
-                        warp.set_shape(dst.0, shape);
-                        true
-                    }
-                    None => false,
-                };
-            if !folded {
-                let cr = warp.operand_row(c, params);
-                let ar = warp.operand_row(a, params);
-                let br = warp.operand_row(b, params);
-                exec::eval_sel_row(&cr, &ar, &br, warp.reg_row_mut(dst.0), mask);
-            }
-            warp.advance();
-        }
         Inst::Ld {
             space,
             dst,
@@ -579,13 +444,8 @@ fn step(
             }
             Space::Local => {
                 let addrs = addr_row(warp, addr, off, params);
-                for (lane, &a) in addrs.iter().enumerate() {
-                    if mask >> lane & 1 == 1 {
-                        let v = warp.local_read(lane, a);
-                        warp.set_reg(dst.0, lane, v);
-                        bytes += cfg.uncoalesced_txn_bytes;
-                    }
-                }
+                warp.load_local(mask, dst.0, &addrs);
+                bytes = local_bytes(cfg, mask);
                 warp.advance();
             }
             // Address signature only — hit/miss is the SM cache's state,
@@ -593,27 +453,11 @@ fn step(
             // the constant bank fails the replay; the timed fallback then
             // reports it the way it always has.
             Space::Const => {
-                let terms = addr_terms(warp, addr, off, params).filter(|t| fold && t.is_uniform());
-                if let Some(a) = terms.map(|t| t.base) {
-                    let Some(v) = mem.try_read_const(a) else {
-                        return false;
-                    };
-                    warp.set_shape(dst.0, LaneRow::Uniform(v));
-                    aux = a;
-                } else {
-                    let addrs = addr_row(warp, addr, off, params);
-                    let (distinct, n) = distinct_addrs(&addrs, mask);
-                    aux = const_sig(&distinct[..n]);
-                    let dst_row = warp.reg_row_mut(dst.0);
-                    for (lane, &a) in addrs.iter().enumerate() {
-                        if mask >> lane & 1 == 1 {
-                            let Some(v) = mem.try_read_const(a) else {
-                                return false;
-                            };
-                            dst_row[lane] = v;
-                        }
-                    }
-                }
+                let mut distinct = [0u32; 32];
+                let Ok(n) = load_const(warp, dst.0, addr, off, params, mem, &mut distinct) else {
+                    return false;
+                };
+                aux = const_sig(&distinct[..n]);
                 warp.advance();
             }
             // Eligibility excludes texture fetches (the texture cache's
@@ -655,12 +499,8 @@ fn step(
             Space::Local => {
                 let addrs = addr_row(warp, addr, off, params);
                 let srcs = warp.operand_row(src, params);
-                for lane in 0..32 {
-                    if mask >> lane & 1 == 1 {
-                        warp.local_write(lane, addrs[lane], srcs[lane]);
-                        bytes += cfg.uncoalesced_txn_bytes;
-                    }
-                }
+                warp.store_local(mask, &addrs, &srcs);
+                bytes = local_bytes(cfg, mask);
                 warp.advance();
             }
             Space::Const | Space::Tex => return false,
@@ -690,6 +530,7 @@ fn step(
         Inst::Exit => {
             warp.exit_lanes(mask);
         }
+        _ => unreachable!("register-only instructions handled above"),
     }
     if verify_b && expect.b != (((aux as u64) << 32) | bytes as u64) {
         return false;
@@ -712,12 +553,11 @@ pub(crate) fn replay_sm(
     params: &[Value],
     mem: &DeviceMemory,
     my_blocks: &[(u32, u32)],
-    file_regs: u32,
     rep: &[Vec<Ev>],
     shared_uniform: bool,
 ) -> bool {
     let mut buf = WriteBuf::default();
-    let mut scratch = ReplayScratch::new(kernel, dims, file_regs);
+    let mut scratch = ReplayScratch::new(kernel, dims);
     for &ctaid in my_blocks {
         if !replay_block(
             cfg,
@@ -875,10 +715,9 @@ mod tests {
         );
         let rep = rep.expect("four identical blocks verify");
         let others: Vec<(u32, u32)> = (4..8).map(|x| (x, 0)).collect();
-        let file_regs = g80_isa::liveness::num_regs(&kernel.code) as u32;
         let replay = |mem: &DeviceMemory| {
             replay_sm(
-                &cfg, &kernel, &decoded, &dims, &params, mem, &others, file_regs, &rep, true,
+                &cfg, &kernel, &decoded, &dims, &params, mem, &others, &rep, true,
             )
         };
 

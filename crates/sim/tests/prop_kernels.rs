@@ -11,7 +11,7 @@
 //! bug fixed in `g80-isa::regalloc` (targets must land on the first reload).
 
 use g80_isa::builder::{BuildOptions, KernelBuilder, Unroll};
-use g80_isa::inst::{AluOp, CmpOp, Operand, Pred, Scalar, SfuOp, UnOp};
+use g80_isa::inst::{AluOp, CmpOp, Inst, Operand, Pred, Scalar, SfuOp, UnOp};
 use g80_isa::{Kernel, OptLevel, Value};
 use g80_sim::{
     launch, memo_counters, DeviceMemory, Engine, GpuConfig, LaunchDims, SimConfig, SimContext,
@@ -42,7 +42,7 @@ struct Recipe {
 
 fn arb_recipe() -> impl Strategy<Value = Recipe> {
     (
-        prop::collection::vec(0u8..16, 1..10),
+        prop::collection::vec(0u8..18, 1..10),
         0u32..6,
         0u8..3,
         1usize..5,
@@ -63,7 +63,10 @@ fn arb_recipe() -> impl Strategy<Value = Recipe> {
 
 /// Builds the kernel for a recipe. Every thread reads one input word and
 /// writes one output word; all arithmetic flows through the accumulators so
-/// nothing is dead.
+/// nothing is dead. Beside the float accumulators runs one integer
+/// accumulator, the only value a 32-bit multiply (`IMul`, `Imad`: the
+/// multi-cycle issue class) feeds in a loop body: an affine row until a
+/// data-dependent addend or a divergent write makes it structureless.
 fn build(recipe: &Recipe, opt: OptLevel, max_regs: Option<u32>) -> Kernel {
     let mut b = KernelBuilder::new("prop");
     let (inp, outp) = (b.param(), b.param());
@@ -81,6 +84,9 @@ fn build(recipe: &Recipe, opt: OptLevel, max_regs: Option<u32>) -> Kernel {
             b.fadd(f, Operand::imm_f(k as f32 * 0.25 + 0.5))
         })
         .collect();
+
+    let iacc = b.iadd(gtid, 1u32);
+    let xi = b.un(UnOp::CvtF2I, x);
 
     let emit_body = |b: &mut KernelBuilder, i: Operand| {
         let fi = b.un(UnOp::CvtU2F, i);
@@ -122,12 +128,20 @@ fn build(recipe: &Recipe, opt: OptLevel, max_regs: Option<u32>) -> Kernel {
                     let t = b.sfu(if op == 12 { SfuOp::Sin } else { SfuOp::Cos }, other);
                     b.alu_to(AluOp::FAdd, acc, acc, t);
                 }
-                _ => {
+                14 | 15 => {
                     let t = b.un(UnOp::FAbs, other);
                     let t = b.fadd(t, Operand::imm_f(0.5));
                     let t = b.sfu(if op == 14 { SfuOp::Rsqrt } else { SfuOp::Sqrt }, t);
                     b.alu_to(AluOp::FAdd, acc, acc, t);
                 }
+                // 3 is not a power of two, so O2 keeps the multiply.
+                16 => b.alu_to(AluOp::IMul, iacc, iacc, 3u32),
+                _ => b.emit(Inst::Imad {
+                    dst: iacc,
+                    a: iacc.into(),
+                    b: 5u32.into(),
+                    c: if j % 2 == 0 { xi.into() } else { i },
+                }),
             }
         }
     };
@@ -167,6 +181,9 @@ fn build(recipe: &Recipe, opt: OptLevel, max_regs: Option<u32>) -> Kernel {
     for &a in &accs[1..] {
         total = b.fadd(total, a);
     }
+    let low = b.and(iacc, 1023u32);
+    let fi = b.un(UnOp::CvtU2F, low);
+    total = b.fadd(total, fi);
     let oa = b.iadd(byte, outp);
     b.st_global(oa, 0, total);
     b.build_with(BuildOptions { opt, max_regs })
