@@ -21,6 +21,21 @@ pub enum StallReason {
     Drain,
 }
 
+impl StallReason {
+    pub(crate) const ALL: [StallReason; 5] = [
+        StallReason::Memory,
+        StallReason::AluDependency,
+        StallReason::Barrier,
+        StallReason::IssueBusy,
+        StallReason::Drain,
+    ];
+
+    /// Position in [`Self::ALL`]: the index of a dense per-reason tally.
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// Counters for one SM; merged into [`KernelStats`] after the launch.
 #[derive(Clone, Debug, Default)]
 pub struct SmStats {
@@ -59,10 +74,12 @@ impl SmStats {
 
     /// Counter increments since `base` (a clone of this struct taken
     /// earlier). Used by block-class dedup: the delta of one steady-state
-    /// period is what a fast-forwarded period contributes. `cycles` is
-    /// excluded — the scheduler maintains it separately mid-run.
+    /// period is what a fast-forwarded period contributes. `cycles` and the
+    /// two maps are excluded — the timed engine keeps the cycle, the
+    /// per-class and the per-stall-reason tallies itself mid-run and folds
+    /// them in at the end.
     pub(crate) fn delta_since(&self, base: &SmStats) -> SmStats {
-        let mut d = SmStats {
+        SmStats {
             warp_instructions: self.warp_instructions - base.warp_instructions,
             thread_instructions: self.thread_instructions - base.thread_instructions,
             flops: self.flops - base.flops,
@@ -81,20 +98,7 @@ impl SmStats {
             atomic_transactions: self.atomic_transactions - base.atomic_transactions,
             blocks_executed: self.blocks_executed - base.blocks_executed,
             ..Default::default()
-        };
-        for (k, v) in &self.by_class {
-            let inc = v - base.by_class.get(k).copied().unwrap_or(0);
-            if inc > 0 {
-                d.by_class.insert(*k, inc);
-            }
         }
-        for (k, v) in &self.stall_cycles {
-            let inc = v - base.stall_cycles.get(k).copied().unwrap_or(0);
-            if inc > 0 {
-                d.stall_cycles.insert(*k, inc);
-            }
-        }
-        d
     }
 
     /// Adds a period delta produced by [`SmStats::delta_since`].
@@ -115,12 +119,6 @@ impl SmStats {
         self.const_misses += d.const_misses;
         self.atomic_transactions += d.atomic_transactions;
         self.blocks_executed += d.blocks_executed;
-        for (k, v) in &d.by_class {
-            *self.by_class.entry(*k).or_insert(0) += v;
-        }
-        for (k, v) in &d.stall_cycles {
-            *self.stall_cycles.entry(*k).or_insert(0) += v;
-        }
     }
 }
 
@@ -448,6 +446,10 @@ counters! {
     /// resolved through each [`g80_isa::LaneRow`] shape (`uniform`/`affine` =
     /// folded in O(1) or served by a closed-form memory-degree formula;
     /// `full` = evaluated eagerly across all lanes).
+    ///
+    /// Only the timed engine tallies: blocks that witness replay or donor-SM
+    /// reuse skip add nothing, so the totals fall as more of a launch
+    /// replays while the shaped fraction stays a property of the kernel.
     ///
     /// Deliberately *not* part of [`KernelStats`]: golden stats must stay
     /// bit-identical across engines (the reference engine never folds), so

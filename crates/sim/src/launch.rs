@@ -267,12 +267,12 @@ impl<'a> Prepared<'a> {
         stats
     }
 
-    /// Donor-SM reuse: if this SM's block queue is exactly as long as the
-    /// donor's and every block replays clean against the donor's verified
+    /// Donor-SM reuse: this SM's block queue is exactly as long as the
+    /// donor's, so if every block replays clean against the donor's verified
     /// witness, the SM's evolution is the same deterministic computation as
     /// the donor's — adopt the donor's stats and commit the replayed writes.
-    /// Any mismatch falls back to full simulation (nothing committed).
-    #[allow(clippy::too_many_arguments)]
+    /// Any mismatch, or a donor without verified streams, falls back to full
+    /// simulation (nothing committed).
     fn reuse_or_run_sm(
         &self,
         ctx: &SimContext,
@@ -280,30 +280,26 @@ impl<'a> Prepared<'a> {
         decoded: &DecodedKernel,
         shared_uniform: bool,
         blocks: &[(u32, u32)],
-        donor_len: usize,
-        donor_stats: &SmStats,
-        rep: Option<&[Vec<Ev>]>,
+        donor: Option<(&SmStats, &[Vec<Ev>])>,
     ) -> SmStats {
-        if let Some(rep) = rep {
-            if blocks.len() == donor_len {
-                let (s, tally) = (&self.spec, &ctx.metrics.memo);
-                if replay_sm(
-                    cfg,
-                    s.kernel,
-                    decoded,
-                    &s.dims,
-                    s.params,
-                    s.mem,
-                    blocks,
-                    rep,
-                    shared_uniform,
-                ) {
-                    let replayed = blocks.len() as u64;
-                    tally.dedup_fast_blocks.fetch_add(replayed, Relaxed);
-                    return donor_stats.clone();
-                }
-                tally.dedup_fallbacks.fetch_add(1, Relaxed);
+        if let Some((donor_stats, rep)) = donor {
+            let (s, tally) = (&self.spec, &ctx.metrics.memo);
+            if replay_sm(
+                cfg,
+                s.kernel,
+                decoded,
+                &s.dims,
+                s.params,
+                s.mem,
+                blocks,
+                rep,
+                shared_uniform,
+            ) {
+                let replayed = blocks.len() as u64;
+                tally.dedup_fast_blocks.fetch_add(replayed, Relaxed);
+                return donor_stats.clone();
             }
+            tally.dedup_fallbacks.fetch_add(1, Relaxed);
         }
         self.run_sm(ctx, Some(decoded), blocks, cfg, true, shared_uniform, None)
     }
@@ -553,6 +549,9 @@ where
     }
 }
 
+/// An SM's index and its block queue.
+type Queue<'a> = (usize, &'a [(u32, u32)]);
+
 /// One pool task per SM *with work to do*. An empty SM's simulation is the
 /// empty `SmStats` (it never enters the scheduler loop), so skipping it is
 /// bit-identical and a small grid costs a handful of queue operations.
@@ -564,65 +563,61 @@ fn run_sms(
     dedup: bool,
     shared_uniform: bool,
 ) -> Result<Vec<SmStats>, LaunchError> {
-    let busy: Vec<(usize, &Vec<(u32, u32)>)> = prepared
+    let busy: Vec<Queue> = prepared
         .per_sm_blocks
         .iter()
         .enumerate()
         .filter(|(_, blocks)| !blocks.is_empty())
+        .map(|(sm, blocks)| (sm, blocks.as_slice()))
         .collect();
     let mut results: Vec<SmStats> = vec![SmStats::default(); cfg.num_sms as usize];
     let small = prepared.spec.dims.total_blocks() * prepared.spec.dims.threads_per_block() as u64
         <= CALLER_RUNS_THREADS;
 
-    // Donor-SM reuse: the first SM runs to completion on the caller thread,
-    // exporting its verified witness streams. Every other SM with an
-    // equally-long block queue evolves identically (same deterministic
-    // computation once its blocks are verified class-identical, constant
-    // addresses included — every SM starts with a cold constant cache), so
-    // it replays functionally and adopts the donor's stats.
-    if let (true, Some(d)) = (dedup && busy.len() > 1, decoded) {
-        let (donor_sm, donor_blocks) = busy[0];
-        let mut rep: Option<Vec<Vec<Ev>>> = None;
-        let donor_stats = catch_unwind(AssertUnwindSafe(|| {
-            prepared.run_sm(
-                ctx,
-                decoded,
-                donor_blocks,
-                cfg,
-                true,
-                shared_uniform,
-                Some(&mut rep),
-            )
-        }))
-        .map_err(classify_panic)?;
-        let rep = rep; // frozen for shared capture below
-        let donor_len = donor_blocks.len();
-        let donor_ref = &donor_stats;
-        let rep_ref = rep.as_deref();
-        let partial = collect_sm_results(run_sm_tasks(
+    // Donor-SM reuse, one donor per queue length. Round-robin assignment
+    // leaves at most two lengths, q + 1 on the first SMs and q on the rest,
+    // each a contiguous run of `busy`. The first SM of each length
+    // runs timed, exporting its verified witness streams when another SM of
+    // that length will replay them (a class of one just runs). Every other
+    // SM with an equally long block queue evolves identically (same
+    // deterministic computation once its blocks are verified
+    // class-identical, constant addresses included — every SM starts with a
+    // cold constant cache), so it replays functionally and adopts its
+    // donor's stats. Donors are independent of each other: one task scope.
+    if let (true, Some(d)) = (dedup, decoded) {
+        let classes: Vec<&[Queue]> = busy.chunk_by(|a, b| a.1.len() == b.1.len()).collect();
+        let mut reps: Vec<Option<Vec<Vec<Ev>>>> = vec![None; classes.len()];
+        let donor_stats = collect_sm_results(run_sm_tasks(
             small,
-            busy[1..]
+            classes
                 .iter()
-                .map(|&(_, blocks)| {
-                    move || {
-                        prepared.reuse_or_run_sm(
-                            ctx,
-                            cfg,
-                            d,
-                            shared_uniform,
-                            blocks,
-                            donor_len,
-                            donor_ref,
-                            rep_ref,
-                        )
-                    }
+                .zip(reps.iter_mut())
+                .map(|(class, rep)| {
+                    let (blocks, rep) = (class[0].1, (class.len() > 1).then_some(rep));
+                    move || prepared.run_sm(ctx, decoded, blocks, cfg, true, shared_uniform, rep)
                 })
                 .collect(),
         ))?;
-        for ((sm, _), stats) in busy[1..].iter().zip(partial) {
-            results[*sm] = stats;
+        let replayed = collect_sm_results(run_sm_tasks(
+            small,
+            classes
+                .iter()
+                .zip(donor_stats.iter().zip(&reps))
+                .flat_map(|(class, (stats, rep))| {
+                    let donor = rep.as_deref().map(|rep| (stats, rep));
+                    class[1..].iter().map(move |&(_, blocks)| {
+                        move || prepared.reuse_or_run_sm(ctx, cfg, d, shared_uniform, blocks, donor)
+                    })
+                })
+                .collect(),
+        ))?;
+        let followers = classes.iter().flat_map(|class| &class[1..]);
+        for (&(sm, _), stats) in followers.zip(replayed) {
+            results[sm] = stats;
         }
-        results[donor_sm] = donor_stats;
+        for (class, stats) in classes.iter().zip(donor_stats) {
+            results[class[0].0] = stats;
+        }
         return Ok(results);
     }
 

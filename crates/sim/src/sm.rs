@@ -167,7 +167,13 @@ struct Boundary {
     cycle: u64,
     stats: SmStats,
     class_counts: [u64; InstClass::COUNT],
+    stall_counts: [u64; StallReason::ALL.len()],
     consumed: usize,
+}
+
+/// Element-wise `now - base` of a dense tally.
+fn tally_delta<const N: usize>(now: &[u64; N], base: &[u64; N]) -> [u64; N] {
+    std::array::from_fn(|i| now[i] - base[i])
 }
 
 /// Distinct boundary states tracked before giving up on period detection
@@ -189,9 +195,10 @@ pub struct SmTally {
 /// recurrence of the scheduler-state snapshot, functional effects by
 /// witness-verified replay. Aggregate stats are bit-identical either way.
 ///
-/// When `witness_out` is provided and *every* block this SM executed was
-/// verified class-identical to the representative, the representative
-/// streams are moved into it. The SM's timing is a deterministic function of
+/// When `witness_out` is provided (with `dedup` set, the SM then records
+/// even if its whole queue is resident at once) and *every* block this SM
+/// executed was verified class-identical to the representative, the
+/// representative streams are moved into it. The SM's timing is a deterministic function of
 /// its inputs, and every timing-relevant quantity the scheduler consumes is
 /// captured by the event streams — so another SM whose equally-long block
 /// queue replays clean against the same streams would evolve identically,
@@ -229,9 +236,11 @@ pub fn run_sm(
         }
     }
     let wpb = dims.threads_per_block().div_ceil(32) as usize;
-    // Dedup only pays off when the grid refills the resident set at least
-    // once; otherwise there is no steady state to detect.
-    let mut recorder = if dedup && my_blocks.len() > resident.len() {
+    // Record while a refill can recur (a steady state for the period
+    // detector to fast-forward) or while other SMs will replay this one's
+    // streams: a fully resident cohort still builds, freezes and verifies
+    // the representative, and donor reuse needs nothing more.
+    let mut recorder = if dedup && (my_blocks.len() > resident.len() || witness_out.is_some()) {
         Some(WitnessRecorder::new(resident.len(), wpb))
     } else {
         None
@@ -247,9 +256,11 @@ pub fn run_sm(
     let mut const_cache = TagCache::new(cfg.const_cache_bytes, 64);
     let mut tex_cache = TagCache::new(cfg.tex_cache_bytes, cfg.tex_line_bytes);
     let mut scratch = Scratch::default();
-    // Dense per-class instruction counters, folded into the by_class map
-    // once at the end (a per-instruction HashMap update is hot-loop cost).
+    // Dense per-class instruction and per-reason stall counters, folded into
+    // the by_class and stall_cycles maps once at the end (a HashMap update
+    // per instruction or per event skip is hot-loop cost).
     let mut class_counts = [0u64; InstClass::COUNT];
+    let mut stall_counts = [0u64; StallReason::ALL.len()];
     let mut rr: usize = 0;
 
     // The flattened warp schedule, maintained incrementally: every block of
@@ -363,13 +374,8 @@ pub fn run_sm(
                                         rec.valid = false;
                                     } else {
                                         let d_stats = stats.delta_since(&b.stats);
-                                        let mut d_class = [0u64; InstClass::COUNT];
-                                        for (dc, (now, base)) in d_class
-                                            .iter_mut()
-                                            .zip(class_counts.iter().zip(b.class_counts.iter()))
-                                        {
-                                            *dc = now - base;
-                                        }
+                                        let d_class = tally_delta(&class_counts, &b.class_counts);
+                                        let d_stall = tally_delta(&stall_counts, &b.stall_counts);
                                         while my_blocks.len() - next_block >= 2 * d_consumed {
                                             let mut buf = WriteBuf::default();
                                             let ok = (0..d_consumed).all(|j| {
@@ -397,10 +403,11 @@ pub fn run_sm(
                                             next_block += d_consumed;
                                             fast_blocks += d_consumed as u64;
                                             stats.add_delta(&d_stats);
-                                            for (cc, dc) in
-                                                class_counts.iter_mut().zip(d_class.iter())
-                                            {
+                                            for (cc, dc) in class_counts.iter_mut().zip(d_class) {
                                                 *cc += dc;
+                                            }
+                                            for (sc, ds) in stall_counts.iter_mut().zip(d_stall) {
+                                                *sc += ds;
                                             }
                                             // Shift every absolute-cycle value
                                             // uniformly; all scheduler
@@ -431,6 +438,7 @@ pub fn run_sm(
                                         cycle,
                                         stats: stats.clone(),
                                         class_counts,
+                                        stall_counts,
                                         consumed: next_block,
                                     });
                                 } else {
@@ -585,7 +593,7 @@ pub fn run_sm(
 
         // Nothing ready: event-skip to the earliest candidate.
         let skip = best_next.saturating_sub(cycle).max(1);
-        stats.stall(best_reason, skip);
+        stall_counts[best_reason.index()] += skip;
         cycle += skip;
     }
 
@@ -593,6 +601,12 @@ pub fn run_sm(
         let n = class_counts[c.index()];
         if n > 0 {
             *stats.by_class.entry(c).or_insert(0) += n;
+        }
+    }
+    for r in StallReason::ALL {
+        let n = stall_counts[r.index()];
+        if n > 0 {
+            *stats.stall_cycles.entry(r).or_insert(0) += n;
         }
     }
     stats.cycles = cycle;
@@ -604,17 +618,6 @@ pub fn run_sm(
         *out = rec.take_verified();
     }
     stats
-}
-
-/// Maps a stall reason to a stable snapshot code.
-fn stall_code(r: StallReason) -> u64 {
-    match r {
-        StallReason::Memory => 1,
-        StallReason::AluDependency => 2,
-        StallReason::Barrier => 3,
-        StallReason::IssueBusy => 4,
-        StallReason::Drain => 5,
-    }
 }
 
 /// Serializes the SM's timing-relevant state — scheduler, scoreboards and
@@ -670,7 +673,7 @@ fn dedup_snapshot(
                     if rel == 0 {
                         0
                     } else {
-                        (rel << 3) | stall_code(reason)
+                        (rel << 3) | (reason.index() as u64 + 1)
                     }
                 }
             });

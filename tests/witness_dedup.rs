@@ -302,7 +302,8 @@ fn walk_variants_shaped_and_bit_identical() {
         })
     };
 
-    // n=64: one block per SM — every block goes through the timed engine.
+    // n=64: one block per SM, all resident — one donor SM runs the timed
+    // engine and fifteen replay its streams.
     let mm = MatMul { n: 64 };
     let (a, b) = mm.generate(7);
     for v in walk {
@@ -319,9 +320,9 @@ fn walk_variants_shaped_and_bit_identical() {
         );
     }
 
-    // n=128: four blocks per SM against three resident slots, so the witness
-    // recorder runs and fifteen SMs replay the donor's streams — the replay
-    // executor's shaped-address paths under test, not just the timed ones.
+    // n=128: four blocks per SM against three resident slots, so the donor
+    // refills before fifteen SMs replay its streams — the replay executor's
+    // shaped-address paths under test, not just the timed ones.
     let mm = MatMul { n: 128 };
     let (a, b) = mm.generate(11);
     for v in walk {
@@ -355,10 +356,11 @@ fn three_way(tag: &str, run: impl Fn() -> (Vec<u32>, KernelStats)) -> MemoCounte
 /// `tid` rows are affine per run of `p` lanes, so the timed engine and the
 /// replay executor both take the shaped paths — and must take the *same*
 /// ones. n=48 at tile 4 is 144 sixteen-thread blocks (one half-live warp
-/// each), nine to an SM against eight resident slots, so the recorder runs
-/// and donor SMs are replayed; tile 8 is 36 full-warp blocks. Stats and
-/// output must equal dedup-off and the reference engine's eager warps, with
-/// no fallback and most rows shaped.
+/// each), nine to an SM against eight resident slots; tile 8 is 36 full-warp
+/// blocks, fully resident in queues of three and two, so two donors are
+/// replayed. Stats and output must equal dedup-off and the reference
+/// engine's eager warps, with every block counted, no fallback and most rows
+/// shaped.
 #[test]
 fn narrow_blocks_replay_shaped_and_bit_identical() {
     if g80::sim::fault::armed() {
@@ -375,14 +377,16 @@ fn narrow_blocks_replay_shaped_and_bit_identical() {
         };
         let counters = three_way(&tag, run);
         assert_eq!(counters.dedup_fallbacks, 0, "{tag}: {counters:?}");
-        if tile == 4 {
-            assert!(
-                counters.dedup_fast_blocks > 0,
-                "{tag}: no replay: {counters:?}"
-            );
-            let total = counters.dedup_fast_blocks + counters.dedup_sim_blocks;
-            assert_eq!(total, 144, "{tag}: {counters:?}");
-        }
+        assert!(
+            counters.dedup_fast_blocks > 0,
+            "{tag}: no replay: {counters:?}"
+        );
+        let total = counters.dedup_fast_blocks + counters.dedup_sim_blocks;
+        assert_eq!(
+            total,
+            u64::from((48 / tile) * (48 / tile)),
+            "{tag}: {counters:?}"
+        );
         let ((_, shapes), _) = product(true, || (run(), row_counters()));
         let shaped = (shapes.uniform + shapes.affine) as f64 / shapes.total() as f64;
         assert!(
@@ -508,8 +512,8 @@ fn const_kernels_replay_bit_identical() {
     }
 
     // ---- raw kernels: 256 blocks of 64 threads, sixteen per SM ----
-    // (eight are resident at once, so the slots refill and the recorder
-    // runs; four per SM would never refill.)
+    // (eight are resident at once, so the slots refill and the period
+    // detector has a steady state to look for on top of donor reuse.)
     let blocks = 16 * 16;
     let n = blocks * TPB;
     let bank: Vec<u32> = (0..256u32)
@@ -566,7 +570,8 @@ fn const_kernels_replay_bit_identical() {
 /// `run` calls in every stats field and in output memory, simulated (cold)
 /// and replayed from the memo (warm) — and, going through the single-launch
 /// path, a cold batch gets donor-SM replay (n=48 at 16×16 is nine blocks on
-/// nine SMs: one simulates, eight replay).
+/// nine SMs: one simulates, eight replay; 33 of the sweep's 405 blocks
+/// simulate in all, see `fully_resident_sms_reuse_their_donor`).
 #[test]
 fn batch_is_nine_single_launches() {
     for (name, ctx) in common::contexts().iter() {
@@ -591,7 +596,12 @@ fn batch_is_nine_single_launches() {
             (0, probes),
             "{name}"
         );
-        assert_eq!(cold_counts.dedup_fast_blocks > 0, cfg.dedup, "{name}");
+        let (sim, replayed) = if cfg.dedup { (33, 372) } else { (0, 0) };
+        assert_eq!(
+            (cold_counts.dedup_sim_blocks, cold_counts.dedup_fast_blocks),
+            (sim, replayed),
+            "{name}: {cold_counts:?}"
+        );
         assert_eq!(cold_counts.dedup_fallbacks, 0, "{name}: {cold_counts:?}");
         assert_eq!(cold_counts.dedup_fast_blocks, singles.dedup_fast_blocks);
         assert_eq!(cold_counts.dedup_sim_blocks, singles.dedup_sim_blocks);
@@ -609,5 +619,101 @@ fn batch_is_nine_single_launches() {
                 assert_eq!(batched.2.memo_hits, 1, "{name}: warm batch, {}", v.label());
             }
         }
+    }
+}
+
+/// Donor-SM reuse needs no refill: an SM whose whole queue is resident at
+/// once still builds, freezes and verifies the representative, and every
+/// queue length with a second SM gets a donor of its own. The tuner's small
+/// grids (one block per SM at most, or queues of q + 1 and q) replay all but
+/// one SM per length, bit-identical to dedup off and the reference engine.
+/// Per launch, in sweep order (naive, 4×4, 4×4u, 8×8, 8×8u, 16×16,
+/// 16×16u, prefetch, register-tiled): `(simulated, replayed)` blocks.
+#[test]
+fn fully_resident_sms_reuse_their_donor() {
+    if g80::sim::fault::armed() {
+        return; // exact counter assertions, as above
+    }
+    // (n, simulated per launch, replayed per launch, per-sweep totals).
+    let expected = [
+        // One block per SM or a single block: one donor, the rest replay.
+        (16, [1; 9], [0, 15, 15, 3, 3, 0, 0, 0, 0], (9, 36)),
+        // 4×4 is 64 blocks, four per SM and all resident.
+        (
+            32,
+            [1, 4, 4, 1, 1, 1, 1, 1, 1],
+            [3, 60, 60, 15, 15, 3, 3, 3, 3],
+            (15, 165),
+        ),
+        // 8×8 is 36 blocks: four SMs hold three, twelve hold two — two
+        // donors (3 + 2 blocks timed), 31 blocks replay.
+        (
+            48,
+            [1, 9, 9, 5, 5, 1, 1, 1, 1],
+            [8, 135, 135, 31, 31, 8, 8, 8, 8],
+            (33, 372),
+        ),
+    ];
+    for (n, simulated, replayed, per_sweep) in expected {
+        let mm = MatMul { n };
+        let (a, b) = mm.generate(u64::from(n) + 3);
+        let sweep = Variant::tuner_sweep();
+        for ((v, sim), fast) in sweep.into_iter().zip(simulated).zip(replayed) {
+            let tag = format!("matmul {} n={n}", v.label());
+            let c = three_way(&tag, || {
+                let (c, stats, _) = mm.run(v, &a, &b);
+                (bits(&c).collect(), stats)
+            });
+            assert_eq!(
+                (c.dedup_sim_blocks, c.dedup_fast_blocks, c.dedup_fallbacks),
+                (sim, fast, 0),
+                "{tag}: {c:?}"
+            );
+        }
+        let sums = (simulated.iter().sum(), replayed.iter().sum());
+        assert_eq!(sums, per_sweep, "n={n}");
+    }
+
+    let cfg = GpuConfig::geforce_8800_gtx();
+    // `n` input words then `n` output words; a one-parameter kernel writes
+    // over its input.
+    let run = |k: &Kernel, blocks: u32| {
+        let n = blocks * TPB;
+        let mem = DeviceMemory::new(2 * n * 4);
+        for i in 0..n {
+            mem.write(i * 4, Value::from_f32(i as f32 * 0.25));
+        }
+        let params = [Value::from_u32(0), Value::from_u32(n * 4)];
+        let params = &params[..k.num_params as usize];
+        let stats = launch(&cfg, k, dims(blocks), params, &mem).expect("launch");
+        (
+            (0..2 * n).map(|i| mem.read(i * 4).as_u32()).collect(),
+            stats,
+        )
+    };
+
+    // Two blocks per SM, both resident, one parity per SM: the even SMs
+    // replay the donor, every odd SM fails verification, falls back to the
+    // timed engine with nothing committed, and stays bit-identical.
+    let p = block_parity_kernel();
+    let c = three_way("block_parity resident", || run(&p, 32));
+    assert_eq!(
+        (c.dedup_sim_blocks, c.dedup_fast_blocks, c.dedup_fallbacks),
+        (2 + 8 * 2, 7 * 2, 8),
+        "block_parity resident: {c:?}"
+    );
+
+    // A single-SM launch has no SM to replay it: it records nothing and
+    // simulates. So does a queue length only one SM has — 17 blocks put
+    // two on SM 0, which runs plain beside the donor of the one-block SMs.
+    let k = streaming_kernel();
+    for (blocks, want) in [(1, (1, 0)), (17, (2 + 1, 14))] {
+        let tag = format!("stream_double, {blocks} blocks");
+        let c = three_way(&tag, || run(&k, blocks));
+        assert_eq!(
+            (c.dedup_sim_blocks, c.dedup_fast_blocks, c.dedup_fallbacks),
+            (want.0, want.1, 0),
+            "{tag}: {c:?}"
+        );
     }
 }
