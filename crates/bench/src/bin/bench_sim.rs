@@ -33,8 +33,8 @@ use g80_isa::exec;
 use g80_isa::inst::SfuOp;
 use g80_isa::Value;
 use g80_sim::{
-    clear_memo_cache, memo_counters, net_counters, row_counters, set_faults, Engine, FaultConfig,
-    KernelStats, MemoCounters, SimConfig, SimContext,
+    clear_memo_cache, memo_counters, net_counters, row_counters, Engine, FaultConfig, KernelStats,
+    MemoCounters, NetFaultConfig, SimConfig, SimContext,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -752,6 +752,7 @@ fn run() -> i32 {
     let hardened = SimContext::new(SimConfig {
         memo: false,
         watchdog_cycles: Some(u64::MAX / 2),
+        faults: Some(FaultConfig::new(1, 0.0, None)),
         ..SimConfig::default()
     });
     // Three arms even under --check: the row compares two ~7 s runs against
@@ -766,11 +767,9 @@ fn run() -> i32 {
     let mut hardening_ratio = f64::INFINITY;
     let mut hardening_stats: Option<(KernelStats, KernelStats)> = None;
     for _ in 0..hard_runs {
-        set_faults(None);
         let t0 = Instant::now();
         let base_stats = disarmed.enter(|| big.run(tiled16u, &big_a, &big_b).1);
         let base_s = t0.elapsed().as_secs_f64();
-        set_faults(Some(FaultConfig::new(1, 0.0, None)));
         let t0 = Instant::now();
         let on_stats = hardened.enter(|| big.run(tiled16u, &big_a, &big_b).1);
         let on_s = t0.elapsed().as_secs_f64();
@@ -781,7 +780,6 @@ fn run() -> i32 {
         }
         hardening_stats = Some((base_stats, on_stats));
     }
-    set_faults(None);
     let (hb, ho) = hardening_stats.unwrap();
     assert_eq!(
         (hb.cycles, hb.warp_instructions, hb.stall_cycles),
@@ -888,7 +886,7 @@ fn run() -> i32 {
     );
 
     // ---- serve chaos fleet (same daemon, seeded transport faults) ----
-    // The fleet runs twice: once clean, once with `G80_SERVE_NET_FAULTS`
+    // The fleet runs twice: once clean, once with its context's wire faults
     // armed at rate 0.02 — disconnects, corrupt frames, splits, stalls at
     // all four wire sites. The chaos arm must (a) complete, (b) produce
     // aggregate KernelStats bit-identical to the clean arm (reconnect and
@@ -924,10 +922,13 @@ fn run() -> i32 {
     let chaos_requests = if check { 8u32 } else { 32 };
     // One fleet run in a context of its own — daemon and clients alike, so
     // its net counters are both ends' view of this run and nothing else.
-    let run_chaos_fleet = |faults: Option<g80_serve::NetFaultConfig>| {
+    let run_chaos_fleet = |net_faults: Option<NetFaultConfig>| {
         use g80_serve::{serve, Addr, Client, ServeConfig};
-        let ctx = context(true, false);
-        g80_serve::set_net_faults(faults);
+        let ctx = SimContext::new(SimConfig {
+            dedup: false,
+            net_faults,
+            ..SimConfig::default()
+        });
         let server = ctx
             .enter(|| {
                 serve(ServeConfig {
@@ -974,7 +975,7 @@ fn run() -> i32 {
         let wall = wall0.elapsed().as_secs_f64();
         // Shut down disarmed: the admin exchange should not have to ride
         // out injected faults after the measurement window closed.
-        g80_serve::set_net_faults(None);
+        ctx.net_faults().arm(None);
         let mut admin =
             Client::connect_retry(&addr, "chaos-admin", std::time::Duration::from_secs(10))
                 .expect("admin connect");
@@ -985,7 +986,7 @@ fn run() -> i32 {
     };
     let (chaos_clean_rps, chaos_clean_agg, _) = run_chaos_fleet(None);
     let (chaos_armed_rps, chaos_armed_agg, chaos_net) =
-        run_chaos_fleet(Some(g80_serve::NetFaultConfig::new(0xC0FF_EE00, 0.02)));
+        run_chaos_fleet(Some(NetFaultConfig::new(0xC0FF_EE00, 0.02)));
     assert_eq!(
         chaos_clean_agg, chaos_armed_agg,
         "serve_chaos_fleet: transport chaos changed aggregate KernelStats \

@@ -372,11 +372,6 @@ mod tests {
 
     #[test]
     fn revisit_sweep_reports_memo_hits() {
-        // Exact counts are perturbed under the chaos CI's armed fault
-        // injector.
-        if g80_sim::fault::armed() {
-            return;
-        }
         let eval = |&threads: &u32| -> KernelStats {
             let mut b = KernelBuilder::new("revisit");
             let p = b.param();
@@ -404,7 +399,8 @@ mod tests {
         };
         let configs = [32u32, 64, 128, 256];
         // A context of its own — memo on, cold, holding the whole sweep, no
-        // disk tier — so the sweeps' deltas are exactly their own traffic.
+        // disk tier, no faults — so the sweeps' deltas are exactly their
+        // own traffic.
         let ctx = g80_sim::SimContext::new(g80_sim::SimConfig::default());
         let (cold, warm) = ctx.enter(|| (sweep(&configs, eval), sweep(&configs, eval)));
         assert_eq!(

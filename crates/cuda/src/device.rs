@@ -4,8 +4,10 @@
 
 use crate::transfer::PcieModel;
 use g80_isa::{Kernel, Operand, Value};
-use g80_sim::fault;
-use g80_sim::{launch_traced, CudaError, DeviceMemory, GpuConfig, KernelStats, LaunchDims, Served};
+use g80_sim::fault::{self, Site};
+use g80_sim::{
+    launch_traced, CudaError, DeviceMemory, GpuConfig, KernelStats, LaunchDims, Served, SimContext,
+};
 use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -15,12 +17,13 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 const MAX_ABSORB_RETRIES: u32 = 64;
 
 /// Runs a fallible device operation through the absorb layer for the legacy
-/// infallible APIs: injected-class failures (typed [`CudaError`]s and
-/// panic-kind unwinds from the fault injector) are retried — each `try_*`
-/// op polls its site before mutating anything, so a retry is clean — while
-/// real errors panic with their legacy message and real panics propagate.
+/// infallible APIs: when the current context absorbs faults, injected-class
+/// failures (typed [`CudaError`]s and panic-kind unwinds from the fault
+/// injector) are retried — each `try_*` op polls its site before mutating
+/// anything, so a retry is clean — while real errors panic with their
+/// legacy message and real panics propagate.
 fn absorb<T>(mut op: impl FnMut() -> Result<T, CudaError>) -> T {
-    if !fault::armed() {
+    if !SimContext::with_current(|ctx| ctx.faults().absorbs()) {
         // Zero-cost path: no unwind guard, just the legacy panic on error.
         return op().unwrap_or_else(|e| panic!("{e}"));
     }
@@ -28,23 +31,24 @@ fn absorb<T>(mut op: impl FnMut() -> Result<T, CudaError>) -> T {
     loop {
         match catch_unwind(AssertUnwindSafe(&mut op)) {
             Ok(Ok(v)) => return v,
-            Ok(Err(CudaError::InjectedFault { .. }))
-                if fault::retry() && attempts < MAX_ABSORB_RETRIES =>
-            {
+            Ok(Err(CudaError::InjectedFault { .. })) if attempts < MAX_ABSORB_RETRIES => {
                 attempts += 1;
             }
             Ok(Err(e)) => panic!("{e}"),
-            Err(p) => {
-                if fault::is_injected_payload(p.as_ref())
-                    && fault::retry()
-                    && attempts < MAX_ABSORB_RETRIES
-                {
-                    attempts += 1;
-                    continue;
-                }
-                resume_unwind(p);
+            Err(p) if fault::is_injected_payload(p.as_ref()) && attempts < MAX_ABSORB_RETRIES => {
+                attempts += 1;
             }
+            Err(p) => resume_unwind(p),
         }
+    }
+}
+
+/// Polls a device-layer fault site in the current context: a typed fault is
+/// the error, a panic-kind fault unwinds.
+fn poll(site: Site) -> Result<(), CudaError> {
+    match SimContext::with_current(|ctx| ctx.faults().poll_typed(site)) {
+        Some(f) => Err(CudaError::InjectedFault { site: f.site }),
+        None => Ok(()),
     }
 }
 
@@ -219,9 +223,7 @@ impl Device {
     /// Fallible [`Device::alloc`]: reports exhaustion (and injected
     /// `device.alloc` faults) as a [`CudaError`] instead of panicking.
     pub fn try_alloc<T: Word32>(&mut self, len: usize) -> Result<DeviceBuffer<T>, CudaError> {
-        if let Some(f) = fault::poll_typed(fault::Site::DeviceAlloc) {
-            return Err(CudaError::InjectedFault { site: f.site });
-        }
+        poll(Site::DeviceAlloc)?;
         let bytes = (len as u32) * 4;
         let addr = self.next_free;
         let end = addr + bytes;
@@ -253,9 +255,7 @@ impl Device {
         buf: &DeviceBuffer<T>,
         data: &[T],
     ) -> Result<(), CudaError> {
-        if let Some(f) = fault::poll_typed(fault::Site::DeviceCopy) {
-            return Err(CudaError::InjectedFault { site: f.site });
-        }
+        poll(Site::DeviceCopy)?;
         if data.len() > buf.len() {
             return Err(CudaError::OversizedCopy {
                 len: data.len(),
@@ -282,9 +282,7 @@ impl Device {
         &self,
         buf: &DeviceBuffer<T>,
     ) -> Result<Vec<T>, CudaError> {
-        if let Some(f) = fault::poll_typed(fault::Site::DeviceCopy) {
-            return Err(CudaError::InjectedFault { site: f.site });
-        }
+        poll(Site::DeviceCopy)?;
         let words = self.mem.read_slice(buf.byte_addr, buf.len());
         let out = words.map(T::from_bits).collect();
         self.timeline.borrow_mut().d2h_s += self.pcie.transfer_time(buf.len as u64 * 4);
@@ -299,9 +297,7 @@ impl Device {
 
     /// Fallible [`Device::set_const`].
     pub fn try_set_const<T: Word32>(&mut self, data: &[T]) -> Result<(), CudaError> {
-        if let Some(f) = fault::poll_typed(fault::Site::DeviceCopy) {
-            return Err(CudaError::InjectedFault { site: f.site });
-        }
+        poll(Site::DeviceCopy)?;
         if data.len() * 4 > self.cfg.const_mem_bytes as usize {
             return Err(CudaError::ConstOverflow {
                 want: data.len() * 4,
@@ -545,11 +541,6 @@ mod tests {
 
     #[test]
     fn timeline_counts_memo_hits() {
-        // The exact hit count is perturbed when the chaos CI arms the fault
-        // injector (absorbed retries re-probe the cache).
-        if fault::armed() {
-            return;
-        }
         // The memo key digests the full pre-launch memory image, so the
         // first repeat differs (the output region went from zeros to
         // results) and re-records; from then on the image is a fixed point
@@ -571,8 +562,8 @@ mod tests {
         let y = d.alloc::<f32>(128);
         d.copy_to_device(&x, &vec![2.0f32; 128]);
         let params = [x.as_param(), y.as_param()];
-        // A context of its own: memo on, no disk tier, whatever the
-        // environment configured the global one with.
+        // A context of its own: memo on, no disk tier, faults disarmed,
+        // whatever the environment configured the global one with.
         let (first, second, third) = SimContext::new(SimConfig::default()).enter(|| {
             let run = || d.launch(&k, (1, 1), (128, 1, 1), &params).unwrap();
             (run(), run(), run())

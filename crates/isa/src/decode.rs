@@ -134,19 +134,6 @@ impl MicroOp {
     }
 }
 
-/// Hook polled at the top of every predecode, installed by the simulator's
-/// fault-injection harness (this crate cannot depend on it). A no-op until
-/// installed; the installed probe is itself a no-op unless faults are armed.
-static DECODE_PROBE: std::sync::OnceLock<fn()> = std::sync::OnceLock::new();
-
-/// Installs the predecode probe (first installation wins; later calls are
-/// ignored). The probe may panic to simulate a decoder fault; callers of
-/// [`DecodedKernel::new`] are expected to treat such unwinds as per-launch
-/// failures.
-pub fn install_decode_probe(probe: fn()) {
-    let _ = DECODE_PROBE.set(probe);
-}
-
 /// A kernel predecoded into a flat micro-op table, indexed by PC.
 #[derive(Clone, Debug)]
 pub struct DecodedKernel {
@@ -162,9 +149,6 @@ impl DecodedKernel {
 
     /// Predecodes a raw instruction sequence.
     pub fn from_code(code: &[Inst]) -> Self {
-        if let Some(probe) = DECODE_PROBE.get() {
-            probe();
-        }
         DecodedKernel {
             ops: code.iter().map(MicroOp::decode).collect(),
         }

@@ -8,13 +8,13 @@
 //!
 //! Two recovery layers sit under the typed methods:
 //!
-//! - **Injected-fault retries** (the chaos CI runs the daemon under
-//!   `G80_SIM_FAULTS`): typed fault errors are resent transparently by
+//! - **Injected-fault retries** (a daemon whose context has its simulator
+//!   faults armed): typed fault errors are resent transparently by
 //!   default — the serve-layer analogue of the in-process
 //!   absorb-and-retry policy, which is what keeps results bit-identical
 //!   under chaos. Disable with [`Client::set_retry_injected`].
-//! - **Transport recovery** (the network chaos CI arms
-//!   `G80_SERVE_NET_FAULTS`): a response frame failing its CRC is
+//! - **Transport recovery** (wire faults armed in either end's context):
+//!   a response frame failing its CRC is
 //!   re-requested in place (the connection stays synchronized — the bad
 //!   frame was fully consumed); a dead connection is re-established with
 //!   jittered exponential backoff and the in-flight request replayed.
@@ -30,11 +30,11 @@
 
 use crate::framed::{is_crc_mismatch, FramedStream, Side};
 use crate::net::{connect, Addr};
-use crate::netfault::splitmix64;
 use crate::protocol::{Request, Response, WireError, WireLaunch, PROTOCOL_VERSION};
+use g80_sim::fault::splitmix64;
 use g80_sim::{
     net_counters, note_net_disconnect, note_net_frame_retried, note_net_reconnect, LaunchReport,
-    MemoCounters, NetCounters,
+    MemoCounters, NetCounters, SimContext,
 };
 use std::io;
 use std::time::{Duration, Instant};
@@ -110,12 +110,12 @@ pub struct Client {
 impl Client {
     /// Connects and performs the Hello handshake.
     ///
-    /// With the network fault layer disarmed this fails fast — a refused
-    /// connection or rejected handshake surfaces immediately. With it
-    /// armed (`G80_SERVE_NET_FAULTS`), an injected fault can kill the
-    /// handshake itself (a disconnect before HelloOk lands); that is
-    /// transport chaos like any other, so it is absorbed with bounded
-    /// backed-off retries instead of failing the connect.
+    /// With the calling context's wire faults disarmed this fails fast — a
+    /// refused connection or rejected handshake surfaces immediately. With
+    /// them armed, an injected fault can kill the handshake itself (a
+    /// disconnect before HelloOk lands); that is transport chaos like any
+    /// other, so it is absorbed with bounded backed-off retries instead of
+    /// failing the connect.
     pub fn connect(addr: &Addr, tenant: &str) -> io::Result<Client> {
         let mut rng = seed_from_tenant(tenant) ^ 0x00C0_11EC;
         let mut attempt = 0u32;
@@ -123,7 +123,7 @@ impl Client {
             match Client::connect_once(addr, tenant) {
                 Ok(client) => return Ok(client),
                 Err(e)
-                    if crate::netfault::armed()
+                    if SimContext::with_current(|ctx| ctx.net_faults().is_armed())
                         && is_transport(&e)
                         && attempt < MAX_TRANSPORT_RETRIES =>
                 {
@@ -487,11 +487,17 @@ impl Client {
         }
     }
 
-    /// Asks the daemon to drain and exit.
+    /// Asks the daemon to drain and exit. A reply lost to a dead connection
+    /// is replayed on a fresh one; if the daemon then refuses the
+    /// connection, its listener is closed — the drain already started.
     pub fn shutdown(&mut self) -> io::Result<()> {
         let mut tries = 0;
         loop {
-            match self.exchange(&Request::Shutdown)? {
+            let resp = match self.exchange(&Request::Shutdown) {
+                Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => return Ok(()),
+                resp => resp?,
+            };
+            match resp {
                 Response::ShutdownOk => return Ok(()),
                 Response::Error(e)
                     if self.retry_injected && e.is_injected() && tries < MAX_INJECTED_RETRIES =>

@@ -11,7 +11,8 @@
 //! client re-sends the idempotent request).
 //!
 //! All injected transport faults ([`crate::netfault`]) are applied here,
-//! one schedule poll per frame operation, so the rest of the crate never
+//! one poll of the calling thread's context's wire schedule per frame
+//! operation, so the rest of the crate never
 //! sees the flaky layer — it sees the *consequences*: short reads, torn
 //! connections, bad checksums, stalls. Server reads go through
 //! [`FramedStream::read_frame_deadline`], which layers an idle timeout
@@ -84,7 +85,7 @@ impl FramedStream {
     pub fn write_frame(&mut self, payload: &[u8]) -> io::Result<()> {
         let len = frame_len(payload)?;
         let crc = crc32(payload);
-        match netfault::decide(self.write_site()) {
+        match netfault::poll(self.write_site()) {
             None => write_frame_with_crc(&mut self.inner, payload, crc),
             Some(NetFault::Stall { ms }) => {
                 std::thread::sleep(Duration::from_millis(ms));
@@ -175,7 +176,7 @@ impl FramedStream {
         mid: Option<Duration>,
         keep_waiting: &dyn Fn() -> bool,
     ) -> io::Result<Option<Vec<u8>>> {
-        let fault = netfault::decide(self.read_site());
+        let fault = netfault::poll(self.read_site());
         match fault {
             Some(NetFault::DisconnectPre) => {
                 let _ = self.inner.shutdown();
@@ -335,7 +336,8 @@ fn is_poll_tick(e: &io::Error) -> bool {
 mod tests {
     use super::*;
     use crate::net::{Addr, Listener};
-    use crate::netfault::{set_net_faults, test_guard, NetFaultConfig, NetFaultKind};
+    use crate::netfault::{NetFaultConfig, NetFaultKind};
+    use g80_sim::{SimConfig, SimContext};
 
     /// A connected loopback pair (client framed, server framed).
     fn pair() -> (FramedStream, FramedStream) {
@@ -352,96 +354,106 @@ mod tests {
         )
     }
 
+    /// Runs `test` in a fresh context whose wire schedule is armed with
+    /// `faults` (disarmed by default, whatever the environment says); the
+    /// test re-arms it in place.
+    fn in_context(faults: Option<NetFaultConfig>, test: impl FnOnce(&SimContext)) {
+        let ctx = SimContext::new(SimConfig {
+            net_faults: faults,
+            ..SimConfig::default()
+        });
+        ctx.enter(|| test(&ctx));
+    }
+
     #[test]
     fn frames_roundtrip_and_crc_detects_tamper() {
-        let _guard = test_guard();
-        set_net_faults(None);
-        let (mut c, mut s) = pair();
-        c.write_frame(b"hello frames").unwrap();
-        c.write_frame(b"").unwrap();
-        assert_eq!(
-            s.read_frame().unwrap().as_deref(),
-            Some(&b"hello frames"[..])
-        );
-        assert_eq!(s.read_frame().unwrap().as_deref(), Some(&b""[..]));
+        in_context(None, |ctx| {
+            let (mut c, mut s) = pair();
+            c.write_frame(b"hello frames").unwrap();
+            c.write_frame(b"").unwrap();
+            assert_eq!(
+                s.read_frame().unwrap().as_deref(),
+                Some(&b"hello frames"[..])
+            );
+            assert_eq!(s.read_frame().unwrap().as_deref(), Some(&b""[..]));
 
-        // Corrupt every client write: the server's read must surface a
-        // CrcMismatch, not a garbled decode, and framing stays in sync.
-        set_net_faults(Some(NetFaultConfig::only(3, 1.0, NetFaultKind::Corrupt)));
-        c.write_frame(b"poisoned payload").unwrap();
-        set_net_faults(None);
-        let err = s.read_frame().unwrap_err();
-        assert!(is_crc_mismatch(&err), "expected CrcMismatch, got {err}");
-        // The connection survives the bad frame.
-        c.write_frame(b"clean again").unwrap();
-        assert_eq!(
-            s.read_frame().unwrap().as_deref(),
-            Some(&b"clean again"[..])
-        );
+            // Corrupt every client write: the server's read must surface a
+            // CrcMismatch, not a garbled decode, and framing stays in sync.
+            let corrupt = NetFaultConfig::only(3, 1.0, NetFaultKind::Corrupt);
+            ctx.net_faults().arm(Some(corrupt));
+            c.write_frame(b"poisoned payload").unwrap();
+            ctx.net_faults().arm(None);
+            let err = s.read_frame().unwrap_err();
+            assert!(is_crc_mismatch(&err), "expected CrcMismatch, got {err}");
+            // The connection survives the bad frame.
+            c.write_frame(b"clean again").unwrap();
+            assert_eq!(
+                s.read_frame().unwrap().as_deref(),
+                Some(&b"clean again"[..])
+            );
+        });
     }
 
     #[test]
     fn split_frames_reassemble() {
-        let _guard = test_guard();
-        set_net_faults(Some(NetFaultConfig::only(5, 1.0, NetFaultKind::Split)));
-        let (mut c, mut s) = pair();
-        let big = vec![0xabu8; 10_000];
-        c.write_frame(&big).unwrap();
-        c.write_frame(b"tail").unwrap();
-        assert_eq!(s.read_frame().unwrap().as_deref(), Some(&big[..]));
-        assert_eq!(s.read_frame().unwrap().as_deref(), Some(&b"tail"[..]));
-        set_net_faults(None);
+        let split = NetFaultConfig::only(5, 1.0, NetFaultKind::Split);
+        in_context(Some(split), |_| {
+            let (mut c, mut s) = pair();
+            let big = vec![0xabu8; 10_000];
+            c.write_frame(&big).unwrap();
+            c.write_frame(b"tail").unwrap();
+            assert_eq!(s.read_frame().unwrap().as_deref(), Some(&big[..]));
+            assert_eq!(s.read_frame().unwrap().as_deref(), Some(&b"tail"[..]));
+        });
     }
 
     #[test]
     fn injected_disconnect_errors_both_ends() {
-        let _guard = test_guard();
-        let (mut c, mut s) = pair();
-        set_net_faults(Some(NetFaultConfig::only(
-            11,
-            1.0,
-            NetFaultKind::Disconnect,
-        )));
-        let werr = c.write_frame(b"doomed").unwrap_err();
-        set_net_faults(None);
-        assert_eq!(werr.kind(), io::ErrorKind::ConnectionReset);
-        // The peer observes the tear as EOF or a short frame, never a hang.
-        match s.read_frame() {
-            Ok(None) => {}
-            Err(_) => {}
-            Ok(Some(f)) => panic!("read a whole frame {f:?} through a disconnect"),
-        }
+        in_context(None, |ctx| {
+            let (mut c, mut s) = pair();
+            let disconnect = NetFaultConfig::only(11, 1.0, NetFaultKind::Disconnect);
+            ctx.net_faults().arm(Some(disconnect));
+            let werr = c.write_frame(b"doomed").unwrap_err();
+            ctx.net_faults().arm(None);
+            assert_eq!(werr.kind(), io::ErrorKind::ConnectionReset);
+            // The peer observes the tear as EOF or a short frame, never a hang.
+            match s.read_frame() {
+                Ok(None) => {}
+                Err(_) => {}
+                Ok(Some(f)) => panic!("read a whole frame {f:?} through a disconnect"),
+            }
+        });
     }
 
     #[test]
     fn mid_frame_deadline_times_out_a_stalled_peer() {
-        let _guard = test_guard();
-        set_net_faults(None);
-        let (mut c, mut s) = pair();
-        s.get_ref()
-            .set_read_timeout(Some(Duration::from_millis(5)))
-            .unwrap();
-        // Dribble a header and then stall: only the stall killer ends it.
-        {
-            use std::io::Write;
-            let inner = &mut c.inner;
-            inner.write_all(&8u32.to_le_bytes()).unwrap();
-            inner.write_all(b"ab").unwrap();
-            inner.flush().unwrap();
-        }
-        let start = Instant::now();
-        let err = s
-            .read_frame_deadline(None, Some(Duration::from_millis(60)), &|| true)
-            .unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
-        assert!(
-            start.elapsed() >= Duration::from_millis(55),
-            "deadline fired early"
-        );
-        // Idle timeout: nothing sent at all.
-        let err = s
-            .read_frame_deadline(Some(Duration::from_millis(40)), None, &|| true)
-            .unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        in_context(None, |_| {
+            let (mut c, mut s) = pair();
+            s.get_ref()
+                .set_read_timeout(Some(Duration::from_millis(5)))
+                .unwrap();
+            // Dribble a header and then stall: only the stall killer ends it.
+            {
+                use std::io::Write;
+                let inner = &mut c.inner;
+                inner.write_all(&8u32.to_le_bytes()).unwrap();
+                inner.write_all(b"ab").unwrap();
+                inner.flush().unwrap();
+            }
+            let start = Instant::now();
+            let err = s
+                .read_frame_deadline(None, Some(Duration::from_millis(60)), &|| true)
+                .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+            assert!(
+                start.elapsed() >= Duration::from_millis(55),
+                "deadline fired early"
+            );
+            // Idle timeout: nothing sent at all.
+            let err = s
+                .read_frame_deadline(Some(Duration::from_millis(40)), None, &|| true)
+                .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        });
     }
 }

@@ -28,10 +28,10 @@
 //! * [`framed`] — CRC-guarded framing over a [`net::Stream`]: every frame
 //!   carries a CRC32 trailer, reads enforce idle/mid-frame deadlines, and
 //!   the seeded [`netfault`] layer injects transport chaos at four sites
-//!   (client/server × read/write) when `G80_SERVE_NET_FAULTS` is armed.
-//! * [`netfault`] — deterministic per-site fault schedules (splitmix64
-//!   over the call index): disconnects, truncation, bit corruption, frame
-//!   splitting, stalls — bit-identical across reruns of the same seed.
+//!   (client/server × read/write) when the context's wire schedule is armed.
+//! * [`netfault`] — what a fire of a context's wire schedule does:
+//!   disconnects, truncation, bit corruption, frame splitting, stalls —
+//!   bit-identical across reruns of the same seed.
 //!
 //! Every launch runs through `g80_sim::launch_reported` on the process-wide
 //! pool and in the daemon's `SimContext`, so stats are bit-identical to an
@@ -52,8 +52,6 @@ pub use admission::{Admission, Quota, Verdict};
 pub use client::Client;
 pub use framed::{is_crc_mismatch, FramedStream, Side};
 pub use net::Addr;
-pub use netfault::{
-    net_fault_config, set_net_faults, NetFault, NetFaultConfig, NetFaultKind, NetSite,
-};
+pub use netfault::{NetFault, NetFaultConfig, NetFaultKind, NetSite};
 pub use protocol::{Request, Response, WireError, WireLaunch, PROTOCOL_VERSION};
 pub use server::{serve, ServeConfig, Server};

@@ -1,13 +1,16 @@
 //! Deterministic transport-fault injection for the `g80-serve` wire.
 //!
-//! The network analogue of [`g80_sim::fault`]: `G80_SERVE_NET_FAULTS=
-//! <seed>:<rate>[:kind]` arms a seeded schedule over four *sites* — the
-//! client's and server's frame reads and writes — and every framed I/O
-//! operation polls its site once. Whether the `index`-th operation at a
-//! site faults, and how, is a pure function of `(seed, site, index)`
-//! (splitmix64), so a chaos run replays bit-identically from its seed:
-//! same disconnects at the same frame boundaries, same corrupted bytes,
-//! same stalls.
+//! Every [`SimContext`] owns a schedule over four wire *sites* — the
+//! client's and server's frame reads and writes —
+//! ([`SimContext::net_faults`], armed from `G80_SERVE_NET_FAULTS=
+//! <seed>:<rate>[:kind]` on the global context, or in place by a test on its
+//! own). Every framed I/O operation polls its site once in the context its
+//! thread runs in: the daemon's for the server sites, the caller's for the
+//! client sites. Whether the `index`-th operation at a site faults is the
+//! schedule's decision, a pure function of `(seed, site, index)`, so a chaos
+//! run replays bit-identically from its seed: same disconnects at the same
+//! frame boundaries, same corrupted bytes, same stalls. This module decides
+//! what a fire means.
 //!
 //! Kinds (`all` when omitted):
 //!
@@ -24,12 +27,11 @@
 //! * `stall` — the operation sleeps 20–150 ms first, long enough to trip
 //!   a tight server deadline, bounded so armed CI latency ceilings hold.
 //!
-//! Disarmed cost is one relaxed atomic load per frame operation, the same
-//! zero-cost gate as the launch-layer harness. Tests override the env
-//! with [`set_net_faults`]; the toggles are process-global, so tests that
-//! arm them serialize.
+//! Disarmed cost is one relaxed load per frame operation.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use g80_sim::fault::{splitmix64, FaultSchedule};
+pub use g80_sim::fault::{NetFaultConfig, NetFaultKind};
+use g80_sim::SimContext;
 
 /// Where a transport fault can strike: each side's frame reads and
 /// writes schedule independently.
@@ -60,38 +62,9 @@ impl NetSite {
     }
 }
 
-/// Which fault family the schedule draws from.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum NetFaultKind {
-    /// Every kind, chosen per event by hash bits (the default).
-    All,
-    Disconnect,
-    Truncate,
-    Corrupt,
-    Split,
-    Stall,
-}
-
-/// Parsed `G80_SERVE_NET_FAULTS` configuration.
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub struct NetFaultConfig {
-    pub seed: u64,
-    /// Per-frame-operation fault probability in `[0, 1]`.
-    pub rate: f64,
-    pub kind: NetFaultKind,
-}
-
-impl NetFaultConfig {
-    pub fn new(seed: u64, rate: f64) -> Self {
-        NetFaultConfig {
-            seed,
-            rate,
-            kind: NetFaultKind::All,
-        }
-    }
-
-    pub fn only(seed: u64, rate: f64, kind: NetFaultKind) -> Self {
-        NetFaultConfig { seed, rate, kind }
+impl From<NetSite> for usize {
+    fn from(site: NetSite) -> usize {
+        site as usize
     }
 }
 
@@ -115,147 +88,16 @@ pub enum NetFault {
     Stall { ms: u64 },
 }
 
-// 0 = unresolved (consult the env), 1 = disarmed, 2 = armed.
-static STATE: AtomicU8 = AtomicU8::new(0);
-static SEED: AtomicU64 = AtomicU64::new(0);
-static RATE_BITS: AtomicU64 = AtomicU64::new(0);
-// NetFaultKind as a small integer (0 = All .. 5 = Stall).
-static KIND: AtomicU8 = AtomicU8::new(0);
-/// Per-site poll counters: the call index feeding the decision hash.
-static CALLS: [AtomicU64; 4] = [const { AtomicU64::new(0) }; 4];
-/// Per-site counters of faults actually raised.
-static RAISED: [AtomicU64; 4] = [const { AtomicU64::new(0) }; 4];
-
-/// Cheap armed check: one relaxed load once resolved.
-pub fn armed() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        0 => resolve_env(),
-        2 => true,
-        _ => false,
-    }
-}
-
-#[cold]
-fn resolve_env() -> bool {
-    let cfg = std::env::var("G80_SERVE_NET_FAULTS")
-        .ok()
-        .and_then(|v| parse(&v));
-    // Racing first reads parse the same env and resolve identically.
-    store(cfg);
-    cfg.is_some()
-}
-
-fn parse(v: &str) -> Option<NetFaultConfig> {
-    let mut it = v.trim().split(':');
-    let seed = it.next()?.parse::<u64>().ok()?;
-    let rate = it.next()?.parse::<f64>().ok()?;
-    if !(0.0..=1.0).contains(&rate) {
+/// Decides whether this frame operation at `site` faults under `faults`,
+/// and how. Every sub-parameter (mid vs pre disconnect, corrupted byte/bit,
+/// stall length) comes from further hash bits of the same draw.
+pub(crate) fn decide(faults: &FaultSchedule<NetFaultConfig>, site: NetSite) -> Option<NetFault> {
+    if !faults.is_armed() {
         return None;
     }
-    let kind = match it.next() {
-        None | Some("all") => NetFaultKind::All,
-        Some("disconnect") => NetFaultKind::Disconnect,
-        Some("truncate") => NetFaultKind::Truncate,
-        Some("corrupt") => NetFaultKind::Corrupt,
-        Some("split") => NetFaultKind::Split,
-        Some("stall") => NetFaultKind::Stall,
-        Some(_) => return None,
-    };
-    if it.next().is_some() {
-        return None;
-    }
-    Some(NetFaultConfig { seed, rate, kind })
-}
-
-fn kind_to_u8(k: NetFaultKind) -> u8 {
-    match k {
-        NetFaultKind::All => 0,
-        NetFaultKind::Disconnect => 1,
-        NetFaultKind::Truncate => 2,
-        NetFaultKind::Corrupt => 3,
-        NetFaultKind::Split => 4,
-        NetFaultKind::Stall => 5,
-    }
-}
-
-fn kind_from_u8(v: u8) -> NetFaultKind {
-    match v {
-        1 => NetFaultKind::Disconnect,
-        2 => NetFaultKind::Truncate,
-        3 => NetFaultKind::Corrupt,
-        4 => NetFaultKind::Split,
-        5 => NetFaultKind::Stall,
-        _ => NetFaultKind::All,
-    }
-}
-
-fn store(cfg: Option<NetFaultConfig>) {
-    for c in &CALLS {
-        c.store(0, Ordering::SeqCst);
-    }
-    for r in &RAISED {
-        r.store(0, Ordering::SeqCst);
-    }
-    match cfg {
-        Some(c) => {
-            SEED.store(c.seed, Ordering::SeqCst);
-            RATE_BITS.store(c.rate.to_bits(), Ordering::SeqCst);
-            KIND.store(kind_to_u8(c.kind), Ordering::SeqCst);
-            STATE.store(2, Ordering::SeqCst);
-        }
-        None => STATE.store(1, Ordering::SeqCst),
-    }
-}
-
-/// Arms (`Some`) or disarms (`None`) transport faults programmatically,
-/// overriding `G80_SERVE_NET_FAULTS`, and resets the per-site schedules.
-/// Process-wide; tests serialize around it.
-pub fn set_net_faults(cfg: Option<NetFaultConfig>) {
-    store(cfg);
-}
-
-/// The active configuration, if armed.
-pub fn net_fault_config() -> Option<NetFaultConfig> {
-    if !armed() {
-        return None;
-    }
-    Some(NetFaultConfig {
-        seed: SEED.load(Ordering::SeqCst),
-        rate: f64::from_bits(RATE_BITS.load(Ordering::SeqCst)),
-        kind: kind_from_u8(KIND.load(Ordering::SeqCst)),
-    })
-}
-
-/// Faults raised at `site` since the schedule was last (re)armed.
-pub fn raised(site: NetSite) -> u64 {
-    RAISED[site as usize].load(Ordering::Relaxed)
-}
-
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Decides whether the `index`-th frame operation at `site` faults, and
-/// how. Pure in (seed, site, index); every sub-parameter (mid vs pre
-/// disconnect, corrupted byte/bit, stall length) comes from further hash
-/// bits of the same draw.
-pub fn decide(site: NetSite) -> Option<NetFault> {
-    if !armed() {
-        return None;
-    }
-    let index = CALLS[site as usize].fetch_add(1, Ordering::Relaxed);
-    let seed = SEED.load(Ordering::Relaxed);
-    let h = splitmix64(seed ^ splitmix64(((site as u64) << 56) ^ index));
-    let rate = f64::from_bits(RATE_BITS.load(Ordering::Relaxed));
-    if ((h >> 11) as f64) / ((1u64 << 53) as f64) >= rate {
-        return None;
-    }
-    RAISED[site as usize].fetch_add(1, Ordering::Relaxed);
-    let sub = splitmix64(h);
-    let kind = match kind_from_u8(KIND.load(Ordering::Relaxed)) {
+    let cfg = faults.config()?;
+    let sub = splitmix64(faults.draw(site, cfg.seed, cfg.rate)?);
+    let kind = match cfg.kind {
         NetFaultKind::All => [
             NetFaultKind::Disconnect,
             NetFaultKind::Truncate,
@@ -286,27 +128,27 @@ pub fn decide(site: NetSite) -> Option<NetFault> {
     })
 }
 
-/// Serializes unit tests (here and in [`crate::framed`]) that arm the
-/// process-global schedule; the test binary runs tests concurrently.
-#[cfg(test)]
-pub(crate) static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-#[cfg(test)]
-pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
-    TEST_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+/// [`decide`] in the calling thread's context.
+pub(crate) fn poll(site: NetSite) -> Option<NetFault> {
+    SimContext::with_current(|ctx| decide(ctx.net_faults(), site))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use g80_sim::SimConfig;
 
     #[test]
     fn parse_accepts_seed_rate_and_kind() {
+        // The wire variable as the daemon reads it: through the context's
+        // configuration, where an unparsable spec leaves the wire disarmed.
+        let parse = |v: &str| {
+            SimConfig::from_vars(|name| (name == "G80_SERVE_NET_FAULTS").then(|| v.to_string()))
+                .net_faults
+        };
         let c = parse("7:0.25").unwrap();
         assert_eq!(c.seed, 7);
-        assert_eq!(c.rate, 0.25);
+        assert_eq!(c.rate.get(), 0.25);
         assert_eq!(c.kind, NetFaultKind::All);
         assert_eq!(parse("1:0.5:corrupt").unwrap().kind, NetFaultKind::Corrupt);
         assert_eq!(parse("1:0.5:stall").unwrap().kind, NetFaultKind::Stall);
@@ -319,18 +161,23 @@ mod tests {
 
     #[test]
     fn schedule_is_deterministic_and_bounded() {
-        let _guard = test_guard();
         // Pure-schedule test: replays of the same seed agree call-for-call,
         // and sub-parameters stay within their documented ranges.
-        set_net_faults(Some(NetFaultConfig::new(42, 0.3)));
-        let first: Vec<Option<NetFault>> = (0..256).map(|_| decide(NetSite::ClientWrite)).collect();
-        set_net_faults(Some(NetFaultConfig::new(42, 0.3)));
-        let second: Vec<Option<NetFault>> =
-            (0..256).map(|_| decide(NetSite::ClientWrite)).collect();
-        assert_eq!(first, second, "same seed must replay bit-identically");
+        let faults = FaultSchedule::new(None);
+        let draws = |site| -> Vec<Option<NetFault>> {
+            faults.arm(Some(NetFaultConfig::new(42, 0.3)));
+            (0..256).map(|_| decide(&faults, site)).collect()
+        };
+        let first = draws(NetSite::ClientWrite);
+        assert_eq!(
+            first,
+            draws(NetSite::ClientWrite),
+            "same seed must replay bit-identically"
+        );
         let fired = first.iter().flatten().count();
         assert!(fired > 0, "rate 0.3 over 256 draws must fire");
         assert!(fired < 256, "rate 0.3 must not fire every draw");
+        assert_eq!(faults.raised(NetSite::ClientWrite), fired as u64);
         for f in first.iter().flatten() {
             if let NetFault::Stall { ms } = f {
                 assert!((20..=150).contains(ms), "stall {ms} ms out of bounds");
@@ -338,23 +185,20 @@ mod tests {
         }
         // Sites schedule independently: a different site draws a
         // different sequence from the same seed.
-        set_net_faults(Some(NetFaultConfig::new(42, 0.3)));
-        let other: Vec<Option<NetFault>> = (0..256).map(|_| decide(NetSite::ServerRead)).collect();
+        let other = draws(NetSite::ServerRead);
         assert_ne!(first, other, "sites must not share a schedule");
-        set_net_faults(None);
     }
 
     #[test]
     fn only_kind_restricts_draws() {
-        let _guard = test_guard();
-        set_net_faults(Some(NetFaultConfig::only(9, 1.0, NetFaultKind::Corrupt)));
+        let faults = FaultSchedule::new(Some(NetFaultConfig::only(9, 1.0, NetFaultKind::Corrupt)));
         for _ in 0..32 {
-            match decide(NetSite::ServerWrite) {
+            match decide(&faults, NetSite::ServerWrite) {
                 Some(NetFault::Corrupt { .. }) => {}
                 other => panic!("expected Corrupt at rate 1.0, got {other:?}"),
             }
         }
-        set_net_faults(None);
-        assert_eq!(decide(NetSite::ServerWrite), None, "disarmed");
+        faults.arm(None);
+        assert_eq!(decide(&faults, NetSite::ServerWrite), None, "disarmed");
     }
 }

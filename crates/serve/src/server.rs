@@ -3,10 +3,10 @@
 //! One daemon hosts the shared substrate — the work-stealing pool and one
 //! [`SimContext`] (the one current where [`serve`] was called; the global,
 //! environment-configured one for the `g80-serve` binary): its launch memo
-//! LRU, its disk tier when configured, its counters — and every
-//! connection's launches run through it, so tenants warm each other's
-//! caches. Each connection is one thread; each request is admitted by the
-//! [`crate::admission`] controller before it touches the pool.
+//! LRU, its disk tier when configured, its counters, its fault schedules —
+//! and every connection's launches run through it, so tenants warm each
+//! other's caches. Each connection is one thread; each request is admitted
+//! by the [`crate::admission`] controller before it touches the pool.
 //!
 //! Failure behaviour (the hardened paths the chaos job exercises):
 //!
@@ -447,7 +447,7 @@ fn handle_request(
     // corrupt. The frame is already consumed, so the error is a value and
     // the connection survives (a panic-kind fault unwinds into the
     // catch_unwind above — same guarantee).
-    if fault::tamper(Site::ServeDecode) {
+    if shared.ctx.faults().tamper(Site::ServeDecode) {
         send(
             stream,
             &Response::Error(WireError::Fault {

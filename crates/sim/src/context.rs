@@ -3,7 +3,8 @@
 //!
 //! A [`SimContext`] owns everything a launch reads or updates outside its
 //! own arguments: the [`SimConfig`] it runs under, the launch memo LRU, the
-//! disk tier's compaction bookkeeping and the counters. None of it is
+//! disk tier's compaction bookkeeping, the counters and the two fault
+//! schedules ([`crate::fault`]). None of it is
 //! process-wide, so contexts with different configurations run side by side
 //! in one process — the paper's method of comparing configurations, applied
 //! to the host side.
@@ -15,6 +16,7 @@
 //! started with `std::thread::spawn` does **not** inherit one.
 
 use crate::counters::{MemoTally, NetTally, RowTally};
+use crate::fault::{FaultConfig, FaultSchedule, NetFaultConfig};
 use crate::launch::Engine;
 use crate::memo::LaunchCache;
 use std::cell::RefCell;
@@ -23,8 +25,9 @@ use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// What a [`SimContext`] runs under. `Default` is the product
-/// configuration and ignores the environment; [`SimConfig::from_env`] is
-/// the only reader of the `G80_SIM_*` variables named on the fields.
+/// configuration, faults disarmed, and ignores the environment;
+/// [`SimConfig::from_env`] is the only reader of the variables named on
+/// the fields.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimConfig {
     /// Consult and fill the launch memo cache (`G80_SIM_MEMO`;
@@ -46,6 +49,13 @@ pub struct SimConfig {
     /// [`crate::LaunchError::Watchdog`] (`G80_SIM_WATCHDOG_CYCLES`, min 1;
     /// `None` = no watchdog).
     pub watchdog_cycles: Option<u64>,
+    /// Arms the context's simulator fault sites ([`SimContext::faults`];
+    /// `G80_SIM_FAULTS`, unparsable = disarmed).
+    pub faults: Option<FaultConfig>,
+    /// Arms the context's `g80-serve` wire sites
+    /// ([`SimContext::net_faults`]; `G80_SERVE_NET_FAULTS`, unparsable =
+    /// disarmed).
+    pub net_faults: Option<NetFaultConfig>,
     /// Test/bench hook: which timing engine simulates. Product callers
     /// leave it at [`Engine::Predecoded`].
     #[doc(hidden)]
@@ -61,6 +71,8 @@ impl Default for SimConfig {
             disk_dir: None,
             disk_cap: 1 << 30,
             watchdog_cycles: None,
+            faults: None,
+            net_faults: None,
             engine: Engine::Predecoded,
         }
     }
@@ -91,6 +103,8 @@ impl SimConfig {
                 .and_then(|v| v.trim().parse().ok())
                 .unwrap_or(default.disk_cap),
             watchdog_cycles: var("G80_SIM_WATCHDOG_CYCLES").and_then(|v| v.trim().parse().ok()),
+            faults: var("G80_SIM_FAULTS").and_then(|v| FaultConfig::parse(&v)),
+            net_faults: var("G80_SERVE_NET_FAULTS").and_then(|v| NetFaultConfig::parse(&v)),
             engine: default.engine,
         }
     }
@@ -112,6 +126,8 @@ pub struct SimContext {
     /// compaction scan.
     pub(crate) disk_published: AtomicU64,
     pub(crate) metrics: Metrics,
+    faults: FaultSchedule<FaultConfig>,
+    net_faults: FaultSchedule<NetFaultConfig>,
 }
 
 thread_local! {
@@ -138,6 +154,11 @@ pub(crate) fn scoped() -> Option<Arc<SimContext>> {
     CURRENT.with(|c| c.borrow().clone())
 }
 
+pub(crate) fn global() -> &'static Arc<SimContext> {
+    static GLOBAL: OnceLock<Arc<SimContext>> = OnceLock::new();
+    GLOBAL.get_or_init(|| SimContext::new(SimConfig::from_env()))
+}
+
 impl SimContext {
     /// A context with cold caches and zero counters. Caps and the watchdog
     /// budget are clamped to their minimum of 1.
@@ -146,6 +167,8 @@ impl SimContext {
         config.disk_cap = config.disk_cap.max(1);
         config.watchdog_cycles = config.watchdog_cycles.map(|b| b.max(1));
         Arc::new(SimContext {
+            faults: FaultSchedule::new(config.faults),
+            net_faults: FaultSchedule::new(config.net_faults),
             config,
             cache: Mutex::default(),
             disk_published: AtomicU64::new(0),
@@ -156,14 +179,23 @@ impl SimContext {
     /// The process's default context, built from [`SimConfig::from_env`]
     /// when first used.
     pub fn global() -> Arc<Self> {
-        static GLOBAL: OnceLock<Arc<SimContext>> = OnceLock::new();
-        Arc::clone(GLOBAL.get_or_init(|| SimContext::new(SimConfig::from_env())))
+        Arc::clone(global())
     }
 
     /// The context launches on this thread run in: the innermost
     /// [`SimContext::enter`], else [`SimContext::global`].
     pub fn current() -> Arc<Self> {
         scoped().unwrap_or_else(Self::global)
+    }
+
+    /// Runs `f` on [`SimContext::current`] without taking a reference
+    /// count: what a per-frame or per-decode fault poll uses. `f` must not
+    /// enter a context.
+    pub fn with_current<R>(f: impl FnOnce(&SimContext) -> R) -> R {
+        CURRENT.with(|c| match &*c.borrow() {
+            Some(ctx) => f(ctx),
+            None => f(global()),
+        })
     }
 
     /// Runs `f` with this context as the calling thread's current one,
@@ -179,6 +211,19 @@ impl SimContext {
         &self.config
     }
 
+    /// The schedule of this context's simulator fault sites, armed from
+    /// [`SimConfig::faults`]; re-arming it in place resets its call
+    /// indices.
+    pub fn faults(&self) -> &FaultSchedule<FaultConfig> {
+        &self.faults
+    }
+
+    /// The schedule of this context's `g80-serve` wire sites, armed from
+    /// [`SimConfig::net_faults`].
+    pub fn net_faults(&self) -> &FaultSchedule<NetFaultConfig> {
+        &self.net_faults
+    }
+
     /// The per-SM cycle budget as the engines compare it (`u64::MAX` = off).
     pub(crate) fn watchdog_budget(&self) -> u64 {
         self.config.watchdog_cycles.unwrap_or(u64::MAX)
@@ -188,6 +233,7 @@ impl SimContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultKind;
     use crate::pool::run_tasks;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -213,6 +259,8 @@ mod tests {
             ("G80_SIM_DISK_CACHE", " /tmp/g80 "),
             ("G80_SIM_DISK_CACHE_CAP", " 4096 "),
             ("G80_SIM_WATCHDOG_CYCLES", " 99 "),
+            ("G80_SIM_FAULTS", "1:0.02:typed"),
+            ("G80_SERVE_NET_FAULTS", " 8:0.01 "),
         ]);
         assert_eq!(
             all,
@@ -223,9 +271,15 @@ mod tests {
                 disk_dir: Some(PathBuf::from("/tmp/g80")),
                 disk_cap: 4096,
                 watchdog_cycles: Some(99),
+                faults: Some(FaultConfig::new(1, 0.02, Some(FaultKind::Typed))),
+                net_faults: Some(NetFaultConfig::new(8, 0.01)),
                 engine: Engine::Predecoded,
             }
         );
+        let ctx = SimContext::new(all);
+        assert!(ctx.faults().is_armed() && ctx.net_faults().is_armed());
+        let default = SimContext::new(SimConfig::default());
+        assert!(!default.faults().is_armed() && !default.net_faults().is_armed());
     }
 
     #[test]
@@ -245,9 +299,12 @@ mod tests {
                 ("G80_SIM_MEMO_CAP", bad),
                 ("G80_SIM_DISK_CACHE_CAP", bad),
                 ("G80_SIM_WATCHDOG_CYCLES", bad),
+                ("G80_SIM_FAULTS", bad),
+                ("G80_SERVE_NET_FAULTS", bad),
             ]);
             let parsed = (cfg.memo_cap, cfg.disk_cap, cfg.watchdog_cycles);
             assert_eq!(parsed, (128, 1 << 30, None), "{bad:?}");
+            assert_eq!((cfg.faults, cfg.net_faults), (None, None), "{bad:?}");
         }
         assert_eq!(from(&[("G80_SIM_MEMO_CAP", " 7")]).memo_cap, 128);
         for unset in ["", "   ", "\t"] {

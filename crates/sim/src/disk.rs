@@ -28,7 +28,7 @@
 
 use crate::context::SimContext;
 use crate::counters::KernelStats;
-use crate::fault::{self, Site};
+use crate::fault::Site;
 use crate::memo::Mix64;
 use crate::wire::{self, Dec, Enc};
 use std::fs;
@@ -156,7 +156,7 @@ pub(crate) fn load(
     // Polled per load: a typed fault distrusts whatever the file holds
     // (same observable outcome as bit rot); a panic-kind fault unwinds and
     // is absorbed at the memo boundary (the probe degrades to a miss).
-    let tampered = fault::tamper(Site::DiskCache);
+    let tampered = ctx.faults().tamper(Site::DiskCache);
     let path = entry_path(dir, digest);
     let Ok(bytes) = fs::read(&path) else {
         tally.disk_misses.fetch_add(1, Relaxed);
@@ -203,7 +203,7 @@ pub(crate) fn publish(
 ) {
     // A typed fault corrupts the published checksum — a later load of this
     // entry detects the mismatch, evicts the file, and resimulates.
-    let tampered = fault::tamper(Site::DiskCache);
+    let tampered = ctx.faults().tamper(Site::DiskCache);
     let payload = encode_payload(stats, delta);
     let sum = checksum(&payload) ^ ((tampered as u64) * 0xdead_beef);
     let bytes = encode_entry(digest, &payload, sum);

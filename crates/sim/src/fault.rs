@@ -1,21 +1,24 @@
-//! Deterministic fault injection and the degradation toggles that harden
-//! the process-wide layers against it.
+//! Deterministic fault injection, and the degradation helpers that harden
+//! every layer against it.
 //!
-//! The simulator now carries three pieces of shared mutable process state —
-//! the work-stealing pool, the launch memo cache, and the predecode
-//! registry — where a single panic or corrupted entry used to poison every
-//! subsequent launch. This module makes the failure modes *reproducible*:
-//! `G80_SIM_FAULTS=<seed>:<rate>[:typed|:panic|:mixed]` arms a process-wide
-//! injector that, at each named [`Site`], deterministically decides (pure
-//! function of seed, site, and the site's call index) whether to raise a
-//! fault. `typed` faults unwind with an [`InjectedFault`] payload that the
-//! hardened layers classify into typed errors; `panic` faults unwind with a
-//! plain string payload, indistinguishable from a real bug, to prove the
-//! same layers survive arbitrary panics. `mixed` (the default) flips a
-//! deterministic coin per event.
+//! A [`FaultSchedule`] is one seeded machine: armed with a seed and a
+//! per-poll rate, it decides whether the `n`-th poll of a site fires — a pure
+//! function of (seed, site, `n`) through [`splitmix64`] — and hands the draw
+//! back. Every [`crate::SimContext`] owns two, built from its
+//! [`crate::SimConfig`]: one over the nine simulator [`Site`]s
+//! ([`crate::SimContext::faults`], `G80_SIM_FAULTS`) and one over
+//! `g80-serve`'s four wire sites ([`crate::SimContext::net_faults`],
+//! `G80_SERVE_NET_FAULTS`). Both variables read
+//! `<seed>:<rate>[:<kind>]`. A poll reads the schedule of the context it
+//! runs in, so contexts armed differently run side by side.
 //!
-//! The harness is **off by default and zero-cost when disabled**: every
-//! site guards its work behind [`armed`], a single relaxed atomic load.
+//! What a fire means is the family's business. Here, at a simulator site,
+//! `typed` unwinds with an [`InjectedFault`] payload that the hardened
+//! layers classify into typed errors; `panic` unwinds with a plain string
+//! payload, indistinguishable from a real bug, to prove the same layers
+//! survive arbitrary panics; `mixed` (the default) flips a deterministic
+//! coin per event. `g80_serve::netfault` maps a wire draw to a transport
+//! fault. Disarmed, a poll is one relaxed load.
 //!
 //! Two hardening pieces also live here because every layer shares them:
 //!
@@ -29,29 +32,30 @@
 //!   from a poisoned mutex is always sound and one dead thread can no
 //!   longer wedge the process.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 
 // ---- sites -----------------------------------------------------------------
 
-/// A named injection point. Each site is polled on that subsystem's normal
-/// control path; the decision to fire is a pure function of (seed, site,
-/// per-site call index), so a given seed replays the same fault schedule.
+/// A named injection point of the simulator family. Each site is polled on
+/// that subsystem's normal control path.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Site {
     /// `Device::alloc` / `Device::try_alloc` (crates/cuda).
     DeviceAlloc = 0,
     /// `Device::copy_to_device` / `copy_from_device` / `set_const`.
     DeviceCopy = 1,
-    /// `DecodedKernel::new` (crates/isa, via the installed probe).
+    /// Predecode of a kernel the registry has not seen
+    /// ([`crate::kernel_info`]), on the launching thread.
     Decode = 2,
-    /// The SM scheduler's block retire/refill boundary (both engines).
+    /// Once per SM simulation of a launch (both engines).
     SmStep = 3,
     /// `memo_record`: the store path of the launch memo cache.
     MemoStore = 4,
     /// `memo_lookup`: the load path of the launch memo cache.
     MemoLoad = 5,
-    /// Pool worker threads, polled between stolen tasks.
+    /// Pool worker threads, polled between stolen tasks in the context of
+    /// the scope about to be stolen from.
     PoolWorker = 6,
     /// The persistent disk tier of the launch memo ([`crate::disk`]):
     /// polled once per entry load and once per entry publish. A typed fault
@@ -99,7 +103,15 @@ impl Site {
     }
 }
 
-/// How an injected fault surfaces.
+impl From<Site> for usize {
+    fn from(site: Site) -> usize {
+        site as usize
+    }
+}
+
+// ---- configuration ---------------------------------------------------------
+
+/// How an injected simulator fault surfaces.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum FaultKind {
     /// Unwind with an [`InjectedFault`] payload (classified into typed
@@ -109,27 +121,68 @@ pub enum FaultKind {
     Panic,
 }
 
-/// A parsed/programmatic fault configuration.
-#[derive(Copy, Clone, Debug)]
+/// Which transport-fault family a wire schedule draws from; the
+/// `g80-serve` crate maps each draw to a concrete fault.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum NetFaultKind {
+    /// Every kind, chosen per event by hash bits (the default).
+    All,
+    Disconnect,
+    Truncate,
+    Corrupt,
+    Split,
+    Stall,
+}
+
+/// A per-poll fire probability in `[0, 1]`, held as its bit pattern so
+/// fault configs — and the [`crate::SimConfig`] holding them — compare
+/// with `Eq`.
+#[derive(Copy, Clone, PartialEq, Eq)]
+pub struct Rate(u64);
+
+impl Rate {
+    pub fn new(p: f64) -> Rate {
+        Rate(p.to_bits())
+    }
+
+    pub fn get(self) -> f64 {
+        f64::from_bits(self.0)
+    }
+}
+
+impl std::fmt::Debug for Rate {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}", self.get())
+    }
+}
+
+/// How a context's simulator sites are armed (`G80_SIM_FAULTS=<seed>:
+/// <rate>[:typed|:panic|:mixed]`).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct FaultConfig {
-    /// Seed for the deterministic fire/no-fire decision.
+    /// Seed of the fire/no-fire decision.
     pub seed: u64,
-    /// Per-poll fire probability in `[0, 1]`.
-    pub rate: f64,
+    pub rate: Rate,
     /// `None` = mixed: a deterministic coin picks the kind per event.
     pub kind: Option<FaultKind>,
     /// Bitmask of enabled sites ([`FaultConfig::all_sites`] = every site).
     pub sites: u32,
+    /// Absorb-and-retry (on unless a test turns it off): the launch and
+    /// device layers retry injected-class failures after restoring memory,
+    /// so an armed suite still passes. Soak tests turn it off to observe
+    /// the per-launch `Err`s.
+    pub absorb: bool,
 }
 
 impl FaultConfig {
-    /// A config with every site enabled.
+    /// Every site enabled, absorb on.
     pub fn new(seed: u64, rate: f64, kind: Option<FaultKind>) -> Self {
         FaultConfig {
             seed,
-            rate,
+            rate: Rate::new(rate),
             kind,
             sites: Self::all_sites(),
+            absorb: true,
         }
     }
 
@@ -143,7 +196,206 @@ impl FaultConfig {
         self.sites = site.bit();
         self
     }
+
+    /// Parses `G80_SIM_FAULTS`; `None` when it does not parse.
+    pub(crate) fn parse(v: &str) -> Option<Self> {
+        let (seed, rate, kind) = parse_spec(v, &["mixed", "typed", "panic"])?;
+        let kind = [None, Some(FaultKind::Typed), Some(FaultKind::Panic)][kind];
+        Some(FaultConfig::new(seed, rate, kind))
+    }
 }
+
+/// How a context's wire sites are armed (`G80_SERVE_NET_FAULTS=<seed>:
+/// <rate>[:all|:disconnect|:truncate|:corrupt|:split|:stall]`).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct NetFaultConfig {
+    pub seed: u64,
+    /// Per-frame-operation fault probability.
+    pub rate: Rate,
+    pub kind: NetFaultKind,
+}
+
+impl NetFaultConfig {
+    pub fn new(seed: u64, rate: f64) -> Self {
+        Self::only(seed, rate, NetFaultKind::All)
+    }
+
+    pub fn only(seed: u64, rate: f64, kind: NetFaultKind) -> Self {
+        NetFaultConfig {
+            seed,
+            rate: Rate::new(rate),
+            kind,
+        }
+    }
+
+    /// Parses `G80_SERVE_NET_FAULTS`; `None` when it does not parse.
+    pub(crate) fn parse(v: &str) -> Option<Self> {
+        use NetFaultKind::*;
+        let names = ["all", "disconnect", "truncate", "corrupt", "split", "stall"];
+        let (seed, rate, kind) = parse_spec(v, &names)?;
+        let kind = [All, Disconnect, Truncate, Corrupt, Split, Stall][kind];
+        Some(Self::only(seed, rate, kind))
+    }
+}
+
+/// The grammar of both fault variables: `<seed>:<rate>[:<kind>]`, the rate
+/// in `[0, 1]`, the kind one of `kinds` (`kinds[0]` when omitted), nothing
+/// after it. Returns the kind's index.
+fn parse_spec(v: &str, kinds: &[&str]) -> Option<(u64, f64, usize)> {
+    let mut it = v.trim().split(':');
+    let seed = it.next()?.parse().ok()?;
+    let rate: f64 = it.next()?.parse().ok()?;
+    let kind = match it.next() {
+        None => 0,
+        Some(name) => kinds.iter().position(|&k| k == name)?,
+    };
+    ((0.0..=1.0).contains(&rate) && it.next().is_none()).then_some((seed, rate, kind))
+}
+
+// ---- the schedule ----------------------------------------------------------
+
+/// The fire decision's mixer; also seeds the serve client's backoff jitter.
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The most sites a family has ([`Site::ALL`]).
+const MAX_SITES: usize = 9;
+
+/// One seeded fault schedule over a family of sites, armed with a config
+/// `C` ([`FaultConfig`] or [`NetFaultConfig`]). Per site it counts polls —
+/// the call index feeding the draw — and fires.
+pub struct FaultSchedule<C> {
+    armed: AtomicBool,
+    config: RwLock<Option<C>>,
+    calls: [AtomicU64; MAX_SITES],
+    raised: [AtomicU64; MAX_SITES],
+}
+
+impl<C: Copy> FaultSchedule<C> {
+    pub fn new(config: Option<C>) -> Self {
+        let schedule = FaultSchedule {
+            armed: AtomicBool::new(false),
+            config: RwLock::new(None),
+            calls: Default::default(),
+            raised: Default::default(),
+        };
+        schedule.arm(config);
+        schedule
+    }
+
+    /// Arms the schedule with `config` (`None` disarms) and resets every
+    /// call index and fire count, so arming the same config again replays
+    /// the same schedule.
+    pub fn arm(&self, config: Option<C>) {
+        self.armed.store(false, Ordering::SeqCst);
+        *self.config.write().unwrap_or_else(PoisonError::into_inner) = config;
+        for counter in self.calls.iter().chain(&self.raised) {
+            counter.store(0, Ordering::SeqCst);
+        }
+        self.armed.store(config.is_some(), Ordering::SeqCst);
+    }
+
+    /// The only cost a disarmed site pays. Relaxed: the flag publishes
+    /// nothing — an armed poll reads the config under its lock, and one that
+    /// races a re-arm sees the old or the new schedule.
+    #[inline]
+    pub fn is_armed(&self) -> bool {
+        self.armed.load(Ordering::Relaxed)
+    }
+
+    pub fn config(&self) -> Option<C> {
+        *self.config.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Polls of `site` that fired since the schedule was last armed.
+    pub fn raised(&self, site: impl Into<usize>) -> u64 {
+        self.raised[site.into()].load(Ordering::Relaxed)
+    }
+
+    /// Counts this poll of `site` and returns its draw if it fires at
+    /// `rate` — a pure function of (`seed`, site, call index). Further
+    /// hash bits of the draw choose what the fire does.
+    pub fn draw(&self, site: impl Into<usize>, seed: u64, rate: Rate) -> Option<u64> {
+        let site = site.into();
+        let index = self.calls[site].fetch_add(1, Ordering::Relaxed);
+        let h = splitmix64(seed ^ splitmix64(((site as u64) << 56) ^ index));
+        if ((h >> 11) as f64) / ((1u64 << 53) as f64) >= rate.get() {
+            return None;
+        }
+        self.raised[site].fetch_add(1, Ordering::Relaxed);
+        Some(h)
+    }
+}
+
+impl FaultSchedule<FaultConfig> {
+    /// Whether this poll of `site` fires, and with which kind.
+    fn decide(&self, site: Site) -> Option<FaultKind> {
+        let cfg = self.config()?;
+        if cfg.sites & site.bit() == 0 {
+            return None;
+        }
+        let h = self.draw(site, cfg.seed, cfg.rate)?;
+        Some(match cfg.kind {
+            Some(kind) => kind,
+            None if h & (1 << 7) == 0 => FaultKind::Typed,
+            None => FaultKind::Panic,
+        })
+    }
+
+    /// Polls `site`; unwinds with an injected payload if it fires. Sites
+    /// whose enclosing layer catches unwinds (SM step, decode, pool
+    /// workers) use this directly.
+    #[inline]
+    pub fn poll(&self, site: Site) {
+        if !self.is_armed() {
+            return;
+        }
+        if let Some(kind) = self.decide(site) {
+            raise(site, kind);
+        }
+    }
+
+    /// Polls `site` for the device layer: a typed fault comes back as a
+    /// value (for `Result`-returning APIs), a panic-kind fault unwinds.
+    #[inline]
+    pub fn poll_typed(&self, site: Site) -> Option<InjectedFault> {
+        if !self.is_armed() {
+            return None;
+        }
+        match self.decide(site)? {
+            FaultKind::Typed => Some(InjectedFault { site: site.name() }),
+            FaultKind::Panic => raise(site, FaultKind::Panic),
+        }
+    }
+
+    /// Polls a cache site: a typed fault reports `true` ("tamper with the
+    /// entry"), exercising the checksum/eviction path without unwinding; a
+    /// panic-kind fault unwinds (caught at the memo boundary, which
+    /// degrades the probe to a miss).
+    #[inline]
+    pub fn tamper(&self, site: Site) -> bool {
+        if !self.is_armed() {
+            return false;
+        }
+        match self.decide(site) {
+            None => false,
+            Some(FaultKind::Typed) => true,
+            Some(FaultKind::Panic) => raise(site, FaultKind::Panic),
+        }
+    }
+
+    /// True when armed with absorb-and-retry: the launch and device layers
+    /// then retry injected-class failures.
+    pub fn absorbs(&self) -> bool {
+        self.is_armed() && self.config().is_some_and(|c| c.absorb)
+    }
+}
+
+// ---- payloads --------------------------------------------------------------
 
 /// Payload carried by a `typed`-kind injected fault. Hardened layers
 /// downcast unwind payloads to this type to classify the failure.
@@ -171,211 +423,10 @@ pub struct WatchdogAbort {
     pub warp_instructions: u64,
 }
 
-// ---- state -----------------------------------------------------------------
-
-// 0 = unresolved (read G80_SIM_FAULTS on first use), 1 = disarmed, 2 = armed.
-static STATE: AtomicU8 = AtomicU8::new(0);
-static SEED: AtomicU64 = AtomicU64::new(0);
-static RATE_BITS: AtomicU64 = AtomicU64::new(0);
-// 0 = mixed, 1 = typed, 2 = panic.
-static KIND: AtomicU8 = AtomicU8::new(0);
-static SITES: AtomicU32 = AtomicU32::new(0);
-/// Per-site poll counters: the call index feeding the decision hash.
-static CALLS: [AtomicU64; 9] = [const { AtomicU64::new(0) }; 9];
-/// Per-site counters of faults actually raised.
-static RAISED: [AtomicU64; 9] = [const { AtomicU64::new(0) }; 9];
-/// Absorb-and-retry mode (default on): the launch/device layers retry
-/// injected-class failures after restoring memory, so an armed suite still
-/// passes. Soak tests turn it off to observe the per-launch `Err`s.
-static RETRY_OFF: AtomicBool = AtomicBool::new(false);
-/// Worker threads that died to an injected fault and were respawned.
-static WORKER_DEATHS: AtomicU64 = AtomicU64::new(0);
-
-/// True when fault injection is armed. The only cost a disabled site pays.
-#[inline]
-pub fn armed() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        0 => resolve_env(),
-        2 => true,
-        _ => false,
-    }
-}
-
-#[cold]
-fn resolve_env() -> bool {
-    let cfg = std::env::var("G80_SIM_FAULTS").ok().and_then(|v| parse(&v));
-    // Racing first reads parse the same env and resolve identically.
-    store(cfg);
-    cfg.is_some()
-}
-
-fn parse(v: &str) -> Option<FaultConfig> {
-    let mut it = v.trim().split(':');
-    let seed = it.next()?.parse::<u64>().ok()?;
-    let rate = it.next()?.parse::<f64>().ok()?;
-    if !(0.0..=1.0).contains(&rate) {
-        return None;
-    }
-    let kind = match it.next() {
-        None | Some("mixed") => None,
-        Some("typed") => Some(FaultKind::Typed),
-        Some("panic") => Some(FaultKind::Panic),
-        Some(_) => return None,
-    };
-    Some(FaultConfig::new(seed, rate, kind))
-}
-
-fn store(cfg: Option<FaultConfig>) {
-    match cfg {
-        Some(c) => {
-            SEED.store(c.seed, Ordering::SeqCst);
-            RATE_BITS.store(c.rate.to_bits(), Ordering::SeqCst);
-            KIND.store(
-                match c.kind {
-                    None => 0,
-                    Some(FaultKind::Typed) => 1,
-                    Some(FaultKind::Panic) => 2,
-                },
-                Ordering::SeqCst,
-            );
-            SITES.store(c.sites, Ordering::SeqCst);
-            install_decode_probe();
-            STATE.store(2, Ordering::SeqCst);
-        }
-        None => STATE.store(1, Ordering::SeqCst),
-    }
-}
-
-/// Arms (`Some`) or disarms (`None`) fault injection programmatically,
-/// overriding `G80_SIM_FAULTS`. Process-wide; tests serialize around it.
-pub fn set_faults(cfg: Option<FaultConfig>) {
-    store(cfg);
-}
-
-/// The active configuration, if armed.
-pub fn config() -> Option<FaultConfig> {
-    if !armed() {
-        return None;
-    }
-    Some(FaultConfig {
-        seed: SEED.load(Ordering::SeqCst),
-        rate: f64::from_bits(RATE_BITS.load(Ordering::SeqCst)),
-        kind: match KIND.load(Ordering::SeqCst) {
-            1 => Some(FaultKind::Typed),
-            2 => Some(FaultKind::Panic),
-            _ => None,
-        },
-        sites: SITES.load(Ordering::SeqCst),
-    })
-}
-
-/// Enables/disables absorb-and-retry of injected-class failures in the
-/// launch and device layers (default enabled).
-pub fn set_retry(on: bool) {
-    RETRY_OFF.store(!on, Ordering::SeqCst);
-}
-
-/// Whether injected-class failures are absorbed by retrying.
-pub fn retry() -> bool {
-    !RETRY_OFF.load(Ordering::SeqCst)
-}
-
-/// Faults raised so far at `site`.
-pub fn raised(site: Site) -> u64 {
-    RAISED[site as usize].load(Ordering::Relaxed)
-}
-
-/// Total faults raised across all sites.
-pub fn total_raised() -> u64 {
-    RAISED.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-}
-
-/// Pool workers killed by injected faults and respawned.
-pub fn worker_deaths() -> u64 {
-    WORKER_DEATHS.load(Ordering::Relaxed)
-}
-
-pub(crate) fn count_worker_death() {
-    WORKER_DEATHS.fetch_add(1, Ordering::Relaxed);
-}
-
-// ---- the decision ----------------------------------------------------------
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Decides whether the `index`-th poll of `site` fires, and with which
-/// kind. Pure in (seed, site, index).
-fn decide(site: Site) -> Option<FaultKind> {
-    if SITES.load(Ordering::Relaxed) & site.bit() == 0 {
-        return None;
-    }
-    let index = CALLS[site as usize].fetch_add(1, Ordering::Relaxed);
-    let seed = SEED.load(Ordering::Relaxed);
-    let h = splitmix64(seed ^ splitmix64(((site as u64) << 56) ^ index));
-    let rate = f64::from_bits(RATE_BITS.load(Ordering::Relaxed));
-    if ((h >> 11) as f64) / ((1u64 << 53) as f64) >= rate {
-        return None;
-    }
-    RAISED[site as usize].fetch_add(1, Ordering::Relaxed);
-    Some(match KIND.load(Ordering::Relaxed) {
-        1 => FaultKind::Typed,
-        2 => FaultKind::Panic,
-        _ if h & (1 << 7) == 0 => FaultKind::Typed,
-        _ => FaultKind::Panic,
-    })
-}
-
 fn raise(site: Site, kind: FaultKind) -> ! {
     match kind {
         FaultKind::Typed => std::panic::panic_any(InjectedFault { site: site.name() }),
         FaultKind::Panic => panic!("{PANIC_MARKER}{}", site.name()),
-    }
-}
-
-/// Polls `site`; unwinds with an injected payload if it fires. Sites whose
-/// enclosing layer catches unwinds (SM step, decode, pool workers) use this
-/// directly.
-#[inline]
-pub fn poll(site: Site) {
-    if !armed() {
-        return;
-    }
-    if let Some(kind) = decide(site) {
-        raise(site, kind);
-    }
-}
-
-/// Polls `site` for the device layer: a typed fault comes back as a value
-/// (for `Result`-returning APIs), a panic-kind fault unwinds.
-#[inline]
-pub fn poll_typed(site: Site) -> Option<InjectedFault> {
-    if !armed() {
-        return None;
-    }
-    match decide(site)? {
-        FaultKind::Typed => Some(InjectedFault { site: site.name() }),
-        FaultKind::Panic => raise(site, FaultKind::Panic),
-    }
-}
-
-/// Polls a memo-cache site: a typed fault reports `true` ("tamper with the
-/// entry"), exercising the checksum/eviction path without unwinding; a
-/// panic-kind fault unwinds (caught at the memo boundary, which degrades
-/// the probe to a miss).
-#[inline]
-pub fn tamper(site: Site) -> bool {
-    if !armed() {
-        return false;
-    }
-    match decide(site) {
-        None => false,
-        Some(FaultKind::Typed) => true,
-        Some(FaultKind::Panic) => raise(site, FaultKind::Panic),
     }
 }
 
@@ -395,16 +446,6 @@ pub fn payload_str(p: &(dyn std::any::Any + Send)) -> Option<&str> {
     } else {
         p.downcast_ref::<String>().map(String::as_str)
     }
-}
-
-fn install_decode_probe() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        fn probe() {
-            poll(Site::Decode);
-        }
-        g80_isa::decode::install_decode_probe(probe);
-    });
 }
 
 // ---- watchdog --------------------------------------------------------------
@@ -439,32 +480,54 @@ mod tests {
 
     #[test]
     fn parse_accepts_seed_rate_and_kind() {
-        let c = parse("7:0.25").unwrap();
-        assert_eq!(c.seed, 7);
-        assert_eq!(c.rate, 0.25);
-        assert_eq!(c.kind, None);
-        assert_eq!(parse("1:0.5:typed").unwrap().kind, Some(FaultKind::Typed));
-        assert_eq!(parse("1:0.5:panic").unwrap().kind, Some(FaultKind::Panic));
-        assert_eq!(parse("1:0.5:mixed").unwrap().kind, None);
-        assert!(parse("").is_none());
-        assert!(parse("1").is_none());
-        assert!(parse("1:2.0").is_none());
-        assert!(parse("1:-0.1").is_none());
-        assert!(parse("1:0.5:bogus").is_none());
+        let c = FaultConfig::parse("7:0.25").unwrap();
+        assert_eq!((c.seed, c.rate.get(), c.kind), (7, 0.25, None));
+        assert_eq!((c.sites, c.absorb), (FaultConfig::all_sites(), true));
+        let sim = |v| FaultConfig::parse(v).map(|c| c.kind);
+        assert_eq!(sim("1:0.5:typed"), Some(Some(FaultKind::Typed)));
+        assert_eq!(sim("1:0.5:panic"), Some(Some(FaultKind::Panic)));
+        assert_eq!(sim("1:0.5:mixed"), Some(None));
+        let net = |v| NetFaultConfig::parse(v).map(|c| c.kind);
+        let n = NetFaultConfig::parse(" 7:0.25 ").unwrap();
+        assert_eq!((n.seed, n.rate.get(), n.kind), (7, 0.25, NetFaultKind::All));
+        assert_eq!(net("1:0.5:corrupt"), Some(NetFaultKind::Corrupt));
+        assert_eq!(net("1:0.5:stall"), Some(NetFaultKind::Stall));
+        assert_eq!(net("1:0.5:all"), Some(NetFaultKind::All));
+        // Each variable's kinds are its own; the rest of the grammar is one.
+        assert_eq!(sim("1:0.5:stall"), None);
+        assert_eq!(net("1:0.5:typed"), None);
+        for bad in [
+            "",
+            "1",
+            "nope",
+            "1:2.0",
+            "1:-0.1",
+            "1:1.5",
+            "1:0.5:bogus",
+            "1:0.5:typed:junk",
+            "1:0.5:stall:x",
+            "1:0.5:",
+        ] {
+            assert_eq!(sim(bad), None, "{bad:?}");
+            assert_eq!(net(bad), None, "{bad:?}");
+        }
     }
 
     #[test]
     fn decision_is_deterministic_in_seed_and_index() {
-        // Pure recomputation of the decide() hash for two seeds.
-        let fires = |seed: u64, site: Site, index: u64, rate: f64| {
-            let h = splitmix64(seed ^ splitmix64(((site as u64) << 56) ^ index));
-            ((h >> 11) as f64) / ((1u64 << 53) as f64) < rate
+        let fires = |seed: u64| -> Vec<bool> {
+            let s = FaultSchedule::<FaultConfig>::new(None);
+            (0..256)
+                .map(|_| s.draw(Site::SmStep, seed, Rate::new(0.1)).is_some())
+                .collect()
         };
-        let a: Vec<bool> = (0..256).map(|i| fires(1, Site::SmStep, i, 0.1)).collect();
-        let b: Vec<bool> = (0..256).map(|i| fires(1, Site::SmStep, i, 0.1)).collect();
-        assert_eq!(a, b);
-        let c: Vec<bool> = (0..256).map(|i| fires(2, Site::SmStep, i, 0.1)).collect();
-        assert_ne!(a, c, "different seeds should give different schedules");
+        let a = fires(1);
+        assert_eq!(a, fires(1));
+        assert_ne!(
+            a,
+            fires(2),
+            "different seeds should give different schedules"
+        );
         let fired = a.iter().filter(|&&f| f).count();
         assert!(fired > 0 && fired < 256, "rate 0.1 over 256 polls: {fired}");
     }

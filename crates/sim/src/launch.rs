@@ -20,7 +20,7 @@
 use crate::config::GpuConfig;
 use crate::context::SimContext;
 use crate::counters::{KernelStats, SmStats};
-use crate::fault;
+use crate::fault::Site;
 use crate::memo::{self, Served};
 use crate::memory::DeviceMemory;
 use crate::pool;
@@ -28,7 +28,7 @@ use crate::reference::run_sm_reference;
 use crate::sm::{run_sm, LaunchDims, SmTally};
 use crate::witness::{replay_sm, Ev};
 use g80_isa::{DecodedKernel, Kernel, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering::Relaxed;
 
@@ -233,6 +233,9 @@ impl<'a> Prepared<'a> {
         shared_uniform: bool,
         witness_out: Option<&mut Option<Vec<Vec<Ev>>>>,
     ) -> SmStats {
+        // One poll per SM simulation: every launch exercises the site, and
+        // the per-launch fault probability does not scale with grid size.
+        ctx.faults().poll(Site::SmStep);
         let s = &self.spec;
         let Some(decoded) = decoded else {
             return run_sm_reference(
@@ -372,31 +375,27 @@ const MAX_FAULT_RETRIES: u32 = 32;
 /// `false` for specs that share a [`DeviceMemory`] with a concurrent spec).
 /// The [`Served`] in the result is the cache-tier verdict.
 ///
-/// When fault injection is armed with absorb-and-retry enabled (the
-/// default), injected-class failures are retried after restoring the
-/// pre-launch memory image — a retry without the restore would double-apply
-/// the partial writes of in-place kernels. Simulation is deterministic, so
-/// an absorbed launch is bit-identical to an unfaulted one.
+/// When the context's faults are armed with absorb-and-retry, injected-class
+/// failures are retried after restoring the pre-launch memory image — a
+/// retry without the restore would double-apply the partial writes of
+/// in-place kernels. Simulation is deterministic, so an absorbed launch is
+/// bit-identical to an unfaulted one.
 pub(crate) fn launch_with_memo(
     ctx: &SimContext,
     cfg: &GpuConfig,
     spec: LaunchSpec,
     exclusive_mem: bool,
 ) -> Result<(KernelStats, Served), LaunchError> {
-    if !fault::armed() {
+    if !ctx.faults().absorbs() {
         return launch_once(ctx, cfg, spec, exclusive_mem);
     }
-    let snapshot = if fault::retry() {
-        Some(spec.mem.snapshot_words())
-    } else {
-        None
-    };
+    let snapshot = spec.mem.snapshot_words();
     let mut attempts = 0u32;
     loop {
         match launch_once(ctx, cfg, spec, exclusive_mem) {
-            Err(e) if e.is_injected() && attempts < MAX_FAULT_RETRIES && snapshot.is_some() => {
+            Err(e) if e.is_injected() && attempts < MAX_FAULT_RETRIES => {
                 attempts += 1;
-                spec.mem.restore_words(snapshot.as_ref().unwrap());
+                spec.mem.restore_words(&snapshot);
             }
             r => return r,
         }
@@ -661,7 +660,7 @@ pub fn launch_batch_traced(
     specs: &[LaunchSpec],
 ) -> Vec<Result<(KernelStats, Served), LaunchError>> {
     let ctx = SimContext::current();
-    if !fault::armed() {
+    if !ctx.faults().absorbs() {
         return launch_batch_once(&ctx, cfg, specs);
     }
 
@@ -670,30 +669,24 @@ pub fn launch_batch_traced(
     // the *whole batch* instead, restoring every distinct memory first.
     // Simulation is deterministic, so unfaulted entries recompute the same
     // stats and writes on every attempt.
-    let snapshots: Option<Vec<(&DeviceMemory, Vec<u32>)>> = fault::retry().then(|| {
-        let mut seen: HashMap<*const DeviceMemory, ()> = HashMap::new();
-        let mut snaps = Vec::new();
-        for s in specs {
-            if seen.insert(std::ptr::from_ref(s.mem), ()).is_none() {
-                snaps.push((s.mem, s.mem.snapshot_words()));
-            }
-        }
-        snaps
-    });
+    let mut seen = HashSet::new();
+    let snapshots: Vec<(&DeviceMemory, Vec<u32>)> = specs
+        .iter()
+        .filter(|s| seen.insert(std::ptr::from_ref(s.mem)))
+        .map(|s| (s.mem, s.mem.snapshot_words()))
+        .collect();
     let mut attempts = 0u32;
     loop {
         let results = launch_batch_once(&ctx, cfg, specs);
         let injected = results
             .iter()
             .any(|r| matches!(r, Err(e) if e.is_injected()));
-        match &snapshots {
-            Some(snaps) if injected && attempts < MAX_FAULT_RETRIES => {
-                attempts += 1;
-                for (mem, words) in snaps {
-                    mem.restore_words(words);
-                }
-            }
-            _ => return results,
+        if !injected || attempts >= MAX_FAULT_RETRIES {
+            return results;
+        }
+        attempts += 1;
+        for (mem, words) in &snapshots {
+            mem.restore_words(words);
         }
     }
 }

@@ -79,7 +79,7 @@ pub use counters::{
     row_counters, KernelStats, MemoCounters, NetCounters, RowCounters, StallReason,
 };
 pub use error::{CudaError, SimError};
-pub use fault::{set_faults, FaultConfig, FaultKind, Site};
+pub use fault::{FaultConfig, FaultKind, NetFaultConfig, NetFaultKind, Site};
 pub use launch::{
     launch, launch_batch, launch_batch_traced, launch_traced, Engine, LaunchError, LaunchSpec,
 };

@@ -25,7 +25,7 @@ use crate::config::GpuConfig;
 use crate::context::SimContext;
 use crate::counters::KernelStats;
 use crate::disk;
-use crate::fault::{self, lock_recover};
+use crate::fault::{self, lock_recover, Site};
 use crate::memory::DeviceMemory;
 use crate::sm::LaunchDims;
 use g80_isa::dataflow::{self, TaintSummary};
@@ -260,9 +260,11 @@ pub fn kernel_info(kernel: &Kernel) -> Arc<KernelInfo> {
         }
     }
     // Decode and analyze *outside* the registry lock: predecode can unwind
-    // (the fault injector's isa.decode probe), and an unwind here must leave
-    // the registry untouched. Two racing first-decoders both compute; the
-    // loser's insert simply overwrites an identical entry.
+    // (the isa.decode site, polled in the launching thread's context), and
+    // an unwind here must leave the registry untouched. Two racing
+    // first-decoders both compute; the loser's insert simply overwrites an
+    // identical entry.
+    SimContext::with_current(|ctx| ctx.faults().poll(Site::Decode));
     let taint = dataflow::analyze(&kernel.code);
     let dedup_eligible = taint.timing_data_independent()
         && !taint.has_atomic
@@ -507,7 +509,7 @@ pub(crate) fn memo_lookup(
     if !ctx.config().memo || !exclusive_mem {
         return MemoLookup::Disabled;
     }
-    if !fault::armed() {
+    if !ctx.faults().is_armed() {
         return memo_lookup_inner(ctx, cfg, kernel, dims, params, mem);
     }
     // Degradation contract: a memo-layer panic (injected memo.load fault)
@@ -532,7 +534,7 @@ fn memo_lookup_inner(
     // Polled before the lock: a panic-kind fault unwinds without touching
     // the cache; a typed fault flags whatever entry we find as corrupt,
     // exercising the same eviction path as real bit rot.
-    let tampered = fault::tamper(fault::Site::MemoLoad);
+    let tampered = ctx.faults().tamper(Site::MemoLoad);
     let mode = mode_bits(ctx.config().engine, ctx.config().dedup);
     let key = memo_key(cfg, kernel, dims, params, mem, mode);
     // The lock covers the map lookup and the LRU bump only; verifying and
@@ -652,14 +654,14 @@ pub(crate) fn memo_record(
     mem: &DeviceMemory,
     stats: &KernelStats,
 ) {
-    if !fault::armed() {
+    if !ctx.faults().is_armed() {
         return memo_record_inner(ctx, pending, mem, stats, false);
     }
     // A memo-store panic costs this launch its cache entry, nothing more;
     // a typed memo.store fault records a *corrupted* checksum, which the
     // next lookup of this key detects and evicts.
     match catch_unwind(AssertUnwindSafe(|| {
-        let corrupt = fault::tamper(fault::Site::MemoStore);
+        let corrupt = ctx.faults().tamper(Site::MemoStore);
         memo_record_inner(ctx, pending, mem, stats, corrupt)
     })) {
         Ok(()) => {}
@@ -909,8 +911,7 @@ mod tests {
         let stats = KernelStats::merge("corrupt_entry_probe", &cfg, Vec::new(), 4, 0, 64, 1, 8);
         memo_record_inner(&ctx, pending, &recorded, &stats, true);
 
-        // Whatever the probe answers (an armed injector may drop it), it
-        // must not be a hit and must leave the image alone.
+        // The probe must not be a hit and must leave the image alone.
         let probe = key_image();
         let found = memo_lookup(&ctx, &cfg, &kernel, dims, &params, &probe, true);
         assert!(!matches!(found, MemoLookup::Hit(..)), "a corrupt entry hit");

@@ -31,8 +31,8 @@
 //! order, so simulated statistics are bit-identical for any worker count —
 //! enforced by `tests/golden_stats.rs` and the `G80_SIM_THREADS=1` CI run.
 
-use crate::context;
-use crate::fault::{self, lock_recover, wait_recover};
+use crate::context::{self, SimContext};
+use crate::fault::{self, lock_recover, wait_recover, Site};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -46,6 +46,10 @@ type Task = Box<dyn FnOnce() + Send + 'static>;
 
 /// One in-flight `scope`: a queue of tasks plus completion tracking.
 struct Group {
+    /// The submitter's entered context (`None`: the global one): every task
+    /// runs in it, and a worker polls its `pool.worker` site before taking
+    /// one.
+    ctx: Option<Arc<SimContext>>,
     queue: Mutex<VecDeque<Task>>,
     /// Tasks submitted but not yet finished (queued + running).
     pending: AtomicUsize,
@@ -56,8 +60,9 @@ struct Group {
 }
 
 impl Group {
-    fn new(tasks: VecDeque<Task>) -> Self {
+    fn new(ctx: Option<Arc<SimContext>>, tasks: VecDeque<Task>) -> Self {
         Group {
+            ctx,
             pending: AtomicUsize::new(tasks.len()),
             queue: Mutex::new(tasks),
             done: Mutex::new(false),
@@ -70,9 +75,18 @@ impl Group {
         lock_recover(&self.queue).pop_front()
     }
 
-    /// Runs one task, recording a panic instead of unwinding into the
-    /// scheduler, and signals the owner when the last task finishes.
+    fn context(&self) -> &SimContext {
+        match &self.ctx {
+            Some(ctx) => ctx,
+            None => context::global(),
+        }
+    }
+
+    /// Runs one task in the group's context, recording a panic instead of
+    /// unwinding into the scheduler, and signals the owner when the last
+    /// task finishes.
     fn run(&self, task: Task) {
+        let _restore = context::scope(self.ctx.clone());
         if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
             lock_recover(&self.panic).get_or_insert(payload);
         }
@@ -87,26 +101,6 @@ struct Shared {
     /// Scopes that may still have queued tasks; workers steal from these.
     groups: Mutex<Vec<Arc<Group>>>,
     work_cv: Condvar,
-}
-
-impl Shared {
-    /// Takes one task from a registered group, pruning drained groups.
-    fn steal(&self, groups: &mut Vec<Arc<Group>>) -> Option<(Arc<Group>, Task)> {
-        loop {
-            let g = groups.first().map(Arc::clone)?;
-            let mut q = lock_recover(&g.queue);
-            if let Some(task) = q.pop_front() {
-                let drained = q.is_empty();
-                drop(q);
-                if drained {
-                    groups.swap_remove(0);
-                }
-                return Some((g, task));
-            }
-            drop(q);
-            groups.swap_remove(0);
-        }
-    }
 }
 
 struct Pool {
@@ -146,13 +140,12 @@ fn pool() -> &'static Pool {
 /// Spawns one pool worker. If the worker dies to an injected fault (real
 /// task panics are caught inside [`Group::run`] and can't unwind the
 /// worker), a replacement is spawned so the pool keeps its configured
-/// width; the death is counted in [`fault::worker_deaths`].
+/// width; the death is the `pool.worker` fire the context counted.
 fn spawn_worker(shared: Arc<Shared>, i: usize) {
     std::thread::Builder::new()
         .name(format!("g80-sim-{i}"))
         .spawn(move || {
             if catch_unwind(AssertUnwindSafe(|| worker_loop(&shared))).is_err() {
-                fault::count_worker_death();
                 spawn_worker(shared, i);
             }
         })
@@ -167,29 +160,33 @@ pub fn worker_count() -> usize {
 
 fn worker_loop(shared: &Shared) {
     loop {
-        // Polled *before* stealing, so an injected worker death never takes
-        // a popped task with it — the task stays queued for another thread.
-        fault::poll(fault::Site::PoolWorker);
-        let stolen = {
+        let group = {
             let mut groups = lock_recover(&shared.groups);
             loop {
-                if let Some(hit) = shared.steal(&mut groups) {
-                    break hit;
+                if let Some(g) = groups.first() {
+                    break Arc::clone(g);
                 }
                 groups = wait_recover(&shared.work_cv, groups);
             }
         };
-        let (group, task) = stolen;
-        group.run(task);
+        // Polled in the group's context after choosing it and *before*
+        // popping, so an injected worker death never takes a task with it —
+        // the task stays queued for another thread.
+        group.context().faults().poll(Site::PoolWorker);
+        match group.pop() {
+            Some(task) => group.run(task),
+            // Drained: stop offering it.
+            None => lock_recover(&shared.groups).retain(|g| !Arc::ptr_eq(g, &group)),
+        }
     }
 }
 
-/// Executes lifetime-erased tasks to completion: registers the group for
-/// workers to steal from, drains it from the owning thread, then blocks
-/// until every task (including stolen ones) has finished.
-fn scope_run(tasks: VecDeque<Task>) {
+/// Executes lifetime-erased tasks to completion in `ctx`: registers the
+/// group for workers to steal from, drains it from the owning thread, then
+/// blocks until every task (including stolen ones) has finished.
+fn scope_run(ctx: Option<Arc<SimContext>>, tasks: VecDeque<Task>) {
     let pool = pool();
-    let group = Arc::new(Group::new(tasks));
+    let group = Arc::new(Group::new(ctx, tasks));
     {
         let mut groups = lock_recover(&pool.shared.groups);
         groups.push(Arc::clone(&group));
@@ -253,14 +250,11 @@ where
     }
     let slots: Vec<Mutex<Option<Result<T, TaskPanic>>>> =
         fns.iter().map(|_| Mutex::new(None)).collect();
-    let ctx = context::scoped();
     let tasks: VecDeque<Task> = fns
         .into_iter()
         .zip(&slots)
         .map(|(f, slot)| {
-            let ctx = ctx.clone();
             let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                let _restore = context::scope(ctx);
                 // The task catches its own panic so the slot always ends up
                 // filled; Group::run's catch is only a backstop.
                 let r = catch_unwind(AssertUnwindSafe(f)).map_err(TaskPanic);
@@ -274,7 +268,7 @@ where
             unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Task>(task) }
         })
         .collect();
-    scope_run(tasks);
+    scope_run(context::scoped(), tasks);
     slots
         .into_iter()
         .map(|slot| {

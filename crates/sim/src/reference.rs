@@ -65,9 +65,6 @@ pub fn run_sm_reference(
     blocks_per_sm: u32,
     watchdog: u64,
 ) -> SmStats {
-    // Same site as the predecoded engine: one probe per SM invocation.
-    crate::fault::poll(crate::fault::Site::SmStep);
-
     let mut stats = SmStats::default();
     let mut queue = my_blocks.iter().copied();
     let mut resident: Vec<Resident> = Vec::new();

@@ -220,11 +220,6 @@ pub fn run_sm(
     tally: &mut SmTally,
     witness_out: Option<&mut Option<Vec<Vec<Ev>>>>,
 ) -> SmStats {
-    // One injection probe per SM invocation: enough for the soak harness to
-    // exercise the site at every launch without making the per-launch fault
-    // probability scale with grid size.
-    crate::fault::poll(crate::fault::Site::SmStep);
-
     let mut stats = SmStats::default();
     let mut next_block: usize = 0;
     let mut resident: Vec<Resident> = Vec::new();

@@ -1,10 +1,11 @@
 //! The in-process configuration matrix: what used to be three extra CI
 //! passes of the whole suite (`G80_SIM_MEMO=off`, `G80_SIM_MEMO_CAP=1
-//! G80_SIM_DEDUP=off`, `G80_SIM_DISK_CACHE=<dir>`) as four contexts a test
-//! iterates. Depends on `g80_sim` alone, so `crates/sim/tests` includes this
-//! file too.
+//! G80_SIM_DEDUP=off`, `G80_SIM_DISK_CACHE=<dir>`) plus a chaos pass
+//! (`G80_SIM_FAULTS`) as five contexts a test iterates. Only the armed one
+//! perturbs exact counts: a test asks `ctx.faults().is_armed()`. Depends on
+//! `g80_sim` alone, so `crates/sim/tests` includes this file too.
 
-use g80_sim::{SimConfig, SimContext};
+use g80_sim::{FaultConfig, SimConfig, SimContext};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,6 +36,11 @@ pub fn contexts() -> Contexts {
             (c.memo_cap, c.dedup) = (1, false)
         }),
         with("disk tier", |c| c.disk_dir = Some(scratch_dir("matrix"))),
+        // Mixed typed and panic faults at every site, absorbed: results must
+        // stay bit-identical under injected faults.
+        with("faults armed", |c| {
+            c.faults = Some(FaultConfig::new(0xc4a0, 0.01, None))
+        }),
     ])
 }
 

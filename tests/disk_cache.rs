@@ -22,14 +22,12 @@ fn scale_kernel(mult: u32, salt: u32) -> Kernel {
     Scale::kernel("disk_scale", mult, salt)
 }
 
-/// One scenario's private cache directory, removed when the case ends. `None`
-/// under an armed fault injector: exact counter assertions don't survive
-/// it (the chaos CI arms memo.disk itself).
+/// One scenario's private cache directory, removed when the case ends.
 struct Dir(PathBuf);
 
 impl Dir {
-    fn new(tag: &str) -> Option<Dir> {
-        (!g80::sim::fault::armed()).then(|| Dir(common::scratch_dir(tag)))
+    fn new(tag: &str) -> Dir {
+        Dir(common::scratch_dir(tag))
     }
 
     /// A fresh context on this directory: cold LRU, zero counters, dedup
@@ -91,9 +89,7 @@ fn total_bytes(dir: &Path) -> u64 {
 /// is an LRU hit.
 #[test]
 fn replay_is_bit_identical() {
-    let Some(dir) = Dir::new("replay") else {
-        return;
-    };
+    let dir = Dir::new("replay");
     let k = scale_kernel(3, 7);
     let m1 = SCALE.input();
     let (cold, c) = dir.fresh_run(&k, &m1);
@@ -133,9 +129,7 @@ fn replay_is_bit_identical() {
 /// to a clean reference.
 #[test]
 fn concurrent_publish_and_load() {
-    let Some(dir) = Dir::new("concurrent") else {
-        return;
-    };
+    let dir = Dir::new("concurrent");
     // References simulated with the whole cache machinery off.
     let uncached = SimContext::new(SimConfig {
         memo: false,
@@ -217,9 +211,7 @@ fn assert_evicted_and_resimulated(
 /// Truncation and bit rot reuse the evict-and-resimulate contract.
 #[test]
 fn corruption_is_evicted_and_resimulated() {
-    let Some(dir) = Dir::new("corrupt") else {
-        return;
-    };
+    let dir = Dir::new("corrupt");
     let k = scale_kernel(17, 23);
     let m1 = SCALE.input();
     let (cold, _) = dir.fresh_run(&k, &m1);
@@ -237,9 +229,7 @@ fn corruption_is_evicted_and_resimulated() {
 /// evicted) even though its checksum is internally consistent.
 #[test]
 fn version_skew_is_rejected() {
-    let Some(dir) = Dir::new("skew") else {
-        return;
-    };
+    let dir = Dir::new("skew");
     let k = scale_kernel(29, 31);
     let (cold, _) = dir.fresh_run(&k, &SCALE.input());
 
@@ -262,9 +252,7 @@ fn version_skew_is_rejected() {
 /// directory's total size fits the cap and the oldest entries are gone.
 #[test]
 fn compaction_enforces_byte_budget() {
-    let Some(dir) = Dir::new("compact") else {
-        return;
-    };
+    let dir = Dir::new("compact");
     // Size one entry, then budget roughly four of them.
     dir.fresh_run(&scale_kernel(37, 41), &SCALE.input());
     let entry_bytes = total_bytes(&dir.0);

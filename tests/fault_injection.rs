@@ -12,23 +12,23 @@
 //! * **soak** — every site × both kinds × three seeds, with absorb-and-
 //!   retry off: the process never aborts, every launch-level `Err` is
 //!   injected-class, and a disarmed re-run is bit-identical to a golden
-//!   run taken before any fault fired.
+//!   run taken before any fault fired;
+//! * **replay** — re-arming a context with the same config replays the
+//!   same faults at the same polls.
 //!
-//! The fault schedule is process-global, so everything runs inside one
-//! `#[test]` (parallel test threads would race it); every other setting is
-//! the context a scenario builds for itself.
+//! Every scenario arms a context of its own, so they run in parallel.
 
 use g80::isa::builder::KernelBuilder;
 use g80::isa::{Kernel, Value};
 use g80::sim::fault::{self, FaultConfig, FaultKind, Site};
 use g80::sim::{
-    launch, launch_batch, memo_counters, set_faults, DeviceMemory, Engine, GpuConfig, LaunchDims,
-    LaunchError, LaunchSpec, SimConfig, SimContext,
+    launch, launch_batch, memo_counters, DeviceMemory, Engine, GpuConfig, LaunchDims, LaunchError,
+    LaunchSpec, SimConfig, SimContext,
 };
 use std::sync::Arc;
 
 mod common;
-use common::Scale;
+use common::{stats_bytes, Scale};
 
 /// Each (mult, salt) pair is distinct kernel *content*: a fresh decode and a
 /// fresh memo identity.
@@ -62,54 +62,17 @@ fn oob_kernel() -> Kernel {
     b.build()
 }
 
-/// Resets the process-global fault state to the harness-off defaults.
-fn disarm_all() {
-    set_faults(None);
-    fault::set_retry(true);
-}
-
-/// A fresh product context: cold memo, zero counters, no disk tier (even if
-/// `G80_SIM_DISK_CACHE` is set in the CI env — the exact-count assertions
-/// below reason about the in-process LRU alone, and the soak arms its own
-/// private disk directory).
+/// A fresh product context: cold memo, zero counters, no disk tier and
+/// faults disarmed (whatever the CI env arms the global context with — the
+/// exact-count assertions below reason about the in-process LRU alone, and
+/// the soak arms its own private disk directory).
 fn fresh_context() -> Arc<SimContext> {
     SimContext::new(SimConfig::default())
 }
 
 #[test]
-fn fault_injection_and_degradation() {
-    disarm_all();
-    let cfg = GpuConfig::geforce_8800_gtx();
-
-    // Golden run *before* any fault ever fires: the degradation contract
-    // says a disarmed re-run at the very end must reproduce this bit for
-    // bit.
-    const GOLDEN: Scale = Scale { n: 1024 };
-    let golden_kernel = scale_kernel(3, 7);
-    let golden_mem = GOLDEN.input();
-    let golden = fresh_context().enter(|| GOLDEN.run(&golden_kernel, &golden_mem));
-    let golden_out = GOLDEN.output(&golden_mem);
-
-    watchdog_aborts_runaway_kernels(&cfg);
-    mixed_validity_batch_isolates_failures(&cfg);
-    pool_respawns_dead_workers();
-    fresh_context().enter(memo_corruption_is_detected_and_resimulated);
-    soak_every_site_both_kinds();
-
-    // ---- degradation contract: disarmed re-run is bit-identical ----
-    disarm_all();
-    let mem = GOLDEN.input();
-    let again = fresh_context().enter(|| GOLDEN.run(&golden_kernel, &mem));
-    assert_eq!(golden.cycles, again.cycles, "golden cycles drifted");
-    assert_eq!(golden.warp_instructions, again.warp_instructions);
-    assert_eq!(golden.stall_cycles, again.stall_cycles);
-    assert_eq!(golden.by_class, again.by_class);
-    assert_eq!(golden.global_bytes, again.global_bytes);
-    assert_eq!(golden_out, GOLDEN.output(&mem), "golden output drifted");
-}
-
-fn watchdog_aborts_runaway_kernels(cfg: &GpuConfig) {
-    disarm_all();
+fn watchdog_aborts_runaway_kernels() {
+    let cfg = &GpuConfig::geforce_8800_gtx();
     let spin = spin_kernel();
     const BUDGET: u64 = 50_000;
     for engine in [Engine::Predecoded, Engine::Reference] {
@@ -156,8 +119,9 @@ fn watchdog_aborts_runaway_kernels(cfg: &GpuConfig) {
     }
 }
 
-fn mixed_validity_batch_isolates_failures(cfg: &GpuConfig) {
-    disarm_all();
+#[test]
+fn mixed_validity_batch_isolates_failures() {
+    let cfg = &GpuConfig::geforce_8800_gtx();
     const S: Scale = Scale { n: 512 };
     let good = scale_kernel(5, 11);
     let warm = scale_kernel(5, 12);
@@ -253,80 +217,91 @@ fn mixed_validity_batch_isolates_failures(cfg: &GpuConfig) {
     }
 }
 
+/// Two tasks that rendezvous can only finish if two threads run them, so a
+/// pool worker steals from the calling context's scope and polls its
+/// `pool.worker` site.
+fn rendezvous_on_the_pool() {
+    let barrier = std::sync::Barrier::new(2);
+    let b = &barrier;
+    let tasks: Vec<_> = (1u32..=2)
+        .map(|i| {
+            move || {
+                b.wait();
+                i
+            }
+        })
+        .collect();
+    assert_eq!(g80::sim::pool::run_tasks(tasks), vec![1, 2]);
+}
+
+#[test]
 fn pool_respawns_dead_workers() {
-    disarm_all();
-    // Memo off: every launch must actually simulate (and thus exercise the
-    // pool) instead of replaying the first launch from the cache.
-    let uncached = SimContext::new(SimConfig {
+    // Memo off: every launch must actually simulate (and, past the
+    // caller-runs size, exercise the pool) instead of replaying the first
+    // launch from the cache.
+    let uncached = SimConfig {
         memo: false,
         ..SimConfig::default()
-    });
-    const S: Scale = Scale { n: 1024 };
-    let run = |k: &Kernel, mem: &DeviceMemory| uncached.enter(|| S.run(k, mem));
+    };
+    const S: Scale = Scale { n: 1 << 14 };
     let k = scale_kernel(9, 13);
     let clean_mem = S.input();
-    let clean = run(&k, &clean_mem);
+    let clean = SimContext::new(uncached.clone()).enter(|| S.run(&k, &clean_mem));
     let clean_out = S.output(&clean_mem);
 
     // Kill workers (panic kind, pool.worker only). Worker deaths are
     // invisible to tasks — the site is polled before a task is stolen — so
     // every launch must still succeed with bit-identical results.
-    let deaths_before = fault::worker_deaths();
-    set_faults(Some(
-        FaultConfig::new(0xdead, 0.5, Some(FaultKind::Panic)).only(Site::PoolWorker),
-    ));
+    let kill = FaultConfig::new(0xdead, 0.5, Some(FaultKind::Panic)).only(Site::PoolWorker);
+    let ctx = SimContext::new(SimConfig {
+        faults: Some(kill),
+        ..uncached
+    });
+    let deaths = || ctx.faults().raised(Site::PoolWorker);
     for _ in 0..8 {
         let mem = S.input();
-        let stats = run(&k, &mem);
+        let stats = ctx.enter(|| S.run(&k, &mem));
         assert_eq!(stats.cycles, clean.cycles);
         assert_eq!(S.output(&mem), clean_out);
     }
-    // The site is polled only when a worker steals (the scope owner drains
-    // its own queue too, and on a small host it can win every race), so
-    // force worker participation: a pair of tasks that rendezvous can only
-    // finish if two threads run them — at least one is a pool worker, and
-    // every worker pass polls the site. Repeat until a death lands (the
-    // deterministic schedule at rate 0.5 cannot stay silent for long).
-    for round in 0..500 {
-        if fault::worker_deaths() > deaths_before {
+    // The scope owner can win every race for its own tasks, so force worker
+    // participation until a death lands (the deterministic schedule at rate
+    // 0.5 cannot stay silent for long).
+    for _ in 0..500 {
+        if deaths() > 0 {
             break;
         }
-        let barrier = std::sync::Barrier::new(2);
-        let b = &barrier;
-        let tasks: Vec<_> = (1u32..=2)
-            .map(|i| {
-                move || {
-                    b.wait();
-                    i
-                }
-            })
-            .collect();
-        let out = g80::sim::pool::run_tasks(tasks);
-        assert_eq!(out, vec![1, 2], "round {round}");
+        ctx.enter(rendezvous_on_the_pool);
     }
-    set_faults(None);
-    assert!(
-        fault::worker_deaths() > deaths_before,
-        "no worker death was injected at rate 0.5"
-    );
+    // Every pool.worker fire unwinds a worker out of its loop.
+    assert!(deaths() > 0, "no worker death was injected at rate 0.5");
     // The pool is still functional at its configured width's behavior:
     // another clean launch drains normally.
+    ctx.faults().arm(None);
     let mem = S.input();
-    assert_eq!(run(&k, &mem).cycles, clean.cycles);
+    assert_eq!(ctx.enter(|| S.run(&k, &mem)).cycles, clean.cycles);
 }
 
+#[test]
 fn memo_corruption_is_detected_and_resimulated() {
-    disarm_all();
+    let ctx = fresh_context();
+    ctx.enter(|| memo_corruption(&ctx));
+}
+
+fn memo_corruption(ctx: &SimContext) {
     const S: Scale = Scale { n: 512 };
     let k = scale_kernel(17, 23);
+    let arm = |site| {
+        ctx.faults().arm(Some(
+            FaultConfig::new(1, 1.0, Some(FaultKind::Typed)).only(site),
+        ))
+    };
 
     // Cold launch with the store path corrupting every entry it records.
-    set_faults(Some(
-        FaultConfig::new(1, 1.0, Some(FaultKind::Typed)).only(Site::MemoStore),
-    ));
+    arm(Site::MemoStore);
     let m1 = S.input();
     let first = S.run(&k, &m1);
-    set_faults(None);
+    ctx.faults().arm(None);
 
     // The corrupted entry must be caught by its checksum on the next probe,
     // evicted, and the launch re-simulated — identical stats, counted as a
@@ -347,21 +322,29 @@ fn memo_corruption_is_detected_and_resimulated() {
 
     // Load-path tampering: a typed memo.load fault marks the probed entry
     // tampered, which evicts and re-simulates exactly like corruption.
-    set_faults(Some(
-        FaultConfig::new(2, 1.0, Some(FaultKind::Typed)).only(Site::MemoLoad),
-    ));
+    arm(Site::MemoLoad);
     let m4 = S.input();
     let fourth = S.run(&k, &m4);
-    set_faults(None);
+    assert_eq!(ctx.faults().raised(Site::MemoLoad), 1);
+    ctx.faults().arm(None);
     assert_eq!(fourth.cycles, first.cycles);
     assert_eq!(S.output(&m4), S.output(&m1));
 }
 
+#[test]
 fn soak_every_site_both_kinds() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    disarm_all();
     const N: u32 = 256;
     const S: Scale = Scale { n: N };
+
+    // Golden run *before* any fault ever fires: the degradation contract
+    // says a disarmed re-run in the soaked context must reproduce this bit
+    // for bit.
+    const GOLDEN: Scale = Scale { n: 1024 };
+    let golden_kernel = scale_kernel(3, 7);
+    let golden_mem = GOLDEN.input();
+    let golden = fresh_context().enter(|| GOLDEN.run(&golden_kernel, &golden_mem));
+    let golden_out = GOLDEN.output(&golden_mem);
 
     // The memo.disk site only polls while the disk tier is enabled, so the
     // soak runs against a private cache directory: every recorded miss
@@ -376,12 +359,15 @@ fn soak_every_site_both_kinds() {
     // Absorb-and-retry OFF: every injected fault must surface — as a typed
     // per-launch Err, a classified injected panic, or (device layer) a
     // typed CudaError — and never as a process abort or a wedged pool.
-    fault::set_retry(false);
     let mut launches = 0u64;
     let mut injected_errs = 0u64;
+    let mut raised = [0u64; Site::ALL.len()];
     for (si, &seed) in [101u64, 202, 303].iter().enumerate() {
         for (ki, kind) in [FaultKind::Typed, FaultKind::Panic].into_iter().enumerate() {
-            set_faults(Some(FaultConfig::new(seed, 0.08, Some(kind))));
+            ctx.faults().arm(Some(FaultConfig {
+                absorb: false,
+                ..FaultConfig::new(seed, 0.08, Some(kind))
+            }));
             for iter in 0..20u32 {
                 // Distinct kernel content per iteration: every iteration
                 // pays a fresh decode (isa.decode site) and a fresh memo
@@ -389,6 +375,7 @@ fn soak_every_site_both_kinds() {
                 let salt = (si as u32) << 16 | (ki as u32) << 8 | iter;
                 let k = scale_kernel(3, salt);
                 let body = || {
+                    rendezvous_on_the_pool();
                     let mut dev = g80::cuda::Device::new(4 * N * 4);
                     // try_* twins: typed device faults come back as values.
                     let x = match dev.try_alloc::<u32>(N as usize) {
@@ -441,24 +428,26 @@ fn soak_every_site_both_kinds() {
                     ),
                 }
             }
-            set_faults(None);
+            for (total, site) in raised.iter_mut().zip(Site::ALL) {
+                *total += ctx.faults().raised(site);
+            }
         }
     }
-    fault::set_retry(true);
+    ctx.faults().arm(None);
 
     assert!(launches > 0);
     assert!(
         injected_errs > 0,
         "rate 0.08 over {launches} launches fired no launch-level fault"
     );
-    for site in Site::ALL {
+    for (site, total) in Site::ALL.into_iter().zip(raised) {
         if site == Site::ServeDecode {
             // Polled per decoded frame by the g80-serve daemon, which this
             // in-process soak never runs; tests/serve_chaos.rs soaks it.
             continue;
         }
         assert!(
-            fault::raised(site) > 0,
+            total > 0,
             "site {} never fired during the soak",
             site.name()
         );
@@ -466,5 +455,58 @@ fn soak_every_site_both_kinds() {
     // The pool survived: a clean fleet drains with correct results.
     let sums = g80::sim::pool::run_tasks((0..32u64).map(|i| move || i * 3).collect::<Vec<_>>());
     assert_eq!(sums, (0..32u64).map(|i| i * 3).collect::<Vec<_>>());
+
+    // ---- degradation contract: disarmed re-run is bit-identical ----
+    let mem = GOLDEN.input();
+    let again = ctx.enter(|| GOLDEN.run(&golden_kernel, &mem));
+    assert_eq!(golden.cycles, again.cycles, "golden cycles drifted");
+    assert_eq!(golden.warp_instructions, again.warp_instructions);
+    assert_eq!(golden.stall_cycles, again.stall_cycles);
+    assert_eq!(golden.by_class, again.by_class);
+    assert_eq!(golden.global_bytes, again.global_bytes);
+    assert_eq!(golden_out, GOLDEN.output(&mem), "golden output drifted");
     let _ = std::fs::remove_dir_all(&disk_dir);
+}
+
+/// Arming a context re-starts its schedule: the same config over the same
+/// launch sequence fires at the same polls, so a chaos failure replays from
+/// its seed in one process too. Each launch is sixteen one-block SMs run on
+/// the calling thread, one donor polled and fifteen replaying it; no memo,
+/// absorb off — every outcome is a pure function of the call indices.
+#[test]
+fn rearming_replays_the_schedule() {
+    const S: Scale = Scale { n: 1024 };
+    let ctx = SimContext::new(SimConfig {
+        memo: false,
+        ..SimConfig::default()
+    });
+    let faults = FaultConfig {
+        absorb: false,
+        ..FaultConfig::new(0x5eed, 0.2, Some(FaultKind::Typed)).only(Site::SmStep)
+    };
+    let k = scale_kernel(41, 43);
+    let pass = || -> (Vec<Result<Vec<u8>, LaunchError>>, Vec<u64>) {
+        ctx.faults().arm(Some(faults));
+        let outcomes = (0..24)
+            .map(|_| {
+                ctx.enter(|| S.try_run(&k, &S.input()))
+                    .map(|s| stats_bytes(&s))
+            })
+            .collect();
+        let raised = Site::ALL.map(|s| ctx.faults().raised(s)).to_vec();
+        (outcomes, raised)
+    };
+    let (first, raised) = pass();
+    let fired = first.iter().filter(|r| r.is_err()).count();
+    assert!(
+        fired > 0 && fired < first.len(),
+        "{fired} of {} launches faulted: pick another seed",
+        first.len()
+    );
+    assert_eq!(raised[Site::SmStep as usize], fired as u64);
+    assert_eq!(
+        pass(),
+        (first, raised),
+        "re-arming must replay the schedule"
+    );
 }

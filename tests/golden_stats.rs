@@ -10,8 +10,9 @@
 //!
 //! The same contract covers the product's cache layers: block-class dedup,
 //! the launch memo (cold and warm, roomy and evicting) and the disk tier
-//! must reproduce the oracle's stats — every workload runs under every
-//! configuration of [`common::contexts`], one `#[test]` per workload.
+//! must reproduce the oracle's stats, and so must absorbed injected faults —
+//! every workload runs under every configuration of [`common::contexts`],
+//! one `#[test]` per workload.
 
 use g80::apps::cp::CoulombicPotential;
 use g80::apps::matmul::{MatMul, Variant};
@@ -23,8 +24,8 @@ use g80::apps::tpacf::Tpacf;
 use g80::isa::builder::KernelBuilder;
 use g80::isa::Value;
 use g80::sim::{
-    fault, launch, memo_counters, DeviceMemory, Engine, GpuConfig, KernelStats, LaunchDims,
-    SimConfig, SimContext,
+    launch, memo_counters, DeviceMemory, Engine, GpuConfig, KernelStats, LaunchDims, SimConfig,
+    SimContext,
 };
 
 mod common;
@@ -52,12 +53,8 @@ fn check(label: &str, run: impl Fn() -> KernelStats) {
             let fresh = SimContext::new(ctx.config().clone());
             let (replayed, counts) = fresh.enter(|| (run(), memo_counters()));
             assert_stats_identical(&format!("{label} [{name}, fresh]"), &reference, &replayed);
-            // Which tier answered is exact only while no injected fault forces
-            // a retry or drops a probe (the chaos CI legs).
-            if !fault::armed() {
-                assert!(counts.disk_hits > 0, "{label}: {counts:?}");
-                assert_eq!(counts.misses, 0, "{label}: {counts:?}");
-            }
+            assert!(counts.disk_hits > 0, "{label}: {counts:?}");
+            assert_eq!(counts.misses, 0, "{label}: {counts:?}");
         }
     }
 }

@@ -19,18 +19,14 @@ fn scale_kernel(mult: u32) -> Kernel {
     Scale::kernel("scale", mult, 0)
 }
 
-/// A fresh context with dedup off (isolating the memo axis) and no disk
-/// tier, or `None` under an armed fault injector (the chaos CI job): exact
-/// hit/miss counts don't survive it — absorbed retries re-probe the cache
-/// and injected memo-site faults force extra misses by design.
-fn context(memo: bool, memo_cap: usize) -> Option<Arc<SimContext>> {
-    (!g80::sim::fault::armed()).then(|| {
-        SimContext::new(SimConfig {
-            memo,
-            memo_cap,
-            dedup: false,
-            ..SimConfig::default()
-        })
+/// A fresh context with dedup off (isolating the memo axis), no disk tier
+/// and no faults.
+fn context(memo: bool, memo_cap: usize) -> Arc<SimContext> {
+    SimContext::new(SimConfig {
+        memo,
+        memo_cap,
+        dedup: false,
+        ..SimConfig::default()
     })
 }
 
@@ -42,9 +38,7 @@ fn hits_misses() -> (u64, u64) {
 /// Cold miss, then warm hit: stats and memory effects identical.
 #[test]
 fn warm_hit_replays_stats_and_memory() {
-    let Some(ctx) = context(true, 128) else {
-        return;
-    };
+    let ctx = context(true, 128);
     ctx.enter(|| {
         let k3 = scale_kernel(3);
         let m1 = SCALE.input();
@@ -69,9 +63,7 @@ fn warm_hit_replays_stats_and_memory() {
 /// Memo off: the cache is bypassed entirely.
 #[test]
 fn memo_off_bypasses_the_cache() {
-    let (Some(on), Some(off)) = (context(true, 128), context(false, 128)) else {
-        return;
-    };
+    let (on, off) = (context(true, 128), context(false, 128));
     let k3 = scale_kernel(3);
     let cached = on.enter(|| SCALE.run(&k3, &SCALE.input()));
     off.enter(|| {
@@ -86,9 +78,7 @@ fn memo_off_bypasses_the_cache() {
 /// Capacity 1: the second distinct launch evicts the first.
 #[test]
 fn capacity_one_evicts_the_previous_launch() {
-    let Some(ctx) = context(true, 1) else {
-        return;
-    };
+    let ctx = context(true, 1);
     ctx.enter(|| {
         let (k3, k5) = (scale_kernel(3), scale_kernel(5));
         SCALE.run(&k3, &SCALE.input()); // miss, cached
@@ -103,9 +93,7 @@ fn capacity_one_evicts_the_previous_launch() {
 /// the context itself (spawned threads do not inherit it).
 #[test]
 fn one_warm_entry_serves_eight_threads() {
-    let Some(ctx) = context(true, 128) else {
-        return;
-    };
+    let ctx = context(true, 128);
     let k7 = scale_kernel(7);
     let seed = SCALE.input();
     let base = ctx.enter(|| SCALE.run(&k7, &seed)); // cold, records

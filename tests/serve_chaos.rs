@@ -10,9 +10,8 @@
 //! * disarmed, the same connection serves normally and the daemon drains
 //!   cleanly.
 //!
-//! Plus the *network* chaos matrix (`G80_SERVE_NET_FAULTS` /
-//! [`g80::serve::set_net_faults`]): seeded transport faults on the wire
-//! itself —
+//! Plus the *network* chaos matrix (a context's wire schedule): seeded
+//! transport faults on the wire itself —
 //!
 //! * a mid-stream disconnect during a streamed sweep is survived by
 //!   reconnect-and-replay, and `SweepResult::from_parts_with_net`
@@ -24,31 +23,26 @@
 //!   deadline, freeing its connection slot (and while it holds the only
 //!   slot, new tenants are shed with a typed `Overloaded`).
 //!
-//! Both fault layers are process-global toggles, so every test
-//! serializes on one lock.
+//! Each test runs its daemon and its clients in a fresh context of its own
+//! and arms that context's schedules in place, so the tests run in
+//! parallel, whatever the environment arms the global context with.
 
 use g80::isa::builder::KernelBuilder;
 use g80::isa::Value;
 use g80::serve::{
-    serve, set_net_faults, Addr, Client, NetFaultConfig, NetFaultKind, Quota, Request, Response,
-    ServeConfig, WireError, WireLaunch,
+    serve, Addr, Client, NetFaultConfig, NetFaultKind, Quota, Request, Response, ServeConfig,
+    WireError, WireLaunch,
 };
-use g80::sim::fault::{self, FaultConfig, FaultKind, Site};
-use g80::sim::{set_faults, GpuConfig, LaunchDims};
+use g80::sim::fault::{FaultConfig, FaultKind, Site};
+use g80::sim::{GpuConfig, LaunchDims, SimConfig, SimContext};
 use g80::tune::tuner::{Sample, SweepResult};
 use std::io::Write;
-use std::sync::Mutex;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Serializes every test in this binary: both fault layers are
-/// process-global, and the in-process daemon shares them.
-static CHAOS_LOCK: Mutex<()> = Mutex::new(());
-
-fn chaos_guard() -> std::sync::MutexGuard<'static, ()> {
-    let g = CHAOS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    set_faults(None);
-    set_net_faults(None);
-    g
+/// A fresh context, both fault schedules disarmed.
+fn context() -> Arc<SimContext> {
+    SimContext::new(SimConfig::default())
 }
 
 fn probe_spec(salt: u32) -> WireLaunch {
@@ -75,7 +69,11 @@ fn probe_spec(salt: u32) -> WireLaunch {
 
 #[test]
 fn serve_decode_faults_are_typed_and_survivable() {
-    let _guard = chaos_guard();
+    let ctx = context();
+    ctx.enter(|| serve_decode_faults(&ctx));
+}
+
+fn serve_decode_faults(ctx: &SimContext) {
     let server = serve(ServeConfig {
         addr: Addr::parse("tcp:127.0.0.1:0").unwrap(),
         quota: Quota::default(),
@@ -98,10 +96,11 @@ fn serve_decode_faults_are_typed_and_survivable() {
     assert!(!golden_delta.is_empty(), "the probe writes memory");
 
     // ---- typed kind, rate 1.0: every frame is tampered ----
-    let raised_before = fault::raised(Site::ServeDecode);
-    set_faults(Some(
-        FaultConfig::new(0x5e27e, 1.0, Some(FaultKind::Typed)).only(Site::ServeDecode),
-    ));
+    let arm = |rate, kind| {
+        let cfg = FaultConfig::new(0x5e27e, rate, Some(kind)).only(Site::ServeDecode);
+        ctx.faults().arm(Some(cfg));
+    };
+    arm(1.0, FaultKind::Typed);
     for _ in 0..3 {
         match client.request_raw(&req).expect("connection must survive") {
             Response::Error(e) => {
@@ -116,9 +115,7 @@ fn serve_decode_faults_are_typed_and_survivable() {
     }
 
     // ---- panic kind: the unwind is caught, the connection survives ----
-    set_faults(Some(
-        FaultConfig::new(0x5e27e, 1.0, Some(FaultKind::Panic)).only(Site::ServeDecode),
-    ));
+    arm(1.0, FaultKind::Panic);
     match client.request_raw(&req).expect("connection must survive") {
         Response::Error(e) => {
             assert!(e.is_injected(), "{e:?}");
@@ -132,13 +129,14 @@ fn serve_decode_faults_are_typed_and_survivable() {
         }
         other => panic!("expected a typed Panic, got {other:?}"),
     }
-    assert!(
-        fault::raised(Site::ServeDecode) > raised_before,
-        "the serve.decode site never fired"
+    assert_eq!(
+        ctx.faults().raised(Site::ServeDecode),
+        1,
+        "the serve.decode site fires once per frame since it was re-armed"
     );
 
     // ---- disarmed: the SAME connection serves bit-identically ----
-    set_faults(None);
+    ctx.faults().arm(None);
     match client.request_raw(&req).expect("transport") {
         Response::Launch { result } => {
             let (report, delta) = result.expect("clean launch after chaos");
@@ -153,9 +151,7 @@ fn serve_decode_faults_are_typed_and_survivable() {
     }
 
     // ---- partial rate + transparent retry: chaos is invisible ----
-    set_faults(Some(
-        FaultConfig::new(0xc4a05, 0.5, Some(FaultKind::Typed)).only(Site::ServeDecode),
-    ));
+    arm(0.5, FaultKind::Typed);
     client.set_retry_injected(true);
     for i in 0..8u32 {
         let (report, delta) = client
@@ -165,7 +161,11 @@ fn serve_decode_faults_are_typed_and_survivable() {
         assert_eq!(report.stats.cycles, golden.stats.cycles, "iter {i}");
         assert_eq!(delta, golden_delta, "iter {i}");
     }
-    set_faults(None);
+    assert!(
+        ctx.faults().raised(Site::ServeDecode) > 0,
+        "rate 0.5 never fired"
+    );
+    ctx.faults().arm(None);
 
     let mut admin = Client::connect(&addr, "admin").expect("admin connect");
     admin.shutdown().expect("clean shutdown");
@@ -188,7 +188,11 @@ fn default_daemon() -> (g80::serve::Server, Addr) {
 /// tally must show the recovery actually happened (the schedule fired).
 #[test]
 fn mid_stream_disconnect_resumes_sweep_via_replay() {
-    let _guard = chaos_guard();
+    let ctx = context();
+    ctx.enter(|| mid_stream_disconnect(&ctx));
+}
+
+fn mid_stream_disconnect(ctx: &SimContext) {
     let (server, addr) = default_daemon();
     let mut client = Client::connect(&addr, "sweeper").expect("connect");
     let specs: Vec<WireLaunch> = (0..12u32).map(|i| probe_spec(100 + i)).collect();
@@ -217,16 +221,13 @@ fn mid_stream_disconnect_resumes_sweep_via_replay() {
     // Armed: disconnect-only faults on every wire site. The seed/rate pair
     // is fixed and was verified to fire at least one mid-stream disconnect
     // against this deterministic schedule.
-    set_net_faults(Some(NetFaultConfig::only(
-        0xD15C_0441,
-        0.03,
-        NetFaultKind::Disconnect,
-    )));
+    let disconnect = NetFaultConfig::only(0xD15C_0441, 0.03, NetFaultKind::Disconnect);
+    ctx.net_faults().arm(Some(disconnect));
     let (items, counters, net) = client
         .sweep(&specs)
         .expect("recovery must absorb disconnects")
         .expect("typed error under chaos");
-    set_net_faults(None);
+    ctx.net_faults().arm(None);
 
     assert!(
         net.reconnects >= 1,
@@ -257,7 +258,11 @@ fn mid_stream_disconnect_resumes_sweep_via_replay() {
 /// bit-identically.
 #[test]
 fn corrupt_storm_is_typed_bounded_and_recoverable() {
-    let _guard = chaos_guard();
+    let ctx = context();
+    ctx.enter(|| corrupt_storm(&ctx));
+}
+
+fn corrupt_storm(ctx: &SimContext) {
     let (server, addr) = default_daemon();
     let mut client = Client::connect(&addr, "storm").expect("connect");
     client.set_retry_injected(false);
@@ -268,11 +273,8 @@ fn corrupt_storm_is_typed_bounded_and_recoverable() {
         other => panic!("unexpected response {other:?}"),
     };
 
-    set_net_faults(Some(NetFaultConfig::only(
-        0xBADC_0DE5,
-        1.0,
-        NetFaultKind::Corrupt,
-    )));
+    let corrupt = NetFaultConfig::only(0xBADC_0DE5, 1.0, NetFaultKind::Corrupt);
+    ctx.net_faults().arm(Some(corrupt));
     for i in 0..4 {
         let t0 = Instant::now();
         match client.request_raw(&req) {
@@ -307,7 +309,7 @@ fn corrupt_storm_is_typed_bounded_and_recoverable() {
     );
 
     // Disarmed: the same connection is still synchronized.
-    set_net_faults(None);
+    ctx.net_faults().arm(None);
     let (report, delta) = client
         .launch(&spec)
         .expect("transport after storm")
@@ -330,7 +332,10 @@ fn corrupt_storm_is_typed_bounded_and_recoverable() {
 /// `Overloaded` shed, not a hang.
 #[test]
 fn slow_client_is_reaped_and_slot_freed() {
-    let _guard = chaos_guard();
+    context().enter(slow_client_is_reaped);
+}
+
+fn slow_client_is_reaped() {
     let server = serve(ServeConfig {
         addr: Addr::parse("tcp:127.0.0.1:0").unwrap(),
         read_timeout: Some(Duration::from_millis(400)),

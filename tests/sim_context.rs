@@ -5,7 +5,7 @@
 
 use g80::apps::matmul::{MatMul, Variant};
 use g80::sim::{
-    fault, memo_counters, row_counters, Engine, MemoCounters, RowCounters, SimConfig, SimContext,
+    memo_counters, row_counters, Engine, MemoCounters, RowCounters, SimConfig, SimContext,
 };
 use std::sync::Barrier;
 
@@ -70,9 +70,6 @@ fn two_contexts_run_side_by_side() {
     for outcome in alone.iter().chain(&together) {
         assert!(outcome.runs == alone[0].runs, "stats or memory differ");
     }
-    if fault::armed() {
-        return; // counters are exact only while no injected fault forces a retry
-    }
     // Each context counted exactly what it did alone: nothing of the other's
     // traffic, cache or row tallies leaked in.
     for (i, (solo, side_by_side)) in alone.iter().zip(&together).enumerate() {
@@ -94,9 +91,6 @@ fn two_contexts_run_side_by_side() {
 /// before it published, and warm on its second visit in a fresh context.
 #[test]
 fn disk_entries_are_keyed_by_the_recording_contexts_mode() {
-    if fault::armed() {
-        return; // exact counters
-    }
     let dir = common::scratch_dir("mode-byte");
     let visit = |engine, dedup| {
         let ctx = SimContext::new(SimConfig {
@@ -116,4 +110,24 @@ fn disk_entries_are_keyed_by_the_recording_contexts_mode() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A chaos leg must not pass vacuously: an unparsable `G80_SIM_FAULTS` or
+/// `G80_SERVE_NET_FAULTS` leaves the schedule disarmed, so a misspelled CI
+/// matrix entry would run a plain test pass. Set and non-empty, each
+/// variable must arm its schedule of the global context.
+#[test]
+fn fault_variables_arm_the_global_context() {
+    let global = SimContext::global();
+    for (var, armed) in [
+        ("G80_SIM_FAULTS", global.faults().is_armed()),
+        ("G80_SERVE_NET_FAULTS", global.net_faults().is_armed()),
+    ] {
+        if let Some(v) = std::env::var(var).ok().filter(|v| !v.trim().is_empty()) {
+            assert!(
+                armed,
+                "{var}={v:?} does not parse: the global context is disarmed"
+            );
+        }
+    }
 }
