@@ -201,9 +201,7 @@ fn dedup_ab(
                 let s = run();
                 best.0 = best.0.min(t0.elapsed().as_secs_f64());
                 best.1 = best.1.min(process_cpu_s() - c0);
-                let mut e = g80_sim::wire::Enc(Vec::new());
-                g80_sim::wire::encode_stats(&mut e, &s);
-                *stats = e.0;
+                *stats = g80_sim::wire::to_bytes(&s, 512);
             });
         }
     }

@@ -74,6 +74,31 @@ pub enum AluOp {
     Rotl,
 }
 
+impl AluOp {
+    /// Every variant in declaration order: `ALL[x as usize] == x`.
+    pub const ALL: [AluOp; 19] = [
+        Self::FAdd,
+        Self::FSub,
+        Self::FMul,
+        Self::FMin,
+        Self::FMax,
+        Self::IAdd,
+        Self::ISub,
+        Self::IMul,
+        Self::UMin,
+        Self::UMax,
+        Self::IMin,
+        Self::IMax,
+        Self::And,
+        Self::Or,
+        Self::Xor,
+        Self::Shl,
+        Self::ShrU,
+        Self::ShrS,
+        Self::Rotl,
+    ];
+}
+
 /// One-operand opcodes.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum UnOp {
@@ -95,6 +120,21 @@ pub enum UnOp {
     CvtU2F,
     /// f32 floor (as f32).
     FFloor,
+}
+
+impl UnOp {
+    /// Every variant in declaration order: `ALL[x as usize] == x`.
+    pub const ALL: [UnOp; 9] = [
+        Self::Mov,
+        Self::FNeg,
+        Self::FAbs,
+        Self::Not,
+        Self::CvtF2I,
+        Self::CvtI2F,
+        Self::CvtF2U,
+        Self::CvtU2F,
+        Self::FFloor,
+    ];
 }
 
 /// Transcendental opcodes executed on the special functional units (SFUs).
@@ -120,6 +160,19 @@ pub enum SfuOp {
     Lg2,
 }
 
+impl SfuOp {
+    /// Every variant in declaration order: `ALL[x as usize] == x`.
+    pub const ALL: [SfuOp; 7] = [
+        Self::Rcp,
+        Self::Rsqrt,
+        Self::Sqrt,
+        Self::Sin,
+        Self::Cos,
+        Self::Ex2,
+        Self::Lg2,
+    ];
+}
+
 /// Comparison operators for `SetP`.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum CmpOp {
@@ -131,12 +184,22 @@ pub enum CmpOp {
     Ge,
 }
 
+impl CmpOp {
+    /// Every variant in declaration order: `ALL[x as usize] == x`.
+    pub const ALL: [CmpOp; 6] = [Self::Eq, Self::Ne, Self::Lt, Self::Le, Self::Gt, Self::Ge];
+}
+
 /// Operand interpretation for comparisons and selects.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Scalar {
     F32,
     U32,
     I32,
+}
+
+impl Scalar {
+    /// Every variant in declaration order: `ALL[x as usize] == x`.
+    pub const ALL: [Scalar; 3] = [Self::F32, Self::U32, Self::I32];
 }
 
 /// Memory spaces (paper Table 1).
@@ -157,6 +220,17 @@ pub enum Space {
     Tex,
 }
 
+impl Space {
+    /// Every variant in declaration order: `ALL[x as usize] == x`.
+    pub const ALL: [Space; 5] = [
+        Self::Global,
+        Self::Shared,
+        Self::Const,
+        Self::Local,
+        Self::Tex,
+    ];
+}
+
 /// Atomic read-modify-write operations (integer, global memory; the G80
 /// generation introduced these for compute capability 1.1).
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -169,6 +243,11 @@ pub enum AtomOp {
     Max,
     /// Exchange.
     Exch,
+}
+
+impl AtomOp {
+    /// Every variant in declaration order: `ALL[x as usize] == x`.
+    pub const ALL: [AtomOp; 4] = [Self::Add, Self::Min, Self::Max, Self::Exch];
 }
 
 /// Hardware special registers readable by every thread.
@@ -188,6 +267,22 @@ pub enum SpecialReg {
     /// Grid dimensions.
     NctaidX,
     NctaidY,
+}
+
+impl SpecialReg {
+    /// Every variant in declaration order: `ALL[x as usize] == x`.
+    pub const ALL: [SpecialReg; 10] = [
+        Self::TidX,
+        Self::TidY,
+        Self::TidZ,
+        Self::NtidX,
+        Self::NtidY,
+        Self::NtidZ,
+        Self::CtaidX,
+        Self::CtaidY,
+        Self::NctaidX,
+        Self::NctaidY,
+    ];
 }
 
 /// An instruction source operand.

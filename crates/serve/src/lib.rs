@@ -8,8 +8,9 @@
 //!
 //! The pieces:
 //!
-//! * [`protocol`] — versioned, hand-rolled wire format: length-prefixed
-//!   frames carrying typed [`Request`]/[`Response`] values. Kernels,
+//! * [`protocol`] — versioned wire format, each message's layout declared
+//!   once with `g80_sim::wire_layout!`: length-prefixed frames carrying
+//!   typed [`Request`]/[`Response`] values. Kernels,
 //!   launch dims, params, and initial memory travel in a [`WireLaunch`];
 //!   results come back as serialized `LaunchReport`s with [`Served`]
 //!   provenance and cache counters, so a client can tell *how* its answer

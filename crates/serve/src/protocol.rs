@@ -25,16 +25,14 @@
 //! exceeds [`MAX_FRAME_BYTES`] closes the connection, because framing
 //! itself can no longer be trusted.
 
-use g80_isa::{
-    AluOp, AtomOp, CmpOp, Inst, Kernel, Label, Operand, Pred, Reg, Scalar, SfuOp, Space,
-    SpecialReg, UnOp, Value,
-};
-use g80_sim::wire::{crc32, Dec, Enc};
-use g80_sim::{LaunchDims, LaunchError, LaunchReport, MemoCounters, NetCounters};
+use g80_isa::{Kernel, Value};
+use g80_sim::fault::PANIC_MARKER;
+use g80_sim::wire::{self, crc32};
+use g80_sim::{wire_layout, LaunchDims, LaunchError, LaunchReport, MemoCounters, NetCounters};
 use std::io::{self, IoSlice, Read, Write};
 
 /// Bumped on any incompatible change to the framing, the message tags, or
-/// any embedded encoding (including [`g80_sim::wire::encode_stats`]).
+/// any embedded layout (including [`g80_sim::KernelStats`]'s).
 /// Version 2 tracks the [`g80_sim::LaunchReport`] layout change that added
 /// the row-shape counters. Version 3 appends a CRC-32 to every frame,
 /// adds the `BadFrame`/`Overloaded` errors, the transport-fault counters
@@ -169,317 +167,6 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     Ok(Some(payload))
 }
 
-// ---- enum codecs -----------------------------------------------------------
-//
-// The ISA enums are C-like (no explicit discriminants), so `as u8` yields
-// the declaration-order index; decoding indexes a declaration-order table.
-
-macro_rules! enum_table {
-    ($fn_name:ident, $t:ty, [$($v:ident),* $(,)?]) => {
-        fn $fn_name(tag: u8) -> Option<$t> {
-            const ALL: &[$t] = &[$(<$t>::$v),*];
-            ALL.get(tag as usize).copied()
-        }
-    };
-}
-
-enum_table!(
-    alu_from,
-    AluOp,
-    [
-        FAdd, FSub, FMul, FMin, FMax, IAdd, ISub, IMul, UMin, UMax, IMin, IMax, And, Or, Xor, Shl,
-        ShrU, ShrS, Rotl,
-    ]
-);
-enum_table!(
-    un_from,
-    UnOp,
-    [Mov, FNeg, FAbs, Not, CvtF2I, CvtI2F, CvtF2U, CvtU2F, FFloor]
-);
-enum_table!(sfu_from, SfuOp, [Rcp, Rsqrt, Sqrt, Sin, Cos, Ex2, Lg2]);
-enum_table!(cmp_from, CmpOp, [Eq, Ne, Lt, Le, Gt, Ge]);
-enum_table!(scalar_from, Scalar, [F32, U32, I32]);
-enum_table!(space_from, Space, [Global, Shared, Const, Local, Tex]);
-enum_table!(atom_from, AtomOp, [Add, Min, Max, Exch]);
-enum_table!(
-    special_from,
-    SpecialReg,
-    [TidX, TidY, TidZ, NtidX, NtidY, NtidZ, CtaidX, CtaidY, NctaidX, NctaidY]
-);
-
-fn enc_operand(e: &mut Enc, op: &Operand) {
-    match op {
-        Operand::Reg(r) => {
-            e.u8(0);
-            e.u32(r.0);
-        }
-        Operand::Imm(v) => {
-            e.u8(1);
-            e.u32(v.0);
-        }
-        Operand::Param(p) => {
-            e.u8(2);
-            e.u16(*p);
-        }
-        Operand::Special(s) => {
-            e.u8(3);
-            e.u8(*s as u8);
-        }
-    }
-}
-
-fn dec_operand(d: &mut Dec) -> Option<Operand> {
-    Some(match d.u8()? {
-        0 => Operand::Reg(Reg(d.u32()?)),
-        1 => Operand::Imm(Value(d.u32()?)),
-        2 => Operand::Param(d.u16()?),
-        3 => Operand::Special(special_from(d.u8()?)?),
-        _ => return None,
-    })
-}
-
-fn enc_inst(e: &mut Enc, inst: &Inst) {
-    match inst {
-        Inst::Alu { op, dst, a, b } => {
-            e.u8(0);
-            e.u8(*op as u8);
-            e.u32(dst.0);
-            enc_operand(e, a);
-            enc_operand(e, b);
-        }
-        Inst::Ffma { dst, a, b, c } => {
-            e.u8(1);
-            e.u32(dst.0);
-            enc_operand(e, a);
-            enc_operand(e, b);
-            enc_operand(e, c);
-        }
-        Inst::Imad { dst, a, b, c } => {
-            e.u8(2);
-            e.u32(dst.0);
-            enc_operand(e, a);
-            enc_operand(e, b);
-            enc_operand(e, c);
-        }
-        Inst::Un { op, dst, a } => {
-            e.u8(3);
-            e.u8(*op as u8);
-            e.u32(dst.0);
-            enc_operand(e, a);
-        }
-        Inst::Sfu { op, dst, a } => {
-            e.u8(4);
-            e.u8(*op as u8);
-            e.u32(dst.0);
-            enc_operand(e, a);
-        }
-        Inst::SetP { op, ty, dst, a, b } => {
-            e.u8(5);
-            e.u8(*op as u8);
-            e.u8(*ty as u8);
-            e.u32(dst.0);
-            enc_operand(e, a);
-            enc_operand(e, b);
-        }
-        Inst::Sel { dst, c, a, b } => {
-            e.u8(6);
-            e.u32(dst.0);
-            enc_operand(e, c);
-            enc_operand(e, a);
-            enc_operand(e, b);
-        }
-        Inst::Ld {
-            space,
-            dst,
-            addr,
-            off,
-        } => {
-            e.u8(7);
-            e.u8(*space as u8);
-            e.u32(dst.0);
-            enc_operand(e, addr);
-            e.i32(*off);
-        }
-        Inst::St {
-            space,
-            addr,
-            off,
-            src,
-        } => {
-            e.u8(8);
-            e.u8(*space as u8);
-            enc_operand(e, addr);
-            e.i32(*off);
-            enc_operand(e, src);
-        }
-        Inst::Atom {
-            op,
-            space,
-            dst,
-            addr,
-            off,
-            src,
-        } => {
-            e.u8(9);
-            e.u8(*op as u8);
-            e.u8(*space as u8);
-            match dst {
-                Some(r) => {
-                    e.u8(1);
-                    e.u32(r.0);
-                }
-                None => e.u8(0),
-            }
-            enc_operand(e, addr);
-            e.i32(*off);
-            enc_operand(e, src);
-        }
-        Inst::Bra {
-            target,
-            reconv,
-            pred,
-        } => {
-            e.u8(10);
-            e.u32(target.0);
-            e.u32(reconv.0);
-            match pred {
-                Some(p) => {
-                    e.u8(1);
-                    e.u32(p.reg.0);
-                    e.u8(p.negate as u8);
-                }
-                None => e.u8(0),
-            }
-        }
-        Inst::Bar => e.u8(11),
-        Inst::Exit => e.u8(12),
-    }
-}
-
-fn dec_inst(d: &mut Dec) -> Option<Inst> {
-    Some(match d.u8()? {
-        0 => Inst::Alu {
-            op: alu_from(d.u8()?)?,
-            dst: Reg(d.u32()?),
-            a: dec_operand(d)?,
-            b: dec_operand(d)?,
-        },
-        1 => Inst::Ffma {
-            dst: Reg(d.u32()?),
-            a: dec_operand(d)?,
-            b: dec_operand(d)?,
-            c: dec_operand(d)?,
-        },
-        2 => Inst::Imad {
-            dst: Reg(d.u32()?),
-            a: dec_operand(d)?,
-            b: dec_operand(d)?,
-            c: dec_operand(d)?,
-        },
-        3 => Inst::Un {
-            op: un_from(d.u8()?)?,
-            dst: Reg(d.u32()?),
-            a: dec_operand(d)?,
-        },
-        4 => Inst::Sfu {
-            op: sfu_from(d.u8()?)?,
-            dst: Reg(d.u32()?),
-            a: dec_operand(d)?,
-        },
-        5 => Inst::SetP {
-            op: cmp_from(d.u8()?)?,
-            ty: scalar_from(d.u8()?)?,
-            dst: Reg(d.u32()?),
-            a: dec_operand(d)?,
-            b: dec_operand(d)?,
-        },
-        6 => Inst::Sel {
-            dst: Reg(d.u32()?),
-            c: dec_operand(d)?,
-            a: dec_operand(d)?,
-            b: dec_operand(d)?,
-        },
-        7 => Inst::Ld {
-            space: space_from(d.u8()?)?,
-            dst: Reg(d.u32()?),
-            addr: dec_operand(d)?,
-            off: d.i32()?,
-        },
-        8 => Inst::St {
-            space: space_from(d.u8()?)?,
-            addr: dec_operand(d)?,
-            off: d.i32()?,
-            src: dec_operand(d)?,
-        },
-        9 => Inst::Atom {
-            op: atom_from(d.u8()?)?,
-            space: space_from(d.u8()?)?,
-            dst: match d.u8()? {
-                0 => None,
-                1 => Some(Reg(d.u32()?)),
-                _ => return None,
-            },
-            addr: dec_operand(d)?,
-            off: d.i32()?,
-            src: dec_operand(d)?,
-        },
-        10 => Inst::Bra {
-            target: Label(d.u32()?),
-            reconv: Label(d.u32()?),
-            pred: match d.u8()? {
-                0 => None,
-                1 => Some(Pred {
-                    reg: Reg(d.u32()?),
-                    negate: match d.u8()? {
-                        0 => false,
-                        1 => true,
-                        _ => return None,
-                    },
-                }),
-                _ => return None,
-            },
-        },
-        11 => Inst::Bar,
-        12 => Inst::Exit,
-        _ => return None,
-    })
-}
-
-fn enc_kernel(e: &mut Enc, k: &Kernel) {
-    e.str(&k.name);
-    e.u32(k.regs_per_thread);
-    e.u32(k.smem_bytes);
-    e.u16(k.num_params);
-    e.u32(k.code.len() as u32);
-    for inst in &k.code {
-        enc_inst(e, inst);
-    }
-}
-
-fn dec_kernel(d: &mut Dec) -> Option<Kernel> {
-    let name = d.str()?;
-    let regs_per_thread = d.u32()?;
-    let smem_bytes = d.u32()?;
-    let num_params = d.u16()?;
-    let n = d.u32()?;
-    // Each instruction is at least one tag byte, so `n` can never exceed
-    // the bytes left — a cheap guard against allocation-bomb headers.
-    if n as usize > d.remaining() {
-        return None;
-    }
-    let mut code = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        code.push(dec_inst(d)?);
-    }
-    Some(Kernel {
-        name,
-        code,
-        regs_per_thread,
-        smem_bytes,
-        num_params,
-    })
-}
-
 // ---- launch specs ----------------------------------------------------------
 
 /// A self-contained launch: the kernel, its launch geometry, and the full
@@ -516,79 +203,17 @@ impl WireLaunch {
             tex_binding: None,
         }
     }
+}
 
-    fn encode_into(&self, e: &mut Enc) {
-        enc_kernel(e, &self.kernel);
-        e.u32(self.dims.grid.0);
-        e.u32(self.dims.grid.1);
-        e.u32(self.dims.block.0);
-        e.u32(self.dims.block.1);
-        e.u32(self.dims.block.2);
-        e.u32(self.params.len() as u32);
-        for p in &self.params {
-            e.u32(p.0);
-        }
-        e.u32(self.mem_bytes);
-        e.u32(self.writes.len() as u32);
-        for &(a, w) in &self.writes {
-            e.u32(a);
-            e.u32(w);
-        }
-        e.u32(self.const_bank.len() as u32);
-        for &w in &self.const_bank {
-            e.u32(w);
-        }
-        match self.tex_binding {
-            Some((base, len)) => {
-                e.u8(1);
-                e.u32(base);
-                e.u32(len);
-            }
-            None => e.u8(0),
-        }
-    }
-
-    fn decode_from(d: &mut Dec) -> Option<Self> {
-        let kernel = dec_kernel(d)?;
-        let dims = LaunchDims {
-            grid: (d.u32()?, d.u32()?),
-            block: (d.u32()?, d.u32()?, d.u32()?),
-        };
-        let n_params = d.u32()?;
-        if n_params as usize > d.remaining() / 4 {
-            return None;
-        }
-        let params = (0..n_params)
-            .map(|_| d.u32().map(Value))
-            .collect::<Option<Vec<_>>>()?;
-        let mem_bytes = d.u32()?;
-        let n_writes = d.u32()?;
-        if n_writes as usize > d.remaining() / 8 {
-            return None;
-        }
-        let mut writes = Vec::with_capacity(n_writes as usize);
-        for _ in 0..n_writes {
-            writes.push((d.u32()?, d.u32()?));
-        }
-        let n_const = d.u32()?;
-        if n_const as usize > d.remaining() / 4 {
-            return None;
-        }
-        let const_bank = (0..n_const).map(|_| d.u32()).collect::<Option<Vec<_>>>()?;
-        let tex_binding = match d.u8()? {
-            0 => None,
-            1 => Some((d.u32()?, d.u32()?)),
-            _ => return None,
-        };
-        Some(WireLaunch {
-            kernel,
-            dims,
-            params,
-            mem_bytes,
-            writes,
-            const_bank,
-            tex_binding,
-        })
+wire_layout! {
+    struct WireLaunch {
+        kernel: Kernel,
+        dims: LaunchDims,
+        params: Vec<Value>,
+        mem_bytes: u32,
+        writes: Vec<(u32, u32)>,
+        const_bank: Vec<u32>,
+        tex_binding: Option<(u32, u32)>,
     }
 }
 
@@ -647,97 +272,27 @@ impl WireError {
     pub fn is_injected(&self) -> bool {
         match self {
             WireError::Fault { .. } => true,
-            WireError::Panic(msg) => msg.starts_with("injected panic at "),
+            WireError::Panic(msg) => msg.starts_with(PANIC_MARKER),
             _ => false,
         }
     }
+}
 
-    fn encode_into(&self, e: &mut Enc) {
-        match self {
-            WireError::BadBlockDims(s) => {
-                e.u8(0);
-                e.str(s);
-            }
-            WireError::BadGridDims(s) => {
-                e.u8(1);
-                e.str(s);
-            }
-            WireError::BlockDoesNotFit(s) => {
-                e.u8(2);
-                e.str(s);
-            }
-            WireError::BadParams(s) => {
-                e.u8(3);
-                e.str(s);
-            }
-            WireError::Watchdog {
-                kernel,
-                budget,
-                cycles,
-                warp_instructions,
-            } => {
-                e.u8(4);
-                e.str(kernel);
-                e.u64(*budget);
-                e.u64(*cycles);
-                e.u64(*warp_instructions);
-            }
-            WireError::Fault { site } => {
-                e.u8(5);
-                e.str(site);
-            }
-            WireError::Panic(s) => {
-                e.u8(6);
-                e.str(s);
-            }
-            WireError::Malformed(s) => {
-                e.u8(7);
-                e.str(s);
-            }
-            WireError::Rejected(s) => {
-                e.u8(8);
-                e.str(s);
-            }
-            WireError::Throttled(s) => {
-                e.u8(9);
-                e.str(s);
-            }
-            WireError::Shutdown => e.u8(10),
-            WireError::BadFrame(s) => {
-                e.u8(11);
-                e.str(s);
-            }
-            WireError::Overloaded { retry_after_ms } => {
-                e.u8(12);
-                e.u64(*retry_after_ms);
-            }
-        }
-    }
-
-    fn decode_from(d: &mut Dec) -> Option<Self> {
-        Some(match d.u8()? {
-            0 => WireError::BadBlockDims(d.str()?),
-            1 => WireError::BadGridDims(d.str()?),
-            2 => WireError::BlockDoesNotFit(d.str()?),
-            3 => WireError::BadParams(d.str()?),
-            4 => WireError::Watchdog {
-                kernel: d.str()?,
-                budget: d.u64()?,
-                cycles: d.u64()?,
-                warp_instructions: d.u64()?,
-            },
-            5 => WireError::Fault { site: d.str()? },
-            6 => WireError::Panic(d.str()?),
-            7 => WireError::Malformed(d.str()?),
-            8 => WireError::Rejected(d.str()?),
-            9 => WireError::Throttled(d.str()?),
-            10 => WireError::Shutdown,
-            11 => WireError::BadFrame(d.str()?),
-            12 => WireError::Overloaded {
-                retry_after_ms: d.u64()?,
-            },
-            _ => return None,
-        })
+wire_layout! {
+    enum WireError {
+        0 => BadBlockDims(s: String),
+        1 => BadGridDims(s: String),
+        2 => BlockDoesNotFit(s: String),
+        3 => BadParams(s: String),
+        4 => Watchdog { kernel: String, budget: u64, cycles: u64, warp_instructions: u64 },
+        5 => Fault { site: String },
+        6 => Panic(s: String),
+        7 => Malformed(s: String),
+        8 => Rejected(s: String),
+        9 => Throttled(s: String),
+        10 => Shutdown,
+        11 => BadFrame(s: String),
+        12 => Overloaded { retry_after_ms: u64 },
     }
 }
 
@@ -826,64 +381,23 @@ pub enum Request {
     Shutdown,
 }
 
-fn enc_specs(e: &mut Enc, specs: &[WireLaunch]) {
-    e.u32(specs.len() as u32);
-    for s in specs {
-        s.encode_into(e);
+wire_layout! {
+    enum Request {
+        0 => Hello { version: u16, tenant: String },
+        1 => Launch(spec: WireLaunch),
+        2 => Batch(specs: Vec<WireLaunch>),
+        3 => Sweep(specs: Vec<WireLaunch>),
+        4 => Shutdown,
     }
-}
-
-fn dec_specs(d: &mut Dec) -> Option<Vec<WireLaunch>> {
-    let n = d.u32()?;
-    if n as usize > d.remaining() {
-        return None;
-    }
-    (0..n).map(|_| WireLaunch::decode_from(d)).collect()
 }
 
 impl Request {
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::with_capacity(256);
-        match self {
-            Request::Hello { version, tenant } => {
-                e.u8(0);
-                e.u16(*version);
-                e.str(tenant);
-            }
-            Request::Launch(spec) => {
-                e.u8(1);
-                spec.encode_into(&mut e);
-            }
-            Request::Batch(specs) => {
-                e.u8(2);
-                enc_specs(&mut e, specs);
-            }
-            Request::Sweep(specs) => {
-                e.u8(3);
-                enc_specs(&mut e, specs);
-            }
-            Request::Shutdown => e.u8(4),
-        }
-        e.0
+        wire::to_bytes(self, 256)
     }
 
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut d = Dec(bytes);
-        let req = match d.u8()? {
-            0 => Request::Hello {
-                version: d.u16()?,
-                tenant: d.str()?,
-            },
-            1 => Request::Launch(WireLaunch::decode_from(&mut d)?),
-            2 => Request::Batch(dec_specs(&mut d)?),
-            3 => Request::Sweep(dec_specs(&mut d)?),
-            4 => Request::Shutdown,
-            _ => return None,
-        };
-        if !d.is_empty() {
-            return None;
-        }
-        Some(req)
+        wire::from_bytes(bytes)
     }
 }
 
@@ -919,110 +433,24 @@ pub enum Response {
     ShutdownOk,
 }
 
-fn enc_report_result(e: &mut Enc, r: &Result<LaunchReport, WireError>) {
-    match r {
-        Ok(report) => {
-            e.u8(1);
-            report.encode_into(e);
-        }
-        Err(err) => {
-            e.u8(0);
-            err.encode_into(e);
-        }
+wire_layout! {
+    enum Response {
+        0 => HelloOk { version: u16 },
+        1 => Launch { result: Result<(LaunchReport, Vec<(u32, u32)>), WireError> },
+        2 => Item { index: u32, result: Result<LaunchReport, WireError> },
+        3 => Done { counters: MemoCounters, net: NetCounters },
+        4 => Error(err: WireError),
+        5 => ShutdownOk,
     }
-}
-
-fn dec_report_result(d: &mut Dec) -> Option<Result<LaunchReport, WireError>> {
-    Some(match d.u8()? {
-        1 => Ok(LaunchReport::decode_from(d)?),
-        0 => Err(WireError::decode_from(d)?),
-        _ => return None,
-    })
 }
 
 impl Response {
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::with_capacity(256);
-        match self {
-            Response::HelloOk { version } => {
-                e.u8(0);
-                e.u16(*version);
-            }
-            Response::Launch { result } => {
-                e.u8(1);
-                match result {
-                    Ok((report, delta)) => {
-                        e.u8(1);
-                        report.encode_into(&mut e);
-                        e.u32(delta.len() as u32);
-                        for &(a, w) in delta {
-                            e.u32(a);
-                            e.u32(w);
-                        }
-                    }
-                    Err(err) => {
-                        e.u8(0);
-                        err.encode_into(&mut e);
-                    }
-                }
-            }
-            Response::Item { index, result } => {
-                e.u8(2);
-                e.u32(*index);
-                enc_report_result(&mut e, result);
-            }
-            Response::Done { counters, net } => {
-                e.u8(3);
-                counters.encode_into(&mut e);
-                net.encode_into(&mut e);
-            }
-            Response::Error(err) => {
-                e.u8(4);
-                err.encode_into(&mut e);
-            }
-            Response::ShutdownOk => e.u8(5),
-        }
-        e.0
+        wire::to_bytes(self, 256)
     }
 
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut d = Dec(bytes);
-        let resp = match d.u8()? {
-            0 => Response::HelloOk { version: d.u16()? },
-            1 => Response::Launch {
-                result: match d.u8()? {
-                    1 => {
-                        let report = LaunchReport::decode_from(&mut d)?;
-                        let n = d.u32()?;
-                        if n as usize > d.remaining() / 8 {
-                            return None;
-                        }
-                        let mut delta = Vec::with_capacity(n as usize);
-                        for _ in 0..n {
-                            delta.push((d.u32()?, d.u32()?));
-                        }
-                        Ok((report, delta))
-                    }
-                    0 => Err(WireError::decode_from(&mut d)?),
-                    _ => return None,
-                },
-            },
-            2 => Response::Item {
-                index: d.u32()?,
-                result: dec_report_result(&mut d)?,
-            },
-            3 => Response::Done {
-                counters: MemoCounters::decode_from(&mut d)?,
-                net: NetCounters::decode_from(&mut d)?,
-            },
-            4 => Response::Error(WireError::decode_from(&mut d)?),
-            5 => Response::ShutdownOk,
-            _ => return None,
-        };
-        if !d.is_empty() {
-            return None;
-        }
-        Some(resp)
+        wire::from_bytes(bytes)
     }
 }
 
@@ -1030,6 +458,11 @@ impl Response {
 mod tests {
     use super::*;
     use g80_isa::builder::KernelBuilder;
+    use g80_isa::{
+        AluOp, AtomOp, CmpOp, Inst, Label, Operand, Pred, Reg, Scalar, SfuOp, Space, SpecialReg,
+        UnOp,
+    };
+    use g80_sim::wire::{assert_wire_mutations_rejected, from_bytes, to_bytes};
 
     fn sample_kernel() -> Kernel {
         let mut b = KernelBuilder::new("proto_saxpy");
@@ -1068,11 +501,7 @@ mod tests {
     #[test]
     fn kernel_roundtrips_bit_exact() {
         let k = sample_kernel();
-        let mut e = Enc::with_capacity(256);
-        enc_kernel(&mut e, &k);
-        let mut d = Dec(&e.0);
-        let back = dec_kernel(&mut d).expect("kernel decodes");
-        assert!(d.is_empty());
+        let back = from_bytes::<Kernel>(&to_bytes(&k, 256)).expect("kernel decodes");
         assert_eq!(k.name, back.name);
         assert_eq!(k.code, back.code);
         assert_eq!(k.regs_per_thread, back.regs_per_thread);
@@ -1080,10 +509,9 @@ mod tests {
         assert_eq!(k.num_params, back.num_params);
     }
 
-    #[test]
-    fn every_inst_shape_roundtrips() {
-        use g80_isa::{AluOp, AtomOp, CmpOp, Scalar, SfuOp, Space, SpecialReg, UnOp};
-        let insts = vec![
+    /// One instruction of every shape the codec distinguishes.
+    fn every_inst_shape() -> Vec<Inst> {
+        vec![
             Inst::Alu {
                 op: AluOp::Rotl,
                 dst: Reg(1),
@@ -1165,13 +593,14 @@ mod tests {
             },
             Inst::Bar,
             Inst::Exit,
-        ];
-        for inst in insts {
-            let mut e = Enc::with_capacity(32);
-            enc_inst(&mut e, &inst);
-            let mut d = Dec(&e.0);
-            assert_eq!(dec_inst(&mut d), Some(inst), "roundtrip of {inst:?}");
-            assert!(d.is_empty());
+        ]
+    }
+
+    #[test]
+    fn every_inst_shape_roundtrips() {
+        for inst in every_inst_shape() {
+            let back = from_bytes::<Inst>(&to_bytes(&inst, 32));
+            assert_eq!(back, Some(inst), "roundtrip of {inst:?}");
         }
     }
 
@@ -1241,13 +670,49 @@ mod tests {
     }
 
     #[test]
-    fn truncated_and_trailing_bytes_rejected() {
-        let bytes = Request::Launch(sample_spec()).encode();
-        assert!(Request::decode(&bytes[..bytes.len() - 1]).is_none());
-        let mut extended = bytes.clone();
-        extended.push(0);
-        assert!(Request::decode(&extended).is_none());
-        assert!(Request::decode(&[99]).is_none(), "unknown tag");
+    fn every_message_mutation_is_rejected_or_canonical() {
+        let requests = [
+            Request::Hello {
+                version: PROTOCOL_VERSION,
+                tenant: "probe".into(),
+            },
+            Request::Launch(every_shape_spec()),
+            Request::Batch(vec![every_shape_spec(), bare_spec()]),
+            Request::Sweep(vec![bare_spec()]),
+            Request::Shutdown,
+        ];
+        for req in &requests {
+            assert_wire_mutations_rejected(req);
+        }
+        let fault = || WireError::Fault {
+            site: "serve.decode".into(),
+        };
+        let responses = [
+            Response::HelloOk { version: 3 },
+            Response::Launch {
+                result: Ok((pinned_report(), vec![(0, 1), (4, 2)])),
+            },
+            Response::Launch {
+                result: Err(fault()),
+            },
+            Response::Item {
+                index: 1,
+                result: Ok(pinned_report()),
+            },
+            Response::Item {
+                index: 2,
+                result: Err(fault()),
+            },
+            Response::Done {
+                counters: MemoCounters::default(),
+                net: NetCounters::default(),
+            },
+            Response::Error(WireError::Shutdown),
+            Response::ShutdownOk,
+        ];
+        for resp in &responses {
+            assert_wire_mutations_rejected(resp);
+        }
     }
 
     #[test]
@@ -1373,6 +838,139 @@ mod tests {
             .map(|v| format!("{v:02x}00000000000000"))
             .collect();
         assert_eq!(hex, format!("6100000003{counters}ce8ab4b1"));
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The report `report::tests::report_bytes_are_pinned` pins, as hex.
+    /// Built from bytes because `KernelStats` has crate-private fields.
+    fn pinned_report_hex() -> String {
+        let counters: String = (1..=15u64)
+            .map(|v| format!("{v:02x}00000000000000"))
+            .collect();
+        format!(
+            "030002{counters}0100000000000000724d00000000000000491d7e551c9f6e3e0500000000000000{}{}",
+            "00".repeat(120),
+            "040000000000000020000000010000002000000020000000000000009a9999999999f53f\
+             0000000000005040100000001800000020000000010000000f000000010000000000000000000000"
+        )
+    }
+
+    fn pinned_report() -> LaunchReport {
+        let s = pinned_report_hex();
+        let bytes: Vec<u8> = (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect();
+        LaunchReport::decode(&bytes).expect("pinned report decodes")
+    }
+
+    /// A spec whose kernel holds one instruction of every shape, with
+    /// writes, a const bank and a texture binding.
+    fn every_shape_spec() -> WireLaunch {
+        let kernel = Kernel {
+            name: "every_shape".into(),
+            code: every_inst_shape(),
+            regs_per_thread: 15,
+            smem_bytes: 256,
+            num_params: 3,
+        };
+        let mut spec = sample_spec();
+        spec.kernel = kernel;
+        spec
+    }
+
+    /// The smallest spec: one `Exit`, no params, memory or binding.
+    fn bare_spec() -> WireLaunch {
+        let kernel = Kernel {
+            name: "bare".into(),
+            code: vec![Inst::Exit],
+            regs_per_thread: 1,
+            smem_bytes: 0,
+            num_params: 0,
+        };
+        let dims = LaunchDims {
+            grid: (1, 1),
+            block: (32, 1, 1),
+        };
+        WireLaunch::new(kernel, dims, Vec::new(), 64)
+    }
+
+    /// The every-shape spec's bytes, as `Request::Launch` and `Batch` carry
+    /// them after their tags.
+    const EVERY_SHAPE_SPEC: &str = "\
+        0b0000000000000065766572795f73686170650f0000000001000003000f0000\
+        00001201000000030901fdffffff0102000000010000c03f0003000000020200\
+        0204000000000500000000060000000109000000030807000000000800000004\
+        060900000001000000410505020a000000000b00000001ffffffff060c000000\
+        000a000000000b000000000400000007040d0000000001000000f8ffffff0801\
+        000100000004000000000d000000090300010e00000000010000000000000000\
+        020000000900010000010000000000000000020000000a030000000500000001\
+        0a000000010a0000000000000000000b0c020000000100000040000000010000\
+        0001000000030000000000000000020000000000400010000002000000000000\
+        000000803f000200000000004003000000070000000800000009000000010000\
+        000000040000";
+
+    #[test]
+    fn launch_request_bytes_are_pinned() {
+        let launch = Request::Launch(every_shape_spec());
+        assert_eq!(hex(&launch.encode()), format!("01{EVERY_SHAPE_SPEC}"));
+    }
+
+    #[test]
+    fn batch_request_bytes_are_pinned() {
+        let batch = Request::Batch(vec![every_shape_spec(), bare_spec()]);
+        let bare = "04000000000000006261726501000000000000000000010000000c01000000\
+                    0100000020000000010000000100000000000000400000000000000000000000\
+                    00";
+        assert_eq!(
+            hex(&batch.encode()),
+            format!("0202000000{EVERY_SHAPE_SPEC}{bare}")
+        );
+    }
+
+    #[test]
+    fn launch_response_bytes_are_pinned() {
+        let ok = Response::Launch {
+            result: Ok((pinned_report(), vec![(0, 1), (4, 0xdead_beef)])),
+        };
+        let err = Response::Launch {
+            result: Err(WireError::Watchdog {
+                kernel: "spin".into(),
+                budget: 1000,
+                cycles: 1004,
+                warp_instructions: 251,
+            }),
+        };
+        let report = pinned_report_hex();
+        let delta = "02000000000000000100000004000000efbeadde";
+        assert_eq!(hex(&ok.encode()), format!("0101{report}{delta}"));
+        assert_eq!(
+            hex(&err.encode()),
+            "01000404000000000000007370696ee803000000000000ec03000000000000fb00000000000000"
+        );
+    }
+
+    #[test]
+    fn item_response_bytes_are_pinned() {
+        let ok = Response::Item {
+            index: 7,
+            result: Ok(pinned_report()),
+        };
+        let err = Response::Item {
+            index: 8,
+            result: Err(WireError::Fault {
+                site: "serve.decode".into(),
+            }),
+        };
+        let report = pinned_report_hex();
+        assert_eq!(hex(&ok.encode()), format!("020700000001{report}"));
+        assert_eq!(
+            hex(&err.encode()),
+            "020800000000050c0000000000000073657276652e6465636f6465"
+        );
     }
 
     #[test]

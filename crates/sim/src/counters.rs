@@ -359,7 +359,7 @@ impl KernelStats {
 }
 
 /// Defines one family of context tallies: a `Copy` snapshot struct of `u64`
-/// fields with `since` and the wire codec both [`crate::report`] and the
+/// fields with `since` and the wire layout both [`crate::report`] and the
 /// serve protocol use, and its atomic twin owned by a
 /// [`crate::SimContext`]. The field order is the wire order.
 macro_rules! counters {
@@ -376,18 +376,9 @@ macro_rules! counters {
             pub fn since(&self, earlier: &Self) -> Self {
                 Self { $($field: self.$field.saturating_sub(earlier.$field)),+ }
             }
-
-            /// Appends the fields as little-endian `u64`s, in declaration
-            /// order.
-            pub fn encode_into(&self, e: &mut crate::wire::Enc) {
-                $(e.u64(self.$field);)+
-            }
-
-            /// Inverse of [`Self::encode_into`]; `None` on truncation.
-            pub fn decode_from(d: &mut crate::wire::Dec) -> Option<Self> {
-                Some(Self { $($field: d.u64()?),+ })
-            }
         }
+
+        crate::wire_layout!(struct $name { $($field: u64),+ });
 
         /// The live tallies a context's snapshots are read from.
         #[derive(Default)]

@@ -30,7 +30,7 @@ use crate::context::SimContext;
 use crate::counters::KernelStats;
 use crate::fault::Site;
 use crate::memo::Mix64;
-use crate::wire::{self, Dec, Enc};
+use crate::wire::{Dec, Enc, Wire};
 use std::fs;
 use std::hash::Hasher;
 use std::path::{Path, PathBuf};
@@ -67,38 +67,25 @@ fn checksum(payload: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Serializes a memo entry's payload: the canonical [`wire::encode_stats`]
-/// bytes followed by the sparse write-delta. Any change to either part
-/// must bump [`FORMAT_VERSION`].
+/// Serializes a memo entry's payload: the canonical [`KernelStats`] bytes
+/// followed by the sparse write-delta under a u64 count. Any change to
+/// either part must bump [`FORMAT_VERSION`].
 fn encode_payload(stats: &KernelStats, delta: &[(u32, u32)]) -> Vec<u8> {
     let mut e = Enc::with_capacity(512 + delta.len() * 8);
-    wire::encode_stats(&mut e, stats);
+    stats.put(&mut e);
     e.u64(delta.len() as u64);
-    for &(i, w) in delta {
-        e.u32(i);
-        e.u32(w);
+    for w in delta {
+        w.put(&mut e);
     }
     e.0
 }
 
 fn decode_payload(payload: &[u8]) -> Option<(KernelStats, Vec<(u32, u32)>)> {
     let mut d = Dec(payload);
-    let stats = wire::decode_stats(&mut d)?;
+    let stats = KernelStats::get(&mut d)?;
     let n_delta = d.u64()?;
-    let n_delta = usize::try_from(n_delta).ok()?;
-    if payload.len() < n_delta.checked_mul(8)? {
-        return None; // length field cannot exceed the bytes that carry it
-    }
-    let mut delta = Vec::with_capacity(n_delta);
-    for _ in 0..n_delta {
-        let i = d.u32()?;
-        let w = d.u32()?;
-        delta.push((i, w));
-    }
-    if !d.0.is_empty() {
-        return None; // trailing garbage
-    }
-    Some((stats, delta))
+    let delta = d.items(n_delta)?;
+    d.is_empty().then_some((stats, delta))
 }
 
 fn encode_entry(digest: (u64, u64), payload: &[u8], sum: u64) -> Vec<u8> {
@@ -333,6 +320,16 @@ mod tests {
     }
 
     #[test]
+    fn payload_mutations_are_rejected_or_canonical() {
+        let delta = vec![(0u32, 17u32), (99, 0xdead_beef)];
+        crate::wire::assert_mutations_rejected(
+            &encode_payload(&sample_stats(), &delta),
+            decode_payload,
+            |(stats, delta)| encode_payload(stats, delta),
+        );
+    }
+
+    #[test]
     fn entry_rejects_corruption_truncation_and_skew() {
         let stats = sample_stats();
         let delta = vec![(5u32, 6u32)];
@@ -354,6 +351,28 @@ mod tests {
         let mut skewed = good.clone();
         skewed[4..8].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
         assert!(decode_entry(digest, &skewed).is_none());
+    }
+
+    #[test]
+    fn entry_bytes_are_pinned() {
+        let delta = vec![(0u32, 17u32), (99, 0xdead_beef)];
+        let payload = encode_payload(&sample_stats(), &delta);
+        let entry = encode_entry((0x0123_4567_89ab_cdef, 2), &payload, checksum(&payload));
+        let hex: String = entry.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "4738304d02000000efcdab896745230102000000000000002901000000000000\
+            dba95547f9fca6b20900000000000000726f756e6474726970d2040000000000\
+            00f1726c25d6abae3e6300000000000000600c00000000000040000000000000\
+            0000000000000000000000000000000000001000000000000000000000000000\
+            0000000000000000000000000000000000000000000000000000000000000000\
+            0000000000000000000000000000000000000000000000000000000000000000\
+            0000000000000000000a00000000010000800000000300000000040000000400\
+            00000000009a9999999999f53f00000000000050401000000018000000200000\
+            00020000000000000007000000000000000f0000000100000000000000020000\
+            0000000000290000000000000004000000030000000000000002000000000000\
+            00000000001100000063000000efbeadde"
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::launch::{launch_with_memo, LaunchError, LaunchSpec};
 use crate::memo::Served;
 use crate::memory::DeviceMemory;
 use crate::sm::LaunchDims;
-use crate::wire::{self, Dec, Enc};
+use crate::wire;
 use g80_isa::{Kernel, Value};
 
 /// Everything one launch reports: the simulated counters, which cache tier
@@ -51,71 +51,40 @@ pub struct LaunchReport {
     pub net: NetCounters,
 }
 
-/// Bumped on any change to [`LaunchReport::encode`]'s byte layout (which
-/// includes the embedded [`wire::encode_stats`] layout). Version 2 added
-/// the three row-shape counters after the memo counters; version 3 added
-/// the four transport-fault counters after the row counters.
+/// Bumped on any change to [`LaunchReport`]'s byte layout (which includes
+/// the embedded [`KernelStats`] layout). Version 2 added the three
+/// row-shape counters after the memo counters; version 3 added the four
+/// transport-fault counters after the row counters.
 pub const REPORT_VERSION: u16 = 3;
 
-fn served_to_u8(s: Served) -> u8 {
-    match s {
-        Served::Simulated => 0,
-        Served::Memo => 1,
-        Served::Disk => 2,
+crate::wire_layout! {
+    enum Served {
+        0 => Simulated,
+        1 => Memo,
+        2 => Disk,
     }
 }
 
-fn served_from_u8(v: u8) -> Option<Served> {
-    Some(match v {
-        0 => Served::Simulated,
-        1 => Served::Memo,
-        2 => Served::Disk,
-        _ => return None,
-    })
+crate::wire_layout! {
+    struct LaunchReport [REPORT_VERSION: u16] {
+        served: Served,
+        counters: MemoCounters,
+        rows: RowCounters,
+        net: NetCounters,
+        stats: KernelStats,
+    }
 }
 
 impl LaunchReport {
-    /// Appends the canonical encoding to `e`.
-    pub fn encode_into(&self, e: &mut Enc) {
-        e.u16(REPORT_VERSION);
-        e.u8(served_to_u8(self.served));
-        self.counters.encode_into(e);
-        self.rows.encode_into(e);
-        self.net.encode_into(e);
-        wire::encode_stats(e, &self.stats);
-    }
-
     /// The canonical encoding as a fresh byte vector.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::with_capacity(640);
-        self.encode_into(&mut e);
-        e.0
+        wire::to_bytes(self, 640)
     }
 
-    /// Decodes a report from `d`, leaving trailing bytes unconsumed.
-    /// Returns `None` on truncation, version skew, or an unknown tag.
-    pub fn decode_from(d: &mut Dec) -> Option<Self> {
-        if d.u16()? != REPORT_VERSION {
-            return None;
-        }
-        let served = served_from_u8(d.u8()?)?;
-        Some(LaunchReport {
-            served,
-            counters: MemoCounters::decode_from(d)?,
-            rows: RowCounters::decode_from(d)?,
-            net: NetCounters::decode_from(d)?,
-            stats: wire::decode_stats(d)?,
-        })
-    }
-
-    /// Decodes a standalone encoding (rejects trailing garbage).
+    /// Decodes a standalone encoding. Returns `None` on truncation, version
+    /// skew, an unknown tag, or trailing bytes.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut d = Dec(bytes);
-        let r = Self::decode_from(&mut d)?;
-        if !d.is_empty() {
-            return None;
-        }
-        Some(r)
+        wire::from_bytes(bytes)
     }
 }
 
@@ -148,7 +117,7 @@ pub fn launch_reported(
 mod tests {
     use super::*;
     use crate::config::GpuConfig;
-    use crate::counters::SmStats;
+    use crate::counters::{SmStats, StallReason};
     use g80_isa::InstClass;
 
     fn sample_report() -> LaunchReport {
@@ -219,6 +188,22 @@ mod tests {
             + "040000000000000020000000010000002000000020000000000000009a9999999999f53f\
                0000000000005040100000001800000020000000010000000f000000010000000000000000000000";
         assert_eq!(hex, format!("030002{counters}{stats}"));
+    }
+
+    #[test]
+    fn report_mutations_are_rejected_or_canonical() {
+        // Two entries in each map, so a flip can repeat or reorder a key.
+        let mut sm = SmStats::default();
+        sm.by_class.insert(InstClass::Fma, 3);
+        sm.by_class.insert(InstClass::Exit, 1);
+        sm.stall_cycles.insert(StallReason::Memory, 9);
+        sm.stall_cycles.insert(StallReason::Barrier, 2);
+        let cfg = GpuConfig::geforce_8800_gtx();
+        let report = LaunchReport {
+            stats: KernelStats::merge("m", &cfg, vec![sm], 4, 0, 32, 1, 1),
+            ..sample_report()
+        };
+        wire::assert_wire_mutations_rejected(&report);
     }
 
     #[test]

@@ -3,27 +3,43 @@
 //! the serializable [`crate::LaunchReport`], and the `g80-serve` wire
 //! protocol.
 //!
-//! The encoding rules are the disk tier's (PR 7), promoted to a shared
-//! module so three serializers cannot drift apart:
+//! A type's layout is declared once, as its [`Wire`] impl: `put` appends
+//! the encoding, `get` reads it back, and `MIN_LEN` is the fewest bytes any
+//! encoding of the type takes. Structs and tagged enums declare theirs with
+//! [`wire_layout!`](crate::wire_layout), which lists the fields in wire
+//! order and derives both directions. Only [`KernelStats`] is written by
+//! hand: its maps travel as sorted lists, a format rule rather than a field
+//! list. The rules:
 //!
-//! * all integers little-endian; `f64` as its IEEE bit pattern;
+//! * integers little-endian; `f64` as its IEEE bit pattern; `bool` as one
+//!   byte, 0 or 1;
 //! * strings length-prefixed (u64) UTF-8;
-//! * HashMap-backed fields written sorted by their dense key index, so
-//!   equal values serialize to equal bytes regardless of iteration order
-//!   (canonical form — re-encoding a decoded value reproduces the input
-//!   bytes exactly);
-//! * decoding is strict: short input, an unknown enum tag, or non-UTF-8
-//!   string bytes all return `None` rather than a best-effort value.
+//! * an enum as a `u8` tag and then its fields; `Option` tagged 0 (`None`) /
+//!   1, `Result` tagged 0 (`Err`) / 1 (`Ok`); tuples and struct fields in
+//!   order;
+//! * `Vec` as a u32 count and then the elements. A count whose elements
+//!   could not fit in the bytes left (`count × MIN_LEN`) is rejected before
+//!   anything is allocated ([`Dec::items`]);
+//! * HashMap-backed fields written sorted by their dense key index, and
+//!   decoded only in strictly increasing key order;
+//! * decoding is strict: short input, an unknown tag, an out-of-order key or
+//!   non-UTF-8 string bytes all return `None`. Every accepted input is the
+//!   canonical encoding of the value it decodes to, so re-encoding a decoded
+//!   value reproduces the input bytes exactly ([`assert_mutations_rejected`]
+//!   checks this per layout).
 //!
-//! [`encode_stats`]/[`decode_stats`] carry a full [`KernelStats`]
-//! (including the `pub(crate)` machine-constant fields, which is why this
-//! codec must live inside `g80-sim`). Any change to that encoding must
-//! bump [`crate::disk`]'s `FORMAT_VERSION` *and* the serve protocol
-//! version — both formats embed these bytes.
+//! A layout change changes bytes: it must bump [`crate::disk`]'s
+//! `FORMAT_VERSION` when the stats move, [`crate::REPORT_VERSION`] when a
+//! report does, and the serve protocol version for anything it carries.
 
 use crate::counters::{KernelStats, StallReason};
-use g80_isa::InstClass;
+use crate::sm::LaunchDims;
+use g80_isa::{
+    AluOp, AtomOp, CmpOp, Inst, InstClass, Kernel, Label, Operand, Pred, Reg, Scalar, SfuOp, Space,
+    SpecialReg, UnOp, Value,
+};
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// Byte-appending encoder over a plain `Vec<u8>`.
 pub struct Enc(pub Vec<u8>);
@@ -55,16 +71,17 @@ impl Enc {
         self.u64(s.len() as u64);
         self.0.extend_from_slice(s.as_bytes());
     }
-    pub fn bytes(&mut self, b: &[u8]) {
-        self.0.extend_from_slice(b);
-    }
 }
 
 /// Strict slice-consuming decoder; every accessor returns `None` on short
 /// or malformed input and consumes nothing it did not validate.
 pub struct Dec<'a>(pub &'a [u8]);
 
+// The accessors are `#[inline]` because layouts instantiated in other
+// crates call them once per field: out of line, a `Response::Launch` with
+// a 1 K-pair delta decoded about 2.4× slower.
 impl<'a> Dec<'a> {
+    #[inline]
     pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         if self.0.len() < n {
             return None;
@@ -73,28 +90,35 @@ impl<'a> Dec<'a> {
         self.0 = tail;
         Some(head)
     }
+    #[inline]
     pub fn u8(&mut self) -> Option<u8> {
         self.take(1).map(|b| b[0])
     }
+    #[inline]
     pub fn u16(&mut self) -> Option<u16> {
         self.take(2)
             .map(|b| u16::from_le_bytes(b.try_into().unwrap()))
     }
+    #[inline]
     pub fn u32(&mut self) -> Option<u32> {
         self.take(4)
             .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
     }
+    #[inline]
     pub fn u64(&mut self) -> Option<u64> {
         self.take(8)
             .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
     }
+    #[inline]
     pub fn i32(&mut self) -> Option<i32> {
         self.take(4)
             .map(|b| i32::from_le_bytes(b.try_into().unwrap()))
     }
+    #[inline]
     pub fn f64(&mut self) -> Option<f64> {
         self.u64().map(f64::from_bits)
     }
+    #[inline]
     pub fn str(&mut self) -> Option<String> {
         let len = self.u64()?;
         let bytes = self.take(usize::try_from(len).ok()?)?;
@@ -106,6 +130,249 @@ impl<'a> Dec<'a> {
     }
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
+    }
+    /// `n` values of `T` in a row. `None`, before allocating, when `n` of
+    /// them could not fit in the bytes left: a forged count cannot make the
+    /// decoder reserve more than the input could hold.
+    pub fn items<T: Wire>(&mut self, n: u64) -> Option<Vec<T>> {
+        const { assert!(T::MIN_LEN > 0, "the count guard needs a nonzero MIN_LEN") };
+        let n = usize::try_from(n).ok()?;
+        if n.checked_mul(T::MIN_LEN)? > self.remaining() {
+            return None;
+        }
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(T::get(self)?);
+        }
+        Some(v)
+    }
+}
+
+/// A type with one canonical byte layout.
+pub trait Wire: Sized {
+    /// The fewest bytes any value's encoding takes: the lower bound that
+    /// [`Dec::items`] holds a count against.
+    const MIN_LEN: usize;
+    /// Appends the encoding.
+    fn put(&self, e: &mut Enc);
+    /// Reads one value, leaving any trailing bytes in `d`; `None` on
+    /// malformed or short input.
+    fn get(d: &mut Dec) -> Option<Self>;
+}
+
+/// `v`'s encoding, in a buffer of `cap` bytes to start.
+pub fn to_bytes<T: Wire>(v: &T, cap: usize) -> Vec<u8> {
+    let mut e = Enc::with_capacity(cap);
+    v.put(&mut e);
+    e.0
+}
+
+/// The one `T` that `bytes` encode; `None` if they hold less or more.
+pub fn from_bytes<T: Wire>(bytes: &[u8]) -> Option<T> {
+    let mut d = Dec(bytes);
+    let v = T::get(&mut d)?;
+    d.is_empty().then_some(v)
+}
+
+/// The smallest of `lens` (an enum's `MIN_LEN` is its tag plus the
+/// smallest variant). Used by [`wire_layout!`](crate::wire_layout).
+#[doc(hidden)]
+pub const fn min_len(lens: &[usize]) -> usize {
+    let (mut i, mut min) = (0, usize::MAX);
+    while i < lens.len() {
+        if lens[i] < min {
+            min = lens[i];
+        }
+        i += 1;
+    }
+    min
+}
+
+/// Declares a type's [`Wire`] layout; both directions and `MIN_LEN` derive
+/// from the one list.
+///
+/// * `struct Name(T)` — a newtype, encoded as its field;
+/// * `struct Name { field: T, .. }` — the fields in the order listed, which
+///   is the wire order. `struct Name [VERSION: T] { .. }` first writes the
+///   constant `VERSION` and rejects any other value on decode;
+/// * `enum Name { tag => Variant { field: T, .. }, tag => Variant(x: T),
+///   tag => Variant, .. }` — a `u8` tag, then the variant's fields. A tuple
+///   variant names its one field (`x`) for the derived code.
+///
+/// A listed type that differs from the field's declared type, or a
+/// variant left out, fails to compile.
+#[macro_export]
+macro_rules! wire_layout {
+    (struct $name:ident ( $t:ty )) => {
+        impl $crate::wire::Wire for $name {
+            const MIN_LEN: usize = <$t as $crate::wire::Wire>::MIN_LEN;
+            fn put(&self, e: &mut $crate::wire::Enc) {
+                <$t as $crate::wire::Wire>::put(&self.0, e)
+            }
+            fn get(d: &mut $crate::wire::Dec) -> Option<Self> {
+                Some($name(<$t as $crate::wire::Wire>::get(d)?))
+            }
+        }
+    };
+    (struct $name:ident $([$ver:ident: $vt:ty])? { $($f:ident: $t:ty),* $(,)? }) => {
+        impl $crate::wire::Wire for $name {
+            const MIN_LEN: usize =
+                0 $(+ <$vt as $crate::wire::Wire>::MIN_LEN)? $(+ <$t as $crate::wire::Wire>::MIN_LEN)*;
+            fn put(&self, e: &mut $crate::wire::Enc) {
+                $(<$vt as $crate::wire::Wire>::put(&$ver, e);)?
+                $(<$t as $crate::wire::Wire>::put(&self.$f, e);)*
+            }
+            fn get(d: &mut $crate::wire::Dec) -> Option<Self> {
+                $(if <$vt as $crate::wire::Wire>::get(d)? != $ver {
+                    return None;
+                })?
+                Some($name { $($f: <$t as $crate::wire::Wire>::get(d)?),* })
+            }
+        }
+    };
+    (enum $name:ident {
+        $($tag:literal => $v:ident $({ $($f:ident: $t:ty),* $(,)? })? $(($x:ident: $xt:ty))?),* $(,)?
+    }) => {
+        impl $crate::wire::Wire for $name {
+            const MIN_LEN: usize = 1 + $crate::wire::min_len(&[$(
+                0 $($(+ <$t as $crate::wire::Wire>::MIN_LEN)*)? $(+ <$xt as $crate::wire::Wire>::MIN_LEN)?
+            ),*]);
+            fn put(&self, e: &mut $crate::wire::Enc) {
+                match self {
+                    $(Self::$v $({ $($f),* })? $(($x))? => {
+                        e.u8($tag);
+                        $($(<$t as $crate::wire::Wire>::put($f, e);)*)?
+                        $(<$xt as $crate::wire::Wire>::put($x, e);)?
+                    })*
+                }
+            }
+            fn get(d: &mut $crate::wire::Dec) -> Option<Self> {
+                Some(match d.u8()? {
+                    $($tag => Self::$v
+                        $({ $($f: <$t as $crate::wire::Wire>::get(d)?),* })?
+                        $(({
+                            let $x = <$xt as $crate::wire::Wire>::get(d)?;
+                            $x
+                        }))?,)*
+                    _ => return None,
+                })
+            }
+        }
+    };
+}
+
+macro_rules! scalars {
+    ($($t:ident),*) => {$(
+        impl Wire for $t {
+            const MIN_LEN: usize = std::mem::size_of::<$t>();
+            #[inline]
+            fn put(&self, e: &mut Enc) {
+                e.$t(*self)
+            }
+            #[inline]
+            fn get(d: &mut Dec) -> Option<Self> {
+                d.$t()
+            }
+        }
+    )*};
+}
+
+scalars!(u8, u16, u32, u64, i32, f64);
+
+impl Wire for bool {
+    const MIN_LEN: usize = 1;
+    fn put(&self, e: &mut Enc) {
+        e.u8(*self as u8)
+    }
+    fn get(d: &mut Dec) -> Option<Self> {
+        match d.u8()? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
+    }
+}
+
+impl Wire for String {
+    const MIN_LEN: usize = 8;
+    fn put(&self, e: &mut Enc) {
+        e.str(self)
+    }
+    fn get(d: &mut Dec) -> Option<Self> {
+        d.str()
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    const MIN_LEN: usize = 1;
+    fn put(&self, e: &mut Enc) {
+        match self {
+            None => e.u8(0),
+            Some(v) => {
+                e.u8(1);
+                v.put(e);
+            }
+        }
+    }
+    fn get(d: &mut Dec) -> Option<Self> {
+        match d.u8()? {
+            0 => Some(None),
+            1 => Some(Some(T::get(d)?)),
+            _ => None,
+        }
+    }
+}
+
+impl<T: Wire, E: Wire> Wire for Result<T, E> {
+    const MIN_LEN: usize = 1 + min_len(&[T::MIN_LEN, E::MIN_LEN]);
+    fn put(&self, e: &mut Enc) {
+        match self {
+            Err(err) => {
+                e.u8(0);
+                err.put(e);
+            }
+            Ok(v) => {
+                e.u8(1);
+                v.put(e);
+            }
+        }
+    }
+    fn get(d: &mut Dec) -> Option<Self> {
+        match d.u8()? {
+            0 => Some(Err(E::get(d)?)),
+            1 => Some(Ok(T::get(d)?)),
+            _ => None,
+        }
+    }
+}
+
+macro_rules! tuples {
+    ($(($($t:ident . $i:tt),+)),*) => {$(
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            const MIN_LEN: usize = 0 $(+ $t::MIN_LEN)+;
+            fn put(&self, e: &mut Enc) {
+                $(self.$i.put(e);)+
+            }
+            fn get(d: &mut Dec) -> Option<Self> {
+                Some(($($t::get(d)?,)+))
+            }
+        }
+    )*};
+}
+
+tuples!((A.0, B.1), (A.0, B.1, C.2));
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_LEN: usize = 4;
+    fn put(&self, e: &mut Enc) {
+        e.u32(self.len() as u32);
+        for v in self {
+            v.put(e);
+        }
+    }
+    fn get(d: &mut Dec) -> Option<Self> {
+        let n = d.u32()?;
+        d.items(n.into())
     }
 }
 
@@ -176,128 +443,237 @@ const fn crc_tables() -> [[u32; 256]; 8] {
     t
 }
 
-fn stall_from_u8(v: u8) -> Option<StallReason> {
-    use StallReason::*;
-    Some(match v {
-        0 => Memory,
-        1 => AluDependency,
-        2 => Barrier,
-        3 => IssueBusy,
-        4 => Drain,
-        _ => return None,
-    })
+// ---- layouts -------------------------------------------------------------
+//
+// The ISA's layouts live here because the trait does. Its C-like enums are
+// tagged by declaration index: `x as u8` writes, `ALL` reads back.
+
+macro_rules! index_enums {
+    ($($t:ident),*) => {$(
+        impl Wire for $t {
+            const MIN_LEN: usize = 1;
+            fn put(&self, e: &mut Enc) {
+                e.u8(*self as u8)
+            }
+            fn get(d: &mut Dec) -> Option<Self> {
+                $t::ALL.get(d.u8()? as usize).copied()
+            }
+        }
+    )*};
 }
 
-/// Serializes a full [`KernelStats`] in the canonical field order. The
-/// disk tier appends its sparse write-delta after these bytes; other
-/// consumers embed them as-is.
-pub fn encode_stats(e: &mut Enc, stats: &KernelStats) {
-    e.str(&stats.name);
-    e.u64(stats.cycles);
-    e.f64(stats.elapsed);
-    e.u64(stats.warp_instructions);
-    e.u64(stats.thread_instructions);
-    e.u64(stats.flops);
-    e.u64(stats.global_ld_transactions);
-    e.u64(stats.global_st_transactions);
-    e.u64(stats.global_bytes);
-    e.u64(stats.coalesced_half_warps);
-    e.u64(stats.uncoalesced_half_warps);
-    e.u64(stats.smem_conflict_extra_cycles);
-    e.u64(stats.divergent_branches);
-    e.u64(stats.tex_hits);
-    e.u64(stats.tex_misses);
-    e.u64(stats.const_hits);
-    e.u64(stats.const_misses);
-    e.u64(stats.atomic_transactions);
-    e.u64(stats.blocks_executed);
-    e.u32(stats.regs_per_thread);
-    e.u32(stats.smem_per_block);
-    e.u32(stats.threads_per_block);
-    e.u32(stats.blocks_per_sm);
-    e.u32(stats.max_simultaneous_threads);
-    e.u64(stats.total_threads);
-    e.f64(stats.clock_ghz);
-    e.f64(stats.dram_bytes_per_cycle);
-    e.u32(stats.num_sms);
-    e.u32(stats.max_warps_per_sm);
-    e.u32(stats.warp_size);
-    let mut classes: Vec<(usize, u64)> = stats
-        .by_class
-        .iter()
-        .map(|(k, v)| (k.index(), *v))
-        .collect();
-    classes.sort_unstable();
-    e.u32(classes.len() as u32);
-    for (k, v) in classes {
-        e.u32(k as u32);
-        e.u64(v);
-    }
-    let mut stalls: Vec<(u8, u64)> = stats
-        .stall_cycles
-        .iter()
-        .map(|(k, v)| (*k as u8, *v))
-        .collect();
-    stalls.sort_unstable();
-    e.u32(stalls.len() as u32);
-    for (k, v) in stalls {
-        e.u32(k as u32);
-        e.u64(v);
+index_enums!(AluOp, UnOp, SfuOp, CmpOp, Scalar, Space, AtomOp, SpecialReg);
+
+crate::wire_layout!(struct Value(u32));
+crate::wire_layout!(struct Reg(u32));
+crate::wire_layout!(struct Label(u32));
+
+crate::wire_layout! {
+    enum Operand {
+        0 => Reg(r: Reg),
+        1 => Imm(v: Value),
+        2 => Param(p: u16),
+        3 => Special(s: SpecialReg),
     }
 }
 
-/// Decodes a [`KernelStats`] written by [`encode_stats`], leaving any
-/// trailing bytes (a disk delta, the rest of a protocol frame) in `d`.
-pub fn decode_stats(d: &mut Dec) -> Option<KernelStats> {
-    let mut stats = KernelStats {
-        name: d.str()?,
-        cycles: d.u64()?,
-        elapsed: d.f64()?,
-        warp_instructions: d.u64()?,
-        thread_instructions: d.u64()?,
-        flops: d.u64()?,
-        by_class: HashMap::new(),
-        global_ld_transactions: d.u64()?,
-        global_st_transactions: d.u64()?,
-        global_bytes: d.u64()?,
-        coalesced_half_warps: d.u64()?,
-        uncoalesced_half_warps: d.u64()?,
-        smem_conflict_extra_cycles: d.u64()?,
-        divergent_branches: d.u64()?,
-        tex_hits: d.u64()?,
-        tex_misses: d.u64()?,
-        const_hits: d.u64()?,
-        const_misses: d.u64()?,
-        atomic_transactions: d.u64()?,
-        stall_cycles: HashMap::new(),
-        blocks_executed: d.u64()?,
-        regs_per_thread: d.u32()?,
-        smem_per_block: d.u32()?,
-        threads_per_block: d.u32()?,
-        blocks_per_sm: d.u32()?,
-        max_simultaneous_threads: d.u32()?,
-        total_threads: d.u64()?,
-        clock_ghz: d.f64()?,
-        dram_bytes_per_cycle: d.f64()?,
-        num_sms: d.u32()?,
-        max_warps_per_sm: d.u32()?,
-        warp_size: d.u32()?,
+crate::wire_layout! {
+    struct Pred { reg: Reg, negate: bool }
+}
+
+crate::wire_layout! {
+    enum Inst {
+        0 => Alu { op: AluOp, dst: Reg, a: Operand, b: Operand },
+        1 => Ffma { dst: Reg, a: Operand, b: Operand, c: Operand },
+        2 => Imad { dst: Reg, a: Operand, b: Operand, c: Operand },
+        3 => Un { op: UnOp, dst: Reg, a: Operand },
+        4 => Sfu { op: SfuOp, dst: Reg, a: Operand },
+        5 => SetP { op: CmpOp, ty: Scalar, dst: Reg, a: Operand, b: Operand },
+        6 => Sel { dst: Reg, c: Operand, a: Operand, b: Operand },
+        7 => Ld { space: Space, dst: Reg, addr: Operand, off: i32 },
+        8 => St { space: Space, addr: Operand, off: i32, src: Operand },
+        9 => Atom { op: AtomOp, space: Space, dst: Option<Reg>, addr: Operand, off: i32, src: Operand },
+        10 => Bra { target: Label, reconv: Label, pred: Option<Pred> },
+        11 => Bar,
+        12 => Exit,
+    }
+}
+
+crate::wire_layout! {
+    struct Kernel {
+        name: String,
+        regs_per_thread: u32,
+        smem_bytes: u32,
+        num_params: u16,
+        code: Vec<Inst>,
+    }
+}
+
+crate::wire_layout! {
+    struct LaunchDims { grid: (u32, u32), block: (u32, u32, u32) }
+}
+
+/// Writes `map` as a u32 count and `(u32 key, u64 value)` pairs in
+/// increasing key order, the order [`get_map`] insists on.
+fn put_map<K: Copy>(e: &mut Enc, map: &HashMap<K, u64>, key: impl Fn(K) -> usize) {
+    let mut pairs: Vec<(u32, u64)> = map.iter().map(|(&k, &v)| (key(k) as u32, v)).collect();
+    pairs.sort_unstable();
+    pairs.put(e);
+}
+
+/// Reads what [`put_map`] writes. Keys must be strictly increasing: a
+/// repeated or out-of-order key is bytes the encoder never writes.
+fn get_map<K: Copy + Eq + Hash>(d: &mut Dec, all: &[K], map: &mut HashMap<K, u64>) -> Option<()> {
+    let mut next = 0;
+    for _ in 0..d.u32()? {
+        let idx = d.u32()? as usize;
+        if idx < next {
+            return None;
+        }
+        next = idx + 1;
+        map.insert(*all.get(idx)?, d.u64()?);
+    }
+    Some(())
+}
+
+/// The full [`KernelStats`], the `pub(crate)` machine-constant fields
+/// included (which is why its layout lives in this crate). The disk tier
+/// appends its write-delta after these bytes; reports embed them last.
+impl Wire for KernelStats {
+    /// Empty name and maps: the length, 21 eight-byte fields, 8 four-byte
+    /// fields and two zero counts.
+    const MIN_LEN: usize = 8 + 21 * 8 + 8 * 4 + 2 * 4;
+
+    fn put(&self, e: &mut Enc) {
+        e.str(&self.name);
+        e.u64(self.cycles);
+        e.f64(self.elapsed);
+        e.u64(self.warp_instructions);
+        e.u64(self.thread_instructions);
+        e.u64(self.flops);
+        e.u64(self.global_ld_transactions);
+        e.u64(self.global_st_transactions);
+        e.u64(self.global_bytes);
+        e.u64(self.coalesced_half_warps);
+        e.u64(self.uncoalesced_half_warps);
+        e.u64(self.smem_conflict_extra_cycles);
+        e.u64(self.divergent_branches);
+        e.u64(self.tex_hits);
+        e.u64(self.tex_misses);
+        e.u64(self.const_hits);
+        e.u64(self.const_misses);
+        e.u64(self.atomic_transactions);
+        e.u64(self.blocks_executed);
+        e.u32(self.regs_per_thread);
+        e.u32(self.smem_per_block);
+        e.u32(self.threads_per_block);
+        e.u32(self.blocks_per_sm);
+        e.u32(self.max_simultaneous_threads);
+        e.u64(self.total_threads);
+        e.f64(self.clock_ghz);
+        e.f64(self.dram_bytes_per_cycle);
+        e.u32(self.num_sms);
+        e.u32(self.max_warps_per_sm);
+        e.u32(self.warp_size);
+        put_map(e, &self.by_class, InstClass::index);
+        put_map(e, &self.stall_cycles, StallReason::index);
+    }
+
+    fn get(d: &mut Dec) -> Option<Self> {
+        let mut stats = KernelStats {
+            name: d.str()?,
+            cycles: d.u64()?,
+            elapsed: d.f64()?,
+            warp_instructions: d.u64()?,
+            thread_instructions: d.u64()?,
+            flops: d.u64()?,
+            by_class: HashMap::new(),
+            global_ld_transactions: d.u64()?,
+            global_st_transactions: d.u64()?,
+            global_bytes: d.u64()?,
+            coalesced_half_warps: d.u64()?,
+            uncoalesced_half_warps: d.u64()?,
+            smem_conflict_extra_cycles: d.u64()?,
+            divergent_branches: d.u64()?,
+            tex_hits: d.u64()?,
+            tex_misses: d.u64()?,
+            const_hits: d.u64()?,
+            const_misses: d.u64()?,
+            atomic_transactions: d.u64()?,
+            stall_cycles: HashMap::new(),
+            blocks_executed: d.u64()?,
+            regs_per_thread: d.u32()?,
+            smem_per_block: d.u32()?,
+            threads_per_block: d.u32()?,
+            blocks_per_sm: d.u32()?,
+            max_simultaneous_threads: d.u32()?,
+            total_threads: d.u64()?,
+            clock_ghz: d.f64()?,
+            dram_bytes_per_cycle: d.f64()?,
+            num_sms: d.u32()?,
+            max_warps_per_sm: d.u32()?,
+            warp_size: d.u32()?,
+        };
+        get_map(d, &InstClass::ALL, &mut stats.by_class)?;
+        get_map(d, &StallReason::ALL, &mut stats.stall_cycles)?;
+        Some(stats)
+    }
+}
+
+/// Checks the strict-decoding contract on `bytes`, the encoding of one
+/// value, and panics on the first breach:
+///
+/// * every strict prefix, and `bytes` plus one trailing byte, is rejected;
+/// * every single-bit flip, and every 4-byte window overwritten with
+///   `u32::MAX`, is rejected or decodes to a value that re-encodes to
+///   exactly the mutated bytes.
+///
+/// A count set to `u32::MAX` can only be rejected, since its elements
+/// cannot fit; a decoder that reserved room for them first would ask the
+/// allocator for gigabytes and abort the test. A decoder that panics fails
+/// it too.
+#[doc(hidden)]
+pub fn assert_mutations_rejected<T>(
+    bytes: &[u8],
+    decode: impl Fn(&[u8]) -> Option<T>,
+    encode: impl Fn(&T) -> Vec<u8>,
+) {
+    let check = |bent: &[u8], at: usize| {
+        if let Some(v) = decode(bent) {
+            let again = encode(&v);
+            assert_eq!(again, bent, "mutation at byte {at} re-encodes differently");
+        }
     };
-    let n_classes = d.u32()?;
-    for _ in 0..n_classes {
-        let idx = d.u32()?;
-        let v = d.u64()?;
-        let class = *InstClass::ALL.get(idx as usize)?;
-        stats.by_class.insert(class, v);
+    for len in 0..bytes.len() {
+        assert!(decode(&bytes[..len]).is_none(), "{len}-byte prefix decoded");
     }
-    let n_stalls = d.u32()?;
-    for _ in 0..n_stalls {
-        let idx = d.u32()?;
-        let v = d.u64()?;
-        let reason = stall_from_u8(u8::try_from(idx).ok()?)?;
-        stats.stall_cycles.insert(reason, v);
+    let mut longer = bytes.to_vec();
+    longer.push(0);
+    assert!(decode(&longer).is_none(), "a trailing byte was accepted");
+    let mut bent = bytes.to_vec();
+    for i in 0..bytes.len() {
+        for bit in 0..8 {
+            bent[i] ^= 1 << bit;
+            check(&bent, i);
+            bent[i] ^= 1 << bit;
+        }
     }
-    Some(stats)
+    for i in 0..bytes.len().saturating_sub(3) {
+        bent[i..i + 4].fill(0xff);
+        check(&bent, i);
+        bent[i..i + 4].copy_from_slice(&bytes[i..i + 4]);
+    }
+}
+
+/// [`assert_mutations_rejected`] on `v`'s [`Wire`] encoding, after checking
+/// that it round-trips and is no shorter than `MIN_LEN`.
+#[doc(hidden)]
+pub fn assert_wire_mutations_rejected<T: Wire>(v: &T) {
+    let bytes = to_bytes(v, 256);
+    assert!(bytes.len() >= T::MIN_LEN, "encoding shorter than MIN_LEN");
+    let back = from_bytes::<T>(&bytes).expect("the encoding decodes");
+    assert_eq!(to_bytes(&back, 256), bytes, "re-encoding differs");
+    assert_mutations_rejected(&bytes, from_bytes::<T>, |v| to_bytes(v, 256));
 }
 
 #[cfg(test)]
@@ -325,32 +701,88 @@ mod tests {
     #[test]
     fn stats_roundtrip_is_canonical() {
         let stats = sample_stats();
-        let mut e = Enc::with_capacity(512);
-        encode_stats(&mut e, &stats);
-        let mut d = Dec(&e.0);
-        let back = decode_stats(&mut d).expect("roundtrip");
-        assert!(d.is_empty());
+        let bytes = to_bytes(&stats, 512);
+        let back = from_bytes::<KernelStats>(&bytes).expect("roundtrip");
         assert_eq!(stats.name, back.name);
         assert_eq!(stats.cycles, back.cycles);
         assert_eq!(stats.by_class, back.by_class);
         assert_eq!(stats.stall_cycles, back.stall_cycles);
         assert_eq!(stats.clock_ghz.to_bits(), back.clock_ghz.to_bits());
-        let mut e2 = Enc::with_capacity(512);
-        encode_stats(&mut e2, &back);
-        assert_eq!(e.0, e2.0, "re-encoding must reproduce the same bytes");
+        assert_eq!(
+            bytes,
+            to_bytes(&back, 512),
+            "re-encoding must reproduce the same bytes"
+        );
+        assert_eq!(to_bytes(&empty_stats(), 0).len(), KernelStats::MIN_LEN);
+    }
+
+    fn empty_stats() -> KernelStats {
+        KernelStats::merge("", &GpuConfig::geforce_8800_gtx(), vec![], 0, 0, 0, 0, 0)
+    }
+
+    /// Stats bytes whose two maps carry exactly `classes` and `stalls`, in
+    /// the order given.
+    fn stats_with_maps(classes: &[(u32, u64)], stalls: &[(u32, u64)]) -> Vec<u8> {
+        let mut bytes = to_bytes(&empty_stats(), 0);
+        bytes.truncate(bytes.len() - 8);
+        let mut e = Enc(bytes);
+        classes.to_vec().put(&mut e);
+        stalls.to_vec().put(&mut e);
+        e.0
     }
 
     #[test]
-    fn truncated_stats_decode_to_none() {
-        let stats = sample_stats();
-        let mut e = Enc::with_capacity(512);
-        encode_stats(&mut e, &stats);
-        for cut in [0, 1, 8, e.0.len() / 2, e.0.len() - 1] {
-            assert!(
-                decode_stats(&mut Dec(&e.0[..cut])).is_none(),
-                "decode must reject a {cut}-byte prefix"
-            );
-        }
+    fn stats_map_keys_must_strictly_increase() {
+        let decodes = |c: &[(u32, u64)], s: &[(u32, u64)]| {
+            from_bytes::<KernelStats>(&stats_with_maps(c, s)).is_some()
+        };
+        assert!(decodes(&[(0, 3), (4, 2)], &[(0, 9), (4, 1)]));
+        assert!(!decodes(&[(0, 3), (0, 2)], &[]), "duplicated class");
+        assert!(!decodes(&[(4, 2), (0, 3)], &[]), "swapped classes");
+        assert!(!decodes(&[], &[(1, 3), (1, 2)]), "duplicated stall reason");
+        assert!(!decodes(&[], &[(4, 1), (0, 9)]), "swapped stall reasons");
+    }
+
+    /// Every variant of `$t`: listed in `ALL` in declaration order, tagged
+    /// by that index, and round-tripped. The exhaustive match stops
+    /// compiling when the enum gains a variant this list lacks, and the
+    /// array comparison when `ALL` lacks it.
+    macro_rules! check_all {
+        ($t:ident: $($v:ident),+) => {{
+            let _exhaustive = |x: $t| match x {
+                $($t::$v => ()),+
+            };
+            assert_eq!($t::ALL, [$($t::$v),+]);
+            for (i, x) in $t::ALL.into_iter().enumerate() {
+                assert_eq!(x as u8 as usize, i, "{x:?}");
+                assert_eq!(from_bytes::<$t>(&to_bytes(&x, 1)), Some(x));
+            }
+        }};
+    }
+
+    #[test]
+    fn every_isa_enum_variant_roundtrips() {
+        check_all!(AluOp: FAdd, FSub, FMul, FMin, FMax, IAdd, ISub, IMul, UMin, UMax, IMin, IMax,
+            And, Or, Xor, Shl, ShrU, ShrS, Rotl);
+        check_all!(UnOp: Mov, FNeg, FAbs, Not, CvtF2I, CvtI2F, CvtF2U, CvtU2F, FFloor);
+        check_all!(SfuOp: Rcp, Rsqrt, Sqrt, Sin, Cos, Ex2, Lg2);
+        check_all!(CmpOp: Eq, Ne, Lt, Le, Gt, Ge);
+        check_all!(Scalar: F32, U32, I32);
+        check_all!(Space: Global, Shared, Const, Local, Tex);
+        check_all!(AtomOp: Add, Min, Max, Exch);
+        check_all!(SpecialReg: TidX, TidY, TidZ, NtidX, NtidY, NtidZ, CtaidX, CtaidY, NctaidX,
+            NctaidY);
+        assert!(from_bytes::<AluOp>(&[AluOp::ALL.len() as u8]).is_none());
+    }
+
+    #[test]
+    fn a_count_is_held_against_the_bytes_left() {
+        // 24 bytes after the count: three eight-byte pairs fit, four do not.
+        let bytes = to_bytes(&vec![(1u32, 2u32); 3], 0);
+        let items = |n| Dec(&bytes[4..]).items::<(u32, u32)>(n);
+        assert_eq!(items(3), Some(vec![(1, 2); 3]));
+        assert_eq!(items(4), None);
+        assert_eq!(items(u64::MAX), None);
     }
 
     #[test]

@@ -5,7 +5,6 @@ use g80::apps::matmul::{MatMul, Variant};
 use g80::cuda::Timeline;
 use g80::isa::builder::KernelBuilder;
 use g80::isa::{Kernel, Value};
-use g80::sim::wire::{encode_stats, Enc};
 use g80::sim::{
     launch, memo_counters, DeviceMemory, GpuConfig, KernelStats, LaunchDims, LaunchError,
     MemoCounters, SimConfig, SimContext,
@@ -18,9 +17,7 @@ pub use contexts::{contexts, scratch_dir};
 /// store, so equal bytes means equal in every field and everywhere
 /// downstream.
 pub fn stats_bytes(stats: &KernelStats) -> Vec<u8> {
-    let mut e = Enc(Vec::new());
-    encode_stats(&mut e, stats);
-    e.0
+    g80::sim::wire::to_bytes(stats, 512)
 }
 
 /// Asserts two `KernelStats` equal field for field, bit for bit, naming the
