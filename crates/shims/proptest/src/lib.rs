@@ -4,37 +4,83 @@
 //! workspace vendors the slice of proptest's API that its property tests
 //! use: the [`proptest!`] / [`prop_oneof!`] / [`prop_assert*`] macros, the
 //! [`Strategy`] trait with `prop_map`, range / tuple / `Just` strategies,
-//! `prop::collection::vec`, `prop::option::weighted`, and [`any`].
+//! `prop::collection::vec`, `prop::option::{of, weighted}`,
+//! `prop::sample::select`, and [`any`].
 //!
 //! Semantics: each test runs `ProptestConfig::cases` generated inputs from a
 //! deterministic per-test RNG (seeded from the test name, so runs are
-//! reproducible). There is **no shrinking** — on failure the offending input
-//! is printed verbatim; re-running reproduces it exactly.
+//! reproducible). A failing case — a `prop_assert*` or a panic — is shrunk
+//! by replaying smaller draws ([`TestRng`]), and the simplest input that
+//! still fails is printed with its failure. Shrinking works on the draws,
+//! not on values, so it reaches through `prop_map` unaided: a range shrinks
+//! toward its start, a `vec` toward its shortest length, `option::of` toward
+//! `None`, `select` toward its first value, a `bool` toward `false`.
 
 use rand::{RngCore, SeedableRng};
 use std::fmt::Debug;
+use std::panic::{self, AssertUnwindSafe};
 use std::rc::Rc;
 
-/// Deterministic source of randomness handed to strategies.
-pub struct TestRng(rand::rngs::StdRng);
+/// Deterministic source of randomness handed to strategies. Every draw is
+/// recorded, so a failing case can be replayed from its draws — and shrunk
+/// by replaying smaller ones, which generate smaller values.
+pub struct TestRng {
+    rng: rand::rngs::StdRng,
+    /// Draws to return instead of the generator's (zeros past their end),
+    /// and how many were taken.
+    replay: Option<(Vec<u64>, usize)>,
+    drawn: Vec<u64>,
+}
 
 impl TestRng {
     fn for_case(test_name: &str, case: u64) -> Self {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         test_name.hash(&mut h);
-        TestRng(rand::rngs::StdRng::seed_from_u64(
-            h.finish()
-                .wrapping_add(case.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-        ))
+        TestRng {
+            rng: rand::rngs::StdRng::seed_from_u64(
+                h.finish()
+                    .wrapping_add(case.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+            ),
+            replay: None,
+            drawn: Vec::new(),
+        }
+    }
+
+    fn replaying(draws: Vec<u64>) -> Self {
+        TestRng {
+            rng: rand::rngs::StdRng::seed_from_u64(0),
+            replay: Some((draws, 0)),
+            drawn: Vec::new(),
+        }
+    }
+
+    fn raw(&mut self) -> u64 {
+        match &mut self.replay {
+            Some((draws, taken)) => {
+                *taken += 1;
+                draws.get(*taken - 1).copied().unwrap_or(0)
+            }
+            None => self.rng.next_u64(),
+        }
     }
 
     pub fn next_u64(&mut self) -> u64 {
-        self.0.next_u64()
+        let v = self.raw();
+        self.drawn.push(v);
+        v
+    }
+
+    /// A value below `n` (nonzero), recorded as reduced: a smaller draw is
+    /// then a smaller value, which is what shrinking relies on.
+    pub fn below(&mut self, n: u64) -> u64 {
+        let v = self.raw() % n;
+        self.drawn.push(v);
+        v
     }
 
     pub fn next_f64(&mut self) -> f64 {
-        (self.0.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 
@@ -66,9 +112,9 @@ impl std::fmt::Display for TestCaseError {
     }
 }
 
-/// Drives one property test: generates `cfg.cases` inputs and panics with
-/// the input's debug rendering on the first failure. Called by the
-/// [`proptest!`] expansion — not public API in real proptest.
+/// Drives one property test: generates `cfg.cases` inputs and, on the first
+/// failure, shrinks it and panics with the shrunk input's debug rendering.
+/// Called by the [`proptest!`] expansion — not public API in real proptest.
 pub fn run_proptest(
     cfg: &ProptestConfig,
     test_name: &str,
@@ -78,9 +124,84 @@ pub fn run_proptest(
         let mut rng = TestRng::for_case(test_name, i);
         let (desc, result) = case(&mut rng);
         if let Err(e) = result {
-            panic!("proptest {test_name}: case {i} failed: {e}\n  input: {desc}");
+            let (desc, e) = shrink(&mut case, rng.drawn, (desc, e));
+            panic!("proptest {test_name}: case {i} failed: {e}\n  input (shrunk): {desc}");
         }
     }
+}
+
+/// Replays of a failing case tried while shrinking it.
+const SHRINK_RUNS: u32 = 256;
+
+/// Shrinks a failing case: replays smaller variants of its draws — the tail
+/// dropped, one draw deleted, zeroed, halved or decremented — and keeps the
+/// first that still fails, until none does or [`SHRINK_RUNS`] are spent.
+/// Each kept sequence is shorter, or as long and lexicographically smaller,
+/// so the search ends. Returns the last failing input and its failure.
+fn shrink(
+    case: &mut impl FnMut(&mut TestRng) -> (String, Result<(), TestCaseError>),
+    mut draws: Vec<u64>,
+    mut found: (String, TestCaseError),
+) -> (String, TestCaseError) {
+    let mut runs = 0;
+    'smaller: while runs < SHRINK_RUNS {
+        for candidate in smaller_draws(&draws) {
+            if runs == SHRINK_RUNS {
+                break 'smaller;
+            }
+            runs += 1;
+            let mut rng = TestRng::replaying(candidate);
+            let (desc, result) = case(&mut rng);
+            let simpler = (rng.drawn.len(), &rng.drawn) < (draws.len(), &draws);
+            if let (Err(e), true) = (result, simpler) {
+                (draws, found) = (rng.drawn, (desc, e));
+                continue 'smaller;
+            }
+        }
+        break;
+    }
+    found
+}
+
+/// The variants of `draws` that [`shrink`] tries, boldest first.
+fn smaller_draws(draws: &[u64]) -> Vec<Vec<u64>> {
+    let n = draws.len();
+    let mut out = vec![
+        draws[..n / 2].to_vec(),
+        draws[..n.saturating_sub(1)].to_vec(),
+    ];
+    for i in 0..n {
+        let d = draws[i];
+        out.push([&draws[..i], &draws[i + 1..]].concat());
+        for smaller in [0, d / 2, d.saturating_sub(1)] {
+            if smaller < d {
+                let mut v = draws.to_vec();
+                v[i] = smaller;
+                out.push(v);
+            }
+        }
+    }
+    out
+}
+
+/// The message a test body panicked with, as a case failure.
+fn panic_failure(payload: Box<dyn std::any::Any + Send>) -> TestCaseError {
+    let msg = match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(payload) => match payload.downcast::<&str>() {
+            Ok(s) => s.to_string(),
+            Err(_) => "panic with a non-string payload".to_string(),
+        },
+    };
+    TestCaseError(format!("panicked: {msg}"))
+}
+
+/// Runs one test body, turning a panic into a case failure (so that it is
+/// shrunk like a failed `prop_assert*`). Called by the [`proptest!`]
+/// expansion.
+#[doc(hidden)]
+pub fn run_body(body: impl FnOnce() -> Result<(), TestCaseError>) -> Result<(), TestCaseError> {
+    panic::catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|p| Err(panic_failure(p)))
 }
 
 /// Generation strategy for values of type `Self::Value`.
@@ -159,8 +280,17 @@ impl<T> Clone for Union<T> {
 impl<T: Debug> Strategy for Union<T> {
     type Value = T;
     fn generate(&self, rng: &mut TestRng) -> T {
-        let i = (rng.next_u64() % self.0.len() as u64) as usize;
+        let i = rng.below(self.0.len() as u64) as usize;
         self.0[i].generate(rng)
+    }
+}
+
+/// An offset below `span` (an integer range's width, which for a whole
+/// 64-bit range exceeds `u64`).
+fn offset(rng: &mut TestRng, span: u128) -> u128 {
+    match u64::try_from(span) {
+        Ok(span) => rng.below(span) as u128,
+        Err(_) => rng.next_u64() as u128,
     }
 }
 
@@ -171,8 +301,7 @@ macro_rules! int_range_strategy {
             fn generate(&self, rng: &mut TestRng) -> $t {
                 assert!(self.start < self.end, "empty range strategy");
                 let span = (self.end as i128 - self.start as i128) as u128;
-                let v = (rng.next_u64() as u128) % span;
-                (self.start as i128 + v as i128) as $t
+                (self.start as i128 + offset(rng, span) as i128) as $t
             }
         }
         impl Strategy for std::ops::RangeInclusive<$t> {
@@ -181,8 +310,7 @@ macro_rules! int_range_strategy {
                 let (lo, hi) = (*self.start(), *self.end());
                 assert!(lo <= hi, "empty range strategy");
                 let span = (hi as i128 - lo as i128) as u128 + 1;
-                let v = (rng.next_u64() as u128) % span;
-                (lo as i128 + v as i128) as $t
+                (lo as i128 + offset(rng, span) as i128) as $t
             }
         }
     )*};
@@ -343,7 +471,7 @@ pub mod prop {
             type Value = Vec<S::Value>;
             fn generate(&self, rng: &mut TestRng) -> Vec<S::Value> {
                 let span = (self.size.hi - self.size.lo) as u64;
-                let n = self.size.lo + (rng.next_u64() % span) as usize;
+                let n = self.size.lo + rng.below(span) as usize;
                 (0..n).map(|_| self.elem.generate(rng)).collect()
             }
         }
@@ -380,6 +508,42 @@ pub mod prop {
         /// `Some(inner)` with probability `prob`, else `None`.
         pub fn weighted<S: Strategy>(prob: f64, inner: S) -> WeightedOption<S> {
             WeightedOption { prob, inner }
+        }
+
+        #[derive(Clone)]
+        pub struct OptionStrategy<S>(S);
+
+        impl<S: Strategy> Strategy for OptionStrategy<S> {
+            type Value = Option<S::Value>;
+            fn generate(&self, rng: &mut TestRng) -> Option<S::Value> {
+                (rng.below(2) == 1).then(|| self.0.generate(rng))
+            }
+        }
+
+        /// `None` or `Some(inner)`, even odds; shrinks toward `None`.
+        pub fn of<S: Strategy>(inner: S) -> OptionStrategy<S> {
+            OptionStrategy(inner)
+        }
+    }
+
+    pub mod sample {
+        use super::super::{Strategy, TestRng};
+        use std::fmt::Debug;
+
+        #[derive(Clone)]
+        pub struct Select<T>(Vec<T>);
+
+        impl<T: Clone + Debug> Strategy for Select<T> {
+            type Value = T;
+            fn generate(&self, rng: &mut TestRng) -> T {
+                self.0[rng.below(self.0.len() as u64) as usize].clone()
+            }
+        }
+
+        /// One of `values`, uniformly; shrinks toward the first.
+        pub fn select<T: Clone + Debug>(values: Vec<T>) -> Select<T> {
+            assert!(!values.is_empty(), "select from no values");
+            Select(values)
         }
     }
 }
@@ -423,11 +587,10 @@ macro_rules! __proptest_items {
                         &$arg
                     ));
                 )+
-                let result: ::std::result::Result<(), $crate::TestCaseError> =
-                    (move || {
-                        $body
-                        Ok(())
-                    })();
+                let result = $crate::run_body(move || {
+                    $body
+                    Ok(())
+                });
                 (desc, result)
             });
         }
@@ -545,5 +708,52 @@ mod tests {
         let mut a = crate::TestRng::for_case("t", 0);
         let mut b = crate::TestRng::for_case("t", 0);
         assert_eq!((0u32..100).generate(&mut a), (0u32..100).generate(&mut b));
+    }
+
+    // Properties that must fail, run by `failing_cases_shrink_to_the_simplest_input`.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        fn fails_from_ten(x in 0u32..1000, v in prop::collection::vec(0u8..50, 1..8)) {
+            prop_assert!(x < 10 || v.len() < 3);
+        }
+
+        fn always_fails(
+            o in prop::option::of(0u8..4),
+            w in prop::sample::select(vec![64u32, 16, 8, 4]),
+            b in any::<bool>(),
+        ) {
+            prop_assert!(false, "{o:?} {w} {b}");
+        }
+
+        fn panics_from_ten(x in 0u32..1000) {
+            assert!(x < 10, "x is {x}");
+        }
+    }
+
+    /// The panic message of a property run that must fail.
+    fn failure(property: fn()) -> String {
+        let payload = std::panic::catch_unwind(property).expect_err("the property held");
+        *payload.downcast::<String>().expect("a formatted message")
+    }
+
+    /// A failing case is reported as the simplest input that still fails:
+    /// ranges at their start, vectors at their shortest, `None`, the first
+    /// selected value, `false` — through a panic as through `prop_assert`.
+    #[test]
+    fn failing_cases_shrink_to_the_simplest_input() {
+        let msg = failure(fails_from_ten);
+        assert!(
+            msg.contains("input (shrunk): x = 10; v = [0, 0, 0]; "),
+            "{msg}"
+        );
+        let msg = failure(always_fails);
+        assert!(
+            msg.contains("input (shrunk): o = None; w = 64; b = false; "),
+            "{msg}"
+        );
+        let msg = failure(panics_from_ten);
+        assert!(msg.contains("panicked: x is 10"), "{msg}");
+        assert!(msg.contains("input (shrunk): x = 10; "), "{msg}");
     }
 }

@@ -46,23 +46,67 @@ impl DeviceMemory {
     /// Reads the word at a byte address.
     #[inline]
     pub fn read(&self, addr: u32) -> Value {
-        let idx = (addr / 4) as usize;
-        assert!(
-            idx < self.words.len(),
-            "global read out of bounds: addr {addr:#x}"
-        );
-        Value(self.words[idx].load(Ordering::Relaxed))
+        self.try_read(addr)
+            .unwrap_or_else(|| global_out_of_bounds("read", addr))
     }
 
     /// Writes the word at a byte address.
     #[inline]
     pub fn write(&self, addr: u32, v: Value) {
-        let idx = (addr / 4) as usize;
-        assert!(
-            idx < self.words.len(),
-            "global write out of bounds: addr {addr:#x}"
-        );
-        self.words[idx].store(v.0, Ordering::Relaxed);
+        if !self.try_write(addr, v) {
+            global_out_of_bounds("write", addr)
+        }
+    }
+
+    /// [`Self::read`] for callers that report the address themselves:
+    /// `None` outside memory.
+    #[inline]
+    pub(crate) fn try_read(&self, addr: u32) -> Option<Value> {
+        let cell = self.words.get((addr / 4) as usize)?;
+        Some(Value(cell.load(Ordering::Relaxed)))
+    }
+
+    /// [`Self::write`] for callers that report the address themselves:
+    /// `false`, writing nothing, outside memory.
+    #[inline]
+    pub(crate) fn try_write(&self, addr: u32, v: Value) -> bool {
+        match self.words.get((addr / 4) as usize) {
+            Some(cell) => cell.store(v.0, Ordering::Relaxed),
+            None => return false,
+        }
+        true
+    }
+
+    /// Whether the `len` words from word index `word` on all lie in memory.
+    #[inline]
+    pub(crate) fn holds(&self, word: u32, len: usize) -> bool {
+        self.cells(word as usize, len).is_some()
+    }
+
+    /// The `len` words from word index `word` on into `dst`, with one range
+    /// check for the run; `false`, reading nothing, when it leaves memory.
+    #[inline]
+    pub(crate) fn read_run(&self, word: u32, dst: &mut [Value]) -> bool {
+        let Some(cells) = self.cells(word as usize, dst.len()) else {
+            return false;
+        };
+        for (d, cell) in dst.iter_mut().zip(cells) {
+            *d = Value(cell.load(Ordering::Relaxed));
+        }
+        true
+    }
+
+    /// `src` to consecutive words from word index `word` on, with one range
+    /// check for the run; `false`, writing nothing, when it leaves memory.
+    #[inline]
+    pub(crate) fn write_run(&self, word: u32, src: &[Value]) -> bool {
+        let Some(cells) = self.cells(word as usize, src.len()) else {
+            return false;
+        };
+        for (cell, v) in cells.iter().zip(src) {
+            cell.store(v.0, Ordering::Relaxed);
+        }
+        true
     }
 
     /// Atomic read-modify-write; returns the old value. Uses a CAS loop so
@@ -84,12 +128,17 @@ impl DeviceMemory {
         }
     }
 
-    /// The `len` cells from a byte address on, bounds-checked once for the
-    /// whole range (what the host-side bulk copies pay instead of one check
-    /// per word).
-    fn cells(&self, byte_addr: u32, len: usize, what: &str) -> &[AtomicU32] {
-        let start = (byte_addr / 4) as usize;
-        match self.words.get(start..start + len) {
+    /// The `len` cells from word index `start` on, bounds-checked once for
+    /// the whole range (what the bulk copies and the warp row runs pay
+    /// instead of one check per word).
+    #[inline]
+    fn cells(&self, start: usize, len: usize) -> Option<&[AtomicU32]> {
+        self.words.get(start..start + len)
+    }
+
+    /// [`Self::cells`] from a byte address, for the host-side copies.
+    fn host_cells(&self, byte_addr: u32, len: usize, what: &str) -> &[AtomicU32] {
+        match self.cells((byte_addr / 4) as usize, len) {
             Some(cells) => cells,
             None => panic!("global {what} out of bounds: {len} words at addr {byte_addr:#x}"),
         }
@@ -98,7 +147,11 @@ impl DeviceMemory {
     /// Host-side bulk write (cudaMemcpy host-to-device): `data`'s words land
     /// at consecutive word addresses from `byte_addr`.
     pub fn write_slice(&self, byte_addr: u32, data: impl ExactSizeIterator<Item = u32>) {
-        for (cell, w) in self.cells(byte_addr, data.len(), "write").iter().zip(data) {
+        for (cell, w) in self
+            .host_cells(byte_addr, data.len(), "write")
+            .iter()
+            .zip(data)
+        {
             cell.store(w, Ordering::Relaxed);
         }
     }
@@ -110,7 +163,7 @@ impl DeviceMemory {
         byte_addr: u32,
         len: usize,
     ) -> impl ExactSizeIterator<Item = u32> + '_ {
-        self.cells(byte_addr, len, "read")
+        self.host_cells(byte_addr, len, "read")
             .iter()
             .map(|cell| cell.load(Ordering::Relaxed))
     }
@@ -191,6 +244,89 @@ impl DeviceMemory {
 #[cold]
 pub(crate) fn const_out_of_bounds(addr: u32) -> ! {
     panic!("const read out of bounds: addr {addr:#x}")
+}
+
+/// How a timed engine reports a global `read` or `write` outside memory.
+#[cold]
+pub(crate) fn global_out_of_bounds(what: &str, addr: u32) -> ! {
+    panic!("global {what} out of bounds: addr {addr:#x}")
+}
+
+/// Word storage a warp memory row moves through: a block's shared memory,
+/// device memory, or a replayed period's write buffer over device memory
+/// ([`crate::witness::WriteBuf`]). `addr` is a lane's byte address, `word` a
+/// word index. A `false` or `None` touches nothing: the caller then reports
+/// the address (timed engine) or fails (witness replay).
+pub(crate) trait Words {
+    /// The word one lane reads; `None` outside the storage.
+    fn read_word(&mut self, addr: u32) -> Option<Value>;
+    /// One lane's write; `false` outside the storage.
+    fn write_word(&mut self, addr: u32, v: Value) -> bool;
+    /// The `dst.len()` words from `word` on, checked once for the run;
+    /// `false` where the run leaves the storage (or, buffered, may read a
+    /// buffered write) and the caller must walk its lanes instead.
+    fn read_run(&mut self, word: u32, dst: &mut [Value]) -> bool;
+    /// `src` to the words from `word` on, checked once for the run; `false`
+    /// where the run leaves the storage.
+    fn write_run(&mut self, word: u32, src: &[Value]) -> bool;
+}
+
+impl Words for [Value] {
+    #[inline]
+    fn read_word(&mut self, addr: u32) -> Option<Value> {
+        self.get((addr / 4) as usize).copied()
+    }
+
+    #[inline]
+    fn write_word(&mut self, addr: u32, v: Value) -> bool {
+        match self.get_mut((addr / 4) as usize) {
+            Some(w) => *w = v,
+            None => return false,
+        }
+        true
+    }
+
+    #[inline]
+    fn read_run(&mut self, word: u32, dst: &mut [Value]) -> bool {
+        let start = word as usize;
+        match self.get(start..start + dst.len()) {
+            Some(run) => dst.copy_from_slice(run),
+            None => return false,
+        }
+        true
+    }
+
+    #[inline]
+    fn write_run(&mut self, word: u32, src: &[Value]) -> bool {
+        let start = word as usize;
+        match self.get_mut(start..start + src.len()) {
+            Some(run) => run.copy_from_slice(src),
+            None => return false,
+        }
+        true
+    }
+}
+
+impl Words for &DeviceMemory {
+    #[inline]
+    fn read_word(&mut self, addr: u32) -> Option<Value> {
+        self.try_read(addr)
+    }
+
+    #[inline]
+    fn write_word(&mut self, addr: u32, v: Value) -> bool {
+        self.try_write(addr, v)
+    }
+
+    #[inline]
+    fn read_run(&mut self, word: u32, dst: &mut [Value]) -> bool {
+        DeviceMemory::read_run(self, word, dst)
+    }
+
+    #[inline]
+    fn write_run(&mut self, word: u32, src: &[Value]) -> bool {
+        DeviceMemory::write_run(self, word, src)
+    }
 }
 
 /// [`wide_digest`] over 32-bit words, two to a 64-bit chunk (low word
@@ -594,6 +730,7 @@ impl TagCache {
 #[allow(clippy::needless_range_loop)]
 mod tests {
     use super::*;
+    use g80_isa::exec::Row;
 
     fn cfg() -> GpuConfig {
         GpuConfig::geforce_8800_gtx()
@@ -901,6 +1038,214 @@ mod tests {
         assert!(global_closed > total / 2, "{global_closed} of {total}");
         assert!(smem_closed > total / 8, "{smem_closed} of {total}");
         assert!(narrow_closed > total / 4, "{narrow_closed} of {total}");
+    }
+
+    /// How a warp access resolves its lanes: the per-lane walk over the
+    /// row's terms, `LaneAddrs`' run form, or its expanded lanes.
+    #[derive(Copy, Clone, Debug)]
+    enum Form {
+        Walk,
+        Runs,
+        Lanes,
+    }
+
+    /// One warp load (into `row`) or store (from `row`) of the first `live`
+    /// lanes of the row `t`, resolved as `form` says.
+    fn access<W: Words + ?Sized>(
+        form: Form,
+        t: &AffineTerms,
+        live: u32,
+        words: &mut W,
+        row: &mut Row,
+        store: bool,
+    ) -> Result<(), u32> {
+        use crate::sm::LaneAddrs;
+        let addrs = match form {
+            Form::Walk => {
+                for l in 0..live as usize {
+                    let a = t.lane(l as u32);
+                    let done = if store {
+                        words.write_word(a, row[l])
+                    } else {
+                        words.read_word(a).map(|v| row[l] = v).is_some()
+                    };
+                    if !done {
+                        return Err(a);
+                    }
+                }
+                return Ok(());
+            }
+            Form::Runs => LaneAddrs::Shaped(*t, live),
+            Form::Lanes => {
+                let mask = (u64::MAX >> (64 - live)) as u32;
+                LaneAddrs::Lanes(std::array::from_fn(|l| t.lane(l as u32)), mask)
+            }
+        };
+        if store {
+            addrs.store(words, row)
+        } else {
+            addrs.load(words, row)
+        }
+    }
+
+    /// The run form of a warp load or store (`sm::LaneAddrs`: a broadcast
+    /// or a contiguous copy per run of `p` lanes) against the per-lane walk
+    /// it replaces, on random rows — periods 1 to 16; strides 0, 4 and
+    /// others; aligned, unaligned and wrapping bases; any step; every live
+    /// prefix — over shared memory, device memory, and a replay write buffer
+    /// holding writes of its own, each ending inside, exactly at, or past
+    /// the access. Every form must leave the same row and the same memory
+    /// and fail at the same address; the expanded-lanes form too.
+    #[test]
+    fn affine_runs_match_the_lane_walk() {
+        use crate::witness::WriteBuf;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 32) as u32
+        };
+        let seeded = |words: u32| -> Vec<Value> {
+            (0..words)
+                .map(|w| Value(w.wrapping_mul(0x9e37_79b9) ^ 0x5bd1_e995))
+                .collect()
+        };
+        let (mut runs_done, mut runs_failed) = (0, 0);
+        for _ in 0..2000 {
+            let log2p = (next() % 5) as u8;
+            let stride = match next() % 4 {
+                0 => 0,
+                1 => 4,
+                2 => [1, 2, 3, 8, 12, 64, 4u32.wrapping_neg()][next() as usize % 7],
+                _ => next(),
+            };
+            let base = match next() % 3 {
+                0 => next() % 512 * 4,
+                1 => next() % 512 * 4 + 1 + next() % 3,
+                _ => u32::MAX - next() % 128,
+            };
+            let step = match next() % 5 {
+                0 => 0,
+                1 => stride << log2p,
+                2 => next() % 64 * 4,
+                3 => next() % 256,
+                _ => next(),
+            };
+            let t = AffineTerms {
+                base,
+                stride,
+                step,
+                log2p,
+            };
+            let live = 1 + next() % 32;
+            let lane_words: Vec<u32> = (0..live).map(|l| t.lane(l) / 4).collect();
+            let (lo, hi) = (lane_words.iter().min(), lane_words.iter().max());
+            let (lo, hi) = (*lo.unwrap(), *hi.unwrap());
+            // Memory ending inside the access, just past its last word, or
+            // further on; a far-flung access meets a small memory.
+            let words = if hi < 1024 {
+                match next() % 3 {
+                    0 => lo + next() % (hi - lo + 1),
+                    1 => hi + 1,
+                    _ => hi + 2 + next() % 16,
+                }
+            } else {
+                64 + next() % 64
+            };
+            // The write buffer's own writes, some of them where the access
+            // reads, and maybe a read-back that builds its map first.
+            let prior: Vec<(u32, u32)> = (0..next() % 4)
+                .map(|k| {
+                    let near = lane_words[next() as usize % lane_words.len()];
+                    let w = if near < words && next() % 2 == 0 {
+                        near
+                    } else {
+                        next() % words.max(1)
+                    };
+                    (w, 0x5000_0000 + k)
+                })
+                .filter(|&(w, _)| w < words)
+                .collect();
+            let read_back = next() % 2 == 0;
+            let label = format!("{t:?} live={live} words={words} prior={prior:?}");
+
+            for store in [false, true] {
+                let start: Row = std::array::from_fn(|l| Value(0xa000_0000 + l as u32));
+                // (outcome, row, every word the storage then shows) per
+                // storage kind.
+                let observe = |form: Form| {
+                    let mut seen = Vec::new();
+                    let mut smem = seeded(words);
+                    let mut row = start;
+                    let r = access(form, &t, live, &mut smem[..], &mut row, store);
+                    seen.push((r, row, smem));
+
+                    let image = |mem: &DeviceMemory| -> Vec<Value> {
+                        mem.snapshot_words().into_iter().map(Value).collect()
+                    };
+                    let seeded_memory = || {
+                        let mem = DeviceMemory::new(4 * words);
+                        mem.restore_words(&seeded(words).iter().map(|v| v.0).collect::<Vec<_>>());
+                        mem
+                    };
+                    let mem = seeded_memory();
+                    let mut row = start;
+                    let r = access(form, &t, live, &mut &mem, &mut row, store);
+                    seen.push((r, row, image(&mem)));
+
+                    let mem = seeded_memory();
+                    let mut buf = WriteBuf::new(&mem);
+                    for &(w, v) in &prior {
+                        assert!(buf.write_word(4 * w, Value(v)));
+                    }
+                    if read_back {
+                        if let Some(&(w, _)) = prior.first() {
+                            buf.read_word(4 * w);
+                        }
+                    }
+                    let mut row = start;
+                    let r = access(form, &t, live, &mut buf, &mut row, store);
+                    let shown: Vec<_> = (0..live).map(|l| buf.read_word(t.lane(l))).collect();
+                    buf.commit();
+                    // Read-your-own-writes: the buffer shows what its commit
+                    // leaves behind.
+                    let committed: Vec<_> = (0..live).map(|l| mem.try_read(t.lane(l))).collect();
+                    assert_eq!(shown, committed, "{form:?} buffered store={store} {label}");
+                    seen.push((r, row, image(&mem)));
+                    seen
+                };
+                let want = observe(Form::Walk);
+                for form in [Form::Runs, Form::Lanes] {
+                    let got = observe(form);
+                    for (kind, (got, want)) in ["shared", "global", "buffered"]
+                        .iter()
+                        .zip(got.iter().zip(&want))
+                    {
+                        let lane = (0..32).find(|&l| got.1[l] != want.1[l]);
+                        let word = (0..want.2.len()).find(|&w| got.2[w] != want.2[w]);
+                        assert!(
+                            got == want,
+                            "{form:?} {kind} store={store} {label}: outcome {:?}, walk {:?}; \
+                             first differing lane {lane:?}, word {word:?}",
+                            got.0,
+                            want.0,
+                        );
+                    }
+                }
+                if stride == 0 || stride == 4 {
+                    match want[0].0 {
+                        Ok(()) => runs_done += 1,
+                        Err(_) => runs_failed += 1,
+                    }
+                }
+            }
+        }
+        // The sweep must reach the run form both ways, not only the walk.
+        assert!(
+            runs_done > 400 && runs_failed > 400,
+            "{runs_done} / {runs_failed}"
+        );
     }
 
     #[test]

@@ -49,20 +49,22 @@
 use crate::config::GpuConfig;
 use crate::counters::{MemoCounters, RowCounters, SmStats, StallReason};
 use crate::memory::{
-    coalesce_affine_warp, coalesce_half_warp_noalloc, const_out_of_bounds,
+    coalesce_affine_warp, coalesce_half_warp_noalloc, const_out_of_bounds, global_out_of_bounds,
     smem_conflict_degree_noalloc, smem_degree_affine_warp, DeviceMemory, HalfWarpAccess, TagCache,
+    Words,
 };
 use crate::warp::{RegSource, Warp};
 use crate::witness::{
     const_sig, global_sig, local_bytes, replay_block, Ev, ReplayScratch, WitnessRecorder, WriteBuf,
 };
 use g80_isa::decode::{DecodedKernel, IssueClass, MicroOp};
-use g80_isa::exec;
+use g80_isa::exec::{self, Row};
 use g80_isa::inst::{Inst, InstClass, Operand, Space};
-use g80_isa::row::{for_each_affine_lane, AffineTerms};
+use g80_isa::row::AffineTerms;
 use g80_isa::{Kernel, LaneRow, Value};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Grid/block geometry of a launch.
 #[derive(Copy, Clone, Debug)]
@@ -351,12 +353,11 @@ pub fn run_sm(
                                     let scratch = replay_scratch
                                         .get_or_insert_with(|| ReplayScratch::new(kernel, dims));
                                     let residents_ok = resident.iter().all(|r| {
-                                        let mut dry = WriteBuf::default();
+                                        let mut dry = WriteBuf::new(mem);
                                         replay_block(
                                             cfg,
                                             decoded,
                                             params,
-                                            mem,
                                             r.warps[0].ctaid,
                                             rec.rep(),
                                             &mut dry,
@@ -372,13 +373,12 @@ pub fn run_sm(
                                         let d_class = tally_delta(&class_counts, &b.class_counts);
                                         let d_stall = tally_delta(&stall_counts, &b.stall_counts);
                                         while my_blocks.len() - next_block >= 2 * d_consumed {
-                                            let mut buf = WriteBuf::default();
+                                            let mut buf = WriteBuf::new(mem);
                                             let ok = (0..d_consumed).all(|j| {
                                                 replay_block(
                                                     cfg,
                                                     decoded,
                                                     params,
-                                                    mem,
                                                     my_blocks[next_block + j],
                                                     rec.rep(),
                                                     &mut buf,
@@ -394,7 +394,7 @@ pub fn run_sm(
                                                 rec.valid = false;
                                                 break;
                                             }
-                                            buf.commit(mem);
+                                            buf.commit();
                                             next_block += d_consumed;
                                             fast_blocks += d_consumed as u64;
                                             stats.add_delta(&d_stats);
@@ -784,19 +784,79 @@ impl LaneAddrs {
         LaneAddrs::Lanes(addr_row(warp, addr_op, off, params), mask)
     }
 
-    /// Calls `f(lane, addr)` for every active lane, in lane order.
+    /// A warp load: every active lane reads the word at its address into
+    /// its lane of `dst`. `Err` is the address of the first active lane (in
+    /// lane order) that `words` does not hold, the lanes before it loaded.
+    ///
+    /// A shaped row whose lanes step by 0 or 4 bytes within a run — the
+    /// half-warp broadcast `As[ty][k]` and the consecutive words `Bs[k][tx]`
+    /// and `B[k][col]` of principles P2/P3 — moves each run at once: one word
+    /// read and a fill, or one range check and a contiguous copy. A run whose
+    /// addresses wrap `u32`, or that `words` declines, walks its lanes one at
+    /// a time, as does every other row; the walk and the run agree on every
+    /// input (`memory::tests::affine_runs_match_the_lane_walk`).
     #[inline(always)]
-    pub(crate) fn for_each(&self, mut f: impl FnMut(usize, u32)) {
+    pub(crate) fn load<W: Words + ?Sized>(&self, words: &mut W, dst: &mut Row) -> Result<(), u32> {
         match *self {
-            LaneAddrs::Shaped(t, live) => for_each_affine_lane(t, live as usize, f),
+            LaneAddrs::Shaped(ref t, live) => {
+                for (lanes, a) in runs(t, live) {
+                    let run = &mut dst[lanes];
+                    match t.stride {
+                        0 => run.fill(words.read_word(a).ok_or(a)?),
+                        4 if !run_wraps(a, run.len()) && words.read_run(a / 4, run) => {}
+                        stride => {
+                            for (a, d) in lane_addrs(a, stride).zip(run) {
+                                *d = words.read_word(a).ok_or(a)?;
+                            }
+                        }
+                    }
+                }
+            }
             LaneAddrs::Lanes(ref addrs, mask) => {
                 for (lane, &a) in addrs.iter().enumerate() {
                     if mask >> lane & 1 == 1 {
-                        f(lane, a);
+                        dst[lane] = words.read_word(a).ok_or(a)?;
                     }
                 }
             }
         }
+        Ok(())
+    }
+
+    /// A warp store: every active lane writes its lane of `srcs` to the word
+    /// at its address, in lane order — where lanes share a word, the last
+    /// one's value stays. `Err` is the first active lane's address that
+    /// `words` does not hold, the lanes before it written. The run form is
+    /// [`Self::load`]'s; a broadcast run writes its last lane's value once.
+    #[inline(always)]
+    pub(crate) fn store<W: Words + ?Sized>(&self, words: &mut W, srcs: &Row) -> Result<(), u32> {
+        fn write<W: Words + ?Sized>(words: &mut W, a: u32, v: Value) -> Result<(), u32> {
+            words.write_word(a, v).then_some(()).ok_or(a)
+        }
+        match *self {
+            LaneAddrs::Shaped(ref t, live) => {
+                for (lanes, a) in runs(t, live) {
+                    let run = &srcs[lanes];
+                    match t.stride {
+                        0 => write(words, a, run[run.len() - 1])?,
+                        4 if !run_wraps(a, run.len()) && words.write_run(a / 4, run) => {}
+                        stride => {
+                            for (a, &v) in lane_addrs(a, stride).zip(run) {
+                                write(words, a, v)?;
+                            }
+                        }
+                    }
+                }
+            }
+            LaneAddrs::Lanes(ref addrs, mask) => {
+                for (lane, &a) in addrs.iter().enumerate() {
+                    if mask >> lane & 1 == 1 {
+                        write(words, a, srcs[lane])?;
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// CC 1.0 coalescing of the access's two half-warps: closed form for a
@@ -826,6 +886,33 @@ impl LaneAddrs {
             }
         }
     }
+}
+
+/// The runs of the first `live` lanes of a shaped row: each run's lanes
+/// (`p` of them, the last run of a partial warp cut short) and its first
+/// lane's address, `step` on from the run before.
+#[inline(always)]
+fn runs(t: &AffineTerms, live: u32) -> impl Iterator<Item = (Range<usize>, u32)> {
+    let (p, live, base, step) = (1usize << t.log2p, live as usize, t.base, t.step);
+    (0..live).step_by(p).zip(0u32..).map(move |(l, r)| {
+        (
+            l..(l + p).min(live),
+            base.wrapping_add(step.wrapping_mul(r)),
+        )
+    })
+}
+
+/// Whether `len` consecutive words from byte address `a` on wrap `u32`
+/// (their word indices are then not consecutive).
+#[inline(always)]
+fn run_wraps(a: u32, len: usize) -> bool {
+    a.checked_add(4 * (len as u32 - 1)).is_none()
+}
+
+/// The addresses of a run's lanes, `stride` apart from `a` on (wrapping).
+#[inline(always)]
+fn lane_addrs(a: u32, stride: u32) -> impl Iterator<Item = u32> {
+    std::iter::successors(Some(a), move |a| Some(a.wrapping_add(stride)))
 }
 
 /// Splits an address row into the two half-warp arrays the coalescing and
@@ -1000,6 +1087,17 @@ impl<'a> ExecCtx<'a> {
         extra
     }
 
+    /// How the timed engine reports a shared `load` or `store` whose lane
+    /// address `a` lies past the block's `len` words.
+    #[cold]
+    fn shared_out_of_bounds(&self, what: &str, a: u32, len: usize) -> ! {
+        let kernel = &self.kernel.name;
+        panic!(
+            "kernel {kernel}: shared {what} out of bounds ({} >= {len})",
+            a / 4
+        )
+    }
+
     /// Executes the next instruction of warp `wi` in `block`. Returns the
     /// issue-port occupancy in cycles.
     fn execute(&mut self, block: &mut Resident, wi: usize, mop: &MicroOp) -> u64 {
@@ -1169,18 +1267,19 @@ impl<'a> ExecCtx<'a> {
         off: i32,
     ) -> u64 {
         let cfg = self.cfg;
-        let (warps, smem) = (&mut block.warps, &block.smem);
+        let (warps, smem) = (&mut block.warps, &mut block.smem[..]);
         let warp = &mut warps[wi];
         let mask = warp.active_mask();
         match space {
             Space::Global => {
                 // A shaped address row gets the coalescing verdict of both
-                // halves in closed form; the per-lane work shrinks to the
-                // functional reads.
+                // halves in closed form and moves its runs whole.
                 let addrs = LaneAddrs::of(warp, mask, addr, off, self.params);
                 let bytes = self.global_access(&addrs, false);
-                let dst_row = warp.reg_row_mut(dst);
-                addrs.for_each(|l, a| dst_row[l] = self.mem.read(a));
+                let mut mem = self.mem;
+                addrs
+                    .load(&mut mem, warp.reg_row_mut(dst))
+                    .unwrap_or_else(|a| global_out_of_bounds("read", a));
                 let done = self.memory_request(bytes);
                 warp.reg_ready[dst as usize] = done;
                 warp.reg_source[dst as usize] = RegSource::Memory;
@@ -1189,18 +1288,9 @@ impl<'a> ExecCtx<'a> {
             Space::Shared => {
                 let addrs = LaneAddrs::of(warp, mask, addr, off, self.params);
                 let extra = self.shared_access(&addrs);
-                let dst_row = warp.reg_row_mut(dst);
-                addrs.for_each(|l, a| {
-                    let idx = (a / 4) as usize;
-                    assert!(
-                        idx < smem.len(),
-                        "kernel {}: shared load out of bounds ({} >= {})",
-                        self.kernel.name,
-                        idx,
-                        smem.len()
-                    );
-                    dst_row[l] = smem[idx];
-                });
+                addrs
+                    .load(smem, warp.reg_row_mut(dst))
+                    .unwrap_or_else(|a| self.shared_out_of_bounds("load", a, smem.len()));
                 warp.reg_ready[dst as usize] = self.cycle + cfg.smem_latency + extra;
                 warp.reg_source[dst as usize] = RegSource::Alu;
                 cfg.issue_cycles + extra
@@ -1284,7 +1374,10 @@ impl<'a> ExecCtx<'a> {
                 let addrs = LaneAddrs::of(warp, mask, addr, off, self.params);
                 let srcs = warp.operand_row(src, self.params);
                 let bytes = self.global_access(&addrs, true);
-                addrs.for_each(|l, a| self.mem.write(a, srcs[l]));
+                let mut mem = self.mem;
+                addrs
+                    .store(&mut mem, &srcs)
+                    .unwrap_or_else(|a| global_out_of_bounds("write", a));
                 let _ = self.memory_request(bytes); // bandwidth only
                 cfg.issue_cycles
             }
@@ -1292,17 +1385,10 @@ impl<'a> ExecCtx<'a> {
                 let addrs = LaneAddrs::of(warp, mask, addr, off, self.params);
                 let srcs = warp.operand_row(src, self.params);
                 let extra = self.shared_access(&addrs);
-                addrs.for_each(|l, a| {
-                    let idx = (a / 4) as usize;
-                    assert!(
-                        idx < block.smem.len(),
-                        "kernel {}: shared store out of bounds ({} >= {})",
-                        self.kernel.name,
-                        idx,
-                        block.smem.len()
-                    );
-                    block.smem[idx] = srcs[l];
-                });
+                let smem = &mut block.smem[..];
+                addrs
+                    .store(smem, &srcs)
+                    .unwrap_or_else(|a| self.shared_out_of_bounds("store", a, smem.len()));
                 cfg.issue_cycles + extra
             }
             Space::Local => {

@@ -47,7 +47,7 @@
 //! constant addresses. Texture fetches stay excluded.
 
 use crate::config::GpuConfig;
-use crate::memory::{DeviceMemory, HalfWarpAccess};
+use crate::memory::{DeviceMemory, HalfWarpAccess, Words};
 use crate::sm::{addr_row, load_const, LaneAddrs, LaunchDims, Resident};
 use crate::warp::Warp;
 use g80_isa::decode::DecodedKernel;
@@ -226,68 +226,116 @@ impl WitnessRecorder {
     }
 }
 
-/// Buffered global-memory writes of one fast-forwarded period.
+/// Buffered global-memory writes of one fast-forwarded period, over the
+/// device memory they commit to.
 ///
 /// Replayed blocks write here instead of into [`DeviceMemory`]; reads check
 /// the buffer first (read-your-own-writes). Only a fully verified period
 /// commits — a failed replay drops the buffer, leaving memory untouched for
-/// the full-simulation fallback.
-pub(crate) struct WriteBuf {
+/// the full-simulation fallback. A write is range-checked as it is buffered,
+/// so a replayed access outside memory fails the replay (the timed fallback
+/// then reports it) and a commit cannot.
+pub(crate) struct WriteBuf<'m> {
+    mem: &'m DeviceMemory,
+    /// Every buffered `(word, value)`, in program order.
     log: Vec<(u32, Value)>,
+    /// Word → value of `log[..mapped]`, the last write winning. Built by the
+    /// first read that lands inside `[lo, hi]` and brought up to date by
+    /// each such read after it: a kernel that never reads back what it wrote
+    /// never hashes.
     map: HashMap<u32, Value>,
+    mapped: usize,
     /// Inclusive word-index range covered by the writes so far. Loads from
     /// input regions (disjoint from the output in every well-formed kernel)
-    /// skip the hash probe entirely — the common case by far.
+    /// skip the map entirely — the common case by far.
     lo: u32,
     hi: u32,
 }
 
-impl Default for WriteBuf {
-    fn default() -> Self {
+impl<'m> WriteBuf<'m> {
+    pub fn new(mem: &'m DeviceMemory) -> Self {
         WriteBuf {
+            mem,
             log: Vec::new(),
             map: HashMap::new(),
+            mapped: 0,
             lo: u32::MAX,
             hi: 0,
         }
     }
-}
 
-impl WriteBuf {
-    #[inline]
-    fn read(&self, mem: &DeviceMemory, addr: u32) -> Value {
-        let w = addr / 4;
-        if w < self.lo || w > self.hi {
-            return mem.read(addr);
-        }
-        self.read_buffered(mem, addr)
+    /// The device memory under the buffer.
+    pub fn mem(&self) -> &'m DeviceMemory {
+        self.mem
     }
 
-    /// The slow path of [`Self::read`]: the address lies inside the written
-    /// range, so the write map decides. Out of line to keep the per-lane
-    /// load loops small.
+    /// Widens the written range to cover words `lo..=hi`.
+    #[inline]
+    fn cover(&mut self, lo: u32, hi: u32) {
+        self.lo = self.lo.min(lo);
+        self.hi = self.hi.max(hi);
+    }
+
+    /// The slow path of [`Words::read_word`]: the address lies inside the
+    /// written range, so the write map — caught up with the log first —
+    /// decides. Out of line to keep the load loops small.
     #[cold]
     #[inline(never)]
-    fn read_buffered(&self, mem: &DeviceMemory, addr: u32) -> Value {
-        match self.map.get(&(addr / 4)) {
-            Some(&v) => v,
-            None => mem.read(addr),
+    fn read_buffered(&mut self, addr: u32) -> Option<Value> {
+        for &(w, v) in &self.log[self.mapped..] {
+            self.map.insert(w, v);
         }
+        self.mapped = self.log.len();
+        match self.map.get(&(addr / 4)) {
+            Some(&v) => Some(v),
+            None => self.mem.try_read(addr),
+        }
+    }
+
+    pub fn commit(self) {
+        for (w, v) in self.log {
+            self.mem.write(4 * w, v);
+        }
+    }
+}
+
+impl Words for WriteBuf<'_> {
+    #[inline]
+    fn read_word(&mut self, addr: u32) -> Option<Value> {
+        let w = addr / 4;
+        if w < self.lo || w > self.hi {
+            return self.mem.try_read(addr);
+        }
+        self.read_buffered(addr)
     }
 
     #[inline]
-    fn write(&mut self, addr: u32, v: Value) {
+    fn write_word(&mut self, addr: u32, v: Value) -> bool {
         let w = addr / 4;
-        self.lo = self.lo.min(w);
-        self.hi = self.hi.max(w);
-        self.log.push((addr, v));
-        self.map.insert(w, v);
+        if !self.mem.holds(w, 1) {
+            return false;
+        }
+        self.cover(w, w);
+        self.log.push((w, v));
+        true
     }
 
-    pub fn commit(self, mem: &DeviceMemory) {
-        for (a, v) in self.log {
-            mem.write(a, v);
+    /// Declines a run that reaches into the written range: its lanes then
+    /// read through the map one at a time.
+    #[inline]
+    fn read_run(&mut self, word: u32, dst: &mut [Value]) -> bool {
+        let last = word + (dst.len() as u32 - 1);
+        (last < self.lo || word > self.hi) && self.mem.read_run(word, dst)
+    }
+
+    #[inline]
+    fn write_run(&mut self, word: u32, src: &[Value]) -> bool {
+        if !self.mem.holds(word, src.len()) {
+            return false;
         }
+        self.cover(word, word + (src.len() as u32 - 1));
+        self.log.extend((word..).zip(src.iter().copied()));
+        true
     }
 }
 
@@ -321,7 +369,6 @@ pub(crate) fn replay_block(
     cfg: &GpuConfig,
     decoded: &DecodedKernel,
     params: &[Value],
-    mem: &DeviceMemory,
     ctaid: (u32, u32),
     rep: &[Vec<Ev>],
     buf: &mut WriteBuf,
@@ -343,7 +390,6 @@ pub(crate) fn replay_block(
                     cfg,
                     decoded,
                     params,
-                    mem,
                     smem,
                     warp,
                     &rep[wi],
@@ -373,15 +419,15 @@ pub(crate) fn replay_block(
 /// degree of a shared access is known to equal the representative's without
 /// recomputing it — the dominant cost of replaying tiled kernels.
 ///
-/// One caller, ≈ 15 ns a call: kept inline so the ten arguments never go
-/// through the stack (out of line it cost `matmul_walk` ≈ 20 %).
+/// One caller, 23–36 ns a call on the Section 4 walk at n = 256 (two pool
+/// workers on a 2-core x86-64 host): kept inline so the nine arguments
+/// never go through the stack (out of line it cost `matmul_walk` ≈ 20 %).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn step(
     cfg: &GpuConfig,
     decoded: &DecodedKernel,
     params: &[Value],
-    mem: &DeviceMemory,
     smem: &mut [Value],
     warp: &mut Warp,
     rep: &[Ev],
@@ -417,11 +463,13 @@ fn step(
             addr,
             off,
         } => match space {
+            // An address outside memory fails the replay, as for constants.
             Space::Global => {
                 let addrs = LaneAddrs::of(warp, mask, addr, off, params);
                 (aux, bytes) = global_sig(&addrs.coalesce(cfg));
-                let dst_row = warp.reg_row_mut(dst.0);
-                addrs.for_each(|lane, a| dst_row[lane] = buf.read(mem, a));
+                if addrs.load(buf, warp.reg_row_mut(dst.0)).is_err() {
+                    return false;
+                }
                 warp.advance();
             }
             Space::Shared => {
@@ -431,13 +479,7 @@ fn step(
                 } else {
                     aux = addrs.smem_degree(cfg);
                 }
-                let dst_row = warp.reg_row_mut(dst.0);
-                let mut in_bounds = true;
-                addrs.for_each(|lane, a| match smem.get((a / 4) as usize) {
-                    Some(&v) => dst_row[lane] = v,
-                    None => in_bounds = false,
-                });
-                if !in_bounds {
+                if addrs.load(smem, warp.reg_row_mut(dst.0)).is_err() {
                     return false;
                 }
                 warp.advance();
@@ -454,6 +496,7 @@ fn step(
             // reports it the way it always has.
             Space::Const => {
                 let mut distinct = [0u32; 32];
+                let mem = buf.mem();
                 let Ok(n) = load_const(warp, dst.0, addr, off, params, mem, &mut distinct) else {
                     return false;
                 };
@@ -474,8 +517,9 @@ fn step(
             Space::Global => {
                 let addrs = LaneAddrs::of(warp, mask, addr, off, params);
                 (aux, bytes) = global_sig(&addrs.coalesce(cfg));
-                let srcs = warp.operand_row(src, params);
-                addrs.for_each(|lane, a| buf.write(a, srcs[lane]));
+                if addrs.store(buf, &warp.operand_row(src, params)).is_err() {
+                    return false;
+                }
                 warp.advance();
             }
             Space::Shared => {
@@ -485,13 +529,7 @@ fn step(
                 } else {
                     aux = addrs.smem_degree(cfg);
                 }
-                let srcs = warp.operand_row(src, params);
-                let mut in_bounds = true;
-                addrs.for_each(|lane, a| match smem.get_mut((a / 4) as usize) {
-                    Some(w) => *w = srcs[lane],
-                    None => in_bounds = false,
-                });
-                if !in_bounds {
+                if addrs.store(smem, &warp.operand_row(src, params)).is_err() {
                     return false;
                 }
                 warp.advance();
@@ -556,14 +594,13 @@ pub(crate) fn replay_sm(
     rep: &[Vec<Ev>],
     shared_uniform: bool,
 ) -> bool {
-    let mut buf = WriteBuf::default();
+    let mut buf = WriteBuf::new(mem);
     let mut scratch = ReplayScratch::new(kernel, dims);
     for &ctaid in my_blocks {
         if !replay_block(
             cfg,
             decoded,
             params,
-            mem,
             ctaid,
             rep,
             &mut buf,
@@ -573,7 +610,7 @@ pub(crate) fn replay_sm(
             return false;
         }
     }
-    buf.commit(mem);
+    buf.commit();
     true
 }
 

@@ -1,5 +1,6 @@
 //! Property tests over *structured* random kernels (loops, divergent
-//! branches, accumulators): the same program must produce identical global
+//! branches, accumulators, a shared-memory stage, 1-D and narrow 2-D
+//! blocks): the same program must produce identical global
 //! memory output no matter how it was compiled (O0 vs O2, register-capped
 //! and spilled vs not) or which machine ran it (16 SMs vs 1 SM, with or
 //! without SM-level host parallelism) or which engine and dedup mode
@@ -38,6 +39,14 @@ struct Recipe {
     diverge: bool,
     /// Threshold for the divergent branch.
     threshold: u32,
+    /// Shared-memory staging of the input: each thread stores its word to
+    /// `s[tid]`, waits at the barrier, and adds the word it then loads — at
+    /// its own `tid` (0), word 0 (1), the first word of its block row (2)
+    /// or its column `tid.x` (3). `None` skips the stage.
+    stage: Option<u8>,
+    /// Block width: 64 is a 1-D block, 4 / 8 / 16 a 2-D block of 64 threads
+    /// whose rows are runs of that period.
+    width: u32,
 }
 
 fn arb_recipe() -> impl Strategy<Value = Recipe> {
@@ -48,15 +57,19 @@ fn arb_recipe() -> impl Strategy<Value = Recipe> {
         1usize..5,
         any::<bool>(),
         0u32..64,
+        prop::option::of(0u8..4),
+        prop::sample::select(vec![64u32, 16, 8, 4]),
     )
         .prop_map(
-            |(body_ops, trips, unroll_sel, accs, diverge, threshold)| Recipe {
+            |(body_ops, trips, unroll_sel, accs, diverge, threshold, stage, width)| Recipe {
                 body_ops,
                 trips,
                 unroll_sel,
                 accs,
                 diverge,
                 threshold,
+                stage,
+                width,
             },
         )
 }
@@ -66,17 +79,42 @@ fn arb_recipe() -> impl Strategy<Value = Recipe> {
 /// nothing is dead. Beside the float accumulators runs one integer
 /// accumulator, the only value a 32-bit multiply (`IMul`, `Imad`: the
 /// multi-cycle issue class) feeds in a loop body: an affine row until a
-/// data-dependent addend or a divergent write makes it structureless.
+/// data-dependent addend or a divergent write makes it structureless. The
+/// optional shared stage moves the input through a row of every shape the
+/// run form of a warp access distinguishes: consecutive words, a broadcast,
+/// a broadcast per block row and consecutive words per block row.
 fn build(recipe: &Recipe, opt: OptLevel, max_regs: Option<u32>) -> Kernel {
     let mut b = KernelBuilder::new("prop");
     let (inp, outp) = (b.param(), b.param());
-    let tid = b.tid_x();
+    let tid_x = b.tid_x();
+    let tid_y = b.tid_y();
     let ntid = b.ntid_x();
+    let tid = b.imad(tid_y, ntid, tid_x);
     let cta = b.ctaid_x();
-    let gtid = b.imad(cta, ntid, tid);
+    let gtid = b.imad(cta, THREADS, tid);
     let byte = b.shl(gtid, 2u32);
     let ia = b.iadd(byte, inp);
-    let x = b.ld_global(ia, 0);
+    let mut x = b.ld_global(ia, 0);
+
+    if let Some(kind) = recipe.stage {
+        let s = b.shared_alloc(THREADS);
+        let word = |b: &mut KernelBuilder, w: Operand| {
+            let wb = b.shl(w, 2u32);
+            b.iadd(wb, s)
+        };
+        let sa = word(&mut b, tid.into());
+        b.st_shared(sa, 0, x);
+        b.bar();
+        let w: Operand = match kind {
+            0 => tid.into(),
+            1 => Operand::imm_u(0),
+            2 => b.imul(tid_y, ntid).into(),
+            _ => tid_x.into(),
+        };
+        let la = word(&mut b, w);
+        let staged = b.ld_shared(la, 0);
+        x = b.fadd(x, staged);
+    }
 
     let accs: Vec<_> = (0..recipe.accs)
         .map(|k| {
@@ -189,24 +227,32 @@ fn build(recipe: &Recipe, opt: OptLevel, max_regs: Option<u32>) -> Kernel {
     b.build_with(BuildOptions { opt, max_regs })
 }
 
+/// Threads per block, whatever its width.
+const THREADS: u32 = 64;
 const N: u32 = 256;
 /// Enough 64-thread blocks (512) that most of them arrive after the first
 /// resident cohort and are witness-replayed when dedup is on.
-const N_REPLAY: u32 = 64 * 512;
+const N_REPLAY: u32 = THREADS * 512;
 
 /// The kernel's output under every context of the matrix, which must agree
 /// among themselves: cold in each, and again on what the first pass cached.
-fn run(k: &Kernel, cfg: &GpuConfig) -> Vec<u32> {
-    let first = run_n(k, cfg, N);
+fn run(k: &Kernel, cfg: &GpuConfig, width: u32) -> Vec<u32> {
+    let first = run_n(k, cfg, N, width);
     for (name, ctx) in contexts().iter() {
         for pass in ["cold", "warm"] {
-            assert_eq!(first, ctx.enter(|| run_n(k, cfg, N)), "{name}, {pass}");
+            assert_eq!(
+                first,
+                ctx.enter(|| run_n(k, cfg, N, width)),
+                "{name}, {pass}"
+            );
         }
     }
     first
 }
 
-fn run_n(k: &Kernel, cfg: &GpuConfig, n: u32) -> Vec<u32> {
+/// Runs `n` threads in blocks `width` threads wide and `THREADS / width`
+/// rows high.
+fn run_n(k: &Kernel, cfg: &GpuConfig, n: u32, width: u32) -> Vec<u32> {
     let mem = DeviceMemory::new(2 * n * 4 + 64);
     for i in 0..n {
         mem.write(i * 4, Value::from_f32((i % 17) as f32 * 0.3 - 2.0));
@@ -215,8 +261,8 @@ fn run_n(k: &Kernel, cfg: &GpuConfig, n: u32) -> Vec<u32> {
         cfg,
         k,
         LaunchDims {
-            grid: (n / 64, 1),
-            block: (64, 1, 1),
+            grid: (n / THREADS, 1),
+            block: (width, THREADS / width, 1),
         },
         &[Value::from_u32(0), Value::from_u32(n * 4)],
         &mem,
@@ -234,7 +280,7 @@ proptest! {
         let cfg = GpuConfig::geforce_8800_gtx();
         let k0 = build(&recipe, OptLevel::O0, None);
         let k2 = build(&recipe, OptLevel::O2, None);
-        prop_assert_eq!(run(&k0, &cfg), run(&k2, &cfg));
+        prop_assert_eq!(run(&k0, &cfg, recipe.width), run(&k2, &cfg, recipe.width));
     }
 
     /// Register-capped (spilled) builds agree with unconstrained builds,
@@ -245,7 +291,7 @@ proptest! {
         let free = build(&recipe, OptLevel::O2, None);
         let capped = build(&recipe, OptLevel::O2, Some(cap));
         prop_assert!(capped.regs_per_thread <= free.regs_per_thread.max(cap));
-        prop_assert_eq!(run(&free, &cfg), run(&capped, &cfg));
+        prop_assert_eq!(run(&free, &cfg, recipe.width), run(&capped, &cfg, recipe.width));
     }
 
     /// The machine shape (1 SM vs 16 SMs, different block residency) never
@@ -257,21 +303,24 @@ proptest! {
         let mut single = GpuConfig::geforce_8800_gtx();
         single.num_sms = 1;
         single.max_blocks_per_sm = 2;
-        prop_assert_eq!(run(&k, &gtx), run(&k, &single));
+        prop_assert_eq!(run(&k, &gtx, recipe.width), run(&k, &single, recipe.width));
     }
 
     /// The reference oracle (per-lane scalar evaluators), the product
     /// engine simulating every block, and the product engine replaying
     /// blocks from a witness write the same words — through SFU rows under
-    /// the partial masks of the divergent branch too.
+    /// the partial masks of the divergent branch too, and through shared
+    /// rows of every run period.
     #[test]
     fn engines_and_dedup_modes_agree(recipe in arb_recipe()) {
         let cfg = GpuConfig::geforce_8800_gtx();
         let k = build(&recipe, OptLevel::O2, None);
         let run_in = |engine, dedup| {
             let config = SimConfig { engine, dedup, memo: false, ..SimConfig::default() };
-            SimContext::new(config)
-                .enter(|| (run_n(&k, &cfg, N_REPLAY), memo_counters().dedup_fast_blocks))
+            SimContext::new(config).enter(|| {
+                let out = run_n(&k, &cfg, N_REPLAY, recipe.width);
+                (out, memo_counters().dedup_fast_blocks)
+            })
         };
         let (oracle, _) = run_in(Engine::Reference, false);
         let (simulated, _) = run_in(Engine::Predecoded, false);

@@ -549,6 +549,103 @@ fn const_kernels_replay_bit_identical() {
     }
 }
 
+/// Each block stores a 64-word row of its own — `128·ctaid` words in, so a
+/// gap no block writes follows every row — waits at the barrier, and loads
+/// the row back `shift` words on into a second output. At shift 0 every load
+/// run lies inside what the replayed period has buffered; at shift 8 the
+/// last run of each block reaches across the end of its row into the gap.
+fn read_back_kernel(shift: i32) -> Kernel {
+    let mut b = KernelBuilder::new("read_back");
+    let (rows, out) = (b.param(), b.param());
+    let tid = b.tid_x();
+    let ntid = b.ntid_x();
+    let cta = b.ctaid_x();
+    let row = b.imad(cta, 128u32 * 4, rows);
+    let lane_byte = b.shl(tid, 2u32);
+    let ra = b.iadd(row, lane_byte);
+    let v = b.imad(cta, 1000u32, tid);
+    b.st_global(ra, 0, v);
+    b.bar();
+    let back = b.ld_global(ra, 4 * shift);
+    let w = b.iadd(back, 1u32);
+    let i = b.imad(cta, ntid, tid);
+    let byte = b.shl(i, 2u32);
+    let oa = b.iadd(byte, out);
+    b.st_global(oa, 0, w);
+    b.build()
+}
+
+/// Stores `s[tid]` into a 64-word shared array, then loads `s[tid + 8]`:
+/// the last load run of the block's second warp crosses the end of shared
+/// memory, a kernel bug.
+fn shared_tail_kernel() -> Kernel {
+    let mut b = KernelBuilder::new("shared_tail");
+    let out = b.param();
+    let s = b.shared_alloc(64);
+    let tid = b.tid_x();
+    let ntid = b.ntid_x();
+    let cta = b.ctaid_x();
+    let lane_byte = b.shl(tid, 2u32);
+    let sa = b.iadd(lane_byte, s);
+    b.st_shared(sa, 0, tid);
+    b.bar();
+    let v = b.ld_shared(sa, 4 * 8);
+    let i = b.imad(cta, ntid, tid);
+    let byte = b.shl(i, 2u32);
+    let oa = b.iadd(byte, out);
+    b.st_global(oa, 0, v);
+    b.build()
+}
+
+/// Read-your-own-writes through the run form: a replayed block that loads
+/// back the row it just stored — wholly inside the period's buffered writes,
+/// or straddling their end — reads what the timed engine reads, three ways
+/// bit-identical with blocks replayed and no fallback. And a shared load run
+/// crossing the end of shared memory is reported at its first offending
+/// lane, whichever executor meets it.
+#[test]
+fn replayed_blocks_read_back_their_own_rows() {
+    let cfg = GpuConfig::geforce_8800_gtx();
+    let blocks = 16 * 16;
+    let (rows, outs) = (128 * blocks, 64 * blocks);
+    for shift in [0, 8] {
+        let k = read_back_kernel(shift);
+        assert!(kernel_info(&k).dedup_eligible);
+        let tag = format!("read_back shift {shift}");
+        let run = || {
+            let mem = DeviceMemory::new(4 * (rows + outs));
+            let params = [Value::from_u32(0), Value::from_u32(4 * rows)];
+            let stats = launch(&cfg, &k, dims(blocks), &params, &mem).expect("read-back launch");
+            (mem.read_slice(0, (rows + outs) as usize).collect(), stats)
+        };
+        let c = three_way(&tag, run);
+        assert!(c.dedup_fast_blocks > 0, "{tag}: no replay: {c:?}");
+        assert_eq!(c.dedup_fallbacks, 0, "{tag}: {c:?}");
+        let (words, _): (Vec<u32>, _) = run();
+        for (cta, tid) in [(0, 0), (7, 55), (7, 56), (255, 63)] {
+            let read = tid + shift as u32;
+            let want = if read < 64 { cta * 1000 + read + 1 } else { 1 };
+            let got = words[(rows + cta * 64 + tid) as usize];
+            assert_eq!(got, want, "{tag}: block {cta} thread {tid}");
+        }
+    }
+
+    let k = shared_tail_kernel();
+    for dedup in [false, true] {
+        let mem = DeviceMemory::new(4 * outs);
+        let launched = product(dedup, || {
+            launch(&cfg, &k, dims(blocks), &[Value::from_u32(0)], &mem)
+        });
+        match launched.0 {
+            Err(LaunchError::Panic(msg)) => assert_eq!(
+                msg, "kernel shared_tail: shared load out of bounds (64 >= 64)",
+                "dedup {dedup}"
+            ),
+            other => panic!("dedup {dedup}: expected the out-of-bounds panic, got {other:?}"),
+        }
+    }
+}
+
 /// A batch is nine single launches, under every configuration of the
 /// matrix: `run_batch` of the tuner's nine variants at n=48 equals nine
 /// `run` calls in every stats field and in output memory, simulated (cold)
