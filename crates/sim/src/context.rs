@@ -93,7 +93,7 @@ impl SimConfig {
             memo: on("G80_SIM_MEMO"),
             dedup: on("G80_SIM_DEDUP"),
             memo_cap: var("G80_SIM_MEMO_CAP")
-                .and_then(|v| v.parse().ok())
+                .and_then(|v| v.trim().parse().ok())
                 .unwrap_or(default.memo_cap),
             disk_dir: var("G80_SIM_DISK_CACHE")
                 .map(|v| v.trim().to_string())
@@ -292,8 +292,7 @@ mod tests {
             assert!(from(&[("G80_SIM_MEMO", on)]).memo, "{on:?}");
             assert!(from(&[("G80_SIM_DEDUP", on)]).dedup, "{on:?}");
         }
-        // Unparsable numbers keep the default; the memo cap alone is parsed
-        // untrimmed, as it always was.
+        // Unparsable numbers keep the default; surrounding blanks are trimmed.
         for bad in ["", "   ", "many", "-1", "1.5"] {
             let cfg = from(&[
                 ("G80_SIM_MEMO_CAP", bad),
@@ -306,7 +305,7 @@ mod tests {
             assert_eq!(parsed, (128, 1 << 30, None), "{bad:?}");
             assert_eq!((cfg.faults, cfg.net_faults), (None, None), "{bad:?}");
         }
-        assert_eq!(from(&[("G80_SIM_MEMO_CAP", " 7")]).memo_cap, 128);
+        assert_eq!(from(&[("G80_SIM_MEMO_CAP", " 7")]).memo_cap, 7);
         for unset in ["", "   ", "\t"] {
             assert_eq!(from(&[("G80_SIM_DISK_CACHE", unset)]).disk_dir, None);
         }

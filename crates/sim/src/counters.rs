@@ -4,6 +4,7 @@ use crate::config::GpuConfig;
 use crate::context::SimContext;
 use g80_isa::InstClass;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Why the issue unit of an SM was idle.
@@ -21,280 +22,277 @@ pub enum StallReason {
     Drain,
 }
 
-impl StallReason {
-    pub(crate) const ALL: [StallReason; 5] = [
-        StallReason::Memory,
-        StallReason::AluDependency,
-        StallReason::Barrier,
-        StallReason::IssueBusy,
-        StallReason::Drain,
-    ];
+/// An enum whose variants index a dense tally (`ALL[k.index()] == k`): the
+/// key of a [`KernelStats`] map, which travels sorted by this index.
+pub trait TallyKey: Copy + Eq + Hash + 'static {
+    /// Every variant, in index order.
+    const ALL: &'static [Self];
+    /// The variant's slot in a dense tally.
+    fn index(self) -> usize;
+}
 
-    /// Position in [`Self::ALL`]: the index of a dense per-reason tally.
-    pub(crate) fn index(self) -> usize {
+impl TallyKey for InstClass {
+    const ALL: &'static [Self] = &InstClass::ALL;
+    fn index(self) -> usize {
+        InstClass::index(self)
+    }
+}
+
+impl TallyKey for StallReason {
+    const ALL: &'static [Self] = &[
+        Self::Memory,
+        Self::AluDependency,
+        Self::Barrier,
+        Self::IssueBusy,
+        Self::Drain,
+    ];
+    fn index(self) -> usize {
         self as usize
     }
 }
 
-/// Counters for one SM; merged into [`KernelStats`] after the launch.
-#[derive(Clone, Debug, Default)]
-pub struct SmStats {
-    pub cycles: u64,
-    pub warp_instructions: u64,
-    pub thread_instructions: u64,
-    pub flops: u64,
-    pub by_class: HashMap<InstClass, u64>,
-    pub global_ld_transactions: u64,
-    pub global_st_transactions: u64,
-    pub global_bytes: u64,
-    pub coalesced_half_warps: u64,
-    pub uncoalesced_half_warps: u64,
-    pub smem_conflict_extra_cycles: u64,
-    pub divergent_branches: u64,
-    pub tex_hits: u64,
-    pub tex_misses: u64,
-    pub const_hits: u64,
-    pub const_misses: u64,
-    pub atomic_transactions: u64,
-    pub stall_cycles: HashMap<StallReason, u64>,
-    pub blocks_executed: u64,
+/// The nonzero slots of a dense tally, as the map [`KernelStats`] keeps.
+fn nonzero<K: TallyKey>(counts: &[u64]) -> HashMap<K, u64> {
+    let slots = K::ALL.iter().copied().zip(counts.iter().copied());
+    slots.filter(|&(_, n)| n > 0).collect()
+}
+
+/// Declares the summable counters once, in wire order, and derives from the
+/// one list: [`SmStats`] and [`KernelStats`], the period delta
+/// ([`SmStats::delta_since`], [`SmStats::add_delta`]), [`KernelStats::merge`],
+/// [`KernelStats::accumulate`] and the stats' [`Wire`](crate::wire::Wire)
+/// layout. An entry's doc comment documents both structs' field.
+macro_rules! kernel_counters {
+    ($($(#[$doc:meta])* $f:ident),+ $(,)?) => {
+        /// Counters for one SM; merged into [`KernelStats`] after the launch.
+        /// The per-class and per-reason tallies are dense, so the hot loop
+        /// bumps an array slot.
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        pub struct SmStats {
+            /// Cycles until this SM drained.
+            pub cycles: u64,
+            $($(#[$doc])* pub $f: u64,)+
+            /// Warp instructions issued, by [`InstClass::index`].
+            pub by_class: [u64; InstClass::COUNT],
+            /// Idle issue cycles, by [`StallReason`] index.
+            pub stall_cycles: [u64; StallReason::ALL.len()],
+        }
+
+        impl SmStats {
+            /// Counter increments since `base`, an earlier clone of this
+            /// struct: what one steady-state period adds, which block-class
+            /// dedup fast-forwards. `cycles` stays 0; the timed engine
+            /// shifts its clock itself.
+            pub(crate) fn delta_since(&self, base: &SmStats) -> SmStats {
+                SmStats {
+                    cycles: 0,
+                    $($f: self.$f - base.$f,)+
+                    by_class: std::array::from_fn(|i| self.by_class[i] - base.by_class[i]),
+                    stall_cycles: std::array::from_fn(|i| {
+                        self.stall_cycles[i] - base.stall_cycles[i]
+                    }),
+                }
+            }
+
+            /// Adds every counter of `d` but `cycles`: a period delta from
+            /// [`SmStats::delta_since`], or one SM into a launch total.
+            pub(crate) fn add_delta(&mut self, d: &SmStats) {
+                $(self.$f += d.$f;)+
+                for (n, dn) in self.by_class.iter_mut().zip(d.by_class) {
+                    *n += dn;
+                }
+                for (n, dn) in self.stall_cycles.iter_mut().zip(d.stall_cycles) {
+                    *n += dn;
+                }
+            }
+
+            /// Every counter but `cycles`, array slots included.
+            #[cfg(test)]
+            fn counters_mut(&mut self) -> impl Iterator<Item = &mut u64> + '_ {
+                [$(&mut self.$f),+]
+                    .into_iter()
+                    .chain(&mut self.by_class)
+                    .chain(&mut self.stall_cycles)
+            }
+        }
+
+        /// Aggregated result of a kernel launch: every counter but `cycles`
+        /// is summed over SMs.
+        #[derive(Clone, Debug)]
+        pub struct KernelStats {
+            /// Kernel name.
+            pub name: String,
+            /// Elapsed cycles (max over SMs — the kernel finishes when its
+            /// slowest SM drains).
+            pub cycles: u64,
+            /// Elapsed wall-clock seconds on the simulated machine.
+            pub elapsed: f64,
+            $($(#[$doc])* pub $f: u64,)+
+            /// Dynamic warp-instruction counts by class.
+            pub by_class: HashMap<InstClass, u64>,
+            /// Idle issue cycles by reason, summed over SMs.
+            pub stall_cycles: HashMap<StallReason, u64>,
+
+            // ---- static/launch-derived ----
+            /// Registers per thread of the launched kernel.
+            pub regs_per_thread: u32,
+            /// Shared memory per block in bytes.
+            pub smem_per_block: u32,
+            /// Threads per block.
+            pub threads_per_block: u32,
+            /// Blocks resident per SM under the occupancy limits.
+            pub blocks_per_sm: u32,
+            /// Maximum simultaneously active threads across the chip (Table 3
+            /// column: min(grid size, capacity)).
+            pub max_simultaneous_threads: u32,
+            /// Total threads launched.
+            pub total_threads: u64,
+
+            pub(crate) clock_ghz: f64,
+            pub(crate) dram_bytes_per_cycle: f64,
+            pub(crate) num_sms: u32,
+            pub(crate) max_warps_per_sm: u32,
+            pub(crate) warp_size: u32,
+        }
+
+        impl KernelStats {
+            /// Sums the SMs' counters; `cycles` is the slowest SM's. A class
+            /// or reason enters its map only with a nonzero total.
+            #[allow(clippy::too_many_arguments)] // internal constructor fed by launch()
+            pub(crate) fn merge(
+                name: &str,
+                cfg: &GpuConfig,
+                per_sm: Vec<SmStats>,
+                regs_per_thread: u32,
+                smem_per_block: u32,
+                threads_per_block: u32,
+                blocks_per_sm: u32,
+                total_blocks: u64,
+            ) -> Self {
+                let mut t = SmStats::default();
+                for sm in &per_sm {
+                    t.cycles = t.cycles.max(sm.cycles);
+                    t.add_delta(sm);
+                }
+                KernelStats {
+                    name: name.to_string(),
+                    cycles: t.cycles,
+                    elapsed: t.cycles as f64 / (cfg.clock_ghz * 1e9),
+                    $($f: t.$f,)+
+                    by_class: nonzero(&t.by_class),
+                    stall_cycles: nonzero(&t.stall_cycles),
+                    regs_per_thread,
+                    smem_per_block,
+                    threads_per_block,
+                    blocks_per_sm,
+                    max_simultaneous_threads: (blocks_per_sm * cfg.num_sms)
+                        .min(total_blocks as u32)
+                        * threads_per_block,
+                    total_threads: total_blocks * threads_per_block as u64,
+                    clock_ghz: cfg.clock_ghz,
+                    dram_bytes_per_cycle: cfg.dram_bytes_per_cycle(),
+                    num_sms: cfg.num_sms,
+                    max_warps_per_sm: cfg.max_warps_per_sm(),
+                    warp_size: cfg.warp_size,
+                }
+            }
+
+            /// Folds another launch's counters into this one (for
+            /// time-stepped applications that relaunch a kernel per step:
+            /// cycles and traffic add; static occupancy fields keep the
+            /// first launch's values).
+            pub fn accumulate(&mut self, other: &KernelStats) {
+                self.cycles += other.cycles;
+                self.elapsed += other.elapsed;
+                $(self.$f += other.$f;)+
+                for (k, v) in &other.by_class {
+                    *self.by_class.entry(*k).or_insert(0) += v;
+                }
+                for (k, v) in &other.stall_cycles {
+                    *self.stall_cycles.entry(*k).or_insert(0) += v;
+                }
+            }
+        }
+
+        // The full stats, the `pub(crate)` machine constants included (which
+        // is why the layout lives in this crate); the maps go last. The disk
+        // tier appends its write-delta after these bytes; reports embed them
+        // last.
+        crate::wire_layout! {
+            struct KernelStats {
+                name: String,
+                cycles: u64,
+                elapsed: f64,
+                $($f: u64,)+
+                regs_per_thread: u32,
+                smem_per_block: u32,
+                threads_per_block: u32,
+                blocks_per_sm: u32,
+                max_simultaneous_threads: u32,
+                total_threads: u64,
+                clock_ghz: f64,
+                dram_bytes_per_cycle: f64,
+                num_sms: u32,
+                max_warps_per_sm: u32,
+                warp_size: u32,
+                by_class: HashMap<InstClass, u64>,
+                stall_cycles: HashMap<StallReason, u64>,
+            }
+        }
+    };
+}
+
+kernel_counters! {
+    /// Dynamic warp instructions issued.
+    warp_instructions,
+    /// Dynamic thread instructions (warp instructions × active lanes).
+    thread_instructions,
+    /// Floating-point operations executed (FMA = 2).
+    flops,
+    /// Global memory read transactions.
+    global_ld_transactions,
+    /// Global memory write transactions.
+    global_st_transactions,
+    /// Bytes moved to/from DRAM.
+    global_bytes,
+    /// Half-warp global accesses that met the coalescing rules.
+    coalesced_half_warps,
+    /// Half-warp global accesses that did not.
+    uncoalesced_half_warps,
+    /// Extra issue cycles serialized by shared-memory bank conflicts.
+    smem_conflict_extra_cycles,
+    /// Warp branches where the warp split.
+    divergent_branches,
+    /// Texture cache hits.
+    tex_hits,
+    /// Texture cache misses.
+    tex_misses,
+    /// Constant cache hits.
+    const_hits,
+    /// Constant cache misses.
+    const_misses,
+    /// Atomic transactions to memory.
+    atomic_transactions,
+    /// Thread blocks executed.
+    blocks_executed,
 }
 
 impl SmStats {
+    #[inline]
     pub(crate) fn count_inst(&mut self, class: InstClass, active_lanes: u32, flops: u32) {
         self.warp_instructions += 1;
         self.thread_instructions += active_lanes as u64;
         self.flops += flops as u64 * active_lanes as u64;
-        *self.by_class.entry(class).or_insert(0) += 1;
+        self.by_class[class.index()] += 1;
     }
 
+    #[inline]
     pub(crate) fn stall(&mut self, reason: StallReason, cycles: u64) {
-        *self.stall_cycles.entry(reason).or_insert(0) += cycles;
+        self.stall_cycles[reason.index()] += cycles;
     }
-
-    /// Counter increments since `base` (a clone of this struct taken
-    /// earlier). Used by block-class dedup: the delta of one steady-state
-    /// period is what a fast-forwarded period contributes. `cycles` and the
-    /// two maps are excluded — the timed engine keeps the cycle, the
-    /// per-class and the per-stall-reason tallies itself mid-run and folds
-    /// them in at the end.
-    pub(crate) fn delta_since(&self, base: &SmStats) -> SmStats {
-        SmStats {
-            warp_instructions: self.warp_instructions - base.warp_instructions,
-            thread_instructions: self.thread_instructions - base.thread_instructions,
-            flops: self.flops - base.flops,
-            global_ld_transactions: self.global_ld_transactions - base.global_ld_transactions,
-            global_st_transactions: self.global_st_transactions - base.global_st_transactions,
-            global_bytes: self.global_bytes - base.global_bytes,
-            coalesced_half_warps: self.coalesced_half_warps - base.coalesced_half_warps,
-            uncoalesced_half_warps: self.uncoalesced_half_warps - base.uncoalesced_half_warps,
-            smem_conflict_extra_cycles: self.smem_conflict_extra_cycles
-                - base.smem_conflict_extra_cycles,
-            divergent_branches: self.divergent_branches - base.divergent_branches,
-            tex_hits: self.tex_hits - base.tex_hits,
-            tex_misses: self.tex_misses - base.tex_misses,
-            const_hits: self.const_hits - base.const_hits,
-            const_misses: self.const_misses - base.const_misses,
-            atomic_transactions: self.atomic_transactions - base.atomic_transactions,
-            blocks_executed: self.blocks_executed - base.blocks_executed,
-            ..Default::default()
-        }
-    }
-
-    /// Adds a period delta produced by [`SmStats::delta_since`].
-    pub(crate) fn add_delta(&mut self, d: &SmStats) {
-        self.warp_instructions += d.warp_instructions;
-        self.thread_instructions += d.thread_instructions;
-        self.flops += d.flops;
-        self.global_ld_transactions += d.global_ld_transactions;
-        self.global_st_transactions += d.global_st_transactions;
-        self.global_bytes += d.global_bytes;
-        self.coalesced_half_warps += d.coalesced_half_warps;
-        self.uncoalesced_half_warps += d.uncoalesced_half_warps;
-        self.smem_conflict_extra_cycles += d.smem_conflict_extra_cycles;
-        self.divergent_branches += d.divergent_branches;
-        self.tex_hits += d.tex_hits;
-        self.tex_misses += d.tex_misses;
-        self.const_hits += d.const_hits;
-        self.const_misses += d.const_misses;
-        self.atomic_transactions += d.atomic_transactions;
-        self.blocks_executed += d.blocks_executed;
-    }
-}
-
-/// Aggregated result of a kernel launch.
-#[derive(Clone, Debug)]
-pub struct KernelStats {
-    /// Kernel name.
-    pub name: String,
-    /// Elapsed cycles (max over SMs — the kernel finishes when its slowest
-    /// SM drains).
-    pub cycles: u64,
-    /// Elapsed wall-clock seconds on the simulated machine.
-    pub elapsed: f64,
-    /// Dynamic warp instructions issued, summed over SMs.
-    pub warp_instructions: u64,
-    /// Dynamic thread instructions (warp instructions × active lanes).
-    pub thread_instructions: u64,
-    /// Floating-point operations executed (FMA = 2).
-    pub flops: u64,
-    /// Dynamic warp-instruction counts by class.
-    pub by_class: HashMap<InstClass, u64>,
-    /// Global memory read transactions.
-    pub global_ld_transactions: u64,
-    /// Global memory write transactions.
-    pub global_st_transactions: u64,
-    /// Bytes moved to/from DRAM.
-    pub global_bytes: u64,
-    /// Half-warp global accesses that met the coalescing rules.
-    pub coalesced_half_warps: u64,
-    /// Half-warp global accesses that did not.
-    pub uncoalesced_half_warps: u64,
-    /// Extra issue cycles serialized by shared-memory bank conflicts.
-    pub smem_conflict_extra_cycles: u64,
-    /// Warp branches where the warp split.
-    pub divergent_branches: u64,
-    /// Texture cache hits / misses.
-    pub tex_hits: u64,
-    pub tex_misses: u64,
-    /// Constant cache hits / misses.
-    pub const_hits: u64,
-    pub const_misses: u64,
-    /// Atomic transactions to memory.
-    pub atomic_transactions: u64,
-    /// Idle issue cycles by reason, summed over SMs.
-    pub stall_cycles: HashMap<StallReason, u64>,
-    /// Thread blocks executed.
-    pub blocks_executed: u64,
-
-    // ---- static/launch-derived ----
-    /// Registers per thread of the launched kernel.
-    pub regs_per_thread: u32,
-    /// Shared memory per block in bytes.
-    pub smem_per_block: u32,
-    /// Threads per block.
-    pub threads_per_block: u32,
-    /// Blocks resident per SM under the occupancy limits.
-    pub blocks_per_sm: u32,
-    /// Maximum simultaneously active threads across the chip (Table 3
-    /// column: min(grid size, capacity)).
-    pub max_simultaneous_threads: u32,
-    /// Total threads launched.
-    pub total_threads: u64,
-
-    pub(crate) clock_ghz: f64,
-    pub(crate) dram_bytes_per_cycle: f64,
-    pub(crate) num_sms: u32,
-    pub(crate) max_warps_per_sm: u32,
-    pub(crate) warp_size: u32,
 }
 
 impl KernelStats {
-    #[allow(clippy::too_many_arguments)] // internal constructor fed by launch()
-    pub(crate) fn merge(
-        name: &str,
-        cfg: &GpuConfig,
-        per_sm: Vec<SmStats>,
-        regs_per_thread: u32,
-        smem_per_block: u32,
-        threads_per_block: u32,
-        blocks_per_sm: u32,
-        total_blocks: u64,
-    ) -> Self {
-        let mut s = KernelStats {
-            name: name.to_string(),
-            cycles: 0,
-            elapsed: 0.0,
-            warp_instructions: 0,
-            thread_instructions: 0,
-            flops: 0,
-            by_class: HashMap::new(),
-            global_ld_transactions: 0,
-            global_st_transactions: 0,
-            global_bytes: 0,
-            coalesced_half_warps: 0,
-            uncoalesced_half_warps: 0,
-            smem_conflict_extra_cycles: 0,
-            divergent_branches: 0,
-            tex_hits: 0,
-            tex_misses: 0,
-            const_hits: 0,
-            const_misses: 0,
-            atomic_transactions: 0,
-            stall_cycles: HashMap::new(),
-            blocks_executed: 0,
-            regs_per_thread,
-            smem_per_block,
-            threads_per_block,
-            blocks_per_sm,
-            max_simultaneous_threads: (blocks_per_sm * cfg.num_sms).min(total_blocks as u32)
-                * threads_per_block,
-            total_threads: total_blocks * threads_per_block as u64,
-            clock_ghz: cfg.clock_ghz,
-            dram_bytes_per_cycle: cfg.dram_bytes_per_cycle(),
-            num_sms: cfg.num_sms,
-            max_warps_per_sm: cfg.max_warps_per_sm(),
-            warp_size: cfg.warp_size,
-        };
-        for sm in per_sm {
-            s.cycles = s.cycles.max(sm.cycles);
-            s.warp_instructions += sm.warp_instructions;
-            s.thread_instructions += sm.thread_instructions;
-            s.flops += sm.flops;
-            for (k, v) in sm.by_class {
-                *s.by_class.entry(k).or_insert(0) += v;
-            }
-            s.global_ld_transactions += sm.global_ld_transactions;
-            s.global_st_transactions += sm.global_st_transactions;
-            s.global_bytes += sm.global_bytes;
-            s.coalesced_half_warps += sm.coalesced_half_warps;
-            s.uncoalesced_half_warps += sm.uncoalesced_half_warps;
-            s.smem_conflict_extra_cycles += sm.smem_conflict_extra_cycles;
-            s.divergent_branches += sm.divergent_branches;
-            s.tex_hits += sm.tex_hits;
-            s.tex_misses += sm.tex_misses;
-            s.const_hits += sm.const_hits;
-            s.const_misses += sm.const_misses;
-            s.atomic_transactions += sm.atomic_transactions;
-            for (k, v) in sm.stall_cycles {
-                *s.stall_cycles.entry(k).or_insert(0) += v;
-            }
-            s.blocks_executed += sm.blocks_executed;
-        }
-        s.elapsed = s.cycles as f64 / (s.clock_ghz * 1e9);
-        s
-    }
-
-    /// Folds another launch's counters into this one (for time-stepped
-    /// applications that relaunch a kernel per step: cycles and traffic add;
-    /// static occupancy fields keep the first launch's values).
-    pub fn accumulate(&mut self, other: &KernelStats) {
-        self.cycles += other.cycles;
-        self.elapsed += other.elapsed;
-        self.warp_instructions += other.warp_instructions;
-        self.thread_instructions += other.thread_instructions;
-        self.flops += other.flops;
-        for (k, v) in &other.by_class {
-            *self.by_class.entry(*k).or_insert(0) += v;
-        }
-        self.global_ld_transactions += other.global_ld_transactions;
-        self.global_st_transactions += other.global_st_transactions;
-        self.global_bytes += other.global_bytes;
-        self.coalesced_half_warps += other.coalesced_half_warps;
-        self.uncoalesced_half_warps += other.uncoalesced_half_warps;
-        self.smem_conflict_extra_cycles += other.smem_conflict_extra_cycles;
-        self.divergent_branches += other.divergent_branches;
-        self.tex_hits += other.tex_hits;
-        self.tex_misses += other.tex_misses;
-        self.const_hits += other.const_hits;
-        self.const_misses += other.const_misses;
-        self.atomic_transactions += other.atomic_transactions;
-        for (k, v) in &other.stall_cycles {
-            *self.stall_cycles.entry(*k).or_insert(0) += v;
-        }
-        self.blocks_executed += other.blocks_executed;
-    }
-
     /// Achieved GFLOPS over the kernel execution.
     pub fn gflops(&self) -> f64 {
         if self.elapsed == 0.0 {
@@ -610,6 +608,56 @@ mod tests {
         assert_eq!(s.flops, 30);
         assert_eq!(s.max_simultaneous_threads, 4 * 128); // grid-limited
         assert_eq!(s.total_threads, 4 * 128);
+
+        // Only nonzero classes and reasons enter the maps: the pinned bytes
+        // and the golden stats hold that sparse form.
+        let (mut a, mut b) = (SmStats::default(), SmStats::default());
+        a.count_inst(InstClass::Fma, 32, 2);
+        a.stall(StallReason::Memory, 7);
+        b.count_inst(InstClass::Fma, 16, 2);
+        b.count_inst(InstClass::Exit, 32, 0);
+        let s = KernelStats::merge("m", &cfg, vec![a, SmStats::default(), b], 8, 0, 128, 2, 4);
+        let classes = HashMap::from([(InstClass::Fma, 2), (InstClass::Exit, 1)]);
+        assert_eq!(s.by_class, classes);
+        assert_eq!(s.stall_cycles, HashMap::from([(StallReason::Memory, 7)]));
+        assert_eq!((s.warp_instructions, s.thread_instructions), (3, 80));
+        assert_eq!(s.flops, 96);
+
+        // A period delta added back reproduces every counter and array slot,
+        // and holds exactly what each one gained.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..100 {
+            let mut base = SmStats {
+                cycles: next() >> 24,
+                ..Default::default()
+            };
+            base.counters_mut().for_each(|c| *c = next() >> 24);
+            let mut now = base.clone();
+            now.cycles += next() >> 40;
+            let gains: Vec<u64> = now
+                .counters_mut()
+                .map(|c| {
+                    let g = next() % 3 * (next() >> 44);
+                    *c += g;
+                    g
+                })
+                .collect();
+            let mut d = now.delta_since(&base);
+            assert_eq!(d.cycles, 0);
+            assert_eq!(d.counters_mut().map(|c| *c).collect::<Vec<_>>(), gains);
+            let mut back = SmStats {
+                cycles: now.cycles,
+                ..base
+            };
+            back.add_delta(&d);
+            assert_eq!(back, now);
+        }
     }
 
     #[test]

@@ -276,7 +276,7 @@ fn compact(dir: &Path, cap: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::config::GpuConfig;
-    use crate::counters::{SmStats, StallReason};
+    use crate::counters::{SmStats, StallReason, TallyKey};
     use g80_isa::InstClass;
 
     fn sample_stats() -> KernelStats {
@@ -289,10 +289,10 @@ mod tests {
             global_bytes: 4096,
             ..Default::default()
         };
-        sm.by_class.insert(InstClass::Fma, 7);
-        sm.by_class.insert(InstClass::Exit, 1);
-        sm.stall_cycles.insert(StallReason::Memory, 41);
-        sm.stall_cycles.insert(StallReason::Drain, 3);
+        sm.by_class[InstClass::Fma.index()] = 7;
+        sm.by_class[InstClass::Exit.index()] = 1;
+        sm.stall_cycles[StallReason::Memory.index()] = 41;
+        sm.stall_cycles[StallReason::Drain.index()] = 3;
         KernelStats::merge("roundtrip", &cfg, vec![sm], 10, 256, 128, 3, 8)
     }
 

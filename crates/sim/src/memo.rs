@@ -28,6 +28,7 @@ use crate::disk;
 use crate::fault::{self, lock_recover, Site};
 use crate::memory::DeviceMemory;
 use crate::sm::LaunchDims;
+use crate::wire;
 use g80_isa::dataflow::{self, TaintSummary};
 use g80_isa::{DecodedKernel, Kernel, Value};
 use std::collections::HashMap;
@@ -327,55 +328,17 @@ struct MemoPayload {
     checksum: u64,
 }
 
-/// Integrity digest of a memo entry's payload. HashMap-valued stats fields
-/// are folded in sorted order so the digest is iteration-order independent;
-/// the delta, the bulk of the payload, goes through [`wide_digest`].
+/// Integrity digest of a memo entry's payload: the stats' canonical bytes,
+/// so every field counts, eight to a step, and the delta, the bulk of the
+/// payload, through [`wide_digest`].
 fn entry_checksum(stats: &KernelStats, delta: &[(u32, u32)]) -> u64 {
     let mut h = Mix64::new(0x4528_21e6_38d0_1377);
-    stats.name.hash(&mut h);
-    h.write_u64(stats.cycles);
-    h.write_u64(stats.elapsed.to_bits());
-    h.write_u64(stats.warp_instructions);
-    h.write_u64(stats.thread_instructions);
-    h.write_u64(stats.flops);
-    h.write_u64(stats.global_ld_transactions);
-    h.write_u64(stats.global_st_transactions);
-    h.write_u64(stats.global_bytes);
-    h.write_u64(stats.coalesced_half_warps);
-    h.write_u64(stats.uncoalesced_half_warps);
-    h.write_u64(stats.smem_conflict_extra_cycles);
-    h.write_u64(stats.divergent_branches);
-    h.write_u64(stats.tex_hits);
-    h.write_u64(stats.tex_misses);
-    h.write_u64(stats.const_hits);
-    h.write_u64(stats.const_misses);
-    h.write_u64(stats.atomic_transactions);
-    h.write_u64(stats.blocks_executed);
-    h.write_u32(stats.regs_per_thread);
-    h.write_u32(stats.smem_per_block);
-    h.write_u32(stats.threads_per_block);
-    h.write_u32(stats.blocks_per_sm);
-    h.write_u32(stats.max_simultaneous_threads);
-    h.write_u64(stats.total_threads);
-    let mut classes: Vec<(usize, u64)> = stats
-        .by_class
-        .iter()
-        .map(|(k, v)| (k.index(), *v))
-        .collect();
-    classes.sort_unstable();
-    for (k, v) in classes {
-        h.write_u32(k as u32);
-        h.write_u64(v);
-    }
-    let mut stalls: Vec<(u8, u64)> = stats
-        .stall_cycles
-        .iter()
-        .map(|(k, v)| (*k as u8, *v))
-        .collect();
-    stalls.sort_unstable();
-    for (k, v) in stalls {
-        h.write_u32(k as u32);
-        h.write_u64(v);
+    let bytes = wire::to_bytes(stats, 512);
+    h.write_u64(bytes.len() as u64);
+    for chunk in bytes.chunks(8) {
+        let mut word = [0; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        h.write_u64(u64::from_le_bytes(word));
     }
     let (a, b) = delta_digest(delta);
     h.write_u64(a);
@@ -712,7 +675,9 @@ fn memo_record_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::{SmStats, StallReason};
     use g80_isa::builder::KernelBuilder;
+    use g80_isa::InstClass;
 
     fn k(name: &str) -> Kernel {
         let mut b = KernelBuilder::new(name);
@@ -927,7 +892,15 @@ mod tests {
     #[test]
     fn entry_checksum_covers_stats_and_every_delta_pair() {
         let cfg = GpuConfig::geforce_8800_gtx();
-        let stats = KernelStats::merge("checksum_probe", &cfg, Vec::new(), 4, 0, 64, 1, 8);
+        let mut sm = SmStats {
+            cycles: 900,
+            global_bytes: 4096,
+            ..Default::default()
+        };
+        sm.count_inst(InstClass::Fma, 32, 2);
+        sm.count_inst(InstClass::Exit, 32, 0);
+        sm.stall(StallReason::Memory, 41);
+        let stats = KernelStats::merge("checksum_probe", &cfg, vec![sm], 4, 0, 64, 1, 8);
         let delta: Vec<(u32, u32)> = (0..2304).map(|i| (i + 100, i * 7)).collect();
         let base = entry_checksum(&stats, &delta);
         assert_eq!(base, entry_checksum(&stats.clone(), &delta.clone()));
@@ -940,9 +913,23 @@ mod tests {
             assert_ne!(base, entry_checksum(&stats, &d), "index {at}");
         }
         assert_ne!(base, entry_checksum(&stats, &delta[..2303]));
-        let mut other = stats.clone();
-        other.cycles ^= 1;
-        assert_ne!(base, entry_checksum(&other, &delta));
+        // Every bit of the stats' canonical bytes: a flip that still decodes
+        // is another payload, machine constants and map entries included.
+        let bytes = wire::to_bytes(&stats, 256);
+        let mut decoded = 0;
+        for bit in 0..bytes.len() * 8 {
+            let mut bent = bytes.clone();
+            bent[bit / 8] ^= 1 << (bit % 8);
+            if let Some(other) = wire::from_bytes::<KernelStats>(&bent) {
+                decoded += 1;
+                assert_ne!(base, entry_checksum(&other, &delta), "stats bit {bit}");
+            }
+        }
+        assert!(
+            decoded > bytes.len() * 6,
+            "{decoded} of {} flips decoded",
+            bytes.len() * 8
+        );
     }
 
     /// The property [`lane_step`] exists for: flipping a chunk's top bit does

@@ -117,7 +117,7 @@ pub fn launch_reported(
 mod tests {
     use super::*;
     use crate::config::GpuConfig;
-    use crate::counters::{SmStats, StallReason};
+    use crate::counters::{SmStats, StallReason, TallyKey};
     use g80_isa::InstClass;
 
     fn sample_report() -> LaunchReport {
@@ -127,7 +127,7 @@ mod tests {
             warp_instructions: 5,
             ..Default::default()
         };
-        sm.by_class.insert(InstClass::Exit, 1);
+        sm.by_class[InstClass::Exit.index()] = 1;
         LaunchReport {
             stats: KernelStats::merge("r", &cfg, vec![sm], 4, 0, 32, 1, 1),
             served: Served::Disk,
@@ -194,10 +194,10 @@ mod tests {
     fn report_mutations_are_rejected_or_canonical() {
         // Two entries in each map, so a flip can repeat or reorder a key.
         let mut sm = SmStats::default();
-        sm.by_class.insert(InstClass::Fma, 3);
-        sm.by_class.insert(InstClass::Exit, 1);
-        sm.stall_cycles.insert(StallReason::Memory, 9);
-        sm.stall_cycles.insert(StallReason::Barrier, 2);
+        sm.by_class[InstClass::Fma.index()] = 3;
+        sm.by_class[InstClass::Exit.index()] = 1;
+        sm.stall_cycles[StallReason::Memory.index()] = 9;
+        sm.stall_cycles[StallReason::Barrier.index()] = 2;
         let cfg = GpuConfig::geforce_8800_gtx();
         let report = LaunchReport {
             stats: KernelStats::merge("m", &cfg, vec![sm], 4, 0, 32, 1, 1),

@@ -47,7 +47,7 @@
 //! asserts bit-identical [`crate::KernelStats`] between the two.
 
 use crate::config::GpuConfig;
-use crate::counters::{MemoCounters, RowCounters, SmStats, StallReason};
+use crate::counters::{MemoCounters, RowCounters, SmStats, StallReason, TallyKey};
 use crate::memory::{
     coalesce_affine_warp, coalesce_half_warp_noalloc, const_out_of_bounds, global_out_of_bounds,
     smem_conflict_degree_noalloc, smem_degree_affine_warp, DeviceMemory, HalfWarpAccess, TagCache,
@@ -59,7 +59,7 @@ use crate::witness::{
 };
 use g80_isa::decode::{DecodedKernel, IssueClass, MicroOp};
 use g80_isa::exec::{self, Row};
-use g80_isa::inst::{Inst, InstClass, Operand, Space};
+use g80_isa::inst::{Inst, Operand, Space};
 use g80_isa::row::AffineTerms;
 use g80_isa::{Kernel, LaneRow, Value};
 use std::collections::hash_map::Entry;
@@ -168,14 +168,7 @@ struct Scratch {
 struct Boundary {
     cycle: u64,
     stats: SmStats,
-    class_counts: [u64; InstClass::COUNT],
-    stall_counts: [u64; StallReason::ALL.len()],
     consumed: usize,
-}
-
-/// Element-wise `now - base` of a dense tally.
-fn tally_delta<const N: usize>(now: &[u64; N], base: &[u64; N]) -> [u64; N] {
-    std::array::from_fn(|i| now[i] - base[i])
 }
 
 /// Distinct boundary states tracked before giving up on period detection
@@ -253,11 +246,6 @@ pub fn run_sm(
     let mut const_cache = TagCache::new(cfg.const_cache_bytes, 64);
     let mut tex_cache = TagCache::new(cfg.tex_cache_bytes, cfg.tex_line_bytes);
     let mut scratch = Scratch::default();
-    // Dense per-class instruction and per-reason stall counters, folded into
-    // the by_class and stall_cycles maps once at the end (a HashMap update
-    // per instruction or per event skip is hot-loop cost).
-    let mut class_counts = [0u64; InstClass::COUNT];
-    let mut stall_counts = [0u64; StallReason::ALL.len()];
     let mut rr: usize = 0;
 
     // The flattened warp schedule, maintained incrementally: every block of
@@ -370,8 +358,6 @@ pub fn run_sm(
                                         rec.valid = false;
                                     } else {
                                         let d_stats = stats.delta_since(&b.stats);
-                                        let d_class = tally_delta(&class_counts, &b.class_counts);
-                                        let d_stall = tally_delta(&stall_counts, &b.stall_counts);
                                         while my_blocks.len() - next_block >= 2 * d_consumed {
                                             let mut buf = WriteBuf::new(mem);
                                             let ok = (0..d_consumed).all(|j| {
@@ -398,12 +384,6 @@ pub fn run_sm(
                                             next_block += d_consumed;
                                             fast_blocks += d_consumed as u64;
                                             stats.add_delta(&d_stats);
-                                            for (cc, dc) in class_counts.iter_mut().zip(d_class) {
-                                                *cc += dc;
-                                            }
-                                            for (sc, ds) in stall_counts.iter_mut().zip(d_stall) {
-                                                *sc += ds;
-                                            }
                                             // Shift every absolute-cycle value
                                             // uniformly; all scheduler
                                             // comparisons are invariant under
@@ -432,8 +412,6 @@ pub fn run_sm(
                                     v.insert(Boundary {
                                         cycle,
                                         stats: stats.clone(),
-                                        class_counts,
-                                        stall_counts,
                                         consumed: next_block,
                                     });
                                 } else {
@@ -521,7 +499,6 @@ pub fn run_sm(
                     const_cache: &mut const_cache,
                     tex_cache: &mut tex_cache,
                     scratch: &mut scratch,
-                    class_counts: &mut class_counts,
                     cycle,
                     record,
                     ev_aux: 0,
@@ -588,22 +565,10 @@ pub fn run_sm(
 
         // Nothing ready: event-skip to the earliest candidate.
         let skip = best_next.saturating_sub(cycle).max(1);
-        stall_counts[best_reason.index()] += skip;
+        stats.stall(best_reason, skip);
         cycle += skip;
     }
 
-    for c in InstClass::ALL {
-        let n = class_counts[c.index()];
-        if n > 0 {
-            *stats.by_class.entry(c).or_insert(0) += n;
-        }
-    }
-    for r in StallReason::ALL {
-        let n = stall_counts[r.index()];
-        if n > 0 {
-            *stats.stall_cycles.entry(r).or_insert(0) += n;
-        }
-    }
     stats.cycles = cycle;
     if dedup {
         tally.memo.dedup_fast_blocks += fast_blocks;
@@ -716,7 +681,6 @@ struct ExecCtx<'a> {
     const_cache: &'a mut TagCache,
     tex_cache: &'a mut TagCache,
     scratch: &'a mut Scratch,
-    class_counts: &'a mut [u64; InstClass::COUNT],
     cycle: u64,
     /// Dedup witness recording active: the memory/branch paths below fill
     /// `ev_aux`/`ev_bytes` with the instruction's timing signature — the
@@ -1107,10 +1071,7 @@ impl<'a> ExecCtx<'a> {
         let inst = mop.inst;
         let mask = warp.active_mask();
         let lanes = mask.count_ones();
-        self.stats.warp_instructions += 1;
-        self.stats.thread_instructions += lanes as u64;
-        self.stats.flops += mop.flops as u64 * lanes as u64;
-        self.class_counts[mop.class.index()] += 1;
+        self.stats.count_inst(mop.class, lanes, mop.flops);
 
         // Register-only instructions: what they do is `Warp::exec_reg_only`;
         // when the result lands and how long the issue port is held is a

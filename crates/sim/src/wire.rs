@@ -7,9 +7,9 @@
 //! the encoding, `get` reads it back, and `MIN_LEN` is the fewest bytes any
 //! encoding of the type takes. Structs and tagged enums declare theirs with
 //! [`wire_layout!`](crate::wire_layout), which lists the fields in wire
-//! order and derives both directions. Only [`KernelStats`] is written by
-//! hand: its maps travel as sorted lists, a format rule rather than a field
-//! list. The rules:
+//! order and derives both directions; [`KernelStats`](crate::KernelStats)
+//! takes its list from the one declaration of the simulated counters in
+//! [`crate::counters`]. The rules:
 //!
 //! * integers little-endian; `f64` as its IEEE bit pattern; `bool` as one
 //!   byte, 0 or 1;
@@ -20,8 +20,9 @@
 //! * `Vec` as a u32 count and then the elements. A count whose elements
 //!   could not fit in the bytes left (`count × MIN_LEN`) is rejected before
 //!   anything is allocated ([`Dec::items`]);
-//! * HashMap-backed fields written sorted by their dense key index, and
-//!   decoded only in strictly increasing key order;
+//! * a tally map (keyed by a [`TallyKey`]) as a u32 count and `(u32 key
+//!   index, u64 value)` pairs sorted by index, decoded only in strictly
+//!   increasing key order;
 //! * decoding is strict: short input, an unknown tag, an out-of-order key or
 //!   non-UTF-8 string bytes all return `None`. Every accepted input is the
 //!   canonical encoding of the value it decodes to, so re-encoding a decoded
@@ -32,14 +33,13 @@
 //! `FORMAT_VERSION` when the stats move, [`crate::REPORT_VERSION`] when a
 //! report does, and the serve protocol version for anything it carries.
 
-use crate::counters::{KernelStats, StallReason};
+use crate::counters::TallyKey;
 use crate::sm::LaunchDims;
 use g80_isa::{
-    AluOp, AtomOp, CmpOp, Inst, InstClass, Kernel, Label, Operand, Pred, Reg, Scalar, SfuOp, Space,
+    AluOp, AtomOp, CmpOp, Inst, Kernel, Label, Operand, Pred, Reg, Scalar, SfuOp, Space,
     SpecialReg, UnOp, Value,
 };
 use std::collections::HashMap;
-use std::hash::Hash;
 
 /// Byte-appending encoder over a plain `Vec<u8>`.
 pub struct Enc(pub Vec<u8>);
@@ -513,110 +513,31 @@ crate::wire_layout! {
     struct LaunchDims { grid: (u32, u32), block: (u32, u32, u32) }
 }
 
-/// Writes `map` as a u32 count and `(u32 key, u64 value)` pairs in
-/// increasing key order, the order [`get_map`] insists on.
-fn put_map<K: Copy>(e: &mut Enc, map: &HashMap<K, u64>, key: impl Fn(K) -> usize) {
-    let mut pairs: Vec<(u32, u64)> = map.iter().map(|(&k, &v)| (key(k) as u32, v)).collect();
-    pairs.sort_unstable();
-    pairs.put(e);
-}
-
-/// Reads what [`put_map`] writes. Keys must be strictly increasing: a
-/// repeated or out-of-order key is bytes the encoder never writes.
-fn get_map<K: Copy + Eq + Hash>(d: &mut Dec, all: &[K], map: &mut HashMap<K, u64>) -> Option<()> {
-    let mut next = 0;
-    for _ in 0..d.u32()? {
-        let idx = d.u32()? as usize;
-        if idx < next {
-            return None;
-        }
-        next = idx + 1;
-        map.insert(*all.get(idx)?, d.u64()?);
-    }
-    Some(())
-}
-
-/// The full [`KernelStats`], the `pub(crate)` machine-constant fields
-/// included (which is why its layout lives in this crate). The disk tier
-/// appends its write-delta after these bytes; reports embed them last.
-impl Wire for KernelStats {
-    /// Empty name and maps: the length, 21 eight-byte fields, 8 four-byte
-    /// fields and two zero counts.
-    const MIN_LEN: usize = 8 + 21 * 8 + 8 * 4 + 2 * 4;
-
+/// A tally map: a u32 count, then `(u32 key index, u64 value)` pairs in
+/// strictly increasing key order. A repeated or out-of-order key is bytes the
+/// encoder never writes, so decoding rejects it.
+impl<K: TallyKey> Wire for HashMap<K, u64> {
+    const MIN_LEN: usize = 4;
     fn put(&self, e: &mut Enc) {
-        e.str(&self.name);
-        e.u64(self.cycles);
-        e.f64(self.elapsed);
-        e.u64(self.warp_instructions);
-        e.u64(self.thread_instructions);
-        e.u64(self.flops);
-        e.u64(self.global_ld_transactions);
-        e.u64(self.global_st_transactions);
-        e.u64(self.global_bytes);
-        e.u64(self.coalesced_half_warps);
-        e.u64(self.uncoalesced_half_warps);
-        e.u64(self.smem_conflict_extra_cycles);
-        e.u64(self.divergent_branches);
-        e.u64(self.tex_hits);
-        e.u64(self.tex_misses);
-        e.u64(self.const_hits);
-        e.u64(self.const_misses);
-        e.u64(self.atomic_transactions);
-        e.u64(self.blocks_executed);
-        e.u32(self.regs_per_thread);
-        e.u32(self.smem_per_block);
-        e.u32(self.threads_per_block);
-        e.u32(self.blocks_per_sm);
-        e.u32(self.max_simultaneous_threads);
-        e.u64(self.total_threads);
-        e.f64(self.clock_ghz);
-        e.f64(self.dram_bytes_per_cycle);
-        e.u32(self.num_sms);
-        e.u32(self.max_warps_per_sm);
-        e.u32(self.warp_size);
-        put_map(e, &self.by_class, InstClass::index);
-        put_map(e, &self.stall_cycles, StallReason::index);
+        // Sorting the entries, not probing the map once per variant: the
+        // memo verifies every hit through this encoding.
+        let mut pairs: Vec<(u32, u64)> = self.iter().map(|(k, &v)| (k.index() as u32, v)).collect();
+        pairs.sort_unstable();
+        pairs.put(e);
     }
-
     fn get(d: &mut Dec) -> Option<Self> {
-        let mut stats = KernelStats {
-            name: d.str()?,
-            cycles: d.u64()?,
-            elapsed: d.f64()?,
-            warp_instructions: d.u64()?,
-            thread_instructions: d.u64()?,
-            flops: d.u64()?,
-            by_class: HashMap::new(),
-            global_ld_transactions: d.u64()?,
-            global_st_transactions: d.u64()?,
-            global_bytes: d.u64()?,
-            coalesced_half_warps: d.u64()?,
-            uncoalesced_half_warps: d.u64()?,
-            smem_conflict_extra_cycles: d.u64()?,
-            divergent_branches: d.u64()?,
-            tex_hits: d.u64()?,
-            tex_misses: d.u64()?,
-            const_hits: d.u64()?,
-            const_misses: d.u64()?,
-            atomic_transactions: d.u64()?,
-            stall_cycles: HashMap::new(),
-            blocks_executed: d.u64()?,
-            regs_per_thread: d.u32()?,
-            smem_per_block: d.u32()?,
-            threads_per_block: d.u32()?,
-            blocks_per_sm: d.u32()?,
-            max_simultaneous_threads: d.u32()?,
-            total_threads: d.u64()?,
-            clock_ghz: d.f64()?,
-            dram_bytes_per_cycle: d.f64()?,
-            num_sms: d.u32()?,
-            max_warps_per_sm: d.u32()?,
-            warp_size: d.u32()?,
-        };
-        get_map(d, &InstClass::ALL, &mut stats.by_class)?;
-        get_map(d, &StallReason::ALL, &mut stats.stall_cycles)?;
-        Some(stats)
+        let mut map = HashMap::new();
+        let mut next = 0;
+        for _ in 0..d.u32()? {
+            let (idx, v) = <(u32, u64)>::get(d)?;
+            let idx = idx as usize;
+            if idx < next {
+                return None;
+            }
+            next = idx + 1;
+            map.insert(*K::ALL.get(idx)?, v);
+        }
+        Some(map)
     }
 }
 
@@ -680,7 +601,8 @@ pub fn assert_wire_mutations_rejected<T: Wire>(v: &T) {
 mod tests {
     use super::*;
     use crate::config::GpuConfig;
-    use crate::counters::SmStats;
+    use crate::counters::{KernelStats, SmStats, StallReason};
+    use g80_isa::InstClass;
 
     fn sample_stats() -> KernelStats {
         let cfg = GpuConfig::geforce_8800_gtx();
@@ -692,9 +614,9 @@ mod tests {
             global_bytes: 1024,
             ..Default::default()
         };
-        sm.by_class.insert(InstClass::Fma, 3);
-        sm.by_class.insert(InstClass::LdGlobal, 2);
-        sm.stall_cycles.insert(StallReason::Memory, 9);
+        sm.by_class[InstClass::Fma.index()] = 3;
+        sm.by_class[InstClass::LdGlobal.index()] = 2;
+        sm.stall_cycles[StallReason::Memory.index()] = 9;
         KernelStats::merge("wire", &cfg, vec![sm], 12, 512, 64, 2, 4)
     }
 

@@ -21,7 +21,8 @@ pub fn stats_bytes(stats: &KernelStats) -> Vec<u8> {
 }
 
 /// Asserts two `KernelStats` equal field for field, bit for bit, naming the
-/// field that differs.
+/// public field that differs; the closing byte comparison also covers the
+/// machine constants a test cannot name.
 pub fn assert_stats_identical(label: &str, a: &KernelStats, b: &KernelStats) {
     macro_rules! fields_eq {
         ($($f:ident),+ $(,)?) => {
@@ -61,6 +62,11 @@ pub fn assert_stats_identical(label: &str, a: &KernelStats, b: &KernelStats) {
         max_simultaneous_threads,
         total_threads,
     ];
+    assert_eq!(
+        stats_bytes(a),
+        stats_bytes(b),
+        "{label}: KernelStats bytes differ"
+    );
 }
 
 pub fn bits(v: &[f32]) -> impl Iterator<Item = u32> + '_ {
