@@ -6,6 +6,7 @@
 
 pub mod ablations;
 pub mod arch_study;
+pub mod fidelity;
 pub mod matmul_study;
 pub mod regcap_study;
 pub mod suite;
