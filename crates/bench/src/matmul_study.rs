@@ -3,7 +3,7 @@
 use g80_apps::matmul::{MatMul, Variant};
 use g80_core::{advise, estimate, kernel_occupancy, Bottleneck, Sample, SweepResult};
 use g80_cuda::{BatchLaunch, Device};
-use g80_isa::Kernel;
+use g80_isa::{Kernel, Value};
 use g80_sim::{GpuConfig, KernelStats};
 
 use crate::fidelity;
@@ -204,15 +204,7 @@ pub(crate) fn launch_matmuls(
 ) -> Vec<KernelStats> {
     let preps: Vec<_> = kernels
         .iter()
-        .map(|_| {
-            let mut dev = Device::with_config(cfg.clone(), 3 * n * n * 4 + 4096);
-            let da = dev.alloc::<f32>((n * n) as usize);
-            let db = dev.alloc::<f32>((n * n) as usize);
-            let dc = dev.alloc::<f32>((n * n) as usize);
-            dev.copy_to_device(&da, a);
-            dev.copy_to_device(&db, b);
-            (dev, [da.as_param(), db.as_param(), dc.as_param()])
-        })
+        .map(|_| matmul_device(cfg, n, a, b))
         .collect();
     let entries: Vec<BatchLaunch> = kernels
         .iter()
@@ -230,6 +222,57 @@ pub(crate) fn launch_matmuls(
         .zip(g80_cuda::launch_batch(&entries))
         .map(|((k, _), r)| r.unwrap_or_else(|e| panic!("{} launch: {e}", k.name)))
         .collect()
+}
+
+/// A fresh `cfg` device holding `a` and `b` and room for their `n`×`n`
+/// product, with the kernel parameters that name the three matrices.
+fn matmul_device(cfg: &GpuConfig, n: u32, a: &[f32], b: &[f32]) -> (Device, [Value; 3]) {
+    let mut dev = Device::with_config(cfg.clone(), 3 * n * n * 4 + 4096);
+    let da = dev.alloc::<f32>((n * n) as usize);
+    let db = dev.alloc::<f32>((n * n) as usize);
+    let dc = dev.alloc::<f32>((n * n) as usize);
+    dev.copy_to_device(&da, a);
+    dev.copy_to_device(&db, b);
+    (dev, [da.as_param(), db.as_param(), dc.as_param()])
+}
+
+/// Launches in one [`revisit_fleet`] round.
+pub const REVISIT_LAUNCHES: u64 = 6;
+
+/// The tuner fleet the cache tiers are measured on: Figure 4's tiled
+/// variant family at n = 64 (seed 42), each on a device of its own, built
+/// once. The returned round launches every variant once and returns the
+/// fleet's fingerprint (the wrapping sum of their cycles). Seed, allocation
+/// order and kernel content are fixed, so every process computes the same
+/// memo keys for a first round on fresh devices. After that round each C
+/// region holds the product, so from the second round on every launch sees
+/// one fixed pre-launch image: a revisit.
+pub fn revisit_fleet() -> impl Fn() -> u64 {
+    let mm = MatMul { n: 64 };
+    let (a, b) = mm.generate(42);
+    let cfg = GpuConfig::geforce_8800_gtx();
+    let tiled = |tile, unroll| Variant::Tiled { tile, unroll };
+    let fleet: Vec<_> = [
+        tiled(8, false),
+        tiled(8, true),
+        tiled(16, false),
+        tiled(16, true),
+        Variant::Prefetch { tile: 16 },
+        Variant::RegTiled { tile: 16 },
+    ]
+    .into_iter()
+    .map(|v| (v, mm.kernel(v), matmul_device(&cfg, mm.n, &a, &b)))
+    .collect();
+    move || {
+        fleet.iter().fold(0u64, |fp, (v, k, (dev, params))| {
+            let t = v.block_edge();
+            let (bx, by) = v.block_shape();
+            let stats = dev
+                .launch(k, (mm.n / t, mm.n / t), (bx, by, 1), params)
+                .expect("revisit fleet launch");
+            fp.wrapping_add(stats.cycles)
+        })
+    }
 }
 
 pub fn render_section4(steps: &[Sec4Step], cliff: &(Sec4Step, Sec4Step)) -> String {

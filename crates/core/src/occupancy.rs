@@ -45,54 +45,36 @@ pub struct Occupancy {
 }
 
 /// Computes the occupancy of a kernel with the given per-thread registers,
-/// per-block shared memory, and block size.
+/// per-block shared memory, and block size, from the limits the simulator's
+/// scheduler applies ([`GpuConfig::block_limits`]).
 pub fn occupancy(
     cfg: &GpuConfig,
     regs_per_thread: u32,
     smem_per_block: u32,
     threads_per_block: u32,
 ) -> Occupancy {
-    let zero = Occupancy {
-        blocks_per_sm: 0,
-        warps_per_sm: 0,
-        threads_per_sm: 0,
-        occupancy: 0.0,
-        limiter: LimitingResource::DoesNotFit,
-        limit_by_threads: 0,
-        limit_by_registers: 0,
-        limit_by_smem: 0,
-        limit_by_slots: cfg.max_blocks_per_sm,
+    let Some(limits) = cfg.block_limits(regs_per_thread, smem_per_block, threads_per_block) else {
+        return Occupancy {
+            blocks_per_sm: 0,
+            warps_per_sm: 0,
+            threads_per_sm: 0,
+            occupancy: 0.0,
+            limiter: LimitingResource::DoesNotFit,
+            limit_by_threads: 0,
+            limit_by_registers: 0,
+            limit_by_smem: 0,
+            limit_by_slots: cfg.max_blocks_per_sm,
+        };
     };
-    if threads_per_block == 0 || threads_per_block > cfg.max_threads_per_block {
-        return zero;
-    }
-    // Thread contexts bind twice: raw threads and warp contexts (a partial
-    // warp occupies a whole context).
-    let warps_per_block = threads_per_block.div_ceil(cfg.warp_size);
-    let by_threads =
-        (cfg.max_threads_per_sm / threads_per_block).min(cfg.max_warps_per_sm() / warps_per_block);
-    let by_regs = if regs_per_thread == 0 {
-        u32::MAX
-    } else {
-        cfg.registers_per_sm / (regs_per_thread * threads_per_block)
-    };
-    let by_smem = cfg
-        .smem_per_sm
-        .checked_div(smem_per_block)
-        .unwrap_or(u32::MAX);
-    let by_slots = cfg.max_blocks_per_sm;
-
-    let blocks = by_threads.min(by_regs).min(by_smem).min(by_slots);
-    if blocks == 0 {
-        let mut z = zero;
-        z.limit_by_threads = by_threads;
-        z.limit_by_registers = by_regs.min(99);
-        z.limit_by_smem = by_smem.min(99);
-        return z;
-    }
+    // A resource the kernel does not use never binds.
+    let by_regs = limits.registers.unwrap_or(u32::MAX);
+    let by_smem = limits.smem.unwrap_or(u32::MAX);
+    let blocks = limits.blocks();
     // Name the binding limit (ties resolved in the paper's discussion order:
     // threads, registers, shared memory, block slots).
-    let limiter = if by_threads == blocks {
+    let limiter = if blocks == 0 {
+        LimitingResource::DoesNotFit
+    } else if limits.threads == blocks {
         LimitingResource::ThreadContexts
     } else if by_regs == blocks {
         LimitingResource::Registers
@@ -101,18 +83,17 @@ pub fn occupancy(
     } else {
         LimitingResource::BlockSlots
     };
-    let warps_per_block = threads_per_block.div_ceil(cfg.warp_size);
-    let warps = blocks * warps_per_block;
+    let warps = blocks * threads_per_block.div_ceil(cfg.warp_size);
     Occupancy {
         blocks_per_sm: blocks,
         warps_per_sm: warps,
         threads_per_sm: blocks * threads_per_block,
         occupancy: warps as f64 / cfg.max_warps_per_sm() as f64,
         limiter,
-        limit_by_threads: by_threads,
+        limit_by_threads: limits.threads,
         limit_by_registers: by_regs.min(99),
         limit_by_smem: by_smem.min(99),
-        limit_by_slots: by_slots,
+        limit_by_slots: limits.slots,
     }
 }
 

@@ -13,15 +13,20 @@
 //!                 [--p99-ms 500] [--expect-warm] [--shutdown]
 //! ```
 //!
-//! Exit codes: 0 ok, 1 transport failure, 2 assertion breached
+//! The fleet is `g80_serve::fleet`: each tenant sends the same probe
+//! kernel (`fleet::probe_spec`) `M` times.
+//!
+//! Exit codes: 0 ok, 1 transport failure or bad arguments (an empty fleet,
+//! `--tenants 0` or `--requests 0`, included), 2 assertion breached
 //! (`--p99-ms` ceiling or `--expect-warm` with zero cache hits).
 
-use g80_isa::builder::KernelBuilder;
-use g80_isa::{Kernel, Value};
-use g80_serve::{Addr, Client, WireLaunch};
-use g80_sim::{net_counters, LaunchDims, NetCounters, RowCounters};
+use g80_serve::fleet::{probe_spec, run_fleet, shutdown};
+use g80_serve::Addr;
+use g80_sim::net_counters;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+
+const USAGE: &str = "usage: g80-bench-serve [--addr ADDR] [--tenants N] [--requests M] \
+                     [--p99-ms MS] [--expect-warm] [--shutdown]";
 
 struct Args {
     addr: Addr,
@@ -41,175 +46,64 @@ fn parse_args() -> Result<Args, String> {
         expect_warm: false,
         shutdown: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let take = |i: &mut usize| -> Result<&str, String> {
-            *i += 1;
-            argv.get(*i)
-                .map(String::as_str)
-                .ok_or_else(|| format!("{} needs a value", argv[*i - 1]))
-        };
-        match argv[i].as_str() {
-            "--addr" => args.addr = Addr::parse(take(&mut i)?).map_err(|e| e.to_string())?,
-            "--tenants" => args.tenants = take(&mut i)?.parse().map_err(|_| "bad --tenants")?,
-            "--requests" => args.requests = take(&mut i)?.parse().map_err(|_| "bad --requests")?,
-            "--p99-ms" => args.p99_ms = Some(take(&mut i)?.parse().map_err(|_| "bad --p99-ms")?),
+    let mut argv = std::env::args().skip(1);
+    while let Some(flag) = argv.next() {
+        let mut value = || argv.next().ok_or(format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--addr" => args.addr = Addr::parse(&value()?).map_err(|e| e.to_string())?,
+            "--tenants" => args.tenants = value()?.parse().map_err(|_| "bad --tenants")?,
+            "--requests" => args.requests = value()?.parse().map_err(|_| "bad --requests")?,
+            "--p99-ms" => args.p99_ms = Some(value()?.parse().map_err(|_| "bad --p99-ms")?),
             "--expect-warm" => args.expect_warm = true,
             "--shutdown" => args.shutdown = true,
             other => return Err(format!("unknown argument {other:?}")),
         }
-        i += 1;
-    }
-    if args.tenants == 0 || args.requests == 0 {
-        return Err("--tenants and --requests must be positive".into());
     }
     Ok(args)
 }
 
-/// The probe: one small streaming kernel per tenant (distinct code per
-/// tenant via the scale constant, so tenants don't trivially collapse
-/// into one memo entry — cache hits come from each tenant's own repeats
-/// or the disk tier).
-fn probe_kernel(tenant: usize) -> Kernel {
-    let mut b = KernelBuilder::new(&format!("serve_probe_{tenant}"));
-    let p = b.param();
-    let tid = b.tid_x();
-    let byte = b.shl(tid, 2u32);
-    let addr = b.iadd(byte, p);
-    let v = b.ld_global(addr, 0);
-    let w = b.fmul(v, 1.0 + tenant as f32);
-    b.st_global(addr, 0, w);
-    b.build()
-}
-
-/// Field-wise max — reports snapshot daemon process-wide totals, so the
-/// max across reports is the latest daemon state any tenant observed.
-fn net_max(a: &NetCounters, b: &NetCounters) -> NetCounters {
-    NetCounters {
-        disconnects: a.disconnects.max(b.disconnects),
-        frames_retried: a.frames_retried.max(b.frames_retried),
-        bytes_resent: a.bytes_resent.max(b.bytes_resent),
-        reconnects: a.reconnects.max(b.reconnects),
-    }
-}
-
-fn probe_spec(tenant: usize) -> WireLaunch {
-    let dims = LaunchDims {
-        grid: (8, 1),
-        block: (128, 1, 1),
-    };
-    let mut spec = WireLaunch::new(
-        probe_kernel(tenant),
-        dims,
-        vec![Value::from_u32(0)],
-        8 * 128 * 4,
-    );
-    spec.writes = (0..8 * 128).map(|i| (i * 4, i)).collect();
-    spec
+/// Exit 1 with what went wrong and how the binary is called.
+fn usage_error(e: &dyn std::fmt::Display) -> ExitCode {
+    eprintln!("g80-bench-serve: {e}\n{USAGE}");
+    ExitCode::from(1)
 }
 
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
+        Err(e) => return usage_error(&e),
+    };
+
+    let net_before = net_counters();
+    let fleet = match run_fleet(&args.addr, args.tenants, args.requests, |t, _| {
+        probe_spec(t)
+    }) {
+        Ok(fleet) => fleet,
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => return usage_error(&e),
         Err(e) => {
-            eprintln!("g80-bench-serve: {e}");
+            eprintln!("g80-bench-serve: tenant failed: {e}");
             return ExitCode::from(1);
         }
     };
-
-    let started = Instant::now();
-    let net_before = net_counters();
-    let workers: Vec<_> = (0..args.tenants)
-        .map(|t| {
-            let addr = args.addr.clone();
-            let requests = args.requests;
-            std::thread::spawn(
-                move || -> std::io::Result<(Vec<Duration>, u64, RowCounters, NetCounters)> {
-                    let mut client = Client::connect_retry(
-                        &addr,
-                        &format!("bench-{t}"),
-                        Duration::from_secs(10),
-                    )?;
-                    let spec = probe_spec(t);
-                    let mut latencies = Vec::with_capacity(requests);
-                    let mut cache_hits = 0u64;
-                    let mut rows = RowCounters::default();
-                    let mut daemon_net = NetCounters::default();
-                    for _ in 0..requests {
-                        let t0 = Instant::now();
-                        let result = client.launch(&spec)?;
-                        latencies.push(t0.elapsed());
-                        match result {
-                            Ok((report, _)) => {
-                                if report.served.from_cache() {
-                                    cache_hits += 1;
-                                }
-                                // Reports snapshot the daemon's process-wide
-                                // totals; the field-wise max is the latest
-                                // state this tenant observed.
-                                rows.uniform = rows.uniform.max(report.rows.uniform);
-                                rows.affine = rows.affine.max(report.rows.affine);
-                                rows.full = rows.full.max(report.rows.full);
-                                daemon_net = net_max(&daemon_net, &report.net);
-                            }
-                            Err(e) => {
-                                return Err(std::io::Error::other(format!(
-                                    "typed error from daemon: {e}"
-                                )))
-                            }
-                        }
-                    }
-                    Ok((latencies, cache_hits, rows, daemon_net))
-                },
-            )
-        })
-        .collect();
-
-    let mut latencies = Vec::new();
-    let mut cache_hits = 0u64;
-    let mut rows = RowCounters::default();
-    let mut daemon_net = NetCounters::default();
-    for w in workers {
-        match w.join() {
-            Ok(Ok((l, h, r, n))) => {
-                latencies.extend(l);
-                cache_hits += h;
-                rows.uniform = rows.uniform.max(r.uniform);
-                rows.affine = rows.affine.max(r.affine);
-                rows.full = rows.full.max(r.full);
-                daemon_net = net_max(&daemon_net, &n);
-            }
-            Ok(Err(e)) => {
-                eprintln!("g80-bench-serve: tenant failed: {e}");
-                return ExitCode::from(1);
-            }
-            Err(_) => {
-                eprintln!("g80-bench-serve: tenant thread panicked");
-                return ExitCode::from(1);
-            }
-        }
-    }
-    let wall = started.elapsed();
-
-    latencies.sort_unstable();
-    let total = latencies.len();
-    let pct = |p: f64| latencies[((total - 1) as f64 * p) as usize];
-    let req_per_s = total as f64 / wall.as_secs_f64();
+    let total = fleet.latencies.len();
     println!(
         "g80-bench-serve: {} tenants x {} requests in {:.3}s  ({:.1} req/s)",
         args.tenants,
         args.requests,
-        wall.as_secs_f64(),
-        req_per_s
+        fleet.wall.as_secs_f64(),
+        fleet.req_per_s()
     );
     println!(
         "g80-bench-serve: latency p50 {:.3}ms  p99 {:.3}ms  max {:.3}ms",
-        pct(0.50).as_secs_f64() * 1e3,
-        pct(0.99).as_secs_f64() * 1e3,
-        latencies[total - 1].as_secs_f64() * 1e3
+        fleet.percentile_ms(0.50),
+        fleet.percentile_ms(0.99),
+        fleet.percentile_ms(1.0)
     );
-    println!("g80-bench-serve: {cache_hits}/{total} responses served from a cache tier");
+    println!(
+        "g80-bench-serve: {}/{total} responses served from a cache tier",
+        fleet.cache_hits
+    );
+    let rows = &fleet.rows;
     println!(
         "g80-bench-serve: daemon row shapes: {} uniform, {} affine, {} full",
         rows.uniform, rows.affine, rows.full
@@ -225,27 +119,25 @@ fn main() -> ExitCode {
         client_net.frames_retried,
         client_net.reconnects,
         client_net.bytes_resent,
-        daemon_net.disconnects,
-        daemon_net.reconnects
+        fleet.daemon_net.disconnects,
+        fleet.daemon_net.reconnects
     );
 
     let mut failed = false;
     if let Some(ceiling) = args.p99_ms {
-        let p99 = pct(0.99).as_secs_f64() * 1e3;
+        let p99 = fleet.percentile_ms(0.99);
         if p99 > ceiling {
             eprintln!("g80-bench-serve: p99 {p99:.3}ms exceeds the {ceiling}ms ceiling");
             failed = true;
         }
     }
-    if args.expect_warm && cache_hits == 0 {
+    if args.expect_warm && fleet.cache_hits == 0 {
         eprintln!("g80-bench-serve: --expect-warm but no response came from a cache tier");
         failed = true;
     }
 
     if args.shutdown {
-        let r = Client::connect_retry(&args.addr, "bench-admin", Duration::from_secs(10))
-            .and_then(|mut c| c.shutdown());
-        if let Err(e) = r {
+        if let Err(e) = shutdown(&args.addr) {
             eprintln!("g80-bench-serve: shutdown failed: {e}");
             return ExitCode::from(1);
         }

@@ -30,6 +30,9 @@
 //!   carries a CRC32 trailer, reads enforce idle/mid-frame deadlines, and
 //!   the seeded [`netfault`] layer injects transport chaos at four sites
 //!   (client/server × read/write) when the context's wire schedule is armed.
+//! * [`fleet`] — a closed-loop client fleet against one daemon (the load
+//!   `g80-bench-serve` and `bench_sim` generate): latency percentiles,
+//!   throughput, cache-tier answers.
 //! * [`netfault`] — what a fire of a context's wire schedule does:
 //!   disconnects, truncation, bit corruption, frame splitting, stalls —
 //!   bit-identical across reruns of the same seed.
@@ -43,6 +46,7 @@
 
 pub mod admission;
 pub mod client;
+pub mod fleet;
 pub mod framed;
 pub mod net;
 pub mod netfault;

@@ -270,27 +270,59 @@ impl GpuConfig {
         smem_per_block: u32,
         threads_per_block: u32,
     ) -> u32 {
+        self.block_limits(regs_per_thread, smem_per_block, threads_per_block)
+            .map_or(0, |l| l.blocks())
+    }
+
+    /// What each per-SM resource admits on its own, the breakdown behind
+    /// [`GpuConfig::blocks_per_sm`]; `None` for a block size the machine
+    /// cannot launch at all.
+    pub fn block_limits(
+        &self,
+        regs_per_thread: u32,
+        smem_per_block: u32,
+        threads_per_block: u32,
+    ) -> Option<BlockLimits> {
         if threads_per_block == 0 || threads_per_block > self.max_threads_per_block {
-            return 0;
+            return None;
         }
         // Thread contexts bind twice: raw threads (768) and warp contexts
         // (24) — a partial warp occupies a whole warp context.
         let warps_per_block = threads_per_block.div_ceil(self.warp_size);
-        let by_threads = (self.max_threads_per_sm / threads_per_block)
-            .min(self.max_warps_per_sm() / warps_per_block);
-        let by_regs = if regs_per_thread == 0 {
-            self.max_blocks_per_sm
-        } else {
-            self.registers_per_sm / (regs_per_thread * threads_per_block)
-        };
-        let by_smem = self
-            .smem_per_sm
-            .checked_div(smem_per_block)
-            .unwrap_or(self.max_blocks_per_sm);
-        by_threads
-            .min(by_regs)
-            .min(by_smem)
-            .min(self.max_blocks_per_sm)
+        Some(BlockLimits {
+            threads: (self.max_threads_per_sm / threads_per_block)
+                .min(self.max_warps_per_sm() / warps_per_block),
+            registers: (regs_per_thread > 0)
+                .then(|| self.registers_per_sm / (regs_per_thread * threads_per_block)),
+            smem: self.smem_per_sm.checked_div(smem_per_block),
+            slots: self.max_blocks_per_sm,
+        })
+    }
+}
+
+/// Blocks per SM that each resource admits (Section 3.2: residency is
+/// "limited by whichever limit of registers, shared memory, threads, or
+/// thread blocks is reached first").
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct BlockLimits {
+    /// Thread and warp contexts.
+    pub threads: u32,
+    /// The register file; `None` when the kernel needs no registers.
+    pub registers: Option<u32>,
+    /// Shared memory; `None` when the block needs none.
+    pub smem: Option<u32>,
+    /// The block-slot limit.
+    pub slots: u32,
+}
+
+impl BlockLimits {
+    /// Resident blocks: the tightest limit.
+    pub fn blocks(&self) -> u32 {
+        let unbounded = |l: Option<u32>| l.unwrap_or(u32::MAX);
+        self.threads
+            .min(unbounded(self.registers))
+            .min(unbounded(self.smem))
+            .min(self.slots)
     }
 }
 

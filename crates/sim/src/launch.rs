@@ -374,30 +374,54 @@ const MAX_FAULT_RETRIES: u32 = 32;
 /// [`launch`] body with an explicit memo-exclusivity verdict (batches pass
 /// `false` for specs that share a [`DeviceMemory`] with a concurrent spec).
 /// The [`Served`] in the result is the cache-tier verdict.
-///
-/// When the context's faults are armed with absorb-and-retry, injected-class
-/// failures are retried after restoring the pre-launch memory image — a
-/// retry without the restore would double-apply the partial writes of
-/// in-place kernels. Simulation is deterministic, so an absorbed launch is
-/// bit-identical to an unfaulted one.
 pub(crate) fn launch_with_memo(
     ctx: &SimContext,
     cfg: &GpuConfig,
     spec: LaunchSpec,
     exclusive_mem: bool,
 ) -> Result<(KernelStats, Served), LaunchError> {
+    let [result] = absorbing(ctx, &[spec], || {
+        [launch_once(ctx, cfg, spec, exclusive_mem)]
+    });
+    result
+}
+
+/// Runs `attempt` over `specs` and, when the context's faults are armed
+/// with absorb-and-retry, runs it again while any of its results is an
+/// injected-class failure, restoring every distinct memory the specs name
+/// to its pre-launch image first — a retry without the restore would
+/// double-apply the partial writes of in-place kernels, and specs may share
+/// a memory, so the whole set retries, never one launch of it. Simulation is
+/// deterministic, so an absorbed launch is bit-identical to an unfaulted
+/// one, and unfaulted entries recompute the same stats and writes on every
+/// attempt. A single launch is the one-spec case.
+fn absorbing<R: AsRef<[Result<(KernelStats, Served), LaunchError>]>>(
+    ctx: &SimContext,
+    specs: &[LaunchSpec],
+    mut attempt: impl FnMut() -> R,
+) -> R {
     if !ctx.faults().absorbs() {
-        return launch_once(ctx, cfg, spec, exclusive_mem);
+        return attempt();
     }
-    let snapshot = spec.mem.snapshot_words();
+    let mut seen = HashSet::new();
+    let snapshots: Vec<(&DeviceMemory, Vec<u32>)> = specs
+        .iter()
+        .filter(|s| seen.insert(std::ptr::from_ref(s.mem)))
+        .map(|s| (s.mem, s.mem.snapshot_words()))
+        .collect();
     let mut attempts = 0u32;
     loop {
-        match launch_once(ctx, cfg, spec, exclusive_mem) {
-            Err(e) if e.is_injected() && attempts < MAX_FAULT_RETRIES => {
-                attempts += 1;
-                spec.mem.restore_words(&snapshot);
-            }
-            r => return r,
+        let results = attempt();
+        let injected = results
+            .as_ref()
+            .iter()
+            .any(|r| matches!(r, Err(e) if e.is_injected()));
+        if !injected || attempts >= MAX_FAULT_RETRIES {
+            return results;
+        }
+        attempts += 1;
+        for (mem, words) in &snapshots {
+            mem.restore_words(words);
         }
     }
 }
@@ -660,35 +684,7 @@ pub fn launch_batch_traced(
     specs: &[LaunchSpec],
 ) -> Vec<Result<(KernelStats, Served), LaunchError>> {
     let ctx = SimContext::current();
-    if !ctx.faults().absorbs() {
-        return launch_batch_once(&ctx, cfg, specs);
-    }
-
-    // Absorb/retry for a batch: specs may share memories, so a
-    // per-launch restore could clobber a sibling's committed writes. Retry
-    // the *whole batch* instead, restoring every distinct memory first.
-    // Simulation is deterministic, so unfaulted entries recompute the same
-    // stats and writes on every attempt.
-    let mut seen = HashSet::new();
-    let snapshots: Vec<(&DeviceMemory, Vec<u32>)> = specs
-        .iter()
-        .filter(|s| seen.insert(std::ptr::from_ref(s.mem)))
-        .map(|s| (s.mem, s.mem.snapshot_words()))
-        .collect();
-    let mut attempts = 0u32;
-    loop {
-        let results = launch_batch_once(&ctx, cfg, specs);
-        let injected = results
-            .iter()
-            .any(|r| matches!(r, Err(e) if e.is_injected()));
-        if !injected || attempts >= MAX_FAULT_RETRIES {
-            return results;
-        }
-        attempts += 1;
-        for (mem, words) in &snapshots {
-            mem.restore_words(words);
-        }
-    }
+    absorbing(&ctx, specs, || launch_batch_once(&ctx, cfg, specs))
 }
 
 /// One attempt at a batch. Every spec is probed serially on the caller —

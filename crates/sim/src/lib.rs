@@ -72,7 +72,7 @@ pub mod warp;
 pub mod wire;
 mod witness;
 
-pub use config::GpuConfig;
+pub use config::{BlockLimits, GpuConfig};
 pub use context::{SimConfig, SimContext};
 pub use counters::{
     memo_counters, net_counters, note_net_disconnect, note_net_frame_retried, note_net_reconnect,

@@ -22,7 +22,10 @@ use proptest::prelude::*;
 #[allow(dead_code)]
 #[path = "../../../tests/common/contexts.rs"]
 mod contexts;
+#[path = "../../../tests/common/invariants.rs"]
+mod invariants;
 use contexts::contexts;
+use invariants::check_invariants;
 
 /// A recipe for one random structured kernel.
 #[derive(Clone, Debug)]
@@ -251,13 +254,13 @@ fn run(k: &Kernel, cfg: &GpuConfig, width: u32) -> Vec<u32> {
 }
 
 /// Runs `n` threads in blocks `width` threads wide and `THREADS / width`
-/// rows high.
+/// rows high; every launch's stats must keep to the machine's roofline.
 fn run_n(k: &Kernel, cfg: &GpuConfig, n: u32, width: u32) -> Vec<u32> {
     let mem = DeviceMemory::new(2 * n * 4 + 64);
     for i in 0..n {
         mem.write(i * 4, Value::from_f32((i % 17) as f32 * 0.3 - 2.0));
     }
-    launch(
+    let stats = launch(
         cfg,
         k,
         LaunchDims {
@@ -268,6 +271,7 @@ fn run_n(k: &Kernel, cfg: &GpuConfig, n: u32, width: u32) -> Vec<u32> {
         &mem,
     )
     .expect("launch");
+    check_invariants(cfg, &stats);
     mem.read_slice(n * 4, n as usize).collect()
 }
 

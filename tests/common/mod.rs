@@ -11,7 +11,9 @@ use g80::sim::{
 };
 
 mod contexts;
+mod invariants;
 pub use contexts::{contexts, scratch_dir};
+pub use invariants::check_invariants;
 
 /// Canonical bytes of a `KernelStats` — what the memo, disk and serve tiers
 /// store, so equal bytes means equal in every field and everywhere
@@ -22,7 +24,10 @@ pub fn stats_bytes(stats: &KernelStats) -> Vec<u8> {
 
 /// Asserts two `KernelStats` equal field for field, bit for bit, naming the
 /// public field that differs; the closing byte comparison also covers the
-/// machine constants a test cannot name.
+/// machine constants a test cannot name. Every caller runs on the 8800 GTX,
+/// so the stats are also held to that machine's roofline
+/// ([`check_invariants`]) and to the Section 4 model's: no launch beats its
+/// potential throughput.
 pub fn assert_stats_identical(label: &str, a: &KernelStats, b: &KernelStats) {
     macro_rules! fields_eq {
         ($($f:ident),+ $(,)?) => {
@@ -67,6 +72,10 @@ pub fn assert_stats_identical(label: &str, a: &KernelStats, b: &KernelStats) {
         stats_bytes(b),
         "{label}: KernelStats bytes differ"
     );
+    let gpu = GpuConfig::geforce_8800_gtx();
+    check_invariants(&gpu, a);
+    let efficiency = g80::tune::model::estimate(&gpu, a).efficiency;
+    assert!(efficiency <= 1.0, "{label}: efficiency {efficiency} > 1");
 }
 
 pub fn bits(v: &[f32]) -> impl Iterator<Item = u32> + '_ {

@@ -12,6 +12,7 @@ use g80::apps::matmul::{MatMul, Variant};
 use g80::apps::mrifhd::MriFhd;
 use g80::apps::mriq::MriQ;
 use g80::apps::sad::SadApp;
+use g80::apps::saxpy::Saxpy;
 use g80::isa::builder::{KernelBuilder, Unroll};
 use g80::isa::{CmpOp, Kernel, Pred, Scalar, Space, Value};
 use g80::sim::{
@@ -381,6 +382,28 @@ fn narrow_blocks_replay_shaped_and_bit_identical() {
             "{tag}: shaped-row fraction {shaped:.3} < 0.6 ({shapes:?})"
         );
     }
+}
+
+/// Saxpy's arithmetic is uniform or affine by construction and its global
+/// accesses take the closed-form degree path, so its row-shape mix is a
+/// property of the kernel, pinned exactly: per 8-warp block 16 uniform, 64
+/// affine and 8 full rows, 0.91 shaped. A drop means uniform/affine folding
+/// stopped engaging on a 1-D streaming kernel. (Dedup off: row counters
+/// count timed-engine rows only.)
+#[test]
+fn saxpy_rows_stay_shaped() {
+    let sx = Saxpy {
+        n: 1 << 14,
+        alpha: 2.0,
+    };
+    let (x, y) = sx.generate(42);
+    let ((_, shapes), _) = product(false, || (sx.run(&x, &y), row_counters()));
+    let blocks = u64::from(sx.n / 256);
+    assert_eq!(
+        (shapes.uniform, shapes.affine, shapes.full),
+        (16 * blocks, 64 * blocks, 8 * blocks),
+        "{shapes:?}"
+    );
 }
 
 /// `y[i] = Σ_k c[(tid & 7) + 8k]`: every warp load names eight distinct
