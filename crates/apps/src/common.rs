@@ -126,6 +126,201 @@ impl AppReport {
     }
 }
 
+/// Largest `|x|` for which [`sincos`] takes its fast path and is within
+/// 1 ulp of `sin x`, `cos x` (the exhaustive `sincos` test proves the bound
+/// on every `f32` up to here). `x·2/π` then rounds to an `n < 2²⁰`, so
+/// `n·PIO2_1` (33 significant bits) and the first subtraction of the
+/// reduction are exact.
+pub(crate) const SINCOS_FAST_MAX: f32 = 1_048_576.0;
+
+/// π/2 split into 33 leading bits and a 53-bit tail (fdlibm's `pio2_1`,
+/// `pio2_1t`).
+const PIO2_1: f64 = 1.570_796_326_734_125_6;
+const PIO2_1T: f64 = 6.077_100_506_506_192e-11;
+/// 1.5·2⁵²: adding it rounds a double below 2⁵¹ in magnitude to an integer
+/// held in the low bits of the sum's significand.
+const SHIFTER: f64 = 6_755_399_441_055_744.0;
+/// fdlibm's `__kernel_sin` / `__kernel_cos` coefficients on [−π/4, π/4]:
+/// `sin r ≈ r·(1 + z·S(z))`, `cos r ≈ 1 − z/2 + z²·C(z)` with `z = r²`.
+const SIN: [f64; 6] = [
+    -1.666_666_666_666_663_2e-1,
+    8.333_333_333_322_49e-3,
+    -1.984_126_982_985_795e-4,
+    2.755_731_370_707_007e-6,
+    -2.505_076_025_340_686_3e-8,
+    1.589_690_995_211_55e-10,
+];
+const COS: [f64; 6] = [
+    4.166_666_666_666_66e-2,
+    -1.388_888_888_887_411e-3,
+    2.480_158_728_947_673e-5,
+    -2.755_731_435_139_066_3e-7,
+    2.087_572_321_298_175e-9,
+    -1.135_964_755_778_819_5e-11,
+];
+
+/// `(sin x, cos x)` computed the same way on every host: the CPU
+/// references' trig, in place of the host's libm.
+///
+/// For `|x| ≤` [`SINCOS_FAST_MAX`] it is branch-free: a Cody–Waite
+/// reduction by π/2 in `f64`, the degree-13/14 polynomials, one rounding to
+/// `f32`, and every step a separate IEEE `mul` or `add`. Each result is
+/// within 1 ulp of the exact value rounded to `f32`. The cold path takes
+/// larger finite `x` modulo the `f64` nearest 2π (exact, but that modulus
+/// is off by 2.4e-16, so the absolute error grows as `|x|·4e-17` and no ulp
+/// bound is claimed); non-finite `x` gives NaN for both.
+#[inline]
+pub(crate) fn sincos(x: f32) -> (f32, f32) {
+    if x.abs() <= SINCOS_FAST_MAX {
+        sincos_fast(x as f64)
+    } else {
+        sincos_cold(x)
+    }
+}
+
+#[cold]
+fn sincos_cold(x: f32) -> (f32, f32) {
+    if x.is_finite() {
+        sincos_fast(x as f64 % std::f64::consts::TAU)
+    } else {
+        (f32::NAN, f32::NAN)
+    }
+}
+
+#[inline(always)]
+fn sincos_fast(x: f64) -> (f32, f32) {
+    // n = x·2/π to nearest; q = n mod 4 from the low significand bits (two's
+    // complement there, so negative n reads right too).
+    let t = x * std::f64::consts::FRAC_2_PI + SHIFTER;
+    let n = t - SHIFTER;
+    let q = (t.to_bits() & 3) as u32;
+    let r = (x - n * PIO2_1) - n * PIO2_1T;
+    let z = r * r;
+    let ps = SIN[0] + z * (SIN[1] + z * (SIN[2] + z * (SIN[3] + z * (SIN[4] + z * SIN[5]))));
+    let pc = COS[0] + z * (COS[1] + z * (COS[2] + z * (COS[3] + z * (COS[4] + z * COS[5]))));
+    // The product form keeps sin(−0) = −0.
+    let s = (r * (1.0 + z * ps)) as f32;
+    let c = ((1.0 - 0.5 * z) + (z * z) * pc) as f32;
+    // (sin x, cos x) is (s, c), (c, −s), (−s, −c), (−c, s) for q = 0..3.
+    let (a, b) = if q & 1 == 0 { (s, c) } else { (c, s) };
+    let flip = |v: f32, bit: u32| f32::from_bits(v.to_bits() ^ (bit & 2) << 30);
+    (flip(a, q), flip(b, q + 1))
+}
+
+/// What [`phase_fold`] takes: voxel `x, y, z`, sample `kx, ky, kz`, and the
+/// per-sample accumulate step.
+pub(crate) type PhaseInputs<'a, A> = ([&'a [f32]; 3], [&'a [f32]; 3], A);
+
+/// Voxels per batch of [`phase_fold`].
+const LANES: usize = 8;
+
+/// The MRI references' one loop. For every voxel `(x, y, z)` and every
+/// sample `k` in order, `φ = 2π·(kx·x + ky·y + kz·z)` and
+/// `acc(k, cos φ, sin φ, &mut re, &mut im)` updates the voxel's two sums,
+/// which start at 0. The apps differ only in `acc`.
+///
+/// Voxels go eight at a time so the phase and [`sincos`] arithmetic
+/// vectorizes; each voxel still sums in `k` order with the same `f32`
+/// operations a one-voxel loop would do, so a voxel's result does not
+/// depend on its batch. With AVX2 the body is compiled for it; the
+/// portable body runs the same IEEE operations, without FMA, so both give
+/// the same bits.
+pub(crate) fn phase_fold<A>(
+    voxels: [&[f32]; 3],
+    samples: [&[f32]; 3],
+    acc: A,
+) -> (Vec<f32>, Vec<f32>)
+where
+    A: Fn(usize, f32, f32, &mut f32, &mut f32),
+{
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU has AVX2.
+        return unsafe { phase_fold_avx2(voxels, samples, acc) };
+    }
+    phase_fold_portable(voxels, samples, acc)
+}
+
+/// [`phase_fold`] compiled for AVX2; only a CPU with AVX2 may call it.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+pub(crate) fn phase_fold_avx2<A>(
+    voxels: [&[f32]; 3],
+    samples: [&[f32]; 3],
+    acc: A,
+) -> (Vec<f32>, Vec<f32>)
+where
+    A: Fn(usize, f32, f32, &mut f32, &mut f32),
+{
+    phase_fold_body(voxels, samples, acc)
+}
+
+pub(crate) fn phase_fold_portable<A>(
+    voxels: [&[f32]; 3],
+    samples: [&[f32]; 3],
+    acc: A,
+) -> (Vec<f32>, Vec<f32>)
+where
+    A: Fn(usize, f32, f32, &mut f32, &mut f32),
+{
+    phase_fold_body(voxels, samples, acc)
+}
+
+#[inline(always)]
+fn phase_fold_body<A>(
+    [x, y, z]: [&[f32]; 3],
+    [kx, ky, kz]: [&[f32]; 3],
+    acc: A,
+) -> (Vec<f32>, Vec<f32>)
+where
+    A: Fn(usize, f32, f32, &mut f32, &mut f32),
+{
+    let (nv, nk) = (x.len(), kx.len());
+    assert!(
+        y.len() == nv && z.len() == nv,
+        "voxel coordinate lengths differ"
+    );
+    assert!(
+        ky.len() == nk && kz.len() == nk,
+        "sample coordinate lengths differ"
+    );
+    let (mut out_re, mut out_im) = (vec![0.0f32; nv], vec![0.0f32; nv]);
+    for v0 in (0..nv).step_by(LANES) {
+        let w = LANES.min(nv - v0);
+        // A partial last batch pads with voxels at the origin, then drops them.
+        let batch = |c: &[f32]| {
+            let mut l = [0.0f32; LANES];
+            l[..w].copy_from_slice(&c[v0..v0 + w]);
+            l
+        };
+        let (bx, by, bz) = (batch(x), batch(y), batch(z));
+        let (mut re, mut im) = ([0.0f32; LANES], [0.0f32; LANES]);
+        for k in 0..nk {
+            let (a, b, c) = (kx[k], ky[k], kz[k]);
+            let phi: [f32; LANES] = std::array::from_fn(|l| {
+                std::f32::consts::TAU * (a * bx[l] + b * by[l] + c * bz[l])
+            });
+            let (mut sin, mut cos) = ([0.0f32; LANES], [0.0f32; LANES]);
+            let mut fast = true;
+            for l in 0..LANES {
+                (sin[l], cos[l]) = sincos_fast(phi[l] as f64);
+                fast &= phi[l].abs() <= SINCOS_FAST_MAX;
+            }
+            if !fast {
+                for l in 0..LANES {
+                    (sin[l], cos[l]) = sincos(phi[l]);
+                }
+            }
+            for l in 0..LANES {
+                acc(k, cos[l], sin[l], &mut re[l], &mut im[l]);
+            }
+        }
+        out_re[v0..v0 + w].copy_from_slice(&re[..w]);
+        out_im[v0..v0 + w].copy_from_slice(&im[..w]);
+    }
+    (out_re, out_im)
+}
+
 /// Convenience wrapper: modeled CPU time at the paper's tuned baseline.
 pub fn cpu_time_tuned(work: &CpuWork) -> f64 {
     CpuModel::opteron_248().time(work, CpuTuning::SimdFastMath)
@@ -205,5 +400,204 @@ mod tests {
         // cpu_total=200, cpu_rest=100, gpu_total=100+2=102 → 200/102
         assert!((rep.app_speedup() - 200.0 / 102.0).abs() < 1e-9);
         assert!((rep.gpu_exec_fraction() - 0.5).abs() < 1e-9);
+    }
+
+    /// Distance in representable `f32`s (±0 are one point).
+    fn ulps(a: f32, b: f32) -> u64 {
+        let ord = |v: f32| {
+            let m = (v.to_bits() & 0x7fff_ffff) as i64;
+            if v.is_sign_negative() {
+                -m
+            } else {
+                m
+            }
+        };
+        ord(a).abs_diff(ord(b))
+    }
+
+    /// How far `sincos(x)` is from the exact values rounded to `f32`.
+    fn sincos_ulps(x: f32) -> (u64, u64) {
+        let (s, c) = sincos(x);
+        let x = x as f64;
+        (ulps(s, x.sin() as f32), ulps(c, x.cos() as f32))
+    }
+
+    #[test]
+    fn sincos_is_within_one_ulp_on_a_dense_sweep_of_the_mri_range() {
+        // Every phase either MRI generator can make lies inside |φ| ≤ 64:
+        // |φ| ≤ 2π·Σ max|k_i|·max|x_i|, widened for f32 rounding.
+        let max_abs = |v: &[f32]| v.iter().fold(0.0f64, |m, &x| m.max(x.abs() as f64));
+        let bound = |vox: [&[f32]; 3], smp: [&[f32]; 3]| {
+            let sum: f64 = (0..3).map(|i| max_abs(vox[i]) * max_abs(smp[i])).sum();
+            std::f64::consts::TAU * sum * 1.001
+        };
+        let q = crate::mriq::MriQ::default();
+        let dq = q.generate(17);
+        let (v, s, _) = q.phase_inputs(&dq);
+        assert!(bound(v, s) <= 64.0, "MRI-Q phases reach {}", bound(v, s));
+        let f = crate::mrifhd::MriFhd::default();
+        let df = f.generate(23);
+        let (v, s, _) = f.phase_inputs(&df);
+        assert!(bound(v, s) <= 64.0, "MRI-FHD phases reach {}", bound(v, s));
+
+        let top = 64.0f32.to_bits();
+        for bits in (0..=top).step_by(509).chain([top]) {
+            for x in [f32::from_bits(bits), -f32::from_bits(bits)] {
+                let (es, ec) = sincos_ulps(x);
+                assert!(es <= 1 && ec <= 1, "sincos({x:e}): {es}/{ec} ulp");
+            }
+        }
+    }
+
+    #[test]
+    fn sincos_special_inputs() {
+        for z in [0.0f32, -0.0] {
+            let (s, c) = sincos(z);
+            assert_eq!((s.to_bits(), c), (z.to_bits(), 1.0), "sincos({z})");
+        }
+        // Subnormals: sin x = x and cos x = 1 exactly.
+        for bits in [1u32, 2, 0x0000_1234, 0x007f_ffff] {
+            for x in [f32::from_bits(bits), -f32::from_bits(bits)] {
+                assert_eq!(sincos(x), (x, 1.0), "sincos({x:e})");
+            }
+        }
+        // Multiples of π/4, where the reduction picks a quadrant edge, and the
+        // ends of the fast range.
+        let max = SINCOS_FAST_MAX;
+        let edges = (-64..=64).map(|k| k as f32 * std::f32::consts::FRAC_PI_4);
+        for x in edges.chain([max, -max, max.next_down()]) {
+            let (es, ec) = sincos_ulps(x);
+            assert!(es <= 1 && ec <= 1, "sincos({x:e}): {es}/{ec} ulp");
+        }
+        // Past it, the stated cold path: reduce modulo the f64 τ first.
+        for x in [max.next_up(), -max.next_up(), 1e30, f32::MAX, f32::MIN] {
+            assert_eq!(
+                sincos(x),
+                sincos_fast(x as f64 % std::f64::consts::TAU),
+                "sincos({x:e})"
+            );
+        }
+        for x in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            let (s, c) = sincos(x);
+            assert!(s.is_nan() && c.is_nan(), "sincos({x})");
+        }
+    }
+
+    /// All 2³² bit patterns, the fast range checked against the 1-ulp bound.
+    /// About a minute in release; the CI release job runs it with `--ignored`.
+    #[test]
+    #[ignore = "exhaustive: every f32 in the fast range; run with --release"]
+    fn sincos_is_within_one_ulp_on_every_fast_path_input() {
+        let top = SINCOS_FAST_MAX.to_bits();
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get()) as u32;
+        let chunk = top / workers + 1;
+        std::thread::scope(|scope| {
+            for w in 0..workers {
+                scope.spawn(move || {
+                    let hi = top.min((w + 1).saturating_mul(chunk).saturating_sub(1));
+                    for bits in w * chunk..=hi {
+                        for x in [f32::from_bits(bits), -f32::from_bits(bits)] {
+                            let (es, ec) = sincos_ulps(x);
+                            assert!(es <= 1 && ec <= 1, "sincos({x:e}): {es}/{ec} ulp");
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    /// Bits of a fold's two outputs.
+    fn bits((re, im): (Vec<f32>, Vec<f32>)) -> Vec<[u32; 2]> {
+        re.iter()
+            .zip(&im)
+            .map(|(r, i)| [r.to_bits(), i.to_bits()])
+            .collect()
+    }
+
+    /// The AVX2 and portable folds give the same bits, and a voxel's sums do
+    /// not depend on its batch: the last batch alone, and the first voxel
+    /// alone, give the bits they gave inside the full fold.
+    fn assert_fold_paths_agree<A>((voxels, samples, acc): PhaseInputs<'_, A>)
+    where
+        A: Fn(usize, f32, f32, &mut f32, &mut f32) + Copy,
+    {
+        let portable = bits(phase_fold_portable(voxels, samples, acc));
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU has AVX2.
+            let avx2 = bits(unsafe { phase_fold_avx2(voxels, samples, acc) });
+            assert!(
+                portable == avx2,
+                "the AVX2 fold differs from the portable one"
+            );
+        }
+        let last = portable.len() / LANES * LANES;
+        let tail = voxels.map(|c| &c[last..]);
+        assert_eq!(
+            bits(phase_fold_portable(tail, samples, acc)),
+            portable[last..]
+        );
+        let head = voxels.map(|c| &c[..1]);
+        assert_eq!(bits(phase_fold_portable(head, samples, acc)), portable[..1]);
+    }
+
+    #[test]
+    fn phase_fold_paths_agree_bit_for_bit_on_both_references() {
+        // 2051 voxels: the last batch of eight holds three.
+        let q = crate::mriq::MriQ {
+            n_voxels: 2051,
+            n_k: 128,
+        };
+        let dq = q.generate(31);
+        let f = crate::mrifhd::MriFhd {
+            n_voxels: 2051,
+            n_k: 128,
+        };
+        let df = f.generate(32);
+        let (v, s, acc) = q.phase_inputs(&dq);
+        assert_fold_paths_agree((v, s, &acc));
+        let (v, s, acc) = f.phase_inputs(&df);
+        assert_fold_paths_agree((v, s, &acc));
+    }
+
+    /// The oracle's oracle: each reference against the loop it replaced,
+    /// scalar and on the host's libm, at 2048 voxels × 128 samples.
+    #[test]
+    fn mri_references_agree_with_a_scalar_libm_loop() {
+        use std::f32::consts::TAU;
+        let q = crate::mriq::MriQ {
+            n_voxels: 2048,
+            n_k: 128,
+        };
+        let d = q.generate(2);
+        let (mut wr, mut wi) = (vec![0.0f32; 2048], vec![0.0f32; 2048]);
+        for v in 0..2048 {
+            for k in 0..128 {
+                let phi = TAU * (d.kx[k] * d.x[v] + d.ky[k] * d.y[v] + d.kz[k] * d.z[v]);
+                wr[v] += d.phi_mag[k] * phi.cos();
+                wi[v] += d.phi_mag[k] * phi.sin();
+            }
+        }
+        let (qr, qi) = q.cpu_reference(&d);
+        let err = rms_rel_error(&qr, &wr).max(rms_rel_error(&qi, &wi));
+        assert!(err <= 1e-6, "MRI-Q reference vs libm loop: rms {err:e}");
+
+        let f = crate::mrifhd::MriFhd {
+            n_voxels: 2048,
+            n_k: 128,
+        };
+        let d = f.generate(9);
+        let (mut wr, mut wi) = (vec![0.0f32; 2048], vec![0.0f32; 2048]);
+        for v in 0..2048 {
+            for k in 0..128 {
+                let phi = TAU * (d.kx[k] * d.x[v] + d.ky[k] * d.y[v] + d.kz[k] * d.z[v]);
+                let (s, c) = (phi.sin(), phi.cos());
+                wr[v] += d.r_mu[k] * c - d.i_mu[k] * s;
+                wi[v] += d.i_mu[k] * c + d.r_mu[k] * s;
+            }
+        }
+        let (rf, ifh) = f.cpu_reference(&d);
+        let err = rms_rel_error(&rf, &wr).max(rms_rel_error(&ifh, &wi));
+        assert!(err <= 1e-6, "MRI-FHD reference vs libm loop: rms {err:e}");
     }
 }

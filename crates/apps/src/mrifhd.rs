@@ -62,21 +62,26 @@ impl MriFhd {
 
     /// Sequential reference: (rFhD, iFhD).
     pub fn cpu_reference(&self, d: &FhdData) -> (Vec<f32>, Vec<f32>) {
-        let nv = self.n_voxels as usize;
-        let mut rf = vec![0.0f32; nv];
-        let mut ifh = vec![0.0f32; nv];
-        for v in 0..nv {
-            let (mut ar, mut ai) = (0.0f32, 0.0f32);
-            for k in 0..self.n_k as usize {
-                let phi = TWO_PI * (d.kx[k] * d.x[v] + d.ky[k] * d.y[v] + d.kz[k] * d.z[v]);
-                let (s, c) = (phi.sin(), phi.cos());
-                ar += d.r_mu[k] * c - d.i_mu[k] * s;
-                ai += d.i_mu[k] * c + d.r_mu[k] * s;
-            }
-            rf[v] = ar;
-            ifh[v] = ai;
-        }
-        (rf, ifh)
+        let (voxels, samples, acc) = self.phase_inputs(d);
+        common::phase_fold(voxels, samples, acc)
+    }
+
+    /// The reference as a [`common::phase_fold`]: F^H d sums
+    /// `(rMu_k + i·iMu_k)·(cos φ + i·sin φ)`.
+    pub(crate) fn phase_inputs<'a>(
+        &self,
+        d: &'a FhdData,
+    ) -> common::PhaseInputs<'a, impl Fn(usize, f32, f32, &mut f32, &mut f32) + 'a> {
+        let (nv, nk) = (self.n_voxels as usize, self.n_k as usize);
+        let (r_mu, i_mu) = (&d.r_mu[..nk], &d.i_mu[..nk]);
+        (
+            [&d.x[..nv], &d.y[..nv], &d.z[..nv]],
+            [&d.kx[..nk], &d.ky[..nk], &d.kz[..nk]],
+            move |k, c, s, re: &mut f32, im: &mut f32| {
+                *re += r_mu[k] * c - i_mu[k] * s;
+                *im += i_mu[k] * c + r_mu[k] * s;
+            },
+        )
     }
 
     /// CPU cost per pair: two transcendentals + ~14 FLOPs.

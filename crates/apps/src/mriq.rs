@@ -63,20 +63,25 @@ impl MriQ {
 
     /// Sequential reference: (Qr, Qi).
     pub fn cpu_reference(&self, d: &MriqData) -> (Vec<f32>, Vec<f32>) {
-        let nv = self.n_voxels as usize;
-        let mut qr = vec![0.0f32; nv];
-        let mut qi = vec![0.0f32; nv];
-        for v in 0..nv {
-            let (mut ar, mut ai) = (0.0f32, 0.0f32);
-            for k in 0..self.n_k as usize {
-                let phi = TWO_PI * (d.kx[k] * d.x[v] + d.ky[k] * d.y[v] + d.kz[k] * d.z[v]);
-                ar += d.phi_mag[k] * phi.cos();
-                ai += d.phi_mag[k] * phi.sin();
-            }
-            qr[v] = ar;
-            qi[v] = ai;
-        }
-        (qr, qi)
+        let (voxels, samples, acc) = self.phase_inputs(d);
+        common::phase_fold(voxels, samples, acc)
+    }
+
+    /// The reference as a [`common::phase_fold`]: Q sums `phiMag_k·(cos φ, sin φ)`.
+    pub(crate) fn phase_inputs<'a>(
+        &self,
+        d: &'a MriqData,
+    ) -> common::PhaseInputs<'a, impl Fn(usize, f32, f32, &mut f32, &mut f32) + 'a> {
+        let (nv, nk) = (self.n_voxels as usize, self.n_k as usize);
+        let mag = &d.phi_mag[..nk];
+        (
+            [&d.x[..nv], &d.y[..nv], &d.z[..nv]],
+            [&d.kx[..nk], &d.ky[..nk], &d.kz[..nk]],
+            move |k, c, s, re: &mut f32, im: &mut f32| {
+                *re += mag[k] * c;
+                *im += mag[k] * s;
+            },
+        )
     }
 
     /// CPU cost: two transcendentals plus ~10 FLOPs per voxel-sample pair.

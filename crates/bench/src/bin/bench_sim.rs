@@ -89,9 +89,11 @@ struct Sample {
     cpu: f64,
 }
 
-/// The one timer. `pairs` times, arm 0 then arm 1: `setup(arm)` prepares
-/// the arm outside the timed window (a context, an empty directory) and
-/// `run` does the timed work. Returns every pair's samples and results.
+/// The one timer. `pairs` times, arm 0 then arm 1, except that odd pairs run
+/// arm 1 first so neither arm always runs second: `setup(arm)` prepares the
+/// arm outside the timed window (a context, an empty directory) and `run`
+/// does the timed work. Returns every pair's samples and results, arm 0
+/// first.
 fn interleave<S, T>(
     pairs: usize,
     mut setup: impl FnMut(usize) -> S,
@@ -106,7 +108,16 @@ fn interleave<S, T>(
         let cpu = process_cpu_s() - c0;
         (Sample { wall, cpu }, out)
     };
-    (0..pairs).map(|_| [arm(0), arm(1)]).collect()
+    (0..pairs)
+        .map(|p| {
+            if p % 2 == 0 {
+                [arm(0), arm(1)]
+            } else {
+                let one = arm(1);
+                [arm(0), one]
+            }
+        })
+        .collect()
 }
 
 /// Each arm's minimum of `f` over the pairs (min is the low-noise estimator
@@ -622,8 +633,9 @@ fn run() -> i32 {
     // ---- disk tier: cold process vs warm directory ----
     // The same fleet across the process boundary. Cold: an empty directory
     // and a cold LRU, so every launch simulates and spills. Warm: a new
-    // context on the directory the cold arm just filled, so each launch
-    // comes back from the files alone — what a fresh tuner process sees.
+    // context on the directory the last cold arm filled (pair 0 runs cold
+    // first), so each launch comes back from the files alone — what a
+    // fresh tuner process sees.
     // The keys derive from kernel content, config, params and memory
     // image, so replaying here proves a restarted fleet would replay too.
     let disk_dir = std::env::temp_dir().join(format!("g80-bench-disk-{}", std::process::id()));
