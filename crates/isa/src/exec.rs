@@ -7,12 +7,50 @@
 use crate::inst::{AluOp, CmpOp, Scalar, SfuOp, UnOp};
 use crate::Value;
 
+/// The NaN rule of `+`, `-`, `*` (each step of `ffma` included) and
+/// `floor`, in lane and row form alike: an op with a NaN operand returns its
+/// *first* NaN operand, quieted; a NaN made from numbers (`∞ − ∞`, `0 · ∞`)
+/// is the host's default NaN (`0xffc0_0000` on x86, the one host with row
+/// kernels). x86 itself returns the NaN in the destination register, and
+/// which operand the compiler puts there varies with register allocation,
+/// so the rule is applied explicitly to a NaN result `r` of `a op b`. The
+/// rule *is* x86's for a fixed source order, which the row kernels pin
+/// instead; `floor`'s `vroundps` quiets a NaN as the rule does.
+/// Sign-bit ops (`FNeg`, `FAbs`) and moves copy NaN bits untouched.
+#[inline(always)]
+fn nan_rule(r: f32, a: f32, b: f32) -> f32 {
+    #[cold]
+    fn slow(r: f32, a: f32, b: f32) -> f32 {
+        // Sets the quiet bit.
+        let quiet = |x: f32| f32::from_bits(x.to_bits() | 0x0040_0000);
+        if a.is_nan() {
+            quiet(a)
+        } else if b.is_nan() {
+            quiet(b)
+        } else {
+            r
+        }
+    }
+    if r.is_nan() {
+        slow(r, a, b)
+    } else {
+        r
+    }
+}
+
+/// `a op b` on f32 lanes under [`nan_rule`].
+#[inline(always)]
+fn arith(a: Value, b: Value, op: impl Fn(f32, f32) -> f32) -> Value {
+    let (x, y) = (a.as_f32(), b.as_f32());
+    Value::from_f32(nan_rule(op(x, y), x, y))
+}
+
 /// Evaluates a two-source ALU operation.
 pub fn eval_alu(op: AluOp, a: Value, b: Value) -> Value {
     match op {
-        AluOp::FAdd => Value::from_f32(a.as_f32() + b.as_f32()),
-        AluOp::FSub => Value::from_f32(a.as_f32() - b.as_f32()),
-        AluOp::FMul => Value::from_f32(a.as_f32() * b.as_f32()),
+        AluOp::FAdd => arith(a, b, |x, y| x + y),
+        AluOp::FSub => arith(a, b, |x, y| x - y),
+        AluOp::FMul => arith(a, b, |x, y| x * y),
         AluOp::FMin => Value::from_f32(a.as_f32().min(b.as_f32())),
         AluOp::FMax => Value::from_f32(a.as_f32().max(b.as_f32())),
         AluOp::IAdd => Value::from_u32(a.as_u32().wrapping_add(b.as_u32())),
@@ -43,7 +81,7 @@ pub fn eval_un(op: UnOp, a: Value) -> Value {
         UnOp::CvtI2F => Value::from_f32(a.as_i32() as f32),
         UnOp::CvtF2U => Value::from_u32(a.as_f32() as u32),
         UnOp::CvtU2F => Value::from_f32(a.as_u32() as f32),
-        UnOp::FFloor => Value::from_f32(a.as_f32().floor()),
+        UnOp::FFloor => arith(a, a, |x, _| x.floor()),
     }
 }
 
@@ -53,7 +91,7 @@ pub fn eval_un(op: UnOp, a: Value) -> Value {
 /// with infinite precision; we use the host's separate multiply-then-add,
 /// which matches that behaviour more closely than `f32::mul_add`.
 pub fn eval_ffma(a: Value, b: Value, c: Value) -> Value {
-    Value::from_f32(a.as_f32() * b.as_f32() + c.as_f32())
+    arith(arith(a, b, |x, y| x * y), c, |p, z| p + z)
 }
 
 /// Evaluates an integer multiply-add: `a * b + c` (wrapping).
@@ -218,12 +256,13 @@ pub fn eval_cmp(op: CmpOp, ty: Scalar, a: Value, b: Value) -> Value {
 /// A whole-warp register row: one value per lane.
 pub type Row = [Value; 32];
 
-/// Runtime-detected AVX2 row kernels: the full-mask `alu`/`un`/`ffma`/`imad`
-/// rows, and the SFU rows under any mask.
+/// Runtime-detected AVX2 row kernels. Each writes a whole row — the
+/// dispatchers below run it under a partial mask through [`simd::masked`] —
+/// except the SFU rows, which store only the active lanes themselves.
 ///
-/// Only ops whose AVX2 form is **bit-identical** to the scalar evaluator
+/// Only ops whose AVX2 form is **bit-identical** to the lane evaluator
 /// are implemented; the row kernels return `false` — having written
-/// nothing — for the rest, and the caller falls back to the scalar chunked
+/// nothing — for the rest, and the caller falls back to the portable lane
 /// loop. Deliberately excluded:
 ///
 /// - `FMin`/`FMax`: `_mm256_min_ps` returns the second operand when either
@@ -235,9 +274,10 @@ pub type Row = [Value; 32];
 ///   unsigned conversions.
 /// - `Ex2`/`Lg2`: still the host's libm, one lane at a time.
 ///
-/// Nothing here fuses a multiply with an add: `Ffma` stays
-/// `_mm256_mul_ps` + `_mm256_add_ps` (the G80 model truncates the
-/// intermediate product), and `trig8` must round exactly where the scalar
+/// Nothing here fuses a multiply with an add: `Ffma` stays `vmulps` then
+/// `vaddps` (the G80 model truncates the intermediate product). `+`, `-`,
+/// `*` keep their source order (`ps!`) so that x86's NaN propagation is
+/// [`nan_rule`], and `trig8` must round exactly where the scalar
 /// [`trig_fast`] rounds.
 #[cfg(target_arch = "x86_64")]
 mod simd {
@@ -273,6 +313,28 @@ mod simd {
         _mm256_storeu_si256(r.as_mut_ptr().add(i).cast(), v)
     }
 
+    /// `$op dst, x, [y]` (`vaddps`, `vsubps`, `vmulps`) on `x` and the
+    /// eight lanes of `row` from lane `i` on, with the source order pinned.
+    /// x86 answers the first NaN source, quieted — [`nan_rule`] — but the
+    /// compiler swaps the sources of an op it knows commutes: for register
+    /// allocation, and in the assembler to reach the 2-byte VEX prefix
+    /// (`vaddps y0, y8, y0` for `y0 + y8`) unless `{vex3}` forces the
+    /// 3-byte one. The memory source keeps the load folded into the op.
+    /// Only for AVX2 functions.
+    macro_rules! ps {
+        ($op:literal, $x:expr, $row:expr, $i:expr) => {{
+            let r: __m256;
+            core::arch::asm!(
+                concat!("{{vex3}} ", $op, " {r}, {x}, ymmword ptr [{y}]"),
+                r = lateout(ymm_reg) r,
+                x = in(ymm_reg) $x,
+                y = in(reg) $row.as_ptr().add($i),
+                options(pure, readonly, nostack, preserves_flags)
+            );
+            r
+        }};
+    }
+
     /// # Safety
     /// AVX2 must be available (gate on [`avx2`]).
     #[target_feature(enable = "avx2")]
@@ -288,14 +350,18 @@ mod simd {
             }};
         }
         macro_rules! binf {
-            ($f:ident) => {
-                bin!(|x, y| _mm256_castps_si256($f(_mm256_castsi256_ps(x), _mm256_castsi256_ps(y))))
-            };
+            ($op:literal) => {{
+                for i in [0usize, 8, 16, 24] {
+                    let x = _mm256_castsi256_ps(ld(a, i));
+                    st(dst, i, _mm256_castps_si256(ps!($op, x, b, i)));
+                }
+                true
+            }};
         }
         match op {
-            AluOp::FAdd => binf!(_mm256_add_ps),
-            AluOp::FSub => binf!(_mm256_sub_ps),
-            AluOp::FMul => binf!(_mm256_mul_ps),
+            AluOp::FAdd => binf!("vaddps"),
+            AluOp::FSub => binf!("vsubps"),
+            AluOp::FMul => binf!("vmulps"),
             AluOp::IAdd => bin!(|x, y| _mm256_add_epi32(x, y)),
             AluOp::ISub => bin!(|x, y| _mm256_sub_epi32(x, y)),
             AluOp::IMul => bin!(|x, y| _mm256_mullo_epi32(x, y)),
@@ -367,12 +433,96 @@ mod simd {
             }
             // Both round to nearest-even, like the scalar `as f32`.
             UnOp::CvtI2F => un!(|x| _mm256_castps_si256(_mm256_cvtepi32_ps(x))),
+            // `vroundps` quiets a signalling NaN: [`nan_rule`] as it stands.
             UnOp::FFloor => un!(|x| _mm256_castps_si256(_mm256_floor_ps(_mm256_castsi256_ps(x)))),
             // Scalar only: `cvttps` answers 0x8000_0000 for NaN and every
             // out-of-range input where `as` saturates and maps NaN to 0, and
             // AVX2 has no unsigned conversion in either direction.
             UnOp::CvtF2I | UnOp::CvtF2U | UnOp::CvtU2F => false,
         }
+    }
+
+    /// `setp` row: 1 where the predicate holds, else 0. The f32 predicates
+    /// are ordered except `Ne`, which is unordered — Rust's operators on a
+    /// NaN. `U32` flips both sign bits and compares signed.
+    ///
+    /// # Safety
+    /// AVX2 must be available (gate on [`avx2`]).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn cmp_row(op: CmpOp, ty: Scalar, a: &Row, b: &Row, dst: &mut Row) -> bool {
+        let one = _mm256_set1_epi32(1);
+        // `is!` answers 1 in the all-ones lanes of `$e`, `not!` in the rest.
+        macro_rules! is {
+            (|$x:ident, $y:ident| $e:expr) => {{
+                for i in [0usize, 8, 16, 24] {
+                    let ($x, $y) = (ld(a, i), ld(b, i));
+                    st(dst, i, _mm256_and_si256($e, one));
+                }
+                true
+            }};
+        }
+        macro_rules! not {
+            (|$x:ident, $y:ident| $e:expr) => {{
+                for i in [0usize, 8, 16, 24] {
+                    let ($x, $y) = (ld(a, i), ld(b, i));
+                    st(dst, i, _mm256_andnot_si256($e, one));
+                }
+                true
+            }};
+        }
+        macro_rules! fp {
+            ($p:ident) => {
+                is!(|x, y| _mm256_castps_si256(_mm256_cmp_ps::<$p>(
+                    _mm256_castsi256_ps(x),
+                    _mm256_castsi256_ps(y)
+                )))
+            };
+        }
+        let flip = _mm256_set1_epi32(if ty == Scalar::U32 { i32::MIN } else { 0 });
+        let gt = |x, y| _mm256_cmpgt_epi32(_mm256_xor_si256(x, flip), _mm256_xor_si256(y, flip));
+        match (ty, op) {
+            (Scalar::F32, CmpOp::Eq) => fp!(_CMP_EQ_OQ),
+            (Scalar::F32, CmpOp::Ne) => fp!(_CMP_NEQ_UQ),
+            (Scalar::F32, CmpOp::Lt) => fp!(_CMP_LT_OQ),
+            (Scalar::F32, CmpOp::Le) => fp!(_CMP_LE_OQ),
+            (Scalar::F32, CmpOp::Gt) => fp!(_CMP_GT_OQ),
+            (Scalar::F32, CmpOp::Ge) => fp!(_CMP_GE_OQ),
+            (_, CmpOp::Eq) => is!(|x, y| _mm256_cmpeq_epi32(x, y)),
+            (_, CmpOp::Ne) => not!(|x, y| _mm256_cmpeq_epi32(x, y)),
+            (_, CmpOp::Lt) => is!(|x, y| gt(y, x)),
+            (_, CmpOp::Le) => not!(|x, y| gt(x, y)),
+            (_, CmpOp::Gt) => is!(|x, y| gt(x, y)),
+            (_, CmpOp::Ge) => not!(|x, y| gt(y, x)),
+        }
+    }
+
+    /// `sel` row: `a` where `c` is nonzero, else `b`.
+    ///
+    /// # Safety
+    /// AVX2 must be available (gate on [`avx2`]).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn sel_row(c: &Row, a: &Row, b: &Row, dst: &mut Row) -> bool {
+        let zero = _mm256_setzero_si256();
+        for i in [0usize, 8, 16, 24] {
+            let take_b = _mm256_cmpeq_epi32(ld(c, i), zero);
+            st(dst, i, _mm256_blendv_epi8(ld(a, i), ld(b, i), take_b));
+        }
+        true
+    }
+
+    /// Bit `l` set where lane `l` of `a` is nonzero.
+    ///
+    /// # Safety
+    /// AVX2 must be available (gate on [`avx2`]).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn true_mask(a: &Row) -> u32 {
+        let zero = _mm256_setzero_si256();
+        let mut zeros = 0u32;
+        for i in [0usize, 8, 16, 24] {
+            let z = _mm256_cmpeq_epi32(ld(a, i), zero);
+            zeros |= (_mm256_movemask_ps(_mm256_castsi256_ps(z)) as u32) << i;
+        }
+        !zeros
     }
 
     /// Stores the lanes of `v` whose bit is set in the low 8 bits of `bits`.
@@ -385,6 +535,35 @@ mod simd {
         let bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
         let on = _mm256_cmpeq_epi32(_mm256_and_si256(_mm256_set1_epi32(bits as i32), bit), bit);
         _mm256_maskstore_epi32(r.as_mut_ptr().add(i).cast(), on, v)
+    }
+
+    /// Copies the lanes of `src` set in `mask` into `dst`.
+    ///
+    /// # Safety
+    /// AVX2 must be available.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn merge(dst: &mut Row, src: &Row, mask: u32) {
+        for i in [0usize, 8, 16, 24] {
+            st_masked(dst, i, ld(src, i), mask >> i);
+        }
+    }
+
+    /// Runs the whole-row `kernel` under a partial `mask`: into a scratch
+    /// row whose active lanes are then [`merge`]d into `dst`. `false` —
+    /// nothing written — when the kernel has no vector form for the op.
+    ///
+    /// # Safety
+    /// AVX2 must be available (gate on [`avx2`]).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub unsafe fn masked(dst: &mut Row, mask: u32, kernel: impl FnOnce(&mut Row) -> bool) -> bool {
+        let mut tmp = [Value::ZERO; 32];
+        if !kernel(&mut tmp) {
+            return false;
+        }
+        merge(dst, &tmp, mask);
+        true
     }
 
     /// Eight lanes of [`trig_fast`]: the same operations in the same order.
@@ -504,166 +683,193 @@ mod simd {
     /// # Safety
     /// AVX2 must be available (gate on [`avx2`]).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn ffma_row(a: &Row, b: &Row, c: &Row, dst: &mut Row) {
+    pub unsafe fn ffma_row(a: &Row, b: &Row, c: &Row, dst: &mut Row) -> bool {
         for i in [0usize, 8, 16, 24] {
-            let p = _mm256_mul_ps(_mm256_castsi256_ps(ld(a, i)), _mm256_castsi256_ps(ld(b, i)));
-            let r = _mm256_add_ps(p, _mm256_castsi256_ps(ld(c, i)));
-            st(dst, i, _mm256_castps_si256(r));
+            let p = ps!("vmulps", _mm256_castsi256_ps(ld(a, i)), b, i);
+            st(dst, i, _mm256_castps_si256(ps!("vaddps", p, c, i)));
         }
+        true
     }
 
     /// # Safety
     /// AVX2 must be available (gate on [`avx2`]).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn imad_row(a: &Row, b: &Row, c: &Row, dst: &mut Row) {
+    pub unsafe fn imad_row(a: &Row, b: &Row, c: &Row, dst: &mut Row) -> bool {
         for i in [0usize, 8, 16, 24] {
             let p = _mm256_mullo_epi32(ld(a, i), ld(b, i));
             st(dst, i, _mm256_add_epi32(p, ld(c, i)));
         }
+        true
     }
 }
 
-/// Only lanes set in `mask` are written; the rest keep their old value.
-/// The full-mask case runs the AVX2 kernel when the op has a bit-identical
-/// vector form (see [`simd`]), else an 8-lane chunked loop with the op
-/// match hoisted out, shaped for autovectorization. One call per warp
-/// instruction instead of one per lane.
+/// The portable row bodies: every host runs them where [`simd`] has no
+/// kernel, and hosts without AVX2 run nothing else.
+mod portable {
+    use super::*;
+
+    /// `f(l)` into every lane `l` of `mask`: an 8-lane chunked loop,
+    /// shaped for autovectorization, at full mask, else a lane loop.
+    #[inline(always)]
+    fn lanes(dst: &mut Row, mask: u32, f: impl Fn(usize) -> Value) {
+        if mask == u32::MAX {
+            for o in [0usize, 8, 16, 24] {
+                for j in 0..8 {
+                    dst[o + j] = f(o + j);
+                }
+            }
+        } else {
+            for (l, d) in dst.iter_mut().enumerate() {
+                if mask >> l & 1 == 1 {
+                    *d = f(l);
+                }
+            }
+        }
+    }
+
+    pub fn alu(op: AluOp, a: &Row, b: &Row, dst: &mut Row, mask: u32) {
+        lanes(dst, mask, |l| eval_alu(op, a[l], b[l]))
+    }
+
+    pub fn un(op: UnOp, a: &Row, dst: &mut Row, mask: u32) {
+        lanes(dst, mask, |l| eval_un(op, a[l]))
+    }
+
+    pub fn ffma(a: &Row, b: &Row, c: &Row, dst: &mut Row, mask: u32) {
+        lanes(dst, mask, |l| eval_ffma(a[l], b[l], c[l]))
+    }
+
+    pub fn imad(a: &Row, b: &Row, c: &Row, dst: &mut Row, mask: u32) {
+        lanes(dst, mask, |l| eval_imad(a[l], b[l], c[l]))
+    }
+
+    pub fn cmp(op: CmpOp, ty: Scalar, a: &Row, b: &Row, dst: &mut Row, mask: u32) {
+        lanes(dst, mask, |l| eval_cmp(op, ty, a[l], b[l]))
+    }
+
+    pub fn sel(c: &Row, a: &Row, b: &Row, dst: &mut Row, mask: u32) {
+        lanes(dst, mask, |l| if c[l].as_bool() { a[l] } else { b[l] })
+    }
+
+    /// The op match is hoisted out of the lane loop.
+    pub fn sfu(op: SfuOp, a: &Row, dst: &mut Row, mask: u32) {
+        #[inline(always)]
+        fn each(a: &Row, dst: &mut Row, mask: u32, f: impl Fn(f32) -> f32) {
+            lanes(dst, mask, |l| Value::from_f32(f(a[l].as_f32())))
+        }
+        match op {
+            SfuOp::Rcp => each(a, dst, mask, sfu_rcp),
+            SfuOp::Rsqrt => each(a, dst, mask, sfu_rsqrt),
+            SfuOp::Sqrt => each(a, dst, mask, f32::sqrt),
+            SfuOp::Sin => each(a, dst, mask, sfu_trig::<false>),
+            SfuOp::Cos => each(a, dst, mask, sfu_trig::<true>),
+            SfuOp::Ex2 => each(a, dst, mask, f32::exp2),
+            SfuOp::Lg2 => each(a, dst, mask, f32::log2),
+        }
+    }
+
+    pub fn true_mask(a: &Row) -> u32 {
+        (0..32).fold(0, |m, l| m | (a[l].as_bool() as u32) << l)
+    }
+}
+
+/// Runs the AVX2 row kernel call `$k`, which writes the row `$d`, under
+/// `$mask`: into `$dst` itself at full mask — today's plain stores — else
+/// through [`simd::masked`]. `false`, nothing written, on a host without
+/// AVX2 or for an op the kernel has no vector form for.
+macro_rules! avx2_row {
+    ($dst:ident, $mask:ident, |$d:ident| $k:expr) => {{
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the kernels only require AVX2, which `avx2()` just probed.
+        let done = simd::avx2()
+            && unsafe {
+                if $mask == u32::MAX {
+                    let $d = &mut *$dst;
+                    $k
+                } else {
+                    simd::masked($dst, $mask, |$d| $k)
+                }
+            };
+        #[cfg(not(target_arch = "x86_64"))]
+        let done = false;
+        done
+    }};
+}
+
+/// Row form of [`eval_alu`]. Only lanes set in `mask` are written; the
+/// rest keep their old value. On AVX2 hosts the ops with a bit-identical
+/// vector form (see [`simd`]) run eight lanes at a time under any mask;
+/// the rest take the [`portable`] lane loop. One call per warp
+/// instruction instead of one per lane — and so for every row form below.
 #[inline]
 pub fn eval_alu_row(op: AluOp, a: &Row, b: &Row, dst: &mut Row, mask: u32) {
-    if mask == u32::MAX {
-        #[cfg(target_arch = "x86_64")]
-        if simd::avx2() && unsafe { simd::alu_row(op, a, b, dst) } {
-            return;
-        }
-        for o in [0usize, 8, 16, 24] {
-            for j in 0..8 {
-                dst[o + j] = eval_alu(op, a[o + j], b[o + j]);
-            }
-        }
-    } else {
-        for l in 0..32 {
-            if mask >> l & 1 == 1 {
-                dst[l] = eval_alu(op, a[l], b[l]);
-            }
-        }
+    if !avx2_row!(dst, mask, |d| simd::alu_row(op, a, b, d)) {
+        portable::alu(op, a, b, dst, mask)
     }
 }
 
 /// Row form of [`eval_un`].
 #[inline]
 pub fn eval_un_row(op: UnOp, a: &Row, dst: &mut Row, mask: u32) {
-    if mask == u32::MAX {
-        #[cfg(target_arch = "x86_64")]
-        if simd::avx2() && unsafe { simd::un_row(op, a, dst) } {
-            return;
-        }
-        for o in [0usize, 8, 16, 24] {
-            for j in 0..8 {
-                dst[o + j] = eval_un(op, a[o + j]);
-            }
-        }
-    } else {
-        for l in 0..32 {
-            if mask >> l & 1 == 1 {
-                dst[l] = eval_un(op, a[l]);
-            }
-        }
+    if !avx2_row!(dst, mask, |d| simd::un_row(op, a, d)) {
+        portable::un(op, a, dst, mask)
     }
 }
 
-/// Row form of [`eval_sfu`]. Takes the AVX2 kernel under **any** mask
-/// (it stores only the active lanes); without AVX2, and for `Ex2`/`Lg2`,
-/// the scalar lane loop with the op match hoisted out of it.
+/// Row form of [`eval_sfu`]. The AVX2 kernel stores only the active lanes
+/// itself; without AVX2, and for `Ex2`/`Lg2`, the portable lane loop.
 #[inline]
 pub fn eval_sfu_row(op: SfuOp, a: &Row, dst: &mut Row, mask: u32) {
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: `sfu_row` only requires AVX2, which `avx2()` just probed.
+    // SAFETY: as in `eval_alu_row`.
     if simd::avx2() && unsafe { simd::sfu_row(op, a, dst, mask) } {
         return;
     }
-    #[inline(always)]
-    fn lanes(a: &Row, dst: &mut Row, mask: u32, f: impl Fn(f32) -> f32) {
-        for l in 0..32 {
-            if mask >> l & 1 == 1 {
-                dst[l] = Value::from_f32(f(a[l].as_f32()));
-            }
-        }
-    }
-    match op {
-        SfuOp::Rcp => lanes(a, dst, mask, sfu_rcp),
-        SfuOp::Rsqrt => lanes(a, dst, mask, sfu_rsqrt),
-        SfuOp::Sqrt => lanes(a, dst, mask, f32::sqrt),
-        SfuOp::Sin => lanes(a, dst, mask, sfu_trig::<false>),
-        SfuOp::Cos => lanes(a, dst, mask, sfu_trig::<true>),
-        SfuOp::Ex2 => lanes(a, dst, mask, f32::exp2),
-        SfuOp::Lg2 => lanes(a, dst, mask, f32::log2),
-    }
+    portable::sfu(op, a, dst, mask)
 }
 
 /// Row form of [`eval_ffma`].
 #[inline]
 pub fn eval_ffma_row(a: &Row, b: &Row, c: &Row, dst: &mut Row, mask: u32) {
-    if mask == u32::MAX {
-        #[cfg(target_arch = "x86_64")]
-        if simd::avx2() {
-            unsafe { simd::ffma_row(a, b, c, dst) };
-            return;
-        }
-        for o in [0usize, 8, 16, 24] {
-            for j in 0..8 {
-                dst[o + j] = eval_ffma(a[o + j], b[o + j], c[o + j]);
-            }
-        }
-    } else {
-        for l in 0..32 {
-            if mask >> l & 1 == 1 {
-                dst[l] = eval_ffma(a[l], b[l], c[l]);
-            }
-        }
+    if !avx2_row!(dst, mask, |d| simd::ffma_row(a, b, c, d)) {
+        portable::ffma(a, b, c, dst, mask)
     }
 }
 
 /// Row form of [`eval_imad`].
 #[inline]
 pub fn eval_imad_row(a: &Row, b: &Row, c: &Row, dst: &mut Row, mask: u32) {
-    if mask == u32::MAX {
-        #[cfg(target_arch = "x86_64")]
-        if simd::avx2() {
-            unsafe { simd::imad_row(a, b, c, dst) };
-            return;
-        }
-        for o in [0usize, 8, 16, 24] {
-            for j in 0..8 {
-                dst[o + j] = eval_imad(a[o + j], b[o + j], c[o + j]);
-            }
-        }
-    } else {
-        for l in 0..32 {
-            if mask >> l & 1 == 1 {
-                dst[l] = eval_imad(a[l], b[l], c[l]);
-            }
-        }
+    if !avx2_row!(dst, mask, |d| simd::imad_row(a, b, c, d)) {
+        portable::imad(a, b, c, dst, mask)
     }
 }
 
 /// Row form of [`eval_cmp`].
 #[inline]
 pub fn eval_cmp_row(op: CmpOp, ty: Scalar, a: &Row, b: &Row, dst: &mut Row, mask: u32) {
-    for l in 0..32 {
-        if mask >> l & 1 == 1 {
-            dst[l] = eval_cmp(op, ty, a[l], b[l]);
-        }
+    if !avx2_row!(dst, mask, |d| simd::cmp_row(op, ty, a, b, d)) {
+        portable::cmp(op, ty, a, b, dst, mask)
     }
 }
 
 /// Row select: `dst[l] = if c[l] { a[l] } else { b[l] }`.
 #[inline]
 pub fn eval_sel_row(c: &Row, a: &Row, b: &Row, dst: &mut Row, mask: u32) {
-    for l in 0..32 {
-        if mask >> l & 1 == 1 {
-            dst[l] = if c[l].as_bool() { a[l] } else { b[l] };
-        }
+    if !avx2_row!(dst, mask, |d| simd::sel_row(c, a, b, d)) {
+        portable::sel(c, a, b, dst, mask)
     }
+}
+
+/// The lanes of a predicate row that are true (nonzero, as
+/// [`Value::as_bool`]): bit `l` for lane `l`.
+#[inline]
+pub fn true_mask(a: &Row) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if simd::avx2() {
+        // SAFETY: as in `eval_alu_row`.
+        return unsafe { simd::true_mask(a) };
+    }
+    portable::true_mask(a)
 }
 
 /// Applies an atomic op, returning (new_value, old_value).
@@ -773,95 +979,154 @@ mod tests {
         assert!(!eval_cmp(Le, Scalar::F32, nan, f(0.0)).as_bool());
     }
 
-    #[test]
-    fn row_evaluators_match_lane_evaluators() {
-        let a: Row = std::array::from_fn(|l| Value::from_f32(l as f32 - 7.5));
-        let b: Row = std::array::from_fn(|l| Value::from_f32(2.0 - l as f32));
-        let c: Row = std::array::from_fn(|l| Value::from_u32((l % 2) as u32));
-        for mask in [u32::MAX, 0x0f0f_0f0f, 0] {
-            let keep: Row = std::array::from_fn(|l| Value::from_u32(0xdead_0000 + l as u32));
-
-            let mut dst = keep;
-            eval_alu_row(AluOp::FAdd, &a, &b, &mut dst, mask);
-            for l in 0..32 {
-                let want = if mask >> l & 1 == 1 {
-                    eval_alu(AluOp::FAdd, a[l], b[l])
-                } else {
-                    keep[l]
-                };
-                assert_eq!(dst[l], want, "alu lane {l} mask {mask:#x}");
-            }
-
-            let mut dst = keep;
-            eval_ffma_row(&a, &b, &c, &mut dst, mask);
-            for l in 0..32 {
-                let want = if mask >> l & 1 == 1 {
-                    eval_ffma(a[l], b[l], c[l])
-                } else {
-                    keep[l]
-                };
-                assert_eq!(dst[l], want, "ffma lane {l} mask {mask:#x}");
-            }
-
-            let mut dst = keep;
-            eval_imad_row(&a, &b, &c, &mut dst, mask);
-            for l in 0..32 {
-                let want = if mask >> l & 1 == 1 {
-                    eval_imad(a[l], b[l], c[l])
-                } else {
-                    keep[l]
-                };
-                assert_eq!(dst[l], want, "imad lane {l} mask {mask:#x}");
-            }
-
-            let mut dst = keep;
-            eval_un_row(UnOp::FNeg, &a, &mut dst, mask);
-            for l in 0..32 {
-                let want = if mask >> l & 1 == 1 {
-                    eval_un(UnOp::FNeg, a[l])
-                } else {
-                    keep[l]
-                };
-                assert_eq!(dst[l], want, "un lane {l} mask {mask:#x}");
-            }
-
-            let mut dst = keep;
-            eval_sfu_row(SfuOp::Rcp, &b, &mut dst, mask);
-            for l in 0..32 {
-                let want = if mask >> l & 1 == 1 {
-                    eval_sfu(SfuOp::Rcp, b[l])
-                } else {
-                    keep[l]
-                };
-                assert_eq!(dst[l], want, "sfu lane {l} mask {mask:#x}");
-            }
-
-            let mut dst = keep;
-            eval_cmp_row(CmpOp::Lt, Scalar::F32, &a, &b, &mut dst, mask);
-            for l in 0..32 {
-                let want = if mask >> l & 1 == 1 {
-                    eval_cmp(CmpOp::Lt, Scalar::F32, a[l], b[l])
-                } else {
-                    keep[l]
-                };
-                assert_eq!(dst[l], want, "cmp lane {l} mask {mask:#x}");
-            }
-
-            let mut dst = keep;
-            eval_sel_row(&c, &a, &b, &mut dst, mask);
-            for l in 0..32 {
-                let want = if mask >> l & 1 == 1 {
-                    if c[l].as_bool() {
-                        a[l]
-                    } else {
-                        b[l]
-                    }
-                } else {
-                    keep[l]
-                };
-                assert_eq!(dst[l], want, "sel lane {l} mask {mask:#x}");
+    /// Rows of words that break naive SIMD equivalence — ±0, ±∞,
+    /// subnormals, quiet and signalling NaNs of both signs, the sign-bit
+    /// and `i32::MAX` patterns — mixed with random words.
+    struct Rows(u64);
+    impl Rows {
+        fn word(&mut self) -> u32 {
+            const EDGES: [u32; 14] = [
+                0x0000_0000, // +0
+                0x8000_0000, // -0, i32::MIN
+                0x7f80_0000, // +inf
+                0xff80_0000, // -inf
+                0x0000_0001, // subnormals
+                0x807f_ffff,
+                0x7fc0_0000, // quiet NaNs
+                0xffc0_0001,
+                0x7f80_0001, // signalling NaNs
+                0xff87_6201,
+                0x7fff_ffff, // i32::MAX, a quiet NaN
+                0xffff_ffff,
+                0x3f80_0000, // 1.0
+                0x7f7f_ffff, // f32::MAX
+            ];
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            let r = self.0;
+            if r & 1 == 0 {
+                EDGES[(r >> 8) as usize % EDGES.len()]
+            } else {
+                (r >> 32) as u32
             }
         }
+        fn row(&mut self) -> Row {
+            std::array::from_fn(|_| Value(self.word()))
+        }
+    }
+
+    /// Every row evaluator, through its dispatcher (the AVX2 kernels on an
+    /// AVX2 host) and through its portable body, against the lane
+    /// evaluator bit for bit: every op, under full, empty, one-lane,
+    /// `init_mask`-prefix and random masks.
+    #[test]
+    fn row_evaluators_match_lane_evaluators() {
+        type RowFn<'a> = Box<dyn Fn(&mut Row, u32) + 'a>;
+        type LaneFn<'a> = Box<dyn Fn(usize) -> Value + 'a>;
+        let mut rows = Rows(0x2545_f491_4f6c_dd1d);
+        for iter in 0..60 {
+            let [a, b, c, keep] = std::array::from_fn(|_| rows.row());
+            let random = rows.word();
+            let masks = [
+                u32::MAX,
+                0,
+                1 << (iter % 32),
+                u32::MAX >> (iter % 32),
+                random,
+            ];
+            let mut cases: Vec<(String, RowFn, RowFn, LaneFn)> = Vec::new();
+            for op in AluOp::ALL {
+                cases.push((
+                    format!("{op:?}"),
+                    Box::new(move |d, m| eval_alu_row(op, &a, &b, d, m)),
+                    Box::new(move |d, m| portable::alu(op, &a, &b, d, m)),
+                    Box::new(move |l| eval_alu(op, a[l], b[l])),
+                ));
+            }
+            for op in UnOp::ALL {
+                cases.push((
+                    format!("{op:?}"),
+                    Box::new(move |d, m| eval_un_row(op, &a, d, m)),
+                    Box::new(move |d, m| portable::un(op, &a, d, m)),
+                    Box::new(move |l| eval_un(op, a[l])),
+                ));
+            }
+            for op in SfuOp::ALL {
+                cases.push((
+                    format!("{op:?}"),
+                    Box::new(move |d, m| eval_sfu_row(op, &a, d, m)),
+                    Box::new(move |d, m| portable::sfu(op, &a, d, m)),
+                    Box::new(move |l| eval_sfu(op, a[l])),
+                ));
+            }
+            for op in CmpOp::ALL {
+                for ty in Scalar::ALL {
+                    cases.push((
+                        format!("{op:?} {ty:?}"),
+                        Box::new(move |d, m| eval_cmp_row(op, ty, &a, &b, d, m)),
+                        Box::new(move |d, m| portable::cmp(op, ty, &a, &b, d, m)),
+                        Box::new(move |l| eval_cmp(op, ty, a[l], b[l])),
+                    ));
+                }
+            }
+            cases.push((
+                "ffma".into(),
+                Box::new(|d, m| eval_ffma_row(&a, &b, &c, d, m)),
+                Box::new(|d, m| portable::ffma(&a, &b, &c, d, m)),
+                Box::new(|l| eval_ffma(a[l], b[l], c[l])),
+            ));
+            cases.push((
+                "imad".into(),
+                Box::new(|d, m| eval_imad_row(&a, &b, &c, d, m)),
+                Box::new(|d, m| portable::imad(&a, &b, &c, d, m)),
+                Box::new(|l| eval_imad(a[l], b[l], c[l])),
+            ));
+            cases.push((
+                "sel".into(),
+                Box::new(|d, m| eval_sel_row(&c, &a, &b, d, m)),
+                Box::new(|d, m| portable::sel(&c, &a, &b, d, m)),
+                Box::new(|l| if c[l].as_bool() { a[l] } else { b[l] }),
+            ));
+            for (name, dispatch, portable, lane) in &cases {
+                for mask in masks {
+                    for (form, run) in [("dispatch", dispatch), ("portable", portable)] {
+                        let mut dst = keep;
+                        run(&mut dst, mask);
+                        for l in 0..32 {
+                            let want = if mask >> l & 1 == 1 { lane(l) } else { keep[l] };
+                            assert_eq!(
+                                dst[l].0, want.0,
+                                "{name} {form} lane {l} mask {mask:#010x}: a {:#010x} b {:#010x} c {:#010x}",
+                                a[l].0, b[l].0, c[l].0
+                            );
+                        }
+                    }
+                }
+            }
+            assert_eq!(true_mask(&c), portable::true_mask(&c));
+            let want = (0..32).fold(0u32, |m, l| m | (c[l].as_bool() as u32) << l);
+            assert_eq!(true_mask(&c), want);
+        }
+    }
+
+    #[test]
+    fn nan_rule_is_the_first_nan_operand_quieted() {
+        let (qnan, neg_qnan, snan) = (u(0x7fff_ffff), u(0xffff_ffff), u(0xff87_6201));
+        for op in [AluOp::FAdd, AluOp::FSub, AluOp::FMul] {
+            assert_eq!(eval_alu(op, qnan, neg_qnan).0, 0x7fff_ffff, "{op:?}");
+            assert_eq!(eval_alu(op, neg_qnan, qnan).0, 0xffff_ffff, "{op:?}");
+            assert_eq!(eval_alu(op, f(1.0), snan).0, 0xffc7_6201, "{op:?}");
+        }
+        assert_eq!(eval_un(UnOp::FFloor, snan).0, 0xffc7_6201);
+        assert_eq!(eval_un(UnOp::FNeg, snan).0, 0x7f87_6201);
+        assert_eq!(eval_ffma(f(2.0), snan, qnan).0, 0xffc7_6201);
+        assert_eq!(eval_ffma(f(2.0), f(3.0), snan).0, 0xffc7_6201);
+        // A NaN made from numbers is the host's own; numbers are untouched.
+        assert!(eval_alu(AluOp::FSub, f(f32::INFINITY), f(f32::INFINITY))
+            .as_f32()
+            .is_nan());
+        assert_eq!(eval_alu(AluOp::FAdd, f(1.5), f(-0.25)).as_f32(), 1.25);
     }
 
     #[test]

@@ -144,22 +144,9 @@ const CMP_OPS: [CmpOp; 6] = [
 ];
 const SCALARS: [Scalar; 3] = [Scalar::F32, Scalar::U32, Scalar::I32];
 
-fn is_nan_bits(b: u32) -> bool {
-    b & 0x7f80_0000 == 0x7f80_0000 && b & 0x007f_ffff != 0
-}
-
-/// Result equality for one lane. Integer ops must match bit for bit. For
-/// f32-producing ops, two NaNs of any payload are equal: x86 propagates
-/// the NaN in the instruction's *destination* register, and which operand
-/// the compiler puts there varies with register allocation across
-/// inlining contexts — the payload is not part of the evaluator contract
-/// (the class is; a NaN-vs-number mismatch still fails).
-fn lane_eq(got: u32, want: u32, float_op: bool) -> bool {
-    got == want || (float_op && is_nan_bits(got) && is_nan_bits(want))
-}
-
 /// Asserts `got` equals the per-lane scalar evaluation under `mask`:
-/// active lanes must match the scalar op (see [`lane_eq`]), inactive
+/// active lanes must match the scalar op bit for bit, NaN payloads
+/// included (`exec`'s NaN rule holds both forms to one answer), inactive
 /// lanes must still hold the sentinel the destination row was seeded
 /// with.
 fn assert_masked_row(
@@ -167,33 +154,21 @@ fn assert_masked_row(
     got: &Row,
     sentinel: &Row,
     mask: u32,
-    float_op: bool,
     scalar: impl Fn(usize) -> Value,
 ) {
     for l in 0..32 {
-        let (want, strict) = if mask >> l & 1 == 1 {
-            (scalar(l), !float_op)
+        let want = if mask >> l & 1 == 1 {
+            scalar(l)
         } else {
-            (sentinel[l], true)
+            sentinel[l]
         };
         assert!(
-            lane_eq(got[l].0, want.0, !strict),
+            got[l].0 == want.0,
             "{label}: lane {l} diverges (mask {mask:#010x}): got {:#010x}, want {:#010x}",
             got[l].0,
             want.0
         );
     }
-}
-
-fn alu_is_float(op: AluOp) -> bool {
-    matches!(
-        op,
-        AluOp::FAdd | AluOp::FSub | AluOp::FMul | AluOp::FMin | AluOp::FMax
-    )
-}
-
-fn un_is_float(op: UnOp) -> bool {
-    matches!(op, UnOp::FNeg | UnOp::FAbs | UnOp::FFloor)
 }
 
 #[test]
@@ -214,7 +189,6 @@ fn row_evaluators_match_scalar_on_specials_and_partial_masks() {
                 &dst,
                 &sentinel,
                 mask,
-                alu_is_float(op),
                 |l| eval_alu(op, a[l], b[l]),
             );
         }
@@ -226,7 +200,6 @@ fn row_evaluators_match_scalar_on_specials_and_partial_masks() {
                 &dst,
                 &sentinel,
                 mask,
-                un_is_float(op),
                 |l| eval_un(op, a[l]),
             );
         }
@@ -238,7 +211,6 @@ fn row_evaluators_match_scalar_on_specials_and_partial_masks() {
                 &dst,
                 &sentinel,
                 mask,
-                true,
                 |l| eval_sfu(op, a[l]),
             );
         }
@@ -251,41 +223,29 @@ fn row_evaluators_match_scalar_on_specials_and_partial_masks() {
                     &dst,
                     &sentinel,
                     mask,
-                    false,
                     |l| eval_cmp(op, ty, a[l], b[l]),
                 );
             }
         }
         let mut dst = sentinel;
         exec::eval_ffma_row(&a, &b, &c, &mut dst, mask);
-        assert_masked_row(
-            &format!("ffma iter {iter}"),
-            &dst,
-            &sentinel,
-            mask,
-            true,
-            |l| eval_ffma(a[l], b[l], c[l]),
-        );
+        assert_masked_row(&format!("ffma iter {iter}"), &dst, &sentinel, mask, |l| {
+            eval_ffma(a[l], b[l], c[l])
+        });
         let mut dst = sentinel;
         exec::eval_imad_row(&a, &b, &c, &mut dst, mask);
-        assert_masked_row(
-            &format!("imad iter {iter}"),
-            &dst,
-            &sentinel,
-            mask,
-            false,
-            |l| eval_imad(a[l], b[l], c[l]),
-        );
+        assert_masked_row(&format!("imad iter {iter}"), &dst, &sentinel, mask, |l| {
+            eval_imad(a[l], b[l], c[l])
+        });
         let mut dst = sentinel;
         exec::eval_sel_row(&c, &a, &b, &mut dst, mask);
-        assert_masked_row(
-            &format!("sel iter {iter}"),
-            &dst,
-            &sentinel,
-            mask,
-            false,
-            |l| if c[l].0 != 0 { a[l] } else { b[l] },
-        );
+        assert_masked_row(&format!("sel iter {iter}"), &dst, &sentinel, mask, |l| {
+            if c[l].0 != 0 {
+                a[l]
+            } else {
+                b[l]
+            }
+        });
     }
 }
 
@@ -454,7 +414,7 @@ fn shape_folds_are_bit_exact_against_scalar_evaluation() {
                 for l in 0..32 {
                     let want = eval_alu(op, ar[l], br[l]);
                     assert!(
-                        lane_eq(got[l].0, want.0, alu_is_float(op)),
+                        got[l].0 == want.0,
                         "fold_alu {op:?} lane {l}: {a:?} {b:?}: got {:#010x}, want {:#010x}",
                         got[l].0,
                         want.0
@@ -468,7 +428,7 @@ fn shape_folds_are_bit_exact_against_scalar_evaluation() {
                 for l in 0..32 {
                     let want = eval_un(op, ar[l]);
                     assert!(
-                        lane_eq(got[l].0, want.0, un_is_float(op)),
+                        got[l].0 == want.0,
                         "fold_un {op:?} lane {l}: {a:?}: got {:#010x}, want {:#010x}",
                         got[l].0,
                         want.0
@@ -482,7 +442,7 @@ fn shape_folds_are_bit_exact_against_scalar_evaluation() {
                 for l in 0..32 {
                     let want = eval_sfu(op, ar[l]);
                     assert!(
-                        lane_eq(got[l].0, want.0, true),
+                        got[l].0 == want.0,
                         "fold_sfu {op:?} lane {l}: {a:?}: got {:#010x}, want {:#010x}",
                         got[l].0,
                         want.0
@@ -519,7 +479,7 @@ fn shape_folds_are_bit_exact_against_scalar_evaluation() {
             for l in 0..32 {
                 let want = eval_ffma(ar[l], br[l], cr[l]);
                 assert!(
-                    lane_eq(got[l].0, want.0, true),
+                    got[l].0 == want.0,
                     "fold_ffma lane {l}: {a:?} {b:?} {c:?}: got {:#010x}, want {:#010x}",
                     got[l].0,
                     want.0

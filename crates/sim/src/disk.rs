@@ -55,9 +55,11 @@ use std::time::SystemTime;
 /// entries written by an incompatible serializer (any change to the payload
 /// encoding below must bump [`FORMAT_VERSION`]) or by an incompatible
 /// machine: v1 entries hold memory deltas computed with the host libm's
-/// `sinf`/`cosf`, v2 is the in-crate SFU of `g80_isa::exec::eval_sfu`.
+/// `sinf`/`cosf`, v2 is the in-crate SFU of `g80_isa::exec::eval_sfu`, and
+/// v3 the NaN rule of `g80_isa::exec` (a NaN result's bits no longer depend
+/// on the compiler's choice of operand order).
 const MAGIC: &[u8; 4] = b"G80M";
-pub(crate) const FORMAT_VERSION: u32 = 2;
+pub(crate) const FORMAT_VERSION: u32 = 3;
 const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 8 + 8;
 const CHECKSUM_SEED: u64 = 0x452f_6a88_38d0_13f7;
 
@@ -361,7 +363,7 @@ mod tests {
         let hex: String = entry.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(
             hex,
-            "4738304d02000000efcdab896745230102000000000000002901000000000000\
+            "4738304d03000000efcdab896745230102000000000000002901000000000000\
             dba95547f9fca6b20900000000000000726f756e6474726970d2040000000000\
             00f1726c25d6abae3e6300000000000000600c00000000000040000000000000\
             0000000000000000000000000000000000001000000000000000000000000000\

@@ -475,27 +475,58 @@ pub fn coalesce_half_warp_noalloc(cfg: &GpuConfig, addrs: &[Option<u32>; 16]) ->
     }
 }
 
-/// Allocation-free twin of [`smem_conflict_degree`]: same result for every
-/// input. A shared-memory address maps to exactly one bank, so the
-/// per-bank distinct-address count equals a global first-occurrence scan
-/// bumping that bank's counter. Falls back to the allocating version for
-/// configs with more banks than the stack buffer covers.
-pub fn smem_conflict_degree_noalloc(cfg: &GpuConfig, addrs: &[Option<u32>; 16]) -> u32 {
-    let nbanks = cfg.smem_banks as usize;
+/// Bank-conflict degree of a warp's shared access given lane by lane: the
+/// worse of its two half-warps, each equal to [`smem_conflict_degree`] on
+/// the active lanes of `addrs` under `mask`. A half whose active lanes all
+/// hit different banks — the conflict-free case: no lane's bank bit is
+/// already in the OR of those before it — has degree 1 without the
+/// distinct-address scan.
+#[inline]
+pub fn smem_degree_lanes(cfg: &GpuConfig, addrs: &[u32; 32], mask: u32) -> u32 {
+    let nbanks = cfg.smem_banks;
     if nbanks > 64 {
-        return smem_conflict_degree(cfg, addrs);
+        let half = |h: usize| {
+            std::array::from_fn(|l| (mask >> (16 * h + l) & 1 == 1).then(|| addrs[16 * h + l]))
+        };
+        return smem_conflict_degree(cfg, &half(0)).max(smem_conflict_degree(cfg, &half(1)));
     }
-    let mut counts = [0u32; 64];
-    let mut seen = [0u32; 16];
-    let mut nseen = 0usize;
-    for a in addrs.iter().flatten() {
-        if !seen[..nseen].contains(a) {
-            seen[nseen] = *a;
-            nseen += 1;
-            counts[((a / 4) as usize) % nbanks] += 1;
+    // A power-of-two bank count (every preset) maps by mask, not `%`.
+    let bank = |a: u32| {
+        if nbanks.is_power_of_two() {
+            (a / 4) & (nbanks - 1)
+        } else {
+            (a / 4) % nbanks
         }
-    }
-    counts[..nbanks].iter().copied().max().unwrap_or(0).max(1)
+    };
+    let scan = |half: &[u32], mut live: u32| {
+        let mut counts = [0u32; 64];
+        let mut seen = [0u32; 16];
+        let mut nseen = 0;
+        while live != 0 {
+            let a = half[live.trailing_zeros() as usize];
+            live &= live - 1;
+            if !seen[..nseen].contains(&a) {
+                seen[nseen] = a;
+                nseen += 1;
+                counts[bank(a) as usize] += 1;
+            }
+        }
+        counts.into_iter().max().unwrap_or(0).max(1)
+    };
+    let degree = |half: &[u32], live: u32| {
+        let mut banks = 0u64;
+        let mut m = live;
+        while m != 0 {
+            let bit = 1u64 << bank(half[m.trailing_zeros() as usize]);
+            if banks & bit != 0 {
+                return scan(half, live);
+            }
+            banks |= bit;
+            m &= m - 1;
+        }
+        1
+    };
+    degree(&addrs[..16], mask & 0xffff).max(degree(&addrs[16..], mask >> 16))
 }
 
 /// The two terms that vary *within* one half-warp of a shaped address row,
@@ -620,7 +651,7 @@ pub fn coalesce_affine_warp(cfg: &GpuConfig, t: &AffineTerms, live: u32) -> [Hal
 /// Closed-form shared-memory bank-conflict degree for a *full* half-warp of
 /// a canonical shaped address row. `None` means no closed form applies (the
 /// caller falls back to the scan); `Some(d)` is bit-identical to
-/// [`smem_conflict_degree_noalloc`] on the expanded addresses, for *any*
+/// [`smem_conflict_degree`] on the expanded addresses, for *any*
 /// base — so one evaluation covers both halves of a warp.
 ///
 /// With 16 banks and word-multiple terms `4v`, `4w`, lane `(j, r)` of the
@@ -663,7 +694,7 @@ pub fn smem_degree_affine(cfg: &GpuConfig, t: &AffineTerms) -> Option<u32> {
 
 /// Bank-conflict degree of an undiverged warp's shared access whose address
 /// row has the shape `t` over its first `live` lanes: the worse of the two
-/// half-warps, equal to [`smem_conflict_degree_noalloc`] on each half's
+/// half-warps, equal to [`smem_conflict_degree`] on each half's
 /// expanded addresses. Whole half-warps share one closed form
 /// ([`smem_degree_affine`]); otherwise the addresses are generated from the
 /// terms and scanned (out of line, as in [`coalesce_affine_warp`]).
@@ -671,8 +702,9 @@ pub fn smem_degree_affine(cfg: &GpuConfig, t: &AffineTerms) -> Option<u32> {
 pub fn smem_degree_affine_warp(cfg: &GpuConfig, t: &AffineTerms, live: u32) -> u32 {
     #[inline(never)]
     fn scan(cfg: &GpuConfig, t: &AffineTerms, live: u32) -> u32 {
-        let [lo, hi] = affine_halves(t, live);
-        smem_conflict_degree_noalloc(cfg, &lo).max(smem_conflict_degree_noalloc(cfg, &hi))
+        let mut addrs = [0; 32];
+        for_each_affine_lane(*t, live as usize, |l, a| addrs[l] = a);
+        smem_degree_lanes(cfg, &addrs, ((1u64 << live) - 1) as u32)
     }
     if live.is_multiple_of(16) {
         if let Some(degree) = smem_degree_affine(cfg, t) {
@@ -742,6 +774,17 @@ mod tests {
             a[i] = Some(x);
         }
         a
+    }
+
+    /// Two half-warps as the engine holds a warp's addresses: one row and
+    /// the mask of its active lanes.
+    fn warp_of(lo: &[Option<u32>; 16], hi: &[Option<u32>; 16]) -> ([u32; 32], u32) {
+        let lane = |l: usize| if l < 16 { lo[l] } else { hi[l - 16] };
+        let addrs = std::array::from_fn(|l| lane(l).unwrap_or(0xdead_beef));
+        let mask = (0..32)
+            .filter(|&l| lane(l).is_some())
+            .fold(0, |m, l| m | 1 << l);
+        (addrs, mask)
     }
 
     /// A seeded image (LCG words, high half of each state).
@@ -1009,7 +1052,7 @@ mod tests {
                     let got = coalesce_affine_warp(c, &t, live as u32);
                     assert_eq!(got, scans, "global live={live} {label}");
                     let want = halves
-                        .map(|half| smem_conflict_degree_noalloc(c, &half))
+                        .map(|half| smem_conflict_degree(c, &half))
                         .into_iter()
                         .max()
                         .unwrap();
@@ -1026,7 +1069,7 @@ mod tests {
                         narrow_closed += (t.log2p < 4) as u32;
                     }
                     if let Some(got) = smem_degree_affine(c, &t) {
-                        let want = smem_conflict_degree_noalloc(c, half);
+                        let want = smem_conflict_degree(c, half);
                         assert_eq!(got, want, "smem half {h} {label}");
                         smem_closed += 1;
                     }
@@ -1523,11 +1566,74 @@ mod tests {
                     coalesce_half_warp_noalloc(c, a),
                     "coalesce twins disagree on {a:?}"
                 );
+                let (addrs, mask) = warp_of(a, &[None; 16]);
                 assert_eq!(
                     smem_conflict_degree(c, a),
-                    smem_conflict_degree_noalloc(c, a),
+                    smem_degree_lanes(c, &addrs, mask),
                     "smem twins disagree on {a:?}"
                 );
+            }
+        }
+    }
+
+    /// `smem_degree_lanes` (its conflict-free fast path and its scan) is
+    /// the allocating per-half scan: on random half-warps and on broadcast,
+    /// duplicate, 2- to 16-way-conflict and partly inactive ones, for 16,
+    /// 32, a non-power-of-two and a beyond-64 bank count.
+    #[test]
+    fn lanes_degree_matches_the_allocating_scan() {
+        let mut state = 0x9e37_79b9u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as u32
+        };
+        for nbanks in [16u32, 32, 24, 96] {
+            let c = GpuConfig {
+                smem_banks: nbanks,
+                ..cfg()
+            };
+            let stride = 4 * nbanks;
+            let mut halves: Vec<[Option<u32>; 16]> = vec![
+                [None; 16],
+                [Some(0x40); 16],
+                lanes(&(0..16).map(|i| 0x100 + i * 4).collect::<Vec<_>>()),
+                lanes(&(0..16).map(|i| 0x100 + (i / 2) * 4).collect::<Vec<_>>()),
+            ];
+            // k lanes in one bank at distinct addresses, the rest spread
+            // over the other banks; then each with a duplicate folded in.
+            for k in 2..=16u32 {
+                let h: Vec<u32> = (0..16)
+                    .map(|i| if i < k { i * stride } else { 4 * (i - k + 1) })
+                    .collect();
+                halves.push(lanes(&h));
+                let mut dup = lanes(&h);
+                dup[15] = dup[0];
+                halves.push(dup);
+            }
+            for _ in 0..400 {
+                let window = [nbanks, 4 * nbanks, 1 << 20][next() as usize % 3];
+                halves.push(std::array::from_fn(|_| {
+                    let a = (next() % window) * 4 + [0, 1, 2][next() as usize % 3];
+                    (next() % 4 != 0).then_some(a)
+                }));
+            }
+            // Every half, with random lanes switched off, in either slot.
+            for (i, half) in halves.iter().enumerate() {
+                let off = next() & next();
+                let thinned: [Option<u32>; 16] =
+                    std::array::from_fn(|l| half[l].filter(|_| off >> l & 1 == 0));
+                let other = &halves[(i * 7 + 3) % halves.len()];
+                for (lo, hi) in [(half, other), (other, half), (&thinned, half)] {
+                    let (addrs, mask) = warp_of(lo, hi);
+                    let want = smem_conflict_degree(&c, lo).max(smem_conflict_degree(&c, hi));
+                    assert_eq!(
+                        smem_degree_lanes(&c, &addrs, mask),
+                        want,
+                        "{nbanks} banks: {lo:?} {hi:?}"
+                    );
+                }
             }
         }
     }

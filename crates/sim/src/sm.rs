@@ -50,8 +50,7 @@ use crate::config::GpuConfig;
 use crate::counters::{MemoCounters, RowCounters, SmStats, StallReason, TallyKey};
 use crate::memory::{
     coalesce_affine_warp, coalesce_half_warp_noalloc, const_out_of_bounds, global_out_of_bounds,
-    smem_conflict_degree_noalloc, smem_degree_affine_warp, DeviceMemory, HalfWarpAccess, TagCache,
-    Words,
+    smem_degree_affine_warp, smem_degree_lanes, DeviceMemory, HalfWarpAccess, TagCache, Words,
 };
 use crate::warp::{RegSource, Warp};
 use crate::witness::{
@@ -441,6 +440,10 @@ pub fn run_sm(
                     });
                 }
             }
+            // A grid-tail removal may have shrunk the schedule under `rr`.
+            // The scan order is `rr` mod n either way, and no snapshot
+            // sees the change: the queue is empty once a slot is removed.
+            rr %= order.len();
         }
         let n = order.len();
 
@@ -449,7 +452,8 @@ pub fn run_sm(
         let mut best_next: u64 = u64::MAX;
         let mut best_reason = StallReason::Drain;
         for k in 0..n {
-            let idx = (rr + k) % n;
+            // `rr < n`, so one conditional wrap is the `% n`.
+            let idx = if rr + k < n { rr + k } else { rr + k - n };
             let Slot { bi, wi, cached } = order[idx];
             let block = &mut resident[bi];
             let warp = &mut block.warps[wi];
@@ -508,7 +512,7 @@ pub fn run_sm(
                 let dur = ctx.execute(block, wi, mop);
                 let (ev_aux, ev_bytes) = (ctx.ev_aux, ctx.ev_bytes);
                 cycle += dur;
-                rr = (rr + k + 1) % n;
+                rr = if idx + 1 < n { idx + 1 } else { 0 };
                 issued = true;
                 order[idx].cached = None; // the warp advanced
                 if record {
@@ -844,10 +848,7 @@ impl LaneAddrs {
     pub(crate) fn smem_degree(&self, cfg: &GpuConfig) -> u32 {
         match *self {
             LaneAddrs::Shaped(ref t, live) => smem_degree_affine_warp(cfg, t, live),
-            LaneAddrs::Lanes(ref addrs, mask) => {
-                let (lo, hi) = split_half_warps(addrs, mask);
-                smem_conflict_degree_noalloc(cfg, &lo).max(smem_conflict_degree_noalloc(cfg, &hi))
-            }
+            LaneAddrs::Lanes(ref addrs, mask) => smem_degree_lanes(cfg, addrs, mask),
         }
     }
 }

@@ -318,7 +318,8 @@ impl Warp {
 
     /// The taken-lane mask of a predicated branch: active lanes whose
     /// predicate register (xor `negate`) is true. O(1) for a uniform
-    /// predicate row, bit-identical to the per-lane scan otherwise.
+    /// predicate row, one pass over the backing row for a `Full` one, and
+    /// bit-identical to the per-lane scan always.
     pub fn taken_mask(&self, r: u32, negate: bool, mask: u32) -> u32 {
         match self.shapes[r as usize] {
             LaneRow::Uniform(v) => {
@@ -327,6 +328,12 @@ impl Warp {
                 } else {
                     0
                 }
+            }
+            LaneRow::Full => {
+                let base = (r as usize) * 32;
+                let row: &[Value; 32] = (&self.regs[base..base + 32]).try_into().unwrap();
+                let taken = exec::true_mask(row);
+                (if negate { !taken } else { taken }) & mask
             }
             shape => {
                 let mut taken = 0u32;
@@ -1075,5 +1082,37 @@ mod tests {
         assert_eq!(w.operand(O::imm_f(1.5), 0, &[]).as_f32(), 1.5);
         let params = [Value::from_u32(99)];
         assert_eq!(w.operand(O::Param(0), 5, &params).as_u32(), 99);
+    }
+
+    #[test]
+    fn taken_mask_on_full_rows_matches_the_lane_scan() {
+        let mut w = full_warp();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 32) as u32
+        };
+        for iter in 0..2000 {
+            // Predicates as `setp` writes them, mixed with arbitrary words.
+            let row: [Value; 32] = std::array::from_fn(|_| {
+                let v = next();
+                Value::from_u32(if v & 3 == 0 { v } else { v >> 31 })
+            });
+            *w.reg_row_mut(3) = row;
+            assert_eq!(w.shapes[3], LaneRow::Full);
+            let mask = [u32::MAX, 0, 1 << (iter % 32), next()][iter % 4];
+            for negate in [false, true] {
+                let want = (0..32)
+                    .filter(|&l| mask >> l & 1 == 1 && w.reg(3, l).as_bool() != negate)
+                    .fold(0u32, |m, l| m | 1 << l);
+                assert_eq!(
+                    w.taken_mask(3, negate, mask),
+                    want,
+                    "mask {mask:#x} negate {negate}"
+                );
+            }
+        }
     }
 }
