@@ -687,9 +687,10 @@ fn run() -> i32 {
     // counting against an unreachable budget. Dedup on in both, as
     // shipped. The statistic is the median over *pairs* of
     // hardened/baseline: drift between pairs is larger than the overhead,
-    // pairing cancels it, and one polluted pair is out-voted in either
-    // direction. Three pairs even under --check, and 1.05x says "noise,
-    // not a tax".
+    // pairing cancels it, and polluted pairs are out-voted in either
+    // direction. Single pairs on a loaded runner read 0.79x–1.12x, so the
+    // median of three could miss 1.05x on noise alone: seven pairs even
+    // under --check, and 1.05x says "noise, not a tax".
     let arms = [
         context(false, true),
         SimContext::new(SimConfig {
@@ -700,7 +701,7 @@ fn run() -> i32 {
         }),
     ];
     let pairs = interleave(
-        3,
+        7,
         |arm| &arms[arm],
         |ctx| ctx.enter(|| stats_bytes(&big_run())),
     );

@@ -314,25 +314,41 @@ mod simd {
     }
 
     /// `$op dst, x, [y]` (`vaddps`, `vsubps`, `vmulps`) on `x` and the
-    /// eight lanes of `row` from lane `i` on, with the source order pinned.
-    /// x86 answers the first NaN source, quieted — [`nan_rule`] — but the
-    /// compiler swaps the sources of an op it knows commutes: for register
-    /// allocation, and in the assembler to reach the 2-byte VEX prefix
-    /// (`vaddps y0, y8, y0` for `y0 + y8`) unless `{vex3}` forces the
-    /// 3-byte one. The memory source keeps the load folded into the op.
-    /// Only for AVX2 functions.
+    /// eight lanes of `row` from the constant lane `i` on (a `chunks!`
+    /// index), with the source order pinned. x86 answers the first NaN
+    /// source, quieted — [`nan_rule`] — but the compiler swaps the sources
+    /// of an op it knows commutes: for register allocation, and in the
+    /// assembler to reach the 2-byte VEX prefix (`vaddps y0, y8, y0` for
+    /// `y0 + y8`) unless `{vex3}` forces the 3-byte one. The load and the
+    /// lane offset fold into the memory operand, so the instructions are
+    /// the intrinsics' own. Only for AVX2 functions.
     macro_rules! ps {
         ($op:literal, $x:expr, $row:expr, $i:expr) => {{
             let r: __m256;
             core::arch::asm!(
-                concat!("{{vex3}} ", $op, " {r}, {x}, ymmword ptr [{y}]"),
+                concat!("{{vex3}} ", $op, " {r}, {x}, ymmword ptr [{y} + {o}]"),
                 r = lateout(ymm_reg) r,
                 x = in(ymm_reg) $x,
-                y = in(reg) $row.as_ptr().add($i),
+                y = in(reg) $row.as_ptr(),
+                o = const 4 * $i,
                 options(pure, readonly, nostack, preserves_flags)
             );
             r
         }};
+    }
+
+    /// `$body` once per 8-lane chunk of a row, `$i` the chunk's first lane
+    /// as a constant.
+    macro_rules! chunks {
+        ($i:ident => $body:block) => {
+            chunks!($i => $body; 0 8 16 24)
+        };
+        ($i:ident => $body:block; $($lane:literal)*) => {
+            $({
+                const $i: usize = $lane;
+                $body
+            })*
+        };
     }
 
     /// # Safety
@@ -351,10 +367,10 @@ mod simd {
         }
         macro_rules! binf {
             ($op:literal) => {{
-                for i in [0usize, 8, 16, 24] {
-                    let x = _mm256_castsi256_ps(ld(a, i));
-                    st(dst, i, _mm256_castps_si256(ps!($op, x, b, i)));
-                }
+                chunks!(I => {
+                    let x = _mm256_castsi256_ps(ld(a, I));
+                    st(dst, I, _mm256_castps_si256(ps!($op, x, b, I)));
+                });
                 true
             }};
         }
@@ -684,10 +700,10 @@ mod simd {
     /// AVX2 must be available (gate on [`avx2`]).
     #[target_feature(enable = "avx2")]
     pub unsafe fn ffma_row(a: &Row, b: &Row, c: &Row, dst: &mut Row) -> bool {
-        for i in [0usize, 8, 16, 24] {
-            let p = ps!("vmulps", _mm256_castsi256_ps(ld(a, i)), b, i);
-            st(dst, i, _mm256_castps_si256(ps!("vaddps", p, c, i)));
-        }
+        chunks!(I => {
+            let p = ps!("vmulps", _mm256_castsi256_ps(ld(a, I)), b, I);
+            st(dst, I, _mm256_castps_si256(ps!("vaddps", p, c, I)));
+        });
         true
     }
 
