@@ -2,7 +2,7 @@
 //! comparison, the global-thread-index idiom, and the per-application
 //! report used by the Table 2 / Table 3 harnesses.
 
-use g80_cuda::{CpuModel, CpuTuning, CpuWork, Timeline};
+use g80_cuda::Timeline;
 use g80_isa::builder::KernelBuilder;
 use g80_isa::Reg;
 use g80_sim::KernelStats;
@@ -319,16 +319,6 @@ where
         out_im[v0..v0 + w].copy_from_slice(&im[..w]);
     }
     (out_re, out_im)
-}
-
-/// Convenience wrapper: modeled CPU time at the paper's tuned baseline.
-pub fn cpu_time_tuned(work: &CpuWork) -> f64 {
-    CpuModel::opteron_248().time(work, CpuTuning::SimdFastMath)
-}
-
-/// Convenience wrapper: modeled CPU time for plain scalar code.
-pub fn cpu_time_scalar(work: &CpuWork) -> f64 {
-    CpuModel::opteron_248().time(work, CpuTuning::Scalar)
 }
 
 #[cfg(test)]

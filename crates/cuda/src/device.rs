@@ -3,7 +3,7 @@
 //! transfer time" columns come from.
 
 use crate::transfer::PcieModel;
-use g80_isa::{Kernel, Operand, Value};
+use g80_isa::{Kernel, Value};
 use g80_sim::fault::{self, Site};
 use g80_sim::{
     launch_traced, CudaError, DeviceMemory, GpuConfig, KernelStats, LaunchDims, Served, SimContext,
@@ -109,10 +109,6 @@ impl<T: Word32> DeviceBuffer<T> {
     /// The buffer's base address as a kernel parameter value.
     pub fn as_param(&self) -> Value {
         Value::from_u32(self.byte_addr)
-    }
-    /// The buffer's base address as an instruction operand.
-    pub fn as_operand(&self) -> Operand {
-        Operand::imm_u(self.byte_addr)
     }
 }
 

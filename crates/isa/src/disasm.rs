@@ -3,7 +3,7 @@
 //! generally sufficient in the initial stages of estimating resource
 //! requirements").
 
-use crate::inst::{AluOp, Inst, InstClass, Operand, SfuOp, Space, SpecialReg, UnOp};
+use crate::inst::{AluOp, Inst, Operand, SfuOp, Space, SpecialReg, UnOp};
 use crate::kernel::Kernel;
 use std::fmt::Write;
 
@@ -238,11 +238,6 @@ pub fn disassemble(k: &Kernel) -> String {
         let _ = writeln!(s, "  {:4}  {}", i, inst_to_string(inst));
     }
     s
-}
-
-/// Counts instructions in the given class (convenience for reports).
-pub fn count_class(k: &Kernel, c: InstClass) -> u64 {
-    k.static_mix().get(c)
 }
 
 #[cfg(test)]

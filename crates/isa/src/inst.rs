@@ -314,13 +314,6 @@ impl Operand {
     pub fn imm_i(v: i32) -> Self {
         Operand::Imm(Value::from_i32(v))
     }
-    /// Returns the register if this operand is one.
-    pub fn as_reg(&self) -> Option<Reg> {
-        match self {
-            Operand::Reg(r) => Some(*r),
-            _ => None,
-        }
-    }
     /// Returns the immediate value if this operand is one.
     pub fn as_imm(&self) -> Option<Value> {
         match self {

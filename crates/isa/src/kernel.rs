@@ -1,6 +1,6 @@
 //! Compiled kernels and their static metadata.
 
-use crate::inst::{Inst, InstClass, Label};
+use crate::inst::{Inst, InstClass};
 use std::collections::HashMap;
 
 /// A compiled kernel: flat code with resolved branch targets, plus the static
@@ -77,11 +77,6 @@ impl Kernel {
             _ => Err("kernel does not end in exit or unconditional branch".into()),
         }
     }
-
-    /// The label value that means "instruction index i".
-    pub fn label_at(i: usize) -> Label {
-        Label(i as u32)
-    }
 }
 
 /// Instruction counts by class, with the ratios Section 4 reasons about.
@@ -127,7 +122,7 @@ impl InstMix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::{Operand, Reg};
+    use crate::inst::{Label, Operand, Reg};
 
     fn exit_kernel(code: Vec<Inst>) -> Kernel {
         Kernel {

@@ -349,11 +349,6 @@ impl KernelStats {
         let warps_per_block = self.threads_per_block.div_ceil(self.warp_size);
         (self.blocks_per_sm * warps_per_block) as f64 / self.max_warps_per_sm as f64
     }
-
-    /// Total idle issue cycles.
-    pub fn total_stall_cycles(&self) -> u64 {
-        self.stall_cycles.values().sum()
-    }
 }
 
 /// Defines one family of context tallies: a `Copy` snapshot struct of `u64`

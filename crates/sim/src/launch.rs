@@ -21,16 +21,17 @@ use crate::config::GpuConfig;
 use crate::context::SimContext;
 use crate::counters::{KernelStats, SmStats};
 use crate::fault::Site;
-use crate::memo::{self, Served};
+use crate::memo::{self, KernelInfo, Served};
 use crate::memory::DeviceMemory;
 use crate::pool;
 use crate::reference::run_sm_reference;
-use crate::sm::{run_sm, LaunchDims, SmTally};
+use crate::sm::{self, LaunchDims};
 use crate::witness::{replay_sm, Ev};
 use g80_isa::{DecodedKernel, Kernel, Value};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering::Relaxed;
+use std::sync::Arc;
 
 /// Which timing-engine implementation a context's launches use
 /// ([`crate::SimConfig::engine`]). Both produce bit-identical
@@ -211,60 +212,90 @@ fn assign_blocks(cfg: &GpuConfig, dims: LaunchDims) -> Vec<Vec<(u32, u32)>> {
     per_sm_blocks
 }
 
-/// A validated launch, ready to have its SM tasks executed.
-struct Prepared<'a> {
-    spec: LaunchSpec<'a>,
-    blocks_per_sm: u32,
+/// A validated launch: everything that stays fixed while its SMs run, handed
+/// down whole to the engines ([`sm::run_sm`], [`replay_sm`]).
+pub(crate) struct Prepared<'a> {
+    pub(crate) cfg: &'a GpuConfig,
+    pub(crate) spec: LaunchSpec<'a>,
+    pub(crate) blocks_per_sm: u32,
     per_sm_blocks: Vec<Vec<(u32, u32)>>,
+    /// The kernel's predecode and dataflow facts; `None` runs the reference
+    /// engine.
+    info: Option<Arc<KernelInfo>>,
+    /// Block-class dedup engages: the context allows it and the kernel is
+    /// eligible ([`KernelInfo::dedup_eligible`]).
+    pub(crate) dedup: bool,
+    /// The per-SM cycle budget ([`SimContext::watchdog_budget`]).
+    pub(crate) watchdog: u64,
 }
 
 impl<'a> Prepared<'a> {
+    /// Resolves everything a launch's SMs share. Predecode (and dataflow
+    /// analysis) runs once per process per kernel content and can unwind
+    /// (injected `isa.decode` fault); that costs this launch only.
+    pub(crate) fn new(
+        ctx: &SimContext,
+        cfg: &'a GpuConfig,
+        spec: LaunchSpec<'a>,
+        blocks_per_sm: u32,
+    ) -> Result<Self, LaunchError> {
+        let info = match ctx.config().engine {
+            Engine::Reference => None,
+            Engine::Predecoded => Some(
+                catch_unwind(AssertUnwindSafe(|| memo::kernel_info(spec.kernel)))
+                    .map_err(classify_panic)?,
+            ),
+        };
+        Ok(Prepared {
+            cfg,
+            spec,
+            blocks_per_sm,
+            per_sm_blocks: assign_blocks(cfg, spec.dims),
+            dedup: ctx.config().dedup && info.as_deref().is_some_and(|i| i.dedup_eligible),
+            info,
+            watchdog: ctx.watchdog_budget(),
+        })
+    }
+
+    /// The predecoded kernel the product engine and witness replay run.
+    #[inline]
+    pub(crate) fn decoded(&self) -> &DecodedKernel {
+        &self.info.as_deref().expect("predecoded engine").decoded
+    }
+
+    /// Shared-memory addresses are `ctaid`-free
+    /// ([`KernelInfo::shared_uniform`]).
+    #[inline]
+    pub(crate) fn shared_uniform(&self) -> bool {
+        self.info.as_deref().is_some_and(|i| i.shared_uniform)
+    }
+
     /// Simulates one SM of this launch: on the product engine given the
     /// kernel's decoded table, on the reference engine without one. The
     /// run's row and dedup tallies are flushed to `ctx` once, at its end.
-    #[allow(clippy::too_many_arguments)]
     fn run_sm(
         &self,
         ctx: &SimContext,
-        decoded: Option<&DecodedKernel>,
         blocks: &[(u32, u32)],
-        cfg: &GpuConfig,
-        dedup: bool,
-        shared_uniform: bool,
         witness_out: Option<&mut Option<Vec<Vec<Ev>>>>,
     ) -> SmStats {
         // One poll per SM simulation: every launch exercises the site, and
         // the per-launch fault probability does not scale with grid size.
         ctx.faults().poll(Site::SmStep);
-        let s = &self.spec;
-        let Some(decoded) = decoded else {
+        if self.info.is_none() {
+            let s = &self.spec;
             return run_sm_reference(
-                cfg,
+                self.cfg,
                 s.kernel,
                 &s.dims,
                 s.params,
                 s.mem,
                 blocks,
                 self.blocks_per_sm,
-                ctx.watchdog_budget(),
+                self.watchdog,
             );
-        };
-        let mut tally = SmTally::default();
-        let stats = run_sm(
-            cfg,
-            s.kernel,
-            decoded,
-            &s.dims,
-            s.params,
-            s.mem,
-            blocks,
-            self.blocks_per_sm,
-            dedup,
-            shared_uniform,
-            ctx.watchdog_budget(),
-            &mut tally,
-            witness_out,
-        );
+        }
+        let (stats, tally) = sm::run_sm(self, blocks, witness_out);
         ctx.metrics.rows.add(&tally.rows);
         ctx.metrics.memo.add(&tally.memo);
         stats
@@ -279,38 +310,25 @@ impl<'a> Prepared<'a> {
     fn reuse_or_run_sm(
         &self,
         ctx: &SimContext,
-        cfg: &GpuConfig,
-        decoded: &DecodedKernel,
-        shared_uniform: bool,
         blocks: &[(u32, u32)],
         donor: Option<(&SmStats, &[Vec<Ev>])>,
     ) -> SmStats {
         if let Some((donor_stats, rep)) = donor {
-            let (s, tally) = (&self.spec, &ctx.metrics.memo);
-            if replay_sm(
-                cfg,
-                s.kernel,
-                decoded,
-                &s.dims,
-                s.params,
-                s.mem,
-                blocks,
-                rep,
-                shared_uniform,
-            ) {
+            let tally = &ctx.metrics.memo;
+            if replay_sm(self, blocks, rep) {
                 let replayed = blocks.len() as u64;
                 tally.dedup_fast_blocks.fetch_add(replayed, Relaxed);
                 return donor_stats.clone();
             }
             tally.dedup_fallbacks.fetch_add(1, Relaxed);
         }
-        self.run_sm(ctx, Some(decoded), blocks, cfg, true, shared_uniform, None)
+        self.run_sm(ctx, blocks, None)
     }
 
-    fn merge(&self, cfg: &GpuConfig, results: Vec<SmStats>) -> KernelStats {
+    fn merge(&self, results: Vec<SmStats>) -> KernelStats {
         KernelStats::merge(
             &self.spec.kernel.name,
-            cfg,
+            self.cfg,
             results,
             self.spec.kernel.regs_per_thread,
             self.spec.kernel.smem_bytes,
@@ -483,8 +501,8 @@ fn probe(
     }))
 }
 
-/// The expensive half: predecode registry, SM simulation (with donor-SM
-/// reuse), merge, record. Unwinds from the simulation (kernel bugs,
+/// The expensive half: [`Prepared::new`] (the predecode registry), SM
+/// simulation (with donor-SM reuse), merge, record. Unwinds from the simulation (kernel bugs,
 /// watchdog aborts, injected faults) are caught and classified into
 /// [`LaunchError`]s, so they cost this launch only.
 fn simulate(
@@ -493,28 +511,9 @@ fn simulate(
     spec: LaunchSpec,
     miss: Miss,
 ) -> Result<(KernelStats, Served), LaunchError> {
-    let prepared = Prepared {
-        spec,
-        blocks_per_sm: miss.blocks_per_sm,
-        per_sm_blocks: assign_blocks(cfg, spec.dims),
-    };
-
-    // Predecode (and dataflow-analyze) once per process per kernel content.
-    // Decode can unwind (injected isa.decode fault); that costs this launch
-    // only.
-    let info = match ctx.config().engine {
-        Engine::Reference => None,
-        Engine::Predecoded => Some(
-            catch_unwind(AssertUnwindSafe(|| memo::kernel_info(spec.kernel)))
-                .map_err(classify_panic)?,
-        ),
-    };
-    let decoded = info.as_deref().map(|i| &i.decoded);
-    let dedup = ctx.config().dedup && info.as_deref().is_some_and(|i| i.dedup_eligible);
-    let shared_uniform = info.as_deref().is_some_and(|i| i.shared_uniform);
-
-    let results = run_sms(ctx, cfg, &prepared, decoded, dedup, shared_uniform)?;
-    let stats = prepared.merge(cfg, results);
+    let prepared = Prepared::new(ctx, cfg, spec, miss.blocks_per_sm)?;
+    let results = run_sms(ctx, &prepared)?;
+    let stats = prepared.merge(results);
     if let Some(pending) = miss.pending {
         memo::memo_record(ctx, pending, spec.mem, &stats);
     }
@@ -578,14 +577,7 @@ type Queue<'a> = (usize, &'a [(u32, u32)]);
 /// One pool task per SM *with work to do*. An empty SM's simulation is the
 /// empty `SmStats` (it never enters the scheduler loop), so skipping it is
 /// bit-identical and a small grid costs a handful of queue operations.
-fn run_sms(
-    ctx: &SimContext,
-    cfg: &GpuConfig,
-    prepared: &Prepared,
-    decoded: Option<&DecodedKernel>,
-    dedup: bool,
-    shared_uniform: bool,
-) -> Result<Vec<SmStats>, LaunchError> {
+fn run_sms(ctx: &SimContext, prepared: &Prepared) -> Result<Vec<SmStats>, LaunchError> {
     let busy: Vec<Queue> = prepared
         .per_sm_blocks
         .iter()
@@ -593,7 +585,7 @@ fn run_sms(
         .filter(|(_, blocks)| !blocks.is_empty())
         .map(|(sm, blocks)| (sm, blocks.as_slice()))
         .collect();
-    let mut results: Vec<SmStats> = vec![SmStats::default(); cfg.num_sms as usize];
+    let mut results: Vec<SmStats> = vec![SmStats::default(); prepared.cfg.num_sms as usize];
     let small = prepared.spec.dims.total_blocks() * prepared.spec.dims.threads_per_block() as u64
         <= CALLER_RUNS_THREADS;
 
@@ -607,7 +599,7 @@ fn run_sms(
     // class-identical, constant addresses included — every SM starts with a
     // cold constant cache), so it replays functionally and adopts its
     // donor's stats. Donors are independent of each other: one task scope.
-    if let (true, Some(d)) = (dedup, decoded) {
+    if prepared.dedup {
         let classes: Vec<&[Queue]> = busy.chunk_by(|a, b| a.1.len() == b.1.len()).collect();
         let mut reps: Vec<Option<Vec<Vec<Ev>>>> = vec![None; classes.len()];
         let donor_stats = collect_sm_results(run_sm_tasks(
@@ -617,7 +609,7 @@ fn run_sms(
                 .zip(reps.iter_mut())
                 .map(|(class, rep)| {
                     let (blocks, rep) = (class[0].1, (class.len() > 1).then_some(rep));
-                    move || prepared.run_sm(ctx, decoded, blocks, cfg, true, shared_uniform, rep)
+                    move || prepared.run_sm(ctx, blocks, rep)
                 })
                 .collect(),
         ))?;
@@ -629,7 +621,7 @@ fn run_sms(
                 .flat_map(|(class, (stats, rep))| {
                     let donor = rep.as_deref().map(|rep| (stats, rep));
                     class[1..].iter().map(move |&(_, blocks)| {
-                        move || prepared.reuse_or_run_sm(ctx, cfg, d, shared_uniform, blocks, donor)
+                        move || prepared.reuse_or_run_sm(ctx, blocks, donor)
                     })
                 })
                 .collect(),
@@ -647,9 +639,7 @@ fn run_sms(
     let partial = collect_sm_results(run_sm_tasks(
         small,
         busy.iter()
-            .map(|&(_, blocks)| {
-                move || prepared.run_sm(ctx, decoded, blocks, cfg, dedup, shared_uniform, None)
-            })
+            .map(|&(_, blocks)| move || prepared.run_sm(ctx, blocks, None))
             .collect(),
     ))?;
     for ((sm, _), stats) in busy.into_iter().zip(partial) {
@@ -740,6 +730,24 @@ fn launch_batch_once(
 mod tests {
     use super::*;
     use g80_isa::builder::KernelBuilder;
+
+    impl<'a> Prepared<'a> {
+        /// A launch on a fresh context with the predecoded engine, dedup as
+        /// asked (when the kernel is eligible) and `blocks_per_sm` as given.
+        pub(crate) fn for_test(
+            cfg: &'a GpuConfig,
+            spec: LaunchSpec<'a>,
+            blocks_per_sm: u32,
+            dedup: bool,
+        ) -> Self {
+            let ctx = SimContext::new(crate::SimConfig {
+                dedup,
+                ..Default::default()
+            });
+            ctx.enter(|| Prepared::new(&ctx, cfg, spec, blocks_per_sm))
+                .expect("predecode")
+        }
+    }
 
     /// A one-parameter kernel that stores tid to the param address.
     fn tiny_kernel() -> Kernel {

@@ -55,6 +55,8 @@
 //! assert_eq!(stats.coalesced_half_warps, 2 * 64); // 1 ld + 1 st per half-warp
 //! ```
 
+#![warn(clippy::too_many_lines)]
+
 pub mod config;
 pub mod context;
 pub mod counters;

@@ -1131,6 +1131,37 @@ mod tests {
         }
     }
 
+    /// A random shaped row for [`affine_runs_match_the_lane_walk`]: periods
+    /// 1 to 16; strides 0, 4 and others; aligned, unaligned and wrapping
+    /// bases; any step.
+    fn random_terms(next: &mut impl FnMut() -> u32) -> AffineTerms {
+        let log2p = (next() % 5) as u8;
+        let stride = match next() % 4 {
+            0 => 0,
+            1 => 4,
+            2 => [1, 2, 3, 8, 12, 64, 4u32.wrapping_neg()][next() as usize % 7],
+            _ => next(),
+        };
+        let base = match next() % 3 {
+            0 => next() % 512 * 4,
+            1 => next() % 512 * 4 + 1 + next() % 3,
+            _ => u32::MAX - next() % 128,
+        };
+        let step = match next() % 5 {
+            0 => 0,
+            1 => stride << log2p,
+            2 => next() % 64 * 4,
+            3 => next() % 256,
+            _ => next(),
+        };
+        AffineTerms {
+            base,
+            stride,
+            step,
+            log2p,
+        }
+    }
+
     /// The run form of a warp load or store (`sm::LaneAddrs`: a broadcast
     /// or a contiguous copy per run of `p` lanes) against the per-lane walk
     /// it replaces, on random rows — periods 1 to 16; strides 0, 4 and
@@ -1156,31 +1187,8 @@ mod tests {
         };
         let (mut runs_done, mut runs_failed) = (0, 0);
         for _ in 0..2000 {
-            let log2p = (next() % 5) as u8;
-            let stride = match next() % 4 {
-                0 => 0,
-                1 => 4,
-                2 => [1, 2, 3, 8, 12, 64, 4u32.wrapping_neg()][next() as usize % 7],
-                _ => next(),
-            };
-            let base = match next() % 3 {
-                0 => next() % 512 * 4,
-                1 => next() % 512 * 4 + 1 + next() % 3,
-                _ => u32::MAX - next() % 128,
-            };
-            let step = match next() % 5 {
-                0 => 0,
-                1 => stride << log2p,
-                2 => next() % 64 * 4,
-                3 => next() % 256,
-                _ => next(),
-            };
-            let t = AffineTerms {
-                base,
-                stride,
-                step,
-                log2p,
-            };
+            let t = random_terms(&mut next);
+            let stride = t.stride;
             let live = 1 + next() % 32;
             let lane_words: Vec<u32> = (0..live).map(|l| t.lane(l) / 4).collect();
             let (lo, hi) = (lane_words.iter().min(), lane_words.iter().max());

@@ -20,27 +20,27 @@
 //! moves and [`Resident`]; [`ExecCtx::execute`] adds the scoreboard write,
 //! the issue occupancy, the memory pipeline and the counters.
 //!
-//! # The predecoded hot loop
+//! # Three parts around one launch
 //!
-//! This engine consumes a [`DecodedKernel`] (see [`g80_isa::decode`]) and is
-//! written to keep the scheduler's steady state allocation-free:
+//! `run_sm` takes the launch as one value, `Prepared` (configuration,
+//! spec, predecoded kernel, dedup verdict, watchdog budget), and drives
+//! three kinds of state, each behind one type:
 //!
-//! * **readiness is a gate-list scan** — each micro-op carries its
-//!   precomputed scoreboard gate set (source registers + WAW destination),
-//!   so [`inst_ready`] indexes the scoreboard directly instead of walking
-//!   instruction operands;
-//! * **the warp schedule is incremental** — all resident blocks share one
-//!   geometry, so refilling a retired block in place preserves the
-//!   round-robin order; the schedule is rebuilt only when the grid tail
-//!   shrinks the resident set, and the retire scan itself runs only after
-//!   some warp actually retired;
-//! * **coalescing scratch is pooled** — the texture-space `lines` working
-//!   set lives in a per-SM [`Scratch`] reused across accesses (the
-//!   constant-space distinct-address set is a fixed stack array);
-//! * **register files and shared memory are recycled** — a retired block's
-//!   [`Resident`] storage is reset in place for the next block instead of
-//!   being reallocated (the degenerate form of a free pool when every block
-//!   has the same shape).
+//! * **the schedule** (`Schedule`) — resident blocks, the round-robin
+//!   order over their warps with each stalled warp's cached verdict, the
+//!   queue position. Readiness is a gate-list scan (`stall_verdict`
+//!   indexes the scoreboard with each micro-op's precomputed gate set); the
+//!   order is rebuilt only when the grid tail shrinks the resident set, the
+//!   retire scan runs only after some warp retired, and a retired block's
+//!   `Resident` storage is reset in place for the next block;
+//! * **the pipeline** (`ExecCtx`) — clock, DRAM channel, constant and
+//!   texture caches, counters and row tally, built once per SM run; each
+//!   issue lends it one resident block (`ExecCtx::execute`). The texture
+//!   line set is pooled, the constant distinct-address set a stack array;
+//! * **the period detector** (`PeriodDetector`) — witness recorder,
+//!   boundary states and replay scratch; the schedule calls it at retire,
+//!   remove, issue and at the end, and it fast-forwards whole periods
+//!   (`Schedule::shift` moves both other parts' clocks).
 //!
 //! None of this may change simulated timing: [`crate::reference`] keeps the
 //! original engine as an executable spec, and the `golden_stats` test
@@ -48,6 +48,7 @@
 
 use crate::config::GpuConfig;
 use crate::counters::{MemoCounters, RowCounters, SmStats, StallReason, TallyKey};
+use crate::launch::Prepared;
 use crate::memory::{
     coalesce_affine_warp, coalesce_half_warp_noalloc, const_out_of_bounds, global_out_of_bounds,
     smem_degree_affine_warp, smem_degree_lanes, DeviceMemory, HalfWarpAccess, TagCache, Words,
@@ -153,17 +154,318 @@ struct Slot {
     cached: Option<(u64, StallReason)>,
 }
 
-/// Reusable per-SM working buffers for the memory path.
-#[derive(Default)]
-struct Scratch {
-    /// Distinct texture lines of one warp access.
-    lines: Vec<u32>,
+/// What one [`run_sm`] adds to its context's tallies (row shapes and the
+/// dedup fields of [`MemoCounters`]); the caller flushes it once per run.
+pub(crate) struct SmTally {
+    pub rows: RowCounters,
+    pub memo: MemoCounters,
 }
 
-/// One observed block-refill boundary of the dedup period detector: the
-/// absolute progress at the instant the scheduler state had a given
-/// (relative) snapshot. A later recurrence of the snapshot yields the
-/// per-period deltas by subtraction.
+/// Simulates one SM over its assigned blocks. Deterministic; aborts with a
+/// [`crate::fault::WatchdogAbort`] past the launch's watchdog budget. With
+/// [`Prepared::dedup`] set (only for witness-eligible kernels, see
+/// [`crate::memo::KernelInfo`]), steady-state periods of the block stream
+/// are fast-forwarded by the [`PeriodDetector`]: timing by recurrence of the
+/// scheduler-state snapshot, functional effects by witness-verified replay.
+/// Aggregate stats are bit-identical either way.
+///
+/// When `witness_out` is provided (with dedup set, the SM then records
+/// even if its whole queue is resident at once) and *every* block this SM
+/// executed was verified class-identical to the representative, the
+/// representative streams are moved into it. The SM's timing is a deterministic function of
+/// its inputs, and every timing-relevant quantity the scheduler consumes is
+/// captured by the event streams — so another SM whose equally-long block
+/// queue replays clean against the same streams would evolve identically,
+/// and may adopt this SM's stats outright (donor-SM reuse in
+/// [`crate::launch`]).
+pub(crate) fn run_sm(
+    p: &Prepared,
+    queue: &[(u32, u32)],
+    witness_out: Option<&mut Option<Vec<Vec<Ev>>>>,
+) -> (SmStats, SmTally) {
+    let decoded = p.decoded();
+    let mut sched = Schedule::new(p, queue);
+    let mut period = PeriodDetector::new(p.dedup, &sched, witness_out.is_some());
+    let mut pipe = ExecCtx::new(p);
+    loop {
+        if pipe.cycle >= p.watchdog {
+            let insts = pipe.stats.warp_instructions;
+            crate::fault::watchdog_abort(&p.spec.kernel.name, p.watchdog, pipe.cycle, insts);
+        }
+        if sched.check_retire && sched.retire(&mut pipe.stats, &mut period) {
+            period.at_refill(p, &mut sched, &mut pipe);
+        }
+        if sched.resident.is_empty() {
+            break;
+        }
+        let Some((next, reason)) = sched.issue(decoded, &mut pipe, &mut period) else {
+            continue;
+        };
+        if next == u64::MAX {
+            sched.check_deadlock(&p.spec.kernel.name);
+            continue;
+        }
+        // Nothing ready: event-skip to the earliest candidate.
+        let skip = next.saturating_sub(pipe.cycle).max(1);
+        pipe.stats.stall(reason, skip);
+        pipe.cycle += skip;
+    }
+    pipe.stats.cycles = pipe.cycle;
+    let memo = period.finish(p.dedup, queue.len(), witness_out);
+    let rows = pipe.rows;
+    (pipe.stats, SmTally { rows, memo })
+}
+
+/// The warp schedule of one SM: its resident blocks, the round-robin order
+/// over their warps, and the queue that refills them. Kept apart from the
+/// pipeline state ([`ExecCtx`]) so an issue can lend one resident block to
+/// [`ExecCtx::execute`] mutably.
+struct Schedule<'q> {
+    resident: Vec<Resident>,
+    /// The flattened warp schedule, maintained incrementally: every block of
+    /// a launch has the same warp count, so an in-place refill leaves the
+    /// schedule unchanged; only removing a slot (grid tail) invalidates it.
+    ///
+    /// Each slot also caches the warp's last computed stall verdict. A
+    /// stalled warp's (ready_at, reason) depends only on its own state
+    /// (frames, scoreboard, resume_at), which changes exactly when the warp
+    /// issues, its block releases a barrier, or the slot is refilled with a
+    /// new block — the three places that clear the cache. Between those
+    /// events the scan skips the settle + gate-list recomputation.
+    order: Vec<Slot>,
+    /// Where the next issue scan starts (`< order.len()`).
+    rr: usize,
+    /// `order` no longer matches `resident` (a slot was removed).
+    order_stale: bool,
+    /// A block's all_done() can only flip after some warp retires; gate the
+    /// retire/refill scan on that event instead of re-checking every
+    /// scheduler iteration.
+    check_retire: bool,
+    queue: &'q [(u32, u32)],
+    /// The next block of `queue` to become resident.
+    next: usize,
+    /// Warps per block.
+    wpb: usize,
+}
+
+impl<'q> Schedule<'q> {
+    fn new(p: &Prepared, queue: &'q [(u32, u32)]) -> Self {
+        let (kernel, dims) = (p.spec.kernel, &p.spec.dims);
+        let slots = queue.len().min(p.blocks_per_sm as usize);
+        Schedule {
+            resident: queue[..slots]
+                .iter()
+                .map(|&ctaid| Resident::new(kernel, dims, ctaid))
+                .collect(),
+            order: Vec::new(),
+            rr: 0,
+            order_stale: true,
+            check_retire: true,
+            queue,
+            next: slots,
+            wpb: dims.threads_per_block().div_ceil(32) as usize,
+        }
+    }
+
+    /// Blocks of the queue not yet started.
+    fn left(&self) -> usize {
+        self.queue.len() - self.next
+    }
+
+    /// Forgets the cached stall verdicts of block `bi`'s warps.
+    fn invalidate(&mut self, bi: usize) {
+        for s in self.order.iter_mut().filter(|s| s.bi == bi) {
+            s.cached = None;
+        }
+    }
+
+    /// Moves every absolute-cycle value of the schedule and of `pipe` on by
+    /// `d` cycles. All scheduler comparisons are invariant under a uniform
+    /// shift, so the machine continues as if it had run those cycles.
+    fn shift(&mut self, pipe: &mut ExecCtx, d: u64) {
+        pipe.cycle += d;
+        pipe.chan_free += d;
+        for w in self.resident.iter_mut().flat_map(|r| r.warps.iter_mut()) {
+            for t in w.reg_ready.iter_mut() {
+                *t += d;
+            }
+            w.resume_at += d;
+        }
+        for (t, _) in self.order.iter_mut().filter_map(|s| s.cached.as_mut()) {
+            *t += d;
+        }
+    }
+
+    /// Retires completed blocks and refills their slots from the queue, or
+    /// removes them at the grid tail. Returns whether this was a refill
+    /// boundary the period detector may inspect: some slot refilled and
+    /// none was removed.
+    fn retire(&mut self, stats: &mut SmStats, period: &mut PeriodDetector) -> bool {
+        self.check_retire = false;
+        let mut refilled = false;
+        let mut i = 0;
+        while i < self.resident.len() {
+            if !self.resident[i].all_done() {
+                i += 1;
+                continue;
+            }
+            stats.blocks_executed += 1;
+            period.recorder.on_retire(i);
+            if let Some(&ctaid) = self.queue.get(self.next) {
+                self.next += 1;
+                self.resident[i].reset(ctaid);
+                self.invalidate(i);
+                refilled = true;
+                i += 1;
+            } else {
+                // Grid tail: drop the slot's witness state so the remaining
+                // slot indices realign (no fast-forward is possible with an
+                // empty queue, but the per-block verification must survive
+                // for donor-SM reuse).
+                period.recorder.on_remove(i);
+                self.resident.remove(i);
+                self.order_stale = true;
+            }
+        }
+        refilled && !self.order_stale
+    }
+
+    /// Lays `order` out afresh over the resident blocks' warps.
+    fn rebuild_order(&mut self) {
+        self.order_stale = false;
+        self.order.clear();
+        for (bi, r) in self.resident.iter().enumerate() {
+            let warps = 0..r.warps.len();
+            self.order.extend(warps.map(|wi| Slot {
+                bi,
+                wi,
+                cached: None,
+            }));
+        }
+        // A grid-tail removal may have shrunk the schedule under `rr`. The
+        // scan order is `rr` mod n either way, and no snapshot sees the
+        // change: the queue is empty once a slot is removed.
+        self.rr %= self.order.len();
+    }
+
+    /// One issue scan in round-robin order from `rr`: issues the first
+    /// ready warp through `pipe` and returns `None`, or returns the earliest
+    /// future candidate and its stall reason (`u64::MAX` when no warp can
+    /// become ready: all parked at a barrier, or retired during the scan).
+    fn issue(
+        &mut self,
+        decoded: &DecodedKernel,
+        pipe: &mut ExecCtx,
+        period: &mut PeriodDetector,
+    ) -> Option<(u64, StallReason)> {
+        if self.order_stale {
+            self.rebuild_order();
+        }
+        let n = self.order.len();
+        let mut best = (u64::MAX, StallReason::Drain);
+        for k in 0..n {
+            // `rr < n`, so one conditional wrap is the `% n`.
+            let idx = if self.rr + k < n {
+                self.rr + k
+            } else {
+                self.rr + k - n
+            };
+            let Slot { bi, wi, cached } = self.order[idx];
+            let block = &mut self.resident[bi];
+            let warp = &mut block.warps[wi];
+            if warp.done || warp.at_barrier {
+                continue;
+            }
+            let (ready_at, reason) = match cached {
+                Some(c) => c,
+                None if !warp.settle() => {
+                    self.check_retire = true;
+                    continue; // retired just now
+                }
+                None => stall_verdict(warp, &decoded.ops[warp.pc() as usize]),
+            };
+            if ready_at > pipe.cycle {
+                self.order[idx].cached = Some((ready_at, reason));
+                if ready_at < best.0 {
+                    best = (ready_at, reason);
+                }
+                continue;
+            }
+            let pc = warp.pc();
+            let pre_mask = warp.active_mask();
+            pipe.record = period.recorder.valid;
+            pipe.cycle += pipe.execute(block, wi, &decoded.ops[pc as usize]);
+            if pipe.record {
+                let ev = Ev::new(pc, pre_mask, pipe.ev_aux, pipe.ev_bytes);
+                period.recorder.record(bi, wi, ev);
+            }
+            self.rr = if idx + 1 < n { idx + 1 } else { 0 };
+            self.order[idx].cached = None; // the warp advanced
+            let warp = &block.warps[wi];
+            self.check_retire |= warp.done;
+            if (warp.at_barrier || warp.done)
+                && block.release_barrier(pipe.cycle + pipe.p.cfg.barrier_latency)
+            {
+                self.invalidate(bi); // resume_at moved for the whole block
+            }
+            return None;
+        }
+        Some(best)
+    }
+
+    /// Called when a scan found no warp that can become ready: every live
+    /// warp is parked at a barrier but the block never filled — or warps
+    /// retired during the scan (`check_retire` is set, so the retire scan
+    /// runs next). A genuine deadlock (divergent barrier) is a kernel bug.
+    fn check_deadlock(&self, kernel: &str) {
+        let any_live = self
+            .resident
+            .iter()
+            .any(|b| b.warps.iter().any(|w| !w.done && !w.at_barrier));
+        let all_done = self.resident.iter().all(|b| b.all_done());
+        if !any_live && !all_done {
+            panic!("kernel {kernel}: deadlock — all warps parked at a barrier");
+        }
+    }
+}
+
+/// When a stalled warp's next instruction can issue, and why it waits.
+///
+/// The micro-op's precomputed gate set lists exactly the registers the
+/// reference engine's operand walk would consider, in the same order, so
+/// the strict-`>` max keeps the same gate attribution.
+#[inline]
+fn stall_verdict(warp: &Warp, mop: &MicroOp) -> (u64, StallReason) {
+    let mut reg_ready = 0u64;
+    let mut gate = None;
+    for &r in mop.gate_regs() {
+        let ready = warp.reg_ready[r as usize];
+        if ready > reg_ready {
+            reg_ready = ready;
+            gate = Some(warp.reg_source[r as usize]);
+        }
+    }
+    // A post-barrier pipeline drain dominates register readiness: attribute
+    // that wait to the barrier, not the ALU/memory.
+    let reason = if warp.resume_at > reg_ready {
+        StallReason::Barrier
+    } else {
+        match gate {
+            Some(RegSource::Memory) => StallReason::Memory,
+            Some(RegSource::Alu) => StallReason::AluDependency,
+            // Defensive: gate is None only when no register is pending, and
+            // then the wait is a barrier drain (handled above) —
+            // unreachable today.
+            None => StallReason::IssueBusy,
+        }
+    };
+    (reg_ready.max(warp.resume_at), reason)
+}
+
+/// One observed block-refill boundary of the period detector: the absolute
+/// progress at the instant the scheduler state had a given (relative)
+/// snapshot. A later recurrence of the snapshot yields the per-period
+/// deltas by subtraction.
 struct Boundary {
     cycle: u64,
     stats: SmStats,
@@ -174,518 +476,205 @@ struct Boundary {
 /// (a transient longer than this means the launch is not steady-state).
 const DEDUP_MAX_BOUNDARIES: usize = 64;
 
-/// What one [`run_sm`] adds to its context's tallies (row shapes and the
-/// dedup fields of [`MemoCounters`]); the caller flushes it once per run.
-#[derive(Default)]
-pub struct SmTally {
-    pub rows: RowCounters,
-    pub memo: MemoCounters,
+/// The dedup period detector: the witness recorder every issue feeds, the
+/// boundary states seen at block refills, and the replay that fast-forwards
+/// whole periods once a state recurs. [`run_sm`] calls it at retire, at
+/// remove, at issue and at the end; how recurrence works is its business.
+struct PeriodDetector {
+    /// Valid while recording (see [`PeriodDetector::new`]).
+    recorder: WitnessRecorder,
+    boundaries: HashMap<Vec<u64>, Boundary>,
+    /// Replay-executor state for the fast-forward path, allocated on the
+    /// first period hit and recycled for every replayed block after it.
+    replay: Option<ReplayScratch>,
+    memo: MemoCounters,
 }
 
-/// Simulates one SM over its assigned blocks. Deterministic; aborts with a
-/// [`crate::fault::WatchdogAbort`] past `watchdog` simulated cycles. With
-/// `dedup` set (only for witness-eligible kernels, see [`crate::memo::KernelInfo`]),
-/// steady-state periods of the block stream are fast-forwarded: timing by
-/// recurrence of the scheduler-state snapshot, functional effects by
-/// witness-verified replay. Aggregate stats are bit-identical either way.
-///
-/// When `witness_out` is provided (with `dedup` set, the SM then records
-/// even if its whole queue is resident at once) and *every* block this SM
-/// executed was verified class-identical to the representative, the
-/// representative streams are moved into it. The SM's timing is a deterministic function of
-/// its inputs, and every timing-relevant quantity the scheduler consumes is
-/// captured by the event streams — so another SM whose equally-long block
-/// queue replays clean against the same streams would evolve identically,
-/// and may adopt this SM's stats outright (donor-SM reuse in
-/// [`crate::launch`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_sm(
-    cfg: &GpuConfig,
-    kernel: &Kernel,
-    decoded: &DecodedKernel,
-    dims: &LaunchDims,
-    params: &[Value],
-    mem: &DeviceMemory,
-    my_blocks: &[(u32, u32)],
-    blocks_per_sm: u32,
-    dedup: bool,
-    shared_uniform: bool,
-    watchdog: u64,
-    tally: &mut SmTally,
-    witness_out: Option<&mut Option<Vec<Vec<Ev>>>>,
-) -> SmStats {
-    let mut stats = SmStats::default();
-    let mut next_block: usize = 0;
-    let mut resident: Vec<Resident> = Vec::new();
-    for _ in 0..blocks_per_sm {
-        if next_block < my_blocks.len() {
-            let ctaid = my_blocks[next_block];
-            next_block += 1;
-            resident.push(Resident::new(kernel, dims, ctaid));
+impl PeriodDetector {
+    /// Records while a refill can recur (a steady state to fast-forward) or
+    /// while other SMs will replay this one's streams (`export`): a fully
+    /// resident cohort still builds, freezes and verifies the
+    /// representative, and donor reuse needs nothing more.
+    fn new(dedup: bool, sched: &Schedule, export: bool) -> Self {
+        let slots = sched.resident.len();
+        let mut recorder = WitnessRecorder::new(slots, sched.wpb);
+        recorder.valid = dedup && (sched.queue.len() > slots || export);
+        PeriodDetector {
+            recorder,
+            boundaries: HashMap::new(),
+            replay: None,
+            memo: MemoCounters::default(),
         }
     }
-    let wpb = dims.threads_per_block().div_ceil(32) as usize;
-    // Record while a refill can recur (a steady state for the period
-    // detector to fast-forward) or while other SMs will replay this one's
-    // streams: a fully resident cohort still builds, freezes and verifies
-    // the representative, and donor reuse needs nothing more.
-    let mut recorder = if dedup && (my_blocks.len() > resident.len() || witness_out.is_some()) {
-        Some(WitnessRecorder::new(resident.len(), wpb))
-    } else {
-        None
-    };
-    let mut boundaries: HashMap<Vec<u64>, Boundary> = HashMap::new();
-    let mut fast_blocks: u64 = 0;
-    // Replay-executor state for the fast-forward path, allocated on the
-    // first period hit and recycled for every replayed block after it.
-    let mut replay_scratch: Option<ReplayScratch> = None;
 
-    let mut cycle: u64 = 0;
-    let mut chan_free: u64 = 0;
-    let mut const_cache = TagCache::new(cfg.const_cache_bytes, 64);
-    let mut tex_cache = TagCache::new(cfg.tex_cache_bytes, cfg.tex_line_bytes);
-    let mut scratch = Scratch::default();
-    let mut rr: usize = 0;
-
-    // The flattened warp schedule, maintained incrementally: every block of
-    // a launch has the same warp count, so an in-place refill leaves the
-    // schedule unchanged; only removing a slot (grid tail) invalidates it.
-    //
-    // Each slot also caches the warp's last computed stall verdict. A
-    // stalled warp's (ready_at, reason) depends only on its own state
-    // (frames, scoreboard, resume_at), which changes exactly when the warp
-    // issues, its block releases a barrier, or the slot is refilled with a
-    // new block — the three places that clear the cache below. Between
-    // those events the scan skips the settle + gate-list recomputation.
-    let mut order: Vec<Slot> = Vec::new();
-    let mut order_stale = true;
-    // A block's all_done() can only flip after some warp retires; gate the
-    // retire/refill scan on that event instead of re-checking every
-    // scheduler iteration.
-    let mut check_retire = true;
-
-    loop {
-        if cycle >= watchdog {
-            stats.cycles = cycle;
-            crate::fault::watchdog_abort(&kernel.name, watchdog, cycle, stats.warp_instructions);
+    /// At a block-refill boundary: remembers the machine state, or, when
+    /// the state recurs, fast-forwards whole periods of the queue.
+    fn at_refill(&mut self, p: &Prepared, sched: &mut Schedule, pipe: &mut ExecCtx) {
+        let rec = &mut self.recorder;
+        if !rec.valid || !rec.rep_done() || sched.left() == 0 {
+            return;
         }
-        if check_retire {
-            check_retire = false;
-            // Retire completed blocks, refill from the queue.
-            let mut refilled = false;
-            let mut i = 0;
-            while i < resident.len() {
-                if resident[i].all_done() {
-                    stats.blocks_executed += 1;
-                    if let Some(rec) = recorder.as_mut() {
-                        rec.on_retire(i);
-                    }
-                    if next_block < my_blocks.len() {
-                        let ctaid = my_blocks[next_block];
-                        next_block += 1;
-                        resident[i].reset(ctaid);
-                        for s in order.iter_mut() {
-                            if s.bi == i {
-                                s.cached = None;
-                            }
-                        }
-                        refilled = true;
-                        i += 1;
-                    } else {
-                        // Grid tail: drop the slot's witness state so the
-                        // remaining slot indices realign (no fast-forward is
-                        // possible with an empty queue, but the per-block
-                        // verification must survive for donor-SM reuse).
-                        if let Some(rec) = recorder.as_mut() {
-                            rec.on_remove(i);
-                        }
-                        resident.remove(i);
-                        order_stale = true;
-                    }
-                } else {
-                    i += 1;
+        debug_assert_eq!(sched.order.len(), sched.resident.len() * sched.wpb);
+        let n_boundaries = self.boundaries.len();
+        match self.boundaries.entry(Self::snapshot(rec, sched, pipe)) {
+            Entry::Occupied(occ) => {
+                let b = occ.get();
+                let d_cycle = pipe.cycle - b.cycle;
+                let d_consumed = sched.next - b.consumed;
+                if d_consumed > 0 && d_cycle > 0 && sched.left() >= 2 * d_consumed {
+                    let d_stats = pipe.stats.delta_since(&b.stats);
+                    self.fast_forward(p, sched, pipe, (d_cycle, d_consumed, d_stats));
                 }
             }
-
-            // Period detection + fast-forward, at block-refill boundaries.
-            if refilled && !order_stale {
-                if let Some(rec) = recorder.as_mut() {
-                    if rec.valid && rec.rep_done() && next_block < my_blocks.len() {
-                        debug_assert_eq!(order.len(), resident.len() * wpb);
-                        let snap = dedup_snapshot(
-                            &resident,
-                            &order,
-                            wpb,
-                            rr,
-                            cycle,
-                            chan_free,
-                            rec,
-                            &const_cache,
-                        );
-                        let n_boundaries = boundaries.len();
-                        match boundaries.entry(snap) {
-                            Entry::Occupied(occ) => {
-                                let b = occ.get();
-                                let d_cycle = cycle - b.cycle;
-                                let d_consumed = next_block - b.consumed;
-                                if d_consumed > 0
-                                    && d_cycle > 0
-                                    && my_blocks.len() - next_block >= 2 * d_consumed
-                                {
-                                    // The skipped windows also involve the
-                                    // currently resident blocks: their full
-                                    // event streams must match the
-                                    // representative for the measured deltas
-                                    // to transfer to them.
-                                    let scratch = replay_scratch
-                                        .get_or_insert_with(|| ReplayScratch::new(kernel, dims));
-                                    let residents_ok = resident.iter().all(|r| {
-                                        let mut dry = WriteBuf::new(mem);
-                                        replay_block(
-                                            cfg,
-                                            decoded,
-                                            params,
-                                            r.warps[0].ctaid,
-                                            rec.rep(),
-                                            &mut dry,
-                                            shared_uniform,
-                                            scratch,
-                                        )
-                                    });
-                                    if !residents_ok {
-                                        tally.memo.dedup_fallbacks += 1;
-                                        rec.valid = false;
-                                    } else {
-                                        let d_stats = stats.delta_since(&b.stats);
-                                        while my_blocks.len() - next_block >= 2 * d_consumed {
-                                            let mut buf = WriteBuf::new(mem);
-                                            let ok = (0..d_consumed).all(|j| {
-                                                replay_block(
-                                                    cfg,
-                                                    decoded,
-                                                    params,
-                                                    my_blocks[next_block + j],
-                                                    rec.rep(),
-                                                    &mut buf,
-                                                    shared_uniform,
-                                                    scratch,
-                                                )
-                                            });
-                                            if !ok {
-                                                // Nothing committed: fall back
-                                                // to full simulation from this
-                                                // exact state.
-                                                tally.memo.dedup_fallbacks += 1;
-                                                rec.valid = false;
-                                                break;
-                                            }
-                                            buf.commit();
-                                            next_block += d_consumed;
-                                            fast_blocks += d_consumed as u64;
-                                            stats.add_delta(&d_stats);
-                                            // Shift every absolute-cycle value
-                                            // uniformly; all scheduler
-                                            // comparisons are invariant under
-                                            // this.
-                                            cycle += d_cycle;
-                                            chan_free += d_cycle;
-                                            for r in resident.iter_mut() {
-                                                for w in r.warps.iter_mut() {
-                                                    for t in w.reg_ready.iter_mut() {
-                                                        *t += d_cycle;
-                                                    }
-                                                    w.resume_at += d_cycle;
-                                                }
-                                            }
-                                            for s in order.iter_mut() {
-                                                if let Some((t, _)) = s.cached.as_mut() {
-                                                    *t += d_cycle;
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            Entry::Vacant(v) => {
-                                if n_boundaries < DEDUP_MAX_BOUNDARIES {
-                                    v.insert(Boundary {
-                                        cycle,
-                                        stats: stats.clone(),
-                                        consumed: next_block,
-                                    });
-                                } else {
-                                    // Transient too long: stop paying the
-                                    // recording overhead.
-                                    rec.valid = false;
-                                }
-                            }
-                        }
-                    }
-                }
+            Entry::Vacant(v) if n_boundaries < DEDUP_MAX_BOUNDARIES => {
+                v.insert(Boundary {
+                    cycle: pipe.cycle,
+                    stats: pipe.stats.clone(),
+                    consumed: sched.next,
+                });
             }
+            // Transient too long: stop paying the recording overhead.
+            Entry::Vacant(_) => rec.valid = false,
         }
-        if resident.is_empty() {
-            break;
-        }
+    }
 
-        if order_stale {
-            order_stale = false;
-            order.clear();
-            for (bi, r) in resident.iter().enumerate() {
-                for wi in 0..r.warps.len() {
-                    order.push(Slot {
-                        bi,
-                        wi,
-                        cached: None,
-                    });
-                }
-            }
-            // A grid-tail removal may have shrunk the schedule under `rr`.
-            // The scan order is `rr` mod n either way, and no snapshot
-            // sees the change: the queue is empty once a slot is removed.
-            rr %= order.len();
-        }
-        let n = order.len();
-
-        // Scan for a ready warp, remembering the earliest future candidate.
-        let mut issued = false;
-        let mut best_next: u64 = u64::MAX;
-        let mut best_reason = StallReason::Drain;
-        for k in 0..n {
-            // `rr < n`, so one conditional wrap is the `% n`.
-            let idx = if rr + k < n { rr + k } else { rr + k - n };
-            let Slot { bi, wi, cached } = order[idx];
-            let block = &mut resident[bi];
-            let warp = &mut block.warps[wi];
-            if warp.done || warp.at_barrier {
-                continue;
-            }
-            let (ready_at, reason) = match cached {
-                Some(c) => c,
-                None => {
-                    if !warp.settle() {
-                        check_retire = true;
-                        continue; // retired just now
-                    }
-                    let pc = warp.pc() as usize;
-                    let mop = &decoded.ops[pc];
-                    let (reg_ready, gate) = inst_ready(warp, mop);
-                    // A post-barrier pipeline drain dominates register
-                    // readiness: attribute that wait to the barrier, not
-                    // the ALU/memory.
-                    let reason = if warp.resume_at > reg_ready {
-                        StallReason::Barrier
-                    } else {
-                        match gate {
-                            Some(RegSource::Memory) => StallReason::Memory,
-                            Some(RegSource::Alu) => StallReason::AluDependency,
-                            // Defensive: gate is None only when no register
-                            // is pending, and then the wait is a barrier
-                            // drain (handled above) — unreachable today.
-                            None => StallReason::IssueBusy,
-                        }
-                    };
-                    (reg_ready.max(warp.resume_at), reason)
-                }
-            };
-            if ready_at <= cycle {
-                let pc = warp.pc() as usize;
-                let mop = &decoded.ops[pc];
-                let pre_mask = warp.active_mask();
-                let record = recorder.as_ref().is_some_and(|r| r.valid);
-                let mut ctx = ExecCtx {
-                    cfg,
-                    kernel,
-                    params,
-                    mem,
-                    stats: &mut stats,
-                    chan_free: &mut chan_free,
-                    const_cache: &mut const_cache,
-                    tex_cache: &mut tex_cache,
-                    scratch: &mut scratch,
-                    cycle,
-                    record,
-                    ev_aux: 0,
-                    ev_bytes: 0,
-                    rows: &mut tally.rows,
-                };
-                let dur = ctx.execute(block, wi, mop);
-                let (ev_aux, ev_bytes) = (ctx.ev_aux, ctx.ev_bytes);
-                cycle += dur;
-                rr = if idx + 1 < n { idx + 1 } else { 0 };
-                issued = true;
-                order[idx].cached = None; // the warp advanced
-                if record {
-                    if let Some(rec) = recorder.as_mut() {
-                        rec.record(bi, wi, Ev::new(pc as u32, pre_mask, ev_aux, ev_bytes));
-                    }
-                }
-
-                let block = &mut resident[bi];
-                if block.warps[wi].done {
-                    check_retire = true;
-                }
-                if (block.warps[wi].at_barrier || block.warps[wi].done)
-                    && block.release_barrier(cycle + cfg.barrier_latency)
-                {
-                    // resume_at moved for the whole block.
-                    for s in order.iter_mut() {
-                        if s.bi == bi {
-                            s.cached = None;
-                        }
-                    }
-                }
-                break;
-            } else {
-                order[idx].cached = Some((ready_at, reason));
-                if ready_at < best_next {
-                    best_next = ready_at;
-                    best_reason = reason;
-                }
-            }
-        }
-
-        if issued {
-            continue;
-        }
-
-        if best_next == u64::MAX {
-            // Every live warp is parked at a barrier but the block never
-            // filled — or warps retired during the scan (check_retire is
-            // set, so the retire loop runs next). A genuine deadlock
-            // (divergent barrier) is a kernel bug.
-            let any_live = resident
+    /// Applies whole periods of `d_consumed` blocks, `d_cycle` cycles and
+    /// `d_stats` counters while the queue holds two or more, each after its
+    /// blocks replay clean. The skipped windows also involve the currently
+    /// resident blocks: their full event streams must match the
+    /// representative for the measured deltas to transfer to them. A failed
+    /// replay commits nothing and stops recording, and the SM simulates on
+    /// from exactly the state it had.
+    fn fast_forward(
+        &mut self,
+        p: &Prepared,
+        sched: &mut Schedule,
+        pipe: &mut ExecCtx,
+        (d_cycle, d_consumed, d_stats): (u64, usize, SmStats),
+    ) {
+        let rec = &mut self.recorder;
+        let scratch = self.replay.get_or_insert_with(|| ReplayScratch::new(p));
+        let (rep, mem) = (rec.rep(), p.spec.mem);
+        let mut ok = sched.resident.iter().all(|r| {
+            let ctaid = r.warps[0].ctaid;
+            replay_block(p, ctaid, rep, &mut WriteBuf::new(mem), scratch)
+        });
+        while ok && sched.left() >= 2 * d_consumed {
+            let mut buf = WriteBuf::new(mem);
+            let period = &sched.queue[sched.next..][..d_consumed];
+            ok = period
                 .iter()
-                .any(|b| b.warps.iter().any(|w| !w.done && !w.at_barrier));
-            let all_done = resident.iter().all(|b| b.all_done());
-            if !any_live && !all_done {
-                panic!(
-                    "kernel {}: deadlock — all warps parked at a barrier",
-                    kernel.name
-                );
+                .all(|&ctaid| replay_block(p, ctaid, rep, &mut buf, scratch));
+            if ok {
+                buf.commit();
+                sched.next += d_consumed;
+                self.memo.dedup_fast_blocks += d_consumed as u64;
+                pipe.stats.add_delta(&d_stats);
+                sched.shift(pipe, d_cycle);
             }
-            continue;
         }
-
-        // Nothing ready: event-skip to the earliest candidate.
-        let skip = best_next.saturating_sub(cycle).max(1);
-        stats.stall(best_reason, skip);
-        cycle += skip;
+        if !ok {
+            self.memo.dedup_fallbacks += 1;
+            rec.valid = false;
+        }
     }
 
-    stats.cycles = cycle;
-    if dedup {
-        tally.memo.dedup_fast_blocks += fast_blocks;
-        tally.memo.dedup_sim_blocks += my_blocks.len() as u64 - fast_blocks;
-    }
-    if let (Some(out), Some(rec)) = (witness_out, recorder.as_mut()) {
-        *out = rec.take_verified();
-    }
-    stats
-}
-
-/// Serializes the SM's timing-relevant state — scheduler, scoreboards and
-/// constant-cache tags — *relative to the current cycle* at a block-refill
-/// boundary. Two boundaries with equal snapshots (plus witness-verified
-/// block streams) evolve identically, so the machine is periodic between
-/// them.
-///
-/// Values already in the past are canonicalized to 0 — the scheduler only
-/// ever compares them against `cycle`, never against each other on a path
-/// that matters: a warp whose `ready_at` is past issues regardless of the
-/// gate attribution, so the attribution is dropped for rel 0 entries.
-#[allow(clippy::too_many_arguments)]
-fn dedup_snapshot(
-    resident: &[Resident],
-    order: &[Slot],
-    wpb: usize,
-    rr: usize,
-    cycle: u64,
-    chan_free: u64,
-    rec: &WitnessRecorder,
-    const_cache: &TagCache,
-) -> Vec<u64> {
-    let mut s = Vec::with_capacity(4 + resident.len() * wpb * 8);
-    s.push(resident.len() as u64);
-    s.push(rr as u64);
-    s.push(chan_free.saturating_sub(cycle));
-    for (bi, r) in resident.iter().enumerate() {
-        for (wi, w) in r.warps.iter().enumerate() {
-            s.push(((w.done as u64) << 1) | w.at_barrier as u64);
-            s.push(w.resume_at.saturating_sub(cycle));
-            s.push(w.frames.len() as u64);
-            for f in &w.frames {
-                s.push(((f.pc as u64) << 32) | f.rpc as u64);
-                s.push(f.mask as u64);
-            }
-            for (ri, &t) in w.reg_ready.iter().enumerate() {
-                let rel = t.saturating_sub(cycle);
-                let src = if rel > 0 {
-                    matches!(w.reg_source[ri], RegSource::Memory) as u64
-                } else {
-                    0
-                };
-                s.push((rel << 1) | src);
-            }
-            // Witness cursor: the same pc at different loop iterations of
-            // the block must not alias.
-            s.push(rec.cursor(bi, wi) as u64);
-            s.push(match order[bi * wpb + wi].cached {
-                None => u64::MAX,
-                Some((t, reason)) => {
-                    let rel = t.saturating_sub(cycle);
-                    if rel == 0 {
-                        0
-                    } else {
-                        (rel << 3) | (reason.index() as u64 + 1)
-                    }
+    /// Serializes the SM's timing-relevant state — scheduler, scoreboards
+    /// and constant-cache tags — *relative to the current cycle* at a
+    /// block-refill boundary. Two boundaries with equal snapshots (plus
+    /// witness-verified block streams) evolve identically, so the machine
+    /// is periodic between them.
+    ///
+    /// Values already in the past are canonicalized to 0 — the scheduler
+    /// only ever compares them against `cycle`, never against each other on
+    /// a path that matters: a warp whose `ready_at` is past issues
+    /// regardless of the gate attribution, so the attribution is dropped
+    /// for rel 0 entries.
+    fn snapshot(rec: &WitnessRecorder, sched: &Schedule, pipe: &ExecCtx) -> Vec<u64> {
+        let cycle = pipe.cycle;
+        let mut s = Vec::with_capacity(4 + sched.resident.len() * sched.wpb * 8);
+        s.push(sched.resident.len() as u64);
+        s.push(sched.rr as u64);
+        s.push(pipe.chan_free.saturating_sub(cycle));
+        for (bi, r) in sched.resident.iter().enumerate() {
+            for (wi, w) in r.warps.iter().enumerate() {
+                s.push(((w.done as u64) << 1) | w.at_barrier as u64);
+                s.push(w.resume_at.saturating_sub(cycle));
+                s.push(w.frames.len() as u64);
+                for f in &w.frames {
+                    s.push(((f.pc as u64) << 32) | f.rpc as u64);
+                    s.push(f.mask as u64);
                 }
-            });
+                for (ri, &t) in w.reg_ready.iter().enumerate() {
+                    let rel = t.saturating_sub(cycle);
+                    let src = if rel > 0 {
+                        matches!(w.reg_source[ri], RegSource::Memory) as u64
+                    } else {
+                        0
+                    };
+                    s.push((rel << 1) | src);
+                }
+                // Witness cursor: the same pc at different loop iterations
+                // of the block must not alias.
+                s.push(rec.cursor(bi, wi) as u64);
+                s.push(match sched.order[bi * sched.wpb + wi].cached {
+                    None => u64::MAX,
+                    Some((t, reason)) => {
+                        let rel = t.saturating_sub(cycle);
+                        if rel == 0 {
+                            0
+                        } else {
+                            (rel << 3) | (reason.index() as u64 + 1)
+                        }
+                    }
+                });
+            }
         }
+        // The constant cache couples the blocks of an SM: which of a block's
+        // loads miss depends on what its predecessors left resident, so the
+        // tags are recurring state like the scoreboard. Everything above is
+        // self-delimiting, so the optional tail cannot alias it; a cache
+        // that was never filled (every kernel without constant loads) adds
+        // nothing.
+        let tags = pipe.const_cache.tags();
+        if tags.iter().any(|&t| t != u64::MAX) {
+            s.extend_from_slice(tags);
+        }
+        s
     }
-    // The constant cache couples the blocks of an SM: which of a block's
-    // loads miss depends on what its predecessors left resident, so the tags
-    // are recurring state like the scoreboard. Everything above is
-    // self-delimiting, so the optional tail cannot alias it; a cache that
-    // was never filled (every kernel without constant loads) adds nothing.
-    let tags = const_cache.tags();
-    if tags.iter().any(|&t| t != u64::MAX) {
-        s.extend_from_slice(tags);
+
+    /// The run's dedup tallies, after handing the verified representative
+    /// to `witness_out`.
+    fn finish(
+        mut self,
+        dedup: bool,
+        queue_len: usize,
+        witness_out: Option<&mut Option<Vec<Vec<Ev>>>>,
+    ) -> MemoCounters {
+        if dedup {
+            self.memo.dedup_sim_blocks = queue_len as u64 - self.memo.dedup_fast_blocks;
+        }
+        if let Some(out) = witness_out {
+            *out = self.recorder.take_verified();
+        }
+        self.memo
     }
-    s
 }
 
-/// (earliest cycle at which the instruction's registers are ready, the
-/// source kind of the gating register).
-///
-/// The micro-op's precomputed gate set lists exactly the registers the
-/// reference engine's operand walk would consider, in the same order, so
-/// the strict-`>` max keeps the same gate attribution.
-#[inline]
-fn inst_ready(warp: &Warp, mop: &MicroOp) -> (u64, Option<RegSource>) {
-    let mut t = 0u64;
-    let mut gate = None;
-    for &r in mop.gate_regs() {
-        let ready = warp.reg_ready[r as usize];
-        if ready > t {
-            t = ready;
-            gate = Some(warp.reg_source[r as usize]);
-        }
-    }
-    (t, gate)
-}
-
+/// The SM's pipeline state: the clock, the DRAM channel, the constant and
+/// texture caches and the counters — everything an issued instruction's
+/// timing reads or advances. Built once per [`run_sm`]; the [`Schedule`]
+/// lends it one resident block per issue.
 struct ExecCtx<'a> {
-    cfg: &'a GpuConfig,
-    kernel: &'a Kernel,
-    params: &'a [Value],
-    mem: &'a DeviceMemory,
-    stats: &'a mut SmStats,
-    chan_free: &'a mut u64,
-    const_cache: &'a mut TagCache,
-    tex_cache: &'a mut TagCache,
-    scratch: &'a mut Scratch,
+    p: &'a Prepared<'a>,
+    stats: SmStats,
     cycle: u64,
+    /// When this SM's slice of the DRAM channel is next free.
+    chan_free: u64,
+    const_cache: TagCache,
+    tex_cache: TagCache,
+    /// Distinct texture lines of one warp access, pooled across accesses.
+    tex_lines: Vec<u32>,
     /// Dedup witness recording active: the memory/branch paths below fill
     /// `ev_aux`/`ev_bytes` with the instruction's timing signature — the
     /// value [`crate::witness`]'s replay executor derives from the same
@@ -693,9 +682,9 @@ struct ExecCtx<'a> {
     record: bool,
     ev_aux: u32,
     ev_bytes: u32,
-    /// Per-SM row-shape tally (flushed to the launching context's counters
-    /// once per `run_sm`).
-    rows: &'a mut RowCounters,
+    /// Row-shape tally (flushed to the launching context's counters once
+    /// per `run_sm`).
+    rows: RowCounters,
 }
 
 /// Per-lane effective addresses of a memory instruction (the address
@@ -948,14 +937,31 @@ pub(crate) fn load_const(
 }
 
 impl<'a> ExecCtx<'a> {
+    fn new(p: &'a Prepared<'a>) -> Self {
+        let cfg = p.cfg;
+        ExecCtx {
+            p,
+            stats: SmStats::default(),
+            cycle: 0,
+            chan_free: 0,
+            const_cache: TagCache::new(cfg.const_cache_bytes, 64),
+            tex_cache: TagCache::new(cfg.tex_cache_bytes, cfg.tex_line_bytes),
+            tex_lines: Vec::new(),
+            record: false,
+            ev_aux: 0,
+            ev_bytes: 0,
+            rows: RowCounters::default(),
+        }
+    }
+
     /// Issues a global-memory request of `bytes` through this SM's channel
     /// slice; returns the completion cycle.
     fn memory_request(&mut self, bytes: u64) -> u64 {
-        let bpc = self.cfg.dram_bytes_per_cycle_per_sm();
-        let start = self.cycle.max(*self.chan_free);
+        let bpc = self.p.cfg.dram_bytes_per_cycle_per_sm();
+        let start = self.cycle.max(self.chan_free);
         let service = (bytes as f64 / bpc).ceil() as u64;
-        *self.chan_free = start + service;
-        start + self.cfg.global_latency
+        self.chan_free = start + service;
+        start + self.p.cfg.global_latency
     }
 
     /// Probes the per-SM constant cache with one warp load's distinct
@@ -980,7 +986,7 @@ impl<'a> ExecCtx<'a> {
             self.stats.global_bytes += miss_bytes;
             (self.memory_request(miss_bytes), RegSource::Memory)
         } else {
-            (self.cycle + self.cfg.const_hit_latency, RegSource::Alu)
+            (self.cycle + self.p.cfg.const_hit_latency, RegSource::Alu)
         }
     }
 
@@ -998,7 +1004,7 @@ impl<'a> ExecCtx<'a> {
     /// moves. A half-warp with no active lane issues and counts nothing.
     fn global_access(&mut self, addrs: &LaneAddrs, store: bool) -> u64 {
         self.tally_addrs(addrs);
-        let halves = addrs.coalesce(self.cfg);
+        let halves = addrs.coalesce(self.p.cfg);
         let mut transactions = 0u64;
         let mut bytes = 0u64;
         for acc in halves.iter().filter(|acc| acc.transactions > 0) {
@@ -1031,7 +1037,7 @@ impl<'a> ExecCtx<'a> {
         } else {
             self.stats.global_ld_transactions += mask.count_ones() as u64;
         }
-        let bytes = local_bytes(self.cfg, mask) as u64;
+        let bytes = local_bytes(self.p.cfg, mask) as u64;
         self.stats.global_bytes += bytes;
         if self.record {
             self.ev_bytes = bytes as u32;
@@ -1043,8 +1049,8 @@ impl<'a> ExecCtx<'a> {
     /// cycles its bank conflicts serialize over.
     fn shared_access(&mut self, addrs: &LaneAddrs) -> u64 {
         self.tally_addrs(addrs);
-        let degree = addrs.smem_degree(self.cfg);
-        let extra = self.cfg.issue_cycles * (degree as u64 - 1);
+        let degree = addrs.smem_degree(self.p.cfg);
+        let extra = self.p.cfg.issue_cycles * (degree as u64 - 1);
         self.stats.smem_conflict_extra_cycles += extra;
         if self.record {
             self.ev_aux = degree;
@@ -1056,17 +1062,19 @@ impl<'a> ExecCtx<'a> {
     /// address `a` lies past the block's `len` words.
     #[cold]
     fn shared_out_of_bounds(&self, what: &str, a: u32, len: usize) -> ! {
-        let kernel = &self.kernel.name;
+        let kernel = &self.p.spec.kernel.name;
         panic!(
             "kernel {kernel}: shared {what} out of bounds ({} >= {len})",
             a / 4
         )
     }
 
-    /// Executes the next instruction of warp `wi` in `block`. Returns the
-    /// issue-port occupancy in cycles.
+    /// Executes the next instruction of warp `wi` in `block`, starting its
+    /// witness signature from zero. Returns the issue-port occupancy in
+    /// cycles.
     fn execute(&mut self, block: &mut Resident, wi: usize, mop: &MicroOp) -> u64 {
-        let cfg = self.cfg;
+        let (cfg, params) = (self.p.cfg, self.p.spec.params);
+        (self.ev_aux, self.ev_bytes) = (0, 0);
         let warp = &mut block.warps[wi];
         let pc = warp.pc() as usize;
         let inst = mop.inst;
@@ -1077,7 +1085,7 @@ impl<'a> ExecCtx<'a> {
         // Register-only instructions: what they do is `Warp::exec_reg_only`;
         // when the result lands and how long the issue port is held is a
         // function of the predecoded issue class alone.
-        if warp.exec_reg_only(&inst, mask, self.params) {
+        if warp.exec_reg_only(&inst, mask, params) {
             let dst = mop.dst as usize;
             self.rows.tally(&warp.shapes[dst]);
             let (latency, issue) = match mop.issue {
@@ -1110,61 +1118,7 @@ impl<'a> ExecCtx<'a> {
                 block.warps[wi].advance();
                 dur
             }
-            Inst::Atom {
-                op,
-                space,
-                dst,
-                addr,
-                off,
-                src,
-            } => {
-                debug_assert!(!self.record, "dedup witness on atomic");
-                let (warps, smem) = (&mut block.warps, &mut block.smem);
-                let warp = &mut warps[wi];
-                let addrs = addr_row(warp, addr, off, self.params);
-                let srcs = warp.operand_row(src, self.params);
-                let completion;
-                match space {
-                    Space::Global => {
-                        let mut bytes = 0u64;
-                        for lane in 0..32 {
-                            if mask >> lane & 1 == 1 {
-                                let old = self.mem.atomic(op, addrs[lane], srcs[lane]);
-                                if let Some(d) = dst {
-                                    warp.set_reg(d.0, lane, old);
-                                }
-                                bytes += cfg.uncoalesced_txn_bytes as u64;
-                                self.stats.atomic_transactions += 1;
-                            }
-                        }
-                        self.stats.global_bytes += bytes;
-                        completion = self.memory_request(bytes);
-                    }
-                    Space::Shared => {
-                        for lane in 0..32 {
-                            if mask >> lane & 1 == 1 {
-                                let idx = (addrs[lane] / 4) as usize;
-                                assert!(idx < smem.len(), "shared atomic out of bounds");
-                                let (new, old) = exec::eval_atom(op, smem[idx], srcs[lane]);
-                                smem[idx] = new;
-                                if let Some(d) = dst {
-                                    warp.set_reg(d.0, lane, old);
-                                }
-                                self.stats.atomic_transactions += 1;
-                            }
-                        }
-                        completion = self.cycle + cfg.smem_latency;
-                    }
-                    _ => panic!("atomics only on global/shared memory"),
-                }
-                if let Some(d) = dst {
-                    warp.reg_ready[d.0 as usize] = completion;
-                    warp.reg_source[d.0 as usize] = RegSource::Memory;
-                }
-                warp.advance();
-                // Atomics serialize per distinct address; charge per lane.
-                cfg.issue_cycles + 2 * (lanes.saturating_sub(1)) as u64
-            }
+            Inst::Atom { .. } => self.do_atom(block, wi, inst),
             Inst::Bra {
                 target,
                 reconv,
@@ -1202,7 +1156,7 @@ impl<'a> ExecCtx<'a> {
                     warp.frames.len(),
                     1,
                     "kernel {}: __syncthreads() in divergent control flow",
-                    self.kernel.name
+                    self.p.spec.kernel.name
                 );
                 warp.advance();
                 warp.at_barrier = true;
@@ -1219,6 +1173,68 @@ impl<'a> ExecCtx<'a> {
         }
     }
 
+    /// A warp atomic: every active lane's read-modify-write, in lane order.
+    fn do_atom(&mut self, block: &mut Resident, wi: usize, inst: Inst) -> u64 {
+        let Inst::Atom {
+            op,
+            space,
+            dst,
+            addr,
+            off,
+            src,
+        } = inst
+        else {
+            unreachable!("do_atom issues atomics")
+        };
+        debug_assert!(!self.record, "dedup witness on atomic");
+        let (cfg, params) = (self.p.cfg, self.p.spec.params);
+        let (warp, smem) = (&mut block.warps[wi], &mut block.smem);
+        let mask = warp.active_mask();
+        let addrs = addr_row(warp, addr, off, params);
+        let srcs = warp.operand_row(src, params);
+        let completion;
+        match space {
+            Space::Global => {
+                let mut bytes = 0u64;
+                for lane in 0..32 {
+                    if mask >> lane & 1 == 1 {
+                        let old = self.p.spec.mem.atomic(op, addrs[lane], srcs[lane]);
+                        if let Some(d) = dst {
+                            warp.set_reg(d.0, lane, old);
+                        }
+                        bytes += cfg.uncoalesced_txn_bytes as u64;
+                        self.stats.atomic_transactions += 1;
+                    }
+                }
+                self.stats.global_bytes += bytes;
+                completion = self.memory_request(bytes);
+            }
+            Space::Shared => {
+                for lane in 0..32 {
+                    if mask >> lane & 1 == 1 {
+                        let idx = (addrs[lane] / 4) as usize;
+                        assert!(idx < smem.len(), "shared atomic out of bounds");
+                        let (new, old) = exec::eval_atom(op, smem[idx], srcs[lane]);
+                        smem[idx] = new;
+                        if let Some(d) = dst {
+                            warp.set_reg(d.0, lane, old);
+                        }
+                        self.stats.atomic_transactions += 1;
+                    }
+                }
+                completion = self.cycle + cfg.smem_latency;
+            }
+            _ => panic!("atomics only on global/shared memory"),
+        }
+        if let Some(d) = dst {
+            warp.reg_ready[d.0 as usize] = completion;
+            warp.reg_source[d.0 as usize] = RegSource::Memory;
+        }
+        warp.advance();
+        // Atomics serialize per distinct address; charge per lane.
+        cfg.issue_cycles + 2 * (mask.count_ones().saturating_sub(1)) as u64
+    }
+
     fn do_load(
         &mut self,
         block: &mut Resident,
@@ -1228,7 +1244,7 @@ impl<'a> ExecCtx<'a> {
         addr: Operand,
         off: i32,
     ) -> u64 {
-        let cfg = self.cfg;
+        let (cfg, params) = (self.p.cfg, self.p.spec.params);
         let (warps, smem) = (&mut block.warps, &mut block.smem[..]);
         let warp = &mut warps[wi];
         let mask = warp.active_mask();
@@ -1236,9 +1252,9 @@ impl<'a> ExecCtx<'a> {
             Space::Global => {
                 // A shaped address row gets the coalescing verdict of both
                 // halves in closed form and moves its runs whole.
-                let addrs = LaneAddrs::of(warp, mask, addr, off, self.params);
+                let addrs = LaneAddrs::of(warp, mask, addr, off, params);
                 let bytes = self.global_access(&addrs, false);
-                let mut mem = self.mem;
+                let mut mem = self.p.spec.mem;
                 addrs
                     .load(&mut mem, warp.reg_row_mut(dst))
                     .unwrap_or_else(|a| global_out_of_bounds("read", a));
@@ -1248,7 +1264,7 @@ impl<'a> ExecCtx<'a> {
                 cfg.issue_cycles
             }
             Space::Shared => {
-                let addrs = LaneAddrs::of(warp, mask, addr, off, self.params);
+                let addrs = LaneAddrs::of(warp, mask, addr, off, params);
                 let extra = self.shared_access(&addrs);
                 addrs
                     .load(smem, warp.reg_row_mut(dst))
@@ -1259,7 +1275,7 @@ impl<'a> ExecCtx<'a> {
             }
             Space::Const => {
                 let mut distinct = [0u32; 32];
-                let n = load_const(warp, dst, addr, off, self.params, self.mem, &mut distinct)
+                let n = load_const(warp, dst, addr, off, params, self.p.spec.mem, &mut distinct)
                     .unwrap_or_else(|a| const_out_of_bounds(a));
                 self.rows.tally(&warp.shapes[dst as usize]);
                 // Each distinct line goes through the per-SM constant cache.
@@ -1272,23 +1288,23 @@ impl<'a> ExecCtx<'a> {
             }
             Space::Tex => {
                 debug_assert!(!self.record, "dedup witness on texture-cache load");
-                let addrs = addr_row(warp, addr, off, self.params);
-                let lines = &mut self.scratch.lines;
+                let addrs = addr_row(warp, addr, off, params);
+                let (mem, lines) = (self.p.spec.mem, &mut self.tex_lines);
                 lines.clear();
                 let dst_row = warp.reg_row_mut(dst);
                 for (lane, &a) in addrs.iter().enumerate() {
                     if mask >> lane & 1 == 1 {
-                        let g = self.mem.tex_to_global(a);
+                        let g = mem.tex_to_global(a);
                         let line = g / cfg.tex_line_bytes;
                         if !lines.contains(&line) {
                             lines.push(line);
                         }
-                        dst_row[lane] = self.mem.read(g);
+                        dst_row[lane] = mem.read(g);
                     }
                 }
                 let mut miss_bytes = 0u64;
                 for i in 0..lines.len() {
-                    let line = self.scratch.lines[i];
+                    let line = self.tex_lines[i];
                     if self.tex_cache.access(line * cfg.tex_line_bytes) {
                         self.stats.tex_hits += 1;
                     } else {
@@ -1309,7 +1325,7 @@ impl<'a> ExecCtx<'a> {
                 cfg.issue_cycles
             }
             Space::Local => {
-                let addrs = addr_row(warp, addr, off, self.params);
+                let addrs = addr_row(warp, addr, off, params);
                 warp.load_local(mask, dst, &addrs);
                 let done = self.local_access(mask, false);
                 warp.reg_ready[dst as usize] = done;
@@ -1328,15 +1344,15 @@ impl<'a> ExecCtx<'a> {
         off: i32,
         src: Operand,
     ) -> u64 {
-        let cfg = self.cfg;
+        let (cfg, params) = (self.p.cfg, self.p.spec.params);
         let warp = &mut block.warps[wi];
         let mask = warp.active_mask();
         match space {
             Space::Global => {
-                let addrs = LaneAddrs::of(warp, mask, addr, off, self.params);
-                let srcs = warp.operand_row(src, self.params);
+                let addrs = LaneAddrs::of(warp, mask, addr, off, params);
+                let srcs = warp.operand_row(src, params);
                 let bytes = self.global_access(&addrs, true);
-                let mut mem = self.mem;
+                let mut mem = self.p.spec.mem;
                 addrs
                     .store(&mut mem, &srcs)
                     .unwrap_or_else(|a| global_out_of_bounds("write", a));
@@ -1344,8 +1360,8 @@ impl<'a> ExecCtx<'a> {
                 cfg.issue_cycles
             }
             Space::Shared => {
-                let addrs = LaneAddrs::of(warp, mask, addr, off, self.params);
-                let srcs = warp.operand_row(src, self.params);
+                let addrs = LaneAddrs::of(warp, mask, addr, off, params);
+                let srcs = warp.operand_row(src, params);
                 let extra = self.shared_access(&addrs);
                 let smem = &mut block.smem[..];
                 addrs
@@ -1354,8 +1370,8 @@ impl<'a> ExecCtx<'a> {
                 cfg.issue_cycles + extra
             }
             Space::Local => {
-                let addrs = addr_row(warp, addr, off, self.params);
-                let srcs = warp.operand_row(src, self.params);
+                let addrs = addr_row(warp, addr, off, params);
+                let srcs = warp.operand_row(src, params);
                 warp.store_local(mask, &addrs, &srcs);
                 let _ = self.local_access(mask, true); // bandwidth only
                 cfg.issue_cycles
@@ -1368,7 +1384,158 @@ impl<'a> ExecCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use g80_isa::inst::Reg;
+    use crate::launch::LaunchSpec;
+    use g80_isa::builder::KernelBuilder;
+    use g80_isa::inst::{CmpOp, Pred, Reg, Scalar};
+
+    /// `ys[i] = tid` for the block's threads, then, in block 0 only, one more
+    /// instruction: every other block is one class, block 0 another.
+    fn tid_store_kernel() -> Kernel {
+        let mut b = KernelBuilder::new("tid_store");
+        let ys = b.param();
+        let tid = b.tid_x();
+        let ntid = b.ntid_x();
+        let cta = b.ctaid_x();
+        let i = b.imad(cta, ntid, tid);
+        let byte = b.shl(i, 2u32);
+        let ya = b.iadd(byte, ys);
+        b.st_global(ya, 0, tid);
+        let first = b.setp(CmpOp::Eq, Scalar::U32, cta, 0u32);
+        b.if_(Pred::if_true(first), |b| {
+            b.iadd(tid, 1u32);
+        });
+        b.build()
+    }
+
+    /// A one-SM launch of `kernel` over `blocks` 32-thread blocks, two
+    /// resident at a time, storing from word 0 on.
+    fn launch<'a>(
+        cfg: &'a GpuConfig,
+        kernel: &'a Kernel,
+        mem: &'a DeviceMemory,
+        blocks: u32,
+        dedup: bool,
+    ) -> Prepared<'a> {
+        let spec = LaunchSpec {
+            kernel,
+            dims: LaunchDims {
+                grid: (blocks, 1),
+                block: (32, 1, 1),
+            },
+            params: &[Value::ZERO],
+            mem,
+        };
+        let mut p = Prepared::for_test(cfg, spec, 2, dedup);
+        // Block 0's extra instruction makes the kernel ineligible; these
+        // tests drive the detector regardless.
+        p.dedup = dedup;
+        p
+    }
+
+    fn queue(ctaids: impl IntoIterator<Item = u32>) -> Vec<(u32, u32)> {
+        ctaids.into_iter().map(|x| (x, 0)).collect()
+    }
+
+    /// A long queue of one block class: the refill state recurs, whole
+    /// periods fast-forward, and the SM ends with the stats and memory of
+    /// the same run with detection off.
+    #[test]
+    fn recurring_state_fast_forwards_to_the_simulated_result() {
+        let (cfg, kernel) = (GpuConfig::geforce_8800_gtx(), tid_store_kernel());
+        let blocks = queue(1..49);
+        let run = |dedup| {
+            let mem = DeviceMemory::new(49 * 32 * 4);
+            let p = launch(&cfg, &kernel, &mem, 49, dedup);
+            let (stats, tally) = run_sm(&p, &blocks, None);
+            (stats, tally.memo, mem.snapshot_words())
+        };
+        let (fast, memo, fast_mem) = run(true);
+        let (slow, slow_memo, slow_mem) = run(false);
+        assert!(memo.dedup_fast_blocks >= 24, "{memo:?}");
+        assert_eq!(memo.dedup_fallbacks, 0);
+        assert_eq!(slow_memo.dedup_fast_blocks, 0);
+        assert_eq!(fast, slow);
+        assert_eq!(fast_mem, slow_mem);
+    }
+
+    /// The schedule of `ctaids` (the first two resident, order built) and a
+    /// detector whose representative is `rep`, complete.
+    fn detector_at<'q>(
+        p: &Prepared,
+        ctaids: &'q [(u32, u32)],
+        rep: &[Vec<Ev>],
+    ) -> (Schedule<'q>, PeriodDetector) {
+        let mut sched = Schedule::new(p, ctaids);
+        sched.rebuild_order();
+        let mut period = PeriodDetector::new(true, &sched, false);
+        for (wi, evs) in rep.iter().enumerate() {
+            for &ev in evs {
+                period.recorder.record(0, wi, ev);
+            }
+        }
+        period.recorder.on_retire(0);
+        assert!(period.recorder.valid);
+        (sched, period)
+    }
+
+    /// Past `DEDUP_MAX_BOUNDARIES` distinct refill states the launch is not
+    /// steady-state: the detector stops recording.
+    #[test]
+    fn too_many_distinct_boundaries_stop_recording() {
+        let (cfg, kernel) = (GpuConfig::geforce_8800_gtx(), tid_store_kernel());
+        let mem = DeviceMemory::new(8 * 32 * 4);
+        let p = launch(&cfg, &kernel, &mem, 8, true);
+        let blocks = queue(1..8);
+        let (mut sched, mut period) = detector_at(&p, &blocks, &[vec![]]);
+        let mut pipe = ExecCtx::new(&p);
+        for busy in 1..=DEDUP_MAX_BOUNDARIES as u64 {
+            // The channel busy for a different time: a new state each.
+            pipe.chan_free = busy;
+            period.at_refill(&p, &mut sched, &mut pipe);
+            assert!(period.recorder.valid, "boundary {busy}");
+        }
+        assert_eq!(period.boundaries.len(), DEDUP_MAX_BOUNDARIES);
+        pipe.chan_free = 0;
+        period.at_refill(&p, &mut sched, &mut pipe);
+        assert!(!period.recorder.valid);
+        assert_eq!(period.boundaries.len(), DEDUP_MAX_BOUNDARIES);
+    }
+
+    /// The state recurs, the queued blocks would replay clean, but the
+    /// resident block 0 is another class: one fallback, no period applied,
+    /// no write committed, and no further attempt.
+    #[test]
+    fn resident_failing_its_dry_replay_falls_back_once() {
+        let (cfg, kernel) = (GpuConfig::geforce_8800_gtx(), tid_store_kernel());
+        let mem = DeviceMemory::new(9 * 32 * 4);
+        let p = launch(&cfg, &kernel, &mem, 9, true);
+        let mut rep = None;
+        run_sm(&p, &queue(1..5), Some(&mut rep));
+        let rep = rep.expect("blocks 1 to 4 are one class");
+        mem.restore_words(&[0; 9 * 32]);
+
+        // Blocks 0 and 5 resident, 6 to 8 queued.
+        let blocks = queue([0, 5, 6, 7, 8]);
+        let (mut sched, mut period) = detector_at(&p, &blocks, &rep);
+        let mut pipe = ExecCtx::new(&p);
+        period.at_refill(&p, &mut sched, &mut pipe);
+        // One block and a thousand cycles later, the same relative state.
+        sched.next += 1;
+        pipe.cycle += 1000;
+        period.at_refill(&p, &mut sched, &mut pipe);
+        assert_eq!(period.memo.dedup_fallbacks, 1);
+        assert_eq!(period.memo.dedup_fast_blocks, 0);
+        assert!(!period.recorder.valid);
+        assert_eq!((sched.next, pipe.cycle), (3, 1000));
+        assert!(
+            mem.snapshot_words().iter().all(|&w| w == 0),
+            "a write committed"
+        );
+        sched.next += 1;
+        pipe.cycle += 1000;
+        period.at_refill(&p, &mut sched, &mut pipe);
+        assert_eq!(period.memo.dedup_fallbacks, 1);
+    }
 
     /// One address for a broadcast (closed form or scan), first-lane-ordered
     /// distinct addresses otherwise, and for an address outside the bank the

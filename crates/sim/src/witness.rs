@@ -19,12 +19,12 @@
 //!    The simulator's timing model reads addresses only through these
 //!    signatures, so stream equality implies the blocks drive the scheduler
 //!    identically from equal machine state.
-//! 2. **Period fast-forward** (in [`crate::sm::run_sm`]): once the SM's
-//!    scheduler state recurs at a block-refill boundary, the cycle/counter
-//!    delta of one period is known; remaining whole periods are applied
-//!    arithmetically. The consumed blocks still need their *functional*
-//!    effect: [`replay_block`] re-executes them barrier-phase by
-//!    barrier-phase — no scheduler, no scoreboard, and no instruction
+//! 2. **Period fast-forward** (the period detector in [`crate::sm`]): once
+//!    the SM's scheduler state recurs at a block-refill boundary, the
+//!    cycle/counter delta of one period is known; remaining whole periods
+//!    are applied arithmetically. The consumed blocks still need their
+//!    *functional* effect: [`replay_block`] re-executes them barrier-phase
+//!    by barrier-phase — no scheduler, no scoreboard, and no instruction
 //!    semantics of its own: [`step`] drives the definitions the timed engine
 //!    issues through ([`Warp::exec_reg_only`], [`LaneAddrs`], [`load_const`],
 //!    [`Resident`]) — while verifying every event against the
@@ -47,12 +47,12 @@
 //! constant addresses. Texture fetches stay excluded.
 
 use crate::config::GpuConfig;
+use crate::launch::Prepared;
 use crate::memory::{DeviceMemory, HalfWarpAccess, Words};
-use crate::sm::{addr_row, load_const, LaneAddrs, LaunchDims, Resident};
+use crate::sm::{addr_row, load_const, LaneAddrs, Resident};
 use crate::warp::Warp;
-use g80_isa::decode::DecodedKernel;
 use g80_isa::inst::{Inst, Space};
-use g80_isa::{Kernel, Value};
+use g80_isa::Value;
 use std::collections::HashMap;
 
 /// One issued warp instruction's timing-relevant fingerprint.
@@ -350,8 +350,8 @@ pub(crate) struct ReplayScratch {
 }
 
 impl ReplayScratch {
-    pub fn new(kernel: &Kernel, dims: &LaunchDims) -> Self {
-        let block = Resident::new(kernel, dims, (0, 0));
+    pub fn new(p: &Prepared) -> Self {
+        let block = Resident::new(p.spec.kernel, &p.spec.dims, (0, 0));
         let cursors = vec![0; block.warps.len()];
         ReplayScratch { block, cursors }
     }
@@ -364,15 +364,11 @@ impl ReplayScratch {
 /// rules guarantee is equivalent to any legal schedule. Every instruction
 /// is checked against the representative's event at the warp's cursor;
 /// `false` means the block is not class-identical and nothing may commit.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn replay_block(
-    cfg: &GpuConfig,
-    decoded: &DecodedKernel,
-    params: &[Value],
+    p: &Prepared,
     ctaid: (u32, u32),
     rep: &[Vec<Ev>],
     buf: &mut WriteBuf,
-    shared_uniform: bool,
     scratch: &mut ReplayScratch,
 ) -> bool {
     let ReplayScratch { block, cursors } = scratch;
@@ -386,17 +382,7 @@ pub(crate) fn replay_block(
         let smem = &mut block.smem;
         for (wi, warp) in block.warps.iter_mut().enumerate() {
             while warp.settle() && !warp.at_barrier {
-                if !step(
-                    cfg,
-                    decoded,
-                    params,
-                    smem,
-                    warp,
-                    &rep[wi],
-                    &mut cursors[wi],
-                    buf,
-                    shared_uniform,
-                ) {
+                if !step(p, smem, warp, &rep[wi], &mut cursors[wi], buf) {
                     return false;
                 }
             }
@@ -414,33 +400,31 @@ pub(crate) fn replay_block(
 
 /// Executes one instruction of `warp`, verifying it against `rep[*cursor]`.
 ///
-/// With `shared_uniform` (shared addresses statically `ctaid`-free, see
-/// [`g80_isa::dataflow::TaintSummary::ctaid_shared_addr`]) the bank-conflict
-/// degree of a shared access is known to equal the representative's without
-/// recomputing it — the dominant cost of replaying tiled kernels.
+/// With [`Prepared::shared_uniform`] (shared addresses statically
+/// `ctaid`-free, see [`g80_isa::dataflow::TaintSummary::ctaid_shared_addr`])
+/// the bank-conflict degree of a shared access is known to equal the
+/// representative's without recomputing it — the dominant cost of replaying
+/// tiled kernels.
 ///
 /// One caller, 23–36 ns a call on the Section 4 walk at n = 256 (two pool
-/// workers on a 2-core x86-64 host): kept inline so the nine arguments
-/// never go through the stack (out of line it cost `matmul_walk` ≈ 20 %).
-#[allow(clippy::too_many_arguments)]
+/// workers on a 2-core x86-64 host): kept inline so its arguments and the
+/// launch fields it reads stay in registers (out of line it cost
+/// `matmul_walk` ≈ 20 %).
 #[inline(always)]
 fn step(
-    cfg: &GpuConfig,
-    decoded: &DecodedKernel,
-    params: &[Value],
+    p: &Prepared,
     smem: &mut [Value],
     warp: &mut Warp,
     rep: &[Ev],
     cursor: &mut usize,
     buf: &mut WriteBuf,
-    shared_uniform: bool,
 ) -> bool {
+    let (cfg, params, shared_uniform) = (p.cfg, p.spec.params, p.shared_uniform());
     let pc = warp.pc() as usize;
-    let inst = decoded.ops[pc].inst;
+    let inst = p.decoded().ops[pc].inst;
     let mask = warp.active_mask();
-    let expect = match rep.get(*cursor) {
-        Some(&e) => e,
-        None => return false,
+    let Some(&expect) = rep.get(*cursor) else {
+        return false;
     };
     if expect.a != (((pc as u64) << 32) | mask as u64) {
         return false;
@@ -451,8 +435,7 @@ fn step(
         *cursor += 1;
         return expect.b == 0;
     }
-    let mut aux = 0u32;
-    let mut bytes = 0u32;
+    let (mut aux, mut bytes) = (0u32, 0u32);
     // Cleared when the signature is statically proven equal to the
     // representative's instead of being recomputed (`shared_uniform`).
     let mut verify_b = true;
@@ -462,87 +445,83 @@ fn step(
             dst,
             addr,
             off,
-        } => match space {
-            // An address outside memory fails the replay, as for constants.
-            Space::Global => {
-                let addrs = LaneAddrs::of(warp, mask, addr, off, params);
-                (aux, bytes) = global_sig(&addrs.coalesce(cfg));
-                if addrs.load(buf, warp.reg_row_mut(dst.0)).is_err() {
-                    return false;
+        } => {
+            // An access outside memory, or of a kind eligibility excludes,
+            // fails the replay.
+            let ok = match space {
+                Space::Global => {
+                    let addrs = LaneAddrs::of(warp, mask, addr, off, params);
+                    (aux, bytes) = global_sig(&addrs.coalesce(cfg));
+                    addrs.load(buf, warp.reg_row_mut(dst.0)).is_ok()
                 }
-                warp.advance();
-            }
-            Space::Shared => {
-                let addrs = LaneAddrs::of(warp, mask, addr, off, params);
-                if shared_uniform {
-                    verify_b = false;
-                } else {
-                    aux = addrs.smem_degree(cfg);
+                Space::Shared => {
+                    let addrs = LaneAddrs::of(warp, mask, addr, off, params);
+                    verify_b = !shared_uniform;
+                    if verify_b {
+                        aux = addrs.smem_degree(cfg);
+                    }
+                    addrs.load(smem, warp.reg_row_mut(dst.0)).is_ok()
                 }
-                if addrs.load(smem, warp.reg_row_mut(dst.0)).is_err() {
-                    return false;
+                Space::Local => {
+                    let addrs = addr_row(warp, addr, off, params);
+                    warp.load_local(mask, dst.0, &addrs);
+                    bytes = local_bytes(cfg, mask);
+                    true
                 }
-                warp.advance();
+                // Address signature only — hit/miss is the SM cache's
+                // state, owned by the timed engine (module docs). The timed
+                // fallback reports an address outside the constant bank the
+                // way it always has.
+                Space::Const => {
+                    let mut distinct = [0u32; 32];
+                    let mem = buf.mem();
+                    let n = load_const(warp, dst.0, addr, off, params, mem, &mut distinct);
+                    n.map(|n| aux = const_sig(&distinct[..n])).is_ok()
+                }
+                // Eligibility excludes texture fetches (the texture cache's
+                // state is not part of the recurring-state snapshot);
+                // reaching here means the class is not replayable.
+                Space::Tex => false,
+            };
+            if !ok {
+                return false;
             }
-            Space::Local => {
-                let addrs = addr_row(warp, addr, off, params);
-                warp.load_local(mask, dst.0, &addrs);
-                bytes = local_bytes(cfg, mask);
-                warp.advance();
-            }
-            // Address signature only — hit/miss is the SM cache's state,
-            // owned by the timed engine (module docs). An address outside
-            // the constant bank fails the replay; the timed fallback then
-            // reports it the way it always has.
-            Space::Const => {
-                let mut distinct = [0u32; 32];
-                let mem = buf.mem();
-                let Ok(n) = load_const(warp, dst.0, addr, off, params, mem, &mut distinct) else {
-                    return false;
-                };
-                aux = const_sig(&distinct[..n]);
-                warp.advance();
-            }
-            // Eligibility excludes texture fetches (the texture cache's
-            // state is not part of the recurring-state snapshot); reaching
-            // here means the class is not replayable.
-            Space::Tex => return false,
-        },
+            warp.advance();
+        }
         Inst::St {
             space,
             addr,
             off,
             src,
-        } => match space {
-            Space::Global => {
-                let addrs = LaneAddrs::of(warp, mask, addr, off, params);
-                (aux, bytes) = global_sig(&addrs.coalesce(cfg));
-                if addrs.store(buf, &warp.operand_row(src, params)).is_err() {
-                    return false;
+        } => {
+            let ok = match space {
+                Space::Global => {
+                    let addrs = LaneAddrs::of(warp, mask, addr, off, params);
+                    (aux, bytes) = global_sig(&addrs.coalesce(cfg));
+                    addrs.store(buf, &warp.operand_row(src, params)).is_ok()
                 }
-                warp.advance();
-            }
-            Space::Shared => {
-                let addrs = LaneAddrs::of(warp, mask, addr, off, params);
-                if shared_uniform {
-                    verify_b = false;
-                } else {
-                    aux = addrs.smem_degree(cfg);
+                Space::Shared => {
+                    let addrs = LaneAddrs::of(warp, mask, addr, off, params);
+                    verify_b = !shared_uniform;
+                    if verify_b {
+                        aux = addrs.smem_degree(cfg);
+                    }
+                    addrs.store(smem, &warp.operand_row(src, params)).is_ok()
                 }
-                if addrs.store(smem, &warp.operand_row(src, params)).is_err() {
-                    return false;
+                Space::Local => {
+                    let addrs = addr_row(warp, addr, off, params);
+                    let srcs = warp.operand_row(src, params);
+                    warp.store_local(mask, &addrs, &srcs);
+                    bytes = local_bytes(cfg, mask);
+                    true
                 }
-                warp.advance();
+                Space::Const | Space::Tex => false,
+            };
+            if !ok {
+                return false;
             }
-            Space::Local => {
-                let addrs = addr_row(warp, addr, off, params);
-                let srcs = warp.operand_row(src, params);
-                warp.store_local(mask, &addrs, &srcs);
-                bytes = local_bytes(cfg, mask);
-                warp.advance();
-            }
-            Space::Const | Space::Tex => return false,
-        },
+            warp.advance();
+        }
         // Atomics are excluded by eligibility (inter-block coupling).
         Inst::Atom { .. } => return false,
         Inst::Bra {
@@ -550,13 +529,11 @@ fn step(
             reconv,
             pred,
         } => {
-            let next_pc = pc as u32 + 1;
-            let taken = match pred {
+            aux = match pred {
                 None => mask,
-                Some(p) => warp.taken_mask(p.reg.0, p.negate, mask),
+                Some(q) => warp.taken_mask(q.reg.0, q.negate, mask),
             };
-            aux = taken;
-            warp.take_branch(taken, target.0, reconv.0, next_pc);
+            warp.take_branch(aux, target.0, reconv.0, pc as u32 + 1);
         }
         Inst::Bar => {
             if warp.frames.len() != 1 {
@@ -582,31 +559,11 @@ fn step(
 /// [`crate::sm::run_sm`]). All writes are buffered; only if every block
 /// verifies class-identical do they commit. Returns `false` with memory
 /// untouched otherwise, so the caller can fall back to full simulation.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn replay_sm(
-    cfg: &GpuConfig,
-    kernel: &Kernel,
-    decoded: &DecodedKernel,
-    dims: &LaunchDims,
-    params: &[Value],
-    mem: &DeviceMemory,
-    my_blocks: &[(u32, u32)],
-    rep: &[Vec<Ev>],
-    shared_uniform: bool,
-) -> bool {
-    let mut buf = WriteBuf::new(mem);
-    let mut scratch = ReplayScratch::new(kernel, dims);
+pub(crate) fn replay_sm(p: &Prepared, my_blocks: &[(u32, u32)], rep: &[Vec<Ev>]) -> bool {
+    let mut buf = WriteBuf::new(p.spec.mem);
+    let mut scratch = ReplayScratch::new(p);
     for &ctaid in my_blocks {
-        if !replay_block(
-            cfg,
-            decoded,
-            params,
-            ctaid,
-            rep,
-            &mut buf,
-            shared_uniform,
-            &mut scratch,
-        ) {
+        if !replay_block(p, ctaid, rep, &mut buf, &mut scratch) {
             return false;
         }
     }
@@ -711,7 +668,9 @@ mod tests {
     /// replay with nothing committed, leaving the report to the timed engine.
     #[test]
     fn out_of_bank_constant_address_fails_replay_uncommitted() {
+        use crate::sm::LaunchDims;
         use g80_isa::builder::KernelBuilder;
+        use g80_isa::Kernel;
         let mut b = KernelBuilder::new("const_tail");
         let ys = b.param();
         let tid = b.tid_x();
@@ -723,40 +682,32 @@ mod tests {
         let c = b.ld_const(4u32 * 7, 0);
         b.st_global(ya, 0, c);
         let kernel = b.build();
-        let decoded = DecodedKernel::new(&kernel);
         let cfg = GpuConfig::geforce_8800_gtx();
-        let dims = LaunchDims {
-            grid: (8, 1),
-            block: (32, 1, 1),
-        };
-        let params = [Value::from_u32(0)];
         let mut mem = DeviceMemory::new(8 * 32 * 4);
         mem.const_bank = (0..8).collect();
+        fn launch<'a>(
+            cfg: &'a GpuConfig,
+            kernel: &'a Kernel,
+            mem: &'a DeviceMemory,
+        ) -> Prepared<'a> {
+            let spec = crate::LaunchSpec {
+                kernel,
+                dims: LaunchDims {
+                    grid: (8, 1),
+                    block: (32, 1, 1),
+                },
+                params: &[Value::ZERO],
+                mem,
+            };
+            Prepared::for_test(cfg, spec, 2, true)
+        }
 
         let mut rep = None;
         let donor: Vec<(u32, u32)> = (0..4).map(|x| (x, 0)).collect();
-        crate::sm::run_sm(
-            &cfg,
-            &kernel,
-            &decoded,
-            &dims,
-            &params,
-            &mem,
-            &donor,
-            2,
-            true,
-            true,
-            u64::MAX,
-            &mut Default::default(),
-            Some(&mut rep),
-        );
+        crate::sm::run_sm(&launch(&cfg, &kernel, &mem), &donor, Some(&mut rep));
         let rep = rep.expect("four identical blocks verify");
         let others: Vec<(u32, u32)> = (4..8).map(|x| (x, 0)).collect();
-        let replay = |mem: &DeviceMemory| {
-            replay_sm(
-                &cfg, &kernel, &decoded, &dims, &params, mem, &others, &rep, true,
-            )
-        };
+        let replay = |mem: &DeviceMemory| replay_sm(&launch(&cfg, &kernel, mem), &others, &rep);
 
         mem.const_bank.truncate(7); // word 7 is now out of the bank
         assert!(!replay(&mem));
