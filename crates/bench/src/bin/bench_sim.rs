@@ -531,12 +531,23 @@ fn run() -> i32 {
     // their time in the same per-lane loads and FMAs (half-warp-affine
     // rows made dedup-off ~3x faster), so the ratio measures 1.3–1.5x and
     // the floor guards the remaining benefit of skipping the scheduler for
-    // 8004 of 8192 blocks.
+    // 4002 of 4096 blocks a launch.
+    //
+    // Every dedup row holds its replayed and simulated block counts exact
+    // over its `runs` launches, with no fallback: a recorder that silently
+    // stopped on some SMs would move them.
+    let blocks = |row: Row, runs: usize, fast: u64, sim: u64| {
+        let exact = |per_launch: u64| Bound::Exact((per_launch * runs as u64) as f64);
+        row.bound("dedup_fast_blocks", exact(fast))
+            .bound("dedup_sim_blocks", exact(sim))
+            .bound("dedup_fallbacks", Bound::Exact(0.0))
+    };
     let big = MatMul { n: 1024 };
     let (big_a, big_b) = big.generate(42);
     let mut big_run = || big.run(tiled16u, &big_a, &big_b).1;
     let row = dedup_row("matmul_1024_dedup", "dedup", quick, &mut big_run);
-    add(row.bound("speedup", Bound::Floor(1.1)));
+    let row = row.bound("speedup", Bound::Floor(1.1));
+    add(blocks(row, quick, 4002, 94));
     // A cold n=32 sweep of the nine Figure-4 variants as one `run_batch`:
     // no SM holds more than four blocks, all resident at once, so only a
     // donor per queue length keeps it out of the timed engine (15 of 180
@@ -554,20 +565,16 @@ fn run() -> i32 {
         stats[1..].iter().for_each(|(_, s, _)| total.accumulate(s));
         total
     });
-    let per_sweep = |blocks: u64| Bound::Exact((blocks * sweeps as u64) as f64);
-    add(row
-        .bound("speedup", Bound::Floor(1.4))
-        .bound("dedup_fast_blocks", per_sweep(165))
-        .bound("dedup_sim_blocks", per_sweep(15))
-        .bound("dedup_fallbacks", Bound::Exact(0.0)));
+    let row = row.bound("speedup", Bound::Floor(1.4));
+    add(blocks(row, sweeps, 165, 15));
 
     // ---- constant-cache kernels under dedup (suite scale) ----
     // The paper's top speedup tier reads constant memory as warp-wide
     // broadcasts at block-invariant addresses, so one donor SM runs the
     // timed engine (its constant-cache tags in the period snapshot) and
     // the other fifteen replay. Each arm is a whole `run`, set-up and
-    // copies included. Every row must replay (120 of MRI-Q's and MRI-FHD's
-    // 128 blocks and 246 of CP's 256 per launch) and never fall back: a
+    // copies included. Every row must replay 120 of MRI-Q's and MRI-FHD's
+    // 128 blocks and 246 of CP's 256 per launch and never fall back: a
     // fallback means a witness check that used to pass stopped passing.
     // MRI-Q measures 2.5x in CPU time; 1.5x says replay kept engaging and
     // kept its broadcast closed form. Sub-second arms: three pairs even
@@ -582,19 +589,16 @@ fn run() -> i32 {
     let fhd_data = fhd.generate(23);
     let cp = CoulombicPotential::default();
     let atoms = cp.generate(5);
-    for row in [
-        row.bound("cpu_speedup", Bound::Floor(1.5)),
-        dedup_row("mrifhd_dedup", "const_dedup", const_runs, &mut || {
-            fhd.run(&fhd_data).2
-        }),
-        dedup_row("cp_dedup", "const_dedup", const_runs, &mut || {
-            cp.run(&atoms, true).1
-        }),
-    ] {
-        add(row
-            .bound("dedup_fast_blocks", Bound::Floor(100.0))
-            .bound("dedup_fallbacks", Bound::Exact(0.0)));
-    }
+    let row = row.bound("cpu_speedup", Bound::Floor(1.5));
+    add(blocks(row, const_runs, 120, 8));
+    let row = dedup_row("mrifhd_dedup", "const_dedup", const_runs, &mut || {
+        fhd.run(&fhd_data).2
+    });
+    add(blocks(row, const_runs, 120, 8));
+    let row = dedup_row("cp_dedup", "const_dedup", const_runs, &mut || {
+        cp.run(&atoms, true).1
+    });
+    add(blocks(row, const_runs, 246, 10));
 
     // ---- launch memo on a revisiting tuner fleet ----
     // With the cache warm every launch is a replay; dedup stays off so the

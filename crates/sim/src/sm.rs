@@ -37,10 +37,11 @@
 //!   texture caches, counters and row tally, built once per SM run; each
 //!   issue lends it one resident block (`ExecCtx::execute`). The texture
 //!   line set is pooled, the constant distinct-address set a stack array;
-//! * **the period detector** (`PeriodDetector`) — witness recorder,
-//!   boundary states and replay scratch; the schedule calls it at retire,
-//!   remove, issue and at the end, and it fast-forwards whole periods
-//!   (`Schedule::shift` moves both other parts' clocks).
+//! * **the observer** (`Observe`), chosen once per run: the period detector
+//!   (`PeriodDetector`: witness recorder, boundary states, replay scratch)
+//!   on an SM that records, `()` otherwise. The schedule calls it at issue,
+//!   retire, remove, refill and the end; the detector fast-forwards whole
+//!   periods (`Schedule::shift` moves both other parts' clocks).
 //!
 //! None of this may change simulated timing: [`crate::reference`] keeps the
 //! original engine as an executable spec, and the `golden_stats` test
@@ -54,9 +55,7 @@ use crate::memory::{
     smem_degree_affine_warp, smem_degree_lanes, DeviceMemory, HalfWarpAccess, TagCache, Words,
 };
 use crate::warp::{RegSource, Warp};
-use crate::witness::{
-    const_sig, global_sig, local_bytes, replay_block, Ev, ReplayScratch, WitnessRecorder, WriteBuf,
-};
+use crate::witness::{replay_block, Ev, ReplayScratch, Sig, Signature, WitnessRecorder, WriteBuf};
 use g80_isa::decode::{DecodedKernel, IssueClass, MicroOp};
 use g80_isa::exec::{self, Row};
 use g80_isa::inst::{Inst, Operand, Space};
@@ -162,43 +161,54 @@ pub(crate) struct SmTally {
 }
 
 /// Simulates one SM over its assigned blocks. Deterministic; aborts with a
-/// [`crate::fault::WatchdogAbort`] past the launch's watchdog budget. With
-/// [`Prepared::dedup`] set (only for witness-eligible kernels, see
-/// [`crate::memo::KernelInfo`]), steady-state periods of the block stream
-/// are fast-forwarded by the [`PeriodDetector`]: timing by recurrence of the
-/// scheduler-state snapshot, functional effects by witness-verified replay.
-/// Aggregate stats are bit-identical either way.
+/// [`crate::fault::WatchdogAbort`] past the launch's watchdog budget.
 ///
-/// When `witness_out` is provided (with dedup set, the SM then records
-/// even if its whole queue is resident at once) and *every* block this SM
-/// executed was verified class-identical to the representative, the
-/// representative streams are moved into it. The SM's timing is a deterministic function of
-/// its inputs, and every timing-relevant quantity the scheduler consumes is
-/// captured by the event streams — so another SM whose equally-long block
-/// queue replays clean against the same streams would evolve identically,
-/// and may adopt this SM's stats outright (donor-SM reuse in
-/// [`crate::launch`]).
+/// The run's [`Observe`] impl is chosen here, once. With [`Prepared::dedup`]
+/// set (witness-eligible kernels, [`crate::memo::KernelInfo`]) and a refill
+/// that can recur or a `witness_out` to fill, the SM records: its
+/// [`PeriodDetector`] fast-forwards steady-state periods of the block stream
+/// (timing by recurrence of the scheduler-state snapshot, functional effects
+/// by witness-verified replay). Any other SM runs under `()`, with no
+/// recorder and no signature work. Stats are bit-identical either way.
+///
+/// If *every* block this SM executed verified class-identical to the
+/// representative, its streams move into `witness_out`: another SM whose
+/// equally-long queue replays clean against them evolves identically and
+/// may adopt this SM's stats outright (donor-SM reuse in [`crate::launch`]).
 pub(crate) fn run_sm(
     p: &Prepared,
     queue: &[(u32, u32)],
     witness_out: Option<&mut Option<Vec<Vec<Ev>>>>,
 ) -> (SmStats, SmTally) {
+    let sched = Schedule::new(p, queue);
+    if p.dedup && (queue.len() > sched.resident.len() || witness_out.is_some()) {
+        observed(p, PeriodDetector::new(&sched), sched, witness_out)
+    } else {
+        observed(p, (), sched, witness_out)
+    }
+}
+
+/// [`run_sm`] under the observer `obs`.
+fn observed<O: Observe>(
+    p: &Prepared,
+    mut obs: O,
+    mut sched: Schedule,
+    witness_out: Option<&mut Option<Vec<Vec<Ev>>>>,
+) -> (SmStats, SmTally) {
     let decoded = p.decoded();
-    let mut sched = Schedule::new(p, queue);
-    let mut period = PeriodDetector::new(p.dedup, &sched, witness_out.is_some());
     let mut pipe = ExecCtx::new(p);
     loop {
         if pipe.cycle >= p.watchdog {
             let insts = pipe.stats.warp_instructions;
             crate::fault::watchdog_abort(&p.spec.kernel.name, p.watchdog, pipe.cycle, insts);
         }
-        if sched.check_retire && sched.retire(&mut pipe.stats, &mut period) {
-            period.at_refill(p, &mut sched, &mut pipe);
+        if sched.check_retire && sched.retire(&mut pipe.stats, &mut obs) {
+            obs.at_refill(p, &mut sched, &mut pipe);
         }
         if sched.resident.is_empty() {
             break;
         }
-        let Some((next, reason)) = sched.issue(decoded, &mut pipe, &mut period) else {
+        let Some((next, reason)) = sched.issue(decoded, &mut pipe, &mut obs) else {
             continue;
         };
         if next == u64::MAX {
@@ -211,9 +221,36 @@ pub(crate) fn run_sm(
         pipe.cycle += skip;
     }
     pipe.stats.cycles = pipe.cycle;
-    let memo = period.finish(p.dedup, queue.len(), witness_out);
+    let mut memo = obs.finish(witness_out);
+    if p.dedup {
+        memo.dedup_sim_blocks = sched.queue.len() as u64 - memo.dedup_fast_blocks;
+    }
     let rows = pipe.rows;
     (pipe.stats, SmTally { rows, memo })
+}
+
+/// What watches an SM run at its schedule's events; a hook it does not
+/// need stays a no-op. [`run_sm`] picks one per run, and each is
+/// monomorphised, so `()` costs nothing.
+trait Observe: Sized {
+    /// The signature each issue builds for [`Observe::issued`].
+    type Sig: Signature;
+    /// Warp `wi` of slot `bi` issued the instruction at `pc` under `mask`.
+    fn issued(&mut self, _bi: usize, _wi: usize, _pc: u32, _mask: u32, _sig: Self::Sig) {}
+    /// The block in slot `bi` retired, before the slot refills.
+    fn retired(&mut self, _bi: usize) {}
+    /// The grid tail removed slot `bi`, after its [`Observe::retired`].
+    fn removed(&mut self, _bi: usize) {}
+    /// A refill boundary: some slot refilled and none was removed.
+    fn at_refill(&mut self, _: &Prepared, _: &mut Schedule, _: &mut ExecCtx<Self::Sig>) {}
+    /// The run's dedup tallies, after handing `witness_out` what it verified.
+    fn finish(self, _witness_out: Option<&mut Option<Vec<Vec<Ev>>>>) -> MemoCounters {
+        MemoCounters::default()
+    }
+}
+
+impl Observe for () {
+    type Sig = ();
 }
 
 /// The warp schedule of one SM: its resident blocks, the round-robin order
@@ -282,7 +319,7 @@ impl<'q> Schedule<'q> {
     /// Moves every absolute-cycle value of the schedule and of `pipe` on by
     /// `d` cycles. All scheduler comparisons are invariant under a uniform
     /// shift, so the machine continues as if it had run those cycles.
-    fn shift(&mut self, pipe: &mut ExecCtx, d: u64) {
+    fn shift<S>(&mut self, pipe: &mut ExecCtx<S>, d: u64) {
         pipe.cycle += d;
         pipe.chan_free += d;
         for w in self.resident.iter_mut().flat_map(|r| r.warps.iter_mut()) {
@@ -300,7 +337,7 @@ impl<'q> Schedule<'q> {
     /// removes them at the grid tail. Returns whether this was a refill
     /// boundary the period detector may inspect: some slot refilled and
     /// none was removed.
-    fn retire(&mut self, stats: &mut SmStats, period: &mut PeriodDetector) -> bool {
+    fn retire(&mut self, stats: &mut SmStats, obs: &mut impl Observe) -> bool {
         self.check_retire = false;
         let mut refilled = false;
         let mut i = 0;
@@ -310,7 +347,7 @@ impl<'q> Schedule<'q> {
                 continue;
             }
             stats.blocks_executed += 1;
-            period.recorder.on_retire(i);
+            obs.retired(i);
             if let Some(&ctaid) = self.queue.get(self.next) {
                 self.next += 1;
                 self.resident[i].reset(ctaid);
@@ -318,11 +355,8 @@ impl<'q> Schedule<'q> {
                 refilled = true;
                 i += 1;
             } else {
-                // Grid tail: drop the slot's witness state so the remaining
-                // slot indices realign (no fast-forward is possible with an
-                // empty queue, but the per-block verification must survive
-                // for donor-SM reuse).
-                period.recorder.on_remove(i);
+                // Grid tail: the slot goes, and the observer's slots realign.
+                obs.removed(i);
                 self.resident.remove(i);
                 self.order_stale = true;
             }
@@ -352,11 +386,11 @@ impl<'q> Schedule<'q> {
     /// ready warp through `pipe` and returns `None`, or returns the earliest
     /// future candidate and its stall reason (`u64::MAX` when no warp can
     /// become ready: all parked at a barrier, or retired during the scan).
-    fn issue(
+    fn issue<O: Observe>(
         &mut self,
         decoded: &DecodedKernel,
-        pipe: &mut ExecCtx,
-        period: &mut PeriodDetector,
+        pipe: &mut ExecCtx<O::Sig>,
+        obs: &mut O,
     ) -> Option<(u64, StallReason)> {
         if self.order_stale {
             self.rebuild_order();
@@ -393,12 +427,8 @@ impl<'q> Schedule<'q> {
             }
             let pc = warp.pc();
             let pre_mask = warp.active_mask();
-            pipe.record = period.recorder.valid;
             pipe.cycle += pipe.execute(block, wi, &decoded.ops[pc as usize]);
-            if pipe.record {
-                let ev = Ev::new(pc, pre_mask, pipe.ev_aux, pipe.ev_bytes);
-                period.recorder.record(bi, wi, ev);
-            }
+            obs.issued(bi, wi, pc, pre_mask, pipe.sig);
             self.rr = if idx + 1 < n { idx + 1 } else { 0 };
             self.order[idx].cached = None; // the warp advanced
             let warp = &block.warps[wi];
@@ -476,12 +506,10 @@ struct Boundary {
 /// (a transient longer than this means the launch is not steady-state).
 const DEDUP_MAX_BOUNDARIES: usize = 64;
 
-/// The dedup period detector: the witness recorder every issue feeds, the
-/// boundary states seen at block refills, and the replay that fast-forwards
-/// whole periods once a state recurs. [`run_sm`] calls it at retire, at
-/// remove, at issue and at the end; how recurrence works is its business.
+/// The dedup period detector, a recording SM's [`Observe`]: the witness
+/// recorder every issue feeds, the boundary states seen at block refills,
+/// and the replay that fast-forwards whole periods once a state recurs.
 struct PeriodDetector {
-    /// Valid while recording (see [`PeriodDetector::new`]).
     recorder: WitnessRecorder,
     boundaries: HashMap<Vec<u64>, Boundary>,
     /// Replay-executor state for the fast-forward path, allocated on the
@@ -490,26 +518,24 @@ struct PeriodDetector {
     memo: MemoCounters,
 }
 
-impl PeriodDetector {
-    /// Records while a refill can recur (a steady state to fast-forward) or
-    /// while other SMs will replay this one's streams (`export`): a fully
-    /// resident cohort still builds, freezes and verifies the
-    /// representative, and donor reuse needs nothing more.
-    fn new(dedup: bool, sched: &Schedule, export: bool) -> Self {
-        let slots = sched.resident.len();
-        let mut recorder = WitnessRecorder::new(slots, sched.wpb);
-        recorder.valid = dedup && (sched.queue.len() > slots || export);
-        PeriodDetector {
-            recorder,
-            boundaries: HashMap::new(),
-            replay: None,
-            memo: MemoCounters::default(),
-        }
+impl Observe for PeriodDetector {
+    type Sig = Sig;
+
+    fn issued(&mut self, bi: usize, wi: usize, pc: u32, mask: u32, sig: Sig) {
+        self.recorder.record(bi, wi, Ev { pc, mask, sig });
     }
 
-    /// At a block-refill boundary: remembers the machine state, or, when
-    /// the state recurs, fast-forwards whole periods of the queue.
-    fn at_refill(&mut self, p: &Prepared, sched: &mut Schedule, pipe: &mut ExecCtx) {
+    fn retired(&mut self, bi: usize) {
+        self.recorder.on_retire(bi);
+    }
+
+    fn removed(&mut self, bi: usize) {
+        self.recorder.on_remove(bi);
+    }
+
+    /// Remembers the machine state, or, when the state recurs,
+    /// fast-forwards whole periods of the queue.
+    fn at_refill(&mut self, p: &Prepared, sched: &mut Schedule, pipe: &mut ExecCtx<Sig>) {
         let rec = &mut self.recorder;
         if !rec.valid || !rec.rep_done() || sched.left() == 0 {
             return;
@@ -538,6 +564,24 @@ impl PeriodDetector {
         }
     }
 
+    fn finish(self, witness_out: Option<&mut Option<Vec<Vec<Ev>>>>) -> MemoCounters {
+        if let Some(out) = witness_out {
+            *out = self.recorder.take_verified();
+        }
+        self.memo
+    }
+}
+
+impl PeriodDetector {
+    fn new(sched: &Schedule) -> Self {
+        PeriodDetector {
+            recorder: WitnessRecorder::new(sched.resident.len(), sched.wpb),
+            boundaries: HashMap::new(),
+            replay: None,
+            memo: MemoCounters::default(),
+        }
+    }
+
     /// Applies whole periods of `d_consumed` blocks, `d_cycle` cycles and
     /// `d_stats` counters while the queue holds two or more, each after its
     /// blocks replay clean. The skipped windows also involve the currently
@@ -549,7 +593,7 @@ impl PeriodDetector {
         &mut self,
         p: &Prepared,
         sched: &mut Schedule,
-        pipe: &mut ExecCtx,
+        pipe: &mut ExecCtx<Sig>,
         (d_cycle, d_consumed, d_stats): (u64, usize, SmStats),
     ) {
         let rec = &mut self.recorder;
@@ -590,7 +634,7 @@ impl PeriodDetector {
     /// a path that matters: a warp whose `ready_at` is past issues
     /// regardless of the gate attribution, so the attribution is dropped
     /// for rel 0 entries.
-    fn snapshot(rec: &WitnessRecorder, sched: &Schedule, pipe: &ExecCtx) -> Vec<u64> {
+    fn snapshot(rec: &WitnessRecorder, sched: &Schedule, pipe: &ExecCtx<Sig>) -> Vec<u64> {
         let cycle = pipe.cycle;
         let mut s = Vec::with_capacity(4 + sched.resident.len() * sched.wpb * 8);
         s.push(sched.resident.len() as u64);
@@ -642,30 +686,13 @@ impl PeriodDetector {
         }
         s
     }
-
-    /// The run's dedup tallies, after handing the verified representative
-    /// to `witness_out`.
-    fn finish(
-        mut self,
-        dedup: bool,
-        queue_len: usize,
-        witness_out: Option<&mut Option<Vec<Vec<Ev>>>>,
-    ) -> MemoCounters {
-        if dedup {
-            self.memo.dedup_sim_blocks = queue_len as u64 - self.memo.dedup_fast_blocks;
-        }
-        if let Some(out) = witness_out {
-            *out = self.recorder.take_verified();
-        }
-        self.memo
-    }
 }
 
 /// The SM's pipeline state: the clock, the DRAM channel, the constant and
 /// texture caches and the counters — everything an issued instruction's
 /// timing reads or advances. Built once per [`run_sm`]; the [`Schedule`]
 /// lends it one resident block per issue.
-struct ExecCtx<'a> {
+struct ExecCtx<'a, S> {
     p: &'a Prepared<'a>,
     stats: SmStats,
     cycle: u64,
@@ -675,13 +702,9 @@ struct ExecCtx<'a> {
     tex_cache: TagCache,
     /// Distinct texture lines of one warp access, pooled across accesses.
     tex_lines: Vec<u32>,
-    /// Dedup witness recording active: the memory/branch paths below fill
-    /// `ev_aux`/`ev_bytes` with the instruction's timing signature — the
-    /// value [`crate::witness`]'s replay executor derives from the same
-    /// [`LaneAddrs`] / [`load_const`] result and compares.
-    record: bool,
-    ev_aux: u32,
-    ev_bytes: u32,
+    /// The last issued instruction's signature ([`Sig`] on a recording SM,
+    /// `()` otherwise), from the same results replay derives it from.
+    sig: S,
     /// Row-shape tally (flushed to the launching context's counters once
     /// per `run_sm`).
     rows: RowCounters,
@@ -887,10 +910,17 @@ fn split_half_warps(addrs: &[u32; 32], mask: u32) -> ([Option<u32>; 16], [Option
     (lo, hi)
 }
 
+/// The bytes one warp local (spill) access moves: one uncoalesced
+/// transaction per active lane.
+#[inline]
+pub(crate) fn local_bytes(cfg: &GpuConfig, mask: u32) -> u32 {
+    mask.count_ones() * cfg.uncoalesced_txn_bytes
+}
+
 /// The functional half of one warp constant load, for both executors: every
 /// active lane reads its word into `dst`, and `distinct[..n]` receives the
 /// distinct addresses in first-lane order — what the load serializes over
-/// and what [`const_sig`] fingerprints (an out-parameter: returning the
+/// and what [`Sig`] fingerprints (an out-parameter: returning the
 /// 128-byte list by value cost MRI-Q replay ≈ 15 %). An undiverged warp
 /// reading the one address of a `Uniform` row is the broadcast closed form:
 /// one constant-bank read and a `Uniform` result, as fast as a register read
@@ -936,7 +966,7 @@ pub(crate) fn load_const(
     Ok(n)
 }
 
-impl<'a> ExecCtx<'a> {
+impl<'a, S: Signature> ExecCtx<'a, S> {
     fn new(p: &'a Prepared<'a>) -> Self {
         let cfg = p.cfg;
         ExecCtx {
@@ -947,9 +977,7 @@ impl<'a> ExecCtx<'a> {
             const_cache: TagCache::new(cfg.const_cache_bytes, 64),
             tex_cache: TagCache::new(cfg.tex_cache_bytes, cfg.tex_line_bytes),
             tex_lines: Vec::new(),
-            record: false,
-            ev_aux: 0,
-            ev_bytes: 0,
+            sig: S::default(),
             rows: RowCounters::default(),
         }
     }
@@ -970,9 +998,7 @@ impl<'a> ExecCtx<'a> {
     /// carries the address signature only: hit or miss is the cache's state,
     /// which the period detector snapshots, not a property of the block.
     fn const_access(&mut self, distinct: &[u32]) -> (u64, RegSource) {
-        if self.record {
-            self.ev_aux = const_sig(distinct);
-        }
+        self.sig.constant(distinct);
         let mut miss_bytes = 0u64;
         for &a in distinct {
             if self.const_cache.access(a) {
@@ -1022,9 +1048,7 @@ impl<'a> ExecCtx<'a> {
             self.stats.global_ld_transactions += transactions;
         }
         self.stats.global_bytes += bytes;
-        if self.record {
-            (self.ev_aux, self.ev_bytes) = global_sig(&halves);
-        }
+        self.sig.global(&halves);
         bytes
     }
 
@@ -1039,9 +1063,7 @@ impl<'a> ExecCtx<'a> {
         }
         let bytes = local_bytes(self.p.cfg, mask) as u64;
         self.stats.global_bytes += bytes;
-        if self.record {
-            self.ev_bytes = bytes as u32;
-        }
+        self.sig.local(bytes as u32);
         self.memory_request(bytes)
     }
 
@@ -1052,9 +1074,7 @@ impl<'a> ExecCtx<'a> {
         let degree = addrs.smem_degree(self.p.cfg);
         let extra = self.p.cfg.issue_cycles * (degree as u64 - 1);
         self.stats.smem_conflict_extra_cycles += extra;
-        if self.record {
-            self.ev_aux = degree;
-        }
+        self.sig.shared(degree);
         extra
     }
 
@@ -1074,7 +1094,7 @@ impl<'a> ExecCtx<'a> {
     /// cycles.
     fn execute(&mut self, block: &mut Resident, wi: usize, mop: &MicroOp) -> u64 {
         let (cfg, params) = (self.p.cfg, self.p.spec.params);
-        (self.ev_aux, self.ev_bytes) = (0, 0);
+        self.sig = S::default();
         let warp = &mut block.warps[wi];
         let pc = warp.pc() as usize;
         let inst = mop.inst;
@@ -1129,16 +1149,12 @@ impl<'a> ExecCtx<'a> {
                 match pred {
                     None => {
                         let m = warp.active_mask();
-                        if self.record {
-                            self.ev_aux = m;
-                        }
+                        self.sig.branch(m);
                         warp.take_branch(m, target.0, reconv.0, next_pc);
                     }
                     Some(p) => {
                         let taken = warp.taken_mask(p.reg.0, p.negate, mask);
-                        if self.record {
-                            self.ev_aux = taken;
-                        }
+                        self.sig.branch(taken);
                         if warp.take_branch(taken, target.0, reconv.0, next_pc) {
                             self.stats.divergent_branches += 1;
                         }
@@ -1186,7 +1202,7 @@ impl<'a> ExecCtx<'a> {
         else {
             unreachable!("do_atom issues atomics")
         };
-        debug_assert!(!self.record, "dedup witness on atomic");
+        debug_assert!(!self.p.dedup, "dedup witness on atomic");
         let (cfg, params) = (self.p.cfg, self.p.spec.params);
         let (warp, smem) = (&mut block.warps[wi], &mut block.smem);
         let mask = warp.active_mask();
@@ -1287,7 +1303,7 @@ impl<'a> ExecCtx<'a> {
                 cfg.issue_cycles + (n.max(1) as u64 - 1) * 2
             }
             Space::Tex => {
-                debug_assert!(!self.record, "dedup witness on texture-cache load");
+                debug_assert!(!self.p.dedup, "dedup witness on texture-cache load");
                 let addrs = addr_row(warp, addr, off, params);
                 let (mem, lines) = (self.p.spec.mem, &mut self.tex_lines);
                 lines.clear();
@@ -1467,7 +1483,7 @@ mod tests {
     ) -> (Schedule<'q>, PeriodDetector) {
         let mut sched = Schedule::new(p, ctaids);
         sched.rebuild_order();
-        let mut period = PeriodDetector::new(true, &sched, false);
+        let mut period = PeriodDetector::new(&sched);
         for (wi, evs) in rep.iter().enumerate() {
             for &ev in evs {
                 period.recorder.record(0, wi, ev);

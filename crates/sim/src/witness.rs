@@ -11,9 +11,8 @@
 //! 1. **Witness streams** ([`Ev`], [`WitnessRecorder`]): while a dedup-
 //!    eligible launch runs, every issued warp instruction appends a compact
 //!    event — `(pc, active mask)` plus the timing-relevant signature of the
-//!    instruction (taken mask for branches, per-half-warp coalescing verdict
-//!    and byte count for global accesses, bank-conflict degree for shared
-//!    accesses, the address signature for constant loads). The stream of
+//!    instruction ([`Sig`]: a taken mask, coalescing verdicts and bytes, a
+//!    bank-conflict degree or a constant-address signature). The stream of
 //!    the first block to retire on the SM is the *representative*; every
 //!    other block is verified against it, online, as it issues.
 //!    The simulator's timing model reads addresses only through these
@@ -35,7 +34,7 @@
 //! **Constant loads** are the one event whose cost is not a function of the
 //! block alone: whether a load hits depends on what earlier blocks left in
 //! the SM's constant cache. Hit/miss is therefore *derived state*, not part
-//! of the event — [`const_sig`] fingerprints the addresses only, and
+//! of the event — [`Sig`] fingerprints the addresses only, and
 //! eligibility ([`crate::memo::KernelInfo::dedup_eligible`]) admits a kernel
 //! only when those addresses are statically `ctaid`-free, which the stream
 //! compare then re-verifies per load. Blocks sharing an SM are no longer
@@ -46,80 +45,91 @@
 //! equally long, and every block verified class-identical including its
 //! constant addresses. Texture fetches stay excluded.
 
-use crate::config::GpuConfig;
 use crate::launch::Prepared;
 use crate::memory::{DeviceMemory, HalfWarpAccess, Words};
-use crate::sm::{addr_row, load_const, LaneAddrs, Resident};
+use crate::sm::{addr_row, load_const, local_bytes, LaneAddrs, Resident};
 use crate::warp::Warp;
 use g80_isa::inst::{Inst, Space};
 use g80_isa::Value;
 use std::collections::HashMap;
 
 /// One issued warp instruction's timing-relevant fingerprint.
-///
-/// `a` packs `(pc << 32) | active_mask`; `b` packs `(aux << 32) | bytes`
-/// where `aux` is the per-kind signature: taken mask for branches, the two
-/// half-warp coalescing verdicts for global accesses ([`half_sig`]), the
-/// bank-conflict degree for shared accesses, the address signature for
-/// constant loads ([`const_sig`], with `bytes` = 0), zero otherwise.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct Ev {
-    pub a: u64,
-    pub b: u64,
+pub(crate) struct Ev {
+    pub pc: u32,
+    pub mask: u32,
+    pub sig: Sig,
 }
 
-impl Ev {
+const _: () = assert!(std::mem::size_of::<Ev>() == 16);
+
+/// The per-kind part of an [`Ev`], as [`Signature`]'s methods store it;
+/// zero for register-only instructions, barriers and exits.
+#[derive(Copy, Clone, Default, PartialEq, Eq, Debug)]
+pub(crate) struct Sig {
+    aux: u32,
+    bytes: u32,
+}
+
+/// Where both executors put the signature of the instruction they execute,
+/// one method per event kind: [`Sig`] keeps it, and `()` discards it, so an
+/// SM run that does not record builds none.
+pub(crate) trait Signature: Copy + Default {
+    /// Per half-warp with an active lane, its transaction count with the
+    /// coalescing verdict in bit 15 (16 bits a half); both halves' bytes.
+    fn global(&mut self, halves: &[HalfWarpAccess; 2]);
+    fn shared(&mut self, degree: u32);
+    /// The address of a broadcast, else a hash of the distinct addresses
+    /// (first-lane order), so a closed form and a scan that found one agree.
+    fn constant(&mut self, distinct: &[u32]);
+    fn local(&mut self, bytes: u32);
+    fn branch(&mut self, taken: u32);
+}
+
+impl Signature for Sig {
     #[inline]
-    pub fn new(pc: u32, mask: u32, aux: u32, bytes: u32) -> Ev {
-        Ev {
-            a: ((pc as u64) << 32) | mask as u64,
-            b: ((aux as u64) << 32) | bytes as u64,
+    fn global(&mut self, halves: &[HalfWarpAccess; 2]) {
+        for (i, acc) in halves.iter().enumerate() {
+            if acc.transactions > 0 {
+                let half = acc.transactions.min(0x7fff) | ((acc.coalesced as u32) << 15);
+                self.aux |= half << (16 * i);
+                self.bytes += acc.bytes as u32;
+            }
         }
     }
-}
 
-/// 16-bit signature of one half-warp global access: transaction count with
-/// the coalescing verdict in the top bit.
-#[inline]
-pub(crate) fn half_sig(acc: &HalfWarpAccess) -> u32 {
-    acc.transactions.min(0x7fff) | ((acc.coalesced as u32) << 15)
-}
-
-/// Witness signature of one warp global access: the two [`half_sig`]
-/// verdicts packed as `aux` (a half-warp with no active lane contributes
-/// nothing), and the byte count.
-#[inline]
-pub(crate) fn global_sig(halves: &[HalfWarpAccess; 2]) -> (u32, u32) {
-    let (mut aux, mut bytes) = (0u32, 0u64);
-    for (i, acc) in halves.iter().enumerate() {
-        if acc.transactions > 0 {
-            aux |= half_sig(acc) << (16 * i);
-            bytes += acc.bytes;
-        }
+    #[inline]
+    fn shared(&mut self, degree: u32) {
+        self.aux = degree;
     }
-    (aux, bytes as u32)
-}
 
-/// Witness byte count of one warp local (spill) access: one uncoalesced
-/// transaction per active lane.
-#[inline]
-pub(crate) fn local_bytes(cfg: &GpuConfig, mask: u32) -> u32 {
-    mask.count_ones() * cfg.uncoalesced_txn_bytes
-}
-
-/// 32-bit signature of one warp constant load over its distinct addresses
-/// (first-lane order): the address itself for a broadcast, a hash of the
-/// list otherwise. Both executors derive it from the same list whichever
-/// path produced it, so a closed-form broadcast and a per-lane scan that
-/// found one address agree.
-#[inline]
-pub(crate) fn const_sig(distinct: &[u32]) -> u32 {
-    match distinct {
-        [a] => *a,
-        _ => distinct.iter().fold(0x811c_9dc5u32, |h, &a| {
-            (h ^ a).wrapping_mul(0x0100_0193).rotate_left(13)
-        }),
+    #[inline]
+    fn constant(&mut self, distinct: &[u32]) {
+        self.aux = match distinct {
+            [a] => *a,
+            _ => distinct.iter().fold(0x811c_9dc5u32, |h, &a| {
+                (h ^ a).wrapping_mul(0x0100_0193).rotate_left(13)
+            }),
+        };
     }
+
+    #[inline]
+    fn local(&mut self, bytes: u32) {
+        self.bytes = bytes;
+    }
+
+    #[inline]
+    fn branch(&mut self, taken: u32) {
+        self.aux = taken;
+    }
+}
+
+impl Signature for () {
+    fn global(&mut self, _: &[HalfWarpAccess; 2]) {}
+    fn shared(&mut self, _: u32) {}
+    fn constant(&mut self, _: &[u32]) {}
+    fn local(&mut self, _: u32) {}
+    fn branch(&mut self, _: u32) {}
 }
 
 /// Per-SM witness state: the representative event streams plus the online
@@ -186,16 +196,10 @@ impl WitnessRecorder {
         self.cursors[slot][warp] = cur + 1;
     }
 
-    /// Consumes the representative streams if every block retired so far was
-    /// verified class-identical (the donor-SM reuse evidence). Invalidates
-    /// the recorder, so call only when the SM is done.
-    pub fn take_verified(&mut self) -> Option<Vec<Vec<Ev>>> {
-        if self.valid && self.rep_done {
-            self.valid = false;
-            Some(std::mem::take(&mut self.rep))
-        } else {
-            None
-        }
+    /// The representative streams, if every block retired so far was
+    /// verified class-identical (the donor-SM reuse evidence).
+    pub fn take_verified(self) -> Option<Vec<Vec<Ev>>> {
+        (self.valid && self.rep_done).then_some(self.rep)
     }
 
     /// Called when the grid tail permanently removes `slot` (after its final
@@ -203,9 +207,7 @@ impl WitnessRecorder {
     /// remaining slot indices realign, keeping the recorder valid — every
     /// block retired so far has still been individually verified.
     pub fn on_remove(&mut self, slot: usize) {
-        if slot < self.cursors.len() {
-            self.cursors.remove(slot);
-        }
+        self.cursors.remove(slot);
     }
 
     /// Called when the block in `slot` retires, before the slot refills: a
@@ -426,19 +428,19 @@ fn step(
     let Some(&expect) = rep.get(*cursor) else {
         return false;
     };
-    if expect.a != (((pc as u64) << 32) | mask as u64) {
+    if (expect.pc, expect.mask) != (pc as u32, mask) {
         return false;
     }
     // What a register-only instruction does is `Warp::exec_reg_only`; its
     // signature is zero.
     if warp.exec_reg_only(&inst, mask, params) {
         *cursor += 1;
-        return expect.b == 0;
+        return expect.sig == Sig::default();
     }
-    let (mut aux, mut bytes) = (0u32, 0u32);
+    let mut sig = Sig::default();
     // Cleared when the signature is statically proven equal to the
     // representative's instead of being recomputed (`shared_uniform`).
-    let mut verify_b = true;
+    let mut verify_sig = true;
     match inst {
         Inst::Ld {
             space,
@@ -451,21 +453,21 @@ fn step(
             let ok = match space {
                 Space::Global => {
                     let addrs = LaneAddrs::of(warp, mask, addr, off, params);
-                    (aux, bytes) = global_sig(&addrs.coalesce(cfg));
+                    sig.global(&addrs.coalesce(cfg));
                     addrs.load(buf, warp.reg_row_mut(dst.0)).is_ok()
                 }
                 Space::Shared => {
                     let addrs = LaneAddrs::of(warp, mask, addr, off, params);
-                    verify_b = !shared_uniform;
-                    if verify_b {
-                        aux = addrs.smem_degree(cfg);
+                    verify_sig = !shared_uniform;
+                    if verify_sig {
+                        sig.shared(addrs.smem_degree(cfg));
                     }
                     addrs.load(smem, warp.reg_row_mut(dst.0)).is_ok()
                 }
                 Space::Local => {
                     let addrs = addr_row(warp, addr, off, params);
                     warp.load_local(mask, dst.0, &addrs);
-                    bytes = local_bytes(cfg, mask);
+                    sig.local(local_bytes(cfg, mask));
                     true
                 }
                 // Address signature only — hit/miss is the SM cache's
@@ -476,7 +478,7 @@ fn step(
                     let mut distinct = [0u32; 32];
                     let mem = buf.mem();
                     let n = load_const(warp, dst.0, addr, off, params, mem, &mut distinct);
-                    n.map(|n| aux = const_sig(&distinct[..n])).is_ok()
+                    n.map(|n| sig.constant(&distinct[..n])).is_ok()
                 }
                 // Eligibility excludes texture fetches (the texture cache's
                 // state is not part of the recurring-state snapshot);
@@ -497,14 +499,14 @@ fn step(
             let ok = match space {
                 Space::Global => {
                     let addrs = LaneAddrs::of(warp, mask, addr, off, params);
-                    (aux, bytes) = global_sig(&addrs.coalesce(cfg));
+                    sig.global(&addrs.coalesce(cfg));
                     addrs.store(buf, &warp.operand_row(src, params)).is_ok()
                 }
                 Space::Shared => {
                     let addrs = LaneAddrs::of(warp, mask, addr, off, params);
-                    verify_b = !shared_uniform;
-                    if verify_b {
-                        aux = addrs.smem_degree(cfg);
+                    verify_sig = !shared_uniform;
+                    if verify_sig {
+                        sig.shared(addrs.smem_degree(cfg));
                     }
                     addrs.store(smem, &warp.operand_row(src, params)).is_ok()
                 }
@@ -512,7 +514,7 @@ fn step(
                     let addrs = addr_row(warp, addr, off, params);
                     let srcs = warp.operand_row(src, params);
                     warp.store_local(mask, &addrs, &srcs);
-                    bytes = local_bytes(cfg, mask);
+                    sig.local(local_bytes(cfg, mask));
                     true
                 }
                 Space::Const | Space::Tex => false,
@@ -529,11 +531,12 @@ fn step(
             reconv,
             pred,
         } => {
-            aux = match pred {
+            let taken = match pred {
                 None => mask,
                 Some(q) => warp.taken_mask(q.reg.0, q.negate, mask),
             };
-            warp.take_branch(aux, target.0, reconv.0, pc as u32 + 1);
+            sig.branch(taken);
+            warp.take_branch(taken, target.0, reconv.0, pc as u32 + 1);
         }
         Inst::Bar => {
             if warp.frames.len() != 1 {
@@ -547,7 +550,7 @@ fn step(
         }
         _ => unreachable!("register-only instructions handled above"),
     }
-    if verify_b && expect.b != (((aux as u64) << 32) | bytes as u64) {
+    if verify_sig && expect.sig != sig {
         return false;
     }
     *cursor += 1;
@@ -574,9 +577,14 @@ pub(crate) fn replay_sm(p: &Prepared, my_blocks: &[(u32, u32)], rep: &[Vec<Ev>])
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::GpuConfig;
 
     fn ev(pc: u32) -> Ev {
-        Ev::new(pc, u32::MAX, 0, 0)
+        Ev {
+            pc,
+            mask: u32::MAX,
+            sig: Sig::default(),
+        }
     }
 
     /// Feeds `pcs` as slot `slot`'s single warp stream.
@@ -720,7 +728,12 @@ mod tests {
     /// The signature is a function of the distinct-address list alone.
     #[test]
     fn const_sig_is_the_address_for_a_broadcast() {
-        assert_eq!(const_sig(&[0x1234]), 0x1234);
+        let const_sig = |distinct: &[u32]| {
+            let mut sig = Sig::default();
+            sig.constant(distinct);
+            sig
+        };
+        assert_eq!(const_sig(&[0x1234]).aux, 0x1234);
         assert_ne!(const_sig(&[0, 4]), const_sig(&[4, 0]));
         assert_ne!(const_sig(&[0, 4]), const_sig(&[0, 8]));
         assert_ne!(const_sig(&[0, 4]), const_sig(&[0, 4, 8]));

@@ -15,7 +15,8 @@ use g80_isa::builder::{BuildOptions, KernelBuilder, Unroll};
 use g80_isa::inst::{AluOp, CmpOp, Inst, Operand, Pred, Scalar, SfuOp, UnOp};
 use g80_isa::{Kernel, OptLevel, Value};
 use g80_sim::{
-    launch, memo_counters, DeviceMemory, Engine, GpuConfig, LaunchDims, SimConfig, SimContext,
+    launch, memo_counters, wire, DeviceMemory, Engine, GpuConfig, KernelStats, LaunchDims,
+    SimConfig, SimContext,
 };
 use proptest::prelude::*;
 
@@ -240,12 +241,12 @@ const N_REPLAY: u32 = THREADS * 512;
 /// The kernel's output under every context of the matrix, which must agree
 /// among themselves: cold in each, and again on what the first pass cached.
 fn run(k: &Kernel, cfg: &GpuConfig, width: u32) -> Vec<u32> {
-    let first = run_n(k, cfg, N, width);
+    let first = run_n(k, cfg, N, width).0;
     for (name, ctx) in contexts().iter() {
         for pass in ["cold", "warm"] {
             assert_eq!(
                 first,
-                ctx.enter(|| run_n(k, cfg, N, width)),
+                ctx.enter(|| run_n(k, cfg, N, width).0),
                 "{name}, {pass}"
             );
         }
@@ -254,8 +255,9 @@ fn run(k: &Kernel, cfg: &GpuConfig, width: u32) -> Vec<u32> {
 }
 
 /// Runs `n` threads in blocks `width` threads wide and `THREADS / width`
-/// rows high; every launch's stats must keep to the machine's roofline.
-fn run_n(k: &Kernel, cfg: &GpuConfig, n: u32, width: u32) -> Vec<u32> {
+/// rows high; returns the words written and the stats, which must keep to
+/// the machine's roofline.
+fn run_n(k: &Kernel, cfg: &GpuConfig, n: u32, width: u32) -> (Vec<u32>, KernelStats) {
     let mem = DeviceMemory::new(2 * n * 4 + 64);
     for i in 0..n {
         mem.write(i * 4, Value::from_f32((i % 17) as f32 * 0.3 - 2.0));
@@ -272,7 +274,7 @@ fn run_n(k: &Kernel, cfg: &GpuConfig, n: u32, width: u32) -> Vec<u32> {
     )
     .expect("launch");
     check_invariants(cfg, &stats);
-    mem.read_slice(n * 4, n as usize).collect()
+    (mem.read_slice(n * 4, n as usize).collect(), stats)
 }
 
 proptest! {
@@ -312,9 +314,9 @@ proptest! {
 
     /// The reference oracle (per-lane scalar evaluators), the product
     /// engine simulating every block, and the product engine replaying
-    /// blocks from a witness write the same words — through SFU rows under
-    /// the partial masks of the divergent branch too, and through shared
-    /// rows of every run period.
+    /// blocks from a witness write the same words and report the same stats
+    /// bytes — through SFU rows under the partial masks of the divergent
+    /// branch too, and through shared rows of every run period.
     #[test]
     fn engines_and_dedup_modes_agree(recipe in arb_recipe()) {
         let cfg = GpuConfig::geforce_8800_gtx();
@@ -322,15 +324,17 @@ proptest! {
         let run_in = |engine, dedup| {
             let config = SimConfig { engine, dedup, memo: false, ..SimConfig::default() };
             SimContext::new(config).enter(|| {
-                let out = run_n(&k, &cfg, N_REPLAY, recipe.width);
-                (out, memo_counters().dedup_fast_blocks)
+                let (out, stats) = run_n(&k, &cfg, N_REPLAY, recipe.width);
+                (out, wire::to_bytes(&stats, 512), memo_counters().dedup_fast_blocks)
             })
         };
-        let (oracle, _) = run_in(Engine::Reference, false);
-        let (simulated, _) = run_in(Engine::Predecoded, false);
-        let (replayed, fast) = run_in(Engine::Predecoded, true);
+        let (oracle, oracle_stats, _) = run_in(Engine::Reference, false);
+        let (simulated, simulated_stats, _) = run_in(Engine::Predecoded, false);
+        let (replayed, replayed_stats, fast) = run_in(Engine::Predecoded, true);
         prop_assert!(fast > 0, "no block was replayed: the dedup arm tested nothing");
         prop_assert_eq!(&oracle, &simulated);
         prop_assert_eq!(&simulated, &replayed);
+        prop_assert_eq!(&oracle_stats, &simulated_stats);
+        prop_assert_eq!(&simulated_stats, &replayed_stats);
     }
 }
