@@ -80,10 +80,6 @@ fn main() {
                     print!("{}", suite::render_table2(&reports));
                 } else {
                     print!("{}", suite::render_table3(&reports));
-                    println!("\nBottleneck groups (Section 5.1):");
-                    for (b, apps) in suite::bottleneck_groups(&reports) {
-                        println!("  {b}: {}", apps.join(", "));
-                    }
                 }
             }
             "fig5" => {

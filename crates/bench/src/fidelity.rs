@@ -7,6 +7,7 @@
 use std::sync::OnceLock;
 
 use g80_apps::common::AppReport;
+use g80_core::Bottleneck::{MemoryBandwidth, MemoryLatency};
 
 use crate::ablations::{self, Fig5Row};
 use crate::arch_study::{self, ArchResult};
@@ -99,27 +100,27 @@ pub static ROWS: &[Row] = &[
     row("fig4.deviation_4x4_over_naive", Recon(0.8), Within(1.5, 1.9), At(Within(1.9, 2.3)), |s| Num(s.tile(4, "") / s.fig4("not tiled"))),
 
     // Section 4: the walk and the register cliff at `sec4_n`, the tuner at `fig4_n`.
-    row("sec4.naive", Value(10.58), Within(8.0, 9.5), Same, |s| Num(s.sec4()[0].gflops)),
-    row("sec4.tiled", Value(46.49), Within(36.0, 40.0), Same, |s| Num(s.sec4()[1].gflops)),
-    row("sec4.unrolled", Value(91.14), Within(84.0, 91.0), At(Within(74.0, 81.0)), |s| Num(s.sec4()[2].gflops)),
-    row("sec4.prefetch", Value(87.10), Within(86.0, 94.0), At(Within(82.0, 89.0)), |s| Num(s.sec4()[3].gflops)),
+    row("sec4.naive", Value(10.58), Within(8.0, 9.5), Same, |s| Num(s.sec4()[0].gflops())),
+    row("sec4.tiled", Value(46.49), Within(36.0, 40.0), Same, |s| Num(s.sec4()[1].gflops())),
+    row("sec4.unrolled", Value(91.14), Within(84.0, 91.0), At(Within(74.0, 81.0)), |s| Num(s.sec4()[2].gflops())),
+    row("sec4.prefetch", Value(87.10), Within(86.0, 94.0), At(Within(82.0, 89.0)), |s| Num(s.sec4()[3].gflops())),
     row("sec4.naive_bottleneck", Says("bandwidth-bound"), Is("MemoryBandwidth"), Same,
-        |s| Text(format!("{:?}", s.sec4()[0].bottleneck))),
-    row("sec4.naive_required_gbps", Value(173.0), Above(86.4), Same, |s| Num(s.sec4()[0].required_bw)),
-    row("sec4.tiling_ratio", Value(4.39), Within(4.0, 5.0), At(Above(2.5)), |s| Num(s.sec4()[1].gflops / s.sec4()[0].gflops)),
-    row("sec4.tiled_issue_bound", Value(43.2), Within(37.0, 40.0), Same, |s| Num(s.sec4()[1].issue_bound)),
-    row("sec4.unroll_ratio", Value(1.96), Within(2.1, 2.5), At(Above(1.7)), |s| Num(s.sec4()[2].gflops / s.sec4()[1].gflops)),
-    row("sec4.unrolled_issue_bound", Value(93.72), Within(89.0, 94.0), Same, |s| Num(s.sec4()[2].issue_bound)),
+        |s| Text(format!("{:?}", s.sec4()[0].diagnosis.estimate.bottleneck))),
+    row("sec4.naive_required_gbps", Value(173.0), Above(86.4), Same, |s| Num(s.sec4()[0].diagnosis.estimate.required_bandwidth_gbps)),
+    row("sec4.tiling_ratio", Value(4.39), Within(4.0, 5.0), At(Above(2.5)), |s| Num(s.sec4()[1].gflops() / s.sec4()[0].gflops())),
+    row("sec4.tiled_issue_bound", Value(43.2), Within(37.0, 40.0), Same, |s| Num(s.sec4()[1].diagnosis.estimate.issue_bound_gflops)),
+    row("sec4.unroll_ratio", Value(1.96), Within(2.1, 2.5), At(Above(1.7)), |s| Num(s.sec4()[2].gflops() / s.sec4()[1].gflops())),
+    row("sec4.unrolled_issue_bound", Value(93.72), Within(89.0, 94.0), Same, |s| Num(s.sec4()[2].diagnosis.estimate.issue_bound_gflops)),
     row("sec4.unrolled_bottleneck", Says("issue-bound"), Is("InstructionIssue"), Same,
-        |s| Text(format!("{:?}", s.sec4()[2].bottleneck))),
+        |s| Text(format!("{:?}", s.sec4()[2].diagnosis.estimate.bottleneck))),
     // Deviation: the sign of the prefetch delta (the paper's prefetch step loses 4.4 %).
     row("sec4.deviation_prefetch", Value(0.956), Within(1.0, 1.05), At(Within(0.9, 1.15)),
-        |s| Num(s.sec4()[3].gflops / s.sec4()[2].gflops)),
-    row("sec4.cliff_10_regs", Value(3.0), Equals(3.0), Same, |s| Num(s.cliff().0.blocks_per_sm as f64)),
-    row("sec4.cliff_11_regs", Value(2.0), Equals(2.0), Same, |s| Num(s.cliff().1.blocks_per_sm as f64)),
+        |s| Num(s.sec4()[3].gflops() / s.sec4()[2].gflops())),
+    row("sec4.cliff_10_regs", Value(3.0), Equals(3.0), Same, |s| Num(s.cliff().0.blocks_per_sm() as f64)),
+    row("sec4.cliff_11_regs", Value(2.0), Equals(2.0), Same, |s| Num(s.cliff().1.blocks_per_sm() as f64)),
     // Deviation: the lost block costs this issue-bound kernel little.
     row("sec4.deviation_cliff_cost", Says("two blocks reduce performance"), Within(0.95, 1.02), Same,
-        |s| Num(s.cliff().0.gflops / s.cliff().1.gflops)),
+        |s| Num(s.cliff().0.gflops() / s.cliff().1.gflops())),
     row("sec6.tuner_optimum", Says("16x16 register tiling, as in [22]"), Is("16x16 tiled+register tiling"), Same,
         |s| Text(s.local_max().2.clone())),
     row("sec6.tuner_gflops", Recon(110.0), Within(95.0, 110.0), At(Above(50.0)), |s| Num(s.local_max().3)),
@@ -143,6 +144,9 @@ pub static ROWS: &[Row] = &[
         |s| Num(s.speedup("FDTD") / min(s.table3()[..12].iter().filter(|r| r.name != "FDTD").map(AppReport::kernel_speedup)))),
     row("table3.fdtd_app", Value(1.16), Within(1.0, 1.25), At(Below(1.25)), |s| Num(s.app("FDTD").app_speedup())),
     row("table3.h264_app", Recon(1.47), Within(1.3, 1.6), Same, |s| Num(s.app("H.264 (SAD)").app_speedup())),
+    row("table3.verdicts", Says("one bottleneck per app"),
+        Is("InstructionIssue: H.264 (SAD), RC5-72, RPES, PNS, TPACF, MRI-Q, MRI-FHD, CP, MatMul; \
+            MemoryLatency: LBM; MemoryBandwidth: FEM, SAXPY, FDTD"), FullOnly, |s| Text(s.verdicts())),
     // Our PNS keeps its state in registers, so it is not memory-bound (DESIGN.md §2).
     row("table3.memory_bound", Says("LBM, FEM, PNS, SAXPY, FDTD"), Is("LBM, FEM, SAXPY, FDTD"), FullOnly,
         |s| Text(s.memory_bound())),
@@ -178,7 +182,7 @@ pub static ROWS: &[Row] = &[
 /// Every study's output at one scale. Each study runs on first use and is
 /// kept for the life of the process, so rows (and tests) that read the same
 /// study share one run.
-struct Studies {
+pub(crate) struct Studies {
     scale: Scale,
     fig4: OnceLock<Vec<Fig4Row>>,
     sec4: OnceLock<Vec<Sec4Step>>,
@@ -208,7 +212,7 @@ impl Studies {
     }
 
     /// The process's studies at `scale`.
-    fn at(scale: Scale) -> &'static Studies {
+    pub(crate) fn at(scale: Scale) -> &'static Studies {
         static SMALL: Studies = Studies::new(Scale::Small);
         static FULL: Studies = Studies::new(Scale::Full);
         match scale {
@@ -222,7 +226,7 @@ impl Studies {
         self.fig4.get_or_init(|| matmul_study::figure4(n))
     }
 
-    fn sec4(&self) -> &[Sec4Step] {
+    pub(crate) fn sec4(&self) -> &[Sec4Step] {
         let n = self.scale.sec4_n();
         self.sec4.get_or_init(|| matmul_study::section4(n))
     }
@@ -239,7 +243,7 @@ impl Studies {
     }
 
     /// The suite, then MatMul at `sec4_n`.
-    fn table3(&self) -> &[AppReport] {
+    pub(crate) fn table3(&self) -> &[AppReport] {
         self.table3.get_or_init(|| {
             let mut table3 = suite::run_suite(self.scale);
             table3.push(suite::matmul_row(self.scale.sec4_n()));
@@ -287,10 +291,17 @@ impl Studies {
         self.app(name).kernel_speedup()
     }
 
+    /// `repro table3`'s bottleneck groups, one `verdict: apps` per group.
+    fn verdicts(&self) -> String {
+        let groups = suite::bottleneck_groups(self.table3()).into_iter();
+        let groups = groups.map(|(b, apps)| format!("{b:?}: {}", apps.join(", ")));
+        groups.collect::<Vec<_>>().join("; ")
+    }
+
     /// The apps `repro table3` groups under a memory bottleneck.
     fn memory_bound(&self) -> String {
         let groups = suite::bottleneck_groups(self.table3()).into_iter();
-        let memory = groups.filter(|(b, _)| b.starts_with("Memory"));
+        let memory = groups.filter(|(b, _)| matches!(b, MemoryBandwidth | MemoryLatency));
         memory
             .flat_map(|(_, apps)| apps)
             .collect::<Vec<_>>()

@@ -1,7 +1,7 @@
 //! Figure 4 and Section 4 — the matrix-multiplication optimization study.
 
 use g80_apps::matmul::{MatMul, Variant};
-use g80_core::{advise, estimate, kernel_occupancy, Bottleneck, Sample, SweepResult};
+use g80_core::{explain, Diagnosis, Sample, SweepResult};
 use g80_cuda::{BatchLaunch, Device};
 use g80_isa::{Kernel, Value};
 use g80_sim::{GpuConfig, KernelStats};
@@ -73,13 +73,11 @@ pub fn figure4(n: u32) -> Vec<Fig4Row> {
         .into_iter()
         .zip(results)
         .map(|(v, (_, stats, _))| {
-            let k = mm.kernel(v);
-            let (sx, sy) = v.block_shape();
-            let occ = kernel_occupancy(&cfg, &k, sx * sy);
+            let occ = explain(&cfg, &stats).occupancy;
             Fig4Row {
                 label: v.label(),
                 gflops: stats.gflops(),
-                regs: k.regs_per_thread,
+                regs: stats.regs_per_thread,
                 blocks_per_sm: occ.blocks_per_sm,
                 warps_per_sm: occ.warps_per_sm,
             }
@@ -115,58 +113,41 @@ pub fn render_figure4(rows: &[Fig4Row]) -> String {
 #[derive(Clone, Debug)]
 pub struct Sec4Step {
     pub name: String,
-    pub gflops: f64,
     pub paper_gflops: f64,
     pub regs: u32,
-    pub blocks_per_sm: u32,
-    pub bottleneck: Bottleneck,
-    pub issue_bound: f64,
-    pub bandwidth_bound: f64,
-    pub required_bw: f64,
-    pub top_hint: Option<String>,
+    pub diagnosis: Diagnosis,
 }
 
 impl Sec4Step {
-    /// A step from its launch's counters and the Section 4 estimate.
-    fn new(
-        name: String,
-        regs: u32,
-        paper_gflops: f64,
-        stats: &KernelStats,
-        top_hint: Option<String>,
-    ) -> Sec4Step {
-        let est = estimate(&GpuConfig::geforce_8800_gtx(), stats);
+    /// A step from its launch's counters.
+    fn new(name: String, paper_gflops: f64, stats: &KernelStats) -> Sec4Step {
         Sec4Step {
             name,
-            gflops: stats.gflops(),
             paper_gflops,
-            regs,
-            blocks_per_sm: stats.blocks_per_sm,
-            bottleneck: est.bottleneck,
-            issue_bound: est.issue_bound_gflops,
-            bandwidth_bound: est.bandwidth_bound_gflops,
-            required_bw: est.required_bandwidth_gbps,
-            top_hint,
+            regs: stats.regs_per_thread,
+            diagnosis: explain(&GpuConfig::geforce_8800_gtx(), stats),
         }
+    }
+
+    pub fn gflops(&self) -> f64 {
+        self.diagnosis.estimate.achieved_gflops
+    }
+
+    pub fn blocks_per_sm(&self) -> u32 {
+        self.diagnosis.occupancy.blocks_per_sm
     }
 }
 
 /// Reproduces the Section 4.1–4.4 optimization walk at size `n` (multiple
-/// of 16), including the analytical potential-throughput estimates and the
-/// advisor's top recommendation at each step.
+/// of 16), diagnosing each step.
 pub fn section4(n: u32) -> Vec<Sec4Step> {
     let mm = MatMul { n };
     let (a, b) = mm.generate(42);
-    let cfg = GpuConfig::geforce_8800_gtx();
     SEC4_STEPS
         .into_iter()
         .map(|(name, v, id)| {
-            let regs = mm.kernel(v).regs_per_thread;
             let (_, stats, _) = mm.run(v, &a, &b);
-            let hint = advise(&cfg, &stats)
-                .first()
-                .map(|h| format!("{:?}", h.kind));
-            Sec4Step::new(name.into(), regs, fidelity::paper(id), &stats, hint)
+            Sec4Step::new(name.into(), fidelity::paper(id), &stats)
         })
         .collect()
 }
@@ -186,9 +167,9 @@ pub fn register_cliff(n: u32) -> (Sec4Step, Sec4Step) {
     let kernels = [10, 11].map(|regs| (tiled.clone().with_forced_regs(regs), 16));
     let stats = launch_matmuls(&GpuConfig::geforce_8800_gtx(), n, &kernels, &a, &b);
     let [r10, r11] = [0, 1].map(|i| {
-        let regs = kernels[i].0.regs_per_thread;
+        let regs = stats[i].regs_per_thread;
         let name = format!("16x16 tiled (rolled) forced to {regs} regs");
-        Sec4Step::new(name, regs, 0.0, &stats[i], None)
+        Sec4Step::new(name, 0.0, &stats[i])
     });
     (r10, r11)
 }
@@ -292,25 +273,34 @@ pub fn render_section4(steps: &[Sec4Step], cliff: &(Sec4Step, Sec4Step)) -> Stri
         "advisor"
     ));
     for st in steps {
+        let (est, hint) = (&st.diagnosis.estimate, st.diagnosis.hints.first());
         s.push_str(&format!(
             "{:<28} {:>8.2} {:>8.2} {:>5} {:>7} {:>9.1} {:>9.1} {:>9.0}  {:<18} {}\n",
             st.name,
-            st.gflops,
+            st.gflops(),
             st.paper_gflops,
             st.regs,
-            st.blocks_per_sm,
-            st.issue_bound,
-            st.bandwidth_bound.min(9999.0),
-            st.required_bw,
-            format!("{:?}", st.bottleneck),
-            st.top_hint.as_deref().unwrap_or("-"),
+            st.blocks_per_sm(),
+            est.issue_bound_gflops,
+            est.bandwidth_bound_gflops.min(9999.0),
+            est.required_bandwidth_gbps,
+            format!("{:?}", est.bottleneck),
+            hint.map_or("-".into(), |h| format!("{:?}", h.kind)),
         ));
+    }
+    for st in steps {
+        s.push_str(&format!("\n{}\n", st.name));
+        for line in st.diagnosis.to_string().lines() {
+            s.push_str(&format!("  {line}\n"));
+        }
     }
     s.push_str("\nSection 4.2 register-pressure cliff (same kernel, forced registers):\n");
     for st in [&cliff.0, &cliff.1] {
         s.push_str(&format!(
             "  {:<38} {:>8.2} GFLOPS  {} blocks/SM\n",
-            st.name, st.gflops, st.blocks_per_sm
+            st.name,
+            st.gflops(),
+            st.blocks_per_sm()
         ));
     }
     s

@@ -8,7 +8,7 @@
 
 use g80_apps::common::AppReport;
 use g80_apps::{cp, fdtd, fem, lbm, matmul, mrifhd, mriq, pns, rc5, rpes, sad, saxpy, tpacf};
-use g80_core::{estimate, Bottleneck};
+use g80_core::{explain, Bottleneck};
 use g80_cuda::{CpuModel, CpuTuning};
 use g80_sim::GpuConfig;
 
@@ -200,9 +200,10 @@ pub fn render_table2(reports: &[AppReport]) -> String {
     s
 }
 
-/// Renders Table 3 (optimized implementation characteristics + speedups).
+/// Renders Table 3 (optimized implementation characteristics + speedups),
+/// then the suite grouped by verdict.
 pub fn render_table3(reports: &[AppReport]) -> String {
-    let cfg = GpuConfig::geforce_8800_gtx();
+    let verdicts = verdicts(reports);
     let mut s = String::new();
     s.push_str("Table 3: optimized application implementations\n");
     s.push_str(&format!(
@@ -219,8 +220,7 @@ pub fn render_table3(reports: &[AppReport]) -> String {
         "app spd",
         "err"
     ));
-    for r in reports {
-        let est = estimate(&cfg, &r.stats);
+    for (r, b) in reports.iter().zip(&verdicts) {
         s.push_str(&format!(
             "{:<12} {:>8} {:>5} {:>7} {:>9.2} {:>6.0}% {:>9.3} {:<18} {:>7.1}x {:>7.2}x {:>7.0e}\n",
             r.name,
@@ -230,38 +230,48 @@ pub fn render_table3(reports: &[AppReport]) -> String {
             r.stats.global_to_compute_ratio(),
             r.gpu_exec_fraction() * 100.0,
             r.timeline.transfer_s() * 1e3,
-            format!("{:?}", est.bottleneck),
+            format!("{b:?}"),
             r.kernel_speedup(),
             r.app_speedup(),
             r.max_rel_error,
         ));
     }
+    s.push_str("\nBottleneck groups (Section 5.1):\n");
+    for (b, apps) in group(reports, &verdicts) {
+        s.push_str(&format!("  {b:?}: {}\n", apps.join(", ")));
+    }
     s
+}
+
+/// Each report's verdict, from its run's diagnosis.
+fn verdicts(reports: &[AppReport]) -> Vec<Bottleneck> {
+    let cfg = GpuConfig::geforce_8800_gtx();
+    let verdict = |r: &AppReport| explain(&cfg, &r.stats).estimate.bottleneck;
+    reports.iter().map(verdict).collect()
 }
 
 /// Groups the suite by measured bottleneck — the paper's Section 5.1
 /// discussion ("memory-related bottlenecks appeared in LBM, FEM, PNS,
 /// SAXPY, and FDTD").
-pub fn bottleneck_groups(reports: &[AppReport]) -> Vec<(String, Vec<&'static str>)> {
-    let cfg = GpuConfig::geforce_8800_gtx();
+pub fn bottleneck_groups(reports: &[AppReport]) -> Vec<(Bottleneck, Vec<&'static str>)> {
+    group(reports, &verdicts(reports))
+}
+
+fn group(reports: &[AppReport], verdicts: &[Bottleneck]) -> Vec<(Bottleneck, Vec<&'static str>)> {
     let mut groups: Vec<(Bottleneck, Vec<&'static str>)> = Vec::new();
-    for r in reports {
-        let b = estimate(&cfg, &r.stats).bottleneck;
+    for (r, &b) in reports.iter().zip(verdicts) {
         match groups.iter_mut().find(|(g, _)| *g == b) {
             Some((_, v)) => v.push(r.name),
             None => groups.push((b, vec![r.name])),
         }
     }
     groups
-        .into_iter()
-        .map(|(b, v)| (format!("{b:?}"), v))
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fidelity::assert_rows;
+    use crate::fidelity::{assert_rows, Studies};
 
     #[test]
     fn small_suite_runs_and_validates() {
@@ -293,5 +303,31 @@ mod tests {
             assert!(t3.contains(name), "table3 missing {name}");
         }
         assert!(!bottleneck_groups(&reports).is_empty());
+    }
+
+    #[test]
+    fn verdicts_agree_with_the_dominant_stall() {
+        use g80_sim::StallReason::{AluDependency, Barrier, Memory};
+        let studies = Studies::at(Scale::Small);
+        let cfg = GpuConfig::geforce_8800_gtx();
+        let apps = studies
+            .table3()
+            .iter()
+            .map(|r| (r.name, explain(&cfg, &r.stats)));
+        let steps = studies
+            .sec4()
+            .iter()
+            .map(|st| (st.name.as_str(), st.diagnosis.clone()));
+        for (name, d) in steps.chain(apps) {
+            let stall = d.dominant_stall.map(|(r, _)| r);
+            let agrees = match d.estimate.bottleneck {
+                Bottleneck::MemoryBandwidth => stall == Some(Memory),
+                // Exposed latency includes too-serial dependence chains.
+                Bottleneck::MemoryLatency => matches!(stall, Some(Memory | AluDependency)),
+                Bottleneck::Synchronization => stall == Some(Barrier),
+                Bottleneck::InstructionIssue | Bottleneck::BankConflicts => true,
+            };
+            assert!(agrees, "{name}: verdict and dominant stall disagree\n{d}");
+        }
     }
 }

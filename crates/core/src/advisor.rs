@@ -7,8 +7,8 @@
 //! registers vs threads (4.4), pad shared memory (5.2), reorganize divergent
 //! threads (principle 3).
 
-use crate::model::{estimate, Bottleneck};
-use crate::occupancy::occupancy;
+use crate::model::{Bottleneck, PerfEstimate, Shares};
+use crate::occupancy::{LimitingResource, Occupancy};
 use g80_isa::InstClass;
 use g80_sim::{GpuConfig, KernelStats};
 
@@ -45,154 +45,127 @@ pub enum HintKind {
     UseConstantMemory,
 }
 
-/// Analyses a run and returns hints sorted by priority (desc).
+/// Analyses a run and returns hints sorted by priority (desc): the hints of
+/// its [`crate::explain()`] diagnosis.
 pub fn advise(cfg: &GpuConfig, stats: &KernelStats) -> Vec<Hint> {
+    crate::explain(cfg, stats).hints
+}
+
+/// The checklist over a run's counters and the estimate, occupancy and
+/// shares already derived from them, sorted by priority (desc).
+pub(crate) fn hints(
+    cfg: &GpuConfig,
+    stats: &KernelStats,
+    est: &PerfEstimate,
+    occ: &Occupancy,
+    shares: &Shares,
+) -> Vec<Hint> {
     let mut hints = Vec::new();
-    let est = estimate(cfg, stats);
+    let mut hint = |kind, priority, rationale| {
+        hints.push(Hint {
+            kind,
+            rationale,
+            priority,
+        })
+    };
+    let count = |class| stats.by_class.get(&class).copied().unwrap_or(0);
 
     // 1. Coalescing: any substantial uncoalesced traffic.
     let half_warps = stats.coalesced_half_warps + stats.uncoalesced_half_warps;
-    if half_warps > 0 {
-        let frac = stats.uncoalesced_half_warps as f64 / half_warps as f64;
-        if frac > 0.10 {
-            hints.push(Hint {
-                kind: HintKind::CoalesceGlobalAccesses,
-                rationale: format!(
-                    "{:.0}% of half-warp global accesses are uncoalesced \
-                     ({} of {}); each costs up to 16 transactions",
-                    frac * 100.0,
-                    stats.uncoalesced_half_warps,
-                    half_warps
-                ),
-                priority: 100,
-            });
-        }
+    let uncoalesced = stats.uncoalesced_half_warps as f64 / half_warps.max(1) as f64;
+    if uncoalesced > 0.10 {
+        let rationale = format!(
+            "{:.0}% of half-warp global accesses are uncoalesced \
+             ({} of {}); each costs up to 16 transactions",
+            uncoalesced * 100.0,
+            stats.uncoalesced_half_warps,
+            half_warps
+        );
+        hint(HintKind::CoalesceGlobalAccesses, 100, rationale);
     }
 
     // 2. Tiling: bandwidth-bound with no shared-memory use.
-    let ld_shared = stats
-        .by_class
-        .get(&InstClass::LdShared)
-        .copied()
-        .unwrap_or(0);
-    if est.bottleneck == Bottleneck::MemoryBandwidth && ld_shared == 0 {
-        hints.push(Hint {
-            kind: HintKind::TileIntoSharedMemory,
-            rationale: format!(
-                "kernel needs {:.0} GB/s to stay issue-bound but the chip has \
-                 {:.1} GB/s, and shared memory is unused — stage reused data \
-                 in tiles",
-                est.required_bandwidth_gbps, cfg.dram_gbps
-            ),
-            priority: 90,
-        });
+    if est.bottleneck == Bottleneck::MemoryBandwidth && count(InstClass::LdShared) == 0 {
+        let rationale = format!(
+            "kernel needs {:.0} GB/s to stay issue-bound but the chip has \
+             {:.1} GB/s, and shared memory is unused — stage reused data \
+             in tiles",
+            est.required_bandwidth_gbps, cfg.dram_gbps
+        );
+        hint(HintKind::TileIntoSharedMemory, 90, rationale);
     }
 
     // 3. Unrolling: issue-bound with a low FMA fraction and visible branches.
-    let branches = stats.by_class.get(&InstClass::Branch).copied().unwrap_or(0);
+    let branches = count(InstClass::Branch);
     let branch_frac = branches as f64 / stats.warp_instructions.max(1) as f64;
     if est.bottleneck == Bottleneck::InstructionIssue
         && stats.fma_fraction() < 0.25
         && branch_frac > 0.05
     {
-        hints.push(Hint {
-            kind: HintKind::UnrollInnerLoop,
-            rationale: format!(
-                "issue-bound at only {:.0}% FMA with {:.0}% branches — \
-                 unrolling removes branch and induction instructions",
-                stats.fma_fraction() * 100.0,
-                branch_frac * 100.0
-            ),
-            priority: 80,
-        });
+        let rationale = format!(
+            "issue-bound at only {:.0}% FMA with {:.0}% branches — \
+             unrolling removes branch and induction instructions",
+            stats.fma_fraction() * 100.0,
+            branch_frac * 100.0
+        );
+        hint(HintKind::UnrollInnerLoop, 80, rationale);
     }
 
     // 4. Occupancy: registers limit residency and memory latency is exposed.
-    let occ = occupancy(
-        cfg,
-        stats.regs_per_thread,
-        stats.smem_per_block,
-        stats.threads_per_block,
-    );
     if est.bottleneck == Bottleneck::MemoryLatency && occ.occupancy < 0.67 {
-        let kind = if occ.limiter == crate::occupancy::LimitingResource::Registers {
+        let kind = if occ.limiter == LimitingResource::Registers {
             HintKind::ReduceRegisterPressure
         } else {
             HintKind::IncreaseParallelism
         };
-        hints.push(Hint {
-            kind,
-            rationale: format!(
-                "memory latency exposed at {:.0}% occupancy ({} warps/SM, \
-                 limited by {:?})",
-                occ.occupancy * 100.0,
-                occ.warps_per_sm,
-                occ.limiter
-            ),
-            priority: 85,
-        });
+        let rationale = format!(
+            "memory latency exposed at {:.0}% occupancy ({} warps/SM, \
+             limited by {:?})",
+            occ.occupancy * 100.0,
+            occ.warps_per_sm,
+            occ.limiter
+        );
+        hint(kind, 85, rationale);
     }
 
     // 5. Bank conflicts.
-    let total_cycles = (stats.cycles * cfg.num_sms as u64).max(1);
-    let conflict_frac = stats.smem_conflict_extra_cycles as f64 / total_cycles as f64;
-    if conflict_frac > 0.05 {
-        hints.push(Hint {
-            kind: HintKind::FixBankConflicts,
-            rationale: format!(
-                "{:.0}% of SM cycles serialized by shared-memory bank \
-                 conflicts — pad arrays or change the access stride",
-                conflict_frac * 100.0
-            ),
-            priority: 75,
-        });
+    if shares.conflict > 0.05 {
+        let rationale = format!(
+            "{:.0}% of SM cycles serialized by shared-memory bank \
+             conflicts — pad arrays or change the access stride",
+            shares.conflict * 100.0
+        );
+        hint(HintKind::FixBankConflicts, 75, rationale);
     }
 
     // 6. Divergence.
     let div_frac = stats.divergent_branches as f64 / branches.max(1) as f64;
     if branches > 100 && div_frac > 0.30 {
-        hints.push(Hint {
-            kind: HintKind::AvoidDivergence,
-            rationale: format!(
-                "{:.0}% of branches diverge within warps — regroup threads \
-                 so SIMD paths stay together",
-                div_frac * 100.0
-            ),
-            priority: 70,
-        });
+        let rationale = format!(
+            "{:.0}% of branches diverge within warps — regroup threads \
+             so SIMD paths stay together",
+            div_frac * 100.0
+        );
+        hint(HintKind::AvoidDivergence, 70, rationale);
     }
 
     // 7. Cache suggestions: read-mostly uncoalesced loads with no texture use.
-    let ld_tex = stats.by_class.get(&InstClass::LdTex).copied().unwrap_or(0);
-    let ld_const = stats
-        .by_class
-        .get(&InstClass::LdConst)
-        .copied()
-        .unwrap_or(0);
     if stats.uncoalesced_half_warps > stats.coalesced_half_warps
-        && ld_tex == 0
+        && count(InstClass::LdTex) == 0
         && stats.global_st_transactions < stats.global_ld_transactions / 4
     {
-        hints.push(Hint {
-            kind: HintKind::UseTextureCache,
-            rationale: "read-dominated kernel with irregular accesses and no \
-                        texture use — the texture cache can absorb locality \
-                        the coalescer cannot"
-                .to_string(),
-            priority: 60,
-        });
+        let rationale = "read-dominated kernel with irregular accesses and no \
+                         texture use — the texture cache can absorb locality \
+                         the coalescer cannot";
+        hint(HintKind::UseTextureCache, 60, rationale.to_string());
     }
-    if ld_const == 0
+    if count(InstClass::LdConst) == 0
         && stats.uncoalesced_half_warps > 0
         && est.bottleneck == Bottleneck::MemoryBandwidth
     {
-        hints.push(Hint {
-            kind: HintKind::UseConstantMemory,
-            rationale: "small read-only data broadcast to all threads belongs \
-                        in constant memory (single-cycle on cache hit)"
-                .to_string(),
-            priority: 50,
-        });
+        let rationale = "small read-only data broadcast to all threads belongs \
+                         in constant memory (single-cycle on cache hit)";
+        hint(HintKind::UseConstantMemory, 50, rationale.to_string());
     }
 
     hints.sort_by_key(|h| std::cmp::Reverse(h.priority));

@@ -11,19 +11,22 @@
 //!   classification (instruction issue vs memory bandwidth vs latency);
 //! * [`advisor`] — the principles as an executable checklist over a run's
 //!   performance counters;
-//! * [`tuner`] — exhaustive/parallel configuration sweeps and a greedy
+//! * [`mod@explain`] — all of the above for one run, derived once: the
+//!   [`Diagnosis`] that `repro sec4` and the examples print;
+//! * [`tuner`] — an exhaustive configuration sweep and a greedy
 //!   hill-climber that exposes the "local maximums of performance" the
 //!   conclusion warns about.
 
+#![warn(clippy::too_many_lines)]
+
 pub mod advisor;
+pub mod explain;
 pub mod model;
 pub mod occupancy;
 pub mod tuner;
 
 pub use advisor::{advise, Hint, HintKind};
+pub use explain::{explain, Diagnosis};
 pub use model::{estimate, Bottleneck, PerfEstimate};
 pub use occupancy::{kernel_occupancy, occupancy, LimitingResource, Occupancy};
-pub use tuner::{
-    hill_climb, sweep, sweep_fallible, sweep_parallel, sweep_parallel_fallible, FallibleSweep,
-    Sample, SweepResult,
-};
+pub use tuner::{hill_climb, sweep, Sample, SweepResult};

@@ -48,8 +48,50 @@ pub struct PerfEstimate {
     pub bottleneck: Bottleneck,
 }
 
+/// A run's issue cycles lost to each cause, as shares of its SM-cycles
+/// (elapsed cycles × SMs): derived once per diagnosis, read by the
+/// classifier, the advisor and [`crate::explain()`].
+pub(crate) struct Shares {
+    /// Serialized by shared-memory bank conflicts.
+    pub conflict: f64,
+    /// Idle, all stall reasons together.
+    pub stalled: f64,
+    /// Idle waiting on memory results.
+    pub memory: f64,
+    /// Idle at barriers.
+    pub barrier: f64,
+    /// The reason with the most idle cycles, with its share.
+    pub dominant: Option<(StallReason, f64)>,
+}
+
+impl Shares {
+    pub(crate) fn of(cfg: &GpuConfig, stats: &KernelStats) -> Shares {
+        let sm_cycles = (stats.cycles * cfg.num_sms as u64).max(1) as f64;
+        let share = |cycles: u64| cycles as f64 / sm_cycles;
+        let stall = |r| share(stats.stall_cycles.get(&r).copied().unwrap_or(0));
+        // A tie goes to the reason declared first, whatever the map's order.
+        let dominant = stats
+            .stall_cycles
+            .iter()
+            .max_by_key(|&(&r, &c)| (c, std::cmp::Reverse(r as u8)))
+            .map(|(&r, &c)| (r, share(c)));
+        Shares {
+            conflict: share(stats.smem_conflict_extra_cycles),
+            stalled: share(stats.stall_cycles.values().sum()),
+            memory: stall(StallReason::Memory),
+            barrier: stall(StallReason::Barrier),
+            dominant,
+        }
+    }
+}
+
 /// Builds the Section 4 estimate from a finished run's counters.
 pub fn estimate(cfg: &GpuConfig, stats: &KernelStats) -> PerfEstimate {
+    estimate_with(cfg, stats, &Shares::of(cfg, stats))
+}
+
+/// [`estimate`] over a run's already-derived [`Shares`].
+pub(crate) fn estimate_with(cfg: &GpuConfig, stats: &KernelStats, shares: &Shares) -> PerfEstimate {
     // Issue-slot accounting: SFU transcendentals occupy the issue port four
     // times longer than SP instructions, so a trig-heavy kernel's roofline
     // is correspondingly lower.
@@ -102,7 +144,7 @@ pub fn estimate(cfg: &GpuConfig, stats: &KernelStats) -> PerfEstimate {
         0.0
     };
 
-    let bottleneck = classify(cfg, stats, issue_bound, bandwidth_bound, achieved);
+    let bottleneck = classify(cfg, stats, shares, issue_bound, bandwidth_bound, achieved);
 
     PerfEstimate {
         issue_bound_gflops: issue_bound,
@@ -118,17 +160,13 @@ pub fn estimate(cfg: &GpuConfig, stats: &KernelStats) -> PerfEstimate {
 fn classify(
     cfg: &GpuConfig,
     stats: &KernelStats,
+    shares: &Shares,
     issue_bound: f64,
     bandwidth_bound: f64,
     achieved: f64,
 ) -> Bottleneck {
-    let total_cycles = (stats.cycles * cfg.num_sms as u64).max(1);
-    let stall = |r: StallReason| {
-        stats.stall_cycles.get(&r).copied().unwrap_or(0) as f64 / total_cycles as f64
-    };
-
     // Shared-memory conflicts serialized a noticeable slice of the pipeline?
-    if stats.smem_conflict_extra_cycles as f64 / total_cycles as f64 > 0.10 {
+    if shares.conflict > 0.10 {
         return Bottleneck::BankConflicts;
     }
     // DRAM interface saturated?
@@ -141,14 +179,13 @@ fn classify(
     }
     // The issue port is busy nearly all the time (covers integer-only
     // kernels, where a FLOPS roofline says nothing).
-    let total_stall: f64 = stats.stall_cycles.values().sum::<u64>() as f64 / total_cycles as f64;
-    if total_stall < 0.20 {
+    if shares.stalled < 0.20 {
         return Bottleneck::InstructionIssue;
     }
     // Otherwise attribute by stall profile.
-    if stall(StallReason::Memory) > stall(StallReason::Barrier) {
+    if shares.memory > shares.barrier {
         Bottleneck::MemoryLatency
-    } else if stall(StallReason::Barrier) > 0.05 {
+    } else if shares.barrier > 0.05 {
         Bottleneck::Synchronization
     } else if achieved > 0.5 * issue_bound.min(bandwidth_bound) {
         Bottleneck::InstructionIssue

@@ -37,11 +37,6 @@ pub struct Occupancy {
     pub occupancy: f64,
     /// The resource that limits `blocks_per_sm`.
     pub limiter: LimitingResource,
-    /// Block limits by (threads, registers, smem, slots) for reporting.
-    pub limit_by_threads: u32,
-    pub limit_by_registers: u32,
-    pub limit_by_smem: u32,
-    pub limit_by_slots: u32,
 }
 
 /// Computes the occupancy of a kernel with the given per-thread registers,
@@ -60,10 +55,6 @@ pub fn occupancy(
             threads_per_sm: 0,
             occupancy: 0.0,
             limiter: LimitingResource::DoesNotFit,
-            limit_by_threads: 0,
-            limit_by_registers: 0,
-            limit_by_smem: 0,
-            limit_by_slots: cfg.max_blocks_per_sm,
         };
     };
     // A resource the kernel does not use never binds.
@@ -90,10 +81,6 @@ pub fn occupancy(
         threads_per_sm: blocks * threads_per_block,
         occupancy: warps as f64 / cfg.max_warps_per_sm() as f64,
         limiter,
-        limit_by_threads: limits.threads,
-        limit_by_registers: by_regs.min(99),
-        limit_by_smem: by_smem.min(99),
-        limit_by_slots: limits.slots,
     }
 }
 

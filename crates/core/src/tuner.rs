@@ -4,11 +4,12 @@
 //! performance when attempting to follow a particular optimization
 //! strategy… Better tools … that … automatically experiment with their
 //! performance effects would greatly reduce the optimization effort." This
-//! module is that tool for the simulated machine: exhaustive sweeps (in
-//! parallel over host cores) and a greedy hill-climber whose trace makes the
-//! local-maximum phenomenon observable.
+//! module is that tool for the simulated machine: an exhaustive sweep and a
+//! greedy hill-climber whose trace makes the local-maximum phenomenon
+//! observable. A batched launch evaluates a sweep in parallel;
+//! [`SweepResult::from_samples`] ranks it.
 
-use g80_sim::{KernelStats, SimError};
+use g80_sim::KernelStats;
 
 /// One evaluated configuration.
 #[derive(Clone, Debug)]
@@ -69,26 +70,22 @@ impl<C> SweepResult<C> {
         finish(samples, g80_sim::MemoCounters::default())
     }
 
-    /// Builds a result from samples plus externally measured cache
-    /// counters, computing the best index. This is how a `g80-serve` client
-    /// reassembles a sweep from streamed rows: it pairs the rows with the
-    /// configurations it generated them from and attaches the counter delta
-    /// the daemon reported for the sweep.
-    pub fn from_parts(samples: Vec<Sample<C>>, counters: g80_sim::MemoCounters) -> Self {
-        assert!(!samples.is_empty(), "empty configuration space");
-        finish(samples, counters)
-    }
-
-    /// [`SweepResult::from_parts`], additionally attaching the transport
-    /// fault tallies the client observed while streaming the sweep.
-    pub fn from_parts_with_net(
+    /// Builds a result from samples plus externally measured cache and
+    /// transport counters, computing the best index. This is how a
+    /// `g80-serve` client reassembles a sweep from streamed rows: it pairs
+    /// the rows with the configurations it generated them from and attaches
+    /// the counter delta the daemon reported for the sweep and the fault
+    /// tallies it observed while streaming it.
+    pub fn from_parts(
         samples: Vec<Sample<C>>,
         counters: g80_sim::MemoCounters,
         net: g80_sim::NetCounters,
     ) -> Self {
-        let mut r = Self::from_parts(samples, counters);
-        r.net = net;
-        r
+        assert!(!samples.is_empty(), "empty configuration space");
+        SweepResult {
+            net,
+            ..finish(samples, counters)
+        }
     }
 
     /// Cache hit fraction over this sweep's launches, counting both the
@@ -129,99 +126,6 @@ pub fn sweep<C: Clone>(configs: &[C], mut eval: impl FnMut(&C) -> KernelStats) -
             .collect()
     });
     finish(samples, delta)
-}
-
-/// Evaluates every configuration in parallel on the shared simulation
-/// worker pool ([`g80_sim::pool`]). `eval` must be pure with respect to
-/// shared state (each call typically builds a fresh device). Results are
-/// returned in input order, so the sweep is deterministic for any worker
-/// count.
-pub fn sweep_parallel<C: Clone + Send + Sync>(
-    configs: &[C],
-    eval: impl Fn(&C) -> KernelStats + Send + Sync,
-) -> SweepResult<C> {
-    assert!(!configs.is_empty(), "empty configuration space");
-    let eval = &eval;
-    let (stats, delta) = with_memo_delta(|| {
-        g80_sim::pool::run_tasks(configs.iter().map(|c| move || eval(c)).collect())
-    });
-    finish(
-        configs
-            .iter()
-            .zip(stats)
-            .map(|(c, stats)| Sample {
-                config: c.clone(),
-                stats,
-            })
-            .collect(),
-        delta,
-    )
-}
-
-/// A sweep over a fallible evaluator: the survivors' surface plus the
-/// configurations that failed. Produced by [`sweep_fallible`] /
-/// [`sweep_parallel_fallible`].
-#[derive(Clone, Debug)]
-pub struct FallibleSweep<C> {
-    /// Sweep result over the configurations that evaluated successfully.
-    pub result: SweepResult<C>,
-    /// Configurations whose evaluation failed, with their errors, in input
-    /// order.
-    pub failures: Vec<(C, SimError)>,
-}
-
-/// [`sweep`] for evaluators that can fail (degraded launches, device-layer
-/// errors). A failing configuration is dropped from the surface and
-/// reported in [`FallibleSweep::failures`]; the sweep itself only errors
-/// when *every* configuration failed (the first error is returned).
-pub fn sweep_fallible<C: Clone>(
-    configs: &[C],
-    mut eval: impl FnMut(&C) -> Result<KernelStats, SimError>,
-) -> Result<FallibleSweep<C>, SimError> {
-    assert!(!configs.is_empty(), "empty configuration space");
-    let (evaluated, delta) = with_memo_delta(|| {
-        configs
-            .iter()
-            .map(|c| (c.clone(), eval(c)))
-            .collect::<Vec<_>>()
-    });
-    collect_fallible(evaluated, delta)
-}
-
-/// [`sweep_parallel`] for evaluators that can fail; same per-configuration
-/// degradation contract as [`sweep_fallible`].
-pub fn sweep_parallel_fallible<C: Clone + Send + Sync>(
-    configs: &[C],
-    eval: impl Fn(&C) -> Result<KernelStats, SimError> + Send + Sync,
-) -> Result<FallibleSweep<C>, SimError> {
-    assert!(!configs.is_empty(), "empty configuration space");
-    let eval = &eval;
-    let (results, delta) = with_memo_delta(|| {
-        g80_sim::pool::run_tasks(configs.iter().map(|c| move || eval(c)).collect())
-    });
-    collect_fallible(configs.iter().cloned().zip(results).collect(), delta)
-}
-
-fn collect_fallible<C>(
-    evaluated: Vec<(C, Result<KernelStats, SimError>)>,
-    delta: g80_sim::MemoCounters,
-) -> Result<FallibleSweep<C>, SimError> {
-    let mut samples = Vec::new();
-    let mut failures = Vec::new();
-    for (config, r) in evaluated {
-        match r {
-            Ok(stats) => samples.push(Sample { config, stats }),
-            Err(e) => failures.push((config, e)),
-        }
-    }
-    if samples.is_empty() {
-        // Nothing to rank; surface the first failure.
-        return Err(failures.into_iter().next().unwrap().1);
-    }
-    Ok(FallibleSweep {
-        result: finish(samples, delta),
-        failures,
-    })
 }
 
 /// Runs `f` and returns its result plus the cache activity it caused across
@@ -336,18 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_matches_sequential() {
-        let configs = [32u32, 64, 128, 256];
-        let seq = sweep(&configs, |&c| eval_block_size(c));
-        let par = sweep_parallel(&configs, |&c| eval_block_size(c));
-        for (a, b) in seq.samples.iter().zip(&par.samples) {
-            assert_eq!(a.config, b.config);
-            assert_eq!(a.stats.cycles, b.stats.cycles); // determinism
-        }
-        assert_eq!(seq.best, par.best);
-    }
-
-    #[test]
     fn hill_climb_terminates_at_a_maximum() {
         let path = hill_climb(
             32u32,
@@ -423,60 +315,5 @@ mod tests {
     #[should_panic(expected = "empty configuration space")]
     fn empty_sweep_panics() {
         let _ = sweep::<u32>(&[], |_| unreachable!());
-    }
-
-    /// Evaluator for the fallible sweeps: block size 0 is rejected at
-    /// launch, everything else simulates normally.
-    fn eval_fallible(threads: u32) -> Result<KernelStats, SimError> {
-        if threads == 0 {
-            // Reproduce the launch layer's rejection without building a
-            // degenerate grid.
-            let mut b = KernelBuilder::new("zero");
-            let p = b.param();
-            let tid = b.tid_x();
-            b.st_global(p, 0, tid);
-            let k = b.build();
-            let mem = DeviceMemory::new(1 << 12);
-            return launch(
-                &GpuConfig::geforce_8800_gtx(),
-                &k,
-                LaunchDims {
-                    grid: (1, 1),
-                    block: (0, 1, 1),
-                },
-                &[Value::from_u32(0)],
-                &mem,
-            )
-            .map_err(SimError::from);
-        }
-        Ok(eval_block_size(threads))
-    }
-
-    #[test]
-    fn fallible_sweep_drops_failures_and_ranks_survivors() {
-        let configs = [0u32, 64, 128];
-        let r = sweep_fallible(&configs, |&c| eval_fallible(c)).unwrap();
-        assert_eq!(r.result.samples.len(), 2);
-        assert_eq!(r.failures.len(), 1);
-        assert_eq!(r.failures[0].0, 0);
-        assert!(matches!(
-            r.failures[0].1,
-            SimError::Launch(g80_sim::LaunchError::BadBlockDims(_))
-        ));
-        let par = sweep_parallel_fallible(&configs, |&c| eval_fallible(c)).unwrap();
-        assert_eq!(par.result.samples.len(), 2);
-        for (a, b) in r.result.samples.iter().zip(&par.result.samples) {
-            assert_eq!(a.config, b.config);
-            assert_eq!(a.stats.cycles, b.stats.cycles);
-        }
-    }
-
-    #[test]
-    fn fallible_sweep_errors_only_when_all_fail() {
-        let r = sweep_fallible(&[0u32, 0], |&c| eval_fallible(c));
-        assert!(matches!(
-            r,
-            Err(SimError::Launch(g80_sim::LaunchError::BadBlockDims(_)))
-        ));
     }
 }

@@ -354,7 +354,7 @@ impl Client {
 
     /// Runs a sweep (same execution as a batch in protocol v1; the
     /// distinct tag lets sweep-aware scheduling evolve without a version
-    /// bump). Pair with `SweepResult::from_parts_with_net` to reassemble
+    /// bump). Pair with `SweepResult::from_parts` to reassemble
     /// a tuner result from the streamed rows plus the fault tally.
     #[allow(clippy::type_complexity)]
     pub fn sweep(

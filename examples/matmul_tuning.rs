@@ -9,7 +9,7 @@
 
 use g80::apps::matmul::{MatMul, Variant};
 use g80::sim::GpuConfig;
-use g80::tune::{advise, estimate, kernel_occupancy, sweep};
+use g80::tune::{explain, sweep};
 
 fn main() {
     let n = 192;
@@ -36,30 +36,9 @@ fn main() {
         ),
         ("prefetch the next tile", Variant::Prefetch { tile: 16 }),
     ] {
-        let kernel = mm.kernel(v);
-        let occ = kernel_occupancy(&cfg, &kernel, 256);
         let (_, stats, _) = mm.run(v, &a, &b);
-        let est = estimate(&cfg, &stats);
-        println!("{step}");
-        println!(
-            "  {:6.2} GFLOPS | {} regs -> {} blocks/SM ({} warps, limited by {:?})",
-            stats.gflops(),
-            kernel.regs_per_thread,
-            occ.blocks_per_sm,
-            occ.warps_per_sm,
-            occ.limiter
-        );
-        println!(
-            "  potential {:.1} GFLOPS (issue {:.1}, bandwidth {:.1}); bottleneck {:?}",
-            est.potential_gflops,
-            est.issue_bound_gflops,
-            est.bandwidth_bound_gflops.min(999.0),
-            est.bottleneck
-        );
-        match advise(&cfg, &stats).first() {
-            Some(h) => println!("  advisor: {:?} — {}\n", h.kind, h.rationale),
-            None => println!("  advisor: nothing left to suggest\n"),
-        }
+        println!("{step} ({} regs)", stats.regs_per_thread);
+        println!("{}\n", explain(&cfg, &stats));
     }
 
     println!("== Auto-tuner over the whole configuration space ==\n");

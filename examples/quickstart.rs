@@ -7,7 +7,7 @@
 
 use g80::cuda::Device;
 use g80::isa::builder::KernelBuilder;
-use g80::tune::{advise, estimate};
+use g80::tune::explain;
 
 fn main() {
     // A device with 1 MB of global memory (the real card had 768 MB).
@@ -61,22 +61,8 @@ fn main() {
         stats.gflops(),
         stats.bandwidth_gbps()
     );
-    println!(
-        "coalesced half-warps: {}   uncoalesced: {}   occupancy: {:.0}%",
-        stats.coalesced_half_warps,
-        stats.uncoalesced_half_warps,
-        stats.occupancy() * 100.0
-    );
 
-    // The paper's methodology, as a library: estimate the roofline and name
-    // the bottleneck.
-    let cfg = dev.config().clone();
-    let est = estimate(&cfg, &stats);
-    println!(
-        "issue-bound {:.1} GFLOPS, bandwidth-bound {:.1} GFLOPS -> bottleneck: {:?}",
-        est.issue_bound_gflops, est.bandwidth_bound_gflops, est.bottleneck
-    );
-    for hint in advise(&cfg, &stats) {
-        println!("advisor: {:?} — {}", hint.kind, hint.rationale);
-    }
+    // The paper's methodology, as a library: estimate the roofline, name
+    // the bottleneck and what limits residency, and say what to try.
+    println!("{}", explain(dev.config(), &stats));
 }

@@ -14,7 +14,7 @@
 //! transport faults on the wire itself —
 //!
 //! * a mid-stream disconnect during a streamed sweep is survived by
-//!   reconnect-and-replay, and `SweepResult::from_parts_with_net`
+//!   reconnect-and-replay, and `SweepResult::from_parts`
 //!   reassembles the same result the clean wire produced;
 //! * frame corruption at rate 1.0 yields typed errors (`BadFrame`, CRC
 //!   mismatches) on a bounded schedule — never a panic, never a hang —
@@ -216,7 +216,7 @@ fn mid_stream_disconnect(ctx: &SimContext) {
             })
             .collect()
     };
-    let golden = SweepResult::from_parts(to_samples(&golden_items), golden_counters);
+    let golden = SweepResult::from_parts(to_samples(&golden_items), golden_counters, golden_net);
 
     // Armed: disconnect-only faults on every wire site. The seed/rate pair
     // is fixed and was verified to fire at least one mid-stream disconnect
@@ -233,7 +233,7 @@ fn mid_stream_disconnect(ctx: &SimContext) {
         net.reconnects >= 1,
         "the fault schedule never forced a reconnect — pick a hotter seed: {net:?}"
     );
-    let chaos = SweepResult::from_parts_with_net(to_samples(&items), counters, net);
+    let chaos = SweepResult::from_parts(to_samples(&items), counters, net);
     assert_eq!(chaos.samples.len(), golden.samples.len());
     assert_eq!(chaos.best, golden.best, "replay changed the sweep winner");
     for (i, (c, g)) in chaos.samples.iter().zip(&golden.samples).enumerate() {
