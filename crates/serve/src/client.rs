@@ -6,27 +6,29 @@
 //! [`Client::batch`] / [`Client::sweep`] for streamed multi-spec requests,
 //! and [`Client::shutdown`] to drain the daemon.
 //!
-//! Two recovery layers sit under the typed methods:
+//! Every request, the Hello exchange included, is one round trip: write
+//! the request frame, read responses until the terminal one (anything but
+//! an `Item`). When an attempt fails, the round trip picks one of three
+//! recoveries (DESIGN §16), each bounded per request:
 //!
-//! - **Injected-fault retries** (a daemon whose context has its simulator
-//!   faults armed): typed fault errors are resent transparently by
-//!   default — the serve-layer analogue of the in-process
-//!   absorb-and-retry policy, which is what keeps results bit-identical
-//!   under chaos. Disable with [`Client::set_retry_injected`].
-//! - **Transport recovery** (wire faults armed in either end's context):
-//!   a response frame failing its CRC is
-//!   re-requested in place (the connection stays synchronized — the bad
-//!   frame was fully consumed); a dead connection is re-established with
-//!   jittered exponential backoff and the in-flight request replayed.
-//!   Replay is idempotent because launches are content-hash keyed — a
-//!   re-executed spec hits the memo and returns the same bits. Mid-stream
-//!   failures of a batch/sweep always reconnect before replaying: items
-//!   from the broken stream could still be in flight, and a fresh
-//!   connection is the only way to guarantee the two streams cannot mix.
+//! - **Resend in place** when the daemon answers `BadFrame` before any
+//!   response of this request, or a lone response frame fails its CRC: the
+//!   bad frame was consumed whole, so the connection is still synchronized.
+//! - **Reconnect and replay** when the connection is gone (reset, EOF,
+//!   pipe, timeout), or a frame of a streamed reply fails its CRC: items
+//!   from the broken attempt may still be in flight, and only a fresh
+//!   connection keeps two streams from mixing. The reconnect backs off
+//!   (jittered, exponential) and handshakes before the replay.
+//! - **Replay as-is** when an injected fault spoiled the answer (a
+//!   daemon whose context has its simulator faults armed): the `Launch`
+//!   result, any `Item` before `Done`, or a request-level `Error` — the
+//!   serve-layer analogue of the in-process absorb-and-retry policy.
 //!
-//! Every recovery action is tallied through the calling thread's context's
-//! [`g80_sim::net_counters`]; streamed requests return the delta so
-//! `SweepResult`/bench summaries can report what the transport survived.
+//! Replays are sound because every request is idempotent: launches are
+//! content-hash keyed, so a re-executed spec hits the memo and returns
+//! the same bits. Every recovery is tallied through the calling thread's
+//! context's [`g80_sim::net_counters`]; streamed requests return the delta
+//! so `SweepResult`/bench summaries can report what the transport survived.
 
 use crate::framed::{is_crc_mismatch, FramedStream, Side};
 use crate::net::{connect, Addr};
@@ -39,24 +41,44 @@ use g80_sim::{
 use std::io;
 use std::time::{Duration, Instant};
 
-/// Bound on transparent retries of injected faults; at the chaos CI's
-/// fault rates the expected retry count is single digits, so hitting this
-/// means something real is wrong.
-const MAX_INJECTED_RETRIES: u32 = 64;
+/// A single launch's answer: the report plus the sparse `(byte_addr,
+/// word)` delta of device memory, or the daemon's typed error.
+type Launched = Result<(LaunchReport, Vec<(u32, u32)>), WireError>;
 
-/// Bound on reconnect-and-replay cycles for one request. At the network
-/// chaos CI's rates a request rarely needs more than one or two.
-const MAX_TRANSPORT_RETRIES: u32 = 16;
+/// One streamed item's answer.
+type Item = Result<LaunchReport, WireError>;
 
-/// Bound on in-place re-requests after a CRC failure (ours or theirs) on
-/// a still-live connection.
-const MAX_FRAME_RETRIES: u32 = 8;
+/// A batch or sweep's answer: per-item results, the daemon's cache-counter
+/// delta for the request, and the transport-fault tally it survived — or
+/// a request-level typed error.
+type Streamed = Result<(Vec<Item>, MemoCounters, NetCounters), WireError>;
 
 /// First backoff step; doubles per attempt up to [`BACKOFF_CAP_MS`].
 const BACKOFF_BASE_MS: u64 = 10;
 
 /// Ceiling on one backoff sleep.
 const BACKOFF_CAP_MS: u64 = 500;
+
+/// How a failed or spoiled attempt of a request is recovered.
+#[derive(Copy, Clone)]
+enum Recovery {
+    Resend,
+    Reconnect,
+    Replay,
+}
+
+impl Recovery {
+    /// Recoveries of this kind one request may take. At the chaos CI's
+    /// fault rates a request needs one or two; reaching a bound means
+    /// something real is wrong, and the last failure is returned.
+    fn budget(self) -> u32 {
+        match self {
+            Recovery::Resend => 8,
+            Recovery::Reconnect => 16,
+            Recovery::Replay => 64,
+        }
+    }
+}
 
 /// True for error kinds that mean "the connection is gone" rather than
 /// "the peer said something malformed" — the cue to reconnect and replay
@@ -75,17 +97,27 @@ fn is_transport(e: &io::Error) -> bool {
     )
 }
 
-/// Jittered exponential backoff: sleeps uniformly in `[cap/2, cap]` where
-/// `cap = min(base << attempt, BACKOFF_CAP_MS)`. Full determinism is not
-/// the goal here (sleep lengths never affect results), de-synchronising a
-/// fleet of retrying tenants is — hence per-client jitter streams seeded
-/// from the tenant name.
-fn backoff_ms(rng: &mut u64, attempt: u32) -> u64 {
+/// True when an injected fault spoiled `resp`.
+fn is_spoiled(resp: &Response) -> bool {
+    match resp {
+        Response::Launch { result: Err(e) }
+        | Response::Item { result: Err(e), .. }
+        | Response::Error(e) => e.is_injected(),
+        _ => false,
+    }
+}
+
+/// Jittered exponential backoff: uniform in `[cap/2, cap]` where `cap =
+/// min(base << attempt, BACKOFF_CAP_MS)`. Full determinism is not the goal
+/// here (sleep lengths never affect results), de-synchronising a fleet of
+/// retrying tenants is — hence per-client jitter streams seeded from the
+/// tenant name.
+fn backoff(rng: &mut u64, attempt: u32) -> Duration {
     let cap = BACKOFF_BASE_MS
         .saturating_mul(1u64 << attempt.min(6))
         .min(BACKOFF_CAP_MS);
     *rng = splitmix64(*rng);
-    cap / 2 + *rng % (cap / 2 + 1)
+    Duration::from_millis(cap / 2 + *rng % (cap / 2 + 1))
 }
 
 fn seed_from_tenant(tenant: &str) -> u64 {
@@ -96,6 +128,15 @@ fn seed_from_tenant(tenant: &str) -> u64 {
     seed
 }
 
+fn invalid(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// The item sink of a request whose reply is a single frame.
+fn no_items(_: u32, _: Item) -> io::Result<()> {
+    Err(invalid("unexpected Item outside a streamed reply"))
+}
+
 /// One connection to a daemon, speaking for one tenant. Survives the
 /// daemon's connection dying mid-request: see the module docs for the
 /// recovery policy.
@@ -103,7 +144,6 @@ pub struct Client {
     framed: FramedStream,
     addr: Addr,
     tenant: String,
-    retry_injected: bool,
     rng: u64,
 }
 
@@ -111,43 +151,18 @@ impl Client {
     /// Connects and performs the Hello handshake.
     ///
     /// With the calling context's wire faults disarmed this fails fast — a
-    /// refused connection or rejected handshake surfaces immediately. With
-    /// them armed, an injected fault can kill the handshake itself (a
-    /// disconnect before HelloOk lands); that is transport chaos like any
-    /// other, so it is absorbed with bounded backed-off retries instead of
-    /// failing the connect.
+    /// refused connection, a rejected handshake, or a connection the
+    /// daemon ends before answering (it sheds or drains on purpose)
+    /// surfaces immediately. With them armed, the handshake recovers like
+    /// any request.
     pub fn connect(addr: &Addr, tenant: &str) -> io::Result<Client> {
-        let mut rng = seed_from_tenant(tenant) ^ 0x00C0_11EC;
-        let mut attempt = 0u32;
-        loop {
-            match Client::connect_once(addr, tenant) {
-                Ok(client) => return Ok(client),
-                Err(e)
-                    if SimContext::with_current(|ctx| ctx.net_faults().is_armed())
-                        && is_transport(&e)
-                        && attempt < MAX_TRANSPORT_RETRIES =>
-                {
-                    note_net_disconnect();
-                    attempt += 1;
-                    let ms = backoff_ms(&mut rng, attempt);
-                    std::thread::sleep(Duration::from_millis(ms));
-                    note_net_reconnect(0);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn connect_once(addr: &Addr, tenant: &str) -> io::Result<Client> {
-        let stream = connect(addr)?;
         let mut client = Client {
-            framed: FramedStream::new(stream, Side::Client),
+            framed: FramedStream::new(connect(addr)?, Side::Client),
             addr: addr.clone(),
             tenant: tenant.to_string(),
-            retry_injected: true,
             rng: seed_from_tenant(tenant),
         };
-        client.handshake()?;
+        client.hello()?;
         Ok(client)
     }
 
@@ -165,87 +180,28 @@ impl Client {
                 Ok(c) => return Ok(c),
                 Err(e) if Instant::now() >= deadline => return Err(e),
                 Err(_) => {
-                    let ms = backoff_ms(&mut rng, attempt);
                     let left = deadline.saturating_duration_since(Instant::now());
-                    std::thread::sleep(Duration::from_millis(ms).min(left));
+                    std::thread::sleep(backoff(&mut rng, attempt).min(left));
                     attempt += 1;
                 }
             }
         }
     }
 
-    /// When set (the default), requests failing with an injected-fault
-    /// error are resent transparently.
-    pub fn set_retry_injected(&mut self, on: bool) {
-        self.retry_injected = on;
-    }
-
-    /// Performs the Hello exchange on the current connection. A corrupted
-    /// HelloOk (CRC failure) or a daemon-side `BadFrame` (our Hello got
-    /// corrupted) is retried in place — the daemon re-acks Hello
-    /// idempotently.
-    fn handshake(&mut self) -> io::Result<()> {
+    /// The Hello exchange on the current connection.
+    fn hello(&mut self) -> io::Result<()> {
         let hello = Request::Hello {
             version: PROTOCOL_VERSION,
             tenant: self.tenant.clone(),
-        }
-        .encode();
-        let mut tries = 0u32;
-        loop {
-            self.framed.write_frame(&hello)?;
-            match self.read_response() {
-                Ok(Response::HelloOk { .. }) => return Ok(()),
-                Ok(Response::Error(WireError::BadFrame(_))) if tries < MAX_FRAME_RETRIES => {
-                    note_net_frame_retried(hello.len() as u64);
-                    tries += 1;
-                }
-                Ok(Response::Error(WireError::Overloaded { retry_after_ms })) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::WouldBlock,
-                        format!("daemon overloaded; retry after {retry_after_ms} ms"),
-                    ))
-                }
-                Ok(Response::Error(e)) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("handshake rejected: {e}"),
-                    ))
-                }
-                Ok(_) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "unexpected handshake response",
-                    ))
-                }
-                Err(e) if is_crc_mismatch(&e) && tries < MAX_FRAME_RETRIES => {
-                    note_net_frame_retried(hello.len() as u64);
-                    tries += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Re-establishes the connection and handshake after a transport
-    /// failure, backing off between attempts. The caller replays its
-    /// in-flight request afterwards.
-    fn reconnect(&mut self) -> io::Result<()> {
-        let _ = self.framed.get_ref().shutdown();
-        let mut attempt = 0u32;
-        loop {
-            let outcome = connect(&self.addr).and_then(|stream| {
-                self.framed = FramedStream::new(stream, Side::Client);
-                self.handshake()
-            });
-            match outcome {
-                Ok(()) => return Ok(()),
-                Err(e) if attempt >= MAX_TRANSPORT_RETRIES => return Err(e),
-                Err(_) => {
-                    attempt += 1;
-                    let ms = backoff_ms(&mut self.rng, attempt);
-                    std::thread::sleep(Duration::from_millis(ms));
-                }
-            }
+        };
+        match self.round_trip(&hello, &mut no_items)? {
+            Response::HelloOk { .. } => Ok(()),
+            Response::Error(WireError::Overloaded { retry_after_ms }) => Err(io::Error::new(
+                io::ErrorKind::WouldBlock,
+                format!("daemon overloaded; retry after {retry_after_ms} ms"),
+            )),
+            Response::Error(e) => Err(invalid(format!("handshake rejected: {e}"))),
+            _ => Err(invalid("unexpected handshake response")),
         }
     }
 
@@ -257,233 +213,128 @@ impl Client {
         self.read_response()
     }
 
-    /// One request/response exchange with transport recovery: in-place
-    /// re-request on CRC failure (either direction), reconnect-and-replay
-    /// on a dead connection. Only sound for idempotent requests — which
-    /// all v3 requests are.
-    fn exchange(&mut self, req: &Request) -> io::Result<Response> {
+    /// Writes `req` and reads responses until the terminal one, which it
+    /// returns; each `Item` before it goes to `on_item`. The one place a
+    /// failed attempt is recovered (see the module docs): the decision
+    /// below, a budget per kind, and the tallies.
+    fn round_trip(
+        &mut self,
+        req: &Request,
+        on_item: &mut dyn FnMut(u32, Item) -> io::Result<()>,
+    ) -> io::Result<Response> {
         let frame = req.encode();
-        let mut frame_tries = 0u32;
-        let mut transport_tries = 0u32;
+        let len = frame.len() as u64;
+        let is_hello = matches!(req, Request::Hello { .. });
+        let streamed = matches!(req, Request::Batch(_) | Request::Sweep(_));
+        let mut tries = [0u32; 3];
         loop {
-            let sent = self.framed.write_frame(&frame);
-            let resp = match sent {
-                Ok(()) => self.read_response(),
-                Err(e) => Err(e),
+            let (mut answered, mut spoiled) = (false, false);
+            let outcome = self.framed.write_frame(&frame).and_then(|()| loop {
+                let resp = self.read_response()?;
+                spoiled |= is_spoiled(&resp);
+                let Response::Item { index, result } = resp else {
+                    break Ok(resp);
+                };
+                answered = true;
+                on_item(index, result)?;
+            });
+            let crc = outcome.as_ref().is_err_and(is_crc_mismatch);
+            let recovery = match &outcome {
+                Ok(Response::Error(WireError::BadFrame(_))) if !answered => Some(Recovery::Resend),
+                Ok(_) if spoiled => Some(Recovery::Replay),
+                Err(_) if crc && !streamed => Some(Recovery::Resend),
+                Err(_) if crc => Some(Recovery::Reconnect),
+                // A daemon that sheds or drains ends a connection before
+                // its handshake on purpose; only an armed wire makes a
+                // Hello's transport error worth a retry.
+                Err(e)
+                    if is_transport(e)
+                        && (!is_hello
+                            || SimContext::with_current(|c| c.net_faults().is_armed())) =>
+                {
+                    Some(Recovery::Reconnect)
+                }
+                _ => None,
             };
-            match resp {
-                Ok(Response::Error(WireError::BadFrame(_))) if frame_tries < MAX_FRAME_RETRIES => {
-                    // Our request frame arrived corrupted; the daemon
-                    // consumed it and stayed synchronized. Resend.
-                    note_net_frame_retried(frame.len() as u64);
-                    frame_tries += 1;
+            let Some(recovery) = recovery.filter(|&r| tries[r as usize] < r.budget()) else {
+                return outcome;
+            };
+            tries[recovery as usize] += 1;
+            match recovery {
+                Recovery::Resend => note_net_frame_retried(len),
+                Recovery::Replay => {}
+                Recovery::Reconnect => {
+                    if crc {
+                        note_net_frame_retried(len);
+                    } else {
+                        note_net_disconnect();
+                    }
+                    let attempt = tries[Recovery::Reconnect as usize];
+                    std::thread::sleep(backoff(&mut self.rng, attempt));
+                    self.reopen(!is_hello)?;
+                    note_net_reconnect(len);
                 }
-                Ok(resp) => return Ok(resp),
-                Err(e) if is_crc_mismatch(&e) && frame_tries < MAX_FRAME_RETRIES => {
-                    // The response frame arrived corrupted but was fully
-                    // consumed; re-request on the same connection.
-                    note_net_frame_retried(frame.len() as u64);
-                    frame_tries += 1;
-                }
-                Err(e) if is_transport(&e) && transport_tries < MAX_TRANSPORT_RETRIES => {
-                    note_net_disconnect();
-                    transport_tries += 1;
-                    let ms = backoff_ms(&mut self.rng, transport_tries);
-                    std::thread::sleep(Duration::from_millis(ms));
-                    self.reconnect()?;
-                    note_net_reconnect(frame.len() as u64);
-                }
-                Err(e) => return Err(e),
             }
         }
+    }
+
+    /// Replaces the connection with a fresh one, handshaking on it when
+    /// `handshake` (a replayed Hello is its own handshake).
+    fn reopen(&mut self, handshake: bool) -> io::Result<()> {
+        let _ = self.framed.get_ref().shutdown();
+        self.framed = FramedStream::new(connect(&self.addr)?, Side::Client);
+        if handshake {
+            self.hello()?;
+        }
+        Ok(())
     }
 
     /// Runs one launch. The outer `Err` is unrecoverable transport
     /// failure; the inner `Err` is a typed daemon-side error. On success:
     /// the report plus the sparse `(byte_addr, word)` delta of device
     /// memory.
-    #[allow(clippy::type_complexity)]
-    pub fn launch(
-        &mut self,
-        spec: &WireLaunch,
-    ) -> io::Result<Result<(LaunchReport, Vec<(u32, u32)>), WireError>> {
-        let req = Request::Launch(spec.clone());
-        let mut tries = 0;
-        loop {
-            let resp = self.exchange(&req)?;
-            let result = match resp {
-                Response::Launch { result } => result,
-                Response::Error(e) => Err(e),
-                _ => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "unexpected response to Launch",
-                    ))
-                }
-            };
-            match result {
-                Err(e)
-                    if self.retry_injected && e.is_injected() && tries < MAX_INJECTED_RETRIES =>
-                {
-                    tries += 1;
-                }
-                other => return Ok(other),
-            }
+    pub fn launch(&mut self, spec: &WireLaunch) -> io::Result<Launched> {
+        match self.round_trip(&Request::Launch(spec.clone()), &mut no_items)? {
+            Response::Launch { result } => Ok(result),
+            Response::Error(e) => Ok(Err(e)),
+            _ => Err(invalid("unexpected response to Launch")),
         }
     }
 
     /// Runs a batch: every spec executed in order, results streamed back.
     /// Returns per-item results, the daemon's cache-counter delta for the
     /// whole request, and the transport-fault tally the request survived.
-    #[allow(clippy::type_complexity)]
-    pub fn batch(
-        &mut self,
-        specs: &[WireLaunch],
-    ) -> io::Result<
-        Result<
-            (
-                Vec<Result<LaunchReport, WireError>>,
-                MemoCounters,
-                NetCounters,
-            ),
-            WireError,
-        >,
-    > {
-        self.multi(Request::Batch(specs.to_vec()), specs.len())
+    pub fn batch(&mut self, specs: &[WireLaunch]) -> io::Result<Streamed> {
+        self.streamed(Request::Batch(specs.to_vec()), specs.len())
     }
 
     /// Runs a sweep (same execution as a batch in protocol v1; the
     /// distinct tag lets sweep-aware scheduling evolve without a version
     /// bump). Pair with `SweepResult::from_parts` to reassemble
     /// a tuner result from the streamed rows plus the fault tally.
-    #[allow(clippy::type_complexity)]
-    pub fn sweep(
-        &mut self,
-        specs: &[WireLaunch],
-    ) -> io::Result<
-        Result<
-            (
-                Vec<Result<LaunchReport, WireError>>,
-                MemoCounters,
-                NetCounters,
-            ),
-            WireError,
-        >,
-    > {
-        self.multi(Request::Sweep(specs.to_vec()), specs.len())
+    pub fn sweep(&mut self, specs: &[WireLaunch]) -> io::Result<Streamed> {
+        self.streamed(Request::Sweep(specs.to_vec()), specs.len())
     }
 
-    #[allow(clippy::type_complexity)]
-    fn multi(
-        &mut self,
-        req: Request,
-        n: usize,
-    ) -> io::Result<
-        Result<
-            (
-                Vec<Result<LaunchReport, WireError>>,
-                MemoCounters,
-                NetCounters,
-            ),
-            WireError,
-        >,
-    > {
-        let frame = req.encode();
+    fn streamed(&mut self, req: Request, n: usize) -> io::Result<Streamed> {
         let net_before = net_counters();
-        let mut injected_tries = 0u32;
-        let mut frame_tries = 0u32;
-        let mut transport_tries = 0u32;
-        'retry: loop {
-            if let Err(e) = self.framed.write_frame(&frame) {
-                if is_transport(&e) && transport_tries < MAX_TRANSPORT_RETRIES {
-                    note_net_disconnect();
-                    transport_tries += 1;
-                    let ms = backoff_ms(&mut self.rng, transport_tries);
-                    std::thread::sleep(Duration::from_millis(ms));
-                    self.reconnect()?;
-                    note_net_reconnect(frame.len() as u64);
-                    continue 'retry;
-                }
-                return Err(e);
+        // A replay rewrites every slot: the daemon streams each index
+        // before its `Done`.
+        let mut items: Vec<Item> = (0..n).map(|_| Err(WireError::Shutdown)).collect();
+        let terminal = self.round_trip(&req, &mut |index, result| {
+            let slot = items
+                .get_mut(index as usize)
+                .ok_or_else(|| invalid(format!("item index {index} out of range")))?;
+            *slot = result;
+            Ok(())
+        })?;
+        match terminal {
+            Response::Done { counters, net } => {
+                let local = net_counters().since(&net_before);
+                Ok(Ok((items, counters, local.saturating_add(&net))))
             }
-            let mut items: Vec<Result<LaunchReport, WireError>> =
-                (0..n).map(|_| Err(WireError::Shutdown)).collect();
-            let mut streamed = false;
-            loop {
-                match self.read_response() {
-                    Ok(Response::Item { index, result }) => {
-                        streamed = true;
-                        let slot = items.get_mut(index as usize).ok_or_else(|| {
-                            io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!("item index {index} out of range"),
-                            )
-                        })?;
-                        *slot = result;
-                    }
-                    Ok(Response::Done { counters, net }) => {
-                        let injected = items
-                            .iter()
-                            .any(|r| r.as_ref().is_err_and(WireError::is_injected));
-                        if injected && self.retry_injected && injected_tries < MAX_INJECTED_RETRIES
-                        {
-                            injected_tries += 1;
-                            continue 'retry;
-                        }
-                        let local = net_counters().since(&net_before);
-                        return Ok(Ok((items, counters, local.saturating_add(&net))));
-                    }
-                    Ok(Response::Error(WireError::BadFrame(_)))
-                        if !streamed && frame_tries < MAX_FRAME_RETRIES =>
-                    {
-                        // Our request frame got corrupted before the
-                        // stream started; the daemon never began
-                        // executing, so an in-place resend is safe.
-                        note_net_frame_retried(frame.len() as u64);
-                        frame_tries += 1;
-                        continue 'retry;
-                    }
-                    Ok(Response::Error(e)) => {
-                        // Request-level error: no Item/Done stream follows.
-                        if self.retry_injected
-                            && e.is_injected()
-                            && injected_tries < MAX_INJECTED_RETRIES
-                        {
-                            injected_tries += 1;
-                            continue 'retry;
-                        }
-                        return Ok(Err(e));
-                    }
-                    Ok(_) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "unexpected response in batch stream",
-                        ))
-                    }
-                    Err(e)
-                        if (is_crc_mismatch(&e) || is_transport(&e))
-                            && transport_tries < MAX_TRANSPORT_RETRIES =>
-                    {
-                        // Mid-stream failure. Even for a CRC mismatch
-                        // (connection technically alive) the daemon may
-                        // still be streaming items from the broken
-                        // attempt; replaying on the same connection would
-                        // interleave two streams. Reconnect, then replay.
-                        if is_crc_mismatch(&e) {
-                            note_net_frame_retried(frame.len() as u64);
-                        } else {
-                            note_net_disconnect();
-                        }
-                        transport_tries += 1;
-                        let ms = backoff_ms(&mut self.rng, transport_tries);
-                        std::thread::sleep(Duration::from_millis(ms));
-                        self.reconnect()?;
-                        note_net_reconnect(frame.len() as u64);
-                        continue 'retry;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
+            Response::Error(e) => Ok(Err(e)),
+            _ => Err(invalid("unexpected response in batch stream")),
         }
     }
 
@@ -491,32 +342,12 @@ impl Client {
     /// is replayed on a fresh one; if the daemon then refuses the
     /// connection, its listener is closed — the drain already started.
     pub fn shutdown(&mut self) -> io::Result<()> {
-        let mut tries = 0;
-        loop {
-            let resp = match self.exchange(&Request::Shutdown) {
-                Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => return Ok(()),
-                resp => resp?,
-            };
-            match resp {
-                Response::ShutdownOk => return Ok(()),
-                Response::Error(e)
-                    if self.retry_injected && e.is_injected() && tries < MAX_INJECTED_RETRIES =>
-                {
-                    tries += 1;
-                }
-                Response::Error(e) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("shutdown rejected: {e}"),
-                    ))
-                }
-                _ => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "unexpected response to Shutdown",
-                    ))
-                }
-            }
+        match self.round_trip(&Request::Shutdown, &mut no_items) {
+            Ok(Response::ShutdownOk) => Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => Ok(()),
+            Ok(Response::Error(e)) => Err(invalid(format!("shutdown rejected: {e}"))),
+            Ok(_) => Err(invalid("unexpected response to Shutdown")),
+            Err(e) => Err(e),
         }
     }
 
@@ -527,7 +358,6 @@ impl Client {
                 "daemon closed the connection",
             ));
         };
-        Response::decode(&frame)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "undecodable response frame"))
+        Response::decode(&frame).ok_or_else(|| invalid("undecodable response frame"))
     }
 }

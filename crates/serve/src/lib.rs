@@ -44,6 +44,8 @@
 //!
 //! [`Served`]: g80_sim::Served
 
+#![warn(clippy::too_many_lines)]
+
 pub mod admission;
 pub mod client;
 pub mod fleet;

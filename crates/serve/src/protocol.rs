@@ -29,7 +29,7 @@ use g80_isa::{Kernel, Value};
 use g80_sim::fault::PANIC_MARKER;
 use g80_sim::wire::{self, crc32};
 use g80_sim::{wire_layout, LaunchDims, LaunchError, LaunchReport, MemoCounters, NetCounters};
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, IoSlice, Write};
 
 /// Bumped on any incompatible change to the framing, the message tags, or
 /// any embedded layout (including [`g80_sim::KernelStats`]'s).
@@ -53,8 +53,8 @@ pub const MAX_MEM_BYTES: u32 = 256 << 20;
 // place `len | payload | crc` is put on a wire and `verify_crc` the one
 // integrity check: live connections (`crate::framed`) send and check
 // through them and add deadlines and the injected transport-fault
-// schedule; `read_frame` is the plain blocking reader for tests and
-// simple tooling.
+// schedule. `write_frame` / `read_frame` are the plain blocking pair the
+// tests below pin the layout with.
 
 /// Payload checksum failure: the frame was consumed whole (framing is
 /// still synchronized) but its bytes are not what the peer sent. Carried
@@ -111,7 +111,8 @@ pub(crate) fn frame_len(payload: &[u8]) -> io::Result<u32> {
 }
 
 /// Writes one CRC-trailed length-prefixed frame.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+#[cfg(test)]
+fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     write_frame_with_crc(w, payload, crc32(payload))
 }
 
@@ -145,7 +146,8 @@ pub(crate) fn write_frame_with_crc(w: &mut impl Write, payload: &[u8], crc: u32)
 /// error (framing desync — the caller must drop the connection); a CRC
 /// mismatch is an `InvalidData` error wrapping [`CrcMismatch`] with the
 /// frame fully consumed, so framing stays synchronized.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+#[cfg(test)]
+fn read_frame(r: &mut impl std::io::Read) -> io::Result<Option<Vec<u8>>> {
     let mut hdr = [0u8; 4];
     match r.read_exact(&mut hdr) {
         Ok(()) => {}

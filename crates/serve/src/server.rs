@@ -27,8 +27,8 @@
 //!   accepts are *shed* with a typed [`WireError::Overloaded`] carrying a
 //!   retry hint, then closed — overload degrades into fast typed refusals
 //!   instead of unbounded thread growth;
-//! * only an oversized frame header (framing desync) or a transport error
-//!   closes a connection.
+//! * only a failed handshake, an oversized frame header (framing desync)
+//!   or a transport error closes a connection.
 //!
 //! Shutdown is a protocol request, not a signal: [`Request::Shutdown`]
 //! flips the drain flag, the accept loop stops, idle connections close at
@@ -356,70 +356,35 @@ fn handle_connection(stream: Stream, shared: &Shared) -> io::Result<()> {
     // stopped draining its socket; the failed write ends the connection.
     stream.set_write_timeout(shared.read_timeout)?;
     let mut framed = FramedStream::new(stream, Side::Server);
-
-    // Handshake: the first frame must be a version-matched Hello. A
-    // corrupted Hello gets a typed BadFrame and another chance — the
-    // client re-sends on the same connection.
-    let tenant = loop {
-        let frame = match recv_frame(&mut framed, shared)? {
-            Recv::Frame(f) => f,
-            Recv::Closed | Recv::Reaped => return Ok(()),
-            Recv::BadFrame(msg) => {
-                send(&mut framed, &Response::Error(WireError::BadFrame(msg)))?;
-                continue;
-            }
-        };
-        match Request::decode(&frame) {
-            Some(Request::Hello { version, tenant }) if version == PROTOCOL_VERSION => {
-                send(
-                    &mut framed,
-                    &Response::HelloOk {
-                        version: PROTOCOL_VERSION,
-                    },
-                )?;
-                break tenant;
-            }
-            Some(Request::Hello { version, .. }) => {
-                send(
-                    &mut framed,
-                    &Response::Error(WireError::Malformed(format!(
-                        "protocol version mismatch: client {version}, daemon {PROTOCOL_VERSION}"
-                    ))),
-                )?;
-                return Ok(());
-            }
-            _ => {
-                send(
-                    &mut framed,
-                    &Response::Error(WireError::Malformed(
-                        "expected Hello as the first request".into(),
-                    )),
-                )?;
-                return Ok(());
-            }
-        }
-    };
-
+    // Set by the handshake: the first frame must be a version-matched Hello.
+    let mut tenant = None;
     loop {
         let frame = match recv_frame(&mut framed, shared)? {
             Recv::Frame(f) => f,
             Recv::Closed | Recv::Reaped => return Ok(()),
+            // A corrupted frame (a Hello too) gets a typed BadFrame and
+            // another chance: the client resends on the same connection.
             Recv::BadFrame(msg) => {
                 send(&mut framed, &Response::Error(WireError::BadFrame(msg)))?;
                 continue;
             }
         };
-        shared.requests.fetch_add(1, Ordering::SeqCst);
+        if tenant.is_some() {
+            shared.requests.fetch_add(1, Ordering::SeqCst);
+        }
         // The whole decode+execute path is unwind-safe: a panic (injected
         // at serve.decode or genuine) becomes a typed response on the
         // still-synchronized connection. The device memory a panicking
         // request may have touched is request-local, so no shared state is
         // left inconsistent.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            handle_request(&frame, &tenant, shared, &mut framed)
+            handle_request(&frame, tenant.as_deref(), shared, &mut framed)
         }));
         match outcome {
             Ok(Ok(ControlFlow::Continue)) => {}
+            Ok(Ok(ControlFlow::Greeted(who))) => {
+                tenant.get_or_insert(who);
+            }
             Ok(Ok(ControlFlow::Close)) => return Ok(()),
             Ok(Err(e)) => return Err(e),
             Err(payload) => {
@@ -435,11 +400,27 @@ fn handle_connection(stream: Stream, shared: &Shared) -> io::Result<()> {
 enum ControlFlow {
     Continue,
     Close,
+    /// A version-matched Hello from this tenant was acknowledged.
+    Greeted(String),
 }
 
+/// Answers `msg` as `Malformed`, then carries on as `then` says.
+fn refuse(
+    stream: &mut FramedStream,
+    msg: impl Into<String>,
+    then: ControlFlow,
+) -> io::Result<ControlFlow> {
+    send(stream, &Response::Error(WireError::Malformed(msg.into())))?;
+    Ok(then)
+}
+
+/// Answers one frame for the connection's `tenant`, which is `None` until
+/// the handshake: then only a version-matched Hello is accepted, anything
+/// else is refused and closes the connection, and `serve.decode` is not
+/// polled.
 fn handle_request(
     frame: &[u8],
-    tenant: &str,
+    tenant: Option<&str>,
     shared: &Shared,
     stream: &mut FramedStream,
 ) -> io::Result<ControlFlow> {
@@ -447,7 +428,7 @@ fn handle_request(
     // corrupt. The frame is already consumed, so the error is a value and
     // the connection survives (a panic-kind fault unwinds into the
     // catch_unwind above — same guarantee).
-    if shared.ctx.faults().tamper(Site::ServeDecode) {
+    if tenant.is_some() && shared.ctx.faults().tamper(Site::ServeDecode) {
         send(
             stream,
             &Response::Error(WireError::Fault {
@@ -456,39 +437,39 @@ fn handle_request(
         )?;
         return Ok(ControlFlow::Continue);
     }
-    let Some(req) = Request::decode(frame) else {
-        send(
-            stream,
-            &Response::Error(WireError::Malformed("undecodable request frame".into())),
-        )?;
-        return Ok(ControlFlow::Continue);
-    };
-    match req {
-        Request::Hello { version, .. } if version == PROTOCOL_VERSION => {
-            // Idempotent re-ack: a client whose HelloOk was corrupted in
-            // flight re-sends Hello on the same connection and must be
-            // able to recover without reconnecting.
+    match (Request::decode(frame), tenant) {
+        (Some(Request::Hello { version, tenant }), _) if version == PROTOCOL_VERSION => {
+            // The handshake, or an idempotent re-ack: a client whose
+            // HelloOk was corrupted in flight re-sends Hello on the same
+            // connection and must be able to recover without reconnecting.
             send(
                 stream,
                 &Response::HelloOk {
                     version: PROTOCOL_VERSION,
                 },
             )?;
-            Ok(ControlFlow::Continue)
+            Ok(ControlFlow::Greeted(tenant))
         }
-        Request::Hello { .. } => {
-            send(
-                stream,
-                &Response::Error(WireError::Malformed("duplicate Hello".into())),
-            )?;
-            Ok(ControlFlow::Continue)
+        (Some(Request::Hello { version, .. }), None) => refuse(
+            stream,
+            format!("protocol version mismatch: client {version}, daemon {PROTOCOL_VERSION}"),
+            ControlFlow::Close,
+        ),
+        (_, None) => refuse(
+            stream,
+            "expected Hello as the first request",
+            ControlFlow::Close,
+        ),
+        (None, Some(_)) => refuse(stream, "undecodable request frame", ControlFlow::Continue),
+        (Some(Request::Hello { .. }), Some(_)) => {
+            refuse(stream, "duplicate Hello", ControlFlow::Continue)
         }
-        Request::Shutdown => {
+        (Some(Request::Shutdown), Some(_)) => {
             shared.shutting_down.store(true, Ordering::SeqCst);
             send(stream, &Response::ShutdownOk)?;
             Ok(ControlFlow::Close)
         }
-        Request::Launch(spec) => {
+        (Some(Request::Launch(spec)), Some(tenant)) => {
             if shared.shutting_down() {
                 send(stream, &Response::Error(WireError::Shutdown))?;
                 return Ok(ControlFlow::Continue);
@@ -497,7 +478,7 @@ fn handle_request(
             send(stream, &Response::Launch { result })?;
             Ok(ControlFlow::Continue)
         }
-        Request::Batch(specs) | Request::Sweep(specs) => {
+        (Some(Request::Batch(specs) | Request::Sweep(specs)), Some(tenant)) => {
             if shared.shutting_down() {
                 send(stream, &Response::Error(WireError::Shutdown))?;
                 return Ok(ControlFlow::Continue);

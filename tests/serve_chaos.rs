@@ -21,7 +21,9 @@
 //!   and the same connection recovers bit-identically once disarmed;
 //! * a slow-loris client stalled mid-frame is reaped by the read
 //!   deadline, freeing its connection slot (and while it holds the only
-//!   slot, new tenants are shed with a typed `Overloaded`).
+//!   slot, new tenants are shed with a typed `Overloaded`);
+//! * each client recovery (resend in place, reconnect and replay) adds
+//!   exactly its own tally, one fault at a time.
 //!
 //! Each test runs its daemon and its clients in a fresh context of its own
 //! and arms that context's schedules in place, so the tests run in
@@ -30,11 +32,11 @@
 use g80::isa::builder::KernelBuilder;
 use g80::isa::Value;
 use g80::serve::{
-    serve, Addr, Client, NetFaultConfig, NetFaultKind, Quota, Request, Response, ServeConfig,
-    WireError, WireLaunch,
+    serve, Addr, Client, NetFaultConfig, NetFaultKind, NetSite, Quota, Request, Response,
+    ServeConfig, WireError, WireLaunch,
 };
 use g80::sim::fault::{FaultConfig, FaultKind, Site};
-use g80::sim::{GpuConfig, LaunchDims, SimConfig, SimContext};
+use g80::sim::{net_counters, GpuConfig, LaunchDims, NetCounters, SimConfig, SimContext};
 use g80::tune::tuner::{Sample, SweepResult};
 use std::io::Write;
 use std::sync::Arc;
@@ -84,7 +86,6 @@ fn serve_decode_faults(ctx: &SimContext) {
     let addr = server.local_addr().clone();
 
     let mut client = Client::connect(&addr, "chaos").expect("connect");
-    client.set_retry_injected(false);
     let spec = probe_spec(5);
     let req = Request::Launch(spec.clone());
 
@@ -152,7 +153,6 @@ fn serve_decode_faults(ctx: &SimContext) {
 
     // ---- partial rate + transparent retry: chaos is invisible ----
     arm(0.5, FaultKind::Typed);
-    client.set_retry_injected(true);
     for i in 0..8u32 {
         let (report, delta) = client
             .launch(&spec)
@@ -265,7 +265,6 @@ fn corrupt_storm_is_typed_bounded_and_recoverable() {
 fn corrupt_storm(ctx: &SimContext) {
     let (server, addr) = default_daemon();
     let mut client = Client::connect(&addr, "storm").expect("connect");
-    client.set_retry_injected(false);
     let spec = probe_spec(77);
     let req = Request::Launch(spec.clone());
     let (golden, golden_delta) = match client.request_raw(&req).expect("transport") {
@@ -378,4 +377,122 @@ fn slow_client_is_reaped() {
     drop(loris);
     c2.shutdown().expect("clean shutdown");
     server.join().expect("drain");
+}
+
+/// Seeds for `NetFaultConfig::only(seed, 0.1, kind)`, named by the one
+/// client frame operation their schedule fires on among the first 24
+/// writes and 24 reads (the kind does not move a fire, only its effect).
+const FIRST_WRITE: u64 = 126;
+const FIRST_READ: u64 = 1341;
+const THIRD_READ: u64 = 223;
+
+/// What each recovery action adds to the client's tally, one fault at a
+/// time: the daemon's context stays disarmed and only the client's wire
+/// schedule is armed, so every counter delta is exact.
+///
+/// * an in-place resend adds one frame retried and the frame's bytes;
+/// * a reconnect adds one disconnect, one reconnect and the frame's bytes;
+/// * a CRC failure inside a sweep's stream reconnects instead of resending
+///   in place: one frame retried and one reconnect, each with the frame's
+///   bytes, and no disconnect.
+#[test]
+fn each_recovery_action_is_tallied_exactly() {
+    let daemon_ctx = context();
+    let (server, addr) = daemon_ctx.enter(default_daemon);
+    let client_ctx = context();
+    client_ctx.enter(|| recovery_tallies(&client_ctx, &addr));
+    daemon_ctx.enter(|| {
+        let mut admin = Client::connect(&addr, "admin").expect("admin connect");
+        admin.shutdown().expect("clean shutdown");
+    });
+    server.join().expect("drain");
+}
+
+fn recovery_tallies(ctx: &SimContext, addr: &Addr) {
+    let mut client = Client::connect(addr, "tally").expect("connect");
+    let spec = probe_spec(41);
+    let specs: Vec<WireLaunch> = (0..4u32).map(|i| probe_spec(200 + i)).collect();
+    let launch_len = Request::Launch(spec.clone()).encode().len() as u64;
+    let sweep_len = Request::Sweep(specs.clone()).encode().len() as u64;
+    let golden_launch = client.launch(&spec).expect("transport").expect("launch");
+    let sweep_cycles = |client: &mut Client| -> Vec<u64> {
+        let (items, _, _) = client.sweep(&specs).expect("transport").expect("sweep");
+        items
+            .iter()
+            .map(|r| r.as_ref().expect("item ok").stats.cycles)
+            .collect()
+    };
+    let golden_sweep = sweep_cycles(&mut client);
+
+    // Arms the client's wire with `(seed, kind)` around one request, checks
+    // the schedule fired once on `site`, and returns the tally delta.
+    let tally = |seed, kind, site: NetSite, request: &mut dyn FnMut()| -> NetCounters {
+        let before = net_counters();
+        ctx.net_faults()
+            .arm(Some(NetFaultConfig::only(seed, 0.1, kind)));
+        request();
+        let fired = NetSite::ALL.map(|s| ctx.net_faults().raised(s));
+        ctx.net_faults().arm(None);
+        let mut expected = [0; 4];
+        expected[site as usize] = 1;
+        assert_eq!(
+            fired, expected,
+            "seed {seed} no longer fires once on {site:?}"
+        );
+        net_counters().since(&before)
+    };
+    let mut launch = || {
+        let (report, delta) = client.launch(&spec).expect("transport").expect("launch");
+        assert_eq!(report.stats.cycles, golden_launch.0.stats.cycles);
+        assert_eq!(delta, golden_launch.1);
+    };
+    let resent = |bytes| NetCounters {
+        frames_retried: 1,
+        bytes_resent: bytes,
+        ..NetCounters::default()
+    };
+    let reconnected = |bytes| NetCounters {
+        disconnects: 1,
+        bytes_resent: bytes,
+        reconnects: 1,
+        ..NetCounters::default()
+    };
+    use NetFaultKind::{Corrupt, Disconnect};
+    use NetSite::{ClientRead, ClientWrite};
+
+    // Single launches: the daemon's BadFrame and a local CRC failure both
+    // resend in place; a torn connection reconnects and replays.
+    assert_eq!(
+        tally(FIRST_WRITE, Corrupt, ClientWrite, &mut launch),
+        resent(launch_len)
+    );
+    assert_eq!(
+        tally(FIRST_READ, Corrupt, ClientRead, &mut launch),
+        resent(launch_len)
+    );
+    assert_eq!(
+        tally(FIRST_WRITE, Disconnect, ClientWrite, &mut launch),
+        reconnected(launch_len)
+    );
+
+    let sweep = &mut || assert_eq!(sweep_cycles(&mut client), golden_sweep);
+    // A streamed sweep: a BadFrame before the stream resends in place; a
+    // CRC failure or a disconnect at its third item reconnects.
+    assert_eq!(
+        tally(FIRST_WRITE, Corrupt, ClientWrite, sweep),
+        resent(sweep_len)
+    );
+    assert_eq!(
+        tally(THIRD_READ, Corrupt, ClientRead, sweep),
+        NetCounters {
+            frames_retried: 1,
+            bytes_resent: 2 * sweep_len,
+            reconnects: 1,
+            ..NetCounters::default()
+        }
+    );
+    assert_eq!(
+        tally(THIRD_READ, Disconnect, ClientRead, sweep),
+        reconnected(sweep_len)
+    );
 }

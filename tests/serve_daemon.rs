@@ -10,11 +10,17 @@
 //!   bit-identical stats;
 //! * **quotas** — over-budget launches come back as typed `Rejected`,
 //!   a zero-depth queue as typed `Throttled`; the connection survives
-//!   both and keeps serving.
+//!   both and keeps serving;
+//! * **handshake** — nothing but a version-matched Hello opens a
+//!   connection, and a later mismatched Hello does not close it.
 
 use g80::isa::Value;
-use g80::serve::{serve, Addr, Client, Quota, ServeConfig, WireError, WireLaunch};
-use g80::sim::{launch, DeviceMemory, GpuConfig, LaunchDims};
+use g80::serve::{
+    serve, Addr, Client, FramedStream, Quota, Request, Response, ServeConfig, Side, WireError,
+    WireLaunch, PROTOCOL_VERSION,
+};
+use g80::sim::fault::{FaultConfig, FaultKind, Site};
+use g80::sim::{launch, DeviceMemory, GpuConfig, LaunchDims, SimConfig, SimContext};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -268,5 +274,74 @@ fn quota_violations_are_typed_and_survivable() {
         Err(WireError::Throttled(_)) => {}
         other => panic!("expected Throttled again, got {other:?}"),
     }
+    stop_daemon(server, &addr);
+}
+
+/// The handshake, pinned from the wire. Before a Hello, a non-Hello frame
+/// or a version mismatch is answered `Malformed` and the connection
+/// closes, and the frame neither polls `serve.decode` nor counts as
+/// served. After it, every frame does both, and a mismatched Hello is
+/// answered "duplicate Hello" on a connection that stays open.
+#[test]
+fn handshake_gates_the_connection() {
+    let ctx = SimContext::new(SimConfig::default());
+    ctx.enter(|| handshake_gates(&ctx));
+}
+
+fn handshake_gates(ctx: &SimContext) {
+    let (server, addr) = start_daemon(Quota::default());
+    let open = || {
+        let stream = g80::serve::net::connect(&addr).expect("connect");
+        FramedStream::new(stream, Side::Client)
+    };
+    let ask = |conn: &mut FramedStream, req: &Request| {
+        conn.write_frame(&req.encode()).expect("write");
+        let frame = conn.read_frame().expect("read").expect("an answer");
+        Response::decode(&frame).expect("decodable answer")
+    };
+    let hello = |version| Request::Hello {
+        version,
+        tenant: "gate".into(),
+    };
+    let malformed = |resp: Response| match resp {
+        Response::Error(WireError::Malformed(msg)) => msg,
+        other => panic!("expected Malformed, got {other:?}"),
+    };
+    // Every poll of serve.decode fires: a frame that polls it is answered
+    // with a typed Fault instead of being handled.
+    let tamper = FaultConfig::new(0x6a7e, 1.0, Some(FaultKind::Typed)).only(Site::ServeDecode);
+    ctx.faults().arm(Some(tamper));
+
+    for first in [Request::Shutdown, hello(PROTOCOL_VERSION + 1)] {
+        let mut conn = open();
+        malformed(ask(&mut conn, &first));
+        assert!(
+            matches!(conn.read_frame(), Ok(None) | Err(_)),
+            "the daemon kept a connection open after a bad first frame"
+        );
+    }
+    let mut conn = open();
+    assert!(matches!(
+        ask(&mut conn, &hello(PROTOCOL_VERSION)),
+        Response::HelloOk {
+            version: PROTOCOL_VERSION
+        }
+    ));
+    assert_eq!(ctx.faults().raised(Site::ServeDecode), 0);
+    assert_eq!(server.requests_served(), 0);
+
+    // Handshaken: the next frame polls serve.decode and counts.
+    match ask(&mut conn, &hello(PROTOCOL_VERSION)) {
+        Response::Error(WireError::Fault { site }) => assert_eq!(site, "serve.decode"),
+        other => panic!("expected the serve.decode fault, got {other:?}"),
+    }
+    ctx.faults().arm(None);
+    let msg = malformed(ask(&mut conn, &hello(PROTOCOL_VERSION + 1)));
+    assert!(msg.contains("duplicate Hello"), "{msg}");
+    assert!(matches!(
+        ask(&mut conn, &hello(PROTOCOL_VERSION)),
+        Response::HelloOk { .. }
+    ));
+    assert_eq!(server.requests_served(), 3);
     stop_daemon(server, &addr);
 }
