@@ -5,6 +5,8 @@
 //! and optimized kernel variants, and a [`common::AppReport`] feeding the
 //! Table 2 / Table 3 harnesses.
 
+#![warn(clippy::too_many_lines)]
+
 pub mod common;
 pub mod cp;
 pub mod fdtd;

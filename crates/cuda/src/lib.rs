@@ -37,6 +37,8 @@
 //! assert!(cpu_time > 0.0);
 //! ```
 
+#![warn(clippy::too_many_lines)]
+
 pub mod cpu;
 pub mod device;
 pub mod transfer;

@@ -65,6 +65,32 @@ fn alu_str(op: AluOp) -> &'static str {
     }
 }
 
+fn un_str(op: UnOp) -> &'static str {
+    match op {
+        UnOp::Mov => "mov.b32",
+        UnOp::FNeg => "neg.f32",
+        UnOp::FAbs => "abs.f32",
+        UnOp::Not => "not.b32",
+        UnOp::CvtF2I => "cvt.rzi.s32.f32",
+        UnOp::CvtI2F => "cvt.rn.f32.s32",
+        UnOp::CvtF2U => "cvt.rzi.u32.f32",
+        UnOp::CvtU2F => "cvt.rn.f32.u32",
+        UnOp::FFloor => "cvt.rmi.f32.f32",
+    }
+}
+
+fn sfu_str(op: SfuOp) -> &'static str {
+    match op {
+        SfuOp::Rcp => "rcp.approx.f32",
+        SfuOp::Rsqrt => "rsqrt.approx.f32",
+        SfuOp::Sqrt => "sqrt.approx.f32",
+        SfuOp::Sin => "sin.approx.f32",
+        SfuOp::Cos => "cos.approx.f32",
+        SfuOp::Ex2 => "ex2.approx.f32",
+        SfuOp::Lg2 => "lg2.approx.f32",
+    }
+}
+
 fn space_str(s: Space) -> &'static str {
     match s {
         Space::Global => "global",
@@ -95,32 +121,8 @@ pub fn inst_to_string(inst: &Inst) -> String {
             op_str(b),
             op_str(c)
         ),
-        Inst::Un { op, dst, a } => {
-            let name = match op {
-                UnOp::Mov => "mov.b32",
-                UnOp::FNeg => "neg.f32",
-                UnOp::FAbs => "abs.f32",
-                UnOp::Not => "not.b32",
-                UnOp::CvtF2I => "cvt.rzi.s32.f32",
-                UnOp::CvtI2F => "cvt.rn.f32.s32",
-                UnOp::CvtF2U => "cvt.rzi.u32.f32",
-                UnOp::CvtU2F => "cvt.rn.f32.u32",
-                UnOp::FFloor => "cvt.rmi.f32.f32",
-            };
-            format!("{} r{}, {}", name, dst.0, op_str(a))
-        }
-        Inst::Sfu { op, dst, a } => {
-            let name = match op {
-                SfuOp::Rcp => "rcp.approx.f32",
-                SfuOp::Rsqrt => "rsqrt.approx.f32",
-                SfuOp::Sqrt => "sqrt.approx.f32",
-                SfuOp::Sin => "sin.approx.f32",
-                SfuOp::Cos => "cos.approx.f32",
-                SfuOp::Ex2 => "ex2.approx.f32",
-                SfuOp::Lg2 => "lg2.approx.f32",
-            };
-            format!("{} r{}, {}", name, dst.0, op_str(a))
-        }
+        Inst::Un { op, dst, a } => format!("{} r{}, {}", un_str(*op), dst.0, op_str(a)),
+        Inst::Sfu { op, dst, a } => format!("{} r{}, {}", sfu_str(*op), dst.0, op_str(a)),
         Inst::SetP { op, ty, dst, a, b } => format!(
             "setp.{:?}.{:?} r{}, {}, {}",
             op,

@@ -38,6 +38,8 @@
 //! assert!(kernel.regs_per_thread <= 8);
 //! ```
 
+#![warn(clippy::too_many_lines)]
+
 pub mod builder;
 pub mod compile;
 pub mod dataflow;

@@ -15,7 +15,7 @@
 //!
 //! [`launch_batch`] runs *independent* launches concurrently: every spec is
 //! probed against the cache tiers on the caller, and each miss becomes one
-//! pool task that runs the same [`simulate`] a single [`launch`] does.
+//! pool task running [`simulate`]. A single [`launch`] is a batch of one.
 
 use crate::config::GpuConfig;
 use crate::context::SimContext;
@@ -349,16 +349,7 @@ pub fn launch(
     params: &[Value],
     mem: &DeviceMemory,
 ) -> Result<KernelStats, LaunchError> {
-    let spec = LaunchSpec {
-        kernel,
-        dims,
-        params,
-        mem,
-    };
-    // A single launch has exclusive use of its memory for the duration of
-    // the call (the caller handed us `&DeviceMemory` and blocks on the
-    // result), so the memo digest/diff is sound.
-    launch_with_memo(&SimContext::current(), cfg, spec, true).map(|(stats, _)| stats)
+    launch_traced(cfg, kernel, dims, params, mem).map(|(stats, _)| stats)
 }
 
 /// [`launch`], but also reports which tier served the result (simulated
@@ -366,6 +357,9 @@ pub fn launch(
 /// persistent disk tier). Host runtimes use this to attribute cache
 /// activity to the launch that caused it instead of diffing their
 /// context's [`memo_counters`].
+///
+/// A single launch is a batch of one ([`launch_batch_traced`]): it has its
+/// memory to itself, so the memo may digest and diff it.
 ///
 /// [`memo_counters`]: crate::memo_counters
 pub fn launch_traced(
@@ -381,28 +375,14 @@ pub fn launch_traced(
         params,
         mem,
     };
-    launch_with_memo(&SimContext::current(), cfg, spec, true)
+    let mut results = launch_batch_traced(cfg, &[spec]);
+    results.pop().expect("one result per spec")
 }
 
 /// Bound on absorb-mode retries of injected-class failures. At realistic
 /// injection rates the probability of exhausting this is negligible; at
 /// rate 1.0 it prevents an infinite loop (the error is reported instead).
 const MAX_FAULT_RETRIES: u32 = 32;
-
-/// [`launch`] body with an explicit memo-exclusivity verdict (batches pass
-/// `false` for specs that share a [`DeviceMemory`] with a concurrent spec).
-/// The [`Served`] in the result is the cache-tier verdict.
-pub(crate) fn launch_with_memo(
-    ctx: &SimContext,
-    cfg: &GpuConfig,
-    spec: LaunchSpec,
-    exclusive_mem: bool,
-) -> Result<(KernelStats, Served), LaunchError> {
-    let [result] = absorbing(ctx, &[spec], || {
-        [launch_once(ctx, cfg, spec, exclusive_mem)]
-    });
-    result
-}
 
 /// Runs `attempt` over `specs` and, when the context's faults are armed
 /// with absorb-and-retry, runs it again while any of its results is an
@@ -412,7 +392,7 @@ pub(crate) fn launch_with_memo(
 /// a memory, so the whole set retries, never one launch of it. Simulation is
 /// deterministic, so an absorbed launch is bit-identical to an unfaulted
 /// one, and unfaulted entries recompute the same stats and writes on every
-/// attempt. A single launch is the one-spec case.
+/// attempt.
 fn absorbing<R: AsRef<[Result<(KernelStats, Served), LaunchError>]>>(
     ctx: &SimContext,
     specs: &[LaunchSpec],
@@ -441,19 +421,6 @@ fn absorbing<R: AsRef<[Result<(KernelStats, Served), LaunchError>]>>(
         for (mem, words) in &snapshots {
             mem.restore_words(words);
         }
-    }
-}
-
-/// One attempt at a launch: [`probe`], then [`simulate`] on a miss.
-fn launch_once(
-    ctx: &SimContext,
-    cfg: &GpuConfig,
-    spec: LaunchSpec,
-    exclusive_mem: bool,
-) -> Result<(KernelStats, Served), LaunchError> {
-    match probe(ctx, cfg, spec, exclusive_mem)? {
-        Probe::Hit(stats, served) => Ok((*stats, served)),
-        Probe::Miss(miss) => simulate(ctx, cfg, spec, miss),
     }
 }
 

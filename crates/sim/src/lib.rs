@@ -70,6 +70,7 @@ pub mod pool;
 pub mod reference;
 pub mod report;
 pub mod sm;
+mod step;
 pub mod warp;
 pub mod wire;
 mod witness;

@@ -1102,7 +1102,7 @@ mod tests {
         row: &mut Row,
         store: bool,
     ) -> Result<(), u32> {
-        use crate::sm::LaneAddrs;
+        use crate::step::LaneAddrs;
         let addrs = match form {
             Form::Walk => {
                 for l in 0..live as usize {
@@ -1162,7 +1162,7 @@ mod tests {
         }
     }
 
-    /// The run form of a warp load or store (`sm::LaneAddrs`: a broadcast
+    /// The run form of a warp load or store (`step::LaneAddrs`: a broadcast
     /// or a contiguous copy per run of `p` lanes) against the per-lane walk
     /// it replaces, on random rows — periods 1 to 16; strides 0, 4 and
     /// others; aligned, unaligned and wrapping bases; any step; every live

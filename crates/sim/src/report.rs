@@ -14,7 +14,7 @@
 use crate::config::GpuConfig;
 use crate::context::SimContext;
 use crate::counters::{KernelStats, MemoCounters, NetCounters, RowCounters};
-use crate::launch::{launch_with_memo, LaunchError, LaunchSpec};
+use crate::launch::{launch_traced, LaunchError};
 use crate::memo::Served;
 use crate::memory::DeviceMemory;
 use crate::sm::LaunchDims;
@@ -96,14 +96,8 @@ pub fn launch_reported(
     params: &[Value],
     mem: &DeviceMemory,
 ) -> Result<LaunchReport, LaunchError> {
+    let (stats, served) = launch_traced(cfg, kernel, dims, params, mem)?;
     let ctx = SimContext::current();
-    let spec = LaunchSpec {
-        kernel,
-        dims,
-        params,
-        mem,
-    };
-    let (stats, served) = launch_with_memo(&ctx, cfg, spec, true)?;
     Ok(LaunchReport {
         stats,
         served,

@@ -8,17 +8,17 @@
 //! bandwidth-limited channel (this SM's slice of the 86.4 GB/s) plus a fixed
 //! DRAM round-trip latency.
 //!
-//! **Functional-at-issue, timed-completion**: instruction side effects are
-//! applied the moment the instruction issues; the scoreboard only delays
-//! *when* dependents may issue. Programs that follow the CUDA consistency
-//! rules (barriers between shared-memory producers and consumers, no
-//! inter-block races except commutative atomics) observe exactly the values
-//! hardware would produce, while timing still exhibits latency, queueing,
-//! coalescing, divergence and bank-conflict effects. The functional half is
-//! stated once, for this engine and for [`crate::witness`] replay alike:
-//! [`Warp::exec_reg_only`], [`LaneAddrs`], [`load_const`], the local-memory
-//! moves and [`Resident`]; [`ExecCtx::execute`] adds the scoreboard write,
-//! the issue occupancy, the memory pipeline and the counters.
+//! **Functional-at-issue, timed-completion**: an instruction's effect is
+//! applied the moment it issues, by [`step`], the one executor witness
+//! replay ([`crate::witness`]) runs too; the scoreboard only delays *when*
+//! dependents may issue. Programs that follow the CUDA consistency rules
+//! (barriers between shared-memory producers and consumers, no inter-block
+//! races except commutative atomics) observe exactly the values hardware
+//! would produce, while timing still exhibits latency, queueing, coalescing,
+//! divergence and bank-conflict effects. [`ExecCtx::execute`] turns what
+//! `step` did into issue cycles, register readiness, counters and the
+//! witness signature, and executes the two kinds replay never meets,
+//! atomics and texture fetches, itself.
 //!
 //! # Three parts around one launch
 //!
@@ -47,23 +47,18 @@
 //! original engine as an executable spec, and the `golden_stats` test
 //! asserts bit-identical [`crate::KernelStats`] between the two.
 
-use crate::config::GpuConfig;
 use crate::counters::{MemoCounters, RowCounters, SmStats, StallReason, TallyKey};
 use crate::launch::Prepared;
-use crate::memory::{
-    coalesce_affine_warp, coalesce_half_warp_noalloc, const_out_of_bounds, global_out_of_bounds,
-    smem_degree_affine_warp, smem_degree_lanes, DeviceMemory, HalfWarpAccess, TagCache, Words,
-};
+use crate::memory::{const_out_of_bounds, global_out_of_bounds, TagCache};
+use crate::step::{addr_row, local_bytes, step, Access, Did, LaneAddrs, Refusal, Scratch};
 use crate::warp::{RegSource, Warp};
 use crate::witness::{replay_block, Ev, ReplayScratch, Sig, Signature, WitnessRecorder, WriteBuf};
-use g80_isa::decode::{DecodedKernel, IssueClass, MicroOp};
-use g80_isa::exec::{self, Row};
-use g80_isa::inst::{Inst, Operand, Space};
-use g80_isa::row::AffineTerms;
-use g80_isa::{Kernel, LaneRow, Value};
+use g80_isa::decode::{DecodedKernel, IssueClass, MemKind, MicroOp};
+use g80_isa::exec;
+use g80_isa::inst::{Inst, Space};
+use g80_isa::{Kernel, Value};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::ops::Range;
 
 /// Grid/block geometry of a launch.
 #[derive(Copy, Clone, Debug)]
@@ -710,262 +705,6 @@ struct ExecCtx<'a, S> {
     rows: RowCounters,
 }
 
-/// Per-lane effective addresses of a memory instruction (the address
-/// operand is resolved once for the whole warp).
-#[inline]
-pub(crate) fn addr_row(warp: &Warp, addr_op: Operand, off: i32, params: &[Value]) -> [u32; 32] {
-    let row = warp.operand_row(addr_op, params);
-    std::array::from_fn(|l| row[l].as_u32().wrapping_add(off as u32))
-}
-
-/// The terms of a memory instruction's per-lane effective-address row
-/// (`operand + off`) when that row is shaped: the offset shifts the base and
-/// preserves stride, step and period (so the row stays canonical). `None`
-/// means no closed form — fall back to [`addr_row`].
-#[inline]
-fn addr_terms(warp: &Warp, addr_op: Operand, off: i32, params: &[Value]) -> Option<AffineTerms> {
-    let t = warp.operand_shape(addr_op, params).terms()?;
-    Some(AffineTerms {
-        base: t.base.wrapping_add(off as u32),
-        ..t
-    })
-}
-
-/// The per-lane addresses of one warp memory access, in the form both
-/// executors (the timed engine here, witness replay in [`crate::witness`])
-/// derive every functional effect and every timing signature from — so the
-/// two cannot disagree on which path an access takes.
-pub(crate) enum LaneAddrs {
-    /// An undiverged warp with a shaped address row: the row's terms and
-    /// the number of lanes that exist (`init_mask` is a lane prefix).
-    Shaped(AffineTerms, u32),
-    /// The expanded row plus the mask selecting its active lanes.
-    Lanes([u32; 32], u32),
-}
-
-impl LaneAddrs {
-    /// Resolves the address operand of the instruction `warp` is issuing
-    /// under its active `mask`. Inlined so a shaped row stays in registers
-    /// from the shape tag to the walk.
-    #[inline(always)]
-    pub(crate) fn of(
-        warp: &Warp,
-        mask: u32,
-        addr_op: Operand,
-        off: i32,
-        params: &[Value],
-    ) -> LaneAddrs {
-        if mask == warp.init_mask {
-            if let Some(t) = addr_terms(warp, addr_op, off, params) {
-                // `init_mask` is a lane prefix: its ones are its trailing ones.
-                return LaneAddrs::Shaped(t, mask.trailing_ones());
-            }
-        }
-        LaneAddrs::Lanes(addr_row(warp, addr_op, off, params), mask)
-    }
-
-    /// A warp load: every active lane reads the word at its address into
-    /// its lane of `dst`. `Err` is the address of the first active lane (in
-    /// lane order) that `words` does not hold, the lanes before it loaded.
-    ///
-    /// A shaped row whose lanes step by 0 or 4 bytes within a run — the
-    /// half-warp broadcast `As[ty][k]` and the consecutive words `Bs[k][tx]`
-    /// and `B[k][col]` of principles P2/P3 — moves each run at once: one word
-    /// read and a fill, or one range check and a contiguous copy. A run whose
-    /// addresses wrap `u32`, or that `words` declines, walks its lanes one at
-    /// a time, as does every other row; the walk and the run agree on every
-    /// input (`memory::tests::affine_runs_match_the_lane_walk`).
-    #[inline(always)]
-    pub(crate) fn load<W: Words + ?Sized>(&self, words: &mut W, dst: &mut Row) -> Result<(), u32> {
-        match *self {
-            LaneAddrs::Shaped(ref t, live) => {
-                for (lanes, a) in runs(t, live) {
-                    let run = &mut dst[lanes];
-                    match t.stride {
-                        0 => run.fill(words.read_word(a).ok_or(a)?),
-                        4 if !run_wraps(a, run.len()) && words.read_run(a / 4, run) => {}
-                        stride => {
-                            for (a, d) in lane_addrs(a, stride).zip(run) {
-                                *d = words.read_word(a).ok_or(a)?;
-                            }
-                        }
-                    }
-                }
-            }
-            LaneAddrs::Lanes(ref addrs, mask) => {
-                for (lane, &a) in addrs.iter().enumerate() {
-                    if mask >> lane & 1 == 1 {
-                        dst[lane] = words.read_word(a).ok_or(a)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// A warp store: every active lane writes its lane of `srcs` to the word
-    /// at its address, in lane order — where lanes share a word, the last
-    /// one's value stays. `Err` is the first active lane's address that
-    /// `words` does not hold, the lanes before it written. The run form is
-    /// [`Self::load`]'s; a broadcast run writes its last lane's value once.
-    #[inline(always)]
-    pub(crate) fn store<W: Words + ?Sized>(&self, words: &mut W, srcs: &Row) -> Result<(), u32> {
-        fn write<W: Words + ?Sized>(words: &mut W, a: u32, v: Value) -> Result<(), u32> {
-            words.write_word(a, v).then_some(()).ok_or(a)
-        }
-        match *self {
-            LaneAddrs::Shaped(ref t, live) => {
-                for (lanes, a) in runs(t, live) {
-                    let run = &srcs[lanes];
-                    match t.stride {
-                        0 => write(words, a, run[run.len() - 1])?,
-                        4 if !run_wraps(a, run.len()) && words.write_run(a / 4, run) => {}
-                        stride => {
-                            for (a, &v) in lane_addrs(a, stride).zip(run) {
-                                write(words, a, v)?;
-                            }
-                        }
-                    }
-                }
-            }
-            LaneAddrs::Lanes(ref addrs, mask) => {
-                for (lane, &a) in addrs.iter().enumerate() {
-                    if mask >> lane & 1 == 1 {
-                        write(words, a, srcs[lane])?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// CC 1.0 coalescing of the access's two half-warps: closed form for a
-    /// shaped row, per-lane scan otherwise — equal on every input
-    /// (`memory::tests::affine_closed_forms_match_scans`). A half with no
-    /// active lane reports zero transactions.
-    #[inline]
-    pub(crate) fn coalesce(&self, cfg: &GpuConfig) -> [HalfWarpAccess; 2] {
-        match *self {
-            LaneAddrs::Shaped(ref t, live) => coalesce_affine_warp(cfg, t, live),
-            LaneAddrs::Lanes(ref addrs, mask) => {
-                let (lo, hi) = split_half_warps(addrs, mask);
-                [lo, hi].map(|half| coalesce_half_warp_noalloc(cfg, &half))
-            }
-        }
-    }
-
-    /// Shared-memory bank-conflict degree of the access: the worse of its
-    /// two half-warps, by closed form or scan as for [`Self::coalesce`].
-    #[inline]
-    pub(crate) fn smem_degree(&self, cfg: &GpuConfig) -> u32 {
-        match *self {
-            LaneAddrs::Shaped(ref t, live) => smem_degree_affine_warp(cfg, t, live),
-            LaneAddrs::Lanes(ref addrs, mask) => smem_degree_lanes(cfg, addrs, mask),
-        }
-    }
-}
-
-/// The runs of the first `live` lanes of a shaped row: each run's lanes
-/// (`p` of them, the last run of a partial warp cut short) and its first
-/// lane's address, `step` on from the run before.
-#[inline(always)]
-fn runs(t: &AffineTerms, live: u32) -> impl Iterator<Item = (Range<usize>, u32)> {
-    let (p, live, base, step) = (1usize << t.log2p, live as usize, t.base, t.step);
-    (0..live).step_by(p).zip(0u32..).map(move |(l, r)| {
-        (
-            l..(l + p).min(live),
-            base.wrapping_add(step.wrapping_mul(r)),
-        )
-    })
-}
-
-/// Whether `len` consecutive words from byte address `a` on wrap `u32`
-/// (their word indices are then not consecutive).
-#[inline(always)]
-fn run_wraps(a: u32, len: usize) -> bool {
-    a.checked_add(4 * (len as u32 - 1)).is_none()
-}
-
-/// The addresses of a run's lanes, `stride` apart from `a` on (wrapping).
-#[inline(always)]
-fn lane_addrs(a: u32, stride: u32) -> impl Iterator<Item = u32> {
-    std::iter::successors(Some(a), move |a| Some(a.wrapping_add(stride)))
-}
-
-/// Splits an address row into the two half-warp arrays the coalescing and
-/// bank-conflict models consume (active lanes only).
-#[inline]
-fn split_half_warps(addrs: &[u32; 32], mask: u32) -> ([Option<u32>; 16], [Option<u32>; 16]) {
-    let mut lo = [None; 16];
-    let mut hi = [None; 16];
-    for lane in 0..32 {
-        if mask >> lane & 1 == 1 {
-            if lane < 16 {
-                lo[lane] = Some(addrs[lane]);
-            } else {
-                hi[lane - 16] = Some(addrs[lane]);
-            }
-        }
-    }
-    (lo, hi)
-}
-
-/// The bytes one warp local (spill) access moves: one uncoalesced
-/// transaction per active lane.
-#[inline]
-pub(crate) fn local_bytes(cfg: &GpuConfig, mask: u32) -> u32 {
-    mask.count_ones() * cfg.uncoalesced_txn_bytes
-}
-
-/// The functional half of one warp constant load, for both executors: every
-/// active lane reads its word into `dst`, and `distinct[..n]` receives the
-/// distinct addresses in first-lane order — what the load serializes over
-/// and what [`Sig`] fingerprints (an out-parameter: returning the
-/// 128-byte list by value cost MRI-Q replay ≈ 15 %). An undiverged warp
-/// reading the one address of a `Uniform` row is the broadcast closed form:
-/// one constant-bank read and a `Uniform` result, as fast as a register read
-/// on the hardware. `Err` is the first address outside the constant bank,
-/// with nothing written: the timed engine panics on it, replay fails.
-pub(crate) fn load_const(
-    warp: &mut Warp,
-    dst: u32,
-    addr: Operand,
-    off: i32,
-    params: &[Value],
-    mem: &DeviceMemory,
-    distinct: &mut [u32; 32],
-) -> Result<usize, u32> {
-    let mask = warp.active_mask();
-    if mask == warp.init_mask {
-        let terms = addr_terms(warp, addr, off, params);
-        if let Some(a) = terms.filter(|t| t.is_uniform()).map(|t| t.base) {
-            let v = mem.try_read_const(a).ok_or(a)?;
-            warp.set_shape(dst, LaneRow::Uniform(v));
-            distinct[0] = a;
-            return Ok(1);
-        }
-    }
-    let addrs = addr_row(warp, addr, off, params);
-    let mut words = [Value::ZERO; 32];
-    let mut n = 0;
-    for (lane, &a) in addrs.iter().enumerate() {
-        if mask >> lane & 1 == 1 {
-            words[lane] = mem.try_read_const(a).ok_or(a)?;
-            if !distinct[..n].contains(&a) {
-                distinct[n] = a;
-                n += 1;
-            }
-        }
-    }
-    let dst_row = warp.reg_row_mut(dst);
-    for lane in 0..32 {
-        if mask >> lane & 1 == 1 {
-            dst_row[lane] = words[lane];
-        }
-    }
-    Ok(n)
-}
-
 impl<'a, S: Signature> ExecCtx<'a, S> {
     fn new(p: &'a Prepared<'a>) -> Self {
         let cfg = p.cfg;
@@ -992,30 +731,6 @@ impl<'a, S: Signature> ExecCtx<'a, S> {
         start + self.p.cfg.global_latency
     }
 
-    /// Probes the per-SM constant cache with one warp load's distinct
-    /// addresses (misses fill from DRAM through this SM's channel); returns
-    /// when the data is ready and which unit delivers it. The witness event
-    /// carries the address signature only: hit or miss is the cache's state,
-    /// which the period detector snapshots, not a property of the block.
-    fn const_access(&mut self, distinct: &[u32]) -> (u64, RegSource) {
-        self.sig.constant(distinct);
-        let mut miss_bytes = 0u64;
-        for &a in distinct {
-            if self.const_cache.access(a) {
-                self.stats.const_hits += 1;
-            } else {
-                self.stats.const_misses += 1;
-                miss_bytes += 64;
-            }
-        }
-        if miss_bytes > 0 {
-            self.stats.global_bytes += miss_bytes;
-            (self.memory_request(miss_bytes), RegSource::Memory)
-        } else {
-            (self.cycle + self.p.cfg.const_hit_latency, RegSource::Alu)
-        }
-    }
-
     /// Counts which kind of row resolved a memory access's addresses.
     fn tally_addrs(&mut self, addrs: &LaneAddrs) {
         match addrs {
@@ -1025,167 +740,153 @@ impl<'a, S: Signature> ExecCtx<'a, S> {
         }
     }
 
-    /// Accounts one warp global load or store — half-warp verdicts,
-    /// transactions, bytes, the witness signature — and returns the bytes it
-    /// moves. A half-warp with no active lane issues and counts nothing.
-    fn global_access(&mut self, addrs: &LaneAddrs, store: bool) -> u64 {
-        self.tally_addrs(addrs);
-        let halves = addrs.coalesce(self.p.cfg);
-        let mut transactions = 0u64;
-        let mut bytes = 0u64;
-        for acc in halves.iter().filter(|acc| acc.transactions > 0) {
-            if acc.coalesced {
-                self.stats.coalesced_half_warps += 1;
-            } else {
-                self.stats.uncoalesced_half_warps += 1;
-            }
-            transactions += acc.transactions as u64;
-            bytes += acc.bytes;
-        }
-        if store {
-            self.stats.global_st_transactions += transactions;
-        } else {
-            self.stats.global_ld_transactions += transactions;
-        }
-        self.stats.global_bytes += bytes;
-        self.sig.global(&halves);
-        bytes
-    }
-
-    /// Accounts one warp local (spill) load or store — one uncoalesced
-    /// transaction per active lane through this SM's channel — and returns
-    /// the completion cycle.
-    fn local_access(&mut self, mask: u32, store: bool) -> u64 {
-        if store {
-            self.stats.global_st_transactions += mask.count_ones() as u64;
-        } else {
-            self.stats.global_ld_transactions += mask.count_ones() as u64;
-        }
-        let bytes = local_bytes(self.p.cfg, mask) as u64;
-        self.stats.global_bytes += bytes;
-        self.sig.local(bytes as u32);
-        self.memory_request(bytes)
-    }
-
-    /// Accounts one warp shared load or store; returns the extra issue
-    /// cycles its bank conflicts serialize over.
-    fn shared_access(&mut self, addrs: &LaneAddrs) -> u64 {
-        self.tally_addrs(addrs);
-        let degree = addrs.smem_degree(self.p.cfg);
-        let extra = self.p.cfg.issue_cycles * (degree as u64 - 1);
-        self.stats.smem_conflict_extra_cycles += extra;
-        self.sig.shared(degree);
-        extra
-    }
-
-    /// How the timed engine reports a shared `load` or `store` whose lane
-    /// address `a` lies past the block's `len` words.
-    #[cold]
-    fn shared_out_of_bounds(&self, what: &str, a: u32, len: usize) -> ! {
-        let kernel = &self.p.spec.kernel.name;
-        panic!(
-            "kernel {kernel}: shared {what} out of bounds ({} >= {len})",
-            a / 4
-        )
-    }
-
-    /// Executes the next instruction of warp `wi` in `block`, starting its
-    /// witness signature from zero. Returns the issue-port occupancy in
-    /// cycles.
+    /// Executes the next instruction of warp `wi` in `block` through
+    /// [`step`], starting its witness signature from zero, and times what it
+    /// did. Returns the issue-port occupancy in cycles.
     fn execute(&mut self, block: &mut Resident, wi: usize, mop: &MicroOp) -> u64 {
-        let (cfg, params) = (self.p.cfg, self.p.spec.params);
+        let cfg = self.p.cfg;
         self.sig = S::default();
-        let warp = &mut block.warps[wi];
-        let pc = warp.pc() as usize;
-        let inst = mop.inst;
-        let mask = warp.active_mask();
-        let lanes = mask.count_ones();
+        let (warp, smem) = (&mut block.warps[wi], &mut block.smem);
+        let lanes = warp.active_mask().count_ones();
         self.stats.count_inst(mop.class, lanes, mop.flops);
+        let (mut mem, mut scratch) = (self.p.spec.mem, Scratch::default());
+        let did = match step(self.p, mop.inst, warp, smem, &mut mem, &mut scratch) {
+            Ok(did) => did,
+            Err(Refusal::Atomic) => return self.do_atom(block, wi, mop.inst),
+            Err(Refusal::Texture) => return self.do_tex(block, wi, mop.inst),
+            Err(r) => self.refused(r, mop, &block.warps[wi], block.smem.len()),
+        };
+        let dst = mop.dst as usize;
+        // When a result lands and how long the issue port is held: for a
+        // register-only instruction a function of its issue class alone.
+        let (ready, source, issue) = match did {
+            Did::Reg => {
+                self.rows.tally(&warp.shapes[dst]);
+                let (latency, issue) = match mop.issue {
+                    IssueClass::Normal => (cfg.alu_latency, cfg.issue_cycles),
+                    IssueClass::Imul => (cfg.alu_latency, cfg.imul_issue_cycles),
+                    IssueClass::Sfu => (cfg.sfu_latency, cfg.sfu_issue_cycles),
+                };
+                (self.cycle + latency, RegSource::Alu, issue)
+            }
+            Did::Load(access) => {
+                if let Access::Const(..) = access {
+                    self.rows.tally(&warp.shapes[dst]);
+                }
+                let (ready, source, extra) = self.access(access, false);
+                (ready, source, cfg.issue_cycles + extra)
+            }
+            Did::Store(access) => return cfg.issue_cycles + self.access(access, true).2,
+            Did::Branch(taken, divergent) => {
+                self.sig.branch(taken);
+                self.stats.divergent_branches += divergent as u64;
+                return cfg.issue_cycles;
+            }
+            Did::Barrier | Did::Exit => return cfg.issue_cycles,
+        };
+        warp.reg_ready[dst] = ready;
+        warp.reg_source[dst] = source;
+        issue
+    }
 
-        // Register-only instructions: what they do is `Warp::exec_reg_only`;
-        // when the result lands and how long the issue port is held is a
-        // function of the predecoded issue class alone.
-        if warp.exec_reg_only(&inst, mask, params) {
-            let dst = mop.dst as usize;
-            self.rows.tally(&warp.shapes[dst]);
-            let (latency, issue) = match mop.issue {
-                IssueClass::Normal => (cfg.alu_latency, cfg.issue_cycles),
-                IssueClass::Imul => (cfg.alu_latency, cfg.imul_issue_cycles),
-                IssueClass::Sfu => (cfg.sfu_latency, cfg.sfu_issue_cycles),
-            };
-            warp.reg_ready[dst] = self.cycle + latency;
-            warp.reg_source[dst] = RegSource::Alu;
-            return issue;
-        }
-        match inst {
-            Inst::Ld {
-                space,
-                dst,
-                addr,
-                off,
-            } => {
-                let dur = self.do_load(block, wi, space, dst.0, addr, off);
-                block.warps[wi].advance();
-                dur
-            }
-            Inst::St {
-                space,
-                addr,
-                off,
-                src,
-            } => {
-                let dur = self.do_store(block, wi, space, addr, off, src);
-                block.warps[wi].advance();
-                dur
-            }
-            Inst::Atom { .. } => self.do_atom(block, wi, inst),
-            Inst::Bra {
-                target,
-                reconv,
-                pred,
-            } => {
-                let warp = &mut block.warps[wi];
-                let next_pc = pc as u32 + 1;
-                match pred {
-                    None => {
-                        let m = warp.active_mask();
-                        self.sig.branch(m);
-                        warp.take_branch(m, target.0, reconv.0, next_pc);
-                    }
-                    Some(p) => {
-                        let taken = warp.taken_mask(p.reg.0, p.negate, mask);
-                        self.sig.branch(taken);
-                        if warp.take_branch(taken, target.0, reconv.0, next_pc) {
-                            self.stats.divergent_branches += 1;
-                        }
+    /// Accounts one warp memory access — counters, row tally, witness
+    /// signature, DRAM channel — and returns a load's ready cycle, its source
+    /// and the issue cycles beyond one. A half-warp with no active lane
+    /// counts nothing. Inlined, as the per-space accessors it replaced were.
+    #[inline(always)]
+    fn access(&mut self, access: Access, store: bool) -> (u64, RegSource, u64) {
+        let cfg = self.p.cfg;
+        let stats = &mut self.stats;
+        let transactions = match store {
+            true => &mut stats.global_st_transactions,
+            false => &mut stats.global_ld_transactions,
+        };
+        match access {
+            Access::Global(addrs) => {
+                // Closed form for both halves of a shaped address row.
+                let halves = addrs.coalesce(cfg);
+                let mut bytes = 0u64;
+                for acc in halves.iter().filter(|acc| acc.transactions > 0) {
+                    *transactions += acc.transactions as u64;
+                    bytes += acc.bytes;
+                    if acc.coalesced {
+                        stats.coalesced_half_warps += 1;
+                    } else {
+                        stats.uncoalesced_half_warps += 1;
                     }
                 }
-                cfg.issue_cycles
+                stats.global_bytes += bytes;
+                self.sig.global(&halves);
+                self.tally_addrs(addrs);
+                (self.memory_request(bytes), RegSource::Memory, 0)
             }
-            Inst::Bar => {
-                let warp = &mut block.warps[wi];
-                // Converged means a single divergence frame: lanes that
-                // exited earlier are excluded from every frame, so comparing
-                // against init_mask would wrongly reject legal barriers after
-                // partial-warp exits.
+            Access::Shared(addrs) => {
+                let degree = addrs.smem_degree(cfg);
+                let extra = cfg.issue_cycles * (degree as u64 - 1);
+                stats.smem_conflict_extra_cycles += extra;
+                self.sig.shared(degree);
+                self.tally_addrs(addrs);
+                (self.cycle + cfg.smem_latency + extra, RegSource::Alu, extra)
+            }
+            // One uncoalesced transaction per active lane.
+            Access::Local(mask) => {
+                *transactions += mask.count_ones() as u64;
+                let bytes = local_bytes(cfg, mask);
+                stats.global_bytes += bytes as u64;
+                self.sig.local(bytes);
+                (self.memory_request(bytes as u64), RegSource::Memory, 0)
+            }
+            // Each distinct line goes through the per-SM constant cache
+            // (misses fill from DRAM through this SM's channel). The witness
+            // carries the address signature only: hit or miss is the cache's
+            // state, which the period detector snapshots.
+            Access::Const(distinct) => {
+                let mut miss_bytes = 0u64;
+                for &a in distinct {
+                    if self.const_cache.access(a) {
+                        stats.const_hits += 1;
+                    } else {
+                        stats.const_misses += 1;
+                        miss_bytes += 64;
+                    }
+                }
+                stats.global_bytes += miss_bytes;
+                self.sig.constant(distinct);
+                let (ready, source) = match miss_bytes {
+                    0 => (self.cycle + cfg.const_hit_latency, RegSource::Alu),
+                    _ => (self.memory_request(miss_bytes), RegSource::Memory),
+                };
+                // Distinct addresses within the warp serialize beyond the
+                // broadcast case.
+                (ready, source, (distinct.len().max(1) as u64 - 1) * 2)
+            }
+        }
+    }
+
+    /// The panic the timed engine raises for an instruction [`step`]
+    /// refused: a kernel bug.
+    #[cold]
+    fn refused(&self, r: Refusal, mop: &MicroOp, warp: &Warp, smem_words: usize) -> ! {
+        let kernel = &self.p.spec.kernel.name;
+        let store = matches!(mop.mem, Some(MemKind::Store(_)));
+        match r {
+            Refusal::Global(addr) => global_out_of_bounds(["read", "write"][store as usize], addr),
+            Refusal::Shared(addr) => panic!(
+                "kernel {kernel}: shared {} out of bounds ({} >= {smem_words})",
+                ["load", "store"][store as usize],
+                addr / 4
+            ),
+            Refusal::Const(addr) => const_out_of_bounds(addr),
+            Refusal::DivergentBarrier => {
+                let frames = warp.frames.len();
                 assert_eq!(
-                    warp.frames.len(),
-                    1,
-                    "kernel {}: __syncthreads() in divergent control flow",
-                    self.p.spec.kernel.name
+                    frames, 1,
+                    "kernel {kernel}: __syncthreads() in divergent control flow"
                 );
-                warp.advance();
-                warp.at_barrier = true;
-                cfg.issue_cycles
+                unreachable!("a barrier refused in a converged warp")
             }
-            Inst::Exit => {
-                let warp = &mut block.warps[wi];
-                let m = warp.active_mask();
-                warp.exit_lanes(m);
-                warp.settle();
-                cfg.issue_cycles
-            }
-            _ => unreachable!("register-only instructions issued above"),
+            Refusal::ReadOnlyStore => panic!("stores to read-only memory space"),
+            Refusal::Atomic | Refusal::Texture => unreachable!("executed by the timed engine"),
         }
     }
 
@@ -1251,158 +952,61 @@ impl<'a, S: Signature> ExecCtx<'a, S> {
         cfg.issue_cycles + 2 * (mask.count_ones().saturating_sub(1)) as u64
     }
 
-    fn do_load(
-        &mut self,
-        block: &mut Resident,
-        wi: usize,
-        space: Space,
-        dst: u32,
-        addr: Operand,
-        off: i32,
-    ) -> u64 {
-        let (cfg, params) = (self.p.cfg, self.p.spec.params);
-        let (warps, smem) = (&mut block.warps, &mut block.smem[..]);
-        let warp = &mut warps[wi];
-        let mask = warp.active_mask();
-        match space {
-            Space::Global => {
-                // A shaped address row gets the coalescing verdict of both
-                // halves in closed form and moves its runs whole.
-                let addrs = LaneAddrs::of(warp, mask, addr, off, params);
-                let bytes = self.global_access(&addrs, false);
-                let mut mem = self.p.spec.mem;
-                addrs
-                    .load(&mut mem, warp.reg_row_mut(dst))
-                    .unwrap_or_else(|a| global_out_of_bounds("read", a));
-                let done = self.memory_request(bytes);
-                warp.reg_ready[dst as usize] = done;
-                warp.reg_source[dst as usize] = RegSource::Memory;
-                cfg.issue_cycles
-            }
-            Space::Shared => {
-                let addrs = LaneAddrs::of(warp, mask, addr, off, params);
-                let extra = self.shared_access(&addrs);
-                addrs
-                    .load(smem, warp.reg_row_mut(dst))
-                    .unwrap_or_else(|a| self.shared_out_of_bounds("load", a, smem.len()));
-                warp.reg_ready[dst as usize] = self.cycle + cfg.smem_latency + extra;
-                warp.reg_source[dst as usize] = RegSource::Alu;
-                cfg.issue_cycles + extra
-            }
-            Space::Const => {
-                let mut distinct = [0u32; 32];
-                let n = load_const(warp, dst, addr, off, params, self.p.spec.mem, &mut distinct)
-                    .unwrap_or_else(|a| const_out_of_bounds(a));
-                self.rows.tally(&warp.shapes[dst as usize]);
-                // Each distinct line goes through the per-SM constant cache.
-                let (ready, source) = self.const_access(&distinct[..n]);
-                warp.reg_ready[dst as usize] = ready;
-                warp.reg_source[dst as usize] = source;
-                // Distinct addresses within the warp serialize beyond the
-                // broadcast case.
-                cfg.issue_cycles + (n.max(1) as u64 - 1) * 2
-            }
-            Space::Tex => {
-                debug_assert!(!self.p.dedup, "dedup witness on texture-cache load");
-                let addrs = addr_row(warp, addr, off, params);
-                let (mem, lines) = (self.p.spec.mem, &mut self.tex_lines);
-                lines.clear();
-                let dst_row = warp.reg_row_mut(dst);
-                for (lane, &a) in addrs.iter().enumerate() {
-                    if mask >> lane & 1 == 1 {
-                        let g = mem.tex_to_global(a);
-                        let line = g / cfg.tex_line_bytes;
-                        if !lines.contains(&line) {
-                            lines.push(line);
-                        }
-                        dst_row[lane] = mem.read(g);
-                    }
-                }
-                let mut miss_bytes = 0u64;
-                for i in 0..lines.len() {
-                    let line = self.tex_lines[i];
-                    if self.tex_cache.access(line * cfg.tex_line_bytes) {
-                        self.stats.tex_hits += 1;
-                    } else {
-                        self.stats.tex_misses += 1;
-                        miss_bytes += cfg.tex_line_bytes as u64;
-                    }
-                }
-                let ready = if miss_bytes > 0 {
-                    self.stats.global_bytes += miss_bytes;
-                    self.stats.global_ld_transactions +=
-                        (miss_bytes / cfg.tex_line_bytes as u64).max(1);
-                    self.memory_request(miss_bytes)
-                } else {
-                    self.cycle + cfg.tex_hit_latency
-                };
-                warp.reg_ready[dst as usize] = ready;
-                warp.reg_source[dst as usize] = RegSource::Memory;
-                cfg.issue_cycles
-            }
-            Space::Local => {
-                let addrs = addr_row(warp, addr, off, params);
-                warp.load_local(mask, dst, &addrs);
-                let done = self.local_access(mask, false);
-                warp.reg_ready[dst as usize] = done;
-                warp.reg_source[dst as usize] = RegSource::Memory;
-                cfg.issue_cycles
-            }
-        }
-    }
-
-    fn do_store(
-        &mut self,
-        block: &mut Resident,
-        wi: usize,
-        space: Space,
-        addr: Operand,
-        off: i32,
-        src: Operand,
-    ) -> u64 {
+    /// A warp texture fetch: every active lane reads through the texture
+    /// binding, and each distinct line goes through the per-SM texture cache.
+    fn do_tex(&mut self, block: &mut Resident, wi: usize, inst: Inst) -> u64 {
+        let Inst::Ld { dst, addr, off, .. } = inst else {
+            unreachable!("do_tex issues texture fetches")
+        };
+        debug_assert!(!self.p.dedup, "dedup witness on texture-cache load");
         let (cfg, params) = (self.p.cfg, self.p.spec.params);
         let warp = &mut block.warps[wi];
         let mask = warp.active_mask();
-        match space {
-            Space::Global => {
-                let addrs = LaneAddrs::of(warp, mask, addr, off, params);
-                let srcs = warp.operand_row(src, params);
-                let bytes = self.global_access(&addrs, true);
-                let mut mem = self.p.spec.mem;
-                addrs
-                    .store(&mut mem, &srcs)
-                    .unwrap_or_else(|a| global_out_of_bounds("write", a));
-                let _ = self.memory_request(bytes); // bandwidth only
-                cfg.issue_cycles
+        let addrs = addr_row(warp, addr, off, params);
+        let (mem, lines) = (self.p.spec.mem, &mut self.tex_lines);
+        lines.clear();
+        let dst_row = warp.reg_row_mut(dst.0);
+        for (lane, &a) in addrs.iter().enumerate() {
+            if mask >> lane & 1 == 1 {
+                let g = mem.tex_to_global(a);
+                let line = g / cfg.tex_line_bytes;
+                if !lines.contains(&line) {
+                    lines.push(line);
+                }
+                dst_row[lane] = mem.read(g);
             }
-            Space::Shared => {
-                let addrs = LaneAddrs::of(warp, mask, addr, off, params);
-                let srcs = warp.operand_row(src, params);
-                let extra = self.shared_access(&addrs);
-                let smem = &mut block.smem[..];
-                addrs
-                    .store(smem, &srcs)
-                    .unwrap_or_else(|a| self.shared_out_of_bounds("store", a, smem.len()));
-                cfg.issue_cycles + extra
-            }
-            Space::Local => {
-                let addrs = addr_row(warp, addr, off, params);
-                let srcs = warp.operand_row(src, params);
-                warp.store_local(mask, &addrs, &srcs);
-                let _ = self.local_access(mask, true); // bandwidth only
-                cfg.issue_cycles
-            }
-            Space::Const | Space::Tex => panic!("stores to read-only memory space"),
         }
+        let mut miss_bytes = 0u64;
+        for &line in &self.tex_lines {
+            if self.tex_cache.access(line * cfg.tex_line_bytes) {
+                self.stats.tex_hits += 1;
+            } else {
+                self.stats.tex_misses += 1;
+                miss_bytes += cfg.tex_line_bytes as u64;
+            }
+        }
+        let ready = if miss_bytes > 0 {
+            self.stats.global_bytes += miss_bytes;
+            self.stats.global_ld_transactions += (miss_bytes / cfg.tex_line_bytes as u64).max(1);
+            self.memory_request(miss_bytes)
+        } else {
+            self.cycle + cfg.tex_hit_latency
+        };
+        warp.reg_ready[dst.0 as usize] = ready;
+        warp.reg_source[dst.0 as usize] = RegSource::Memory;
+        warp.advance();
+        cfg.issue_cycles
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::GpuConfig;
     use crate::launch::LaunchSpec;
+    use crate::memory::DeviceMemory;
     use g80_isa::builder::KernelBuilder;
-    use g80_isa::inst::{CmpOp, Pred, Reg, Scalar};
+    use g80_isa::inst::{CmpOp, Pred, Scalar};
 
     /// `ys[i] = tid` for the block's threads, then, in block 0 only, one more
     /// instruction: every other block is one class, block 0 another.
@@ -1551,65 +1155,5 @@ mod tests {
         pipe.cycle += 1000;
         period.at_refill(&p, &mut sched, &mut pipe);
         assert_eq!(period.memo.dedup_fallbacks, 1);
-    }
-
-    /// One address for a broadcast (closed form or scan), first-lane-ordered
-    /// distinct addresses otherwise, and for an address outside the bank the
-    /// address itself with the destination untouched.
-    #[test]
-    fn load_const_lists_distinct_addresses_or_the_offender() {
-        let mut mem = DeviceMemory::new(64);
-        mem.const_bank = (100..116).collect();
-        let addr = Operand::Reg(Reg(1));
-        let prior = LaneRow::affine(7, 3, 0, 4);
-        let warp = |addrs: LaneRow| {
-            let mut w = Warp::new(0, 4, (32, 1, 1), (0, 0), (1, 1));
-            w.set_shape(0, prior);
-            w.set_shape(1, addrs);
-            w
-        };
-        // Loads r0 under `mask`; `Ok` is the distinct-address list.
-        let load = |w: &mut Warp, mask: u32| {
-            if mask != u32::MAX {
-                w.take_branch(mask, 1, 2, 1);
-            }
-            let mut distinct = [0u32; 32];
-            load_const(w, 0, addr, 4, &[], &mem, &mut distinct).map(|n| distinct[..n].to_vec())
-        };
-
-        let mut w = warp(LaneRow::Uniform(Value(8)));
-        assert_eq!(load(&mut w, u32::MAX).unwrap(), [12]);
-        assert_eq!(w.shapes[0], LaneRow::Uniform(Value(103)));
-        // Diverged, the same row takes the scan and finds the same address.
-        let mut w = warp(LaneRow::Uniform(Value(8)));
-        assert_eq!(load(&mut w, 0xff00).unwrap(), [12]);
-        assert_eq!(
-            (w.reg(0, 8), w.reg(0, 7)),
-            (Value(103), prior.lane(7).unwrap())
-        );
-
-        // Words 5, 2, 5, 9 repeating; lane 0 inactive, so word 2 comes first.
-        let mut w = warp(LaneRow::Uniform(Value::ZERO));
-        *w.reg_row_mut(1) = std::array::from_fn(|l| Value(4 * [5, 2, 5, 9][l % 4] - 4));
-        assert_eq!(load(&mut w, 0x0000_fffe).unwrap(), [8, 20, 36]);
-        for lane in 0..32 {
-            let want = match lane {
-                1..16 => Value(100 + [5, 2, 5, 9][lane % 4]),
-                _ => prior.lane(lane).unwrap(),
-            };
-            assert_eq!(w.reg(0, lane), want, "lane {lane}");
-        }
-
-        // Lane l reads word l % 24 + 1 of a 16-word bank: the first active
-        // lane past word 15 is the offender, and no lane was written.
-        for (mask, lane) in [(u32::MAX, 15), (0xfff0_0000, 20)] {
-            let mut w = warp(LaneRow::Uniform(Value::ZERO));
-            *w.reg_row_mut(1) = std::array::from_fn(|l| Value(4 * (l as u32 % 24)));
-            assert_eq!(load(&mut w, mask).unwrap_err(), 4 * lane + 4);
-            assert_eq!(w.shapes[0], prior);
-        }
-        let mut w = warp(LaneRow::Uniform(Value(4 * 16)));
-        assert_eq!(load(&mut w, u32::MAX).unwrap_err(), 4 * 16 + 4);
-        assert_eq!(w.shapes[0], prior);
     }
 }

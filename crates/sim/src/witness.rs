@@ -24,10 +24,10 @@
 //!    are applied arithmetically. The consumed blocks still need their
 //!    *functional* effect: [`replay_block`] re-executes them barrier-phase
 //!    by barrier-phase — no scheduler, no scoreboard, and no instruction
-//!    semantics of its own: [`step`] drives the definitions the timed engine
-//!    issues through ([`Warp::exec_reg_only`], [`LaneAddrs`], [`load_const`],
-//!    [`Resident`]) — while verifying every event against the
-//!    representative. Any mismatch aborts the period
+//!    semantics of its own: every instruction runs through [`step`], the
+//!    timed engine's executor, over a [`Resident`] block like the engine's,
+//!    and what it did becomes the [`Sig`] verified against the
+//!    representative's event. Any mismatch or refusal aborts the period
 //!    before its buffered writes commit ([`WriteBuf`]), and the launch
 //!    falls back to full simulation from exactly the pre-replay state.
 //!
@@ -47,9 +47,9 @@
 
 use crate::launch::Prepared;
 use crate::memory::{DeviceMemory, HalfWarpAccess, Words};
-use crate::sm::{addr_row, load_const, local_bytes, LaneAddrs, Resident};
+use crate::sm::Resident;
+use crate::step::{local_bytes, step, Access, Did, Scratch};
 use crate::warp::Warp;
-use g80_isa::inst::{Inst, Space};
 use g80_isa::Value;
 use std::collections::HashMap;
 
@@ -266,11 +266,6 @@ impl<'m> WriteBuf<'m> {
         }
     }
 
-    /// The device memory under the buffer.
-    pub fn mem(&self) -> &'m DeviceMemory {
-        self.mem
-    }
-
     /// Widens the written range to cover words `lo..=hi`.
     #[inline]
     fn cover(&mut self, lo: u32, hi: u32) {
@@ -384,7 +379,7 @@ pub(crate) fn replay_block(
         let smem = &mut block.smem;
         for (wi, warp) in block.warps.iter_mut().enumerate() {
             while warp.settle() && !warp.at_barrier {
-                if !step(p, smem, warp, &rep[wi], &mut cursors[wi], buf) {
+                if !replay_step(p, smem, warp, &rep[wi], &mut cursors[wi], buf) {
                     return false;
                 }
             }
@@ -400,7 +395,10 @@ pub(crate) fn replay_block(
     cursors.iter().zip(rep).all(|(&c, r)| c == r.len())
 }
 
-/// Executes one instruction of `warp`, verifying it against `rep[*cursor]`.
+/// Executes one instruction of `warp` through [`step`] and verifies it
+/// against `rep[*cursor]`: the same pc and mask before, the same signature
+/// after. A refusal — an address outside memory, a divergent barrier, a kind
+/// eligibility excludes — fails the replay; the timed fallback reports it.
 ///
 /// With [`Prepared::shared_uniform`] (shared addresses statically
 /// `ctaid`-free, see [`g80_isa::dataflow::TaintSummary::ctaid_shared_addr`])
@@ -408,12 +406,10 @@ pub(crate) fn replay_block(
 /// representative's without recomputing it — the dominant cost of replaying
 /// tiled kernels.
 ///
-/// One caller, 23–36 ns a call on the Section 4 walk at n = 256 (two pool
-/// workers on a 2-core x86-64 host): kept inline so its arguments and the
-/// launch fields it reads stay in registers (out of line it cost
-/// `matmul_walk` ≈ 20 %).
+/// 23–36 ns a call on the Section 4 walk at n = 256 (two pool workers on a
+/// 2-core x86-64 host), inlined with [`step`] for the reason `step` gives.
 #[inline(always)]
-fn step(
+fn replay_step(
     p: &Prepared,
     smem: &mut [Value],
     warp: &mut Warp,
@@ -421,140 +417,29 @@ fn step(
     cursor: &mut usize,
     buf: &mut WriteBuf,
 ) -> bool {
-    let (cfg, params, shared_uniform) = (p.cfg, p.spec.params, p.shared_uniform());
-    let pc = warp.pc() as usize;
-    let inst = p.decoded().ops[pc].inst;
-    let mask = warp.active_mask();
-    let Some(&expect) = rep.get(*cursor) else {
+    let cfg = p.cfg;
+    let (pc, mask) = (warp.pc(), warp.active_mask());
+    let Some(&expect) = rep.get(*cursor).filter(|e| (e.pc, e.mask) == (pc, mask)) else {
         return false;
     };
-    if (expect.pc, expect.mask) != (pc as u32, mask) {
+    let (inst, mut scratch) = (p.decoded().ops[pc as usize].inst, Scratch::default());
+    let Ok(did) = step(p, inst, warp, smem, buf, &mut scratch) else {
         return false;
-    }
-    // What a register-only instruction does is `Warp::exec_reg_only`; its
-    // signature is zero.
-    if warp.exec_reg_only(&inst, mask, params) {
-        *cursor += 1;
-        return expect.sig == Sig::default();
-    }
+    };
     let mut sig = Sig::default();
-    // Cleared when the signature is statically proven equal to the
-    // representative's instead of being recomputed (`shared_uniform`).
-    let mut verify_sig = true;
-    match inst {
-        Inst::Ld {
-            space,
-            dst,
-            addr,
-            off,
-        } => {
-            // An access outside memory, or of a kind eligibility excludes,
-            // fails the replay.
-            let ok = match space {
-                Space::Global => {
-                    let addrs = LaneAddrs::of(warp, mask, addr, off, params);
-                    sig.global(&addrs.coalesce(cfg));
-                    addrs.load(buf, warp.reg_row_mut(dst.0)).is_ok()
-                }
-                Space::Shared => {
-                    let addrs = LaneAddrs::of(warp, mask, addr, off, params);
-                    verify_sig = !shared_uniform;
-                    if verify_sig {
-                        sig.shared(addrs.smem_degree(cfg));
-                    }
-                    addrs.load(smem, warp.reg_row_mut(dst.0)).is_ok()
-                }
-                Space::Local => {
-                    let addrs = addr_row(warp, addr, off, params);
-                    warp.load_local(mask, dst.0, &addrs);
-                    sig.local(local_bytes(cfg, mask));
-                    true
-                }
-                // Address signature only — hit/miss is the SM cache's
-                // state, owned by the timed engine (module docs). The timed
-                // fallback reports an address outside the constant bank the
-                // way it always has.
-                Space::Const => {
-                    let mut distinct = [0u32; 32];
-                    let mem = buf.mem();
-                    let n = load_const(warp, dst.0, addr, off, params, mem, &mut distinct);
-                    n.map(|n| sig.constant(&distinct[..n])).is_ok()
-                }
-                // Eligibility excludes texture fetches (the texture cache's
-                // state is not part of the recurring-state snapshot);
-                // reaching here means the class is not replayable.
-                Space::Tex => false,
-            };
-            if !ok {
-                return false;
-            }
-            warp.advance();
-        }
-        Inst::St {
-            space,
-            addr,
-            off,
-            src,
-        } => {
-            let ok = match space {
-                Space::Global => {
-                    let addrs = LaneAddrs::of(warp, mask, addr, off, params);
-                    sig.global(&addrs.coalesce(cfg));
-                    addrs.store(buf, &warp.operand_row(src, params)).is_ok()
-                }
-                Space::Shared => {
-                    let addrs = LaneAddrs::of(warp, mask, addr, off, params);
-                    verify_sig = !shared_uniform;
-                    if verify_sig {
-                        sig.shared(addrs.smem_degree(cfg));
-                    }
-                    addrs.store(smem, &warp.operand_row(src, params)).is_ok()
-                }
-                Space::Local => {
-                    let addrs = addr_row(warp, addr, off, params);
-                    let srcs = warp.operand_row(src, params);
-                    warp.store_local(mask, &addrs, &srcs);
-                    sig.local(local_bytes(cfg, mask));
-                    true
-                }
-                Space::Const | Space::Tex => false,
-            };
-            if !ok {
-                return false;
-            }
-            warp.advance();
-        }
-        // Atomics are excluded by eligibility (inter-block coupling).
-        Inst::Atom { .. } => return false,
-        Inst::Bra {
-            target,
-            reconv,
-            pred,
-        } => {
-            let taken = match pred {
-                None => mask,
-                Some(q) => warp.taken_mask(q.reg.0, q.negate, mask),
-            };
-            sig.branch(taken);
-            warp.take_branch(taken, target.0, reconv.0, pc as u32 + 1);
-        }
-        Inst::Bar => {
-            if warp.frames.len() != 1 {
-                return false;
-            }
-            warp.advance();
-            warp.at_barrier = true;
-        }
-        Inst::Exit => {
-            warp.exit_lanes(mask);
-        }
-        _ => unreachable!("register-only instructions handled above"),
-    }
-    if verify_sig && expect.sig != sig {
-        return false;
+    match did {
+        Did::Load(access) | Did::Store(access) => match access {
+            Access::Global(addrs) => sig.global(&addrs.coalesce(cfg)),
+            Access::Shared(_) if p.shared_uniform() => sig = expect.sig,
+            Access::Shared(addrs) => sig.shared(addrs.smem_degree(cfg)),
+            Access::Local(mask) => sig.local(local_bytes(cfg, mask)),
+            Access::Const(distinct) => sig.constant(distinct),
+        },
+        Did::Branch(taken, _) => sig.branch(taken),
+        Did::Reg | Did::Barrier | Did::Exit => {}
     }
     *cursor += 1;
-    true
+    sig == expect.sig
 }
 
 /// Functionally replays a whole SM's block queue against a *donor* SM's

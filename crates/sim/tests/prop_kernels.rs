@@ -1,6 +1,6 @@
 //! Property tests over *structured* random kernels (loops, divergent
-//! branches, accumulators, a shared-memory stage, 1-D and narrow 2-D
-//! blocks): the same program must produce identical global
+//! branches, accumulators, a shared-memory stage, a constant-bank stage,
+//! 1-D and narrow 2-D blocks): the same program must produce identical global
 //! memory output no matter how it was compiled (O0 vs O2, register-capped
 //! and spilled vs not) or which machine ran it (16 SMs vs 1 SM, with or
 //! without SM-level host parallelism) or which engine and dedup mode
@@ -48,6 +48,10 @@ struct Recipe {
     /// its own `tid` (0), word 0 (1), the first word of its block row (2)
     /// or its column `tid.x` (3). `None` skips the stage.
     stage: Option<u8>,
+    /// Constant-bank stage: each thread adds `c[0]` (0: a uniform row) or
+    /// `c[tid % 16]` (1: lane-varying, still `ctaid`-free) to its input
+    /// word. `None` skips the stage.
+    const_stage: Option<u8>,
     /// Block width: 64 is a 1-D block, 4 / 8 / 16 a 2-D block of 64 threads
     /// whose rows are runs of that period.
     width: u32,
@@ -61,18 +65,20 @@ fn arb_recipe() -> impl Strategy<Value = Recipe> {
         1usize..5,
         any::<bool>(),
         0u32..64,
-        prop::option::of(0u8..4),
+        // Paired: the shim's tuple strategies stop at eight.
+        (prop::option::of(0u8..4), prop::option::of(0u8..2)),
         prop::sample::select(vec![64u32, 16, 8, 4]),
     )
         .prop_map(
-            |(body_ops, trips, unroll_sel, accs, diverge, threshold, stage, width)| Recipe {
+            |(body_ops, trips, unroll_sel, accs, diverge, threshold, stages, width)| Recipe {
                 body_ops,
                 trips,
                 unroll_sel,
                 accs,
                 diverge,
                 threshold,
-                stage,
+                stage: stages.0,
+                const_stage: stages.1,
                 width,
             },
         )
@@ -86,7 +92,8 @@ fn arb_recipe() -> impl Strategy<Value = Recipe> {
 /// data-dependent addend or a divergent write makes it structureless. The
 /// optional shared stage moves the input through a row of every shape the
 /// run form of a warp access distinguishes: consecutive words, a broadcast,
-/// a broadcast per block row and consecutive words per block row.
+/// a broadcast per block row and consecutive words per block row; the
+/// optional constant stage reads the bank as a broadcast or per lane.
 fn build(recipe: &Recipe, opt: OptLevel, max_regs: Option<u32>) -> Kernel {
     let mut b = KernelBuilder::new("prop");
     let (inp, outp) = (b.param(), b.param());
@@ -118,6 +125,18 @@ fn build(recipe: &Recipe, opt: OptLevel, max_regs: Option<u32>) -> Kernel {
         let la = word(&mut b, w);
         let staged = b.ld_shared(la, 0);
         x = b.fadd(x, staged);
+    }
+
+    if let Some(kind) = recipe.const_stage {
+        let ca: Operand = match kind {
+            0 => Operand::imm_u(0),
+            _ => {
+                let lane = b.and(tid, 15u32);
+                b.shl(lane, 2u32).into()
+            }
+        };
+        let c = b.ld_const(ca, 0);
+        x = b.fadd(x, c);
     }
 
     let accs: Vec<_> = (0..recipe.accs)
@@ -255,10 +274,13 @@ fn run(k: &Kernel, cfg: &GpuConfig, width: u32) -> Vec<u32> {
 }
 
 /// Runs `n` threads in blocks `width` threads wide and `THREADS / width`
-/// rows high; returns the words written and the stats, which must keep to
-/// the machine's roofline.
+/// rows high, over a 16-word constant bank; returns the words written and
+/// the stats, which must keep to the machine's roofline.
 fn run_n(k: &Kernel, cfg: &GpuConfig, n: u32, width: u32) -> (Vec<u32>, KernelStats) {
-    let mem = DeviceMemory::new(2 * n * 4 + 64);
+    let mut mem = DeviceMemory::new(2 * n * 4 + 64);
+    mem.const_bank = (0..16)
+        .map(|i| Value::from_f32(i as f32 * 0.375 - 2.5).as_u32())
+        .collect();
     for i in 0..n {
         mem.write(i * 4, Value::from_f32((i % 17) as f32 * 0.3 - 2.0));
     }
@@ -316,7 +338,8 @@ proptest! {
     /// engine simulating every block, and the product engine replaying
     /// blocks from a witness write the same words and report the same stats
     /// bytes — through SFU rows under the partial masks of the divergent
-    /// branch too, and through shared rows of every run period.
+    /// branch too, through shared rows of every run period, and through
+    /// constant loads, broadcast and per lane.
     #[test]
     fn engines_and_dedup_modes_agree(recipe in arb_recipe()) {
         let cfg = GpuConfig::geforce_8800_gtx();

@@ -620,6 +620,94 @@ fn shared_tail_kernel() -> Kernel {
     b.build()
 }
 
+/// `x[i] = x[i + 1]` (a load past the thread's word) or `x[i + 1] = tid` (a
+/// store past it) over a buffer of one word per thread: only the last lane
+/// of the last block leaves memory.
+fn global_tail_kernel(store: bool) -> Kernel {
+    let name = if store {
+        "global_tail_st"
+    } else {
+        "global_tail_ld"
+    };
+    let mut b = KernelBuilder::new(name);
+    let buf = b.param();
+    let tid = b.tid_x();
+    let ntid = b.ntid_x();
+    let cta = b.ctaid_x();
+    let i = b.imad(cta, ntid, tid);
+    let byte = b.shl(i, 2u32);
+    let a = b.iadd(byte, buf);
+    if store {
+        b.st_global(a, 4, tid);
+    } else {
+        let v = b.ld_global(a, 4);
+        b.st_global(a, 0, v);
+    }
+    b.build()
+}
+
+/// Stores `tid` to `s[tid + 8]` in a 64-word shared array, then to
+/// `out[i]`: the last shared store run of every block's second warp crosses
+/// the end of shared memory.
+fn shared_store_tail_kernel() -> Kernel {
+    let mut b = KernelBuilder::new("shared_store_tail");
+    let out = b.param();
+    let s = b.shared_alloc(64);
+    let tid = b.tid_x();
+    let ntid = b.ntid_x();
+    let cta = b.ctaid_x();
+    let lane_byte = b.shl(tid, 2u32);
+    let sa = b.iadd(lane_byte, s);
+    b.st_shared(sa, 4 * 8, tid);
+    let i = b.imad(cta, ntid, tid);
+    let byte = b.shl(i, 2u32);
+    let oa = b.iadd(byte, out);
+    b.st_global(oa, 0, tid);
+    b.build()
+}
+
+/// A kernel bug reads the same whichever executor meets it. In the global
+/// cases only block 255 leaves memory; it runs on SM 15, which replays
+/// against its donor, so replay meets the bad address first, refuses, and
+/// the timed fallback panics. Dedup on and off report word for word alike.
+#[test]
+fn out_of_bounds_accesses_panic_alike_with_dedup_on_and_off() {
+    let cfg = GpuConfig::geforce_8800_gtx();
+    let blocks = 16 * 16;
+    let cases = [
+        (
+            global_tail_kernel(false),
+            "global read out of bounds: addr 0x10000",
+            1,
+        ),
+        (
+            global_tail_kernel(true),
+            "global write out of bounds: addr 0x10000",
+            1,
+        ),
+        (
+            shared_store_tail_kernel(),
+            "kernel shared_store_tail: shared store out of bounds (64 >= 64)",
+            0,
+        ),
+    ];
+    for (k, want, fallbacks) in cases {
+        let [off, on] = [false, true].map(|dedup| {
+            let mem = DeviceMemory::new(4 * TPB * blocks);
+            let (launched, counters) = product(dedup, || {
+                launch(&cfg, &k, dims(blocks), &[Value::from_u32(0)], &mem)
+            });
+            match launched {
+                Err(LaunchError::Panic(msg)) => (msg, counters.dedup_fallbacks),
+                other => panic!("{} dedup {dedup}: expected a panic, got {other:?}", k.name),
+            }
+        });
+        assert_eq!(off.0, on.0, "{}", k.name);
+        assert_eq!(on.0, want, "{}", k.name);
+        assert_eq!((off.1, on.1), (0, fallbacks), "{}", k.name);
+    }
+}
+
 /// Read-your-own-writes through the run form: a replayed block that loads
 /// back the row it just stored — wholly inside the period's buffered writes,
 /// or straddling their end — reads what the timed engine reads, three ways
