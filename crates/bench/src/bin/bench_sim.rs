@@ -26,6 +26,8 @@
 //! `3` the harness itself failed (an A/B bit-identity mismatch, a
 //! nondeterministic fleet, an unwritable report path).
 
+#![warn(clippy::too_many_lines)]
+
 use g80_apps::cp::CoulombicPotential;
 use g80_apps::matmul::{MatMul, Variant};
 use g80_apps::mrifhd::MriFhd;
@@ -491,27 +493,61 @@ fn run() -> i32 {
             out_path = arg;
         }
     }
-    // --check (CI) repeats less; bounds are enforced either way.
-    let (runs, quick) = if check { (2, 1) } else { (5, 2) };
     let mut rows = Vec::new();
     let mut add = |row: Row| {
         row.print();
         rows.push(row);
     };
+    // Matmul 1024², the dedup and hardening rows' shared workload.
+    let big = MatMul { n: 1024 };
+    let (big_a, big_b) = big.generate(42);
+    let mut big_run = || big.run(TILED16U, &big_a, &big_b).1;
+    engine_rows(&mut add, check);
+    dedup_rows(&mut add, check, &mut big_run);
+    cache_rows(&mut add, check);
+    add(hardening_row(&mut big_run));
+    host_rows(&mut add);
+    serve_rows(&mut add, check);
+    report(&rows, check, &out_path)
+}
 
+/// The paper's best matmul configuration: 16x16 tiles, fully unrolled.
+const TILED16U: Variant = Variant::Tiled {
+    tile: 16,
+    unroll: true,
+};
+
+/// Repetitions per row: `--check` (CI) repeats less, as `(runs, quick)`;
+/// bounds are enforced either way.
+fn repetitions(check: bool) -> (usize, usize) {
+    if check {
+        (2, 1)
+    } else {
+        (5, 2)
+    }
+}
+
+/// Every dedup row holds its replayed and simulated block counts exact over
+/// its `runs` launches, with no fallback: a recorder that silently stopped
+/// on some SMs would move them.
+fn exact_blocks(row: Row, runs: usize, fast: u64, sim: u64) -> Row {
+    let exact = |per_launch: u64| Bound::Exact((per_launch * runs as u64) as f64);
+    row.bound("dedup_fast_blocks", exact(fast))
+        .bound("dedup_sim_blocks", exact(sim))
+        .bound("dedup_fallbacks", Bound::Exact(0.0))
+}
+
+fn engine_rows(add: &mut impl FnMut(Row), check: bool) {
     // ---- engine A/B (single launches) ----
     // The headline: the paper's best matmul configuration (16x16 tiled,
     // fully unrolled) at a production-ish size. Saxpy (streaming,
     // scheduler- and coalescing-bound) and TPACF (divergent,
     // atomic-heavy: the settle/retire paths) are reported.
+    let (runs, _) = repetitions(check);
     let mm = MatMul { n: 256 };
     let (a, b) = mm.generate(42);
-    let tiled16u = Variant::Tiled {
-        tile: 16,
-        unroll: true,
-    };
     let headline = engine_row("matmul_256_tiled16u", runs, &mut || {
-        mm.run(tiled16u, &a, &b).1
+        mm.run(TILED16U, &a, &b).1
     });
     add(headline.bound("speedup", Bound::Floor(2.0)));
     let sx = Saxpy {
@@ -523,7 +559,9 @@ fn run() -> i32 {
     let tp = Tpacf { n: 1024 };
     let sky = tp.generate(42);
     add(engine_row("tpacf_1024", runs, &mut || tp.run(&sky).1));
+}
 
+fn dedup_rows(add: &mut impl FnMut(Row), check: bool, big_run: &mut dyn FnMut() -> KernelStats) {
     // ---- block-class dedup ----
     // Matmul 1024² is 4096 blocks that differ only by base address: after
     // the donor SM's transient the rest replay functionally. Several
@@ -532,22 +570,10 @@ fn run() -> i32 {
     // rows made dedup-off ~3x faster), so the ratio measures 1.3–1.5x and
     // the floor guards the remaining benefit of skipping the scheduler for
     // 4002 of 4096 blocks a launch.
-    //
-    // Every dedup row holds its replayed and simulated block counts exact
-    // over its `runs` launches, with no fallback: a recorder that silently
-    // stopped on some SMs would move them.
-    let blocks = |row: Row, runs: usize, fast: u64, sim: u64| {
-        let exact = |per_launch: u64| Bound::Exact((per_launch * runs as u64) as f64);
-        row.bound("dedup_fast_blocks", exact(fast))
-            .bound("dedup_sim_blocks", exact(sim))
-            .bound("dedup_fallbacks", Bound::Exact(0.0))
-    };
-    let big = MatMul { n: 1024 };
-    let (big_a, big_b) = big.generate(42);
-    let mut big_run = || big.run(tiled16u, &big_a, &big_b).1;
-    let row = dedup_row("matmul_1024_dedup", "dedup", quick, &mut big_run);
+    let (runs, quick) = repetitions(check);
+    let row = dedup_row("matmul_1024_dedup", "dedup", quick, big_run);
     let row = row.bound("speedup", Bound::Floor(1.1));
-    add(blocks(row, quick, 4002, 94));
+    add(exact_blocks(row, quick, 4002, 94));
     // A cold n=32 sweep of the nine Figure-4 variants as one `run_batch`:
     // no SM holds more than four blocks, all resident at once, so only a
     // donor per queue length keeps it out of the timed engine (15 of 180
@@ -566,7 +592,7 @@ fn run() -> i32 {
         total
     });
     let row = row.bound("speedup", Bound::Floor(1.4));
-    add(blocks(row, sweeps, 165, 15));
+    add(exact_blocks(row, sweeps, 165, 15));
 
     // ---- constant-cache kernels under dedup (suite scale) ----
     // The paper's top speedup tier reads constant memory as warp-wide
@@ -590,16 +616,18 @@ fn run() -> i32 {
     let cp = CoulombicPotential::default();
     let atoms = cp.generate(5);
     let row = row.bound("cpu_speedup", Bound::Floor(1.5));
-    add(blocks(row, const_runs, 120, 8));
+    add(exact_blocks(row, const_runs, 120, 8));
     let row = dedup_row("mrifhd_dedup", "const_dedup", const_runs, &mut || {
         fhd.run(&fhd_data).2
     });
-    add(blocks(row, const_runs, 120, 8));
+    add(exact_blocks(row, const_runs, 120, 8));
     let row = dedup_row("cp_dedup", "const_dedup", const_runs, &mut || {
         cp.run(&atoms, true).1
     });
-    add(blocks(row, const_runs, 246, 10));
+    add(exact_blocks(row, const_runs, 246, 10));
+}
 
+fn cache_rows(add: &mut impl FnMut(Row), check: bool) {
     // ---- launch memo on a revisiting tuner fleet ----
     // With the cache warm every launch is a replay; dedup stays off so the
     // row measures the memo alone. One round first brings each device's C
@@ -681,7 +709,9 @@ fn run() -> i32 {
             )
             .bound("speedup", Bound::Floor(10.0)),
     );
+}
 
+fn hardening_row(big_run: &mut dyn FnMut() -> KernelStats) -> Row {
     // ---- hardening overhead (fault sites + watchdog armed but silent) ----
     // The fault sites and the watchdog are compiled in unconditionally, so
     // the armed-but-silent path must stay cheap. Baseline: injector
@@ -722,13 +752,15 @@ fn run() -> i32 {
     };
     let [base, armed] = median_pair(|s| s.cpu);
     let [base_wall, armed_wall] = median_pair(|s| s.wall);
-    add(Row::new("hardening_matmul_1024", "hardening")
+    Row::new("hardening_matmul_1024", "hardening")
         .field("disarmed_cpu_s", base)
         .field("armed_cpu_s", armed)
         .field("overhead_ratio", armed / base)
         .field("wall_ratio", armed_wall / base_wall)
-        .bound("overhead_ratio", Bound::Ceiling(1.05)));
+        .bound("overhead_ratio", Bound::Ceiling(1.05))
+}
 
+fn host_rows(add: &mut impl FnMut(Row)) {
     // ---- SFU rows and wire CRC (one host mechanism each) ----
     // The SFU floors hold only where the 8-wide kernel exists; elsewhere
     // both sides run the same scalar code. Rsqrt is reported, not gated:
@@ -753,7 +785,9 @@ fn run() -> i32 {
     // Slicing-by-8 measures ≈ 8x; 3x says the frame path did not go back
     // to a byte (or bit) at a time.
     add(crc_row());
+}
 
+fn serve_rows(add: &mut impl FnMut(Row), check: bool) {
     // ---- serving tier (daemon + 8-tenant fleets over loopback) ----
     // Probe fleet: the daemon shares this process's pool and serves warm
     // probes from the memo, so the row measures pure serving overhead —
@@ -809,15 +843,18 @@ fn run() -> i32 {
         .field("bytes_resent", net.bytes_resent as f64)
         .bound("chaos_req_per_s", Bound::Floor(100.0))
         .bound("chaos_ratio", Bound::Ceiling(2.0)));
+}
 
-    // ---- report, then bounds (exit 2 on a miss, after reporting all) ----
+/// Writes the report, then checks the bounds: exit 2 on a miss, after
+/// reporting all.
+fn report(rows: &[Row], check: bool, out_path: &str) -> i32 {
     let body: Vec<String> = rows.iter().map(Row::json).collect();
     let mode = if check { "check" } else { "full" };
     let json = format!(
         "{{\n  \"benchmark\": \"g80-sim host A/B\",\n  \"mode\": \"{mode}\",\n  \"rows\": [\n    {}\n  ]\n}}\n",
         body.join(",\n    ")
     );
-    std::fs::write(&out_path, json).expect("write benchmark report");
+    std::fs::write(out_path, json).expect("write benchmark report");
     eprintln!("wrote {out_path}");
     let missed: Vec<String> = rows.iter().flat_map(Row::missed).collect();
     for m in &missed {

@@ -2,6 +2,8 @@
 //! figure of Ryoo et al. (PPoPP 2008) on the simulated GeForce 8800, and
 //! `repro fidelity` checks every claim against the paper.
 
+#![warn(clippy::too_many_lines)]
+
 use g80_bench::suite::{self, Scale};
 use g80_bench::{ablations, arch_study, fidelity, matmul_study, regcap_study, table1};
 use g80_sim::GpuConfig;

@@ -12,6 +12,8 @@
 //! (exit 2 otherwise); CI runs the binary twice against one directory to
 //! prove the cache survives the process boundary.
 
+#![warn(clippy::too_many_lines)]
+
 use g80_bench::matmul_study::revisit_fleet;
 use g80_sim::{memo_counters, SimConfig, SimContext};
 use std::path::PathBuf;

@@ -4,6 +4,8 @@
 //! subcommands. See DESIGN.md §4 for the experiment index and
 //! EXPERIMENTS.md for paper-vs-measured results.
 
+#![warn(clippy::too_many_lines)]
+
 pub mod ablations;
 pub mod arch_study;
 pub mod fidelity;

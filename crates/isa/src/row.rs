@@ -20,7 +20,7 @@
 //! an affine row stays affine under add/sub, multiply-by-uniform, and left
 //! shift, so the simulator executes those warp instructions in O(1) instead
 //! of O(32) and derives memory degrees in closed form (see
-//! `g80_sim::memory`).
+//! `g80_sim::cost`).
 //!
 //! Exactness contract: every fold in this module returns `Some(shape)` only
 //! when expanding `shape` yields **bit-identical** lanes to running the

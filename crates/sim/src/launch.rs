@@ -5,7 +5,7 @@
 //!
 //! Blocks are distributed round-robin over SMs at launch, and each SM refills
 //! its own slots as resident blocks retire. Because DRAM bandwidth is
-//! partitioned evenly per SM (see `GpuConfig::dram_bytes_per_cycle_per_sm`),
+//! partitioned evenly per SM (see `cost::dram_request`),
 //! SM simulations are mutually independent and the result is deterministic
 //! regardless of host thread scheduling.
 //!

@@ -59,6 +59,7 @@
 
 pub mod config;
 pub mod context;
+pub mod cost;
 pub mod counters;
 pub mod disk;
 pub mod error;

@@ -4,7 +4,7 @@
 //!
 //! This module is intentionally unoptimized: it rebuilds the warp schedule
 //! every scheduler iteration, re-walks instruction operands on every
-//! readiness check, allocates coalescing scratch per memory access, and
+//! readiness check, costs accesses by [`crate::cost`]'s definitional rules, and
 //! allocates fresh register files per block. The `golden_stats` integration
 //! test (workspace root) runs kernels through both engines and asserts
 //! field-for-field identical [`crate::KernelStats`]; any timing divergence in
@@ -19,8 +19,9 @@
 #![allow(clippy::too_many_lines)] // the spec stays as written: frozen, not refactored
 
 use crate::config::GpuConfig;
+use crate::cost::{coalesce_half_warp, smem_conflict_degree, TagCache};
 use crate::counters::{SmStats, StallReason};
-use crate::memory::{coalesce_half_warp, smem_conflict_degree, DeviceMemory, TagCache};
+use crate::memory::DeviceMemory;
 use crate::sm::LaunchDims;
 use crate::warp::{RegSource, Warp};
 use g80_isa::exec;

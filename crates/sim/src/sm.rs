@@ -47,10 +47,11 @@
 //! original engine as an executable spec, and the `golden_stats` test
 //! asserts bit-identical [`crate::KernelStats`] between the two.
 
+use crate::cost::{self, TagCache};
 use crate::counters::{MemoCounters, RowCounters, SmStats, StallReason, TallyKey};
 use crate::launch::Prepared;
-use crate::memory::{const_out_of_bounds, global_out_of_bounds, TagCache};
-use crate::step::{addr_row, local_bytes, step, Access, Did, LaneAddrs, Refusal, Scratch};
+use crate::memory::{const_out_of_bounds, global_out_of_bounds};
+use crate::step::{addr_row, step, Access, Did, LaneAddrs, Refusal, Scratch};
 use crate::warp::{RegSource, Warp};
 use crate::witness::{replay_block, Ev, ReplayScratch, Sig, Signature, WitnessRecorder, WriteBuf};
 use g80_isa::decode::{DecodedKernel, IssueClass, MemKind, MicroOp};
@@ -713,8 +714,8 @@ impl<'a, S: Signature> ExecCtx<'a, S> {
             stats: SmStats::default(),
             cycle: 0,
             chan_free: 0,
-            const_cache: TagCache::new(cfg.const_cache_bytes, 64),
-            tex_cache: TagCache::new(cfg.tex_cache_bytes, cfg.tex_line_bytes),
+            const_cache: TagCache::constant(cfg),
+            tex_cache: TagCache::texture(cfg),
             tex_lines: Vec::new(),
             sig: S::default(),
             rows: RowCounters::default(),
@@ -724,11 +725,7 @@ impl<'a, S: Signature> ExecCtx<'a, S> {
     /// Issues a global-memory request of `bytes` through this SM's channel
     /// slice; returns the completion cycle.
     fn memory_request(&mut self, bytes: u64) -> u64 {
-        let bpc = self.p.cfg.dram_bytes_per_cycle_per_sm();
-        let start = self.cycle.max(self.chan_free);
-        let service = (bytes as f64 / bpc).ceil() as u64;
-        self.chan_free = start + service;
-        start + self.p.cfg.global_latency
+        cost::dram_request(self.p.cfg, self.cycle, &mut self.chan_free, bytes)
     }
 
     /// Counts which kind of row resolved a memory access's addresses.
@@ -831,7 +828,7 @@ impl<'a, S: Signature> ExecCtx<'a, S> {
             // One uncoalesced transaction per active lane.
             Access::Local(mask) => {
                 *transactions += mask.count_ones() as u64;
-                let bytes = local_bytes(cfg, mask);
+                let bytes = cost::lane_bytes(cfg, mask);
                 stats.global_bytes += bytes as u64;
                 self.sig.local(bytes);
                 (self.memory_request(bytes as u64), RegSource::Memory, 0)
@@ -841,15 +838,9 @@ impl<'a, S: Signature> ExecCtx<'a, S> {
             // carries the address signature only: hit or miss is the cache's
             // state, which the period detector snapshots.
             Access::Const(distinct) => {
-                let mut miss_bytes = 0u64;
-                for &a in distinct {
-                    if self.const_cache.access(a) {
-                        stats.const_hits += 1;
-                    } else {
-                        stats.const_misses += 1;
-                        miss_bytes += 64;
-                    }
-                }
+                let (hits, misses, miss_bytes) = self.const_cache.lookup(distinct);
+                stats.const_hits += hits;
+                stats.const_misses += misses;
                 stats.global_bytes += miss_bytes;
                 self.sig.constant(distinct);
                 let (ready, source) = match miss_bytes {
@@ -858,7 +849,7 @@ impl<'a, S: Signature> ExecCtx<'a, S> {
                 };
                 // Distinct addresses within the warp serialize beyond the
                 // broadcast case.
-                (ready, source, (distinct.len().max(1) as u64 - 1) * 2)
+                (ready, source, cost::serialized_cycles(distinct.len()))
             }
         }
     }
@@ -912,17 +903,16 @@ impl<'a, S: Signature> ExecCtx<'a, S> {
         let completion;
         match space {
             Space::Global => {
-                let mut bytes = 0u64;
                 for lane in 0..32 {
                     if mask >> lane & 1 == 1 {
                         let old = self.p.spec.mem.atomic(op, addrs[lane], srcs[lane]);
                         if let Some(d) = dst {
                             warp.set_reg(d.0, lane, old);
                         }
-                        bytes += cfg.uncoalesced_txn_bytes as u64;
                         self.stats.atomic_transactions += 1;
                     }
                 }
+                let bytes = cost::lane_bytes(cfg, mask) as u64;
                 self.stats.global_bytes += bytes;
                 completion = self.memory_request(bytes);
             }
@@ -949,7 +939,7 @@ impl<'a, S: Signature> ExecCtx<'a, S> {
         }
         warp.advance();
         // Atomics serialize per distinct address; charge per lane.
-        cfg.issue_cycles + 2 * (mask.count_ones().saturating_sub(1)) as u64
+        cfg.issue_cycles + cost::serialized_cycles(mask.count_ones() as usize)
     }
 
     /// A warp texture fetch: every active lane reads through the texture
@@ -969,28 +959,21 @@ impl<'a, S: Signature> ExecCtx<'a, S> {
         for (lane, &a) in addrs.iter().enumerate() {
             if mask >> lane & 1 == 1 {
                 let g = mem.tex_to_global(a);
-                let line = g / cfg.tex_line_bytes;
+                let line = self.tex_cache.line_of(g);
                 if !lines.contains(&line) {
                     lines.push(line);
                 }
                 dst_row[lane] = mem.read(g);
             }
         }
-        let mut miss_bytes = 0u64;
-        for &line in &self.tex_lines {
-            if self.tex_cache.access(line * cfg.tex_line_bytes) {
-                self.stats.tex_hits += 1;
-            } else {
-                self.stats.tex_misses += 1;
-                miss_bytes += cfg.tex_line_bytes as u64;
-            }
-        }
-        let ready = if miss_bytes > 0 {
-            self.stats.global_bytes += miss_bytes;
-            self.stats.global_ld_transactions += (miss_bytes / cfg.tex_line_bytes as u64).max(1);
-            self.memory_request(miss_bytes)
-        } else {
-            self.cycle + cfg.tex_hit_latency
+        let (hits, misses, miss_bytes) = self.tex_cache.lookup(&self.tex_lines);
+        self.stats.tex_hits += hits;
+        self.stats.tex_misses += misses;
+        self.stats.global_bytes += miss_bytes;
+        self.stats.global_ld_transactions += misses;
+        let ready = match misses {
+            0 => self.cycle + cfg.tex_hit_latency,
+            _ => self.memory_request(miss_bytes),
         };
         warp.reg_ready[dst.0 as usize] = ready;
         warp.reg_source[dst.0 as usize] = RegSource::Memory;

@@ -8,15 +8,16 @@
 //!
 //! The memory path lives here too: an access's per-lane addresses, as a
 //! shaped row's closed form or as expanded lanes, and the run form that
-//! moves a warp row over any [`Words`] store. The cost models those
-//! addresses feed are in [`crate::memory`].
+//! moves a warp row over any [`Words`] store. What those addresses cost is
+//! [`crate::cost`]'s.
 
 use crate::config::GpuConfig;
-use crate::launch::Prepared;
-use crate::memory::{
-    coalesce_affine_warp, coalesce_half_warp_noalloc, smem_degree_affine_warp, smem_degree_lanes,
-    DeviceMemory, HalfWarpAccess, Words,
+use crate::cost::{
+    coalesce_affine_warp, coalesce_half_warp, half_warp, smem_degree_affine_warp,
+    smem_degree_lanes, HalfWarpAccess,
 };
+use crate::launch::Prepared;
+use crate::memory::{DeviceMemory, Words};
 use crate::warp::Warp;
 use g80_isa::exec::Row;
 use g80_isa::inst::{Inst, Operand, Space};
@@ -326,15 +327,14 @@ impl LaneAddrs {
 
     /// CC 1.0 coalescing of the access's two half-warps: closed form for a
     /// shaped row, per-lane scan otherwise — equal on every input
-    /// (`memory::tests::affine_closed_forms_match_scans`). A half with no
+    /// (`cost::tests::affine_closed_forms_match_scans`). A half with no
     /// active lane reports zero transactions.
     #[inline]
     pub(crate) fn coalesce(&self, cfg: &GpuConfig) -> [HalfWarpAccess; 2] {
         match *self {
             LaneAddrs::Shaped(ref t, live) => coalesce_affine_warp(cfg, t, live),
             LaneAddrs::Lanes(ref addrs, mask) => {
-                let (lo, hi) = split_half_warps(addrs, mask);
-                [lo, hi].map(|half| coalesce_half_warp_noalloc(cfg, &half))
+                [0, 1].map(|h| coalesce_half_warp(cfg, &half_warp(addrs, mask, h)))
             }
         }
     }
@@ -375,31 +375,6 @@ fn run_wraps(a: u32, len: usize) -> bool {
 #[inline(always)]
 fn lane_addrs(a: u32, stride: u32) -> impl Iterator<Item = u32> {
     std::iter::successors(Some(a), move |a| Some(a.wrapping_add(stride)))
-}
-
-/// Splits an address row into the two half-warp arrays the coalescing and
-/// bank-conflict models consume (active lanes only).
-#[inline]
-fn split_half_warps(addrs: &[u32; 32], mask: u32) -> ([Option<u32>; 16], [Option<u32>; 16]) {
-    let mut lo = [None; 16];
-    let mut hi = [None; 16];
-    for lane in 0..32 {
-        if mask >> lane & 1 == 1 {
-            if lane < 16 {
-                lo[lane] = Some(addrs[lane]);
-            } else {
-                hi[lane - 16] = Some(addrs[lane]);
-            }
-        }
-    }
-    (lo, hi)
-}
-
-/// The bytes one warp local (spill) access moves: one uncoalesced
-/// transaction per active lane.
-#[inline]
-pub(crate) fn local_bytes(cfg: &GpuConfig, mask: u32) -> u32 {
-    mask.count_ones() * cfg.uncoalesced_txn_bytes
 }
 
 /// The functional half of one warp constant load: every active lane reads

@@ -45,10 +45,11 @@
 //! equally long, and every block verified class-identical including its
 //! constant addresses. Texture fetches stay excluded.
 
+use crate::cost::{lane_bytes, HalfWarpAccess};
 use crate::launch::Prepared;
-use crate::memory::{DeviceMemory, HalfWarpAccess, Words};
+use crate::memory::{DeviceMemory, Words};
 use crate::sm::Resident;
-use crate::step::{local_bytes, step, Access, Did, Scratch};
+use crate::step::{step, Access, Did, Scratch};
 use crate::warp::Warp;
 use g80_isa::Value;
 use std::collections::HashMap;
@@ -432,7 +433,7 @@ fn replay_step(
             Access::Global(addrs) => sig.global(&addrs.coalesce(cfg)),
             Access::Shared(_) if p.shared_uniform() => sig = expect.sig,
             Access::Shared(addrs) => sig.shared(addrs.smem_degree(cfg)),
-            Access::Local(mask) => sig.local(local_bytes(cfg, mask)),
+            Access::Local(mask) => sig.local(lane_bytes(cfg, mask)),
             Access::Const(distinct) => sig.constant(distinct),
         },
         Did::Branch(taken, _) => sig.branch(taken),

@@ -1,7 +1,7 @@
 //! Property tests over the memory-system models (DESIGN.md §7): the
 //! coalescer's transaction accounting and the bank-conflict model.
 
-use g80_sim::memory::{coalesce_half_warp, smem_conflict_degree};
+use g80_sim::cost::{coalesce_half_warp, smem_conflict_degree};
 use g80_sim::GpuConfig;
 use proptest::prelude::*;
 

@@ -6,6 +6,7 @@
 use g80_isa::builder::{KernelBuilder, Unroll};
 use g80_isa::inst::{CmpOp, Operand, Pred, Scalar, SfuOp, Space};
 use g80_isa::{AtomOp, Kernel, Value};
+use g80_sim::cost::{coalesce_half_warp, smem_conflict_degree};
 use g80_sim::{launch, DeviceMemory, GpuConfig, LaunchDims};
 
 fn gtx() -> GpuConfig {
@@ -690,4 +691,94 @@ fn divergent_narrow_warp_materializes_and_runs_eagerly() {
     // Undiverged, only the predicate (comparisons fold from uniform rows
     // alone) is evaluated lane by lane.
     assert_eq!(whole_rows.full, 2, "{whole_rows:?}");
+}
+
+/// The two half-warps of a block of `threads` threads whose thread `tid`
+/// accesses byte `4·(off + tid·stride)`: lanes past the block are inactive.
+fn strided_halves(threads: u32, stride: u32, off: u32) -> [[Option<u32>; 16]; 2] {
+    std::array::from_fn(|h| {
+        std::array::from_fn(|l| {
+            let tid = (16 * h + l) as u32;
+            (tid < threads).then_some(4 * (off + tid * stride))
+        })
+    })
+}
+
+/// Every stride of 0..=32 words and every misalignment of 0..=16 words of a
+/// single global load costs, inside the engine, exactly what the definitional
+/// per-half-warp coalescing rule says, on CC 1.0 and on a GT200-like part
+/// (duplicates combined, 32 B transactions). A 32-thread block takes the
+/// shaped closed form; a 24-thread block's partly live hi half the scan.
+#[test]
+fn global_load_costs_follow_the_coalescing_rule_per_stride_and_offset() {
+    let mut b = KernelBuilder::new("strided_ld");
+    let (stride, off) = (b.param(), b.param());
+    let tid = b.tid_x();
+    let word = b.imad(tid, stride, off);
+    let byte = b.shl(word, 2u32);
+    b.ld_global(byte, 0);
+    let k = b.build();
+    let mem = DeviceMemory::new(8192);
+    for cfg in [gtx(), GpuConfig::gtx280_like()] {
+        for threads in [32, 24] {
+            for s in 0..=32u32 {
+                for o in 0..=16u32 {
+                    let params = [Value::from_u32(s), Value::from_u32(o)];
+                    let stats = launch(&cfg, &k, dims1d(1, threads), &params, &mem).unwrap();
+                    let halves =
+                        strided_halves(threads, s, o).map(|h| coalesce_half_warp(&cfg, &h));
+                    let live = halves.iter().filter(|h| h.transactions > 0);
+                    let count = |coalesced: bool| {
+                        live.clone().filter(|h| h.coalesced == coalesced).count() as u64
+                    };
+                    let want = (
+                        live.clone().map(|h| h.transactions as u64).sum::<u64>(),
+                        count(true),
+                        count(false),
+                        live.clone().map(|h| h.bytes).sum::<u64>(),
+                    );
+                    let got = (
+                        stats.global_ld_transactions,
+                        stats.coalesced_half_warps,
+                        stats.uncoalesced_half_warps,
+                        stats.global_bytes,
+                    );
+                    let what = format!("{} threads, stride {s}, offset {o}", threads);
+                    assert_eq!(got, want, "{what}, combine={}", cfg.combine_duplicates);
+                }
+            }
+        }
+    }
+}
+
+/// Every shared stride of 0..=32 words costs, inside the engine, the
+/// definitional bank-conflict degree of the worse half-warp, less one, in
+/// issue slots; both block shapes as for the global sweep.
+#[test]
+fn shared_load_costs_follow_the_bank_rule_per_stride() {
+    let mut b = KernelBuilder::new("strided_ld_shared");
+    let stride = b.param();
+    let smem = b.shared_alloc(32 * 32 + 1);
+    let tid = b.tid_x();
+    let word = b.imul(tid, stride);
+    let byte = b.shl(word, 2u32);
+    b.ld_shared(byte, smem as i32);
+    let k = b.build();
+    let mem = DeviceMemory::new(64);
+    for cfg in [gtx(), GpuConfig::gtx280_like()] {
+        for threads in [32, 24] {
+            for s in 0..=32u32 {
+                let stats =
+                    launch(&cfg, &k, dims1d(1, threads), &[Value::from_u32(s)], &mem).unwrap();
+                let [lo, hi] =
+                    strided_halves(threads, s, 0).map(|h| smem_conflict_degree(&cfg, &h));
+                let want = cfg.issue_cycles * (lo.max(hi) as u64 - 1);
+                assert_eq!(
+                    stats.smem_conflict_extra_cycles, want,
+                    "{threads} threads, stride {s}, combine={}",
+                    cfg.combine_duplicates
+                );
+            }
+        }
+    }
 }

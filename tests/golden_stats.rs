@@ -1,7 +1,7 @@
 //! Golden-stats equivalence: the product engine must be a pure host-side
 //! optimization. Every workload here runs on the frozen reference engine
 //! (`g80_sim::reference`, the oracle: instruction-at-a-time, eager warps,
-//! allocating coalescer) and on the product engine (`g80_sim::sm`:
+//! definitional access costs) and on the product engine (`g80_sim::sm`:
 //! predecoded micro-ops, tracked row shapes, pooled SM tasks) — and the
 //! resulting [`KernelStats`] must match **field for field, bit for bit**:
 //! cycles, stall attribution, traffic counters, everything. A single
