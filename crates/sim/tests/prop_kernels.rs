@@ -1,6 +1,6 @@
 //! Property tests over *structured* random kernels (loops, divergent
-//! branches, accumulators, a shared-memory stage, a constant-bank stage,
-//! 1-D and narrow 2-D blocks): the same program must produce identical global
+//! branches, accumulators, a shared-memory stage, a constant-bank stage, a
+//! texture stage, an atomic stage, 1-D and narrow 2-D blocks): the same program must produce identical global
 //! memory output no matter how it was compiled (O0 vs O2, register-capped
 //! and spilled vs not) or which machine ran it (16 SMs vs 1 SM, with or
 //! without SM-level host parallelism) or which engine and dedup mode
@@ -12,8 +12,8 @@
 //! bug fixed in `g80-isa::regalloc` (targets must land on the first reload).
 
 use g80_isa::builder::{BuildOptions, KernelBuilder, Unroll};
-use g80_isa::inst::{AluOp, CmpOp, Inst, Operand, Pred, Scalar, SfuOp, UnOp};
-use g80_isa::{Kernel, OptLevel, Value};
+use g80_isa::inst::{AluOp, CmpOp, Inst, Operand, Pred, Scalar, SfuOp, Space, UnOp};
+use g80_isa::{AtomOp, Kernel, OptLevel, Value};
 use g80_sim::{
     launch, memo_counters, wire, DeviceMemory, Engine, GpuConfig, KernelStats, LaunchDims,
     SimConfig, SimContext,
@@ -52,6 +52,22 @@ struct Recipe {
     /// `c[tid % 16]` (1: lane-varying, still `ctaid`-free) to its input
     /// word. `None` skips the stage.
     const_stage: Option<u8>,
+    /// Texture stage over the input buffer bound as the texture: each
+    /// thread adds `tex[gtid]` (0: a line shared by eight lanes), `tex[0]`
+    /// (1: a broadcast) or `tex[(gtid·9) mod n]` (2: a line per lane,
+    /// wrapping over the whole window, so lines meet in the direct-mapped
+    /// sets). `None` skips the stage.
+    tex_stage: Option<u8>,
+    /// Atomic stage: a shared `atom.add` of `tid` (0) or `atom.exch` of `x`
+    /// (1) on word `tid % 4` of four words per warp, whose old value `x`
+    /// adds; or (2) a global `atom.add` of `tid` without a destination into
+    /// the counter word after the output. Each warp has its own shared
+    /// words because the warps of a block may reach the atomic in either
+    /// order, while the lanes of one warp always go in lane order; the
+    /// global old value is never read, because the order across SMs is not
+    /// deterministic. Either kind makes the kernel dedup-ineligible. `None`
+    /// skips the stage.
+    atom_stage: Option<u8>,
     /// Block width: 64 is a 1-D block, 4 / 8 / 16 a 2-D block of 64 threads
     /// whose rows are runs of that period.
     width: u32,
@@ -66,7 +82,12 @@ fn arb_recipe() -> impl Strategy<Value = Recipe> {
         any::<bool>(),
         0u32..64,
         // Paired: the shim's tuple strategies stop at eight.
-        (prop::option::of(0u8..4), prop::option::of(0u8..2)),
+        (
+            prop::option::of(0u8..4),
+            prop::option::of(0u8..2),
+            prop::option::of(0u8..3),
+            prop::option::of(0u8..3),
+        ),
         prop::sample::select(vec![64u32, 16, 8, 4]),
     )
         .prop_map(
@@ -79,6 +100,8 @@ fn arb_recipe() -> impl Strategy<Value = Recipe> {
                 threshold,
                 stage: stages.0,
                 const_stage: stages.1,
+                tex_stage: stages.2,
+                atom_stage: stages.3,
                 width,
             },
         )
@@ -93,7 +116,9 @@ fn arb_recipe() -> impl Strategy<Value = Recipe> {
 /// optional shared stage moves the input through a row of every shape the
 /// run form of a warp access distinguishes: consecutive words, a broadcast,
 /// a broadcast per block row and consecutive words per block row; the
-/// optional constant stage reads the bank as a broadcast or per lane.
+/// optional constant stage reads the bank as a broadcast or per lane; the
+/// optional texture and atomic stages go through the texture cache and the
+/// atomic units.
 fn build(recipe: &Recipe, opt: OptLevel, max_regs: Option<u32>) -> Kernel {
     let mut b = KernelBuilder::new("prop");
     let (inp, outp) = (b.param(), b.param());
@@ -137,6 +162,51 @@ fn build(recipe: &Recipe, opt: OptLevel, max_regs: Option<u32>) -> Kernel {
         };
         let c = b.ld_const(ca, 0);
         x = b.fadd(x, c);
+    }
+
+    if let Some(kind) = recipe.tex_stage {
+        let ta: Operand = match kind {
+            0 => byte.into(),
+            1 => Operand::imm_u(0),
+            // The output's byte offset, 4n, is the window's length: a power
+            // of two, so masking by it less one is the wrap.
+            _ => {
+                let stride = b.imul(byte, 9u32);
+                let wrap = b.iadd(outp, u32::MAX);
+                b.and(stride, wrap).into()
+            }
+        };
+        let t = b.ld_tex(ta, 0);
+        x = b.fadd(x, t);
+    }
+
+    if let Some(kind) = recipe.atom_stage {
+        if kind < 2 {
+            let s = b.shared_alloc(36);
+            // Word tid % 4 of the first warp's words 0..4 or the second's
+            // words 32..36.
+            let w = b.and(tid, 35u32);
+            let wb = b.shl(w, 2u32);
+            let sa = b.iadd(wb, s);
+            let old = match kind {
+                0 => {
+                    let old = b.atom(AtomOp::Add, Space::Shared, sa, 0, tid);
+                    b.un(UnOp::CvtU2F, old)
+                }
+                _ => b.atom(AtomOp::Exch, Space::Shared, sa, 0, x),
+            };
+            x = b.fadd(x, old);
+        } else {
+            let counter = b.iadd(outp, outp);
+            b.emit(Inst::Atom {
+                op: AtomOp::Add,
+                space: Space::Global,
+                dst: None,
+                addr: counter.into(),
+                off: 0,
+                src: tid.into(),
+            });
+        }
     }
 
     let accs: Vec<_> = (0..recipe.accs)
@@ -274,13 +344,15 @@ fn run(k: &Kernel, cfg: &GpuConfig, width: u32) -> Vec<u32> {
 }
 
 /// Runs `n` threads in blocks `width` threads wide and `THREADS / width`
-/// rows high, over a 16-word constant bank; returns the words written and
-/// the stats, which must keep to the machine's roofline.
+/// rows high, over a 16-word constant bank and the input bound as the
+/// texture; returns the words written (the output and the atomic counter
+/// after it) and the stats, which must keep to the machine's roofline.
 fn run_n(k: &Kernel, cfg: &GpuConfig, n: u32, width: u32) -> (Vec<u32>, KernelStats) {
     let mut mem = DeviceMemory::new(2 * n * 4 + 64);
     mem.const_bank = (0..16)
         .map(|i| Value::from_f32(i as f32 * 0.375 - 2.5).as_u32())
         .collect();
+    mem.tex_binding = Some((0, n * 4));
     for i in 0..n {
         mem.write(i * 4, Value::from_f32((i % 17) as f32 * 0.3 - 2.0));
     }
@@ -296,7 +368,7 @@ fn run_n(k: &Kernel, cfg: &GpuConfig, n: u32, width: u32) -> (Vec<u32>, KernelSt
     )
     .expect("launch");
     check_invariants(cfg, &stats);
-    (mem.read_slice(n * 4, n as usize).collect(), stats)
+    (mem.read_slice(n * 4, n as usize + 1).collect(), stats)
 }
 
 proptest! {
@@ -338,8 +410,9 @@ proptest! {
     /// engine simulating every block, and the product engine replaying
     /// blocks from a witness write the same words and report the same stats
     /// bytes — through SFU rows under the partial masks of the divergent
-    /// branch too, through shared rows of every run period, and through
-    /// constant loads, broadcast and per lane.
+    /// branch too, through shared rows of every run period, through
+    /// constant loads, broadcast and per lane, and through texture fetches
+    /// and atomics, which keep a kernel out of replay.
     #[test]
     fn engines_and_dedup_modes_agree(recipe in arb_recipe()) {
         let cfg = GpuConfig::geforce_8800_gtx();
@@ -354,7 +427,8 @@ proptest! {
         let (oracle, oracle_stats, _) = run_in(Engine::Reference, false);
         let (simulated, simulated_stats, _) = run_in(Engine::Predecoded, false);
         let (replayed, replayed_stats, fast) = run_in(Engine::Predecoded, true);
-        prop_assert!(fast > 0, "no block was replayed: the dedup arm tested nothing");
+        let eligible = recipe.tex_stage.is_none() && recipe.atom_stage.is_none();
+        prop_assert_eq!(fast > 0, eligible, "blocks replayed: {}", fast);
         prop_assert_eq!(&oracle, &simulated);
         prop_assert_eq!(&simulated, &replayed);
         prop_assert_eq!(&oracle_stats, &simulated_stats);

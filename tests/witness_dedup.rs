@@ -14,7 +14,7 @@ use g80::apps::mriq::MriQ;
 use g80::apps::sad::SadApp;
 use g80::apps::saxpy::Saxpy;
 use g80::isa::builder::{KernelBuilder, Unroll};
-use g80::isa::{CmpOp, Kernel, Pred, Scalar, Space, Value};
+use g80::isa::{AtomOp, CmpOp, Kernel, Pred, Scalar, Space, Value};
 use g80::sim::{
     kernel_info, launch, memo_counters, row_counters, DeviceMemory, Engine, GpuConfig, KernelStats,
     LaunchDims, LaunchError, MemoCounters, SimConfig, SimContext,
@@ -666,6 +666,28 @@ fn shared_store_tail_kernel() -> Kernel {
     b.build()
 }
 
+/// `atom.add` of 1 to `x[i + 1]` over a buffer of one word per thread (only
+/// the last lane of the last block leaves memory), or to `s[tid + 8]` in a
+/// 64-word shared array (every block's second warp leaves it).
+fn atomic_tail_kernel(space: Space) -> Kernel {
+    let mut b = KernelBuilder::new("atomic_tail");
+    let buf = b.param();
+    let tid = b.tid_x();
+    let ntid = b.ntid_x();
+    let cta = b.ctaid_x();
+    let (base, lane_byte) = match space {
+        Space::Shared => (b.shared_alloc(64).into(), b.shl(tid, 2u32)),
+        _ => {
+            let i = b.imad(cta, ntid, tid);
+            (buf, b.shl(i, 2u32))
+        }
+    };
+    let a = b.iadd(lane_byte, base);
+    let off = if space == Space::Shared { 4 * 8 } else { 4 };
+    b.atom(AtomOp::Add, space, a, off, 1u32);
+    b.build()
+}
+
 /// A kernel bug reads the same whichever executor meets it. In the global
 /// cases only block 255 leaves memory; it runs on SM 15, which replays
 /// against its donor, so replay meets the bad address first, refuses, and
@@ -688,6 +710,17 @@ fn out_of_bounds_accesses_panic_alike_with_dedup_on_and_off() {
         (
             shared_store_tail_kernel(),
             "kernel shared_store_tail: shared store out of bounds (64 >= 64)",
+            0,
+        ),
+        // Atomics keep a kernel out of replay: the timed engine meets these.
+        (
+            atomic_tail_kernel(Space::Global),
+            "atomic out of bounds: addr 0x10000",
+            0,
+        ),
+        (
+            atomic_tail_kernel(Space::Shared),
+            "shared atomic out of bounds",
             0,
         ),
     ];
