@@ -343,6 +343,13 @@ pub(crate) fn dram_request(cfg: &GpuConfig, cycle: u64, chan_free: &mut u64, byt
     start + cfg.global_latency
 }
 
+/// The first byte address of the texture-cache line holding global byte
+/// address `addr`: a warp fetch looks each distinct line up once.
+#[inline]
+pub(crate) fn tex_line(cfg: &GpuConfig, addr: u32) -> u32 {
+    addr - addr % cfg.tex_line_bytes
+}
+
 /// A direct-mapped per-SM cache model (tags only — data comes from the
 /// backing store functionally). Used for both the constant and texture
 /// caches.
@@ -392,21 +399,11 @@ impl TagCache {
         (hits, misses, misses * self.line_bytes as u64)
     }
 
-    /// The first byte address of the line holding `addr`.
-    pub(crate) fn line_of(&self, addr: u32) -> u32 {
-        addr - addr % self.line_bytes
-    }
-
     /// The resident line tag of every set (`u64::MAX` = never filled): the
     /// cache's complete state, for callers that must tell whether two
     /// instants see the same cache ([`crate::sm`]'s period detector).
     pub fn tags(&self) -> &[u64] {
         &self.tags
-    }
-
-    /// Invalidates all lines.
-    pub fn flush(&mut self) {
-        self.tags.fill(u64::MAX);
     }
 }
 
@@ -868,7 +865,5 @@ mod tests {
         assert!(c.access(4)); // same line
         assert!(!c.access(128)); // maps to set 0, evicts
         assert!(!c.access(0)); // conflict miss
-        c.flush();
-        assert!(!c.access(4));
     }
 }

@@ -16,9 +16,8 @@
 //! races except commutative atomics) observe exactly the values hardware
 //! would produce, while timing still exhibits latency, queueing, coalescing,
 //! divergence and bank-conflict effects. [`ExecCtx::execute`] turns what
-//! `step` did into issue cycles, register readiness, counters and the
-//! witness signature, and executes the two kinds replay never meets,
-//! atomics and texture fetches, itself.
+//! `step` did, for every instruction, into issue cycles, register
+//! readiness, counters and the witness signature.
 //!
 //! # Three parts around one launch
 //!
@@ -35,8 +34,7 @@
 //!   `Resident` storage is reset in place for the next block;
 //! * **the pipeline** (`ExecCtx`) — clock, DRAM channel, constant and
 //!   texture caches, counters and row tally, built once per SM run; each
-//!   issue lends it one resident block (`ExecCtx::execute`). The texture
-//!   line set is pooled, the constant distinct-address set a stack array;
+//!   issue lends it one resident block (`ExecCtx::execute`);
 //! * **the observer** (`Observe`), chosen once per run: the period detector
 //!   (`PeriodDetector`: witness recorder, boundary states, replay scratch)
 //!   on an SM that records, `()` otherwise. The schedule calls it at issue,
@@ -51,12 +49,10 @@ use crate::cost::{self, TagCache};
 use crate::counters::{MemoCounters, RowCounters, SmStats, StallReason, TallyKey};
 use crate::launch::Prepared;
 use crate::memory::{const_out_of_bounds, global_out_of_bounds};
-use crate::step::{addr_row, step, Access, Did, LaneAddrs, Refusal, Scratch};
+use crate::step::{step, Access, Did, LaneAddrs, Refusal, Scratch};
 use crate::warp::{RegSource, Warp};
 use crate::witness::{replay_block, Ev, ReplayScratch, Sig, Signature, WitnessRecorder, WriteBuf};
 use g80_isa::decode::{DecodedKernel, IssueClass, MemKind, MicroOp};
-use g80_isa::exec;
-use g80_isa::inst::{Inst, Space};
 use g80_isa::{Kernel, Value};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -696,8 +692,6 @@ struct ExecCtx<'a, S> {
     chan_free: u64,
     const_cache: TagCache,
     tex_cache: TagCache,
-    /// Distinct texture lines of one warp access, pooled across accesses.
-    tex_lines: Vec<u32>,
     /// The last issued instruction's signature ([`Sig`] on a recording SM,
     /// `()` otherwise), from the same results replay derives it from.
     sig: S,
@@ -716,7 +710,6 @@ impl<'a, S: Signature> ExecCtx<'a, S> {
             chan_free: 0,
             const_cache: TagCache::constant(cfg),
             tex_cache: TagCache::texture(cfg),
-            tex_lines: Vec::new(),
             sig: S::default(),
             rows: RowCounters::default(),
         }
@@ -749,8 +742,6 @@ impl<'a, S: Signature> ExecCtx<'a, S> {
         let (mut mem, mut scratch) = (self.p.spec.mem, Scratch::default());
         let did = match step(self.p, mop.inst, warp, smem, &mut mem, &mut scratch) {
             Ok(did) => did,
-            Err(Refusal::Atomic) => return self.do_atom(block, wi, mop.inst),
-            Err(Refusal::Texture) => return self.do_tex(block, wi, mop.inst),
             Err(r) => self.refused(r, mop, &block.warps[wi], block.smem.len()),
         };
         let dst = mop.dst as usize;
@@ -851,6 +842,35 @@ impl<'a, S: Signature> ExecCtx<'a, S> {
                 // broadcast case.
                 (ready, source, cost::serialized_cycles(distinct.len()))
             }
+            // Each distinct line through the per-SM texture cache; a miss is a
+            // transaction.
+            Access::Tex(lines) => {
+                let (hits, misses, miss_bytes) = self.tex_cache.lookup(lines);
+                stats.tex_hits += hits;
+                stats.tex_misses += misses;
+                stats.global_bytes += miss_bytes;
+                *transactions += misses;
+                let ready = match misses {
+                    0 => self.cycle + cfg.tex_hit_latency,
+                    _ => self.memory_request(miss_bytes),
+                };
+                (ready, RegSource::Memory, 0)
+            }
+            // One transaction per active lane, uncoalesced in global memory;
+            // the lanes serialize.
+            Access::Atomic(global, mask) => {
+                let lanes = mask.count_ones();
+                stats.atomic_transactions += lanes as u64;
+                let ready = if global {
+                    let bytes = cost::lane_bytes(cfg, mask) as u64;
+                    stats.global_bytes += bytes;
+                    self.memory_request(bytes)
+                } else {
+                    self.cycle + cfg.smem_latency
+                };
+                let extra = cost::serialized_cycles(lanes as usize);
+                (ready, RegSource::Memory, extra)
+            }
         }
     }
 
@@ -877,108 +897,7 @@ impl<'a, S: Signature> ExecCtx<'a, S> {
                 unreachable!("a barrier refused in a converged warp")
             }
             Refusal::ReadOnlyStore => panic!("stores to read-only memory space"),
-            Refusal::Atomic | Refusal::Texture => unreachable!("executed by the timed engine"),
         }
-    }
-
-    /// A warp atomic: every active lane's read-modify-write, in lane order.
-    fn do_atom(&mut self, block: &mut Resident, wi: usize, inst: Inst) -> u64 {
-        let Inst::Atom {
-            op,
-            space,
-            dst,
-            addr,
-            off,
-            src,
-        } = inst
-        else {
-            unreachable!("do_atom issues atomics")
-        };
-        debug_assert!(!self.p.dedup, "dedup witness on atomic");
-        let (cfg, params) = (self.p.cfg, self.p.spec.params);
-        let (warp, smem) = (&mut block.warps[wi], &mut block.smem);
-        let mask = warp.active_mask();
-        let addrs = addr_row(warp, addr, off, params);
-        let srcs = warp.operand_row(src, params);
-        let completion;
-        match space {
-            Space::Global => {
-                for lane in 0..32 {
-                    if mask >> lane & 1 == 1 {
-                        let old = self.p.spec.mem.atomic(op, addrs[lane], srcs[lane]);
-                        if let Some(d) = dst {
-                            warp.set_reg(d.0, lane, old);
-                        }
-                        self.stats.atomic_transactions += 1;
-                    }
-                }
-                let bytes = cost::lane_bytes(cfg, mask) as u64;
-                self.stats.global_bytes += bytes;
-                completion = self.memory_request(bytes);
-            }
-            Space::Shared => {
-                for lane in 0..32 {
-                    if mask >> lane & 1 == 1 {
-                        let idx = (addrs[lane] / 4) as usize;
-                        assert!(idx < smem.len(), "shared atomic out of bounds");
-                        let (new, old) = exec::eval_atom(op, smem[idx], srcs[lane]);
-                        smem[idx] = new;
-                        if let Some(d) = dst {
-                            warp.set_reg(d.0, lane, old);
-                        }
-                        self.stats.atomic_transactions += 1;
-                    }
-                }
-                completion = self.cycle + cfg.smem_latency;
-            }
-            _ => panic!("atomics only on global/shared memory"),
-        }
-        if let Some(d) = dst {
-            warp.reg_ready[d.0 as usize] = completion;
-            warp.reg_source[d.0 as usize] = RegSource::Memory;
-        }
-        warp.advance();
-        // Atomics serialize per distinct address; charge per lane.
-        cfg.issue_cycles + cost::serialized_cycles(mask.count_ones() as usize)
-    }
-
-    /// A warp texture fetch: every active lane reads through the texture
-    /// binding, and each distinct line goes through the per-SM texture cache.
-    fn do_tex(&mut self, block: &mut Resident, wi: usize, inst: Inst) -> u64 {
-        let Inst::Ld { dst, addr, off, .. } = inst else {
-            unreachable!("do_tex issues texture fetches")
-        };
-        debug_assert!(!self.p.dedup, "dedup witness on texture-cache load");
-        let (cfg, params) = (self.p.cfg, self.p.spec.params);
-        let warp = &mut block.warps[wi];
-        let mask = warp.active_mask();
-        let addrs = addr_row(warp, addr, off, params);
-        let (mem, lines) = (self.p.spec.mem, &mut self.tex_lines);
-        lines.clear();
-        let dst_row = warp.reg_row_mut(dst.0);
-        for (lane, &a) in addrs.iter().enumerate() {
-            if mask >> lane & 1 == 1 {
-                let g = mem.tex_to_global(a);
-                let line = self.tex_cache.line_of(g);
-                if !lines.contains(&line) {
-                    lines.push(line);
-                }
-                dst_row[lane] = mem.read(g);
-            }
-        }
-        let (hits, misses, miss_bytes) = self.tex_cache.lookup(&self.tex_lines);
-        self.stats.tex_hits += hits;
-        self.stats.tex_misses += misses;
-        self.stats.global_bytes += miss_bytes;
-        self.stats.global_ld_transactions += misses;
-        let ready = match misses {
-            0 => self.cycle + cfg.tex_hit_latency,
-            _ => self.memory_request(miss_bytes),
-        };
-        warp.reg_ready[dst.0 as usize] = ready;
-        warp.reg_source[dst.0 as usize] = RegSource::Memory;
-        warp.advance();
-        cfg.issue_cycles
     }
 }
 

@@ -1,9 +1,9 @@
 //! One warp instruction's functional effect, for the timed engine
 //! ([`crate::sm`]) and witness replay ([`crate::witness`]) alike: [`step`]
-//! is where instruction semantics live. It applies the effect — registers
-//! through [`Warp::exec_reg_only`], memory through [`LaneAddrs`] and
-//! [`load_const`], branch, barrier and exit — and reports what it did
-//! ([`Did`]) or why it refused ([`Refusal`]). The timed engine times the
+//! executes every instruction. It applies the effect — registers through
+//! [`Warp::exec_reg_only`], memory through [`LaneAddrs`], [`load_const`],
+//! [`load_tex`] and [`atom`], branch, barrier, exit — and reports what it
+//! did ([`Did`]) or why it refused ([`Refusal`]). The timed engine times the
 //! report and panics on a refusal; replay signs the report and fails on one.
 //!
 //! The memory path lives here too: an access's per-lane addresses, as a
@@ -14,12 +14,12 @@
 use crate::config::GpuConfig;
 use crate::cost::{
     coalesce_affine_warp, coalesce_half_warp, half_warp, smem_degree_affine_warp,
-    smem_degree_lanes, HalfWarpAccess,
+    smem_degree_lanes, tex_line, HalfWarpAccess,
 };
 use crate::launch::Prepared;
 use crate::memory::{DeviceMemory, Words};
 use crate::warp::Warp;
-use g80_isa::exec::Row;
+use g80_isa::exec::{self, Row};
 use g80_isa::inst::{Inst, Operand, Space};
 use g80_isa::row::AffineTerms;
 use g80_isa::{LaneRow, Value};
@@ -30,7 +30,8 @@ use std::ops::Range;
 pub(crate) enum Did<'a> {
     /// A register-only instruction: its result is in its destination.
     Reg,
-    /// A load into the instruction's destination register.
+    /// A load into the instruction's destination register; an atomic is a
+    /// load if it has a destination, else a store.
     Load(Access<'a>),
     Store(Access<'a>),
     /// A branch: the lanes that took it, and whether they split the warp.
@@ -49,6 +50,10 @@ pub(crate) enum Access<'a> {
     Local(u32),
     /// A constant load's distinct addresses, in first-lane order.
     Const(&'a [u32]),
+    /// A texture fetch's distinct lines (global byte addresses), likewise.
+    Tex(&'a [u32]),
+    /// An atomic by the lanes of this mask, in global memory or shared.
+    Atomic(bool, u32),
 }
 
 /// Where [`step`] leaves an access's addresses for its report to borrow:
@@ -70,10 +75,6 @@ pub(crate) enum Refusal {
     DivergentBarrier,
     /// A store to the constant or texture space.
     ReadOnlyStore,
-    /// An atomic or a texture fetch: the timed engine executes these itself,
-    /// and dedup eligibility keeps them out of replay.
-    Atomic,
-    Texture,
 }
 
 /// Executes `inst`, the next instruction of `warp`, over the block's shared
@@ -128,7 +129,7 @@ pub(crate) fn step<'s, W: Words + ?Sized>(
                         .map_err(Refusal::Const)?;
                     Access::Const(&distinct[..n])
                 }
-                Space::Tex => return Err(Refusal::Texture),
+                Space::Tex => Access::Tex(load_tex(p, inst, warp, scratch)),
             };
             warp.advance();
             Did::Load(access)
@@ -162,7 +163,7 @@ pub(crate) fn step<'s, W: Words + ?Sized>(
             warp.advance();
             Did::Store(access)
         }
-        Inst::Atom { .. } => return Err(Refusal::Atomic),
+        Inst::Atom { .. } => atom(p, inst, warp, smem),
         Inst::Bra {
             target,
             reconv,
@@ -200,7 +201,7 @@ pub(crate) fn step<'s, W: Words + ?Sized>(
 /// Per-lane effective addresses of a memory instruction (the address
 /// operand is resolved once for the whole warp).
 #[inline]
-pub(crate) fn addr_row(warp: &Warp, addr_op: Operand, off: i32, params: &[Value]) -> [u32; 32] {
+fn addr_row(warp: &Warp, addr_op: Operand, off: i32, params: &[Value]) -> [u32; 32] {
     let row = warp.operand_row(addr_op, params);
     std::array::from_fn(|l| row[l].as_u32().wrapping_add(off as u32))
 }
@@ -424,6 +425,76 @@ fn load_const(
         }
     }
     Ok(n)
+}
+
+/// The functional half of one warp texture fetch: every active lane reads
+/// its word of the bound window into the destination, and the distinct
+/// lines, in first-lane order, go to `scratch`. Out of line, as is
+/// [`atom`]: replay inlines [`step`] and never meets either.
+#[inline(never)]
+fn load_tex<'s>(p: &Prepared, inst: Inst, warp: &mut Warp, scratch: &'s mut Scratch) -> &'s [u32] {
+    let Inst::Ld { dst, addr, off, .. } = inst else {
+        unreachable!("load_tex fetches textures")
+    };
+    debug_assert!(!p.dedup, "dedup witness on texture-cache load");
+    let (cfg, mem, mask) = (p.cfg, p.spec.mem, warp.active_mask());
+    let addrs = addr_row(warp, addr, off, p.spec.params);
+    let dst_row = warp.reg_row_mut(dst.0);
+    let (out, mut n) = (scratch.distinct.insert([0; 32]), 0);
+    for lane in (0..32).filter(|lane| mask >> lane & 1 == 1) {
+        let g = mem.tex_to_global(addrs[lane]);
+        let line = tex_line(cfg, g);
+        if !out[..n].contains(&line) {
+            out[n] = line;
+            n += 1;
+        }
+        dst_row[lane] = mem.read(g);
+    }
+    &out[..n]
+}
+
+/// One warp atomic: every active lane's read-modify-write of a global or
+/// shared word, in lane order, the old value into its lane of the
+/// destination, if any. Global atomics go to device memory directly: only
+/// eligibility keeps them out of replay. An address outside memory panics.
+#[inline(never)]
+fn atom(p: &Prepared, inst: Inst, warp: &mut Warp, smem: &mut [Value]) -> Did<'static> {
+    let Inst::Atom {
+        op,
+        space,
+        dst,
+        addr,
+        off,
+        src,
+    } = inst
+    else {
+        unreachable!("atom executes atomics")
+    };
+    debug_assert!(!p.dedup, "dedup witness on atomic");
+    let (params, mask) = (p.spec.params, warp.active_mask());
+    let addrs = addr_row(warp, addr, off, params);
+    let srcs = warp.operand_row(src, params);
+    for lane in (0..32).filter(|lane| mask >> lane & 1 == 1) {
+        let (a, v) = (addrs[lane], srcs[lane]);
+        let old = match space {
+            Space::Global => p.spec.mem.atomic(op, a, v),
+            Space::Shared => {
+                let word = smem.get_mut((a / 4) as usize);
+                let word = word.expect("shared atomic out of bounds");
+                std::mem::replace(word, exec::eval_atom(op, *word, v).0)
+            }
+            _ => panic!("atomics only on global/shared memory"),
+        };
+        if let Some(d) = dst {
+            warp.set_reg(d.0, lane, old);
+        }
+    }
+    warp.advance();
+    let access = Access::Atomic(space == Space::Global, mask);
+    match dst {
+        Some(_) => Did::Load(access),
+        None => Did::Store(access),
+    }
 }
 
 #[cfg(test)]

@@ -398,8 +398,8 @@ pub(crate) fn replay_block(
 
 /// Executes one instruction of `warp` through [`step`] and verifies it
 /// against `rep[*cursor]`: the same pc and mask before, the same signature
-/// after. A refusal — an address outside memory, a divergent barrier, a kind
-/// eligibility excludes — fails the replay; the timed fallback reports it.
+/// after. A refusal (an address outside memory, a divergent barrier) or a
+/// kind eligibility excludes fails the replay; the timed fallback reports it.
 ///
 /// With [`Prepared::shared_uniform`] (shared addresses statically
 /// `ctaid`-free, see [`g80_isa::dataflow::TaintSummary::ctaid_shared_addr`])
@@ -435,6 +435,7 @@ fn replay_step(
             Access::Shared(addrs) => sig.shared(addrs.smem_degree(cfg)),
             Access::Local(mask) => sig.local(lane_bytes(cfg, mask)),
             Access::Const(distinct) => sig.constant(distinct),
+            Access::Tex(_) | Access::Atomic(..) => return false,
         },
         Did::Branch(taken, _) => sig.branch(taken),
         Did::Reg | Did::Barrier | Did::Exit => {}

@@ -58,15 +58,15 @@ struct Recipe {
     /// wrapping over the whole window, so lines meet in the direct-mapped
     /// sets). `None` skips the stage.
     tex_stage: Option<u8>,
-    /// Atomic stage: a shared `atom.add` of `tid` (0) or `atom.exch` of `x`
-    /// (1) on word `tid % 4` of four words per warp, whose old value `x`
-    /// adds; or (2) a global `atom.add` of `tid` without a destination into
-    /// the counter word after the output. Each warp has its own shared
-    /// words because the warps of a block may reach the atomic in either
-    /// order, while the lanes of one warp always go in lane order; the
-    /// global old value is never read, because the order across SMs is not
-    /// deterministic. Either kind makes the kernel dedup-ineligible. `None`
-    /// skips the stage.
+    /// Atomic stage: a shared `atom.add` of `tid` (0) or, in the first six
+    /// lanes of each warp, `atom.exch` of `x` (1) on word `tid % 4` of four
+    /// words per warp, whose old value `x` adds; or (2) a global `atom.add`
+    /// of `tid` without a destination into the counter word after the
+    /// output. Each warp has its own shared words because the warps of a
+    /// block may reach the atomic in either order, while the lanes of one
+    /// warp always go in lane order; the global old value is never read,
+    /// because the order across SMs is not deterministic. Either kind makes
+    /// the kernel dedup-ineligible. `None` skips the stage.
     atom_stage: Option<u8>,
     /// Block width: 64 is a 1-D block, 4 / 8 / 16 a 2-D block of 64 threads
     /// whose rows are runs of that period.
@@ -188,14 +188,20 @@ fn build(recipe: &Recipe, opt: OptLevel, max_regs: Option<u32>) -> Kernel {
             let w = b.and(tid, 35u32);
             let wb = b.shl(w, 2u32);
             let sa = b.iadd(wb, s);
-            let old = match kind {
-                0 => {
-                    let old = b.atom(AtomOp::Add, Space::Shared, sa, 0, tid);
-                    b.un(UnOp::CvtU2F, old)
-                }
-                _ => b.atom(AtomOp::Exch, Space::Shared, sa, 0, x),
-            };
-            x = b.fadd(x, old);
+            if kind == 0 {
+                let old = b.atom(AtomOp::Add, Space::Shared, sa, 0, tid);
+                let old = b.un(UnOp::CvtU2F, old);
+                x = b.fadd(x, old);
+            } else {
+                // Six lanes a warp: the issue port frees before the old
+                // value lands, so its use waits on the atomic.
+                let lane = b.and(tid, 31u32);
+                let few = b.setp(CmpOp::Lt, Scalar::U32, lane, 6u32);
+                b.if_(Pred::if_true(few), |b| {
+                    let old = b.atom(AtomOp::Exch, Space::Shared, sa, 0, x);
+                    b.alu_to(AluOp::FAdd, x, x, old);
+                });
+            }
         } else {
             let counter = b.iadd(outp, outp);
             b.emit(Inst::Atom {
