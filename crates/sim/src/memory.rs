@@ -107,14 +107,23 @@ impl DeviceMemory {
         true
     }
 
-    /// Atomic read-modify-write; returns the old value. A CAS loop, so
+    /// Atomic read-modify-write; returns the old value. Uses a CAS loop so
     /// every [`g80_isa::AtomOp`] works uniformly.
     pub fn atomic(&self, op: g80_isa::AtomOp, addr: u32, src: Value) -> Value {
-        let cell = self.words.get((addr / 4) as usize);
-        let cell = cell.unwrap_or_else(|| panic!("atomic out of bounds: addr {addr:#x}"));
-        let rmw = |old| Some(g80_isa::exec::eval_atom(op, Value(old), src).0.as_u32());
-        let old = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, rmw);
-        Value(old.expect("the update always applies"))
+        let idx = (addr / 4) as usize;
+        assert!(
+            idx < self.words.len(),
+            "atomic out of bounds: addr {addr:#x}"
+        );
+        let cell = &self.words[idx];
+        let mut old = cell.load(Ordering::Relaxed);
+        loop {
+            let (new, _) = g80_isa::exec::eval_atom(op, Value(old), src);
+            match cell.compare_exchange_weak(old, new.0, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => return Value(old),
+                Err(cur) => old = cur,
+            }
+        }
     }
 
     /// The `len` cells from word index `start` on, bounds-checked once for

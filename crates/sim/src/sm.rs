@@ -740,7 +740,7 @@ impl<'a, S: Signature> ExecCtx<'a, S> {
         let lanes = warp.active_mask().count_ones();
         self.stats.count_inst(mop.class, lanes, mop.flops);
         let (mut mem, mut scratch) = (self.p.spec.mem, Scratch::default());
-        let did = match step(self.p, mop.inst, warp, smem, &mut mem, &mut scratch) {
+        let did = match step::<false, _>(self.p, mop.inst, warp, smem, &mut mem, &mut scratch) {
             Ok(did) => did,
             Err(r) => self.refused(r, mop, &block.warps[wi], block.smem.len()),
         };

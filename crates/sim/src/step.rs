@@ -81,9 +81,11 @@ pub(crate) enum Refusal {
 /// memory `smem` and the global store `global` (device memory, or replay's
 /// write buffer). Inlined into both callers: out of line, replay's calls
 /// cost `matmul_walk` ≈ 20 %, as did a report holding the address rows by
-/// value (≈ 16 %: 128-byte copies), hence [`Scratch`].
+/// value (≈ 16 %: 128-byte copies), hence [`Scratch`]. `REPLAY` selects
+/// replay's copy, which eligibility keeps from atomics and texture fetches:
+/// compiled into it, their out-of-line arms cost replay 6–19 %.
 #[inline(always)]
-pub(crate) fn step<'s, W: Words + ?Sized>(
+pub(crate) fn step<'s, const REPLAY: bool, W: Words + ?Sized>(
     p: &Prepared,
     inst: Inst,
     warp: &mut Warp,
@@ -129,6 +131,7 @@ pub(crate) fn step<'s, W: Words + ?Sized>(
                         .map_err(Refusal::Const)?;
                     Access::Const(&distinct[..n])
                 }
+                Space::Tex if REPLAY => unreachable!("texture fetch in replay"),
                 Space::Tex => Access::Tex(load_tex(p, inst, warp, scratch)),
             };
             warp.advance();
@@ -163,6 +166,7 @@ pub(crate) fn step<'s, W: Words + ?Sized>(
             warp.advance();
             Did::Store(access)
         }
+        Inst::Atom { .. } if REPLAY => unreachable!("atomic in replay"),
         Inst::Atom { .. } => atom(p, inst, warp, smem),
         Inst::Bra {
             target,
@@ -430,7 +434,7 @@ fn load_const(
 /// The functional half of one warp texture fetch: every active lane reads
 /// its word of the bound window into the destination, and the distinct
 /// lines, in first-lane order, go to `scratch`. Out of line, as is
-/// [`atom`]: replay inlines [`step`] and never meets either.
+/// [`atom`], and not in replay's copy of [`step`].
 #[inline(never)]
 fn load_tex<'s>(p: &Prepared, inst: Inst, warp: &mut Warp, scratch: &'s mut Scratch) -> &'s [u32] {
     let Inst::Ld { dst, addr, off, .. } = inst else {

@@ -398,8 +398,9 @@ pub(crate) fn replay_block(
 
 /// Executes one instruction of `warp` through [`step`] and verifies it
 /// against `rep[*cursor]`: the same pc and mask before, the same signature
-/// after. A refusal (an address outside memory, a divergent barrier) or a
-/// kind eligibility excludes fails the replay; the timed fallback reports it.
+/// after. A refusal — an address outside memory, a divergent barrier —
+/// fails the replay; the timed fallback reports it. Eligibility keeps out
+/// atomics and texture fetches, which this copy of `step` cannot run.
 ///
 /// With [`Prepared::shared_uniform`] (shared addresses statically
 /// `ctaid`-free, see [`g80_isa::dataflow::TaintSummary::ctaid_shared_addr`])
@@ -424,7 +425,7 @@ fn replay_step(
         return false;
     };
     let (inst, mut scratch) = (p.decoded().ops[pc as usize].inst, Scratch::default());
-    let Ok(did) = step(p, inst, warp, smem, buf, &mut scratch) else {
+    let Ok(did) = step::<true, _>(p, inst, warp, smem, buf, &mut scratch) else {
         return false;
     };
     let mut sig = Sig::default();
@@ -435,7 +436,7 @@ fn replay_step(
             Access::Shared(addrs) => sig.shared(addrs.smem_degree(cfg)),
             Access::Local(mask) => sig.local(lane_bytes(cfg, mask)),
             Access::Const(distinct) => sig.constant(distinct),
-            Access::Tex(_) | Access::Atomic(..) => return false,
+            Access::Tex(_) | Access::Atomic(..) => unreachable!("not executed in replay"),
         },
         Did::Branch(taken, _) => sig.branch(taken),
         Did::Reg | Did::Barrier | Did::Exit => {}

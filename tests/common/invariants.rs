@@ -63,17 +63,11 @@ pub fn check_invariants(cfg: &GpuConfig, stats: &KernelStats) {
         stats.cycles
     );
 
-    // A launch ends at its last issue, and no warp waits for an atomic whose
-    // old value it never reads: those bytes may still be queued in the
-    // channel when the SM finishes (the model has no end-of-launch drain).
-    // The clause leaves every atomic's bytes out.
-    let atomic_bytes = stats.atomic_transactions * u64::from(cfg.uncoalesced_txn_bytes);
-    let waited = stats.global_bytes.saturating_sub(atomic_bytes);
     let dram = sm_cycles as f64 * cfg.dram_bytes_per_cycle_per_sm();
     assert!(
-        waited as f64 <= dram,
-        "{name}: {waited} DRAM bytes (atomics left out) exceed {dram} deliverable in {} cycles \
-         on {active} SMs",
+        stats.global_bytes as f64 <= dram,
+        "{name}: {} DRAM bytes exceed {dram} deliverable in {} cycles on {active} SMs",
+        stats.global_bytes,
         stats.cycles
     );
 }
