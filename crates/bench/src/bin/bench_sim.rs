@@ -42,7 +42,7 @@ use g80_isa::Value;
 use g80_serve::fleet::{self, probe_spec, run_fleet, FleetReport};
 use g80_serve::{serve, Addr, ServeConfig, WireLaunch};
 use g80_sim::{
-    clear_memo_cache, memo_counters, net_counters, Engine, FaultConfig, KernelStats, LaunchDims,
+    clear_memo_cache, memo_counters, net_counters, FaultConfig, KernelStats, LaunchDims,
     MemoCounters, NetFaultConfig, SimConfig, SimContext,
 };
 use std::hint::black_box;
@@ -265,14 +265,12 @@ fn number(v: f64, decimals: usize) -> String {
 /// redundancy layers off in both: a warm memo cache would replace every
 /// timed repetition with a cache replay.
 fn engine_row(name: &'static str, runs: usize, run: &mut dyn FnMut() -> KernelStats) -> Row {
-    let arms = [Engine::Reference, Engine::Predecoded].map(|engine| {
-        SimContext::new(SimConfig {
-            engine,
-            memo: false,
-            dedup: false,
-            ..SimConfig::default()
-        })
-    });
+    let off = SimConfig {
+        memo: false,
+        dedup: false,
+        ..SimConfig::default()
+    };
+    let arms = [g80_oracle::context(off.clone()), SimContext::new(off)];
     let mut pass = |pairs| {
         interleave(
             pairs,
@@ -711,6 +709,24 @@ fn cache_rows(add: &mut impl FnMut(Row), check: bool) {
     );
 }
 
+/// The distribution-free 90 % interval on the median of `n >= 5` `ratios`
+/// (sorted in place), 95 % on each side: the order statistics
+/// `[r_(k), r_(n+1-k)]` for the largest `k` with P(Binomial(n, 1/2) < k) <= 5 %.
+fn median_interval(ratios: &mut [f64]) -> [f64; 2] {
+    ratios.sort_by(f64::total_cmp);
+    let n = ratios.len();
+    let (mut k, mut choose, mut below) = (0, 1.0, 0.0);
+    while k < n {
+        below += choose / 2f64.powi(n as i32);
+        if below > 0.05 {
+            break;
+        }
+        choose *= (n - k) as f64 / (k + 1) as f64;
+        k += 1;
+    }
+    [ratios[k - 1], ratios[n - k]]
+}
+
 fn hardening_row(big_run: &mut dyn FnMut() -> KernelStats) -> Row {
     // ---- hardening overhead (fault sites + watchdog armed but silent) ----
     // The fault sites and the watchdog are compiled in unconditionally, so
@@ -724,8 +740,10 @@ fn hardening_row(big_run: &mut dyn FnMut() -> KernelStats) -> Row {
     // than the overhead, pairing cancels it, and polluted pairs are
     // out-voted in either direction. CPU seconds leave out the time a
     // loaded host runs someone else; the wall-clock median is reported
-    // beside it. Single wall pairs on a loaded runner read 0.79x–1.12x:
-    // seven pairs even under --check, and 1.05x says "noise, not a tax".
+    // beside it. Pairs are added while the median's 90 % interval straddles
+    // the ceiling, up to 21, where the truncated test decides by the median.
+    const CEILING: f64 = 1.05;
+    const MAX_PAIRS: usize = 21;
     let arms = [
         context(false, true),
         SimContext::new(SimConfig {
@@ -735,11 +753,18 @@ fn hardening_row(big_run: &mut dyn FnMut() -> KernelStats) -> Row {
             ..SimConfig::default()
         }),
     ];
-    let pairs = interleave(
-        7,
-        |arm| &arms[arm],
-        |ctx| ctx.enter(|| stats_bytes(&big_run())),
-    );
+    let mut pairs = Vec::new();
+    let [lo, hi] = loop {
+        // Seven, then two at a time so each arm runs first in half the pairs.
+        let more = if pairs.is_empty() { 7 } else { 2 };
+        let run = |ctx: &Arc<SimContext>| ctx.enter(|| stats_bytes(&big_run()));
+        pairs.extend(interleave(more, |arm| &arms[arm], run));
+        let mut cpu: Vec<f64> = pairs.iter().map(|[(b, _), (a, _)]| a.cpu / b.cpu).collect();
+        let [lo, hi] = median_interval(&mut cpu);
+        if !(lo <= CEILING && CEILING < hi) || pairs.len() >= MAX_PAIRS {
+            break [lo, hi];
+        }
+    };
     assert_arms_agree(
         "hardening_matmul_1024: an armed-but-silent injector changed the canonical KernelStats bytes",
         &pairs,
@@ -753,11 +778,14 @@ fn hardening_row(big_run: &mut dyn FnMut() -> KernelStats) -> Row {
     let [base, armed] = median_pair(|s| s.cpu);
     let [base_wall, armed_wall] = median_pair(|s| s.wall);
     Row::new("hardening_matmul_1024", "hardening")
+        .field("pairs", pairs.len() as f64)
         .field("disarmed_cpu_s", base)
         .field("armed_cpu_s", armed)
         .field("overhead_ratio", armed / base)
+        .field("overhead_lo", lo)
+        .field("overhead_hi", hi)
         .field("wall_ratio", armed_wall / base_wall)
-        .bound("overhead_ratio", Bound::Ceiling(1.05))
+        .bound("overhead_ratio", Bound::Ceiling(CEILING))
 }
 
 fn host_rows(add: &mut impl FnMut(Row)) {
@@ -864,5 +892,23 @@ fn report(rows: &[Row], check: bool, out_path: &str) -> i32 {
         0
     } else {
         2
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::median_interval;
+
+    /// The ranks of the 90 % sign-test interval on the median, as tabled:
+    /// n = 7 takes the extremes, n = 21 the 7th and 15th order statistics.
+    #[test]
+    fn median_interval_ranks_match_the_binomial_table() {
+        let ranks = [6, 7, 9, 11, 13, 15, 17, 19, 21].map(|n| {
+            let mut ratios: Vec<f64> = (1..=n).rev().map(f64::from).collect();
+            let [lo, hi] = median_interval(&mut ratios);
+            assert_eq!(lo + hi, f64::from(n + 1), "n = {n}");
+            lo
+        });
+        assert_eq!(ranks, [1, 1, 2, 3, 4, 4, 5, 6, 7].map(f64::from));
     }
 }

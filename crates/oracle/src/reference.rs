@@ -1,15 +1,15 @@
 //! The **reference** timing engine: a frozen copy of the original
 //! instruction-at-a-time scheduler, kept as the executable specification for
-//! the predecoded engine in [`crate::sm`].
+//! the predecoded engine in [`g80_sim::sm`].
 //!
 //! This module is intentionally unoptimized: it rebuilds the warp schedule
 //! every scheduler iteration, re-walks instruction operands on every
-//! readiness check, costs accesses by [`crate::cost`]'s definitional rules, and
+//! readiness check, costs accesses by [`g80_sim::cost`]'s definitional rules, and
 //! allocates fresh register files per block. The `golden_stats` integration
 //! test (workspace root) runs kernels through both engines and asserts
-//! field-for-field identical [`crate::KernelStats`]; any timing divergence in
-//! the optimized engine fails against this spec. A context selects it with
-//! `SimConfig { engine: Engine::Reference, .. }`. Its warps are built with
+//! field-for-field identical [`g80_sim::KernelStats`]; any timing divergence in
+//! the optimized engine fails against this spec. A context built by
+//! [`crate::context`] runs it. Its warps are built with
 //! [`Warp::new_eager`], so no register ever carries a row-shape tag and
 //! the spec shares none of the shape algebra it checks.
 //!
@@ -18,15 +18,15 @@
 #![allow(clippy::too_many_arguments)] // load/store helpers mirror the instruction fields
 #![allow(clippy::too_many_lines)] // the spec stays as written: frozen, not refactored
 
-use crate::config::GpuConfig;
-use crate::cost::{coalesce_half_warp, smem_conflict_degree, TagCache};
-use crate::counters::{SmStats, StallReason};
-use crate::memory::DeviceMemory;
-use crate::sm::LaunchDims;
-use crate::warp::{RegSource, Warp};
 use g80_isa::exec;
 use g80_isa::inst::{AluOp, Inst, Operand, Space};
 use g80_isa::{Kernel, Value};
+use g80_sim::config::GpuConfig;
+use g80_sim::cost::{coalesce_half_warp, smem_conflict_degree, TagCache};
+use g80_sim::counters::{SmStats, StallReason};
+use g80_sim::memory::DeviceMemory;
+use g80_sim::sm::LaunchDims;
+use g80_sim::warp::{RegSource, Warp};
 
 struct Resident {
     warps: Vec<Warp>,
@@ -85,7 +85,7 @@ pub fn run_sm_reference(
     loop {
         if cycle >= watchdog {
             stats.cycles = cycle;
-            crate::fault::watchdog_abort(&kernel.name, watchdog, cycle, stats.warp_instructions);
+            g80_sim::fault::watchdog_abort(&kernel.name, watchdog, cycle, stats.warp_instructions);
         }
         // Retire completed blocks, refill from the queue.
         let mut i = 0;

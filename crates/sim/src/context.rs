@@ -15,10 +15,13 @@
 //! their submitter's context ([`crate::pool::try_run_tasks`]); a thread
 //! started with `std::thread::spawn` does **not** inherit one.
 
-use crate::counters::{MemoTally, NetTally, RowTally};
+use crate::config::GpuConfig;
+use crate::counters::{MemoTally, NetTally, RowTally, SmStats};
 use crate::fault::{FaultConfig, FaultSchedule, NetFaultConfig};
-use crate::launch::Engine;
 use crate::memo::LaunchCache;
+use crate::memory::DeviceMemory;
+use crate::sm::LaunchDims;
+use g80_isa::{Kernel, Value};
 use std::cell::RefCell;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
@@ -56,10 +59,6 @@ pub struct SimConfig {
     /// ([`SimContext::net_faults`]; `G80_SERVE_NET_FAULTS`, unparsable =
     /// disarmed).
     pub net_faults: Option<NetFaultConfig>,
-    /// Test/bench hook: which timing engine simulates. Product callers
-    /// leave it at [`Engine::Predecoded`].
-    #[doc(hidden)]
-    pub engine: Engine,
 }
 
 impl Default for SimConfig {
@@ -73,7 +72,6 @@ impl Default for SimConfig {
             watchdog_cycles: None,
             faults: None,
             net_faults: None,
-            engine: Engine::Predecoded,
         }
     }
 }
@@ -105,7 +103,6 @@ impl SimConfig {
             watchdog_cycles: var("G80_SIM_WATCHDOG_CYCLES").and_then(|v| v.trim().parse().ok()),
             faults: var("G80_SIM_FAULTS").and_then(|v| FaultConfig::parse(&v)),
             net_faults: var("G80_SERVE_NET_FAULTS").and_then(|v| NetFaultConfig::parse(&v)),
-            engine: default.engine,
         }
     }
 }
@@ -118,9 +115,24 @@ pub(crate) struct Metrics {
     pub(crate) net: NetTally,
 }
 
+/// An SM simulator: config, kernel, dims, params, memory, the SM's block
+/// queue, blocks/SM and watchdog budget in; the SM's counters out.
+pub(crate) type RunSm = fn(
+    &GpuConfig,
+    &Kernel,
+    &LaunchDims,
+    &[Value],
+    &DeviceMemory,
+    &[(u32, u32)],
+    u32,
+    u64,
+) -> SmStats;
+
 /// One simulator instance's host-side state; see the module docs.
 pub struct SimContext {
     config: SimConfig,
+    /// Runs every SM in place of the predecoded engine, when set.
+    pub(crate) sm_engine: Option<RunSm>,
     pub(crate) cache: Mutex<LaunchCache>,
     /// Bytes this context published to the disk tier since its last
     /// compaction scan.
@@ -170,10 +182,20 @@ impl SimContext {
             faults: FaultSchedule::new(config.faults),
             net_faults: FaultSchedule::new(config.net_faults),
             config,
+            sm_engine: None,
             cache: Mutex::default(),
             disk_published: AtomicU64::new(0),
             metrics: Metrics::default(),
         })
+    }
+
+    /// Test/bench seam: a context that runs every SM on `engine` (the
+    /// `g80-oracle` crate's), with dedup off and memo entries keyed apart.
+    #[doc(hidden)]
+    pub fn with_sm_engine(config: SimConfig, engine: RunSm) -> Arc<Self> {
+        let mut ctx = Self::new(config);
+        Arc::get_mut(&mut ctx).expect("a fresh context").sm_engine = Some(engine);
+        ctx
     }
 
     /// The process's default context, built from [`SimConfig::from_env`]
@@ -273,7 +295,6 @@ mod tests {
                 watchdog_cycles: Some(99),
                 faults: Some(FaultConfig::new(1, 0.02, Some(FaultKind::Typed))),
                 net_faults: Some(NetFaultConfig::new(8, 0.01)),
-                engine: Engine::Predecoded,
             }
         );
         let ctx = SimContext::new(all);

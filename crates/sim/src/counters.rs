@@ -278,16 +278,18 @@ kernel_counters! {
 }
 
 impl SmStats {
+    #[doc(hidden)]
     #[inline]
-    pub(crate) fn count_inst(&mut self, class: InstClass, active_lanes: u32, flops: u32) {
+    pub fn count_inst(&mut self, class: InstClass, active_lanes: u32, flops: u32) {
         self.warp_instructions += 1;
         self.thread_instructions += active_lanes as u64;
         self.flops += flops as u64 * active_lanes as u64;
         self.by_class[class.index()] += 1;
     }
 
+    #[doc(hidden)]
     #[inline]
-    pub(crate) fn stall(&mut self, reason: StallReason, cycles: u64) {
+    pub fn stall(&mut self, reason: StallReason, cycles: u64) {
         self.stall_cycles[reason.index()] += cycles;
     }
 }

@@ -1,13 +1,10 @@
-//! The unified error hierarchy for the simulator stack.
+//! The errors of the simulator stack.
 //!
 //! [`crate::LaunchError`] covers launch-time rejection and per-launch
 //! degradation (watchdog aborts, injected faults, caught kernel panics).
 //! [`CudaError`] covers the host-runtime device layer (allocation,
-//! transfers, constant uploads) — it lives here rather than in `g80-cuda`
-//! because the dependency points that way, and because sweeps in `g80-core`
-//! plumb both through one [`SimError`].
-
-use crate::launch::LaunchError;
+//! transfers, constant uploads); `g80-cuda` re-exports it, and its injected
+//! variant names a [`crate::fault::Site`] of this crate.
 
 /// Typed failures of the host-runtime device layer (`g80-cuda`). The
 /// legacy infallible APIs (`Device::alloc` etc.) panic with the same
@@ -69,46 +66,6 @@ impl std::fmt::Display for CudaError {
 
 impl std::error::Error for CudaError {}
 
-/// Any failure the simulator stack can report: a launch-layer error or a
-/// device-layer error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SimError {
-    /// A launch was rejected or degraded (see [`LaunchError`]).
-    Launch(LaunchError),
-    /// A device-layer operation failed (see [`CudaError`]).
-    Cuda(CudaError),
-}
-
-impl std::fmt::Display for SimError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SimError::Launch(e) => write!(f, "Launch: {e}"),
-            SimError::Cuda(e) => write!(f, "Cuda: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for SimError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SimError::Launch(e) => Some(e),
-            SimError::Cuda(e) => Some(e),
-        }
-    }
-}
-
-impl From<LaunchError> for SimError {
-    fn from(e: LaunchError) -> Self {
-        SimError::Launch(e)
-    }
-}
-
-impl From<CudaError> for SimError {
-    fn from(e: CudaError) -> Self {
-        SimError::Cuda(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,13 +84,5 @@ mod tests {
             have: 65536,
         };
         assert!(e.to_string().contains("constant bank overflow"));
-        let s: SimError = LaunchError::BadParams("kernel k expects 1 params, got 0".into()).into();
-        assert!(s.to_string().starts_with("Launch: BadParams:"), "{s}");
-        let s: SimError = CudaError::InjectedFault {
-            site: "device.alloc",
-        }
-        .into();
-        assert!(s.to_string().contains("device.alloc"));
-        assert!(std::error::Error::source(&s).is_some());
     }
 }

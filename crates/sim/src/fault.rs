@@ -451,8 +451,9 @@ pub fn payload_str(p: &(dyn std::any::Any + Send)) -> Option<&str> {
 // ---- watchdog --------------------------------------------------------------
 
 /// Aborts the current SM simulation with a [`WatchdogAbort`] payload.
+#[doc(hidden)]
 #[cold]
-pub(crate) fn watchdog_abort(kernel: &str, budget: u64, cycles: u64, warp_instructions: u64) -> ! {
+pub fn watchdog_abort(kernel: &str, budget: u64, cycles: u64, warp_instructions: u64) -> ! {
     std::panic::panic_any(WatchdogAbort {
         kernel: kernel.to_string(),
         budget,

@@ -24,28 +24,13 @@ use crate::fault::Site;
 use crate::memo::{self, KernelInfo, Served};
 use crate::memory::DeviceMemory;
 use crate::pool;
-use crate::reference::run_sm_reference;
 use crate::sm::{self, LaunchDims};
 use crate::witness::{replay_sm, Ev};
-use g80_isa::{DecodedKernel, Kernel, Value};
+use g80_isa::{Kernel, Value};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
-
-/// Which timing-engine implementation a context's launches use
-/// ([`crate::SimConfig::engine`]). Both produce bit-identical
-/// [`KernelStats`].
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum Engine {
-    /// The predecoded, allocation-free hot loop in [`crate::sm`]: the
-    /// product engine.
-    Predecoded,
-    /// The original instruction-at-a-time engine, kept in
-    /// [`crate::reference`] as the executable spec: the oracle that tests
-    /// and benches compare the product engine against.
-    Reference,
-}
 
 /// Errors rejected at launch time (the CUDA runtime would fail the same
 /// way), plus per-launch degradation outcomes: a launch whose simulation
@@ -219,11 +204,10 @@ pub(crate) struct Prepared<'a> {
     pub(crate) spec: LaunchSpec<'a>,
     pub(crate) blocks_per_sm: u32,
     per_sm_blocks: Vec<Vec<(u32, u32)>>,
-    /// The kernel's predecode and dataflow facts; `None` runs the reference
-    /// engine.
-    info: Option<Arc<KernelInfo>>,
-    /// Block-class dedup engages: the context allows it and the kernel is
-    /// eligible ([`KernelInfo::dedup_eligible`]).
+    /// The kernel's predecode and dataflow facts.
+    pub(crate) info: Arc<KernelInfo>,
+    /// Block-class dedup engages: the context allows it and has no SM-engine
+    /// seam, and the kernel is eligible ([`KernelInfo::dedup_eligible`]).
     pub(crate) dedup: bool,
     /// The per-SM cycle budget ([`SimContext::watchdog_budget`]).
     pub(crate) watchdog: u64,
@@ -239,40 +223,22 @@ impl<'a> Prepared<'a> {
         spec: LaunchSpec<'a>,
         blocks_per_sm: u32,
     ) -> Result<Self, LaunchError> {
-        let info = match ctx.config().engine {
-            Engine::Reference => None,
-            Engine::Predecoded => Some(
-                catch_unwind(AssertUnwindSafe(|| memo::kernel_info(spec.kernel)))
-                    .map_err(classify_panic)?,
-            ),
-        };
+        let info = catch_unwind(AssertUnwindSafe(|| memo::kernel_info(spec.kernel)))
+            .map_err(classify_panic)?;
         Ok(Prepared {
             cfg,
             spec,
             blocks_per_sm,
             per_sm_blocks: assign_blocks(cfg, spec.dims),
-            dedup: ctx.config().dedup && info.as_deref().is_some_and(|i| i.dedup_eligible),
+            dedup: ctx.config().dedup && ctx.sm_engine.is_none() && info.dedup_eligible,
             info,
             watchdog: ctx.watchdog_budget(),
         })
     }
 
-    /// The predecoded kernel the product engine and witness replay run.
-    #[inline]
-    pub(crate) fn decoded(&self) -> &DecodedKernel {
-        &self.info.as_deref().expect("predecoded engine").decoded
-    }
-
-    /// Shared-memory addresses are `ctaid`-free
-    /// ([`KernelInfo::shared_uniform`]).
-    #[inline]
-    pub(crate) fn shared_uniform(&self) -> bool {
-        self.info.as_deref().is_some_and(|i| i.shared_uniform)
-    }
-
-    /// Simulates one SM of this launch: on the product engine given the
-    /// kernel's decoded table, on the reference engine without one. The
-    /// run's row and dedup tallies are flushed to `ctx` once, at its end.
+    /// Simulates one SM of this launch on the predecoded engine, or on the
+    /// context's [`SimContext::with_sm_engine`] seam when set. The run's
+    /// row and dedup tallies are flushed to `ctx` once, at its end.
     fn run_sm(
         &self,
         ctx: &SimContext,
@@ -282,9 +248,9 @@ impl<'a> Prepared<'a> {
         // One poll per SM simulation: every launch exercises the site, and
         // the per-launch fault probability does not scale with grid size.
         ctx.faults().poll(Site::SmStep);
-        if self.info.is_none() {
+        if let Some(run_sm) = ctx.sm_engine {
             let s = &self.spec;
-            return run_sm_reference(
+            return run_sm(
                 self.cfg,
                 s.kernel,
                 &s.dims,
@@ -844,48 +810,6 @@ mod tests {
             &[Value::from_u32(0)],
             &mem,
         );
-    }
-
-    /// A grid smaller than the SM count submits tasks only for the busy SMs;
-    /// stats and outputs match the reference engine stepping through all 16.
-    #[test]
-    fn small_grid_skips_empty_sms() {
-        let (cfg, k, _) = setup();
-        assert!(2 < cfg.num_sms);
-        let run = |engine: Engine| {
-            let ctx = SimContext::new(crate::SimConfig {
-                engine,
-                ..Default::default()
-            });
-            let mem = DeviceMemory::new(1 << 16);
-            let stats = ctx
-                .enter(|| {
-                    launch(
-                        &cfg,
-                        &k,
-                        dims((2, 1), (32, 1, 1)),
-                        &[Value::from_u32(0)],
-                        &mem,
-                    )
-                })
-                .expect("small grid launch");
-            let words: Vec<u32> = (0..64).map(|i| mem.read(i * 4).as_u32()).collect();
-            (stats, words)
-        };
-        let (product, product_mem) = run(Engine::Predecoded);
-        let (reference, reference_mem) = run(Engine::Reference);
-        assert_eq!(product_mem, reference_mem);
-        // Both blocks store tid (block-local) to the same 32 words.
-        assert_eq!(
-            product_mem,
-            (0..32)
-                .chain(std::iter::repeat_n(0, 32))
-                .collect::<Vec<u32>>()
-        );
-        assert_eq!(product.cycles, reference.cycles);
-        assert_eq!(product.warp_instructions, reference.warp_instructions);
-        assert_eq!(product.stall_cycles, reference.stall_cycles);
-        assert_eq!(product.blocks_executed, reference.blocks_executed);
     }
 
     #[test]

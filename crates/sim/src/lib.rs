@@ -68,7 +68,6 @@ pub mod launch;
 pub mod memo;
 pub mod memory;
 pub mod pool;
-pub mod reference;
 pub mod report;
 pub mod sm;
 mod step;
@@ -82,10 +81,10 @@ pub use counters::{
     memo_counters, net_counters, note_net_disconnect, note_net_frame_retried, note_net_reconnect,
     row_counters, KernelStats, MemoCounters, NetCounters, RowCounters, StallReason,
 };
-pub use error::{CudaError, SimError};
+pub use error::CudaError;
 pub use fault::{FaultConfig, FaultKind, NetFaultConfig, NetFaultKind, Site};
 pub use launch::{
-    launch, launch_batch, launch_batch_traced, launch_traced, Engine, LaunchError, LaunchSpec,
+    launch, launch_batch, launch_batch_traced, launch_traced, LaunchError, LaunchSpec,
 };
 pub use memo::{clear_memo_cache, kernel_info, KernelInfo, Served};
 pub use memory::DeviceMemory;

@@ -5,11 +5,12 @@
 //! cache makes the repeat free. A launch is keyed by everything that can
 //! influence its result — kernel content, launch geometry, machine config,
 //! parameter values, and a digest of the full pre-launch device-memory
-//! image (global words, constant bank, texture binding) — plus the active
-//! engine/dedup mode, so oracle and A/B runs never share entries with the
-//! product's. A hit replays the launch's recorded effect: the cached
-//! [`KernelStats`] is returned and the recorded sparse memory delta is
-//! re-applied, leaving memory bit-identical to a real simulation.
+//! image (global words, constant bank, texture binding) — plus the
+//! context's SM-engine seam and dedup mode, so oracle and A/B runs never
+//! share entries with the product's. A hit replays the launch's recorded
+//! effect: the cached [`KernelStats`] is returned and the recorded sparse
+//! memory delta is re-applied, leaving memory bit-identical to a real
+//! simulation.
 //!
 //! The same module hosts the predecode registry: a content-hash-keyed map
 //! from kernel code to its [`DecodedKernel`] plus the dataflow facts the
@@ -305,7 +306,7 @@ struct MemoKey {
     block: (u32, u32, u32),
     params: u64,
     input: (u64, u64),
-    /// Engine/dedup discriminants ([`mode_bits`]): launches under different
+    /// Seam and dedup discriminants ([`mode_bits`]): launches under different
     /// modes never share entries, so oracle and A/B comparisons stay honest.
     mode: u8,
 }
@@ -445,12 +446,12 @@ fn memo_key(
     }
 }
 
-/// The key's mode byte: engine in bits 0–1, dedup-off in bit 3. Bit 2 (once
-/// the executor) is always 0 and the layout is frozen, because the byte is
-/// part of the disk tier's content address: the product configuration must
-/// keep hashing as mode 0 for published entries to keep hitting.
-fn mode_bits(engine: crate::launch::Engine, dedup: bool) -> u8 {
-    engine as u8 | ((!dedup as u8) << 3)
+/// The key's mode byte: an SM-engine seam in bit 0, dedup-off in bit 3.
+/// Bits 1–2 (once the engine's high bit and the executor) are always 0 and
+/// the layout is frozen: the byte is part of the disk tier's content
+/// address, and the product must keep hashing as mode 0.
+fn mode_bits(sm_engine: bool, dedup: bool) -> u8 {
+    sm_engine as u8 | ((!dedup as u8) << 3)
 }
 
 /// Probes the memo cache for this launch. On a hit the recorded memory
@@ -498,7 +499,7 @@ fn memo_lookup_inner(
     // the cache; a typed fault flags whatever entry we find as corrupt,
     // exercising the same eviction path as real bit rot.
     let tampered = ctx.faults().tamper(Site::MemoLoad);
-    let mode = mode_bits(ctx.config().engine, ctx.config().dedup);
+    let mode = mode_bits(ctx.sm_engine.is_some(), ctx.config().dedup);
     let key = memo_key(cfg, kernel, dims, params, mem, mode);
     // The lock covers the map lookup and the LRU bump only; verifying and
     // replaying the payload are O(delta) and run on the shared `Arc`, so
@@ -719,11 +720,10 @@ mod tests {
     /// product = 0, oracle and dedup-off keep the bits they always had.
     #[test]
     fn mode_byte_layout_is_frozen() {
-        use crate::launch::Engine;
-        assert_eq!(mode_bits(Engine::Predecoded, true), 0);
-        assert_eq!(mode_bits(Engine::Reference, true), 1);
-        assert_eq!(mode_bits(Engine::Predecoded, false), 8);
-        assert_eq!(mode_bits(Engine::Reference, false), 9);
+        assert_eq!(mode_bits(false, true), 0);
+        assert_eq!(mode_bits(true, true), 1);
+        assert_eq!(mode_bits(false, false), 8);
+        assert_eq!(mode_bits(true, false), 9);
     }
 
     fn key_dims() -> LaunchDims {

@@ -41,8 +41,8 @@
 //!   retire, remove, refill and the end; the detector fast-forwards whole
 //!   periods (`Schedule::shift` moves both other parts' clocks).
 //!
-//! None of this may change simulated timing: [`crate::reference`] keeps the
-//! original engine as an executable spec, and the `golden_stats` test
+//! None of this may change simulated timing: the `g80-oracle` crate keeps
+//! the original engine as an executable spec, and the `golden_stats` test
 //! asserts bit-identical [`crate::KernelStats`] between the two.
 
 use crate::cost::{self, TagCache};
@@ -187,7 +187,7 @@ fn observed<O: Observe>(
     mut sched: Schedule,
     witness_out: Option<&mut Option<Vec<Vec<Ev>>>>,
 ) -> (SmStats, SmTally) {
-    let decoded = p.decoded();
+    let decoded = &p.info.decoded;
     let mut pipe = ExecCtx::new(p);
     loop {
         if pipe.cycle >= p.watchdog {

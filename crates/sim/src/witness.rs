@@ -402,7 +402,7 @@ pub(crate) fn replay_block(
 /// fails the replay; the timed fallback reports it. Eligibility keeps out
 /// atomics and texture fetches, which this copy of `step` cannot run.
 ///
-/// With [`Prepared::shared_uniform`] (shared addresses statically
+/// With [`crate::KernelInfo::shared_uniform`] (shared addresses statically
 /// `ctaid`-free, see [`g80_isa::dataflow::TaintSummary::ctaid_shared_addr`])
 /// the bank-conflict degree of a shared access is known to equal the
 /// representative's without recomputing it — the dominant cost of replaying
@@ -424,7 +424,7 @@ fn replay_step(
     let Some(&expect) = rep.get(*cursor).filter(|e| (e.pc, e.mask) == (pc, mask)) else {
         return false;
     };
-    let (inst, mut scratch) = (p.decoded().ops[pc as usize].inst, Scratch::default());
+    let (inst, mut scratch) = (p.info.decoded.ops[pc as usize].inst, Scratch::default());
     let Ok(did) = step::<true, _>(p, inst, warp, smem, buf, &mut scratch) else {
         return false;
     };
@@ -432,7 +432,7 @@ fn replay_step(
     match did {
         Did::Load(access) | Did::Store(access) => match access {
             Access::Global(addrs) => sig.global(&addrs.coalesce(cfg)),
-            Access::Shared(_) if p.shared_uniform() => sig = expect.sig,
+            Access::Shared(_) if p.info.shared_uniform => sig = expect.sig,
             Access::Shared(addrs) => sig.shared(addrs.smem_degree(cfg)),
             Access::Local(mask) => sig.local(lane_bytes(cfg, mask)),
             Access::Const(distinct) => sig.constant(distinct),

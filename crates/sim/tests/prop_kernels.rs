@@ -16,10 +16,11 @@ use g80_isa::builder::{BuildOptions, KernelBuilder, Unroll};
 use g80_isa::inst::{AluOp, CmpOp, Inst, Operand, Pred, Scalar, SfuOp, Space, UnOp};
 use g80_isa::{AtomOp, Kernel, OptLevel, Value};
 use g80_sim::{
-    launch, memo_counters, wire, DeviceMemory, Engine, GpuConfig, KernelStats, LaunchDims,
-    SimConfig, SimContext,
+    launch, memo_counters, wire, DeviceMemory, GpuConfig, KernelStats, LaunchDims, SimConfig,
+    SimContext,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 #[allow(dead_code)]
 #[path = "../../../tests/common/contexts.rs"]
@@ -392,14 +393,13 @@ fn run_n(k: &Kernel, cfg: &GpuConfig, n: u32, width: u32) -> (Vec<u32>, KernelSt
 fn engines_agree(recipe: &Recipe) -> Result<u64, TestCaseError> {
     let cfg = GpuConfig::geforce_8800_gtx();
     let k = build(recipe, OptLevel::O2, None);
-    let run_in = |engine, dedup| {
+    let run_in = |new: fn(SimConfig) -> Arc<SimContext>, dedup| {
         let config = SimConfig {
-            engine,
             dedup,
             memo: false,
             ..SimConfig::default()
         };
-        SimContext::new(config).enter(|| {
+        new(config).enter(|| {
             let (out, stats) = run_n(&k, &cfg, N_REPLAY, recipe.width);
             (
                 out,
@@ -408,9 +408,9 @@ fn engines_agree(recipe: &Recipe) -> Result<u64, TestCaseError> {
             )
         })
     };
-    let (oracle, oracle_stats, _) = run_in(Engine::Reference, false);
-    let (simulated, simulated_stats, _) = run_in(Engine::Predecoded, false);
-    let (replayed, replayed_stats, fast) = run_in(Engine::Predecoded, true);
+    let (oracle, oracle_stats, _) = run_in(g80_oracle::context, false);
+    let (simulated, simulated_stats, _) = run_in(SimContext::new, false);
+    let (replayed, replayed_stats, fast) = run_in(SimContext::new, true);
     prop_assert_eq!(&oracle, &simulated);
     prop_assert_eq!(&simulated, &replayed);
     prop_assert_eq!(&oracle_stats, &simulated_stats);

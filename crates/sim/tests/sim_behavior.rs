@@ -7,7 +7,7 @@ use g80_isa::builder::{KernelBuilder, Unroll};
 use g80_isa::inst::{CmpOp, Operand, Pred, Scalar, SfuOp, Space};
 use g80_isa::{AtomOp, Kernel, Value};
 use g80_sim::cost::{coalesce_half_warp, smem_conflict_degree};
-use g80_sim::{launch, DeviceMemory, GpuConfig, LaunchDims};
+use g80_sim::{launch, DeviceMemory, GpuConfig, LaunchDims, SimConfig, SimContext};
 
 fn gtx() -> GpuConfig {
     GpuConfig::geforce_8800_gtx()
@@ -781,4 +781,42 @@ fn shared_load_costs_follow_the_bank_rule_per_stride() {
             }
         }
     }
+}
+
+/// A grid smaller than the SM count submits tasks only for the busy SMs;
+/// stats and outputs match the reference engine stepping through all 16.
+#[test]
+fn small_grid_skips_empty_sms() {
+    let cfg = gtx();
+    // Stores tid to the param address.
+    let mut bk = KernelBuilder::new("tiny");
+    let p = bk.param();
+    let tid = bk.tid_x();
+    let byte = bk.shl(tid, 2u32);
+    let addr = bk.iadd(byte, p);
+    bk.st_global(addr, 0, tid);
+    let k = bk.build();
+    assert!(2 < cfg.num_sms);
+    let run = |ctx: std::sync::Arc<SimContext>| {
+        let mem = DeviceMemory::new(1 << 16);
+        let stats = ctx
+            .enter(|| launch(&cfg, &k, dims1d(2, 32), &[Value::from_u32(0)], &mem))
+            .expect("small grid launch");
+        let words: Vec<u32> = (0..64).map(|i| mem.read(i * 4).as_u32()).collect();
+        (stats, words)
+    };
+    let (product, product_mem) = run(SimContext::new(SimConfig::default()));
+    let (reference, reference_mem) = run(g80_oracle::context(SimConfig::default()));
+    assert_eq!(product_mem, reference_mem);
+    // Both blocks store tid (block-local) to the same 32 words.
+    assert_eq!(
+        product_mem,
+        (0..32)
+            .chain(std::iter::repeat_n(0, 32))
+            .collect::<Vec<u32>>()
+    );
+    assert_eq!(product.cycles, reference.cycles);
+    assert_eq!(product.warp_instructions, reference.warp_instructions);
+    assert_eq!(product.stall_cycles, reference.stall_cycles);
+    assert_eq!(product.blocks_executed, reference.blocks_executed);
 }

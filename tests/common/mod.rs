@@ -15,6 +15,16 @@ mod invariants;
 pub use contexts::{contexts, scratch_dir};
 pub use invariants::check_invariants;
 
+/// Builds a fresh context on one timing engine.
+pub type NewContext = fn(SimConfig) -> std::sync::Arc<SimContext>;
+
+/// Both timing engines by name: the product's predecoded engine and the
+/// `g80-oracle` reference engine.
+pub const ENGINES: [(&str, NewContext); 2] = [
+    ("predecoded", SimContext::new),
+    ("reference", g80_oracle::context),
+];
+
 /// Canonical bytes of a `KernelStats` — what the memo, disk and serve tiers
 /// store, so equal bytes means equal in every field and everywhere
 /// downstream.

@@ -22,7 +22,7 @@ use g80::isa::builder::KernelBuilder;
 use g80::isa::{Kernel, Value};
 use g80::sim::fault::{self, FaultConfig, FaultKind, Site};
 use g80::sim::{
-    launch, launch_batch, memo_counters, DeviceMemory, Engine, GpuConfig, LaunchDims, LaunchError,
+    launch, launch_batch, memo_counters, DeviceMemory, GpuConfig, LaunchDims, LaunchError,
     LaunchSpec, SimConfig, SimContext,
 };
 use std::sync::Arc;
@@ -75,12 +75,9 @@ fn watchdog_aborts_runaway_kernels() {
     let cfg = &GpuConfig::geforce_8800_gtx();
     let spin = spin_kernel();
     const BUDGET: u64 = 50_000;
-    for engine in [Engine::Predecoded, Engine::Reference] {
-        let unbounded = SimConfig {
-            engine,
-            ..SimConfig::default()
-        };
-        let watched = SimContext::new(SimConfig {
+    for (salt, (engine, new)) in (0u32..).zip(common::ENGINES) {
+        let unbounded = SimConfig::default();
+        let watched = new(SimConfig {
             watchdog_cycles: Some(BUDGET),
             ..unbounded.clone()
         });
@@ -114,8 +111,7 @@ fn watchdog_aborts_runaway_kernels() {
         // The budget belongs to its context: beside it, one without a
         // watchdog simulates terminating kernels normally.
         let probe = Scale { n: 256 };
-        SimContext::new(unbounded)
-            .enter(|| probe.run(&scale_kernel(2, engine as u32), &probe.input()));
+        new(unbounded).enter(|| probe.run(&scale_kernel(2, salt), &probe.input()));
     }
 }
 

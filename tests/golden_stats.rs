@@ -1,6 +1,6 @@
 //! Golden-stats equivalence: the product engine must be a pure host-side
 //! optimization. Every workload here runs on the frozen reference engine
-//! (`g80_sim::reference`, the oracle: instruction-at-a-time, eager warps,
+//! (`g80_oracle`, the oracle: instruction-at-a-time, eager warps,
 //! definitional access costs) and on the product engine (`g80_sim::sm`:
 //! predecoded micro-ops, tracked row shapes, pooled SM tasks) — and the
 //! resulting [`KernelStats`] must match **field for field, bit for bit**:
@@ -24,8 +24,7 @@ use g80::apps::tpacf::Tpacf;
 use g80::isa::builder::KernelBuilder;
 use g80::isa::Value;
 use g80::sim::{
-    launch, memo_counters, DeviceMemory, Engine, GpuConfig, KernelStats, LaunchDims, SimConfig,
-    SimContext,
+    launch, memo_counters, DeviceMemory, GpuConfig, KernelStats, LaunchDims, SimConfig, SimContext,
 };
 
 mod common;
@@ -37,8 +36,7 @@ use common::assert_stats_identical;
 /// LRU over warm files, as a fresh process sees them). The stats must be
 /// bit-identical to the oracle's at every step.
 fn check(label: &str, run: impl Fn() -> KernelStats) {
-    let oracle = SimContext::new(SimConfig {
-        engine: Engine::Reference,
+    let oracle = g80_oracle::context(SimConfig {
         memo: false,
         dedup: false,
         ..SimConfig::default()

@@ -9,7 +9,7 @@
 mod common;
 
 use g80::apps::matmul::{MatMul, Variant};
-use g80::sim::{Engine, SimConfig, SimContext};
+use g80::sim::SimConfig;
 
 #[test]
 fn single_worker_pool_matches_reference_engine() {
@@ -27,10 +27,7 @@ fn single_worker_pool_matches_reference_engine() {
         Variant::RegTiled { tile: 16 },
     ];
 
-    let oracle = SimContext::new(SimConfig {
-        engine: Engine::Reference,
-        ..SimConfig::default()
-    });
+    let oracle = g80_oracle::context(SimConfig::default());
     let reference: Vec<_> = oracle.enter(|| variants.iter().map(|&v| mm.run(v, &a, &b)).collect());
 
     let pooled_single = mm.run_batch(&variants, &a, &b);

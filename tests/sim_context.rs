@@ -4,9 +4,7 @@
 //! cache key keep entries of different contexts apart on a shared disk tier.
 
 use g80::apps::matmul::{MatMul, Variant};
-use g80::sim::{
-    memo_counters, row_counters, Engine, MemoCounters, RowCounters, SimConfig, SimContext,
-};
+use g80::sim::{memo_counters, row_counters, MemoCounters, RowCounters, SimConfig, SimContext};
 use std::sync::Barrier;
 
 mod common;
@@ -92,9 +90,8 @@ fn two_contexts_run_side_by_side() {
 #[test]
 fn disk_entries_are_keyed_by_the_recording_contexts_mode() {
     let dir = common::scratch_dir("mode-byte");
-    let visit = |engine, dedup| {
-        let ctx = SimContext::new(SimConfig {
-            engine,
+    let visit = |new: common::NewContext, dedup| {
+        let ctx = new(SimConfig {
             dedup,
             disk_dir: Some(dir.clone()),
             ..SimConfig::default()
@@ -103,9 +100,9 @@ fn disk_entries_are_keyed_by_the_recording_contexts_mode() {
         (memo.disk_hits, memo.misses)
     };
     for expected in [(0, 9), (9, 0)] {
-        for engine in [Engine::Predecoded, Engine::Reference] {
+        for (engine, new) in common::ENGINES {
             for dedup in [true, false] {
-                assert_eq!(visit(engine, dedup), expected, "{engine:?}, dedup {dedup}");
+                assert_eq!(visit(new, dedup), expected, "{engine}, dedup {dedup}");
             }
         }
     }

@@ -16,19 +16,18 @@ use g80::apps::saxpy::Saxpy;
 use g80::isa::builder::{KernelBuilder, Unroll};
 use g80::isa::{AtomOp, CmpOp, Kernel, Pred, Scalar, Space, Value};
 use g80::sim::{
-    kernel_info, launch, memo_counters, row_counters, DeviceMemory, Engine, GpuConfig, KernelStats,
+    kernel_info, launch, memo_counters, row_counters, DeviceMemory, GpuConfig, KernelStats,
     LaunchDims, LaunchError, MemoCounters, SimConfig, SimContext,
 };
 use std::sync::Arc;
 
 mod common;
-use common::{assert_stats_identical, bits, stats_bytes};
+use common::{assert_stats_identical, bits, stats_bytes, NewContext};
 
 /// A fresh context isolating the axis under test: no memo cache, the given
 /// engine and dedup mode.
-fn context(engine: Engine, dedup: bool) -> Arc<SimContext> {
-    SimContext::new(SimConfig {
-        engine,
+fn context(new: NewContext, dedup: bool) -> Arc<SimContext> {
+    new(SimConfig {
         dedup,
         memo: false,
         ..SimConfig::default()
@@ -37,7 +36,7 @@ fn context(engine: Engine, dedup: bool) -> Arc<SimContext> {
 
 /// `run` in a fresh product-engine context, with the dedup counters it left.
 fn product<T>(dedup: bool, run: impl FnOnce() -> T) -> (T, MemoCounters) {
-    context(Engine::Predecoded, dedup).enter(|| (run(), memo_counters()))
+    context(SimContext::new, dedup).enter(|| (run(), memo_counters()))
 }
 
 /// Large enough that the scheduler reaches a periodic steady state: the
@@ -285,8 +284,8 @@ fn walk_variants_shaped_and_bit_identical() {
     ];
     // One run in a fresh dedup-on context: output bits + stats, plus the
     // shape mix and dedup tallies it left there.
-    let run = |mm: &MatMul, v: Variant, a: &[f32], b: &[f32], engine: Engine| {
-        context(engine, true).enter(|| {
+    let run = |mm: &MatMul, v: Variant, a: &[f32], b: &[f32], new: NewContext| {
+        context(new, true).enter(|| {
             let (c, stats, _) = mm.run(v, a, b);
             let bits: Vec<u32> = c.iter().map(|x| x.to_bits()).collect();
             (bits, stats, row_counters(), memo_counters())
@@ -299,8 +298,8 @@ fn walk_variants_shaped_and_bit_identical() {
     let (a, b) = mm.generate(7);
     for v in walk {
         let tag = format!("matmul {} n=64", v.label());
-        let (ref_bits, ref_stats, _, _) = run(&mm, v, &a, &b, Engine::Reference);
-        let (bits, stats, shapes, dedup) = run(&mm, v, &a, &b, Engine::Predecoded);
+        let (ref_bits, ref_stats, _, _) = run(&mm, v, &a, &b, g80_oracle::context);
+        let (bits, stats, shapes, dedup) = run(&mm, v, &a, &b, SimContext::new);
         assert_stats_identical(&tag, &ref_stats, &stats);
         assert_eq!(ref_bits, bits, "{tag}: output memory differs");
         assert_eq!(dedup.dedup_fallbacks, 0, "{tag}: {dedup:?}");
@@ -318,8 +317,8 @@ fn walk_variants_shaped_and_bit_identical() {
     let (a, b) = mm.generate(11);
     for v in walk {
         let tag = format!("matmul {} n=128", v.label());
-        let (ref_bits, ref_stats, _, _) = run(&mm, v, &a, &b, Engine::Reference);
-        let (bits, stats, _, dedup) = run(&mm, v, &a, &b, Engine::Predecoded);
+        let (ref_bits, ref_stats, _, _) = run(&mm, v, &a, &b, g80_oracle::context);
+        let (bits, stats, _, dedup) = run(&mm, v, &a, &b, SimContext::new);
         assert_stats_identical(&tag, &ref_stats, &stats);
         assert_eq!(ref_bits, bits, "{tag}: output memory differs");
         assert!(dedup.dedup_fast_blocks > 0, "{tag}: no replay: {dedup:?}");
@@ -331,7 +330,7 @@ fn walk_variants_shaped_and_bit_identical() {
 /// the product with dedup on; asserts canonical stats bytes and output bits
 /// identical across all three and returns the dedup-on run's counters.
 fn three_way(tag: &str, run: impl Fn() -> (Vec<u32>, KernelStats)) -> MemoCounters {
-    let (ref_bits, ref_stats) = context(Engine::Reference, false).enter(&run);
+    let (ref_bits, ref_stats) = context(g80_oracle::context, false).enter(&run);
     let ((off_bits, off_stats), _) = product(false, &run);
     let ((on_bits, on_stats), counters) = product(true, &run);
     assert_stats_identical(&format!("{tag} ref/off"), &ref_stats, &off_stats);
