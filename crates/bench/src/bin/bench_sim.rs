@@ -6,10 +6,10 @@
 //! the way. All rows share one method: [`interleave`] runs the arms
 //! back-to-back, pair after pair, so machine drift lands on both alike; a
 //! [`Row`] holds what the row reports and the bounds `--check` holds it to;
-//! one writer turns the rows into the JSON report. The `engine` rows time
-//! the frozen reference interpreter (the oracle) against the product
-//! engine; the rest A/B the product's cache, dedup, hardening, kernel-row
-//! and serving layers.
+//! one writer turns the rows into the JSON report. The rows A/B the
+//! product's cache, dedup, hardening, kernel-row and serving layers; the
+//! product engine against the oracle is the `g80-oracle` crate's
+//! `engine_speedup` test.
 //!
 //! Writes the report to the path given as the last argument (default
 //! `BENCH_sim.json`). The committed copy at the repo root is regenerated
@@ -32,8 +32,6 @@ use g80_apps::cp::CoulombicPotential;
 use g80_apps::matmul::{MatMul, Variant};
 use g80_apps::mrifhd::MriFhd;
 use g80_apps::mriq::MriQ;
-use g80_apps::saxpy::Saxpy;
-use g80_apps::tpacf::Tpacf;
 use g80_bench::matmul_study::{revisit_fleet, REVISIT_LAUNCHES};
 use g80_isa::builder::{KernelBuilder, Unroll};
 use g80_isa::exec;
@@ -261,31 +259,6 @@ fn number(v: f64, decimals: usize) -> String {
     }
 }
 
-/// The reference engine against the product engine on one workload, the
-/// redundancy layers off in both: a warm memo cache would replace every
-/// timed repetition with a cache replay.
-fn engine_row(name: &'static str, runs: usize, run: &mut dyn FnMut() -> KernelStats) -> Row {
-    let off = SimConfig {
-        memo: false,
-        dedup: false,
-        ..SimConfig::default()
-    };
-    let arms = [g80_oracle::context(off.clone()), SimContext::new(off)];
-    let mut pass = |pairs| {
-        interleave(
-            pairs,
-            |arm| &arms[arm],
-            |ctx| ctx.enter(|| stats_bytes(&run())),
-        )
-    };
-    let warm = pass(1);
-    let pairs = pass(runs);
-    let what = format!("{name}: the engines disagree on the canonical KernelStats bytes");
-    assert_arms_agree(&what, &warm);
-    assert_arms_agree(&what, &pairs);
-    Row::min_wall(name, "engine", ["reference_s", "predecoded_s"], &pairs)
-}
-
 /// Block-class dedup off vs on, over `runs` launches of one workload.
 ///
 /// The memo is *on* but cleared before every timed run, so each launch
@@ -500,7 +473,6 @@ fn run() -> i32 {
     let big = MatMul { n: 1024 };
     let (big_a, big_b) = big.generate(42);
     let mut big_run = || big.run(TILED16U, &big_a, &big_b).1;
-    engine_rows(&mut add, check);
     dedup_rows(&mut add, check, &mut big_run);
     cache_rows(&mut add, check);
     add(hardening_row(&mut big_run));
@@ -533,30 +505,6 @@ fn exact_blocks(row: Row, runs: usize, fast: u64, sim: u64) -> Row {
     row.bound("dedup_fast_blocks", exact(fast))
         .bound("dedup_sim_blocks", exact(sim))
         .bound("dedup_fallbacks", Bound::Exact(0.0))
-}
-
-fn engine_rows(add: &mut impl FnMut(Row), check: bool) {
-    // ---- engine A/B (single launches) ----
-    // The headline: the paper's best matmul configuration (16x16 tiled,
-    // fully unrolled) at a production-ish size. Saxpy (streaming,
-    // scheduler- and coalescing-bound) and TPACF (divergent,
-    // atomic-heavy: the settle/retire paths) are reported.
-    let (runs, _) = repetitions(check);
-    let mm = MatMul { n: 256 };
-    let (a, b) = mm.generate(42);
-    let headline = engine_row("matmul_256_tiled16u", runs, &mut || {
-        mm.run(TILED16U, &a, &b).1
-    });
-    add(headline.bound("speedup", Bound::Floor(2.0)));
-    let sx = Saxpy {
-        n: 1 << 18,
-        alpha: 2.0,
-    };
-    let (x, y) = sx.generate(42);
-    add(engine_row("saxpy_262144", runs, &mut || sx.run(&x, &y).1));
-    let tp = Tpacf { n: 1024 };
-    let sky = tp.generate(42);
-    add(engine_row("tpacf_1024", runs, &mut || tp.run(&sky).1));
 }
 
 fn dedup_rows(add: &mut impl FnMut(Row), check: bool, big_run: &mut dyn FnMut() -> KernelStats) {

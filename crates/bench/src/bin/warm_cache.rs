@@ -32,14 +32,9 @@ fn main() {
         eprintln!("usage: warm_cache <cache-dir> [--expect-warm]");
         std::process::exit(3);
     };
-    // Pin the memo switch and the one environment-settable axis of the memo
-    // key's mode byte, so invocations agree on keys regardless of ambient
-    // G80_SIM_* variables.
     let ctx = SimContext::new(SimConfig {
-        memo: true,
-        dedup: false,
         disk_dir: Some(dir),
-        ..SimConfig::from_env()
+        ..SimConfig::default()
     });
     ctx.enter(|| run(expect_warm));
 }

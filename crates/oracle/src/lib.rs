@@ -1,8 +1,9 @@
 //! # g80-oracle — the executable spec of `g80-sim`'s timing engine
 //!
 //! The frozen instruction-at-a-time engine (`src/reference.rs`), run by a
-//! [`SimContext`] built with [`context`]. Tests and `bench_sim`'s engine
-//! rows compare the product engine against it; no product crate depends on it.
+//! [`SimContext`] built with [`context`]. Tests compare the product engine
+//! against it, `tests/engine_speedup.rs` times the two; no shipped crate
+//! depends on it.
 
 #![warn(clippy::too_many_lines)]
 

@@ -30,16 +30,16 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// What a [`SimContext`] runs under. `Default` is the product
 /// configuration, faults disarmed, and ignores the environment;
 /// [`SimConfig::from_env`] is the only reader of the variables named on
-/// the fields.
+/// the fields. The memo and dedup switches and the memo capacity have no
+/// variable: tests and benches set them in-process.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimConfig {
-    /// Consult and fill the launch memo cache (`G80_SIM_MEMO`;
-    /// `off|0|false` disables).
+    /// Consult and fill the launch memo cache.
     pub memo: bool,
     /// Block-class deduplication inside eligible launches, see
-    /// `crate::witness` (`G80_SIM_DEDUP`; `off|0|false` disables).
+    /// `crate::witness`.
     pub dedup: bool,
-    /// Launches the memo LRU holds (`G80_SIM_MEMO_CAP`, default 128, min 1).
+    /// Launches the memo LRU holds (default 128, min 1).
     pub memo_cap: usize,
     /// Directory of the persistent disk tier, created lazily on first
     /// publish; `None` disables the tier (`G80_SIM_DISK_CACHE`; empty or
@@ -85,14 +85,8 @@ impl SimConfig {
     /// [`SimConfig::from_env`] over an arbitrary variable lookup. Unset and
     /// unparsable values keep the defaults.
     pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Self {
-        let on = |name| !var(name).is_some_and(|v| matches!(v.as_str(), "off" | "0" | "false"));
         let default = SimConfig::default();
         SimConfig {
-            memo: on("G80_SIM_MEMO"),
-            dedup: on("G80_SIM_DEDUP"),
-            memo_cap: var("G80_SIM_MEMO_CAP")
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(default.memo_cap),
             disk_dir: var("G80_SIM_DISK_CACHE")
                 .map(|v| v.trim().to_string())
                 .filter(|v| !v.is_empty())
@@ -103,6 +97,7 @@ impl SimConfig {
             watchdog_cycles: var("G80_SIM_WATCHDOG_CYCLES").and_then(|v| v.trim().parse().ok()),
             faults: var("G80_SIM_FAULTS").and_then(|v| FaultConfig::parse(&v)),
             net_faults: var("G80_SERVE_NET_FAULTS").and_then(|v| NetFaultConfig::parse(&v)),
+            ..default
         }
     }
 }
@@ -271,13 +266,15 @@ mod tests {
     fn from_vars_reads_every_variable_and_nothing_else() {
         assert_eq!(from(&[]), SimConfig::default());
         assert_eq!(
-            from(&[("G80_SIM_ENGINE", "reference")]),
+            from(&[
+                ("G80_SIM_ENGINE", "reference"),
+                ("G80_SIM_MEMO", "off"),
+                ("G80_SIM_DEDUP", "0"),
+                ("G80_SIM_MEMO_CAP", "7"),
+            ]),
             SimConfig::default()
         );
         let all = from(&[
-            ("G80_SIM_MEMO", "off"),
-            ("G80_SIM_DEDUP", "0"),
-            ("G80_SIM_MEMO_CAP", "7"),
             ("G80_SIM_DISK_CACHE", " /tmp/g80 "),
             ("G80_SIM_DISK_CACHE_CAP", " 4096 "),
             ("G80_SIM_WATCHDOG_CYCLES", " 99 "),
@@ -287,14 +284,12 @@ mod tests {
         assert_eq!(
             all,
             SimConfig {
-                memo: false,
-                dedup: false,
-                memo_cap: 7,
                 disk_dir: Some(PathBuf::from("/tmp/g80")),
                 disk_cap: 4096,
                 watchdog_cycles: Some(99),
                 faults: Some(FaultConfig::new(1, 0.02, Some(FaultKind::Typed))),
                 net_faults: Some(NetFaultConfig::new(8, 0.01)),
+                ..SimConfig::default()
             }
         );
         let ctx = SimContext::new(all);
@@ -305,37 +300,29 @@ mod tests {
 
     #[test]
     fn from_vars_spellings_fallbacks_and_clamps() {
-        for off in ["off", "0", "false"] {
-            assert!(!from(&[("G80_SIM_MEMO", off)]).memo, "{off}");
-            assert!(!from(&[("G80_SIM_DEDUP", off)]).dedup, "{off}");
-        }
-        for on in ["on", "1", "true", "", "OFF", " off"] {
-            assert!(from(&[("G80_SIM_MEMO", on)]).memo, "{on:?}");
-            assert!(from(&[("G80_SIM_DEDUP", on)]).dedup, "{on:?}");
-        }
         // Unparsable numbers keep the default; surrounding blanks are trimmed.
         for bad in ["", "   ", "many", "-1", "1.5"] {
             let cfg = from(&[
-                ("G80_SIM_MEMO_CAP", bad),
                 ("G80_SIM_DISK_CACHE_CAP", bad),
                 ("G80_SIM_WATCHDOG_CYCLES", bad),
                 ("G80_SIM_FAULTS", bad),
                 ("G80_SERVE_NET_FAULTS", bad),
             ]);
-            let parsed = (cfg.memo_cap, cfg.disk_cap, cfg.watchdog_cycles);
-            assert_eq!(parsed, (128, 1 << 30, None), "{bad:?}");
+            let parsed = (cfg.disk_cap, cfg.watchdog_cycles);
+            assert_eq!(parsed, (1 << 30, None), "{bad:?}");
             assert_eq!((cfg.faults, cfg.net_faults), (None, None), "{bad:?}");
         }
-        assert_eq!(from(&[("G80_SIM_MEMO_CAP", " 7")]).memo_cap, 7);
         for unset in ["", "   ", "\t"] {
             assert_eq!(from(&[("G80_SIM_DISK_CACHE", unset)]).disk_dir, None);
         }
         // Zero caps and a zero budget clamp to 1 when the context is built.
-        let zeros = SimContext::new(from(&[
-            ("G80_SIM_MEMO_CAP", "0"),
-            ("G80_SIM_DISK_CACHE_CAP", "0"),
-            ("G80_SIM_WATCHDOG_CYCLES", "0"),
-        ]));
+        let zeros = SimContext::new(SimConfig {
+            memo_cap: 0,
+            ..from(&[
+                ("G80_SIM_DISK_CACHE_CAP", "0"),
+                ("G80_SIM_WATCHDOG_CYCLES", "0"),
+            ])
+        });
         let cfg = zeros.config();
         assert_eq!(
             (cfg.memo_cap, cfg.disk_cap, cfg.watchdog_cycles),

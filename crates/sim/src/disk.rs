@@ -29,10 +29,9 @@
 use crate::context::SimContext;
 use crate::counters::KernelStats;
 use crate::fault::Site;
-use crate::memo::Mix64;
+use crate::memo::{entry_checksum, MemoPayload};
 use crate::wire::{Dec, Enc, Wire};
 use std::fs;
-use std::hash::Hasher;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::SystemTime;
@@ -46,28 +45,24 @@ use std::time::SystemTime;
 /// version  FORMAT_VERSION               u32
 /// key      digest echo                  u64 + u64
 /// len      payload byte length          u64
-/// checksum Mix64 over the payload       u64
+/// checksum memo entry checksum           u64
 /// payload  serialized stats + delta     len bytes
 /// ```
 ///
 /// The key echo rejects files that were renamed or copied under a foreign
-/// digest; the checksum rejects bit rot and truncation; the version rejects
+/// digest; the length rejects truncation; the checksum, the same
+/// [`entry_checksum`] of the decoded stats and delta that guards an
+/// in-memory entry, rejects bit rot; the version rejects
 /// entries written by an incompatible serializer (any change to the payload
 /// encoding below must bump [`FORMAT_VERSION`]) or by an incompatible
 /// machine: v1 entries hold memory deltas computed with the host libm's
 /// `sinf`/`cosf`, v2 is the in-crate SFU of `g80_isa::exec::eval_sfu`, and
 /// v3 the NaN rule of `g80_isa::exec` (a NaN result's bits no longer depend
-/// on the compiler's choice of operand order).
+/// on the compiler's choice of operand order), and v4 stores the memo entry
+/// checksum in place of a bytewise hash of the payload.
 const MAGIC: &[u8; 4] = b"G80M";
-pub(crate) const FORMAT_VERSION: u32 = 3;
+pub(crate) const FORMAT_VERSION: u32 = 4;
 const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 8 + 8;
-const CHECKSUM_SEED: u64 = 0x452f_6a88_38d0_13f7;
-
-fn checksum(payload: &[u8]) -> u64 {
-    let mut h = Mix64::new(CHECKSUM_SEED);
-    h.write(payload);
-    h.finish()
-}
 
 /// Serializes a memo entry's payload: the canonical [`KernelStats`] bytes
 /// followed by the sparse write-delta under a u64 count. Any change to
@@ -102,8 +97,9 @@ fn encode_entry(digest: (u64, u64), payload: &[u8], sum: u64) -> Vec<u8> {
     e.0
 }
 
-/// Validates an entry file's header + checksum and decodes the payload.
-fn decode_entry(digest: (u64, u64), bytes: &[u8]) -> Option<(KernelStats, Vec<(u32, u32)>)> {
+/// Validates an entry file's header, decodes the payload and verifies its
+/// checksum.
+fn decode_entry(digest: (u64, u64), bytes: &[u8]) -> Option<MemoPayload> {
     let mut d = Dec(bytes);
     if d.take(4)? != MAGIC || d.u32()? != FORMAT_VERSION {
         return None;
@@ -112,11 +108,16 @@ fn decode_entry(digest: (u64, u64), bytes: &[u8]) -> Option<(KernelStats, Vec<(u
         return None;
     }
     let len = usize::try_from(d.u64()?).ok()?;
-    let sum = d.u64()?;
-    if d.0.len() != len || checksum(d.0) != sum {
+    let checksum = d.u64()?;
+    if d.0.len() != len {
         return None;
     }
-    decode_payload(d.0)
+    let (stats, delta) = decode_payload(d.0)?;
+    (entry_checksum(&stats, &delta) == checksum).then_some(MemoPayload {
+        stats,
+        delta,
+        checksum,
+    })
 }
 
 // ---- paths -----------------------------------------------------------------
@@ -130,17 +131,12 @@ fn entry_path(dir: &Path, digest: (u64, u64)) -> PathBuf {
 
 // ---- load / publish --------------------------------------------------------
 
-/// Probes the disk tier at `dir` for `digest`: a verified entry's stats and
-/// the sparse memory delta to replay, or `None` (the caller simulates and
-/// records, which re-publishes). Corrupt, truncated, version-skewed, or
-/// foreign-key entries are evicted (file removed) and reported as a miss; a
-/// verified hit touches the entry's mtime so compaction sees it as recently
-/// used.
-pub(crate) fn load(
-    ctx: &SimContext,
-    dir: &Path,
-    digest: (u64, u64),
-) -> Option<(KernelStats, Vec<(u32, u32)>)> {
+/// Probes the disk tier at `dir` for `digest`: a verified entry, checksum
+/// included, or `None` (the caller simulates and records, which
+/// re-publishes). Corrupt, truncated, version-skewed, or foreign-key entries
+/// are evicted (file removed) and reported as a miss; a verified hit
+/// touches the entry's mtime so compaction sees it as recently used.
+pub(crate) fn load(ctx: &SimContext, dir: &Path, digest: (u64, u64)) -> Option<MemoPayload> {
     let tally = &ctx.metrics.memo;
     // Polled per load: a typed fault distrusts whatever the file holds
     // (same observable outcome as bit rot); a panic-kind fault unwinds and
@@ -157,12 +153,12 @@ pub(crate) fn load(
         decode_entry(digest, &bytes)
     };
     match decoded {
-        Some((stats, delta)) => {
+        Some(payload) => {
             if let Ok(f) = fs::OpenOptions::new().write(true).open(&path) {
                 let _ = f.set_modified(SystemTime::now());
             }
             tally.disk_hits.fetch_add(1, Relaxed);
-            Some((stats, delta))
+            Some(payload)
         }
         None => {
             // Evict-and-resimulate: same contract as a corrupt LRU entry.
@@ -177,10 +173,11 @@ pub(crate) fn load(
 /// Temp-file names are unique per process, whichever context publishes.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Publishes an entry for `digest` under `dir`. Concurrent writers (threads,
-/// contexts or processes) are safe: the entry is written to a unique temp
-/// file in the shard directory and moved into place with `rename`, which is
-/// atomic on the same filesystem — readers see either the old complete entry or the
+/// Publishes an entry for `digest` under `dir`, stamped with its
+/// [`entry_checksum`] `sum`. Concurrent writers (threads, contexts or
+/// processes) are safe: the entry is written to a unique temp file in the
+/// shard directory and moved into place with `rename`, which is atomic on
+/// the same filesystem — readers see either the old complete entry or the
 /// new complete entry, never a torn write. Losing a publish race is
 /// harmless (both sides wrote identical bytes, modulo mtime).
 pub(crate) fn publish(
@@ -189,12 +186,13 @@ pub(crate) fn publish(
     digest: (u64, u64),
     stats: &KernelStats,
     delta: &[(u32, u32)],
+    sum: u64,
 ) {
     // A typed fault corrupts the published checksum — a later load of this
     // entry detects the mismatch, evicts the file, and resimulates.
     let tampered = ctx.faults().tamper(Site::DiskCache);
     let payload = encode_payload(stats, delta);
-    let sum = checksum(&payload) ^ ((tampered as u64) * 0xdead_beef);
+    let sum = sum ^ ((tampered as u64) * 0xdead_beef);
     let bytes = encode_entry(digest, &payload, sum);
     let path = entry_path(dir, digest);
     let shard = path.parent().expect("entry path has a shard parent");
@@ -336,15 +334,17 @@ mod tests {
         let stats = sample_stats();
         let delta = vec![(5u32, 6u32)];
         let digest = (0x0123_4567_89ab_cdef, 0xfedc_ba98_7654_3210);
-        let payload = encode_payload(&stats, &delta);
-        let good = encode_entry(digest, &payload, checksum(&payload));
-        assert!(decode_entry(digest, &good).is_some());
+        let sum = entry_checksum(&stats, &delta);
+        let good = encode_entry(digest, &encode_payload(&stats, &delta), sum);
+        let back = decode_entry(digest, &good).expect("a good entry decodes");
+        assert_eq!((back.delta, back.checksum), (delta, sum));
         // Foreign digest.
         assert!(decode_entry((1, 2), &good).is_none());
         // Truncation.
         assert!(decode_entry(digest, &good[..good.len() - 1]).is_none());
         assert!(decode_entry(digest, &good[..HEADER_LEN - 1]).is_none());
-        // Single bit flip anywhere in the payload.
+        // A bit flip in the last delta value still decodes; the checksum
+        // rejects it.
         let mut flipped = good.clone();
         let last = flipped.len() - 1;
         flipped[last] ^= 0x40;
@@ -357,14 +357,15 @@ mod tests {
 
     #[test]
     fn entry_bytes_are_pinned() {
-        let delta = vec![(0u32, 17u32), (99, 0xdead_beef)];
-        let payload = encode_payload(&sample_stats(), &delta);
-        let entry = encode_entry((0x0123_4567_89ab_cdef, 2), &payload, checksum(&payload));
+        let (stats, delta) = (sample_stats(), vec![(0u32, 17u32), (99, 0xdead_beef)]);
+        let payload = encode_payload(&stats, &delta);
+        let sum = entry_checksum(&stats, &delta);
+        let entry = encode_entry((0x0123_4567_89ab_cdef, 2), &payload, sum);
         let hex: String = entry.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(
             hex,
-            "4738304d03000000efcdab896745230102000000000000002901000000000000\
-            dba95547f9fca6b20900000000000000726f756e6474726970d2040000000000\
+            "4738304d04000000efcdab896745230102000000000000002901000000000000\
+            46f9da6642f6f7990900000000000000726f756e6474726970d2040000000000\
             00f1726c25d6abae3e6300000000000000600c00000000000040000000000000\
             0000000000000000000000000000000000001000000000000000000000000000\
             0000000000000000000000000000000000000000000000000000000000000000\

@@ -318,21 +318,21 @@ struct MemoEntry {
     last_used: u64,
 }
 
-struct MemoPayload {
-    stats: KernelStats,
+pub(crate) struct MemoPayload {
+    pub(crate) stats: KernelStats,
     /// Sparse post-launch memory effect: (word index, new value).
-    delta: Vec<(u32, u32)>,
+    pub(crate) delta: Vec<(u32, u32)>,
     /// Integrity digest of `stats` + `delta`, verified before a hit is
     /// served. A mismatched entry (bit rot, injected memo.store fault) is
     /// evicted and the launch falls back to fresh simulation, counted as a
-    /// miss.
-    checksum: u64,
+    /// miss. The disk tier stores and verifies the same value.
+    pub(crate) checksum: u64,
 }
 
 /// Integrity digest of a memo entry's payload: the stats' canonical bytes,
 /// so every field counts, eight to a step, and the delta, the bulk of the
 /// payload, through [`wide_digest`].
-fn entry_checksum(stats: &KernelStats, delta: &[(u32, u32)]) -> u64 {
+pub(crate) fn entry_checksum(stats: &KernelStats, delta: &[(u32, u32)]) -> u64 {
     let mut h = Mix64::new(0x4528_21e6_38d0_1377);
     let bytes = wire::to_bytes(stats, 512);
     h.write_u64(bytes.len() as u64);
@@ -539,23 +539,14 @@ fn memo_lookup_inner(
         ctx.metrics.memo.hits.fetch_add(1, Relaxed);
         return MemoLookup::Hit(Box::new(payload.stats.clone()), Served::Memo);
     }
-    // LRU miss: probe the persistent tier (when enabled). A verified disk
-    // entry is promoted back into the LRU — with a checksum recomputed
-    // here, so a tampered file can never seed a "trusted" in-memory entry —
-    // and served exactly like an LRU hit.
+    // LRU miss: probe the persistent tier (when enabled). A disk entry
+    // whose stored checksum matches its decoded payload is promoted back
+    // into the LRU under that checksum and served exactly like an LRU hit.
     if let Some(dir) = &ctx.config().disk_dir {
-        if let Some((stats, delta)) = disk::load(ctx, dir, disk_digest(&key)) {
-            let checksum = entry_checksum(&stats, &delta);
-            apply_delta(mem, &delta);
-            memo_insert(
-                ctx,
-                key,
-                MemoPayload {
-                    stats: stats.clone(),
-                    delta,
-                    checksum,
-                },
-            );
+        if let Some(payload) = disk::load(ctx, dir, disk_digest(&key)) {
+            apply_delta(mem, &payload.delta);
+            let stats = payload.stats.clone();
+            memo_insert(ctx, key, payload);
             return MemoLookup::Hit(Box::new(stats), Served::Disk);
         }
     }
@@ -651,7 +642,7 @@ fn memo_record_inner(
         .filter(|(_, (a, b))| a != b)
         .map(|(i, (_, &b))| (i as u32, b))
         .collect();
-    let checksum = entry_checksum(stats, &delta) ^ ((corrupt as u64) * 0xdead_beef);
+    let checksum = entry_checksum(stats, &delta);
     // Spill to the persistent tier on insert, outside the cache lock (file
     // I/O must not serialize concurrent probes). A store whose in-memory
     // entry was tampered (`corrupt`) skips the spill — publishing a clean
@@ -659,7 +650,8 @@ fn memo_record_inner(
     // disk tier mask the very corruption the fault is injecting.
     if !corrupt {
         if let Some(dir) = &ctx.config().disk_dir {
-            disk::publish(ctx, dir, disk_digest(&pending.key), stats, &delta);
+            let digest = disk_digest(&pending.key);
+            disk::publish(ctx, dir, digest, stats, &delta, checksum);
         }
     }
     memo_insert(
@@ -668,7 +660,7 @@ fn memo_record_inner(
         MemoPayload {
             stats: stats.clone(),
             delta,
-            checksum,
+            checksum: checksum ^ ((corrupt as u64) * 0xdead_beef),
         },
     );
 }

@@ -220,9 +220,19 @@ fn corruption_is_evicted_and_resimulated() {
     let truncate = |bytes: &mut Vec<u8>| bytes.truncate(bytes.len() / 2);
     let out = assert_evicted_and_resimulated("truncation", &dir, &k, &cold, truncate);
     assert_eq!(out1, out, "truncation: memory drift");
+    // Two flips that still decode, so only the entry checksum can catch
+    // them: the last byte is the high byte of the last delta value, and
+    // the payload's stats open with the kernel name (a u64 length at byte
+    // 40, after the header) followed by the cycle count.
     let flip = |bytes: &mut Vec<u8>| *bytes.last_mut().unwrap() ^= 0x01;
     let out = assert_evicted_and_resimulated("bit flip", &dir, &k, &cold, flip);
     assert_eq!(out1, out, "bit flip: memory drift");
+    let cycles = |bytes: &mut Vec<u8>| {
+        let name_len = u64::from_le_bytes(bytes[40..48].try_into().unwrap());
+        bytes[48 + name_len as usize] ^= 0x01;
+    };
+    let out = assert_evicted_and_resimulated("cycles flip", &dir, &k, &cold, cycles);
+    assert_eq!(out1, out, "cycles flip: memory drift");
 }
 
 /// An entry written by a different serializer version must be rejected (and
