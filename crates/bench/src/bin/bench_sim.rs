@@ -41,7 +41,7 @@ use g80_serve::fleet::{self, probe_spec, run_fleet, FleetReport};
 use g80_serve::{serve, Addr, ServeConfig, WireLaunch};
 use g80_sim::{
     clear_memo_cache, memo_counters, net_counters, FaultConfig, KernelStats, LaunchDims,
-    MemoCounters, NetFaultConfig, SimConfig, SimContext,
+    MemoCounters, NetFaultConfig, SimConfig, SimContext, Site,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -675,21 +675,40 @@ fn median_interval(ratios: &mut [f64]) -> [f64; 2] {
     [ratios[k - 1], ratios[n - k]]
 }
 
+/// Each fault site's `polls_*` field in the hardening row: its polls in one
+/// warm armed launch, held `==` where the count is fixed. `pool.worker` is
+/// polled by each worker that wakes for a task, so it varies with the run
+/// and the worker count.
+const POLLS: [(Site, &str, Option<f64>); 9] = [
+    (Site::DeviceAlloc, "polls_device_alloc", Some(3.0)),
+    (Site::DeviceCopy, "polls_device_copy", Some(3.0)),
+    (Site::Decode, "polls_isa_decode", Some(0.0)),
+    (Site::SmStep, "polls_sm_step", Some(1.0)),
+    (Site::MemoStore, "polls_memo_store", Some(0.0)),
+    (Site::MemoLoad, "polls_memo_load", Some(0.0)),
+    (Site::PoolWorker, "polls_pool_worker", None),
+    (Site::DiskCache, "polls_memo_disk", Some(0.0)),
+    (Site::ServeDecode, "polls_serve_decode", Some(0.0)),
+];
+
 fn hardening_row(big_run: &mut dyn FnMut() -> KernelStats) -> Row {
     // ---- hardening overhead (fault sites + watchdog armed but silent) ----
     // The fault sites and the watchdog are compiled in unconditionally, so
     // the armed-but-silent path must stay cheap. Baseline: injector
-    // disarmed, watchdog off. Hardened: every site armed at rate 0.0 (each
-    // poll runs its full decision path but never fires, and each launch
-    // snapshots device memory for the retry contract) with the watchdog
-    // counting against an unreachable budget. Dedup on in both, as
-    // shipped. The statistic is the median over *pairs* of
-    // hardened/baseline process CPU seconds: drift between pairs is larger
-    // than the overhead, pairing cancels it, and polluted pairs are
-    // out-voted in either direction. CPU seconds leave out the time a
-    // loaded host runs someone else; the wall-clock median is reported
-    // beside it. Pairs are added while the median's 90 % interval straddles
-    // the ceiling, up to 21, where the truncated test decides by the median.
+    // disarmed, watchdog off. Hardened: every site armed at rate 0.0 with
+    // the watchdog counting against an unreachable budget. Memo off and
+    // dedup on in both. A launch polls its sites a handful of times (the
+    // `polls_*` fields, pinned exactly), far too few to show in a launch
+    // of ~4 CPU seconds, and the watchdog compare runs in both arms (an
+    // unset budget is `u64::MAX`): what the ratio measures is the snapshot
+    // of device memory every armed launch takes for absorb-and-retry. The
+    // statistic is the median over *pairs* of hardened/baseline process
+    // CPU seconds: drift between pairs is larger than the overhead, pairing
+    // cancels it, and polluted pairs are out-voted in either direction. CPU
+    // seconds leave out the time a loaded host runs someone else; the
+    // wall-clock median is reported beside it. Pairs are added while the
+    // median's 90 % interval straddles the ceiling, up to 21, where the
+    // truncated test decides by the median.
     const CEILING: f64 = 1.05;
     const MAX_PAIRS: usize = 21;
     let arms = [
@@ -725,7 +744,7 @@ fn hardening_row(big_run: &mut dyn FnMut() -> KernelStats) -> Row {
     };
     let [base, armed] = median_pair(|s| s.cpu);
     let [base_wall, armed_wall] = median_pair(|s| s.wall);
-    Row::new("hardening_matmul_1024", "hardening")
+    let mut row = Row::new("hardening_matmul_1024", "hardening")
         .field("pairs", pairs.len() as f64)
         .field("disarmed_cpu_s", base)
         .field("armed_cpu_s", armed)
@@ -733,7 +752,19 @@ fn hardening_row(big_run: &mut dyn FnMut() -> KernelStats) -> Row {
         .field("overhead_lo", lo)
         .field("overhead_hi", hi)
         .field("wall_ratio", armed_wall / base_wall)
-        .bound("overhead_ratio", Bound::Ceiling(CEILING))
+        .bound("overhead_ratio", Bound::Ceiling(CEILING));
+    // Re-arming restarts the call indices, so each count is one warm
+    // launch's polls alone.
+    let ctx = &arms[1];
+    ctx.faults().arm(ctx.config().faults);
+    ctx.enter(big_run);
+    for (site, key, exact) in POLLS {
+        row = row.field(key, ctx.faults().polls(site) as f64);
+        if let Some(n) = exact {
+            row = row.bound(key, Bound::Exact(n));
+        }
+    }
+    row
 }
 
 fn host_rows(add: &mut impl FnMut(Row)) {

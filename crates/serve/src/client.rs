@@ -68,7 +68,7 @@ enum Recovery {
 }
 
 impl Recovery {
-    /// Recoveries of this kind one request may take. At the chaos CI's
+    /// Recoveries of this kind one request may take. At the chaos legs'
     /// fault rates a request needs one or two; reaching a bound means
     /// something real is wrong, and the last failure is returned.
     fn budget(self) -> u32 {

@@ -8,7 +8,8 @@
 //! other's caches. Each connection is one thread; each request is admitted
 //! by the [`crate::admission`] controller before it touches the pool.
 //!
-//! Failure behaviour (the hardened paths the chaos job exercises):
+//! Failure behaviour (the hardened paths `tests/serve_chaos.rs` and CI's
+//! `net-chaos` job exercise):
 //!
 //! * every per-request step runs under `catch_unwind`, so an injected
 //!   panic (or a genuine handler bug) becomes a typed

@@ -316,6 +316,12 @@ impl<C: Copy> FaultSchedule<C> {
         self.raised[site.into()].load(Ordering::Relaxed)
     }
 
+    /// Polls of `site` since the schedule was last armed, fired or not
+    /// (zero while disarmed: a disarmed poll draws nothing).
+    pub fn polls(&self, site: impl Into<usize>) -> u64 {
+        self.calls[site.into()].load(Ordering::Relaxed)
+    }
+
     /// Counts this poll of `site` and returns its draw if it fires at
     /// `rate` — a pure function of (`seed`, site, call index). Further
     /// hash bits of the draw choose what the fire does.

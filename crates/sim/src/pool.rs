@@ -29,7 +29,8 @@
 //! CUDA-consistency-racing device memory, exactly as concurrent SMs already
 //! race on hardware), and [`run_tasks`] returns results in submission
 //! order, so simulated statistics are bit-identical for any worker count —
-//! enforced by `tests/golden_stats.rs` and the `G80_SIM_THREADS=1` CI run.
+//! enforced by `tests/golden_stats.rs`, `tests/pool_single_worker.rs` and
+//! CI's environment leg (the whole suite under `G80_SIM_THREADS=1`).
 
 use crate::context::{self, SimContext};
 use crate::fault::{self, lock_recover, wait_recover, Site};

@@ -1,11 +1,22 @@
-//! The in-process configuration matrix: what used to be three extra CI
-//! passes of the whole suite (`G80_SIM_MEMO=off`, `G80_SIM_MEMO_CAP=1
-//! G80_SIM_DEDUP=off`, `G80_SIM_DISK_CACHE=<dir>`) plus a chaos pass
-//! (`G80_SIM_FAULTS`) as five contexts a test iterates. Only the armed one
-//! perturbs exact counts: a test asks `ctx.faults().is_armed()`. Depends on
-//! `g80_sim` alone, so `crates/sim/tests` includes this file too.
+//! The in-process configuration matrix: what used to be extra CI passes of
+//! the whole suite, each run only to set a variable, as values a test
+//! iterates.
+//!
+//! * [`contexts`]: five contexts, the former `G80_SIM_MEMO=off`,
+//!   `G80_SIM_MEMO_CAP=1 G80_SIM_DEDUP=off` and `G80_SIM_DISK_CACHE=<dir>`
+//!   passes beside the default and one armed member. Only the armed one
+//!   perturbs exact counts: a test asks `ctx.faults().is_armed()`.
+//! * [`chaos_legs`]: the six former `chaos` passes (`G80_SIM_FAULTS`,
+//!   `G80_SIM_DISK_CACHE`, `G80_SERVE_NET_FAULTS`), each a fresh
+//!   configuration. `fault_injection.rs` runs the legs that arm simulator
+//!   sites and `serve_chaos.rs` those that arm the wire; each must match a
+//!   clean context bit for bit and fire at least one fault.
+//!
+//! CI keeps one environment leg, which sets every variable the global
+//! context and the pool read. Depends on `g80_sim` alone, so
+//! `crates/sim/tests` includes this file too.
 
-use g80_sim::{FaultConfig, SimConfig, SimContext};
+use g80_sim::{FaultConfig, FaultKind, NetFaultConfig, SimConfig, SimContext};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -19,17 +30,30 @@ pub fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The matrix, each context fresh (cold caches, zero counters); removes the
-/// disk context's directory when dropped.
-pub struct Contexts(Vec<(&'static str, Arc<SimContext>)>);
+/// Named members; removes the disk directories they use when dropped.
+pub struct Matrix<T> {
+    members: Vec<(&'static str, T)>,
+    dirs: Vec<PathBuf>,
+}
 
-pub fn contexts() -> Contexts {
+impl<T> Matrix<T> {
+    fn new(members: Vec<(&'static str, T)>, config: fn(&T) -> &SimConfig) -> Self {
+        let dirs = members
+            .iter()
+            .filter_map(|(_, m)| config(m).disk_dir.clone())
+            .collect();
+        Matrix { members, dirs }
+    }
+}
+
+/// The matrix, each context fresh (cold caches, zero counters).
+pub fn contexts() -> Matrix<Arc<SimContext>> {
     let with = |name, edit: fn(&mut SimConfig)| {
         let mut cfg = SimConfig::default();
         edit(&mut cfg);
         (name, SimContext::new(cfg))
     };
-    Contexts(vec![
+    let members = vec![
         with("default", |_| {}),
         with("memo off", |c| c.memo = false),
         with("memo cap 1, dedup off", |c| {
@@ -41,23 +65,58 @@ pub fn contexts() -> Contexts {
         with("faults armed", |c| {
             c.faults = Some(FaultConfig::new(0xc4a0, 0.01, None))
         }),
-    ])
+    ];
+    Matrix::new(members, |ctx| ctx.config())
 }
 
-impl std::ops::Deref for Contexts {
-    type Target = [(&'static str, Arc<SimContext>)];
+/// The six former chaos legs, named by the values their variables held.
+/// Simulator faults are absorbed, as the variable arms them; the disk leg's
+/// directory is fresh, so a second context on it reads what the first
+/// published.
+pub fn chaos_legs() -> Matrix<SimConfig> {
+    let sim = |seed, rate, kind| SimConfig {
+        faults: Some(FaultConfig::new(seed, rate, kind)),
+        ..SimConfig::default()
+    };
+    let legs = vec![
+        ("1:0.02:typed", sim(1, 0.02, Some(FaultKind::Typed))),
+        ("2:0.02:panic", sim(2, 0.02, Some(FaultKind::Panic))),
+        ("3:0.01", sim(3, 0.01, None)),
+        (
+            "5:0.02, disk tier",
+            SimConfig {
+                disk_dir: Some(scratch_dir("chaos-disk")),
+                ..sim(5, 0.02, None)
+            },
+        ),
+        (
+            "net 7:0.02",
+            SimConfig {
+                net_faults: Some(NetFaultConfig::new(7, 0.02)),
+                ..SimConfig::default()
+            },
+        ),
+        (
+            "8:0.01, net 9:0.01",
+            SimConfig {
+                net_faults: Some(NetFaultConfig::new(9, 0.01)),
+                ..sim(8, 0.01, None)
+            },
+        ),
+    ];
+    Matrix::new(legs, |cfg| cfg)
+}
+
+impl<T> std::ops::Deref for Matrix<T> {
+    type Target = [(&'static str, T)];
     fn deref(&self) -> &Self::Target {
-        &self.0
+        &self.members
     }
 }
 
-impl Drop for Contexts {
+impl<T> Drop for Matrix<T> {
     fn drop(&mut self) {
-        for dir in self
-            .0
-            .iter()
-            .filter_map(|(_, c)| c.config().disk_dir.as_ref())
-        {
+        for dir in &self.dirs {
             let _ = std::fs::remove_dir_all(dir);
         }
     }

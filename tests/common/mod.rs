@@ -12,7 +12,7 @@ use g80::sim::{
 
 mod contexts;
 mod invariants;
-pub use contexts::{contexts, scratch_dir};
+pub use contexts::{chaos_legs, contexts, scratch_dir};
 pub use invariants::check_invariants;
 
 /// Builds a fresh context on one timing engine.

@@ -14,10 +14,14 @@
 //!   injected-class, and a disarmed re-run is bit-identical to a golden
 //!   run taken before any fault fired;
 //! * **replay** — re-arming a context with the same config replays the
-//!   same faults at the same polls.
+//!   same faults at the same polls;
+//! * **chaos legs** — under each former CI chaos leg that arms simulator
+//!   sites, the Table 3 suite and the tuner sweep match a clean context
+//!   bit for bit, and a fault fires.
 //!
 //! Every scenario arms a context of its own, so they run in parallel.
 
+use g80::apps::matmul::{MatMul, Variant};
 use g80::isa::builder::KernelBuilder;
 use g80::isa::{Kernel, Value};
 use g80::sim::fault::{self, FaultConfig, FaultKind, Site};
@@ -28,7 +32,7 @@ use g80::sim::{
 use std::sync::Arc;
 
 mod common;
-use common::{stats_bytes, Scale};
+use common::{bits, stats_bytes, Scale};
 
 /// Each (mult, salt) pair is distinct kernel *content*: a fresh decode and a
 /// fresh memo identity.
@@ -505,4 +509,60 @@ fn rearming_replays_the_schedule() {
         (first, raised),
         "re-arming must replay the schedule"
     );
+}
+
+/// One chaos pass in the current context: per Table 3 app at its small
+/// scale, the stats bytes and the validated error's bits; per launch of the
+/// tuner's nine-variant sweep at n=48, the stats bytes and the output bits.
+fn chaos_pass() -> Vec<(String, Vec<u8>, Vec<u32>)> {
+    let suite = g80_bench::suite::run_suite(g80_bench::suite::Scale::Small);
+    let apps = suite.iter().map(|r| {
+        (
+            r.name.to_string(),
+            stats_bytes(&r.stats),
+            vec![r.max_rel_error.to_bits()],
+        )
+    });
+    let mm = MatMul { n: 48 };
+    let (a, b) = mm.generate(8);
+    let sweep = Variant::tuner_sweep();
+    let launches = mm.run_batch(&sweep, &a, &b);
+    let launches = launches
+        .iter()
+        .zip(&sweep)
+        .map(|((c, stats, _), v)| (v.label(), stats_bytes(stats), bits(c).collect()));
+    apps.chain(launches).collect()
+}
+
+/// The former CI chaos legs that arm simulator sites, each a context of its
+/// own: results equal a clean context's and at least one fault fires. The
+/// disk leg runs twice on one directory, and its second context is served
+/// from disk. Memo tallies may differ: a tampered entry is re-simulated.
+#[test]
+fn chaos_legs_match_a_clean_context() {
+    let clean = fresh_context().enter(chaos_pass);
+    let legs = common::chaos_legs();
+    for (leg, cfg) in legs.iter().filter(|(_, c)| c.faults.is_some()) {
+        let passes = if cfg.disk_dir.is_some() { 2 } else { 1 };
+        let mut fired = 0;
+        for pass in 1..=passes {
+            let ctx = SimContext::new(cfg.clone());
+            let (runs, memo) = ctx.enter(|| (chaos_pass(), memo_counters()));
+            assert_eq!(runs.len(), clean.len(), "{leg}");
+            for (run, want) in runs.iter().zip(&clean) {
+                assert_eq!(run, want, "{leg}, pass {pass}: {} differs", want.0);
+            }
+            fired += Site::ALL
+                .iter()
+                .map(|&s| ctx.faults().raised(s))
+                .sum::<u64>();
+            if pass == 2 {
+                assert!(
+                    memo.disk_hits > memo.misses,
+                    "{leg}: the second pass was not served from disk: {memo:?}"
+                );
+            }
+        }
+        assert!(fired > 0, "{leg}: no fault fired");
+    }
 }

@@ -3,8 +3,8 @@
 //! simulated statistic must still match the reference engine bit for bit.
 //! This binary owns its process, so setting the variable before the pool's
 //! first use is safe — worker count is latched lazily on first launch. The
-//! default-pool equivalent of this comparison runs in `golden_stats.rs`; CI
-//! additionally runs the whole suite under `G80_SIM_THREADS=1`.
+//! default-pool equivalent of this comparison runs in `golden_stats.rs`; CI's
+//! environment leg also runs the whole suite under `G80_SIM_THREADS=1`.
 
 mod common;
 

@@ -10,12 +10,13 @@
 //! * disarmed, the same connection serves normally and the daemon drains
 //!   cleanly.
 //!
-//! Plus the *network* chaos matrix (a context's wire schedule): seeded
+//! Plus *network* chaos (a context's wire schedule): seeded
 //! transport faults on the wire itself —
 //!
 //! * a mid-stream disconnect during a streamed sweep is survived by
 //!   reconnect-and-replay, and `SweepResult::from_parts`
-//!   reassembles the same result the clean wire produced;
+//!   reassembles the same result the clean wire produced; so is every
+//!   fault kind, alone and beside simulator faults (the wire chaos legs);
 //! * frame corruption at rate 1.0 yields typed errors (`BadFrame`, CRC
 //!   mismatches) on a bounded schedule — never a panic, never a hang —
 //!   and the same connection recovers bit-identically once disarmed;
@@ -25,8 +26,8 @@
 //! * each client recovery (resend in place, reconnect and replay) adds
 //!   exactly its own tally, one fault at a time.
 //!
-//! Each test runs its daemon and its clients in a fresh context of its own
-//! and arms that context's schedules in place, so the tests run in
+//! Each test runs its daemon and its clients in fresh contexts of its own,
+//! armed from their configuration or in place, so the tests run in
 //! parallel, whatever the environment arms the global context with.
 
 use g80::isa::builder::KernelBuilder;
@@ -41,6 +42,8 @@ use g80::tune::tuner::{Sample, SweepResult};
 use std::io::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+mod common;
 
 /// A fresh context, both fault schedules disarmed.
 fn context() -> Arc<SimContext> {
@@ -182,73 +185,99 @@ fn default_daemon() -> (g80::serve::Server, Addr) {
     (server, addr)
 }
 
-/// Mid-stream disconnects during a streamed sweep: the client must
-/// reconnect and replay until the whole stream lands, the reassembled
-/// `SweepResult` must match the clean wire bit-for-bit, and the fault
-/// tally must show the recovery actually happened (the schedule fired).
+/// A served sweep under wire faults equals the clean wire, bit for bit,
+/// and the schedule fired. The inputs: mid-stream disconnects, which the
+/// client must survive by reconnecting and replaying until the whole stream
+/// lands, then the wire legs of [`common::chaos_legs`], every transport
+/// fault kind alone and composed with simulator faults. Each input runs its
+/// own daemon and client in a fresh context of its configuration.
 #[test]
 fn mid_stream_disconnect_resumes_sweep_via_replay() {
-    let ctx = context();
-    ctx.enter(|| mid_stream_disconnect(&ctx));
+    let specs: Vec<WireLaunch> = (0..12u32).map(|i| probe_spec(100 + i)).collect();
+    let clean = context().enter(|| served_sweeps(&specs, || true));
+    let golden = &clean[0];
+    assert!(
+        !golden.net.any(),
+        "clean wire reported transport faults: {:?}",
+        golden.net
+    );
+
+    // Disconnect-only faults on every wire site, at a seed and rate that
+    // force at least one reconnect against this deterministic schedule.
+    let disconnect = SimConfig {
+        net_faults: Some(NetFaultConfig::only(
+            0xD15C_0441,
+            0.03,
+            NetFaultKind::Disconnect,
+        )),
+        ..SimConfig::default()
+    };
+    let legs = common::chaos_legs();
+    let wire_legs = legs.iter().filter(|(_, c)| c.net_faults.is_some());
+    let inputs =
+        std::iter::once(("disconnect", &disconnect)).chain(wire_legs.map(|(n, c)| (*n, c)));
+    for (name, cfg) in inputs {
+        let ctx = SimContext::new(cfg.clone());
+        let fired = || {
+            NetSite::ALL
+                .iter()
+                .map(|&s| ctx.net_faults().raised(s))
+                .sum::<u64>()
+        };
+        let rounds = ctx.enter(|| served_sweeps(&specs, || fired() > 0));
+        assert!(
+            fired() > 0,
+            "{name}: no wire fault fired in {} sweeps",
+            rounds.len()
+        );
+        for (round, chaos) in rounds.iter().enumerate() {
+            assert_eq!(chaos.best, golden.best, "{name}, sweep {round}: winner");
+            assert_eq!(chaos.samples.len(), golden.samples.len());
+            for (i, (c, g)) in chaos.samples.iter().zip(&golden.samples).enumerate() {
+                assert_eq!(
+                    common::stats_bytes(&c.stats),
+                    common::stats_bytes(&g.stats),
+                    "{name}, sweep {round}, item {i}"
+                );
+            }
+        }
+        if cfg.net_faults.map(|n| n.kind) == Some(NetFaultKind::Disconnect) {
+            assert!(
+                rounds.iter().any(|r| r.net.reconnects >= 1),
+                "the fault schedule never forced a reconnect — pick a hotter seed"
+            );
+        }
+    }
 }
 
-fn mid_stream_disconnect(ctx: &SimContext) {
+/// Sweeps `specs` through a daemon in the current context, one sweep per
+/// round until `done()` (at most eight rounds), and returns each round's
+/// result with the client's recovery tally.
+fn served_sweeps(specs: &[WireLaunch], done: impl Fn() -> bool) -> Vec<SweepResult<u32>> {
     let (server, addr) = default_daemon();
     let mut client = Client::connect(&addr, "sweeper").expect("connect");
-    let specs: Vec<WireLaunch> = (0..12u32).map(|i| probe_spec(100 + i)).collect();
-
-    // Golden: the clean wire.
-    let (golden_items, golden_counters, golden_net) = client
-        .sweep(&specs)
-        .expect("clean transport")
-        .expect("clean sweep");
-    assert!(
-        !golden_net.any(),
-        "clean wire reported transport faults: {golden_net:?}"
-    );
-    let to_samples = |items: &[Result<g80::sim::LaunchReport, WireError>]| -> Vec<Sample<u32>> {
-        items
+    let mut rounds = Vec::new();
+    while rounds.len() < 8 {
+        let (items, counters, net) = client
+            .sweep(specs)
+            .expect("recovery must absorb wire faults")
+            .expect("typed error under chaos");
+        let samples = items
             .iter()
             .enumerate()
             .map(|(i, r)| Sample {
                 config: i as u32,
                 stats: r.as_ref().expect("item ok").stats.clone(),
             })
-            .collect()
-    };
-    let golden = SweepResult::from_parts(to_samples(&golden_items), golden_counters, golden_net);
-
-    // Armed: disconnect-only faults on every wire site. The seed/rate pair
-    // is fixed and was verified to fire at least one mid-stream disconnect
-    // against this deterministic schedule.
-    let disconnect = NetFaultConfig::only(0xD15C_0441, 0.03, NetFaultKind::Disconnect);
-    ctx.net_faults().arm(Some(disconnect));
-    let (items, counters, net) = client
-        .sweep(&specs)
-        .expect("recovery must absorb disconnects")
-        .expect("typed error under chaos");
-    ctx.net_faults().arm(None);
-
-    assert!(
-        net.reconnects >= 1,
-        "the fault schedule never forced a reconnect — pick a hotter seed: {net:?}"
-    );
-    let chaos = SweepResult::from_parts(to_samples(&items), counters, net);
-    assert_eq!(chaos.samples.len(), golden.samples.len());
-    assert_eq!(chaos.best, golden.best, "replay changed the sweep winner");
-    for (i, (c, g)) in chaos.samples.iter().zip(&golden.samples).enumerate() {
-        assert_eq!(c.stats.cycles, g.stats.cycles, "item {i}");
-        assert_eq!(
-            c.stats.warp_instructions, g.stats.warp_instructions,
-            "item {i}"
-        );
-        assert_eq!(c.stats.global_bytes, g.stats.global_bytes, "item {i}");
+            .collect();
+        rounds.push(SweepResult::from_parts(samples, counters, net));
+        if done() {
+            break;
+        }
     }
-    assert!(chaos.net.reconnects >= 1);
-
-    let mut admin = Client::connect(&addr, "admin").expect("admin connect");
-    admin.shutdown().expect("clean shutdown");
+    client.shutdown().expect("clean shutdown");
     server.join().expect("drain");
+    rounds
 }
 
 /// Corruption at rate 1.0 — every frame in every direction gets a bit

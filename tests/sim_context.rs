@@ -109,22 +109,36 @@ fn disk_entries_are_keyed_by_the_recording_contexts_mode() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A chaos leg must not pass vacuously: an unparsable `G80_SIM_FAULTS` or
-/// `G80_SERVE_NET_FAULTS` leaves the schedule disarmed, so a misspelled CI
-/// matrix entry would run a plain test pass. Set and non-empty, each
-/// variable must arm its schedule of the global context.
+/// CI's environment leg must not pass vacuously: an unparsable value is
+/// ignored (a fault variable leaves its schedule disarmed, a thread count
+/// falls back to the host's), so the leg would run a plain test pass. Each
+/// variable the leg sets must take effect: the two fault variables arm the
+/// global context's schedules, `G80_SIM_DISK_CACHE` is its disk directory
+/// and `G80_SIM_THREADS` the pool's worker count.
 #[test]
-fn fault_variables_arm_the_global_context() {
+fn set_variables_configure_the_global_context() {
+    let set = |var| std::env::var(var).ok().filter(|v| !v.trim().is_empty());
     let global = SimContext::global();
     for (var, armed) in [
         ("G80_SIM_FAULTS", global.faults().is_armed()),
         ("G80_SERVE_NET_FAULTS", global.net_faults().is_armed()),
     ] {
-        if let Some(v) = std::env::var(var).ok().filter(|v| !v.trim().is_empty()) {
+        if let Some(v) = set(var) {
             assert!(
                 armed,
                 "{var}={v:?} does not parse: the global context is disarmed"
             );
         }
+    }
+    if let Some(v) = set("G80_SIM_DISK_CACHE") {
+        let dir = Some(std::path::PathBuf::from(v.trim()));
+        assert_eq!(global.config().disk_dir, dir, "G80_SIM_DISK_CACHE={v:?}");
+    }
+    if let Some(v) = set("G80_SIM_THREADS") {
+        assert_eq!(
+            v.trim().parse().ok(),
+            Some(g80::sim::pool::worker_count()),
+            "G80_SIM_THREADS={v:?} does not size the pool"
+        );
     }
 }
