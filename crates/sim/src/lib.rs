@@ -56,6 +56,7 @@
 //! ```
 
 #![warn(clippy::too_many_lines)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod config;
 pub mod context;

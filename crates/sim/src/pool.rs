@@ -109,18 +109,22 @@ struct Pool {
     workers: usize,
 }
 
-/// Worker-count override: `G80_SIM_THREADS` (≥ 1), else the host's
+/// Worker count: `G80_SIM_THREADS` clamped to ≥ 1, else the host's
 /// available parallelism.
 fn configured_workers() -> usize {
-    std::env::var("G80_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        })
+    let var = std::env::var("G80_SIM_THREADS").ok();
+    let host = std::thread::available_parallelism().ok().map(|n| n.get());
+    workers_from(var.as_deref(), host)
+}
+
+/// [`configured_workers`] from the variable's value and the host's
+/// parallelism: a number is clamped to ≥ 1; anything else falls back to
+/// the host (4 when unknown).
+fn workers_from(var: Option<&str>, host: Option<usize>) -> usize {
+    match var.and_then(|v| v.trim().parse::<usize>().ok()) {
+        Some(n) => n.max(1),
+        None => host.unwrap_or(4),
+    }
 }
 
 fn pool() -> &'static Pool {
@@ -312,6 +316,16 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn thread_variable_is_clamped_to_one_worker() {
+        assert_eq!(workers_from(Some("0"), Some(8)), 1);
+        assert_eq!(workers_from(Some("3"), Some(8)), 3);
+        assert_eq!(workers_from(Some(" 2 "), Some(8)), 2);
+        assert_eq!(workers_from(Some("x"), Some(8)), 8);
+        assert_eq!(workers_from(None, Some(8)), 8);
+        assert_eq!(workers_from(None, None), 4);
+    }
 
     #[test]
     fn empty_and_single_inputs() {

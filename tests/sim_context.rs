@@ -114,7 +114,7 @@ fn disk_entries_are_keyed_by_the_recording_contexts_mode() {
 /// falls back to the host's), so the leg would run a plain test pass. Each
 /// variable the leg sets must take effect: the two fault variables arm the
 /// global context's schedules, `G80_SIM_DISK_CACHE` is its disk directory
-/// and `G80_SIM_THREADS` the pool's worker count.
+/// and `G80_SIM_THREADS` the pool's worker count (`0` is clamped to one).
 #[test]
 fn set_variables_configure_the_global_context() {
     let set = |var| std::env::var(var).ok().filter(|v| !v.trim().is_empty());
@@ -136,7 +136,7 @@ fn set_variables_configure_the_global_context() {
     }
     if let Some(v) = set("G80_SIM_THREADS") {
         assert_eq!(
-            v.trim().parse().ok(),
+            v.trim().parse::<usize>().ok().map(|n| n.max(1)),
             Some(g80::sim::pool::worker_count()),
             "G80_SIM_THREADS={v:?} does not size the pool"
         );
