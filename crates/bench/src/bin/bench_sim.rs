@@ -36,9 +36,10 @@ use g80_bench::matmul_study::{revisit_fleet, REVISIT_LAUNCHES};
 use g80_isa::builder::{KernelBuilder, Unroll};
 use g80_isa::exec;
 use g80_isa::inst::SfuOp;
-use g80_isa::Value;
+use g80_isa::{Kernel, Value};
 use g80_serve::fleet::{self, probe_spec, run_fleet, FleetReport};
-use g80_serve::{serve, Addr, ServeConfig, WireLaunch};
+use g80_serve::{serve, Addr, Request, ServeConfig, WireLaunch};
+use g80_sim::wire::{Dec, Enc, Wire};
 use g80_sim::{
     clear_memo_cache, memo_counters, net_counters, FaultConfig, KernelStats, LaunchDims,
     MemoCounters, NetFaultConfig, SimConfig, SimContext, Site,
@@ -407,6 +408,138 @@ fn crc_row() -> Row {
     } else {
         row
     }
+}
+
+/// The repo benchmark's `serve_mix` bulk request: one LCG step over a
+/// 16 384-word image that travels as `(addr, word)` writes, 131 291 bytes.
+fn bulk_request() -> Request {
+    let mut b = KernelBuilder::new("wire_codec_bulk_0");
+    let p = b.param();
+    let gid = g80_apps::common::global_tid_x(&mut b);
+    let byte = b.shl(gid, 2u32);
+    let addr = b.iadd(byte, p);
+    let v = b.ld_global(addr, 0);
+    let scaled = b.imul(v, 1_664_525u32);
+    let next = b.iadd(scaled, 1_013_904_223u32);
+    b.st_global(addr, 0, next);
+    let dims = LaunchDims {
+        grid: (8, 1),
+        block: (128, 1, 1),
+    };
+    const WORDS: u32 = 16_384;
+    let mut spec = WireLaunch::new(b.build(), dims, vec![Value::from_u32(0)], WORDS * 4);
+    spec.writes = (0..WORDS)
+        .map(|i| (i * 4, i.wrapping_mul(2_654_435_761) ^ 0x5bd1_e995))
+        .collect();
+    Request::Launch(spec)
+}
+
+/// `Request::Launch(spec)`'s bytes, every `Vec` body element by element,
+/// each word pushed by an out-of-line call: the encoder as it was before
+/// its accessors were `#[inline]` and fixed-width bodies one block.
+fn encode_each(spec: &WireLaunch) -> Vec<u8> {
+    #[inline(never)]
+    fn u32(e: &mut Enc, v: u32) {
+        e.u32(v)
+    }
+    let mut e = Enc::with_capacity(256);
+    e.u8(1);
+    spec.kernel.put(&mut e);
+    spec.dims.put(&mut e);
+    u32(&mut e, spec.params.len() as u32);
+    for p in &spec.params {
+        u32(&mut e, p.0);
+    }
+    u32(&mut e, spec.mem_bytes);
+    u32(&mut e, spec.writes.len() as u32);
+    for &(addr, word) in &spec.writes {
+        u32(&mut e, addr);
+        u32(&mut e, word);
+    }
+    u32(&mut e, spec.const_bank.len() as u32);
+    for &w in &spec.const_bank {
+        u32(&mut e, w);
+    }
+    spec.tex_binding.put(&mut e);
+    e.0
+}
+
+/// The spec of a `Request::Launch`, every `Vec` body decoded element by
+/// element behind the same count guard.
+fn decode_each(bytes: &[u8]) -> Option<WireLaunch> {
+    fn each<T>(d: &mut Dec, min_len: usize, get: fn(&mut Dec) -> Option<T>) -> Option<Vec<T>> {
+        let n = d.u32()? as usize;
+        if n * min_len > d.remaining() {
+            return None;
+        }
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(get(d)?);
+        }
+        Some(v)
+    }
+    let mut d = Dec(bytes);
+    if d.u8()? != 1 {
+        return None;
+    }
+    let spec = WireLaunch {
+        kernel: Kernel::get(&mut d)?,
+        dims: LaunchDims::get(&mut d)?,
+        params: each(&mut d, 4, |d| d.u32().map(Value))?,
+        mem_bytes: d.u32()?,
+        writes: each(&mut d, 8, |d| Some((d.u32()?, d.u32()?)))?,
+        const_bank: each(&mut d, 4, |d| d.u32())?,
+        tex_binding: Option::get(&mut d)?,
+    };
+    d.is_empty().then_some(spec)
+}
+
+/// One mechanism: encode plus decode of the `serve_mix` bulk request, the
+/// codec as it was (every `Vec` body element by element, the encoder's
+/// pushes out of line) against the shipped one, which moves a fixed-width
+/// body as one block. 20 interleaved pairs of 20 round trips
+/// each; µs per encode + decode, each arm's min. The arms must agree on the
+/// bytes and on the decoded writes.
+fn codec_row() -> Row {
+    type Arm = fn(&Request) -> (Vec<u8>, Vec<(u32, u32)>);
+    fn each(req: &Request) -> (Vec<u8>, Vec<(u32, u32)>) {
+        let Request::Launch(spec) = req else {
+            unreachable!("the bulk request is a Launch")
+        };
+        let bytes = encode_each(spec);
+        let back = decode_each(&bytes).expect("the per-element arm decodes its bytes");
+        (bytes, back.writes)
+    }
+    fn shipped(req: &Request) -> (Vec<u8>, Vec<(u32, u32)>) {
+        let bytes = req.encode();
+        let Some(Request::Launch(back)) = Request::decode(&bytes) else {
+            panic!("wire_codec: the shipped codec does not decode its bytes")
+        };
+        (bytes, back.writes)
+    }
+    const REPS: usize = 20;
+    let request = bulk_request();
+    let pairs = interleave(
+        20,
+        |arm| [each as Arm, shipped][arm],
+        |code| {
+            for _ in 1..REPS {
+                black_box(code(black_box(&request)));
+            }
+            code(black_box(&request))
+        },
+    );
+    assert_arms_agree(
+        "wire_codec: the arms disagree on bytes or decoded writes",
+        &pairs,
+    );
+    let [each_us, block_us] = best(&pairs, |s| s.wall * 1e6 / REPS as f64);
+    Row::new("wire_codec", "wire")
+        .field("bytes", pairs[0][0].1 .0.len() as f64)
+        .field("each_us", each_us)
+        .field("block_us", block_us)
+        .field("speedup", each_us / block_us)
+        .bound("speedup", Bound::Floor(3.0))
 }
 
 /// Loopback tenants in the serving rows.
@@ -813,6 +946,9 @@ fn host_rows(add: &mut impl FnMut(Row)) {
     // Slicing-by-8 measures ≈ 8x the bitwise sum; 3x says the portable path
     // did not go back to a byte (or bit) at a time.
     add(crc_row());
+    // One-block bodies measure ≈ 10x element-by-element coding; 3x says the
+    // fixed-width path is still the one taken.
+    add(codec_row());
 }
 
 fn serve_rows(add: &mut impl FnMut(Row), check: bool) {

@@ -32,7 +32,7 @@
 
 use crate::framed::{is_crc_mismatch, FramedStream, Side};
 use crate::net::{connect, Addr};
-use crate::protocol::{Request, Response, WireError, WireLaunch, PROTOCOL_VERSION};
+use crate::protocol::{Request, Response, Specs, WireError, WireLaunch, PROTOCOL_VERSION};
 use g80_sim::fault::splitmix64;
 use g80_sim::{
     net_counters, note_net_disconnect, note_net_frame_retried, note_net_reconnect, LaunchReport,
@@ -58,6 +58,16 @@ const BACKOFF_BASE_MS: u64 = 10;
 
 /// Ceiling on one backoff sleep.
 const BACKOFF_CAP_MS: u64 = 500;
+
+/// What the round trip needs to know of a request beyond its bytes: the
+/// handshake is retried only on an armed wire, and a streamed reply's
+/// broken attempt needs a fresh connection.
+#[derive(Copy, Clone, PartialEq)]
+enum Kind {
+    Hello,
+    Single,
+    Streamed,
+}
 
 /// How a failed or spoiled attempt of a request is recovered.
 #[derive(Copy, Clone)]
@@ -194,7 +204,7 @@ impl Client {
             version: PROTOCOL_VERSION,
             tenant: self.tenant.clone(),
         };
-        match self.round_trip(&hello, &mut no_items)? {
+        match self.round_trip(&hello.encode(), Kind::Hello, &mut no_items)? {
             Response::HelloOk { .. } => Ok(()),
             Response::Error(WireError::Overloaded { retry_after_ms }) => Err(io::Error::new(
                 io::ErrorKind::WouldBlock,
@@ -213,23 +223,23 @@ impl Client {
         self.read_response()
     }
 
-    /// Writes `req` and reads responses until the terminal one, which it
-    /// returns; each `Item` before it goes to `on_item`. The one place a
-    /// failed attempt is recovered (see the module docs): the decision
-    /// below, a budget per kind, and the tallies.
+    /// Writes the request `frame` and reads responses until the terminal
+    /// one, which it returns; each `Item` before it goes to `on_item`. The
+    /// one place a failed attempt is recovered (see the module docs): the
+    /// decision below, a budget per kind, and the tallies.
     fn round_trip(
         &mut self,
-        req: &Request,
+        frame: &[u8],
+        kind: Kind,
         on_item: &mut dyn FnMut(u32, Item) -> io::Result<()>,
     ) -> io::Result<Response> {
-        let frame = req.encode();
         let len = frame.len() as u64;
-        let is_hello = matches!(req, Request::Hello { .. });
-        let streamed = matches!(req, Request::Batch(_) | Request::Sweep(_));
+        let is_hello = kind == Kind::Hello;
+        let streamed = kind == Kind::Streamed;
         let mut tries = [0u32; 3];
         loop {
             let (mut answered, mut spoiled) = (false, false);
-            let outcome = self.framed.write_frame(&frame).and_then(|()| loop {
+            let outcome = self.framed.write_frame(frame).and_then(|()| loop {
                 let resp = self.read_response()?;
                 spoiled |= is_spoiled(&resp);
                 let Response::Item { index, result } = resp else {
@@ -294,7 +304,8 @@ impl Client {
     /// the report plus the sparse `(byte_addr, word)` delta of device
     /// memory.
     pub fn launch(&mut self, spec: &WireLaunch) -> io::Result<Launched> {
-        match self.round_trip(&Request::Launch(spec.clone()), &mut no_items)? {
+        let frame = Specs::Launch(spec).encode();
+        match self.round_trip(&frame, Kind::Single, &mut no_items)? {
             Response::Launch { result } => Ok(result),
             Response::Error(e) => Ok(Err(e)),
             _ => Err(invalid("unexpected response to Launch")),
@@ -305,7 +316,7 @@ impl Client {
     /// Returns per-item results, the daemon's cache-counter delta for the
     /// whole request, and the transport-fault tally the request survived.
     pub fn batch(&mut self, specs: &[WireLaunch]) -> io::Result<Streamed> {
-        self.streamed(Request::Batch(specs.to_vec()), specs.len())
+        self.streamed(Specs::Batch(specs), specs.len())
     }
 
     /// Runs a sweep (same execution as a batch in protocol v1; the
@@ -313,15 +324,15 @@ impl Client {
     /// bump). Pair with `SweepResult::from_parts` to reassemble
     /// a tuner result from the streamed rows plus the fault tally.
     pub fn sweep(&mut self, specs: &[WireLaunch]) -> io::Result<Streamed> {
-        self.streamed(Request::Sweep(specs.to_vec()), specs.len())
+        self.streamed(Specs::Sweep(specs), specs.len())
     }
 
-    fn streamed(&mut self, req: Request, n: usize) -> io::Result<Streamed> {
+    fn streamed(&mut self, req: Specs, n: usize) -> io::Result<Streamed> {
         let net_before = net_counters();
         // A replay rewrites every slot: the daemon streams each index
         // before its `Done`.
         let mut items: Vec<Item> = (0..n).map(|_| Err(WireError::Shutdown)).collect();
-        let terminal = self.round_trip(&req, &mut |index, result| {
+        let terminal = self.round_trip(&req.encode(), Kind::Streamed, &mut |index, result| {
             let slot = items
                 .get_mut(index as usize)
                 .ok_or_else(|| invalid(format!("item index {index} out of range")))?;
@@ -342,7 +353,8 @@ impl Client {
     /// is replayed on a fresh one; if the daemon then refuses the
     /// connection, its listener is closed — the drain already started.
     pub fn shutdown(&mut self) -> io::Result<()> {
-        match self.round_trip(&Request::Shutdown, &mut no_items) {
+        let frame = Request::Shutdown.encode();
+        match self.round_trip(&frame, Kind::Single, &mut no_items) {
             Ok(Response::ShutdownOk) => Ok(()),
             Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => Ok(()),
             Ok(Response::Error(e)) => Err(invalid(format!("shutdown rejected: {e}"))),

@@ -27,7 +27,7 @@
 
 use g80_isa::{Kernel, Value};
 use g80_sim::fault::PANIC_MARKER;
-use g80_sim::wire::{self, crc32};
+use g80_sim::wire::{self, crc32, Enc, Wire};
 use g80_sim::{wire_layout, LaunchDims, LaunchError, LaunchReport, MemoCounters, NetCounters};
 use std::io::{self, IoSlice, Write};
 
@@ -403,6 +403,38 @@ impl Request {
     }
 }
 
+/// A `Launch`, `Batch` or `Sweep` request over borrowed specs: what the
+/// client sends, so that no spec is copied into a [`Request`] first.
+#[derive(Clone, Copy)]
+pub(crate) enum Specs<'a> {
+    Launch(&'a WireLaunch),
+    Batch(&'a [WireLaunch]),
+    Sweep(&'a [WireLaunch]),
+}
+
+impl Specs<'_> {
+    /// Tag and body: the bytes [`Request::encode`] gives for the owned
+    /// request, exactly.
+    pub(crate) fn encode(self) -> Vec<u8> {
+        let mut e = Enc::with_capacity(256);
+        match self {
+            Specs::Launch(spec) => {
+                e.u8(1);
+                spec.put(&mut e);
+            }
+            Specs::Batch(specs) => {
+                e.u8(2);
+                wire::put_slice(specs, &mut e);
+            }
+            Specs::Sweep(specs) => {
+                e.u8(3);
+                wire::put_slice(specs, &mut e);
+            }
+        }
+        e.0
+    }
+}
+
 /// A daemon-to-client message (one per frame).
 #[derive(Clone, Debug)]
 pub enum Response {
@@ -497,6 +529,15 @@ mod tests {
         spec.writes = vec![(0, 0x3f80_0000), (512, 0x4000_0000)];
         spec.const_bank = vec![7, 8, 9];
         spec.tex_binding = Some((0, 1024));
+        spec
+    }
+
+    /// `sample_spec` carrying `n` initial writes.
+    fn spec_with_writes(n: u32) -> WireLaunch {
+        let mut spec = sample_spec();
+        spec.writes = (0..n)
+            .map(|i| (i * 4, i.wrapping_mul(0x9E37_79B9)))
+            .collect();
         spec
     }
 
@@ -679,6 +720,7 @@ mod tests {
                 tenant: "probe".into(),
             },
             Request::Launch(every_shape_spec()),
+            Request::Launch(spec_with_writes(64)),
             Request::Batch(vec![every_shape_spec(), bare_spec()]),
             Request::Sweep(vec![bare_spec()]),
             Request::Shutdown,
@@ -693,6 +735,9 @@ mod tests {
             Response::HelloOk { version: 3 },
             Response::Launch {
                 result: Ok((pinned_report(), vec![(0, 1), (4, 2)])),
+            },
+            Response::Launch {
+                result: Ok((pinned_report(), (0..64).map(|i| (i * 4, !i)).collect())),
             },
             Response::Launch {
                 result: Err(fault()),
@@ -714,6 +759,22 @@ mod tests {
         ];
         for resp in &responses {
             assert_wire_mutations_rejected(resp);
+        }
+    }
+
+    #[test]
+    fn borrowed_specs_encode_as_the_owned_request() {
+        let specs = vec![every_shape_spec(), bare_spec(), spec_with_writes(1024)];
+        for spec in &specs {
+            let owned = Request::Launch(spec.clone()).encode();
+            assert_eq!(Specs::Launch(spec).encode(), owned);
+        }
+        for n in [0, 1, specs.len()] {
+            let specs = &specs[..n];
+            let owned = Request::Batch(specs.to_vec()).encode();
+            assert_eq!(Specs::Batch(specs).encode(), owned, "{n} specs");
+            let owned = Request::Sweep(specs.to_vec()).encode();
+            assert_eq!(Specs::Sweep(specs).encode(), owned, "{n} specs");
         }
     }
 

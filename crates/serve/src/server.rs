@@ -475,7 +475,7 @@ fn handle_request(
                 send(stream, &Response::Error(WireError::Shutdown))?;
                 return Ok(ControlFlow::Continue);
             }
-            let result = run_spec(shared, tenant, &spec, true).map(|(r, d)| (r, d.unwrap()));
+            let result = run_spec(shared, tenant, spec, true).map(|(r, d)| (r, d.unwrap()));
             send(stream, &Response::Launch { result })?;
             Ok(ControlFlow::Continue)
         }
@@ -486,7 +486,7 @@ fn handle_request(
             }
             let before = memo_counters();
             let net_before = net_counters();
-            for (i, spec) in specs.iter().enumerate() {
+            for (i, spec) in specs.into_iter().enumerate() {
                 let result = run_spec(shared, tenant, spec, false).map(|(r, _)| r);
                 send(
                     stream,
@@ -511,11 +511,17 @@ fn handle_request(
 /// Validates, admits, and runs one spec. `want_delta` controls whether
 /// device memory is diffed around the launch (single launches return
 /// results; batch/sweep items are measurement-only).
+///
+/// Every word-carrying step is one pass: the writes are checked without an
+/// early exit (the first offender is looked up only when there is one),
+/// become the pre-launch image in one `Vec` (the last write to an address
+/// wins), reach device memory in one bulk copy, and the delta is the live
+/// memory diffed against that image.
 #[allow(clippy::type_complexity)]
 fn run_spec(
     shared: &Shared,
     tenant: &str,
-    spec: &WireLaunch,
+    spec: WireLaunch,
     want_delta: bool,
 ) -> Result<(LaunchReport, Option<Vec<(u32, u32)>>), WireError> {
     if spec.mem_bytes > MAX_MEM_BYTES {
@@ -527,13 +533,13 @@ fn run_spec(
     spec.kernel
         .validate()
         .map_err(|e| WireError::Malformed(format!("kernel {}: {e}", spec.kernel.name)))?;
-    let words = (spec.mem_bytes as u64).div_ceil(4);
-    for &(addr, _) in &spec.writes {
-        if addr % 4 != 0 || (addr / 4) as u64 >= words {
-            return Err(WireError::Malformed(format!(
-                "initial write at {addr:#x} is unaligned or out of bounds"
-            )));
-        }
+    let words = spec.mem_bytes.div_ceil(4);
+    let bad = |&(addr, _): &(u32, u32)| (addr % 4 != 0) | (addr / 4 >= words);
+    if spec.writes.iter().fold(false, |any, w| any | bad(w)) {
+        let (addr, _) = spec.writes.iter().find(|w| bad(w)).unwrap();
+        return Err(WireError::Malformed(format!(
+            "initial write at {addr:#x} is unaligned or out of bounds"
+        )));
     }
     if let Some((base, len)) = spec.tex_binding {
         if (base as u64) + (len as u64) > spec.mem_bytes as u64 {
@@ -549,24 +555,25 @@ fn run_spec(
         Verdict::Throttled(reason) => return Err(WireError::Throttled(reason)),
     };
 
-    let mut mem = DeviceMemory::new(spec.mem_bytes);
-    mem.const_bank = spec.const_bank.clone();
-    mem.tex_binding = spec.tex_binding;
+    let mut image = vec![0u32; words as usize];
     for &(addr, word) in &spec.writes {
-        mem.write(addr, g80_isa::Value(word));
+        image[(addr / 4) as usize] = word;
     }
-    let before = want_delta.then(|| mem.snapshot_words());
+    drop(spec.writes);
+    let mut mem = DeviceMemory::new(spec.mem_bytes);
+    mem.write_slice(0, image.iter().copied());
+    mem.const_bank = spec.const_bank;
+    mem.tex_binding = spec.tex_binding;
     let report = launch_reported(&shared.gpu, &spec.kernel, spec.dims, &spec.params, &mem)
         .map_err(|e| WireError::from(&e))?;
     drop(permit);
-    let delta = before.map(|before| {
-        let after = mem.snapshot_words();
-        before
+    let delta = want_delta.then(|| {
+        image
             .iter()
-            .zip(after.iter())
+            .zip(mem.read_slice(0, image.len()))
             .enumerate()
-            .filter(|(_, (b, a))| b != a)
-            .map(|(i, (_, a))| ((i * 4) as u32, *a))
+            .filter(|(_, (&b, a))| b != *a)
+            .map(|(i, (_, a))| ((i * 4) as u32, a))
             .collect()
     });
     Ok((report, delta))

@@ -20,6 +20,9 @@
 //! * `Vec` as a u32 count and then the elements. A count whose elements
 //!   could not fit in the bytes left (`count × MIN_LEN`) is rejected before
 //!   anything is allocated ([`Dec::items`]);
+//! * a `Vec` of a fixed-width type ([`Wire::FIXED`]: integers, `f64`,
+//!   tuples of them) is coded as one block, not element by element: the
+//!   same bytes, the same accepted inputs;
 //! * a tally map (keyed by a [`TallyKey`]) as a u32 count and `(u32 key
 //!   index, u64 value)` pairs sorted by index, decoded only in strictly
 //!   increasing key order;
@@ -44,29 +47,39 @@ use std::collections::HashMap;
 /// Byte-appending encoder over a plain `Vec<u8>`.
 pub struct Enc(pub Vec<u8>);
 
+// The accessors here and on `Dec` are `#[inline]` because layouts
+// instantiated in other crates call them once per field: out of line, a
+// `Response::Launch` with a 1 K-pair delta decoded about 2.4× slower.
 impl Enc {
     /// A fresh encoder with `cap` bytes preallocated.
     pub fn with_capacity(cap: usize) -> Self {
         Enc(Vec::with_capacity(cap))
     }
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.0.push(v);
     }
+    #[inline]
     pub fn u16(&mut self, v: u16) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
+    #[inline]
     pub fn i32(&mut self, v: i32) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
+    #[inline]
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
+    #[inline]
     pub fn str(&mut self, s: &str) {
         self.u64(s.len() as u64);
         self.0.extend_from_slice(s.as_bytes());
@@ -77,9 +90,6 @@ impl Enc {
 /// or malformed input and consumes nothing it did not validate.
 pub struct Dec<'a>(pub &'a [u8]);
 
-// The accessors are `#[inline]` because layouts instantiated in other
-// crates call them once per field: out of line, a `Response::Launch` with
-// a 1 K-pair delta decoded about 2.4× slower.
 impl<'a> Dec<'a> {
     #[inline]
     pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
@@ -133,12 +143,19 @@ impl<'a> Dec<'a> {
     }
     /// `n` values of `T` in a row. `None`, before allocating, when `n` of
     /// them could not fit in the bytes left: a forged count cannot make the
-    /// decoder reserve more than the input could hold.
+    /// decoder reserve more than the input could hold. A fixed-width `T` is
+    /// read as one block of `n × MIN_LEN` bytes.
+    #[inline]
     pub fn items<T: Wire>(&mut self, n: u64) -> Option<Vec<T>> {
         const { assert!(T::MIN_LEN > 0, "the count guard needs a nonzero MIN_LEN") };
         let n = usize::try_from(n).ok()?;
-        if n.checked_mul(T::MIN_LEN)? > self.remaining() {
+        let len = n.checked_mul(T::MIN_LEN)?;
+        if len > self.remaining() {
             return None;
+        }
+        if T::FIXED {
+            let block = self.take(len)?;
+            return Some(block.chunks_exact(T::MIN_LEN).map(T::read_from).collect());
         }
         let mut v = Vec::with_capacity(n);
         for _ in 0..n {
@@ -153,11 +170,23 @@ pub trait Wire: Sized {
     /// The fewest bytes any value's encoding takes: the lower bound that
     /// [`Dec::items`] holds a count against.
     const MIN_LEN: usize;
+    /// Fixed width: every value encodes to exactly `MIN_LEN` bytes and every
+    /// `MIN_LEN`-byte pattern decodes to a value. A `Vec` of such a type is
+    /// coded as one block through [`Wire::write_to`] / [`Wire::read_from`].
+    const FIXED: bool = false;
     /// Appends the encoding.
     fn put(&self, e: &mut Enc);
     /// Reads one value, leaving any trailing bytes in `d`; `None` on
     /// malformed or short input.
     fn get(d: &mut Dec) -> Option<Self>;
+    /// A `FIXED` type's encoding, into exactly `MIN_LEN` bytes.
+    fn write_to(&self, _out: &mut [u8]) {
+        unreachable!("write_to on a type that is not fixed-width")
+    }
+    /// A `FIXED` type's value from exactly `MIN_LEN` bytes.
+    fn read_from(_bytes: &[u8]) -> Self {
+        unreachable!("read_from on a type that is not fixed-width")
+    }
 }
 
 /// `v`'s encoding, in a buffer of `cap` bytes to start.
@@ -206,11 +235,20 @@ macro_rules! wire_layout {
     (struct $name:ident ( $t:ty )) => {
         impl $crate::wire::Wire for $name {
             const MIN_LEN: usize = <$t as $crate::wire::Wire>::MIN_LEN;
+            const FIXED: bool = <$t as $crate::wire::Wire>::FIXED;
             fn put(&self, e: &mut $crate::wire::Enc) {
                 <$t as $crate::wire::Wire>::put(&self.0, e)
             }
             fn get(d: &mut $crate::wire::Dec) -> Option<Self> {
                 Some($name(<$t as $crate::wire::Wire>::get(d)?))
+            }
+            #[inline]
+            fn write_to(&self, out: &mut [u8]) {
+                <$t as $crate::wire::Wire>::write_to(&self.0, out)
+            }
+            #[inline]
+            fn read_from(bytes: &[u8]) -> Self {
+                $name(<$t as $crate::wire::Wire>::read_from(bytes))
             }
         }
     };
@@ -265,6 +303,7 @@ macro_rules! scalars {
     ($($t:ident),*) => {$(
         impl Wire for $t {
             const MIN_LEN: usize = std::mem::size_of::<$t>();
+            const FIXED: bool = true;
             #[inline]
             fn put(&self, e: &mut Enc) {
                 e.$t(*self)
@@ -272,6 +311,14 @@ macro_rules! scalars {
             #[inline]
             fn get(d: &mut Dec) -> Option<Self> {
                 d.$t()
+            }
+            #[inline]
+            fn write_to(&self, out: &mut [u8]) {
+                out.copy_from_slice(&self.to_le_bytes())
+            }
+            #[inline]
+            fn read_from(bytes: &[u8]) -> Self {
+                $t::from_le_bytes(bytes.try_into().unwrap())
             }
         }
     )*};
@@ -350,11 +397,29 @@ macro_rules! tuples {
     ($(($($t:ident . $i:tt),+)),*) => {$(
         impl<$($t: Wire),+> Wire for ($($t,)+) {
             const MIN_LEN: usize = 0 $(+ $t::MIN_LEN)+;
+            const FIXED: bool = true $(&& $t::FIXED)+;
             fn put(&self, e: &mut Enc) {
                 $(self.$i.put(e);)+
             }
             fn get(d: &mut Dec) -> Option<Self> {
                 Some(($($t::get(d)?,)+))
+            }
+            #[inline]
+            fn write_to(&self, out: &mut [u8]) {
+                let mut at = 0;
+                $(
+                    self.$i.write_to(&mut out[at..at + $t::MIN_LEN]);
+                    at += $t::MIN_LEN;
+                )+
+                debug_assert_eq!(at, out.len());
+            }
+            #[inline]
+            fn read_from(bytes: &[u8]) -> Self {
+                let mut at = 0;
+                ($({
+                    at += $t::MIN_LEN;
+                    $t::read_from(&bytes[at - $t::MIN_LEN..at])
+                },)+)
             }
         }
     )*};
@@ -364,15 +429,32 @@ tuples!((A.0, B.1), (A.0, B.1, C.2));
 
 impl<T: Wire> Wire for Vec<T> {
     const MIN_LEN: usize = 4;
+    #[inline]
     fn put(&self, e: &mut Enc) {
-        e.u32(self.len() as u32);
-        for v in self {
-            v.put(e);
-        }
+        put_slice(self, e)
     }
+    #[inline]
     fn get(d: &mut Dec) -> Option<Self> {
         let n = d.u32()?;
         d.items(n.into())
+    }
+}
+
+/// What `Vec<T>`'s `put` writes for `items`: the u32 count, then the
+/// elements — a fixed-width `T` as one block, the buffer grown once.
+#[inline]
+pub fn put_slice<T: Wire>(items: &[T], e: &mut Enc) {
+    e.u32(items.len() as u32);
+    if T::FIXED {
+        let at = e.0.len();
+        e.0.resize(at + items.len() * T::MIN_LEN, 0);
+        for (v, out) in items.iter().zip(e.0[at..].chunks_exact_mut(T::MIN_LEN)) {
+            v.write_to(out);
+        }
+    } else {
+        for v in items {
+            v.put(e);
+        }
     }
 }
 
@@ -619,10 +701,10 @@ impl<K: TallyKey> Wire for HashMap<K, u64> {
         pairs.put(e);
     }
     fn get(d: &mut Dec) -> Option<Self> {
-        let mut map = HashMap::new();
+        let pairs = Vec::<(u32, u64)>::get(d)?;
+        let mut map = HashMap::with_capacity(pairs.len());
         let mut next = 0;
-        for _ in 0..d.u32()? {
-            let (idx, v) = <(u32, u64)>::get(d)?;
+        for (idx, v) in pairs {
             let idx = idx as usize;
             if idx < next {
                 return None;
@@ -798,6 +880,66 @@ mod tests {
         assert_eq!(items(3), Some(vec![(1, 2); 3]));
         assert_eq!(items(4), None);
         assert_eq!(items(u64::MAX), None);
+    }
+
+    /// The element-at-a-time `Vec` encoding: the count, then each
+    /// element's `put`. The reference the one-block path is held to.
+    fn put_each<T: Wire>(items: &[T]) -> Vec<u8> {
+        let mut e = Enc::with_capacity(0);
+        e.u32(items.len() as u32);
+        for v in items {
+            v.put(&mut e);
+        }
+        e.0
+    }
+
+    /// The matching decoder: one `get` per element.
+    fn get_each<T: Wire>(bytes: &[u8]) -> Option<Vec<T>> {
+        let mut d = Dec(bytes);
+        let n = d.u32()?;
+        let items = (0..n).map(|_| T::get(&mut d)).collect::<Option<Vec<T>>>()?;
+        d.is_empty().then_some(items)
+    }
+
+    fn one_block_matches_each<T: Wire + PartialEq + std::fmt::Debug>(item: impl Fn(u32) -> T) {
+        assert!(T::FIXED);
+        for n in (0..=70).chain([1024, 16_384]) {
+            let items: Vec<T> = (0..n).map(&item).collect();
+            let bytes = to_bytes(&items, 0);
+            assert_eq!(bytes, put_each(&items), "{n} items");
+            assert_eq!(bytes.len(), 4 + n as usize * T::MIN_LEN);
+            assert_eq!(
+                from_bytes::<Vec<T>>(&bytes).as_ref(),
+                Some(&items),
+                "{n} items"
+            );
+            assert_eq!(get_each::<T>(&bytes).as_ref(), Some(&items), "{n} items");
+            for len in 0..bytes.len() {
+                assert!(
+                    from_bytes::<Vec<T>>(&bytes[..len]).is_none(),
+                    "{n} items: {len}-byte prefix decoded"
+                );
+            }
+            let mut over = bytes.clone();
+            over[..4].copy_from_slice(&(n + 1).to_le_bytes());
+            assert!(
+                from_bytes::<Vec<T>>(&over).is_none(),
+                "{n} items: count + 1"
+            );
+            // `u64::MAX × MIN_LEN` overflows `usize`.
+            assert!(Dec(&bytes[4..]).items::<T>(u64::MAX).is_none());
+        }
+    }
+
+    #[test]
+    fn fixed_width_vecs_code_as_one_block_with_the_same_bytes() {
+        let mix = |i: u32| i.wrapping_mul(0x9E37_79B9);
+        one_block_matches_each(mix);
+        one_block_matches_each(|i| (i * 4, mix(i)));
+        one_block_matches_each(|i| (i, u64::from(mix(i)) << 29 | u64::from(i)));
+        const { assert!(Value::FIXED && <(u8, u16, f64)>::FIXED) };
+        const { assert!(!bool::FIXED && !Option::<u32>::FIXED && !<(u32, bool)>::FIXED) };
+        const { assert!(!Inst::FIXED && !String::FIXED && !Vec::<u32>::FIXED) };
     }
 
     #[test]

@@ -345,3 +345,63 @@ fn handshake_gates(ctx: &SimContext) {
     assert_eq!(server.requests_served(), 3);
     stop_daemon(server, &addr);
 }
+
+/// The daemon's checks on a spec, each answered on a connection that keeps
+/// serving: a typed `Malformed` naming the first offender, or, for memory
+/// that is not a whole number of words and for two writes to one address
+/// (the last wins), exactly the in-process run's stats and delta.
+#[test]
+fn spec_checks_are_typed_and_survivable() {
+    let (server, addr) = start_daemon(Quota::default());
+    let gpu = GpuConfig::geforce_8800_gtx();
+    let mut client = Client::connect(&addr, "checked").expect("connect");
+    let good = scale_spec("sd_checked", 5, 1, 256);
+    let mut refused = |spec: &WireLaunch, names: &str| {
+        match client.launch(spec).expect("transport") {
+            Err(WireError::Malformed(msg)) => assert!(msg.contains(names), "{msg}: not {names}"),
+            other => panic!("expected Malformed naming {names}, got {other:?}"),
+        }
+        // The same connection still serves.
+        let (report, _) = client
+            .launch(&good)
+            .expect("transport")
+            .expect("good launch");
+        assert!(report.stats.cycles > 0);
+    };
+
+    let bulk = || scale_spec("sd_checked", 5, 2, 16_384);
+    let mut unaligned = bulk();
+    unaligned.writes[8192].0 += 2;
+    refused(&unaligned, &format!("write at {:#x} ", 8192 * 4 + 2));
+
+    let mut out_of_bounds = bulk();
+    let end = out_of_bounds.mem_bytes;
+    let n = out_of_bounds.writes.len();
+    out_of_bounds.writes[n - 2].0 = end;
+    out_of_bounds.writes[n - 1].0 = 0x7fff_fff0;
+    refused(&out_of_bounds, &format!("write at {end:#x} "));
+
+    let mut too_big = good.clone();
+    too_big.mem_bytes = g80::serve::protocol::MAX_MEM_BYTES + 4;
+    refused(&too_big, "exceeds the");
+
+    let mut past_memory = good.clone();
+    past_memory.tex_binding = Some((good.mem_bytes - 4, 8));
+    refused(&past_memory, "texture binding");
+
+    let mut ragged = scale_spec("sd_checked", 5, 3, 256);
+    ragged.mem_bytes += 2;
+    ragged.writes.push((ragged.mem_bytes - 2, 0x5eed));
+    let mut twice = scale_spec("sd_checked", 5, 4, 256);
+    twice.writes.insert(0, (40, 0xdead));
+    twice.writes.push((44, 0xbeef));
+    twice.writes.push((40, 0xf00d));
+    for spec in [&ragged, &twice] {
+        let (want_stats, want_delta) = run_inprocess(&gpu, spec);
+        let (report, delta) = client.launch(spec).expect("transport").expect("launch");
+        let bytes = |s: &g80::sim::KernelStats| g80::sim::wire::to_bytes(s, 0);
+        assert_eq!(bytes(&report.stats), bytes(&want_stats));
+        assert_eq!(delta, want_delta);
+    }
+    stop_daemon(server, &addr);
+}
