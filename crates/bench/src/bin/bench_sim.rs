@@ -24,7 +24,8 @@
 //!
 //! Exit codes: `0` all bounds met, `2` a performance bound was missed,
 //! `3` the harness itself failed (an A/B bit-identity mismatch, a
-//! nondeterministic fleet, an unwritable report path).
+//! nondeterministic fleet, an unwritable report path) or, under `--check`,
+//! the run's row or field names differ from the committed report's.
 
 #![warn(clippy::too_many_lines)]
 
@@ -33,7 +34,7 @@ use g80_apps::matmul::{MatMul, Variant};
 use g80_apps::mrifhd::MriFhd;
 use g80_apps::mriq::MriQ;
 use g80_bench::matmul_study::{revisit_fleet, REVISIT_LAUNCHES};
-use g80_isa::builder::{KernelBuilder, Unroll};
+use g80_isa::builder::KernelBuilder;
 use g80_isa::exec;
 use g80_isa::inst::SfuOp;
 use g80_isa::{Kernel, Value};
@@ -41,8 +42,8 @@ use g80_serve::fleet::{self, probe_spec, run_fleet, FleetReport};
 use g80_serve::{serve, Addr, Request, ServeConfig, WireLaunch};
 use g80_sim::wire::{Dec, Enc, Wire};
 use g80_sim::{
-    clear_memo_cache, memo_counters, net_counters, FaultConfig, KernelStats, LaunchDims,
-    MemoCounters, NetFaultConfig, SimConfig, SimContext, Site,
+    clear_memo_cache, memo_counters, FaultConfig, KernelStats, LaunchDims, MemoCounters, SimConfig,
+    SimContext, Site,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -546,8 +547,7 @@ fn codec_row() -> Row {
 const TENANTS: usize = 8;
 
 /// Starts a daemon in `ctx` on a loopback port, runs the fleet against it
-/// from the same context, and drains it — disarmed, so the admin exchange
-/// does not ride out injected faults after the measurement closed.
+/// from the same context, and drains it.
 fn serve_fleet(
     ctx: &Arc<SimContext>,
     requests: usize,
@@ -561,36 +561,10 @@ fn serve_fleet(
         .expect("bind serve daemon");
         let addr = server.local_addr().clone();
         let report = run_fleet(&addr, TENANTS, requests, spec).expect("serve fleet");
-        ctx.net_faults().arm(None);
         fleet::shutdown(&addr).expect("daemon shutdown");
         server.join().expect("daemon drain");
         report
     })
-}
-
-/// A chaos request: a loop kernel with a param unique to (tenant, request),
-/// so every launch simulates real work (~milliseconds). On memo-hit probes
-/// the 0.4 ms round trips would be dwarfed by any injected stall and the
-/// ratio would measure the fault schedule, not the recovery cost.
-fn chaos_spec(tenant: usize, req: usize) -> WireLaunch {
-    let mut b = KernelBuilder::new("bench_serve_chaos_probe");
-    let p = b.param();
-    let tid = b.tid_x();
-    let acc0 = b.iadd(tid, p);
-    let acc = b.mov(acc0);
-    b.for_range(0u32, 256u32, 1, Unroll::None, |b, _| {
-        let t = b.imul(acc, 1664525u32);
-        let t2 = b.iadd(t, 1013904223u32);
-        b.mov_to(acc, t2);
-    });
-    let byte = b.shl(tid, 2u32);
-    b.st_global(byte, 0, acc);
-    let dims = LaunchDims {
-        grid: (8, 1),
-        block: (128, 1, 1),
-    };
-    let param = Value::from_u32((tenant * 100_000 + req) as u32);
-    WireLaunch::new(b.build(), dims, vec![param], 8 * 128 * 4)
 }
 
 fn main() {
@@ -971,46 +945,12 @@ fn serve_rows(add: &mut impl FnMut(Row), check: bool) {
         .field("cache_hit_responses", probes.cache_hits as f64)
         .bound("req_per_s", Bound::Floor(200.0))
         .bound("p99_ms", Bound::Ceiling(250.0)));
-    // Chaos fleet: clean, then with the context's wire faults armed at rate
-    // 0.02 — disconnects, corrupt frames, splits, stalls at all four wire
-    // sites. The chaos arm must complete with results bit-identical to the
-    // clean arm (reconnect and replay are invisible) and within 2x of its
-    // throughput. The disarmed cost of the CRC/deadline hardening is the
-    // probe fleet's floor.
-    let requests = if check { 8 } else { 32 };
-    let chaos_setup = |arm: usize| {
-        SimContext::new(SimConfig {
-            dedup: false,
-            net_faults: (arm == 1).then(|| NetFaultConfig::new(0xC0FF_EE00, 0.02)),
-            ..SimConfig::default()
-        })
-    };
-    let pairs = interleave(1, chaos_setup, |ctx| {
-        let fleet = serve_fleet(&ctx, requests, chaos_spec);
-        (fleet.req_per_s(), fleet.totals, ctx.enter(net_counters))
-    });
-    let [(_, (clean_rps, clean, _)), (_, (chaos_rps, chaos, net))] = &pairs[0];
-    assert_eq!(
-        clean, chaos,
-        "serve_chaos_fleet: transport chaos changed aggregate KernelStats \
-         (reconnect-and-replay must be invisible to results)"
-    );
-    add(Row::new("serve_chaos_fleet", "serve")
-        .field("tenants", TENANTS as f64)
-        .field("requests_per_tenant", requests as f64)
-        .field("clean_req_per_s", *clean_rps)
-        .field("chaos_req_per_s", *chaos_rps)
-        .field("chaos_ratio", clean_rps / chaos_rps)
-        .field("disconnects", net.disconnects as f64)
-        .field("frames_retried", net.frames_retried as f64)
-        .field("reconnects", net.reconnects as f64)
-        .field("bytes_resent", net.bytes_resent as f64)
-        .bound("chaos_req_per_s", Bound::Floor(100.0))
-        .bound("chaos_ratio", Bound::Ceiling(2.0)));
 }
 
 /// Writes the report, then checks the bounds: exit 2 on a miss, after
-/// reporting all.
+/// reporting all. Under `--check` the run must also emit the committed
+/// report's row names and each row's field names (values and bounds aside):
+/// exit 3 when they differ, so the committed file cannot go stale in shape.
 fn report(rows: &[Row], check: bool, out_path: &str) -> i32 {
     let body: Vec<String> = rows.iter().map(Row::json).collect();
     let mode = if check { "check" } else { "full" };
@@ -1018,11 +958,24 @@ fn report(rows: &[Row], check: bool, out_path: &str) -> i32 {
         "{{\n  \"benchmark\": \"g80-sim host A/B\",\n  \"mode\": \"{mode}\",\n  \"rows\": [\n    {}\n  ]\n}}\n",
         body.join(",\n    ")
     );
-    std::fs::write(out_path, json).expect("write benchmark report");
+    std::fs::write(out_path, json.as_str()).expect("write benchmark report");
     eprintln!("wrote {out_path}");
     let missed: Vec<String> = rows.iter().flat_map(Row::missed).collect();
     for m in &missed {
         eprintln!("bound missed: {m}");
+    }
+    if check {
+        let committed = std::fs::read_to_string(COMMITTED).expect("read the committed report");
+        let (want, got) = (shape(&committed), shape(&json));
+        if want != got {
+            for row in want.iter().filter(|r| !got.contains(r)) {
+                eprintln!("shape: committed row {row} was not emitted");
+            }
+            for row in got.iter().filter(|r| !want.contains(r)) {
+                eprintln!("shape: emitted row {row} is not committed");
+            }
+            return 3;
+        }
     }
     if missed.is_empty() {
         0
@@ -1031,9 +984,42 @@ fn report(rows: &[Row], check: bool, out_path: &str) -> i32 {
     }
 }
 
+/// The committed report `--check` compares names with.
+const COMMITTED: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
+
+/// Each row of a report as `report` writes it, reduced to its name and its
+/// field names: `name: field, field, ...`.
+fn shape(json: &str) -> Vec<String> {
+    let rows = json
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("{\"name\": \""));
+    rows.map(|row| {
+        let (name, rest) = row.split_once('"').unwrap_or((row, ""));
+        let fields = rest.split(", \"bounds\"").next().unwrap_or("");
+        // `, "group": "..", "field": value, ...`: the keys after the group.
+        let keys: Vec<&str> = fields
+            .split(", \"")
+            .skip(2)
+            .filter_map(|kv| kv.split_once('"').map(|(k, _)| k))
+            .collect();
+        format!("{name}: {}", keys.join(", "))
+    })
+    .collect()
+}
+
 #[cfg(test)]
 mod tests {
-    use super::median_interval;
+    use super::{median_interval, shape};
+
+    /// The shape of a report line: its name and field keys, not the group,
+    /// the values or the bounds.
+    #[test]
+    fn shape_reads_row_and_field_names() {
+        let json = "{\n  \"rows\": [\n    {\"name\": \"a_row\", \"group\": \"g\", \"x_s\": 1.5, \
+                    \"n\": 3, \"bounds\": {\"n\": \"== 3\"}},\n    {\"name\": \"b\", \
+                    \"group\": \"g\", \"bounds\": {}}\n  ]\n}\n";
+        assert_eq!(shape(json), ["a_row: x_s, n", "b: "]);
+    }
 
     /// The ranks of the 90 % sign-test interval on the median, as tabled:
     /// n = 7 takes the extremes, n = 21 the 7th and 15th order statistics.

@@ -220,16 +220,18 @@ impl Device {
     /// `device.alloc` faults) as a [`CudaError`] instead of panicking.
     pub fn try_alloc<T: Word32>(&mut self, len: usize) -> Result<DeviceBuffer<T>, CudaError> {
         poll(Site::DeviceAlloc)?;
-        let bytes = (len as u32) * 4;
         let addr = self.next_free;
-        let end = addr + bytes;
-        if end > self.mem.len_bytes() {
+        // A request past the 32-bit address space is out of memory too
+        // (`want` saturates), not a wrapped small allocation.
+        let bytes = u32::try_from(len).ok().and_then(|n| n.checked_mul(4));
+        let end = bytes.and_then(|b| addr.checked_add(b));
+        let Some(end) = end.filter(|&end| end <= self.mem.len_bytes()) else {
             return Err(CudaError::OutOfMemory {
-                want: bytes,
+                want: bytes.unwrap_or(u32::MAX),
                 at: addr,
                 have: self.mem.len_bytes(),
             });
-        }
+        };
         self.next_free = end.div_ceil(256) * 256;
         Ok(DeviceBuffer {
             byte_addr: addr,
@@ -420,6 +422,23 @@ mod tests {
         assert!(b.addr() >= a.addr() + 40);
         assert_eq!(a.len(), 10);
         assert!(!a.is_empty());
+    }
+
+    #[test]
+    fn oversized_requests_are_out_of_memory_not_wrapped() {
+        SimContext::new(SimConfig::default()).enter(|| {
+            let mut d = Device::new(1 << 16);
+            let _ = d.alloc::<f32>(10);
+            for len in [1 << 30, usize::MAX, (1 << 32) + 16] {
+                match d.try_alloc::<f32>(len) {
+                    Err(CudaError::OutOfMemory { at: 256, have, .. }) => {
+                        assert_eq!(have, 1 << 16, "len {len}")
+                    }
+                    other => panic!("len {len}: {:?}", other.map(|b| b.len())),
+                }
+            }
+            assert_eq!(d.try_alloc::<f32>(16).map(|b| b.addr()), Ok(256));
+        });
     }
 
     #[test]

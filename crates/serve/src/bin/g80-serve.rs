@@ -4,10 +4,10 @@
 //! `G80_SERVE_TENANT_BLOCKS`, `G80_SERVE_TENANT_QUEUE`,
 //! `G80_SERVE_MAX_BLOCKS`, `G80_SERVE_READ_TIMEOUT_MS`,
 //! `G80_SERVE_IDLE_TIMEOUT_MS`, `G80_SERVE_MAX_CONNS`, plus every variable
-//! the simulator honors: disk cache, watchdog and both fault variables —
-//! `G80_SIM_FAULTS` and `G80_SERVE_NET_FAULTS` arm the *global* `SimContext`
-//! it serves in; the pool size is process-wide), binds, and serves until a
-//! client sends a Shutdown request. Exits 0 after a clean drain.
+//! the simulator honors: disk cache, watchdog and `G80_SIM_FAULTS`, which
+//! configure the *global* `SimContext` it serves in; the pool size is
+//! process-wide), binds, and serves until a client sends a Shutdown
+//! request. Exits 0 after a clean drain.
 
 use g80_serve::server::{serve, ServeConfig};
 use std::process::ExitCode;

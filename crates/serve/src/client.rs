@@ -18,7 +18,9 @@
 //!   pipe, timeout), or a frame of a streamed reply fails its CRC: items
 //!   from the broken attempt may still be in flight, and only a fresh
 //!   connection keeps two streams from mixing. The reconnect backs off
-//!   (jittered, exponential) and handshakes before the replay.
+//!   (jittered, exponential) and handshakes before the replay; a
+//!   handshake that loses its connection there is one more reconnect of
+//!   the same request. A refused connect ends the request.
 //! - **Replay as-is** when an injected fault spoiled the answer (a
 //!   daemon whose context has its simulator faults armed): the `Launch`
 //!   result, any `Item` before `Done`, or a request-level `Error` — the
@@ -30,13 +32,13 @@
 //! context's [`g80_sim::net_counters`]; streamed requests return the delta
 //! so `SweepResult`/bench summaries can report what the transport survived.
 
-use crate::framed::{is_crc_mismatch, FramedStream, Side};
+use crate::framed::{is_crc_mismatch, FramedStream};
 use crate::net::{connect, Addr};
 use crate::protocol::{Request, Response, Specs, WireError, WireLaunch, PROTOCOL_VERSION};
 use g80_sim::fault::splitmix64;
 use g80_sim::{
     net_counters, note_net_disconnect, note_net_frame_retried, note_net_reconnect, LaunchReport,
-    MemoCounters, NetCounters, SimContext,
+    MemoCounters, NetCounters,
 };
 use std::io;
 use std::time::{Duration, Instant};
@@ -59,9 +61,9 @@ const BACKOFF_BASE_MS: u64 = 10;
 /// Ceiling on one backoff sleep.
 const BACKOFF_CAP_MS: u64 = 500;
 
-/// What the round trip needs to know of a request beyond its bytes: the
-/// handshake is retried only on an armed wire, and a streamed reply's
-/// broken attempt needs a fresh connection.
+/// What the round trip needs to know of a request beyond its bytes: a
+/// handshake's lost connection is final, and a streamed reply's broken
+/// attempt needs a fresh connection.
 #[derive(Copy, Clone, PartialEq)]
 enum Kind {
     Hello,
@@ -160,14 +162,13 @@ pub struct Client {
 impl Client {
     /// Connects and performs the Hello handshake.
     ///
-    /// With the calling context's wire faults disarmed this fails fast — a
-    /// refused connection, a rejected handshake, or a connection the
-    /// daemon ends before answering (it sheds or drains on purpose)
-    /// surfaces immediately. With them armed, the handshake recovers like
-    /// any request.
+    /// This fails fast: a refused connection, a rejected handshake, or a
+    /// connection the daemon ends before answering (it sheds or drains on
+    /// purpose) surfaces immediately; only a corrupted frame is resent.
+    /// [`Client::connect_retry`] retries the whole connect.
     pub fn connect(addr: &Addr, tenant: &str) -> io::Result<Client> {
         let mut client = Client {
-            framed: FramedStream::new(connect(addr)?, Side::Client),
+            framed: FramedStream::new(connect(addr)?),
             addr: addr.clone(),
             tenant: tenant.to_string(),
             rng: seed_from_tenant(tenant),
@@ -237,17 +238,27 @@ impl Client {
         let is_hello = kind == Kind::Hello;
         let streamed = kind == Kind::Streamed;
         let mut tries = [0u32; 3];
+        let mut reconnected = false;
         loop {
             let (mut answered, mut spoiled) = (false, false);
-            let outcome = self.framed.write_frame(frame).and_then(|()| loop {
-                let resp = self.read_response()?;
-                spoiled |= is_spoiled(&resp);
-                let Response::Item { index, result } = resp else {
-                    break Ok(resp);
-                };
-                answered = true;
-                on_item(index, result)?;
-            });
+            // A reconnect's handshake belongs to the attempt: when it
+            // fails, the request's budget decides again.
+            let handshake = if reconnected {
+                self.hello().map(|()| note_net_reconnect(len))
+            } else {
+                Ok(())
+            };
+            let outcome = handshake
+                .and_then(|()| self.framed.write_frame(frame))
+                .and_then(|()| loop {
+                    let resp = self.read_response()?;
+                    spoiled |= is_spoiled(&resp);
+                    let Response::Item { index, result } = resp else {
+                        break Ok(resp);
+                    };
+                    answered = true;
+                    on_item(index, result)?;
+                });
             let crc = outcome.as_ref().is_err_and(is_crc_mismatch);
             let recovery = match &outcome {
                 Ok(Response::Error(WireError::BadFrame(_))) if !answered => Some(Recovery::Resend),
@@ -255,21 +266,17 @@ impl Client {
                 Err(_) if crc && !streamed => Some(Recovery::Resend),
                 Err(_) if crc => Some(Recovery::Reconnect),
                 // A daemon that sheds or drains ends a connection before
-                // its handshake on purpose; only an armed wire makes a
-                // Hello's transport error worth a retry.
-                Err(e)
-                    if is_transport(e)
-                        && (!is_hello
-                            || SimContext::with_current(|c| c.net_faults().is_armed())) =>
-                {
-                    Some(Recovery::Reconnect)
-                }
+                // its handshake on purpose, so a Hello's lost connection
+                // is final; inside a reconnect, the request it belongs to
+                // retries it.
+                Err(e) if is_transport(e) && !is_hello => Some(Recovery::Reconnect),
                 _ => None,
             };
             let Some(recovery) = recovery.filter(|&r| tries[r as usize] < r.budget()) else {
                 return outcome;
             };
             tries[recovery as usize] += 1;
+            reconnected = matches!(recovery, Recovery::Reconnect);
             match recovery {
                 Recovery::Resend => note_net_frame_retried(len),
                 Recovery::Replay => {}
@@ -281,22 +288,12 @@ impl Client {
                     }
                     let attempt = tries[Recovery::Reconnect as usize];
                     std::thread::sleep(backoff(&mut self.rng, attempt));
-                    self.reopen(!is_hello)?;
-                    note_net_reconnect(len);
+                    // A refused connect is final: the listener is closed.
+                    let _ = self.framed.get_ref().shutdown();
+                    self.framed = FramedStream::new(connect(&self.addr)?);
                 }
             }
         }
-    }
-
-    /// Replaces the connection with a fresh one, handshaking on it when
-    /// `handshake` (a replayed Hello is its own handshake).
-    fn reopen(&mut self, handshake: bool) -> io::Result<()> {
-        let _ = self.framed.get_ref().shutdown();
-        self.framed = FramedStream::new(connect(&self.addr)?, Side::Client);
-        if handshake {
-            self.hello()?;
-        }
-        Ok(())
     }
 
     /// Runs one launch. The outer `Err` is unrecoverable transport

@@ -1,7 +1,8 @@
 //! A closed-loop client fleet: `tenants` connections to one daemon, each
 //! sending its launches back-to-back, and what they saw. `g80-bench-serve`
-//! drives a running daemon with it; `bench_sim`'s serving rows drive one
-//! they start in-process.
+//! drives a running daemon with it; `bench_sim`'s serving row and the
+//! proxied fleets of `tests/serve_chaos.rs` drive one they start
+//! in-process.
 
 use crate::{Addr, Client, WireLaunch};
 use g80_isa::builder::KernelBuilder;
@@ -66,8 +67,8 @@ impl FleetReport {
 /// Runs `tenants` connections to `addr` at once, tenant `t` sending
 /// `spec(t, 0..requests)` in order and timing each round trip from send to
 /// reply (building the spec is outside the window). Tenant threads run in
-/// the caller's [`SimContext`], so its wire faults, if armed, cut the
-/// clients' wires too. An empty fleet is refused with `InvalidInput`
+/// the caller's [`SimContext`], so their recovery tallies land in its
+/// counters. An empty fleet is refused with `InvalidInput`
 /// before anything connects; a transport failure, a typed daemon error or a
 /// panicking tenant fails the run with its error.
 pub fn run_fleet(

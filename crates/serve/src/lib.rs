@@ -27,15 +27,10 @@
 //!   reconnect-and-replay (jittered exponential backoff) when the
 //!   connection dies mid-request.
 //! * [`framed`] — CRC-guarded framing over a [`net::Stream`]: every frame
-//!   carries a CRC32 trailer, reads enforce idle/mid-frame deadlines, and
-//!   the seeded [`netfault`] layer injects transport chaos at four sites
-//!   (client/server × read/write) when the context's wire schedule is armed.
+//!   carries a CRC32 trailer, and reads enforce idle/mid-frame deadlines.
 //! * [`fleet`] — a closed-loop client fleet against one daemon (the load
 //!   `g80-bench-serve` and `bench_sim` generate): latency percentiles,
 //!   throughput, cache-tier answers.
-//! * [`netfault`] — what a fire of a context's wire schedule does:
-//!   disconnects, truncation, bit corruption, frame splitting, stalls —
-//!   bit-identical across reruns of the same seed.
 //!
 //! Every launch runs through `g80_sim::launch_reported` on the process-wide
 //! pool and in the daemon's `SimContext`, so stats are bit-identical to an
@@ -51,14 +46,12 @@ pub mod client;
 pub mod fleet;
 pub mod framed;
 pub mod net;
-pub mod netfault;
 pub mod protocol;
 pub mod server;
 
 pub use admission::{Admission, Quota, Verdict};
 pub use client::Client;
-pub use framed::{is_crc_mismatch, FramedStream, Side};
+pub use framed::{is_crc_mismatch, FramedStream};
 pub use net::Addr;
-pub use netfault::{NetFault, NetFaultConfig, NetFaultKind, NetSite};
 pub use protocol::{Request, Response, WireError, WireLaunch, PROTOCOL_VERSION};
 pub use server::{serve, ServeConfig, Server};

@@ -74,9 +74,8 @@ impl Stream {
         }
     }
 
-    /// Tears down both directions of the connection. Used by the
-    /// fault-injection layer to simulate a peer vanishing mid-frame; the
-    /// next read on either end observes EOF or a reset, never a hang.
+    /// Tears down both directions of the connection: the next read on
+    /// either end observes EOF or a reset, never a hang.
     pub fn shutdown(&self) -> io::Result<()> {
         match self {
             Stream::Tcp(s) => s.shutdown(std::net::Shutdown::Both),

@@ -49,12 +49,11 @@ pub const MAX_MEM_BYTES: u32 = 256 << 20;
 
 // ---- framing ---------------------------------------------------------------
 //
-// The v3 frame layout over any Read/Write. `write_frame_with_crc` is the one
-// place `len | payload | crc` is put on a wire and `verify_crc` the one
-// integrity check: live connections (`crate::framed`) send and check
-// through them and add deadlines and the injected transport-fault
-// schedule. `write_frame` / `read_frame` are the plain blocking pair the
-// tests below pin the layout with.
+// The v3 frame layout over any Read/Write. `write_frame` is the one place
+// `len | payload | crc` is put on a wire and `verify_crc` the one integrity
+// check: live connections (`crate::framed`) send and check through them and
+// add deadlines. `read_frame` is the plain blocking reader the tests below
+// pin the layout with.
 
 /// Payload checksum failure: the frame was consumed whole (framing is
 /// still synchronized) but its bytes are not what the peer sent. Carried
@@ -101,29 +100,17 @@ pub(crate) fn verify_crc(payload: &[u8], wire_crc: u32) -> io::Result<()> {
     ))
 }
 
-/// The header value for `payload`, or `InvalidInput` when it exceeds
-/// [`MAX_FRAME_BYTES`].
-pub(crate) fn frame_len(payload: &[u8]) -> io::Result<u32> {
-    u32::try_from(payload.len())
+/// Puts `len | payload | crc32(payload)` on the wire as ONE vectored write
+/// (resumed if the sink takes only part), then flushes. On a `TCP_NODELAY`
+/// socket three separate writes are three syscalls and three segments, and
+/// the peer is woken by a 4-byte header before its payload is even queued.
+/// A payload over [`MAX_FRAME_BYTES`] is refused with `InvalidInput`.
+pub(crate) fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    let len = u32::try_from(payload.len())
         .ok()
         .filter(|&l| l <= MAX_FRAME_BYTES)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))
-}
-
-/// Writes one CRC-trailed length-prefixed frame.
-#[cfg(test)]
-fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    write_frame_with_crc(w, payload, crc32(payload))
-}
-
-/// Puts `len | payload | crc` on the wire as ONE vectored write (resumed
-/// if the sink takes only part), then flushes. On a `TCP_NODELAY` socket
-/// three separate writes are three syscalls and three segments, and the
-/// peer is woken by a 4-byte header before its payload is even queued.
-/// `crc` is an argument so the injected `corrupt` fault can send a
-/// payload under a checksum that does not cover it.
-pub(crate) fn write_frame_with_crc(w: &mut impl Write, payload: &[u8], crc: u32) -> io::Result<()> {
-    let (head, tail) = (frame_len(payload)?.to_le_bytes(), crc.to_le_bytes());
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
+    let (head, tail) = (len.to_le_bytes(), crc32(payload).to_le_bytes());
     let mut parts = [
         IoSlice::new(&head),
         IoSlice::new(payload),

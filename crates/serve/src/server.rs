@@ -3,13 +3,13 @@
 //! One daemon hosts the shared substrate — the work-stealing pool and one
 //! [`SimContext`] (the one current where [`serve`] was called; the global,
 //! environment-configured one for the `g80-serve` binary): its launch memo
-//! LRU, its disk tier when configured, its counters, its fault schedules —
+//! LRU, its disk tier when configured, its counters, its fault schedule —
 //! and every connection's launches run through it, so tenants warm each
 //! other's caches. Each connection is one thread; each request is admitted
 //! by the [`crate::admission`] controller before it touches the pool.
 //!
-//! Failure behaviour (the hardened paths `tests/serve_chaos.rs` and CI's
-//! `net-chaos` job exercise):
+//! Failure behaviour (the hardened paths `tests/serve_chaos.rs` exercises,
+//! the wire's through a fault-injecting frame proxy):
 //!
 //! * every per-request step runs under `catch_unwind`, so an injected
 //!   panic (or a genuine handler bug) becomes a typed
@@ -37,7 +37,7 @@
 //! returns once the last handler exits.
 
 use crate::admission::{Admission, Quota, Verdict};
-use crate::framed::{is_crc_mismatch, FramedStream, Side};
+use crate::framed::{is_crc_mismatch, FramedStream};
 use crate::net::{Addr, Listener, Stream};
 use crate::protocol::{Request, Response, WireError, WireLaunch, MAX_MEM_BYTES, PROTOCOL_VERSION};
 use g80_sim::fault::{self, Site};
@@ -312,7 +312,7 @@ fn accept_loop(listener: Listener, shared: Arc<Shared>) -> io::Result<()> {
 /// without blocking further accepts.
 fn shed_connection(stream: Stream) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
-    let mut framed = FramedStream::new(stream, Side::Server);
+    let mut framed = FramedStream::new(stream);
     let _ = framed.write_frame(
         &Response::Error(WireError::Overloaded {
             retry_after_ms: SHED_RETRY_AFTER_MS,
@@ -356,7 +356,7 @@ fn handle_connection(stream: Stream, shared: &Shared) -> io::Result<()> {
     // A write stalling as long as the read deadline means the peer has
     // stopped draining its socket; the failed write ends the connection.
     stream.set_write_timeout(shared.read_timeout)?;
-    let mut framed = FramedStream::new(stream, Side::Server);
+    let mut framed = FramedStream::new(stream);
     // Set by the handshake: the first frame must be a version-matched Hello.
     let mut tenant = None;
     loop {

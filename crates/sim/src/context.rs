@@ -3,8 +3,8 @@
 //!
 //! A [`SimContext`] owns everything a launch reads or updates outside its
 //! own arguments: the [`SimConfig`] it runs under, the launch memo LRU, the
-//! disk tier's compaction bookkeeping, the counters and the two fault
-//! schedules ([`crate::fault`]). None of it is
+//! disk tier's compaction bookkeeping, the counters and the fault
+//! schedule ([`crate::fault`]). None of it is
 //! process-wide, so contexts with different configurations run side by side
 //! in one process — the paper's method of comparing configurations, applied
 //! to the host side.
@@ -17,7 +17,7 @@
 
 use crate::config::GpuConfig;
 use crate::counters::{MemoTally, NetTally, RowTally, SmStats};
-use crate::fault::{FaultConfig, FaultSchedule, NetFaultConfig};
+use crate::fault::{FaultConfig, FaultSchedule};
 use crate::memo::LaunchCache;
 use crate::memory::DeviceMemory;
 use crate::sm::LaunchDims;
@@ -55,10 +55,6 @@ pub struct SimConfig {
     /// Arms the context's simulator fault sites ([`SimContext::faults`];
     /// `G80_SIM_FAULTS`, unparsable = disarmed).
     pub faults: Option<FaultConfig>,
-    /// Arms the context's `g80-serve` wire sites
-    /// ([`SimContext::net_faults`]; `G80_SERVE_NET_FAULTS`, unparsable =
-    /// disarmed).
-    pub net_faults: Option<NetFaultConfig>,
 }
 
 impl Default for SimConfig {
@@ -71,7 +67,6 @@ impl Default for SimConfig {
             disk_cap: 1 << 30,
             watchdog_cycles: None,
             faults: None,
-            net_faults: None,
         }
     }
 }
@@ -96,7 +91,6 @@ impl SimConfig {
                 .unwrap_or(default.disk_cap),
             watchdog_cycles: var("G80_SIM_WATCHDOG_CYCLES").and_then(|v| v.trim().parse().ok()),
             faults: var("G80_SIM_FAULTS").and_then(|v| FaultConfig::parse(&v)),
-            net_faults: var("G80_SERVE_NET_FAULTS").and_then(|v| NetFaultConfig::parse(&v)),
             ..default
         }
     }
@@ -133,8 +127,7 @@ pub struct SimContext {
     /// compaction scan.
     pub(crate) disk_published: AtomicU64,
     pub(crate) metrics: Metrics,
-    faults: FaultSchedule<FaultConfig>,
-    net_faults: FaultSchedule<NetFaultConfig>,
+    faults: FaultSchedule,
 }
 
 thread_local! {
@@ -175,7 +168,6 @@ impl SimContext {
         config.watchdog_cycles = config.watchdog_cycles.map(|b| b.max(1));
         Arc::new(SimContext {
             faults: FaultSchedule::new(config.faults),
-            net_faults: FaultSchedule::new(config.net_faults),
             config,
             sm_engine: None,
             cache: Mutex::default(),
@@ -231,14 +223,8 @@ impl SimContext {
     /// The schedule of this context's simulator fault sites, armed from
     /// [`SimConfig::faults`]; re-arming it in place resets its call
     /// indices.
-    pub fn faults(&self) -> &FaultSchedule<FaultConfig> {
+    pub fn faults(&self) -> &FaultSchedule {
         &self.faults
-    }
-
-    /// The schedule of this context's `g80-serve` wire sites, armed from
-    /// [`SimConfig::net_faults`].
-    pub fn net_faults(&self) -> &FaultSchedule<NetFaultConfig> {
-        &self.net_faults
     }
 
     /// The per-SM cycle budget as the engines compare it (`u64::MAX` = off).
@@ -279,7 +265,6 @@ mod tests {
             ("G80_SIM_DISK_CACHE_CAP", " 4096 "),
             ("G80_SIM_WATCHDOG_CYCLES", " 99 "),
             ("G80_SIM_FAULTS", "1:0.02:typed"),
-            ("G80_SERVE_NET_FAULTS", " 8:0.01 "),
         ]);
         assert_eq!(
             all,
@@ -288,14 +273,12 @@ mod tests {
                 disk_cap: 4096,
                 watchdog_cycles: Some(99),
                 faults: Some(FaultConfig::new(1, 0.02, Some(FaultKind::Typed))),
-                net_faults: Some(NetFaultConfig::new(8, 0.01)),
                 ..SimConfig::default()
             }
         );
         let ctx = SimContext::new(all);
-        assert!(ctx.faults().is_armed() && ctx.net_faults().is_armed());
-        let default = SimContext::new(SimConfig::default());
-        assert!(!default.faults().is_armed() && !default.net_faults().is_armed());
+        assert!(ctx.faults().is_armed());
+        assert!(!SimContext::new(SimConfig::default()).faults().is_armed());
     }
 
     #[test]
@@ -306,11 +289,9 @@ mod tests {
                 ("G80_SIM_DISK_CACHE_CAP", bad),
                 ("G80_SIM_WATCHDOG_CYCLES", bad),
                 ("G80_SIM_FAULTS", bad),
-                ("G80_SERVE_NET_FAULTS", bad),
             ]);
-            let parsed = (cfg.disk_cap, cfg.watchdog_cycles);
-            assert_eq!(parsed, (1 << 30, None), "{bad:?}");
-            assert_eq!((cfg.faults, cfg.net_faults), (None, None), "{bad:?}");
+            let parsed = (cfg.disk_cap, cfg.watchdog_cycles, cfg.faults);
+            assert_eq!(parsed, (1 << 30, None, None), "{bad:?}");
         }
         for unset in ["", "   ", "\t"] {
             assert_eq!(from(&[("G80_SIM_DISK_CACHE", unset)]).disk_dir, None);

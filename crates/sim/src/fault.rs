@@ -3,22 +3,18 @@
 //!
 //! A [`FaultSchedule`] is one seeded machine: armed with a seed and a
 //! per-poll rate, it decides whether the `n`-th poll of a site fires — a pure
-//! function of (seed, site, `n`) through [`splitmix64`] — and hands the draw
-//! back. Every [`crate::SimContext`] owns two, built from its
-//! [`crate::SimConfig`]: one over the nine simulator [`Site`]s
-//! ([`crate::SimContext::faults`], `G80_SIM_FAULTS`) and one over
-//! `g80-serve`'s four wire sites ([`crate::SimContext::net_faults`],
-//! `G80_SERVE_NET_FAULTS`). Both variables read
-//! `<seed>:<rate>[:<kind>]`. A poll reads the schedule of the context it
-//! runs in, so contexts armed differently run side by side.
+//! function of (seed, site, `n`) through [`splitmix64`]. Every
+//! [`crate::SimContext`] owns one over the nine simulator [`Site`]s
+//! ([`crate::SimContext::faults`]), built from its [`crate::SimConfig`]
+//! (`G80_SIM_FAULTS=<seed>:<rate>[:<kind>]`). A poll reads the schedule of
+//! the context it runs in, so contexts armed differently run side by side.
 //!
-//! What a fire means is the family's business. Here, at a simulator site,
-//! `typed` unwinds with an [`InjectedFault`] payload that the hardened
-//! layers classify into typed errors; `panic` unwinds with a plain string
-//! payload, indistinguishable from a real bug, to prove the same layers
-//! survive arbitrary panics; `mixed` (the default) flips a deterministic
-//! coin per event. `g80_serve::netfault` maps a wire draw to a transport
-//! fault. Disarmed, a poll is one relaxed load.
+//! A fire's kind says how it surfaces: `typed` unwinds with an
+//! [`InjectedFault`] payload that the hardened layers classify into typed
+//! errors; `panic` unwinds with a plain string payload, indistinguishable
+//! from a real bug, to prove the same layers survive arbitrary panics;
+//! `mixed` (the default) flips a deterministic coin per event. Disarmed, a
+//! poll is one relaxed load.
 //!
 //! Two hardening pieces also live here because every layer shares them:
 //!
@@ -103,12 +99,6 @@ impl Site {
     }
 }
 
-impl From<Site> for usize {
-    fn from(site: Site) -> usize {
-        site as usize
-    }
-}
-
 // ---- configuration ---------------------------------------------------------
 
 /// How an injected simulator fault surfaces.
@@ -121,21 +111,8 @@ pub enum FaultKind {
     Panic,
 }
 
-/// Which transport-fault family a wire schedule draws from; the
-/// `g80-serve` crate maps each draw to a concrete fault.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum NetFaultKind {
-    /// Every kind, chosen per event by hash bits (the default).
-    All,
-    Disconnect,
-    Truncate,
-    Corrupt,
-    Split,
-    Stall,
-}
-
-/// A per-poll fire probability in `[0, 1]`, held as its bit pattern so
-/// fault configs — and the [`crate::SimConfig`] holding them — compare
+/// A per-poll fire probability in `[0, 1]`, held as its bit pattern so a
+/// [`FaultConfig`] — and the [`crate::SimConfig`] holding it — compares
 /// with `Eq`.
 #[derive(Copy, Clone, PartialEq, Eq)]
 pub struct Rate(u64);
@@ -197,59 +174,21 @@ impl FaultConfig {
         self
     }
 
-    /// Parses `G80_SIM_FAULTS`; `None` when it does not parse.
+    /// Parses `G80_SIM_FAULTS` (`<seed>:<rate>[:<kind>]`, the rate in
+    /// `[0, 1]`, nothing after the kind); `None` when it does not parse.
     pub(crate) fn parse(v: &str) -> Option<Self> {
-        let (seed, rate, kind) = parse_spec(v, &["mixed", "typed", "panic"])?;
-        let kind = [None, Some(FaultKind::Typed), Some(FaultKind::Panic)][kind];
-        Some(FaultConfig::new(seed, rate, kind))
+        let mut it = v.trim().split(':');
+        let seed = it.next()?.parse().ok()?;
+        let rate: f64 = it.next()?.parse().ok()?;
+        let kind = match it.next() {
+            None | Some("mixed") => None,
+            Some("typed") => Some(FaultKind::Typed),
+            Some("panic") => Some(FaultKind::Panic),
+            Some(_) => return None,
+        };
+        let valid = (0.0..=1.0).contains(&rate) && it.next().is_none();
+        valid.then(|| FaultConfig::new(seed, rate, kind))
     }
-}
-
-/// How a context's wire sites are armed (`G80_SERVE_NET_FAULTS=<seed>:
-/// <rate>[:all|:disconnect|:truncate|:corrupt|:split|:stall]`).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct NetFaultConfig {
-    pub seed: u64,
-    /// Per-frame-operation fault probability.
-    pub rate: Rate,
-    pub kind: NetFaultKind,
-}
-
-impl NetFaultConfig {
-    pub fn new(seed: u64, rate: f64) -> Self {
-        Self::only(seed, rate, NetFaultKind::All)
-    }
-
-    pub fn only(seed: u64, rate: f64, kind: NetFaultKind) -> Self {
-        NetFaultConfig {
-            seed,
-            rate: Rate::new(rate),
-            kind,
-        }
-    }
-
-    /// Parses `G80_SERVE_NET_FAULTS`; `None` when it does not parse.
-    pub(crate) fn parse(v: &str) -> Option<Self> {
-        use NetFaultKind::*;
-        let names = ["all", "disconnect", "truncate", "corrupt", "split", "stall"];
-        let (seed, rate, kind) = parse_spec(v, &names)?;
-        let kind = [All, Disconnect, Truncate, Corrupt, Split, Stall][kind];
-        Some(Self::only(seed, rate, kind))
-    }
-}
-
-/// The grammar of both fault variables: `<seed>:<rate>[:<kind>]`, the rate
-/// in `[0, 1]`, the kind one of `kinds` (`kinds[0]` when omitted), nothing
-/// after it. Returns the kind's index.
-fn parse_spec(v: &str, kinds: &[&str]) -> Option<(u64, f64, usize)> {
-    let mut it = v.trim().split(':');
-    let seed = it.next()?.parse().ok()?;
-    let rate: f64 = it.next()?.parse().ok()?;
-    let kind = match it.next() {
-        None => 0,
-        Some(name) => kinds.iter().position(|&k| k == name)?,
-    };
-    ((0.0..=1.0).contains(&rate) && it.next().is_none()).then_some((seed, rate, kind))
 }
 
 // ---- the schedule ----------------------------------------------------------
@@ -262,21 +201,18 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The most sites a family has ([`Site::ALL`]).
-const MAX_SITES: usize = 9;
-
-/// One seeded fault schedule over a family of sites, armed with a config
-/// `C` ([`FaultConfig`] or [`NetFaultConfig`]). Per site it counts polls —
-/// the call index feeding the draw — and fires.
-pub struct FaultSchedule<C> {
+/// One seeded fault schedule over the simulator [`Site`]s, armed with a
+/// [`FaultConfig`]. Per site it counts polls — the call index feeding the
+/// draw — and fires.
+pub struct FaultSchedule {
     armed: AtomicBool,
-    config: RwLock<Option<C>>,
-    calls: [AtomicU64; MAX_SITES],
-    raised: [AtomicU64; MAX_SITES],
+    config: RwLock<Option<FaultConfig>>,
+    calls: [AtomicU64; Site::ALL.len()],
+    raised: [AtomicU64; Site::ALL.len()],
 }
 
-impl<C: Copy> FaultSchedule<C> {
-    pub fn new(config: Option<C>) -> Self {
+impl FaultSchedule {
+    pub fn new(config: Option<FaultConfig>) -> Self {
         let schedule = FaultSchedule {
             armed: AtomicBool::new(false),
             config: RwLock::new(None),
@@ -290,7 +226,7 @@ impl<C: Copy> FaultSchedule<C> {
     /// Arms the schedule with `config` (`None` disarms) and resets every
     /// call index and fire count, so arming the same config again replays
     /// the same schedule.
-    pub fn arm(&self, config: Option<C>) {
+    pub fn arm(&self, config: Option<FaultConfig>) {
         self.armed.store(false, Ordering::SeqCst);
         *self.config.write().unwrap_or_else(PoisonError::into_inner) = config;
         for counter in self.calls.iter().chain(&self.raised) {
@@ -307,26 +243,26 @@ impl<C: Copy> FaultSchedule<C> {
         self.armed.load(Ordering::Relaxed)
     }
 
-    pub fn config(&self) -> Option<C> {
+    pub fn config(&self) -> Option<FaultConfig> {
         *self.config.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Polls of `site` that fired since the schedule was last armed.
-    pub fn raised(&self, site: impl Into<usize>) -> u64 {
-        self.raised[site.into()].load(Ordering::Relaxed)
+    pub fn raised(&self, site: Site) -> u64 {
+        self.raised[site as usize].load(Ordering::Relaxed)
     }
 
     /// Polls of `site` since the schedule was last armed, fired or not
     /// (zero while disarmed: a disarmed poll draws nothing).
-    pub fn polls(&self, site: impl Into<usize>) -> u64 {
-        self.calls[site.into()].load(Ordering::Relaxed)
+    pub fn polls(&self, site: Site) -> u64 {
+        self.calls[site as usize].load(Ordering::Relaxed)
     }
 
     /// Counts this poll of `site` and returns its draw if it fires at
-    /// `rate` — a pure function of (`seed`, site, call index). Further
-    /// hash bits of the draw choose what the fire does.
-    pub fn draw(&self, site: impl Into<usize>, seed: u64, rate: Rate) -> Option<u64> {
-        let site = site.into();
+    /// `rate` — a pure function of (`seed`, site, call index). A further
+    /// hash bit of the draw picks a mixed fire's kind.
+    fn draw(&self, site: Site, seed: u64, rate: Rate) -> Option<u64> {
+        let site = site as usize;
         let index = self.calls[site].fetch_add(1, Ordering::Relaxed);
         let h = splitmix64(seed ^ splitmix64(((site as u64) << 56) ^ index));
         if ((h >> 11) as f64) / ((1u64 << 53) as f64) >= rate.get() {
@@ -335,9 +271,7 @@ impl<C: Copy> FaultSchedule<C> {
         self.raised[site].fetch_add(1, Ordering::Relaxed);
         Some(h)
     }
-}
 
-impl FaultSchedule<FaultConfig> {
     /// Whether this poll of `site` fires, and with which kind.
     fn decide(&self, site: Site) -> Option<FaultKind> {
         let cfg = self.config()?;
@@ -494,15 +428,7 @@ mod tests {
         assert_eq!(sim("1:0.5:typed"), Some(Some(FaultKind::Typed)));
         assert_eq!(sim("1:0.5:panic"), Some(Some(FaultKind::Panic)));
         assert_eq!(sim("1:0.5:mixed"), Some(None));
-        let net = |v| NetFaultConfig::parse(v).map(|c| c.kind);
-        let n = NetFaultConfig::parse(" 7:0.25 ").unwrap();
-        assert_eq!((n.seed, n.rate.get(), n.kind), (7, 0.25, NetFaultKind::All));
-        assert_eq!(net("1:0.5:corrupt"), Some(NetFaultKind::Corrupt));
-        assert_eq!(net("1:0.5:stall"), Some(NetFaultKind::Stall));
-        assert_eq!(net("1:0.5:all"), Some(NetFaultKind::All));
-        // Each variable's kinds are its own; the rest of the grammar is one.
-        assert_eq!(sim("1:0.5:stall"), None);
-        assert_eq!(net("1:0.5:typed"), None);
+        assert_eq!(sim(" 7:0.25 "), Some(None), "surrounding blanks");
         for bad in [
             "",
             "1",
@@ -512,18 +438,17 @@ mod tests {
             "1:1.5",
             "1:0.5:bogus",
             "1:0.5:typed:junk",
-            "1:0.5:stall:x",
+            "1:0.5:stall",
             "1:0.5:",
         ] {
             assert_eq!(sim(bad), None, "{bad:?}");
-            assert_eq!(net(bad), None, "{bad:?}");
         }
     }
 
     #[test]
     fn decision_is_deterministic_in_seed_and_index() {
         let fires = |seed: u64| -> Vec<bool> {
-            let s = FaultSchedule::<FaultConfig>::new(None);
+            let s = FaultSchedule::new(None);
             (0..256)
                 .map(|_| s.draw(Site::SmStep, seed, Rate::new(0.1)).is_some())
                 .collect()

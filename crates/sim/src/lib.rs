@@ -83,7 +83,7 @@ pub use counters::{
     row_counters, KernelStats, MemoCounters, NetCounters, RowCounters, StallReason,
 };
 pub use error::CudaError;
-pub use fault::{FaultConfig, FaultKind, NetFaultConfig, NetFaultKind, Site};
+pub use fault::{FaultConfig, FaultKind, Site};
 pub use launch::{
     launch, launch_batch, launch_batch_traced, launch_traced, LaunchError, LaunchSpec,
 };

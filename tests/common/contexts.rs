@@ -6,17 +6,18 @@
 //!   `G80_SIM_MEMO_CAP=1 G80_SIM_DEDUP=off` and `G80_SIM_DISK_CACHE=<dir>`
 //!   passes beside the default and one armed member. Only the armed one
 //!   perturbs exact counts: a test asks `ctx.faults().is_armed()`.
-//! * [`chaos_legs`]: the six former `chaos` passes (`G80_SIM_FAULTS`,
-//!   `G80_SIM_DISK_CACHE`, `G80_SERVE_NET_FAULTS`), each a fresh
-//!   configuration. `fault_injection.rs` runs the legs that arm simulator
-//!   sites and `serve_chaos.rs` those that arm the wire; each must match a
-//!   clean context bit for bit and fire at least one fault.
+//! * [`chaos_legs`]: the simulator halves of the six former `chaos` passes
+//!   (`G80_SIM_FAULTS`, `G80_SIM_DISK_CACHE`), each a fresh configuration,
+//!   which `fault_injection.rs` runs; each must match a clean context bit
+//!   for bit and fire at least one fault. The wire halves are plans of the
+//!   test-side frame proxy (`proxy::wire_legs`), which `serve_chaos.rs`
+//!   runs.
 //!
 //! CI keeps one environment leg, which sets every variable the global
 //! context and the pool read. Depends on `g80_sim` alone, so
 //! `crates/sim/tests` includes this file too.
 
-use g80_sim::{FaultConfig, FaultKind, NetFaultConfig, SimConfig, SimContext};
+use g80_sim::{FaultConfig, FaultKind, SimConfig, SimContext};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -69,7 +70,8 @@ pub fn contexts() -> Matrix<Arc<SimContext>> {
     Matrix::new(members, |ctx| ctx.config())
 }
 
-/// The six former chaos legs, named by the values their variables held.
+/// The former chaos legs that armed simulator sites, named by the values
+/// their variables held (`8:0.01` also ran beside the wire's `9:0.01`).
 /// Simulator faults are absorbed, as the variable arms them; the disk leg's
 /// directory is fresh, so a second context on it reads what the first
 /// published.
@@ -89,20 +91,7 @@ pub fn chaos_legs() -> Matrix<SimConfig> {
                 ..sim(5, 0.02, None)
             },
         ),
-        (
-            "net 7:0.02",
-            SimConfig {
-                net_faults: Some(NetFaultConfig::new(7, 0.02)),
-                ..SimConfig::default()
-            },
-        ),
-        (
-            "8:0.01, net 9:0.01",
-            SimConfig {
-                net_faults: Some(NetFaultConfig::new(9, 0.01)),
-                ..sim(8, 0.01, None)
-            },
-        ),
+        ("8:0.01", sim(8, 0.01, None)),
     ];
     Matrix::new(legs, |cfg| cfg)
 }

@@ -12,6 +12,7 @@ use g80::sim::{
 
 mod contexts;
 mod invariants;
+pub mod proxy;
 pub use contexts::{chaos_legs, contexts, scratch_dir};
 pub use invariants::check_invariants;
 

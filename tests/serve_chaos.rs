@@ -10,8 +10,8 @@
 //! * disarmed, the same connection serves normally and the daemon drains
 //!   cleanly.
 //!
-//! Plus *network* chaos (a context's wire schedule): seeded
-//! transport faults on the wire itself —
+//! Plus *network* chaos: transport faults on the wire itself, injected by
+//! the frame proxy of `common::proxy` between client and daemon —
 //!
 //! * a mid-stream disconnect during a streamed sweep is survived by
 //!   reconnect-and-replay, and `SweepResult::from_parts`
@@ -19,25 +19,31 @@
 //!   fault kind, alone and beside simulator faults (the wire chaos legs);
 //! * frame corruption at rate 1.0 yields typed errors (`BadFrame`, CRC
 //!   mismatches) on a bounded schedule — never a panic, never a hang —
-//!   and the same connection recovers bit-identically once disarmed;
+//!   and the same connection recovers bit-identically once the proxy is
+//!   clean again;
 //! * a slow-loris client stalled mid-frame is reaped by the read
 //!   deadline, freeing its connection slot (and while it holds the only
 //!   slot, new tenants are shed with a typed `Overloaded`);
 //! * each client recovery (resend in place, reconnect and replay) adds
-//!   exactly its own tally, one fault at a time.
+//!   exactly its own tally, one fault at a time;
+//! * two proxied fleets in sequence on one disk directory: the first
+//!   drains cleanly, the second is answered from the disk tier.
 //!
 //! Each test runs its daemon and its clients in fresh contexts of its own,
 //! armed from their configuration or in place, so the tests run in
 //! parallel, whatever the environment arms the global context with.
 
-use g80::isa::builder::KernelBuilder;
+use common::proxy::{wire_legs, Dir, Kind, Plan, Proxy};
+use g80::isa::builder::{KernelBuilder, Unroll};
 use g80::isa::Value;
+use g80::serve::fleet::{self, run_fleet};
 use g80::serve::{
-    serve, Addr, Client, NetFaultConfig, NetFaultKind, NetSite, Quota, Request, Response,
-    ServeConfig, WireError, WireLaunch,
+    serve, Addr, Client, Quota, Request, Response, ServeConfig, WireError, WireLaunch,
 };
 use g80::sim::fault::{FaultConfig, FaultKind, Site};
-use g80::sim::{net_counters, GpuConfig, LaunchDims, NetCounters, SimConfig, SimContext};
+use g80::sim::{
+    memo_counters, net_counters, GpuConfig, LaunchDims, NetCounters, SimConfig, SimContext,
+};
 use g80::tune::tuner::{Sample, SweepResult};
 use std::io::Write;
 use std::sync::Arc;
@@ -45,10 +51,14 @@ use std::time::{Duration, Instant};
 
 mod common;
 
-/// A fresh context, both fault schedules disarmed.
+/// A fresh context, faults disarmed.
 fn context() -> Arc<SimContext> {
     SimContext::new(SimConfig::default())
 }
+
+/// How long a client through a faulty proxy retries its connect: a fire
+/// on its Hello ends that attempt.
+const CONNECT: Duration = Duration::from_secs(10);
 
 fn probe_spec(salt: u32) -> WireLaunch {
     let mut b = KernelBuilder::new("sc_probe");
@@ -186,15 +196,15 @@ fn default_daemon() -> (g80::serve::Server, Addr) {
 }
 
 /// A served sweep under wire faults equals the clean wire, bit for bit,
-/// and the schedule fired. The inputs: mid-stream disconnects, which the
+/// and the proxy fired. The inputs: mid-stream disconnects, which the
 /// client must survive by reconnecting and replaying until the whole stream
-/// lands, then the wire legs of [`common::chaos_legs`], every transport
-/// fault kind alone and composed with simulator faults. Each input runs its
-/// own daemon and client in a fresh context of its configuration.
+/// lands, then the wire legs of [`wire_legs`], every transport fault kind
+/// alone and composed with simulator faults. Each input runs its own daemon
+/// in a fresh context of its configuration, behind its own proxy.
 #[test]
 fn mid_stream_disconnect_resumes_sweep_via_replay() {
     let specs: Vec<WireLaunch> = (0..12u32).map(|i| probe_spec(100 + i)).collect();
-    let clean = context().enter(|| served_sweeps(&specs, || true));
+    let (clean, _) = context().enter(|| served_sweeps(&specs, Plan::Clean));
     let golden = &clean[0];
     assert!(
         !golden.net.any(),
@@ -202,31 +212,15 @@ fn mid_stream_disconnect_resumes_sweep_via_replay() {
         golden.net
     );
 
-    // Disconnect-only faults on every wire site, at a seed and rate that
-    // force at least one reconnect against this deterministic schedule.
-    let disconnect = SimConfig {
-        net_faults: Some(NetFaultConfig::only(
-            0xD15C_0441,
-            0.03,
-            NetFaultKind::Disconnect,
-        )),
-        ..SimConfig::default()
-    };
-    let legs = common::chaos_legs();
-    let wire_legs = legs.iter().filter(|(_, c)| c.net_faults.is_some());
-    let inputs =
-        std::iter::once(("disconnect", &disconnect)).chain(wire_legs.map(|(n, c)| (*n, c)));
-    for (name, cfg) in inputs {
-        let ctx = SimContext::new(cfg.clone());
-        let fired = || {
-            NetSite::ALL
-                .iter()
-                .map(|&s| ctx.net_faults().raised(s))
-                .sum::<u64>()
-        };
-        let rounds = ctx.enter(|| served_sweeps(&specs, || fired() > 0));
+    // Disconnect-only faults in both directions, at a seed and rate that
+    // force at least one reconnect against this deterministic plan.
+    let disconnect = Plan::only(0xD15C_0441, 0.03, &[Kind::Disconnect]);
+    let inputs = std::iter::once(("disconnect", SimConfig::default(), disconnect.clone()))
+        .chain(wire_legs());
+    for (name, cfg, plan) in inputs {
+        let (rounds, fired) = SimContext::new(cfg).enter(|| served_sweeps(&specs, plan.clone()));
         assert!(
-            fired() > 0,
+            fired > 0,
             "{name}: no wire fault fired in {} sweeps",
             rounds.len()
         );
@@ -241,21 +235,24 @@ fn mid_stream_disconnect_resumes_sweep_via_replay() {
                 );
             }
         }
-        if cfg.net_faults.map(|n| n.kind) == Some(NetFaultKind::Disconnect) {
+        if plan == disconnect {
             assert!(
                 rounds.iter().any(|r| r.net.reconnects >= 1),
-                "the fault schedule never forced a reconnect — pick a hotter seed"
+                "the fault plan never forced a reconnect — pick a hotter seed"
             );
         }
     }
 }
 
-/// Sweeps `specs` through a daemon in the current context, one sweep per
-/// round until `done()` (at most eight rounds), and returns each round's
-/// result with the client's recovery tally.
-fn served_sweeps(specs: &[WireLaunch], done: impl Fn() -> bool) -> Vec<SweepResult<u32>> {
+/// Sweeps `specs` through a daemon in the current context behind a proxy
+/// running `plan`, one sweep per round until the proxy has fired (at most
+/// eight rounds), and returns each round's result with the client's
+/// recovery tally, and the proxy's fires.
+fn served_sweeps(specs: &[WireLaunch], plan: Plan) -> (Vec<SweepResult<u32>>, u64) {
     let (server, addr) = default_daemon();
-    let mut client = Client::connect(&addr, "sweeper").expect("connect");
+    let proxy = Proxy::start(&addr.to_string(), plan);
+    let via = Addr::parse(proxy.addr()).unwrap();
+    let mut client = Client::connect_retry(&via, "sweeper", CONNECT).expect("connect");
     let mut rounds = Vec::new();
     while rounds.len() < 8 {
         let (items, counters, net) = client
@@ -271,29 +268,36 @@ fn served_sweeps(specs: &[WireLaunch], done: impl Fn() -> bool) -> Vec<SweepResu
             })
             .collect();
         rounds.push(SweepResult::from_parts(samples, counters, net));
-        if done() {
+        if proxy.fired_total() > 0 {
             break;
         }
     }
-    client.shutdown().expect("clean shutdown");
-    server.join().expect("drain");
-    rounds
+    shutdown(server, &addr);
+    (rounds, proxy.fired_total())
 }
 
-/// Corruption at rate 1.0 — every frame in every direction gets a bit
+/// Drains the daemon at `addr` over a direct connection, past any proxy.
+fn shutdown(server: g80::serve::Server, addr: &Addr) {
+    let mut admin = Client::connect(addr, "admin").expect("admin connect");
+    admin.shutdown().expect("clean shutdown");
+    server.join().expect("drain");
+}
+
+/// Corruption at rate 1.0 — every frame in both directions gets a bit
 /// flipped. Nothing decodes garbled: each exchange terminates promptly
 /// with a typed `BadFrame` or a CRC-mismatch error, the connection never
-/// desynchronizes, and once disarmed the SAME connection serves
-/// bit-identically.
+/// desynchronizes, and once the proxy is clean again the SAME connection
+/// serves bit-identically.
 #[test]
 fn corrupt_storm_is_typed_bounded_and_recoverable() {
-    let ctx = context();
-    ctx.enter(|| corrupt_storm(&ctx));
+    context().enter(corrupt_storm);
 }
 
-fn corrupt_storm(ctx: &SimContext) {
+fn corrupt_storm() {
     let (server, addr) = default_daemon();
-    let mut client = Client::connect(&addr, "storm").expect("connect");
+    let proxy = Proxy::start(&addr.to_string(), Plan::Clean);
+    let via = Addr::parse(proxy.addr()).unwrap();
+    let mut client = Client::connect(&via, "storm").expect("connect");
     let spec = probe_spec(77);
     let req = Request::Launch(spec.clone());
     let (golden, golden_delta) = match client.request_raw(&req).expect("transport") {
@@ -301,8 +305,7 @@ fn corrupt_storm(ctx: &SimContext) {
         other => panic!("unexpected response {other:?}"),
     };
 
-    let corrupt = NetFaultConfig::only(0xBADC_0DE5, 1.0, NetFaultKind::Corrupt);
-    ctx.net_faults().arm(Some(corrupt));
+    proxy.plan(Plan::only(0xBADC_0DE5, 1.0, &[Kind::Corrupt]));
     for i in 0..4 {
         let t0 = Instant::now();
         match client.request_raw(&req) {
@@ -322,6 +325,11 @@ fn corrupt_storm(ctx: &SimContext) {
             t0.elapsed()
         );
     }
+    assert_eq!(
+        (proxy.fired(Dir::Up), proxy.fired(Dir::Down)),
+        (4, 4),
+        "every frame each way is corrupted"
+    );
     // The recovering path gives up with an error after bounded retries —
     // it must not spin forever against a wire that corrupts everything.
     let t0 = Instant::now();
@@ -336,8 +344,8 @@ fn corrupt_storm(ctx: &SimContext) {
         t0.elapsed()
     );
 
-    // Disarmed: the same connection is still synchronized.
-    ctx.net_faults().arm(None);
+    // A clean proxy: the same connection is still synchronized.
+    proxy.plan(Plan::Clean);
     let (report, delta) = client
         .launch(&spec)
         .expect("transport after storm")
@@ -348,10 +356,7 @@ fn corrupt_storm(ctx: &SimContext) {
         golden.stats.warp_instructions
     );
     assert_eq!(delta, golden_delta);
-
-    let mut admin = Client::connect(&addr, "admin").expect("admin connect");
-    admin.shutdown().expect("clean shutdown");
-    server.join().expect("drain");
+    shutdown(server, &addr);
 }
 
 /// A slow-loris tenant — two header bytes, then silence — must be reaped
@@ -408,16 +413,10 @@ fn slow_client_is_reaped() {
     server.join().expect("drain");
 }
 
-/// Seeds for `NetFaultConfig::only(seed, 0.1, kind)`, named by the one
-/// client frame operation their schedule fires on among the first 24
-/// writes and 24 reads (the kind does not move a fire, only its effect).
-const FIRST_WRITE: u64 = 126;
-const FIRST_READ: u64 = 1341;
-const THIRD_READ: u64 = 223;
-
 /// What each recovery action adds to the client's tally, one fault at a
-/// time: the daemon's context stays disarmed and only the client's wire
-/// schedule is armed, so every counter delta is exact.
+/// time: the proxy faults exactly one frame of one direction per request,
+/// and the daemon's context is not the client's, so every counter delta
+/// is exact.
 ///
 /// * an in-place resend adds one frame retried and the frame's bytes;
 /// * a reconnect adds one disconnect, one reconnect and the frame's bytes;
@@ -428,17 +427,14 @@ const THIRD_READ: u64 = 223;
 fn each_recovery_action_is_tallied_exactly() {
     let daemon_ctx = context();
     let (server, addr) = daemon_ctx.enter(default_daemon);
-    let client_ctx = context();
-    client_ctx.enter(|| recovery_tallies(&client_ctx, &addr));
-    daemon_ctx.enter(|| {
-        let mut admin = Client::connect(&addr, "admin").expect("admin connect");
-        admin.shutdown().expect("clean shutdown");
-    });
-    server.join().expect("drain");
+    let proxy = Proxy::start(&addr.to_string(), Plan::Clean);
+    context().enter(|| recovery_tallies(&proxy));
+    daemon_ctx.enter(|| shutdown(server, &addr));
 }
 
-fn recovery_tallies(ctx: &SimContext, addr: &Addr) {
-    let mut client = Client::connect(addr, "tally").expect("connect");
+fn recovery_tallies(proxy: &Proxy) {
+    let via = Addr::parse(proxy.addr()).unwrap();
+    let mut client = Client::connect(&via, "tally").expect("connect");
     let spec = probe_spec(41);
     let specs: Vec<WireLaunch> = (0..4u32).map(|i| probe_spec(200 + i)).collect();
     let launch_len = Request::Launch(spec.clone()).encode().len() as u64;
@@ -453,21 +449,15 @@ fn recovery_tallies(ctx: &SimContext, addr: &Addr) {
     };
     let golden_sweep = sweep_cycles(&mut client);
 
-    // Arms the client's wire with `(seed, kind)` around one request, checks
-    // the schedule fired once on `site`, and returns the tally delta.
-    let tally = |seed, kind, site: NetSite, request: &mut dyn FnMut()| -> NetCounters {
+    // Faults frame `index` of `dir` as `kind` around one request, checks
+    // the proxy fired once, there, and returns the tally delta. Frames
+    // count from the request: its own is `Up` 0, its first answer `Down` 0.
+    let tally = |dir, index, kind, request: &mut dyn FnMut()| -> NetCounters {
         let before = net_counters();
-        ctx.net_faults()
-            .arm(Some(NetFaultConfig::only(seed, 0.1, kind)));
+        proxy.plan(Plan::Exact { dir, index, kind });
         request();
-        let fired = NetSite::ALL.map(|s| ctx.net_faults().raised(s));
-        ctx.net_faults().arm(None);
-        let mut expected = [0; 4];
-        expected[site as usize] = 1;
-        assert_eq!(
-            fired, expected,
-            "seed {seed} no longer fires once on {site:?}"
-        );
+        assert_eq!(proxy.log(), [(dir, index)], "{kind:?} at {dir:?} {index}");
+        proxy.plan(Plan::Clean);
         net_counters().since(&before)
     };
     let mut launch = || {
@@ -486,33 +476,24 @@ fn recovery_tallies(ctx: &SimContext, addr: &Addr) {
         reconnects: 1,
         ..NetCounters::default()
     };
-    use NetFaultKind::{Corrupt, Disconnect};
-    use NetSite::{ClientRead, ClientWrite};
+    use Dir::{Down, Up};
+    use Kind::{Corrupt, Disconnect};
 
     // Single launches: the daemon's BadFrame and a local CRC failure both
     // resend in place; a torn connection reconnects and replays.
+    assert_eq!(tally(Up, 0, Corrupt, &mut launch), resent(launch_len));
+    assert_eq!(tally(Down, 0, Corrupt, &mut launch), resent(launch_len));
     assert_eq!(
-        tally(FIRST_WRITE, Corrupt, ClientWrite, &mut launch),
-        resent(launch_len)
-    );
-    assert_eq!(
-        tally(FIRST_READ, Corrupt, ClientRead, &mut launch),
-        resent(launch_len)
-    );
-    assert_eq!(
-        tally(FIRST_WRITE, Disconnect, ClientWrite, &mut launch),
+        tally(Up, 0, Disconnect, &mut launch),
         reconnected(launch_len)
     );
 
     let sweep = &mut || assert_eq!(sweep_cycles(&mut client), golden_sweep);
     // A streamed sweep: a BadFrame before the stream resends in place; a
     // CRC failure or a disconnect at its third item reconnects.
+    assert_eq!(tally(Up, 0, Corrupt, sweep), resent(sweep_len));
     assert_eq!(
-        tally(FIRST_WRITE, Corrupt, ClientWrite, sweep),
-        resent(sweep_len)
-    );
-    assert_eq!(
-        tally(THIRD_READ, Corrupt, ClientRead, sweep),
+        tally(Down, 2, Corrupt, sweep),
         NetCounters {
             frames_retried: 1,
             bytes_resent: 2 * sweep_len,
@@ -520,8 +501,171 @@ fn recovery_tallies(ctx: &SimContext, addr: &Addr) {
             ..NetCounters::default()
         }
     );
-    assert_eq!(
-        tally(THIRD_READ, Disconnect, ClientRead, sweep),
-        reconnected(sweep_len)
+    assert_eq!(tally(Down, 2, Disconnect, sweep), reconnected(sweep_len));
+}
+
+/// The proxy replays its plan: one seed fires on the same frames run after
+/// run — those the plan names — and an exact-frame plan fires once. The
+/// daemon here is an echo peer, so every frame the proxy sends up comes
+/// back down as the next frame of the other direction.
+#[test]
+fn proxy_fires_where_its_plan_says() {
+    let echo = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let upstream = echo.local_addr().unwrap().to_string();
+    // One connection per `run` below; each echoes until its peer closes.
+    let echoes = std::thread::spawn(move || {
+        for conn in echo.incoming().take(3) {
+            let mut conn = conn.unwrap();
+            let mut back = conn.try_clone().unwrap();
+            std::io::copy(&mut conn, &mut back).unwrap();
+        }
+    });
+    // Sends `n` frames one at a time and returns which came back whole.
+    let run = |plan: Plan, n: u32| -> (Vec<(Dir, u64)>, Vec<bool>) {
+        let proxy = Proxy::start(&upstream, plan);
+        let conn = g80::serve::net::connect(&Addr::parse(proxy.addr()).unwrap()).unwrap();
+        let mut framed = g80::serve::FramedStream::new(conn);
+        let intact = (0..n)
+            .map(|i| {
+                framed.write_frame(&i.to_le_bytes()).unwrap();
+                match framed.read_frame() {
+                    Ok(frame) => frame.as_deref() == Some(&i.to_le_bytes()[..]),
+                    Err(e) => !g80::serve::is_crc_mismatch(&e),
+                }
+            })
+            .collect();
+        (proxy.log(), intact)
+    };
+    let seeded = Plan::only(0x5EED, 0.2, &[Kind::Corrupt, Kind::Split]);
+    let (fires, _) = run(seeded.clone(), 40);
+    assert!(!fires.is_empty(), "rate 0.2 over 80 frames never fired");
+    assert_eq!(run(seeded.clone(), 40).0, fires, "same seed, same frames");
+    let planned: Vec<(Dir, u64)> = [Dir::Up, Dir::Down]
+        .into_iter()
+        .flat_map(|d| (0..40).map(move |i| (d, i)))
+        .filter(|&(d, i)| seeded.decide(d, i).is_some())
+        .collect();
+    let mut sorted = fires.clone();
+    sorted.sort_by_key(|&(d, i)| (d as u8, i));
+    assert_eq!(sorted, planned, "the proxy fires where the plan says");
+
+    let exact = Plan::Exact {
+        dir: Dir::Up,
+        index: 3,
+        kind: Kind::Corrupt,
+    };
+    let (fires, intact) = run(exact, 8);
+    assert_eq!(fires, [(Dir::Up, 3)]);
+    let expected: Vec<bool> = (0..8).map(|i| i != 3).collect();
+    assert_eq!(intact, expected, "only frame 3 fails its CRC");
+    echoes.join().unwrap();
+}
+
+/// The two-process serve run CI used to repeat with the wire armed, in
+/// process: for each of two seeds, two daemons in sequence, each in a
+/// fresh context, share one disk directory, each behind a proxy running
+/// the seed over every fault kind. The first serves an 8-tenant × 32 probe
+/// fleet and drains cleanly; the second, cold in memory, answers an 8 × 1
+/// fleet from the disk tier.
+#[test]
+fn proxied_fleets_drain_and_warm_the_disk_tier() {
+    for seed in [11, 12] {
+        let dir = common::scratch_dir("proxied-fleet");
+        let mut fired = 0;
+        for (requests, warm) in [(32, false), (1, true)] {
+            let ctx = SimContext::new(SimConfig {
+                disk_dir: Some(dir.clone()),
+                ..SimConfig::default()
+            });
+            let fleet = ctx.enter(|| {
+                let (server, addr) = default_daemon();
+                let proxy = Proxy::start(&addr.to_string(), Plan::seeded(seed, 0.02));
+                let via = Addr::parse(proxy.addr()).unwrap();
+                let fleet = run_fleet(&via, 8, requests, |t, _| fleet::probe_spec(t));
+                fired += proxy.fired_total();
+                shutdown(server, &addr);
+                fleet.unwrap_or_else(|e| panic!("seed {seed}, {requests} requests: {e}"))
+            });
+            assert_eq!(fleet.latencies.len(), 8 * requests);
+            let disk_hits = ctx.enter(memo_counters).disk_hits;
+            if warm {
+                assert!(
+                    disk_hits > 0,
+                    "seed {seed}: the fresh daemon read no disk entry"
+                );
+            }
+        }
+        assert!(fired > 0, "seed {seed}: the proxy never fired");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A chaos request: a loop kernel with a param unique to (tenant, request),
+/// so every launch simulates real work (~milliseconds). On memo-hit probes
+/// the 0.4 ms round trips would be dwarfed by any injected stall and the
+/// ratio would measure the fault plan, not the recovery cost.
+fn chaos_spec(tenant: usize, req: usize) -> WireLaunch {
+    let mut b = KernelBuilder::new("bench_serve_chaos_probe");
+    let p = b.param();
+    let tid = b.tid_x();
+    let acc0 = b.iadd(tid, p);
+    let acc = b.mov(acc0);
+    b.for_range(0u32, 256u32, 1, Unroll::None, |b, _| {
+        let t = b.imul(acc, 1664525u32);
+        let t2 = b.iadd(t, 1013904223u32);
+        b.mov_to(acc, t2);
+    });
+    let byte = b.shl(tid, 2u32);
+    b.st_global(byte, 0, acc);
+    let dims = LaunchDims {
+        grid: (8, 1),
+        block: (128, 1, 1),
+    };
+    let param = Value::from_u32((tenant * 100_000 + req) as u32);
+    WireLaunch::new(b.build(), dims, vec![param], 8 * 128 * 4)
+}
+
+/// An 8-tenant × 32 fleet of simulating requests, each arm in a fresh
+/// context (dedup off) behind a proxy: clean, then faulting frames at rate
+/// 0.02 over every kind. Chaos must leave the aggregate stats bit-identical
+/// (reconnect and replay are invisible), serve at least 100 req/s, and cost
+/// at most 2x the clean arm's throughput. A timing test: run it with
+/// `cargo test --release --test serve_chaos -- --ignored`.
+#[test]
+#[ignore = "timing: run under --release"]
+fn chaos_fleet_keeps_results_and_throughput() {
+    let arm = |plan: Plan| {
+        let ctx = SimContext::new(SimConfig {
+            dedup: false,
+            ..SimConfig::default()
+        });
+        ctx.enter(|| {
+            let (server, addr) = default_daemon();
+            let proxy = Proxy::start(&addr.to_string(), plan);
+            let via = Addr::parse(proxy.addr()).unwrap();
+            let fleet = run_fleet(&via, 8, 32, chaos_spec).expect("fleet");
+            let fired = proxy.fired_total();
+            shutdown(server, &addr);
+            (fleet, net_counters(), fired)
+        })
+    };
+    let (clean, _, _) = arm(Plan::Clean);
+    let (chaos, net, fired) = arm(Plan::seeded(0xC0FF_EE00, 0.02));
+    let ratio = clean.req_per_s() / chaos.req_per_s();
+    println!(
+        "clean {:.0} req/s, chaos {:.0} req/s, ratio {ratio:.2}, {fired} fires, {net:?}",
+        clean.req_per_s(),
+        chaos.req_per_s()
     );
+    assert!(fired > 0, "the proxy never fired");
+    assert_eq!(
+        clean.totals, chaos.totals,
+        "transport chaos changed aggregate KernelStats"
+    );
+    assert!(
+        chaos.req_per_s() >= 100.0,
+        "chaos {:.0} req/s",
+        chaos.req_per_s()
+    );
+    assert!(ratio <= 2.0, "clean/chaos throughput {ratio:.2}");
 }

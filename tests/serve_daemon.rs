@@ -16,7 +16,7 @@
 
 use g80::isa::Value;
 use g80::serve::{
-    serve, Addr, Client, FramedStream, Quota, Request, Response, ServeConfig, Side, WireError,
+    serve, Addr, Client, FramedStream, Quota, Request, Response, ServeConfig, WireError,
     WireLaunch, PROTOCOL_VERSION,
 };
 use g80::sim::fault::{FaultConfig, FaultKind, Site};
@@ -292,7 +292,7 @@ fn handshake_gates(ctx: &SimContext) {
     let (server, addr) = start_daemon(Quota::default());
     let open = || {
         let stream = g80::serve::net::connect(&addr).expect("connect");
-        FramedStream::new(stream, Side::Client)
+        FramedStream::new(stream)
     };
     let ask = |conn: &mut FramedStream, req: &Request| {
         conn.write_frame(&req.encode()).expect("write");

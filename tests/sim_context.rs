@@ -110,25 +110,20 @@ fn disk_entries_are_keyed_by_the_recording_contexts_mode() {
 }
 
 /// CI's environment leg must not pass vacuously: an unparsable value is
-/// ignored (a fault variable leaves its schedule disarmed, a thread count
+/// ignored (the fault variable leaves its schedule disarmed, a thread count
 /// falls back to the host's), so the leg would run a plain test pass. Each
-/// variable the leg sets must take effect: the two fault variables arm the
-/// global context's schedules, `G80_SIM_DISK_CACHE` is its disk directory
-/// and `G80_SIM_THREADS` the pool's worker count (`0` is clamped to one).
+/// variable the leg sets must take effect: `G80_SIM_FAULTS` arms the global
+/// context's schedule, `G80_SIM_DISK_CACHE` is its disk directory and
+/// `G80_SIM_THREADS` the pool's worker count (`0` is clamped to one).
 #[test]
 fn set_variables_configure_the_global_context() {
     let set = |var| std::env::var(var).ok().filter(|v| !v.trim().is_empty());
     let global = SimContext::global();
-    for (var, armed) in [
-        ("G80_SIM_FAULTS", global.faults().is_armed()),
-        ("G80_SERVE_NET_FAULTS", global.net_faults().is_armed()),
-    ] {
-        if let Some(v) = set(var) {
-            assert!(
-                armed,
-                "{var}={v:?} does not parse: the global context is disarmed"
-            );
-        }
+    if let Some(v) = set("G80_SIM_FAULTS") {
+        assert!(
+            global.faults().is_armed(),
+            "G80_SIM_FAULTS={v:?} does not parse: the global context is disarmed"
+        );
     }
     if let Some(v) = set("G80_SIM_DISK_CACHE") {
         let dir = Some(std::path::PathBuf::from(v.trim()));
