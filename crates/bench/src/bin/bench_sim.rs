@@ -42,8 +42,8 @@ use g80_serve::fleet::{self, probe_spec, run_fleet, FleetReport};
 use g80_serve::{serve, Addr, Request, ServeConfig, WireLaunch};
 use g80_sim::wire::{Dec, Enc, Wire};
 use g80_sim::{
-    clear_memo_cache, memo_counters, FaultConfig, KernelStats, LaunchDims, MemoCounters, SimConfig,
-    SimContext, Site,
+    clear_memo_cache, memo_counters, work_counters, FaultConfig, KernelStats, LaunchDims,
+    MemoCounters, SimConfig, SimContext, Site, WorkCounters,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -266,11 +266,12 @@ fn number(v: f64, decimals: usize) -> String {
 /// The memo is *on* but cleared before every timed run, so each launch
 /// probes cold, records a genuine miss, and is never replayed — both arms
 /// pay the identical lookup/record cost and the ratio measures dedup alone.
-/// The row reports the dedup-on arm's own counters, not literals. Besides
-/// wall clock it reports CPU time: dedup's donor SM runs alone before the
-/// other fifteen replay, so its wall-clock ratio depends on the host's core
-/// count (MRI-Q: 1.9x on one core, 1.6x on two, ~1.3x on four); the work
-/// removed does not.
+/// The row reports the dedup-on arm's own counters, not literals: its
+/// block counts and its host work (issue scans, slots visited, event skips,
+/// replayed warp instructions). Besides wall clock it reports CPU time: the
+/// donor SM simulates its blocks while the other fifteen, once its
+/// representative freezes, replay, so the wall-clock ratio still depends
+/// on the host's core count; the work removed does not.
 fn dedup_row(
     name: &'static str,
     group: &'static str,
@@ -285,7 +286,7 @@ fn dedup_row(
     let pairs = interleave(runs, setup, |ctx| ctx.enter(|| stats_bytes(&run())));
     let what = format!("{name}: dedup changed the canonical KernelStats bytes");
     assert_arms_agree(&what, &pairs);
-    let on = arms[1].enter(memo_counters);
+    let (on, work) = arms[1].enter(|| (memo_counters(), work_counters()));
     // Zero misses would flag a harness bug: real launches were timed.
     assert!(
         on.misses >= runs as u64,
@@ -305,6 +306,10 @@ fn dedup_row(
         .field("dedup_fast_blocks", on.dedup_fast_blocks as f64)
         .field("dedup_sim_blocks", on.dedup_sim_blocks as f64)
         .field("dedup_fallbacks", on.dedup_fallbacks as f64)
+        .field("issue_scans", work.issue_scans as f64)
+        .field("slots_visited", work.slots_visited as f64)
+        .field("event_skips", work.event_skips as f64)
+        .field("replayed_insts", work.replayed_insts as f64)
         .field("baseline_cpu_s", base_cpu)
         .field("optimized_cpu_s", on_cpu)
         .field("cpu_speedup", cpu_speedup)
@@ -627,12 +632,29 @@ fn repetitions(check: bool) -> (usize, usize) {
 
 /// Every dedup row holds its replayed and simulated block counts exact over
 /// its `runs` launches, with no fallback: a recorder that silently stopped
-/// on some SMs would move them.
-fn exact_blocks(row: Row, runs: usize, fast: u64, sim: u64) -> Row {
+/// on some SMs would move them. Its host work is exact too, per launch: a
+/// change to the issue loop or to replay names the count it moved.
+fn exact_counts(row: Row, runs: usize, (fast, sim): (u64, u64), work: WorkCounters) -> Row {
     let exact = |per_launch: u64| Bound::Exact((per_launch * runs as u64) as f64);
     row.bound("dedup_fast_blocks", exact(fast))
         .bound("dedup_sim_blocks", exact(sim))
         .bound("dedup_fallbacks", Bound::Exact(0.0))
+        .bound("issue_scans", exact(work.issue_scans))
+        .bound("slots_visited", exact(work.slots_visited))
+        .bound("event_skips", exact(work.event_skips))
+        .bound("replayed_insts", exact(work.replayed_insts))
+}
+
+/// Per-launch host work: issue scans, slots visited, event skips, replayed
+/// warp instructions.
+const fn work(counts: [u64; 4]) -> WorkCounters {
+    let [issue_scans, slots_visited, event_skips, replayed_insts] = counts;
+    WorkCounters {
+        issue_scans,
+        slots_visited,
+        event_skips,
+        replayed_insts,
+    }
 }
 
 fn dedup_rows(add: &mut impl FnMut(Row), check: bool, big_run: &mut dyn FnMut() -> KernelStats) {
@@ -647,7 +669,12 @@ fn dedup_rows(add: &mut impl FnMut(Row), check: bool, big_run: &mut dyn FnMut() 
     let (runs, quick) = repetitions(check);
     let row = dedup_row("matmul_1024_dedup", "dedup", quick, big_run);
     let row = row.bound("speedup", Bound::Floor(1.1));
-    add(exact_blocks(row, quick, 4002, 94));
+    add(exact_counts(
+        row,
+        quick,
+        (4002, 94),
+        work([2_858_030, 3_354_816, 1_182, 121_719_960]),
+    ));
     // A cold n=32 sweep of the nine Figure-4 variants as one `run_batch`:
     // no SM holds more than four blocks, all resident at once, so only a
     // donor per queue length keeps it out of the timed engine (15 of 180
@@ -666,7 +693,12 @@ fn dedup_rows(add: &mut impl FnMut(Row), check: bool, big_run: &mut dyn FnMut() 
         total
     });
     let row = row.bound("speedup", Bound::Floor(1.4));
-    add(exact_blocks(row, sweeps, 165, 15));
+    add(exact_counts(
+        row,
+        sweeps,
+        (165, 15),
+        work([12_729, 36_216, 1_629, 73_956]),
+    ));
 
     // ---- constant-cache kernels under dedup (suite scale) ----
     // The paper's top speedup tier reads constant memory as warp-wide
@@ -690,15 +722,30 @@ fn dedup_rows(add: &mut impl FnMut(Row), check: bool, big_run: &mut dyn FnMut() 
     let cp = CoulombicPotential::default();
     let atoms = cp.generate(5);
     let row = row.bound("cpu_speedup", Bound::Floor(1.5));
-    add(exact_blocks(row, const_runs, 120, 8));
+    add(exact_counts(
+        row,
+        const_runs,
+        (120, 8),
+        work([968_554, 1_141_956, 554, 14_520_000]),
+    ));
     let row = dedup_row("mrifhd_dedup", "const_dedup", const_runs, &mut || {
         fhd.run(&fhd_data).2
     });
-    add(exact_blocks(row, const_runs, 120, 8));
+    add(exact_counts(
+        row,
+        const_runs,
+        (120, 8),
+        work([1_230_474, 1_362_000, 330, 18_452_160]),
+    ));
     let row = dedup_row("cp_dedup", "const_dedup", const_runs, &mut || {
         cp.run(&atoms, true).1
     });
-    add(exact_blocks(row, const_runs, 246, 10));
+    add(exact_counts(
+        row,
+        const_runs,
+        (246, 10),
+        work([103_600, 103_632, 0, 2_579_640]),
+    ));
 }
 
 fn cache_rows(add: &mut impl FnMut(Row), check: bool) {

@@ -16,7 +16,7 @@
 //! started with `std::thread::spawn` does **not** inherit one.
 
 use crate::config::GpuConfig;
-use crate::counters::{MemoTally, NetTally, RowTally, SmStats};
+use crate::counters::{MemoTally, NetTally, RowTally, SmStats, WorkTally};
 use crate::fault::{FaultConfig, FaultSchedule};
 use crate::memo::LaunchCache;
 use crate::memory::DeviceMemory;
@@ -101,6 +101,7 @@ impl SimConfig {
 pub(crate) struct Metrics {
     pub(crate) memo: MemoTally,
     pub(crate) rows: RowTally,
+    pub(crate) work: WorkTally,
     pub(crate) net: NetTally,
 }
 

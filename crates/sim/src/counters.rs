@@ -453,6 +453,29 @@ counters! {
 }
 
 counters! {
+    /// Host-work counters of a context: what the timed engine and witness
+    /// replay did to produce a launch's stats, the simulator's own Section 4
+    /// profile. Each is a deterministic function of the launches run, for
+    /// any worker count. Host-side like [`RowCounters`], so not part of
+    /// [`KernelStats`]; diff [`work_counters`] around a launch.
+    WorkCounters / WorkTally {
+        /// Issue scans of the timed engine: one per issued warp instruction
+        /// and one per [`WorkCounters::event_skips`].
+        issue_scans,
+        /// Warp slots those scans visited (stalled, parked and retired
+        /// warps included).
+        slots_visited,
+        /// Scans that found no warp ready to issue: the clock skips to the
+        /// earliest ready time (or, every warp parked or retired, the retire
+        /// scan runs).
+        event_skips,
+        /// Warp instructions executed by witness replay: a recording SM's
+        /// period fast-forward and a follower SM's replay of its queue.
+        replayed_insts,
+    }
+}
+
+counters! {
     /// Transport-fault counters of a context: what the `g80-serve` network
     /// layer survived. Lives here (not in the serve crate) so
     /// [`crate::report`] can snapshot it into every [`crate::LaunchReport`]
@@ -485,6 +508,11 @@ pub fn memo_counters() -> MemoCounters {
 /// Snapshot of the current context's row-shape counters.
 pub fn row_counters() -> RowCounters {
     SimContext::current().metrics.rows.snapshot()
+}
+
+/// Snapshot of the current context's host-work counters.
+pub fn work_counters() -> WorkCounters {
+    SimContext::current().metrics.work.snapshot()
 }
 
 /// Snapshot of the current context's transport-fault counters.

@@ -19,18 +19,17 @@
 
 use crate::config::GpuConfig;
 use crate::context::SimContext;
-use crate::counters::{KernelStats, SmStats};
-use crate::fault::Site;
+use crate::counters::{KernelStats, MemoCounters, SmStats, WorkCounters};
+use crate::fault::{lock_recover, Site};
 use crate::memo::{self, KernelInfo, Served};
 use crate::memory::DeviceMemory;
-use crate::pool;
-use crate::sm::{self, LaunchDims};
-use crate::witness::{replay_sm, Ev};
+use crate::pool::{self, Scope, TaskPanic};
+use crate::sm::{self, LaunchDims, Watch};
+use crate::witness::{replay_sm, Rep, WriteBuf};
 use g80_isa::{Kernel, Value};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering::Relaxed;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Errors rejected at launch time (the CUDA runtime would fail the same
 /// way), plus per-launch degradation outcomes: a launch whose simulation
@@ -238,19 +237,16 @@ impl<'a> Prepared<'a> {
 
     /// Simulates one SM of this launch on the predecoded engine, or on the
     /// context's [`SimContext::with_sm_engine`] seam when set. The run's
-    /// row and dedup tallies are flushed to `ctx` once, at its end.
-    fn run_sm(
-        &self,
-        ctx: &SimContext,
-        blocks: &[(u32, u32)],
-        witness_out: Option<&mut Option<Vec<Vec<Ev>>>>,
-    ) -> SmStats {
+    /// row, dedup and host-work tallies are flushed to `ctx` once, at its
+    /// end. Also says whether every block verified class-identical
+    /// ([`sm::run_sm`]; never on the seam).
+    fn run_sm(&self, ctx: &SimContext, blocks: &[(u32, u32)], watch: Watch) -> (SmStats, bool) {
         // One poll per SM simulation: every launch exercises the site, and
         // the per-launch fault probability does not scale with grid size.
         ctx.faults().poll(Site::SmStep);
         if let Some(run_sm) = ctx.sm_engine {
             let s = &self.spec;
-            return run_sm(
+            let stats = run_sm(
                 self.cfg,
                 s.kernel,
                 &s.dims,
@@ -260,35 +256,72 @@ impl<'a> Prepared<'a> {
                 self.blocks_per_sm,
                 self.watchdog,
             );
+            return (stats, false);
         }
-        let (stats, tally) = sm::run_sm(self, blocks, witness_out);
+        let (stats, tally, verified) = sm::run_sm(self, blocks, watch);
         ctx.metrics.rows.add(&tally.rows);
         ctx.metrics.memo.add(&tally.memo);
-        stats
+        ctx.metrics.work.add(&tally.work);
+        (stats, verified)
+    }
+
+    /// The first SM of a block class of several, and the class's followers
+    /// through it: the donor runs timed, and the moment its representative
+    /// freezes it spawns one follower task per other SM of the class into
+    /// `s`, which replay while it runs on ([`Self::follow`]). A donor that
+    /// returns without having frozen one leaves its followers to the timed
+    /// engine; one that unwinds first leaves them unrun, since its error
+    /// fails the launch. Fills the slots of the SMs that ran, the donor's
+    /// first.
+    fn lead<'s>(
+        &'s self,
+        ctx: &'s SimContext,
+        s: &'s Scope<'s, '_>,
+        class: &'s [Queue<'s>],
+        slots: &'s [SmSlot<'a>],
+    ) {
+        let (donor, followers) = (class[0].1, class[1..].iter().zip(&slots[1..]));
+        if class.len() == 1 {
+            return fill(&slots[0], || {
+                SmRun::Timed(self.run_sm(ctx, donor, Watch::Periods).0)
+            });
+        }
+        let mut spawned = false;
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            let mut on_freeze = |rep: Arc<Rep>| {
+                spawned = true;
+                for (&(_, blocks), slot) in followers.clone() {
+                    let rep = Arc::clone(&rep);
+                    s.spawn(move || fill(slot, || self.follow(ctx, blocks, &rep)));
+                }
+            };
+            self.run_sm(ctx, donor, Watch::Donor(&mut on_freeze))
+        }));
+        if !spawned && run.is_ok() {
+            for (&(_, blocks), slot) in followers {
+                s.spawn(move || {
+                    fill(slot, || {
+                        SmRun::Timed(self.run_sm(ctx, blocks, Watch::Periods).0)
+                    });
+                });
+            }
+        }
+        let run = run.map(|(stats, verified)| SmRun::Donor(stats, verified));
+        *lock_recover(&slots[0]) = Some(run.map_err(TaskPanic));
     }
 
     /// Donor-SM reuse: this SM's block queue is exactly as long as the
-    /// donor's, so if every block replays clean against the donor's verified
-    /// witness, the SM's evolution is the same deterministic computation as
-    /// the donor's — adopt the donor's stats and commit the replayed writes.
-    /// Any mismatch, or a donor without verified streams, falls back to full
-    /// simulation (nothing committed).
-    fn reuse_or_run_sm(
-        &self,
-        ctx: &SimContext,
-        blocks: &[(u32, u32)],
-        donor: Option<(&SmStats, &[Vec<Ev>])>,
-    ) -> SmStats {
-        if let Some((donor_stats, rep)) = donor {
-            let tally = &ctx.metrics.memo;
-            if replay_sm(self, blocks, rep) {
-                let replayed = blocks.len() as u64;
-                tally.dedup_fast_blocks.fetch_add(replayed, Relaxed);
-                return donor_stats.clone();
-            }
-            tally.dedup_fallbacks.fetch_add(1, Relaxed);
+    /// donor's, so if every block replays clean against the donor's frozen
+    /// witness, and the donor goes on to verify all of its own blocks, the
+    /// SM's evolution is the same deterministic computation as the donor's:
+    /// it adopts the donor's stats, and [`run_sms`] commits the writes held
+    /// here. A block that fails its replay runs the whole SM timed at once,
+    /// with no recorder: its blocks are not the donor's class.
+    fn follow(&self, ctx: &SimContext, blocks: &[(u32, u32)], rep: &Rep) -> SmRun<'a> {
+        match replay_sm(self, blocks, rep) {
+            (Some(buf), replayed) => SmRun::Replayed(buf, replayed),
+            (None, replayed) => SmRun::FellBack(self.run_sm(ctx, blocks, Watch::Off).0, replayed),
         }
-        self.run_sm(ctx, blocks, None)
     }
 
     fn merge(&self, results: Vec<SmStats>) -> KernelStats {
@@ -453,31 +486,6 @@ fn simulate(
     Ok((stats, Served::Simulated))
 }
 
-/// Collects per-SM task results, degrading the first panic (in SM order)
-/// into a classified [`LaunchError`] for the owning launch. Every task ran
-/// to completion or unwound inside its own slot, so losing the launch loses
-/// nothing else.
-fn collect_sm_results(
-    slots: Vec<Result<SmStats, pool::TaskPanic>>,
-) -> Result<Vec<SmStats>, LaunchError> {
-    let mut out = Vec::with_capacity(slots.len());
-    let mut first_err: Option<LaunchError> = None;
-    for slot in slots {
-        match slot {
-            Ok(stats) => out.push(stats),
-            Err(p) => {
-                if first_err.is_none() {
-                    first_err = Some(classify_panic(p.0));
-                }
-            }
-        }
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(out),
-    }
-}
-
 /// Below this many simulated threads in the whole grid, the per-SM tasks of
 /// a launch run serially on the caller thread instead of through the
 /// pool. A launch this small simulates in well under a millisecond per SM,
@@ -488,28 +496,67 @@ fn collect_sm_results(
 /// independent, so running them serially on the caller is bit-identical.
 const CALLER_RUNS_THREADS: u64 = 8192;
 
-/// Runs per-SM closures through the pool, or serially on the caller for
-/// launches under the [`CALLER_RUNS_THREADS`] floor, preserving
-/// [`pool::try_run_tasks`]'s per-slot panic isolation either way.
-fn run_sm_tasks<F>(small: bool, fns: Vec<F>) -> Vec<Result<SmStats, pool::TaskPanic>>
+/// A scope for a launch's SM tasks: the pool's, or the caller alone for a
+/// launch under the [`CALLER_RUNS_THREADS`] floor.
+fn sm_scope<'env, F>(small: bool, f: F)
 where
-    F: FnOnce() -> SmStats + Send,
+    F: for<'s> FnOnce(&'s Scope<'s, 'env>),
 {
     if small {
-        fns.into_iter()
-            .map(|f| catch_unwind(AssertUnwindSafe(f)).map_err(pool::TaskPanic))
-            .collect()
+        pool::scope_on_caller(f);
     } else {
-        pool::try_run_tasks(fns)
+        pool::scope(f);
     }
 }
 
 /// An SM's index and its block queue.
 type Queue<'a> = (usize, &'a [(u32, u32)]);
 
-/// One pool task per SM *with work to do*. An empty SM's simulation is the
-/// empty `SmStats` (it never enters the scheduler loop), so skipping it is
-/// bit-identical and a small grid costs a handful of queue operations.
+/// What an SM's task leaves for [`run_sms`].
+enum SmRun<'m> {
+    /// A timed run.
+    Timed(SmStats),
+    /// A donor's timed run, and whether every block it ran verified
+    /// class-identical.
+    Donor(SmStats, bool),
+    /// A follower's clean replay: its writes, held until its donor has
+    /// verified, and the warp instructions it replayed.
+    Replayed(WriteBuf<'m>, u64),
+    /// A follower whose replay failed, then ran timed, and the warp
+    /// instructions it replayed first.
+    FellBack(SmStats, u64),
+}
+
+/// One SM's outcome, or its task's panic, caught in the task.
+type SmSlot<'m> = Mutex<Option<Result<SmRun<'m>, TaskPanic>>>;
+
+fn fill<'m>(slot: &SmSlot<'m>, run: impl FnOnce() -> SmRun<'m>) {
+    let run = catch_unwind(AssertUnwindSafe(run)).map_err(TaskPanic);
+    *lock_recover(slot) = Some(run);
+}
+
+fn take<'m>(slot: &SmSlot<'m>) -> Option<Result<SmRun<'m>, TaskPanic>> {
+    lock_recover(slot).take()
+}
+
+/// One task scope per launch, over the SMs *with work to do*. An empty
+/// SM's simulation is the empty `SmStats` (it never enters the scheduler
+/// loop), so skipping it is bit-identical and a small grid costs a handful
+/// of queue operations.
+///
+/// With dedup, SMs reuse a donor, one per queue length. Round-robin
+/// assignment leaves at most two lengths, q + 1 on the first SMs and q on
+/// the rest, each a contiguous run of `busy`. Every SM with an equally long
+/// block queue evolves identically (same deterministic computation once its
+/// blocks are verified class-identical, constant addresses included —
+/// every SM starts with a cold constant cache), so the first SM of each
+/// length runs timed and the others replay functionally against its
+/// representative, from the moment it freezes, while the donor runs on
+/// ([`Prepared::lead`]). At the join, each replay's writes commit in SM
+/// order and it adopts the donor's stats if the donor verified all its
+/// blocks; if not, those SMs run timed in a second scope. A panic degrades
+/// to a classified [`LaunchError`] for this launch alone, the first in SM
+/// order.
 fn run_sms(ctx: &SimContext, prepared: &Prepared) -> Result<Vec<SmStats>, LaunchError> {
     let busy: Vec<Queue> = prepared
         .per_sm_blocks
@@ -518,65 +565,88 @@ fn run_sms(ctx: &SimContext, prepared: &Prepared) -> Result<Vec<SmStats>, Launch
         .filter(|(_, blocks)| !blocks.is_empty())
         .map(|(sm, blocks)| (sm, blocks.as_slice()))
         .collect();
-    let mut results: Vec<SmStats> = vec![SmStats::default(); prepared.cfg.num_sms as usize];
     let small = prepared.spec.dims.total_blocks() * prepared.spec.dims.threads_per_block() as u64
         <= CALLER_RUNS_THREADS;
+    let classes: Vec<&[Queue]> = if prepared.dedup {
+        busy.chunk_by(|a, b| a.1.len() == b.1.len()).collect()
+    } else {
+        busy.chunks(1).collect()
+    };
+    let slots: Vec<SmSlot> = busy.iter().map(|_| Mutex::new(None)).collect();
+    sm_scope(small, |s| {
+        let mut rest = &slots[..];
+        for &class in &classes {
+            let (mine, tail) = rest.split_at(class.len());
+            rest = tail;
+            s.spawn(move || prepared.lead(ctx, s, class, mine));
+        }
+    });
 
-    // Donor-SM reuse, one donor per queue length. Round-robin assignment
-    // leaves at most two lengths, q + 1 on the first SMs and q on the rest,
-    // each a contiguous run of `busy`. The first SM of each length
-    // runs timed, exporting its verified witness streams when another SM of
-    // that length will replay them (a class of one just runs). Every other
-    // SM with an equally long block queue evolves identically (same
-    // deterministic computation once its blocks are verified
-    // class-identical, constant addresses included — every SM starts with a
-    // cold constant cache), so it replays functionally and adopts its
-    // donor's stats. Donors are independent of each other: one task scope.
-    if prepared.dedup {
-        let classes: Vec<&[Queue]> = busy.chunk_by(|a, b| a.1.len() == b.1.len()).collect();
-        let mut reps: Vec<Option<Vec<Vec<Ev>>>> = vec![None; classes.len()];
-        let donor_stats = collect_sm_results(run_sm_tasks(
-            small,
-            classes
-                .iter()
-                .zip(reps.iter_mut())
-                .map(|(class, rep)| {
-                    let (blocks, rep) = (class[0].1, (class.len() > 1).then_some(rep));
-                    move || prepared.run_sm(ctx, blocks, rep)
-                })
-                .collect(),
-        ))?;
-        let replayed = collect_sm_results(run_sm_tasks(
-            small,
-            classes
-                .iter()
-                .zip(donor_stats.iter().zip(&reps))
-                .flat_map(|(class, (stats, rep))| {
-                    let donor = rep.as_deref().map(|rep| (stats, rep));
-                    class[1..].iter().map(move |&(_, blocks)| {
-                        move || prepared.reuse_or_run_sm(ctx, blocks, donor)
-                    })
-                })
-                .collect(),
-        ))?;
-        let followers = classes.iter().flat_map(|class| &class[1..]);
-        for (&(sm, _), stats) in followers.zip(replayed) {
-            results[sm] = stats;
+    let mut results = vec![SmStats::default(); prepared.cfg.num_sms as usize];
+    let mut first_err = None;
+    let (mut tally, mut work) = (MemoCounters::default(), WorkCounters::default());
+    let mut late = Vec::new();
+    let mut runs = busy.iter().zip(&slots);
+    for class in &classes {
+        let mut donor = (SmStats::default(), false);
+        for (&(sm, blocks), slot) in runs.by_ref().take(class.len()) {
+            // Only the followers of a donor that unwound are left empty.
+            let Some(run) = take(slot) else { continue };
+            match run {
+                // A follower of a verified donor only runs timed, and so
+                // only panics, after its replay failed.
+                Err(p) => {
+                    tally.dedup_fallbacks += u64::from(donor.1);
+                    first_err.get_or_insert_with(|| classify_panic(p.0));
+                }
+                Ok(SmRun::Timed(stats)) => results[sm] = stats,
+                Ok(SmRun::Donor(stats, verified)) => {
+                    results[sm] = stats.clone();
+                    donor = (stats, verified);
+                }
+                Ok(SmRun::Replayed(buf, replayed)) => {
+                    work.replayed_insts += replayed;
+                    if donor.1 {
+                        buf.commit();
+                        results[sm] = donor.0.clone();
+                        tally.dedup_fast_blocks += blocks.len() as u64;
+                    } else {
+                        late.push((sm, blocks, slot));
+                    }
+                }
+                Ok(SmRun::FellBack(stats, replayed)) => {
+                    work.replayed_insts += replayed;
+                    results[sm] = stats;
+                    tally.dedup_fallbacks += u64::from(donor.1);
+                }
+            }
         }
-        for (class, stats) in classes.iter().zip(donor_stats) {
-            results[class[0].0] = stats;
-        }
+    }
+    ctx.metrics.memo.add(&tally);
+    ctx.metrics.work.add(&work);
+    if let Some(e) = first_err {
+        return Err(e);
+    }
+    if late.is_empty() {
         return Ok(results);
     }
-
-    let partial = collect_sm_results(run_sm_tasks(
-        small,
-        busy.iter()
-            .map(|&(_, blocks)| move || prepared.run_sm(ctx, blocks, None))
-            .collect(),
-    ))?;
-    for ((sm, _), stats) in busy.into_iter().zip(partial) {
-        results[sm] = stats;
+    // A donor that failed verification after its freeze: its followers'
+    // replays prove nothing, so they run timed.
+    sm_scope(small, |s| {
+        for &(_, blocks, slot) in &late {
+            s.spawn(move || {
+                fill(slot, || {
+                    SmRun::Timed(prepared.run_sm(ctx, blocks, Watch::Periods).0)
+                });
+            });
+        }
+    });
+    for (sm, _, slot) in late {
+        match take(slot).expect("every rerun fills its slot") {
+            Ok(SmRun::Timed(stats)) => results[sm] = stats,
+            Ok(_) => unreachable!("a rerun is timed"),
+            Err(p) => return Err(classify_panic(p.0)),
+        }
     }
     Ok(results)
 }

@@ -80,7 +80,8 @@ pub use config::{BlockLimits, GpuConfig};
 pub use context::{SimConfig, SimContext};
 pub use counters::{
     memo_counters, net_counters, note_net_disconnect, note_net_frame_retried, note_net_reconnect,
-    row_counters, KernelStats, MemoCounters, NetCounters, RowCounters, StallReason,
+    row_counters, work_counters, KernelStats, MemoCounters, NetCounters, RowCounters, StallReason,
+    WorkCounters,
 };
 pub use error::CudaError;
 pub use fault::{FaultConfig, FaultKind, Site};

@@ -170,6 +170,10 @@ impl DeviceMemory {
     /// (hashed in one pass straight from the atomics — no snapshot), their
     /// count, the constant bank and the texture binding. The launch memo's
     /// key for "which input".
+    ///
+    /// Inlined into the memo probe, whose hit it dominates: left a call, a
+    /// hit measured 4 % slower once the crate's code-unit split moved.
+    #[inline]
     pub(crate) fn image_digest(&self) -> (u64, u64) {
         let mut h = Mix128::new();
         for half in [

@@ -13,7 +13,9 @@
 //!
 //! * **Sizing** — `G80_SIM_THREADS` if set (clamped to ≥ 1), otherwise
 //!   [`std::thread::available_parallelism`]. Workers are detached and park
-//!   on a condvar when idle; they cost nothing between launches.
+//!   on a condvar when idle; they cost nothing between launches. Starting
+//!   the pool also fixes glibc's malloc thresholds, so that a buffer freed on
+//!   one worker does not leave the process's peak RSS to scheduling.
 //! * **Work stealing across launches** — every in-flight [`scope`] (one per
 //!   launch or batch) owns a queue of tasks. The submitting thread drains
 //!   its own queue; idle pool workers steal tasks from *any* active scope's
@@ -23,6 +25,13 @@
 //!   it waits, so a nested scope (an SM task that itself launches, or a
 //!   suite task that runs an app) can always make progress: no task ever
 //!   blocks a worker, and the pool cannot deadlock on nesting.
+//! * **Scopes that grow** — a running task may [`Scope::spawn`] more tasks
+//!   into its own scope (a launch's donor SM queues its followers the moment
+//!   its representative freezes). The owner keeps draining the scope and
+//!   waits only while nothing is queued; a spawned task never waits on the
+//!   task that spawned it. `scope_on_caller` is the same scope with the
+//!   pool left out: the owner runs every task, spawned ones included, in
+//!   queue order.
 //!
 //! Determinism: the pool moves *where* a task runs, never *what* it
 //! computes. Each task is a pure function of its captured inputs (plus
@@ -35,14 +44,16 @@
 use crate::context::{self, SimContext};
 use crate::fault::{self, lock_recover, wait_recover, Site};
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 /// A lifetime-erased unit of work. Safety: a `Task` may borrow from the
-/// stack frame that created it; [`scope_run`] guarantees every task has
-/// finished executing before it returns, so the borrow never outlives its
-/// referent (the same contract `std::thread::scope` enforces).
+/// stack frame that opened its scope; [`scope_run`] guarantees every task,
+/// spawned ones included, has finished executing before it returns, so the
+/// borrow never outlives its referent (the same contract
+/// `std::thread::scope` enforces).
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
 /// One in-flight `scope`: a queue of tasks plus completion tracking.
@@ -51,29 +62,35 @@ struct Group {
     /// runs in it, and a worker polls its `pool.worker` site before taking
     /// one.
     ctx: Option<Arc<SimContext>>,
-    queue: Mutex<VecDeque<Task>>,
+    /// Pool workers may take this group's tasks; otherwise the owner runs
+    /// them all ([`scope_on_caller`]).
+    shared: bool,
+    /// The owner has run the closure that opened the scope: a spawn from
+    /// then on comes from a running task, and offers the group to the
+    /// workers itself. The opening closure's spawns are offered at once.
+    /// Stored `Release` before that offer and loaded `Acquire` by `push`;
+    /// no task runs before the offer or the owner's drain, so every spawn
+    /// from a task reads it set.
+    open: AtomicBool,
+    queue: Mutex<Queue>,
     /// Tasks submitted but not yet finished (queued + running).
     pending: AtomicUsize,
-    done: Mutex<bool>,
-    done_cv: Condvar,
+    /// What the owner waits on while nothing is queued.
+    wake: Condvar,
     /// First panic payload raised by a task, re-raised by the owner.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
 
-impl Group {
-    fn new(ctx: Option<Arc<SimContext>>, tasks: VecDeque<Task>) -> Self {
-        Group {
-            ctx,
-            pending: AtomicUsize::new(tasks.len()),
-            queue: Mutex::new(tasks),
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
-            panic: Mutex::new(None),
-        }
-    }
+#[derive(Default)]
+struct Queue {
+    tasks: VecDeque<Task>,
+    /// The owner is waiting on `wake`: a push or the last finish signals.
+    owner_waits: bool,
+}
 
+impl Group {
     fn pop(&self) -> Option<Task> {
-        lock_recover(&self.queue).pop_front()
+        lock_recover(&self.queue).tasks.pop_front()
     }
 
     fn context(&self) -> &SimContext {
@@ -83,25 +100,113 @@ impl Group {
         }
     }
 
-    /// Runs one task in the group's context, recording a panic instead of
-    /// unwinding into the scheduler, and signals the owner when the last
-    /// task finishes.
+    /// Queues `task`, waking the owner if it waits, and offers the group to
+    /// the workers once it is open.
+    fn push(self: &Arc<Self>, task: Task) {
+        let owner_waits = {
+            let mut queue = lock_recover(&self.queue);
+            self.pending.fetch_add(1, Ordering::AcqRel);
+            queue.tasks.push_back(task);
+            queue.owner_waits
+        };
+        if owner_waits {
+            self.wake.notify_one();
+        }
+        if self.shared && self.open.load(Ordering::Acquire) {
+            pool().shared.offer(self, false);
+        }
+    }
+
+    /// Runs one task, recording a panic instead of unwinding into the
+    /// scheduler, and signals a waiting owner when the last task finishes.
     fn run(&self, task: Task) {
-        let _restore = context::scope(self.ctx.clone());
         if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
             lock_recover(&self.panic).get_or_insert(payload);
         }
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            *lock_recover(&self.done) = true;
-            self.done_cv.notify_all();
+        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 && lock_recover(&self.queue).owner_waits
+        {
+            self.wake.notify_all();
+        }
+    }
+
+    /// The owner's loop: runs queued tasks, waits while none is queued and
+    /// some still run elsewhere, and returns when every task has finished.
+    fn drain(&self) {
+        let mut queue = lock_recover(&self.queue);
+        loop {
+            if let Some(task) = queue.tasks.pop_front() {
+                drop(queue);
+                self.run(task);
+                queue = lock_recover(&self.queue);
+            } else if self.pending.load(Ordering::Acquire) == 0 {
+                return;
+            } else {
+                queue.owner_waits = true;
+                queue = wait_recover(&self.wake, queue);
+                queue.owner_waits = false;
+            }
         }
     }
 }
 
+/// An open task scope ([`scope`], or the caller-only one the launch path
+/// opens for small launches). Tasks borrow for `'scope`, which outlives
+/// every task; a running task may spawn more into the scope through the
+/// same handle.
+pub struct Scope<'scope, 'env: 'scope> {
+    group: Arc<Group>,
+    /// Invariant in both lifetimes, as `std::thread::Scope` is: a
+    /// covariant scope could be shortened to admit a borrow that dies
+    /// before the scope ends.
+    scope: PhantomData<&'scope mut &'scope ()>,
+    env: PhantomData<&'env mut &'env ()>,
+}
+
+impl<'scope> Scope<'scope, '_> {
+    /// Queues `f` in this scope. The scope does not return before it has
+    /// run; its panic, if any, is re-raised by the scope's owner like any
+    /// other task's.
+    pub fn spawn<F>(&'scope self, f: F)
+    where
+        F: FnOnce() + Send + 'scope,
+    {
+        let task: Box<dyn FnOnce() + Send + 'scope> = Box::new(f);
+        // SAFETY: `scope_run` does not return until every task of the scope
+        // has run to completion, so whatever `f` borrows for `'scope` is
+        // live for as long as the task can execute. Erasing the lifetime is
+        // exactly the trick `std::thread::scope` performs internally.
+        let task = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Task>(task) };
+        self.group.push(task);
+    }
+}
+
 struct Shared {
-    /// Scopes that may still have queued tasks; workers steal from these.
-    groups: Mutex<Vec<Arc<Group>>>,
+    offers: Mutex<Offers>,
     work_cv: Condvar,
+}
+
+#[derive(Default)]
+struct Offers {
+    /// Scopes that may still have queued tasks; workers steal from these.
+    groups: Vec<Arc<Group>>,
+    /// Workers waiting on `work_cv`.
+    idle: usize,
+}
+
+impl Shared {
+    /// Lists `group` for the workers unless it is listed, and wakes one
+    /// idle worker, or every idle worker for a scope just opened.
+    fn offer(&self, group: &Arc<Group>, opening: bool) {
+        let mut offers = lock_recover(&self.offers);
+        if !offers.groups.iter().any(|g| Arc::ptr_eq(g, group)) {
+            offers.groups.push(Arc::clone(group));
+        }
+        match (offers.idle, opening) {
+            (0, _) => {}
+            (_, true) => self.work_cv.notify_all(),
+            (_, false) => self.work_cv.notify_one(),
+        }
+    }
 }
 
 struct Pool {
@@ -130,8 +235,9 @@ fn workers_from(var: Option<&str>, host: Option<usize>) -> usize {
 fn pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| {
+        pin_malloc_thresholds();
         let shared = Arc::new(Shared {
-            groups: Mutex::new(Vec::new()),
+            offers: Mutex::new(Offers::default()),
             work_cv: Condvar::new(),
         });
         let workers = configured_workers();
@@ -140,6 +246,34 @@ fn pool() -> &'static Pool {
         }
         Pool { shared, workers }
     })
+}
+
+/// Fixes glibc malloc's mmap threshold at 256 KiB and its trim threshold
+/// at 1 MiB for the process. Left dynamic, glibc raises the mmap threshold
+/// to the size of each large block freed (up to 32 MiB), after which blocks
+/// that size come from the allocating thread's arena and stay there once
+/// freed. Pool tasks allocate and free multi-megabyte buffers on whichever
+/// thread runs them, so peak RSS then hinged on scheduling: the full Table
+/// 3 suite peaked at ≈ 90 or ≈ 130 MB from one run to the next, and at
+/// ≈ 67 MB every run with the thresholds fixed. A 1 MiB trim threshold
+/// keeps a freed 128 KiB serve frame from returning the heap's top to the
+/// OS on every request.
+fn pin_malloc_thresholds() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        use std::ffi::c_int;
+        extern "C" {
+            fn mallopt(param: c_int, value: c_int) -> c_int;
+        }
+        const M_TRIM_THRESHOLD: c_int = -1;
+        const M_MMAP_THRESHOLD: c_int = -3;
+        // SAFETY: `mallopt` takes two integers and only adjusts malloc's
+        // parameters under its own lock; both values are in range.
+        unsafe {
+            mallopt(M_MMAP_THRESHOLD, 256 << 10);
+            mallopt(M_TRIM_THRESHOLD, 1 << 20);
+        }
+    }
 }
 
 /// Spawns one pool worker. If the worker dies to an injected fault (real
@@ -166,12 +300,14 @@ pub fn worker_count() -> usize {
 fn worker_loop(shared: &Shared) {
     loop {
         let group = {
-            let mut groups = lock_recover(&shared.groups);
+            let mut offers = lock_recover(&shared.offers);
             loop {
-                if let Some(g) = groups.first() {
+                if let Some(g) = offers.groups.first() {
                     break Arc::clone(g);
                 }
-                groups = wait_recover(&shared.work_cv, groups);
+                offers.idle += 1;
+                offers = wait_recover(&shared.work_cv, offers);
+                offers.idle -= 1;
             }
         };
         // Polled in the group's context after choosing it and *before*
@@ -179,36 +315,78 @@ fn worker_loop(shared: &Shared) {
         // the task stays queued for another thread.
         group.context().faults().poll(Site::PoolWorker);
         match group.pop() {
-            Some(task) => group.run(task),
-            // Drained: stop offering it.
-            None => lock_recover(&shared.groups).retain(|g| !Arc::ptr_eq(g, &group)),
+            Some(task) => {
+                let _restore = context::scope(group.ctx.clone());
+                group.run(task);
+            }
+            // Drained: stop offering it, unless a spawn refilled it since.
+            None => {
+                let mut offers = lock_recover(&shared.offers);
+                if lock_recover(&group.queue).tasks.is_empty() {
+                    offers.groups.retain(|g| !Arc::ptr_eq(g, &group));
+                }
+            }
         }
     }
 }
 
-/// Executes lifetime-erased tasks to completion in `ctx`: registers the
-/// group for workers to steal from, drains it from the owning thread, then
-/// blocks until every task (including stolen ones) has finished.
-fn scope_run(ctx: Option<Arc<SimContext>>, tasks: VecDeque<Task>) {
-    let pool = pool();
-    let group = Arc::new(Group::new(ctx, tasks));
-    {
-        let mut groups = lock_recover(&pool.shared.groups);
-        groups.push(Arc::clone(&group));
+/// Opens a scope in the caller's context, lets `f` spawn into it, drains
+/// it from the owning thread (with the pool's workers when `shared`), then
+/// re-raises the first panic of `f` or of a task.
+fn scope_run<'env, F, R>(shared: bool, f: F) -> R
+where
+    F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> R,
+{
+    let scope = Scope {
+        group: Arc::new(Group {
+            ctx: context::scoped(),
+            shared,
+            open: AtomicBool::new(false),
+            queue: Mutex::new(Queue::default()),
+            pending: AtomicUsize::new(0),
+            wake: Condvar::new(),
+            panic: Mutex::new(None),
+        }),
+        scope: PhantomData,
+        env: PhantomData,
+    };
+    // The tasks `f` spawned borrow what it may unwind past: drain first.
+    let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
+    let group = &scope.group;
+    group.open.store(true, Ordering::Release);
+    if shared && group.pending.load(Ordering::Acquire) > 0 {
+        pool().shared.offer(group, true);
     }
-    pool.shared.work_cv.notify_all();
-    while let Some(task) = group.pop() {
-        group.run(task);
+    group.drain();
+    let panic = lock_recover(&group.panic).take();
+    match (result, panic) {
+        (Err(payload), _) | (Ok(_), Some(payload)) => resume_unwind(payload),
+        (Ok(r), None) => r,
     }
-    let mut done = lock_recover(&group.done);
-    while !*done {
-        done = wait_recover(&group.done_cv, done);
-    }
-    drop(done);
-    let payload = lock_recover(&group.panic).take();
-    if let Some(payload) = payload {
-        resume_unwind(payload);
-    }
+}
+
+/// Calls `f` with a scope whose tasks run on the pool, the calling thread
+/// participating, and returns once every task spawned into it — by `f` or
+/// by a task — has finished. Every task runs inside the
+/// [`crate::SimContext`] the caller had entered (none = the global one), on
+/// whichever thread executes it. A task's panic is re-raised here after the
+/// scope drains; a caller that needs per-task isolation catches inside its
+/// tasks, as [`try_run_tasks`] does.
+pub fn scope<'env, F, R>(f: F) -> R
+where
+    F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> R,
+{
+    scope_run(true, f)
+}
+
+/// [`scope`] without the pool: the calling thread runs every task, spawned
+/// ones included, in queue order. For work too small to pay for the pool's
+/// wakeups.
+pub(crate) fn scope_on_caller<'env, F, R>(f: F) -> R
+where
+    F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> R,
+{
+    scope_run(false, f)
 }
 
 /// The captured unwind payload of a single pool task.
@@ -255,25 +433,16 @@ where
     }
     let slots: Vec<Mutex<Option<Result<T, TaskPanic>>>> =
         fns.iter().map(|_| Mutex::new(None)).collect();
-    let tasks: VecDeque<Task> = fns
-        .into_iter()
-        .zip(&slots)
-        .map(|(f, slot)| {
-            let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+    scope(|s| {
+        for (f, slot) in fns.into_iter().zip(&slots) {
+            s.spawn(move || {
                 // The task catches its own panic so the slot always ends up
-                // filled; Group::run's catch is only a backstop.
+                // filled; `Group::run`'s catch is only a backstop.
                 let r = catch_unwind(AssertUnwindSafe(f)).map_err(TaskPanic);
                 *lock_recover(slot) = Some(r);
             });
-            // SAFETY: `scope_run` does not return until every task has run
-            // to completion, so the borrows of `slots` (and whatever `f`
-            // captures from the caller) are live for as long as the task
-            // can execute. Erasing the lifetime is exactly the trick
-            // `std::thread::scope` performs internally.
-            unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Task>(task) }
-        })
-        .collect();
-    scope_run(context::scoped(), tasks);
+        }
+    });
     slots
         .into_iter()
         .map(|slot| {
@@ -423,6 +592,28 @@ mod tests {
         let out = try_run_tasks(vec![|| -> u32 { panic!("solo") }]);
         assert_eq!(out.len(), 1);
         assert!(out[0].as_ref().unwrap_err().message().contains("solo"));
+    }
+
+    /// Without the pool, the caller runs every task, spawned ones after
+    /// those queued before them, in order.
+    #[test]
+    fn scope_on_caller_runs_spawned_tasks_in_queue_order() {
+        let caller = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
+        let log = |task: &str| {
+            assert_eq!(std::thread::current().id(), caller);
+            order.lock().unwrap().push(task.to_string());
+        };
+        scope_on_caller(|s| {
+            s.spawn(|| {
+                log("donor");
+                s.spawn(|| log("follower 1"));
+                s.spawn(|| log("follower 2"));
+            });
+            s.spawn(|| log("second donor"));
+        });
+        let order = order.into_inner().unwrap();
+        assert_eq!(order, ["donor", "second donor", "follower 1", "follower 2"]);
     }
 
     #[test]

@@ -46,16 +46,19 @@
 //! asserts bit-identical [`crate::KernelStats`] between the two.
 
 use crate::cost::{self, TagCache};
-use crate::counters::{MemoCounters, RowCounters, SmStats, StallReason, TallyKey};
+use crate::counters::{MemoCounters, RowCounters, SmStats, StallReason, TallyKey, WorkCounters};
 use crate::launch::Prepared;
 use crate::memory::{const_out_of_bounds, global_out_of_bounds};
 use crate::step::{step, Access, Did, LaneAddrs, Refusal, Scratch};
 use crate::warp::{RegSource, Warp};
-use crate::witness::{replay_block, Ev, ReplayScratch, Sig, Signature, WitnessRecorder, WriteBuf};
+use crate::witness::{
+    replay_block, Ev, Rep, ReplayScratch, Sig, Signature, WitnessRecorder, WriteBuf,
+};
 use g80_isa::decode::{DecodedKernel, IssueClass, MemKind, MicroOp};
 use g80_isa::{Kernel, Value};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Grid/block geometry of a launch.
 #[derive(Copy, Clone, Debug)]
@@ -145,48 +148,67 @@ struct Slot {
     cached: Option<(u64, StallReason)>,
 }
 
-/// What one [`run_sm`] adds to its context's tallies (row shapes and the
-/// dedup fields of [`MemoCounters`]); the caller flushes it once per run.
+/// What one [`run_sm`] adds to its context's tallies (row shapes, the
+/// dedup fields of [`MemoCounters`], host work); the caller flushes it once
+/// per run.
+#[derive(Default)]
 pub(crate) struct SmTally {
     pub rows: RowCounters,
     pub memo: MemoCounters,
+    pub work: WorkCounters,
+}
+
+/// How an SM run watches its blocks: which [`Observe`] impl [`run_sm`]
+/// picks.
+pub(crate) enum Watch<'f> {
+    /// No recorder and no signature work.
+    Off,
+    /// The period detector when [`Prepared::dedup`] is set and the queue
+    /// refills (more blocks than slots), else nothing.
+    Periods,
+    /// A donor SM: the period detector, whose representative, the moment
+    /// it freezes, goes to the callback once, as a shared copy.
+    Donor(&'f mut dyn FnMut(Arc<Rep>)),
 }
 
 /// Simulates one SM over its assigned blocks. Deterministic; aborts with a
 /// [`crate::fault::WatchdogAbort`] past the launch's watchdog budget.
 ///
-/// The run's [`Observe`] impl is chosen here, once. With [`Prepared::dedup`]
-/// set (witness-eligible kernels, [`crate::memo::KernelInfo`]) and a refill
-/// that can recur or a `witness_out` to fill, the SM records: its
-/// [`PeriodDetector`] fast-forwards steady-state periods of the block stream
-/// (timing by recurrence of the scheduler-state snapshot, functional effects
-/// by witness-verified replay). Any other SM runs under `()`, with no
-/// recorder and no signature work. Stats are bit-identical either way.
+/// The run's [`Observe`] impl is chosen here, once, from `watch`. A
+/// recording SM's [`PeriodDetector`] fast-forwards steady-state periods of
+/// the block stream (timing by recurrence of the scheduler-state snapshot,
+/// functional effects by witness-verified replay). Any other SM runs under
+/// `()`, with no recorder and no signature work. Stats are bit-identical
+/// either way.
 ///
-/// If *every* block this SM executed verified class-identical to the
-/// representative, its streams move into `witness_out`: another SM whose
-/// equally-long queue replays clean against them evolves identically and
-/// may adopt this SM's stats outright (donor-SM reuse in [`crate::launch`]).
-pub(crate) fn run_sm(
-    p: &Prepared,
-    queue: &[(u32, u32)],
-    witness_out: Option<&mut Option<Vec<Vec<Ev>>>>,
-) -> (SmStats, SmTally) {
+/// The third value says whether *every* block this SM executed verified
+/// class-identical to the representative: then another SM whose
+/// equally-long queue replays clean against the streams a [`Watch::Donor`]
+/// was handed evolves identically and may adopt this SM's stats outright
+/// (donor-SM reuse in [`crate::launch`]).
+pub(crate) fn run_sm(p: &Prepared, queue: &[(u32, u32)], watch: Watch) -> (SmStats, SmTally, bool) {
     let sched = Schedule::new(p, queue);
-    if p.dedup && (queue.len() > sched.resident.len() || witness_out.is_some()) {
-        observed(p, PeriodDetector::new(&sched), sched, witness_out)
-    } else {
-        observed(p, (), sched, witness_out)
+    let refills = queue.len() > sched.resident.len();
+    match watch {
+        Watch::Donor(on_freeze) => observed(p, PeriodDetector::new(&sched, Some(on_freeze)), sched),
+        Watch::Periods if p.dedup && refills => {
+            observed(p, PeriodDetector::new(&sched, None), sched)
+        }
+        Watch::Periods | Watch::Off => observed(p, (), sched),
     }
 }
 
+/// Runs `queue` as a donor SM: its representative, if every block verified.
+#[cfg(test)]
+pub(crate) fn donor_rep(p: &Prepared, queue: &[(u32, u32)]) -> Option<Arc<Rep>> {
+    let mut rep = None;
+    let mut keep = |frozen| rep = Some(frozen);
+    let verified = run_sm(p, queue, Watch::Donor(&mut keep)).2;
+    rep.filter(|_| verified)
+}
+
 /// [`run_sm`] under the observer `obs`.
-fn observed<O: Observe>(
-    p: &Prepared,
-    mut obs: O,
-    mut sched: Schedule,
-    witness_out: Option<&mut Option<Vec<Vec<Ev>>>>,
-) -> (SmStats, SmTally) {
+fn observed<O: Observe>(p: &Prepared, mut obs: O, mut sched: Schedule) -> (SmStats, SmTally, bool) {
     let decoded = &p.info.decoded;
     let mut pipe = ExecCtx::new(p);
     loop {
@@ -203,6 +225,7 @@ fn observed<O: Observe>(
         let Some((next, reason)) = sched.issue(decoded, &mut pipe, &mut obs) else {
             continue;
         };
+        pipe.work.event_skips += 1;
         if next == u64::MAX {
             sched.check_deadlock(&p.spec.kernel.name);
             continue;
@@ -213,12 +236,17 @@ fn observed<O: Observe>(
         pipe.cycle += skip;
     }
     pipe.stats.cycles = pipe.cycle;
-    let mut memo = obs.finish(witness_out);
+    let mut tally = SmTally {
+        rows: pipe.rows,
+        work: pipe.work,
+        ..SmTally::default()
+    };
+    tally.work.issue_scans += tally.work.event_skips;
+    let verified = obs.finish(&mut tally);
     if p.dedup {
-        memo.dedup_sim_blocks = sched.queue.len() as u64 - memo.dedup_fast_blocks;
+        tally.memo.dedup_sim_blocks = sched.queue.len() as u64 - tally.memo.dedup_fast_blocks;
     }
-    let rows = pipe.rows;
-    (pipe.stats, SmTally { rows, memo })
+    (pipe.stats, tally, verified)
 }
 
 /// What watches an SM run at its schedule's events; a hook it does not
@@ -235,9 +263,10 @@ trait Observe: Sized {
     fn removed(&mut self, _bi: usize) {}
     /// A refill boundary: some slot refilled and none was removed.
     fn at_refill(&mut self, _: &Prepared, _: &mut Schedule, _: &mut ExecCtx<Self::Sig>) {}
-    /// The run's dedup tallies, after handing `witness_out` what it verified.
-    fn finish(self, _witness_out: Option<&mut Option<Vec<Vec<Ev>>>>) -> MemoCounters {
-        MemoCounters::default()
+    /// Adds the run's dedup and replay tallies; says whether every block
+    /// verified class-identical.
+    fn finish(self, _tally: &mut SmTally) -> bool {
+        false
     }
 }
 
@@ -430,8 +459,10 @@ impl<'q> Schedule<'q> {
             {
                 self.invalidate(bi); // resume_at moved for the whole block
             }
+            pipe.work.slots_visited += k as u64 + 1;
             return None;
         }
+        pipe.work.slots_visited += n as u64;
         Some(best)
     }
 
@@ -501,16 +532,18 @@ const DEDUP_MAX_BOUNDARIES: usize = 64;
 /// The dedup period detector, a recording SM's [`Observe`]: the witness
 /// recorder every issue feeds, the boundary states seen at block refills,
 /// and the replay that fast-forwards whole periods once a state recurs.
-struct PeriodDetector {
+struct PeriodDetector<'f> {
     recorder: WitnessRecorder,
     boundaries: HashMap<Vec<u64>, Boundary>,
     /// Replay-executor state for the fast-forward path, allocated on the
     /// first period hit and recycled for every replayed block after it.
     replay: Option<ReplayScratch>,
     memo: MemoCounters,
+    /// A donor's hand-off of its frozen representative ([`Watch::Donor`]).
+    on_freeze: Option<&'f mut dyn FnMut(Arc<Rep>)>,
 }
 
-impl Observe for PeriodDetector {
+impl Observe for PeriodDetector<'_> {
     type Sig = Sig;
 
     fn issued(&mut self, bi: usize, wi: usize, pc: u32, mask: u32, sig: Sig) {
@@ -518,7 +551,11 @@ impl Observe for PeriodDetector {
     }
 
     fn retired(&mut self, bi: usize) {
-        self.recorder.on_retire(bi);
+        if self.recorder.on_retire(bi) {
+            if let Some(on_freeze) = self.on_freeze.take() {
+                on_freeze(Arc::new(self.recorder.rep().to_vec()));
+            }
+        }
     }
 
     fn removed(&mut self, bi: usize) {
@@ -556,21 +593,21 @@ impl Observe for PeriodDetector {
         }
     }
 
-    fn finish(self, witness_out: Option<&mut Option<Vec<Vec<Ev>>>>) -> MemoCounters {
-        if let Some(out) = witness_out {
-            *out = self.recorder.take_verified();
-        }
-        self.memo
+    fn finish(self, tally: &mut SmTally) -> bool {
+        tally.memo = self.memo;
+        tally.work.replayed_insts += self.replay.map_or(0, |r| r.replayed);
+        self.recorder.take_verified().is_some()
     }
 }
 
-impl PeriodDetector {
-    fn new(sched: &Schedule) -> Self {
+impl<'f> PeriodDetector<'f> {
+    fn new(sched: &Schedule, on_freeze: Option<&'f mut dyn FnMut(Arc<Rep>)>) -> Self {
         PeriodDetector {
             recorder: WitnessRecorder::new(sched.resident.len(), sched.wpb),
             boundaries: HashMap::new(),
             replay: None,
             memo: MemoCounters::default(),
+            on_freeze,
         }
     }
 
@@ -698,6 +735,9 @@ struct ExecCtx<'a, S> {
     /// Row-shape tally (flushed to the launching context's counters once
     /// per `run_sm`).
     rows: RowCounters,
+    /// Host work: issued instructions (as `issue_scans`, the event skips
+    /// added at the end), slots visited, event skips.
+    work: WorkCounters,
 }
 
 impl<'a, S: Signature> ExecCtx<'a, S> {
@@ -712,6 +752,7 @@ impl<'a, S: Signature> ExecCtx<'a, S> {
             tex_cache: TagCache::texture(cfg),
             sig: S::default(),
             rows: RowCounters::default(),
+            work: WorkCounters::default(),
         }
     }
 
@@ -739,6 +780,7 @@ impl<'a, S: Signature> ExecCtx<'a, S> {
         let (warp, smem) = (&mut block.warps[wi], &mut block.smem);
         let lanes = warp.active_mask().count_ones();
         self.stats.count_inst(mop.class, lanes, mop.flops);
+        self.work.issue_scans += 1;
         let (mut mem, mut scratch) = (self.p.spec.mem, Scratch::default());
         let did = match step::<false, _>(self.p, mop.inst, warp, smem, &mut mem, &mut scratch) {
             Ok(did) => did,
@@ -968,7 +1010,7 @@ mod tests {
         let run = |dedup| {
             let mem = DeviceMemory::new(49 * 32 * 4);
             let p = launch(&cfg, &kernel, &mem, 49, dedup);
-            let (stats, tally) = run_sm(&p, &blocks, None);
+            let (stats, tally, _) = run_sm(&p, &blocks, Watch::Periods);
             (stats, tally.memo, mem.snapshot_words())
         };
         let (fast, memo, fast_mem) = run(true);
@@ -986,10 +1028,10 @@ mod tests {
         p: &Prepared,
         ctaids: &'q [(u32, u32)],
         rep: &[Vec<Ev>],
-    ) -> (Schedule<'q>, PeriodDetector) {
+    ) -> (Schedule<'q>, PeriodDetector<'static>) {
         let mut sched = Schedule::new(p, ctaids);
         sched.rebuild_order();
-        let mut period = PeriodDetector::new(&sched);
+        let mut period = PeriodDetector::new(&sched, None);
         for (wi, evs) in rep.iter().enumerate() {
             for &ev in evs {
                 period.recorder.record(0, wi, ev);
@@ -1031,9 +1073,7 @@ mod tests {
         let (cfg, kernel) = (GpuConfig::geforce_8800_gtx(), tid_store_kernel());
         let mem = DeviceMemory::new(9 * 32 * 4);
         let p = launch(&cfg, &kernel, &mem, 9, true);
-        let mut rep = None;
-        run_sm(&p, &queue(1..5), Some(&mut rep));
-        let rep = rep.expect("blocks 1 to 4 are one class");
+        let rep = donor_rep(&p, &queue(1..5)).expect("blocks 1 to 4 are one class");
         mem.restore_words(&[0; 9 * 32]);
 
         // Blocks 0 and 5 resident, 6 to 8 queued.

@@ -64,6 +64,9 @@ pub(crate) struct Ev {
 
 const _: () = assert!(std::mem::size_of::<Ev>() == 16);
 
+/// A block class's representative: one event stream per warp index.
+pub(crate) type Rep = Vec<Vec<Ev>>;
+
 /// The per-kind part of an [`Ev`], as [`Signature`]'s methods store it;
 /// zero for register-only instructions, barriers and exits.
 #[derive(Copy, Clone, Default, PartialEq, Eq, Debug)]
@@ -152,7 +155,7 @@ pub(crate) struct WitnessRecorder {
     /// The streams are complete: some block retired having consumed them.
     rep_done: bool,
     /// Representative streams, one per warp index.
-    rep: Vec<Vec<Ev>>,
+    rep: Rep,
     /// Verification cursors into `rep`: `[slot][warp]`.
     cursors: Vec<Vec<usize>>,
 }
@@ -199,7 +202,7 @@ impl WitnessRecorder {
 
     /// The representative streams, if every block retired so far was
     /// verified class-identical (the donor-SM reuse evidence).
-    pub fn take_verified(self) -> Option<Vec<Vec<Ev>>> {
+    pub fn take_verified(self) -> Option<Rep> {
         (self.valid && self.rep_done).then_some(self.rep)
     }
 
@@ -213,19 +216,19 @@ impl WitnessRecorder {
 
     /// Called when the block in `slot` retires, before the slot refills: a
     /// verified block has consumed its whole class stream, and the first one
-    /// to do so completes it.
-    pub fn on_retire(&mut self, slot: usize) {
+    /// to do so completes it. Returns whether this retire froze the streams.
+    pub fn on_retire(&mut self, slot: usize) -> bool {
         if !self.valid {
-            return;
+            return false;
         }
         for (cur, rep) in self.cursors[slot].iter_mut().zip(&self.rep) {
             if *cur != rep.len() {
                 self.valid = false;
-                return;
+                return false;
             }
             *cur = 0;
         }
-        self.rep_done = true;
+        !std::mem::replace(&mut self.rep_done, true)
     }
 }
 
@@ -345,13 +348,19 @@ impl Words for WriteBuf<'_> {
 pub(crate) struct ReplayScratch {
     block: Resident,
     cursors: Vec<usize>,
+    /// Warp instructions executed by every [`replay_block`] so far.
+    pub replayed: u64,
 }
 
 impl ReplayScratch {
     pub fn new(p: &Prepared) -> Self {
         let block = Resident::new(p.spec.kernel, &p.spec.dims, (0, 0));
         let cursors = vec![0; block.warps.len()];
-        ReplayScratch { block, cursors }
+        ReplayScratch {
+            block,
+            cursors,
+            replayed: 0,
+        }
     }
 }
 
@@ -369,10 +378,25 @@ pub(crate) fn replay_block(
     buf: &mut WriteBuf,
     scratch: &mut ReplayScratch,
 ) -> bool {
-    let ReplayScratch { block, cursors } = scratch;
-    if rep.len() != block.warps.len() {
+    if rep.len() != scratch.block.warps.len() {
         return false;
     }
+    let verified = replay_warps(p, ctaid, rep, buf, scratch);
+    // Each executed instruction moved its warp's cursor on by one.
+    scratch.replayed += scratch.cursors.iter().sum::<usize>() as u64;
+    verified
+}
+
+/// [`replay_block`]'s barrier-phase loop.
+#[inline(always)]
+fn replay_warps(
+    p: &Prepared,
+    ctaid: (u32, u32),
+    rep: &[Vec<Ev>],
+    buf: &mut WriteBuf,
+    scratch: &mut ReplayScratch,
+) -> bool {
+    let ReplayScratch { block, cursors, .. } = scratch;
     block.reset(ctaid);
     cursors.fill(0);
 
@@ -446,20 +470,22 @@ fn replay_step(
 }
 
 /// Functionally replays a whole SM's block queue against a *donor* SM's
-/// verified representative streams (donor-SM timing reuse, see
-/// [`crate::sm::run_sm`]). All writes are buffered; only if every block
-/// verifies class-identical do they commit. Returns `false` with memory
-/// untouched otherwise, so the caller can fall back to full simulation.
-pub(crate) fn replay_sm(p: &Prepared, my_blocks: &[(u32, u32)], rep: &[Vec<Ev>]) -> bool {
+/// frozen representative streams (donor-SM timing reuse, see
+/// [`crate::sm::run_sm`]). All writes are buffered, and none commits here:
+/// the buffer comes back if every block verifies class-identical, for the
+/// caller to commit once the donor has verified too. Also returns the warp
+/// instructions replayed, whatever the verdict.
+pub(crate) fn replay_sm<'m>(
+    p: &Prepared<'m>,
+    my_blocks: &[(u32, u32)],
+    rep: &[Vec<Ev>],
+) -> (Option<WriteBuf<'m>>, u64) {
     let mut buf = WriteBuf::new(p.spec.mem);
     let mut scratch = ReplayScratch::new(p);
-    for &ctaid in my_blocks {
-        if !replay_block(p, ctaid, rep, &mut buf, &mut scratch) {
-            return false;
-        }
-    }
-    buf.commit();
-    true
+    let ok = my_blocks
+        .iter()
+        .all(|&ctaid| replay_block(p, ctaid, rep, &mut buf, &mut scratch));
+    (ok.then_some(buf), scratch.replayed)
 }
 
 #[cfg(test)]
@@ -598,18 +624,22 @@ mod tests {
             Prepared::for_test(cfg, spec, 2, true)
         }
 
-        let mut rep = None;
         let donor: Vec<(u32, u32)> = (0..4).map(|x| (x, 0)).collect();
-        crate::sm::run_sm(&launch(&cfg, &kernel, &mem), &donor, Some(&mut rep));
-        let rep = rep.expect("four identical blocks verify");
+        let rep = crate::sm::donor_rep(&launch(&cfg, &kernel, &mem), &donor)
+            .expect("four identical blocks verify");
         let others: Vec<(u32, u32)> = (4..8).map(|x| (x, 0)).collect();
-        let replay = |mem: &DeviceMemory| replay_sm(&launch(&cfg, &kernel, mem), &others, &rep);
+        // Each block runs its warp's whole stream, up to the faulting load.
+        let replay = |mem: &DeviceMemory| {
+            let (buf, replayed) = replay_sm(&launch(&cfg, &kernel, mem), &others, &rep);
+            (buf.map(WriteBuf::commit).is_some(), replayed)
+        };
 
         mem.const_bank.truncate(7); // word 7 is now out of the bank
-        assert!(!replay(&mem));
+        let load_at = rep[0].iter().position(|e| e.sig != Sig::default());
+        assert_eq!(replay(&mem), (false, load_at.unwrap() as u64));
         assert_eq!(mem.read(4 * 32 * 4).as_u32(), 0, "failed replay committed");
         mem.const_bank.push(7);
-        assert!(replay(&mem));
+        assert_eq!(replay(&mem), (true, 4 * rep[0].len() as u64));
         assert_eq!(mem.read(4 * 32 * 4).as_u32(), 7);
     }
 

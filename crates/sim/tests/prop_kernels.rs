@@ -331,9 +331,11 @@ fn build(recipe: &Recipe, opt: OptLevel, max_regs: Option<u32>) -> Kernel {
 /// Threads per block, whatever its width.
 const THREADS: u32 = 64;
 const N: u32 = 256;
-/// Enough 64-thread blocks (512) that most of them arrive after the first
-/// resident cohort and are witness-replayed when dedup is on.
-const N_REPLAY: u32 = THREADS * 512;
+/// Enough 64-thread blocks (520) that most of them arrive after the first
+/// resident cohort and are witness-replayed when dedup is on, in two block
+/// classes: queues of 33 on the first eight SMs and of 32 on the rest, each
+/// with a donor of its own.
+const N_REPLAY: u32 = THREADS * 520;
 
 /// The kernel's output under every context of the matrix, which must agree
 /// among themselves: cold in each, and again on what the first pass cached.

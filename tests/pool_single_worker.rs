@@ -9,12 +9,18 @@
 mod common;
 
 use g80::apps::matmul::{MatMul, Variant};
-use g80::sim::SimConfig;
+use g80::sim::{pool, SimConfig};
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+
+/// Every test here calls this first: it must happen before anything
+/// touches the pool in this process.
+fn one_worker() {
+    std::env::set_var("G80_SIM_THREADS", "1");
+}
 
 #[test]
 fn single_worker_pool_matches_reference_engine() {
-    // Must happen before anything touches the pool in this process.
-    std::env::set_var("G80_SIM_THREADS", "1");
+    one_worker();
 
     let mm = MatMul { n: 64 };
     let (a, b) = mm.generate(5);
@@ -45,4 +51,34 @@ fn single_worker_pool_matches_reference_engine() {
     // replayed from the memo alike. `witness_dedup.rs` makes the same
     // comparison on the default pool.
     common::assert_batch_equals_singles(6, &SimConfig::default());
+}
+
+/// With one worker and the owner, a chain of tasks each spawning the next
+/// runs to its end, beside tasks that fan out, before the scope returns.
+#[test]
+fn spawning_works_at_one_worker() {
+    one_worker();
+    assert_eq!(pool::worker_count(), 1);
+    fn chain<'s>(s: &'s pool::Scope<'s, '_>, left: u64, sum: &'s AtomicU64) {
+        sum.fetch_add(left, SeqCst);
+        if left > 0 {
+            s.spawn(move || chain(s, left - 1, sum));
+        }
+    }
+    let (chained, fanned) = (AtomicU64::new(0), AtomicU64::new(0));
+    pool::scope(|s| {
+        s.spawn(|| chain(s, 64, &chained));
+        for i in 0..16 {
+            let fanned = &fanned;
+            s.spawn(move || {
+                for j in 0..4 {
+                    s.spawn(move || {
+                        fanned.fetch_add(i * 4 + j, SeqCst);
+                    });
+                }
+            });
+        }
+    });
+    assert_eq!(chained.load(SeqCst), (0..=64).sum());
+    assert_eq!(fanned.load(SeqCst), (0..64).sum());
 }

@@ -16,8 +16,8 @@ use g80::apps::saxpy::Saxpy;
 use g80::isa::builder::{KernelBuilder, Unroll};
 use g80::isa::{AtomOp, CmpOp, Kernel, Pred, Scalar, Space, Value};
 use g80::sim::{
-    kernel_info, launch, memo_counters, row_counters, DeviceMemory, GpuConfig, KernelStats,
-    LaunchDims, LaunchError, MemoCounters, SimConfig, SimContext,
+    kernel_info, launch, memo_counters, row_counters, work_counters, DeviceMemory, GpuConfig,
+    KernelStats, LaunchDims, LaunchError, MemoCounters, SimConfig, SimContext,
 };
 use std::sync::Arc;
 
@@ -569,6 +569,74 @@ fn const_kernels_replay_bit_identical() {
             ),
         }
     }
+}
+
+/// `ys[i] += 1` in place; the block whose `ctaid` is the second parameter
+/// also takes a branch no other block takes, a block class of its own.
+fn late_divergence_kernel() -> Kernel {
+    let mut b = KernelBuilder::new("late_divergence");
+    let (ys, odd_one) = (b.param(), b.param());
+    let tid = b.tid_x();
+    let ntid = b.ntid_x();
+    let cta = b.ctaid_x();
+    let i = b.imad(cta, ntid, tid);
+    let byte = b.shl(i, 2u32);
+    let addr = b.iadd(byte, ys);
+    let v = b.ld_global(addr, 0);
+    let bumped = b.iadd(v, 1u32);
+    b.st_global(addr, 0, bumped);
+    let odd = b.setp(CmpOp::Eq, Scalar::U32, cta, odd_one);
+    b.if_(Pred::if_true(odd), |b| {
+        let extra = b.iadd(bumped, 1u32);
+        b.st_global(addr, 0, extra);
+    });
+    b.build()
+}
+
+/// A donor that freezes its representative and only then meets a block of
+/// another class. 512 blocks put 32 on each SM, eight resident at a time:
+/// SM 0's first retire freezes the representative and its fifteen
+/// followers replay all their blocks clean, while block 320, SM 0's 21st,
+/// diverges. The donor ends unverified, so no follower may commit: the
+/// kernel increments in place, and a committed replay run again timed would
+/// add 2. Stats, memory and dedup counts equal what the followers would
+/// have done run timed from the start.
+#[test]
+fn a_donor_diverging_after_its_freeze_commits_no_follower() {
+    let cfg = GpuConfig::geforce_8800_gtx();
+    let k = late_divergence_kernel();
+    let run = |dedup: bool, odd_one: u32| {
+        context(SimContext::new, dedup).enter(|| {
+            let mem = DeviceMemory::new(SMALL_N * 4);
+            for i in 0..SMALL_N {
+                mem.write(i * 4, Value::from_u32(3 * i));
+            }
+            let params = [Value::from_u32(0), Value::from_u32(odd_one)];
+            let stats = launch(&cfg, &k, dims(SMALL_BLOCKS), &params, &mem).expect("launch");
+            let out: Vec<u32> = (0..SMALL_N).map(|i| mem.read(i * 4).as_u32()).collect();
+            (stats, out, memo_counters(), work_counters())
+        })
+    };
+    let (off, off_out, ..) = run(false, 320);
+    let (on, on_out, c, work) = run(true, 320);
+    assert_stats_identical("late_divergence", &off, &on);
+    assert_eq!(off_out, on_out, "a follower's replay committed");
+    assert_eq!(on_out[5], 16);
+    assert_eq!(on_out[320 * TPB as usize], 3 * 320 * TPB + 2);
+    // Every SM ran timed in the end, and no replay failed: nothing fell
+    // back. The donor never fast-forwarded, so every replayed instruction
+    // was a follower's, all 32 blocks of each of the fifteen.
+    let counts = (c.dedup_fast_blocks, c.dedup_sim_blocks, c.dedup_fallbacks);
+    assert_eq!(counts, (0, 512, 0), "{c:?}");
+
+    // With no odd block the same launch verifies its donor and commits
+    // every follower, whose blocks run the clean per-block count.
+    let (clean, _, clean_c, clean_work) = run(true, u32::MAX);
+    let counts = (clean_c.dedup_fast_blocks, clean_c.dedup_sim_blocks);
+    assert_eq!((counts, clean_c.dedup_fallbacks), ((480, 32), 0));
+    let per_block = clean.warp_instructions / u64::from(SMALL_BLOCKS);
+    assert_eq!(work.replayed_insts, 15 * 32 * per_block, "{work:?}");
+    assert_eq!(clean_work.replayed_insts, work.replayed_insts);
 }
 
 /// Each block stores a 64-word row of its own — `128·ctaid` words in, so a
