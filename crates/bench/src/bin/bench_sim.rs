@@ -268,7 +268,9 @@ fn number(v: f64, decimals: usize) -> String {
 /// pay the identical lookup/record cost and the ratio measures dedup alone.
 /// The row reports the dedup-on arm's own counters, not literals: its
 /// block counts and its host work (issue scans, slots visited, event skips,
-/// replayed warp instructions). Besides wall clock it reports CPU time: the
+/// replayed warp instructions, bytes hashed for memo keys), and what its
+/// best launch's CPU time comes to per replayed and per timed warp
+/// instruction (informational). Besides wall clock it reports CPU time: the
 /// donor SM simulates its blocks while the other fifteen, once its
 /// representative freezes, replay, so the wall-clock ratio still depends
 /// on the host's core count; the work removed does not.
@@ -295,11 +297,21 @@ fn dedup_row(
     );
     let [base_cpu, on_cpu] = best(&pairs, |s| s.cpu);
     let row = Row::min_wall(name, group, ["baseline_s", "optimized_s"], &pairs);
-    // The CPU ratio falls back to wall clock below the 10 ms tick.
+    // The CPU figures fall back to wall clock below the 10 ms tick.
     let cpu_speedup = if base_cpu > 0.0 && on_cpu > 0.0 {
         base_cpu / on_cpu
     } else {
         row.get("speedup")
+    };
+    let launch_s = if on_cpu > 0.0 {
+        on_cpu
+    } else {
+        row.get("optimized_s")
+    };
+    // Nanoseconds of one launch's time per warp instruction of a kind.
+    let per_inst = |insts: u64| match insts {
+        0 => 0.0,
+        n => launch_s * 1e9 * runs as f64 / n as f64,
     };
     row.field("memo_hits", on.hits as f64)
         .field("memo_misses", on.misses as f64)
@@ -310,9 +322,15 @@ fn dedup_row(
         .field("slots_visited", work.slots_visited as f64)
         .field("event_skips", work.event_skips as f64)
         .field("replayed_insts", work.replayed_insts as f64)
+        .field("bytes_hashed", work.bytes_hashed as f64)
         .field("baseline_cpu_s", base_cpu)
         .field("optimized_cpu_s", on_cpu)
         .field("cpu_speedup", cpu_speedup)
+        .field("ns_per_replayed_inst", per_inst(work.replayed_insts))
+        .field(
+            "ns_per_timed_inst",
+            per_inst(work.issue_scans - work.event_skips),
+        )
 }
 
 /// One mechanism: what `eval_sfu_row` costs per full-mask row against the
@@ -643,17 +661,19 @@ fn exact_counts(row: Row, runs: usize, (fast, sim): (u64, u64), work: WorkCounte
         .bound("slots_visited", exact(work.slots_visited))
         .bound("event_skips", exact(work.event_skips))
         .bound("replayed_insts", exact(work.replayed_insts))
+        .bound("bytes_hashed", exact(work.bytes_hashed))
 }
 
 /// Per-launch host work: issue scans, slots visited, event skips, replayed
-/// warp instructions.
-const fn work(counts: [u64; 4]) -> WorkCounters {
-    let [issue_scans, slots_visited, event_skips, replayed_insts] = counts;
+/// warp instructions, bytes hashed for memo keys.
+const fn work(counts: [u64; 5]) -> WorkCounters {
+    let [issue_scans, slots_visited, event_skips, replayed_insts, bytes_hashed] = counts;
     WorkCounters {
         issue_scans,
         slots_visited,
         event_skips,
         replayed_insts,
+        bytes_hashed,
     }
 }
 
@@ -673,7 +693,7 @@ fn dedup_rows(add: &mut impl FnMut(Row), check: bool, big_run: &mut dyn FnMut() 
         row,
         quick,
         (4002, 94),
-        work([2_858_030, 3_354_816, 1_182, 121_719_960]),
+        work([2_858_030, 3_354_816, 1_182, 121_719_960, 12_589_644]),
     ));
     // A cold n=32 sweep of the nine Figure-4 variants as one `run_batch`:
     // no SM holds more than four blocks, all resident at once, so only a
@@ -697,7 +717,7 @@ fn dedup_rows(add: &mut impl FnMut(Row), check: bool, big_run: &mut dyn FnMut() 
         row,
         sweeps,
         (165, 15),
-        work([12_729, 36_216, 1_629, 73_956]),
+        work([12_729, 36_216, 1_629, 73_956, 166_828]),
     ));
 
     // ---- constant-cache kernels under dedup (suite scale) ----
@@ -726,7 +746,7 @@ fn dedup_rows(add: &mut impl FnMut(Row), check: bool, big_run: &mut dyn FnMut() 
         row,
         const_runs,
         (120, 8),
-        work([968_554, 1_141_956, 554, 14_520_000]),
+        work([968_554, 1_141_956, 554, 14_520_000, 682_452]),
     ));
     let row = dedup_row("mrifhd_dedup", "const_dedup", const_runs, &mut || {
         fhd.run(&fhd_data).2
@@ -735,7 +755,7 @@ fn dedup_rows(add: &mut impl FnMut(Row), check: bool, big_run: &mut dyn FnMut() 
         row,
         const_runs,
         (120, 8),
-        work([1_230_474, 1_362_000, 330, 18_452_160]),
+        work([1_230_474, 1_362_000, 330, 18_452_160, 687_060]),
     ));
     let row = dedup_row("cp_dedup", "const_dedup", const_runs, &mut || {
         cp.run(&atoms, true).1
@@ -744,7 +764,7 @@ fn dedup_rows(add: &mut impl FnMut(Row), check: bool, big_run: &mut dyn FnMut() 
         row,
         const_runs,
         (246, 10),
-        work([103_600, 103_632, 0, 2_579_640]),
+        work([103_600, 103_632, 0, 2_579_640, 309_732]),
     ));
 }
 

@@ -472,6 +472,11 @@ counters! {
         /// Warp instructions executed by witness replay: a recording SM's
         /// period fast-forward and a follower SM's replay of its queue.
         replayed_insts,
+        /// Bytes of launch content the memo keys digested: a kernel's code
+        /// (`size_of::<Inst>()` an instruction), its parameters and the
+        /// input image's global and constant words (4 bytes each), once per
+        /// memo probe.
+        bytes_hashed,
     }
 }
 

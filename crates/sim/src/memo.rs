@@ -446,6 +446,16 @@ fn memo_key(
     }
 }
 
+/// The bulk of what [`memo_key`] digests, in bytes: the kernel's code, its
+/// parameters and the memory image's global and constant words
+/// ([`DeviceMemory::image_digest`]). The fixed-size rest (name, geometry,
+/// config, mode) is left out.
+fn key_bytes(kernel: &Kernel, params: &[Value], mem: &DeviceMemory) -> u64 {
+    let code = kernel.code.len() * std::mem::size_of::<g80_isa::Inst>();
+    let words = params.len() + mem.const_bank.len();
+    (code + 4 * words) as u64 + u64::from(mem.len_bytes())
+}
+
 /// The key's mode byte: an SM-engine seam in bit 0, dedup-off in bit 3.
 /// Bits 1–2 (once the engine's high bit and the executor) are always 0 and
 /// the layout is frozen: the byte is part of the disk tier's content
@@ -501,6 +511,8 @@ fn memo_lookup_inner(
     let tampered = ctx.faults().tamper(Site::MemoLoad);
     let mode = mode_bits(ctx.sm_engine.is_some(), ctx.config().dedup);
     let key = memo_key(cfg, kernel, dims, params, mem, mode);
+    let hashed = key_bytes(kernel, params, mem);
+    ctx.metrics.work.bytes_hashed.fetch_add(hashed, Relaxed);
     // The lock covers the map lookup and the LRU bump only; verifying and
     // replaying the payload are O(delta) and run on the shared `Arc`, so
     // concurrent probes (serve handlers, host threads) do not serialize on

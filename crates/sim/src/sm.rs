@@ -55,6 +55,7 @@ use crate::witness::{
     replay_block, Ev, Rep, ReplayScratch, Sig, Signature, WitnessRecorder, WriteBuf,
 };
 use g80_isa::decode::{DecodedKernel, IssueClass, MemKind, MicroOp};
+use g80_isa::exec::Row;
 use g80_isa::{Kernel, Value};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -241,7 +242,10 @@ fn observed<O: Observe>(p: &Prepared, mut obs: O, mut sched: Schedule) -> (SmSta
         work: pipe.work,
         ..SmTally::default()
     };
-    tally.work.issue_scans += tally.work.event_skips;
+    // A scan per issued instruction and per event skip, counted here, not
+    // per issue: the issued ones are the SM's warp instructions less those
+    // a fast-forward added ([`Observe::finish`] takes those off).
+    tally.work.issue_scans = pipe.stats.warp_instructions + tally.work.event_skips;
     let verified = obs.finish(&mut tally);
     if p.dedup {
         tally.memo.dedup_sim_blocks = sched.queue.len() as u64 - tally.memo.dedup_fast_blocks;
@@ -263,7 +267,8 @@ trait Observe: Sized {
     fn removed(&mut self, _bi: usize) {}
     /// A refill boundary: some slot refilled and none was removed.
     fn at_refill(&mut self, _: &Prepared, _: &mut Schedule, _: &mut ExecCtx<Self::Sig>) {}
-    /// Adds the run's dedup and replay tallies; says whether every block
+    /// Adds the run's dedup and replay tallies, and takes the instructions
+    /// it fast-forwarded off `issue_scans`; says whether every block
     /// verified class-identical.
     fn finish(self, _tally: &mut SmTally) -> bool {
         false
@@ -541,6 +546,9 @@ struct PeriodDetector<'f> {
     memo: MemoCounters,
     /// A donor's hand-off of its frozen representative ([`Watch::Donor`]).
     on_freeze: Option<&'f mut dyn FnMut(Arc<Rep>)>,
+    /// Warp instructions the fast-forwards added to the SM's stats without
+    /// issuing them.
+    fast_insts: u64,
 }
 
 impl Observe for PeriodDetector<'_> {
@@ -595,6 +603,7 @@ impl Observe for PeriodDetector<'_> {
 
     fn finish(self, tally: &mut SmTally) -> bool {
         tally.memo = self.memo;
+        tally.work.issue_scans -= self.fast_insts;
         tally.work.replayed_insts += self.replay.map_or(0, |r| r.replayed);
         self.recorder.take_verified().is_some()
     }
@@ -608,6 +617,7 @@ impl<'f> PeriodDetector<'f> {
             replay: None,
             memo: MemoCounters::default(),
             on_freeze,
+            fast_insts: 0,
         }
     }
 
@@ -643,6 +653,7 @@ impl<'f> PeriodDetector<'f> {
                 sched.next += d_consumed;
                 self.memo.dedup_fast_blocks += d_consumed as u64;
                 pipe.stats.add_delta(&d_stats);
+                self.fast_insts += d_stats.warp_instructions;
                 sched.shift(pipe, d_cycle);
             }
         }
@@ -735,9 +746,11 @@ struct ExecCtx<'a, S> {
     /// Row-shape tally (flushed to the launching context's counters once
     /// per `run_sm`).
     rows: RowCounters,
-    /// Host work: issued instructions (as `issue_scans`, the event skips
-    /// added at the end), slots visited, event skips.
+    /// Host work: slots visited and event skips (`issue_scans` is derived
+    /// when the run ends).
     work: WorkCounters,
+    /// The rows [`step`] expands operands into.
+    tmp: [Row; 3],
 }
 
 impl<'a, S: Signature> ExecCtx<'a, S> {
@@ -753,6 +766,7 @@ impl<'a, S: Signature> ExecCtx<'a, S> {
             sig: S::default(),
             rows: RowCounters::default(),
             work: WorkCounters::default(),
+            tmp: [[Value::ZERO; 32]; 3],
         }
     }
 
@@ -780,9 +794,10 @@ impl<'a, S: Signature> ExecCtx<'a, S> {
         let (warp, smem) = (&mut block.warps[wi], &mut block.smem);
         let lanes = warp.active_mask().count_ones();
         self.stats.count_inst(mop.class, lanes, mop.flops);
-        self.work.issue_scans += 1;
         let (mut mem, mut scratch) = (self.p.spec.mem, Scratch::default());
-        let did = match step::<false, _>(self.p, mop.inst, warp, smem, &mut mem, &mut scratch) {
+        let tmp = &mut self.tmp;
+        let did = match step::<false, _>(self.p, mop.inst, warp, smem, &mut mem, &mut scratch, tmp)
+        {
             Ok(did) => did,
             Err(r) => self.refused(r, mop, &block.warps[wi], block.smem.len()),
         };

@@ -79,11 +79,13 @@ pub(crate) enum Refusal {
 
 /// Executes `inst`, the next instruction of `warp`, over the block's shared
 /// memory `smem` and the global store `global` (device memory, or replay's
-/// write buffer). Inlined into both callers: out of line, replay's calls
-/// cost `matmul_walk` ≈ 20 %, as did a report holding the address rows by
-/// value (≈ 16 %: 128-byte copies), hence [`Scratch`]. `REPLAY` selects
-/// replay's copy, which eligibility keeps from atomics and texture fetches:
-/// compiled into it, their out-of-line arms cost replay 6–19 %.
+/// write buffer). Operand rows are read in place or expanded into `tmp`,
+/// rows the caller keeps across instructions; none is copied out. Inlined
+/// into both callers: out of line, replay's calls cost `matmul_walk`
+/// ≈ 20 %, as did a report holding the address rows by value (≈ 16 %),
+/// hence [`Scratch`]. `REPLAY` selects replay's copy, which eligibility
+/// keeps from atomics and texture fetches: compiled into it, their
+/// out-of-line arms cost replay 6–19 %.
 #[inline(always)]
 pub(crate) fn step<'s, const REPLAY: bool, W: Words + ?Sized>(
     p: &Prepared,
@@ -92,12 +94,14 @@ pub(crate) fn step<'s, const REPLAY: bool, W: Words + ?Sized>(
     smem: &mut [Value],
     global: &mut W,
     scratch: &'s mut Scratch,
+    tmp: &mut [Row; 3],
 ) -> Result<Did<'s>, Refusal> {
     let params = p.spec.params;
     let mask = warp.active_mask();
-    if warp.exec_reg_only(&inst, mask, params) {
+    if warp.exec_reg_only(&inst, mask, params, tmp) {
         return Ok(Did::Reg);
     }
+    let [t0, t1, _] = tmp;
     Ok(match inst {
         Inst::Ld {
             space,
@@ -107,21 +111,21 @@ pub(crate) fn step<'s, const REPLAY: bool, W: Words + ?Sized>(
         } => {
             let access = match space {
                 Space::Global => {
-                    let addrs = LaneAddrs::of(warp, mask, addr, off, params);
+                    let addrs = LaneAddrs::of(warp, mask, addr, off, params, t0);
                     let addrs = scratch.addrs.insert(addrs);
-                    let row = warp.reg_row_mut(dst.0);
+                    let row = warp.dst_row(dst.0, mask);
                     addrs.load(global, row).map_err(Refusal::Global)?;
                     Access::Global(addrs)
                 }
                 Space::Shared => {
-                    let addrs = LaneAddrs::of(warp, mask, addr, off, params);
+                    let addrs = LaneAddrs::of(warp, mask, addr, off, params, t0);
                     let addrs = scratch.addrs.insert(addrs);
-                    let row = warp.reg_row_mut(dst.0);
+                    let row = warp.dst_row(dst.0, mask);
                     addrs.load(smem, row).map_err(Refusal::Shared)?;
                     Access::Shared(addrs)
                 }
                 Space::Local => {
-                    warp.load_local(mask, dst.0, &addr_row(warp, addr, off, params));
+                    warp.load_local(mask, dst.0, &addr_row(warp, addr, off, params, t0));
                     Access::Local(mask)
                 }
                 Space::Const => {
@@ -143,22 +147,24 @@ pub(crate) fn step<'s, const REPLAY: bool, W: Words + ?Sized>(
             off,
             src,
         } => {
-            let srcs = warp.operand_row(src, params);
+            let srcs = warp.operand_row(src, params, t0);
             let access = match space {
                 Space::Global => {
-                    let addrs = LaneAddrs::of(warp, mask, addr, off, params);
+                    let addrs = LaneAddrs::of(warp, mask, addr, off, params, t1);
                     let addrs = scratch.addrs.insert(addrs);
-                    addrs.store(global, &srcs).map_err(Refusal::Global)?;
+                    addrs.store(global, srcs).map_err(Refusal::Global)?;
                     Access::Global(addrs)
                 }
                 Space::Shared => {
-                    let addrs = LaneAddrs::of(warp, mask, addr, off, params);
+                    let addrs = LaneAddrs::of(warp, mask, addr, off, params, t1);
                     let addrs = scratch.addrs.insert(addrs);
-                    addrs.store(smem, &srcs).map_err(Refusal::Shared)?;
+                    addrs.store(smem, srcs).map_err(Refusal::Shared)?;
                     Access::Shared(addrs)
                 }
                 Space::Local => {
-                    warp.store_local(mask, &addr_row(warp, addr, off, params), &srcs);
+                    // A spill writes the warp it reads: copy its sources.
+                    let (srcs, addrs) = (*srcs, addr_row(warp, addr, off, params, t1));
+                    warp.store_local(mask, &addrs, &srcs);
                     Access::Local(mask)
                 }
                 Space::Const | Space::Tex => return Err(Refusal::ReadOnlyStore),
@@ -203,10 +209,11 @@ pub(crate) fn step<'s, const REPLAY: bool, W: Words + ?Sized>(
 }
 
 /// Per-lane effective addresses of a memory instruction (the address
-/// operand is resolved once for the whole warp).
+/// operand is resolved once for the whole warp, read in place or expanded
+/// into `tmp`).
 #[inline]
-fn addr_row(warp: &Warp, addr_op: Operand, off: i32, params: &[Value]) -> [u32; 32] {
-    let row = warp.operand_row(addr_op, params);
+fn addr_row(warp: &Warp, addr_op: Operand, off: i32, params: &[Value], tmp: &mut Row) -> [u32; 32] {
+    let row = warp.operand_row(addr_op, params, tmp);
     std::array::from_fn(|l| row[l].as_u32().wrapping_add(off as u32))
 }
 
@@ -245,6 +252,7 @@ impl LaneAddrs {
         addr_op: Operand,
         off: i32,
         params: &[Value],
+        tmp: &mut Row,
     ) -> LaneAddrs {
         if mask == warp.init_mask {
             if let Some(t) = addr_terms(warp, addr_op, off, params) {
@@ -252,7 +260,7 @@ impl LaneAddrs {
                 return LaneAddrs::Shaped(t, mask.trailing_ones());
             }
         }
-        LaneAddrs::Lanes(addr_row(warp, addr_op, off, params), mask)
+        LaneAddrs::Lanes(addr_row(warp, addr_op, off, params, tmp), mask)
     }
 
     /// A warp load: every active lane reads the word at its address into
@@ -410,7 +418,7 @@ fn load_const(
             return Ok(1);
         }
     }
-    let addrs = addr_row(warp, addr, off, params);
+    let addrs = addr_row(warp, addr, off, params, &mut [Value::ZERO; 32]);
     let mut words = [Value::ZERO; 32];
     let mut n = 0;
     for (lane, &a) in addrs.iter().enumerate() {
@@ -422,7 +430,7 @@ fn load_const(
             }
         }
     }
-    let dst_row = warp.reg_row_mut(dst);
+    let dst_row = warp.dst_row(dst, mask);
     for lane in 0..32 {
         if mask >> lane & 1 == 1 {
             dst_row[lane] = words[lane];
@@ -442,8 +450,8 @@ fn load_tex<'s>(p: &Prepared, inst: Inst, warp: &mut Warp, scratch: &'s mut Scra
     };
     debug_assert!(!p.dedup, "dedup witness on texture-cache load");
     let (cfg, mem, mask) = (p.cfg, p.spec.mem, warp.active_mask());
-    let addrs = addr_row(warp, addr, off, p.spec.params);
-    let dst_row = warp.reg_row_mut(dst.0);
+    let addrs = addr_row(warp, addr, off, p.spec.params, &mut [Value::ZERO; 32]);
+    let dst_row = warp.dst_row(dst.0, mask);
     let (out, mut n) = (scratch.distinct.insert([0; 32]), 0);
     for lane in (0..32).filter(|lane| mask >> lane & 1 == 1) {
         let g = mem.tex_to_global(addrs[lane]);
@@ -476,11 +484,13 @@ fn atom(p: &Prepared, inst: Inst, warp: &mut Warp, smem: &mut [Value]) -> Did<'s
     };
     debug_assert!(!p.dedup, "dedup witness on atomic");
     let (params, mask) = (p.spec.params, warp.active_mask());
-    let addrs = addr_row(warp, addr, off, params);
-    let srcs = warp.operand_row(src, params);
+    let mut tmp = [Value::ZERO; 32];
+    let addrs = addr_row(warp, addr, off, params, &mut tmp);
+    let srcs = warp.operand_row(src, params, &mut tmp);
+    let mut olds = [Value::ZERO; 32];
     for lane in (0..32).filter(|lane| mask >> lane & 1 == 1) {
         let (a, v) = (addrs[lane], srcs[lane]);
-        let old = match space {
+        olds[lane] = match space {
             Space::Global => p.spec.mem.atomic(op, a, v),
             Space::Shared => {
                 let word = smem.get_mut((a / 4) as usize);
@@ -489,8 +499,12 @@ fn atom(p: &Prepared, inst: Inst, warp: &mut Warp, smem: &mut [Value]) -> Did<'s
             }
             _ => panic!("atomics only on global/shared memory"),
         };
-        if let Some(d) = dst {
-            warp.set_reg(d.0, lane, old);
+    }
+    // The old values land once the sources, which `dst` may be, are read.
+    if let Some(d) = dst {
+        let row = warp.dst_row(d.0, mask);
+        for lane in (0..32).filter(|lane| mask >> lane & 1 == 1) {
+            row[lane] = olds[lane];
         }
     }
     warp.advance();

@@ -8,9 +8,10 @@
 //! architectural register's pending write completes, which is what lets
 //! independent instructions (and other warps) cover memory latency.
 
+use g80_isa::exec::{self, Row};
 use g80_isa::inst::{Inst, Operand, SpecialReg};
 use g80_isa::row::{self, LaneRow};
-use g80_isa::{exec, Value};
+use g80_isa::Value;
 
 /// Sentinel "no reconvergence point".
 pub const NO_RPC: u32 = u32::MAX;
@@ -37,11 +38,11 @@ pub enum RegSource {
 pub struct Warp {
     /// Divergence stack; the top entry is the executing path.
     pub frames: Vec<Frame>,
-    /// Register file backing store: `regs[r * 32 + lane]`. Only valid for a
-    /// register whose shape is [`LaneRow::Full`]; a `Uniform`/`Affine` shape
-    /// supersedes the backing row (which may hold stale lanes) until
-    /// [`Warp::materialize`] expands it.
-    pub regs: Vec<Value>,
+    /// Register file backing store: `regs[r]` is register `r`'s 32-lane row.
+    /// Only valid for a register whose shape is [`LaneRow::Full`]; a
+    /// `Uniform`/`Affine` shape supersedes the backing row (which may hold
+    /// stale lanes) until [`Warp::materialize`] expands it.
+    pub regs: Vec<Row>,
     /// Row-shape tag per register (see [`LaneRow`]). In an eager warp
     /// ([`Warp::new_eager`]) every entry stays `Full` forever and the
     /// register file is a plain materialized array.
@@ -159,7 +160,7 @@ impl Warp {
                 rpc: NO_RPC,
                 mask,
             }],
-            regs: vec![Value::ZERO; (nregs as usize) * 32],
+            regs: vec![[Value::ZERO; 32]; nregs as usize],
             shapes: vec![init_shape; nregs as usize],
             rows_enabled,
             tid_shape,
@@ -195,7 +196,7 @@ impl Warp {
             // fill disappears from the per-block reset path.
             self.shapes.fill(LaneRow::Uniform(Value::ZERO));
         } else {
-            self.regs.fill(Value::ZERO);
+            self.regs.fill([Value::ZERO; 32]);
         }
         self.reg_ready.fill(0);
         self.reg_source.fill(RegSource::Alu);
@@ -242,20 +243,24 @@ impl Warp {
     pub fn reg(&self, r: u32, lane: usize) -> Value {
         self.shapes[r as usize]
             .lane(lane)
-            .unwrap_or_else(|| self.regs[(r as usize) * 32 + lane])
+            .unwrap_or_else(|| self.regs[r as usize][lane])
     }
 
     /// Expands a register's shape into the backing row (no-op when already
-    /// `Full`). After this, `regs[r*32..]` is valid and the shape is `Full`.
+    /// `Full`). After this, `regs[r]` is valid and the shape is `Full`.
     #[inline]
     pub fn materialize(&mut self, r: u32) {
-        let shape = self.shapes[r as usize];
-        if shape != LaneRow::Full {
-            let base = (r as usize) * 32;
-            let row: &mut [Value; 32] = (&mut self.regs[base..base + 32]).try_into().unwrap();
-            shape.expand_into(row);
-            self.shapes[r as usize] = LaneRow::Full;
+        if self.shapes[r as usize] != LaneRow::Full {
+            self.expand_reg(r);
         }
+    }
+
+    /// [`Warp::materialize`]'s expansion, out of line: the check stays in
+    /// every caller, the affine walk in one place.
+    #[inline(never)]
+    fn expand_reg(&mut self, r: u32) {
+        let shape = std::mem::replace(&mut self.shapes[r as usize], LaneRow::Full);
+        shape.expand_into(&mut self.regs[r as usize]);
     }
 
     /// Writes a register lane (materializing the row first so the other
@@ -263,30 +268,45 @@ impl Warp {
     #[inline]
     pub fn set_reg(&mut self, r: u32, lane: usize, v: Value) {
         self.materialize(r);
-        self.regs[(r as usize) * 32 + lane] = v;
+        self.regs[r as usize][lane] = v;
     }
 
     /// Records a folded whole-row write: `r` becomes `shape` without
     /// touching the backing store. Only valid when every live lane is
     /// active (`mask == init_mask`; dead lanes hold nothing anyone reads) —
-    /// a partial write must go through [`Warp::reg_row_mut`]/
-    /// [`Warp::set_reg`] so inactive lanes keep their prior values.
+    /// a partial write must go through `Warp::dst_row`/[`Warp::set_reg`]
+    /// so inactive lanes keep their prior values.
     #[inline]
     pub fn set_shape(&mut self, r: u32, shape: LaneRow) {
         debug_assert_ne!(shape, LaneRow::Full);
         self.shapes[r as usize] = shape;
     }
 
-    /// A register's full 32-lane row, mutably (materializing it first).
-    #[inline]
-    pub fn reg_row_mut(&mut self, r: u32) -> &mut [Value; 32] {
+    /// A register's full 32-lane row, mutably (materializing it first): how
+    /// tests load a row; instructions write through [`Warp::dst_row`].
+    #[cfg(test)]
+    pub(crate) fn reg_row_mut(&mut self, r: u32) -> &mut Row {
         self.materialize(r);
-        let base = (r as usize) * 32;
-        (&mut self.regs[base..base + 32]).try_into().unwrap()
+        &mut self.regs[r as usize]
+    }
+
+    /// Register `r`'s row, tagged `Full`, for an instruction to write the
+    /// lanes of `mask` into. When that is every live lane (`mask ==
+    /// init_mask`) the old shape is dead and is not materialized: the row is
+    /// overwritten, and the dead tail of a partial warp, which nothing reads,
+    /// keeps whatever it held. A partial write expands the old shape first,
+    /// so the inactive lanes keep their values.
+    #[inline(always)]
+    pub(crate) fn dst_row(&mut self, r: u32, mask: u32) -> &mut Row {
+        if mask != self.init_mask {
+            self.materialize(r);
+        }
+        self.shapes[r as usize] = LaneRow::Full;
+        &mut self.regs[r as usize]
     }
 
     /// The shape of an operand row. `Full` means "no structure known"; the
-    /// fold fast paths fall back to [`Warp::operand_row`] in that case.
+    /// fold fast paths fall back to the operand's rows in that case.
     #[inline]
     pub fn operand_shape(&self, op: Operand, params: &[Value]) -> LaneRow {
         match op {
@@ -330,9 +350,7 @@ impl Warp {
                 }
             }
             LaneRow::Full => {
-                let base = (r as usize) * 32;
-                let row: &[Value; 32] = (&self.regs[base..base + 32]).try_into().unwrap();
-                let taken = exec::true_mask(row);
+                let taken = exec::true_mask(&self.regs[r as usize]);
                 (if negate { !taken } else { taken }) & mask
             }
             shape => {
@@ -341,7 +359,7 @@ impl Warp {
                     if (mask >> lane) & 1 == 1 {
                         let pv = shape
                             .lane(lane)
-                            .unwrap_or_else(|| self.regs[(r as usize) * 32 + lane]);
+                            .unwrap_or_else(|| self.regs[r as usize][lane]);
                         if pv.as_bool() != negate {
                             taken |= 1 << lane;
                         }
@@ -352,30 +370,98 @@ impl Warp {
         }
     }
 
-    /// Evaluates an operand for all 32 lanes at once. Operand reads are
-    /// pure, so materializing inactive lanes is harmless; copying the row
-    /// out resolves the operand kind once per instruction (instead of per
-    /// lane) and decouples the sources from a destination row that may
-    /// alias them.
-    #[inline]
-    pub fn operand_row(&self, op: Operand, params: &[Value]) -> [Value; 32] {
-        match op {
-            Operand::Reg(r) => match self.shapes[r.0 as usize] {
-                LaneRow::Full => {
-                    let base = (r.0 as usize) * 32;
-                    let row: &[Value; 32] = (&self.regs[base..base + 32]).try_into().unwrap();
-                    *row
-                }
-                shape => {
-                    let mut row = [Value::ZERO; 32];
-                    shape.expand_into(&mut row);
-                    row
-                }
-            },
-            Operand::Imm(v) => [v; 32],
-            Operand::Param(i) => [params[i as usize]; 32],
-            Operand::Special(_) => std::array::from_fn(|lane| self.operand(op, lane, params)),
+    /// An operand's 32 lanes, read where they live: a `Full` register's
+    /// row is borrowed from the register file; any other operand (a shaped
+    /// register, an immediate, a parameter, a special register) is expanded
+    /// into `tmp`, which the caller owns. The kind is resolved once per
+    /// instruction, not per lane, and no row is returned by value.
+    #[inline(always)]
+    pub(crate) fn operand_row<'a>(
+        &'a self,
+        op: Operand,
+        params: &[Value],
+        tmp: &'a mut Row,
+    ) -> &'a Row {
+        match self.expand_operand(op, params, tmp) {
+            Some(r) => &self.regs[r],
+            None => tmp,
         }
+    }
+
+    /// The one resolution of a whole-row operand read: `Some(r)` when `op`
+    /// is register `r` held `Full` (read its row in place), else `None`
+    /// with the operand's lanes in `tmp`. Operand reads are pure, so
+    /// expanding lanes that are inactive is harmless.
+    #[inline(always)]
+    fn expand_operand(&self, op: Operand, params: &[Value], tmp: &mut Row) -> Option<usize> {
+        match op {
+            Operand::Reg(r) if self.shapes[r.0 as usize] == LaneRow::Full => {
+                return Some(r.0 as usize)
+            }
+            Operand::Imm(v) => tmp.fill(v),
+            Operand::Param(i) => tmp.fill(params[i as usize]),
+            _ => self.expand_shaped(op, tmp),
+        }
+        None
+    }
+
+    /// Expands a shaped register or a special register into `tmp`. Out of
+    /// line: inlined at every operand, its affine walk grew the timed
+    /// engine's and replay's code by half and cost `suite_table3` ≈ 5 %.
+    #[inline(never)]
+    fn expand_shaped(&self, op: Operand, tmp: &mut Row) {
+        let shape = match op {
+            Operand::Reg(r) => self.shapes[r.0 as usize],
+            Operand::Special(s) => self.special_shape(s),
+            Operand::Imm(_) | Operand::Param(_) => unreachable!("expanded inline"),
+        };
+        if !shape.expand_into(tmp) {
+            for (lane, v) in tmp.iter_mut().enumerate() {
+                *v = self.operand(op, lane, &[]);
+            }
+        }
+    }
+
+    /// A register-only instruction's rows: its destination `dst`, to be
+    /// written under `mask` by [`Warp::dst_row`]'s rule (the old shape is
+    /// expanded for a partial write only), and its sources `ops` beside it;
+    /// slots past `ops` read `tmp`. A `Full` source register is borrowed
+    /// from the register file, on either side of the destination
+    /// (`split_at_mut`); a source that *is* the destination is copied into
+    /// its `tmp` row, and any other operand is expanded into its `tmp` row,
+    /// all before the destination is retagged.
+    #[inline(always)]
+    fn reg_only_rows<'a>(
+        &'a mut self,
+        dst: u32,
+        ops: &[Operand],
+        mask: u32,
+        params: &[Value],
+        tmp: &'a mut [Row; 3],
+    ) -> (&'a mut Row, [&'a Row; 3]) {
+        let d = dst as usize;
+        if mask != self.init_mask {
+            self.materialize(dst);
+        }
+        let mut borrowed = [None; 3];
+        for (i, &op) in ops.iter().enumerate() {
+            match self.expand_operand(op, params, &mut tmp[i]) {
+                Some(r) if r == d => tmp[i] = self.regs[d],
+                r => borrowed[i] = r,
+            }
+        }
+        self.shapes[d] = LaneRow::Full;
+        let (below, rest) = self.regs.split_at_mut(d);
+        let (dst_row, above) = rest
+            .split_first_mut()
+            .expect("destination in the register file");
+        let tmp: &'a [Row; 3] = tmp;
+        let srcs = std::array::from_fn(|i| match borrowed[i] {
+            None => &tmp[i],
+            Some(r) if r < d => &below[r],
+            Some(r) => &above[r - d - 1],
+        });
+        (dst_row, srcs)
     }
 
     /// Evaluates an operand for one lane.
@@ -410,17 +496,28 @@ impl Warp {
     /// read) and operand shapes that fold, the whole result row is one
     /// [`LaneRow`] tag — no lane evaluation, no backing-store write; folds
     /// are bit-exact by construction (`g80_isa::row` tests). Otherwise the
-    /// row is evaluated under `mask`, inactive lanes keeping their values.
+    /// row is evaluated under `mask` over operand rows read in place
+    /// ([`Warp::reg_only_rows`]), inactive lanes keeping their values.
     /// Either way the warp advances and `shapes[dst]` says which happened
     /// (`Full` = evaluated). Returns `false`, with nothing touched, for any
     /// other instruction.
     ///
-    /// Inlined into both callers, returning one bit, and with no operand row
-    /// in a closure, tuple or return value on purpose: a row-returning
-    /// closure here (or the tag handed back, ISSUE 24) cost witness replay
-    /// ≈ 20 % on `matmul_walk`.
+    /// Inlined into both callers, returning one bit, with no operand row in
+    /// a closure, tuple or return value and none copied but a source that is
+    /// the destination: a row-returning closure here cost witness replay
+    /// ≈ 20 % on `matmul_walk`, and by-value operand rows plus the
+    /// destination's dead materialize ≈ 14 % of `suite_table3`'s samples.
+    /// A fold leaves before the operand list is built: carried through the
+    /// fold path, it cost a loop that only folds (`serve_mix`'s `sim`
+    /// kernel) ≈ 6 %.
     #[inline(always)]
-    pub(crate) fn exec_reg_only(&mut self, inst: &Inst, mask: u32, params: &[Value]) -> bool {
+    pub(crate) fn exec_reg_only(
+        &mut self,
+        inst: &Inst,
+        mask: u32,
+        params: &[Value],
+        tmp: &mut [Row; 3],
+    ) -> bool {
         // A diverged warp folds nothing: its operands count as `Full`.
         let fold = mask == self.init_mask;
         let shape = |w: &Warp, op| {
@@ -430,75 +527,50 @@ impl Warp {
                 LaneRow::Full
             }
         };
-        match *inst {
-            Inst::Alu { op, dst, a, b } => {
-                match row::fold_alu(op, shape(self, a), shape(self, b)) {
-                    Some(tag) => self.set_shape(dst.0, tag),
-                    None => {
-                        let ar = self.operand_row(a, params);
-                        let br = self.operand_row(b, params);
-                        exec::eval_alu_row(op, &ar, &br, self.reg_row_mut(dst.0), mask);
-                    }
-                }
-            }
-            Inst::Ffma { dst, a, b, c } => {
-                match row::fold_ffma(shape(self, a), shape(self, b), shape(self, c)) {
-                    Some(tag) => self.set_shape(dst.0, tag),
-                    None => {
-                        let ar = self.operand_row(a, params);
-                        let br = self.operand_row(b, params);
-                        let cr = self.operand_row(c, params);
-                        exec::eval_ffma_row(&ar, &br, &cr, self.reg_row_mut(dst.0), mask);
-                    }
-                }
-            }
-            Inst::Imad { dst, a, b, c } => {
-                match row::fold_imad(shape(self, a), shape(self, b), shape(self, c)) {
-                    Some(tag) => self.set_shape(dst.0, tag),
-                    None => {
-                        let ar = self.operand_row(a, params);
-                        let br = self.operand_row(b, params);
-                        let cr = self.operand_row(c, params);
-                        exec::eval_imad_row(&ar, &br, &cr, self.reg_row_mut(dst.0), mask);
-                    }
-                }
-            }
-            Inst::Un { op, dst, a } => match row::fold_un(op, shape(self, a)) {
-                Some(tag) => self.set_shape(dst.0, tag),
-                None => {
-                    let ar = self.operand_row(a, params);
-                    exec::eval_un_row(op, &ar, self.reg_row_mut(dst.0), mask);
-                }
-            },
-            Inst::Sfu { op, dst, a } => match row::fold_sfu(op, shape(self, a)) {
-                Some(tag) => self.set_shape(dst.0, tag),
-                None => {
-                    let ar = self.operand_row(a, params);
-                    exec::eval_sfu_row(op, &ar, self.reg_row_mut(dst.0), mask);
-                }
-            },
+        let (dst, folded) = match *inst {
+            Inst::Alu { op, dst, a, b } => (dst, row::fold_alu(op, shape(self, a), shape(self, b))),
+            Inst::Ffma { dst, a, b, c } => (
+                dst,
+                row::fold_ffma(shape(self, a), shape(self, b), shape(self, c)),
+            ),
+            Inst::Imad { dst, a, b, c } => (
+                dst,
+                row::fold_imad(shape(self, a), shape(self, b), shape(self, c)),
+            ),
+            Inst::Un { op, dst, a } => (dst, row::fold_un(op, shape(self, a))),
+            Inst::Sfu { op, dst, a } => (dst, row::fold_sfu(op, shape(self, a))),
             Inst::SetP { op, ty, dst, a, b } => {
-                match row::fold_cmp(op, ty, shape(self, a), shape(self, b)) {
-                    Some(tag) => self.set_shape(dst.0, tag),
-                    None => {
-                        let ar = self.operand_row(a, params);
-                        let br = self.operand_row(b, params);
-                        exec::eval_cmp_row(op, ty, &ar, &br, self.reg_row_mut(dst.0), mask);
-                    }
-                }
+                (dst, row::fold_cmp(op, ty, shape(self, a), shape(self, b)))
             }
-            Inst::Sel { dst, c, a, b } => {
-                match row::fold_sel(shape(self, c), shape(self, a), shape(self, b)) {
-                    Some(tag) => self.set_shape(dst.0, tag),
-                    None => {
-                        let cr = self.operand_row(c, params);
-                        let ar = self.operand_row(a, params);
-                        let br = self.operand_row(b, params);
-                        exec::eval_sel_row(&cr, &ar, &br, self.reg_row_mut(dst.0), mask);
-                    }
-                }
-            }
+            Inst::Sel { dst, c, a, b } => (
+                dst,
+                row::fold_sel(shape(self, c), shape(self, a), shape(self, b)),
+            ),
             _ => return false,
+        };
+        if let Some(tag) = folded {
+            self.set_shape(dst.0, tag);
+        } else {
+            // What an unused operand slot holds; `n` keeps it unread.
+            let none = Operand::Imm(Value::ZERO);
+            let (ops, n) = match *inst {
+                Inst::Alu { a, b, .. } | Inst::SetP { a, b, .. } => ([a, b, none], 2),
+                Inst::Ffma { a, b, c, .. } | Inst::Imad { a, b, c, .. } => ([a, b, c], 3),
+                Inst::Sel { c, a, b, .. } => ([c, a, b], 3),
+                Inst::Un { a, .. } | Inst::Sfu { a, .. } => ([a, none, none], 1),
+                _ => unreachable!("register-only kinds only"),
+            };
+            let (d, [a, b, c]) = self.reg_only_rows(dst.0, &ops[..n], mask, params, tmp);
+            match *inst {
+                Inst::Alu { op, .. } => exec::eval_alu_row(op, a, b, d, mask),
+                Inst::Ffma { .. } => exec::eval_ffma_row(a, b, c, d, mask),
+                Inst::Imad { .. } => exec::eval_imad_row(a, b, c, d, mask),
+                Inst::Un { op, .. } => exec::eval_un_row(op, a, d, mask),
+                Inst::Sfu { op, .. } => exec::eval_sfu_row(op, a, d, mask),
+                Inst::SetP { op, ty, .. } => exec::eval_cmp_row(op, ty, a, b, d, mask),
+                Inst::Sel { .. } => exec::eval_sel_row(a, b, c, d, mask),
+                _ => unreachable!("register-only kinds only"),
+            }
         }
         self.advance();
         true
@@ -710,7 +782,11 @@ mod tests {
         assert_eq!(w.reg(3, 0).as_u32(), 100);
         assert_eq!(w.reg(3, 5).as_u32(), 140);
         assert_eq!(w.reg(3, 18).as_u32(), 1116);
-        let row = w.operand_row(Operand::Reg(g80_isa::inst::Reg(3)), &[]);
+        let row = *w.operand_row(
+            Operand::Reg(g80_isa::inst::Reg(3)),
+            &[],
+            &mut [Value::ZERO; 32],
+        );
         assert_eq!(row[7].as_u32(), 156);
         assert_eq!(row[16].as_u32(), 1100);
         // A lane write materializes: the other lanes keep their affine values.
@@ -851,8 +927,15 @@ mod tests {
     /// One instruction of each register-only kind (r0 = f(r1, r2, r3)), with
     /// its per-lane meaning stated through the scalar evaluators.
     fn reg_only_insts() -> Vec<(Inst, LaneFn)> {
+        reg_only_kinds(0, [1, 2, 3])
+    }
+
+    /// [`reg_only_insts`] with register `dst` = f(`srcs`): `f`'s arguments
+    /// are the values of `srcs` in order, whichever operand reads them.
+    fn reg_only_kinds(dst: u32, srcs: [u32; 3]) -> Vec<(Inst, LaneFn)> {
         use g80_isa::inst::{AluOp, CmpOp, Reg, Scalar, SfuOp, UnOp};
-        let (dst, a, b, c) = (Reg(0), Reg(1).into(), Reg(2).into(), Reg(3).into());
+        let [a, b, c] = srcs.map(|r| Operand::Reg(Reg(r)));
+        let dst = Reg(dst);
         let alu = |op| Inst::Alu { op, dst, a, b };
         let (lt, ge) = (CmpOp::Lt, CmpOp::Ge);
         vec![
@@ -964,7 +1047,10 @@ mod tests {
 
                         let mut folded = full_warp();
                         load_operands(&mut folded, &[ra, rb, rc]);
-                        assert!(folded.exec_reg_only(&inst, u32::MAX, &[]), "{label}");
+                        assert!(
+                            folded.exec_reg_only(&inst, u32::MAX, &[], &mut [[Value::ZERO; 32]; 3]),
+                            "{label}"
+                        );
                         assert_eq!(folded.pc(), 1, "{label}");
                         let all_uniform = [ra, rb, rc]
                             .iter()
@@ -978,13 +1064,24 @@ mod tests {
                         let prior = LaneRow::affine(7, 3, 0, 4);
                         diverged.set_shape(0, prior);
                         diverged.take_branch(PARTIAL, 5, 9, 1);
-                        assert!(diverged.exec_reg_only(&inst, PARTIAL, &[]), "{label}");
+                        assert!(
+                            diverged.exec_reg_only(
+                                &inst,
+                                PARTIAL,
+                                &[],
+                                &mut [[Value::ZERO; 32]; 3]
+                            ),
+                            "{label}"
+                        );
                         assert_eq!(diverged.pc(), 6, "{label}");
                         assert_eq!(diverged.shapes[0], LaneRow::Full, "{label}");
 
                         let mut eager = eager_warp();
                         load_operands(&mut eager, &[ra, rb, rc]);
-                        assert!(eager.exec_reg_only(&inst, u32::MAX, &[]), "{label}");
+                        assert!(
+                            eager.exec_reg_only(&inst, u32::MAX, &[], &mut [[Value::ZERO; 32]; 3]),
+                            "{label}"
+                        );
 
                         for (lane, &v) in want.iter().enumerate() {
                             assert_eq!(folded.reg(0, lane), v, "{label}: fold, lane {lane}");
@@ -999,6 +1096,137 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The borrow rules: a source that is the destination reads its old
+    /// row (copied, or expanded from its tag) before the write, on a full,
+    /// a 17-lane and a one-lane warp, undiverged and diverged, for every
+    /// register-only kind with the destination each source in turn and
+    /// with every source one register (`r1 = r1 op r1`). Every live lane
+    /// must equal the lane evaluators' answer and the eager warp's.
+    #[test]
+    fn reg_only_sources_that_are_the_destination_read_their_old_rows() {
+        let rows = operand_rows();
+        // A select condition that is not all-true on the structureless row.
+        let mut cond = rows[4];
+        cond.1[0] = Value::ZERO;
+        let aliased = [
+            (1, [1, 1, 1]),
+            (1, [1, 2, 3]),
+            (2, [1, 2, 3]),
+            (3, [1, 2, 3]),
+        ];
+        // (block width, active mask): a one-lane warp cannot split, so a
+        // full warp with one active lane stands for its diverged case.
+        let runs = [
+            (32, u32::MAX),
+            (32, 0x0f0f_f0f1),
+            (32, 1 << 5),
+            (17, 0x1_ffff),
+            (17, 0x1_f0f1),
+            (1, 1),
+        ];
+        for (dst, srcs) in aliased {
+            for (inst, lane_fn) in reg_only_kinds(dst, srcs) {
+                for ra in &rows {
+                    for (rb, rc) in [(&rows[1], &rows[0]), (&rows[4], &cond)] {
+                        for (width, mask) in runs {
+                            let label = format!(
+                                "{inst:?} on {:?}, {:?}, {:?}; {width} lanes, mask {mask:#x}",
+                                ra.0, rb.0, rc.0
+                            );
+                            let live = (width as usize).min(32);
+                            let [mut tracked, mut eager] = [Warp::new, Warp::new_eager]
+                                .map(|new| new(0, 4, (width, 1, 1), (0, 0), (1, 1)));
+                            for w in [&mut tracked, &mut eager] {
+                                load_operands(w, &[ra, rb, rc]);
+                                if mask != w.init_mask {
+                                    w.take_branch(mask, 5, 9, 1);
+                                }
+                                let tmp = &mut [[Value::ZERO; 32]; 3];
+                                assert!(w.exec_reg_only(&inst, mask, &[], tmp), "{label}");
+                            }
+                            let before = |r: u32| [ra, rb, rc][r as usize - 1].1;
+                            for lane in 0..live {
+                                let [a, b, c] = srcs.map(|r| before(r)[lane]);
+                                let want = if mask >> lane & 1 == 1 {
+                                    lane_fn(a, b, c)
+                                } else {
+                                    before(dst)[lane]
+                                };
+                                assert_eq!(tracked.reg(dst, lane), want, "{label}: lane {lane}");
+                                for r in 1..4 {
+                                    let (t, e) = (tracked.reg(r, lane), eager.reg(r, lane));
+                                    assert_eq!(t, e, "{label}: r{r} lane {lane}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A write of every live lane leaves the destination's old tag dead and
+    /// unexpanded: the dead tail of a partial warp keeps its stale lanes,
+    /// and every reader that looks at the live lanes only — `reg`,
+    /// `taken_mask` and `LaneRow::classify` — reads the new row.
+    #[test]
+    fn a_shaped_destination_written_whole_reads_back_its_new_row() {
+        use g80_isa::inst::{AluOp, CmpOp, Reg, Scalar};
+        let (r0, r1, r3) = (Reg(0), Reg(1), Reg(3));
+        let add = Inst::Alu {
+            op: AluOp::IAdd,
+            dst: r0,
+            a: r1.into(),
+            b: Operand::Imm(Value(16)),
+        };
+        let below = Inst::SetP {
+            op: CmpOp::Lt,
+            ty: Scalar::U32,
+            dst: r3,
+            a: r1.into(),
+            b: Operand::Imm(Value(44)),
+        };
+        for width in [32u32, 17, 1] {
+            let live = width as usize;
+            let mut w = Warp::new(0, 4, (width, 1, 1), (0, 0), (1, 1));
+            let mask = w.init_mask;
+            // r1 holds 4·lane + 8 untagged; r0 and r3 hold stale words under
+            // shaped tags.
+            *w.reg_row_mut(1) = std::array::from_fn(|l| Value(4 * l as u32 + 8));
+            for (r, prior) in [
+                (0, LaneRow::affine(7, 3, 0, 4)),
+                (3, LaneRow::Uniform(Value(1))),
+            ] {
+                *w.reg_row_mut(r) = [Value(0xdead_beef); 32];
+                w.set_shape(r, prior);
+            }
+            let tmp = &mut [[Value::ZERO; 32]; 3];
+            assert!(w.exec_reg_only(&add, mask, &[], tmp));
+            assert!(w.exec_reg_only(&below, mask, &[], tmp));
+            assert_eq!((w.shapes[0], w.shapes[3]), (LaneRow::Full, LaneRow::Full));
+            let want: [Value; 32] = std::array::from_fn(|l| Value(4 * l as u32 + 24));
+            for (lane, &v) in want.iter().enumerate().take(live) {
+                assert_eq!(w.reg(0, lane), v, "{width} lanes: lane {lane}");
+                assert_eq!(
+                    w.reg(3, lane).as_bool(),
+                    lane < 9,
+                    "{width} lanes: lane {lane}"
+                );
+            }
+            let shape = LaneRow::classify(&w.regs[0], live);
+            assert_eq!(shape, LaneRow::classify(&want, live), "{width} lanes");
+            let affine = if live > 1 {
+                LaneRow::affine(24, 4, 64, 4)
+            } else {
+                LaneRow::Uniform(Value(24))
+            };
+            assert_eq!(shape, affine, "{width} lanes");
+            let taken = mask & 0x1ff;
+            assert_eq!(w.taken_mask(3, false, mask), taken, "{width} lanes");
+            assert_eq!(w.taken_mask(3, true, mask), mask & !taken, "{width} lanes");
         }
     }
 
@@ -1043,7 +1271,10 @@ mod tests {
             w.set_shape(1, LaneRow::affine(64, 4, 64, 4));
             *w.reg_row_mut(2) = operand_rows()[4].1;
             let (shapes, regs) = (w.shapes.clone(), w.regs.clone());
-            assert!(!w.exec_reg_only(&inst, u32::MAX, &[]), "{inst:?}");
+            assert!(
+                !w.exec_reg_only(&inst, u32::MAX, &[], &mut [[Value::ZERO; 32]; 3]),
+                "{inst:?}"
+            );
             assert_eq!(w.pc(), 0, "{inst:?}");
             assert_eq!((&w.shapes, &w.regs), (&shapes, &regs), "{inst:?}");
         }

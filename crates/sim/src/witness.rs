@@ -51,6 +51,7 @@ use crate::memory::{DeviceMemory, Words};
 use crate::sm::Resident;
 use crate::step::{step, Access, Did, Scratch};
 use crate::warp::Warp;
+use g80_isa::exec::Row;
 use g80_isa::Value;
 use std::collections::HashMap;
 
@@ -348,6 +349,8 @@ impl Words for WriteBuf<'_> {
 pub(crate) struct ReplayScratch {
     block: Resident,
     cursors: Vec<usize>,
+    /// The rows [`step`] expands operands into.
+    tmp: [Row; 3],
     /// Warp instructions executed by every [`replay_block`] so far.
     pub replayed: u64,
 }
@@ -359,6 +362,7 @@ impl ReplayScratch {
         ReplayScratch {
             block,
             cursors,
+            tmp: [[Value::ZERO; 32]; 3],
             replayed: 0,
         }
     }
@@ -396,7 +400,12 @@ fn replay_warps(
     buf: &mut WriteBuf,
     scratch: &mut ReplayScratch,
 ) -> bool {
-    let ReplayScratch { block, cursors, .. } = scratch;
+    let ReplayScratch {
+        block,
+        cursors,
+        tmp,
+        ..
+    } = scratch;
     block.reset(ctaid);
     cursors.fill(0);
 
@@ -404,7 +413,7 @@ fn replay_warps(
         let smem = &mut block.smem;
         for (wi, warp) in block.warps.iter_mut().enumerate() {
             while warp.settle() && !warp.at_barrier {
-                if !replay_step(p, smem, warp, &rep[wi], &mut cursors[wi], buf) {
+                if !replay_step(p, smem, warp, &rep[wi], &mut cursors[wi], buf, tmp) {
                     return false;
                 }
             }
@@ -432,8 +441,10 @@ fn replay_warps(
 /// representative's without recomputing it — the dominant cost of replaying
 /// tiled kernels.
 ///
-/// 23–36 ns a call on the Section 4 walk at n = 256 (two pool workers on a
-/// 2-core x86-64 host), inlined with [`step`] for the reason `step` gives.
+/// ≈ 17 ns a call on a 256² tiled, unrolled matmul: CPU time per replayed
+/// warp instruction, the timed engine's 32 ns per issued one taken off
+/// (two pool workers on a 2-core x86-64 host). Inlined with [`step`] for
+/// the reason `step` gives; `tmp` is the replaying SM's operand rows.
 #[inline(always)]
 fn replay_step(
     p: &Prepared,
@@ -442,6 +453,7 @@ fn replay_step(
     rep: &[Ev],
     cursor: &mut usize,
     buf: &mut WriteBuf,
+    tmp: &mut [Row; 3],
 ) -> bool {
     let cfg = p.cfg;
     let (pc, mask) = (warp.pc(), warp.active_mask());
@@ -449,7 +461,7 @@ fn replay_step(
         return false;
     };
     let (inst, mut scratch) = (p.info.decoded.ops[pc as usize].inst, Scratch::default());
-    let Ok(did) = step::<true, _>(p, inst, warp, smem, buf, &mut scratch) else {
+    let Ok(did) = step::<true, _>(p, inst, warp, smem, buf, &mut scratch, tmp) else {
         return false;
     };
     let mut sig = Sig::default();
