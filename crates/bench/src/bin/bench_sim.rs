@@ -7,7 +7,7 @@
 //! back-to-back, pair after pair, so machine drift lands on both alike; a
 //! [`Row`] holds what the row reports and the bounds `--check` holds it to;
 //! one writer turns the rows into the JSON report. The rows A/B the
-//! product's cache, dedup, hardening, kernel-row and serving layers; the
+//! product's cache, dedup, kernel-row and serving layers; the
 //! product engine against the oracle is the `g80-oracle` crate's
 //! `engine_speedup` test.
 //!
@@ -42,8 +42,8 @@ use g80_serve::fleet::{self, probe_spec, run_fleet, FleetReport};
 use g80_serve::{serve, Addr, Request, ServeConfig, WireLaunch};
 use g80_sim::wire::{Dec, Enc, Wire};
 use g80_sim::{
-    clear_memo_cache, memo_counters, work_counters, FaultConfig, KernelStats, LaunchDims,
-    MemoCounters, SimConfig, SimContext, Site, WorkCounters,
+    clear_memo_cache, memo_counters, work_counters, KernelStats, LaunchDims, MemoCounters,
+    SimConfig, SimContext, WorkCounters,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -620,13 +620,8 @@ fn run() -> i32 {
         row.print();
         rows.push(row);
     };
-    // Matmul 1024², the dedup and hardening rows' shared workload.
-    let big = MatMul { n: 1024 };
-    let (big_a, big_b) = big.generate(42);
-    let mut big_run = || big.run(TILED16U, &big_a, &big_b).1;
-    dedup_rows(&mut add, check, &mut big_run);
+    dedup_rows(&mut add, check);
     cache_rows(&mut add, check);
-    add(hardening_row(&mut big_run));
     host_rows(&mut add);
     serve_rows(&mut add, check);
     report(&rows, check, &out_path)
@@ -677,7 +672,7 @@ const fn work(counts: [u64; 5]) -> WorkCounters {
     }
 }
 
-fn dedup_rows(add: &mut impl FnMut(Row), check: bool, big_run: &mut dyn FnMut() -> KernelStats) {
+fn dedup_rows(add: &mut impl FnMut(Row), check: bool) {
     // ---- block-class dedup ----
     // Matmul 1024² is 4096 blocks that differ only by base address: after
     // the donor SM's transient the rest replay functionally. Several
@@ -687,6 +682,9 @@ fn dedup_rows(add: &mut impl FnMut(Row), check: bool, big_run: &mut dyn FnMut() 
     // the floor guards the remaining benefit of skipping the scheduler for
     // 4002 of 4096 blocks a launch.
     let (runs, quick) = repetitions(check);
+    let big = MatMul { n: 1024 };
+    let (big_a, big_b) = big.generate(42);
+    let big_run = &mut || big.run(TILED16U, &big_a, &big_b).1;
     let row = dedup_row("matmul_1024_dedup", "dedup", quick, big_run);
     let row = row.bound("speedup", Bound::Floor(1.1));
     add(exact_counts(
@@ -852,116 +850,6 @@ fn cache_rows(add: &mut impl FnMut(Row), check: bool) {
     );
 }
 
-/// The distribution-free 90 % interval on the median of `n >= 5` `ratios`
-/// (sorted in place), 95 % on each side: the order statistics
-/// `[r_(k), r_(n+1-k)]` for the largest `k` with P(Binomial(n, 1/2) < k) <= 5 %.
-fn median_interval(ratios: &mut [f64]) -> [f64; 2] {
-    ratios.sort_by(f64::total_cmp);
-    let n = ratios.len();
-    let (mut k, mut choose, mut below) = (0, 1.0, 0.0);
-    while k < n {
-        below += choose / 2f64.powi(n as i32);
-        if below > 0.05 {
-            break;
-        }
-        choose *= (n - k) as f64 / (k + 1) as f64;
-        k += 1;
-    }
-    [ratios[k - 1], ratios[n - k]]
-}
-
-/// Each fault site's `polls_*` field in the hardening row: its polls in one
-/// warm armed launch, held `==` where the count is fixed. `pool.worker` is
-/// polled by each worker that wakes for a task, so it varies with the run
-/// and the worker count.
-const POLLS: [(Site, &str, Option<f64>); 9] = [
-    (Site::DeviceAlloc, "polls_device_alloc", Some(3.0)),
-    (Site::DeviceCopy, "polls_device_copy", Some(3.0)),
-    (Site::Decode, "polls_isa_decode", Some(0.0)),
-    (Site::SmStep, "polls_sm_step", Some(1.0)),
-    (Site::MemoStore, "polls_memo_store", Some(0.0)),
-    (Site::MemoLoad, "polls_memo_load", Some(0.0)),
-    (Site::PoolWorker, "polls_pool_worker", None),
-    (Site::DiskCache, "polls_memo_disk", Some(0.0)),
-    (Site::ServeDecode, "polls_serve_decode", Some(0.0)),
-];
-
-fn hardening_row(big_run: &mut dyn FnMut() -> KernelStats) -> Row {
-    // ---- hardening overhead (fault sites + watchdog armed but silent) ----
-    // The fault sites and the watchdog are compiled in unconditionally, so
-    // the armed-but-silent path must stay cheap. Baseline: injector
-    // disarmed, watchdog off. Hardened: every site armed at rate 0.0 with
-    // the watchdog counting against an unreachable budget. Memo off and
-    // dedup on in both. A launch polls its sites a handful of times (the
-    // `polls_*` fields, pinned exactly), far too few to show in a launch
-    // of ~4 CPU seconds, and the watchdog compare runs in both arms (an
-    // unset budget is `u64::MAX`): what the ratio measures is the snapshot
-    // of device memory every armed launch takes for absorb-and-retry. The
-    // statistic is the median over *pairs* of hardened/baseline process
-    // CPU seconds: drift between pairs is larger than the overhead, pairing
-    // cancels it, and polluted pairs are out-voted in either direction. CPU
-    // seconds leave out the time a loaded host runs someone else; the
-    // wall-clock median is reported beside it. Pairs are added while the
-    // median's 90 % interval straddles the ceiling, up to 21, where the
-    // truncated test decides by the median.
-    const CEILING: f64 = 1.05;
-    const MAX_PAIRS: usize = 21;
-    let arms = [
-        context(false, true),
-        SimContext::new(SimConfig {
-            memo: false,
-            watchdog_cycles: Some(u64::MAX / 2),
-            faults: Some(FaultConfig::new(1, 0.0, None)),
-            ..SimConfig::default()
-        }),
-    ];
-    let mut pairs = Vec::new();
-    let [lo, hi] = loop {
-        // Seven, then two at a time so each arm runs first in half the pairs.
-        let more = if pairs.is_empty() { 7 } else { 2 };
-        let run = |ctx: &Arc<SimContext>| ctx.enter(|| stats_bytes(&big_run()));
-        pairs.extend(interleave(more, |arm| &arms[arm], run));
-        let mut cpu: Vec<f64> = pairs.iter().map(|[(b, _), (a, _)]| a.cpu / b.cpu).collect();
-        let [lo, hi] = median_interval(&mut cpu);
-        if !(lo <= CEILING && CEILING < hi) || pairs.len() >= MAX_PAIRS {
-            break [lo, hi];
-        }
-    };
-    assert_arms_agree(
-        "hardening_matmul_1024: an armed-but-silent injector changed the canonical KernelStats bytes",
-        &pairs,
-    );
-    // The median pair by armed/disarmed ratio of `f`.
-    let median_pair = |f: fn(&Sample) -> f64| {
-        let mut arms: Vec<[f64; 2]> = pairs.iter().map(|[(b, _), (a, _)]| [f(b), f(a)]).collect();
-        arms.sort_by(|x, y| (x[1] / x[0]).total_cmp(&(y[1] / y[0])));
-        arms[arms.len() / 2]
-    };
-    let [base, armed] = median_pair(|s| s.cpu);
-    let [base_wall, armed_wall] = median_pair(|s| s.wall);
-    let mut row = Row::new("hardening_matmul_1024", "hardening")
-        .field("pairs", pairs.len() as f64)
-        .field("disarmed_cpu_s", base)
-        .field("armed_cpu_s", armed)
-        .field("overhead_ratio", armed / base)
-        .field("overhead_lo", lo)
-        .field("overhead_hi", hi)
-        .field("wall_ratio", armed_wall / base_wall)
-        .bound("overhead_ratio", Bound::Ceiling(CEILING));
-    // Re-arming restarts the call indices, so each count is one warm
-    // launch's polls alone.
-    let ctx = &arms[1];
-    ctx.faults().arm(ctx.config().faults);
-    ctx.enter(big_run);
-    for (site, key, exact) in POLLS {
-        row = row.field(key, ctx.faults().polls(site) as f64);
-        if let Some(n) = exact {
-            row = row.bound(key, Bound::Exact(n));
-        }
-    }
-    row
-}
-
 fn host_rows(add: &mut impl FnMut(Row)) {
     // ---- SFU rows and wire CRC (one host mechanism each) ----
     // The SFU floors hold only where the 8-wide kernel exists; elsewhere
@@ -1076,7 +964,7 @@ fn shape(json: &str) -> Vec<String> {
 
 #[cfg(test)]
 mod tests {
-    use super::{median_interval, shape};
+    use super::shape;
 
     /// The shape of a report line: its name and field keys, not the group,
     /// the values or the bounds.
@@ -1086,18 +974,5 @@ mod tests {
                     \"n\": 3, \"bounds\": {\"n\": \"== 3\"}},\n    {\"name\": \"b\", \
                     \"group\": \"g\", \"bounds\": {}}\n  ]\n}\n";
         assert_eq!(shape(json), ["a_row: x_s, n", "b: "]);
-    }
-
-    /// The ranks of the 90 % sign-test interval on the median, as tabled:
-    /// n = 7 takes the extremes, n = 21 the 7th and 15th order statistics.
-    #[test]
-    fn median_interval_ranks_match_the_binomial_table() {
-        let ranks = [6, 7, 9, 11, 13, 15, 17, 19, 21].map(|n| {
-            let mut ratios: Vec<f64> = (1..=n).rev().map(f64::from).collect();
-            let [lo, hi] = median_interval(&mut ratios);
-            assert_eq!(lo + hi, f64::from(n + 1), "n = {n}");
-            lo
-        });
-        assert_eq!(ranks, [1, 1, 2, 3, 4, 4, 5, 6, 7].map(f64::from));
     }
 }

@@ -52,9 +52,16 @@ impl Scale {
 /// out on the same pool (scope owners execute tasks while they wait, so
 /// the nesting cannot deadlock) and results come back in submission order.
 pub fn run_suite(scale: Scale) -> Vec<AppReport> {
+    g80_sim::pool::run_tasks(suite_jobs(scale))
+}
+
+/// One application's whole pipeline, as a pool task.
+pub type SuiteJob = Box<dyn FnOnce() -> AppReport + Send>;
+
+/// The tasks [`run_suite`] runs, in its order.
+pub fn suite_jobs(scale: Scale) -> Vec<SuiteJob> {
     let full = scale == Scale::Full;
-    type Job = Box<dyn FnOnce() -> AppReport + Send>;
-    let jobs: Vec<Job> = vec![
+    vec![
         // H.264 motion estimation.
         Box::new(move || {
             if full {
@@ -156,8 +163,7 @@ pub fn run_suite(scale: Scale) -> Vec<AppReport> {
             }
             .report()
         }),
-    ];
-    g80_sim::pool::run_tasks(jobs)
+    ]
 }
 
 /// The matrix-multiplication row the paper lists "for comparison".

@@ -4,53 +4,9 @@
 
 use crate::transfer::PcieModel;
 use g80_isa::{Kernel, Value};
-use g80_sim::fault::{self, Site};
-use g80_sim::{
-    launch_traced, CudaError, DeviceMemory, GpuConfig, KernelStats, LaunchDims, Served, SimContext,
-};
+use g80_sim::{launch_traced, CudaError, DeviceMemory, GpuConfig, KernelStats, LaunchDims, Served};
 use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-
-/// Bound on absorb-mode retries of injected device-layer faults (a safety
-/// net for rate-1.0 configurations; see [`absorb`]).
-const MAX_ABSORB_RETRIES: u32 = 64;
-
-/// Runs a fallible device operation through the absorb layer for the legacy
-/// infallible APIs: when the current context absorbs faults, injected-class
-/// failures (typed [`CudaError`]s and panic-kind unwinds from the fault
-/// injector) are retried — each `try_*` op polls its site before mutating
-/// anything, so a retry is clean — while real errors panic with their
-/// legacy message and real panics propagate.
-fn absorb<T>(mut op: impl FnMut() -> Result<T, CudaError>) -> T {
-    if !SimContext::with_current(|ctx| ctx.faults().absorbs()) {
-        // Zero-cost path: no unwind guard, just the legacy panic on error.
-        return op().unwrap_or_else(|e| panic!("{e}"));
-    }
-    let mut attempts = 0u32;
-    loop {
-        match catch_unwind(AssertUnwindSafe(&mut op)) {
-            Ok(Ok(v)) => return v,
-            Ok(Err(CudaError::InjectedFault { .. })) if attempts < MAX_ABSORB_RETRIES => {
-                attempts += 1;
-            }
-            Ok(Err(e)) => panic!("{e}"),
-            Err(p) if fault::is_injected_payload(p.as_ref()) && attempts < MAX_ABSORB_RETRIES => {
-                attempts += 1;
-            }
-            Err(p) => resume_unwind(p),
-        }
-    }
-}
-
-/// Polls a device-layer fault site in the current context: a typed fault is
-/// the error, a panic-kind fault unwinds.
-fn poll(site: Site) -> Result<(), CudaError> {
-    match SimContext::with_current(|ctx| ctx.faults().poll_typed(site)) {
-        Some(f) => Err(CudaError::InjectedFault { site: f.site }),
-        None => Ok(()),
-    }
-}
 
 /// Types that can live in device memory (32-bit words, like the register
 /// file).
@@ -213,13 +169,12 @@ impl Device {
     /// cudaMalloc). Panics on exhaustion with the legacy message; see
     /// [`Device::try_alloc`] for the fallible form.
     pub fn alloc<T: Word32>(&mut self, len: usize) -> DeviceBuffer<T> {
-        absorb(|| self.try_alloc(len))
+        self.try_alloc(len).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Device::alloc`]: reports exhaustion (and injected
-    /// `device.alloc` faults) as a [`CudaError`] instead of panicking.
+    /// Fallible [`Device::alloc`]: reports exhaustion as a [`CudaError`]
+    /// instead of panicking.
     pub fn try_alloc<T: Word32>(&mut self, len: usize) -> Result<DeviceBuffer<T>, CudaError> {
-        poll(Site::DeviceAlloc)?;
         let addr = self.next_free;
         // A request past the 32-bit address space is out of memory too
         // (`want` saturates), not a wrapped small allocation.
@@ -244,7 +199,8 @@ impl Device {
     /// charging PCIe time. Panics on an oversized copy; see
     /// [`Device::try_copy_to_device`] for the fallible form.
     pub fn copy_to_device<T: Word32>(&self, buf: &DeviceBuffer<T>, data: &[T]) {
-        absorb(|| self.try_copy_to_device(buf, data))
+        self.try_copy_to_device(buf, data)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`Device::copy_to_device`].
@@ -253,7 +209,6 @@ impl Device {
         buf: &DeviceBuffer<T>,
         data: &[T],
     ) -> Result<(), CudaError> {
-        poll(Site::DeviceCopy)?;
         if data.len() > buf.len() {
             return Err(CudaError::OversizedCopy {
                 len: data.len(),
@@ -270,17 +225,17 @@ impl Device {
     /// charging PCIe time. See [`Device::try_copy_from_device`] for the
     /// fallible form.
     pub fn copy_from_device<T: Word32>(&self, buf: &DeviceBuffer<T>) -> Vec<T> {
-        absorb(|| self.try_copy_from_device(buf))
+        self.try_copy_from_device(buf)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Device::copy_from_device`]: the copy itself cannot fail
-    /// (the buffer bounds were checked at allocation), but an injected
-    /// `device.copy` fault surfaces here as a [`CudaError`].
+    /// [`Device::copy_from_device`] as a `Result`, like its siblings. The
+    /// copy itself cannot fail: the buffer bounds were checked at
+    /// allocation.
     pub fn try_copy_from_device<T: Word32>(
         &self,
         buf: &DeviceBuffer<T>,
     ) -> Result<Vec<T>, CudaError> {
-        poll(Site::DeviceCopy)?;
         let words = self.mem.read_slice(buf.byte_addr, buf.len());
         let out = words.map(T::from_bits).collect();
         self.timeline.borrow_mut().d2h_s += self.pcie.transfer_time(buf.len as u64 * 4);
@@ -290,12 +245,11 @@ impl Device {
     /// Uploads the constant bank (cudaMemcpyToSymbol). Panics on overflow;
     /// see [`Device::try_set_const`] for the fallible form.
     pub fn set_const<T: Word32>(&mut self, data: &[T]) {
-        absorb(|| self.try_set_const(data))
+        self.try_set_const(data).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`Device::set_const`].
     pub fn try_set_const<T: Word32>(&mut self, data: &[T]) -> Result<(), CudaError> {
-        poll(Site::DeviceCopy)?;
         if data.len() * 4 > self.cfg.const_mem_bytes as usize {
             return Err(CudaError::ConstOverflow {
                 want: data.len() * 4,
@@ -577,8 +531,8 @@ mod tests {
         let y = d.alloc::<f32>(128);
         d.copy_to_device(&x, &vec![2.0f32; 128]);
         let params = [x.as_param(), y.as_param()];
-        // A context of its own: memo on, no disk tier, faults disarmed,
-        // whatever the environment configured the global one with.
+        // A context of its own: memo on, no disk tier, whatever the
+        // environment configured the global one with.
         let (first, second, third) = SimContext::new(SimConfig::default()).enter(|| {
             let run = || d.launch(&k, (1, 1), (128, 1, 1), &params).unwrap();
             (run(), run(), run())

@@ -4,8 +4,8 @@
 //! `G80_SERVE_TENANT_BLOCKS`, `G80_SERVE_TENANT_QUEUE`,
 //! `G80_SERVE_MAX_BLOCKS`, `G80_SERVE_READ_TIMEOUT_MS`,
 //! `G80_SERVE_IDLE_TIMEOUT_MS`, `G80_SERVE_MAX_CONNS`, plus every variable
-//! the simulator honors: disk cache, watchdog and `G80_SIM_FAULTS`, which
-//! configure the *global* `SimContext` it serves in; the pool size is
+//! the simulator honors: disk cache and watchdog, which configure the
+//! *global* `SimContext` it serves in; the pool size is
 //! process-wide), binds, and serves until a client sends a Shutdown
 //! request. Exits 0 after a clean drain.
 

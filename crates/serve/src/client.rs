@@ -8,7 +8,7 @@
 //!
 //! Every request, the Hello exchange included, is one round trip: write
 //! the request frame, read responses until the terminal one (anything but
-//! an `Item`). When an attempt fails, the round trip picks one of three
+//! an `Item`). When an attempt fails, the round trip picks one of two
 //! recoveries (DESIGN §16), each bounded per request:
 //!
 //! - **Resend in place** when the daemon answers `BadFrame` before any
@@ -21,10 +21,6 @@
 //!   (jittered, exponential) and handshakes before the replay; a
 //!   handshake that loses its connection there is one more reconnect of
 //!   the same request. A refused connect ends the request.
-//! - **Replay as-is** when an injected fault spoiled the answer (a
-//!   daemon whose context has its simulator faults armed): the `Launch`
-//!   result, any `Item` before `Done`, or a request-level `Error` — the
-//!   serve-layer analogue of the in-process absorb-and-retry policy.
 //!
 //! Replays are sound because every request is idempotent: launches are
 //! content-hash keyed, so a re-executed spec hits the memo and returns
@@ -71,12 +67,11 @@ enum Kind {
     Streamed,
 }
 
-/// How a failed or spoiled attempt of a request is recovered.
+/// How a failed attempt of a request is recovered.
 #[derive(Copy, Clone)]
 enum Recovery {
     Resend,
     Reconnect,
-    Replay,
 }
 
 impl Recovery {
@@ -87,7 +82,6 @@ impl Recovery {
         match self {
             Recovery::Resend => 8,
             Recovery::Reconnect => 16,
-            Recovery::Replay => 64,
         }
     }
 }
@@ -107,16 +101,6 @@ fn is_transport(e: &io::Error) -> bool {
             | io::ErrorKind::NotConnected
             | io::ErrorKind::TimedOut
     )
-}
-
-/// True when an injected fault spoiled `resp`.
-fn is_spoiled(resp: &Response) -> bool {
-    match resp {
-        Response::Launch { result: Err(e) }
-        | Response::Item { result: Err(e), .. }
-        | Response::Error(e) => e.is_injected(),
-        _ => false,
-    }
 }
 
 /// Jittered exponential backoff: uniform in `[cap/2, cap]` where `cap =
@@ -237,10 +221,10 @@ impl Client {
         let len = frame.len() as u64;
         let is_hello = kind == Kind::Hello;
         let streamed = kind == Kind::Streamed;
-        let mut tries = [0u32; 3];
+        let mut tries = [0u32; 2];
         let mut reconnected = false;
         loop {
-            let (mut answered, mut spoiled) = (false, false);
+            let mut answered = false;
             // A reconnect's handshake belongs to the attempt: when it
             // fails, the request's budget decides again.
             let handshake = if reconnected {
@@ -252,7 +236,6 @@ impl Client {
                 .and_then(|()| self.framed.write_frame(frame))
                 .and_then(|()| loop {
                     let resp = self.read_response()?;
-                    spoiled |= is_spoiled(&resp);
                     let Response::Item { index, result } = resp else {
                         break Ok(resp);
                     };
@@ -262,7 +245,6 @@ impl Client {
             let crc = outcome.as_ref().is_err_and(is_crc_mismatch);
             let recovery = match &outcome {
                 Ok(Response::Error(WireError::BadFrame(_))) if !answered => Some(Recovery::Resend),
-                Ok(_) if spoiled => Some(Recovery::Replay),
                 Err(_) if crc && !streamed => Some(Recovery::Resend),
                 Err(_) if crc => Some(Recovery::Reconnect),
                 // A daemon that sheds or drains ends a connection before
@@ -279,7 +261,6 @@ impl Client {
             reconnected = matches!(recovery, Recovery::Reconnect);
             match recovery {
                 Recovery::Resend => note_net_frame_retried(len),
-                Recovery::Replay => {}
                 Recovery::Reconnect => {
                     if crc {
                         note_net_frame_retried(len);

@@ -19,12 +19,10 @@
 //!   blocks, queue depth) with round-robin fairness, so a tenant sweeping
 //!   matmul-4096 cannot starve a probe fleet.
 //! * [`server`] — the daemon: accept loop, per-connection threads, typed
-//!   error responses for every failure (malformed frames, injected
-//!   faults, panics, quota rejections, drain), never a dropped
-//!   connection.
-//! * [`client`] — blocking typed client with transparent retry of
-//!   injected-fault errors, in-place re-request on frame corruption, and
-//!   reconnect-and-replay (jittered exponential backoff) when the
+//!   error responses for every failure (malformed frames, panics, quota
+//!   rejections, drain), never a dropped connection.
+//! * [`client`] — blocking typed client with in-place re-request on frame
+//!   corruption and reconnect-and-replay (jittered exponential backoff) when the
 //!   connection dies mid-request.
 //! * [`framed`] — CRC-guarded framing over a [`net::Stream`]: every frame
 //!   carries a CRC32 trailer, and reads enforce idle/mid-frame deadlines.

@@ -17,8 +17,8 @@
 //! the daemon's cache-counter delta for the whole stream.
 //!
 //! Errors are *values*, not connection state: a malformed frame, a
-//! failed CRC, a quota rejection, an overload shed, or a fault-injected
-//! decode tamper all come back as [`Response::Error`] with a typed
+//! failed CRC, a quota rejection or an overload shed all come back as
+//! [`Response::Error`] with a typed
 //! [`WireError`], and the connection stays usable (a CRC failure
 //! consumes exactly one frame — the length field was validated first, so
 //! framing stays synchronized). Only a frame whose declared length
@@ -26,7 +26,6 @@
 //! itself can no longer be trusted.
 
 use g80_isa::{Kernel, Value};
-use g80_sim::fault::PANIC_MARKER;
 use g80_sim::wire::{self, crc32, Enc, Wire};
 use g80_sim::{wire_layout, LaunchDims, LaunchError, LaunchReport, MemoCounters, NetCounters};
 use std::io::{self, IoSlice, Write};
@@ -210,8 +209,7 @@ wire_layout! {
 
 /// A typed error response. [`g80_sim::LaunchError`]'s variants plus the
 /// serve-layer conditions (malformed requests, admission-control verdicts,
-/// drain). `Fault` over the wire carries an owned site-name string because
-/// the client cannot reconstruct the `&'static str` the daemon saw.
+/// drain).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireError {
     BadBlockDims(String),
@@ -223,13 +221,6 @@ pub enum WireError {
         budget: u64,
         cycles: u64,
         warp_instructions: u64,
-    },
-    /// An injected fault surfaced as a typed response. `site` is the
-    /// [`g80_sim::Site`] name — `"serve.decode"` for request-decode
-    /// tampers; launch-layer sites only appear when absorb-and-retry is
-    /// disabled daemon-side.
-    Fault {
-        site: String,
     },
     Panic(String),
     /// The request could not be decoded or fails static validation. The
@@ -253,20 +244,9 @@ pub enum WireError {
     },
 }
 
-impl WireError {
-    /// True when this error was manufactured by the fault injector (the
-    /// serve-layer analogue of [`g80_sim::LaunchError::is_injected`]):
-    /// clients absorb these by resending, mirroring the launch layer's
-    /// absorb-and-retry.
-    pub fn is_injected(&self) -> bool {
-        match self {
-            WireError::Fault { .. } => true,
-            WireError::Panic(msg) => msg.starts_with(PANIC_MARKER),
-            _ => false,
-        }
-    }
-}
-
+// Tag 5 is retired: it carried an injected simulator fault, which no
+// daemon raises any more. It is never reused, so a frame that carries it
+// does not decode.
 wire_layout! {
     enum WireError {
         0 => BadBlockDims(s: String),
@@ -274,7 +254,6 @@ wire_layout! {
         2 => BlockDoesNotFit(s: String),
         3 => BadParams(s: String),
         4 => Watchdog { kernel: String, budget: u64, cycles: u64, warp_instructions: u64 },
-        5 => Fault { site: String },
         6 => Panic(s: String),
         7 => Malformed(s: String),
         8 => Rejected(s: String),
@@ -303,9 +282,6 @@ impl From<&LaunchError> for WireError {
                 cycles: *cycles,
                 warp_instructions: *warp_instructions,
             },
-            LaunchError::Fault { site } => WireError::Fault {
-                site: (*site).to_string(),
-            },
             LaunchError::Panic(s) => WireError::Panic(s.clone()),
         }
     }
@@ -327,7 +303,6 @@ impl std::fmt::Display for WireError {
                 f,
                 "Watchdog: kernel {kernel} exceeded {budget} cycles (at {cycles})"
             ),
-            WireError::Fault { site } => write!(f, "Fault: injected fault at {site}"),
             WireError::Panic(s) => write!(f, "Panic: {s}"),
             WireError::Malformed(s) => write!(f, "Malformed: {s}"),
             WireError::Rejected(s) => write!(f, "Rejected: {s}"),
@@ -679,9 +654,6 @@ mod tests {
                 cycles: 2,
                 warp_instructions: 3,
             },
-            WireError::Fault {
-                site: "serve.decode".into(),
-            },
             WireError::Panic("boom".into()),
             WireError::Malformed("bad tag".into()),
             WireError::Rejected("too big".into()),
@@ -715,9 +687,7 @@ mod tests {
         for req in &requests {
             assert_wire_mutations_rejected(req);
         }
-        let fault = || WireError::Fault {
-            site: "serve.decode".into(),
-        };
+        let err = || WireError::Panic("serve.decode".into());
         let responses = [
             Response::HelloOk { version: 3 },
             Response::Launch {
@@ -726,16 +696,14 @@ mod tests {
             Response::Launch {
                 result: Ok((pinned_report(), (0..64).map(|i| (i * 4, !i)).collect())),
             },
-            Response::Launch {
-                result: Err(fault()),
-            },
+            Response::Launch { result: Err(err()) },
             Response::Item {
                 index: 1,
                 result: Ok(pinned_report()),
             },
             Response::Item {
                 index: 2,
-                result: Err(fault()),
+                result: Err(err()),
             },
             Response::Done {
                 counters: MemoCounters::default(),
@@ -1011,15 +979,13 @@ mod tests {
         };
         let err = Response::Item {
             index: 8,
-            result: Err(WireError::Fault {
-                site: "serve.decode".into(),
-            }),
+            result: Err(WireError::Panic("serve.decode".into())),
         };
         let report = pinned_report_hex();
         assert_eq!(hex(&ok.encode()), format!("020700000001{report}"));
         assert_eq!(
             hex(&err.encode()),
-            "020800000000050c0000000000000073657276652e6465636f6465"
+            "020800000000060c0000000000000073657276652e6465636f6465"
         );
     }
 
@@ -1060,14 +1026,21 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 
+    /// Tag 5 once carried an injected fault's site. It is retired, not
+    /// reused: the item above with its error tag set to 5, framed whole,
+    /// reads as no response.
     #[test]
-    fn injected_classification() {
-        assert!(WireError::Fault {
-            site: "serve.decode".into()
+    fn retired_fault_tag_does_not_decode() {
+        let mut payload = Response::Item {
+            index: 8,
+            result: Err(WireError::Panic("serve.decode".into())),
         }
-        .is_injected());
-        assert!(WireError::Panic("injected panic at serve.decode".into()).is_injected());
-        assert!(!WireError::Panic("genuine bug".into()).is_injected());
-        assert!(!WireError::Malformed("bad".into()).is_injected());
+        .encode();
+        assert_eq!(payload[6], 6, "the error tag follows the Item header");
+        payload[6] = 5;
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &payload).unwrap();
+        let got = read_frame(&mut &frame[..]).unwrap().expect("one frame");
+        assert!(Response::decode(&got).is_none(), "tag 5 decoded");
     }
 }

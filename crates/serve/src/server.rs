@@ -3,20 +3,17 @@
 //! One daemon hosts the shared substrate — the work-stealing pool and one
 //! [`SimContext`] (the one current where [`serve`] was called; the global,
 //! environment-configured one for the `g80-serve` binary): its launch memo
-//! LRU, its disk tier when configured, its counters, its fault schedule —
-//! and every connection's launches run through it, so tenants warm each
-//! other's caches. Each connection is one thread; each request is admitted
-//! by the [`crate::admission`] controller before it touches the pool.
+//! LRU, its disk tier when configured, its counters — and every
+//! connection's launches run through it, so tenants warm each other's
+//! caches. Each connection is one thread; each request is admitted by the
+//! [`crate::admission`] controller before it touches the pool.
 //!
-//! Failure behaviour (the hardened paths `tests/serve_chaos.rs` exercises,
-//! the wire's through a fault-injecting frame proxy):
+//! Failure behaviour (the hardened paths `tests/serve_chaos.rs` exercises
+//! through a fault-injecting frame proxy):
 //!
-//! * every per-request step runs under `catch_unwind`, so an injected
-//!   panic (or a genuine handler bug) becomes a typed
-//!   [`Response::Error`], never a dropped connection;
-//! * the `serve.decode` fault site tampers with request decoding — a
-//!   typed tamper yields [`WireError::Fault`] with the frame already
-//!   consumed, so framing stays synchronized and the client can resend;
+//! * every per-request step runs under `catch_unwind`, so a handler
+//!   panic becomes a typed [`Response::Error`], never a dropped
+//!   connection;
 //! * a frame failing its CRC ([`crate::framed`]) yields a typed
 //!   [`WireError::BadFrame`] on the still-synchronized connection — the
 //!   client re-sends the idempotent request;
@@ -40,7 +37,7 @@ use crate::admission::{Admission, Quota, Verdict};
 use crate::framed::{is_crc_mismatch, FramedStream};
 use crate::net::{Addr, Listener, Stream};
 use crate::protocol::{Request, Response, WireError, WireLaunch, MAX_MEM_BYTES, PROTOCOL_VERSION};
-use g80_sim::fault::{self, Site};
+use g80_sim::fault;
 use g80_sim::{
     launch_reported, memo_counters, net_counters, note_net_disconnect, DeviceMemory, GpuConfig,
     LaunchReport, SimContext,
@@ -373,9 +370,8 @@ fn handle_connection(stream: Stream, shared: &Shared) -> io::Result<()> {
         if tenant.is_some() {
             shared.requests.fetch_add(1, Ordering::SeqCst);
         }
-        // The whole decode+execute path is unwind-safe: a panic (injected
-        // at serve.decode or genuine) becomes a typed response on the
-        // still-synchronized connection. The device memory a panicking
+        // The whole decode+execute path is unwind-safe: a panic becomes a
+        // typed response on the still-synchronized connection. The device memory a panicking
         // request may have touched is request-local, so no shared state is
         // left inconsistent.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -416,28 +412,14 @@ fn refuse(
 }
 
 /// Answers one frame for the connection's `tenant`, which is `None` until
-/// the handshake: then only a version-matched Hello is accepted, anything
-/// else is refused and closes the connection, and `serve.decode` is not
-/// polled.
+/// the handshake: then only a version-matched Hello is accepted, and
+/// anything else is refused and closes the connection.
 fn handle_request(
     frame: &[u8],
     tenant: Option<&str>,
     shared: &Shared,
     stream: &mut FramedStream,
 ) -> io::Result<ControlFlow> {
-    // The serve-layer fault site: a typed tamper treats this frame as
-    // corrupt. The frame is already consumed, so the error is a value and
-    // the connection survives (a panic-kind fault unwinds into the
-    // catch_unwind above — same guarantee).
-    if tenant.is_some() && shared.ctx.faults().tamper(Site::ServeDecode) {
-        send(
-            stream,
-            &Response::Error(WireError::Fault {
-                site: Site::ServeDecode.name().into(),
-            }),
-        )?;
-        return Ok(ControlFlow::Continue);
-    }
     match (Request::decode(frame), tenant) {
         (Some(Request::Hello { version, tenant }), _) if version == PROTOCOL_VERSION => {
             // The handshake, or an idempotent re-ack: a client whose

@@ -3,8 +3,7 @@
 //!
 //! A [`SimContext`] owns everything a launch reads or updates outside its
 //! own arguments: the [`SimConfig`] it runs under, the launch memo LRU, the
-//! disk tier's compaction bookkeeping, the counters and the fault
-//! schedule ([`crate::fault`]). None of it is
+//! disk tier's compaction bookkeeping and the counters. None of it is
 //! process-wide, so contexts with different configurations run side by side
 //! in one process — the paper's method of comparing configurations, applied
 //! to the host side.
@@ -17,7 +16,6 @@
 
 use crate::config::GpuConfig;
 use crate::counters::{MemoTally, NetTally, RowTally, SmStats, WorkTally};
-use crate::fault::{FaultConfig, FaultSchedule};
 use crate::memo::LaunchCache;
 use crate::memory::DeviceMemory;
 use crate::sm::LaunchDims;
@@ -28,7 +26,7 @@ use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// What a [`SimContext`] runs under. `Default` is the product
-/// configuration, faults disarmed, and ignores the environment;
+/// configuration and ignores the environment;
 /// [`SimConfig::from_env`] is the only reader of the variables named on
 /// the fields. The memo and dedup switches and the memo capacity have no
 /// variable: tests and benches set them in-process.
@@ -52,9 +50,6 @@ pub struct SimConfig {
     /// [`crate::LaunchError::Watchdog`] (`G80_SIM_WATCHDOG_CYCLES`, min 1;
     /// `None` = no watchdog).
     pub watchdog_cycles: Option<u64>,
-    /// Arms the context's simulator fault sites ([`SimContext::faults`];
-    /// `G80_SIM_FAULTS`, unparsable = disarmed).
-    pub faults: Option<FaultConfig>,
 }
 
 impl Default for SimConfig {
@@ -66,7 +61,6 @@ impl Default for SimConfig {
             disk_dir: None,
             disk_cap: 1 << 30,
             watchdog_cycles: None,
-            faults: None,
         }
     }
 }
@@ -90,7 +84,6 @@ impl SimConfig {
                 .and_then(|v| v.trim().parse().ok())
                 .unwrap_or(default.disk_cap),
             watchdog_cycles: var("G80_SIM_WATCHDOG_CYCLES").and_then(|v| v.trim().parse().ok()),
-            faults: var("G80_SIM_FAULTS").and_then(|v| FaultConfig::parse(&v)),
             ..default
         }
     }
@@ -128,7 +121,6 @@ pub struct SimContext {
     /// compaction scan.
     pub(crate) disk_published: AtomicU64,
     pub(crate) metrics: Metrics,
-    faults: FaultSchedule,
 }
 
 thread_local! {
@@ -168,7 +160,6 @@ impl SimContext {
         config.disk_cap = config.disk_cap.max(1);
         config.watchdog_cycles = config.watchdog_cycles.map(|b| b.max(1));
         Arc::new(SimContext {
-            faults: FaultSchedule::new(config.faults),
             config,
             sm_engine: None,
             cache: Mutex::default(),
@@ -198,16 +189,6 @@ impl SimContext {
         scoped().unwrap_or_else(Self::global)
     }
 
-    /// Runs `f` on [`SimContext::current`] without taking a reference
-    /// count: what a per-frame or per-decode fault poll uses. `f` must not
-    /// enter a context.
-    pub fn with_current<R>(f: impl FnOnce(&SimContext) -> R) -> R {
-        CURRENT.with(|c| match &*c.borrow() {
-            Some(ctx) => f(ctx),
-            None => f(global()),
-        })
-    }
-
     /// Runs `f` with this context as the calling thread's current one,
     /// restoring the previous one afterwards (also when `f` panics). Pool
     /// tasks submitted inside `f` inherit it; threads spawned inside do not.
@@ -221,13 +202,6 @@ impl SimContext {
         &self.config
     }
 
-    /// The schedule of this context's simulator fault sites, armed from
-    /// [`SimConfig::faults`]; re-arming it in place resets its call
-    /// indices.
-    pub fn faults(&self) -> &FaultSchedule {
-        &self.faults
-    }
-
     /// The per-SM cycle budget as the engines compare it (`u64::MAX` = off).
     pub(crate) fn watchdog_budget(&self) -> u64 {
         self.config.watchdog_cycles.unwrap_or(u64::MAX)
@@ -237,7 +211,6 @@ impl SimContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultKind;
     use crate::pool::run_tasks;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -265,7 +238,6 @@ mod tests {
             ("G80_SIM_DISK_CACHE", " /tmp/g80 "),
             ("G80_SIM_DISK_CACHE_CAP", " 4096 "),
             ("G80_SIM_WATCHDOG_CYCLES", " 99 "),
-            ("G80_SIM_FAULTS", "1:0.02:typed"),
         ]);
         assert_eq!(
             all,
@@ -273,13 +245,9 @@ mod tests {
                 disk_dir: Some(PathBuf::from("/tmp/g80")),
                 disk_cap: 4096,
                 watchdog_cycles: Some(99),
-                faults: Some(FaultConfig::new(1, 0.02, Some(FaultKind::Typed))),
                 ..SimConfig::default()
             }
         );
-        let ctx = SimContext::new(all);
-        assert!(ctx.faults().is_armed());
-        assert!(!SimContext::new(SimConfig::default()).faults().is_armed());
     }
 
     #[test]
@@ -289,10 +257,9 @@ mod tests {
             let cfg = from(&[
                 ("G80_SIM_DISK_CACHE_CAP", bad),
                 ("G80_SIM_WATCHDOG_CYCLES", bad),
-                ("G80_SIM_FAULTS", bad),
             ]);
-            let parsed = (cfg.disk_cap, cfg.watchdog_cycles, cfg.faults);
-            assert_eq!(parsed, (1 << 30, None, None), "{bad:?}");
+            let parsed = (cfg.disk_cap, cfg.watchdog_cycles);
+            assert_eq!(parsed, (1 << 30, None), "{bad:?}");
         }
         for unset in ["", "   ", "\t"] {
             assert_eq!(from(&[("G80_SIM_DISK_CACHE", unset)]).disk_dir, None);

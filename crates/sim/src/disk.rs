@@ -16,9 +16,7 @@
 //!
 //! Corrupt, truncated, or version-skewed entries reuse PR 4's
 //! evict-and-resimulate contract: the file is removed, the launch simulates
-//! fresh, and the re-record re-publishes a clean entry. The injectable
-//! [`Site::DiskCache`] fault covers both directions (tamper the published
-//! checksum / distrust the loaded entry).
+//! fresh, and the re-record re-publishes a clean entry.
 //!
 //! The tier is **off by default** ([`crate::SimConfig::disk_dir`] enables
 //! it) and bounded: a byte budget ([`crate::SimConfig::disk_cap`], default
@@ -28,7 +26,6 @@
 
 use crate::context::SimContext;
 use crate::counters::KernelStats;
-use crate::fault::Site;
 use crate::memo::{entry_checksum, MemoPayload};
 use crate::wire::{Dec, Enc, Wire};
 use std::fs;
@@ -138,21 +135,12 @@ fn entry_path(dir: &Path, digest: (u64, u64)) -> PathBuf {
 /// touches the entry's mtime so compaction sees it as recently used.
 pub(crate) fn load(ctx: &SimContext, dir: &Path, digest: (u64, u64)) -> Option<MemoPayload> {
     let tally = &ctx.metrics.memo;
-    // Polled per load: a typed fault distrusts whatever the file holds
-    // (same observable outcome as bit rot); a panic-kind fault unwinds and
-    // is absorbed at the memo boundary (the probe degrades to a miss).
-    let tampered = ctx.faults().tamper(Site::DiskCache);
     let path = entry_path(dir, digest);
     let Ok(bytes) = fs::read(&path) else {
         tally.disk_misses.fetch_add(1, Relaxed);
         return None;
     };
-    let decoded = if tampered {
-        None
-    } else {
-        decode_entry(digest, &bytes)
-    };
-    match decoded {
+    match decode_entry(digest, &bytes) {
         Some(payload) => {
             if let Ok(f) = fs::OpenOptions::new().write(true).open(&path) {
                 let _ = f.set_modified(SystemTime::now());
@@ -188,11 +176,7 @@ pub(crate) fn publish(
     delta: &[(u32, u32)],
     sum: u64,
 ) {
-    // A typed fault corrupts the published checksum — a later load of this
-    // entry detects the mismatch, evicts the file, and resimulates.
-    let tampered = ctx.faults().tamper(Site::DiskCache);
     let payload = encode_payload(stats, delta);
-    let sum = sum ^ ((tampered as u64) * 0xdead_beef);
     let bytes = encode_entry(digest, &payload, sum);
     let path = entry_path(dir, digest);
     let shard = path.parent().expect("entry path has a shard parent");

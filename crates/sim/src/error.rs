@@ -1,10 +1,9 @@
 //! The errors of the simulator stack.
 //!
 //! [`crate::LaunchError`] covers launch-time rejection and per-launch
-//! degradation (watchdog aborts, injected faults, caught kernel panics).
-//! [`CudaError`] covers the host-runtime device layer (allocation,
-//! transfers, constant uploads); `g80-cuda` re-exports it, and its injected
-//! variant names a [`crate::fault::Site`] of this crate.
+//! degradation (watchdog aborts, caught kernel panics). [`CudaError`]
+//! covers the host-runtime device layer (allocation, transfers, constant
+//! uploads); `g80-cuda` re-exports it.
 
 /// Typed failures of the host-runtime device layer (`g80-cuda`). The
 /// legacy infallible APIs (`Device::alloc` etc.) panic with the same
@@ -34,12 +33,6 @@ pub enum CudaError {
         /// Constant bank capacity in bytes.
         have: usize,
     },
-    /// A deterministic fault injected at the named device-layer site
-    /// (see [`crate::fault`]).
-    InjectedFault {
-        /// [`crate::fault::Site::name`] of the firing site.
-        site: &'static str,
-    },
 }
 
 impl std::fmt::Display for CudaError {
@@ -57,9 +50,6 @@ impl std::fmt::Display for CudaError {
                 f,
                 "ConstOverflow: constant bank overflow ({want} B > {have} B)"
             ),
-            CudaError::InjectedFault { site } => {
-                write!(f, "InjectedFault: injected fault at {site}")
-            }
         }
     }
 }

@@ -20,20 +20,20 @@
 use crate::config::GpuConfig;
 use crate::context::SimContext;
 use crate::counters::{KernelStats, MemoCounters, SmStats, WorkCounters};
-use crate::fault::{lock_recover, Site};
+use crate::fault::lock_recover;
 use crate::memo::{self, KernelInfo, Served};
 use crate::memory::DeviceMemory;
 use crate::pool::{self, Scope, TaskPanic};
 use crate::sm::{self, LaunchDims, Watch};
 use crate::witness::{replay_sm, Rep, WriteBuf};
 use g80_isa::{Kernel, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
 /// Errors rejected at launch time (the CUDA runtime would fail the same
 /// way), plus per-launch degradation outcomes: a launch whose simulation
-/// aborts (watchdog budget, injected fault, kernel panic) degrades to an
+/// aborts (watchdog budget, kernel panic) degrades to an
 /// `Err` for that launch alone instead of unwinding through the process.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LaunchError {
@@ -59,29 +59,9 @@ pub enum LaunchError {
         /// Warp instructions issued on the aborting SM before the abort.
         warp_instructions: u64,
     },
-    /// A typed fault from the deterministic injector ([`crate::fault`])
-    /// surfaced at the named site.
-    Fault {
-        /// [`crate::fault::Site::name`] of the firing site.
-        site: &'static str,
-    },
     /// The launch's simulation panicked (kernel bug — e.g. an out-of-bounds
-    /// access or a divergent barrier — or a panic-kind injected fault);
-    /// the panic message is captured.
+    /// access or a divergent barrier); the panic message is captured.
     Panic(String),
-}
-
-impl LaunchError {
-    /// True when the error was manufactured by the fault injector (either
-    /// kind) rather than by the kernel or the machine. The absorb layer
-    /// retries these; everything else is reported.
-    pub fn is_injected(&self) -> bool {
-        match self {
-            LaunchError::Fault { .. } => true,
-            LaunchError::Panic(msg) => msg.starts_with(crate::fault::PANIC_MARKER),
-            _ => false,
-        }
-    }
 }
 
 impl std::fmt::Display for LaunchError {
@@ -103,7 +83,6 @@ impl std::fmt::Display for LaunchError {
                 "Watchdog: kernel {kernel}: exceeded the {budget}-cycle budget \
                  (aborted at cycle {cycles} after {warp_instructions} warp instructions)"
             ),
-            LaunchError::Fault { site } => write!(f, "Fault: injected fault at {site}"),
             LaunchError::Panic(msg) => write!(f, "Panic: {msg}"),
         }
     }
@@ -120,9 +99,6 @@ fn classify_panic(p: Box<dyn std::any::Any + Send>) -> LaunchError {
             cycles: w.cycles,
             warp_instructions: w.warp_instructions,
         };
-    }
-    if let Some(fi) = p.downcast_ref::<crate::fault::InjectedFault>() {
-        return LaunchError::Fault { site: fi.site };
     }
     LaunchError::Panic(
         crate::fault::payload_str(p.as_ref())
@@ -214,8 +190,8 @@ pub(crate) struct Prepared<'a> {
 
 impl<'a> Prepared<'a> {
     /// Resolves everything a launch's SMs share. Predecode (and dataflow
-    /// analysis) runs once per process per kernel content and can unwind
-    /// (injected `isa.decode` fault); that costs this launch only.
+    /// analysis) runs once per process per kernel content; should it unwind,
+    /// that costs this launch only.
     pub(crate) fn new(
         ctx: &SimContext,
         cfg: &'a GpuConfig,
@@ -241,9 +217,6 @@ impl<'a> Prepared<'a> {
     /// end. Also says whether every block verified class-identical
     /// ([`sm::run_sm`]; never on the seam).
     fn run_sm(&self, ctx: &SimContext, blocks: &[(u32, u32)], watch: Watch) -> (SmStats, bool) {
-        // One poll per SM simulation: every launch exercises the site, and
-        // the per-launch fault probability does not scale with grid size.
-        ctx.faults().poll(Site::SmStep);
         if let Some(run_sm) = ctx.sm_engine {
             let s = &self.spec;
             let stats = run_sm(
@@ -378,51 +351,6 @@ pub fn launch_traced(
     results.pop().expect("one result per spec")
 }
 
-/// Bound on absorb-mode retries of injected-class failures. At realistic
-/// injection rates the probability of exhausting this is negligible; at
-/// rate 1.0 it prevents an infinite loop (the error is reported instead).
-const MAX_FAULT_RETRIES: u32 = 32;
-
-/// Runs `attempt` over `specs` and, when the context's faults are armed
-/// with absorb-and-retry, runs it again while any of its results is an
-/// injected-class failure, restoring every distinct memory the specs name
-/// to its pre-launch image first — a retry without the restore would
-/// double-apply the partial writes of in-place kernels, and specs may share
-/// a memory, so the whole set retries, never one launch of it. Simulation is
-/// deterministic, so an absorbed launch is bit-identical to an unfaulted
-/// one, and unfaulted entries recompute the same stats and writes on every
-/// attempt.
-fn absorbing<R: AsRef<[Result<(KernelStats, Served), LaunchError>]>>(
-    ctx: &SimContext,
-    specs: &[LaunchSpec],
-    mut attempt: impl FnMut() -> R,
-) -> R {
-    if !ctx.faults().absorbs() {
-        return attempt();
-    }
-    let mut seen = HashSet::new();
-    let snapshots: Vec<(&DeviceMemory, Vec<u32>)> = specs
-        .iter()
-        .filter(|s| seen.insert(std::ptr::from_ref(s.mem)))
-        .map(|s| (s.mem, s.mem.snapshot_words()))
-        .collect();
-    let mut attempts = 0u32;
-    loop {
-        let results = attempt();
-        let injected = results
-            .as_ref()
-            .iter()
-            .any(|r| matches!(r, Err(e) if e.is_injected()));
-        if !injected || attempts >= MAX_FAULT_RETRIES {
-            return results;
-        }
-        attempts += 1;
-        for (mem, words) in &snapshots {
-            mem.restore_words(words);
-        }
-    }
-}
-
 /// Outcome of [`probe`] for a valid launch.
 enum Probe {
     /// A cache tier answered; the memory effect is already applied.
@@ -469,7 +397,7 @@ fn probe(
 
 /// The expensive half: [`Prepared::new`] (the predecode registry), SM
 /// simulation (with donor-SM reuse), merge, record. Unwinds from the simulation (kernel bugs,
-/// watchdog aborts, injected faults) are caught and classified into
+/// watchdog aborts) are caught and classified into
 /// [`LaunchError`]s, so they cost this launch only.
 fn simulate(
     ctx: &SimContext,
@@ -676,11 +604,10 @@ pub fn launch_batch_traced(
     cfg: &GpuConfig,
     specs: &[LaunchSpec],
 ) -> Vec<Result<(KernelStats, Served), LaunchError>> {
-    let ctx = SimContext::current();
-    absorbing(&ctx, specs, || launch_batch_once(&ctx, cfg, specs))
+    launch_batch_once(&SimContext::current(), cfg, specs)
 }
 
-/// One attempt at a batch. Every spec is probed serially on the caller —
+/// The batch itself. Every spec is probed serially on the caller —
 /// a hit is a few microseconds and routing it through the pool costs more
 /// than it saves — then each miss is one pool task running [`simulate`]. A
 /// panic that escapes a task costs only the launch that owns it.

@@ -84,7 +84,6 @@ pub use counters::{
     WorkCounters,
 };
 pub use error::CudaError;
-pub use fault::{FaultConfig, FaultKind, Site};
 pub use launch::{
     launch, launch_batch, launch_batch_traced, launch_traced, LaunchError, LaunchSpec,
 };

@@ -26,7 +26,7 @@ use crate::config::GpuConfig;
 use crate::context::SimContext;
 use crate::counters::KernelStats;
 use crate::disk;
-use crate::fault::{self, lock_recover, Site};
+use crate::fault::lock_recover;
 use crate::memory::DeviceMemory;
 use crate::sm::LaunchDims;
 use crate::wire;
@@ -34,7 +34,6 @@ use g80_isa::dataflow::{self, TaintSummary};
 use g80_isa::{DecodedKernel, Kernel, Value};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -261,12 +260,9 @@ pub fn kernel_info(kernel: &Kernel) -> Arc<KernelInfo> {
             return Arc::clone(info);
         }
     }
-    // Decode and analyze *outside* the registry lock: predecode can unwind
-    // (the isa.decode site, polled in the launching thread's context), and
-    // an unwind here must leave the registry untouched. Two racing
-    // first-decoders both compute; the loser's insert simply overwrites an
-    // identical entry.
-    SimContext::with_current(|ctx| ctx.faults().poll(Site::Decode));
+    // Decode and analyze *outside* the registry lock: an unwind here must
+    // leave the registry untouched. Two racing first-decoders both compute;
+    // the loser's insert simply overwrites an identical entry.
     let taint = dataflow::analyze(&kernel.code);
     let dedup_eligible = taint.timing_data_independent()
         && !taint.has_atomic
@@ -323,9 +319,9 @@ pub(crate) struct MemoPayload {
     /// Sparse post-launch memory effect: (word index, new value).
     pub(crate) delta: Vec<(u32, u32)>,
     /// Integrity digest of `stats` + `delta`, verified before a hit is
-    /// served. A mismatched entry (bit rot, injected memo.store fault) is
-    /// evicted and the launch falls back to fresh simulation, counted as a
-    /// miss. The disk tier stores and verifies the same value.
+    /// served. A mismatched entry (bit rot) is evicted and the launch falls
+    /// back to fresh simulation, counted as a miss. The disk tier stores and
+    /// verifies the same value.
     pub(crate) checksum: u64,
 }
 
@@ -483,32 +479,6 @@ pub(crate) fn memo_lookup(
     if !ctx.config().memo || !exclusive_mem {
         return MemoLookup::Disabled;
     }
-    if !ctx.faults().is_armed() {
-        return memo_lookup_inner(ctx, cfg, kernel, dims, params, mem);
-    }
-    // Degradation contract: a memo-layer panic (injected memo.load fault)
-    // costs this launch its cache probe, nothing more — it simulates fresh.
-    match catch_unwind(AssertUnwindSafe(|| {
-        memo_lookup_inner(ctx, cfg, kernel, dims, params, mem)
-    })) {
-        Ok(v) => v,
-        Err(p) if fault::is_injected_payload(p.as_ref()) => MemoLookup::Disabled,
-        Err(p) => resume_unwind(p),
-    }
-}
-
-fn memo_lookup_inner(
-    ctx: &SimContext,
-    cfg: &GpuConfig,
-    kernel: &Kernel,
-    dims: LaunchDims,
-    params: &[Value],
-    mem: &DeviceMemory,
-) -> MemoLookup {
-    // Polled before the lock: a panic-kind fault unwinds without touching
-    // the cache; a typed fault flags whatever entry we find as corrupt,
-    // exercising the same eviction path as real bit rot.
-    let tampered = ctx.faults().tamper(Site::MemoLoad);
     let mode = mode_bits(ctx.sm_engine.is_some(), ctx.config().dedup);
     let key = memo_key(cfg, kernel, dims, params, mem, mode);
     let hashed = key_bytes(kernel, params, mem);
@@ -533,7 +503,7 @@ fn memo_lookup_inner(
         // of the entry was written by the same record that produced the
         // corrupt one, so it is equally suspect — resimulating is the
         // conservative recovery, and the re-record republishes cleanly.
-        if tampered || entry_checksum(&payload.stats, &payload.delta) != payload.checksum {
+        if entry_checksum(&payload.stats, &payload.delta) != payload.checksum {
             // Evict only the payload that failed: a concurrent launch may
             // already have re-recorded the key with a clean one.
             let mut cache = lock_recover(&ctx.cache);
@@ -621,29 +591,6 @@ pub(crate) fn memo_record(
     mem: &DeviceMemory,
     stats: &KernelStats,
 ) {
-    if !ctx.faults().is_armed() {
-        return memo_record_inner(ctx, pending, mem, stats, false);
-    }
-    // A memo-store panic costs this launch its cache entry, nothing more;
-    // a typed memo.store fault records a *corrupted* checksum, which the
-    // next lookup of this key detects and evicts.
-    match catch_unwind(AssertUnwindSafe(|| {
-        let corrupt = ctx.faults().tamper(Site::MemoStore);
-        memo_record_inner(ctx, pending, mem, stats, corrupt)
-    })) {
-        Ok(()) => {}
-        Err(p) if fault::is_injected_payload(p.as_ref()) => {}
-        Err(p) => resume_unwind(p),
-    }
-}
-
-fn memo_record_inner(
-    ctx: &SimContext,
-    pending: MemoPending,
-    mem: &DeviceMemory,
-    stats: &KernelStats,
-    corrupt: bool,
-) {
     let post = mem.snapshot_words();
     debug_assert_eq!(pending.pre.len(), post.len());
     let delta: Vec<(u32, u32)> = pending
@@ -656,15 +603,10 @@ fn memo_record_inner(
         .collect();
     let checksum = entry_checksum(stats, &delta);
     // Spill to the persistent tier on insert, outside the cache lock (file
-    // I/O must not serialize concurrent probes). A store whose in-memory
-    // entry was tampered (`corrupt`) skips the spill — publishing a clean
-    // copy of an entry the next probe is about to distrust would let the
-    // disk tier mask the very corruption the fault is injecting.
-    if !corrupt {
-        if let Some(dir) = &ctx.config().disk_dir {
-            let digest = disk_digest(&pending.key);
-            disk::publish(ctx, dir, digest, stats, &delta, checksum);
-        }
+    // I/O must not serialize concurrent probes).
+    if let Some(dir) = &ctx.config().disk_dir {
+        let digest = disk_digest(&pending.key);
+        disk::publish(ctx, dir, digest, stats, &delta, checksum);
     }
     memo_insert(
         ctx,
@@ -672,7 +614,7 @@ fn memo_record_inner(
         MemoPayload {
             stats: stats.clone(),
             delta,
-            checksum: checksum ^ ((corrupt as u64) * 0xdead_beef),
+            checksum,
         },
     );
 }
@@ -858,8 +800,21 @@ mod tests {
         assert!(key_of(&cfg, key_dims(), &params, &mem) != base);
     }
 
-    /// A corrupted entry (the typed `memo.store` fault's effect) is caught
-    /// by its checksum and evicted before one word of its delta is applied.
+    /// Flips the stored checksum of every LRU entry in place, as bit rot
+    /// would; the stats and delta stay as recorded.
+    fn corrupt_every_entry(ctx: &SimContext) {
+        for entry in lock_recover(&ctx.cache).map.values_mut() {
+            let p = &entry.payload;
+            entry.payload = Arc::new(MemoPayload {
+                stats: p.stats.clone(),
+                delta: p.delta.clone(),
+                checksum: p.checksum ^ 1,
+            });
+        }
+    }
+
+    /// A corrupted entry is caught by its checksum and evicted before one
+    /// word of its delta is applied.
     #[test]
     fn corrupt_entry_is_evicted_before_a_word_is_applied() {
         let ctx = SimContext::new(Default::default());
@@ -867,7 +822,7 @@ mod tests {
         let kernel = k("corrupt_entry_probe");
         let params = [Value(0)];
         let dims = key_dims();
-        // Record "the launch doubled every word" under a corrupt checksum.
+        // Record "the launch doubled every word", then corrupt the entry.
         let recorded = key_image();
         let pre = recorded.snapshot_words();
         let pending = MemoPending {
@@ -878,7 +833,8 @@ mod tests {
             recorded.write(i as u32 * 4, Value(w.wrapping_mul(2) | 1));
         }
         let stats = KernelStats::merge("corrupt_entry_probe", &cfg, Vec::new(), 4, 0, 64, 1, 8);
-        memo_record_inner(&ctx, pending, &recorded, &stats, true);
+        memo_record(&ctx, pending, &recorded, &stats);
+        corrupt_every_entry(&ctx);
 
         // The probe must not be a hit and must leave the image alone.
         let probe = key_image();
@@ -889,6 +845,55 @@ mod tests {
         let again = memo_lookup(&ctx, &cfg, &kernel, dims, &params, &probe, true);
         assert!(!matches!(again, MemoLookup::Hit(..)));
         assert_eq!(probe.snapshot_words(), pre);
+    }
+
+    /// A corrupt entry found by a real launch: the probe evicts it and counts
+    /// a miss, the launch resimulates to the same stats and memory, and the
+    /// re-record is clean — the next launch hits, and the file it
+    /// republished to the disk tier verifies.
+    #[test]
+    fn memo_corruption_is_detected_and_resimulated() {
+        let dir = std::env::temp_dir().join(format!("g80-memo-corrupt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ctx = SimContext::new(crate::SimConfig {
+            disk_dir: Some(dir.clone()),
+            ..Default::default()
+        });
+        let cfg = GpuConfig::geforce_8800_gtx();
+        let kernel = k("memo_corruption_probe");
+        let params = [Value(0)];
+        let dims = LaunchDims {
+            grid: (1, 1),
+            block: (32, 1, 1),
+        };
+        let run = || {
+            let mem = key_image();
+            let stats = ctx
+                .enter(|| crate::launch(&cfg, &kernel, dims, &params, &mem))
+                .expect("launch");
+            (wire::to_bytes(&stats, 512), mem.snapshot_words())
+        };
+        let first = run();
+        corrupt_every_entry(&ctx);
+        let second = run();
+        let counts = ctx.enter(crate::memo_counters);
+        assert_eq!(
+            (counts.hits, counts.misses),
+            (0, 2),
+            "the corrupt entry hit"
+        );
+        assert_eq!(second, first, "the resimulation differs");
+        assert_eq!(run(), first);
+        assert_eq!(
+            ctx.enter(crate::memo_counters).hits,
+            1,
+            "the re-record missed"
+        );
+        let key = memo_key(&cfg, &kernel, dims, &params, &key_image(), 0);
+        let file =
+            disk::load(&ctx, &dir, disk_digest(&key)).expect("the republished file verifies");
+        assert_eq!(wire::to_bytes(&file.stats, 512), first.0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The entry checksum is a function of the payload alone and moves with

@@ -42,7 +42,7 @@
 //! CI's environment leg (the whole suite under `G80_SIM_THREADS=1`).
 
 use crate::context::{self, SimContext};
-use crate::fault::{self, lock_recover, wait_recover, Site};
+use crate::fault::{self, lock_recover, wait_recover};
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -59,8 +59,7 @@ type Task = Box<dyn FnOnce() + Send + 'static>;
 /// One in-flight `scope`: a queue of tasks plus completion tracking.
 struct Group {
     /// The submitter's entered context (`None`: the global one): every task
-    /// runs in it, and a worker polls its `pool.worker` site before taking
-    /// one.
+    /// runs in it.
     ctx: Option<Arc<SimContext>>,
     /// Pool workers may take this group's tasks; otherwise the owner runs
     /// them all ([`scope_on_caller`]).
@@ -91,13 +90,6 @@ struct Queue {
 impl Group {
     fn pop(&self) -> Option<Task> {
         lock_recover(&self.queue).tasks.pop_front()
-    }
-
-    fn context(&self) -> &SimContext {
-        match &self.ctx {
-            Some(ctx) => ctx,
-            None => context::global(),
-        }
     }
 
     /// Queues `task`, waking the owner if it waits, and offers the group to
@@ -276,18 +268,12 @@ fn pin_malloc_thresholds() {
     }
 }
 
-/// Spawns one pool worker. If the worker dies to an injected fault (real
-/// task panics are caught inside [`Group::run`] and can't unwind the
-/// worker), a replacement is spawned so the pool keeps its configured
-/// width; the death is the `pool.worker` fire the context counted.
+/// Spawns one pool worker. Task panics are caught inside [`Group::run`],
+/// so nothing unwinds a worker out of its loop.
 fn spawn_worker(shared: Arc<Shared>, i: usize) {
     std::thread::Builder::new()
         .name(format!("g80-sim-{i}"))
-        .spawn(move || {
-            if catch_unwind(AssertUnwindSafe(|| worker_loop(&shared))).is_err() {
-                spawn_worker(shared, i);
-            }
-        })
+        .spawn(move || worker_loop(&shared))
         .expect("spawn simulation worker");
 }
 
@@ -310,10 +296,6 @@ fn worker_loop(shared: &Shared) {
                 offers.idle -= 1;
             }
         };
-        // Polled in the group's context after choosing it and *before*
-        // popping, so an injected worker death never takes a task with it —
-        // the task stays queued for another thread.
-        group.context().faults().poll(Site::PoolWorker);
         match group.pop() {
             Some(task) => {
                 let _restore = context::scope(group.ctx.clone());

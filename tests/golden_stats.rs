@@ -10,8 +10,8 @@
 //!
 //! The same contract covers the product's cache layers: block-class dedup,
 //! the launch memo (cold and warm, roomy and evicting) and the disk tier
-//! must reproduce the oracle's stats, and so must absorbed injected faults —
-//! every workload runs under every configuration of [`common::contexts`],
+//! must reproduce the oracle's stats — every workload runs under every
+//! configuration of [`common::contexts`],
 //! one `#[test]` per workload.
 
 use g80::apps::cp::CoulombicPotential;

@@ -19,8 +19,8 @@ fn scale_kernel(mult: u32) -> Kernel {
     Scale::kernel("scale", mult, 0)
 }
 
-/// A fresh context with dedup off (isolating the memo axis), no disk tier
-/// and no faults.
+/// A fresh context with dedup off (isolating the memo axis) and no disk
+/// tier.
 fn context(memo: bool, memo_cap: usize) -> Arc<SimContext> {
     SimContext::new(SimConfig {
         memo,

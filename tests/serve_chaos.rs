@@ -1,22 +1,12 @@
-//! Chaos contract for the serve layer: injected faults at the
-//! `serve.decode` site surface as *typed responses on a surviving
-//! connection*, never as dropped connections or a dead daemon.
-//!
-//! * typed kind → `WireError::Fault { site: "serve.decode" }`;
-//! * panic kind → `WireError::Panic("injected panic at ...")` — the
-//!   handler's unwind is caught, the frame stream stays synchronized;
-//! * both classify as injected, so the client's transparent retry
-//!   absorbs them at partial rates and launches stay bit-identical;
-//! * disarmed, the same connection serves normally and the daemon drains
-//!   cleanly.
-//!
-//! Plus *network* chaos: transport faults on the wire itself, injected by
-//! the frame proxy of `common::proxy` between client and daemon —
+//! Chaos contract for the serve layer: transport faults on the wire,
+//! injected by the frame proxy of `common::proxy` between client and
+//! daemon, surface as typed errors or are recovered, never as a dropped
+//! daemon or a wrong answer —
 //!
 //! * a mid-stream disconnect during a streamed sweep is survived by
 //!   reconnect-and-replay, and `SweepResult::from_parts`
 //!   reassembles the same result the clean wire produced; so is every
-//!   fault kind, alone and beside simulator faults (the wire chaos legs);
+//!   fault kind (the wire chaos legs);
 //! * frame corruption at rate 1.0 yields typed errors (`BadFrame`, CRC
 //!   mismatches) on a bounded schedule — never a panic, never a hang —
 //!   and the same connection recovers bit-identically once the proxy is
@@ -30,20 +20,15 @@
 //!   drains cleanly, the second is answered from the disk tier.
 //!
 //! Each test runs its daemon and its clients in fresh contexts of its own,
-//! armed from their configuration or in place, so the tests run in
-//! parallel, whatever the environment arms the global context with.
+//! so the tests run in parallel, whatever the environment configures the
+//! global context with.
 
 use common::proxy::{wire_legs, Dir, Kind, Plan, Proxy};
 use g80::isa::builder::{KernelBuilder, Unroll};
 use g80::isa::Value;
 use g80::serve::fleet::{self, run_fleet};
-use g80::serve::{
-    serve, Addr, Client, Quota, Request, Response, ServeConfig, WireError, WireLaunch,
-};
-use g80::sim::fault::{FaultConfig, FaultKind, Site};
-use g80::sim::{
-    memo_counters, net_counters, GpuConfig, LaunchDims, NetCounters, SimConfig, SimContext,
-};
+use g80::serve::{serve, Addr, Client, Request, Response, ServeConfig, WireError, WireLaunch};
+use g80::sim::{memo_counters, net_counters, LaunchDims, NetCounters, SimConfig, SimContext};
 use g80::tune::tuner::{Sample, SweepResult};
 use std::io::Write;
 use std::sync::Arc;
@@ -51,7 +36,7 @@ use std::time::{Duration, Instant};
 
 mod common;
 
-/// A fresh context, faults disarmed.
+/// A fresh context.
 fn context() -> Arc<SimContext> {
     SimContext::new(SimConfig::default())
 }
@@ -82,109 +67,6 @@ fn probe_spec(salt: u32) -> WireLaunch {
     spec
 }
 
-#[test]
-fn serve_decode_faults_are_typed_and_survivable() {
-    let ctx = context();
-    ctx.enter(|| serve_decode_faults(&ctx));
-}
-
-fn serve_decode_faults(ctx: &SimContext) {
-    let server = serve(ServeConfig {
-        addr: Addr::parse("tcp:127.0.0.1:0").unwrap(),
-        quota: Quota::default(),
-        gpu: GpuConfig::geforce_8800_gtx(),
-        ..ServeConfig::default()
-    })
-    .expect("bind daemon");
-    let addr = server.local_addr().clone();
-
-    let mut client = Client::connect(&addr, "chaos").expect("connect");
-    let spec = probe_spec(5);
-    let req = Request::Launch(spec.clone());
-
-    // Golden response on the untampered connection.
-    let (golden, golden_delta) = match client.request_raw(&req).expect("transport") {
-        Response::Launch { result } => result.expect("clean launch"),
-        other => panic!("unexpected response {other:?}"),
-    };
-    assert!(!golden_delta.is_empty(), "the probe writes memory");
-
-    // ---- typed kind, rate 1.0: every frame is tampered ----
-    let arm = |rate, kind| {
-        let cfg = FaultConfig::new(0x5e27e, rate, Some(kind)).only(Site::ServeDecode);
-        ctx.faults().arm(Some(cfg));
-    };
-    arm(1.0, FaultKind::Typed);
-    for _ in 0..3 {
-        match client.request_raw(&req).expect("connection must survive") {
-            Response::Error(e) => {
-                assert!(e.is_injected(), "{e:?}");
-                match e {
-                    WireError::Fault { site } => assert_eq!(site, "serve.decode"),
-                    other => panic!("expected a typed Fault, got {other:?}"),
-                }
-            }
-            other => panic!("expected a typed Fault, got {other:?}"),
-        }
-    }
-
-    // ---- panic kind: the unwind is caught, the connection survives ----
-    arm(1.0, FaultKind::Panic);
-    match client.request_raw(&req).expect("connection must survive") {
-        Response::Error(e) => {
-            assert!(e.is_injected(), "{e:?}");
-            match e {
-                WireError::Panic(msg) => assert!(
-                    msg.starts_with("injected panic at "),
-                    "panic payload should classify: {msg}"
-                ),
-                other => panic!("expected a typed Panic, got {other:?}"),
-            }
-        }
-        other => panic!("expected a typed Panic, got {other:?}"),
-    }
-    assert_eq!(
-        ctx.faults().raised(Site::ServeDecode),
-        1,
-        "the serve.decode site fires once per frame since it was re-armed"
-    );
-
-    // ---- disarmed: the SAME connection serves bit-identically ----
-    ctx.faults().arm(None);
-    match client.request_raw(&req).expect("transport") {
-        Response::Launch { result } => {
-            let (report, delta) = result.expect("clean launch after chaos");
-            assert_eq!(report.stats.cycles, golden.stats.cycles);
-            assert_eq!(
-                report.stats.warp_instructions,
-                golden.stats.warp_instructions
-            );
-            assert_eq!(delta, golden_delta);
-        }
-        other => panic!("unexpected response {other:?}"),
-    }
-
-    // ---- partial rate + transparent retry: chaos is invisible ----
-    arm(0.5, FaultKind::Typed);
-    for i in 0..8u32 {
-        let (report, delta) = client
-            .launch(&spec)
-            .expect("transport")
-            .expect("retry must absorb injected faults");
-        assert_eq!(report.stats.cycles, golden.stats.cycles, "iter {i}");
-        assert_eq!(delta, golden_delta, "iter {i}");
-    }
-    assert!(
-        ctx.faults().raised(Site::ServeDecode) > 0,
-        "rate 0.5 never fired"
-    );
-    ctx.faults().arm(None);
-
-    let mut admin = Client::connect(&addr, "admin").expect("admin connect");
-    admin.shutdown().expect("clean shutdown");
-    server.join().expect("drain");
-}
-
 fn default_daemon() -> (g80::serve::Server, Addr) {
     let server = serve(ServeConfig {
         addr: Addr::parse("tcp:127.0.0.1:0").unwrap(),
@@ -199,8 +81,8 @@ fn default_daemon() -> (g80::serve::Server, Addr) {
 /// and the proxy fired. The inputs: mid-stream disconnects, which the
 /// client must survive by reconnecting and replaying until the whole stream
 /// lands, then the wire legs of [`wire_legs`], every transport fault kind
-/// alone and composed with simulator faults. Each input runs its own daemon
-/// in a fresh context of its configuration, behind its own proxy.
+/// at two seeds. Each input runs its own daemon in a fresh context, behind
+/// its own proxy.
 #[test]
 fn mid_stream_disconnect_resumes_sweep_via_replay() {
     let specs: Vec<WireLaunch> = (0..12u32).map(|i| probe_spec(100 + i)).collect();
@@ -215,10 +97,9 @@ fn mid_stream_disconnect_resumes_sweep_via_replay() {
     // Disconnect-only faults in both directions, at a seed and rate that
     // force at least one reconnect against this deterministic plan.
     let disconnect = Plan::only(0xD15C_0441, 0.03, &[Kind::Disconnect]);
-    let inputs = std::iter::once(("disconnect", SimConfig::default(), disconnect.clone()))
-        .chain(wire_legs());
-    for (name, cfg, plan) in inputs {
-        let (rounds, fired) = SimContext::new(cfg).enter(|| served_sweeps(&specs, plan.clone()));
+    let inputs = std::iter::once(("disconnect", disconnect.clone())).chain(wire_legs());
+    for (name, plan) in inputs {
+        let (rounds, fired) = context().enter(|| served_sweeps(&specs, plan.clone()));
         assert!(
             fired > 0,
             "{name}: no wire fault fired in {} sweeps",

@@ -19,7 +19,6 @@ use g80::serve::{
     serve, Addr, Client, FramedStream, Quota, Request, Response, ServeConfig, WireError,
     WireLaunch, PROTOCOL_VERSION,
 };
-use g80::sim::fault::{FaultConfig, FaultKind, Site};
 use g80::sim::{launch, DeviceMemory, GpuConfig, LaunchDims, SimConfig, SimContext};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -279,16 +278,15 @@ fn quota_violations_are_typed_and_survivable() {
 
 /// The handshake, pinned from the wire. Before a Hello, a non-Hello frame
 /// or a version mismatch is answered `Malformed` and the connection
-/// closes, and the frame neither polls `serve.decode` nor counts as
-/// served. After it, every frame does both, and a mismatched Hello is
-/// answered "duplicate Hello" on a connection that stays open.
+/// closes, and the frame does not count as served. After it, every frame
+/// counts, and a mismatched Hello is answered "duplicate Hello" on a
+/// connection that stays open.
 #[test]
 fn handshake_gates_the_connection() {
-    let ctx = SimContext::new(SimConfig::default());
-    ctx.enter(|| handshake_gates(&ctx));
+    SimContext::new(SimConfig::default()).enter(handshake_gates);
 }
 
-fn handshake_gates(ctx: &SimContext) {
+fn handshake_gates() {
     let (server, addr) = start_daemon(Quota::default());
     let open = || {
         let stream = g80::serve::net::connect(&addr).expect("connect");
@@ -307,11 +305,6 @@ fn handshake_gates(ctx: &SimContext) {
         Response::Error(WireError::Malformed(msg)) => msg,
         other => panic!("expected Malformed, got {other:?}"),
     };
-    // Every poll of serve.decode fires: a frame that polls it is answered
-    // with a typed Fault instead of being handled.
-    let tamper = FaultConfig::new(0x6a7e, 1.0, Some(FaultKind::Typed)).only(Site::ServeDecode);
-    ctx.faults().arm(Some(tamper));
-
     for first in [Request::Shutdown, hello(PROTOCOL_VERSION + 1)] {
         let mut conn = open();
         malformed(ask(&mut conn, &first));
@@ -327,22 +320,16 @@ fn handshake_gates(ctx: &SimContext) {
             version: PROTOCOL_VERSION
         }
     ));
-    assert_eq!(ctx.faults().raised(Site::ServeDecode), 0);
     assert_eq!(server.requests_served(), 0);
 
-    // Handshaken: the next frame polls serve.decode and counts.
-    match ask(&mut conn, &hello(PROTOCOL_VERSION)) {
-        Response::Error(WireError::Fault { site }) => assert_eq!(site, "serve.decode"),
-        other => panic!("expected the serve.decode fault, got {other:?}"),
-    }
-    ctx.faults().arm(None);
+    // Handshaken: every further frame counts.
     let msg = malformed(ask(&mut conn, &hello(PROTOCOL_VERSION + 1)));
     assert!(msg.contains("duplicate Hello"), "{msg}");
     assert!(matches!(
         ask(&mut conn, &hello(PROTOCOL_VERSION)),
         Response::HelloOk { .. }
     ));
-    assert_eq!(server.requests_served(), 3);
+    assert_eq!(server.requests_served(), 2);
     stop_daemon(server, &addr);
 }
 

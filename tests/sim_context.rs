@@ -110,21 +110,14 @@ fn disk_entries_are_keyed_by_the_recording_contexts_mode() {
 }
 
 /// CI's environment leg must not pass vacuously: an unparsable value is
-/// ignored (the fault variable leaves its schedule disarmed, a thread count
-/// falls back to the host's), so the leg would run a plain test pass. Each
-/// variable the leg sets must take effect: `G80_SIM_FAULTS` arms the global
-/// context's schedule, `G80_SIM_DISK_CACHE` is its disk directory and
+/// ignored (a thread count falls back to the host's), so the leg would run
+/// a plain test pass. Each variable the leg sets must take effect:
+/// `G80_SIM_DISK_CACHE` is the global context's disk directory and
 /// `G80_SIM_THREADS` the pool's worker count (`0` is clamped to one).
 #[test]
 fn set_variables_configure_the_global_context() {
     let set = |var| std::env::var(var).ok().filter(|v| !v.trim().is_empty());
     let global = SimContext::global();
-    if let Some(v) = set("G80_SIM_FAULTS") {
-        assert!(
-            global.faults().is_armed(),
-            "G80_SIM_FAULTS={v:?} does not parse: the global context is disarmed"
-        );
-    }
     if let Some(v) = set("G80_SIM_DISK_CACHE") {
         let dir = Some(std::path::PathBuf::from(v.trim()));
         assert_eq!(global.config().disk_dir, dir, "G80_SIM_DISK_CACHE={v:?}");
@@ -136,4 +129,62 @@ fn set_variables_configure_the_global_context() {
             "G80_SIM_THREADS={v:?} does not size the pool"
         );
     }
+}
+
+/// Every variable the product reads is a row of README's "Runtime toggles"
+/// table, and every row is a variable it reads: one added or removed
+/// without its row fails here. The product's variables are the
+/// `"G80_SIM_…"` / `"G80_SERVE_…"` string literals in `crates/*/src`, each
+/// file read up to its first `#[cfg(test)]`.
+#[test]
+fn runtime_toggles_table_lists_every_variable() {
+    use std::collections::BTreeSet;
+    use std::path::{Path, PathBuf};
+    fn sources(dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("read source dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                sources(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        let src = krate.expect("crate dir").path().join("src");
+        if src.is_dir() {
+            sources(&src, &mut files);
+        }
+    }
+    let mut code = BTreeSet::new();
+    for file in files {
+        let text = std::fs::read_to_string(&file).expect("read source");
+        let product = text.split("#[cfg(test)]").next().unwrap_or_default();
+        for prefix in ["\"G80_SIM_", "\"G80_SERVE_"] {
+            for (at, _) in product.match_indices(prefix) {
+                let rest = &product[at + 1..];
+                let len = rest
+                    .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
+                    .unwrap_or(rest.len());
+                if rest[len..].starts_with('"') {
+                    code.insert(rest[..len].to_string());
+                }
+            }
+        }
+    }
+    let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md");
+    let table = readme
+        .split("### Runtime toggles")
+        .nth(1)
+        .expect("a Runtime toggles section");
+    let rows: BTreeSet<String> = table
+        .lines()
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .filter_map(|l| l.strip_prefix("| `")?.split('`').next().map(str::to_string))
+        .collect();
+    assert_eq!(code, rows, "variables in crates/*/src vs README's table");
+    assert_eq!(rows.len(), 11, "{rows:?}");
 }

@@ -869,10 +869,6 @@ fn batch_is_nine_single_launches() {
     for (name, ctx) in common::contexts().iter() {
         let cfg = ctx.config();
         let [singles, cold, warm] = common::assert_batch_equals_singles(48, cfg);
-        if ctx.faults().is_armed() {
-            // Absorbed retries re-run SMs and re-probe the cache.
-            continue;
-        }
         let (singles, cold_counts, warm_counts) = (singles.counts, cold.counts, warm.counts);
         let probes = if cfg.memo { 9 } else { 0 };
         assert_eq!((singles.hits, singles.misses), (0, probes), "{name}");
