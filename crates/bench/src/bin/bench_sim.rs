@@ -381,8 +381,8 @@ fn sfu_row(name: &'static str, op: SfuOp) -> Row {
 
 /// One mechanism: what the frame checksum costs per KB of payload, in three
 /// arms — CRC-32/IEEE one bit at a time from the polynomial, the portable
-/// slicing-by-8 loop (`wire::crc32_sliced`), and the dispatched
-/// `wire::crc32` that ships (the PCLMULQDQ fold where the CPU has it). Two
+/// slicing-by-8 loop (`digest::crc32_sliced`), and the dispatched
+/// `digest::crc32` that ships (the PCLMULQDQ fold where the CPU has it). Two
 /// interleaved runs of 20 pairs, bitwise against sliced and sliced against
 /// dispatched; ns/KB on 64 KB, each arm's min. Every served frame is summed
 /// by its writer and its reader, so this rate is most of a memo-hit
@@ -399,7 +399,7 @@ fn crc_row() -> Row {
         !c
     }
     fn sliced(bytes: &[u8]) -> u32 {
-        g80_sim::wire::crc32_sliced(!0, bytes)
+        g80_sim::digest::crc32_sliced(!0, bytes)
     }
     const KB: usize = 64;
     let block: Vec<u8> = (0..KB * 1024)
@@ -411,7 +411,7 @@ fn crc_row() -> Row {
         best(&pairs, |s| s.wall * 1e9 / KB as f64)
     };
     let [bitwise_ns, sliced_a] = time([bitwise, sliced]);
-    let [sliced_b, crc32_ns] = time([sliced, g80_sim::wire::crc32]);
+    let [sliced_b, crc32_ns] = time([sliced, g80_sim::digest::crc32]);
     let sliced_ns = sliced_a.min(sliced_b);
     #[cfg(target_arch = "x86_64")]
     let pclmulqdq = std::arch::is_x86_feature_detected!("pclmulqdq");

@@ -4,7 +4,7 @@
 
 use crate::transfer::PcieModel;
 use g80_isa::{Kernel, Value};
-use g80_sim::{launch_traced, CudaError, DeviceMemory, GpuConfig, KernelStats, LaunchDims, Served};
+use g80_sim::{launch_traced, DeviceMemory, GpuConfig, KernelStats, LaunchDims, Served};
 use std::cell::RefCell;
 use std::marker::PhantomData;
 
@@ -166,99 +166,58 @@ impl Device {
     }
 
     /// Allocates `len` elements of device memory (256-byte aligned, like
-    /// cudaMalloc). Panics on exhaustion with the legacy message; see
-    /// [`Device::try_alloc`] for the fallible form.
+    /// cudaMalloc). Panics on exhaustion, a request past the 32-bit address
+    /// space included (`want` saturates): it is out of memory too, not a
+    /// wrapped small allocation.
     pub fn alloc<T: Word32>(&mut self, len: usize) -> DeviceBuffer<T> {
-        self.try_alloc(len).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Device::alloc`]: reports exhaustion as a [`CudaError`]
-    /// instead of panicking.
-    pub fn try_alloc<T: Word32>(&mut self, len: usize) -> Result<DeviceBuffer<T>, CudaError> {
         let addr = self.next_free;
-        // A request past the 32-bit address space is out of memory too
-        // (`want` saturates), not a wrapped small allocation.
+        let have = self.mem.len_bytes();
         let bytes = u32::try_from(len).ok().and_then(|n| n.checked_mul(4));
         let end = bytes.and_then(|b| addr.checked_add(b));
-        let Some(end) = end.filter(|&end| end <= self.mem.len_bytes()) else {
-            return Err(CudaError::OutOfMemory {
-                want: bytes.unwrap_or(u32::MAX),
-                at: addr,
-                have: self.mem.len_bytes(),
-            });
+        let Some(end) = end.filter(|&end| end <= have) else {
+            let want = bytes.unwrap_or(u32::MAX);
+            panic!("OutOfMemory: device out of memory: want {want} B at {addr}, have {have} B");
         };
         self.next_free = end.div_ceil(256) * 256;
-        Ok(DeviceBuffer {
+        DeviceBuffer {
             byte_addr: addr,
             len: len as u32,
             _t: PhantomData,
-        })
+        }
     }
 
     /// Copies host data to a device buffer (cudaMemcpyHostToDevice),
-    /// charging PCIe time. Panics on an oversized copy; see
-    /// [`Device::try_copy_to_device`] for the fallible form.
+    /// charging PCIe time. Panics on an oversized copy.
     pub fn copy_to_device<T: Word32>(&self, buf: &DeviceBuffer<T>, data: &[T]) {
-        self.try_copy_to_device(buf, data)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Device::copy_to_device`].
-    pub fn try_copy_to_device<T: Word32>(
-        &self,
-        buf: &DeviceBuffer<T>,
-        data: &[T],
-    ) -> Result<(), CudaError> {
-        if data.len() > buf.len() {
-            return Err(CudaError::OversizedCopy {
-                len: data.len(),
-                capacity: buf.len(),
-            });
-        }
+        let (len, capacity) = (data.len(), buf.len());
+        assert!(
+            len <= capacity,
+            "OversizedCopy: h2d copy larger than buffer ({len} > {capacity} elements)"
+        );
         self.mem
             .write_slice(buf.byte_addr, data.iter().map(|v| v.to_bits()));
-        self.timeline.borrow_mut().h2d_s += self.pcie.transfer_time(data.len() as u64 * 4);
-        Ok(())
+        self.timeline.borrow_mut().h2d_s += self.pcie.transfer_time(len as u64 * 4);
     }
 
     /// Copies a device buffer back to the host (cudaMemcpyDeviceToHost),
-    /// charging PCIe time. See [`Device::try_copy_from_device`] for the
-    /// fallible form.
+    /// charging PCIe time. It cannot fail: the buffer's bounds were checked
+    /// at allocation.
     pub fn copy_from_device<T: Word32>(&self, buf: &DeviceBuffer<T>) -> Vec<T> {
-        self.try_copy_from_device(buf)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Device::copy_from_device`] as a `Result`, like its siblings. The
-    /// copy itself cannot fail: the buffer bounds were checked at
-    /// allocation.
-    pub fn try_copy_from_device<T: Word32>(
-        &self,
-        buf: &DeviceBuffer<T>,
-    ) -> Result<Vec<T>, CudaError> {
         let words = self.mem.read_slice(buf.byte_addr, buf.len());
         let out = words.map(T::from_bits).collect();
         self.timeline.borrow_mut().d2h_s += self.pcie.transfer_time(buf.len as u64 * 4);
-        Ok(out)
+        out
     }
 
-    /// Uploads the constant bank (cudaMemcpyToSymbol). Panics on overflow;
-    /// see [`Device::try_set_const`] for the fallible form.
+    /// Uploads the constant bank (cudaMemcpyToSymbol). Panics on overflow.
     pub fn set_const<T: Word32>(&mut self, data: &[T]) {
-        self.try_set_const(data).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Device::set_const`].
-    pub fn try_set_const<T: Word32>(&mut self, data: &[T]) -> Result<(), CudaError> {
-        if data.len() * 4 > self.cfg.const_mem_bytes as usize {
-            return Err(CudaError::ConstOverflow {
-                want: data.len() * 4,
-                have: self.cfg.const_mem_bytes as usize,
-            });
-        }
+        let (want, have) = (data.len() * 4, self.cfg.const_mem_bytes as usize);
+        assert!(
+            want <= have,
+            "ConstOverflow: constant bank overflow ({want} B > {have} B)"
+        );
         self.mem.const_bank = data.iter().map(|v| v.to_bits()).collect();
         self.timeline.borrow_mut().h2d_s += self.pcie.transfer_time(data.len() as u64 * 4);
-        Ok(())
     }
 
     /// Binds a buffer as the 1D texture (cudaBindTexture).
@@ -384,14 +343,19 @@ mod tests {
             let mut d = Device::new(1 << 16);
             let _ = d.alloc::<f32>(10);
             for len in [1 << 30, usize::MAX, (1 << 32) + 16] {
-                match d.try_alloc::<f32>(len) {
-                    Err(CudaError::OutOfMemory { at: 256, have, .. }) => {
-                        assert_eq!(have, 1 << 16, "len {len}")
-                    }
-                    other => panic!("len {len}: {:?}", other.map(|b| b.len())),
-                }
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    d.alloc::<f32>(len).len()
+                }));
+                let payload = caught.expect_err(&format!("len {len} allocated"));
+                assert_eq!(
+                    g80_sim::fault::payload_str(payload.as_ref()),
+                    Some(
+                        "OutOfMemory: device out of memory: want 4294967295 B at 256, have 65536 B"
+                    ),
+                    "len {len}"
+                );
             }
-            assert_eq!(d.try_alloc::<f32>(16).map(|b| b.addr()), Ok(256));
+            assert_eq!(d.alloc::<f32>(16).addr(), 256);
         });
     }
 

@@ -45,5 +45,4 @@ pub mod transfer;
 
 pub use cpu::{CpuModel, CpuTuning, CpuWork};
 pub use device::{launch_batch, BatchLaunch, Device, DeviceBuffer, Timeline, Word32};
-pub use g80_sim::CudaError;
 pub use transfer::PcieModel;

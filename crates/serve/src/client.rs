@@ -31,7 +31,7 @@
 use crate::framed::{is_crc_mismatch, FramedStream};
 use crate::net::{connect, Addr};
 use crate::protocol::{Request, Response, Specs, WireError, WireLaunch, PROTOCOL_VERSION};
-use g80_sim::fault::splitmix64;
+use g80_sim::digest::splitmix64;
 use g80_sim::{
     net_counters, note_net_disconnect, note_net_frame_retried, note_net_reconnect, LaunchReport,
     MemoCounters, NetCounters,

@@ -3,7 +3,7 @@
 //!
 //! Every message is one frame: a little-endian `u32` payload length,
 //! that many payload bytes, then a little-endian `u32` CRC-32 of the
-//! payload ([`g80_sim::wire::crc32`], added in protocol version 3 so
+//! payload ([`g80_sim::digest::crc32`], added in protocol version 3 so
 //! on-wire corruption is caught by an integrity check instead of
 //! surfacing as a confusing decode failure — or worse, not at all).
 //! Payloads are encoded with the canonical [`g80_sim::wire`] codec (same
@@ -26,7 +26,8 @@
 //! itself can no longer be trusted.
 
 use g80_isa::{Kernel, Value};
-use g80_sim::wire::{self, crc32, Enc, Wire};
+use g80_sim::digest::crc32;
+use g80_sim::wire::{self, Enc, Wire};
 use g80_sim::{wire_layout, LaunchDims, LaunchError, LaunchReport, MemoCounters, NetCounters};
 use std::io::{self, IoSlice, Write};
 

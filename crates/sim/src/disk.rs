@@ -26,7 +26,8 @@
 
 use crate::context::SimContext;
 use crate::counters::KernelStats;
-use crate::memo::{entry_checksum, MemoPayload};
+use crate::digest::entry_checksum;
+use crate::memo::MemoPayload;
 use crate::wire::{Dec, Enc, Wire};
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -14,14 +14,6 @@
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-/// A 64-bit mixer; seeds the serve client's backoff jitter.
-pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 // ---- watchdog --------------------------------------------------------------
 
 /// Payload raised when an SM exceeds the watchdog cycle budget; classified

@@ -62,8 +62,8 @@ pub mod config;
 pub mod context;
 pub mod cost;
 pub mod counters;
+pub mod digest;
 pub mod disk;
-pub mod error;
 pub mod fault;
 pub mod launch;
 pub mod memo;
@@ -83,7 +83,6 @@ pub use counters::{
     row_counters, work_counters, KernelStats, MemoCounters, NetCounters, RowCounters, StallReason,
     WorkCounters,
 };
-pub use error::CudaError;
 pub use launch::{
     launch, launch_batch, launch_batch_traced, launch_traced, LaunchError, LaunchSpec,
 };

@@ -7,10 +7,11 @@
 //! parameter values, and a digest of the full pre-launch device-memory
 //! image (global words, constant bank, texture binding) — plus the
 //! context's SM-engine seam and dedup mode, so oracle and A/B runs never
-//! share entries with the product's. A hit replays the launch's recorded
-//! effect: the cached [`KernelStats`] is returned and the recorded sparse
-//! memory delta is re-applied, leaving memory bit-identical to a real
-//! simulation.
+//! share entries with the product's: one 128-bit [`launch_digest`], which
+//! is also the entry's disk-tier address. A hit replays the launch's
+//! recorded effect: the cached [`KernelStats`] is returned and the recorded
+//! sparse memory delta is re-applied, leaving memory bit-identical to a
+//! real simulation.
 //!
 //! The same module hosts the predecode registry: a content-hash-keyed map
 //! from kernel code to its [`DecodedKernel`] plus the dataflow facts the
@@ -25,185 +26,16 @@
 use crate::config::GpuConfig;
 use crate::context::SimContext;
 use crate::counters::KernelStats;
+use crate::digest::{code_hash, entry_checksum, launch_digest};
 use crate::disk;
 use crate::fault::lock_recover;
 use crate::memory::DeviceMemory;
 use crate::sm::LaunchDims;
-use crate::wire;
 use g80_isa::dataflow::{self, TaintSummary};
 use g80_isa::{DecodedKernel, Kernel, Value};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Mutex, OnceLock};
-
-// ---- hashing ---------------------------------------------------------------
-
-/// 64-bit streaming hasher (multiply-xor with a strong finalizer), seeded so
-/// two instances give independent halves of a 128-bit digest. Deterministic
-/// across processes, which is what lets [`crate::disk`] address entries on
-/// disk by the same digests the in-process cache uses.
-pub(crate) struct Mix64(u64);
-
-impl Mix64 {
-    pub(crate) fn new(seed: u64) -> Self {
-        Mix64(seed ^ 0x9e37_79b9_7f4a_7c15)
-    }
-}
-
-impl Hasher for Mix64 {
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 = (self.0 ^ byte as u64).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    fn write_u32(&mut self, v: u32) {
-        self.0 = (self.0 ^ v as u64).wrapping_mul(0xff51_afd7_ed55_8ccd);
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    }
-    fn finish(&self) -> u64 {
-        let mut h = self.0;
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-        h ^= h >> 33;
-        h
-    }
-}
-
-/// The 128-bit streaming hasher every memo digest goes through: two
-/// [`Mix64`] lanes under different seeds, both advanced by every write, so
-/// the input is fed once and the two multiply chains overlap. Narrow
-/// integers (enum tags, `bool`s, lengths) take one step each instead of
-/// falling back to the bytewise loop.
-pub(crate) struct Mix128 {
-    a: Mix64,
-    b: Mix64,
-}
-
-impl Mix128 {
-    pub(crate) fn new() -> Self {
-        Mix128 {
-            a: Mix64::new(0x243f_6a88_85a3_08d3),
-            b: Mix64::new(0x1319_8a2e_0370_7344),
-        }
-    }
-    pub(crate) fn finish128(&self) -> (u64, u64) {
-        (self.a.finish(), self.b.finish())
-    }
-}
-
-impl Hasher for Mix128 {
-    fn write(&mut self, bytes: &[u8]) {
-        self.a.write(bytes);
-        self.b.write(bytes);
-    }
-    fn write_u8(&mut self, v: u8) {
-        self.write_u32(v as u32);
-    }
-    fn write_u16(&mut self, v: u16) {
-        self.write_u32(v as u32);
-    }
-    fn write_u32(&mut self, v: u32) {
-        self.a.write_u32(v);
-        self.b.write_u32(v);
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.a.write_u64(v);
-        self.b.write_u64(v);
-    }
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-    /// The first half; [`Mix128::finish128`] is the digest.
-    fn finish(&self) -> u64 {
-        self.a.finish()
-    }
-}
-
-/// Independent lanes of [`wide_digest`].
-const WIDE_LANES: usize = 4;
-
-/// One lane step of [`wide_digest`]. A lane is 128 bits of state as two
-/// words; a step multiplies `lo ^ chunk` by an odd constant into the full
-/// 64×64→128-bit product and combines the old state into it *swapped*, once
-/// by xor and once by addition: `(lo, hi) ← (p_lo ^ hi, p_hi + lo)`. Both
-/// product halves are kept, so one multiply puts a chunk into both words.
-///
-/// What the construction has to rule out: an odd multiplier passes the top
-/// bit of `lo ^ chunk` through as exactly the top bit of `p_lo`, so a step
-/// that keeps only a rotated or xor-shifted `p_lo` turns a top-bit flip into
-/// one fixed state difference, and a matching flip in the lane's next chunk
-/// removes it — negating two f32 words eight apart would leave all 128 bits
-/// unchanged. Here the same flip also moves `p_hi` by `K/2` plus a carry,
-/// whose xor difference depends on the state (at most 2⁻²⁰ for any one
-/// value), and the swap keeps it: a chunk is only ever xored into `lo`, the
-/// difference it cannot reach sits in `hi`, and the step that cancels one
-/// word moves the other into its place. For a difference to die, a later
-/// step's `p_lo` and `p_hi` differences must both equal what the lane holds,
-/// two state-dependent matches; xor on one word and `+` on the other keep a
-/// repeat of the first difference from being that match. (A hash, not a MAC:
-/// whoever knows the state can still construct a collision.)
-#[inline(always)]
-fn lane_step((lo, hi): (u64, u64), chunk: u64) -> (u64, u64) {
-    const K: u64 = 0x9e37_79b9_7f4a_7c15;
-    let p = (lo ^ chunk) as u128 * K as u128;
-    (p as u64 ^ hi, ((p >> 64) as u64).wrapping_add(lo))
-}
-
-/// Wide one-pass 128-bit digest of bulk data (the device image, the constant
-/// bank, a memo entry's delta). The input is cut into 64-bit chunks of `per`
-/// items each; chunk `i` goes to lane `i mod 4`, four independent multiply
-/// chains — a streaming hasher spends its time waiting on one chain's
-/// latency — and [`lane_step`] spreads it over both words of the lane's
-/// 128-bit state. The step is not a bijection: two states of a lane merge
-/// with probability 2⁻¹²⁸ a step, an ideal hash's rate. A short last round is
-/// zero-padded; the item count (so padding cannot alias a longer input) and
-/// the eight lane words are folded through [`Mix128`], every word into both
-/// halves of the digest.
-#[inline]
-pub(crate) fn wide_digest<T>(items: &[T], per: usize, chunk: impl Fn(&[T]) -> u64) -> (u64, u64) {
-    let mut lanes: [(u64, u64); WIDE_LANES] = [
-        (0xa409_3822_299f_31d0, 0xc0ac_29b7_c97c_50dd),
-        (0x082e_fa98_ec4e_6c89, 0x3f84_d5b5_b547_0917),
-        (0x4528_21e6_38d0_1377, 0x9216_d5d9_8979_fb1b),
-        (0xbe54_66cf_34e9_0c6c, 0xd131_0ba6_98df_b5ac),
-    ];
-    let mut round = |chunks: [u64; WIDE_LANES]| {
-        for (lane, c) in lanes.iter_mut().zip(chunks) {
-            *lane = lane_step(*lane, c);
-        }
-    };
-    let mut rounds = items.chunks_exact(per * WIDE_LANES);
-    for r in &mut rounds {
-        round(std::array::from_fn(|l| chunk(&r[per * l..per * (l + 1)])));
-    }
-    let rest = rounds.remainder();
-    if !rest.is_empty() {
-        let mut last = [0u64; WIDE_LANES];
-        for (slot, c) in last.iter_mut().zip(rest.chunks(per)) {
-            *slot = chunk(c);
-        }
-        round(last);
-    }
-    let mut h = Mix128::new();
-    h.write_u64(items.len() as u64);
-    for (lo, hi) in lanes {
-        h.write_u64(lo);
-        h.write_u64(hi);
-    }
-    h.finish128()
-}
-
-/// Content hash of a kernel's code (the predecode registry key).
-fn code_hash(code: &[g80_isa::Inst]) -> (u64, u64) {
-    let mut h = Mix128::new();
-    code.hash(&mut h);
-    h.finish128()
-}
 
 // ---- predecode registry ----------------------------------------------------
 
@@ -294,19 +126,6 @@ pub fn kernel_info(kernel: &Kernel) -> Arc<KernelInfo> {
 
 // ---- launch memo cache -----------------------------------------------------
 
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct MemoKey {
-    kernel: (u64, u64),
-    config: u64,
-    grid: (u32, u32),
-    block: (u32, u32, u32),
-    params: u64,
-    input: (u64, u64),
-    /// Seam and dedup discriminants ([`mode_bits`]): launches under different
-    /// modes never share entries, so oracle and A/B comparisons stay honest.
-    mode: u8,
-}
-
 struct MemoEntry {
     /// Shared, immutable once recorded: a hit clones the `Arc` under the
     /// cache lock and verifies and replays it after releasing the lock.
@@ -325,33 +144,11 @@ pub(crate) struct MemoPayload {
     pub(crate) checksum: u64,
 }
 
-/// Integrity digest of a memo entry's payload: the stats' canonical bytes,
-/// so every field counts, eight to a step, and the delta, the bulk of the
-/// payload, through [`wide_digest`].
-pub(crate) fn entry_checksum(stats: &KernelStats, delta: &[(u32, u32)]) -> u64 {
-    let mut h = Mix64::new(0x4528_21e6_38d0_1377);
-    let bytes = wire::to_bytes(stats, 512);
-    h.write_u64(bytes.len() as u64);
-    for chunk in bytes.chunks(8) {
-        let mut word = [0; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        h.write_u64(u64::from_le_bytes(word));
-    }
-    let (a, b) = delta_digest(delta);
-    h.write_u64(a);
-    h.write_u64(b);
-    h.finish()
-}
-
-/// [`wide_digest`] of a delta, one (index, value) pair to a chunk.
-fn delta_digest(delta: &[(u32, u32)]) -> (u64, u64) {
-    wide_digest(delta, 1, |d| d[0].0 as u64 | (d[0].1 as u64) << 32)
-}
-
 /// A context's launch memo LRU.
 #[derive(Default)]
 pub(crate) struct LaunchCache {
-    map: HashMap<MemoKey, MemoEntry>,
+    /// Keyed by [`launch_digest`], the disk tier's address too.
+    map: HashMap<(u64, u64), MemoEntry>,
     tick: u64,
 }
 
@@ -361,7 +158,7 @@ impl LaunchCache {
             .map
             .iter()
             .min_by_key(|(_, e)| e.last_used)
-            .map(|(k, _)| k.clone())
+            .map(|(&k, _)| k)
         {
             self.map.remove(&key);
         }
@@ -405,44 +202,11 @@ pub(crate) enum MemoLookup {
 
 /// Token carrying the key and pre-launch memory image across the simulation.
 pub(crate) struct MemoPending {
-    key: MemoKey,
+    key: (u64, u64),
     pre: Vec<u32>,
 }
 
-fn memo_key(
-    cfg: &GpuConfig,
-    kernel: &Kernel,
-    dims: LaunchDims,
-    params: &[Value],
-    mem: &DeviceMemory,
-    mode: u8,
-) -> MemoKey {
-    let mut h = Mix128::new();
-    kernel.name.hash(&mut h);
-    kernel.code.hash(&mut h);
-    h.write_u32(kernel.regs_per_thread);
-    h.write_u32(kernel.smem_bytes);
-    h.write_u32(kernel.num_params as u32);
-    let kernel_hash = h.finish128();
-    let mut h = Mix64::new(0xa409_3822_299f_31d0);
-    cfg.hash_fields(&mut h);
-    let config = h.finish();
-    let mut h = Mix64::new(0x082e_fa98_ec4e_6c89);
-    for v in params {
-        h.write_u32(v.0);
-    }
-    MemoKey {
-        kernel: kernel_hash,
-        config,
-        grid: dims.grid,
-        block: dims.block,
-        params: h.finish(),
-        input: mem.image_digest(),
-        mode,
-    }
-}
-
-/// The bulk of what [`memo_key`] digests, in bytes: the kernel's code, its
+/// The bulk of what [`launch_digest`] digests, in bytes: the kernel's code, its
 /// parameters and the memory image's global and constant words
 /// ([`DeviceMemory::image_digest`]). The fixed-size rest (name, geometry,
 /// config, mode) is left out.
@@ -480,7 +244,7 @@ pub(crate) fn memo_lookup(
         return MemoLookup::Disabled;
     }
     let mode = mode_bits(ctx.sm_engine.is_some(), ctx.config().dedup);
-    let key = memo_key(cfg, kernel, dims, params, mem, mode);
+    let key = launch_digest(cfg, kernel, dims, params, mem, mode);
     let hashed = key_bytes(kernel, params, mem);
     ctx.metrics.work.bytes_hashed.fetch_add(hashed, Relaxed);
     // The lock covers the map lookup and the LRU bump only; verifying and
@@ -525,7 +289,7 @@ pub(crate) fn memo_lookup(
     // whose stored checksum matches its decoded payload is promoted back
     // into the LRU under that checksum and served exactly like an LRU hit.
     if let Some(dir) = &ctx.config().disk_dir {
-        if let Some(payload) = disk::load(ctx, dir, disk_digest(&key)) {
+        if let Some(payload) = disk::load(ctx, dir, key) {
             apply_delta(mem, &payload.delta);
             let stats = payload.stats.clone();
             memo_insert(ctx, key, payload);
@@ -545,7 +309,7 @@ fn apply_delta(mem: &DeviceMemory, delta: &[(u32, u32)]) {
 /// Counts a miss and copies the pre-launch image [`memo_record`] will diff
 /// against — the only path that snapshots; a hit is identified from the
 /// image digest alone.
-fn memo_miss(ctx: &SimContext, key: MemoKey, mem: &DeviceMemory) -> MemoLookup {
+fn memo_miss(ctx: &SimContext, key: (u64, u64), mem: &DeviceMemory) -> MemoLookup {
     ctx.metrics.memo.misses.fetch_add(1, Relaxed);
     MemoLookup::Miss(MemoPending {
         key,
@@ -554,7 +318,7 @@ fn memo_miss(ctx: &SimContext, key: MemoKey, mem: &DeviceMemory) -> MemoLookup {
 }
 
 /// Inserts an entry, evicting least-recently-used ones at capacity.
-fn memo_insert(ctx: &SimContext, key: MemoKey, payload: MemoPayload) {
+fn memo_insert(ctx: &SimContext, key: (u64, u64), payload: MemoPayload) {
     let cap = ctx.config().memo_cap;
     let mut cache = lock_recover(&ctx.cache);
     cache.tick += 1;
@@ -569,17 +333,6 @@ fn memo_insert(ctx: &SimContext, key: MemoKey, payload: MemoPayload) {
             last_used: tick,
         },
     );
-}
-
-/// The disk tier's content address for a launch: the same 128-bit digest
-/// family as every other memo hash, fed with the full [`MemoKey`] (kernel
-/// content, config, geometry, params, memory image, mode). Stable across
-/// processes — [`Mix128`] has no per-process state — which is what makes
-/// the on-disk cache shareable by whole tuner fleets.
-fn disk_digest(key: &MemoKey) -> (u64, u64) {
-    let mut h = Mix128::new();
-    key.hash(&mut h);
-    h.finish128()
 }
 
 /// Records a simulated launch: diffs the pre-launch snapshot against the
@@ -605,8 +358,7 @@ pub(crate) fn memo_record(
     // Spill to the persistent tier on insert, outside the cache lock (file
     // I/O must not serialize concurrent probes).
     if let Some(dir) = &ctx.config().disk_dir {
-        let digest = disk_digest(&pending.key);
-        disk::publish(ctx, dir, digest, stats, &delta, checksum);
+        disk::publish(ctx, dir, pending.key, stats, &delta, checksum);
     }
     memo_insert(
         ctx,
@@ -623,6 +375,8 @@ pub(crate) fn memo_record(
 mod tests {
     use super::*;
     use crate::counters::{SmStats, StallReason};
+    use crate::digest::delta_digest;
+    use crate::wire;
     use g80_isa::builder::KernelBuilder;
     use g80_isa::InstClass;
 
@@ -689,8 +443,36 @@ mod tests {
         mem
     }
 
-    fn key_of(cfg: &GpuConfig, dims: LaunchDims, params: &[Value], mem: &DeviceMemory) -> MemoKey {
-        memo_key(cfg, &k("key"), dims, params, mem, 0)
+    fn key_of(
+        cfg: &GpuConfig,
+        dims: LaunchDims,
+        params: &[Value],
+        mem: &DeviceMemory,
+    ) -> (u64, u64) {
+        launch_digest(cfg, &k("key"), dims, params, mem, 0)
+    }
+
+    /// The disk tier's address of one fixed launch, recorded before the
+    /// launch key and its hashers moved into [`crate::digest`]: a change to
+    /// how a launch is digested orphans every existing cache directory, so
+    /// it must show up here.
+    #[test]
+    fn launch_digest_is_pinned() {
+        let cfg = GpuConfig::geforce_8800_gtx();
+        let key = |mode| {
+            let params = [Value(64), Value(128)];
+            launch_digest(&cfg, &k("key"), key_dims(), &params, &key_image(), mode)
+        };
+        assert_eq!(key(0), (0x7ee8_8b5d_6314_2f3c, 0x00c5_7d1a_f5f7_b8e7));
+        assert_eq!(key(8), (0x45b2_caca_7b31_6b59, 0xd954_aa37_2167_d123));
+        assert_eq!(
+            key_image().image_digest(),
+            (0xce87_cc3c_cb34_fba5, 0xedd7_27af_4bbb_f8c5)
+        );
+        assert_eq!(
+            code_hash(&k("key").code),
+            (11_811_367_887_786_058_200, 10_711_152_432_429_847_797)
+        );
     }
 
     /// Two launches that agree in everything — on two distinct memory
@@ -700,9 +482,9 @@ mod tests {
         let cfg = GpuConfig::geforce_8800_gtx();
         let params = [Value(64), Value(128)];
         let base = key_of(&cfg, key_dims(), &params, &key_image());
-        assert!(base == key_of(&cfg, key_dims(), &params, &key_image()));
+        assert_eq!(base, key_of(&cfg, key_dims(), &params, &key_image()));
 
-        let differs = |what: &str, other: MemoKey| assert!(base != other, "{what} not in the key");
+        let differs = |what: &str, other| assert_ne!(base, other, "{what} not in the key");
         let mem = key_image();
         mem.write(40, Value(mem.read(40).0 ^ 1));
         differs("global word", key_of(&cfg, key_dims(), &params, &mem));
@@ -721,8 +503,9 @@ mod tests {
         dims.block.2 ^= 2;
         differs("block", key_of(&cfg, dims, &params, &key_image()));
 
-        let key =
-            |kernel: &Kernel, mode| memo_key(&cfg, kernel, key_dims(), &params, &key_image(), mode);
+        let key = |kernel: &Kernel, mode| {
+            launch_digest(&cfg, kernel, key_dims(), &params, &key_image(), mode)
+        };
         differs("mode", key(&k("key"), 8));
         differs("kernel name", key(&k("kez"), 0));
         differs("kernel regs", key(&k("key").with_forced_regs(63), 0));
@@ -740,7 +523,7 @@ mod tests {
     /// One tweak per `GpuConfig` field, each the smallest change the type
     /// allows. `hash_fields` destructures exhaustively, so a new field
     /// cannot be left out of the key; this list pins that each one that is
-    /// in it really moves the key.
+    /// in it really moves the key, to 29 distinct digests.
     #[test]
     fn key_covers_every_config_field() {
         type Tweak = (&'static str, fn(&mut GpuConfig));
@@ -788,16 +571,14 @@ mod tests {
             tweak(&mut cfg);
             assert!(cfg != base_cfg, "{field}: tweak changed nothing");
             let key = key_of(&cfg, key_dims(), &params, &mem);
-            assert!(key != base, "{field} not in the key");
-            assert!(
-                seen.insert(key.config),
-                "{field} collides with another field"
-            );
+            assert_ne!(key, base, "{field} not in the key");
+            assert!(seen.insert(key), "{field} collides with another field");
         }
+        assert_eq!(seen.len(), 29);
         // Two u32 fields trading values is a different machine too.
         let mut cfg = base_cfg.clone();
         std::mem::swap(&mut cfg.num_sms, &mut cfg.sps_per_sm);
-        assert!(key_of(&cfg, key_dims(), &params, &mem) != base);
+        assert_ne!(key_of(&cfg, key_dims(), &params, &mem), base);
     }
 
     /// Flips the stored checksum of every LRU entry in place, as bit rot
@@ -826,7 +607,7 @@ mod tests {
         let recorded = key_image();
         let pre = recorded.snapshot_words();
         let pending = MemoPending {
-            key: memo_key(&cfg, &kernel, dims, &params, &recorded, 0),
+            key: launch_digest(&cfg, &kernel, dims, &params, &recorded, 0),
             pre: pre.clone(),
         };
         for (i, w) in pre.iter().enumerate() {
@@ -889,9 +670,8 @@ mod tests {
             1,
             "the re-record missed"
         );
-        let key = memo_key(&cfg, &kernel, dims, &params, &key_image(), 0);
-        let file =
-            disk::load(&ctx, &dir, disk_digest(&key)).expect("the republished file verifies");
+        let key = launch_digest(&cfg, &kernel, dims, &params, &key_image(), 0);
+        let file = disk::load(&ctx, &dir, key).expect("the republished file verifies");
         assert_eq!(wire::to_bytes(&file.stats, 512), first.0);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -941,28 +721,6 @@ mod tests {
         );
     }
 
-    /// The property [`lane_step`] exists for: flipping a chunk's top bit does
-    /// not produce one state difference the next chunk could cancel — the
-    /// difference in `hi` varies with the state.
-    #[test]
-    fn lane_step_top_bit_difference_depends_on_the_state() {
-        let mut x = 0x2545_f491_4f6c_dd1du64;
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..10_000 {
-            let (state, chunk) = ((next(), next()), next());
-            let (a, b) = (lane_step(state, chunk), lane_step(state, chunk ^ 1 << 63));
-            assert_eq!(a.0 ^ b.0, 1 << 63, "an odd multiplier keeps the top bit");
-            seen.insert(a.1 ^ b.1);
-        }
-        assert!(seen.len() > 9_900, "{} distinct differences", seen.len());
-    }
-
     /// Pair `i` and pair `i + 4` share a lane of the delta digest. A value's
     /// top bit (bit 63 of its chunk) together with any bit of the lane's next
     /// pair must still change both halves — under an xor-linear lane step it
@@ -992,19 +750,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Both lanes of the two-lane hasher are [`Mix64`]s.
-    #[test]
-    fn mix64_is_order_sensitive() {
-        let digest = |words: [u32; 2]| {
-            let mut h = Mix128::new();
-            h.write_u32(words[0]);
-            h.write_u32(words[1]);
-            h.finish128()
-        };
-        let (a, b) = (digest([1, 2]), digest([2, 1]));
-        assert_ne!(a.0, b.0);
-        assert_ne!(a.1, b.1);
     }
 }

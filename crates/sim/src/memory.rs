@@ -7,7 +7,7 @@
 //! observe exactly the values they would on hardware. All accesses are
 //! 4-byte words at byte addresses.
 
-use crate::memo::{wide_digest, Mix128};
+use crate::digest::{word_digest, Mix128};
 use g80_isa::Value;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -177,8 +177,8 @@ impl DeviceMemory {
     pub(crate) fn image_digest(&self) -> (u64, u64) {
         let mut h = Mix128::new();
         for half in [
-            digest_words(&self.words, |w| w.load(Ordering::Relaxed)),
-            digest_words(&self.const_bank, |&w| w),
+            word_digest(&self.words, |w| w.load(Ordering::Relaxed)),
+            word_digest(&self.const_bank, |&w| w),
         ] {
             h.write_u64(half.0);
             h.write_u64(half.1);
@@ -331,15 +331,6 @@ impl Words for &DeviceMemory {
     }
 }
 
-/// [`wide_digest`] over 32-bit words, two to a 64-bit chunk (low word
-/// first; an odd last word is zero-extended), read through `load` so the same
-/// function serves `AtomicU32` cells and plain slices.
-fn digest_words<T>(words: &[T], load: impl Fn(&T) -> u32) -> (u64, u64) {
-    wide_digest(words, 2, |pair| {
-        load(&pair[0]) as u64 | pair.get(1).map_or(0, |hi| (load(hi) as u64) << 32)
-    })
-}
-
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)]
 mod tests {
@@ -361,7 +352,7 @@ mod tests {
     }
 
     fn slice_digest(words: &[u32]) -> (u64, u64) {
-        digest_words(words, |&w| w)
+        word_digest(words, |&w| w)
     }
 
     fn assert_both_halves_differ(what: &str, a: (u64, u64), b: (u64, u64)) {
@@ -376,7 +367,7 @@ mod tests {
         // the n=48 matmul device.
         for words in (0..=67).chain([7936]) {
             let mem = seeded_memory(words, words as u64);
-            let live = digest_words(&mem.words, |w| w.load(Ordering::Relaxed));
+            let live = word_digest(&mem.words, |w| w.load(Ordering::Relaxed));
             assert_eq!(live, slice_digest(&mem.snapshot_words()), "{words} words");
         }
     }
@@ -422,7 +413,7 @@ mod tests {
     /// cancel. Under an xor-linear lane step such as `rotl32((s ^ c)·K)` the
     /// top bit of a chunk reaches the lane's next chunk as one known bit, in
     /// both halves at once: negating f32 elements 1 and 8 of any image
-    /// leaves the whole 128-bit digest unchanged (see `memo::lane_step`).
+    /// leaves the whole 128-bit digest unchanged (see `digest::lane_step`).
     #[test]
     fn digest_differences_in_one_lane_do_not_cancel() {
         let large = seeded_memory(7936, 4).snapshot_words();

@@ -458,165 +458,9 @@ pub fn put_slice<T: Wire>(items: &[T], e: &mut Enc) {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `bytes` —
-/// the checksum the `g80-serve` framed protocol appends to every frame
-/// payload so a corrupted frame is detected before it reaches the strict
-/// decoders above (which would otherwise report corruption as `Malformed`
-/// only when a length field happens to go out of range). Each frame is
-/// summed twice, by its writer and by its reader: four passes per served
-/// round trip. On x86-64 with PCLMULQDQ, inputs of 128 bytes or more are
-/// folded 64 bytes a step by carry-less multiplication (the private
-/// `clmul` module); shorter inputs, and every other CPU, run
-/// [`crc32_sliced`]. Both give the same sum.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    if bytes.len() >= 128 && std::arch::is_x86_feature_detected!("pclmulqdq") {
-        // SAFETY: the CPU has PCLMULQDQ (checked on the line above).
-        return unsafe { clmul::crc32(bytes) };
-    }
-    crc32_sliced(!0, bytes)
-}
-
-/// The portable sum: continues the raw CRC register `state` (`!0` at the
-/// start of an input) over `bytes` and returns the finished CRC, `!register`.
-/// Slicing-by-8: eight input bytes per step through eight compile-time
-/// tables, so the serial dependency is one table-lookup latency per eight
-/// bytes instead of per byte.
-#[doc(hidden)]
-pub fn crc32_sliced(state: u32, bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut c = state;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = t[7][(lo & 0xff) as usize]
-            ^ t[6][((lo >> 8) & 0xff) as usize]
-            ^ t[5][((lo >> 16) & 0xff) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xff) as usize]
-            ^ t[2][((hi >> 8) & 0xff) as usize]
-            ^ t[1][((hi >> 16) & 0xff) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in words.remainder() {
-        c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
-    }
-    !c
-}
-
-/// CRC-32/IEEE by PCLMULQDQ folding (Gopal et al., "Fast CRC Computation
-/// for Generic Polynomials Using PCLMULQDQ Instruction", Intel, 2009; the
-/// constants are the bit-reflected ones Linux's `crc32-pclmul` uses). Four
-/// 128-bit accumulators each absorb 16 bytes a step: multiplying an
-/// accumulator's halves by `x^k mod P` moves it 64 bytes along the
-/// message, so the next block is simply XORed in. The four then fold into
-/// one, 16-byte blocks follow, and the 128-bit remainder is reduced to 32
-/// bits (two folds, then Barrett reduction by `P` and `μ = x^64 / P`).
-#[cfg(target_arch = "x86_64")]
-mod clmul {
-    use std::arch::x86_64::*;
-
-    const K1: i64 = 0x1_5444_2bd4;
-    const K2: i64 = 0x1_c6e4_1596;
-    const K3: i64 = 0x1_7519_97d0;
-    const K4: i64 = 0x0_ccaa_009e;
-    const K5: i64 = 0x1_63cd_6124;
-    const P: i64 = 0x1_DB71_0641;
-    const MU: i64 = 0x1_F701_1641;
-
-    /// The first 16 bytes of `b`, unaligned.
-    #[inline]
-    fn load(b: &[u8]) -> __m128i {
-        let b = &b[..16];
-        // SAFETY: `b` is 16 readable bytes, and `loadu` has no alignment
-        // requirement.
-        unsafe { _mm_loadu_si128(b.as_ptr().cast()) }
-    }
-
-    /// `x` moved along the message by the distance `k` encodes, plus `next`.
-    #[inline]
-    #[target_feature(enable = "pclmulqdq")]
-    fn fold(x: __m128i, k: __m128i, next: __m128i) -> __m128i {
-        let lo = _mm_clmulepi64_si128(x, k, 0x00);
-        let hi = _mm_clmulepi64_si128(x, k, 0x11);
-        _mm_xor_si128(_mm_xor_si128(lo, hi), next)
-    }
-
-    /// [`super::crc32`] of `bytes`; inputs under 64 bytes go to the table loop.
-    #[target_feature(enable = "pclmulqdq")]
-    pub(super) fn crc32(bytes: &[u8]) -> u32 {
-        if bytes.len() < 64 {
-            return super::crc32_sliced(!0, bytes);
-        }
-        let mut x = [0, 16, 32, 48].map(|at| load(&bytes[at..]));
-        x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(!0));
-        let mut rest = &bytes[64..];
-        let k = _mm_set_epi64x(K2, K1);
-        while rest.len() >= 64 {
-            for (i, acc) in x.iter_mut().enumerate() {
-                *acc = fold(*acc, k, load(&rest[16 * i..]));
-            }
-            rest = &rest[64..];
-        }
-        let k = _mm_set_epi64x(K4, K3);
-        let mut acc = fold(fold(fold(x[0], k, x[1]), k, x[2]), k, x[3]);
-        while rest.len() >= 16 {
-            acc = fold(acc, k, load(rest));
-            rest = &rest[16..];
-        }
-        // 128 → 64 bits, then 64 → 32.
-        let acc = _mm_xor_si128(_mm_clmulepi64_si128(acc, k, 0x10), _mm_srli_si128(acc, 8));
-        let lo32 = _mm_set_epi32(0, 0, 0, !0);
-        let k5 = _mm_set_epi64x(0, K5);
-        let acc = _mm_xor_si128(
-            _mm_clmulepi64_si128(_mm_and_si128(acc, lo32), k5, 0x00),
-            _mm_srli_si128(acc, 4),
-        );
-        // Barrett reduction: the register is lane 1 of `acc ^ t2`.
-        let pmu = _mm_set_epi64x(MU, P);
-        let t1 = _mm_clmulepi64_si128(_mm_and_si128(acc, lo32), pmu, 0x10);
-        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, lo32), pmu, 0x00);
-        let reg = _mm_cvtsi128_si32(_mm_srli_si128(_mm_xor_si128(acc, t2), 4)) as u32;
-        super::crc32_sliced(reg, rest)
-    }
-}
-
-/// `CRC_TABLES[0]` is the classic bytewise table of the reflected
-/// polynomial; `CRC_TABLES[k][i]` is the CRC state after byte `i` is
-/// followed by `k` zero bytes, which is what lets [`crc32_sliced`] fold eight
-/// bytes with eight independent lookups.
-static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
-
-const fn crc_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        t[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = t[k - 1][i];
-            t[k][i] = t[0][(prev & 0xff) as usize] ^ (prev >> 8);
-            i += 1;
-        }
-        k += 1;
-    }
-    t
-}
+/// The frame checksum, defined in [`crate::digest`]; re-exported here
+/// because `g80_sim::wire::crc32` is part of the benchmark's frozen API.
+pub use crate::digest::crc32;
 
 // ---- layouts -------------------------------------------------------------
 //
@@ -940,113 +784,6 @@ mod tests {
         const { assert!(Value::FIXED && <(u8, u16, f64)>::FIXED) };
         const { assert!(!bool::FIXED && !Option::<u32>::FIXED && !<(u32, bool)>::FIXED) };
         const { assert!(!Inst::FIXED && !String::FIXED && !Vec::<u32>::FIXED) };
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard check values for CRC-32/IEEE.
-        assert_eq!(crc32(b""), 0x0000_0000);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
-        // Single-bit sensitivity: flipping any one bit changes the sum.
-        let base = crc32(b"g80-serve frame");
-        let mut buf = b"g80-serve frame".to_vec();
-        buf[3] ^= 0x01;
-        assert_ne!(crc32(&buf), base);
-    }
-
-    /// CRC-32/IEEE one bit at a time, written from the polynomial alone
-    /// (no tables): the oracle the sliced product is held against.
-    fn crc32_bitwise(bytes: &[u8]) -> u32 {
-        let mut c = !0u32;
-        for &b in bytes {
-            c ^= b as u32;
-            for _ in 0..8 {
-                c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
-            }
-        }
-        !c
-    }
-
-    fn seeded_bytes(n: usize) -> Vec<u8> {
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        (0..n)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x >> 32) as u8
-            })
-            .collect()
-    }
-
-    #[test]
-    fn crc32_matches_bitwise_reference_at_every_length_and_offset() {
-        let buf = seeded_bytes((1 << 20) + 3 + 8);
-        // Every head/tail combination of the 8-byte stride, at every start
-        // alignment, then the benchmark's frame sizes and one long input.
-        for off in 0..8 {
-            for len in 0..=1024 {
-                let s = &buf[off..off + len];
-                assert_eq!(crc32(s), crc32_bitwise(s), "len {len} at offset {off}");
-            }
-        }
-        for len in [8411, 131_291, (1 << 20) + 3] {
-            assert_eq!(crc32(&buf[..len]), crc32_bitwise(&buf[..len]), "len {len}");
-        }
-    }
-
-    /// Both sums against the reference, whichever one `crc32` dispatches
-    /// to here: every length across the 128-byte threshold, every 16-byte
-    /// tail and 64-byte loop remainder, at every start offset, then the
-    /// benchmark's frame sizes and one long input.
-    #[test]
-    fn crc32_sliced_and_clmul_match_bitwise_reference() {
-        let buf = seeded_bytes((1 << 20) + 3 + 16);
-        type Sum = fn(&[u8]) -> u32;
-        let mut paths: Vec<(&str, Sum)> = vec![("sliced", |s| crc32_sliced(!0, s))];
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("pclmulqdq") {
-            // SAFETY: the CPU has PCLMULQDQ (checked on the line above).
-            paths.push(("clmul", |s| unsafe { clmul::crc32(s) }));
-        }
-        for &(path, sum) in &paths {
-            for off in 0..16 {
-                for len in 0..=1024 {
-                    let s = &buf[off..off + len];
-                    assert_eq!(
-                        sum(s),
-                        crc32_bitwise(s),
-                        "{path}: len {len} at offset {off}"
-                    );
-                }
-            }
-            for len in [8411, 8626, 131_291, (1 << 20) + 3] {
-                let s = &buf[..len];
-                assert_eq!(sum(s), crc32_bitwise(s), "{path}: len {len}");
-            }
-        }
-        let names: Vec<&str> = paths.iter().map(|p| p.0).collect();
-        println!("crc32 paths checked: {}", names.join(", "));
-    }
-
-    #[test]
-    fn crc32_changes_on_every_single_bit_flip() {
-        let mut buf = seeded_bytes(512);
-        let base = crc32(&buf);
-        assert_eq!(crc32_sliced(!0, &buf), base);
-        for i in 0..buf.len() {
-            for bit in 0..8 {
-                buf[i] ^= 1 << bit;
-                assert_ne!(crc32(&buf), base, "byte {i} bit {bit}");
-                assert_ne!(crc32_sliced(!0, &buf), base, "sliced: byte {i} bit {bit}");
-                buf[i] ^= 1 << bit;
-            }
-        }
-        assert_eq!(crc32(&buf), base);
     }
 
     #[test]
