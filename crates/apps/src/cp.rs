@@ -10,8 +10,8 @@
 use crate::common::{self, AppReport};
 use g80_cuda::{CpuTuning, CpuWork, Device, Timeline};
 use g80_isa::builder::{KernelBuilder, Unroll};
-use g80_isa::inst::{Operand, SfuOp, UnOp};
 use g80_isa::Kernel;
+use g80_isa::{Operand, SfuOp, UnOp};
 use g80_sim::KernelStats;
 
 /// One point charge.

@@ -16,7 +16,6 @@ pub mod matmul;
 pub mod mrifhd;
 pub mod mriq;
 pub mod pns;
-pub mod primitives;
 pub mod rc5;
 pub mod rpes;
 pub mod sad;

@@ -13,7 +13,7 @@
 use crate::common;
 use g80_cuda::{BatchLaunch, CpuWork, Device, DeviceBuffer, Timeline};
 use g80_isa::builder::{KernelBuilder, Unroll};
-use g80_isa::inst::{CmpOp, Operand, Pred, Scalar};
+use g80_isa::{CmpOp, Operand, Pred, Scalar};
 use g80_isa::{Kernel, Reg, Value};
 use g80_sim::KernelStats;
 use std::collections::HashMap;

@@ -9,8 +9,8 @@
 use crate::common::{self, AppReport};
 use g80_cuda::{CpuModel, CpuTuning, CpuWork, Device, Timeline};
 use g80_isa::builder::{KernelBuilder, Unroll};
-use g80_isa::inst::{Operand, SfuOp};
 use g80_isa::Kernel;
+use g80_isa::{Operand, SfuOp};
 use g80_sim::KernelStats;
 
 const TWO_PI: f32 = std::f32::consts::TAU;

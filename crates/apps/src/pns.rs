@@ -15,7 +15,7 @@
 use crate::common::{self, AppReport};
 use g80_cuda::{CpuModel, CpuTuning, CpuWork, Device, Timeline};
 use g80_isa::builder::KernelBuilder;
-use g80_isa::inst::{CmpOp, Operand, Scalar};
+use g80_isa::{CmpOp, Operand, Scalar};
 use g80_isa::{Kernel, Pred};
 use g80_sim::KernelStats;
 

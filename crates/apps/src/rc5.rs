@@ -11,7 +11,7 @@
 use crate::common::{self, AppReport};
 use g80_cuda::{CpuTuning, CpuWork, Device, Timeline};
 use g80_isa::builder::KernelBuilder;
-use g80_isa::inst::{AluOp, Operand};
+use g80_isa::{AluOp, Operand};
 use g80_isa::{Kernel, Reg};
 use g80_sim::KernelStats;
 

@@ -12,8 +12,8 @@
 use crate::common::{self, AppReport};
 use g80_cuda::{CpuModel, CpuTuning, CpuWork, Device, Timeline};
 use g80_isa::builder::KernelBuilder;
-use g80_isa::inst::{Operand, SfuOp};
 use g80_isa::{Kernel, Reg};
+use g80_isa::{Operand, SfuOp};
 use g80_sim::KernelStats;
 
 /// Legendre order used for the Rys-style recurrence.

@@ -17,7 +17,7 @@
 use crate::common::{self, AppReport};
 use g80_cuda::{CpuModel, CpuTuning, CpuWork, Device, Timeline};
 use g80_isa::builder::{KernelBuilder, Unroll};
-use g80_isa::inst::{AluOp, Operand};
+use g80_isa::{AluOp, Operand};
 use g80_isa::{Kernel, Space};
 use g80_sim::KernelStats;
 
@@ -251,25 +251,6 @@ impl SadApp {
         (out, stats, dev.timeline())
     }
 
-    /// Best motion vector per macroblock (host-side argmin, as H.264 would).
-    pub fn best_vectors(&self, sads: &[u32]) -> Vec<(i32, i32)> {
-        let (mbx, mby) = self.mbs();
-        (0..mbx * mby)
-            .map(|mb| {
-                let base = (mb * CAND * CAND) as usize;
-                let (best, _) = sads[base..base + (CAND * CAND) as usize]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, &v)| v)
-                    .unwrap();
-                (
-                    (best as u32 % CAND) as i32 - RANGE as i32,
-                    (best as u32 / CAND) as i32 - RANGE as i32,
-                )
-            })
-            .collect()
-    }
-
     /// Table 2/3 record (texture path).
     pub fn report(&self) -> AppReport {
         let (cur, reff) = self.generate(41);
@@ -316,7 +297,17 @@ mod tests {
         let s = tiny();
         let (cur, reff) = s.generate(2);
         let (sads, _, _) = s.run(&cur, &reff, true);
-        let vectors = s.best_vectors(&sads);
+        // Best motion vector per macroblock (host-side argmin, as H.264 would).
+        let vectors: Vec<(i32, i32)> = sads
+            .chunks((CAND * CAND) as usize)
+            .map(|mb| {
+                let best = (0..CAND * CAND).min_by_key(|&c| mb[c as usize]).unwrap();
+                (
+                    (best % CAND) as i32 - RANGE as i32,
+                    (best / CAND) as i32 - RANGE as i32,
+                )
+            })
+            .collect();
         // ref[p] = cur[p + (3, -2)], so the displacement that aligns the
         // macroblock with the reference is the inverse, (-3, 2).
         let hits = vectors.iter().filter(|&&v| v == (-3, 2)).count();

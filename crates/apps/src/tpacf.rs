@@ -12,8 +12,8 @@
 use crate::common::{self, AppReport};
 use g80_cuda::{CpuModel, CpuTuning, CpuWork, Device, Timeline};
 use g80_isa::builder::{KernelBuilder, Unroll};
-use g80_isa::inst::{CmpOp, Operand, Scalar};
 use g80_isa::Kernel;
+use g80_isa::{CmpOp, Operand, Scalar};
 use g80_sim::KernelStats;
 
 /// Threads per block (one tile of points per block iteration).

@@ -12,8 +12,8 @@
 //! `engine_speedup` test.
 //!
 //! Writes the report to the path given as the last argument (default
-//! `BENCH_sim.json`). The committed copy at the repo root is regenerated
-//! with:
+//! `BENCH_sim.json`; under `--check`, no file unless a path is given). The
+//! committed copy at the repo root is regenerated with:
 //!
 //! ```text
 //! cargo run --release -p g80-bench --bin bench_sim -- BENCH_sim.json
@@ -35,11 +35,10 @@ use g80_apps::mrifhd::MriFhd;
 use g80_apps::mriq::MriQ;
 use g80_bench::matmul_study::{revisit_fleet, REVISIT_LAUNCHES};
 use g80_isa::builder::KernelBuilder;
-use g80_isa::exec;
-use g80_isa::inst::SfuOp;
-use g80_isa::{Kernel, Value};
-use g80_serve::fleet::{self, probe_spec, run_fleet, FleetReport};
-use g80_serve::{serve, Addr, Request, ServeConfig, WireLaunch};
+use g80_isa::{eval_sfu, eval_sfu_row, Kernel, SfuOp, Value};
+use g80_serve::{
+    probe_spec, run_fleet, serve, shutdown, Addr, FleetReport, Request, ServeConfig, WireLaunch,
+};
 use g80_sim::wire::{Dec, Enc, Wire};
 use g80_sim::{
     clear_memo_cache, memo_counters, work_counters, KernelStats, LaunchDims, MemoCounters,
@@ -340,7 +339,7 @@ fn dedup_row(
 /// `--check`, so the min sees the core after its 256-bit units warmed up.
 fn sfu_row(name: &'static str, op: SfuOp) -> Row {
     const ROWS: usize = 4096;
-    let input: Vec<exec::Row> = (0..ROWS)
+    let input: Vec<g80_isa::Row> = (0..ROWS)
         .map(|r| {
             std::array::from_fn(|l| {
                 let x = ((r * 32 + l) as f32 * 0.618_034).fract() * 100.0 - 50.0;
@@ -357,12 +356,12 @@ fn sfu_row(name: &'static str, op: SfuOp) -> Row {
             if arm == 0 {
                 for (a, d) in rows {
                     for l in 0..32 {
-                        d[l] = exec::eval_sfu(op, a[l]);
+                        d[l] = eval_sfu(op, a[l]);
                     }
                 }
             } else {
                 for (a, d) in rows {
-                    exec::eval_sfu_row(op, a, d, u32::MAX);
+                    eval_sfu_row(op, a, d, u32::MAX);
                 }
             }
             black_box(&out[arm]);
@@ -399,7 +398,7 @@ fn crc_row() -> Row {
         !c
     }
     fn sliced(bytes: &[u8]) -> u32 {
-        g80_sim::digest::crc32_sliced(!0, bytes)
+        g80_sim::crc32_sliced(!0, bytes)
     }
     const KB: usize = 64;
     let block: Vec<u8> = (0..KB * 1024)
@@ -411,7 +410,7 @@ fn crc_row() -> Row {
         best(&pairs, |s| s.wall * 1e9 / KB as f64)
     };
     let [bitwise_ns, sliced_a] = time([bitwise, sliced]);
-    let [sliced_b, crc32_ns] = time([sliced, g80_sim::digest::crc32]);
+    let [sliced_b, crc32_ns] = time([sliced, g80_sim::crc32]);
     let sliced_ns = sliced_a.min(sliced_b);
     #[cfg(target_arch = "x86_64")]
     let pclmulqdq = std::arch::is_x86_feature_detected!("pclmulqdq");
@@ -584,7 +583,7 @@ fn serve_fleet(
         .expect("bind serve daemon");
         let addr = server.local_addr().clone();
         let report = run_fleet(&addr, TENANTS, requests, spec).expect("serve fleet");
-        fleet::shutdown(&addr).expect("daemon shutdown");
+        shutdown(&addr).expect("daemon shutdown");
         server.join().expect("daemon drain");
         report
     })
@@ -605,16 +604,26 @@ fn main() {
     }
 }
 
-fn run() -> i32 {
+/// The mode and the report path from the arguments after the program name:
+/// `--check` selects the CI mode, any other argument is the path. Full mode
+/// defaults to `BENCH_sim.json`; `--check` writes only to a path it is
+/// given, so a bare check leaves the committed report alone.
+fn parse_args(args: impl IntoIterator<Item = String>) -> (bool, Option<String>) {
     let mut check = false;
-    let mut out_path = String::from("BENCH_sim.json");
-    for arg in std::env::args().skip(1) {
+    let mut out_path = None;
+    for arg in args {
         if arg == "--check" {
             check = true;
         } else {
-            out_path = arg;
+            out_path = Some(arg);
         }
     }
+    let default = (!check).then(|| String::from("BENCH_sim.json"));
+    (check, out_path.or(default))
+}
+
+fn run() -> i32 {
+    let (check, out_path) = parse_args(std::env::args().skip(1));
     let mut rows = Vec::new();
     let mut add = |row: Row| {
         row.print();
@@ -624,7 +633,7 @@ fn run() -> i32 {
     cache_rows(&mut add, check);
     host_rows(&mut add);
     serve_rows(&mut add, check);
-    report(&rows, check, &out_path)
+    report(&rows, check, out_path.as_deref())
 }
 
 /// The paper's best matmul configuration: 16x16 tiles, fully unrolled.
@@ -902,19 +911,21 @@ fn serve_rows(add: &mut impl FnMut(Row), check: bool) {
         .bound("p99_ms", Bound::Ceiling(250.0)));
 }
 
-/// Writes the report, then checks the bounds: exit 2 on a miss, after
-/// reporting all. Under `--check` the run must also emit the committed
+/// Writes the report (when there is a path), then checks the bounds: exit 2
+/// on a miss, after reporting all. Under `--check` the run must also emit the committed
 /// report's row names and each row's field names (values and bounds aside):
 /// exit 3 when they differ, so the committed file cannot go stale in shape.
-fn report(rows: &[Row], check: bool, out_path: &str) -> i32 {
+fn report(rows: &[Row], check: bool, out_path: Option<&str>) -> i32 {
     let body: Vec<String> = rows.iter().map(Row::json).collect();
     let mode = if check { "check" } else { "full" };
     let json = format!(
         "{{\n  \"benchmark\": \"g80-sim host A/B\",\n  \"mode\": \"{mode}\",\n  \"rows\": [\n    {}\n  ]\n}}\n",
         body.join(",\n    ")
     );
-    std::fs::write(out_path, json.as_str()).expect("write benchmark report");
-    eprintln!("wrote {out_path}");
+    if let Some(path) = out_path {
+        std::fs::write(path, json.as_str()).expect("write benchmark report");
+        eprintln!("wrote {path}");
+    }
     let missed: Vec<String> = rows.iter().flat_map(Row::missed).collect();
     for m in &missed {
         eprintln!("bound missed: {m}");
@@ -964,7 +975,28 @@ fn shape(json: &str) -> Vec<String> {
 
 #[cfg(test)]
 mod tests {
-    use super::shape;
+    use super::{parse_args, shape};
+
+    fn parse(args: &[&str]) -> (bool, Option<String>) {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    /// Full mode writes the committed report by default; a bare `--check`
+    /// writes nothing, and either mode writes to a path it is given.
+    #[test]
+    fn only_full_mode_defaults_the_report_path() {
+        assert_eq!(parse(&[]), (false, Some("BENCH_sim.json".into())));
+        assert_eq!(parse(&["--check"]), (true, None));
+        assert_eq!(
+            parse(&["--check", "/tmp/x.json"]),
+            (true, Some("/tmp/x.json".into()))
+        );
+        assert_eq!(
+            parse(&["/tmp/x.json", "--check"]),
+            (true, Some("/tmp/x.json".into()))
+        );
+        assert_eq!(parse(&["out.json"]), (false, Some("out.json".into())));
+    }
 
     /// The shape of a report line: its name and field keys, not the group,
     /// the values or the bounds.

@@ -53,7 +53,7 @@ fn main() {
                         unroll: false,
                     },
                 ] {
-                    println!("{}", g80_isa::disasm::disassemble(&mm.kernel(v)));
+                    println!("{}", g80_isa::disassemble(&mm.kernel(v)));
                 }
             }
             "fig4" => {

@@ -404,7 +404,8 @@ pub fn evaluate(scale: Scale) -> (String, bool) {
 
 /// Checks only the rows `ids` at `scale`, running only the studies they
 /// read. Panics on an unknown id.
-pub fn evaluate_rows(scale: Scale, ids: &[&str]) -> (String, bool) {
+#[cfg(test)]
+fn evaluate_rows(scale: Scale, ids: &[&str]) -> (String, bool) {
     check(scale, ids.iter().map(|id| row_by_id(id)))
 }
 

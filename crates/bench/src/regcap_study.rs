@@ -9,7 +9,7 @@
 
 use g80_cuda::{BatchLaunch, Device};
 use g80_isa::builder::{BuildOptions, KernelBuilder, Unroll};
-use g80_isa::inst::Operand;
+use g80_isa::Operand;
 use g80_isa::{InstClass, OptLevel};
 
 /// One point of the register-cap sweep.

@@ -10,8 +10,8 @@
 //!   GB/s.
 
 use g80_isa::builder::{KernelBuilder, Unroll};
-use g80_isa::inst::{Operand, Space};
 use g80_isa::Value;
+use g80_isa::{Operand, Space};
 use g80_sim::{launch, DeviceMemory, GpuConfig, LaunchDims};
 
 /// One measured row of Table 1.

@@ -176,7 +176,7 @@ pub(crate) fn hints(
 mod tests {
     use super::*;
     use g80_isa::builder::{KernelBuilder, Unroll};
-    use g80_isa::inst::Operand;
+    use g80_isa::Operand;
     use g80_isa::Value;
     use g80_sim::{launch, DeviceMemory, LaunchDims};
 

@@ -88,19 +88,6 @@ impl<C> SweepResult<C> {
         }
     }
 
-    /// Cache hit fraction over this sweep's launches, counting both the
-    /// in-process memo and the disk tier (0 when nothing was probed — e.g.
-    /// the cache is disabled).
-    pub fn memo_hit_rate(&self) -> f64 {
-        let served = self.memo_hits + self.disk_hits;
-        let total = served + self.memo_misses;
-        if total == 0 {
-            0.0
-        } else {
-            served as f64 / total as f64
-        }
-    }
-
     pub fn best_sample(&self) -> &Sample<C> {
         &self.samples[self.best]
     }
@@ -305,7 +292,6 @@ mod tests {
             (4, 0),
             "revisit must be served by the launch memo cache: {warm:?}"
         );
-        assert!(warm.memo_hit_rate() > 0.0);
         for (a, b) in cold.samples.iter().zip(&warm.samples) {
             assert_eq!(a.stats.cycles, b.stats.cycles);
         }

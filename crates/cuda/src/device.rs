@@ -50,10 +50,6 @@ pub struct DeviceBuffer<T: Word32> {
 }
 
 impl<T: Word32> DeviceBuffer<T> {
-    /// Device byte address of the first element.
-    pub fn addr(&self) -> u32 {
-        self.byte_addr
-    }
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.len as usize
@@ -114,17 +110,6 @@ impl Timeline {
     /// Transfer seconds (both directions).
     pub fn transfer_s(&self) -> f64 {
         self.h2d_s + self.d2h_s
-    }
-    /// Fraction of this device's launches served by any cache tier — the
-    /// in-process launch memo or the persistent disk cache (0 when nothing
-    /// launched). The context's totals — across devices and including
-    /// block-class dedup — live in [`g80_sim::memo_counters`].
-    pub fn memo_hit_rate(&self) -> f64 {
-        if self.launches == 0 {
-            0.0
-        } else {
-            (self.memo_hits + self.disk_hits) as f64 / self.launches as f64
-        }
     }
 }
 
@@ -261,11 +246,6 @@ impl Device {
     pub fn timeline(&self) -> Timeline {
         self.timeline.borrow().clone()
     }
-
-    /// Resets the timeline (between experiments).
-    pub fn reset_timeline(&self) {
-        *self.timeline.borrow_mut() = Timeline::default();
-    }
 }
 
 /// One entry of a [`launch_batch`]: a kernel launch bound to the device it
@@ -330,9 +310,9 @@ mod tests {
         let mut d = Device::new(1 << 16);
         let a = d.alloc::<f32>(10);
         let b = d.alloc::<f32>(100);
-        assert_eq!(a.addr() % 256, 0);
-        assert_eq!(b.addr() % 256, 0);
-        assert!(b.addr() >= a.addr() + 40);
+        assert_eq!(a.byte_addr % 256, 0);
+        assert_eq!(b.byte_addr % 256, 0);
+        assert!(b.byte_addr >= a.byte_addr + 40);
         assert_eq!(a.len(), 10);
         assert!(!a.is_empty());
     }
@@ -348,14 +328,14 @@ mod tests {
                 }));
                 let payload = caught.expect_err(&format!("len {len} allocated"));
                 assert_eq!(
-                    g80_sim::fault::payload_str(payload.as_ref()),
+                    g80_sim::payload_str(payload.as_ref()),
                     Some(
                         "OutOfMemory: device out of memory: want 4294967295 B at 256, have 65536 B"
                     ),
                     "len {len}"
                 );
             }
-            assert_eq!(d.alloc::<f32>(16).addr(), 256);
+            assert_eq!(d.alloc::<f32>(16).byte_addr, 256);
         });
     }
 
@@ -411,9 +391,6 @@ mod tests {
         assert!(t.h2d_s > 0.0);
         assert!(t.d2h_s > 0.0);
         assert!(t.gpu_fraction() > 0.0 && t.gpu_fraction() < 1.0);
-
-        d.reset_timeline();
-        assert_eq!(d.timeline().launches, 0);
     }
 
     #[test]
@@ -511,7 +488,6 @@ mod tests {
             t.memo_hits, 1,
             "fixed-point repeat must replay from the memo cache"
         );
-        assert!((t.memo_hit_rate() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -521,7 +497,7 @@ mod tests {
         assert_eq!(d.memory().read_const(4).as_f32(), 2.0);
         let buf = d.alloc::<f32>(8);
         d.bind_texture(&buf);
-        assert_eq!(d.memory().tex_binding, Some((buf.addr(), 32)));
+        assert_eq!(d.memory().tex_binding, Some((buf.byte_addr, 32)));
     }
 
     #[test]

@@ -38,11 +38,11 @@
 //! ```
 
 #![warn(clippy::too_many_lines)]
+#![warn(unreachable_pub)]
 
-pub mod cpu;
-pub mod device;
-pub mod transfer;
+mod cpu;
+mod device;
+mod transfer;
 
 pub use cpu::{CpuModel, CpuTuning, CpuWork};
 pub use device::{launch_batch, BatchLaunch, Device, DeviceBuffer, Timeline, Word32};
-pub use transfer::PcieModel;

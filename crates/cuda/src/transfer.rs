@@ -8,7 +8,7 @@
 
 /// PCIe link model.
 #[derive(Clone, Debug)]
-pub struct PcieModel {
+pub(crate) struct PcieModel {
     /// Effective throughput in GB/s.
     pub gbps: f64,
     /// Fixed per-transfer overhead in seconds (driver + DMA setup).
@@ -26,7 +26,7 @@ impl Default for PcieModel {
 
 impl PcieModel {
     /// Time to move `bytes` across the link.
-    pub fn transfer_time(&self, bytes: u64) -> f64 {
+    pub(crate) fn transfer_time(&self, bytes: u64) -> f64 {
         self.overhead_s + bytes as f64 / (self.gbps * 1e9)
     }
 }

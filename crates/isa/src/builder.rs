@@ -100,11 +100,6 @@ impl KernelBuilder {
         base
     }
 
-    /// Shared memory allocated so far, in bytes.
-    pub fn smem_bytes(&self) -> u32 {
-        self.smem_bytes
-    }
-
     // ---- special registers ----------------------------------------------
 
     /// Reads a special register into a register, reusing a previous read
@@ -141,18 +136,6 @@ impl KernelBuilder {
     /// blockDim.x
     pub fn ntid_x(&mut self) -> Reg {
         self.special(SpecialReg::NtidX)
-    }
-    /// blockDim.y
-    pub fn ntid_y(&mut self) -> Reg {
-        self.special(SpecialReg::NtidY)
-    }
-    /// gridDim.x
-    pub fn nctaid_x(&mut self) -> Reg {
-        self.special(SpecialReg::NctaidX)
-    }
-    /// gridDim.y
-    pub fn nctaid_y(&mut self) -> Reg {
-        self.special(SpecialReg::NctaidY)
     }
 
     // ---- raw emission ----------------------------------------------------
@@ -789,7 +772,7 @@ mod tests {
         let c = b.shared_alloc(256);
         assert_eq!(a, 0);
         assert_eq!(c, 1024);
-        assert_eq!(b.smem_bytes(), 2048);
+        assert_eq!(b.build().smem_bytes, 2048);
     }
 
     #[test]

@@ -56,7 +56,7 @@ use crate::Value;
 
 /// Regions shorter than this are not worth the entry bookkeeping; their
 /// instructions stay on the interpreted path.
-pub const MIN_REGION_LEN: usize = 2;
+pub(crate) const MIN_REGION_LEN: usize = 2;
 
 /// A pre-resolved source operand. Register sources carry the row base index
 /// (`reg * 32`) so the evaluator indexes the flat register file directly.
@@ -302,26 +302,10 @@ impl CompiledKernel {
         CompiledKernel { steps, regions }
     }
 
-    /// Length (in instructions) of the longest lowered region, 0 when the
-    /// kernel has none. The simulator's engine selection uses this as its
-    /// profitability signal: region entry has a fixed pre-bind cost, so
-    /// kernels with only short regions run faster un-lowered.
-    pub fn max_region_len(&self) -> usize {
-        self.regions.iter().map(|r| r.ops.len()).max().unwrap_or(0)
-    }
-
     /// The step for the instruction at `pc`.
     #[inline]
     pub fn step(&self, pc: usize) -> Step {
         self.steps[pc]
-    }
-
-    /// The region entered/continued at `pc`, with the instruction's offset
-    /// within it.
-    #[inline]
-    pub fn region_at(&self, idx: u32, pc: usize) -> (&Region, usize) {
-        let r = &self.regions[idx as usize];
-        (r, pc - r.start as usize)
     }
 }
 

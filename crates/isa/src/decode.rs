@@ -28,7 +28,7 @@ use crate::inst::{AluOp, Inst, InstClass, Operand, Space};
 use crate::kernel::Kernel;
 
 /// Sentinel register id meaning "no destination".
-pub const NO_REG: u16 = u16::MAX;
+pub(crate) const NO_REG: u16 = u16::MAX;
 
 /// Issue-port occupancy class (Section 4.1: one warp instruction per 4
 /// cycles, longer for SFU ops and 32-bit integer multiplies).
@@ -152,12 +152,6 @@ impl DecodedKernel {
         DecodedKernel {
             ops: code.iter().map(MicroOp::decode).collect(),
         }
-    }
-
-    /// The micro-op at `pc`.
-    #[inline]
-    pub fn op(&self, pc: usize) -> &MicroOp {
-        &self.ops[pc]
     }
 
     pub fn len(&self) -> usize {

@@ -102,7 +102,7 @@ fn space_str(s: Space) -> &'static str {
 }
 
 /// Renders one instruction as PTX-flavoured text.
-pub fn inst_to_string(inst: &Inst) -> String {
+pub(crate) fn inst_to_string(inst: &Inst) -> String {
     match inst {
         Inst::Alu { op, dst, a, b } => {
             format!("{} r{}, {}, {}", alu_str(*op), dst.0, op_str(a), op_str(b))

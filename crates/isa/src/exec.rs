@@ -290,7 +290,7 @@ mod simd {
 
     /// Whether the AVX2 row kernels may run, probed once per process.
     #[inline]
-    pub fn avx2() -> bool {
+    pub(super) fn avx2() -> bool {
         match AVX2.load(Ordering::Relaxed) {
             0 => {
                 let has = std::arch::is_x86_feature_detected!("avx2");
@@ -354,7 +354,7 @@ mod simd {
     /// # Safety
     /// AVX2 must be available (gate on [`avx2`]).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn alu_row(op: AluOp, a: &Row, b: &Row, dst: &mut Row) -> bool {
+    pub(super) unsafe fn alu_row(op: AluOp, a: &Row, b: &Row, dst: &mut Row) -> bool {
         macro_rules! bin {
             (|$x:ident, $y:ident| $e:expr) => {{
                 for i in [0usize, 8, 16, 24] {
@@ -422,7 +422,7 @@ mod simd {
     /// # Safety
     /// AVX2 must be available (gate on [`avx2`]).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn un_row(op: UnOp, a: &Row, dst: &mut Row) -> bool {
+    pub(super) unsafe fn un_row(op: UnOp, a: &Row, dst: &mut Row) -> bool {
         macro_rules! un {
             (|$x:ident| $e:expr) => {{
                 for i in [0usize, 8, 16, 24] {
@@ -465,7 +465,7 @@ mod simd {
     /// # Safety
     /// AVX2 must be available (gate on [`avx2`]).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn cmp_row(op: CmpOp, ty: Scalar, a: &Row, b: &Row, dst: &mut Row) -> bool {
+    pub(super) unsafe fn cmp_row(op: CmpOp, ty: Scalar, a: &Row, b: &Row, dst: &mut Row) -> bool {
         let one = _mm256_set1_epi32(1);
         // `is!` answers 1 in the all-ones lanes of `$e`, `not!` in the rest.
         macro_rules! is {
@@ -517,7 +517,7 @@ mod simd {
     /// # Safety
     /// AVX2 must be available (gate on [`avx2`]).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn sel_row(c: &Row, a: &Row, b: &Row, dst: &mut Row) -> bool {
+    pub(super) unsafe fn sel_row(c: &Row, a: &Row, b: &Row, dst: &mut Row) -> bool {
         let zero = _mm256_setzero_si256();
         for i in [0usize, 8, 16, 24] {
             let take_b = _mm256_cmpeq_epi32(ld(c, i), zero);
@@ -531,7 +531,7 @@ mod simd {
     /// # Safety
     /// AVX2 must be available (gate on [`avx2`]).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn true_mask(a: &Row) -> u32 {
+    pub(super) unsafe fn true_mask(a: &Row) -> u32 {
         let zero = _mm256_setzero_si256();
         let mut zeros = 0u32;
         for i in [0usize, 8, 16, 24] {
@@ -573,7 +573,11 @@ mod simd {
     /// AVX2 must be available (gate on [`avx2`]).
     #[target_feature(enable = "avx2")]
     #[inline]
-    pub unsafe fn masked(dst: &mut Row, mask: u32, kernel: impl FnOnce(&mut Row) -> bool) -> bool {
+    pub(super) unsafe fn masked(
+        dst: &mut Row,
+        mask: u32,
+        kernel: impl FnOnce(&mut Row) -> bool,
+    ) -> bool {
         let mut tmp = [Value::ZERO; 32];
         if !kernel(&mut tmp) {
             return false;
@@ -675,7 +679,7 @@ mod simd {
     /// # Safety
     /// AVX2 must be available (gate on [`avx2`]).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn sfu_row(op: SfuOp, a: &Row, dst: &mut Row, mask: u32) -> bool {
+    pub(super) unsafe fn sfu_row(op: SfuOp, a: &Row, dst: &mut Row, mask: u32) -> bool {
         macro_rules! un {
             (|$x:ident| $e:expr) => {{
                 for i in [0usize, 8, 16, 24] {
@@ -699,7 +703,7 @@ mod simd {
     /// # Safety
     /// AVX2 must be available (gate on [`avx2`]).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn ffma_row(a: &Row, b: &Row, c: &Row, dst: &mut Row) -> bool {
+    pub(super) unsafe fn ffma_row(a: &Row, b: &Row, c: &Row, dst: &mut Row) -> bool {
         chunks!(I => {
             let p = ps!("vmulps", _mm256_castsi256_ps(ld(a, I)), b, I);
             st(dst, I, _mm256_castps_si256(ps!("vaddps", p, c, I)));
@@ -710,7 +714,7 @@ mod simd {
     /// # Safety
     /// AVX2 must be available (gate on [`avx2`]).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn imad_row(a: &Row, b: &Row, c: &Row, dst: &mut Row) -> bool {
+    pub(super) unsafe fn imad_row(a: &Row, b: &Row, c: &Row, dst: &mut Row) -> bool {
         for i in [0usize, 8, 16, 24] {
             let p = _mm256_mullo_epi32(ld(a, i), ld(b, i));
             st(dst, i, _mm256_add_epi32(p, ld(c, i)));
@@ -743,32 +747,32 @@ mod portable {
         }
     }
 
-    pub fn alu(op: AluOp, a: &Row, b: &Row, dst: &mut Row, mask: u32) {
+    pub(super) fn alu(op: AluOp, a: &Row, b: &Row, dst: &mut Row, mask: u32) {
         lanes(dst, mask, |l| eval_alu(op, a[l], b[l]))
     }
 
-    pub fn un(op: UnOp, a: &Row, dst: &mut Row, mask: u32) {
+    pub(super) fn un(op: UnOp, a: &Row, dst: &mut Row, mask: u32) {
         lanes(dst, mask, |l| eval_un(op, a[l]))
     }
 
-    pub fn ffma(a: &Row, b: &Row, c: &Row, dst: &mut Row, mask: u32) {
+    pub(super) fn ffma(a: &Row, b: &Row, c: &Row, dst: &mut Row, mask: u32) {
         lanes(dst, mask, |l| eval_ffma(a[l], b[l], c[l]))
     }
 
-    pub fn imad(a: &Row, b: &Row, c: &Row, dst: &mut Row, mask: u32) {
+    pub(super) fn imad(a: &Row, b: &Row, c: &Row, dst: &mut Row, mask: u32) {
         lanes(dst, mask, |l| eval_imad(a[l], b[l], c[l]))
     }
 
-    pub fn cmp(op: CmpOp, ty: Scalar, a: &Row, b: &Row, dst: &mut Row, mask: u32) {
+    pub(super) fn cmp(op: CmpOp, ty: Scalar, a: &Row, b: &Row, dst: &mut Row, mask: u32) {
         lanes(dst, mask, |l| eval_cmp(op, ty, a[l], b[l]))
     }
 
-    pub fn sel(c: &Row, a: &Row, b: &Row, dst: &mut Row, mask: u32) {
+    pub(super) fn sel(c: &Row, a: &Row, b: &Row, dst: &mut Row, mask: u32) {
         lanes(dst, mask, |l| if c[l].as_bool() { a[l] } else { b[l] })
     }
 
     /// The op match is hoisted out of the lane loop.
-    pub fn sfu(op: SfuOp, a: &Row, dst: &mut Row, mask: u32) {
+    pub(super) fn sfu(op: SfuOp, a: &Row, dst: &mut Row, mask: u32) {
         #[inline(always)]
         fn each(a: &Row, dst: &mut Row, mask: u32, f: impl Fn(f32) -> f32) {
             lanes(dst, mask, |l| Value::from_f32(f(a[l].as_f32())))
@@ -784,7 +788,7 @@ mod portable {
         }
     }
 
-    pub fn true_mask(a: &Row) -> u32 {
+    pub(super) fn true_mask(a: &Row) -> u32 {
         (0..32).fold(0, |m, l| m | (a[l].as_bool() as u32) << l)
     }
 }

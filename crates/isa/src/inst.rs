@@ -659,11 +659,6 @@ impl Inst {
                 | Inst::Sel { .. }
         )
     }
-
-    /// True for control-flow instructions that terminate a basic block.
-    pub fn is_terminator(&self) -> bool {
-        matches!(self, Inst::Bra { .. } | Inst::Exit | Inst::Bar)
-    }
 }
 
 #[cfg(test)]
@@ -757,17 +752,5 @@ mod tests {
         };
         assert!(!ld.is_pure());
         assert!(!Inst::Bar.is_pure());
-    }
-
-    #[test]
-    fn terminators() {
-        assert!(Inst::Exit.is_terminator());
-        assert!(Inst::Bar.is_terminator());
-        assert!(!Inst::Un {
-            op: UnOp::Mov,
-            dst: r(0),
-            a: Operand::imm_u(0)
-        }
-        .is_terminator());
     }
 }

@@ -4,14 +4,14 @@
 //! Ryoo et al. (PPoPP 2008). Kernels are written against the
 //! [`builder::KernelBuilder`] DSL (structured control flow, `#pragma
 //! unroll`-style loop unrolling), optimized by classical compiler passes
-//! ([`passes`]: constant folding, copy propagation, CSE, strength reduction,
-//! dead-code elimination), and register-allocated ([`regalloc`]) to produce a
-//! flat [`kernel::Kernel`] that the `g80-sim` crate executes.
+//! (`passes`: constant folding, copy propagation, CSE, strength reduction,
+//! dead-code elimination), and register-allocated (`regalloc`) to produce a
+//! flat [`Kernel`] that the `g80-sim` crate executes.
 //!
 //! The observables the paper's methodology needs all come out of this crate:
 //!
 //! * **instruction mix** (FMA fraction, global-access fraction) via
-//!   [`kernel::InstMix`] — the input to Section 4's potential-throughput
+//!   [`InstMix`] — the input to Section 4's potential-throughput
 //!   estimates;
 //! * **registers per thread** via the allocator — the input to the occupancy
 //!   calculation;
@@ -39,26 +39,27 @@
 //! ```
 
 #![warn(clippy::too_many_lines)]
+#![warn(unreachable_pub)]
 
 pub mod builder;
-pub mod compile;
-pub mod dataflow;
-pub mod decode;
-pub mod disasm;
-pub mod exec;
-pub mod inst;
-pub mod kernel;
-pub mod liveness;
-pub mod passes;
-pub mod regalloc;
-pub mod row;
-
+mod compile;
+mod dataflow;
+mod decode;
+mod disasm;
+mod exec;
+mod inst;
+mod kernel;
+mod liveness;
+mod passes;
+mod regalloc;
+mod row;
 mod value;
 
 pub use builder::{BuildOptions, KernelBuilder, Unroll};
 pub use compile::CompiledKernel;
 pub use dataflow::TaintSummary;
 pub use decode::{DecodedKernel, IssueClass, MemKind, MicroOp};
+pub use disasm::disassemble;
 pub use inst::{
     AluOp, AtomOp, CmpOp, Inst, InstClass, Label, Operand, Pred, Reg, Scalar, SfuOp, Space,
     SpecialReg, UnOp,
@@ -67,3 +68,25 @@ pub use kernel::{InstMix, Kernel};
 pub use passes::OptLevel;
 pub use row::LaneRow;
 pub use value::Value;
+
+// The seam `g80-sim`, the reference engine and the property tests build on:
+// each instruction's semantics (per lane and per row), the shaped-row folds,
+// and the compiler's analyses and passes run on their own.
+#[doc(hidden)]
+pub use dataflow::analyze as analyze_taint;
+#[doc(hidden)]
+pub use exec::{
+    eval_alu, eval_alu_row, eval_atom, eval_cmp, eval_cmp_row, eval_ffma, eval_ffma_row, eval_imad,
+    eval_imad_row, eval_sel_row, eval_sfu, eval_sfu_row, eval_un, eval_un_row, true_mask, Row,
+};
+#[doc(hidden)]
+pub use liveness::num_regs;
+#[doc(hidden)]
+pub use passes::run as optimize;
+#[doc(hidden)]
+pub use regalloc::allocate as allocate_registers;
+#[doc(hidden)]
+pub use row::{
+    fold_alu, fold_cmp, fold_ffma, fold_imad, fold_sel, fold_sfu, fold_un, for_each_affine_lane,
+    AffineTerms,
+};

@@ -10,7 +10,7 @@ use crate::inst::{Inst, Reg};
 
 /// A basic block: the half-open instruction range `[start, end)`.
 #[derive(Clone, Debug)]
-pub struct Block {
+pub(crate) struct Block {
     pub start: usize,
     pub end: usize,
     pub succs: Vec<usize>,
@@ -18,16 +18,14 @@ pub struct Block {
 
 /// Control-flow graph over flat kernel code.
 #[derive(Clone, Debug)]
-pub struct Cfg {
+pub(crate) struct Cfg {
     pub blocks: Vec<Block>,
-    /// Block index containing each instruction.
-    pub block_of: Vec<usize>,
 }
 
 /// Builds the CFG. Leaders are: instruction 0, branch targets, and
 /// instructions following a terminator. `Bar` conservatively ends a block
 /// (it orders memory, and keeping it a boundary simplifies local passes).
-pub fn build_cfg(code: &[Inst]) -> Cfg {
+pub(crate) fn build_cfg(code: &[Inst]) -> Cfg {
     let n = code.len();
     let mut leader = vec![false; n + 1];
     leader[0] = true;
@@ -91,32 +89,32 @@ pub fn build_cfg(code: &[Inst]) -> Cfg {
         blocks[b].succs = succs;
     }
 
-    Cfg { blocks, block_of }
+    Cfg { blocks }
 }
 
 /// Dense register bitset.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct RegSet {
+pub(crate) struct RegSet {
     words: Vec<u64>,
 }
 
 impl RegSet {
-    pub fn new(nregs: usize) -> Self {
+    pub(crate) fn new(nregs: usize) -> Self {
         RegSet {
             words: vec![0; nregs.div_ceil(64)],
         }
     }
-    pub fn insert(&mut self, r: Reg) {
+    pub(crate) fn insert(&mut self, r: Reg) {
         self.words[r.0 as usize / 64] |= 1 << (r.0 % 64);
     }
-    pub fn remove(&mut self, r: Reg) {
+    pub(crate) fn remove(&mut self, r: Reg) {
         self.words[r.0 as usize / 64] &= !(1 << (r.0 % 64));
     }
-    pub fn contains(&self, r: Reg) -> bool {
+    pub(crate) fn contains(&self, r: Reg) -> bool {
         (self.words[r.0 as usize / 64] >> (r.0 % 64)) & 1 != 0
     }
     /// `self |= other`; returns true if self changed.
-    pub fn union_with(&mut self, other: &RegSet) -> bool {
+    pub(crate) fn union_with(&mut self, other: &RegSet) -> bool {
         let mut changed = false;
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             let new = *a | *b;
@@ -126,7 +124,7 @@ impl RegSet {
         changed
     }
     /// Iterates set registers.
-    pub fn iter(&self) -> impl Iterator<Item = Reg> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Reg> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
             (0..64)
                 .filter(move |b| (w >> b) & 1 != 0)
@@ -150,12 +148,12 @@ pub fn num_regs(code: &[Inst]) -> usize {
 }
 
 /// Per-block live-in / live-out sets (backwards dataflow to fixpoint).
-pub struct Liveness {
+pub(crate) struct Liveness {
     pub live_in: Vec<RegSet>,
     pub live_out: Vec<RegSet>,
 }
 
-pub fn liveness(code: &[Inst], cfg: &Cfg) -> Liveness {
+pub(crate) fn liveness(code: &[Inst], cfg: &Cfg) -> Liveness {
     let nregs = num_regs(code);
     let nb = cfg.blocks.len();
 
@@ -299,7 +297,7 @@ mod tests {
         ];
         let cfg = build_cfg(&code);
         let lv = liveness(&code, &cfg);
-        let loop_block = cfg.block_of[2];
+        let loop_block = cfg.blocks.iter().position(|b| b.start == 2).unwrap();
         // r0 and r1 both live around the back edge.
         assert!(lv.live_in[loop_block].contains(Reg(0)));
         assert!(lv.live_in[loop_block].contains(Reg(1)));

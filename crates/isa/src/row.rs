@@ -38,7 +38,7 @@ use crate::inst::{AluOp, CmpOp, Scalar, SfuOp, UnOp};
 use crate::Value;
 
 /// `log2` of the widest period: one run per half-warp.
-pub const LOG2_HALF_WARP: u8 = 4;
+pub(crate) const LOG2_HALF_WARP: u8 = 4;
 
 /// The shape of one 32-lane register row.
 ///

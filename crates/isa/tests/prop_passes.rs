@@ -6,11 +6,9 @@
 //! value) pairs stored to global memory. Any transformation that changes an
 //! observable store is a bug.
 
-use g80_isa::exec;
-use g80_isa::inst::{AluOp, CmpOp, Inst, Operand, Reg, Scalar, SfuOp, Space, UnOp};
-use g80_isa::passes::{self, OptLevel};
-use g80_isa::regalloc;
-use g80_isa::Value;
+use g80_isa::{allocate_registers, optimize, OptLevel, Value};
+use g80_isa::{eval_alu, eval_cmp, eval_ffma, eval_imad, eval_sfu, eval_un};
+use g80_isa::{AluOp, CmpOp, Inst, Operand, Reg, Scalar, SfuOp, Space, UnOp};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -33,27 +31,27 @@ fn interpret(code: &[Inst]) -> Vec<(u32, u32)> {
     for inst in code {
         match *inst {
             Inst::Alu { op, dst, a, b } => {
-                let v = exec::eval_alu(op, get(&regs, &a), get(&regs, &b));
+                let v = eval_alu(op, get(&regs, &a), get(&regs, &b));
                 regs.insert(dst, v);
             }
             Inst::Ffma { dst, a, b, c } => {
-                let v = exec::eval_ffma(get(&regs, &a), get(&regs, &b), get(&regs, &c));
+                let v = eval_ffma(get(&regs, &a), get(&regs, &b), get(&regs, &c));
                 regs.insert(dst, v);
             }
             Inst::Imad { dst, a, b, c } => {
-                let v = exec::eval_imad(get(&regs, &a), get(&regs, &b), get(&regs, &c));
+                let v = eval_imad(get(&regs, &a), get(&regs, &b), get(&regs, &c));
                 regs.insert(dst, v);
             }
             Inst::Un { op, dst, a } => {
-                let v = exec::eval_un(op, get(&regs, &a));
+                let v = eval_un(op, get(&regs, &a));
                 regs.insert(dst, v);
             }
             Inst::Sfu { op, dst, a } => {
-                let v = exec::eval_sfu(op, get(&regs, &a));
+                let v = eval_sfu(op, get(&regs, &a));
                 regs.insert(dst, v);
             }
             Inst::SetP { op, ty, dst, a, b } => {
-                let v = exec::eval_cmp(op, ty, get(&regs, &a), get(&regs, &b));
+                let v = eval_cmp(op, ty, get(&regs, &a), get(&regs, &b));
                 regs.insert(dst, v);
             }
             Inst::Sel { dst, c, a, b } => {
@@ -204,7 +202,7 @@ proptest! {
     fn o1_preserves_semantics(code in arb_program()) {
         let before = interpret(&code);
         let mut opt = code.clone();
-        passes::run(OptLevel::O1, &mut opt);
+        optimize(OptLevel::O1, &mut opt);
         let after = interpret(&opt);
         assert_same_stores(&before, &after, "O1");
     }
@@ -213,7 +211,7 @@ proptest! {
     fn o2_preserves_semantics(code in arb_program()) {
         let before = interpret(&code);
         let mut opt = code.clone();
-        passes::run(OptLevel::O2, &mut opt);
+        optimize(OptLevel::O2, &mut opt);
         let after = interpret(&opt);
         assert_same_stores(&before, &after, "O2");
     }
@@ -221,7 +219,7 @@ proptest! {
     #[test]
     fn o2_never_grows_code(code in arb_program()) {
         let mut opt = code.clone();
-        passes::run(OptLevel::O2, &mut opt);
+        optimize(OptLevel::O2, &mut opt);
         prop_assert!(opt.len() <= code.len());
     }
 
@@ -229,7 +227,7 @@ proptest! {
     fn regalloc_preserves_semantics(code in arb_program()) {
         let before = interpret(&code);
         let mut alloc = code.clone();
-        let n = regalloc::allocate(&mut alloc, None);
+        let n = allocate_registers(&mut alloc, None);
         prop_assert!((1..=NREGS).contains(&n));
         let after = interpret(&alloc);
         assert_same_stores(&before, &after, "regalloc");
@@ -239,7 +237,7 @@ proptest! {
     fn regalloc_with_cap_preserves_semantics(code in arb_program()) {
         let before = interpret(&code);
         let mut alloc = code.clone();
-        let n = regalloc::allocate(&mut alloc, Some(4));
+        let n = allocate_registers(&mut alloc, Some(4));
         prop_assert!(n <= NREGS); // cap may be unreachable only if spilling stalls
         let after = interpret(&alloc);
         assert_same_stores(&before, &after, "regalloc cap=4");
@@ -249,8 +247,8 @@ proptest! {
     fn full_pipeline_preserves_semantics(code in arb_program()) {
         let before = interpret(&code);
         let mut opt = code.clone();
-        passes::run(OptLevel::O2, &mut opt);
-        regalloc::allocate(&mut opt, None);
+        optimize(OptLevel::O2, &mut opt);
+        allocate_registers(&mut opt, None);
         let after = interpret(&opt);
         assert_same_stores(&before, &after, "O2+regalloc");
     }

@@ -8,9 +8,12 @@
 //! held to an accuracy bound against `f64`, to totality, and to *strict*
 //! row = scalar bit equality (exhaustively in an ignored test).
 
-use g80_isa::exec::{self, eval_alu, eval_cmp, eval_ffma, eval_imad, eval_sfu, eval_un, Row};
-use g80_isa::inst::{AluOp, CmpOp, Scalar, SfuOp, UnOp};
-use g80_isa::{row, LaneRow, Value};
+use g80_isa::{
+    eval_alu, eval_alu_row, eval_cmp, eval_cmp_row, eval_ffma, eval_ffma_row, eval_imad,
+    eval_imad_row, eval_sel_row, eval_sfu, eval_sfu_row, eval_un, eval_un_row, fold_alu, fold_cmp,
+    fold_ffma, fold_imad, fold_sel, fold_sfu, fold_un, Row,
+};
+use g80_isa::{AluOp, CmpOp, LaneRow, Scalar, SfuOp, UnOp, Value};
 
 /// Deterministic xorshift — the tests must not depend on ambient RNG.
 struct Rng(u64);
@@ -183,7 +186,7 @@ fn row_evaluators_match_scalar_on_specials_and_partial_masks() {
 
         for op in ALU_OPS {
             let mut dst = sentinel;
-            exec::eval_alu_row(op, &a, &b, &mut dst, mask);
+            eval_alu_row(op, &a, &b, &mut dst, mask);
             assert_masked_row(
                 &format!("alu {op:?} iter {iter}"),
                 &dst,
@@ -194,7 +197,7 @@ fn row_evaluators_match_scalar_on_specials_and_partial_masks() {
         }
         for op in UN_OPS {
             let mut dst = sentinel;
-            exec::eval_un_row(op, &a, &mut dst, mask);
+            eval_un_row(op, &a, &mut dst, mask);
             assert_masked_row(
                 &format!("un {op:?} iter {iter}"),
                 &dst,
@@ -205,7 +208,7 @@ fn row_evaluators_match_scalar_on_specials_and_partial_masks() {
         }
         for op in SFU_OPS {
             let mut dst = sentinel;
-            exec::eval_sfu_row(op, &a, &mut dst, mask);
+            eval_sfu_row(op, &a, &mut dst, mask);
             assert_masked_row(
                 &format!("sfu {op:?} iter {iter}"),
                 &dst,
@@ -217,7 +220,7 @@ fn row_evaluators_match_scalar_on_specials_and_partial_masks() {
         for op in CMP_OPS {
             for ty in SCALARS {
                 let mut dst = sentinel;
-                exec::eval_cmp_row(op, ty, &a, &b, &mut dst, mask);
+                eval_cmp_row(op, ty, &a, &b, &mut dst, mask);
                 assert_masked_row(
                     &format!("cmp {op:?} {ty:?} iter {iter}"),
                     &dst,
@@ -228,17 +231,17 @@ fn row_evaluators_match_scalar_on_specials_and_partial_masks() {
             }
         }
         let mut dst = sentinel;
-        exec::eval_ffma_row(&a, &b, &c, &mut dst, mask);
+        eval_ffma_row(&a, &b, &c, &mut dst, mask);
         assert_masked_row(&format!("ffma iter {iter}"), &dst, &sentinel, mask, |l| {
             eval_ffma(a[l], b[l], c[l])
         });
         let mut dst = sentinel;
-        exec::eval_imad_row(&a, &b, &c, &mut dst, mask);
+        eval_imad_row(&a, &b, &c, &mut dst, mask);
         assert_masked_row(&format!("imad iter {iter}"), &dst, &sentinel, mask, |l| {
             eval_imad(a[l], b[l], c[l])
         });
         let mut dst = sentinel;
-        exec::eval_sel_row(&c, &a, &b, &mut dst, mask);
+        eval_sel_row(&c, &a, &b, &mut dst, mask);
         assert_masked_row(&format!("sel iter {iter}"), &dst, &sentinel, mask, |l| {
             if c[l].0 != 0 {
                 a[l]
@@ -318,7 +321,7 @@ fn assert_trig_rows_bit_exact(base: u32, mask: u32) {
     let sentinel = [Value(0xdead_beef); 32];
     for op in [SfuOp::Sin, SfuOp::Cos] {
         let mut dst = sentinel;
-        exec::eval_sfu_row(op, &a, &mut dst, mask);
+        eval_sfu_row(op, &a, &mut dst, mask);
         for l in 0..32 {
             let want = if mask >> l & 1 == 1 {
                 eval_sfu(op, a[l])
@@ -409,7 +412,7 @@ fn shape_folds_are_bit_exact_against_scalar_evaluation() {
         let (ar, br, cr) = (expand(a), expand(b), expand(c));
 
         for op in ALU_OPS {
-            if let Some(f) = row::fold_alu(op, a, b) {
+            if let Some(f) = fold_alu(op, a, b) {
                 let got = expand(f);
                 for l in 0..32 {
                     let want = eval_alu(op, ar[l], br[l]);
@@ -423,7 +426,7 @@ fn shape_folds_are_bit_exact_against_scalar_evaluation() {
             }
         }
         for op in UN_OPS {
-            if let Some(f) = row::fold_un(op, a) {
+            if let Some(f) = fold_un(op, a) {
                 let got = expand(f);
                 for l in 0..32 {
                     let want = eval_un(op, ar[l]);
@@ -437,7 +440,7 @@ fn shape_folds_are_bit_exact_against_scalar_evaluation() {
             }
         }
         for op in SFU_OPS {
-            if let Some(f) = row::fold_sfu(op, a) {
+            if let Some(f) = fold_sfu(op, a) {
                 let got = expand(f);
                 for l in 0..32 {
                     let want = eval_sfu(op, ar[l]);
@@ -452,7 +455,7 @@ fn shape_folds_are_bit_exact_against_scalar_evaluation() {
         }
         for op in CMP_OPS {
             for ty in SCALARS {
-                if let Some(f) = row::fold_cmp(op, ty, a, b) {
+                if let Some(f) = fold_cmp(op, ty, a, b) {
                     let got = expand(f);
                     for l in 0..32 {
                         assert_eq!(
@@ -464,7 +467,7 @@ fn shape_folds_are_bit_exact_against_scalar_evaluation() {
                 }
             }
         }
-        if let Some(f) = row::fold_imad(a, b, c) {
+        if let Some(f) = fold_imad(a, b, c) {
             let got = expand(f);
             for l in 0..32 {
                 assert_eq!(
@@ -474,7 +477,7 @@ fn shape_folds_are_bit_exact_against_scalar_evaluation() {
                 );
             }
         }
-        if let Some(f) = row::fold_ffma(a, b, c) {
+        if let Some(f) = fold_ffma(a, b, c) {
             let got = expand(f);
             for l in 0..32 {
                 let want = eval_ffma(ar[l], br[l], cr[l]);
@@ -486,7 +489,7 @@ fn shape_folds_are_bit_exact_against_scalar_evaluation() {
                 );
             }
         }
-        if let Some(f) = row::fold_sel(c, a, b) {
+        if let Some(f) = fold_sel(c, a, b) {
             let got = expand(f);
             for l in 0..32 {
                 let want = if cr[l].0 != 0 { ar[l] } else { br[l] };
@@ -521,7 +524,7 @@ fn mixed_period_folds_reexpress_one_d_rows_and_refuse_the_rest() {
         let (a, b) = (affine_shape(&mut rng, ka), affine_shape(&mut rng, kb));
         let (pa, pb) = (a.terms().unwrap().log2p, b.terms().unwrap().log2p);
         for op in [AluOp::IAdd, AluOp::ISub] {
-            match row::fold_alu(op, a, b) {
+            match fold_alu(op, a, b) {
                 Some(f) => {
                     assert_exact(op, a, b, f);
                     if pa != pb {
@@ -538,7 +541,7 @@ fn mixed_period_folds_reexpress_one_d_rows_and_refuse_the_rest() {
             }
         }
         if is_one_d(a) || is_one_d(b) || pa == pb {
-            assert!(row::fold_alu(AluOp::IAdd, a, b).is_some(), "{a:?} {b:?}");
+            assert!(fold_alu(AluOp::IAdd, a, b).is_some(), "{a:?} {b:?}");
         }
     }
     assert!(

@@ -18,15 +18,12 @@
 #![allow(clippy::too_many_arguments)] // load/store helpers mirror the instruction fields
 #![allow(clippy::too_many_lines)] // the spec stays as written: frozen, not refactored
 
-use g80_isa::exec;
-use g80_isa::inst::{AluOp, Inst, Operand, Space};
-use g80_isa::{Kernel, Value};
-use g80_sim::config::GpuConfig;
-use g80_sim::cost::{coalesce_half_warp, smem_conflict_degree, TagCache};
-use g80_sim::counters::{SmStats, StallReason};
-use g80_sim::memory::DeviceMemory;
-use g80_sim::sm::LaunchDims;
-use g80_sim::warp::{RegSource, Warp};
+use g80_isa::{eval_alu, eval_atom, eval_cmp, eval_ffma, eval_imad, eval_sfu, eval_un};
+use g80_isa::{AluOp, Inst, Kernel, Operand, Space, Value};
+use g80_sim::{
+    coalesce_half_warp, smem_conflict_degree, DeviceMemory, GpuConfig, LaunchDims, RegSource,
+    SmStats, StallReason, TagCache, Warp,
+};
 
 struct Resident {
     warps: Vec<Warp>,
@@ -40,7 +37,7 @@ impl Resident {
         // when the reported count was forced lower for an occupancy
         // ablation (Kernel::with_forced_regs): the report drives
         // scheduling, the code drives storage.
-        let file_regs = cfg_regs.max(g80_isa::liveness::num_regs(&kernel.code) as u32);
+        let file_regs = cfg_regs.max(g80_isa::num_regs(&kernel.code) as u32);
         let warps = (0..warps_per_block)
             .map(|w| Warp::new_eager(w, file_regs, dims.block, ctaid, dims.grid))
             .collect();
@@ -85,7 +82,7 @@ pub fn run_sm_reference(
     loop {
         if cycle >= watchdog {
             stats.cycles = cycle;
-            g80_sim::fault::watchdog_abort(&kernel.name, watchdog, cycle, stats.warp_instructions);
+            g80_sim::watchdog_abort(&kernel.name, watchdog, cycle, stats.warp_instructions);
         }
         // Retire completed blocks, refill from the queue.
         let mut i = 0;
@@ -314,7 +311,7 @@ impl<'a> ExecCtx<'a> {
                     if mask >> lane & 1 == 1 {
                         let av = warp.operand(a, lane, self.params);
                         let bv = warp.operand(b, lane, self.params);
-                        warp.set_reg(dst.0, lane, exec::eval_alu(op, av, bv));
+                        warp.set_reg(dst.0, lane, eval_alu(op, av, bv));
                     }
                 }
                 warp.reg_ready[dst.0 as usize] = alu_done;
@@ -332,7 +329,7 @@ impl<'a> ExecCtx<'a> {
                         let av = warp.operand(a, lane, self.params);
                         let bv = warp.operand(b, lane, self.params);
                         let cv = warp.operand(c, lane, self.params);
-                        warp.set_reg(dst.0, lane, exec::eval_ffma(av, bv, cv));
+                        warp.set_reg(dst.0, lane, eval_ffma(av, bv, cv));
                     }
                 }
                 warp.reg_ready[dst.0 as usize] = alu_done;
@@ -346,7 +343,7 @@ impl<'a> ExecCtx<'a> {
                         let av = warp.operand(a, lane, self.params);
                         let bv = warp.operand(b, lane, self.params);
                         let cv = warp.operand(c, lane, self.params);
-                        warp.set_reg(dst.0, lane, exec::eval_imad(av, bv, cv));
+                        warp.set_reg(dst.0, lane, eval_imad(av, bv, cv));
                     }
                 }
                 warp.reg_ready[dst.0 as usize] = alu_done;
@@ -358,7 +355,7 @@ impl<'a> ExecCtx<'a> {
                 for lane in 0..32 {
                     if mask >> lane & 1 == 1 {
                         let av = warp.operand(a, lane, self.params);
-                        warp.set_reg(dst.0, lane, exec::eval_un(op, av));
+                        warp.set_reg(dst.0, lane, eval_un(op, av));
                     }
                 }
                 warp.reg_ready[dst.0 as usize] = alu_done;
@@ -370,7 +367,7 @@ impl<'a> ExecCtx<'a> {
                 for lane in 0..32 {
                     if mask >> lane & 1 == 1 {
                         let av = warp.operand(a, lane, self.params);
-                        warp.set_reg(dst.0, lane, exec::eval_sfu(op, av));
+                        warp.set_reg(dst.0, lane, eval_sfu(op, av));
                     }
                 }
                 warp.reg_ready[dst.0 as usize] = self.cycle + cfg.sfu_latency;
@@ -383,7 +380,7 @@ impl<'a> ExecCtx<'a> {
                     if mask >> lane & 1 == 1 {
                         let av = warp.operand(a, lane, self.params);
                         let bv = warp.operand(b, lane, self.params);
-                        warp.set_reg(dst.0, lane, exec::eval_cmp(op, ty, av, bv));
+                        warp.set_reg(dst.0, lane, eval_cmp(op, ty, av, bv));
                     }
                 }
                 warp.reg_ready[dst.0 as usize] = alu_done;
@@ -470,7 +467,7 @@ impl<'a> ExecCtx<'a> {
                                 let idx = (a / 4) as usize;
                                 assert!(idx < smem_len, "shared atomic out of bounds");
                                 let s = warp.operand(src, lane, self.params);
-                                let (new, old) = exec::eval_atom(op, smem[idx], s);
+                                let (new, old) = eval_atom(op, smem[idx], s);
                                 smem[idx] = new;
                                 if let Some(d) = dst {
                                     warp.set_reg(d.0, lane, old);

@@ -26,7 +26,7 @@
 //! connection thread, so a probe never queues behind a heavyweight's
 //! blocks inside the pool. The admission queue governs the heavyweights.
 
-use g80_sim::fault::{lock_recover, wait_recover};
+use g80_sim::{lock_recover, wait_recover};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -145,10 +145,6 @@ impl Admission {
         })
     }
 
-    pub fn quota(&self) -> Quota {
-        self.quota
-    }
-
     /// Requests admission of `blocks` blocks for `tenant`, blocking until
     /// granted (or returning a typed verdict immediately).
     pub fn admit(self: &Arc<Self>, tenant: &str, blocks: u64) -> Verdict {
@@ -235,8 +231,9 @@ impl Admission {
         self.cv.notify_all();
     }
 
-    /// In-flight blocks currently charged to `tenant` (tests/metrics).
-    pub fn inflight_blocks(&self, tenant: &str) -> u64 {
+    /// In-flight blocks currently charged to `tenant`.
+    #[cfg(test)]
+    fn inflight_blocks(&self, tenant: &str) -> u64 {
         let st = lock_recover(&self.state);
         st.tenants
             .get(tenant)
@@ -244,8 +241,9 @@ impl Admission {
             .unwrap_or(0)
     }
 
-    /// Requests currently waiting in `tenant`'s queue (tests/metrics).
-    pub fn queued_requests(&self, tenant: &str) -> usize {
+    /// Requests currently waiting in `tenant`'s queue.
+    #[cfg(test)]
+    fn queued_requests(&self, tenant: &str) -> usize {
         let st = lock_recover(&self.state);
         st.tenants.get(tenant).map(|t| t.queue.len()).unwrap_or(0)
     }

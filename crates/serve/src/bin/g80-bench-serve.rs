@@ -20,8 +20,7 @@
 //! `--tenants 0` or `--requests 0`, included), 2 assertion breached
 //! (`--p99-ms` ceiling or `--expect-warm` with zero cache hits).
 
-use g80_serve::fleet::{probe_spec, run_fleet, shutdown};
-use g80_serve::Addr;
+use g80_serve::{probe_spec, run_fleet, shutdown, Addr};
 use g80_sim::net_counters;
 use std::process::ExitCode;
 

@@ -9,7 +9,7 @@
 //! process-wide), binds, and serves until a client sends a Shutdown
 //! request. Exits 0 after a clean drain.
 
-use g80_serve::server::{serve, ServeConfig};
+use g80_serve::{serve, ServeConfig};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

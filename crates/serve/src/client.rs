@@ -28,10 +28,12 @@
 //! context's [`g80_sim::net_counters`]; streamed requests return the delta
 //! so `SweepResult`/bench summaries can report what the transport survived.
 
-use crate::framed::{is_crc_mismatch, FramedStream};
+use crate::framed::FramedStream;
 use crate::net::{connect, Addr};
-use crate::protocol::{Request, Response, Specs, WireError, WireLaunch, PROTOCOL_VERSION};
-use g80_sim::digest::splitmix64;
+use crate::protocol::{
+    is_crc_mismatch, Request, Response, Specs, WireError, WireLaunch, PROTOCOL_VERSION,
+};
+use g80_sim::splitmix64;
 use g80_sim::{
     net_counters, note_net_disconnect, note_net_frame_retried, note_net_reconnect, LaunchReport,
     MemoCounters, NetCounters,

@@ -6,7 +6,7 @@
 //! written and checked by [`crate::protocol`]; a frame leaves in one
 //! vectored write); because the length field is validated before the
 //! payload is read, a corrupted payload leaves framing synchronized — the
-//! receiver consumes exactly one frame, reports [`CrcMismatch`], and the
+//! receiver consumes exactly one frame, reports [`CrcMismatch`](crate::protocol::CrcMismatch), and the
 //! connection stays usable (the server answers a typed `BadFrame`, the
 //! client re-sends the idempotent request).
 //!
@@ -19,8 +19,6 @@ use crate::net::Stream;
 use crate::protocol::{verify_crc, write_frame, MAX_FRAME_BYTES};
 use std::io::{self, Read};
 use std::time::{Duration, Instant};
-
-pub use crate::protocol::{is_crc_mismatch, CrcMismatch};
 
 /// A [`Stream`] that speaks whole CRC-checked frames.
 pub struct FramedStream {
@@ -136,6 +134,7 @@ fn is_poll_tick(e: &io::Error) -> bool {
 mod tests {
     use super::*;
     use crate::net::{Addr, Listener};
+    use crate::protocol::is_crc_mismatch;
     use std::io::Write;
 
     /// A connected loopback pair: the raw client socket, the framed server.

@@ -8,25 +8,25 @@
 //!
 //! The pieces:
 //!
-//! * [`protocol`] — versioned wire format, each message's layout declared
+//! * `protocol` — versioned wire format, each message's layout declared
 //!   once with `g80_sim::wire_layout!`: length-prefixed frames carrying
 //!   typed [`Request`]/[`Response`] values. Kernels,
 //!   launch dims, params, and initial memory travel in a [`WireLaunch`];
 //!   results come back as serialized `LaunchReport`s with [`Served`]
 //!   provenance and cache counters, so a client can tell *how* its answer
 //!   was produced (simulated here, memo hit, disk hit).
-//! * [`admission`] — per-tenant quotas (blocks per launch, in-flight
+//! * [`Admission`] — per-tenant quotas (blocks per launch, in-flight
 //!   blocks, queue depth) with round-robin fairness, so a tenant sweeping
 //!   matmul-4096 cannot starve a probe fleet.
-//! * [`server`] — the daemon: accept loop, per-connection threads, typed
+//! * [`serve`] — the daemon: accept loop, per-connection threads, typed
 //!   error responses for every failure (malformed frames, panics, quota
 //!   rejections, drain), never a dropped connection.
-//! * [`client`] — blocking typed client with in-place re-request on frame
+//! * [`Client`] — blocking typed client with in-place re-request on frame
 //!   corruption and reconnect-and-replay (jittered exponential backoff) when the
 //!   connection dies mid-request.
-//! * [`framed`] — CRC-guarded framing over a [`net::Stream`]: every frame
+//! * [`FramedStream`] — CRC-guarded framing over a socket: every frame
 //!   carries a CRC32 trailer, and reads enforce idle/mid-frame deadlines.
-//! * [`fleet`] — a closed-loop client fleet against one daemon (the load
+//! * [`run_fleet`] — a closed-loop client fleet against one daemon (the load
 //!   `g80-bench-serve` and `bench_sim` generate): latency percentiles,
 //!   throughput, cache-tier answers.
 //!
@@ -38,18 +38,22 @@
 //! [`Served`]: g80_sim::Served
 
 #![warn(clippy::too_many_lines)]
+#![warn(unreachable_pub)]
 
-pub mod admission;
-pub mod client;
-pub mod fleet;
-pub mod framed;
-pub mod net;
-pub mod protocol;
-pub mod server;
+mod admission;
+mod client;
+mod fleet;
+mod framed;
+mod net;
+mod protocol;
+mod server;
 
 pub use admission::{Admission, Quota, Verdict};
 pub use client::Client;
-pub use framed::{is_crc_mismatch, FramedStream};
-pub use net::Addr;
-pub use protocol::{Request, Response, WireError, WireLaunch, PROTOCOL_VERSION};
+pub use fleet::{probe_spec, run_fleet, shutdown, FleetReport};
+pub use framed::FramedStream;
+pub use net::{connect, Addr};
+pub use protocol::{
+    is_crc_mismatch, Request, Response, WireError, WireLaunch, MAX_MEM_BYTES, PROTOCOL_VERSION,
+};
 pub use server::{serve, ServeConfig, Server};

@@ -3,7 +3,7 @@
 //!
 //! Every message is one frame: a little-endian `u32` payload length,
 //! that many payload bytes, then a little-endian `u32` CRC-32 of the
-//! payload ([`g80_sim::digest::crc32`], added in protocol version 3 so
+//! payload ([`g80_sim::crc32`], added in protocol version 3 so
 //! on-wire corruption is caught by an integrity check instead of
 //! surfacing as a confusing decode failure — or worse, not at all).
 //! Payloads are encoded with the canonical [`g80_sim::wire`] codec (same
@@ -26,7 +26,7 @@
 //! itself can no longer be trusted.
 
 use g80_isa::{Kernel, Value};
-use g80_sim::digest::crc32;
+use g80_sim::crc32;
 use g80_sim::wire::{self, Enc, Wire};
 use g80_sim::{wire_layout, LaunchDims, LaunchError, LaunchReport, MemoCounters, NetCounters};
 use std::io::{self, IoSlice, Write};
@@ -41,7 +41,7 @@ pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Upper bound on one frame's payload. A header above this is treated as a
 /// framing desync and the connection is dropped.
-pub const MAX_FRAME_BYTES: u32 = 64 << 20;
+pub(crate) const MAX_FRAME_BYTES: u32 = 64 << 20;
 
 /// Upper bound on the device memory one request may ask the daemon to
 /// allocate (words are materialized server-side).
@@ -60,7 +60,7 @@ pub const MAX_MEM_BYTES: u32 = 256 << 20;
 /// inside an [`io::Error`] of kind `InvalidData`; test with
 /// [`is_crc_mismatch`].
 #[derive(Debug)]
-pub struct CrcMismatch {
+pub(crate) struct CrcMismatch {
     /// The CRC the frame carried.
     pub expected: u32,
     /// The CRC of the payload as received.

@@ -34,13 +34,14 @@
 //! returns once the last handler exits.
 
 use crate::admission::{Admission, Quota, Verdict};
-use crate::framed::{is_crc_mismatch, FramedStream};
+use crate::framed::FramedStream;
 use crate::net::{Addr, Listener, Stream};
-use crate::protocol::{Request, Response, WireError, WireLaunch, MAX_MEM_BYTES, PROTOCOL_VERSION};
-use g80_sim::fault;
+use crate::protocol::{
+    is_crc_mismatch, Request, Response, WireError, WireLaunch, MAX_MEM_BYTES, PROTOCOL_VERSION,
+};
 use g80_sim::{
-    launch_reported, memo_counters, net_counters, note_net_disconnect, DeviceMemory, GpuConfig,
-    LaunchReport, SimContext,
+    launch_reported, lock_recover, memo_counters, net_counters, note_net_disconnect, payload_str,
+    DeviceMemory, GpuConfig, LaunchReport, SimContext,
 };
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -208,7 +209,7 @@ impl Server {
             .accept_thread
             .join()
             .unwrap_or_else(|_| Err(io::Error::other("accept loop panicked")));
-        let mut active = fault::lock_recover(&self.shared.active);
+        let mut active = lock_recover(&self.shared.active);
         while *active > 0 {
             let (g, _) = self
                 .shared
@@ -262,7 +263,7 @@ fn accept_loop(listener: Listener, shared: Arc<Shared>) -> io::Result<()> {
         match listener.accept() {
             Ok(Some(stream)) => {
                 {
-                    let mut active = fault::lock_recover(&shared.active);
+                    let mut active = lock_recover(&shared.active);
                     if *active >= shared.max_conns {
                         // Load shedding: refuse with a typed Overloaded
                         // and a retry hint instead of spawning a thread.
@@ -286,13 +287,13 @@ fn accept_loop(listener: Listener, shared: Arc<Shared>) -> io::Result<()> {
                                     note_net_disconnect();
                                 }
                             });
-                            let mut active = fault::lock_recover(&conn_shared.active);
+                            let mut active = lock_recover(&conn_shared.active);
                             *active -= 1;
                             drop(active);
                             conn_shared.idle_cv.notify_all();
                         });
                 if spawned.is_err() {
-                    let mut active = fault::lock_recover(&shared.active);
+                    let mut active = lock_recover(&shared.active);
                     *active -= 1;
                     drop(active);
                     shared.idle_cv.notify_all();
@@ -385,7 +386,7 @@ fn handle_connection(stream: Stream, shared: &Shared) -> io::Result<()> {
             Ok(Ok(ControlFlow::Close)) => return Ok(()),
             Ok(Err(e)) => return Err(e),
             Err(payload) => {
-                let msg = fault::payload_str(payload.as_ref())
+                let msg = payload_str(payload.as_ref())
                     .unwrap_or("non-string panic payload")
                     .to_string();
                 send(&mut framed, &Response::Error(WireError::Panic(msg)))?;

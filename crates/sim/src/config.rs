@@ -233,12 +233,6 @@ impl GpuConfig {
         (self.num_sms * self.sps_per_sm) as f64 * 2.0 * self.clock_ghz
     }
 
-    /// Peak theoretical GFLOPS including SFU co-issue: the paper's
-    /// 388.8 GFLOPS (16 SMs * 18 FLOPS/SM * 1.35 GHz).
-    pub fn peak_gflops(&self) -> f64 {
-        self.num_sms as f64 * (self.sps_per_sm * 2 + self.sfus_per_sm) as f64 * self.clock_ghz
-    }
-
     /// Peak warp-instruction issue rate in thread-instructions per second
     /// (128 * 1.35e9 for the GTX).
     pub fn peak_issue_rate(&self) -> f64 {
@@ -340,7 +334,9 @@ mod tests {
     fn paper_peak_numbers() {
         let g = GpuConfig::geforce_8800_gtx();
         assert!((g.peak_mad_gflops() - 345.6).abs() < 0.1);
-        assert!((g.peak_gflops() - 388.8).abs() < 0.1);
+        // With SFU co-issue: 16 SMs * 18 FLOPS/SM * 1.35 GHz.
+        let sfu_peak = (g.num_sms * (g.sps_per_sm * 2 + g.sfus_per_sm)) as f64 * g.clock_ghz;
+        assert!((sfu_peak - 388.8).abs() < 0.1);
         assert_eq!(g.max_warps_per_sm(), 24);
         assert!((g.dram_bytes_per_cycle() - 64.0).abs() < 0.01);
         assert!((g.dram_bytes_per_cycle_per_sm() - 4.0).abs() < 0.01);

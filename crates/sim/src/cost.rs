@@ -5,7 +5,7 @@
 //! per-lane spills and atomics, and the per-SM DRAM channel.
 
 use crate::config::GpuConfig;
-use g80_isa::row::{for_each_affine_lane, AffineTerms};
+use g80_isa::{for_each_affine_lane, AffineTerms};
 
 /// Result of analysing one half-warp's global access.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -118,7 +118,7 @@ pub(crate) fn half_warp(addrs: &[u32; 32], mask: u32, h: usize) -> [Option<u32>;
 /// distinct-address scan. Past 64 banks the bits fold (`bank mod 64`), so a
 /// shared bit only sends the half to the scan.
 #[inline]
-pub fn smem_degree_lanes(cfg: &GpuConfig, addrs: &[u32; 32], mask: u32) -> u32 {
+pub(crate) fn smem_degree_lanes(cfg: &GpuConfig, addrs: &[u32; 32], mask: u32) -> u32 {
     let degree = |h: usize| {
         let (mut banks, mut live) = (0u64, mask >> (16 * h) & 0xffff);
         while live != 0 {
@@ -194,7 +194,11 @@ fn lattice_distinct(stride: u32, p: u32, step: u32, runs: u32) -> Option<u32> {
 /// `coalesced_txn_bytes`. Anything else issues one transaction per lane, or
 /// per distinct address ([`lattice_distinct`]) when duplicates combine.
 #[inline]
-pub fn coalesce_affine_half(cfg: &GpuConfig, t: &AffineTerms, half: u32) -> Option<HalfWarpAccess> {
+pub(crate) fn coalesce_affine_half(
+    cfg: &GpuConfig,
+    t: &AffineTerms,
+    half: u32,
+) -> Option<HalfWarpAccess> {
     let (stride, p, step, runs) = half_lattice(t);
     let base = t.base.wrapping_add(t.step.wrapping_mul(runs * half));
     if p == 16 && stride == 4 && base.is_multiple_of(cfg.coalesced_txn_bytes) {
@@ -235,7 +239,11 @@ fn affine_lanes(t: &AffineTerms, live: u32) -> ([u32; 32], u32) {
 /// out of wherever the caller assembled them is the slow step of an
 /// otherwise constant-time answer.
 #[inline]
-pub fn coalesce_affine_warp(cfg: &GpuConfig, t: &AffineTerms, live: u32) -> [HalfWarpAccess; 2] {
+pub(crate) fn coalesce_affine_warp(
+    cfg: &GpuConfig,
+    t: &AffineTerms,
+    live: u32,
+) -> [HalfWarpAccess; 2] {
     #[inline(never)]
     fn scan(cfg: &GpuConfig, t: &AffineTerms, live: u32) -> [HalfWarpAccess; 2] {
         let (addrs, mask) = affine_lanes(t, live);
@@ -271,7 +279,7 @@ pub fn coalesce_affine_warp(cfg: &GpuConfig, t: &AffineTerms, live: u32) -> [Hal
 /// nonzero terms are counted over the `p × 16/p` lattice, sixteen bank
 /// increments. Non-word terms fall back.
 #[inline]
-pub fn smem_degree_affine(cfg: &GpuConfig, t: &AffineTerms) -> Option<u32> {
+pub(crate) fn smem_degree_affine(cfg: &GpuConfig, t: &AffineTerms) -> Option<u32> {
     let (stride, p, step, runs) = half_lattice(t);
     if cfg.smem_banks != 16 || !stride.is_multiple_of(4) || !step.is_multiple_of(4) {
         return None;
@@ -304,7 +312,7 @@ pub fn smem_degree_affine(cfg: &GpuConfig, t: &AffineTerms) -> Option<u32> {
 /// ([`smem_degree_affine`]); otherwise the addresses are generated from the
 /// terms and scanned (out of line, as in [`coalesce_affine_warp`]).
 #[inline]
-pub fn smem_degree_affine_warp(cfg: &GpuConfig, t: &AffineTerms, live: u32) -> u32 {
+pub(crate) fn smem_degree_affine_warp(cfg: &GpuConfig, t: &AffineTerms, live: u32) -> u32 {
     #[inline(never)]
     fn scan(cfg: &GpuConfig, t: &AffineTerms, live: u32) -> u32 {
         let (addrs, mask) = affine_lanes(t, live);

@@ -54,7 +54,7 @@ use std::time::SystemTime;
 /// entries written by an incompatible serializer (any change to the payload
 /// encoding below must bump [`FORMAT_VERSION`]) or by an incompatible
 /// machine: v1 entries hold memory deltas computed with the host libm's
-/// `sinf`/`cosf`, v2 is the in-crate SFU of `g80_isa::exec::eval_sfu`, and
+/// `sinf`/`cosf`, v2 is the in-crate SFU of `g80_isa::eval_sfu`, and
 /// v3 the NaN rule of `g80_isa::exec` (a NaN result's bits no longer depend
 /// on the compiler's choice of operand order), and v4 stores the memo entry
 /// checksum in place of a bytewise hash of the payload.

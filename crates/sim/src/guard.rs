@@ -19,7 +19,7 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 /// Payload raised when an SM exceeds the watchdog cycle budget; classified
 /// into [`crate::LaunchError::Watchdog`] at the launch boundary.
 #[derive(Debug)]
-pub struct WatchdogAbort {
+pub(crate) struct WatchdogAbort {
     /// Kernel name.
     pub kernel: String,
     /// The budget that was exceeded ([`crate::SimConfig::watchdog_cycles`]).

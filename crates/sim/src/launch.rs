@@ -20,7 +20,7 @@
 use crate::config::GpuConfig;
 use crate::context::SimContext;
 use crate::counters::{KernelStats, MemoCounters, SmStats, WorkCounters};
-use crate::fault::lock_recover;
+use crate::guard::lock_recover;
 use crate::memo::{self, KernelInfo, Served};
 use crate::memory::DeviceMemory;
 use crate::pool::{self, Scope, TaskPanic};
@@ -92,7 +92,7 @@ impl std::error::Error for LaunchError {}
 
 /// Classifies an unwind payload caught at the launch boundary.
 fn classify_panic(p: Box<dyn std::any::Any + Send>) -> LaunchError {
-    if let Some(w) = p.downcast_ref::<crate::fault::WatchdogAbort>() {
+    if let Some(w) = p.downcast_ref::<crate::guard::WatchdogAbort>() {
         return LaunchError::Watchdog {
             kernel: w.kernel.clone(),
             budget: w.budget,
@@ -101,7 +101,7 @@ fn classify_panic(p: Box<dyn std::any::Any + Send>) -> LaunchError {
         };
     }
     LaunchError::Panic(
-        crate::fault::payload_str(p.as_ref())
+        crate::guard::payload_str(p.as_ref())
             .unwrap_or("non-string panic payload")
             .to_string(),
     )

@@ -57,22 +57,23 @@
 
 #![warn(clippy::too_many_lines)]
 #![warn(clippy::undocumented_unsafe_blocks)]
+#![warn(unreachable_pub)]
 
-pub mod config;
-pub mod context;
-pub mod cost;
-pub mod counters;
-pub mod digest;
-pub mod disk;
-pub mod fault;
-pub mod launch;
-pub mod memo;
-pub mod memory;
+mod config;
+mod context;
+mod cost;
+mod counters;
+mod digest;
+mod disk;
+mod guard;
+mod launch;
+mod memo;
+mod memory;
 pub mod pool;
-pub mod report;
-pub mod sm;
+mod report;
+mod sm;
 mod step;
-pub mod warp;
+mod warp;
 pub mod wire;
 mod witness;
 
@@ -83,10 +84,26 @@ pub use counters::{
     row_counters, work_counters, KernelStats, MemoCounters, NetCounters, RowCounters, StallReason,
     WorkCounters,
 };
+pub use digest::{crc32, splitmix64};
+pub use guard::{lock_recover, payload_str, wait_recover};
 pub use launch::{
     launch, launch_batch, launch_batch_traced, launch_traced, LaunchError, LaunchSpec,
 };
 pub use memo::{clear_memo_cache, kernel_info, KernelInfo, Served};
 pub use memory::DeviceMemory;
-pub use report::{launch_reported, LaunchReport, REPORT_VERSION};
+pub use report::{launch_reported, LaunchReport};
 pub use sm::LaunchDims;
+
+// The seam the reference engine (`g80-oracle`) and `bench_sim` build on:
+// the definitional access costs, the per-SM counters, the functional warp
+// and the slicing-by-8 CRC the PCLMULQDQ fold is measured against.
+#[doc(hidden)]
+pub use cost::{coalesce_half_warp, smem_conflict_degree, TagCache};
+#[doc(hidden)]
+pub use counters::SmStats;
+#[doc(hidden)]
+pub use digest::crc32_sliced;
+#[doc(hidden)]
+pub use guard::watchdog_abort;
+#[doc(hidden)]
+pub use warp::{RegSource, Warp};

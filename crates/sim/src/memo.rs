@@ -28,11 +28,10 @@ use crate::context::SimContext;
 use crate::counters::KernelStats;
 use crate::digest::{code_hash, entry_checksum, launch_digest};
 use crate::disk;
-use crate::fault::lock_recover;
+use crate::guard::lock_recover;
 use crate::memory::DeviceMemory;
 use crate::sm::LaunchDims;
-use g80_isa::dataflow::{self, TaintSummary};
-use g80_isa::{DecodedKernel, Kernel, Value};
+use g80_isa::{analyze_taint, DecodedKernel, Kernel, Value};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -44,8 +43,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub struct KernelInfo {
     /// Micro-op table for the engine.
     pub decoded: DecodedKernel,
-    /// Dataflow facts from [`g80_isa::dataflow::analyze`].
-    pub taint: TaintSummary,
     /// Whether block-class dedup may engage: timing is data-independent,
     /// the kernel has no atomics (inter-block coupling through memory) and
     /// no texture fetches, and every constant-space address is provably
@@ -95,7 +92,7 @@ pub fn kernel_info(kernel: &Kernel) -> Arc<KernelInfo> {
     // Decode and analyze *outside* the registry lock: an unwind here must
     // leave the registry untouched. Two racing first-decoders both compute;
     // the loser's insert simply overwrites an identical entry.
-    let taint = dataflow::analyze(&kernel.code);
+    let taint = analyze_taint(&kernel.code);
     let dedup_eligible = taint.timing_data_independent()
         && !taint.has_atomic
         && !taint.ctaid_cached_addr
@@ -103,7 +100,6 @@ pub fn kernel_info(kernel: &Kernel) -> Arc<KernelInfo> {
         && !kernel.code.is_empty();
     let info = Arc::new(KernelInfo {
         decoded: DecodedKernel::new(kernel),
-        taint,
         dedup_eligible,
         shared_uniform: !taint.ctaid_shared_addr,
     });

@@ -118,7 +118,7 @@ impl DeviceMemory {
         let cell = &self.words[idx];
         let mut old = cell.load(Ordering::Relaxed);
         loop {
-            let (new, _) = g80_isa::exec::eval_atom(op, Value(old), src);
+            let (new, _) = g80_isa::eval_atom(op, Value(old), src);
             match cell.compare_exchange_weak(old, new.0, Ordering::Relaxed, Ordering::Relaxed) {
                 Ok(_) => return Value(old),
                 Err(cur) => old = cur,
@@ -194,25 +194,12 @@ impl DeviceMemory {
         h.finish128()
     }
 
-    /// Copies the entire word array out (memo-miss pre-images, retry
-    /// snapshots).
+    /// Copies the entire word array out (memo-miss pre-images).
     pub fn snapshot_words(&self) -> Vec<u32> {
         self.words
             .iter()
             .map(|w| w.load(Ordering::Relaxed))
             .collect()
-    }
-
-    /// Restores a [`snapshot_words`](Self::snapshot_words) image, undoing
-    /// every global write since the snapshot. The launch layer uses this to
-    /// retry a launch whose partial writes would otherwise double-apply
-    /// (kernels cannot write the constant bank or rebind textures, so the
-    /// word image is the whole mutable state).
-    pub fn restore_words(&self, snapshot: &[u32]) {
-        assert_eq!(snapshot.len(), self.words.len(), "snapshot size mismatch");
-        for (cell, &w) in self.words.iter().zip(snapshot) {
-            cell.store(w, Ordering::Relaxed);
-        }
     }
 
     /// Reads a constant-bank word at a byte address.
@@ -335,8 +322,8 @@ impl Words for &DeviceMemory {
 #[allow(clippy::needless_range_loop)]
 mod tests {
     use super::*;
-    use g80_isa::exec::Row;
-    use g80_isa::row::AffineTerms;
+    use g80_isa::AffineTerms;
+    use g80_isa::Row;
 
     /// A seeded image (LCG words, high half of each state).
     fn seeded_memory(words: usize, seed: u64) -> DeviceMemory {
@@ -500,7 +487,7 @@ mod tests {
         }
         // Same words, one more (zero) word of memory.
         let longer = DeviceMemory::new(301 * 4);
-        longer.restore_words(&[image().snapshot_words(), vec![0]].concat());
+        longer.write_slice(0, image().snapshot_words().into_iter());
         let mut longer = longer;
         longer.const_bank = vec![7, 8, 9];
         longer.tex_binding = Some((256, 512));
@@ -661,7 +648,7 @@ mod tests {
                     };
                     let seeded_memory = || {
                         let mem = DeviceMemory::new(4 * words);
-                        mem.restore_words(&seeded(words).iter().map(|v| v.0).collect::<Vec<_>>());
+                        mem.write_slice(0, seeded(words).iter().map(|v| v.0));
                         mem
                     };
                     let mem = seeded_memory();

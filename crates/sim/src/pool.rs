@@ -42,7 +42,7 @@
 //! CI's environment leg (the whole suite under `G80_SIM_THREADS=1`).
 
 use crate::context::{self, SimContext};
-use crate::fault::{self, lock_recover, wait_recover};
+use crate::guard::{self, lock_recover, wait_recover};
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -377,7 +377,7 @@ pub struct TaskPanic(pub Box<dyn std::any::Any + Send>);
 impl TaskPanic {
     /// The panic message, when the payload carries one.
     pub fn message(&self) -> &str {
-        fault::payload_str(self.0.as_ref()).unwrap_or("non-string panic payload")
+        guard::payload_str(self.0.as_ref()).unwrap_or("non-string panic payload")
     }
 
     /// Re-raises the captured panic.

@@ -55,7 +55,7 @@ pub struct LaunchReport {
 /// the embedded [`KernelStats`] layout). Version 2 added the three
 /// row-shape counters after the memo counters; version 3 added the four
 /// transport-fault counters after the row counters.
-pub const REPORT_VERSION: u16 = 3;
+pub(crate) const REPORT_VERSION: u16 = 3;
 
 crate::wire_layout! {
     enum Served {

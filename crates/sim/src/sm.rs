@@ -54,8 +54,8 @@ use crate::warp::{RegSource, Warp};
 use crate::witness::{
     replay_block, Ev, Rep, ReplayScratch, Sig, Signature, WitnessRecorder, WriteBuf,
 };
-use g80_isa::decode::{DecodedKernel, IssueClass, MemKind, MicroOp};
-use g80_isa::exec::Row;
+use g80_isa::Row;
+use g80_isa::{DecodedKernel, IssueClass, MemKind, MicroOp};
 use g80_isa::{Kernel, Value};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -84,7 +84,7 @@ impl LaunchDims {
 pub(crate) fn file_regs(kernel: &Kernel) -> u32 {
     kernel
         .regs_per_thread
-        .max(g80_isa::liveness::num_regs(&kernel.code) as u32)
+        .max(g80_isa::num_regs(&kernel.code) as u32)
 }
 
 /// One block's storage — its warps and its shared memory — as the timed
@@ -173,7 +173,7 @@ pub(crate) enum Watch<'f> {
 }
 
 /// Simulates one SM over its assigned blocks. Deterministic; aborts with a
-/// [`crate::fault::WatchdogAbort`] past the launch's watchdog budget.
+/// [`crate::guard::WatchdogAbort`] past the launch's watchdog budget.
 ///
 /// The run's [`Observe`] impl is chosen here, once, from `watch`. A
 /// recording SM's [`PeriodDetector`] fast-forwards steady-state periods of
@@ -215,7 +215,7 @@ fn observed<O: Observe>(p: &Prepared, mut obs: O, mut sched: Schedule) -> (SmSta
     loop {
         if pipe.cycle >= p.watchdog {
             let insts = pipe.stats.warp_instructions;
-            crate::fault::watchdog_abort(&p.spec.kernel.name, p.watchdog, pipe.cycle, insts);
+            crate::guard::watchdog_abort(&p.spec.kernel.name, p.watchdog, pipe.cycle, insts);
         }
         if sched.check_retire && sched.retire(&mut pipe.stats, &mut obs) {
             obs.at_refill(p, &mut sched, &mut pipe);
@@ -965,7 +965,7 @@ mod tests {
     use crate::launch::LaunchSpec;
     use crate::memory::DeviceMemory;
     use g80_isa::builder::KernelBuilder;
-    use g80_isa::inst::{CmpOp, Pred, Scalar};
+    use g80_isa::{CmpOp, Pred, Scalar};
 
     /// `ys[i] = tid` for the block's threads, then, in block 0 only, one more
     /// instruction: every other block is one class, block 0 another.
@@ -1089,7 +1089,7 @@ mod tests {
         let mem = DeviceMemory::new(9 * 32 * 4);
         let p = launch(&cfg, &kernel, &mem, 9, true);
         let rep = donor_rep(&p, &queue(1..5)).expect("blocks 1 to 4 are one class");
-        mem.restore_words(&[0; 9 * 32]);
+        mem.write_slice(0, [0; 9 * 32].into_iter());
 
         // Blocks 0 and 5 resident, 6 to 8 queued.
         let blocks = queue([0, 5, 6, 7, 8]);

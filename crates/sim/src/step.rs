@@ -19,10 +19,7 @@ use crate::cost::{
 use crate::launch::Prepared;
 use crate::memory::{DeviceMemory, Words};
 use crate::warp::Warp;
-use g80_isa::exec::{self, Row};
-use g80_isa::inst::{Inst, Operand, Space};
-use g80_isa::row::AffineTerms;
-use g80_isa::{LaneRow, Value};
+use g80_isa::{eval_atom, AffineTerms, Inst, LaneRow, Operand, Row, Space, Value};
 use std::ops::Range;
 
 /// What [`step`] did with one instruction. It borrows the addresses from
@@ -495,7 +492,7 @@ fn atom(p: &Prepared, inst: Inst, warp: &mut Warp, smem: &mut [Value]) -> Did<'s
             Space::Shared => {
                 let word = smem.get_mut((a / 4) as usize);
                 let word = word.expect("shared atomic out of bounds");
-                std::mem::replace(word, exec::eval_atom(op, *word, v).0)
+                std::mem::replace(word, eval_atom(op, *word, v).0)
             }
             _ => panic!("atomics only on global/shared memory"),
         };
@@ -518,7 +515,7 @@ fn atom(p: &Prepared, inst: Inst, warp: &mut Warp, smem: &mut [Value]) -> Did<'s
 #[cfg(test)]
 mod tests {
     use super::*;
-    use g80_isa::inst::Reg;
+    use g80_isa::Reg;
 
     /// One address for a broadcast (closed form or scan), first-lane-ordered
     /// distinct addresses otherwise, and for an address outside the bank the

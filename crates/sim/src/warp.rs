@@ -8,13 +8,15 @@
 //! architectural register's pending write completes, which is what lets
 //! independent instructions (and other warps) cover memory latency.
 
-use g80_isa::exec::{self, Row};
-use g80_isa::inst::{Inst, Operand, SpecialReg};
-use g80_isa::row::{self, LaneRow};
-use g80_isa::Value;
+use g80_isa::{
+    eval_alu_row, eval_cmp_row, eval_ffma_row, eval_imad_row, eval_sel_row, eval_sfu_row,
+    eval_un_row, fold_alu, fold_cmp, fold_ffma, fold_imad, fold_sel, fold_sfu, fold_un, true_mask,
+    Row,
+};
+use g80_isa::{Inst, LaneRow, Operand, SpecialReg, Value};
 
 /// Sentinel "no reconvergence point".
-pub const NO_RPC: u32 = u32::MAX;
+pub(crate) const NO_RPC: u32 = u32::MAX;
 
 /// One entry of the divergence stack.
 #[derive(Clone, Debug)]
@@ -350,7 +352,7 @@ impl Warp {
                 }
             }
             LaneRow::Full => {
-                let taken = exec::true_mask(&self.regs[r as usize]);
+                let taken = true_mask(&self.regs[r as usize]);
                 (if negate { !taken } else { taken }) & mask
             }
             shape => {
@@ -528,23 +530,23 @@ impl Warp {
             }
         };
         let (dst, folded) = match *inst {
-            Inst::Alu { op, dst, a, b } => (dst, row::fold_alu(op, shape(self, a), shape(self, b))),
+            Inst::Alu { op, dst, a, b } => (dst, fold_alu(op, shape(self, a), shape(self, b))),
             Inst::Ffma { dst, a, b, c } => (
                 dst,
-                row::fold_ffma(shape(self, a), shape(self, b), shape(self, c)),
+                fold_ffma(shape(self, a), shape(self, b), shape(self, c)),
             ),
             Inst::Imad { dst, a, b, c } => (
                 dst,
-                row::fold_imad(shape(self, a), shape(self, b), shape(self, c)),
+                fold_imad(shape(self, a), shape(self, b), shape(self, c)),
             ),
-            Inst::Un { op, dst, a } => (dst, row::fold_un(op, shape(self, a))),
-            Inst::Sfu { op, dst, a } => (dst, row::fold_sfu(op, shape(self, a))),
+            Inst::Un { op, dst, a } => (dst, fold_un(op, shape(self, a))),
+            Inst::Sfu { op, dst, a } => (dst, fold_sfu(op, shape(self, a))),
             Inst::SetP { op, ty, dst, a, b } => {
-                (dst, row::fold_cmp(op, ty, shape(self, a), shape(self, b)))
+                (dst, fold_cmp(op, ty, shape(self, a), shape(self, b)))
             }
             Inst::Sel { dst, c, a, b } => (
                 dst,
-                row::fold_sel(shape(self, c), shape(self, a), shape(self, b)),
+                fold_sel(shape(self, c), shape(self, a), shape(self, b)),
             ),
             _ => return false,
         };
@@ -562,13 +564,13 @@ impl Warp {
             };
             let (d, [a, b, c]) = self.reg_only_rows(dst.0, &ops[..n], mask, params, tmp);
             match *inst {
-                Inst::Alu { op, .. } => exec::eval_alu_row(op, a, b, d, mask),
-                Inst::Ffma { .. } => exec::eval_ffma_row(a, b, c, d, mask),
-                Inst::Imad { .. } => exec::eval_imad_row(a, b, c, d, mask),
-                Inst::Un { op, .. } => exec::eval_un_row(op, a, d, mask),
-                Inst::Sfu { op, .. } => exec::eval_sfu_row(op, a, d, mask),
-                Inst::SetP { op, ty, .. } => exec::eval_cmp_row(op, ty, a, b, d, mask),
-                Inst::Sel { .. } => exec::eval_sel_row(a, b, c, d, mask),
+                Inst::Alu { op, .. } => eval_alu_row(op, a, b, d, mask),
+                Inst::Ffma { .. } => eval_ffma_row(a, b, c, d, mask),
+                Inst::Imad { .. } => eval_imad_row(a, b, c, d, mask),
+                Inst::Un { op, .. } => eval_un_row(op, a, d, mask),
+                Inst::Sfu { op, .. } => eval_sfu_row(op, a, d, mask),
+                Inst::SetP { op, ty, .. } => eval_cmp_row(op, ty, a, b, d, mask),
+                Inst::Sel { .. } => eval_sel_row(a, b, c, d, mask),
                 _ => unreachable!("register-only kinds only"),
             }
         }
@@ -782,11 +784,7 @@ mod tests {
         assert_eq!(w.reg(3, 0).as_u32(), 100);
         assert_eq!(w.reg(3, 5).as_u32(), 140);
         assert_eq!(w.reg(3, 18).as_u32(), 1116);
-        let row = *w.operand_row(
-            Operand::Reg(g80_isa::inst::Reg(3)),
-            &[],
-            &mut [Value::ZERO; 32],
-        );
+        let row = *w.operand_row(Operand::Reg(g80_isa::Reg(3)), &[], &mut [Value::ZERO; 32]);
         assert_eq!(row[7].as_u32(), 156);
         assert_eq!(row[16].as_u32(), 1100);
         // A lane write materializes: the other lanes keep their affine values.
@@ -933,30 +931,25 @@ mod tests {
     /// [`reg_only_insts`] with register `dst` = f(`srcs`): `f`'s arguments
     /// are the values of `srcs` in order, whichever operand reads them.
     fn reg_only_kinds(dst: u32, srcs: [u32; 3]) -> Vec<(Inst, LaneFn)> {
-        use g80_isa::inst::{AluOp, CmpOp, Reg, Scalar, SfuOp, UnOp};
+        use g80_isa::{eval_alu, eval_cmp, eval_ffma, eval_imad, eval_sfu, eval_un};
+        use g80_isa::{AluOp, CmpOp, Reg, Scalar, SfuOp, UnOp};
         let [a, b, c] = srcs.map(|r| Operand::Reg(Reg(r)));
         let dst = Reg(dst);
         let alu = |op| Inst::Alu { op, dst, a, b };
         let (lt, ge) = (CmpOp::Lt, CmpOp::Ge);
         vec![
-            (alu(AluOp::IAdd), |a, b, _| {
-                exec::eval_alu(AluOp::IAdd, a, b)
-            }),
-            (alu(AluOp::IMul), |a, b, _| {
-                exec::eval_alu(AluOp::IMul, a, b)
-            }),
-            (alu(AluOp::FMul), |a, b, _| {
-                exec::eval_alu(AluOp::FMul, a, b)
-            }),
-            (Inst::Ffma { dst, a, b, c }, exec::eval_ffma),
-            (Inst::Imad { dst, a, b, c }, exec::eval_imad),
+            (alu(AluOp::IAdd), |a, b, _| eval_alu(AluOp::IAdd, a, b)),
+            (alu(AluOp::IMul), |a, b, _| eval_alu(AluOp::IMul, a, b)),
+            (alu(AluOp::FMul), |a, b, _| eval_alu(AluOp::FMul, a, b)),
+            (Inst::Ffma { dst, a, b, c }, eval_ffma),
+            (Inst::Imad { dst, a, b, c }, eval_imad),
             (
                 Inst::Un {
                     op: UnOp::Not,
                     dst,
                     a,
                 },
-                |a, _, _| exec::eval_un(UnOp::Not, a),
+                |a, _, _| eval_un(UnOp::Not, a),
             ),
             (
                 Inst::Un {
@@ -964,7 +957,7 @@ mod tests {
                     dst,
                     a,
                 },
-                |a, _, _| exec::eval_un(UnOp::FNeg, a),
+                |a, _, _| eval_un(UnOp::FNeg, a),
             ),
             (
                 Inst::Sfu {
@@ -972,7 +965,7 @@ mod tests {
                     dst,
                     a,
                 },
-                |a, _, _| exec::eval_sfu(SfuOp::Rcp, a),
+                |a, _, _| eval_sfu(SfuOp::Rcp, a),
             ),
             (
                 Inst::Sfu {
@@ -980,7 +973,7 @@ mod tests {
                     dst,
                     a,
                 },
-                |a, _, _| exec::eval_sfu(SfuOp::Sin, a),
+                |a, _, _| eval_sfu(SfuOp::Sin, a),
             ),
             (
                 Inst::SetP {
@@ -990,7 +983,7 @@ mod tests {
                     a,
                     b,
                 },
-                |a, b, _| exec::eval_cmp(CmpOp::Lt, Scalar::U32, a, b),
+                |a, b, _| eval_cmp(CmpOp::Lt, Scalar::U32, a, b),
             ),
             (
                 Inst::SetP {
@@ -1000,7 +993,7 @@ mod tests {
                     a,
                     b,
                 },
-                |a, b, _| exec::eval_cmp(CmpOp::Ge, Scalar::F32, a, b),
+                |a, b, _| eval_cmp(CmpOp::Ge, Scalar::F32, a, b),
             ),
             // The condition is r3: all-true rows, and one false lane in the
             // scattered row (lane 0 of `sel_cond`).
@@ -1174,7 +1167,7 @@ mod tests {
     /// `taken_mask` and `LaneRow::classify` — reads the new row.
     #[test]
     fn a_shaped_destination_written_whole_reads_back_its_new_row() {
-        use g80_isa::inst::{AluOp, CmpOp, Reg, Scalar};
+        use g80_isa::{AluOp, CmpOp, Reg, Scalar};
         let (r0, r1, r3) = (Reg(0), Reg(1), Reg(3));
         let add = Inst::Alu {
             op: AluOp::IAdd,
@@ -1234,7 +1227,7 @@ mod tests {
     /// warp says so and is left exactly as it was.
     #[test]
     fn non_reg_only_instructions_are_left_to_the_caller() {
-        use g80_isa::inst::{AtomOp, Label, Pred, Reg, Space};
+        use g80_isa::{AtomOp, Label, Pred, Reg, Space};
         let (space, addr, off) = (Space::Global, Operand::Reg(Reg(1)), 4);
         let src = Operand::Reg(Reg(2));
         let (target, reconv) = (Label(3), Label(4));
@@ -1300,7 +1293,7 @@ mod tests {
     #[test]
     fn operand_specials() {
         let w = Warp::new(0, 4, (16, 4, 1), (2, 7), (10, 20));
-        use g80_isa::inst::Operand as O;
+        use g80_isa::Operand as O;
         assert_eq!(
             w.operand(O::Special(SpecialReg::CtaidX), 0, &[]).as_u32(),
             2

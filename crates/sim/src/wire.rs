@@ -33,7 +33,7 @@
 //!   checks this per layout).
 //!
 //! A layout change changes bytes: it must bump [`crate::disk`]'s
-//! `FORMAT_VERSION` when the stats move, [`crate::REPORT_VERSION`] when a
+//! `FORMAT_VERSION` when the stats move, [`crate::report::REPORT_VERSION`] when a
 //! report does, and the serve protocol version for anything it carries.
 
 use crate::counters::TallyKey;

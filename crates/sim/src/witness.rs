@@ -51,7 +51,7 @@ use crate::memory::{DeviceMemory, Words};
 use crate::sm::Resident;
 use crate::step::{step, Access, Did, Scratch};
 use crate::warp::Warp;
-use g80_isa::exec::Row;
+use g80_isa::Row;
 use g80_isa::Value;
 use std::collections::HashMap;
 
@@ -162,7 +162,7 @@ pub(crate) struct WitnessRecorder {
 }
 
 impl WitnessRecorder {
-    pub fn new(slots: usize, wpb: usize) -> Self {
+    pub(crate) fn new(slots: usize, wpb: usize) -> Self {
         WitnessRecorder {
             valid: true,
             rep_done: false,
@@ -171,22 +171,22 @@ impl WitnessRecorder {
         }
     }
 
-    pub fn rep_done(&self) -> bool {
+    pub(crate) fn rep_done(&self) -> bool {
         self.rep_done
     }
 
-    pub fn rep(&self) -> &[Vec<Ev>] {
+    pub(crate) fn rep(&self) -> &[Vec<Ev>] {
         &self.rep
     }
 
     /// Verification position of one warp (part of the scheduler-state
     /// snapshot: the same pc at different loop iterations must not alias).
-    pub fn cursor(&self, slot: usize, warp: usize) -> usize {
+    pub(crate) fn cursor(&self, slot: usize, warp: usize) -> usize {
         self.cursors[slot][warp]
     }
 
     /// Records (or verifies) one issued instruction of `slot`/`warp`.
-    pub fn record(&mut self, slot: usize, warp: usize, ev: Ev) {
+    pub(crate) fn record(&mut self, slot: usize, warp: usize, ev: Ev) {
         if !self.valid {
             return;
         }
@@ -203,7 +203,7 @@ impl WitnessRecorder {
 
     /// The representative streams, if every block retired so far was
     /// verified class-identical (the donor-SM reuse evidence).
-    pub fn take_verified(self) -> Option<Rep> {
+    pub(crate) fn take_verified(self) -> Option<Rep> {
         (self.valid && self.rep_done).then_some(self.rep)
     }
 
@@ -211,14 +211,14 @@ impl WitnessRecorder {
     /// [`Self::on_retire`]): drops the slot's verification state so the
     /// remaining slot indices realign, keeping the recorder valid — every
     /// block retired so far has still been individually verified.
-    pub fn on_remove(&mut self, slot: usize) {
+    pub(crate) fn on_remove(&mut self, slot: usize) {
         self.cursors.remove(slot);
     }
 
     /// Called when the block in `slot` retires, before the slot refills: a
     /// verified block has consumed its whole class stream, and the first one
     /// to do so completes it. Returns whether this retire froze the streams.
-    pub fn on_retire(&mut self, slot: usize) -> bool {
+    pub(crate) fn on_retire(&mut self, slot: usize) -> bool {
         if !self.valid {
             return false;
         }
@@ -260,7 +260,7 @@ pub(crate) struct WriteBuf<'m> {
 }
 
 impl<'m> WriteBuf<'m> {
-    pub fn new(mem: &'m DeviceMemory) -> Self {
+    pub(crate) fn new(mem: &'m DeviceMemory) -> Self {
         WriteBuf {
             mem,
             log: Vec::new(),
@@ -294,7 +294,7 @@ impl<'m> WriteBuf<'m> {
         }
     }
 
-    pub fn commit(self) {
+    pub(crate) fn commit(self) {
         for (w, v) in self.log {
             self.mem.write(4 * w, v);
         }
@@ -356,7 +356,7 @@ pub(crate) struct ReplayScratch {
 }
 
 impl ReplayScratch {
-    pub fn new(p: &Prepared) -> Self {
+    pub(crate) fn new(p: &Prepared) -> Self {
         let block = Resident::new(p.spec.kernel, &p.spec.dims, (0, 0));
         let cursors = vec![0; block.warps.len()];
         ReplayScratch {
@@ -436,7 +436,7 @@ fn replay_warps(
 /// atomics and texture fetches, which this copy of `step` cannot run.
 ///
 /// With [`crate::KernelInfo::shared_uniform`] (shared addresses statically
-/// `ctaid`-free, see [`g80_isa::dataflow::TaintSummary::ctaid_shared_addr`])
+/// `ctaid`-free, see [`g80_isa::TaintSummary::ctaid_shared_addr`])
 /// the bank-conflict degree of a shared access is known to equal the
 /// representative's without recomputing it — the dominant cost of replaying
 /// tiled kernels.

@@ -13,7 +13,7 @@
 //! bug fixed in `g80-isa::regalloc` (targets must land on the first reload).
 
 use g80_isa::builder::{BuildOptions, KernelBuilder, Unroll};
-use g80_isa::inst::{AluOp, CmpOp, Inst, Operand, Pred, Scalar, SfuOp, Space, UnOp};
+use g80_isa::{AluOp, CmpOp, Inst, Operand, Pred, Scalar, SfuOp, Space, UnOp};
 use g80_isa::{AtomOp, Kernel, OptLevel, Value};
 use g80_sim::{
     launch, memo_counters, wire, DeviceMemory, GpuConfig, KernelStats, LaunchDims, SimConfig,
@@ -379,7 +379,7 @@ fn run_n(k: &Kernel, cfg: &GpuConfig, n: u32, width: u32) -> (Vec<u32>, KernelSt
     .expect("launch");
     // A launch ends at its last issue and no warp waits for an atomic
     // without a destination, so the global atomic stage's bytes may still
-    // be queued when it ends (ROADMAP 5(e)); the roofline holds the rest.
+    // be queued when it ends (ROADMAP item 3); the roofline holds the rest.
     let mut waited = stats.clone();
     let global_atom = |i: &Inst| matches!(i, Inst::Atom { space, .. } if *space == Space::Global);
     if k.code.iter().any(global_atom) {

@@ -1,8 +1,8 @@
 //! Property tests over the memory-system models (DESIGN.md §7): the
 //! coalescer's transaction accounting and the bank-conflict model.
 
-use g80_sim::cost::{coalesce_half_warp, smem_conflict_degree};
 use g80_sim::GpuConfig;
+use g80_sim::{coalesce_half_warp, smem_conflict_degree};
 use proptest::prelude::*;
 
 fn lanes(addrs: &[Option<u32>]) -> [Option<u32>; 16] {

@@ -4,9 +4,9 @@
 //! (coalescing, bank conflicts, latency hiding, occupancy).
 
 use g80_isa::builder::{KernelBuilder, Unroll};
-use g80_isa::inst::{CmpOp, Operand, Pred, Scalar, SfuOp, Space};
 use g80_isa::{AtomOp, Kernel, Value};
-use g80_sim::cost::{coalesce_half_warp, smem_conflict_degree};
+use g80_isa::{CmpOp, Operand, Pred, Scalar, SfuOp, Space};
+use g80_sim::{coalesce_half_warp, smem_conflict_degree};
 use g80_sim::{launch, DeviceMemory, GpuConfig, LaunchDims, SimConfig, SimContext};
 
 fn gtx() -> GpuConfig {
@@ -616,7 +616,7 @@ fn sfu_trig_on_a_uniform_row_folds_to_the_row_kernels_bits() {
         for j in 0..n {
             let at = |slot: u32| mem.read(n * 4 + j * 16 + slot);
             for (slot, op) in [(0, SfuOp::Sin), (8, SfuOp::Cos)] {
-                let want = g80_isa::exec::eval_sfu(op, Value::from_f32(x));
+                let want = g80_isa::eval_sfu(op, Value::from_f32(x));
                 assert_eq!(at(slot), want, "{op:?}({x}) folded, thread {j}");
                 assert_eq!(at(slot + 4), want, "{op:?}({x}) 32-lane row, thread {j}");
             }

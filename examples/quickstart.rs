@@ -35,10 +35,7 @@ fn main() {
     b.st_global(addr, 0, r);
     let kernel = b.build();
 
-    println!(
-        "compiled kernel:\n{}",
-        g80::isa::disasm::disassemble(&kernel)
-    );
+    println!("compiled kernel:\n{}", g80::isa::disassemble(&kernel));
 
     // Launch: 256 blocks of 256 threads.
     let stats = dev

@@ -85,7 +85,7 @@ pub fn assert_stats_identical(label: &str, a: &KernelStats, b: &KernelStats) {
     );
     let gpu = GpuConfig::geforce_8800_gtx();
     check_invariants(&gpu, a);
-    let efficiency = g80::tune::model::estimate(&gpu, a).efficiency;
+    let efficiency = g80::tune::estimate(&gpu, a).efficiency;
     assert!(efficiency <= 1.0, "{label}: efficiency {efficiency} > 1");
 }
 

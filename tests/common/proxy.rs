@@ -21,7 +21,7 @@
 //! short frames, CRC mismatches, partial reads, delays. Uses std and the
 //! simulator's `splitmix64` only.
 
-use g80_sim::digest::splitmix64;
+use g80_sim::splitmix64;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -5,7 +5,7 @@
 use g80::apps::matmul::{MatMul, Variant};
 use g80::cuda::Device;
 use g80::isa::builder::{KernelBuilder, Unroll};
-use g80::isa::inst::Operand;
+use g80::isa::Operand;
 use g80::sim::GpuConfig;
 use g80::tune::{estimate, kernel_occupancy, Bottleneck, LimitingResource};
 use g80_bench::fidelity;

@@ -26,10 +26,10 @@
 use common::proxy::{wire_legs, Dir, Kind, Plan, Proxy};
 use g80::isa::builder::{KernelBuilder, Unroll};
 use g80::isa::Value;
-use g80::serve::fleet::{self, run_fleet};
+use g80::serve::run_fleet;
 use g80::serve::{serve, Addr, Client, Request, Response, ServeConfig, WireError, WireLaunch};
 use g80::sim::{memo_counters, net_counters, LaunchDims, NetCounters, SimConfig, SimContext};
-use g80::tune::tuner::{Sample, SweepResult};
+use g80::tune::{Sample, SweepResult};
 use std::io::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -260,7 +260,7 @@ fn slow_client_is_reaped() {
     let addr = server.local_addr().clone();
 
     // The slow-loris: starts a frame, never finishes it.
-    let mut loris = g80::serve::net::connect(&addr).expect("loris connect");
+    let mut loris = g80::serve::connect(&addr).expect("loris connect");
     loris.write_all(&[0x10, 0x00]).expect("partial header");
     loris.flush().expect("flush");
     // Let the accept loop claim the only slot for the loris.
@@ -404,7 +404,7 @@ fn proxy_fires_where_its_plan_says() {
     // Sends `n` frames one at a time and returns which came back whole.
     let run = |plan: Plan, n: u32| -> (Vec<(Dir, u64)>, Vec<bool>) {
         let proxy = Proxy::start(&upstream, plan);
-        let conn = g80::serve::net::connect(&Addr::parse(proxy.addr()).unwrap()).unwrap();
+        let conn = g80::serve::connect(&Addr::parse(proxy.addr()).unwrap()).unwrap();
         let mut framed = g80::serve::FramedStream::new(conn);
         let intact = (0..n)
             .map(|i| {
@@ -462,7 +462,7 @@ fn proxied_fleets_drain_and_warm_the_disk_tier() {
                 let (server, addr) = default_daemon();
                 let proxy = Proxy::start(&addr.to_string(), Plan::seeded(seed, 0.02));
                 let via = Addr::parse(proxy.addr()).unwrap();
-                let fleet = run_fleet(&via, 8, requests, |t, _| fleet::probe_spec(t));
+                let fleet = run_fleet(&via, 8, requests, |t, _| g80::serve::probe_spec(t));
                 fired += proxy.fired_total();
                 shutdown(server, &addr);
                 fleet.unwrap_or_else(|e| panic!("seed {seed}, {requests} requests: {e}"))

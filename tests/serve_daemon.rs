@@ -12,7 +12,9 @@
 //!   a zero-depth queue as typed `Throttled`; the connection survives
 //!   both and keeps serving;
 //! * **handshake** — nothing but a version-matched Hello opens a
-//!   connection, and a later mismatched Hello does not close it.
+//!   connection, and a later mismatched Hello does not close it;
+//! * **panics** — a request that panics its handler comes back as a typed
+//!   `Panic` on a connection that keeps serving.
 
 use g80::isa::Value;
 use g80::serve::{
@@ -289,7 +291,7 @@ fn handshake_gates_the_connection() {
 fn handshake_gates() {
     let (server, addr) = start_daemon(Quota::default());
     let open = || {
-        let stream = g80::serve::net::connect(&addr).expect("connect");
+        let stream = g80::serve::connect(&addr).expect("connect");
         FramedStream::new(stream)
     };
     let ask = |conn: &mut FramedStream, req: &Request| {
@@ -369,7 +371,7 @@ fn spec_checks_are_typed_and_survivable() {
     refused(&out_of_bounds, &format!("write at {end:#x} "));
 
     let mut too_big = good.clone();
-    too_big.mem_bytes = g80::serve::protocol::MAX_MEM_BYTES + 4;
+    too_big.mem_bytes = g80::serve::MAX_MEM_BYTES + 4;
     refused(&too_big, "exceeds the");
 
     let mut past_memory = good.clone();
@@ -390,5 +392,29 @@ fn spec_checks_are_typed_and_survivable() {
         assert_eq!(bytes(&report.stats), bytes(&want_stats));
         assert_eq!(delta, want_delta);
     }
+    stop_daemon(server, &addr);
+}
+
+/// A kernel claiming 2^27 registers per thread overflows the occupancy
+/// check's register product (`GpuConfig::block_limits`) for a 64-thread
+/// block, which panics the request's handler before any launch runs. The
+/// daemon's per-request `catch_unwind` answers a typed `Panic`, and the
+/// same connection serves the next request.
+#[test]
+fn a_panicking_request_is_answered_typed_and_survivable() {
+    let (server, addr) = start_daemon(Quota::default());
+    let mut client = Client::connect(&addr, "panicky").expect("connect");
+    let good = scale_spec("sd_panicky", 5, 1, 256);
+    let mut huge_regs = good.clone();
+    huge_regs.kernel.regs_per_thread = 1 << 27;
+    match client.launch(&huge_regs).expect("transport") {
+        Err(WireError::Panic(_)) => {}
+        other => panic!("expected a typed Panic, got {other:?}"),
+    }
+    let (report, _) = client
+        .launch(&good)
+        .expect("transport")
+        .expect("good launch");
+    assert!(report.stats.cycles > 0);
     stop_daemon(server, &addr);
 }
