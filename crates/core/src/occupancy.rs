@@ -153,6 +153,8 @@ mod tests {
         assert_eq!(o.limiter, LimitingResource::DoesNotFit);
         let o = occupancy(&gtx(), 8, 17 * 1024, 64);
         assert_eq!(o.limiter, LimitingResource::DoesNotFit);
+        let o = occupancy(&gtx(), 1 << 27, 0, 64); // 2^33 registers: no `u32` wrap
+        assert_eq!(o.limiter, LimitingResource::DoesNotFit);
     }
 
     #[test]

@@ -29,28 +29,6 @@ pub struct CpuWork {
     pub int_ops: f64,
 }
 
-impl CpuWork {
-    /// Sums two work descriptions.
-    pub fn plus(self, o: CpuWork) -> CpuWork {
-        CpuWork {
-            flops: self.flops + o.flops,
-            trig_ops: self.trig_ops + o.trig_ops,
-            bytes: self.bytes + o.bytes,
-            int_ops: self.int_ops + o.int_ops,
-        }
-    }
-
-    /// Scales all components.
-    pub fn scaled(self, f: f64) -> CpuWork {
-        CpuWork {
-            flops: self.flops * f,
-            trig_ops: self.trig_ops * f,
-            bytes: self.bytes * f,
-            int_ops: self.int_ops * f,
-        }
-    }
-}
-
 /// Roofline model of a single-core CPU.
 #[derive(Clone, Debug)]
 pub struct CpuModel {
@@ -161,20 +139,5 @@ mod tests {
         // fast-math helps a lot, but trig still dominates raw flops.
         assert!(libm > 2.0 * fast);
         assert!(fast > 1e8 / (8.8e9));
-    }
-
-    #[test]
-    fn work_algebra() {
-        let a = CpuWork {
-            flops: 1.0,
-            trig_ops: 2.0,
-            bytes: 3.0,
-            int_ops: 4.0,
-        };
-        let b = a.plus(a.scaled(2.0));
-        assert_eq!(b.flops, 3.0);
-        assert_eq!(b.trig_ops, 6.0);
-        assert_eq!(b.bytes, 9.0);
-        assert_eq!(b.int_ops, 12.0);
     }
 }

@@ -9,7 +9,7 @@
 //! Every request, the Hello exchange included, is one round trip: write
 //! the request frame, read responses until the terminal one (anything but
 //! an `Item`). When an attempt fails, the round trip picks one of two
-//! recoveries (DESIGN §16), each bounded per request:
+//! recoveries (DESIGN §15), each bounded per request:
 //!
 //! - **Resend in place** when the daemon answers `BadFrame` before any
 //!   response of this request, or a lone response frame fails its CRC: the

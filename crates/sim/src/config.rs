@@ -245,7 +245,7 @@ impl GpuConfig {
     }
 
     /// DRAM bytes per cycle available to one SM (the simulator partitions
-    /// bandwidth evenly so SMs can be simulated independently; see DESIGN.md).
+    /// bandwidth evenly so SMs can be simulated independently; see DESIGN.md §3).
     pub fn dram_bytes_per_cycle_per_sm(&self) -> f64 {
         self.dram_bytes_per_cycle() / self.num_sms as f64
     }
@@ -286,8 +286,12 @@ impl GpuConfig {
         Some(BlockLimits {
             threads: (self.max_threads_per_sm / threads_per_block)
                 .min(self.max_warps_per_sm() / warps_per_block),
-            registers: (regs_per_thread > 0)
-                .then(|| self.registers_per_sm / (regs_per_thread * threads_per_block)),
+            // In `u64`: a kernel's register count is outside input, and its
+            // product with the block size can wrap `u32` (to zero).
+            registers: (regs_per_thread > 0).then(|| {
+                let demand = u64::from(regs_per_thread) * u64::from(threads_per_block);
+                (u64::from(self.registers_per_sm) / demand) as u32
+            }),
             smem: self.smem_per_sm.checked_div(smem_per_block),
             slots: self.max_blocks_per_sm,
         })

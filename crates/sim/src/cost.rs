@@ -186,7 +186,7 @@ fn lattice_distinct(stride: u32, p: u32, step: u32, runs: u32) -> Option<u32> {
 /// applies (the caller falls back to the per-lane scan); `Some(acc)` is
 /// bit-identical to [`coalesce_half_warp`] on the expanded addresses.
 ///
-/// Derivation (DESIGN.md §15): the coalesced pattern requires
+/// Derivation (DESIGN.md §14): the coalesced pattern requires
 /// `addr_k = seg + 4k` with `seg` aligned, and matching lane 1 already
 /// forces `stride == 4`; lane `p` then forces `step == 4p`, a 1-D row, which
 /// the canonical form holds at `p = 16` — so the access coalesces iff

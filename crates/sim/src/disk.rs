@@ -2,9 +2,9 @@
 //! cache directory under the in-process LRU.
 //!
 //! The paper's methodology is sweep-heavy — hundreds of kernel
-//! configurations re-simulated per figure — and the PR 3 memo LRU dies with
-//! the process, so every process restart and every CI run re-pays full
-//! simulation cost. This tier makes the memo survive: entries are keyed by
+//! configurations re-simulated per figure — and the in-process memo LRU dies
+//! with the process, so every process restart and every CI run would re-pay
+//! full simulation cost. This tier makes the memo survive: entries are keyed by
 //! the same 128-bit content/config/params/memory-image digest as the LRU,
 //! serialized as checksummed, versioned files in a sharded directory
 //! (`<dir>/<2-hex-shard>/<32-hex-digest>`). A lookup that misses the LRU
@@ -14,7 +14,7 @@
 //! multi-process tuner fleets sharing one directory never observe a torn
 //! entry).
 //!
-//! Corrupt, truncated, or version-skewed entries reuse PR 4's
+//! Corrupt, truncated, or version-skewed entries follow the memo's
 //! evict-and-resimulate contract: the file is removed, the launch simulates
 //! fresh, and the re-record re-publishes a clean entry.
 //!

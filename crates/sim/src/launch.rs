@@ -128,13 +128,19 @@ fn validate(cfg: &GpuConfig, spec: &LaunchSpec) -> Result<u32, LaunchError> {
         "the simulation engine only supports 32-lane warps"
     );
     let (kernel, dims) = (spec.kernel, spec.dims);
-    let tpb = dims.threads_per_block();
-    if tpb == 0 || tpb > cfg.max_threads_per_block {
+    // The block dims arrive from outside (the serve wire): their product is
+    // formed in `u64`, so a block that wraps `u32` is refused, not launched
+    // at its wrapped size. Past this check `LaunchDims::threads_per_block`
+    // cannot wrap.
+    let (x, y, z) = dims.block;
+    let threads = u64::from(x) * u64::from(y) * u64::from(z);
+    if threads == 0 || threads > u64::from(cfg.max_threads_per_block) {
         return Err(LaunchError::BadBlockDims(format!(
             "kernel {}: {} threads per block (limit {})",
-            kernel.name, tpb, cfg.max_threads_per_block
+            kernel.name, threads, cfg.max_threads_per_block
         )));
     }
+    let tpb = threads as u32;
     if dims.grid.0 == 0 || dims.grid.1 == 0 || dims.grid.0 > 65535 || dims.grid.1 > 65535 {
         return Err(LaunchError::BadGridDims(format!(
             "kernel {}: grid {:?}",
@@ -718,15 +724,27 @@ mod tests {
     #[test]
     fn oversized_block_is_rejected() {
         let (cfg, k, mem) = setup();
-        // 32x32 = 1024 threads > the 512-thread CC 1.0 limit.
+        // 32x32 = 1024 threads > the 512-thread CC 1.0 limit, and a block
+        // whose `u32` thread product wraps to 256.
+        for block in [(32, 32, 1), (256, (1 << 24) + 1, 1)] {
+            let r = launch(&cfg, &k, dims((1, 1), block), &[Value::from_u32(0)], &mem);
+            assert!(matches!(r, Err(LaunchError::BadBlockDims(_))), "{r:?}");
+        }
+    }
+
+    #[test]
+    fn block_exceeding_the_register_file_does_not_fit() {
+        let (cfg, mut k, mem) = setup();
+        // 2^27 registers × 64 threads wraps a `u32` product to 0.
+        k.regs_per_thread = 1 << 27;
         let r = launch(
             &cfg,
             &k,
-            dims((1, 1), (32, 32, 1)),
+            dims((1, 1), (64, 1, 1)),
             &[Value::from_u32(0)],
             &mem,
         );
-        assert!(matches!(r, Err(LaunchError::BadBlockDims(_))), "{r:?}");
+        assert!(matches!(r, Err(LaunchError::BlockDoesNotFit(_))), "{r:?}");
     }
 
     #[test]

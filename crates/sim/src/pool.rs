@@ -1,15 +1,11 @@
 //! Process-wide worker pool for SM-simulation tasks.
 //!
-//! `launch` used to spawn `num_sms` fresh OS threads per call via
-//! `std::thread::scope`. A single launch hides that cost behind real
-//! simulation work, but the paper's experiments are *fleets* of launches —
-//! the Figure 4 tile/unroll sweep, the register-cap and architecture
-//! studies, the 13-app suite, and the auto-tuner — where per-launch spawn
-//! bursts dominate: on one host core a 2-block launch spent ~480 µs
-//! spawning and joining 16 threads around ~7 µs of simulation.
-//!
-//! This module replaces the per-launch burst with one lazily-initialized,
-//! process-wide pool:
+//! The paper's experiments are *fleets* of launches — the Figure 4
+//! tile/unroll sweep, the register-cap and architecture studies, the 13-app
+//! suite, and the auto-tuner — and spawning `num_sms` OS threads per launch
+//! would dominate them: on one host core, spawning and joining 16 threads
+//! costs ~480 µs around a 2-block launch's ~7 µs of simulation. So every
+//! launch runs on one lazily-initialized, process-wide pool:
 //!
 //! * **Sizing** — `G80_SIM_THREADS` if set (clamped to ≥ 1), otherwise
 //!   [`std::thread::available_parallelism`]. Workers are detached and park

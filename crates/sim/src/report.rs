@@ -3,9 +3,8 @@
 //!
 //! [`crate::launch_traced`] tells a caller *which tier* served a launch;
 //! its context's [`crate::memo_counters`] tell it how the cache tiers
-//! are doing overall — but before this module the two could only be
-//! combined by hand (`g80-cuda`'s `Timeline` does exactly that diffing).
-//! [`LaunchReport`] packages both, and serializes with the canonical
+//! are doing overall. [`LaunchReport`] packages both, so no caller diffs
+//! counters around a launch by hand, and serializes with the canonical
 //! [`crate::wire`] codec, so the same struct a host runtime inspects
 //! in-process is what the `g80-serve` daemon streams to remote tenants —
 //! a client can see not just its own launch's provenance but the shared

@@ -395,21 +395,28 @@ fn spec_checks_are_typed_and_survivable() {
     stop_daemon(server, &addr);
 }
 
-/// A kernel claiming 2^27 registers per thread overflows the occupancy
-/// check's register product (`GpuConfig::block_limits`) for a 64-thread
-/// block, which panics the request's handler before any launch runs. The
-/// daemon's per-request `catch_unwind` answers a typed `Panic`, and the
-/// same connection serves the next request.
+/// Launch geometry whose `u32` products wrap is answered with the typed
+/// launch error on a surviving connection: a kernel claiming 2^27 registers
+/// in a 64-thread block does not fit (2^33 registers), and a block of
+/// (256, 2^24 + 1, 1) has more threads than the limit, not 256. Neither
+/// reaches the daemon's per-request `catch_unwind`, and the same connection
+/// serves the next request.
 #[test]
-fn a_panicking_request_is_answered_typed_and_survivable() {
+fn an_overflowing_geometry_is_answered_typed_and_survivable() {
     let (server, addr) = start_daemon(Quota::default());
-    let mut client = Client::connect(&addr, "panicky").expect("connect");
-    let good = scale_spec("sd_panicky", 5, 1, 256);
+    let mut client = Client::connect(&addr, "overflow").expect("connect");
+    let good = scale_spec("sd_overflow", 5, 1, 256);
     let mut huge_regs = good.clone();
     huge_regs.kernel.regs_per_thread = 1 << 27;
     match client.launch(&huge_regs).expect("transport") {
-        Err(WireError::Panic(_)) => {}
-        other => panic!("expected a typed Panic, got {other:?}"),
+        Err(WireError::BlockDoesNotFit(_)) => {}
+        other => panic!("expected a typed BlockDoesNotFit, got {other:?}"),
+    }
+    let mut wrapped = good.clone();
+    wrapped.dims.block = (256, (1 << 24) + 1, 1);
+    match client.launch(&wrapped).expect("transport") {
+        Err(WireError::BadBlockDims(_)) => {}
+        other => panic!("expected a typed BadBlockDims, got {other:?}"),
     }
     let (report, _) = client
         .launch(&good)

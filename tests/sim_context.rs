@@ -5,6 +5,8 @@
 
 use g80::apps::matmul::{MatMul, Variant};
 use g80::sim::{memo_counters, row_counters, MemoCounters, RowCounters, SimConfig, SimContext};
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::{Path, PathBuf};
 use std::sync::Barrier;
 
 mod common;
@@ -138,24 +140,12 @@ fn set_variables_configure_the_global_context() {
 /// file read up to its first `#[cfg(test)]`.
 #[test]
 fn runtime_toggles_table_lists_every_variable() {
-    use std::collections::BTreeSet;
-    use std::path::{Path, PathBuf};
-    fn sources(dir: &Path, out: &mut Vec<PathBuf>) {
-        for entry in std::fs::read_dir(dir).expect("read source dir") {
-            let path = entry.expect("dir entry").path();
-            if path.is_dir() {
-                sources(&path, out);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                out.push(path);
-            }
-        }
-    }
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
     for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
         let src = krate.expect("crate dir").path().join("src");
         if src.is_dir() {
-            sources(&src, &mut files);
+            files_with(&src, "rs", &mut files);
         }
     }
     let mut code = BTreeSet::new();
@@ -187,4 +177,173 @@ fn runtime_toggles_table_lists_every_variable() {
         .collect();
     assert_eq!(code, rows, "variables in crates/*/src vs README's table");
     assert_eq!(rows.len(), 11, "{rows:?}");
+}
+
+/// Every file under `dir` with extension `ext`, recursively, outside build
+/// output.
+fn files_with(dir: &Path, ext: &str, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("read source dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            if !path.ends_with("target") {
+                files_with(&path, ext, out);
+            }
+        } else if path.extension().is_some_and(|e| e == ext) {
+            out.push(path);
+        }
+    }
+}
+
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// `DESIGN.md §N` and `DESIGN §N` (the file name possibly backticked) in
+/// the sources, the tests, README.md, EXPERIMENTS.md and the verify skill
+/// each name a `## N.` heading of DESIGN.md.
+#[test]
+fn design_sections_cited_elsewhere_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let sections: BTreeSet<u32> = read(&root.join("DESIGN.md"))
+        .lines()
+        .filter_map(|l| l.strip_prefix("## ")?.split('.').next()?.parse().ok())
+        .collect();
+    let mut files = vec![root.join("README.md"), root.join("EXPERIMENTS.md")];
+    files_with(&root.join("crates"), "rs", &mut files);
+    files_with(&root.join("tests"), "rs", &mut files);
+    files_with(&root.join(".claude/skills"), "md", &mut files);
+    let (mut cited, mut dangling) = (0, Vec::new());
+    for file in &files {
+        let text = read(file);
+        for (at, _) in text.match_indices("DESIGN") {
+            let rest = &text[at + "DESIGN".len()..];
+            let rest = rest.strip_prefix(".md").unwrap_or(rest);
+            let rest = rest.strip_prefix('`').unwrap_or(rest).trim_start();
+            let Some(rest) = rest.strip_prefix('§') else {
+                continue;
+            };
+            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+            let Ok(n) = digits.parse::<u32>() else {
+                continue;
+            };
+            cited += 1;
+            if !sections.contains(&n) {
+                dangling.push(format!(
+                    "{}: §{n}",
+                    file.strip_prefix(root).unwrap().display()
+                ));
+            }
+        }
+    }
+    assert!(
+        dangling.is_empty(),
+        "no such DESIGN.md section: {dangling:?}"
+    );
+    assert!(
+        cited >= 10,
+        "only {cited} DESIGN.md section references found"
+    );
+}
+
+/// Every backticked path in DESIGN.md whose first segment is the stem of a
+/// workspace `.rs` file (`memo::tests::x`, `memo.rs::x`) names an item that
+/// file defines or imports: a pinning test renamed away, or an item deleted,
+/// fails here instead of leaving the design citing nothing.
+#[test]
+fn design_item_paths_name_defined_items() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates", "tests", "src", "examples"] {
+        files_with(&root.join(dir), "rs", &mut files);
+    }
+    let mut by_stem: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    for file in &files {
+        let stem = file.file_stem().unwrap().to_string_lossy().into_owned();
+        by_stem.entry(stem).or_default().push(read(file));
+    }
+    let design = read(&root.join("DESIGN.md"));
+    let (mut checked, mut missing) = (0, Vec::new());
+    for span in design.split('`').skip(1).step_by(2) {
+        let Some((first, rest)) = span.split_once("::") else {
+            continue;
+        };
+        let first = first.rsplit('/').next().unwrap();
+        let Some(texts) = by_stem.get(first.strip_suffix(".rs").unwrap_or(first)) else {
+            continue;
+        };
+        let last = rest.rsplit("::").next().unwrap();
+        let names: Vec<&str> = match last.strip_prefix('{') {
+            Some(list) => list
+                .trim_end_matches('}')
+                .split(',')
+                .map(str::trim)
+                .collect(),
+            None if span.contains(char::is_whitespace) => continue,
+            None => vec![last.trim_end_matches("()")],
+        };
+        for name in names {
+            checked += 1;
+            if !texts.iter().any(|t| defines(t, name)) {
+                missing.push(span);
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "DESIGN.md names items no file defines: {missing:?}"
+    );
+    assert!(checked >= 20, "only {checked} item paths checked");
+}
+
+/// Whether `text` defines `name` (an item, a field or an enum variant at
+/// the start of a line) or imports it in a `use`; a trailing `*` matches a
+/// prefix.
+fn defines(text: &str, name: &str) -> bool {
+    let (name, prefix) = match name.strip_suffix('*') {
+        Some(stem) => (stem, true),
+        None => (name, false),
+    };
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let ends = |rest: &str| prefix || !rest.starts_with(ident);
+    let word = |s: &str| {
+        s.match_indices(name)
+            .any(|(at, _)| ends(&s[at + name.len()..]) && !s[..at].ends_with(ident))
+    };
+    let member = |rest: &str| {
+        (rest.starts_with(':') && !rest.starts_with("::"))
+            || [",", "(", " {", " ="].iter().any(|p| rest.starts_with(p))
+    };
+    let keywords = [
+        "fn ",
+        "const fn ",
+        "unsafe fn ",
+        "struct ",
+        "enum ",
+        "trait ",
+        "type ",
+        "const ",
+        "static ",
+        "mod ",
+        "macro_rules! ",
+    ];
+    let mut importing = false;
+    for line in text.lines() {
+        let l = line.trim_start();
+        let l = l
+            .strip_prefix("pub(crate) ")
+            .or_else(|| l.strip_prefix("pub "))
+            .unwrap_or(l);
+        importing |= l.starts_with("use ");
+        let item = keywords.iter().any(|kw| {
+            l.strip_prefix(kw)
+                .and_then(|r| r.strip_prefix(name))
+                .is_some_and(ends)
+        });
+        let field_or_variant = l.strip_prefix(name).is_some_and(|r| ends(r) && member(r));
+        if item || field_or_variant || (importing && word(line)) {
+            return true;
+        }
+        importing &= !line.contains(';');
+    }
+    false
 }
